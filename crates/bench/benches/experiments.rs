@@ -76,23 +76,13 @@ fn bench_substrate(c: &mut Criterion) {
     g.finish();
 }
 
-/// Microbenches for the layers the hot-path overhaul touched: loss
-/// sampling, route lookup, and canonical signing-byte generation.
+/// Microbenches for the layers under the simulator's per-message
+/// path: loss sampling, route lookup, and canonical signing-byte
+/// generation.
 fn bench_hot_path_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("hot_path");
     g.sample_size(20);
 
-    // Loss roll: one SHA-256 compression (legacy) vs one xoshiro draw.
-    g.bench_function("loss_roll_digest64_legacy", |b| {
-        let mut counter = 0u64;
-        b.iter(|| {
-            counter += 1;
-            black_box(
-                btr_crypto::digest64(&[b"btr-loss", &7u64.to_be_bytes(), &counter.to_be_bytes()])
-                    % 1_000_000,
-            )
-        })
-    });
     g.bench_function("loss_roll_xoshiro", |b| {
         let mut rng = Xoshiro256StarStar::from_parts(&[b"btr-loss", &7u64.to_be_bytes()]);
         b.iter(|| black_box(rng.next_below(1_000_000)))
@@ -102,21 +92,13 @@ fn bench_hot_path_layers(c: &mut Criterion) {
         b.iter(|| black_box(rng.next_u64()))
     });
 
-    // Route lookup: per-message vector rebuild vs cached slice borrow.
     let topo = Topology::mesh(4, 5, 1_000_000, Duration(5));
     let routing = RoutingTable::new(&topo);
-    g.bench_function("route_path_vec_legacy", |b| {
-        b.iter(|| black_box(routing.path_vec(NodeId(0), NodeId(19))))
-    });
     g.bench_function("route_path_cached", |b| {
         b.iter(|| black_box(routing.path_and_links(NodeId(0), NodeId(19))))
     });
 
-    // Signing-byte generation: fresh allocation vs reused scratch.
     let payload = Payload::Heartbeat { period: 42 };
-    g.bench_function("signing_bytes_alloc_legacy", |b| {
-        b.iter(|| black_box(Envelope::signing_bytes_for(NodeId(3), Time(99), &payload)))
-    });
     g.bench_function("signing_bytes_scratch", |b| {
         let mut scratch = Vec::new();
         b.iter(|| {
@@ -127,29 +109,12 @@ fn bench_hot_path_layers(c: &mut Criterion) {
     g.finish();
 }
 
-/// The end-to-end 20-node scenario (short run) in both modes.
+/// The end-to-end 20-node scenario (short run).
 fn bench_hot_path_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_hot_path");
     g.sample_size(10);
-    g.bench_function("mesh20_100periods_legacy", |b| {
-        b.iter(|| {
-            black_box(hotpath::run_hotpath(
-                7,
-                true,
-                100,
-                hotpath::HOTPATH_LOSS_PPM,
-            ))
-        })
-    });
-    g.bench_function("mesh20_100periods_optimized", |b| {
-        b.iter(|| {
-            black_box(hotpath::run_hotpath(
-                7,
-                false,
-                100,
-                hotpath::HOTPATH_LOSS_PPM,
-            ))
-        })
+    g.bench_function("mesh20_100periods", |b| {
+        b.iter(|| black_box(hotpath::run_hotpath(7, 100, hotpath::HOTPATH_LOSS_PPM)))
     });
     // The signed-traffic scenario under both authenticator suites: the
     // end-to-end counterpart of the sign/verify microbenches above.

@@ -7,7 +7,7 @@
 //! ```text
 //! harness all               # run the full experiment suite
 //! harness e1 e7 a2          # run selected experiments
-//! harness bench [periods]   # A/B the simulator hot path, emit BENCH_sim.json
+//! harness bench [periods]   # obs-overhead A/B on the simulator hot path, emit BENCH_sim.json
 //! harness campaign [...]    # fault-injection campaign, emit CAMPAIGN_btr.json
 //! harness --list            # list every subcommand and experiment id
 //! harness --threads N ...   # worker threads (campaign + e6 planner)
@@ -231,11 +231,10 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
     );
     let seed = 7;
 
-    // Warm up both modes once (page-in, branch predictors, route caches).
-    let _ = hotpath::measure_hotpath(seed, false, periods / 10 + 1, &alloc_count);
-    let _ = hotpath::measure_hotpath(seed, true, periods / 10 + 1, &alloc_count);
+    // Warm up once (page-in, branch predictors, route caches).
+    let _ = hotpath::measure_hotpath(seed, periods / 10 + 1, &alloc_count);
 
-    // Obs overhead A/B: the identical optimized scenario with a
+    // Obs overhead A/B: the identical scenario with a
     // collecting recorder installed — the recorder sees every event,
     // send, and delivery, so this is the worst-case instrumentation
     // cost. Wall clocks on a shared machine jitter several percent run
@@ -244,11 +243,11 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
     // round of each is compared: noise only ever adds time, so the
     // minima converge on the true costs.
     let _ = hotpath::measure_hotpath_observed(seed, periods / 10 + 1, &alloc_count);
-    let mut optimized = hotpath::measure_hotpath(seed, false, periods, &alloc_count);
+    let mut optimized = hotpath::measure_hotpath(seed, periods, &alloc_count);
     let (mut observed, mut obs_rec) =
         hotpath::measure_hotpath_observed(seed, periods, &alloc_count);
     for _ in 1..hotpath::OBS_AB_ROUNDS {
-        let o = hotpath::measure_hotpath(seed, false, periods, &alloc_count);
+        let o = hotpath::measure_hotpath(seed, periods, &alloc_count);
         if o.wall_ns < optimized.wall_ns {
             optimized = o;
         }
@@ -258,13 +257,6 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             obs_rec = rec;
         }
     }
-    let legacy = hotpath::measure_hotpath(seed, true, periods, &alloc_count);
-
-    let speedup = if optimized.wall_ns > 0 {
-        legacy.wall_ns as f64 / optimized.wall_ns as f64
-    } else {
-        f64::NAN
-    };
 
     let report = |label: &str, m: &HotPathMeasurement| {
         println!(
@@ -276,10 +268,8 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             m.msgs_delivered,
         );
     };
-    report("legacy", &legacy);
     report("optimized", &optimized);
     report("observed", &observed);
-    println!("  speedup   {speedup:.2}x (wall-clock, same scenario, same seed)");
     let obs_delta_ns = observed.wall_ns.saturating_sub(optimized.wall_ns);
     let obs_overhead_pct = if optimized.wall_ns > 0 {
         obs_delta_ns as f64 / optimized.wall_ns as f64 * 100.0
@@ -340,10 +330,8 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             "  }},\n",
             "  \"modes\": {{\n",
             "{},\n",
-            "{},\n",
             "{}\n",
             "  }},\n",
-            "  \"speedup\": {},\n",
             "  \"obs_overhead\": {{\n",
             "    \"overhead_pct\": {},\n",
             "    \"ceiling_pct\": {},\n",
@@ -360,14 +348,8 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
         HOTPATH_FEC.0,
         HOTPATH_FEC.1,
         seed,
-        measurement_json("legacy", &legacy),
         measurement_json("optimized", &optimized),
         measurement_json("observed", &observed),
-        if speedup.is_finite() {
-            format!("{speedup:.2}")
-        } else {
-            "null".to_string()
-        },
         json_f64(obs_overhead_pct),
         json_f64(OBS_OVERHEAD_PCT),
         json_f64(OBS_THROUGHPUT_FLOOR),
@@ -386,7 +368,7 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
     // A truncated measurement is not the pinned scenario: the safety
     // valve fired and the numbers cover a prefix. Publish the flag in
     // the JSON (above) and fail the gate.
-    if legacy.truncated || optimized.truncated || observed.truncated {
+    if optimized.truncated || observed.truncated {
         eprintln!("error: a hot-path measurement hit the event-cap safety valve (truncated)");
         std::process::exit(1);
     }
@@ -1816,12 +1798,15 @@ fn main() {
         // count lets CI run a quick smoke pass; `--signed` adds the
         // signed-traffic suite A/B (and gates its speedup floor).
         let signed = take_flag(&mut args, "--signed");
-        let periods = args
-            .iter()
-            .skip_while(|a| *a != "bench")
-            .nth(1)
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(HOTPATH_PERIODS);
+        let mut rest = args.iter().filter(|a| *a != "bench");
+        let periods = match (rest.next().map(|a| a.parse()), rest.next()) {
+            (None, _) => HOTPATH_PERIODS,
+            (Some(Ok(periods)), None) => periods,
+            _ => {
+                eprintln!("usage: harness bench [periods] [--signed]");
+                std::process::exit(2);
+            }
+        };
         run_bench(periods, signed, "BENCH_sim.json");
         return;
     }

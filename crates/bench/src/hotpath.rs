@@ -1,21 +1,13 @@
-//! The simulator hot-path benchmark scenario and its A/B harness.
+//! The simulator hot-path benchmark scenario and its obs-overhead A/B.
 //!
-//! A pinned 20-node end-to-end workload that stresses exactly the
-//! per-message costs the optimized hot path removed: multi-hop routing on
-//! a mesh, per-shard FEC loss sampling, signed control traffic, and
-//! unsigned data-plane traffic. The same scenario runs in two modes:
-//!
-//! * **legacy** (`SimConfig::legacy_hot_path`) — the pre-optimization
-//!   reference: one SHA-256 compression per loss roll, a freshly
-//!   allocated route vector and per-hop link lookup per message, and
-//!   allocating signature encoding;
-//! * **optimized** — the default: xoshiro256** loss stream, O(1) cached
-//!   route slices, scratch-buffer signing.
-//!
-//! Both are deterministic per seed. With `loss_ppm == 0` they produce
-//! bit-identical runs (the loss sampler is the only divergent stream),
-//! which the equivalence tests below pin down. `harness bench` runs the
-//! A/B comparison and emits `BENCH_sim.json`.
+//! A pinned 20-node end-to-end workload that stresses the simulator's
+//! per-message costs: multi-hop routing on a mesh (O(1) cached route
+//! slices), per-shard FEC loss sampling (one xoshiro256** stream per
+//! world), signed control traffic (scratch-buffer signing), and unsigned
+//! data-plane traffic. Runs are deterministic per seed; the tests below
+//! pin them with golden counters and a golden trace digest. `harness
+//! bench` measures the scenario with and without a collecting recorder
+//! (`optimized` vs `observed`) and emits `BENCH_sim.json`.
 
 use btr_model::{Duration, Envelope, NodeId, Payload, Time, Topology};
 use btr_obs::ObsRecorder;
@@ -29,8 +21,8 @@ pub const HOTPATH_PERIODS: u64 = 10_000;
 pub const HOTPATH_LOSS_PPM: u32 = 20_000;
 /// FEC code of the pinned scenario: 4 data + 2 parity shards.
 pub const HOTPATH_FEC: (u8, u8) = (4, 2);
-/// Obs-overhead ceiling: a collecting recorder on the optimized hot
-/// path may cost at most this much wall-clock overhead (per cent).
+/// Obs-overhead ceiling: a collecting recorder on the hot path may
+/// cost at most this much wall-clock overhead (per cent).
 pub const OBS_OVERHEAD_PCT: f64 = 2.0;
 /// Absolute noise floor for the overhead gate: short smoke runs jitter
 /// by more than 2% run-to-run, so deltas below this many nanoseconds
@@ -91,10 +83,9 @@ impl NodeBehavior for Blaster {
 
 /// Build the pinned 20-node world.
 ///
-/// `loss_ppm` is parameterised so the equivalence tests can turn losses
-/// off (the two modes' loss streams intentionally differ); `trace`
-/// enables full event tracing for the golden-equivalence tests.
-pub fn hotpath_world(seed: u64, legacy: bool, periods: u64, loss_ppm: u32, trace: bool) -> World {
+/// `loss_ppm` is parameterised so the golden-trace test can turn losses
+/// off; `trace` enables full event tracing for the determinism tests.
+pub fn hotpath_world(seed: u64, periods: u64, loss_ppm: u32, trace: bool) -> World {
     let topo = Topology::mesh(4, 5, 1_000_000, Duration(5));
     let mut cfg = SimConfig::new(seed);
     cfg.loss_ppm = loss_ppm;
@@ -103,7 +94,6 @@ pub fn hotpath_world(seed: u64, legacy: bool, periods: u64, loss_ppm: u32, trace
     } else {
         None
     };
-    cfg.legacy_hot_path = legacy;
     cfg.trace = trace;
     let mut w = World::new(topo, cfg);
     for i in 0..HOTPATH_NODES as u32 {
@@ -121,8 +111,8 @@ pub fn hotpath_world(seed: u64, legacy: bool, periods: u64, loss_ppm: u32, trace
 }
 
 /// Run the pinned scenario to completion and return its metrics.
-pub fn run_hotpath(seed: u64, legacy: bool, periods: u64, loss_ppm: u32) -> SimMetrics {
-    let mut w = hotpath_world(seed, legacy, periods, loss_ppm, false);
+pub fn run_hotpath(seed: u64, periods: u64, loss_ppm: u32) -> SimMetrics {
+    let mut w = hotpath_world(seed, periods, loss_ppm, false);
     w.start();
     w.run_until(Time(
         periods.saturating_mul(w.period().as_micros()) + 1_000_000,
@@ -130,7 +120,7 @@ pub fn run_hotpath(seed: u64, legacy: bool, periods: u64, loss_ppm: u32) -> SimM
     *w.metrics()
 }
 
-/// One measured A/B side.
+/// One measured run of the pinned scenario.
 #[derive(Debug, Clone, Copy)]
 pub struct HotPathMeasurement {
     /// Messages accepted into the network.
@@ -175,18 +165,8 @@ impl HotPathMeasurement {
     }
 }
 
-/// Measure one mode of the pinned scenario.
-///
-/// `alloc_counter` reads the process-wide allocation count (the harness
-/// binary wires in its counting global allocator; library callers can
-/// pass `|| 0`).
-pub fn measure_hotpath(
-    seed: u64,
-    legacy: bool,
-    periods: u64,
-    alloc_counter: &dyn Fn() -> u64,
-) -> HotPathMeasurement {
-    let mut w = hotpath_world(seed, legacy, periods, HOTPATH_LOSS_PPM, false);
+/// Start `w` and time its run to the pinned horizon.
+fn measure(w: &mut World, periods: u64, alloc_counter: &dyn Fn() -> u64) -> HotPathMeasurement {
     w.start();
     let horizon = Time(periods.saturating_mul(w.period().as_micros()) + 1_000_000);
     let allocs_before = alloc_counter();
@@ -205,8 +185,22 @@ pub fn measure_hotpath(
     }
 }
 
-/// Measure the optimized mode with a collecting `ObsRecorder`
-/// installed — the A side of the obs-overhead gate. Returns the
+/// Measure the pinned scenario.
+///
+/// `alloc_counter` reads the process-wide allocation count (the harness
+/// binary wires in its counting global allocator; library callers can
+/// pass `|| 0`).
+pub fn measure_hotpath(
+    seed: u64,
+    periods: u64,
+    alloc_counter: &dyn Fn() -> u64,
+) -> HotPathMeasurement {
+    let mut w = hotpath_world(seed, periods, HOTPATH_LOSS_PPM, false);
+    measure(&mut w, periods, alloc_counter)
+}
+
+/// Measure the pinned scenario with a collecting `ObsRecorder`
+/// installed — the observed side of the obs-overhead gate. Returns the
 /// measurement plus the recorder so callers can cross-check its
 /// counters against the engine metrics.
 pub fn measure_hotpath_observed(
@@ -214,17 +208,9 @@ pub fn measure_hotpath_observed(
     periods: u64,
     alloc_counter: &dyn Fn() -> u64,
 ) -> (HotPathMeasurement, ObsRecorder) {
-    let mut w = hotpath_world(seed, false, periods, HOTPATH_LOSS_PPM, false);
+    let mut w = hotpath_world(seed, periods, HOTPATH_LOSS_PPM, false);
     w.set_recorder(Box::new(ObsRecorder::new()));
-    w.start();
-    let horizon = Time(periods.saturating_mul(w.period().as_micros()) + 1_000_000);
-    let allocs_before = alloc_counter();
-    let start = std::time::Instant::now();
-    w.run_until(horizon);
-    let wall_ns = start.elapsed().as_nanos();
-    let allocations = alloc_counter().saturating_sub(allocs_before);
-    let m = *w.metrics();
-    let truncated = w.truncated();
+    let m = measure(&mut w, periods, alloc_counter);
     let rec = w
         .take_recorder()
         .and_then(|r| {
@@ -232,17 +218,7 @@ pub fn measure_hotpath_observed(
                 .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
         })
         .unwrap_or_default();
-    (
-        HotPathMeasurement {
-            msgs_sent: m.msgs_sent,
-            msgs_delivered: m.msgs_delivered,
-            events: m.events,
-            wall_ns,
-            allocations,
-            truncated,
-        },
-        rec,
-    )
+    (m, rec)
 }
 
 #[cfg(test)]
@@ -250,44 +226,53 @@ mod tests {
     use super::*;
     use btr_sim::TraceEvent;
 
-    fn traced_run(
-        seed: u64,
-        legacy: bool,
-        periods: u64,
-        loss_ppm: u32,
-    ) -> (SimMetrics, Vec<TraceEvent>) {
-        let mut w = hotpath_world(seed, legacy, periods, loss_ppm, true);
+    fn traced_run(seed: u64, periods: u64, loss_ppm: u32) -> (SimMetrics, Vec<TraceEvent>) {
+        let mut w = hotpath_world(seed, periods, loss_ppm, true);
         w.start();
         w.run_until(Time(periods * w.period().as_micros() + 1_000_000));
         (*w.metrics(), w.trace().to_vec())
     }
 
     #[test]
-    fn same_seed_same_mode_is_bit_identical() {
-        for legacy in [false, true] {
-            let a = traced_run(11, legacy, 50, HOTPATH_LOSS_PPM);
-            let b = traced_run(11, legacy, 50, HOTPATH_LOSS_PPM);
-            assert_eq!(a.0, b.0, "metrics diverged (legacy={legacy})");
-            assert_eq!(a.1, b.1, "traces diverged (legacy={legacy})");
-        }
+    fn same_seed_is_bit_identical() {
+        let a = traced_run(11, 50, HOTPATH_LOSS_PPM);
+        let b = traced_run(11, 50, HOTPATH_LOSS_PPM);
+        assert_eq!(a.0, b.0, "metrics diverged");
+        assert_eq!(a.1, b.1, "traces diverged");
     }
 
     #[test]
-    fn modes_identical_when_loss_disabled() {
-        // With the loss sampler out of the picture, the routing cache and
-        // the scratch-buffer signing must reproduce the legacy run
-        // event-for-event: same drops, same hop timings, same deliveries.
-        let legacy = traced_run(23, true, 100, 0);
-        let optimized = traced_run(23, false, 100, 0);
-        assert_eq!(legacy.0, optimized.0, "metrics diverged across modes");
-        assert_eq!(legacy.1, optimized.1, "traces diverged across modes");
-        assert!(legacy.0.msgs_delivered > 0);
+    fn loss_free_run_matches_pinned_golden() {
+        // With the loss sampler out of the picture, routing, signing and
+        // the event queue alone decide the run. The golden — the metrics
+        // plus a SHA-256 over the `Debug` of the full trace — was recorded
+        // at 584b735 from the seed implementation of all three (per-
+        // message route walk, allocating signing, inline-heap queue).
+        let (m, trace) = traced_run(23, 100, 0);
+        let golden = SimMetrics {
+            msgs_sent: 8_000,
+            bytes_sent: 1_496_200,
+            msgs_delivered: 8_000,
+            drops_guardian: 0,
+            drops_forward: 0,
+            drops_other: 0,
+            events: 10_000,
+            timers: 2_000,
+            actuations: 0,
+        };
+        assert_eq!(m, golden, "loss-free pinned run changed");
+        assert_eq!(trace.len(), 16_000);
+        assert_eq!(
+            btr_crypto::sha256(format!("{trace:?}").as_bytes()).to_hex(),
+            "f66ebe3ee422f892bc2f4f853ba8fc0e1c8b63be532f9c2ed6d66fe1e5fc43d6",
+            "loss-free pinned trace changed"
+        );
     }
 
     #[test]
     fn different_seeds_diverge_under_loss() {
-        let a = run_hotpath(1, false, 100, HOTPATH_LOSS_PPM);
-        let b = run_hotpath(2, false, 100, HOTPATH_LOSS_PPM);
+        let a = run_hotpath(1, 100, HOTPATH_LOSS_PPM);
+        let b = run_hotpath(2, 100, HOTPATH_LOSS_PPM);
         assert_ne!(
             (a.drops_other, a.msgs_delivered),
             (b.drops_other, b.msgs_delivered),
@@ -296,12 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn optimized_loss_rate_tracks_config() {
+    fn loss_rate_tracks_config() {
         // FEC(4,2) at 2% per-shard loss: a message dies iff >= 3 of its 6
         // shards drop, i.e. P = C(6,3)·0.02³·0.98³ + ... ≈ 1.5e-4. Over
         // 160 000 attempts the expectation is ~24 drops (σ ≈ 5); the band
         // below is > 4σ wide on both sides.
-        let m = run_hotpath(5, false, 2_000, HOTPATH_LOSS_PPM);
+        let m = run_hotpath(5, 2_000, HOTPATH_LOSS_PPM);
         let attempts = m.msgs_sent + m.drops_other;
         let rate = m.drops_other as f64 / attempts as f64;
         assert!(
@@ -312,15 +297,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_mode_matches_pinned_golden() {
-        // The optimized mode's own golden: xoshiro loss stream + arena-
-        // backed event queue, seed 7, 200 periods. Together with
-        // `legacy_mode_matches_pinned_golden` and the loss-free cross-
-        // mode equivalence this pins the whole A/B oracle: the arena
-        // queue replays the pinned scenario bit-for-bit run over run,
-        // and any change to its event ordering or the loss stream moves
-        // these counters.
-        let m = run_hotpath(7, false, 200, HOTPATH_LOSS_PPM);
+    fn lossy_run_matches_pinned_golden() {
+        // The lossy golden: xoshiro loss stream + arena-backed event
+        // queue, seed 7, 200 periods. Together with the loss-free golden
+        // above this pins the pinned scenario bit-for-bit run over run:
+        // any change to event ordering or the loss stream moves these
+        // counters.
+        let m = run_hotpath(7, 200, HOTPATH_LOSS_PPM);
         let golden = SimMetrics {
             msgs_sent: 15_997,
             bytes_sent: 4_464_624,
@@ -332,14 +315,14 @@ mod tests {
             timers: 4_000,
             actuations: 0,
         };
-        assert_eq!(m, golden, "arena-mode pinned run changed");
+        assert_eq!(m, golden, "lossy pinned run changed");
     }
 
     #[test]
     fn arena_drains_after_run() {
         // Every queued envelope handle must be reclaimed by the time the
         // queue drains — a nonzero count here is an arena leak.
-        let mut w = hotpath_world(7, false, 50, HOTPATH_LOSS_PPM, false);
+        let mut w = hotpath_world(7, 50, HOTPATH_LOSS_PPM, false);
         w.start();
         w.run_until(Time(50 * w.period().as_micros() + 1_000_000));
         assert_eq!(w.queued_events(), 0);
@@ -352,7 +335,7 @@ mod tests {
         // the *same* run: identical engine counters, and a recorder whose
         // tallies agree with the metrics it shadowed.
         use btr_obs::Counter;
-        let plain = run_hotpath(7, false, 100, HOTPATH_LOSS_PPM);
+        let plain = run_hotpath(7, 100, HOTPATH_LOSS_PPM);
         let (obs, rec) = measure_hotpath_observed(7, 100, &|| 0);
         assert_eq!(obs.msgs_sent, plain.msgs_sent);
         assert_eq!(obs.msgs_delivered, plain.msgs_delivered);
@@ -362,30 +345,5 @@ mod tests {
         assert_eq!(rec.counter(Counter::Delivers), plain.msgs_delivered);
         assert_eq!(rec.counter(Counter::Events), plain.events);
         assert_eq!(rec.counter(Counter::Timers), plain.timers);
-    }
-
-    #[test]
-    fn legacy_mode_matches_pinned_golden() {
-        // Exact golden counters for the pinned scenario, legacy sampler,
-        // seed 7, 200 periods. These pin the *exact* pre-refactor drop
-        // decisions: the legacy mode reruns the seed implementation's
-        // hash-chain sampler, so any change to these numbers (a new
-        // domain tag, counter scheme, or roll order) breaks the pre/post
-        // equivalence chain and must be called out explicitly. Regenerate
-        // intentionally only if the scenario definition itself changes
-        // (see EXPERIMENTS.md).
-        let m = run_hotpath(7, true, 200, HOTPATH_LOSS_PPM);
-        let golden = SimMetrics {
-            msgs_sent: 15_998,
-            bytes_sent: 4_464_924,
-            msgs_delivered: 15_998,
-            drops_guardian: 0,
-            drops_forward: 0,
-            drops_other: 2,
-            events: 19_998,
-            timers: 4_000,
-            actuations: 0,
-        };
-        assert_eq!(m, golden, "legacy hash-chain sampler decisions changed");
     }
 }

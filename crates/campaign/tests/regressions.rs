@@ -103,6 +103,19 @@ fn sibling_reproducers_stay_fixed() {
     }
 }
 
+/// Open finding (PR 10, found while sizing the benchmark's 36-node
+/// cell): evidence-spam on n8 of the scada fat-tree leaves outputs bad to
+/// the end of the horizon — 910 ms against R = 400 ms — although the
+/// schedule is admissible. Frozen here so the fixing PR only removes the
+/// `#[ignore]`.
+#[test]
+#[ignore = "open finding, PR 10"]
+fn scada_fattree_evidence_spam_recovers_within_r() {
+    let tok = "w=scada;t=fattree4x1000000x5;f=1;r=400000;h=1080000;me=20000000;\
+               s=7191089600892374487;fl=evidence-spam@169689@n8";
+    assert_recovers("scada-fattree-evidence-spam", tok, &replay_token(tok));
+}
+
 /// The primary reproducers replayed from N concurrent threads agree
 /// bit-for-bit with the sequential replays: the fixes hold under the
 /// same parallelism the campaign runner uses, with no hidden shared

@@ -204,28 +204,6 @@ impl RoutingTable {
         ))
     }
 
-    /// The path as an owned vector, rebuilt from the next-hop table on
-    /// every call. This is the pre-cache reference implementation, kept
-    /// for the perf harness's legacy mode and as a differential oracle
-    /// for the cache (see the `cache_matches_walk` test).
-    pub fn path_vec(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        if src == dst {
-            // Mirror the cached behaviour for avoided nodes: no self-path.
-            return self.path(src, dst).map(|p| p.to_vec());
-        }
-        let mut path = vec![src];
-        let mut cur = src;
-        for _ in 0..=self.n {
-            let hop = self.next_hop(cur, dst)?;
-            path.push(hop);
-            if hop == dst {
-                return Some(path);
-            }
-            cur = hop;
-        }
-        None // Cycle guard; unreachable with consistent tables.
-    }
-
     /// Hop count from `src` to `dst` (0 for self, None if unreachable).
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         self.path(src, dst).map(|p| (p.len() - 1) as u32)
@@ -346,11 +324,26 @@ mod tests {
         }
     }
 
+    /// The path rebuilt hop by hop from the public next-hop table — the
+    /// reference `cache_matches_walk` holds the cached paths to.
+    fn walk(r: &RoutingTable, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        let mut path = vec![src];
+        let mut cur = src;
+        for _ in 0..=r.n {
+            let hop = r.next_hop(cur, dst)?;
+            path.push(hop);
+            if hop == dst {
+                return Some(path);
+            }
+            cur = hop;
+        }
+        None // Cycle guard; unreachable with consistent tables.
+    }
+
     #[test]
     fn cache_matches_walk() {
-        // The O(1) cached paths must agree with the next-hop walk (the
-        // pre-cache implementation) on every pair, with and without
-        // avoided nodes.
+        // The O(1) cached paths must agree with the next-hop walk on
+        // every pair of distinct nodes, with and without avoided nodes.
         let t = Topology::mesh(3, 4, 100, Duration(1));
         for avoid in [
             BTreeSet::new(),
@@ -359,9 +352,9 @@ mod tests {
         ] {
             let r = RoutingTable::avoiding(&t, &avoid);
             for s in 0..12u32 {
-                for d in 0..12u32 {
+                for d in (0..12u32).filter(|&d| d != s) {
                     let cached = r.path(NodeId(s), NodeId(d)).map(|p| p.to_vec());
-                    let walked = r.path_vec(NodeId(s), NodeId(d));
+                    let walked = walk(&r, NodeId(s), NodeId(d));
                     assert_eq!(cached, walked, "pair {s}->{d} avoid {avoid:?}");
                 }
             }

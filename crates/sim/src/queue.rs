@@ -1,21 +1,16 @@
-//! Event queues: the legacy inline heap and the arena-backed compact
-//! heap.
+//! The event queue: an arena-backed compact heap.
 //!
-//! The simulator's queue orders events by `(time, sequence)`. The
-//! original implementation moved the full event payload — an
-//! [`Envelope`] is ~180 bytes — through every `BinaryHeap` sift, which
-//! the ROADMAP flagged as the next per-delivery cost after the hot path
-//! went allocation-free. The arena-backed queue stores envelopes (and
+//! The simulator's queue orders events by `(time, sequence)`. Moving
+//! the full event payload — an [`Envelope`] is ~180 bytes — through
+//! every `BinaryHeap` sift was the dominant per-delivery cost once the
+//! hot path went allocation-free, so the queue stores envelopes (and
 //! the rare boxed control actions) in free-listed arenas and keeps only
 //! a 16-byte compact event — a tag plus a 4-byte handle — in each heap
-//! entry, so sifts move 32-byte entries regardless of payload size.
+//! entry: sifts move 32-byte entries regardless of payload size.
 //!
-//! Ordering is by `(at, seq)` in both implementations and `seq` is
-//! unique, so pop order — and therefore every simulation — is
-//! bit-identical across the two. `SimConfig::legacy_hot_path` selects
-//! the legacy queue, preserving the pre-optimisation implementation as
-//! a live differential oracle (see `btr_bench::hotpath` and the A/B
-//! tests below).
+//! `seq` is unique, so pop order is exactly the pushes sorted by
+//! `(at, seq)` — the property the test below checks and every
+//! simulation's determinism rests on.
 
 use crate::world::ControlAction;
 use crate::TimerId;
@@ -84,30 +79,6 @@ impl<T> Arena<T> {
     }
 }
 
-/// Legacy heap entry: the event payload rides the heap.
-pub(crate) struct LegacyScheduled {
-    at: Time,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for LegacyScheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for LegacyScheduled {}
-impl PartialOrd for LegacyScheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LegacyScheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Compact event: a tag plus a handle into the side arenas.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CompactEvent {
@@ -116,7 +87,7 @@ pub(crate) enum CompactEvent {
     Control(u32),
 }
 
-/// Arena-mode heap entry: 32 bytes regardless of payload size.
+/// Heap entry: 32 bytes regardless of payload size.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CompactScheduled {
     at: Time,
@@ -141,103 +112,57 @@ impl Ord for CompactScheduled {
     }
 }
 
-/// The world's event queue, in one of its two modes.
-pub(crate) enum EventQueue {
-    /// Pre-arena implementation: events (envelopes included) inline in
-    /// the heap. Kept behind `SimConfig::legacy_hot_path` as the
-    /// measured baseline and differential oracle.
-    Legacy(BinaryHeap<Reverse<LegacyScheduled>>),
-    /// Arena-backed: compact heap entries, payloads in free-listed
-    /// arenas.
-    Arena {
-        heap: BinaryHeap<Reverse<CompactScheduled>>,
-        envs: Arena<Envelope>,
-        controls: Arena<ControlAction>,
-    },
+/// The world's event queue: compact heap entries, payloads in
+/// free-listed arenas.
+#[derive(Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Reverse<CompactScheduled>>,
+    envs: Arena<Envelope>,
+    controls: Arena<ControlAction>,
 }
 
 impl EventQueue {
-    /// An empty queue in the requested mode.
-    pub(crate) fn new(legacy: bool) -> EventQueue {
-        if legacy {
-            EventQueue::Legacy(BinaryHeap::new())
-        } else {
-            EventQueue::Arena {
-                heap: BinaryHeap::new(),
-                envs: Arena::default(),
-                controls: Arena::default(),
-            }
-        }
-    }
-
     /// Schedule `event` at `(at, seq)`.
     pub(crate) fn push(&mut self, at: Time, seq: u64, event: Event) {
-        match self {
-            EventQueue::Legacy(heap) => heap.push(Reverse(LegacyScheduled { at, seq, event })),
-            EventQueue::Arena {
-                heap,
-                envs,
-                controls,
-            } => {
-                let ev = match event {
-                    Event::Deliver { dst, env } => CompactEvent::Deliver {
-                        dst,
-                        env: envs.insert(env),
-                    },
-                    Event::Timer { node, timer } => CompactEvent::Timer { node, timer },
-                    Event::Control(action) => CompactEvent::Control(controls.insert(action)),
-                };
-                heap.push(Reverse(CompactScheduled { at, seq, ev }));
-            }
-        }
+        let ev = match event {
+            Event::Deliver { dst, env } => CompactEvent::Deliver {
+                dst,
+                env: self.envs.insert(env),
+            },
+            Event::Timer { node, timer } => CompactEvent::Timer { node, timer },
+            Event::Control(action) => CompactEvent::Control(self.controls.insert(action)),
+        };
+        self.heap.push(Reverse(CompactScheduled { at, seq, ev }));
     }
 
     /// The timestamp of the next event, if any.
     pub(crate) fn next_at(&self) -> Option<Time> {
-        match self {
-            EventQueue::Legacy(heap) => heap.peek().map(|Reverse(s)| s.at),
-            EventQueue::Arena { heap, .. } => heap.peek().map(|Reverse(s)| s.at),
-        }
+        self.heap.peek().map(|Reverse(s)| s.at)
     }
 
-    /// Pop the earliest event. Pop order is identical across modes:
-    /// both heaps order by `(at, seq)` and `seq` is unique.
+    /// Pop the earliest event by `(at, seq)`.
     pub(crate) fn pop(&mut self) -> Option<(Time, Event)> {
-        match self {
-            EventQueue::Legacy(heap) => heap.pop().map(|Reverse(s)| (s.at, s.event)),
-            EventQueue::Arena {
-                heap,
-                envs,
-                controls,
-            } => heap.pop().map(|Reverse(s)| {
-                let event = match s.ev {
-                    CompactEvent::Deliver { dst, env } => Event::Deliver {
-                        dst,
-                        env: envs.take(env),
-                    },
-                    CompactEvent::Timer { node, timer } => Event::Timer { node, timer },
-                    CompactEvent::Control(h) => Event::Control(controls.take(h)),
-                };
-                (s.at, event)
-            }),
-        }
+        let Reverse(s) = self.heap.pop()?;
+        let event = match s.ev {
+            CompactEvent::Deliver { dst, env } => Event::Deliver {
+                dst,
+                env: self.envs.take(env),
+            },
+            CompactEvent::Timer { node, timer } => Event::Timer { node, timer },
+            CompactEvent::Control(h) => Event::Control(self.controls.take(h)),
+        };
+        Some((s.at, event))
     }
 
     /// Events currently queued.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Legacy(heap) => heap.len(),
-            EventQueue::Arena { heap, .. } => heap.len(),
-        }
+        self.heap.len()
     }
 
-    /// Envelopes currently parked in the arena (0 in legacy mode) —
-    /// must equal the queued `Deliver` count, pinned by tests.
+    /// Envelopes currently parked in the arena — must equal the queued
+    /// `Deliver` count, pinned by tests.
     pub(crate) fn envelopes_in_flight(&self) -> usize {
-        match self {
-            EventQueue::Legacy(_) => 0,
-            EventQueue::Arena { envs, .. } => envs.live(),
-        }
+        self.envs.live()
     }
 }
 
@@ -258,14 +183,12 @@ mod tests {
         }
     }
 
-    /// Deterministic scramble of pushes; both queue modes must pop the
-    /// identical sequence — the queue-level half of the legacy-vs-arena
-    /// differential oracle (the world-level half is the bit-identical
-    /// cross-mode runs in `btr_bench::hotpath`).
+    /// Deterministic scramble of pushes; the queue must pop exactly the
+    /// pushes sorted by `(at, seq)`.
     #[test]
-    fn arena_pops_exactly_like_legacy() {
-        let mut legacy = EventQueue::new(true);
-        let mut arena = EventQueue::new(false);
+    fn arena_pops_in_at_seq_order() {
+        let mut arena = EventQueue::default();
+        let mut expected = Vec::new();
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -286,31 +209,25 @@ mod tests {
                 },
                 _ => Event::Control(ControlAction::Crash(NodeId((seq % 9) as u32))),
             };
-            legacy.push(at, seq, ev());
+            expected.push((at, seq, label(&ev())));
             arena.push(at, seq, ev());
         }
-        assert_eq!(legacy.len(), arena.len());
-        let mut popped = 0;
-        loop {
-            let a = legacy.pop();
-            let b = arena.pop();
-            match (a, b) {
-                (None, None) => break,
-                (Some((ta, ea)), Some((tb, eb))) => {
-                    assert_eq!(ta, tb, "timestamps diverged at pop {popped}");
-                    assert_eq!(label(&ea), label(&eb), "events diverged at pop {popped}");
-                }
-                _ => panic!("queue lengths diverged at pop {popped}"),
-            }
-            popped += 1;
+        assert_eq!(arena.len(), 500);
+        expected.sort_by_key(|&(at, seq, _)| (at, seq));
+        for (popped, (at, _, want)) in expected.iter().enumerate() {
+            let (t, e) = arena
+                .pop()
+                .unwrap_or_else(|| panic!("queue ran dry at pop {popped}"));
+            assert_eq!(t, *at, "timestamps diverged at pop {popped}");
+            assert_eq!(&label(&e), want, "events diverged at pop {popped}");
         }
-        assert_eq!(popped, 500);
+        assert!(arena.pop().is_none(), "queue popped more than was pushed");
         assert_eq!(arena.envelopes_in_flight(), 0, "arena leaked envelopes");
     }
 
     #[test]
     fn arena_recycles_slots() {
-        let mut q = EventQueue::new(false);
+        let mut q = EventQueue::default();
         for round in 0..10u64 {
             for i in 0..16u64 {
                 q.push(
@@ -326,9 +243,7 @@ mod tests {
             while q.pop().is_some() {}
             assert_eq!(q.envelopes_in_flight(), 0);
         }
-        if let EventQueue::Arena { envs, .. } = &q {
-            assert_eq!(envs.slots.len(), 16, "slots must be recycled, not grown");
-        }
+        assert_eq!(q.envs.slots.len(), 16, "slots must be recycled, not grown");
     }
 
     #[test]
@@ -336,8 +251,5 @@ mod tests {
         // The point of the arena: heap sifts move fixed 32-byte entries,
         // not whole envelopes.
         assert!(std::mem::size_of::<CompactScheduled>() <= 32);
-        assert!(
-            std::mem::size_of::<LegacyScheduled>() > 4 * std::mem::size_of::<CompactScheduled>()
-        );
     }
 }

@@ -41,15 +41,6 @@ pub struct SimConfig {
     /// message survives any ≤ m shard losses, at a wire-byte overhead of
     /// (k+m)/k. With this on, `loss_ppm` applies per *shard*.
     pub fec: Option<(u8, u8)>,
-    /// Run the pre-optimization per-message path: SHA-256 loss rolls,
-    /// per-message route vectors, and allocating signature encoding.
-    ///
-    /// Kept as the measured baseline for the perf harness (`harness
-    /// bench`) and as a differential oracle for the optimized path. Both
-    /// modes are deterministic per seed, but their *loss streams* differ
-    /// (different samplers); with `loss_ppm == 0` the two modes produce
-    /// bit-identical runs, which the determinism tests rely on.
-    pub legacy_hot_path: bool,
     /// Hard cap on dispatched events (0 = unlimited). When a run exceeds
     /// the cap, [`World::run_until`] stops dispatching and the world is
     /// marked [`World::truncated`]. Campaign fleets use this as a safety
@@ -76,7 +67,6 @@ impl SimConfig {
             trace: false,
             loss_ppm: 0,
             fec: None,
-            legacy_hot_path: false,
             max_events: 0,
             auth_suite: AuthSuite::default(),
         }
@@ -150,9 +140,7 @@ struct NodeSlot {
     /// Local clock = global + offset (µs, may be negative).
     clock_offset: i64,
     forward: ForwardPolicy,
-    /// Legacy per-node RNG: a hash-chain counter (see `NodeCtx::rng_u64`).
-    rng_counter: u64,
-    /// Optimized per-node RNG stream, seeded once from (seed, node).
+    /// Per-node RNG stream, seeded once from (seed, node).
     rng: SplitMix64,
 }
 
@@ -190,10 +178,8 @@ pub struct World {
     queue: EventQueue,
     now: Time,
     seq: u64,
-    /// Legacy loss sampler state: rolls consumed so far (hash-chain input).
-    loss_counter: u64,
-    /// Optimized loss sampler: one PRNG stream per world, seeded from the
-    /// seed digest.
+    /// Loss sampler: one PRNG stream per world, seeded from the seed
+    /// digest.
     loss_rng: Xoshiro256StarStar,
     /// Reusable scratch for canonical signing bytes (send + verify paths).
     scratch: Vec<u8>,
@@ -252,7 +238,6 @@ impl World {
                     crashed: false,
                     clock_offset: skew,
                     forward: ForwardPolicy::Forward,
-                    rng_counter: 0,
                     rng: SplitMix64::from_parts(&[
                         b"btr-node-rng",
                         &cfg.seed.to_be_bytes(),
@@ -262,17 +247,15 @@ impl World {
             })
             .collect();
         let loss_rng = Xoshiro256StarStar::from_parts(&[b"btr-loss", &cfg.seed.to_be_bytes()]);
-        let queue = EventQueue::new(cfg.legacy_hot_path);
         World {
             topo,
             cfg,
             nics,
             routing,
             slots,
-            queue,
+            queue: EventQueue::default(),
             now: Time::ZERO,
             seq: 0,
-            loss_counter: 0,
             loss_rng,
             scratch: Vec::new(),
             hop_buf: Vec::new(),
@@ -461,8 +444,7 @@ impl World {
         self.queue.len()
     }
 
-    /// Envelopes parked in the event arena awaiting delivery (always 0
-    /// in legacy mode, which carries envelopes inline in the heap). Must
+    /// Envelopes parked in the event arena awaiting delivery. Must
     /// track the queued `Deliver` count exactly — a nonzero value after
     /// the queue drains would be an arena leak.
     pub fn envelopes_in_flight(&self) -> usize {
@@ -688,30 +670,20 @@ impl World {
     }
 
     /// One transmission-loss roll in `0..1_000_000`, deterministic per
-    /// seed. Legacy mode reproduces the original hash-chain sampler (one
-    /// full SHA-256 compression per roll); the optimized sampler draws
-    /// from a xoshiro256** stream seeded once from the seed digest.
+    /// seed: a draw from a xoshiro256** stream seeded once from the seed
+    /// digest.
     #[inline]
     fn loss_roll(&mut self) -> u32 {
-        if self.cfg.legacy_hot_path {
-            self.loss_counter += 1;
-            (digest64(&[
-                b"btr-loss",
-                &self.cfg.seed.to_be_bytes(),
-                &self.loss_counter.to_be_bytes(),
-            ]) % 1_000_000) as u32
-        } else {
-            self.loss_rng.next_below(1_000_000) as u32
-        }
+        self.loss_rng.next_below(1_000_000) as u32
     }
 
     /// Route and transmit an envelope from `src`. Returns the delivery
     /// time on success (mainly for tests; behaviours ignore it).
     ///
-    /// This is the simulator's hottest function: one call per message. In
-    /// the default mode it performs no heap allocation — the route is a
-    /// borrow of the routing cache staged into a reusable hop buffer, and
-    /// loss sampling is a few arithmetic ops per roll.
+    /// This is the simulator's hottest function: one call per message. It
+    /// performs no heap allocation — the route is a borrow of the routing
+    /// cache staged into a reusable hop buffer, and loss sampling is a
+    /// few arithmetic ops per roll.
     fn transmit(&mut self, src: NodeId, env: Envelope) -> Option<Time> {
         let bytes = env.wire_size();
         let dst = env.dst;
@@ -744,43 +716,21 @@ impl World {
             return Some(at);
         }
 
-        // Resolve the route into the reusable hop buffer. Legacy mode
-        // rebuilds the path vector per message and looks up each hop's
-        // link, exactly like the pre-cache implementation.
+        // Resolve the route into the reusable hop buffer.
         self.prof(Subsystem::Routing);
         let route_t0 = self.wall_start();
         let mut hops = std::mem::take(&mut self.hop_buf);
         hops.clear();
-        if self.cfg.legacy_hot_path {
-            match self.routing.path_vec(src, dst) {
-                None => {
-                    self.hop_buf = hops;
-                    self.wall_end(Subsystem::Routing, route_t0);
-                    self.record_drop(src, dst, DropReason::NoRoute);
-                    return None;
-                }
-                Some(path) => {
-                    for pair in path.windows(2) {
-                        let link = self
-                            .topo
-                            .link_between(pair[0], pair[1])
-                            .expect("routing path uses existing links");
-                        hops.push((pair[0], pair[1], link));
-                    }
-                }
+        match self.routing.path_and_links(src, dst) {
+            None => {
+                self.hop_buf = hops;
+                self.wall_end(Subsystem::Routing, route_t0);
+                self.record_drop(src, dst, DropReason::NoRoute);
+                return None;
             }
-        } else {
-            match self.routing.path_and_links(src, dst) {
-                None => {
-                    self.hop_buf = hops;
-                    self.wall_end(Subsystem::Routing, route_t0);
-                    self.record_drop(src, dst, DropReason::NoRoute);
-                    return None;
-                }
-                Some((nodes, links)) => {
-                    for (i, &link) in links.iter().enumerate() {
-                        hops.push((nodes[i], nodes[i + 1], link));
-                    }
+            Some((nodes, links)) => {
+                for (i, &link) in links.iter().enumerate() {
+                    hops.push((nodes[i], nodes[i + 1], link));
                 }
             }
         }
@@ -1007,17 +957,11 @@ impl CtxBackend for World {
         self.prof(Subsystem::CryptoSign);
         let t0 = self.wall_start();
         let env = Envelope::new(src, dst, self.local_now(src), payload);
-        let env = if self.cfg.legacy_hot_path {
-            // Pre-optimization reference: allocate the signing bytes.
-            env.signed(&self.slots[src.index()].signer)
-        } else {
-            // Write the canonical signing bytes into the world's scratch
-            // buffer; steady-state sends perform no heap allocation.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let env = env.signed_with(&self.slots[src.index()].signer, &mut scratch);
-            self.scratch = scratch;
-            env
-        };
+        // Write the canonical signing bytes into the world's scratch
+        // buffer; steady-state sends perform no heap allocation.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let env = env.signed_with(&self.slots[src.index()].signer, &mut scratch);
+        self.scratch = scratch;
         self.wall_end(Subsystem::CryptoSign, t0);
         self.transmit(src, env);
     }
@@ -1103,18 +1047,7 @@ impl CtxBackend for World {
     }
 
     fn rng_u64(&mut self, node: NodeId) -> u64 {
-        let slot = &mut self.slots[node.index()];
-        if self.cfg.legacy_hot_path {
-            slot.rng_counter += 1;
-            digest64(&[
-                b"btr-node-rng",
-                &self.cfg.seed.to_be_bytes(),
-                &node.0.to_be_bytes(),
-                &slot.rng_counter.to_be_bytes(),
-            ])
-        } else {
-            slot.rng.next_u64()
-        }
+        self.slots[node.index()].rng.next_u64()
     }
 }
 
@@ -1215,9 +1148,8 @@ impl<'w> NodeCtx<'w> {
 
     /// A deterministic per-node pseudo-random stream.
     ///
-    /// Distinct per node and per seed. The legacy mode reproduces the
-    /// original hash-chain stream (one SHA-256 per draw); the optimized
-    /// mode advances a SplitMix64 stream seeded once per node.
+    /// Distinct per node and per seed: a SplitMix64 stream seeded once
+    /// per node.
     pub fn rng_u64(&mut self) -> u64 {
         self.backend.rng_u64(self.node)
     }
