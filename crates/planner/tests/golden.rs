@@ -1,0 +1,334 @@
+//! Golden strategies: the planner's output, frozen.
+//!
+//! `build_strategy` is deterministic, and everything downstream (the
+//! campaign's `runs_digest`, the fuzzer baseline) hangs off the exact
+//! `Strategy` it returns. These constants pin that value — a digest of
+//! its `Debug` rendering plus the full `StrategyStats` — and the exact
+//! text of the error a strict admission returns, on every platform
+//! family the planner is exercised on, including the shed-and-retry
+//! path. Planner-internal changes (how often a routing table is built,
+//! where transitions are derived) must leave every constant untouched.
+//!
+//! To regenerate after an *intended* behaviour change:
+//! `GOLDEN_PRINT=1 cargo test -p btr-planner --test golden -- --nocapture`.
+
+use btr_model::{Duration, Topology};
+use btr_planner::{build_strategy, PlannerConfig, ShedPolicy, StrategyStats};
+use btr_workload::{generators, Workload};
+
+/// FNV-1a, 64 bit: a digest with a fixed definition (std's hashers
+/// promise no stability across releases).
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn platform(name: &str) -> (Topology, u8) {
+    let lat = Duration(5);
+    match name {
+        "bus20" => (Topology::bus(20, 150_000, lat), 2),
+        "bus36" => (Topology::bus(36, 150_000, lat), 1),
+        "ring12" => (Topology::ring(12, 150_000, lat), 2),
+        "mesh3x4" => (Topology::mesh(3, 4, 150_000, lat), 2),
+        "dual_bus6" => (Topology::dual_bus(6, 150_000, lat), 3),
+        // Overloaded: too little bandwidth for the full workload, so
+        // most modes go through shed-and-retry.
+        "bus5_overloaded" => (Topology::bus(5, 20_000, lat), 2),
+        other => panic!("unknown platform {other}"),
+    }
+}
+
+fn workload(name: &str, nodes: usize) -> Workload {
+    match name {
+        "avionics" => generators::avionics(nodes),
+        "scada" => generators::scada(nodes),
+        other => panic!("unknown workload {other}"),
+    }
+}
+
+/// Everything frozen about one (workload, platform) pair.
+#[derive(Debug, PartialEq)]
+struct Golden {
+    /// FNV-1a of `format!("{:?}", strategy)`, best-effort admission.
+    digest: u64,
+    /// `plans, transitions, worst_transition µs, worst_distance,
+    /// total_distance, max_shed, degraded_plans`.
+    stats: [u64; 7],
+    /// Strict admission at R = 20 ms: the error text (or "admitted").
+    strict_20ms: String,
+    /// Strict admission at R one microsecond under the worst
+    /// transition's total: only the worst transitions violate, so the
+    /// text pins *which* of them is reported first.
+    strict_tight: String,
+    /// Strict admission at R = 20 ms with `ShedPolicy::Never`: an
+    /// infeasible mode outranks any R violation.
+    strict_never: String,
+}
+
+fn stats_row(s: &StrategyStats) -> [u64; 7] {
+    [
+        s.plans as u64,
+        s.transitions as u64,
+        s.worst_transition.as_micros(),
+        s.worst_distance as u64,
+        s.total_distance as u64,
+        s.max_shed as u64,
+        s.degraded_plans as u64,
+    ]
+}
+
+fn strict(w: &Workload, topo: &Topology, cfg: &PlannerConfig) -> String {
+    match build_strategy(w, topo, cfg) {
+        Ok(_) => "admitted".to_string(),
+        Err(e) => e.to_string(),
+    }
+}
+
+fn measure(wl: &str, plat: &str) -> Golden {
+    let (topo, f) = platform(plat);
+    let w = workload(wl, topo.node_count());
+    let mut cfg = PlannerConfig::new(f, Duration::from_millis(300));
+    cfg.admit_best_effort = true;
+    let (strategy, stats) = build_strategy(&w, &topo, &cfg).expect("best-effort build");
+    // The threaded build must be the same value, not merely equivalent.
+    cfg.threads = 3;
+    let (threaded, threaded_stats) = build_strategy(&w, &topo, &cfg).expect("threaded build");
+    assert_eq!(strategy, threaded, "{wl} on {plat}: threads = 3 differs");
+    assert_eq!(
+        stats, threaded_stats,
+        "{wl} on {plat}: threaded stats differ"
+    );
+    cfg.threads = 1;
+
+    cfg.admit_best_effort = false;
+    cfg.r_bound = Duration::from_millis(20);
+    let strict_20ms = strict(&w, &topo, &cfg);
+    cfg.shed = ShedPolicy::Never;
+    let strict_never = strict(&w, &topo, &cfg);
+    cfg.shed = ShedPolicy::ByCriticality;
+    cfg.r_bound = cfg.detect_margin + stats.worst_transition - Duration(1);
+    let strict_tight = strict(&w, &topo, &cfg);
+    cfg.threads = 3;
+    assert_eq!(
+        strict(&w, &topo, &cfg),
+        strict_tight,
+        "{wl} on {plat}: threaded strict error differs"
+    );
+
+    Golden {
+        digest: fnv1a(&format!("{strategy:?}")),
+        stats: stats_row(&stats),
+        strict_20ms,
+        strict_tight,
+        strict_never,
+    }
+}
+
+fn golden(
+    digest: u64,
+    stats: [u64; 7],
+    strict_20ms: &str,
+    strict_tight: &str,
+    strict_never: &str,
+) -> Golden {
+    Golden {
+        digest,
+        stats,
+        strict_20ms: strict_20ms.to_string(),
+        strict_tight: strict_tight.to_string(),
+        strict_never: strict_never.to_string(),
+    }
+}
+
+fn check(wl: &str, plat: &str, expect: Golden) {
+    let got = measure(wl, plat);
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        println!(
+            "{wl} {plat}:\n    golden(\n        {:#018x},\n        {:?},\n        {:?},\n        {:?},\n        {:?},\n    )",
+            got.digest, got.stats, got.strict_20ms, got.strict_tight, got.strict_never
+        );
+        return;
+    }
+    assert_eq!(got, expect, "{wl} on {plat}");
+}
+
+#[test]
+fn avionics_bus20_f2() {
+    check(
+        "avionics",
+        "bus20",
+        golden(
+            0xa293_0b2d_a315_b0c9,
+            [211, 400, 11447, 10, 1509, 2, 105],
+            "transition {} -> {n0} bound 22.764ms exceeds R = 20.000ms",
+            "transition {n3} -> {n3,n6} bound 23.447ms exceeds R = 23.446ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_bus20_f2() {
+    check(
+        "scada",
+        "bus20",
+        golden(
+            0x2ffe_e3d7_7ab1_c8cd,
+            [211, 400, 11720, 6, 755, 2, 57],
+            "transition {} -> {n0} bound 22.628ms exceeds R = 20.000ms",
+            "transition {} -> {n14} bound 23.720ms exceeds R = 23.719ms",
+            "no feasible plan for {n3}: t4: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_bus36_f1() {
+    check(
+        "avionics",
+        "bus36",
+        golden(
+            0xcf25_eb02_33e2_1d86,
+            [37, 36, 11701, 3, 40, 1, 6],
+            "transition {} -> {n0} bound 22.718ms exceeds R = 20.000ms",
+            "transition {} -> {n13} bound 23.701ms exceeds R = 23.700ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_bus36_f1() {
+    check(
+        "scada",
+        "bus36",
+        golden(
+            0x7f4d_46f4_6185_6451,
+            [37, 36, 12684, 3, 20, 1, 3],
+            "transition {} -> {n0} bound 22.718ms exceeds R = 20.000ms",
+            "transition {} -> {n10} bound 24.684ms exceeds R = 24.683ms",
+            "no feasible plan for {n3}: t4: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_ring12_f2() {
+    check(
+        "avionics",
+        "ring12",
+        golden(
+            0xedb7_b566_cd32_711e,
+            [79, 144, 11320, 17, 478, 15, 64],
+            "transition {} -> {n0} bound 23.320ms exceeds R = 20.000ms",
+            "transition {} -> {n0} bound 23.320ms exceeds R = 23.319ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_ring12_f2() {
+    check(
+        "scada",
+        "ring12",
+        golden(
+            0xfbcc_fb58_abf8_a90f,
+            [79, 144, 11870, 7, 286, 7, 58],
+            "transition {} -> {n0} bound 22.780ms exceeds R = 20.000ms",
+            "transition {} -> {n5} bound 23.870ms exceeds R = 23.869ms",
+            "no feasible plan for {n3}: t4: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_mesh3x4_f2() {
+    check(
+        "avionics",
+        "mesh3x4",
+        golden(
+            0x8e93_6d98_adb0_010b,
+            [79, 144, 11076, 14, 868, 11, 57],
+            "transition {} -> {n0} bound 22.705ms exceeds R = 20.000ms",
+            "transition {n2} -> {n2,n5} bound 23.076ms exceeds R = 23.075ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_mesh3x4_f2() {
+    check(
+        "scada",
+        "mesh3x4",
+        golden(
+            0x830c_e2aa_8d84_dadb,
+            [79, 144, 11700, 7, 455, 6, 34],
+            "transition {} -> {n0} bound 22.640ms exceeds R = 20.000ms",
+            "transition {n9} -> {n6,n9} bound 23.700ms exceeds R = 23.699ms",
+            "no feasible plan for {n3}: t4: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_dual_bus6_f3() {
+    check(
+        "avionics",
+        "dual_bus6",
+        golden(
+            0xeebe_d578_b651_b0a2,
+            [42, 96, 10898, 28, 926, 13, 41],
+            "transition {} -> {n0} bound 22.713ms exceeds R = 20.000ms",
+            "transition {n0} -> {n0,n3} bound 22.898ms exceeds R = 22.897ms",
+            "no feasible plan for {n0}: t12: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_dual_bus6_f3() {
+    check(
+        "scada",
+        "dual_bus6",
+        golden(
+            0x2001_0421_b134_960d,
+            [42, 96, 10918, 17, 646, 5, 35],
+            "transition {} -> {n0} bound 22.918ms exceeds R = 20.000ms",
+            "transition {} -> {n0} bound 22.918ms exceeds R = 22.917ms",
+            "no feasible plan for {n3}: t4: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_bus5_overloaded_f2() {
+    check(
+        "avionics",
+        "bus5_overloaded",
+        golden(
+            0xb9b9_5dea_0753_53b2,
+            [16, 25, 12773, 25, 375, 3, 15],
+            "transition {} -> {n0} bound 23.685ms exceeds R = 20.000ms",
+            "transition {n0} -> {n0,n1} bound 24.773ms exceeds R = 24.772ms",
+            "no feasible plan for {n0}: t10: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_bus5_overloaded_f2() {
+    check(
+        "scada",
+        "bus5_overloaded",
+        golden(
+            0x10f9_6e1f_eac5_d701,
+            [16, 25, 13029, 15, 188, 2, 12],
+            "transition {} -> {n0} bound 24.773ms exceeds R = 20.000ms",
+            "transition {} -> {n4} bound 25.029ms exceeds R = 25.028ms",
+            "no feasible plan for {n0}: t7: actuator node is faulty",
+        ),
+    );
+}
