@@ -373,26 +373,27 @@ pub fn e6_planner_scale(threads: usize) -> String {
         "worst dist",
         "adversary damage",
     ]);
-    for &(n, f) in &[(9usize, 1u8), (9, 2), (12, 2), (16, 2), (20, 2)] {
+    let millis = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
+    for &(n, f) in &[(9usize, 1u8), (9, 2), (12, 2), (16, 2), (20, 2), (36, 1)] {
         let w = generators::avionics(n);
         let topo = Topology::bus(n, 150_000, Duration(5));
         let mut cfg = PlannerConfig::new(f, ms(300));
         cfg.admit_best_effort = true;
         let t0 = Instant::now();
         let (strategy, stats) = build_strategy(&w, &topo, &cfg).expect("plannable");
-        let dt = t0.elapsed().as_millis();
+        let dt = t0.elapsed();
         cfg.threads = threads.max(1);
         let t1 = Instant::now();
         let _ = build_strategy(&w, &topo, &cfg).expect("plannable");
-        let dt_mt = t1.elapsed().as_millis();
+        let dt_mt = t1.elapsed();
         let q = strategy_quality(&strategy, &w);
         t.row(vec![
             n.to_string(),
             f.to_string(),
             stats.plans.to_string(),
             stats.transitions.to_string(),
-            dt.to_string(),
-            dt_mt.to_string(),
+            millis(dt),
+            millis(dt_mt),
             stats.worst_distance.to_string(),
             format!("{:.2}", q.worst_damage),
         ]);

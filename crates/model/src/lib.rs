@@ -36,4 +36,4 @@ pub use plan::{
     ATask, LinkAlloc, Migration, NodeSchedule, Plan, PlanError, ScheduleEntry, Strategy, Transition,
 };
 pub use time::{Duration, Time};
-pub use topology::{LinkSpec, NodeSpec, Topology, TopologyBuilder, TopologyError};
+pub use topology::{Adjacency, LinkSpec, NodeSpec, Topology, TopologyBuilder, TopologyError};

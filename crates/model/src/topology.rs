@@ -7,6 +7,13 @@
 //! endpoints model shared buses (e.g. CAN); the per-node bandwidth
 //! allocation is the statically-allocated MAC share that defeats the
 //! babbling-idiot problem.
+//!
+//! A built [`Topology`] owns its [`Adjacency`] — per node, the
+//! neighbours in ascending order, each with the lowest-id link the pair
+//! shares — computed once by [`TopologyBuilder::build`]. Every graph
+//! walk in the workspace (the BFS here, `btr-net`'s routing table and
+//! demand rows) reads that one structure; nothing else derives
+//! neighbourhoods from the link list.
 
 use crate::ids::{LinkId, NodeId};
 use crate::time::Duration;
@@ -89,6 +96,63 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
+/// Per-node adjacency: each node's neighbours in ascending id order,
+/// every neighbour paired with the lowest-id link attaching both.
+///
+/// Ascending order is what makes every BFS over it deterministic
+/// (lowest-id tie-breaking); the lowest shared link is the one a hop
+/// between the two nodes is carried on (it matters on redundant buses).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Adjacency {
+    rows: Vec<Vec<(NodeId, LinkId)>>,
+}
+
+impl Adjacency {
+    fn build(node_count: usize, links: &[LinkSpec]) -> Adjacency {
+        let mut rows: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); node_count];
+        for l in links {
+            for &a in &l.endpoints {
+                for &b in &l.endpoints {
+                    if a != b {
+                        rows[a.index()].push((b, l.id));
+                    }
+                }
+            }
+        }
+        for row in &mut rows {
+            // Ascending by neighbour then link id; keeping the first
+            // entry per neighbour selects the lowest shared link.
+            row.sort_unstable_by_key(|&(nb, link)| (nb.0, link.0));
+            row.dedup_by_key(|&mut (nb, _)| nb);
+        }
+        Adjacency { rows }
+    }
+
+    /// The neighbours of `n`, ascending, each with the link reaching it.
+    #[inline]
+    pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
+        &self.rows[n.index()]
+    }
+
+    /// The lowest-id link directly connecting `a` and `b`, if any.
+    #[inline]
+    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
+        let row = &self.rows[a.index()];
+        row.binary_search_by_key(&b.0, |&(nb, _)| nb.0)
+            .ok()
+            .map(|i| row[i].1)
+    }
+
+    /// Heap bytes this adjacency holds.
+    pub fn resident_bytes(&self) -> usize {
+        self.rows
+            .iter()
+            .map(|row| row.capacity() * std::mem::size_of::<(NodeId, LinkId)>())
+            .sum::<usize>()
+            + self.rows.capacity() * std::mem::size_of::<Vec<(NodeId, LinkId)>>()
+    }
+}
+
 /// A validated platform description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
@@ -96,6 +160,7 @@ pub struct Topology {
     links: Vec<LinkSpec>,
     /// For each node, the links it attaches to.
     node_links: Vec<Vec<LinkId>>,
+    adjacency: Adjacency,
 }
 
 impl Topology {
@@ -135,41 +200,27 @@ impl Topology {
         &self.node_links[n.index()]
     }
 
-    /// Direct neighbours of `n` (nodes sharing at least one link).
-    pub fn neighbors(&self, n: NodeId) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
-        for l in self.links_of(n) {
-            for &m in &self.link(*l).endpoints {
-                if m != n {
-                    out.insert(m);
-                }
-            }
-        }
-        out
+    /// The adjacency computed when the topology was built.
+    pub fn adjacency(&self) -> &Adjacency {
+        &self.adjacency
+    }
+
+    /// Direct neighbours of `n` (nodes sharing at least one link),
+    /// ascending, each with the lowest-id link shared with `n`.
+    #[inline]
+    pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
+        self.adjacency.neighbors(n)
     }
 
     /// A link directly connecting `a` and `b`, if any (lowest id wins).
+    #[inline]
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.links
-            .iter()
-            .find(|l| l.attaches(a) && l.attaches(b))
-            .map(|l| l.id)
+        self.adjacency.link_between(a, b)
     }
 
     /// Hop-count distances from `src` to every node (BFS).
     pub fn distances_from(&self, src: NodeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.nodes.len()];
-        dist[src.index()] = 0;
-        let mut q = VecDeque::from([src]);
-        while let Some(n) = q.pop_front() {
-            for m in self.neighbors(n) {
-                if dist[m.index()] == u32::MAX {
-                    dist[m.index()] = dist[n.index()] + 1;
-                    q.push_back(m);
-                }
-            }
-        }
-        dist
+        self.distances_avoiding(src, &BTreeSet::new())
     }
 
     /// Network diameter in hops.
@@ -198,7 +249,7 @@ impl Topology {
         dist[src.index()] = 0;
         let mut q = VecDeque::from([src]);
         while let Some(n) = q.pop_front() {
-            for m in self.neighbors(n) {
+            for &(m, _) in self.neighbors(n) {
                 if avoid.contains(&m) {
                     continue;
                 }
@@ -278,10 +329,12 @@ impl TopologyBuilder {
                 node_links[n.index()].push(l.id);
             }
         }
+        let adjacency = Adjacency::build(self.nodes.len(), &self.links);
         let topo = Topology {
             nodes: self.nodes,
             links: self.links,
             node_links,
+            adjacency,
         };
         // Connectivity check (single nodes are trivially connected).
         if topo.nodes.len() > 1 {

@@ -11,7 +11,10 @@
 //! `RoutingTable::build`), so one row yields the next hop toward that
 //! destination for *all* sources at once. Paths are then short walks
 //! along the row, staged into reusable scratch buffers — no per-call
-//! allocation in steady state.
+//! allocation in steady state. Rows and walks read a copy of the
+//! topology's adjacency (`Topology::adjacency`, the same structure the
+//! table's BFS borrows), taken at construction so the backend can
+//! outlive the borrow of the topology.
 //!
 //! Both backends implement [`Routes`] and are interchangeable
 //! bit-for-bit: identical paths, identical links, identical `avoiding` /
@@ -20,7 +23,7 @@
 //! [`DEMAND_ROUTING_THRESHOLD`] nodes and the row cache at or above it.
 
 use crate::routing::RoutingTable;
-use btr_model::{LinkId, NodeId, Topology};
+use btr_model::{Adjacency, LinkId, NodeId, Topology};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Node count at and above which [`RouteBackend::auto`] switches from
@@ -69,62 +72,10 @@ impl Routes for RoutingTable {
     }
 }
 
-/// Per-node adjacency with the lowest-id link of every neighbour pair.
-///
-/// Reproduces `Topology::neighbors` (ascending ids, deduplicated) and
-/// `Topology::link_between` (lowest link id wins) as O(deg) lookups, so
-/// row building and path walking never scan the global link list.
-#[derive(Debug, Clone)]
-struct LinkIndex {
-    adj: Vec<Vec<(NodeId, LinkId)>>,
-}
-
-impl LinkIndex {
-    fn new(topo: &Topology) -> LinkIndex {
-        let mut adj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); topo.node_count()];
-        for l in topo.links() {
-            for &a in &l.endpoints {
-                for &b in &l.endpoints {
-                    if a != b {
-                        adj[a.index()].push((b, l.id));
-                    }
-                }
-            }
-        }
-        for v in &mut adj {
-            // Ascending by neighbour then link id; keeping the first
-            // entry per neighbour selects the lowest shared link,
-            // matching `Topology::link_between`.
-            v.sort_unstable_by_key(|&(nb, link)| (nb.0, link.0));
-            v.dedup_by_key(|&mut (nb, _)| nb);
-        }
-        LinkIndex { adj }
-    }
-
-    fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
-        &self.adj[n.index()]
-    }
-
-    fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        let row = &self.adj[a.index()];
-        row.binary_search_by_key(&b.0, |&(nb, _)| nb.0)
-            .ok()
-            .map(|i| row[i].1)
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.adj
-            .iter()
-            .map(|v| v.capacity() * std::mem::size_of::<(NodeId, LinkId)>())
-            .sum::<usize>()
-            + self.adj.capacity() * std::mem::size_of::<Vec<(NodeId, LinkId)>>()
-    }
-}
-
 /// Lazily-materialised per-destination routing rows with LRU eviction.
 #[derive(Debug, Clone)]
 pub struct DemandRoutes {
-    index: LinkIndex,
+    index: Adjacency,
     avoid: BTreeSet<NodeId>,
     endpoints_ok: bool,
     budget: usize,
@@ -158,7 +109,7 @@ impl DemandRoutes {
     pub fn with_budget(topo: &Topology, budget: usize) -> DemandRoutes {
         let n = topo.node_count();
         DemandRoutes {
-            index: LinkIndex::new(topo),
+            index: topo.adjacency().clone(),
             avoid: BTreeSet::new(),
             endpoints_ok: false,
             budget,

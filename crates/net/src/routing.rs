@@ -7,11 +7,18 @@
 //! deterministic lowest-id tie-breaking) and recomputed per plan to avoid
 //! nodes in the plan's fault set.
 //!
+//! The graph the BFS walks is the topology's own adjacency
+//! (`Topology::neighbors`: neighbours ascending, each with the lowest-id
+//! link the pair shares), built once with the topology; a table build
+//! allocates only the table.
+//!
 //! Because the simulator asks for a path on *every* transmitted message,
 //! the table materialises every (src, dst) path — node sequence plus the
 //! link carrying each hop — into flat pools at construction.
 //! [`RoutingTable::path`] and [`RoutingTable::path_and_links`] are then
-//! O(1) slice borrows with no per-call allocation or link lookup.
+//! O(1) slice borrows with no per-call allocation or link lookup; the
+//! planner's bounds (`btr-sched`'s `comm_bound`, `synthesize`) read the
+//! cached links too.
 
 use btr_model::{LinkId, NodeId, Topology};
 use std::collections::{BTreeSet, VecDeque};
@@ -75,20 +82,28 @@ impl RoutingTable {
         let mut next_hop: Vec<Option<NodeId>> = vec![None; n * n];
         // BFS backwards from each destination: parent pointers give the
         // next hop toward that destination.
+        let mut avoided = vec![false; n];
+        for a in avoid {
+            if let Some(slot) = avoided.get_mut(a.index()) {
+                *slot = true;
+            }
+        }
+        let mut visited = vec![false; n];
+        let mut queue = VecDeque::new();
         for dst in 0..n {
             let dst_id = NodeId(dst as u32);
-            if avoid.contains(&dst_id) && !endpoints_ok {
+            if avoided[dst] && !endpoints_ok {
                 continue;
             }
-            let mut visited = vec![false; n];
+            visited.fill(false);
             visited[dst] = true;
-            let mut queue = VecDeque::from([dst_id]);
+            queue.push_back(dst_id);
             while let Some(cur) = queue.pop_front() {
-                for nb in topo.neighbors(cur) {
+                for &(nb, _) in topo.neighbors(cur) {
                     if visited[nb.index()] {
                         continue;
                     }
-                    if avoid.contains(&nb) {
+                    if avoided[nb.index()] {
                         if !endpoints_ok {
                             continue;
                         }

@@ -37,7 +37,7 @@ pub mod strategy;
 pub use augment::{lane_counts, ReplicationMode};
 pub use gametree::{plan_utility, strategy_quality, worst_case_sequence, QualityReport};
 pub use placement::{place, PlacementError};
-pub use strategy::{build_strategy, PlanOutcome, StrategyError, StrategyStats};
+pub use strategy::{build_strategy, StrategyError, StrategyStats};
 
 use btr_model::Duration;
 use btr_sched::SchedParams;

@@ -98,7 +98,8 @@ pub fn place(
         .filter(|n| !faulty.contains(n))
         .collect();
     let mut placement: BTreeMap<ATask, NodeId> = BTreeMap::new();
-    let mut load: BTreeMap<NodeId, u64> = healthy.iter().map(|&n| (n, 0u64)).collect();
+    // CPU load per node, indexed by node id (only healthy nodes host).
+    let mut load = vec![0u64; topo.node_count()];
 
     let parent_node = |atask: ATask| -> Option<NodeId> {
         if !opts.minimize_delta {
@@ -106,13 +107,22 @@ pub fn place(
         }
         parent.and_then(|p| p.get(&atask).copied())
     };
+    let distance = |from: NodeId, to: NodeId| -> f64 {
+        comm_bound(topo, routing, from, to, 150).map_or(1e6, |d| d.as_micros() as f64)
+    };
+    let delta_penalty = |keep: Option<NodeId>, cand: NodeId| -> f64 {
+        match keep {
+            Some(pn) if pn != cand => opts.delta_penalty,
+            _ => 0.0,
+        }
+    };
 
     for &tid in workload.topo_order() {
         let Some(&n_lanes) = lanes.get(&tid) else {
             continue;
         };
         let spec = workload.task(tid);
-        let mut used: BTreeSet<NodeId> = BTreeSet::new();
+        let mut placed_lanes: Vec<NodeId> = Vec::with_capacity(n_lanes as usize);
 
         for r in 0..n_lanes {
             let atask = ATask::Work {
@@ -133,7 +143,7 @@ pub fn place(
                     let mut c: Vec<NodeId> = healthy
                         .iter()
                         .copied()
-                        .filter(|&n| topo.node(n).can_sense && !used.contains(&n))
+                        .filter(|&n| topo.node(n).can_sense && !placed_lanes.contains(&n))
                         .collect();
                     if c.is_empty() {
                         if r == 0 {
@@ -151,7 +161,7 @@ pub fn place(
                     let c: Vec<NodeId> = healthy
                         .iter()
                         .copied()
-                        .filter(|n| !used.contains(n))
+                        .filter(|n| !placed_lanes.contains(n))
                         .collect();
                     if c.is_empty() {
                         return Err(PlacementError::InsufficientNodes {
@@ -164,91 +174,49 @@ pub fn place(
                 }
             };
 
-            // Score candidates.
-            let mut best: Option<(f64, NodeId)> = None;
-            for &cand in &candidates {
-                let mut cost = opts.load_weight * load.get(&cand).copied().unwrap_or(0) as f64;
-                for &input in &spec.inputs {
-                    let Some(&in_lanes) = lanes.get(&input) else {
-                        continue;
-                    };
-                    let lane = btr_sched::input_lane(r, in_lanes);
-                    if let Some(&in_node) = placement.get(&ATask::Work {
-                        task: input,
-                        replica: lane,
-                    }) {
-                        let d = comm_bound(topo, routing, in_node, cand, 150)
-                            .map(|d| d.as_micros())
-                            .unwrap_or(1_000_000);
-                        cost += opts.bandwidth_weight * d as f64;
-                    }
+            // Score candidates: the lane's producers and its parent-plan
+            // node are the same for every candidate.
+            let producers: Vec<NodeId> = spec
+                .inputs
+                .iter()
+                .filter_map(|&input| {
+                    let lane = btr_sched::input_lane(r, *lanes.get(&input)?);
+                    placement
+                        .get(&ATask::Work {
+                            task: input,
+                            replica: lane,
+                        })
+                        .copied()
+                })
+                .collect();
+            let keep = parent_node(atask);
+            let node = cheapest(&candidates, |cand| {
+                let mut cost = opts.load_weight * load[cand.index()] as f64;
+                for &in_node in &producers {
+                    cost += opts.bandwidth_weight * distance(in_node, cand);
                 }
-                if let Some(pn) = parent_node(atask) {
-                    if pn != cand {
-                        cost += opts.delta_penalty;
-                    }
-                }
-                let better = match best {
-                    None => true,
-                    Some((bc, bn)) => cost < bc || (cost == bc && cand < bn),
-                };
-                if better {
-                    best = Some((cost, cand));
-                }
-            }
-            let node = best.expect("candidates nonempty").1;
-            used.insert(node);
-            load.entry(node)
-                .and_modify(|l| *l += spec.wcet.0)
-                .or_insert(spec.wcet.0);
+                cost + delta_penalty(keep, cand)
+            });
+            placed_lanes.push(node);
+            load[node.index()] += spec.wcet.0;
             placement.insert(atask, node);
         }
 
         // Checker for replicated tasks.
-        let placed_lanes: Vec<NodeId> = (0..n_lanes)
-            .filter_map(|r| {
-                placement
-                    .get(&ATask::Work {
-                        task: tid,
-                        replica: r,
-                    })
-                    .copied()
-            })
-            .collect();
         if placed_lanes.len() >= 2 {
             let chk = ATask::Check { task: tid };
-            let mut best: Option<(f64, NodeId)> = None;
-            for &cand in &healthy {
-                let mut cost = opts.load_weight * load.get(&cand).copied().unwrap_or(0) as f64;
-                let dist_sum: f64 = placed_lanes
-                    .iter()
-                    .map(|&rn| {
-                        comm_bound(topo, routing, rn, cand, 150)
-                            .map(|d| d.as_micros() as f64)
-                            .unwrap_or(1e6)
-                    })
-                    .sum();
-                if opts.checker_colocate {
-                    cost += opts.bandwidth_weight * dist_sum;
+            let keep = parent_node(chk);
+            let node = cheapest(&healthy, |cand| {
+                let dist_sum: f64 = placed_lanes.iter().map(|&rn| distance(rn, cand)).sum();
+                let locality = if opts.checker_colocate {
+                    opts.bandwidth_weight * dist_sum
                 } else {
                     // Ablation: actively prefer distant checkers.
-                    cost -= opts.bandwidth_weight * dist_sum;
-                }
-                if let Some(pn) = parent_node(chk) {
-                    if pn != cand {
-                        cost += opts.delta_penalty;
-                    }
-                }
-                let better = match best {
-                    None => true,
-                    Some((bc, bn)) => cost < bc || (cost == bc && cand < bn),
+                    -(opts.bandwidth_weight * dist_sum)
                 };
-                if better {
-                    best = Some((cost, cand));
-                }
-            }
-            let node = best.expect("healthy nonempty").1;
-            load.entry(node).and_modify(|l| *l += 50).or_insert(50);
+                opts.load_weight * load[cand.index()] as f64 + locality + delta_penalty(keep, cand)
+            });
+            load[node.index()] += 50;
             placement.insert(chk, node);
         }
     }
@@ -258,6 +226,22 @@ pub fn place(
         placement.insert(ATask::Verify { node: n }, n);
     }
     Ok(placement)
+}
+
+/// The candidate with the lowest cost; ties go to the lowest node id.
+fn cheapest(candidates: &[NodeId], cost: impl Fn(NodeId) -> f64) -> NodeId {
+    let mut best: Option<(f64, NodeId)> = None;
+    for &cand in candidates {
+        let c = cost(cand);
+        let better = match best {
+            None => true,
+            Some((bc, bn)) => c < bc || (c == bc && cand < bn),
+        };
+        if better {
+            best = Some((c, cand));
+        }
+    }
+    best.expect("candidates nonempty").1
 }
 
 /// Count how many augmented tasks moved between two placements
@@ -539,5 +523,39 @@ mod tests {
         let topo = Topology::ring(5, 2_000, Duration(5));
         let routing = RoutingTable::new(&topo);
         assert!(worst_comm(&topo, &routing, 100) > Duration::ZERO);
+    }
+
+    #[test]
+    fn worst_comm_is_monotone_in_bytes() {
+        // `build_strategy` bounds a transition's state transfer by one
+        // `worst_comm` of the largest sender's bytes instead of the
+        // maximum over one call per sender; that is the same value only
+        // because every hop's serialisation time is monotone in bytes.
+        let ladder = [
+            0,
+            1,
+            2,
+            149,
+            150,
+            420,
+            65_535,
+            65_536,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for topo in [
+            Topology::bus(7, 150_000, Duration(5)),
+            Topology::ring(9, 2_000, Duration(5)),
+        ] {
+            for avoid in [BTreeSet::new(), BTreeSet::from([NodeId(2)])] {
+                let routing = RoutingTable::avoiding(&topo, &avoid);
+                let bounds: Vec<Duration> = ladder
+                    .iter()
+                    .map(|&b| worst_comm(&topo, &routing, b))
+                    .collect();
+                assert!(bounds.is_sorted(), "not monotone: {bounds:?}");
+                assert!(bounds[0] < bounds[ladder.len() - 1]);
+            }
+        }
     }
 }

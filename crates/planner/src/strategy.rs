@@ -10,9 +10,20 @@
 //! metadata (migrations, state bytes, time bounds) is recorded for every
 //! single-fault edge, and the whole strategy is admitted against the
 //! recovery bound R.
+//!
+//! The level loop does each fault set's work once. A mode `F` is planned
+//! by `plan_mode`, which builds the one routing table that avoids `F`
+//! and uses it for placement, for schedule synthesis, and — because
+//! every parent `F∖{x}` was completed one level down — for the
+//! transitions `F∖{x} → F` into the mode, whose evidence-distribution
+//! term depends on `F` alone. The table is dropped before the next mode
+//! is started; with `threads > 1` a level's fault sets are split across
+//! workers, transitions included. Modes are absorbed into the strategy
+//! in enumeration order, so plan ids, the transition map and the
+//! statistics do not depend on the thread count.
 
 use crate::augment::lane_counts;
-use crate::placement::{place, placement_distance, worst_comm, PlaceOpts, PlacementError};
+use crate::placement::{place, worst_comm, PlaceOpts, PlacementError};
 use crate::{PlannerConfig, ShedPolicy};
 use btr_model::{
     ATask, Criticality, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId,
@@ -67,15 +78,6 @@ impl std::fmt::Display for StrategyError {
 
 impl std::error::Error for StrategyError {}
 
-/// The result of planning one mode.
-#[derive(Debug, Clone)]
-pub struct PlanOutcome {
-    /// The plan (id assigned by the strategy builder).
-    pub plan: Plan,
-    /// Tasks shed to make the mode feasible (duplicated in `plan.shed`).
-    pub shed: BTreeSet<TaskId>,
-}
-
 /// Aggregate statistics about a built strategy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StrategyStats {
@@ -100,23 +102,122 @@ fn shed_order_key(workload: &Workload, t: TaskId) -> (u8, std::cmp::Reverse<u64>
     (spec.criticality.rank(), std::cmp::Reverse(spec.wcet.0), t.0)
 }
 
-/// What planning one mode produces: the placement, the synthesized
-/// schedules, and the tasks shed to make the mode feasible.
-type ModePlan = (
-    BTreeMap<ATask, NodeId>,
-    btr_sched::Synthesis,
-    BTreeSet<TaskId>,
-);
+/// One planned mode: the parts of its [`Plan`] and the transitions into it.
+struct Mode {
+    placement: BTreeMap<ATask, NodeId>,
+    synth: btr_sched::Synthesis,
+    /// Tasks shed to make the mode feasible.
+    shed: BTreeSet<TaskId>,
+    /// The transition `F∖{x} → F` for every `x ∈ F`, trigger ascending.
+    incoming: Vec<Transition>,
+}
 
-/// Plan a single mode: place, schedule, shed-and-retry.
+/// Plan the mode for fault set `fs`, which will get plan id `id`: place,
+/// schedule, shed-and-retry, then derive every transition into it.
+///
+/// This is the only place a fault set's routing table is built: the
+/// placement, the synthesis and the mode's incoming transitions all read
+/// the one table, which is dropped on return. `built` holds every mode of
+/// the levels below, so each parent `F∖{x}` is already complete.
 fn plan_mode(
     workload: &Workload,
     topo: &btr_model::Topology,
     cfg: &PlannerConfig,
     fs: &FaultSet,
-    parent: Option<&BTreeMap<ATask, NodeId>>,
-) -> Result<ModePlan, StrategyError> {
+    id: PlanId,
+    built: &Assembly,
+) -> Result<Mode, StrategyError> {
     let routing = RoutingTable::avoiding(topo, fs.as_set());
+    let parents: Vec<(NodeId, &Plan)> = fs
+        .iter()
+        .map(|x| {
+            let from_fs: FaultSet = fs.iter().filter(|&y| y != x).collect();
+            let from = built
+                .index
+                .get(&from_fs)
+                .expect("every mode one level down is planned");
+            (x, &built.plans[from.index()])
+        })
+        .collect();
+    // Delta minimisation seeds from the parent that lacks the largest
+    // faulty node.
+    let seed = parents.last().map(|(_, parent)| &parent.placement);
+    let mut mode = place_and_schedule(workload, topo, cfg, fs, &routing, seed)?;
+
+    // Evidence distribution depends on the mode being entered only.
+    let dist_bound = Duration(
+        2 * worst_comm(topo, &routing, EVIDENCE_WIRE_BYTES).as_micros()
+            + VALIDATION_SLACK.as_micros(),
+    );
+    mode.incoming = parents
+        .iter()
+        .map(|&(trigger, from)| {
+            let (migrations, transfer_bytes) =
+                migrations(workload, &from.placement, &mode.placement);
+            // State transfer: senders transmit in parallel on their own
+            // slices, and `worst_comm` is monotone in bytes, so the
+            // slowest sender is the one with the most bytes.
+            let transfer_bound = transfer_bytes.map_or(Duration::ZERO, |bytes| {
+                worst_comm(topo, &routing, bytes.min(u32::MAX as u64) as u32)
+            });
+            Transition {
+                from: from.id,
+                to: id,
+                trigger,
+                migrations,
+                bound: dist_bound + transfer_bound + cfg.sched.period,
+            }
+        })
+        .collect();
+    Ok(mode)
+}
+
+/// Every work/check task whose host differs between two placements —
+/// their count is the plan distance, `placement_distance` — and the most
+/// state bytes any one old host must send (`None` if no task leaves a
+/// host).
+fn migrations(
+    workload: &Workload,
+    from: &BTreeMap<ATask, NodeId>,
+    to: &BTreeMap<ATask, NodeId>,
+) -> (Vec<Migration>, Option<u64>) {
+    let mut migrations = Vec::new();
+    let mut sender_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
+    for (&atask, &new_node) in to {
+        if matches!(atask, ATask::Verify { .. }) {
+            continue;
+        }
+        let old = from.get(&atask).copied();
+        if old == Some(new_node) {
+            continue;
+        }
+        let state_bytes = match atask {
+            ATask::Work { task, .. } => workload.task(task).state_bytes,
+            _ => 0,
+        };
+        if let Some(o) = old {
+            *sender_bytes.entry(o).or_insert(0) += state_bytes as u64;
+        }
+        migrations.push(Migration {
+            atask,
+            from: old,
+            to: new_node,
+            state_bytes,
+        });
+    }
+    (migrations, sender_bytes.values().copied().max())
+}
+
+/// Place and schedule one mode, shedding and retrying until it fits
+/// (`incoming` is left for the caller).
+fn place_and_schedule(
+    workload: &Workload,
+    topo: &btr_model::Topology,
+    cfg: &PlannerConfig,
+    fs: &FaultSet,
+    routing: &RoutingTable,
+    parent: Option<&BTreeMap<ATask, NodeId>>,
+) -> Result<Mode, StrategyError> {
     let healthy_sensors = topo
         .nodes()
         .iter()
@@ -136,7 +237,7 @@ fn plan_mode(
             let synth = synthesize(
                 workload,
                 topo,
-                &routing,
+                routing,
                 &BTreeMap::new(),
                 &lanes,
                 &cfg.sched,
@@ -145,9 +246,14 @@ fn plan_mode(
                 fault_set: fs.clone(),
                 reason: format!("even the empty plan failed: {e}"),
             })?;
-            return Ok((BTreeMap::new(), synth, shed));
+            return Ok(Mode {
+                placement: BTreeMap::new(),
+                synth,
+                shed,
+                incoming: Vec::new(),
+            });
         }
-        let placement = match place(workload, topo, &routing, &lanes, fs.as_set(), parent, &opts) {
+        let placement = match place(workload, topo, routing, &lanes, fs.as_set(), parent, &opts) {
             Ok(p) => p,
             Err(e) => {
                 let victim = match e {
@@ -165,7 +271,7 @@ fn plan_mode(
                 continue;
             }
         };
-        match synthesize(workload, topo, &routing, &placement, &lanes, &cfg.sched) {
+        match synthesize(workload, topo, routing, &placement, &lanes, &cfg.sched) {
             Ok(synth) => {
                 // Effective shed set: anything without lanes.
                 let mut effective = shed.clone();
@@ -174,7 +280,12 @@ fn plan_mode(
                         effective.insert(t.id);
                     }
                 }
-                return Ok((placement, synth, effective));
+                return Ok(Mode {
+                    placement,
+                    synth,
+                    shed: effective,
+                    incoming: Vec::new(),
+                });
             }
             Err(e) => {
                 if cfg.shed == ShedPolicy::Never {
@@ -202,7 +313,6 @@ fn plan_mode(
                         });
                     }
                 }
-                let _ = e; // Reason folded into retry.
             }
         }
     }
@@ -238,189 +348,137 @@ fn enumerate_fault_sets(n: usize, k: usize) -> Vec<FaultSet> {
     }
 }
 
+/// The strategy under construction: every mode absorbed so far.
+#[derive(Default)]
+struct Assembly {
+    plans: Vec<Plan>,
+    index: BTreeMap<FaultSet, PlanId>,
+    transitions: BTreeMap<(PlanId, PlanId), Transition>,
+    stats: StrategyStats,
+    /// Under strict admission, the first transition over R in
+    /// (`from` fault set, trigger) order: its `from`, trigger and total.
+    violation: Option<(FaultSet, NodeId, Duration)>,
+}
+
+impl Assembly {
+    /// Add a planned mode and the transitions into it.
+    fn absorb(&mut self, cfg: &PlannerConfig, fs: FaultSet, mode: Mode) {
+        let id = PlanId(self.plans.len() as u32);
+        self.stats.max_shed = self.stats.max_shed.max(mode.shed.len());
+        if !mode.shed.is_empty() {
+            self.stats.degraded_plans += 1;
+        }
+        for transition in mode.incoming {
+            debug_assert_eq!(transition.to, id, "plan ids follow enumeration order");
+            let distance = transition.migrations.len();
+            let total = cfg.detect_margin + transition.bound;
+            if total > cfg.r_bound && !cfg.admit_best_effort {
+                let from_fs = &self.plans[transition.from.index()].fault_set;
+                let earlier = self
+                    .violation
+                    .as_ref()
+                    .is_none_or(|(v_from, v_trigger, _)| {
+                        (from_fs, transition.trigger) < (v_from, *v_trigger)
+                    });
+                if earlier {
+                    self.violation = Some((from_fs.clone(), transition.trigger, total));
+                }
+            }
+            self.stats.worst_transition = self.stats.worst_transition.max(transition.bound);
+            self.stats.worst_distance = self.stats.worst_distance.max(distance);
+            self.stats.total_distance += distance;
+            self.transitions
+                .insert((transition.from, transition.to), transition);
+        }
+        self.plans.push(Plan {
+            id,
+            fault_set: fs.clone(),
+            placement: mode.placement,
+            schedules: mode.synth.schedules,
+            shed: mode.shed,
+            link_alloc: mode.synth.link_alloc,
+        });
+        self.index.insert(fs, id);
+    }
+}
+
 /// Build the full strategy for a workload on a platform.
+///
+/// One pass over the fault-set lattice, level by level: each mode is
+/// planned once (`plan_mode`) together with the transitions into it
+/// from its parents one level down, on a worker thread when
+/// `cfg.threads > 1`, and absorbed in enumeration order. An infeasible
+/// mode fails the build as soon as its level is reached; a transition
+/// over R under strict admission fails it once every mode is planned.
 pub fn build_strategy(
     workload: &Workload,
     topo: &btr_model::Topology,
     cfg: &PlannerConfig,
 ) -> Result<(Strategy, StrategyStats), StrategyError> {
     let n = topo.node_count();
-    let mut plans: Vec<Plan> = Vec::new();
-    let mut index: BTreeMap<FaultSet, PlanId> = BTreeMap::new();
-    let mut stats = StrategyStats::default();
+    let mut built = Assembly::default();
 
-    // Level-by-level BFS over fault-set sizes.
-    let mut prev_level: BTreeMap<FaultSet, usize> = BTreeMap::new(); // -> plan idx.
     for k in 0..=cfg.f as usize {
         let sets = enumerate_fault_sets(n, k);
-        let compute = |fs: &FaultSet| -> Result<(FaultSet, _), StrategyError> {
-            let parent_placement = if k == 0 {
-                None
-            } else {
-                // Parent: remove the largest faulty node.
-                let mut ids: Vec<NodeId> = fs.iter().collect();
-                let last = ids.pop().expect("nonempty");
-                let parent_fs: FaultSet = ids.into_iter().collect();
-                let _ = last;
-                prev_level
-                    .get(&parent_fs)
-                    .map(|&i| plans[i].placement.clone())
-            };
-            let out = plan_mode(workload, topo, cfg, fs, parent_placement.as_ref())?;
-            Ok((fs.clone(), out))
+        let base = built.plans.len();
+        let plan_nth = |i: usize, built: &Assembly| {
+            let id = PlanId((base + i) as u32);
+            plan_mode(workload, topo, cfg, &sets[i], id, built)
         };
 
-        let results: Vec<(FaultSet, _)> = if cfg.threads > 1 && sets.len() > 8 {
-            let chunks: Vec<&[FaultSet]> = sets.chunks(sets.len().div_ceil(cfg.threads)).collect();
-            let mut collected: Vec<Result<Vec<(FaultSet, _)>, StrategyError>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(&compute)
-                                .collect::<Result<Vec<_>, StrategyError>>()
-                        })
+        if cfg.threads > 1 && sets.len() > 8 {
+            let chunk = sets.len().div_ceil(cfg.threads);
+            let (built_ref, plan_nth) = (&built, &plan_nth);
+            let chunks: Vec<Result<Vec<Mode>, StrategyError>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..sets.len())
+                    .step_by(chunk)
+                    .map(|start| {
+                        let end = (start + chunk).min(sets.len());
+                        scope.spawn(move || (start..end).map(|i| plan_nth(i, built_ref)).collect())
                     })
                     .collect();
-                for h in handles {
-                    collected.push(h.join().expect("planner worker panicked"));
-                }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("planner worker panicked"))
+                    .collect()
             });
-            let mut flat = Vec::new();
-            for c in collected {
-                flat.extend(c?);
+            let mut modes = Vec::with_capacity(sets.len());
+            for chunk in chunks {
+                modes.extend(chunk?);
             }
-            flat
+            for (fs, mode) in sets.into_iter().zip(modes) {
+                built.absorb(cfg, fs, mode);
+            }
         } else {
-            let mut flat = Vec::new();
-            for fs in &sets {
-                flat.push(compute(fs)?);
+            for i in 0..sets.len() {
+                let mode = plan_nth(i, &built)?;
+                built.absorb(cfg, sets[i].clone(), mode);
             }
-            flat
-        };
-
-        let mut this_level: BTreeMap<FaultSet, usize> = BTreeMap::new();
-        for (fs, (placement, synth, shed)) in results {
-            let id = PlanId(plans.len() as u32);
-            stats.max_shed = stats.max_shed.max(shed.len());
-            if !shed.is_empty() {
-                stats.degraded_plans += 1;
-            }
-            plans.push(Plan {
-                id,
-                fault_set: fs.clone(),
-                placement,
-                schedules: synth.schedules,
-                shed,
-                link_alloc: synth.link_alloc,
-            });
-            index.insert(fs.clone(), id);
-            this_level.insert(fs, plans.len() - 1);
-        }
-        prev_level = this_level;
-    }
-
-    stats.plans = plans.len();
-
-    // Transition metadata for every single-fault edge F -> F ∪ {x}.
-    let mut transitions: BTreeMap<(PlanId, PlanId), Transition> = BTreeMap::new();
-    let all_sets: Vec<FaultSet> = index.keys().cloned().collect();
-    for from_fs in &all_sets {
-        if from_fs.len() >= cfg.f as usize {
-            continue;
-        }
-        let from_id = index[from_fs];
-        for x in 0..n as u32 {
-            let xid = NodeId(x);
-            if from_fs.contains(xid) {
-                continue;
-            }
-            let mut to_fs = from_fs.clone();
-            to_fs.insert(xid);
-            let Some(&to_id) = index.get(&to_fs) else {
-                continue;
-            };
-            let from_plan = &plans[from_id.index()];
-            let to_plan = &plans[to_id.index()];
-            let routing_to = RoutingTable::avoiding(topo, to_fs.as_set());
-
-            // Migrations: every work/check task whose host changed.
-            let mut migrations = Vec::new();
-            let mut sender_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
-            for (&atask, &new_node) in &to_plan.placement {
-                if matches!(atask, ATask::Verify { .. }) {
-                    continue;
-                }
-                let old = from_plan.placement.get(&atask).copied();
-                if old == Some(new_node) {
-                    continue;
-                }
-                let state_bytes = match atask {
-                    ATask::Work { task, .. } => workload.task(task).state_bytes,
-                    _ => 0,
-                };
-                if let Some(o) = old {
-                    *sender_bytes.entry(o).or_insert(0) += state_bytes as u64;
-                }
-                migrations.push(Migration {
-                    atask,
-                    from: old,
-                    to: new_node,
-                    state_bytes,
-                });
-            }
-
-            // Bound: evidence distribution + state transfer + alignment.
-            let dist_bound = Duration(
-                2 * worst_comm(topo, &routing_to, EVIDENCE_WIRE_BYTES).as_micros()
-                    + VALIDATION_SLACK.as_micros(),
-            );
-            let transfer_bound = sender_bytes
-                .iter()
-                .map(|(_, &bytes)| worst_comm(topo, &routing_to, bytes.min(u32::MAX as u64) as u32))
-                .max()
-                .unwrap_or(Duration::ZERO);
-            let bound = dist_bound + transfer_bound + cfg.sched.period;
-
-            let total = cfg.detect_margin + bound;
-            if total > cfg.r_bound && !cfg.admit_best_effort {
-                return Err(StrategyError::RBoundViolated {
-                    from: from_fs.clone(),
-                    to: to_fs.clone(),
-                    bound: total,
-                    r: cfg.r_bound,
-                });
-            }
-
-            stats.worst_transition = stats.worst_transition.max(bound);
-            let dist = placement_distance(&from_plan.placement, &to_plan.placement);
-            stats.worst_distance = stats.worst_distance.max(dist);
-            stats.total_distance += dist;
-            transitions.insert(
-                (from_id, to_id),
-                Transition {
-                    from: from_id,
-                    to: to_id,
-                    trigger: xid,
-                    migrations,
-                    bound,
-                },
-            );
         }
     }
-    stats.transitions = transitions.len();
 
+    if let Some((from, trigger, bound)) = built.violation {
+        let mut to = from.clone();
+        to.insert(trigger);
+        return Err(StrategyError::RBoundViolated {
+            from,
+            to,
+            bound,
+            r: cfg.r_bound,
+        });
+    }
+
+    let mut stats = built.stats;
+    stats.plans = built.plans.len();
+    stats.transitions = built.transitions.len();
     Ok((
         Strategy {
             f: cfg.f,
             r_bound: cfg.r_bound,
             period: cfg.sched.period,
-            plans,
-            index,
-            transitions,
+            plans: built.plans,
+            index: built.index,
+            transitions: built.transitions,
         },
         stats,
     ))
@@ -506,13 +564,22 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let (w, topo) = setup();
-        let mut cfg = PlannerConfig::new(2, ms(200));
-        cfg.admit_best_effort = true;
-        let (s1, _) = build_strategy(&w, &topo, &cfg).unwrap();
-        cfg.threads = 4;
-        let (s2, _) = build_strategy(&w, &topo, &cfg).unwrap();
-        assert_eq!(s1, s2, "parallel planning must be deterministic");
+        // Workers derive each mode's incoming transitions too, so the
+        // comparison covers them; the mesh makes routes (and so bounds
+        // and placements) depend on the fault set.
+        let mesh = Topology::mesh(3, 4, 100_000, Duration(5));
+        for (topo, threads) in [(setup().1, 4), (mesh, 3)] {
+            let w = btr_workload::generators::avionics(topo.node_count());
+            let mut cfg = PlannerConfig::new(2, ms(200));
+            cfg.admit_best_effort = true;
+            let sequential = build_strategy(&w, &topo, &cfg).unwrap();
+            cfg.threads = threads;
+            let parallel = build_strategy(&w, &topo, &cfg).unwrap();
+            assert_eq!(
+                sequential, parallel,
+                "parallel planning must be deterministic"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! and static routes this is a closed form: per hop, serialisation at the
 //! slice rate plus propagation latency. This is the same arithmetic the
 //! simulator's `Nic` performs, so the bound is exact when the sender's
-//! slice is idle and conservative otherwise.
+//! slice is idle and conservative otherwise. The link carrying each hop
+//! is the one the routing table cached when it materialised the path.
 
 use btr_model::{Duration, NodeId, Topology};
 use btr_net::RoutingTable;
@@ -24,10 +25,9 @@ pub fn comm_bound(
     if src == dst {
         return Some(Duration::ZERO);
     }
-    let path = routing.path(src, dst)?;
+    let (_, links) = routing.path_and_links(src, dst)?;
     let mut total = Duration::ZERO;
-    for hop in path.windows(2) {
-        let link_id = topo.link_between(hop[0], hop[1])?;
+    for &link_id in links {
         let link = topo.link(link_id);
         let slice_rate = (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1);
         let tx = (bytes as u64 * 1_000).div_ceil(slice_rate).max(1);
@@ -70,6 +70,54 @@ mod tests {
         let one = comm_bound(&t, &r, NodeId(0), NodeId(1), 100).unwrap();
         let two = comm_bound(&t, &r, NodeId(0), NodeId(2), 100).unwrap();
         assert_eq!(two, Duration(one.0 * 2));
+    }
+
+    /// The bound as it was computed before the table's cached links were
+    /// used: walk the path's nodes and look each hop's link up.
+    fn hop_by_hop(
+        t: &Topology,
+        r: &RoutingTable,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u32,
+    ) -> Option<Duration> {
+        if src == dst {
+            return Some(Duration::ZERO);
+        }
+        let mut total = Duration::ZERO;
+        for hop in r.path(src, dst)?.windows(2) {
+            let link = t.link(t.link_between(hop[0], hop[1])?);
+            let slice_rate = (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1);
+            total += Duration((bytes as u64 * 1_000).div_ceil(slice_rate).max(1)) + link.latency;
+        }
+        Some(total)
+    }
+
+    #[test]
+    fn cached_links_match_hop_by_hop_lookup() {
+        use std::collections::BTreeSet;
+        let lat = Duration(7);
+        let platforms = [
+            ("ring", Topology::ring(9, 2_000, lat)),
+            ("mesh", Topology::mesh(3, 4, 3_000, lat)),
+            ("dual_bus", Topology::dual_bus(6, 40_000, lat)),
+            ("fat_tree", btr_topo::fat_tree(4, 3, 5_000, lat).unwrap()),
+        ];
+        for (name, t) in &platforms {
+            for avoid in [BTreeSet::new(), BTreeSet::from([NodeId(1), NodeId(4)])] {
+                let r = RoutingTable::avoiding(t, &avoid);
+                let n = t.node_count() as u32;
+                for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d)))) {
+                    for bytes in [0, 1, 150, 100_000] {
+                        assert_eq!(
+                            comm_bound(t, &r, s, d, bytes),
+                            hop_by_hop(t, &r, s, d, bytes),
+                            "{name} avoiding {avoid:?}: {s} -> {d}, {bytes} B"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -224,14 +224,11 @@ pub fn synthesize(
         if from == to {
             return Ok(());
         }
-        let path = routing
-            .path(from, to)
+        let (path, links) = routing
+            .path_and_links(from, to)
             .ok_or(SchedError::NoRoute { from, to })?;
-        for hop in path.windows(2) {
-            let link = topo
-                .link_between(hop[0], hop[1])
-                .expect("routing uses existing links");
-            *link_demand.entry((hop[0], link.0)).or_insert(0) += bytes as u64;
+        for (&sender, link) in path.iter().zip(links) {
+            *link_demand.entry((sender, link.0)).or_insert(0) += bytes as u64;
         }
         Ok(())
     };
@@ -375,7 +372,7 @@ pub fn synthesize(
 
     // Link bandwidth: each sender's demand must fit its share minus the
     // control reserve.
-    let mut link_alloc: Vec<LinkAlloc> = Vec::new();
+    let mut link_alloc: Vec<LinkAlloc> = Vec::with_capacity(topo.links().len());
     for link in topo.links() {
         let slice_rate = (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1);
         let share = slice_rate * params.period.as_micros() / 1_000;
@@ -400,11 +397,13 @@ pub fn synthesize(
         });
     }
 
-    // Sort and wrap schedules.
+    // Sort and wrap schedules. A strategy keeps one of these per node
+    // per plan, so the push-growth slack is given back here.
     let schedules = entries
         .into_iter()
         .map(|(node, mut es)| {
             es.sort_by_key(|e| (e.start, e.atask));
+            es.shrink_to_fit();
             (node, NodeSchedule { entries: es })
         })
         .collect();

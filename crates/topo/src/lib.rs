@@ -422,13 +422,14 @@ mod tests {
         // 2xC: the row wrap would duplicate the mesh edge; must not.
         let t = torus(2, 4, 100, Duration(1)).unwrap();
         for a in t.nodes() {
-            for m in t.neighbors(a.id) {
-                let shared = t
+            for &(m, link) in t.neighbors(a.id) {
+                let shared: Vec<_> = t
                     .links()
                     .iter()
                     .filter(|l| l.attaches(a.id) && l.attaches(m))
-                    .count();
-                assert_eq!(shared, 1, "parallel links between {} and {m}", a.id);
+                    .map(|l| l.id)
+                    .collect();
+                assert_eq!(shared, [link], "links between {} and {m}", a.id);
             }
         }
         // 1xN degenerates to a ring.

@@ -9,14 +9,31 @@
 use btr::model::{Duration, Topology};
 use btr::planner::{build_strategy, PlannerConfig};
 
+/// The next argument as a number in `range` (`default` if absent), or
+/// `None` if it is not one.
+fn arg_in(
+    args: &mut impl Iterator<Item = String>,
+    default: usize,
+    range: std::ops::RangeInclusive<usize>,
+) -> Option<usize> {
+    let value = match args.next() {
+        None => default,
+        Some(a) => a.parse().ok()?,
+    };
+    range.contains(&value).then_some(value)
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let n: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(9)
-        .clamp(4, 24);
-    let f: u8 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1).min(3);
+    let (Some(n), Some(f), None) = (
+        arg_in(&mut args, 9, 4..=24),
+        arg_in(&mut args, 1, 0..=3),
+        args.next(),
+    ) else {
+        eprintln!("usage: planner_explorer [nodes 4..=24] [f 0..=3]");
+        std::process::exit(2);
+    };
+    let f = f as u8;
 
     let workload = btr::workload::generators::avionics(n);
     let topo = Topology::bus(n, 150_000, Duration(5));
