@@ -23,9 +23,7 @@ use btr_bench::profile::{self, ProfilePoint, PROFILE_FAMILIES};
 use btr_bench::scale::{
     self, ScaleMeasurement, SCALE_NODES, SCALE_ROUTING_BUDGET, SCALE_SMOKE_MSGS, SCALE_TARGET_MSGS,
 };
-use btr_bench::signed::{
-    self, SignedMeasurement, SIGNED_NODES, SIGNED_SPEEDUP_FLOOR, SIGNED_WITNESSES,
-};
+use btr_bench::signed::{self, SignedMeasurement, SIGNED_NODES, SIGNED_WITNESSES};
 use btr_crypto::AuthSuite;
 use btr_obs::{
     Histogram, Lat, RecoveryTimeline, SpeedscopeBuilder, Subsystem, TraceBuilder, FLIGHT_CAP,
@@ -116,6 +114,7 @@ fn signed_suite_json(m: &SignedMeasurement, pair_ns: f64) -> String {
             "        \"msgs_delivered\": {},\n",
             "        \"sigs_signed\": {},\n",
             "        \"sigs_verified\": {},\n",
+            "        \"rejects\": {},\n",
             "        \"wall_ns\": {},\n",
             "        \"msgs_per_sec\": {},\n",
             "        \"ns_per_delivery\": {},\n",
@@ -129,6 +128,7 @@ fn signed_suite_json(m: &SignedMeasurement, pair_ns: f64) -> String {
         m.msgs_delivered,
         m.sigs_signed,
         m.sigs_verified,
+        m.rejects,
         m.wall_ns,
         json_f64(m.msgs_per_sec()),
         json_f64(m.ns_per_delivery()),
@@ -140,7 +140,7 @@ fn signed_suite_json(m: &SignedMeasurement, pair_ns: f64) -> String {
 }
 
 /// Run the signed-traffic suite A/B. Returns the JSON section and
-/// whether the SipHash suite met the sign+verify speedup floor.
+/// whether both suites delivered the whole scenario with zero rejects.
 fn run_signed_bench(periods: u64) -> (String, bool) {
     let seed = 7;
     println!(
@@ -173,12 +173,6 @@ fn run_signed_bench(periods: u64) -> (String, bool) {
         f64::NAN
     };
     println!("  speedup   {pair:.2}x sign+verify, {e2e:.2}x end-to-end (same scenario, same seed)");
-    let floor_ok = pair.is_finite() && pair >= SIGNED_SPEEDUP_FLOOR;
-    if !floor_ok {
-        eprintln!(
-            "error: siphash24 sign+verify speedup {pair:.2}x is below the {SIGNED_SPEEDUP_FLOOR}x floor"
-        );
-    }
     if hmac.rejects != 0 || sip.rejects != 0 {
         eprintln!(
             "error: signed scenario rejected traffic (hmac {}, sip {})",
@@ -204,8 +198,7 @@ fn run_signed_bench(periods: u64) -> (String, bool) {
             "{}\n",
             "    }},\n",
             "    \"speedup_sign_verify\": {},\n",
-            "    \"speedup_end_to_end\": {},\n",
-            "    \"speedup_floor\": {}\n",
+            "    \"speedup_end_to_end\": {}\n",
             "  }}"
         ),
         SIGNED_NODES,
@@ -216,18 +209,18 @@ fn run_signed_bench(periods: u64) -> (String, bool) {
         signed_suite_json(&sip, sip_pair),
         json_f64(pair),
         json_f64(e2e),
-        json_f64(SIGNED_SPEEDUP_FLOOR),
     );
     (
         json,
-        floor_ok && hmac.rejects == 0 && sip.rejects == 0 && !hmac.truncated && !sip.truncated,
+        hmac.rejects == 0 && sip.rejects == 0 && !hmac.truncated && !sip.truncated,
     )
 }
 
 fn run_bench(periods: u64, signed: bool, out_path: &str) {
+    let sha256_backend = btr_crypto::sha256::backend();
     println!(
         "hot-path A/B: {HOTPATH_NODES}-node mesh, {periods} periods, \
-         loss {HOTPATH_LOSS_PPM} ppm/shard, FEC {HOTPATH_FEC:?}"
+         loss {HOTPATH_LOSS_PPM} ppm/shard, FEC {HOTPATH_FEC:?}, sha256 {sha256_backend}"
     );
     let seed = 7;
 
@@ -308,7 +301,7 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
     let obs_floor_fail = floor_enforced && observed.msgs_per_sec() < OBS_THROUGHPUT_FLOOR;
 
     // The signed-traffic suite A/B rides along when requested, adding a
-    // `signed` section and gating the sign+verify speedup floor.
+    // `signed` section; it fails the run only if a suite rejects traffic.
     let (signed_json, signed_ok) = if signed {
         let (json, ok) = run_signed_bench(periods);
         (format!(",\n{json}"), ok)
@@ -320,6 +313,7 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
         concat!(
             "{{\n",
             "  \"benchmark\": \"sim_hot_path\",\n",
+            "  \"sha256_backend\": \"{}\",\n",
             "  \"scenario\": {{\n",
             "    \"nodes\": {},\n",
             "    \"topology\": \"mesh-4x5\",\n",
@@ -342,6 +336,7 @@ fn run_bench(periods: u64, signed: bool, out_path: &str) {
             "  }}{}\n",
             "}}\n"
         ),
+        sha256_backend,
         HOTPATH_NODES,
         periods,
         HOTPATH_LOSS_PPM,
@@ -1562,7 +1557,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     };
 
     println!(
-        "campaign: {} cells, target {} runs, seed {}, {} threads{}{}{}{}",
+        "campaign: {} cells, target {} runs, seed {}, {} threads{}{}{}{}, sha256 {}",
         cfg.cells.len(),
         cfg.runs,
         cfg.seed,
@@ -1571,6 +1566,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
         if over_budget { ", over-budget" } else { "" },
         if all_variants { ", all-variants" } else { "" },
         auth_label,
+        btr_crypto::sha256::backend(),
     );
     let outcome = match campaign::run_campaign(&cfg) {
         Ok(o) => o,
@@ -1796,12 +1792,14 @@ fn main() {
     if args.iter().any(|a| a == "bench") {
         // `bench [periods] [--signed]`: an optional positional period
         // count lets CI run a quick smoke pass; `--signed` adds the
-        // signed-traffic suite A/B (and gates its speedup floor).
+        // signed-traffic suite A/B. A count the scenario cannot run — 0,
+        // or one whose horizon overflows simulated time — is a usage
+        // error, not a shorter run under the requested label.
         let signed = take_flag(&mut args, "--signed");
         let mut rest = args.iter().filter(|a| *a != "bench");
         let periods = match (rest.next().map(|a| a.parse()), rest.next()) {
             (None, _) => HOTPATH_PERIODS,
-            (Some(Ok(periods)), None) => periods,
+            (Some(Ok(periods)), None) if hotpath::periods_runnable(periods) => periods,
             _ => {
                 eprintln!("usage: harness bench [periods] [--signed]");
                 std::process::exit(2);

@@ -110,13 +110,32 @@ pub fn hotpath_world(seed: u64, periods: u64, loss_ppm: u32, trace: bool) -> Wor
     w
 }
 
+/// Simulated microseconds by which `periods` periods have run and their
+/// traffic has drained (one second past the last), if that fits `Time`.
+fn horizon_us(period: Duration, periods: u64) -> Option<u64> {
+    periods
+        .checked_mul(period.as_micros())?
+        .checked_add(1_000_000)
+}
+
+/// The horizon the pinned scenarios run `w` to, clamped to the end of
+/// simulated time.
+pub(crate) fn horizon(w: &World, periods: u64) -> Time {
+    Time(horizon_us(w.period(), periods).unwrap_or(u64::MAX))
+}
+
+/// Whether the pinned scenarios can run `periods` periods as asked: at
+/// least one, and a horizon that is not clamped. `harness bench` rejects
+/// any other count instead of measuring a different run under its label.
+pub fn periods_runnable(periods: u64) -> bool {
+    periods > 0 && horizon_us(SimConfig::new(0).period, periods).is_some()
+}
+
 /// Run the pinned scenario to completion and return its metrics.
 pub fn run_hotpath(seed: u64, periods: u64, loss_ppm: u32) -> SimMetrics {
     let mut w = hotpath_world(seed, periods, loss_ppm, false);
     w.start();
-    w.run_until(Time(
-        periods.saturating_mul(w.period().as_micros()) + 1_000_000,
-    ));
+    w.run_until(horizon(&w, periods));
     *w.metrics()
 }
 
@@ -168,7 +187,7 @@ impl HotPathMeasurement {
 /// Start `w` and time its run to the pinned horizon.
 fn measure(w: &mut World, periods: u64, alloc_counter: &dyn Fn() -> u64) -> HotPathMeasurement {
     w.start();
-    let horizon = Time(periods.saturating_mul(w.period().as_micros()) + 1_000_000);
+    let horizon = horizon(w, periods);
     let allocs_before = alloc_counter();
     let start = std::time::Instant::now();
     w.run_until(horizon);
@@ -229,8 +248,24 @@ mod tests {
     fn traced_run(seed: u64, periods: u64, loss_ppm: u32) -> (SimMetrics, Vec<TraceEvent>) {
         let mut w = hotpath_world(seed, periods, loss_ppm, true);
         w.start();
-        w.run_until(Time(periods * w.period().as_micros() + 1_000_000));
+        w.run_until(horizon(&w, periods));
         (*w.metrics(), w.trace().to_vec())
+    }
+
+    #[test]
+    fn period_counts_the_scenario_cannot_run_are_not_runnable() {
+        assert!(periods_runnable(1));
+        assert!(periods_runnable(HOTPATH_PERIODS));
+        // No periods is no scenario; the other two overflow the horizon,
+        // the first in the multiply, the second only in the drain second.
+        assert!(!periods_runnable(0));
+        assert!(!periods_runnable(u64::MAX));
+        assert!(!periods_runnable(u64::MAX / 10_000));
+        // Library callers get a clamped horizon, not a wrapped one.
+        let w = hotpath_world(1, 1, 0, false);
+        assert_eq!(horizon(&w, u64::MAX), Time(u64::MAX));
+        assert_eq!(horizon(&w, u64::MAX / 10_000), Time(u64::MAX));
+        assert_eq!(horizon(&w, 100), Time(2_000_000));
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub fn profile_world(topo: Topology, n: usize, seed: u64, periods: u64) -> World
 
 fn run_to_horizon(w: &mut World, periods: u64) -> u128 {
     w.start();
-    let horizon = Time(periods.saturating_mul(w.period().as_micros()) + 1_000_000);
+    let horizon = crate::hotpath::horizon(w, periods);
     let start = std::time::Instant::now();
     w.run_until(horizon);
     start.elapsed().as_nanos()

@@ -184,7 +184,7 @@ pub fn measure_scale(
     let periods = (target_msgs / (4 * n as u64)).max(20);
     let mut w = scale_world(n, seed, periods);
     w.start();
-    let horizon = Time(periods.saturating_mul(w.period().as_micros()) + 1_000_000);
+    let horizon = crate::hotpath::horizon(&w, periods);
     let allocs_before = alloc_counter();
     let start = std::time::Instant::now();
     w.run_until(horizon);

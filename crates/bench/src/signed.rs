@@ -17,8 +17,9 @@
 //! equivalence tests below pin. `harness bench --signed` runs the A/B
 //! and emits the `signed` section of `BENCH_sim.json`.
 
+use crate::hotpath::horizon;
 use btr_crypto::{AuthSuite, SigBatch};
-use btr_model::{Duration, Envelope, NodeId, Payload, SignedOutput, TaskId, Time, Topology};
+use btr_model::{Duration, Envelope, NodeId, Payload, SignedOutput, TaskId, Topology};
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};
 
 /// Nodes in the pinned scenario (the same 4x5 mesh as the raw hot path).
@@ -27,8 +28,6 @@ pub const SIGNED_NODES: usize = 20;
 pub const SIGNED_PERIODS: u64 = 5_000;
 /// Witnesses attached to every output message (evidence-set size).
 pub const SIGNED_WITNESSES: usize = 3;
-/// The CI floor on the sign+verify speedup of SipHash over HMAC.
-pub const SIGNED_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// Signed-traffic generator and auditor.
 ///
@@ -220,10 +219,6 @@ pub fn run_signed(seed: u64, suite: AuthSuite, periods: u64) -> SimMetrics {
     *w.metrics()
 }
 
-fn horizon(w: &World, periods: u64) -> Time {
-    Time(periods.saturating_mul(w.period().as_micros()) + 1_000_000)
-}
-
 /// Measure one suite on the pinned signed scenario.
 pub fn measure_signed(
     seed: u64,
@@ -267,10 +262,9 @@ pub fn measure_signed(
 
 /// Nanoseconds per sign+verify pair for one suite, measured directly on
 /// the `Signer`/`KeyStore` API over a pinned envelope-sized message.
-/// This is the number the ROADMAP's "~3.5 µs/pair" refers to, and the
-/// one `harness bench --signed` gates the [`SIGNED_SPEEDUP_FLOOR`] on —
-/// it isolates authenticator cost from simulator overhead, so the gate
-/// is stable across machines.
+/// This is the `pair_ns` that `harness bench --signed` reports and takes
+/// `speedup_sign_verify` from: it isolates authenticator cost from
+/// simulator overhead.
 pub fn measure_pair_ns(suite: AuthSuite, iters: u32) -> f64 {
     use btr_crypto::{KeyStore, NodeKey, Signer};
     let signer = Signer::new(NodeKey::derive_suite(7, 0, suite));
@@ -298,7 +292,7 @@ mod tests {
     fn traced_run(seed: u64, suite: AuthSuite, periods: u64) -> (SimMetrics, Vec<TraceEvent>) {
         let mut w = signed_world(seed, suite, periods, true);
         w.start();
-        w.run_until(Time(periods * w.period().as_micros() + 1_000_000));
+        w.run_until(horizon(&w, periods));
         (*w.metrics(), w.trace().to_vec())
     }
 
@@ -360,8 +354,9 @@ mod tests {
 
     #[test]
     fn pair_measurement_is_sane() {
-        // Smoke only — CI gates the real floor via `harness bench
-        // --signed`. Both suites must produce a positive, finite cost.
+        // Smoke only: both suites must produce a positive, finite cost.
+        // How the two compare is reported, not gated — it depends on
+        // whether the CPU has the SHA extensions.
         for suite in AuthSuite::ALL {
             let ns = measure_pair_ns(suite, 200);
             assert!(ns.is_finite() && ns > 0.0, "{suite}: {ns}");

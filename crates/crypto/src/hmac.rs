@@ -116,36 +116,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// RFC 4231 test vectors for HMAC-SHA-256.
+    /// RFC 4231 test vectors for HMAC-SHA-256, on each SHA-256 backend.
     #[test]
     fn rfc4231_vectors() {
-        // Test case 1.
-        let d = hmac_sha256(&[0x0b; 20], b"Hi There");
-        assert_eq!(
-            d.to_hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        // Test case 2.
-        let d = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            d.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        // Test case 3: 20-byte 0xaa key, 50 bytes of 0xdd.
-        let d = hmac_sha256(&[0xaa; 20], &[0xdd; 50]);
-        assert_eq!(
-            d.to_hex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
-        // Test case 6: key larger than block size.
-        let d = hmac_sha256(
-            &[0xaa; 131],
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            d.to_hex(),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        let cases: &[(&[u8], &[u8], &str)] = &[
+            // Test case 1.
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            // Test case 2.
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            // Test case 3: 20-byte 0xaa key, 50 bytes of 0xdd.
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            // Test case 6: key larger than block size.
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        crate::sha256::for_each_backend(|backend| {
+            for (key, msg, hex) in cases {
+                assert_eq!(hmac_sha256(key, msg).to_hex(), *hex, "{backend}");
+            }
+        });
     }
 
     #[test]

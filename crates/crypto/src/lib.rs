@@ -6,7 +6,9 @@
 //! message authentication. This crate provides everything the rest of the
 //! system needs, implemented from scratch:
 //!
-//! * [`mod@sha256`] — a FIPS 180-4 SHA-256 implementation.
+//! * [`mod@sha256`] — a FIPS 180-4 SHA-256 implementation; its compression
+//!   function runs on the x86-64 SHA extensions where the CPU has them and
+//!   on portable scalar rounds elsewhere, bit-identically.
 //! * [`mod@hmac`] — HMAC-SHA-256 (RFC 2104).
 //! * [`mod@siphash`] — SipHash-2-4 with 128-bit tags, the cheap
 //!   authenticator suite for statistical experiments.
@@ -20,9 +22,16 @@
 //!   stages a message's whole evidence set for one verification pass.
 //! * [`chain`] — PeerReview-style tamper-evident hash chains for logs.
 //!
-//! No `unsafe` code is used anywhere in this crate.
+//! The crate holds one `unsafe` block, the only one in any library crate
+//! of the workspace: the call in `sha256::compress_blocks` that enters
+//! the SHA-NI kernel. The kernel itself is safe Rust, but it is compiled
+//! with `#[target_feature]`, and calling such a function from code
+//! compiled without the feature is `unsafe` because only the caller can
+//! promise the CPU has it; the promise there is `is_x86_feature_detected!`.
+//! Everything else is denied `unsafe` (`deny`, not `forbid`, only so that
+//! one `#[allow]` can exist).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chain;

@@ -37,6 +37,8 @@
 //!   alongside the collapsed-stack text from
 //!   [`Profile::collapsed_stacks`].
 
+#![forbid(unsafe_code)]
+
 mod flight;
 mod hist;
 mod profile;

@@ -30,6 +30,8 @@
 //! See the `examples/` directory for runnable scenarios and EXPERIMENTS.md
 //! for the evaluation harness.
 
+#![forbid(unsafe_code)]
+
 pub use btr_baselines as baselines;
 pub use btr_campaign as campaign;
 pub use btr_core as core;
