@@ -5,12 +5,12 @@
 //! scale: delivered throughput, per-delivery cost, heap allocations, and
 //! — the number this PR exists for — **routing-resident bytes**, which
 //! the all-pairs table grows as O(n² · diameter) and the demand-driven
-//! row cache keeps near-linear (`btr_net::RouteBackend` switches backend
+//! rows keep near-linear (`btr_net::RouteBackend` switches backend
 //! at `DEMAND_ROUTING_THRESHOLD` nodes, so the sweep crosses it).
 //!
 //! Each sweep point also crashes one relay mid-run, exercising the
 //! `avoiding_transit` recomputation path at scale: a full table rebuild
-//! below the threshold, an O(cached-rows) invalidation above it.
+//! below the threshold, an O(n) invalidation above it.
 //!
 //! `harness scale` emits `BENCH_scale.json` and exits non-zero if any
 //! point's routing residency exceeds [`SCALE_ROUTING_BUDGET`] — the
@@ -30,7 +30,7 @@ pub const SCALE_SMOKE_MSGS: u64 = 40_000;
 ///
 /// At n = 1000 the all-pairs table would hold ~16 M path-pool entries
 /// plus an 8 MB next-hop matrix — well past this; the demand backend's
-/// row cache stays under 5 MB. The gate fails the harness (and CI) if
+/// rows stay near 2 MB. The gate fails the harness (and CI) if
 /// routing residency ever grows back toward quadratic.
 pub const SCALE_ROUTING_BUDGET: usize = 64 << 20;
 

@@ -3,45 +3,72 @@
 //!
 //! The precomputed table materialises every `(src, dst)` path at
 //! construction — O(n² · diameter) memory and work, fine through a few
-//! hundred nodes, ruinous at a thousand (ROADMAP "Workload scale-out").
-//! [`DemandRoutes`] instead materialises one BFS **row** at a time, on
-//! first use, and keeps the rows in a byte-budgeted LRU cache. A row is
-//! keyed by the *destination*: the deterministic tie-breaking BFS that
-//! defines every path runs from the destination outward (exactly as in
+//! dozen nodes, ruinous at a thousand. [`DemandRoutes`] instead
+//! materialises one BFS **row** at a time, on first use. A row is keyed
+//! by the *destination*: the deterministic tie-breaking BFS that defines
+//! every path runs from the destination outward (exactly as in
 //! `RoutingTable::build`), so one row yields the next hop toward that
-//! destination for *all* sources at once. Paths are then short walks
-//! along the row, staged into reusable scratch buffers — no per-call
-//! allocation in steady state. Rows and walks read a copy of the
-//! topology's adjacency (`Topology::adjacency`, the same structure the
-//! table's BFS borrows), taken at construction so the backend can
-//! outlive the borrow of the topology.
+//! destination for *all* sources at once.
+//!
+//! **What a row holds.** `row[src]` is a `u16` *slot*: the position of
+//! the next hop in `src`'s adjacency list. The adjacency is a CSR copy
+//! of `Topology::adjacency` — one flat array of `(neighbour, link)`
+//! edges, each node's neighbours ascending, each with the lowest-id link
+//! the pair shares — taken at construction so the backend can outlive
+//! the borrow of the topology. A hop is therefore two indexed loads,
+//! `row[cur]` and `edges[first_edge[cur] + slot]`, and the edge yields
+//! the next node *and* the link that carries the hop: no search, and two
+//! bytes per entry instead of a node id.
+//!
+//! **Where rows live.** In one slab of `n`-entry rows that grows by
+//! doubling up to the byte budget (`with_budget`'s one argument; at least
+//! one row), with a `dst → slab row` map and each slab row's owner. When
+//! the slab is full a miss takes over the next slab row round-robin — off
+//! the hit path, which pays one map load and a counter. `set_avoid` forgets
+//! every row (the map is cleared, the slab keeps its capacity), which is
+//! the at-scale crash-heal: rows re-materialise on demand.
+//!
+//! **What the budget bounds.** The slab only: `rows × n × 2` bytes. The
+//! CSR adjacency (`n + 1` offsets, one edge and one reverse slot per
+//! directed neighbour pair), the map, the BFS queue and the staged path
+//! are O(n + edges) and are reported with it by `resident_bytes`.
 //!
 //! Both backends implement [`Routes`] and are interchangeable
 //! bit-for-bit: identical paths, identical links, identical `avoiding` /
 //! `avoiding_transit` semantics (the `routes_equiv` property tests pin
 //! this). [`RouteBackend::auto`] picks the table below
-//! [`DEMAND_ROUTING_THRESHOLD`] nodes and the row cache at or above it.
+//! [`DEMAND_ROUTING_THRESHOLD`] nodes and the rows at or above it.
 
 use crate::routing::RoutingTable;
-use btr_model::{Adjacency, LinkId, NodeId, Topology};
-use std::collections::{BTreeSet, VecDeque};
+use btr_model::{LinkId, NodeId, Topology};
+use std::collections::BTreeSet;
 
 /// Node count at and above which [`RouteBackend::auto`] switches from
-/// the precomputed all-pairs table to the demand-driven row cache.
+/// the precomputed all-pairs table to the demand-driven rows.
 ///
 /// Below this, the table's O(n² · d) memory is trivial and its O(1)
 /// zero-branch lookups keep the simulator hot path at its measured
 /// baseline; above it, table construction cost and residency grow
-/// quadratically while the row cache stays near-linear.
+/// quadratically while the rows stay near-linear.
 pub const DEMAND_ROUTING_THRESHOLD: usize = 64;
 
-/// Default byte budget for cached rows (32 MiB): at n = 1000 every row
-/// is ~4 kB, so the full row set costs ~4 MB and nothing is evicted;
-/// the budget is the backstop that keeps residency bounded at any n.
+/// Default byte budget for resident rows (32 MiB): at n = 1000 every row
+/// is 2 kB, so the full row set costs 2 MB and nothing is evicted; the
+/// budget is the backstop that keeps residency bounded at any n.
 pub const DEMAND_CACHE_BUDGET: usize = 32 << 20;
 
-/// Sentinel for "no next hop" in a row.
-const NONE: u32 = u32::MAX;
+/// Row entry for "no next hop": unreachable, or the destination itself.
+const NONE: u16 = u16::MAX;
+
+/// `row_of` entry for a destination with no resident row.
+const NO_ROW: u32 = u32::MAX;
+
+/// Most neighbours a node may have: a row entry indexes the sender's
+/// adjacency list in 16 bits, with [`NONE`] set aside.
+const MAX_DEGREE: usize = 65_533;
+
+/// One hop of a routed message: `(from, to, link carrying it)`.
+pub type Hop = (NodeId, NodeId, LinkId);
 
 /// A shortest-path provider for the link layer.
 ///
@@ -72,56 +99,137 @@ impl Routes for RoutingTable {
     }
 }
 
-/// Lazily-materialised per-destination routing rows with LRU eviction.
+/// Lazily-materialised per-destination routing rows of adjacency slots,
+/// resident in one byte-budgeted slab.
 #[derive(Debug, Clone)]
 pub struct DemandRoutes {
-    index: Adjacency,
+    n: usize,
+    /// CSR adjacency: `edges[first_edge[v]..first_edge[v + 1]]` are `v`'s
+    /// neighbours, ascending, each with the link reaching it.
+    first_edge: Vec<u32>,
+    edges: Vec<(NodeId, LinkId)>,
+    /// `back_slot[e]` for edge `e = (v → w)`: the slot of `v` in `w`'s
+    /// list — what the BFS writes into `row[w]` when it reaches `w`
+    /// from `v`.
+    back_slot: Vec<u16>,
     avoid: BTreeSet<NodeId>,
+    /// `avoid` as a mask, for the BFS.
+    avoided: Vec<bool>,
     endpoints_ok: bool,
-    budget: usize,
-    /// `rows[dst]` = next hop toward `dst` for every source (NONE =
-    /// unreachable), or `None` if not materialised.
-    rows: Vec<Option<Box<[u32]>>>,
-    /// LRU stamps, parallel to `rows`.
-    last_used: Vec<u64>,
-    cached: usize,
-    tick: u64,
+    /// Most rows the budget admits (at least one, at most `n`).
+    max_rows: usize,
+    /// Resident rows, `n` entries each; row `r` is `slab[r * n..][..n]`.
+    slab: Vec<u16>,
+    /// `row_of[dst]` = which slab row is `dst`'s, or [`NO_ROW`].
+    row_of: Vec<u32>,
+    /// `owner[r]` = the destination whose row slab row `r` holds.
+    owner: Vec<NodeId>,
+    /// The slab row the next miss takes over once the slab is full.
+    next_victim: usize,
     /// Lifetime counters (diagnostics; the scale harness reports them).
     hits: u64,
     misses: u64,
     evictions: u64,
-    // Reusable scratch: BFS state and the staged path returned by
+    // Reusable scratch: the BFS queue and the staged path returned by
     // `path_and_links`.
-    visited: Vec<bool>,
-    queue: VecDeque<NodeId>,
+    queue: Vec<NodeId>,
     path_nodes: Vec<NodeId>,
     path_links: Vec<LinkId>,
 }
 
+/// Refuse a node whose neighbours a 16-bit slot cannot index.
+fn check_degree(node: NodeId, degree: usize) {
+    assert!(
+        degree <= MAX_DEGREE,
+        "demand routing: {node} has {degree} neighbours, more than the {MAX_DEGREE} a 16-bit row slot can index"
+    );
+}
+
+/// Follow a destination's `row` from `src`, reporting each hop: the
+/// slot `row[cur]` picks the edge of `cur` that leads on. False if the
+/// walk ends short of `dst` (no route). `src != dst`.
+#[inline(always)]
+fn walk(
+    row: &[u16],
+    first_edge: &[u32],
+    edges: &[(NodeId, LinkId)],
+    src: NodeId,
+    dst: NodeId,
+    mut hop: impl FnMut(NodeId, NodeId, LinkId),
+) -> bool {
+    let mut cur = src;
+    // A row is a tree rooted at `dst`, so a walk is under n hops.
+    for _ in 0..row.len() {
+        let slot = row[cur.index()];
+        if slot == NONE {
+            return false;
+        }
+        let (next, link) = edges[first_edge[cur.index()] as usize + slot as usize];
+        hop(cur, next, link);
+        if next == dst {
+            return true;
+        }
+        cur = next;
+    }
+    false
+}
+
 impl DemandRoutes {
-    /// Routes over the full topology with the default cache budget.
+    /// Routes over the full topology with the default row budget.
+    ///
+    /// # Panics
+    /// As [`DemandRoutes::with_budget`].
     pub fn new(topo: &Topology) -> DemandRoutes {
         Self::with_budget(topo, DEMAND_CACHE_BUDGET)
     }
 
-    /// Routes over the full topology with an explicit row-cache byte
-    /// budget (at least one row is always kept).
+    /// Routes over the full topology with an explicit byte budget for
+    /// resident rows (at least one row is always kept).
+    ///
+    /// # Panics
+    /// Panics if a node has 65 534 or more neighbours: a row entry is a
+    /// 16-bit index into the sender's adjacency list, and a wider list
+    /// must fail here, naming the node and its degree, rather than wrap.
     pub fn with_budget(topo: &Topology, budget: usize) -> DemandRoutes {
         let n = topo.node_count();
+        let mut first_edge = Vec::with_capacity(n + 1);
+        let mut edges = Vec::new();
+        for v in topo.nodes() {
+            let nbs = topo.neighbors(v.id);
+            check_degree(v.id, nbs.len());
+            first_edge.push(edges.len() as u32);
+            edges.extend_from_slice(nbs);
+        }
+        first_edge.push(edges.len() as u32);
+        assert!(edges.len() <= u32::MAX as usize, "edge offsets are 32-bit");
+        // Neighbourhood is symmetric, so `v` is in `w`'s (ascending) list.
+        let mut back_slot = Vec::with_capacity(edges.len());
+        for v in topo.nodes() {
+            for &(w, _) in topo.neighbors(v.id) {
+                let slot = topo
+                    .neighbors(w)
+                    .binary_search_by_key(&v.id, |&(x, _)| x)
+                    .expect("adjacency is symmetric");
+                back_slot.push(slot as u16);
+            }
+        }
         DemandRoutes {
-            index: topo.adjacency().clone(),
+            n,
+            first_edge,
+            edges,
+            back_slot,
             avoid: BTreeSet::new(),
+            avoided: vec![false; n],
             endpoints_ok: false,
-            budget,
-            rows: vec![None; n],
-            last_used: vec![0; n],
-            cached: 0,
-            tick: 0,
+            max_rows: (budget / (n * std::mem::size_of::<u16>())).clamp(1, n),
+            slab: Vec::new(),
+            row_of: vec![NO_ROW; n],
+            owner: Vec::new(),
+            next_victim: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
-            visited: vec![false; n],
-            queue: VecDeque::new(),
+            queue: Vec::with_capacity(n),
             path_nodes: Vec::new(),
             path_links: Vec::new(),
         }
@@ -144,20 +252,25 @@ impl DemandRoutes {
         d
     }
 
-    /// Install a new avoid set, invalidating every cached row. This is
-    /// the at-scale crash-heal path: O(cached) instead of the table's
-    /// O(n² · diameter) rebuild.
+    /// Install a new avoid set, forgetting every resident row (the slab
+    /// keeps its capacity). This is the at-scale crash-heal path: O(n)
+    /// instead of the table's O(n² · diameter) rebuild.
     pub fn set_avoid(&mut self, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) {
         if self.avoid == *avoid && self.endpoints_ok == endpoints_ok {
             return;
         }
         self.avoid = avoid.clone();
         self.endpoints_ok = endpoints_ok;
-        for r in &mut self.rows {
-            *r = None;
+        self.avoided.fill(false);
+        for a in avoid {
+            if let Some(m) = self.avoided.get_mut(a.index()) {
+                *m = true;
+            }
         }
-        self.last_used.fill(0);
-        self.cached = 0;
+        self.row_of.fill(NO_ROW);
+        self.owner.clear();
+        self.slab.clear();
+        self.next_victim = 0;
     }
 
     /// (hits, misses, evictions) since construction.
@@ -165,9 +278,14 @@ impl DemandRoutes {
         (self.hits, self.misses, self.evictions)
     }
 
-    /// Number of rows currently materialised.
+    /// Number of rows currently resident.
     pub fn cached_rows(&self) -> usize {
-        self.cached
+        self.owner.len()
+    }
+
+    /// Bytes one resident row takes of the budget.
+    pub fn row_bytes(&self) -> usize {
+        self.n * std::mem::size_of::<u16>()
     }
 
     /// Materialise rows for a set of destinations (the plan-derived
@@ -175,69 +293,106 @@ impl DemandRoutes {
     /// first message of each flow.
     pub fn warm<I: IntoIterator<Item = NodeId>>(&mut self, dsts: I) {
         for dst in dsts {
-            if dst.index() < self.rows.len() {
+            if dst.index() < self.n {
                 self.ensure_row(dst);
             }
         }
     }
 
-    fn row_bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<u32>()
+    /// Stage the hops of the path from `src` to `dst` onto the end of
+    /// `out` — the simulator's per-message lookup, written straight into
+    /// its hop buffer. Returns false, leaving `out` as it was, if there
+    /// is no route; a self-path is zero hops.
+    #[inline]
+    pub fn hops_into(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<Hop>) -> bool {
+        if src == dst {
+            return true;
+        }
+        let row = self.ensure_row(dst);
+        let (row, fe, edges) = (&self.slab[row..row + self.n], &self.first_edge, &self.edges);
+        let mark = out.len();
+        let found = walk(row, fe, edges, src, dst, |a, b, l| out.push((a, b, l)));
+        if !found {
+            out.truncate(mark);
+        }
+        found
     }
 
-    /// Build the row for `dst`: the exact BFS of `RoutingTable::build`
-    /// restricted to one destination — ascending-id neighbour order,
-    /// avoided nodes either skipped (`avoiding`) or assigned a hop but
-    /// never expanded (`avoiding_transit`).
-    fn ensure_row(&mut self, dst: NodeId) {
-        self.tick += 1;
-        if self.rows[dst.index()].is_some() {
-            self.last_used[dst.index()] = self.tick;
+    /// The slab offset of `dst`'s row, building it first if it is not
+    /// resident.
+    #[inline]
+    fn ensure_row(&mut self, dst: NodeId) -> usize {
+        let r = self.row_of[dst.index()];
+        if r != NO_ROW {
             self.hits += 1;
-            return;
+            return r as usize * self.n;
         }
-        self.misses += 1;
-        // Evict least-recently-used rows until this one fits the budget.
-        while self.cached > 0 && (self.cached + 1) * self.row_bytes() > self.budget {
-            let victim = (0..self.rows.len())
-                .filter(|&i| self.rows[i].is_some())
-                .min_by_key(|&i| self.last_used[i])
-                .expect("cached > 0");
-            self.rows[victim] = None;
-            self.cached -= 1;
-            self.evictions += 1;
-        }
+        self.build_row(dst)
+    }
 
-        let n = self.rows.len();
-        let mut row = vec![NONE; n].into_boxed_slice();
-        if !self.avoid.contains(&dst) || self.endpoints_ok {
-            self.visited.fill(false);
-            self.visited[dst.index()] = true;
-            self.queue.clear();
-            self.queue.push_back(dst);
-            while let Some(cur) = self.queue.pop_front() {
-                for &(nb, _) in self.index.neighbors(cur) {
-                    if self.visited[nb.index()] {
+    /// Claim a slab row for `dst` — a fresh one while the budget admits
+    /// it, else the next victim's, round-robin — and fill it: the exact
+    /// BFS of `RoutingTable::build` restricted to one destination, with
+    /// ascending-id neighbour order and avoided nodes either skipped
+    /// (`avoiding`) or assigned a hop but never expanded
+    /// (`avoiding_transit`). The row is its own visited set.
+    #[cold]
+    fn build_row(&mut self, dst: NodeId) -> usize {
+        self.misses += 1;
+        let n = self.n;
+        let r = if self.owner.len() < self.max_rows {
+            if self.slab.len() == self.slab.capacity() {
+                // Grow by doubling, but never past the budget.
+                let target = (self.slab.len() * 2).clamp(n, self.max_rows * n);
+                self.slab.reserve_exact(target - self.slab.len());
+            }
+            self.slab.resize(self.slab.len() + n, NONE);
+            self.owner.push(dst);
+            self.owner.len() - 1
+        } else {
+            let r = self.next_victim;
+            self.next_victim = (r + 1) % self.max_rows;
+            self.row_of[self.owner[r].index()] = NO_ROW;
+            self.owner[r] = dst;
+            self.evictions += 1;
+            self.slab[r * n..(r + 1) * n].fill(NONE);
+            r
+        };
+        self.row_of[dst.index()] = r as u32;
+        let row = &mut self.slab[r * n..(r + 1) * n];
+        if !self.avoided[dst.index()] || self.endpoints_ok {
+            let (first_edge, edges, back_slot) =
+                (&self.first_edge[..], &self.edges[..], &self.back_slot[..]);
+            let (avoided, endpoints_ok) = (&self.avoided[..n], self.endpoints_ok);
+            let queue = &mut self.queue;
+            row[dst.index()] = 0; // Visited; restored below.
+            queue.clear();
+            queue.push(dst);
+            let mut head = 0;
+            while let Some(&cur) = queue.get(head) {
+                head += 1;
+                let (lo, hi) = (
+                    first_edge[cur.index()] as usize,
+                    first_edge[cur.index() + 1] as usize,
+                );
+                for (&(nb, _), &back) in edges[lo..hi].iter().zip(&back_slot[lo..hi]) {
+                    if row[nb.index()] != NONE {
                         continue;
                     }
-                    if self.avoid.contains(&nb) {
-                        if !self.endpoints_ok {
-                            continue;
+                    if avoided[nb.index()] {
+                        if endpoints_ok {
+                            // May originate (gets a next hop), never relays.
+                            row[nb.index()] = back;
                         }
-                        // May originate (gets a next hop), never relays.
-                        self.visited[nb.index()] = true;
-                        row[nb.index()] = cur.0;
                         continue;
                     }
-                    self.visited[nb.index()] = true;
-                    row[nb.index()] = cur.0;
-                    self.queue.push_back(nb);
+                    row[nb.index()] = back;
+                    queue.push(nb);
                 }
             }
+            row[dst.index()] = NONE;
         }
-        self.rows[dst.index()] = Some(row);
-        self.last_used[dst.index()] = self.tick;
-        self.cached += 1;
+        r * n
     }
 }
 
@@ -246,59 +401,51 @@ impl Routes for DemandRoutes {
         self.path_nodes.clear();
         self.path_links.clear();
         self.path_nodes.push(src);
-        if src == dst {
-            // Loopback does not traverse the network; self-paths exist
-            // even for avoided nodes (matches the table's spans).
-            return Some((&self.path_nodes, &self.path_links));
-        }
-        self.ensure_row(dst);
-        let n = self.rows.len();
-        let mut cur = src;
-        let mut ok = false;
-        for _ in 0..=n {
-            let hop = self.rows[dst.index()].as_ref().expect("ensured")[cur.index()];
-            if hop == NONE {
-                break;
-            }
-            let hop = NodeId(hop);
-            self.path_links.push(
-                self.index
-                    .link_between(cur, hop)
-                    .expect("next-hop pairs share a link"),
-            );
-            self.path_nodes.push(hop);
-            cur = hop;
-            if hop == dst {
-                ok = true;
-                break;
+        // Loopback does not traverse the network; self-paths exist even
+        // for avoided nodes (matches the table's spans).
+        if src != dst {
+            let row = self.ensure_row(dst);
+            let (row, fe, edges) = (&self.slab[row..row + self.n], &self.first_edge, &self.edges);
+            let (nodes, links) = (&mut self.path_nodes, &mut self.path_links);
+            let found = walk(row, fe, edges, src, dst, |_, to, link| {
+                nodes.push(to);
+                links.push(link);
+            });
+            if !found {
+                return None;
             }
         }
-        if ok {
-            Some((&self.path_nodes, &self.path_links))
-        } else {
-            None
-        }
+        Some((&self.path_nodes, &self.path_links))
     }
 
     fn resident_bytes(&self) -> usize {
-        self.cached * self.row_bytes()
-            + self.rows.capacity() * std::mem::size_of::<Option<Box<[u32]>>>()
-            + self.last_used.capacity() * 8
-            + self.index.resident_bytes()
-            + self.visited.capacity()
-            + self.path_nodes.capacity() * 4
-            + self.path_links.capacity() * 4
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<u16>()
+            + self.row_of.capacity() * size_of::<u32>()
+            + self.owner.capacity() * size_of::<NodeId>()
+            + self.first_edge.capacity() * size_of::<u32>()
+            + self.edges.capacity() * size_of::<(NodeId, LinkId)>()
+            + self.back_slot.capacity() * size_of::<u16>()
+            + self.avoided.capacity()
+            + self.queue.capacity() * size_of::<NodeId>()
+            + self.path_nodes.capacity() * size_of::<NodeId>()
+            + self.path_links.capacity() * size_of::<LinkId>()
     }
 }
 
 /// The routing backend the simulator threads through its link layer:
 /// precomputed all-pairs below the scale threshold, demand-driven rows
 /// at or above it.
+///
+/// A world holds exactly one, in place: boxing the larger variant would
+/// put a pointer chase on the per-message path to save bytes nobody
+/// copies.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum RouteBackend {
     /// All-pairs table with fully materialised paths (small platforms).
     Precomputed(RoutingTable),
-    /// Lazily-materialised LRU row cache (large platforms).
+    /// Lazily-materialised slot rows (large platforms).
     Demand(DemandRoutes),
 }
 
@@ -342,6 +489,23 @@ impl RouteBackend {
     pub fn warm<I: IntoIterator<Item = NodeId>>(&mut self, dsts: I) {
         if let RouteBackend::Demand(d) = self {
             d.warm(dsts);
+        }
+    }
+
+    /// Stage the hops of the path from `src` to `dst` onto the end of
+    /// `out`; false (and `out` untouched) if there is no route. One
+    /// backend `match` per message, as [`Routes::path_and_links`] has.
+    #[inline]
+    pub fn hops_into(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<Hop>) -> bool {
+        match self {
+            RouteBackend::Precomputed(rt) => match rt.path_and_links(src, dst) {
+                Some((nodes, links)) => {
+                    out.extend(nodes.windows(2).zip(links).map(|(w, &l)| (w[0], w[1], l)));
+                    true
+                }
+                None => false,
+            },
+            RouteBackend::Demand(d) => d.hops_into(src, dst, out),
         }
     }
 }
@@ -416,7 +580,8 @@ mod tests {
         let t = Topology::mesh(4, 4, 100, Duration(1));
         let table = RoutingTable::new(&t);
         // Budget of one row: every new destination evicts the previous.
-        let mut demand = DemandRoutes::with_budget(&t, 16 * 4);
+        let one_row = DemandRoutes::new(&t).row_bytes();
+        let mut demand = DemandRoutes::with_budget(&t, one_row);
         paths_match(&table, &mut demand, 16, "one-row budget");
         assert_eq!(demand.cached_rows(), 1);
         let (_, misses, evictions) = demand.cache_stats();
@@ -430,6 +595,75 @@ mod tests {
         assert_eq!(evictions, 0);
         assert_eq!(misses, 16, "one build per destination");
         assert!(hits > misses);
+    }
+
+    #[test]
+    fn evicted_row_is_rebuilt_after_set_avoid() {
+        // Three slab rows over a ring of 8: destinations 0..5 churn them
+        // round-robin, so 0, 1, 2 are evicted and 3, 4, 5 resident.
+        let t = Topology::ring(8, 100, Duration(1));
+        let row = DemandRoutes::new(&t).row_bytes();
+        let mut d = DemandRoutes::with_budget(&t, 3 * row);
+        for dst in 0..6u32 {
+            assert!(d.path_and_links(NodeId(7), NodeId(dst)).is_some());
+        }
+        assert_eq!((d.cached_rows(), d.cache_stats().2), (3, 3));
+        // Heal around n1, then ask for an evicted destination, a resident
+        // one, and churn past the budget again: the `dst → slab row` map
+        // and the rows' owners were reset together, so every answer is the
+        // healed table's and the owners stay one-to-one with the map.
+        let avoid = BTreeSet::from([NodeId(1)]);
+        d.set_avoid(&avoid, true);
+        assert_eq!(d.cached_rows(), 0);
+        let table = RoutingTable::avoiding_transit(&t, &avoid);
+        for dst in [0u32, 4, 2, 6, 0, 5, 4] {
+            let expect = table
+                .path_and_links(NodeId(3), NodeId(dst))
+                .map(|(p, l)| (p.to_vec(), l.to_vec()));
+            let got = d
+                .path_and_links(NodeId(3), NodeId(dst))
+                .map(|(p, l)| (p.to_vec(), l.to_vec()));
+            assert_eq!(expect, got, "3 -> {dst} after heal");
+            for (r, owner) in d.owner.iter().enumerate() {
+                assert_eq!(d.row_of[owner.index()], r as u32);
+            }
+            let mapped = d.row_of.iter().filter(|&&r| r != NO_ROW).count();
+            assert_eq!(mapped, d.cached_rows());
+        }
+        assert_eq!(d.cached_rows(), 3);
+        paths_match(&table, &mut d, 8, "post-heal under eviction");
+    }
+
+    #[test]
+    fn hops_into_appends_or_leaves_untouched() {
+        let t = Topology::ring(6, 100, Duration(1));
+        let mut d = DemandRoutes::avoiding(&t, &BTreeSet::from([NodeId(1)]));
+        let mut hops = vec![(NodeId(9), NodeId(9), LinkId(9))];
+        assert!(d.hops_into(NodeId(0), NodeId(2), &mut hops));
+        let via: Vec<u32> = hops[1..].iter().map(|h| h.1 .0).collect();
+        assert_eq!(via, [5, 4, 3, 2]);
+        for &(a, b, link) in &hops[1..] {
+            assert_eq!(t.link_between(a, b), Some(link));
+        }
+        // No route to an avoided node, and a self-path is zero hops.
+        let len = hops.len();
+        assert!(!d.hops_into(NodeId(0), NodeId(1), &mut hops));
+        assert!(d.hops_into(NodeId(4), NodeId(4), &mut hops));
+        assert_eq!(hops.len(), len);
+        // Both backends stage the same hops.
+        let mut pre =
+            RouteBackend::Precomputed(RoutingTable::avoiding(&t, &BTreeSet::from([NodeId(1)])));
+        let mut staged = Vec::new();
+        assert!(pre.hops_into(NodeId(0), NodeId(2), &mut staged));
+        assert_eq!(staged, hops[1..]);
+        assert!(!pre.hops_into(NodeId(0), NodeId(1), &mut staged));
+    }
+
+    #[test]
+    #[should_panic(expected = "n7 has 65534 neighbours")]
+    fn slot_width_is_checked() {
+        check_degree(NodeId(7), MAX_DEGREE);
+        check_degree(NodeId(7), MAX_DEGREE + 1);
     }
 
     #[test]
@@ -480,12 +714,15 @@ mod tests {
     #[test]
     fn demand_resident_bytes_stay_bounded() {
         let t = Topology::ring(200, 100, Duration(1));
-        let mut d = DemandRoutes::with_budget(&t, 8 * 200 * 4);
+        let row = DemandRoutes::new(&t).row_bytes();
+        let mut d = DemandRoutes::with_budget(&t, 8 * row);
         for dst in 0..200u32 {
             d.path_and_links(NodeId(0), NodeId(dst));
         }
-        assert!(d.cached_rows() <= 8);
-        assert!(d.resident_bytes() < 1 << 20);
+        assert_eq!(d.cached_rows(), 8);
+        // The slab never outgrows the budget, whatever the doubling did.
+        assert_eq!(d.slab.capacity() * 2, 8 * row);
+        assert!(d.resident_bytes() < 8 * row + (16 << 10));
     }
 
     #[test]

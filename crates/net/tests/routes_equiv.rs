@@ -1,7 +1,9 @@
 //! Property tests: the demand-driven routing backend is bit-identical
 //! to the precomputed all-pairs table — same paths, same per-hop links,
 //! same `avoiding` and `avoiding_transit` semantics — on every platform
-//! family the experiments use, up to 32 nodes.
+//! family the experiments use, up to 32 nodes, plus exhaustive cases on
+//! the shapes that stress the row encoding: a bus whose degree is past a
+//! byte, and parallel links between the same endpoints.
 //!
 //! This is the contract that lets `RouteBackend::auto` switch backends
 //! by node count without changing a single simulation bit.
@@ -104,9 +106,10 @@ proptest! {
         let topo = torus(rows, cols, 100, Duration(3)).expect("n >= 4 builds");
         let table = RoutingTable::new(&topo);
         let n_nodes = topo.node_count() as u32;
-        let mut demand = DemandRoutes::with_budget(&topo, n_nodes as usize * 4);
+        let one_row = DemandRoutes::new(&topo).row_bytes();
+        let mut demand = DemandRoutes::with_budget(&topo, one_row);
         // A seed-scrambled probe order (not all pairs in order) so the
-        // LRU sees varied access patterns.
+        // one slot changes hands in a varied pattern.
         let mut x = seed as u64 + 1;
         for _ in 0..64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -129,4 +132,32 @@ fn dual_bus_parallel_links_agree() {
     assert_equivalent(&topo, &BTreeSet::new(), false, "dual-bus");
     let avoid = BTreeSet::from([NodeId(2)]);
     assert_equivalent(&topo, &avoid, true, "dual-bus avoid");
+    // Every pair shares both buses: each slot must resolve to the lower.
+    let mut demand = DemandRoutes::avoiding_transit(&topo, &avoid);
+    let (lo, hi) = (topo.links()[0].id, topo.links()[1].id);
+    assert!(lo < hi);
+    for s in 0..6 {
+        for d in (0..6).filter(|&d| d != s) {
+            let (_, links) = demand
+                .path_and_links(NodeId(s), NodeId(d))
+                .expect("one hop");
+            assert_eq!(links, [lo], "{s}->{d}");
+        }
+    }
+    let both = BTreeSet::from([NodeId(0), NodeId(5)]);
+    assert_equivalent(&topo, &both, true, "dual-bus transit-avoid two");
+    assert_equivalent(&topo, &both, false, "dual-bus avoid two");
+}
+
+/// A 300-node bus: every node has 299 neighbours, so slots run past
+/// what a byte holds, and slot k of node v is node k (k < v) or k + 1.
+/// Exhaustive over all 90 000 pairs, plain and under both avoid modes.
+#[test]
+fn high_degree_bus_slots_agree() {
+    let topo = Topology::bus(300, 100, Duration(2));
+    assert_eq!(topo.neighbors(NodeId(299)).len(), 299);
+    assert_equivalent(&topo, &BTreeSet::new(), false, "bus300");
+    let avoid = BTreeSet::from([NodeId(0), NodeId(257), NodeId(299)]);
+    assert_equivalent(&topo, &avoid, true, "bus300 transit-avoid");
+    assert_equivalent(&topo, &avoid, false, "bus300 avoid");
 }

@@ -6,8 +6,8 @@
 //! like `World::heal_routes`), per-hop delay = serialisation time +
 //! propagation latency from each `LinkSpec`, and deterministic
 //! transmission loss from a per-sender hash-chain roll. What it does
-//! *not* model is link contention (`Nic` busy-until) and guardian byte
-//! accounting — the live analogue of a finite link is the bounded
+//! *not* model is link contention (`LinkLayer` busy-until) and guardian
+//! byte accounting — the live analogue of a finite link is the bounded
 //! mailbox, whose backpressure drops are counted and surfaced instead
 //! of silently blocking a sender.
 //!

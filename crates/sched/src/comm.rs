@@ -4,7 +4,7 @@
 //! a given size takes between two nodes. With reserved per-sender slices
 //! and static routes this is a closed form: per hop, serialisation at the
 //! slice rate plus propagation latency. This is the same arithmetic the
-//! simulator's `Nic` performs, so the bound is exact when the sender's
+//! simulator's `LinkLayer` performs, so the bound is exact when the sender's
 //! slice is idle and conservative otherwise. The link carrying each hop
 //! is the one the routing table cached when it materialised the path.
 
@@ -123,17 +123,14 @@ mod tests {
     #[test]
     fn matches_simulator_nic_timing() {
         use btr_model::Time;
-        use btr_net::Nic;
-        use std::collections::BTreeMap;
+        use btr_net::{Frame, LinkLayer};
         let t = Topology::bus(4, 4_000, Duration(50));
         let r = RoutingTable::new(&t);
         let bound = comm_bound(&t, &r, NodeId(0), NodeId(3), 128).unwrap();
-        let mut nic = Nic::new(
-            t.link(t.links()[0].id).clone(),
-            Duration::from_millis(10),
-            &BTreeMap::new(),
-        );
-        let measured = nic.send(Time(0), NodeId(0), 128).unwrap();
+        let mut links = LinkLayer::new(&t, Duration::from_millis(10));
+        let measured = links
+            .send(Time(0), NodeId(0), t.links()[0].id, &mut Frame::new(128))
+            .unwrap();
         assert_eq!(Time(bound.0), measured);
     }
 }

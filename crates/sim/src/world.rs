@@ -7,15 +7,15 @@ use btr_crypto::{
     digest64, AuthSuite, KeyStore, NodeKey, SigError, Signer, SplitMix64, Xoshiro256StarStar,
 };
 use btr_model::{
-    Duration, Envelope, EvidenceFlaw, LinkId, NodeId, Payload, PeriodIdx, SignedOutput, TaskId,
-    Time, Topology, Value,
+    Duration, Envelope, EvidenceFlaw, NodeId, Payload, PeriodIdx, SignedOutput, TaskId, Time,
+    Topology, Value,
 };
-use btr_net::{Nic, RouteBackend, Routes, SendError};
+use btr_net::{Frame, Hop, LinkLayer, RouteBackend, Routes, SendError};
 use btr_obs::{
     Counter, Histogram, Lat, Phase, PhaseMark, Profile, Recorder, Subsystem, TrafficMatrix,
     COUNTER_KINDS,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Simulation-wide configuration.
 #[derive(Debug, Clone)]
@@ -170,9 +170,10 @@ struct ObsScratch {
 pub struct World {
     topo: Topology,
     cfg: SimConfig,
-    nics: Vec<Nic>,
+    /// Every (node, link) sender lane of the platform, in one table.
+    links: LinkLayer,
     /// Precomputed all-pairs table below the scale threshold, demand-
-    /// driven BFS row cache at or above it (see `btr_net::RouteBackend`).
+    /// driven BFS rows at or above it (see `btr_net::RouteBackend`).
     routing: RouteBackend,
     slots: Vec<NodeSlot>,
     queue: EventQueue,
@@ -184,7 +185,7 @@ pub struct World {
     /// Reusable scratch for canonical signing bytes (send + verify paths).
     scratch: Vec<u8>,
     /// Reusable per-message hop staging buffer: (from, to, link).
-    hop_buf: Vec<(NodeId, NodeId, LinkId)>,
+    hop_buf: Vec<Hop>,
     keystore: KeyStore,
     actuations: Vec<Actuation>,
     trace: Vec<TraceEvent>,
@@ -219,11 +220,7 @@ impl World {
     pub fn new(topo: Topology, cfg: SimConfig) -> World {
         let n = topo.node_count();
         let keystore = KeyStore::derive_suite(cfg.seed, n, cfg.auth_suite);
-        let nics = topo
-            .links()
-            .iter()
-            .map(|l| Nic::new(l.clone(), cfg.period, &BTreeMap::new()))
-            .collect();
+        let links = LinkLayer::new(&topo, cfg.period);
         let routing = RouteBackend::auto(&topo);
         let slots = (0..n)
             .map(|i| {
@@ -250,7 +247,7 @@ impl World {
         World {
             topo,
             cfg,
-            nics,
+            links,
             routing,
             slots,
             queue: EventQueue::default(),
@@ -428,7 +425,7 @@ impl World {
     }
 
     /// Heap bytes resident for routing state — O(n² · diameter) for the
-    /// precomputed table, near-linear for the demand-driven row cache.
+    /// precomputed table, near-linear for the demand-driven rows.
     /// The scale harness gates this sub-quadratic at n = 1000.
     pub fn routing_resident_bytes(&self) -> usize {
         self.routing.resident_bytes()
@@ -467,7 +464,7 @@ impl World {
 
     /// Total guardian-denied bytes for a node across all links.
     pub fn guardian_drops(&self, node: NodeId) -> u64 {
-        self.nics.iter().map(|n| n.guardian_drops(node)).sum()
+        self.links.guardian_drops(node)
     }
 
     /// Schedule a control action at an absolute time.
@@ -681,9 +678,9 @@ impl World {
     /// time on success (mainly for tests; behaviours ignore it).
     ///
     /// This is the simulator's hottest function: one call per message. It
-    /// performs no heap allocation — the route is a borrow of the routing
-    /// cache staged into a reusable hop buffer, and loss sampling is a
-    /// few arithmetic ops per roll.
+    /// performs no heap allocation — the routing backend stages the route
+    /// straight into a reusable hop buffer, and loss sampling is a few
+    /// arithmetic ops per roll.
     fn transmit(&mut self, src: NodeId, env: Envelope) -> Option<Time> {
         let bytes = env.wire_size();
         let dst = env.dst;
@@ -721,21 +718,13 @@ impl World {
         let route_t0 = self.wall_start();
         let mut hops = std::mem::take(&mut self.hop_buf);
         hops.clear();
-        match self.routing.path_and_links(src, dst) {
-            None => {
-                self.hop_buf = hops;
-                self.wall_end(Subsystem::Routing, route_t0);
-                self.record_drop(src, dst, DropReason::NoRoute);
-                return None;
-            }
-            Some((nodes, links)) => {
-                for (i, &link) in links.iter().enumerate() {
-                    hops.push((nodes[i], nodes[i + 1], link));
-                }
-            }
-        }
-
+        let routed = self.routing.hops_into(src, dst, &mut hops);
         self.wall_end(Subsystem::Routing, route_t0);
+        if !routed {
+            self.hop_buf = hops;
+            self.record_drop(src, dst, DropReason::NoRoute);
+            return None;
+        }
 
         let delivery = self.transmit_over(&hops, src, dst, bytes, signed);
         self.hop_buf = hops;
@@ -755,7 +744,7 @@ impl World {
     /// rejects it.
     fn transmit_over(
         &mut self,
-        hops: &[(NodeId, NodeId, LinkId)],
+        hops: &[Hop],
         src: NodeId,
         dst: NodeId,
         bytes: u32,
@@ -789,6 +778,9 @@ impl World {
                 }
             }
         }
+        // One frame per message: its serialisation time is worked out
+        // once per slice rate it meets, not once per hop.
+        let mut frame = Frame::new(bytes);
         let mut t = self.now;
         for &(a, _b, link) in hops {
             // Relay policy applies to intermediate hops only.
@@ -810,7 +802,7 @@ impl World {
                     return None;
                 }
             }
-            match self.nics[link.index()].send(t, a, bytes) {
+            match self.links.send(t, a, link, &mut frame) {
                 Ok(arrival) => t = arrival,
                 Err(SendError::AllocationExhausted) => {
                     self.metrics.drops_guardian += 1;
