@@ -246,14 +246,6 @@ impl BftNode {
         self.release(p, task, replica, value, ctx);
     }
 
-    /// Echo-quorum size observed for a value (diagnostics).
-    pub fn prepare_count(&self, p: PeriodIdx, task: TaskId, value: Value) -> usize {
-        self.prepares
-            .get(&(p, task))
-            .and_then(|m| m.get(&value))
-            .map_or(0, |s| s.len())
-    }
-
     fn handle_boundary(&mut self, p: PeriodIdx, ctx: &mut NodeCtx<'_>) {
         for (idx, e) in self.my_entries().iter().enumerate() {
             ctx.set_timer_at(

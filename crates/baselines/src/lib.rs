@@ -37,7 +37,7 @@ pub use selfstab::{SelfStabConfig, SelfStabNode};
 pub use zz::{ZzConfig, ZzNode};
 
 use btr_core::{oracle, FaultScenario, RunReport};
-use btr_model::{Criticality, Duration, FaultKind, FaultSet, NodeId, Plan, PlanId, Time, Topology};
+use btr_model::{Duration, FaultKind, FaultSet, NodeId, Plan, PlanId, Time, Topology};
 use btr_net::RoutingTable;
 use btr_planner::PlannerConfig;
 use btr_sched::{round_robin_placement, synthesize, SchedParams};
@@ -276,11 +276,6 @@ pub fn crash_restart_system(
     cfg.replication = btr_planner::ReplicationMode::None;
     cfg.admit_best_effort = true;
     btr_core::BtrSystem::plan(workload, topo, cfg)
-}
-
-/// Criticality levels ordered for table output (shared by experiments).
-pub fn criticality_order() -> [Criticality; 4] {
-    Criticality::ALL
 }
 
 #[cfg(test)]

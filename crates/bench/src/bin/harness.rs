@@ -1,38 +1,38 @@
 //! The experiment harness: regenerates every table/figure in
-//! EXPERIMENTS.md, the hot-path perf benchmark, and the fault-injection
-//! campaign engine.
+//! EXPERIMENTS.md, measures the simulator (`profile`) and the live
+//! thread fleet (`live`), and drives the fault-injection campaign and
+//! the schedule fuzzer.
 //!
 //! Usage:
 //!
 //! ```text
 //! harness all               # run the full experiment suite
 //! harness e1 e7 a2          # run selected experiments
-//! harness bench [periods]   # obs-overhead A/B on the simulator hot path, emit BENCH_sim.json
+//! harness profile [...]     # the simulator measurement, emit PROFILE_btr.json
+//! harness live [...]        # the thread-fleet measurement, emit LIVE_btr.json
 //! harness campaign [...]    # fault-injection campaign, emit CAMPAIGN_btr.json
+//! harness fuzz [...]        # coverage-guided schedule search, emit FUZZ_btr.json
 //! harness --list            # list every subcommand and experiment id
-//! harness --threads N ...   # worker threads (campaign + e6 planner)
+//! harness --threads N ...   # worker threads (campaign + fuzz + e6 planner)
 //! ```
 
 use btr_bench::experiments as exp;
-use btr_bench::hotpath::{
-    self, HotPathMeasurement, HOTPATH_FEC, HOTPATH_LOSS_PPM, HOTPATH_NODES, HOTPATH_PERIODS,
-    OBS_NOISE_NS, OBS_OVERHEAD_PCT, OBS_THROUGHPUT_FLOOR,
-};
 use btr_bench::live::{self, LiveMeasurement, LIVE_PACE, LIVE_SEED, LIVE_SMOKE_PACE};
-use btr_bench::profile::{self, ProfilePoint, PROFILE_FAMILIES};
-use btr_bench::scale::{
-    self, ScaleMeasurement, SCALE_NODES, SCALE_ROUTING_BUDGET, SCALE_SMOKE_MSGS, SCALE_TARGET_MSGS,
+use btr_bench::profile::{
+    self, ObsOverhead, ProfilePoint, OBS_AB_ROUNDS, OBS_NOISE_NS, OBS_OVERHEAD_PCT,
+    PROFILE_FAMILIES,
 };
-use btr_bench::signed::{self, SignedMeasurement, SIGNED_NODES, SIGNED_WITNESSES};
+use btr_bench::scale::{SCALE_NODES, SCALE_ROUTING_BUDGET, SCALE_SMOKE_MSGS, SCALE_TARGET_MSGS};
 use btr_crypto::AuthSuite;
 use btr_obs::{
     Histogram, Lat, RecoveryTimeline, SpeedscopeBuilder, Subsystem, TraceBuilder, FLIGHT_CAP,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Counts heap allocations so `harness bench` can report allocations per
-/// delivered message (the headline "allocation-free hot path" metric).
+/// Counts heap allocations so `harness profile` can report the
+/// allocations of a measured run (the "allocation-free hot path" metric).
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -60,492 +60,64 @@ fn alloc_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Set once a write to stdout has failed (`harness --list | head`).
+static STDOUT_GONE: AtomicBool = AtomicBool::new(false);
+
+/// Write one line through the locked stdout handle. `println!` panics
+/// when the reader has gone away; here a closed stdout only stops the
+/// progress lines — reports are still written and the exit code still
+/// says what the gates found.
+fn emit(line: std::fmt::Arguments<'_>) {
+    if STDOUT_GONE.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    if out
+        .write_fmt(line)
+        .and_then(|()| out.write_all(b"\n"))
+        .is_err()
+    {
+        STDOUT_GONE.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `println!` over [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// Write a report file, or exit 2: an unwritable path is a usage error.
+fn write_report(path: &str, content: &str) {
+    match std::fs::write(path, content) {
+        Ok(()) => outln!("  wrote {path}"),
+        Err(e) => {
+            eprintln!("error: failed to write {path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Minimal JSON writer (serialization crates are stubbed offline; the
-/// format here is flat and fully controlled).
-fn json_f64(v: f64) -> String {
+/// format here is flat and fully controlled). Rates take one decimal;
+/// fractions (cut-traffic shares, imbalance ratios) need four.
+fn json_f64(v: f64, decimals: usize) -> String {
     if v.is_finite() {
-        format!("{v:.1}")
+        format!("{v:.decimals$}")
     } else {
         "null".to_string()
     }
 }
 
-fn measurement_json(label: &str, m: &HotPathMeasurement) -> String {
-    format!(
-        concat!(
-            "    \"{}\": {{\n",
-            "      \"msgs_sent\": {},\n",
-            "      \"msgs_delivered\": {},\n",
-            "      \"events\": {},\n",
-            "      \"wall_ns\": {},\n",
-            "      \"msgs_per_sec\": {},\n",
-            "      \"ns_per_delivery\": {},\n",
-            "      \"allocations\": {},\n",
-            "      \"allocs_per_delivery\": {},\n",
-            "      \"truncated\": {}\n",
-            "    }}"
-        ),
-        label,
-        m.msgs_sent,
-        m.msgs_delivered,
-        m.events,
-        m.wall_ns,
-        json_f64(m.msgs_per_sec()),
-        json_f64(m.ns_per_delivery()),
-        m.allocations,
-        json_f64(m.allocs_per_delivery()),
-        m.truncated,
-    )
-}
-
-/// Measure the pinned signed-traffic scenario under one suite, warmup
-/// included, plus the direct sign+verify pair cost.
-fn measure_suite(seed: u64, suite: AuthSuite, periods: u64) -> (SignedMeasurement, f64) {
-    let _ = signed::measure_signed(seed, suite, periods / 10 + 1, &alloc_count);
-    let m = signed::measure_signed(seed, suite, periods, &alloc_count);
-    let pair_ns = signed::measure_pair_ns(suite, 20_000);
-    (m, pair_ns)
-}
-
-fn signed_suite_json(m: &SignedMeasurement, pair_ns: f64) -> String {
-    format!(
-        concat!(
-            "      \"{}\": {{\n",
-            "        \"msgs_delivered\": {},\n",
-            "        \"sigs_signed\": {},\n",
-            "        \"sigs_verified\": {},\n",
-            "        \"rejects\": {},\n",
-            "        \"wall_ns\": {},\n",
-            "        \"msgs_per_sec\": {},\n",
-            "        \"ns_per_delivery\": {},\n",
-            "        \"sig_ops_per_sec\": {},\n",
-            "        \"pair_ns\": {},\n",
-            "        \"allocations\": {},\n",
-            "        \"truncated\": {}\n",
-            "      }}"
-        ),
-        m.suite.name(),
-        m.msgs_delivered,
-        m.sigs_signed,
-        m.sigs_verified,
-        m.rejects,
-        m.wall_ns,
-        json_f64(m.msgs_per_sec()),
-        json_f64(m.ns_per_delivery()),
-        json_f64(m.sig_ops_per_sec()),
-        json_f64(pair_ns),
-        m.allocations,
-        m.truncated,
-    )
-}
-
-/// Run the signed-traffic suite A/B. Returns the JSON section and
-/// whether both suites delivered the whole scenario with zero rejects.
-fn run_signed_bench(periods: u64) -> (String, bool) {
-    let seed = 7;
-    println!(
-        "signed-traffic A/B: {SIGNED_NODES}-node mesh, {periods} periods, \
-         {SIGNED_WITNESSES} witnesses/message, loss-free"
-    );
-    let (hmac, hmac_pair) = measure_suite(seed, AuthSuite::HmacSha256, periods);
-    let (sip, sip_pair) = measure_suite(seed, AuthSuite::SipHash24, periods);
-
-    let report = |m: &SignedMeasurement, pair: f64| {
-        println!(
-            "  {:<12} {:>11.0} msgs/s  {:>10.0} sig-ops/s  {:>7.0} ns/delivery  {:>7.0} ns/pair",
-            m.suite.name(),
-            m.msgs_per_sec(),
-            m.sig_ops_per_sec(),
-            m.ns_per_delivery(),
-            pair,
-        );
-    };
-    report(&hmac, hmac_pair);
-    report(&sip, sip_pair);
-    let e2e = if sip.wall_ns > 0 {
-        hmac.wall_ns as f64 / sip.wall_ns as f64
-    } else {
-        f64::NAN
-    };
-    let pair = if sip_pair > 0.0 {
-        hmac_pair / sip_pair
-    } else {
-        f64::NAN
-    };
-    println!("  speedup   {pair:.2}x sign+verify, {e2e:.2}x end-to-end (same scenario, same seed)");
-    if hmac.rejects != 0 || sip.rejects != 0 {
-        eprintln!(
-            "error: signed scenario rejected traffic (hmac {}, sip {})",
-            hmac.rejects, sip.rejects
-        );
-    }
-    if hmac.truncated || sip.truncated {
-        eprintln!("error: a signed measurement hit the event-cap safety valve (truncated)");
-    }
-    let json = format!(
-        concat!(
-            "  \"signed\": {{\n",
-            "    \"scenario\": {{\n",
-            "      \"nodes\": {},\n",
-            "      \"topology\": \"mesh-4x5\",\n",
-            "      \"periods\": {},\n",
-            "      \"witnesses_per_message\": {},\n",
-            "      \"loss_ppm\": 0,\n",
-            "      \"seed\": {}\n",
-            "    }},\n",
-            "    \"suites\": {{\n",
-            "{},\n",
-            "{}\n",
-            "    }},\n",
-            "    \"speedup_sign_verify\": {},\n",
-            "    \"speedup_end_to_end\": {}\n",
-            "  }}"
-        ),
-        SIGNED_NODES,
-        periods,
-        SIGNED_WITNESSES,
-        seed,
-        signed_suite_json(&hmac, hmac_pair),
-        signed_suite_json(&sip, sip_pair),
-        json_f64(pair),
-        json_f64(e2e),
-    );
-    (
-        json,
-        hmac.rejects == 0 && sip.rejects == 0 && !hmac.truncated && !sip.truncated,
-    )
-}
-
-fn run_bench(periods: u64, signed: bool, out_path: &str) {
-    let sha256_backend = btr_crypto::sha256::backend();
-    println!(
-        "hot-path A/B: {HOTPATH_NODES}-node mesh, {periods} periods, \
-         loss {HOTPATH_LOSS_PPM} ppm/shard, FEC {HOTPATH_FEC:?}, sha256 {sha256_backend}"
-    );
-    let seed = 7;
-
-    // Warm up once (page-in, branch predictors, route caches).
-    let _ = hotpath::measure_hotpath(seed, periods / 10 + 1, &alloc_count);
-
-    // Obs overhead A/B: the identical scenario with a
-    // collecting recorder installed — the recorder sees every event,
-    // send, and delivery, so this is the worst-case instrumentation
-    // cost. Wall clocks on a shared machine jitter several percent run
-    // to run, well above the ceiling being gated, so both modes run
-    // OBS_AB_ROUNDS interleaved rounds and the best (minimum-wall)
-    // round of each is compared: noise only ever adds time, so the
-    // minima converge on the true costs.
-    let _ = hotpath::measure_hotpath_observed(seed, periods / 10 + 1, &alloc_count);
-    let mut optimized = hotpath::measure_hotpath(seed, periods, &alloc_count);
-    let (mut observed, mut obs_rec) =
-        hotpath::measure_hotpath_observed(seed, periods, &alloc_count);
-    for _ in 1..hotpath::OBS_AB_ROUNDS {
-        let o = hotpath::measure_hotpath(seed, periods, &alloc_count);
-        if o.wall_ns < optimized.wall_ns {
-            optimized = o;
-        }
-        let (b, rec) = hotpath::measure_hotpath_observed(seed, periods, &alloc_count);
-        if b.wall_ns < observed.wall_ns {
-            observed = b;
-            obs_rec = rec;
-        }
-    }
-
-    let report = |label: &str, m: &HotPathMeasurement| {
-        println!(
-            "  {label:<9} {:>12.0} msgs/s  {:>8.0} ns/delivery  {:>7.2} allocs/delivery  \
-             ({} delivered)",
-            m.msgs_per_sec(),
-            m.ns_per_delivery(),
-            m.allocs_per_delivery(),
-            m.msgs_delivered,
-        );
-    };
-    report("optimized", &optimized);
-    report("observed", &observed);
-    let obs_delta_ns = observed.wall_ns.saturating_sub(optimized.wall_ns);
-    let obs_overhead_pct = if optimized.wall_ns > 0 {
-        obs_delta_ns as f64 / optimized.wall_ns as f64 * 100.0
-    } else {
-        f64::NAN
-    };
-    println!(
-        "  obs       +{obs_overhead_pct:.2}% wall with recorder on (ceiling {OBS_OVERHEAD_PCT}%)"
-    );
-    // The gated recorder also stages the per-subsystem count profile
-    // and the traffic matrix, so the ceiling above prices the profiling
-    // recorder too. Assert it actually collected — a recorder that
-    // stopped seeing events would make the gate vacuous.
-    let profile_events = obs_rec.subsystem_profile().total_count();
-    let traffic_ok = obs_rec.traffic_matrix().rx_total() == observed.msgs_delivered;
-    println!(
-        "  profile   {profile_events} subsystem events staged inside the ceiling (traffic {})",
-        if traffic_ok {
-            "consistent"
-        } else {
-            "INCONSISTENT"
-        }
-    );
-    let obs_profile_fail = profile_events == 0 || !traffic_ok;
-    // Short smoke runs jitter more than the ceiling; the absolute noise
-    // floor keeps the gate meaningful at every period count. The
-    // throughput floor is only meaningful at the full pinned length,
-    // and only when the un-instrumented baseline itself clears it —
-    // an absolute msgs/s number calibrates the *machine*, while the
-    // recorder's cost is what the relative ceiling above always gates.
-    let obs_overhead_fail = obs_overhead_pct.is_finite()
-        && obs_overhead_pct > OBS_OVERHEAD_PCT
-        && obs_delta_ns > OBS_NOISE_NS;
-    let floor_enforced =
-        periods >= HOTPATH_PERIODS && optimized.msgs_per_sec() >= OBS_THROUGHPUT_FLOOR;
-    let obs_floor_fail = floor_enforced && observed.msgs_per_sec() < OBS_THROUGHPUT_FLOOR;
-
-    // The signed-traffic suite A/B rides along when requested, adding a
-    // `signed` section; it fails the run only if a suite rejects traffic.
-    let (signed_json, signed_ok) = if signed {
-        let (json, ok) = run_signed_bench(periods);
-        (format!(",\n{json}"), ok)
-    } else {
-        (String::new(), true)
-    };
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"sim_hot_path\",\n",
-            "  \"sha256_backend\": \"{}\",\n",
-            "  \"scenario\": {{\n",
-            "    \"nodes\": {},\n",
-            "    \"topology\": \"mesh-4x5\",\n",
-            "    \"periods\": {},\n",
-            "    \"loss_ppm_per_shard\": {},\n",
-            "    \"fec\": [{}, {}],\n",
-            "    \"seed\": {}\n",
-            "  }},\n",
-            "  \"modes\": {{\n",
-            "{},\n",
-            "{}\n",
-            "  }},\n",
-            "  \"obs_overhead\": {{\n",
-            "    \"overhead_pct\": {},\n",
-            "    \"ceiling_pct\": {},\n",
-            "    \"throughput_floor\": {},\n",
-            "    \"floor_enforced\": {},\n",
-            "    \"profile_events\": {},\n",
-            "    \"traffic_consistent\": {}\n",
-            "  }}{}\n",
-            "}}\n"
-        ),
-        sha256_backend,
-        HOTPATH_NODES,
-        periods,
-        HOTPATH_LOSS_PPM,
-        HOTPATH_FEC.0,
-        HOTPATH_FEC.1,
-        seed,
-        measurement_json("optimized", &optimized),
-        measurement_json("observed", &observed),
-        json_f64(obs_overhead_pct),
-        json_f64(OBS_OVERHEAD_PCT),
-        json_f64(OBS_THROUGHPUT_FLOOR),
-        floor_enforced,
-        profile_events,
-        traffic_ok,
-        signed_json,
-    );
-    match std::fs::write(out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => {
-            eprintln!("  failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    // A truncated measurement is not the pinned scenario: the safety
-    // valve fired and the numbers cover a prefix. Publish the flag in
-    // the JSON (above) and fail the gate.
-    if optimized.truncated || observed.truncated {
-        eprintln!("error: a hot-path measurement hit the event-cap safety valve (truncated)");
-        std::process::exit(1);
-    }
-    if obs_overhead_fail {
-        eprintln!(
-            "error: obs overhead {obs_overhead_pct:.2}% exceeds the {OBS_OVERHEAD_PCT}% ceiling"
-        );
-        std::process::exit(1);
-    }
-    if obs_floor_fail {
-        eprintln!(
-            "error: observed throughput {:.0} msgs/s is below the {OBS_THROUGHPUT_FLOOR:.0} floor",
-            observed.msgs_per_sec()
-        );
-        std::process::exit(1);
-    }
-    if obs_profile_fail {
-        eprintln!(
-            "error: the gated recorder staged {profile_events} subsystem events and its \
-             traffic matrix was {}consistent with the run",
-            if traffic_ok { "" } else { "in" }
-        );
-        std::process::exit(1);
-    }
-    if !signed_ok {
-        std::process::exit(1);
-    }
-}
-
-fn run_scale_cli(mut args: Vec<String>) {
-    let seed = take_value(&mut args, "--seed").unwrap_or(7u64);
-    let smoke = take_flag(&mut args, "--smoke");
-    let out_path: String = take_value(&mut args, "--out").unwrap_or("BENCH_scale.json".into());
-    let nodes: Vec<usize> = match take_value::<String>(&mut args, "--nodes") {
-        None => SCALE_NODES.to_vec(),
-        Some(list) => {
-            let parsed: Result<Vec<usize>, _> = list.split(',').map(str::parse).collect();
-            match parsed {
-                Ok(v) if !v.is_empty() && v.iter().all(|&n| n >= 2) => v,
-                _ => {
-                    eprintln!("error: --nodes wants a comma list of sizes >= 2, got '{list}'");
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
-    if let Some(stray) = args.iter().find(|a| *a != "scale") {
-        eprintln!("error: unknown scale argument '{stray}'");
-        std::process::exit(2);
-    }
-
-    let target = if smoke {
-        SCALE_SMOKE_MSGS
-    } else {
-        SCALE_TARGET_MSGS
-    };
-    println!(
-        "scale sweep: torus n ∈ {nodes:?}, ~{target} msgs/point, seed {seed}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    let mut points: Vec<ScaleMeasurement> = Vec::new();
-    let mut over_budget = false;
-    for &n in &nodes {
-        // Warm once (page-in, route materialisation) then measure.
-        let _ = scale::measure_scale(n, seed, target / 10 + 1, &alloc_count);
-        let m = scale::measure_scale(n, seed, target, &alloc_count);
-        println!(
-            "  n={:<5} {:>9} torus  {:>12.0} msgs/s  {:>7.0} ns/delivery  {:>9} routing bytes ({})  {:>6} allocs",
-            m.nodes,
-            format!("{}x{}", m.rows, m.cols),
-            m.msgs_per_sec(),
-            m.ns_per_delivery(),
-            m.routing_resident_bytes,
-            m.routing_kind,
-            m.allocations,
-        );
-        if !m.within_routing_budget() {
-            eprintln!(
-                "error: n={} routing residency {} exceeds the sub-quadratic budget {}",
-                m.nodes, m.routing_resident_bytes, SCALE_ROUTING_BUDGET
-            );
-            over_budget = true;
-        }
-        if m.msgs_delivered == 0 {
-            eprintln!("error: n={} delivered nothing", m.nodes);
-            over_budget = true;
-        }
-        if m.envelopes_leaked != 0 {
-            eprintln!(
-                "error: n={} leaked {} arena envelopes",
-                m.nodes, m.envelopes_leaked
-            );
-            over_budget = true;
-        }
-        if m.truncated {
-            eprintln!(
-                "error: n={} hit the event-cap safety valve (truncated measurement)",
-                m.nodes
-            );
-            over_budget = true;
-        }
-        points.push(m);
-    }
-
-    let point_json = |m: &ScaleMeasurement| {
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"nodes\": {},\n",
-                "      \"torus\": \"{}x{}\",\n",
-                "      \"periods\": {},\n",
-                "      \"msgs_sent\": {},\n",
-                "      \"msgs_delivered\": {},\n",
-                "      \"events\": {},\n",
-                "      \"wall_ns\": {},\n",
-                "      \"msgs_per_sec\": {},\n",
-                "      \"ns_per_delivery\": {},\n",
-                "      \"allocations\": {},\n",
-                "      \"routing_kind\": \"{}\",\n",
-                "      \"routing_resident_bytes\": {},\n",
-                "      \"drops_forward\": {},\n",
-                "      \"truncated\": {}\n",
-                "    }}"
-            ),
-            m.nodes,
-            m.rows,
-            m.cols,
-            m.periods,
-            m.msgs_sent,
-            m.msgs_delivered,
-            m.events,
-            m.wall_ns,
-            json_f64(m.msgs_per_sec()),
-            json_f64(m.ns_per_delivery()),
-            m.allocations,
-            m.routing_kind,
-            m.routing_resident_bytes,
-            m.drops_forward,
-            m.truncated,
-        )
-    };
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"benchmark\": \"sim_scale\",\n",
-            "  \"seed\": {},\n",
-            "  \"smoke\": {},\n",
-            "  \"routing_budget_bytes\": {},\n",
-            "  \"sweep\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        seed,
-        smoke,
-        SCALE_ROUTING_BUDGET,
-        points
-            .iter()
-            .map(point_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => {
-            eprintln!("error: failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if over_budget {
-        std::process::exit(1);
-    }
-}
-
-/// `harness profile`: the deterministic hot-path profiling report.
-/// Torus points at every sweep size plus one point per extra family
-/// (for their distinct natural cuts), each measured by the three-pass
-/// kernel in `btr_bench::profile`. Emits the JSON report, a speedscope
-/// export, collapsed-stack text, and merges the torus per-n cost
-/// breakdown into the scale report. Exits 1 if any point perturbed its
-/// run, disagreed with `SimMetrics`, or scored fewer than two
-/// candidate partitions.
-fn run_profile_cli(mut args: Vec<String>) {
+/// `harness profile`: the simulator measurement. Torus points at every
+/// sweep size plus one point per extra family (for their distinct
+/// natural cuts), each measured by the three-pass kernel in
+/// `btr_bench::profile`: throughput, allocations and routing residency
+/// from the baseline pass, the recorder's cost and the traffic matrix
+/// from the counts pass, per-subsystem shares from the wall pass. Emits
+/// the JSON report, a speedscope export and collapsed-stack text. Exits
+/// 1 if any point trips a gate (`ProfilePoint::gate_failures`) or the
+/// recorder cost the sweep more than its ceiling.
+fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
     let seed = take_value(&mut args, "--seed").unwrap_or(7u64);
     let smoke = take_flag(&mut args, "--smoke");
     let out_path: String = take_value(&mut args, "--out").unwrap_or("PROFILE_btr.json".into());
@@ -553,8 +125,6 @@ fn run_profile_cli(mut args: Vec<String>) {
         take_value(&mut args, "--profile-out").unwrap_or("PROFILE_btr.speedscope.json".into());
     let stacks_path: String =
         take_value(&mut args, "--stacks-out").unwrap_or("PROFILE_btr.stacks.txt".into());
-    let scale_path: String =
-        take_value(&mut args, "--scale-out").unwrap_or("BENCH_scale.json".into());
     let nodes: Vec<usize> = match take_value::<String>(&mut args, "--nodes") {
         None => SCALE_NODES.to_vec(),
         Some(list) => {
@@ -568,7 +138,7 @@ fn run_profile_cli(mut args: Vec<String>) {
             }
         }
     };
-    if let Some(stray) = args.iter().find(|a| *a != "profile") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown profile argument '{stray}'");
         std::process::exit(2);
     }
@@ -581,9 +151,10 @@ fn run_profile_cli(mut args: Vec<String>) {
     // The non-torus families contribute their cut structure, not a
     // scale sweep: one representative size each.
     let family_n = 100;
-    println!(
+    let sha256_backend = btr_crypto::sha256::backend();
+    outln!(
         "profile sweep: torus n ∈ {nodes:?} plus {:?} at n={family_n}, \
-         ~{target} msgs/point, seed {seed}{}",
+         ~{target} msgs/point, seed {seed}{}, sha256 {sha256_backend}",
         PROFILE_FAMILIES
             .iter()
             .filter(|f| **f != "torus")
@@ -593,32 +164,49 @@ fn run_profile_cli(mut args: Vec<String>) {
 
     let mut points: Vec<ProfilePoint> = Vec::new();
     for &n in &nodes {
-        points.push(profile::measure_profile_point("torus", n, seed, target));
+        points.push(profile::measure_profile_point(
+            "torus",
+            n,
+            seed,
+            target,
+            &alloc_count,
+        ));
     }
     for family in PROFILE_FAMILIES {
         if family != "torus" {
             points.push(profile::measure_profile_point(
-                family, family_n, seed, target,
+                family,
+                family_n,
+                seed,
+                target,
+                &alloc_count,
             ));
         }
     }
 
     let mut gate_failed = false;
     for p in &points {
-        println!(
-            "  {:<10} n={:<5} {:>7.0} ns/delivery  routing {:>4.1}%  crypto {:>4.1}%  \
-             dispatch {:>4.1}%  other {:>4.1}%  [{}]",
+        outln!(
+            "  {:<10} n={:<5} {:>9.0} msgs/s  {:>5.0} ns/delivery  {:>8} routing bytes ({})  \
+             {:>4} allocs  [{}]",
             p.family,
             p.nodes,
+            p.msgs_per_sec(),
             p.ns_per_delivery(),
+            p.routing_resident_bytes,
+            p.routing_kind,
+            p.allocations,
+            if p.inert { "inert" } else { "PERTURBED" },
+        );
+        outln!(
+            "    routing {:>4.1}%  crypto {:>4.1}%  dispatch {:>4.1}%  other {:>4.1}%",
             p.wall_share_pct(Subsystem::Routing),
             p.wall_share_pct(Subsystem::CryptoSign) + p.wall_share_pct(Subsystem::CryptoVerify),
             p.wall_share_pct(Subsystem::Dispatch),
             p.wall_share_pct(Subsystem::Other),
-            if p.inert { "inert" } else { "PERTURBED" },
         );
         for c in &p.shard_plan {
-            println!(
+            outln!(
                 "    shard {:<16} {} regions  cut {:>5.1}%  imbalance {:.2}  \
                  lookahead {} µs  ceiling {:.2}x",
                 c.name,
@@ -629,29 +217,37 @@ fn run_profile_cli(mut args: Vec<String>) {
                 c.predicted_ceiling,
             );
         }
-        if !p.inert {
-            eprintln!(
-                "error: {} n={}: count profiling perturbed the run",
-                p.family, p.nodes
-            );
+        for why in p.gate_failures() {
+            eprintln!("error: {} n={}: {why}", p.family, p.nodes);
             gate_failed = true;
         }
-        if !p.traffic_consistent() {
-            eprintln!(
-                "error: {} n={}: traffic matrix disagrees with the engine counters",
-                p.family, p.nodes
-            );
-            gate_failed = true;
+    }
+
+    // What the collecting recorder cost: the identical runs with it
+    // installed (pass 2) against without (pass 1), best of
+    // OBS_AB_ROUNDS interleaved rounds each, summed over the sweep —
+    // the recorder sees every event, send and delivery and stages the
+    // subsystem counts and the traffic matrix, so this is the
+    // worst-case instrumentation cost.
+    let obs = ObsOverhead::of(&points);
+    let profile_events: u64 = points.iter().map(|p| p.counts.total_count()).sum();
+    let traffic_ok = points.iter().all(ProfilePoint::traffic_consistent);
+    outln!(
+        "  obs       +{:.2}% wall with recorder on (ceiling {OBS_OVERHEAD_PCT}%), \
+         {profile_events} subsystem events staged (traffic {})",
+        obs.pct(),
+        if traffic_ok {
+            "consistent"
+        } else {
+            "INCONSISTENT"
         }
-        if p.shard_plan.len() < 2 {
-            eprintln!(
-                "error: {} n={}: only {} candidate partition(s)",
-                p.family,
-                p.nodes,
-                p.shard_plan.len()
-            );
-            gate_failed = true;
-        }
+    );
+    if obs.exceeded() {
+        eprintln!(
+            "error: obs overhead {:.2}% exceeds the {OBS_OVERHEAD_PCT}% ceiling",
+            obs.pct()
+        );
+        gate_failed = true;
     }
 
     let point_json = |p: &ProfilePoint| {
@@ -672,7 +268,7 @@ fn run_profile_cli(mut args: Vec<String>) {
                     "        \"{}\": {{\"wall_ns\": {}, \"share_pct\": {}}}",
                     s.label(),
                     ns,
-                    json_frac(p.wall_share_pct(s))
+                    json_f64(p.wall_share_pct(s), 4)
                 )
             })
             .collect::<Vec<_>>()
@@ -690,10 +286,10 @@ fn run_profile_cli(mut args: Vec<String>) {
                     c.name,
                     c.regions,
                     c.cut_links,
-                    json_frac(c.cut_traffic_fraction),
-                    json_frac(c.imbalance),
+                    json_f64(c.cut_traffic_fraction, 4),
+                    json_f64(c.imbalance, 4),
                     c.lookahead_us,
-                    json_frac(c.predicted_ceiling),
+                    json_f64(c.predicted_ceiling, 4),
                 )
             })
             .collect::<Vec<_>>()
@@ -704,9 +300,19 @@ fn run_profile_cli(mut args: Vec<String>) {
                 "      \"family\": \"{}\",\n",
                 "      \"nodes\": {},\n",
                 "      \"periods\": {},\n",
+                "      \"msgs_sent\": {},\n",
                 "      \"msgs_delivered\": {},\n",
+                "      \"events\": {},\n",
                 "      \"baseline_wall_ns\": {},\n",
+                "      \"observed_wall_ns\": {},\n",
+                "      \"msgs_per_sec\": {},\n",
                 "      \"ns_per_delivery\": {},\n",
+                "      \"allocations\": {},\n",
+                "      \"routing_kind\": \"{}\",\n",
+                "      \"routing_resident_bytes\": {},\n",
+                "      \"drops_forward\": {},\n",
+                "      \"envelopes_leaked\": {},\n",
+                "      \"truncated\": {},\n",
                 "      \"digest\": \"{:016x}\",\n",
                 "      \"inert\": {},\n",
                 "      \"counts\": {{\n{}\n      }},\n",
@@ -727,9 +333,19 @@ fn run_profile_cli(mut args: Vec<String>) {
             p.family,
             p.nodes,
             p.periods,
+            p.metrics.msgs_sent,
             p.metrics.msgs_delivered,
+            p.metrics.events,
             p.baseline_wall_ns,
-            json_f64(p.ns_per_delivery()),
+            p.observed_wall_ns,
+            json_f64(p.msgs_per_sec(), 1),
+            json_f64(p.ns_per_delivery(), 1),
+            p.allocations,
+            p.routing_kind,
+            p.routing_resident_bytes,
+            p.metrics.drops_forward,
+            p.envelopes_leaked,
+            p.truncated,
             p.digest,
             p.inert,
             counts,
@@ -749,27 +365,42 @@ fn run_profile_cli(mut args: Vec<String>) {
         concat!(
             "{{\n",
             "  \"report\": \"btr_profile\",\n",
+            "  \"sha256_backend\": \"{}\",\n",
             "  \"seed\": {},\n",
             "  \"smoke\": {},\n",
+            "  \"routing_budget_bytes\": {},\n",
+            "  \"obs_overhead\": {{\n",
+            "    \"baseline_wall_ns\": {},\n",
+            "    \"observed_wall_ns\": {},\n",
+            "    \"overhead_pct\": {},\n",
+            "    \"ceiling_pct\": {},\n",
+            "    \"noise_floor_ns\": {},\n",
+            "    \"rounds\": {},\n",
+            "    \"profile_events\": {},\n",
+            "    \"traffic_consistent\": {}\n",
+            "  }},\n",
             "  \"points\": [\n{}\n  ]\n",
             "}}\n"
         ),
+        sha256_backend,
         seed,
         smoke,
+        SCALE_ROUTING_BUDGET,
+        obs.baseline_wall_ns,
+        obs.observed_wall_ns,
+        json_f64(obs.pct(), 4),
+        json_f64(OBS_OVERHEAD_PCT, 1),
+        OBS_NOISE_NS,
+        OBS_AB_ROUNDS,
+        profile_events,
+        traffic_ok,
         points
             .iter()
             .map(point_json)
             .collect::<Vec<_>>()
             .join(",\n"),
     );
-    let write = |path: &str, content: &str| match std::fs::write(path, content) {
-        Ok(()) => println!("  wrote {path}"),
-        Err(e) => {
-            eprintln!("error: failed to write {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    write(&out_path, &json);
+    write_report(&out_path, &json);
 
     // Speedscope: one count profile and one wall profile per point, all
     // in one file (speedscope renders them as selectable profiles).
@@ -778,7 +409,7 @@ fn run_profile_cli(mut args: Vec<String>) {
         ss.add(&format!("{}-n{}-counts", p.family, p.nodes), &p.counts);
         ss.add(&format!("{}-n{}-wall", p.family, p.nodes), &p.wall);
     }
-    write(&speedscope_path, &ss.finish("btr-profile"));
+    write_report(&speedscope_path, &ss.finish("btr-profile"));
 
     let stacks: String = points
         .iter()
@@ -787,44 +418,7 @@ fn run_profile_cli(mut args: Vec<String>) {
                 .collapsed_stacks(&format!("{}-n{}", p.family, p.nodes))
         })
         .collect();
-    write(&stacks_path, &stacks);
-
-    // The torus per-n cost breakdown also rides in the scale report, so
-    // one artifact answers "what does a delivery cost at n".
-    let scale_section = format!(
-        concat!(
-            "  \"profile\": {{\n",
-            "    \"seed\": {},\n",
-            "    \"points\": [\n{}\n    ]\n",
-            "  }}"
-        ),
-        seed,
-        points
-            .iter()
-            .filter(|p| p.family == "torus")
-            .map(|p| {
-                let shares = Subsystem::all()
-                    .iter()
-                    .map(|&s| format!("\"{}\": {}", s.label(), json_frac(p.wall_share_pct(s))))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "      {{\"nodes\": {}, \"ns_per_delivery\": {}, \"shares_pct\": {{{}}}}}",
-                    p.nodes,
-                    json_f64(p.ns_per_delivery()),
-                    shares
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    match merge_section(&scale_path, "profile", &scale_section) {
-        Ok(()) => println!("  wrote {scale_path} (profile section)"),
-        Err(e) => {
-            eprintln!("error: failed to write {scale_path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    write_report(&stacks_path, &stacks);
 
     if gate_failed {
         std::process::exit(1);
@@ -835,16 +429,6 @@ fn json_opt_u64(v: Option<u64>) -> String {
     match v {
         Some(v) => v.to_string(),
         None => "null".to_string(),
-    }
-}
-
-/// Fractions (cut-traffic shares, imbalance ratios) need more precision
-/// than the one-decimal `json_f64` used for rates.
-fn json_frac(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -869,14 +453,14 @@ fn timeline_json(t: Option<&RecoveryTimeline>) -> String {
         Some(t) => format!(
             concat!(
                 "{{\n",
-                "          \"detect_us\": {},\n",
-                "          \"agree_us\": {},\n",
-                "          \"blackout_us\": {},\n",
-                "          \"switch_us\": {},\n",
-                "          \"settle_us\": {},\n",
-                "          \"recovery_us\": {},\n",
-                "          \"slack_to_r_us\": {}\n",
-                "        }}"
+                "        \"detect_us\": {},\n",
+                "        \"agree_us\": {},\n",
+                "        \"blackout_us\": {},\n",
+                "        \"switch_us\": {},\n",
+                "        \"settle_us\": {},\n",
+                "        \"recovery_us\": {},\n",
+                "        \"slack_to_r_us\": {}\n",
+                "      }}"
             ),
             t.detect_us,
             t.agree_us,
@@ -889,40 +473,42 @@ fn timeline_json(t: Option<&RecoveryTimeline>) -> String {
     }
 }
 
-/// One pinned scenario as JSON. `extra` carries report-specific trailing
-/// keys (the obs report appends the simulator-side latency quantiles);
-/// it must be empty or start with `,\n`.
-fn live_scenario_json(m: &LiveMeasurement, extra: &str) -> String {
+/// One pinned scenario as JSON: the live measurement, then the
+/// simulator substrate's latency quantiles.
+fn live_scenario_json(r: &ScenarioRun) -> String {
+    let m = &r.m;
     format!(
         concat!(
-            "      {{\n",
-            "        \"name\": \"{}\",\n",
-            "        \"nodes\": {},\n",
-            "        \"horizon_us\": {},\n",
-            "        \"fault\": \"{}\",\n",
-            "        \"trace_match\": {},\n",
-            "        \"actuations\": {},\n",
-            "        \"healthy\": {},\n",
-            "        \"panics\": {},\n",
-            "        \"overruns\": {},\n",
-            "        \"converged\": {},\n",
-            "        \"recovery_us\": {},\n",
-            "        \"r_bound_us\": {},\n",
-            "        \"within_r\": {},\n",
-            "        \"fault_wall_us\": {},\n",
-            "        \"switch_wall_us\": {},\n",
-            "        \"recovery_wall_us\": {},\n",
-            "        \"within_r_wall\": {},\n",
-            "        \"msgs_sent\": {},\n",
-            "        \"mailbox_full\": {},\n",
-            "        \"frontier_stalls\": {},\n",
-            "        \"redrains\": {},\n",
-            "        \"timer_lag_p50_us\": {},\n",
-            "        \"timer_lag_p95_us\": {},\n",
-            "        \"timer_lag_p99_us\": {},\n",
-            "        \"timeline\": {},\n",
-            "        \"wall_ms\": {}{}\n",
-            "      }}"
+            "    {{\n",
+            "      \"name\": \"{}\",\n",
+            "      \"nodes\": {},\n",
+            "      \"horizon_us\": {},\n",
+            "      \"fault\": \"{}\",\n",
+            "      \"trace_match\": {},\n",
+            "      \"actuations\": {},\n",
+            "      \"healthy\": {},\n",
+            "      \"panics\": {},\n",
+            "      \"overruns\": {},\n",
+            "      \"converged\": {},\n",
+            "      \"recovery_us\": {},\n",
+            "      \"r_bound_us\": {},\n",
+            "      \"within_r\": {},\n",
+            "      \"fault_wall_us\": {},\n",
+            "      \"switch_wall_us\": {},\n",
+            "      \"recovery_wall_us\": {},\n",
+            "      \"within_r_wall\": {},\n",
+            "      \"msgs_sent\": {},\n",
+            "      \"mailbox_full\": {},\n",
+            "      \"frontier_stalls\": {},\n",
+            "      \"redrains\": {},\n",
+            "      \"timer_lag_p50_us\": {},\n",
+            "      \"timer_lag_p95_us\": {},\n",
+            "      \"timer_lag_p99_us\": {},\n",
+            "      \"timeline\": {},\n",
+            "      \"wall_ms\": {},\n",
+            "      \"sim_delivery_latency_us\": {},\n",
+            "      \"sim_timer_lag_us\": {}\n",
+            "    }}"
         ),
         m.name,
         m.nodes,
@@ -950,34 +536,9 @@ fn live_scenario_json(m: &LiveMeasurement, extra: &str) -> String {
         m.timer_lag_p99_us,
         timeline_json(m.timeline.as_ref()),
         m.wall_ms,
-        extra,
+        quantiles_json(r.sim_rec.lat(Lat::Delivery)),
+        quantiles_json(r.sim_rec.lat(Lat::TimerLag)),
     )
-}
-
-/// Insert or replace the `"{key}"` section in the JSON report at
-/// `path`. The harness owns every writer of these reports and the
-/// merged section is always appended as the last key — so replacement
-/// is a text-level truncate-and-append, not a JSON parse. `section`
-/// must be the full `  "key": {...}` text (no trailing comma).
-fn merge_section(path: &str, key: &str, section: &str) -> std::io::Result<()> {
-    let marker = format!(",\n  \"{key}\":");
-    let base = match std::fs::read_to_string(path) {
-        Ok(s) => match s.find(&marker) {
-            Some(i) => s[..i].to_string(),
-            None => match s.trim_end().strip_suffix('}') {
-                Some(t) => t.trim_end().to_string(),
-                // Missing or foreign content: start a fresh object.
-                None => "{".to_string(),
-            },
-        },
-        Err(_) => "{".to_string(),
-    };
-    let comma = if base.trim_end().ends_with('{') {
-        ""
-    } else {
-        ","
-    };
-    std::fs::write(path, format!("{base}{comma}\n{section}\n}}\n"))
 }
 
 /// Replay a campaign reproducer token on the live runtime: plan the
@@ -1002,12 +563,12 @@ fn run_live_replay(token: &str, pace: f64) {
         }
     };
     if spec.max_events != 0 {
-        println!(
+        outln!(
             "note: live replay ignores the token's simulator event cap (me={})",
             spec.max_events
         );
     }
-    println!(
+    outln!(
         "live replay: {} fault(s) on {} (f={}, R={}, seed {}, pace {pace})",
         spec.scenario.faults.len(),
         spec.cell.name(),
@@ -1015,12 +576,12 @@ fn run_live_replay(token: &str, pace: f64) {
         spec.cell.r_bound,
         spec.sim_seed
     );
-    let reference = live::sim_trace(&system, &spec.scenario, spec.horizon, spec.sim_seed);
+    let (reference, _) = live::sim_observed(&system, &spec.scenario, spec.horizon, spec.sim_seed);
     let mut cfg = LiveConfig::new(spec.sim_seed);
     cfg.pace = pace;
     let report = run_live(&system, &spec.scenario, spec.horizon, &cfg);
     let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
-    println!(
+    outln!(
         "  trace {} simulator ({} actuations), bad window {:.1} ms (R = {:.1} ms), converged: {}",
         if report.trace.digest() == reference.digest() {
             "matches"
@@ -1033,7 +594,7 @@ fn run_live_replay(token: &str, pace: f64) {
         report.converged,
     );
     if let Some(w) = report.last_switch_wall_us() {
-        println!("  last mode switch at wall {:.1} ms", w as f64 / 1e3);
+        outln!("  last mode switch at wall {:.1} ms", w as f64 / 1e3);
     }
     // Arbitrary tokens include over-budget and byzantine-flood schedules
     // where divergence or R violation is the finding, not a harness bug;
@@ -1049,8 +610,7 @@ fn run_live_replay(token: &str, pace: f64) {
 
 /// One executed pinned scenario: the measurement, the raw live report
 /// (for trace export and flight-dump surfacing), and the simulator
-/// substrate's recorder — phase marks plus latency histograms
-/// (collected only when a trace or the obs report wants them).
+/// substrate's recorder — phase marks plus latency histograms.
 struct ScenarioRun {
     spec: live::LiveScenario,
     m: LiveMeasurement,
@@ -1060,13 +620,7 @@ struct ScenarioRun {
 
 /// Plan each platform size once and run every pinned scenario on both
 /// substrates.
-fn run_scenario_set(
-    smoke: bool,
-    seed: u64,
-    pace: f64,
-    flight_cap: usize,
-    with_sim_obs: bool,
-) -> Vec<ScenarioRun> {
+fn run_scenario_set(smoke: bool, seed: u64, pace: f64, flight_cap: usize) -> Vec<ScenarioRun> {
     let specs = live::pinned_scenarios(smoke);
     let mut runs: Vec<ScenarioRun> = Vec::new();
     let mut system: Option<(usize, btr_core::BtrSystem)> = None;
@@ -1075,17 +629,7 @@ fn run_scenario_set(
             system = Some((spec.nodes, live::live_system(spec.nodes)));
         }
         let sys = &system.as_ref().expect("planned above").1;
-        let (m, report) = live::measure_live_with_report(sys, &spec, seed, pace, flight_cap);
-        let sim_rec = if with_sim_obs {
-            let scenario = match spec.fault {
-                None => btr_core::FaultScenario::none(),
-                Some((node, kind, at)) => btr_core::FaultScenario::single(node, kind, at),
-            };
-            let (_, rec) = live::sim_observed(sys, &scenario, spec.horizon, seed);
-            rec
-        } else {
-            btr_obs::ObsRecorder::new()
-        };
+        let (m, report, sim_rec) = live::measure_live(sys, &spec, seed, pace, flight_cap);
         runs.push(ScenarioRun {
             spec,
             m,
@@ -1114,17 +658,13 @@ fn build_trace(runs: &[ScenarioRun]) -> TraceBuilder {
     t
 }
 
-fn write_trace(path: &str, t: &TraceBuilder) {
-    match std::fs::write(path, t.finish()) {
-        Ok(()) => println!("  wrote {path} ({} trace events)", t.len()),
-        Err(e) => {
-            eprintln!("error: failed to write {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn run_live_cli(mut args: Vec<String>) {
+/// `harness live`: the thread-fleet measurement. Runs the pinned fault
+/// scenarios on both substrates, holds each live trace against the
+/// simulator's, prints each fault's five-phase recovery breakdown,
+/// writes the scenario records (timelines, runtime counters, latency
+/// quantiles) as JSON, and optionally exports a Chrome trace. Exits 1
+/// unless every scenario passes `LiveMeasurement::ok`.
+fn run_live_cli(mut args: Vec<String>, _threads: usize) {
     let smoke = take_flag(&mut args, "--smoke");
     let seed = take_value(&mut args, "--seed").unwrap_or(LIVE_SEED);
     let pace: f64 =
@@ -1133,11 +673,11 @@ fn run_live_cli(mut args: Vec<String>) {
         eprintln!("error: --pace must be positive, got {pace}");
         std::process::exit(2);
     }
-    let out_path: String = take_value(&mut args, "--out").unwrap_or("BENCH_sim.json".into());
+    let out_path: String = take_value(&mut args, "--out").unwrap_or("LIVE_btr.json".into());
     let trace_out: Option<String> = take_value(&mut args, "--trace-out");
     let replay: Option<String> = take_value(&mut args, "--replay");
     let flight_cap = take_flight_cap(&mut args);
-    if let Some(stray) = args.iter().find(|a| *a != "live") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown live argument '{stray}'");
         std::process::exit(2);
     }
@@ -1150,23 +690,24 @@ fn run_live_cli(mut args: Vec<String>) {
         return;
     }
 
-    let runs = run_scenario_set(smoke, seed, pace, flight_cap, trace_out.is_some());
-    println!(
+    let runs = run_scenario_set(smoke, seed, pace, flight_cap);
+    outln!(
         "live runtime: {} pinned scenario(s), seed {seed}, pace {pace}, flight cap {flight_cap}{}",
         runs.len(),
         if smoke { " (smoke)" } else { "" }
     );
+    let ms = |us: u64| us as f64 / 1e3;
     for r in &runs {
         let m = &r.m;
-        println!(
+        outln!(
             "  {:<14} {:>4} actuations  trace {}  recovery {:>7.1} ms (R {:.0} ms)  wall {}  [{}]",
             m.name,
             m.actuations,
             if m.trace_match { "ok" } else { "DIVERGED" },
-            m.recovery_us as f64 / 1e3,
-            m.r_bound_us as f64 / 1e3,
+            ms(m.recovery_us),
+            ms(m.r_bound_us),
             match m.recovery_wall_us {
-                Some(w) => format!("{:>7.1} ms", w as f64 / 1e3),
+                Some(w) => format!("{:>7.1} ms", ms(w)),
                 None => "      —".to_string(),
             },
             if m.ok() { "ok" } else { "FAIL" },
@@ -1177,83 +718,11 @@ fn run_live_cli(mut args: Vec<String>) {
                 m.name, m.panics, m.overruns
             );
         }
-    }
-    let measurements: Vec<&LiveMeasurement> = runs.iter().map(|r| &r.m).collect();
-    let json = format!(
-        concat!(
-            "  \"live\": {{\n",
-            "    \"seed\": {},\n",
-            "    \"pace\": {},\n",
-            "    \"smoke\": {},\n",
-            "    \"wall_slack_us\": {},\n",
-            "    \"scenarios\": [\n{}\n    ]\n",
-            "  }}"
-        ),
-        seed,
-        pace,
-        smoke,
-        live::LIVE_WALL_SLACK_US,
-        measurements
-            .iter()
-            .map(|m| live_scenario_json(m, ""))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    match merge_section(&out_path, "live", &json) {
-        Ok(()) => println!("  wrote {out_path} (live section)"),
-        Err(e) => {
-            eprintln!("error: failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    if let Some(path) = trace_out {
-        write_trace(&path, &build_trace(&runs));
-    }
-    let failed: Vec<&str> = measurements
-        .iter()
-        .filter(|m| !m.ok())
-        .map(|m| m.name)
-        .collect();
-    if !failed.is_empty() {
-        eprintln!("error: live scenario gate failed: {}", failed.join(", "));
-        std::process::exit(1);
-    }
-}
-
-/// `harness obs`: the recovery-timeline report. Runs the pinned live
-/// scenarios on both substrates, prints each fault's five-phase
-/// breakdown, writes the scenario records (timelines, runtime counters,
-/// flight-dump census) as JSON, and optionally exports a Chrome trace.
-fn run_obs_cli(mut args: Vec<String>) {
-    let smoke = take_flag(&mut args, "--smoke");
-    let seed = take_value(&mut args, "--seed").unwrap_or(LIVE_SEED);
-    let pace: f64 =
-        take_value(&mut args, "--pace").unwrap_or(if smoke { LIVE_SMOKE_PACE } else { LIVE_PACE });
-    if pace <= 0.0 || !pace.is_finite() {
-        eprintln!("error: --pace must be positive, got {pace}");
-        std::process::exit(2);
-    }
-    let out_path: String = take_value(&mut args, "--out").unwrap_or("OBS_btr.json".into());
-    let trace_out: Option<String> = take_value(&mut args, "--trace-out");
-    let flight_cap = take_flight_cap(&mut args);
-    if let Some(stray) = args.iter().find(|a| *a != "obs") {
-        eprintln!("error: unknown obs argument '{stray}'");
-        std::process::exit(2);
-    }
-
-    let runs = run_scenario_set(smoke, seed, pace, flight_cap, true);
-    println!(
-        "obs report: {} pinned scenario(s), seed {seed}, pace {pace}, flight cap {flight_cap}{}",
-        runs.len(),
-        if smoke { " (smoke)" } else { "" }
-    );
-    let ms = |us: u64| us as f64 / 1e3;
-    for r in &runs {
-        match &r.m.timeline {
-            Some(t) => println!(
+        match &m.timeline {
+            Some(t) => outln!(
                 "  {:<14} detect {:>5.1}  agree {:>5.1}  blackout {:>5.1}  switch {:>5.1}  \
-                 settle {:>5.1}  = {:>5.1} ms (slack {:.1} ms)  [{}]",
-                r.m.name,
+                 settle {:>5.1}  = {:>5.1} ms (slack {:.1} ms)",
+                "",
                 ms(t.detect_us),
                 ms(t.agree_us),
                 ms(t.blackout_us),
@@ -1261,22 +730,19 @@ fn run_obs_cli(mut args: Vec<String>) {
                 ms(t.settle_us),
                 ms(t.recovery_us),
                 t.slack_to_r_us as f64 / 1e3,
-                if r.m.ok() { "ok" } else { "FAIL" },
             ),
-            None => println!(
-                "  {:<14} fault-free: no recovery to decompose  \
-                 (stalls {}, redrains {})  [{}]",
-                r.m.name,
-                r.m.frontier_stalls,
-                r.m.redrains,
-                if r.m.ok() { "ok" } else { "FAIL" },
+            None => outln!(
+                "  {:<14} fault-free: no recovery to decompose  (stalls {}, redrains {})",
+                "",
+                m.frontier_stalls,
+                m.redrains,
             ),
         }
         // The latency quantiles both substrates carry: the simulator's
         // logical delivery latencies, and the live runtime's wall timer
         // lag past its paced instants.
         let d = r.sim_rec.lat(Lat::Delivery);
-        println!(
+        outln!(
             "  {:<14} delivery p50/p95/p99 {}/{}/{} µs over {} (sim)  \
              timer-lag p50/p95/p99 {}/{}/{} µs (live)",
             "",
@@ -1284,27 +750,20 @@ fn run_obs_cli(mut args: Vec<String>) {
             d.quantile(0.95).unwrap_or(0),
             d.quantile(0.99).unwrap_or(0),
             d.count(),
-            r.m.timer_lag_p50_us,
-            r.m.timer_lag_p95_us,
-            r.m.timer_lag_p99_us,
+            m.timer_lag_p50_us,
+            m.timer_lag_p95_us,
+            m.timer_lag_p99_us,
         );
     }
-    let scenario_json = |r: &ScenarioRun| {
-        let extra = format!(
-            ",\n        \"sim_delivery_latency_us\": {},\n        \"sim_timer_lag_us\": {}",
-            quantiles_json(r.sim_rec.lat(Lat::Delivery)),
-            quantiles_json(r.sim_rec.lat(Lat::TimerLag)),
-        );
-        live_scenario_json(&r.m, &extra)
-    };
     let json = format!(
         concat!(
             "{{\n",
-            "  \"report\": \"btr_obs\",\n",
+            "  \"report\": \"btr_live\",\n",
             "  \"seed\": {},\n",
             "  \"pace\": {},\n",
             "  \"smoke\": {},\n",
             "  \"flight_cap\": {},\n",
+            "  \"wall_slack_us\": {},\n",
             "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -1312,20 +771,15 @@ fn run_obs_cli(mut args: Vec<String>) {
         pace,
         smoke,
         flight_cap,
+        live::LIVE_WALL_SLACK_US,
         runs.iter()
-            .map(scenario_json)
+            .map(live_scenario_json)
             .collect::<Vec<_>>()
             .join(",\n"),
     );
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => {
-            eprintln!("error: failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    write_report(&out_path, &json);
     if let Some(path) = trace_out {
-        write_trace(&path, &build_trace(&runs));
+        write_report(&path, &build_trace(&runs).finish());
     }
     let failed: Vec<&str> = runs
         .iter()
@@ -1333,91 +787,184 @@ fn run_obs_cli(mut args: Vec<String>) {
         .map(|r| r.m.name)
         .collect();
     if !failed.is_empty() {
-        eprintln!("error: obs scenario gate failed: {}", failed.join(", "));
+        eprintln!("error: live scenario gate failed: {}", failed.join(", "));
         std::process::exit(1);
     }
 }
 
-fn usage() {
-    eprintln!(
-        "usage: harness [--threads N] [--list] <command>...\n\
-         \n\
-         commands:\n\
-         \x20 all                run the full experiment suite (e1..e10 a1 a2 r1)\n\
-         \x20 e1 .. e10 a1 a2 r1 individual experiments (see --list)\n\
-         \x20 bench [periods] [--signed]\n\
-         \x20                    simulator hot-path A/B (emits BENCH_sim.json); --signed\n\
-         \x20                    adds the hmac-vs-siphash signed-traffic A/B and gates\n\
-         \x20                    the sign+verify speedup floor\n\
-         \x20 scale [opts]       thousand-node torus sweep (emits BENCH_scale.json)\n\
-         \x20 profile [opts]     deterministic hot-path profiling: per-subsystem cost\n\
-         \x20                    breakdowns, traffic-matrix attribution, and the\n\
-         \x20                    shard-partition plan (emits PROFILE_btr.json plus\n\
-         \x20                    speedscope and collapsed-stack exports)\n\
-         \x20 live [opts]        pinned fault scenarios on the live thread-per-node\n\
-         \x20                    runtime, simulator as trace oracle (live section in\n\
-         \x20                    BENCH_sim.json)\n\
-         \x20 obs [opts]         recovery-timeline report: per-fault five-phase breakdowns\n\
-         \x20                    for the pinned live scenarios, plus optional Chrome\n\
-         \x20                    trace-event export (emits OBS_btr.json)\n\
-         \x20 campaign [opts]    parallel fault-injection campaign (emits CAMPAIGN_btr.json)\n\
-         \x20 fuzz [opts]        coverage-guided fault-schedule search over the f=3 hunting\n\
-         \x20                    grid (emits FUZZ_btr.json; byte-identical at any thread count)\n\
-         \n\
-         global options:\n\
-         \x20 --threads N        worker threads for campaign and the e6 planner\n\
-         \x20                    (default: available parallelism)\n\
-         \n\
-         campaign options:\n\
-         \x20 --runs N           target run count (default 256)\n\
-         \x20 --seed S           campaign seed (default 42)\n\
-         \x20 --sim-seeds K      simulator seeds per schedule (default 2)\n\
-         \x20 --combos           sequential multi-fault schedules up to budget f\n\
-         \x20 --over-budget      add f+1-fault schedules (inadmissible; exercises the shrinker)\n\
-         \x20 --all-variants     every fault variant on every cell (alias of the default grid)\n\
-         \x20 --auth SUITE       hmac | sip force one authenticator suite on every cell;\n\
-         \x20                    both twins each cell with a `-sip` SipHash copy\n\
-         \x20 --out PATH         report path (default CAMPAIGN_btr.json)\n\
-         \x20 --replay TOKEN     re-execute one reproducer token and print its verdicts\n\
-         \n\
-         fuzz options:\n\
-         \x20 --budget N         total simulation runs to spend (default 128)\n\
-         \x20 --seed S           fuzzer seed (default 42)\n\
-         \x20 --out PATH         report path (default FUZZ_btr.json)\n\
-         \n\
-         scale options:\n\
-         \x20 --nodes N,N,...    sweep sizes (default 20,100,400,1000)\n\
-         \x20 --seed S           simulator seed (default 7)\n\
-         \x20 --smoke            ~10x fewer messages per point (CI budget)\n\
-         \x20 --out PATH         report path (default BENCH_scale.json)\n\
-         \n\
-         profile options:\n\
-         \x20 --nodes N,N,...    torus sweep sizes (default 20,100,400,1000)\n\
-         \x20 --seed S           simulator seed (default 7)\n\
-         \x20 --smoke            ~10x fewer messages per point (CI budget)\n\
-         \x20 --out PATH         JSON report path (default PROFILE_btr.json)\n\
-         \x20 --profile-out PATH speedscope export (default PROFILE_btr.speedscope.json)\n\
-         \x20 --stacks-out PATH  collapsed-stack text (default PROFILE_btr.stacks.txt)\n\
-         \x20 --scale-out PATH   scale report to merge the torus cost breakdown into\n\
-         \x20                    (default BENCH_scale.json)\n\
-         \n\
-         live options:\n\
-         \x20 --smoke            small fleet, short horizons, double speed (CI budget)\n\
-         \x20 --seed S           run seed (default 7)\n\
-         \x20 --pace X           wall-us per logical-us (default 1.0; 0.5 under --smoke)\n\
-         \x20 --flight-cap N     per-node flight-recorder ring capacity (default 32)\n\
-         \x20 --out PATH         report to merge into (default BENCH_sim.json)\n\
-         \x20 --trace-out PATH   Chrome trace_event JSON (chrome://tracing, Perfetto)\n\
-         \x20 --replay TOKEN     run one campaign reproducer token on the live runtime\n\
-         \n\
-         obs options:\n\
-         \x20 --smoke            small fleet, short horizons, double speed (CI budget)\n\
-         \x20 --seed S           run seed (default 7)\n\
-         \x20 --pace X           wall-us per logical-us (default 1.0; 0.5 under --smoke)\n\
-         \x20 --flight-cap N     per-node flight-recorder ring capacity (default 32)\n\
-         \x20 --out PATH         report path (default OBS_btr.json)\n\
-         \x20 --trace-out PATH   Chrome trace_event JSON (chrome://tracing, Perfetto)"
+/// One subcommand: `usage` and `--list` are both rendered from this
+/// table, and `main` dispatches through it.
+struct Command {
+    name: &'static str,
+    /// What it does; `\n` separates display lines.
+    about: &'static str,
+    /// `(flag with its metavariable, help)`; `\n` in the help as above.
+    options: &'static [(&'static str, &'static str)],
+    /// Entry point: the arguments after the command name, and `--threads`.
+    run: fn(Vec<String>, usize),
+}
+
+const COMMANDS: [Command; 4] = [
+    Command {
+        name: "profile",
+        about: "the simulator measurement: a torus sweep to a thousand\n\
+                nodes plus one point per topology family — throughput,\n\
+                allocations, routing residency, recorder overhead,\n\
+                per-subsystem cost shares, traffic matrix, shard plan\n\
+                (emits PROFILE_btr.json plus speedscope and\n\
+                collapsed-stack exports)",
+        options: &[
+            (
+                "--nodes N,N,...",
+                "torus sweep sizes (default 20,100,400,1000)",
+            ),
+            ("--seed S", "simulator seed (default 7)"),
+            ("--smoke", "~10x fewer messages per point (CI budget)"),
+            ("--out PATH", "JSON report path (default PROFILE_btr.json)"),
+            (
+                "--profile-out PATH",
+                "speedscope export (default PROFILE_btr.speedscope.json)",
+            ),
+            (
+                "--stacks-out PATH",
+                "collapsed-stack text (default PROFILE_btr.stacks.txt)",
+            ),
+        ],
+        run: run_profile_cli,
+    },
+    Command {
+        name: "live",
+        about: "the thread-fleet measurement: pinned fault scenarios on\n\
+                the live thread-per-node runtime, simulator as trace\n\
+                oracle, five-phase recovery timelines (emits\n\
+                LIVE_btr.json)",
+        options: &[
+            (
+                "--smoke",
+                "small fleet, short horizons, double speed (CI budget)",
+            ),
+            ("--seed S", "run seed (default 7)"),
+            (
+                "--pace X",
+                "wall-us per logical-us (default 1.0; 0.5 under --smoke)",
+            ),
+            (
+                "--flight-cap N",
+                "per-node flight-recorder ring capacity (default 32)",
+            ),
+            ("--out PATH", "report path (default LIVE_btr.json)"),
+            (
+                "--trace-out PATH",
+                "Chrome trace_event JSON (chrome://tracing, Perfetto)",
+            ),
+            (
+                "--replay TOKEN",
+                "run one campaign reproducer token on the live runtime",
+            ),
+        ],
+        run: run_live_cli,
+    },
+    Command {
+        name: "campaign",
+        about: "parallel fault-injection campaign (emits CAMPAIGN_btr.json)",
+        options: &[
+            ("--runs N", "target run count (default 256)"),
+            ("--seed S", "campaign seed (default 42)"),
+            ("--sim-seeds K", "simulator seeds per schedule (default 2)"),
+            (
+                "--combos",
+                "sequential multi-fault schedules up to budget f",
+            ),
+            (
+                "--over-budget",
+                "add f+1-fault schedules (inadmissible; exercises the shrinker)",
+            ),
+            (
+                "--all-variants",
+                "every fault variant on every cell (alias of the default grid)",
+            ),
+            (
+                "--auth SUITE",
+                "hmac | sip force one authenticator suite on every cell;\n\
+                 both twins each cell with a `-sip` SipHash copy",
+            ),
+            ("--out PATH", "report path (default CAMPAIGN_btr.json)"),
+            (
+                "--replay TOKEN",
+                "re-execute one reproducer token and print its verdicts",
+            ),
+        ],
+        run: run_campaign_cli,
+    },
+    Command {
+        name: "fuzz",
+        about: "coverage-guided fault-schedule search over the f=3\n\
+                hunting grid (emits FUZZ_btr.json; byte-identical at any\n\
+                thread count)",
+        options: &[
+            ("--budget N", "total simulation runs to spend (default 128)"),
+            ("--seed S", "fuzzer seed (default 42)"),
+            ("--out PATH", "report path (default FUZZ_btr.json)"),
+        ],
+        run: run_fuzz_cli,
+    },
+];
+
+/// `label` padded to the help column, then `text` with its
+/// continuation lines aligned under it.
+fn help_entry(label: &str, text: &str) -> String {
+    format!(
+        "  {label:<19}{}\n",
+        text.replace('\n', &format!("\n{:21}", ""))
+    )
+}
+
+fn usage() -> String {
+    let mut u = String::from("usage: harness [--threads N] [--list] <command>...\n\ncommands:\n");
+    u += &help_entry("all", "run the full experiment suite (e1..e10 a1 a2 r1)");
+    u += &help_entry("e1 .. e10 a1 a2 r1", "individual experiments (see --list)");
+    for c in &COMMANDS {
+        u += &help_entry(&format!("{} [opts]", c.name), c.about);
+    }
+    u += "\nglobal options:\n";
+    u += &help_entry(
+        "--threads N",
+        "worker threads for campaign, fuzz and the e6 planner\n\
+         (default: available parallelism)",
     );
+    for c in &COMMANDS {
+        u += &format!("\n{} options:\n", c.name);
+        for (flag, help) in c.options {
+            u += &help_entry(flag, help);
+        }
+    }
+    u.truncate(u.trim_end().len());
+    u
+}
+
+/// `harness --list`: every experiment id, then every subcommand with
+/// its flags (wrapped at 80 columns) and what it does.
+fn list() -> String {
+    let mut l = String::new();
+    for (id, about, _) in &exp::SUITE {
+        l += &format!("{id:<3} {about}\n");
+    }
+    for c in &COMMANDS {
+        let mut line = c.name.to_string();
+        for (flag, _) in c.options {
+            if line.len() + flag.len() + 3 > 80 {
+                l += &format!("{line}\n");
+                line = " ".repeat(c.name.len());
+            }
+            line += &format!(" [{flag}]");
+        }
+        l += &format!("{line}\n");
+        for about in c.about.lines() {
+            l += &format!("{:17}{about}\n", "");
+        }
+    }
+    l.truncate(l.trim_end().len());
+    l
 }
 
 /// Remove `--flag VALUE` from `args`, returning the parsed value.
@@ -1465,7 +1012,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     use btr_campaign as campaign;
 
     if let Some(token) = take_value::<String>(&mut args, "--replay") {
-        if let Some(stray) = args.iter().find(|a| *a != "campaign") {
+        if let Some(stray) = args.first() {
             eprintln!("error: --replay takes no other campaign arguments (got '{stray}')");
             std::process::exit(2);
         }
@@ -1476,7 +1023,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
                 std::process::exit(2);
             }
         };
-        println!(
+        outln!(
             "replaying {} on {} (f={}, R={}, seed {})",
             spec.scenario.faults.len(),
             spec.cell.name(),
@@ -1486,7 +1033,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
         );
         match campaign::replay::run(&spec) {
             Ok(r) => {
-                println!(
+                outln!(
                     "  schedule {}: bad window {:.1} ms, {}/{} bad outputs, converged: {}",
                     r.label,
                     r.recovery_us as f64 / 1e3,
@@ -1495,10 +1042,10 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
                     r.converged
                 );
                 if r.violations.is_empty() {
-                    println!("  no violations (the reproducer no longer fires)");
+                    outln!("  no violations (the reproducer no longer fires)");
                 } else {
                     for v in &r.violations {
-                        println!("  VIOLATION: {v}");
+                        outln!("  VIOLATION: {v}");
                     }
                 }
             }
@@ -1518,7 +1065,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     let all_variants = take_flag(&mut args, "--all-variants");
     let auth: Option<String> = take_value(&mut args, "--auth");
     let out_path: String = take_value(&mut args, "--out").unwrap_or("CAMPAIGN_btr.json".into());
-    if let Some(stray) = args.iter().find(|a| *a != "campaign") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown campaign argument '{stray}'");
         std::process::exit(2);
     }
@@ -1556,7 +1103,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
         },
     };
 
-    println!(
+    outln!(
         "campaign: {} cells, target {} runs, seed {}, {} threads{}{}{}{}, sha256 {}",
         cfg.cells.len(),
         cfg.runs,
@@ -1577,7 +1124,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     };
 
     for t in &outcome.scaling {
-        println!(
+        outln!(
             "  {} thread{}: {} runs in {:.2} s  ({:.1} runs/sec)",
             t.threads,
             if t.threads == 1 { " " } else { "s" },
@@ -1592,31 +1139,29 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
         .iter()
         .filter(|r| !r.violations.is_empty())
         .count();
-    println!(
+    outln!(
         "  {} violations ({} within the admitted budget f)",
-        total_viol, admissible_viol
+        total_viol,
+        admissible_viol
     );
     if let Some(s) = campaign::report::min_slack_us(&outcome.records) {
-        println!(
+        outln!(
             "  minimum slack to R: {:.1} ms (over admissible schedules)",
             s as f64 / 1e3
         );
     }
     for sh in &outcome.shrunk {
-        println!(
+        outln!(
             "  run {} shrunk {} -> {} fault(s) in {} probes; replay with:",
-            sh.run_idx, sh.faults_before, sh.faults_after, sh.probes
+            sh.run_idx,
+            sh.faults_before,
+            sh.faults_after,
+            sh.probes
         );
-        println!("    harness campaign --replay '{}'", sh.replay);
+        outln!("    harness campaign --replay '{}'", sh.replay);
     }
 
-    match std::fs::write(&out_path, outcome.to_json()) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => {
-            eprintln!("error: failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    write_report(&out_path, &outcome.to_json());
     // Any admissible violation is a bug: the campaign-found R-bound gaps
     // are fixed, so the full variant space — including --all-variants
     // and --combos — gates the exit code. (Over-budget schedules are
@@ -1633,7 +1178,7 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     let budget = take_value(&mut args, "--budget").unwrap_or(128usize);
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let out_path: String = take_value(&mut args, "--out").unwrap_or("FUZZ_btr.json".into());
-    if let Some(stray) = args.iter().find(|a| *a != "fuzz") {
+    if let Some(stray) = args.first() {
         eprintln!("error: unknown fuzz argument '{stray}'");
         std::process::exit(2);
     }
@@ -1643,7 +1188,7 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     }
 
     let cfg = campaign::FuzzConfig::new(seed, budget, threads);
-    println!(
+    outln!(
         "fuzz: {} cells, budget {} runs, seed {}, {} threads",
         cfg.cells.len(),
         cfg.budget,
@@ -1661,42 +1206,36 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     // Wall time goes to stdout only: FUZZ_btr.json is fully
     // deterministic, so CI can byte-compare 1-thread and N-thread runs.
     let wall = started.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "  {} runs in {:.2} s  ({:.1} runs/sec)",
         out.runs,
         wall,
         out.runs as f64 / wall.max(1e-9)
     );
-    println!(
+    outln!(
         "  coverage: {} signatures across {} generations",
         out.coverage,
         out.curve.len()
     );
-    println!(
+    outln!(
         "  corpus: {} schedules, digest {:#018x}, best score {}",
         out.corpus.len(),
         out.corpus.digest(),
         out.best_score
     );
     if let (Some(min), Some(max)) = (out.min_slack_us, out.max_slack_us) {
-        println!(
+        outln!(
             "  admissible slack to R: min {:.1} ms, max {:.1} ms",
             min as f64 / 1e3,
             max as f64 / 1e3
         );
     }
     for tok in &out.violations {
-        println!("  VIOLATION; replay with:");
-        println!("    harness campaign --replay '{tok}'");
+        outln!("  VIOLATION; replay with:");
+        outln!("    harness campaign --replay '{tok}'");
     }
 
-    match std::fs::write(&out_path, out.to_json()) {
-        Ok(()) => println!("  wrote {out_path}"),
-        Err(e) => {
-            eprintln!("error: failed to write {out_path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    write_report(&out_path, &out.to_json());
     // Like the campaign: an admissible violation is a bug, and a fuzz
     // run that surfaces one fails loudly so CI can gate on it (fixed
     // findings are frozen as replay-token regressions in
@@ -1712,8 +1251,8 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        outln!("{}", usage());
         return;
     }
     let threads = take_value(&mut args, "--threads")
@@ -1722,123 +1261,40 @@ fn main() {
         eprintln!("error: --threads must be at least 1");
         std::process::exit(2);
     }
-    if args.is_empty() {
-        // Only global flags were given; a missing command is an error,
-        // not a silent success.
-        usage();
-        std::process::exit(2);
-    }
     if args.iter().any(|a| a == "--list") {
-        println!("e1  recovery timeline per approach and fault type");
-        println!("e2  replication cost (replicas / traffic / CPU)");
-        println!("e3  minimum schedulable CPU speed");
-        println!("e4  sequential faults and the R := D/f rule");
-        println!("e5  mixed-criticality degradation");
-        println!("e6  planner scalability");
-        println!("e7  detection latency by fault type");
-        println!("e8  evidence distribution under DoS");
-        println!("e9  mode-change cost vs migrated state");
-        println!("e10 omission attribution accuracy");
-        println!("a1  plan-distance minimisation ablation");
-        println!("a2  checker placement ablation");
-        println!("r1  robustness to residual link loss");
-        println!("bench [periods] [--signed]");
-        println!("                 simulator hot-path A/B, optionally plus the signed-traffic");
-        println!("                 hmac-vs-siphash A/B with its speedup gate (BENCH_sim.json)");
-        println!("scale [--nodes N,..] [--seed S] [--smoke] [--out PATH]");
-        println!("                 thousand-node torus sweep (emits BENCH_scale.json)");
-        println!("profile [--nodes N,..] [--seed S] [--smoke] [--out PATH] [--profile-out PATH]");
-        println!("        [--stacks-out PATH] [--scale-out PATH]");
-        println!("                 deterministic hot-path profiling, traffic-matrix attribution,");
-        println!("                 and the shard-partition plan (emits PROFILE_btr.json)");
-        println!("live [--smoke] [--seed S] [--pace X] [--out PATH] [--trace-out PATH]");
-        println!("     [--replay TOKEN]");
-        println!("                 pinned fault scenarios on the live thread-per-node runtime,");
-        println!("                 simulator as trace oracle (live section in BENCH_sim.json)");
-        println!("obs [--smoke] [--seed S] [--pace X] [--out PATH] [--trace-out PATH]");
-        println!("                 recovery-timeline report: per-fault five-phase breakdowns,");
-        println!("                 runtime counters, optional Chrome trace (OBS_btr.json)");
-        println!("campaign [--runs N] [--seed S] [--sim-seeds K] [--combos] [--over-budget]");
-        println!("         [--all-variants] [--auth hmac|sip|both] [--out PATH] [--replay TOKEN]");
-        println!("                 parallel fault-injection campaign (emits CAMPAIGN_btr.json)");
-        println!("fuzz [--budget N] [--seed S] [--out PATH]");
-        println!("                 coverage-guided fault-schedule search (emits FUZZ_btr.json)");
+        outln!("{}", list());
         return;
     }
-    if args.iter().any(|a| a == "campaign") {
-        run_campaign_cli(args, threads);
+    // The command is the first argument that is not a flag. Matching a
+    // command name anywhere would let a flag's *value* pick the command
+    // (`harness fuzz --out campaign`).
+    let Some(at) = args.iter().position(|a| !a.starts_with('-')) else {
+        // No command (or only global flags) is an error, not a silent
+        // success.
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    };
+    if let Some(cmd) = COMMANDS.iter().find(|c| c.name == args[at]) {
+        args.remove(at);
+        (cmd.run)(args, threads);
         return;
     }
-    if args.iter().any(|a| a == "fuzz") {
-        run_fuzz_cli(args, threads);
-        return;
-    }
-    if args.iter().any(|a| a == "scale") {
-        run_scale_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "profile") {
-        run_profile_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "obs") {
-        run_obs_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "live") {
-        run_live_cli(args);
-        return;
-    }
-    if args.iter().any(|a| a == "bench") {
-        // `bench [periods] [--signed]`: an optional positional period
-        // count lets CI run a quick smoke pass; `--signed` adds the
-        // signed-traffic suite A/B. A count the scenario cannot run — 0,
-        // or one whose horizon overflows simulated time — is a usage
-        // error, not a shorter run under the requested label.
-        let signed = take_flag(&mut args, "--signed");
-        let mut rest = args.iter().filter(|a| *a != "bench");
-        let periods = match (rest.next().map(|a| a.parse()), rest.next()) {
-            (None, _) => HOTPATH_PERIODS,
-            (Some(Ok(periods)), None) if hotpath::periods_runnable(periods) => periods,
-            _ => {
-                eprintln!("usage: harness bench [periods] [--signed]");
+    let mut tables = Vec::new();
+    for id in &args {
+        match exp::SUITE.iter().find(|(known, _, _)| known == id) {
+            Some((_, _, table)) => tables.push(table),
+            None if id == "all" => {}
+            None => {
+                eprintln!("error: unknown command or experiment '{id}' (see harness --list)");
                 std::process::exit(2);
             }
-        };
-        run_bench(periods, signed, "BENCH_sim.json");
+        }
+    }
+    if args.iter().any(|a| a == "all") {
+        outln!("{}", exp::run_all(threads));
         return;
     }
-    let known = [
-        "all", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "a1", "a2", "r1",
-    ];
-    if let Some(bad) = args.iter().find(|a| !known.contains(&a.as_str())) {
-        eprintln!("error: unknown experiment '{bad}' (see harness --list)");
-        std::process::exit(2);
-    }
-    let run = |id: &str| match id {
-        "e1" => println!("{}", exp::e1_recovery_timeline()),
-        "e2" => {
-            println!("{}", exp::e2_replica_cost(1));
-            println!("{}", exp::e2_replica_cost(2));
-        }
-        "e3" => println!("{}", exp::e3_min_speed()),
-        "e4" => println!("{}", exp::e4_sequential_faults()),
-        "e5" => println!("{}", exp::e5_degradation()),
-        "e6" => println!("{}", exp::e6_planner_scale(threads)),
-        "e7" => println!("{}", exp::e7_detection_latency()),
-        "e8" => println!("{}", exp::e8_evidence_dissemination()),
-        "e9" => println!("{}", exp::e9_mode_change()),
-        "e10" => println!("{}", exp::e10_omission_attribution()),
-        "a1" => println!("{}", exp::a1_plan_distance()),
-        "a2" => println!("{}", exp::a2_checker_placement()),
-        "r1" => println!("{}", exp::r1_link_loss()),
-        other => unreachable!("unvalidated experiment id {other}"),
-    };
-    if args.iter().any(|a| a == "all") {
-        println!("{}", exp::run_all(threads));
-    } else {
-        for id in &args {
-            run(id);
-        }
+    for table in tables {
+        outln!("{}", table(threads));
     }
 }

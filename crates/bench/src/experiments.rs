@@ -9,9 +9,7 @@ use btr_baselines::{Baseline, BaselineSystem};
 use btr_core::{BtrSystem, FaultScenario, Plant, PlantConfig};
 use btr_model::{ATask, Criticality, Duration, FaultKind, FaultSet, NodeId, Time, Topology};
 use btr_net::RoutingTable;
-use btr_planner::{
-    build_strategy, lane_counts, plan_utility, strategy_quality, PlannerConfig, ReplicationMode,
-};
+use btr_planner::{build_strategy, plan_utility, strategy_quality, PlannerConfig};
 use btr_runtime::BtrNode;
 use btr_sched::{min_speed_pct, round_robin_placement, synthesize, SchedParams};
 use btr_workload::generators::{self, RandomParams};
@@ -735,9 +733,51 @@ pub fn a2_checker_placement() -> String {
     format!("## A2 — checker placement ablation\n\n{}", t.render())
 }
 
-/// Run every experiment, returning the combined report. `threads`
-/// parameterizes the multi-threaded planner column of E6 and sizes the
-/// worker fleet the suite itself runs on.
+/// One experiment of the suite: id, what it regenerates, and its
+/// rendered table (the argument is the worker-thread count, which only
+/// E6's multi-threaded planner column reads).
+pub type Experiment = (&'static str, &'static str, fn(usize) -> String);
+
+/// The suite in report order. `harness <id>`, `harness all` and
+/// `harness --list` are all driven by this one table.
+pub const SUITE: [Experiment; 13] = [
+    (
+        "e1",
+        "recovery timeline per approach and fault type",
+        |_| e1_recovery_timeline(),
+    ),
+    ("e2", "replication cost (replicas / traffic / CPU)", |_| {
+        format!("{}\n{}", e2_replica_cost(1), e2_replica_cost(2))
+    }),
+    ("e3", "minimum schedulable CPU speed", |_| e3_min_speed()),
+    ("e4", "sequential faults and the R := D/f rule", |_| {
+        e4_sequential_faults()
+    }),
+    ("e5", "mixed-criticality degradation", |_| e5_degradation()),
+    ("e6", "planner scalability", e6_planner_scale),
+    ("e7", "detection latency by fault type", |_| {
+        e7_detection_latency()
+    }),
+    ("e8", "evidence distribution under DoS", |_| {
+        e8_evidence_dissemination()
+    }),
+    ("e9", "mode-change cost vs migrated state", |_| {
+        e9_mode_change()
+    }),
+    ("e10", "omission attribution accuracy", |_| {
+        e10_omission_attribution()
+    }),
+    ("a1", "plan-distance minimisation ablation", |_| {
+        a1_plan_distance()
+    }),
+    ("a2", "checker placement ablation", |_| {
+        a2_checker_placement()
+    }),
+    ("r1", "robustness to residual link loss", |_| r1_link_loss()),
+];
+
+/// Run every experiment, returning the combined report. `threads` also
+/// sizes the worker fleet the suite itself runs on.
 ///
 /// The hand-written experiments execute on the campaign's work-stealing
 /// runner (`btr_campaign::runner::run_indexed`): each experiment is an
@@ -745,88 +785,13 @@ pub fn a2_checker_placement() -> String {
 /// report is byte-identical at any thread count — the same determinism
 /// contract the campaign and the fuzzer inherit from the same primitive.
 pub fn run_all(threads: usize) -> String {
-    type Job = Box<dyn Fn() -> String + Sync + Send>;
-    let jobs: Vec<Job> = vec![
-        Box::new(e1_recovery_timeline),
-        Box::new(|| e2_replica_cost(1)),
-        Box::new(|| e2_replica_cost(2)),
-        Box::new(e3_min_speed),
-        Box::new(e4_sequential_faults),
-        Box::new(e5_degradation),
-        Box::new(move || e6_planner_scale(threads)),
-        Box::new(e7_detection_latency),
-        Box::new(e8_evidence_dissemination),
-        Box::new(e9_mode_change),
-        Box::new(e10_omission_attribution),
-        Box::new(a1_plan_distance),
-        Box::new(a2_checker_placement),
-        Box::new(r1_link_loss),
-    ];
-    let sections = btr_campaign::runner::run_indexed(jobs.len(), threads, |i| jobs[i]());
-    let mut out = String::new();
-    for (i, s) in sections.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(s);
-    }
-    out
-}
-
-/// Quick kernels for criterion (reduced sizes).
-pub mod kernels {
-    use super::*;
-
-    /// One BTR recovery run (crash at 52 ms, 300 ms horizon).
-    pub fn btr_recovery_run(sys: &BtrSystem) -> Duration {
-        let victim = pick_victim(sys);
-        let report = sys.run(
-            &FaultScenario::single(victim, FaultKind::Crash, Time::from_millis(52)),
-            ms(300),
-            7,
-        );
-        report.recovery.bad_window()
-    }
-
-    /// Planner build for a given platform size.
-    pub fn plan_build(n: usize, f: u8) -> usize {
-        let w = generators::avionics(n);
-        let topo = Topology::bus(n, 150_000, Duration(5));
-        let mut cfg = PlannerConfig::new(f, ms(300));
-        cfg.admit_best_effort = true;
-        let (s, _) = build_strategy(&w, &topo, &cfg).expect("plannable");
-        s.plan_count()
-    }
-
-    /// One schedulability probe (E3 kernel).
-    pub fn min_speed_probe() -> Option<u32> {
-        let p = RandomParams {
-            seed: 11,
-            layers: 3,
-            width: 3,
-            fanin: 2,
-            utilization: 0.3,
-            period: ms(10),
-            n_nodes: 9,
-        };
-        let w = generators::random_layered(&p);
-        let topo = Topology::bus(9, 200_000, Duration(5));
-        let routing = RoutingTable::new(&topo);
-        let lanes = lane_counts(&w, ReplicationMode::Detection, 1, &Default::default(), 9);
-        let placement = round_robin_placement(&w, &topo, &lanes, &[]);
-        min_speed_pct(|pct| {
-            let params = SchedParams {
-                speed_pct: pct,
-                ..SchedParams::default()
-            };
-            synthesize(&w, &topo, &routing, &placement, &lanes, &params).is_ok()
-        })
-    }
+    btr_campaign::runner::run_indexed(SUITE.len(), threads, |i| (SUITE[i].2)(threads)).join("\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_planner::{lane_counts, ReplicationMode};
 
     #[test]
     fn avionics_setup_plans() {
@@ -856,6 +821,28 @@ mod tests {
 
     #[test]
     fn kernel_min_speed_probe_finds_speed() {
-        assert!(kernels::min_speed_probe().is_some());
+        // One E3 schedulability search at reduced size.
+        let p = RandomParams {
+            seed: 11,
+            layers: 3,
+            width: 3,
+            fanin: 2,
+            utilization: 0.3,
+            period: ms(10),
+            n_nodes: 9,
+        };
+        let w = generators::random_layered(&p);
+        let topo = Topology::bus(9, 200_000, Duration(5));
+        let routing = RoutingTable::new(&topo);
+        let lanes = lane_counts(&w, ReplicationMode::Detection, 1, &Default::default(), 9);
+        let placement = round_robin_placement(&w, &topo, &lanes, &[]);
+        let speed = min_speed_pct(|pct| {
+            let params = SchedParams {
+                speed_pct: pct,
+                ..SchedParams::default()
+            };
+            synthesize(&w, &topo, &routing, &placement, &lanes, &params).is_ok()
+        });
+        assert!(speed.is_some());
     }
 }

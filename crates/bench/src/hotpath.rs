@@ -1,41 +1,24 @@
-//! The simulator hot-path benchmark scenario and its obs-overhead A/B.
+//! The pinned simulator hot-path scenario and its goldens.
 //!
-//! A pinned 20-node end-to-end workload that stresses the simulator's
+//! A 20-node end-to-end workload that stresses the simulator's
 //! per-message costs: multi-hop routing on a mesh (O(1) cached route
 //! slices), per-shard FEC loss sampling (one xoshiro256** stream per
 //! world), signed control traffic (scratch-buffer signing), and unsigned
 //! data-plane traffic. Runs are deterministic per seed; the tests below
-//! pin them with golden counters and a golden trace digest. `harness
-//! bench` measures the scenario with and without a collecting recorder
-//! (`optimized` vs `observed`) and emits `BENCH_sim.json`.
+//! pin them with golden counters and a golden trace digest. The wall
+//! clock of this scenario is the benchmark's `sim_mesh20_unsigned`
+//! workload (`benchmark/`); this module only holds the run to its bits.
 
-use btr_model::{Duration, Envelope, NodeId, Payload, Time, Topology};
-use btr_obs::ObsRecorder;
+use crate::profile::horizon;
+use btr_model::{Duration, Envelope, NodeId, Payload, Topology};
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};
 
 /// Nodes in the pinned scenario (4x5 mesh).
 pub const HOTPATH_NODES: usize = 20;
-/// Default period count for the headline benchmark run.
-pub const HOTPATH_PERIODS: u64 = 10_000;
 /// Per-shard loss probability (ppm) in the pinned scenario.
 pub const HOTPATH_LOSS_PPM: u32 = 20_000;
 /// FEC code of the pinned scenario: 4 data + 2 parity shards.
 pub const HOTPATH_FEC: (u8, u8) = (4, 2);
-/// Obs-overhead ceiling: a collecting recorder on the hot path may
-/// cost at most this much wall-clock overhead (per cent).
-pub const OBS_OVERHEAD_PCT: f64 = 2.0;
-/// Absolute noise floor for the overhead gate: short smoke runs jitter
-/// by more than 2% run-to-run, so deltas below this many nanoseconds
-/// never fail the gate.
-pub const OBS_NOISE_NS: u128 = 10_000_000;
-/// Throughput floor (delivered msgs/s) for the pinned scenario with
-/// the recorder enabled.
-pub const OBS_THROUGHPUT_FLOOR: f64 = 2_300_000.0;
-/// Rounds per mode in the obs-overhead A/B. Each mode's best
-/// (minimum-wall) round is what the gate compares: scheduler noise
-/// only ever adds time, so the minima converge on the true costs
-/// while single-shot comparisons jitter by several percent.
-pub const OBS_AB_ROUNDS: u32 = 3;
 
 /// Traffic generator: every period, each node sends three unsigned
 /// data-plane envelopes to distant peers (multi-hop on the mesh) and one
@@ -110,134 +93,12 @@ pub fn hotpath_world(seed: u64, periods: u64, loss_ppm: u32, trace: bool) -> Wor
     w
 }
 
-/// Simulated microseconds by which `periods` periods have run and their
-/// traffic has drained (one second past the last), if that fits `Time`.
-fn horizon_us(period: Duration, periods: u64) -> Option<u64> {
-    periods
-        .checked_mul(period.as_micros())?
-        .checked_add(1_000_000)
-}
-
-/// The horizon the pinned scenarios run `w` to, clamped to the end of
-/// simulated time.
-pub(crate) fn horizon(w: &World, periods: u64) -> Time {
-    Time(horizon_us(w.period(), periods).unwrap_or(u64::MAX))
-}
-
-/// Whether the pinned scenarios can run `periods` periods as asked: at
-/// least one, and a horizon that is not clamped. `harness bench` rejects
-/// any other count instead of measuring a different run under its label.
-pub fn periods_runnable(periods: u64) -> bool {
-    periods > 0 && horizon_us(SimConfig::new(0).period, periods).is_some()
-}
-
 /// Run the pinned scenario to completion and return its metrics.
 pub fn run_hotpath(seed: u64, periods: u64, loss_ppm: u32) -> SimMetrics {
     let mut w = hotpath_world(seed, periods, loss_ppm, false);
     w.start();
-    w.run_until(horizon(&w, periods));
+    w.run_until(horizon(w.period(), periods));
     *w.metrics()
-}
-
-/// One measured run of the pinned scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct HotPathMeasurement {
-    /// Messages accepted into the network.
-    pub msgs_sent: u64,
-    /// Messages delivered end to end.
-    pub msgs_delivered: u64,
-    /// Engine events processed.
-    pub events: u64,
-    /// Wall-clock nanoseconds for the run.
-    pub wall_ns: u128,
-    /// Heap allocations during the run (0 if no counting allocator is
-    /// installed; the harness binary installs one).
-    pub allocations: u64,
-    /// True if the run hit the event-cap safety valve before the
-    /// horizon — the measurement covers a prefix, not the scenario.
-    pub truncated: bool,
-}
-
-impl HotPathMeasurement {
-    /// Delivered messages per wall-clock second.
-    pub fn msgs_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.msgs_delivered as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Wall-clock nanoseconds per delivered message.
-    pub fn ns_per_delivery(&self) -> f64 {
-        if self.msgs_delivered == 0 {
-            return 0.0;
-        }
-        self.wall_ns as f64 / self.msgs_delivered as f64
-    }
-
-    /// Allocations per delivered message.
-    pub fn allocs_per_delivery(&self) -> f64 {
-        if self.msgs_delivered == 0 {
-            return 0.0;
-        }
-        self.allocations as f64 / self.msgs_delivered as f64
-    }
-}
-
-/// Start `w` and time its run to the pinned horizon.
-fn measure(w: &mut World, periods: u64, alloc_counter: &dyn Fn() -> u64) -> HotPathMeasurement {
-    w.start();
-    let horizon = horizon(w, periods);
-    let allocs_before = alloc_counter();
-    let start = std::time::Instant::now();
-    w.run_until(horizon);
-    let wall_ns = start.elapsed().as_nanos();
-    let allocations = alloc_counter().saturating_sub(allocs_before);
-    let m = w.metrics();
-    HotPathMeasurement {
-        msgs_sent: m.msgs_sent,
-        msgs_delivered: m.msgs_delivered,
-        events: m.events,
-        wall_ns,
-        allocations,
-        truncated: w.truncated(),
-    }
-}
-
-/// Measure the pinned scenario.
-///
-/// `alloc_counter` reads the process-wide allocation count (the harness
-/// binary wires in its counting global allocator; library callers can
-/// pass `|| 0`).
-pub fn measure_hotpath(
-    seed: u64,
-    periods: u64,
-    alloc_counter: &dyn Fn() -> u64,
-) -> HotPathMeasurement {
-    let mut w = hotpath_world(seed, periods, HOTPATH_LOSS_PPM, false);
-    measure(&mut w, periods, alloc_counter)
-}
-
-/// Measure the pinned scenario with a collecting `ObsRecorder`
-/// installed — the observed side of the obs-overhead gate. Returns the
-/// measurement plus the recorder so callers can cross-check its
-/// counters against the engine metrics.
-pub fn measure_hotpath_observed(
-    seed: u64,
-    periods: u64,
-    alloc_counter: &dyn Fn() -> u64,
-) -> (HotPathMeasurement, ObsRecorder) {
-    let mut w = hotpath_world(seed, periods, HOTPATH_LOSS_PPM, false);
-    w.set_recorder(Box::new(ObsRecorder::new()));
-    let m = measure(&mut w, periods, alloc_counter);
-    let rec = w
-        .take_recorder()
-        .and_then(|r| {
-            r.as_any()
-                .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
-        })
-        .unwrap_or_default();
-    (m, rec)
 }
 
 #[cfg(test)]
@@ -248,24 +109,8 @@ mod tests {
     fn traced_run(seed: u64, periods: u64, loss_ppm: u32) -> (SimMetrics, Vec<TraceEvent>) {
         let mut w = hotpath_world(seed, periods, loss_ppm, true);
         w.start();
-        w.run_until(horizon(&w, periods));
+        w.run_until(horizon(w.period(), periods));
         (*w.metrics(), w.trace().to_vec())
-    }
-
-    #[test]
-    fn period_counts_the_scenario_cannot_run_are_not_runnable() {
-        assert!(periods_runnable(1));
-        assert!(periods_runnable(HOTPATH_PERIODS));
-        // No periods is no scenario; the other two overflow the horizon,
-        // the first in the multiply, the second only in the drain second.
-        assert!(!periods_runnable(0));
-        assert!(!periods_runnable(u64::MAX));
-        assert!(!periods_runnable(u64::MAX / 10_000));
-        // Library callers get a clamped horizon, not a wrapped one.
-        let w = hotpath_world(1, 1, 0, false);
-        assert_eq!(horizon(&w, u64::MAX), Time(u64::MAX));
-        assert_eq!(horizon(&w, u64::MAX / 10_000), Time(u64::MAX));
-        assert_eq!(horizon(&w, 100), Time(2_000_000));
     }
 
     #[test]
@@ -359,23 +204,28 @@ mod tests {
         // queue drains — a nonzero count here is an arena leak.
         let mut w = hotpath_world(7, 50, HOTPATH_LOSS_PPM, false);
         w.start();
-        w.run_until(Time(50 * w.period().as_micros() + 1_000_000));
+        w.run_until(horizon(w.period(), 50));
         assert_eq!(w.queued_events(), 0);
         assert_eq!(w.envelopes_in_flight(), 0);
     }
 
     #[test]
     fn observed_hotpath_matches_unobserved_run() {
-        // The obs-overhead A/B is only meaningful if the observed run is
-        // the *same* run: identical engine counters, and a recorder whose
-        // tallies agree with the metrics it shadowed.
-        use btr_obs::Counter;
+        // A recorder must see the *same* run: identical engine counters,
+        // and tallies that agree with the metrics it shadowed.
+        use btr_obs::{Counter, ObsRecorder};
         let plain = run_hotpath(7, 100, HOTPATH_LOSS_PPM);
-        let (obs, rec) = measure_hotpath_observed(7, 100, &|| 0);
-        assert_eq!(obs.msgs_sent, plain.msgs_sent);
-        assert_eq!(obs.msgs_delivered, plain.msgs_delivered);
-        assert_eq!(obs.events, plain.events);
-        assert!(!obs.truncated);
+        let mut w = hotpath_world(7, 100, HOTPATH_LOSS_PPM, false);
+        w.set_recorder(Box::new(ObsRecorder::new()));
+        w.start();
+        w.run_until(horizon(w.period(), 100));
+        assert_eq!(*w.metrics(), plain);
+        assert!(!w.truncated());
+        let rec = w.take_recorder().expect("installed above");
+        let rec = rec
+            .as_any()
+            .and_then(|a| a.downcast_ref::<ObsRecorder>())
+            .expect("an ObsRecorder");
         assert_eq!(rec.counter(Counter::Sends), plain.msgs_sent);
         assert_eq!(rec.counter(Counter::Delivers), plain.msgs_delivered);
         assert_eq!(rec.counter(Counter::Events), plain.events);

@@ -202,37 +202,24 @@ fn fault_label(fault: &Option<(NodeId, FaultKind, Time)>) -> String {
     }
 }
 
-/// The simulator side of the differential: same scenario, same seed,
-/// same horizon, canonical logical trace.
-pub fn sim_trace(
-    sys: &BtrSystem,
-    scenario: &FaultScenario,
-    horizon: Duration,
-    seed: u64,
-) -> btr_sim::LogicalTrace {
-    let mut world = sys.build_world(scenario, seed);
-    world.start();
-    world.run_until(Time::ZERO + horizon + sys.grace());
-    world.logical_trace()
-}
-
 /// Run one pinned scenario on both substrates and measure the live run
 /// against the oracle and the R bound. Returns the raw [`LiveReport`]
-/// alongside the measurement for trace export and flight-dump surfacing.
-/// `flight_cap` sizes each node's flight-recorder ring (must be ≥ 1;
-/// the CLI validates before calling).
-pub fn measure_live_with_report(
+/// (trace export, flight-dump surfacing) and the simulator run's
+/// recorder (phase marks, latency histograms) alongside the
+/// measurement. `flight_cap` sizes each node's flight-recorder ring
+/// (must be ≥ 1; the CLI validates before calling).
+pub fn measure_live(
     sys: &BtrSystem,
     spec: &LiveScenario,
     seed: u64,
     pace: f64,
     flight_cap: usize,
-) -> (LiveMeasurement, LiveReport) {
+) -> (LiveMeasurement, LiveReport, ObsRecorder) {
     let scenario = match spec.fault {
         None => FaultScenario::none(),
         Some((node, kind, at)) => FaultScenario::single(node, kind, at),
     };
-    let reference = sim_trace(sys, &scenario, spec.horizon, seed);
+    let (reference, sim_rec) = sim_observed(sys, &scenario, spec.horizon, seed);
     let mut cfg = LiveConfig::new(seed);
     cfg.pace = pace;
     cfg.restart_after = spec.restart_after;
@@ -292,18 +279,13 @@ pub fn measure_live_with_report(
         timeline,
         wall_ms: live.wall.as_millis() as u64,
     };
-    (m, live)
+    (m, live, sim_rec)
 }
 
-/// [`measure_live_with_report`] without the raw report, at the default
-/// flight-recorder capacity.
-pub fn measure_live(sys: &BtrSystem, spec: &LiveScenario, seed: u64, pace: f64) -> LiveMeasurement {
-    measure_live_with_report(sys, spec, seed, pace, btr_obs::FLIGHT_CAP).0
-}
-
-/// The simulator side with a collecting recorder installed: the same
-/// reference run `sim_trace` makes, but returning the recorder's phase
-/// marks so `harness obs` can export both substrates' timelines.
+/// The simulator side of the differential: same scenario, same seed,
+/// same horizon. Returns the canonical logical trace and the collecting
+/// recorder's phase marks and latency histograms (the recorder is inert
+/// by contract, so the trace is the one an unobserved world produces).
 pub fn sim_observed(
     sys: &BtrSystem,
     scenario: &FaultScenario,
@@ -314,13 +296,7 @@ pub fn sim_observed(
     world.set_recorder(Box::new(ObsRecorder::new()));
     world.start();
     world.run_until(Time::ZERO + horizon + sys.grace());
-    let rec = world
-        .take_recorder()
-        .and_then(|r| {
-            r.as_any()
-                .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
-        })
-        .unwrap_or_default();
+    let rec = crate::profile::take_obs(&mut world);
     (world.logical_trace(), rec)
 }
 
@@ -390,11 +366,29 @@ mod tests {
         // and its fault-free live run digest-matches the simulator.
         let specs = pinned_scenarios(true);
         let sys = live_system(specs[0].nodes);
-        let m = measure_live(&sys, &specs[0], LIVE_SEED, LIVE_SMOKE_PACE);
+        let (m, _, sim_rec) = measure_live(
+            &sys,
+            &specs[0],
+            LIVE_SEED,
+            LIVE_SMOKE_PACE,
+            btr_obs::FLIGHT_CAP,
+        );
         assert!(m.trace_match, "live diverged from simulator");
         assert!(m.ok(), "{m:?}");
         assert!(m.actuations > 0);
         assert!(m.fault.is_empty());
+        assert!(sim_rec.lat(btr_obs::Lat::Delivery).count() > 0);
+        // Every term of the gate bites on its own.
+        let fails = |break_it: fn(&mut LiveMeasurement)| {
+            let mut broken = m.clone();
+            break_it(&mut broken);
+            !broken.ok()
+        };
+        assert!(fails(|m| m.trace_match = false));
+        assert!(fails(|m| m.within_r = false));
+        assert!(fails(|m| m.within_r_wall = false));
+        assert!(fails(|m| m.converged = false));
+        assert!(fails(|m| m.healthy = false));
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! The deterministic profiling kernel (`harness profile`).
+//! The simulator measurement (`harness profile`).
 //!
-//! Each profile point runs the scale-benchmark traffic on one topology
-//! family three times with the same seed:
+//! Each profile point runs the scale traffic (`crate::scale`) on one
+//! topology family in three kinds of pass with the same seed:
 //!
-//! 1. **baseline** — no recorder: end-to-end wall time and the logical
-//!    digest the other passes are held against;
+//! 1. **baseline** — no recorder: end-to-end wall time, throughput,
+//!    allocations, routing residency, and the logical digest the other
+//!    passes are held against;
 //! 2. **counts** — a collecting recorder, wall sampling off: the
 //!    digest-stable per-subsystem event counts and the per-node /
 //!    per-link traffic matrix. The run must be *bit-identical* to the
 //!    baseline (same `SimMetrics`, same logical digest) — that equality
-//!    is the inertness proof the point carries in its report;
+//!    is the inertness proof the point carries in its report — and its
+//!    wall time against the baseline's is what the recorder costs.
+//!    Passes 1 and 2 run [`OBS_AB_ROUNDS`] interleaved rounds and each
+//!    keeps its best (minimum) wall: noise only ever adds time, so the
+//!    minima converge on the true costs where single shots jitter by
+//!    several per cent;
 //! 3. **wall** — the recorder plus `World::set_wall_profiling`:
 //!    per-subsystem wall nanoseconds. Machine-dependent, so reported
 //!    but never folded into any digest; the unscoped remainder is
@@ -22,17 +28,28 @@
 //! `shard_plan` section — cut-traffic fraction, load imbalance,
 //! lookahead, and the predicted speedup ceiling.
 
-use crate::scale::ScaleBlaster;
-use btr_model::{NodeId, Time, Topology};
+use crate::scale::{ScaleBlaster, SCALE_ROUTING_BUDGET};
+use btr_model::{Duration, NodeId, Time, Topology};
 use btr_obs::{ObsRecorder, Profile, Subsystem, TrafficMatrix};
 use btr_sim::{SimConfig, SimMetrics, World};
 use btr_topo::shard::{analyze_partition, candidate_partitions, ShardCandidate};
 use btr_topo::{by_name, TopoParams};
 
 /// Topology families profiled per sweep point. Torus is the headline
-/// (it is what `harness scale` sweeps); the other families exist for
+/// (it is what the node sweep runs); the other families exist for
 /// their distinct natural cuts.
 pub const PROFILE_FAMILIES: [&str; 3] = ["torus", "fat-tree", "scada-star"];
+
+/// Recorder-overhead ceiling: a collecting recorder on the hot path may
+/// cost at most this much wall-clock overhead (per cent).
+pub const OBS_OVERHEAD_PCT: f64 = 2.0;
+/// Absolute noise floor for the overhead gate: short smoke runs jitter
+/// by more than 2% run-to-run, so deltas below this many nanoseconds
+/// never fail the gate.
+pub const OBS_NOISE_NS: u128 = 10_000_000;
+/// Interleaved baseline/counts rounds per point; each side keeps its
+/// best wall.
+pub const OBS_AB_ROUNDS: u32 = 3;
 
 /// One profiled (family, n) point.
 #[derive(Debug, Clone)]
@@ -43,10 +60,25 @@ pub struct ProfilePoint {
     pub nodes: usize,
     /// Traffic periods driven.
     pub periods: u64,
-    /// Baseline (unobserved) wall nanoseconds.
+    /// Baseline (unobserved) wall nanoseconds, best round.
     pub baseline_wall_ns: u128,
+    /// Counts-pass (collecting recorder) wall nanoseconds, best round.
+    pub observed_wall_ns: u128,
     /// Engine metrics of the baseline run.
     pub metrics: SimMetrics,
+    /// Heap allocations during the baseline run (0 without a counting
+    /// allocator; the harness binary installs one).
+    pub allocations: u64,
+    /// Routing-resident heap bytes at the end of the baseline run.
+    pub routing_resident_bytes: usize,
+    /// Selected routing backend ("precomputed" / "demand").
+    pub routing_kind: &'static str,
+    /// Envelopes still parked in the event arena after the baseline run
+    /// (must be 0: the queue drained).
+    pub envelopes_leaked: usize,
+    /// True if the baseline run hit the event-cap safety valve before
+    /// the horizon — the point covers a prefix, not the scenario.
+    pub truncated: bool,
     /// Logical trace digest of the baseline run.
     pub digest: u64,
     /// True when the counts pass reproduced the baseline bit-for-bit
@@ -66,6 +98,14 @@ pub struct ProfilePoint {
 }
 
 impl ProfilePoint {
+    /// Delivered messages per baseline wall-clock second.
+    pub fn msgs_per_sec(&self) -> f64 {
+        if self.baseline_wall_ns == 0 {
+            return 0.0;
+        }
+        self.metrics.msgs_delivered as f64 / (self.baseline_wall_ns as f64 / 1e9)
+    }
+
     /// Baseline wall nanoseconds per delivered message.
     pub fn ns_per_delivery(&self) -> f64 {
         if self.metrics.msgs_delivered == 0 {
@@ -107,6 +147,80 @@ impl ProfilePoint {
     pub fn traffic_consistent(&self) -> bool {
         traffic_matches_metrics(&self.traffic, &self.metrics)
     }
+
+    /// The gates `harness profile` exits 1 on, one line per gate this
+    /// point trips (empty when healthy).
+    pub fn gate_failures(&self) -> Vec<String> {
+        let mut failed = Vec::new();
+        if !self.inert {
+            failed.push("count profiling perturbed the run".to_string());
+        }
+        if self.counts.total_count() == 0 {
+            failed.push("the recorder staged no subsystem events".to_string());
+        }
+        if !self.traffic_consistent() {
+            failed.push("traffic matrix disagrees with the engine counters".to_string());
+        }
+        if self.shard_plan.len() < 2 {
+            failed.push(format!(
+                "only {} candidate partition(s)",
+                self.shard_plan.len()
+            ));
+        }
+        if self.routing_resident_bytes > SCALE_ROUTING_BUDGET {
+            failed.push(format!(
+                "routing residency {} exceeds the sub-quadratic budget {SCALE_ROUTING_BUDGET}",
+                self.routing_resident_bytes
+            ));
+        }
+        if self.metrics.msgs_delivered == 0 {
+            failed.push("delivered nothing".to_string());
+        }
+        if self.envelopes_leaked != 0 {
+            failed.push(format!("leaked {} arena envelopes", self.envelopes_leaked));
+        }
+        if self.truncated {
+            failed.push("hit the event-cap safety valve (truncated measurement)".to_string());
+        }
+        failed
+    }
+}
+
+/// What the collecting recorder cost over a whole sweep: every point's
+/// best baseline wall against its best counts-pass wall, summed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObsOverhead {
+    /// Summed best baseline walls (ns).
+    pub baseline_wall_ns: u128,
+    /// Summed best counts-pass walls (ns).
+    pub observed_wall_ns: u128,
+}
+
+impl ObsOverhead {
+    /// Sum the sweep's points.
+    pub fn of(points: &[ProfilePoint]) -> ObsOverhead {
+        ObsOverhead {
+            baseline_wall_ns: points.iter().map(|p| p.baseline_wall_ns).sum(),
+            observed_wall_ns: points.iter().map(|p| p.observed_wall_ns).sum(),
+        }
+    }
+
+    /// Recorder overhead in per cent of the baseline (NaN on an empty
+    /// sweep; a recorder run that came out faster reads 0).
+    pub fn pct(&self) -> f64 {
+        if self.baseline_wall_ns == 0 {
+            return f64::NAN;
+        }
+        let delta = self.observed_wall_ns.saturating_sub(self.baseline_wall_ns);
+        delta as f64 / self.baseline_wall_ns as f64 * 100.0
+    }
+
+    /// The gate: over [`OBS_OVERHEAD_PCT`] *and* over the absolute
+    /// [`OBS_NOISE_NS`] floor, which keeps it meaningful on smoke runs.
+    pub fn exceeded(&self) -> bool {
+        self.pct() > OBS_OVERHEAD_PCT
+            && self.observed_wall_ns.saturating_sub(self.baseline_wall_ns) > OBS_NOISE_NS
+    }
 }
 
 /// The four row/column-sum invariants tying a [`TrafficMatrix`] to the
@@ -120,7 +234,7 @@ pub fn traffic_matches_metrics(t: &TrafficMatrix, m: &SimMetrics) -> bool {
 }
 
 /// Build the profiled topology for one (family, n) point: the family's
-/// catalog generator with the scale benchmark's link parameters.
+/// catalog generator with the scale traffic's link parameters.
 pub fn profile_topology(family: &str, n: usize) -> Topology {
     let generator = by_name(family).expect("profiled families are in the catalog");
     let mut p = TopoParams::new(n);
@@ -128,9 +242,10 @@ pub fn profile_topology(family: &str, n: usize) -> Topology {
     generator(&p).expect("profiled sizes instantiate")
 }
 
-/// Build one profile world: the scale-benchmark traffic on `topo`,
-/// including the mid-run relay crash (which is what exercises the
-/// mode-switch subsystem scope).
+/// Build one profile world: the scale traffic on `topo`, with one relay
+/// dying mid-run so the link layer must heal multi-hop routes around it
+/// (table rebuild below the backend threshold, row invalidation above
+/// it) — which is also what exercises the mode-switch subsystem scope.
 pub fn profile_world(topo: Topology, n: usize, seed: u64, periods: u64) -> World {
     let cfg = SimConfig::new(seed);
     let mut w = World::new(topo, cfg);
@@ -154,15 +269,26 @@ pub fn profile_world(topo: Topology, n: usize, seed: u64, periods: u64) -> World
     w
 }
 
-fn run_to_horizon(w: &mut World, periods: u64) -> u128 {
-    w.start();
-    let horizon = crate::hotpath::horizon(w, periods);
-    let start = std::time::Instant::now();
-    w.run_until(horizon);
-    start.elapsed().as_nanos()
+/// The horizon by which `periods` periods have run and their traffic
+/// has drained (one second past the last).
+pub(crate) fn horizon(period: Duration, periods: u64) -> Time {
+    Time(periods * period.as_micros() + 1_000_000)
 }
 
-fn take_obs(w: &mut World) -> ObsRecorder {
+/// Start `w`, run it to the horizon, and return wall nanoseconds and
+/// the allocations `alloc_counter` saw meanwhile.
+fn run_to_horizon(w: &mut World, periods: u64, alloc_counter: &dyn Fn() -> u64) -> (u128, u64) {
+    w.start();
+    let horizon = horizon(w.period(), periods);
+    let allocs_before = alloc_counter();
+    let start = std::time::Instant::now();
+    w.run_until(horizon);
+    let wall_ns = start.elapsed().as_nanos();
+    (wall_ns, alloc_counter().saturating_sub(allocs_before))
+}
+
+/// Take back the [`ObsRecorder`] installed on `w`.
+pub(crate) fn take_obs(w: &mut World) -> ObsRecorder {
     w.take_recorder()
         .and_then(|r| {
             r.as_any()
@@ -173,28 +299,43 @@ fn take_obs(w: &mut World) -> ObsRecorder {
 
 /// Measure one (family, n) profile point: baseline, counts, and wall
 /// passes plus the shard plan over the measured traffic.
+/// `alloc_counter` reads the process-wide allocation count (the harness
+/// wires in its counting allocator; library callers pass `|| 0`).
 pub fn measure_profile_point(
     family: &'static str,
     n: usize,
     seed: u64,
     target_msgs: u64,
+    alloc_counter: &dyn Fn() -> u64,
 ) -> ProfilePoint {
+    // Sends per period = 4 per node; pick periods to hit the target
+    // message count so every point does comparable work.
     let periods = (target_msgs / (4 * n as u64)).max(20);
     let topo = profile_topology(family, n);
 
-    // Pass 1: baseline, nothing installed.
-    let mut w = profile_world(topo.clone(), n, seed, periods);
-    let baseline_wall_ns = run_to_horizon(&mut w, periods);
-    let metrics = *w.metrics();
-    let digest = w.logical_trace().digest();
-
-    // Pass 2: counts. Must reproduce the baseline bit-for-bit.
-    let mut w = profile_world(topo.clone(), n, seed, periods);
-    w.set_recorder(Box::new(ObsRecorder::new()));
-    let _ = run_to_horizon(&mut w, periods);
-    let counts_metrics = *w.metrics();
-    let inert = counts_metrics == metrics && w.logical_trace().digest() == digest;
-    let rec = take_obs(&mut w);
+    // Passes 1 and 2, interleaved. Every round of a pass is the same
+    // deterministic run, so everything but the wall clock is read off
+    // the last round.
+    let mut baseline_wall_ns = u128::MAX;
+    let mut observed_wall_ns = u128::MAX;
+    let mut last_round = None;
+    for _ in 0..OBS_AB_ROUNDS {
+        // Pass 1: baseline, nothing installed.
+        let mut base = profile_world(topo.clone(), n, seed, periods);
+        let (wall_ns, allocations) = run_to_horizon(&mut base, periods, alloc_counter);
+        baseline_wall_ns = baseline_wall_ns.min(wall_ns);
+        // Pass 2: counts. Must reproduce the baseline bit-for-bit.
+        let mut observed = profile_world(topo.clone(), n, seed, periods);
+        observed.set_recorder(Box::new(ObsRecorder::new()));
+        let (wall_ns, _) = run_to_horizon(&mut observed, periods, alloc_counter);
+        observed_wall_ns = observed_wall_ns.min(wall_ns);
+        last_round = Some((base, allocations, observed));
+    }
+    let (base, allocations, mut observed) = last_round.expect("OBS_AB_ROUNDS is at least 1");
+    let metrics = *base.metrics();
+    let digest = base.logical_trace().digest();
+    let inert = *observed.metrics() == metrics && observed.logical_trace().digest() == digest;
+    let rec = take_obs(&mut observed);
     let counts = rec.subsystem_profile().clone();
     let traffic = rec.traffic_matrix().clone();
 
@@ -203,7 +344,7 @@ pub fn measure_profile_point(
     let mut w = profile_world(topo.clone(), n, seed, periods);
     w.set_recorder(Box::new(ObsRecorder::new()));
     w.set_wall_profiling(true);
-    let wall_total_ns = run_to_horizon(&mut w, periods);
+    let (wall_total_ns, _) = run_to_horizon(&mut w, periods, alloc_counter);
     let wall = take_obs(&mut w).subsystem_profile().clone();
 
     let shard_plan = candidate_partitions(family, n)
@@ -216,7 +357,13 @@ pub fn measure_profile_point(
         nodes: n,
         periods,
         baseline_wall_ns,
+        observed_wall_ns,
         metrics,
+        allocations,
+        routing_resident_bytes: base.routing_resident_bytes(),
+        routing_kind: base.routing_kind(),
+        envelopes_leaked: base.envelopes_in_flight(),
+        truncated: base.truncated(),
         digest,
         inert,
         counts,
@@ -233,7 +380,7 @@ mod tests {
 
     #[test]
     fn count_profile_is_inert_and_consistent() {
-        let p = measure_profile_point("torus", 20, 7, 4_000);
+        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
         assert!(p.inert, "count profiling perturbed the run: {p:?}");
         assert!(p.traffic_consistent(), "{:?} vs {:?}", p.traffic, p.metrics);
         assert!(p.counts.count(Subsystem::Routing) > 0);
@@ -246,8 +393,8 @@ mod tests {
 
     #[test]
     fn count_profiles_are_deterministic() {
-        let a = measure_profile_point("torus", 20, 7, 4_000);
-        let b = measure_profile_point("torus", 20, 7, 4_000);
+        let a = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let b = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.traffic, b.traffic);
         assert_eq!(a.digest, b.digest);
@@ -255,7 +402,7 @@ mod tests {
 
     #[test]
     fn wall_pass_attributes_time_and_keeps_shares_complete() {
-        let p = measure_profile_point("torus", 20, 7, 4_000);
+        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
         assert!(p.wall.total_wall_ns() > 0, "wall pass recorded nothing");
         assert!(
             p.scoped_wall_ns() as u128 <= p.wall_total_ns,
@@ -273,7 +420,7 @@ mod tests {
     #[test]
     fn every_family_scores_at_least_two_partitions() {
         for family in PROFILE_FAMILIES {
-            let p = measure_profile_point(family, 100, 7, 2_000);
+            let p = measure_profile_point(family, 100, 7, 2_000, &|| 0);
             assert!(p.inert, "{family}: profiling perturbed the run");
             assert!(
                 p.shard_plan.len() >= 2,
@@ -294,10 +441,59 @@ mod tests {
 
     #[test]
     fn signed_lane_is_separated() {
-        let p = measure_profile_point("torus", 20, 7, 4_000);
+        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
         // The blaster sends 3 unsigned + 1 signed per node per period:
         // both lanes must carry traffic, and they must sum to the total.
         assert!(p.traffic.link_bytes_signed_total() > 0);
         assert!(p.traffic.link_bytes_total() > p.traffic.link_bytes_signed_total());
+    }
+
+    #[test]
+    fn every_point_gate_bites() {
+        let healthy = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        assert_eq!(healthy.gate_failures(), Vec::<String>::new());
+        assert_eq!(healthy.envelopes_leaked, 0);
+        assert!(!healthy.truncated);
+
+        // Break one thing at a time; each must trip exactly its gate.
+        let trips = |break_it: &dyn Fn(&mut ProfilePoint), needle: &str| {
+            let mut p = healthy.clone();
+            break_it(&mut p);
+            let failed = p.gate_failures();
+            assert_eq!(failed.len(), 1, "{needle}: {failed:?}");
+            assert!(failed[0].contains(needle), "{needle}: {failed:?}");
+        };
+        trips(&|p| p.inert = false, "perturbed");
+        trips(&|p| p.counts = Profile::new(), "staged no subsystem events");
+        trips(&|p| p.metrics.bytes_sent += 1, "traffic matrix");
+        trips(&|p| p.shard_plan.truncate(1), "candidate partition");
+        trips(
+            &|p| p.routing_resident_bytes = SCALE_ROUTING_BUDGET + 1,
+            "sub-quadratic budget",
+        );
+        trips(&|p| p.envelopes_leaked = 3, "leaked 3");
+        trips(&|p| p.truncated = true, "truncated");
+    }
+
+    #[test]
+    fn recorder_overhead_gate_needs_both_the_ceiling_and_the_floor() {
+        let ab = |baseline_wall_ns, observed_wall_ns| ObsOverhead {
+            baseline_wall_ns,
+            observed_wall_ns,
+        };
+        // 5% of a full-length sweep: over the ceiling and the floor.
+        assert!(ab(700_000_000, 735_000_000).exceeded());
+        // 1.5%: under the ceiling however many nanoseconds it is.
+        assert!(!ab(2_000_000_000, 2_030_000_000).exceeded());
+        // 10% of a smoke run is 7 ms: inside the noise floor.
+        assert!(!ab(70_000_000, 77_000_000).exceeded());
+        // A recorder run that came out faster costs nothing.
+        assert_eq!(ab(100, 90).pct(), 0.0);
+        assert!(!ab(0, 0).exceeded());
+
+        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let sum = ObsOverhead::of(&[p.clone(), p.clone()]);
+        assert_eq!(sum.baseline_wall_ns, 2 * p.baseline_wall_ns);
+        assert_eq!(sum.observed_wall_ns, 2 * p.observed_wall_ns);
     }
 }

@@ -1,24 +1,23 @@
-//! The thousand-node scale benchmark (`harness scale`).
+//! The scale traffic and its sweep constants.
 //!
-//! Sweeps the hot-path traffic pattern across 2-D torus platforms of
-//! n ∈ {20, 100, 400, 1000} nodes and measures what actually limits
-//! scale: delivered throughput, per-delivery cost, heap allocations, and
-//! — the number this PR exists for — **routing-resident bytes**, which
-//! the all-pairs table grows as O(n² · diameter) and the demand-driven
-//! rows keep near-linear (`btr_net::RouteBackend` switches backend
-//! at `DEMAND_ROUTING_THRESHOLD` nodes, so the sweep crosses it).
+//! `harness profile` sweeps this traffic across 2-D torus platforms of
+//! n ∈ {20, 100, 400, 1000} nodes (and one point per other topology
+//! family) and measures what actually limits scale: delivered
+//! throughput, per-delivery cost, heap allocations, and
+//! **routing-resident bytes**, which the all-pairs table grows as
+//! O(n² · diameter) and the demand-driven rows keep near-linear
+//! (`btr_net::RouteBackend` switches backend at
+//! `DEMAND_ROUTING_THRESHOLD` nodes, so the sweep crosses it).
 //!
-//! Each sweep point also crashes one relay mid-run, exercising the
+//! Each point also crashes one relay mid-run
+//! (`crate::profile::profile_world`), exercising the
 //! `avoiding_transit` recomputation path at scale: a full table rebuild
-//! below the threshold, an O(n) invalidation above it.
-//!
-//! `harness scale` emits `BENCH_scale.json` and exits non-zero if any
-//! point's routing residency exceeds [`SCALE_ROUTING_BUDGET`] — the
-//! sub-quadratic gate CI enforces at n = 1000.
+//! below the threshold, an O(n) invalidation above it. A point whose
+//! routing residency exceeds [`SCALE_ROUTING_BUDGET`] fails the harness
+//! — the sub-quadratic gate CI enforces at n = 1000.
 
-use btr_model::{Duration, Envelope, NodeId, Payload, Time};
-use btr_sim::{NodeBehavior, NodeCtx, SimConfig, TimerId, World};
-use btr_topo::{torus, torus_dims};
+use btr_model::{Duration, Envelope, NodeId, Payload};
+use btr_sim::{NodeBehavior, NodeCtx, TimerId};
 
 /// The default sweep sizes.
 pub const SCALE_NODES: [usize; 4] = [20, 100, 400, 1000];
@@ -38,8 +37,7 @@ pub const SCALE_ROUTING_BUDGET: usize = 64 << 20;
 /// envelopes — two short-stride peers and the torus antipode (which
 /// forces diameter-scale multi-hop routes) — plus one signed heartbeat
 /// to its successor. The same shape as the pinned 20-node hot-path
-/// scenario, sized by n. Shared with the profiling kernel
-/// (`crate::profile`), which drives the identical traffic over every
+/// scenario, sized by n; `crate::profile` drives it over every
 /// topology family.
 pub(crate) struct ScaleBlaster {
     pub(crate) period: Duration,
@@ -83,167 +81,42 @@ impl NodeBehavior for ScaleBlaster {
     }
 }
 
-/// One measured sweep point.
-#[derive(Debug, Clone)]
-pub struct ScaleMeasurement {
-    /// Node count.
-    pub nodes: usize,
-    /// Torus rows.
-    pub rows: usize,
-    /// Torus columns.
-    pub cols: usize,
-    /// Traffic periods driven.
-    pub periods: u64,
-    /// Messages accepted into the network.
-    pub msgs_sent: u64,
-    /// Messages delivered end to end.
-    pub msgs_delivered: u64,
-    /// Engine events processed.
-    pub events: u64,
-    /// Wall-clock nanoseconds for the run.
-    pub wall_ns: u128,
-    /// Heap allocations during the run (0 without a counting allocator).
-    pub allocations: u64,
-    /// Routing-resident heap bytes at end of run.
-    pub routing_resident_bytes: usize,
-    /// Selected routing backend ("precomputed" / "demand").
-    pub routing_kind: &'static str,
-    /// Relay-refused drops (must stay 0: the mid-run crash heals).
-    pub drops_forward: u64,
-    /// Envelopes still parked in the event arena after the run (must be
-    /// 0: the queue drained).
-    pub envelopes_leaked: usize,
-    /// True if the run hit the event-cap safety valve before the
-    /// horizon — the sweep point covers a prefix, not the scenario.
-    pub truncated: bool,
-}
-
-impl ScaleMeasurement {
-    /// Delivered messages per wall-clock second.
-    pub fn msgs_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.msgs_delivered as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Wall-clock nanoseconds per delivered message.
-    pub fn ns_per_delivery(&self) -> f64 {
-        if self.msgs_delivered == 0 {
-            return 0.0;
-        }
-        self.wall_ns as f64 / self.msgs_delivered as f64
-    }
-
-    /// True if routing residency respects the sub-quadratic gate.
-    pub fn within_routing_budget(&self) -> bool {
-        self.routing_resident_bytes <= SCALE_ROUTING_BUDGET
-    }
-}
-
-/// Build the n-node torus world for one sweep point.
-pub fn scale_world(n: usize, seed: u64, periods: u64) -> World {
-    let (rows, cols) = torus_dims(n);
-    let topo = torus(rows, cols, 1_000_000, Duration(5)).expect("sweep sizes are torus-valid");
-    let cfg = SimConfig::new(seed);
-    let mut w = World::new(topo, cfg);
-    for i in 0..n as u32 {
-        w.set_behavior(
-            NodeId(i),
-            Box::new(ScaleBlaster {
-                period: w.period(),
-                periods,
-                fired: 0,
-                n: n as u32,
-            }),
-        );
-    }
-    // One relay dies mid-run: the link layer must heal multi-hop routes
-    // around it (table rebuild below the backend threshold, row-cache
-    // invalidation above it).
-    if n >= 4 {
-        w.schedule_control(
-            Time(periods / 2 * w.period().as_micros()),
-            btr_sim::ControlAction::Crash(NodeId(1)),
-        );
-    }
-    w
-}
-
-/// Measure one sweep point. `alloc_counter` reads the process-wide
-/// allocation count (the harness wires in its counting allocator;
-/// library callers pass `|| 0`).
-pub fn measure_scale(
-    n: usize,
-    seed: u64,
-    target_msgs: u64,
-    alloc_counter: &dyn Fn() -> u64,
-) -> ScaleMeasurement {
-    // Sends per period = 4 per node; pick periods to hit the target
-    // message count so every sweep point does comparable work.
-    let periods = (target_msgs / (4 * n as u64)).max(20);
-    let mut w = scale_world(n, seed, periods);
-    w.start();
-    let horizon = crate::hotpath::horizon(&w, periods);
-    let allocs_before = alloc_counter();
-    let start = std::time::Instant::now();
-    w.run_until(horizon);
-    let wall_ns = start.elapsed().as_nanos();
-    let allocations = alloc_counter().saturating_sub(allocs_before);
-    let (rows, cols) = torus_dims(n);
-    let m = w.metrics();
-    ScaleMeasurement {
-        nodes: n,
-        rows,
-        cols,
-        periods,
-        msgs_sent: m.msgs_sent,
-        msgs_delivered: m.msgs_delivered,
-        events: m.events,
-        wall_ns,
-        allocations,
-        routing_resident_bytes: w.routing_resident_bytes(),
-        routing_kind: w.routing_kind(),
-        drops_forward: m.drops_forward,
-        envelopes_leaked: w.envelopes_in_flight(),
-        truncated: w.truncated(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{measure_profile_point, ProfilePoint};
     use btr_net::DEMAND_ROUTING_THRESHOLD;
+
+    fn torus_point(n: usize, seed: u64, target_msgs: u64) -> ProfilePoint {
+        measure_profile_point("torus", n, seed, target_msgs, &|| 0)
+    }
 
     #[test]
     fn scale_points_are_deterministic() {
-        let a = measure_scale(20, 7, 4_000, &|| 0);
-        let b = measure_scale(20, 7, 4_000, &|| 0);
-        assert_eq!(
-            (a.msgs_sent, a.msgs_delivered, a.events),
-            (b.msgs_sent, b.msgs_delivered, b.events)
-        );
-        assert!(a.msgs_delivered > 0);
+        let a = torus_point(20, 7, 4_000);
+        let b = torus_point(20, 7, 4_000);
+        assert_eq!(a.metrics, b.metrics);
+        assert!(a.metrics.msgs_delivered > 0);
     }
 
     #[test]
     fn backend_crosses_threshold_with_n() {
-        let small = measure_scale(20, 7, 2_000, &|| 0);
+        let small = torus_point(20, 7, 2_000);
         assert_eq!(small.routing_kind, "precomputed");
-        let large = measure_scale(DEMAND_ROUTING_THRESHOLD + 36, 7, 2_000, &|| 0);
+        let large = torus_point(DEMAND_ROUTING_THRESHOLD + 36, 7, 2_000);
         assert_eq!(large.routing_kind, "demand");
-        assert!(large.within_routing_budget());
+        assert!(large.routing_resident_bytes <= SCALE_ROUTING_BUDGET);
     }
 
     #[test]
     fn crash_heals_and_arena_drains_at_scale() {
-        let m = measure_scale(100, 3, 8_000, &|| 0);
+        let p = torus_point(100, 3, 8_000);
         // The dead relay never refuses traffic: routes healed around it.
-        assert_eq!(m.drops_forward, 0, "unhealed relay refusals");
+        assert_eq!(p.metrics.drops_forward, 0, "unhealed relay refusals");
         // Messages *addressed* to the dead node drop at the receiver,
         // so deliveries < sends after the crash.
-        assert!(m.msgs_delivered < m.msgs_sent);
-        assert_eq!(m.envelopes_leaked, 0, "event arena leaked envelopes");
+        assert!(p.metrics.msgs_delivered < p.metrics.msgs_sent);
+        assert_eq!(p.envelopes_leaked, 0, "event arena leaked envelopes");
     }
 
     #[test]
@@ -251,11 +124,11 @@ mod tests {
         // At 100 nodes the demand rows (plus adjacency index) must be
         // tiny; the all-pairs table at the same size is ~180 kB of
         // next-hop matrix alone and grows quadratically.
-        let m = measure_scale(100, 7, 2_000, &|| 0);
+        let p = torus_point(100, 7, 2_000);
         assert!(
-            m.routing_resident_bytes < 512 << 10,
+            p.routing_resident_bytes < 512 << 10,
             "demand residency {} unexpectedly large",
-            m.routing_resident_bytes
+            p.routing_resident_bytes
         );
     }
 }

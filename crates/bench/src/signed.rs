@@ -1,4 +1,4 @@
-//! The signed-traffic benchmark scenario and its suite A/B harness.
+//! The pinned signed-traffic scenario and its cross-suite goldens.
 //!
 //! PR 1/PR 4 made raw delivery allocation-free, which left HMAC-SHA-256
 //! sign+verify as the dominant cost of *signed* traffic — the messages
@@ -14,18 +14,16 @@
 //! `Payload::Output` handling. The scenario runs unchanged under both
 //! [`AuthSuite`]s; because authenticator wire sizes are suite-independent
 //! the two runs are bit-identical in everything but tag bytes, which the
-//! equivalence tests below pin. `harness bench --signed` runs the A/B
-//! and emits the `signed` section of `BENCH_sim.json`.
+//! equivalence tests below pin. The wall clock of this scenario is the
+//! benchmark's `sim_mesh20_signed` workload (`benchmark/`).
 
-use crate::hotpath::horizon;
+use crate::profile::horizon;
 use btr_crypto::{AuthSuite, SigBatch};
 use btr_model::{Duration, Envelope, NodeId, Payload, SignedOutput, TaskId, Topology};
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};
 
 /// Nodes in the pinned scenario (the same 4x5 mesh as the raw hot path).
 pub const SIGNED_NODES: usize = 20;
-/// Default period count for the headline signed benchmark run.
-pub const SIGNED_PERIODS: u64 = 5_000;
 /// Witnesses attached to every output message (evidence-set size).
 pub const SIGNED_WITNESSES: usize = 3;
 
@@ -160,128 +158,12 @@ pub fn signed_world(seed: u64, suite: AuthSuite, periods: u64, trace: bool) -> W
     w
 }
 
-/// One measured suite run of the signed scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct SignedMeasurement {
-    /// The suite measured.
-    pub suite: AuthSuite,
-    /// Messages accepted into the network.
-    pub msgs_sent: u64,
-    /// Messages delivered end to end.
-    pub msgs_delivered: u64,
-    /// MAC tags produced (envelope + output signs).
-    pub sigs_signed: u64,
-    /// MAC tags checked (envelope + output + witness verifies).
-    pub sigs_verified: u64,
-    /// Messages failing verification (must be 0 in the pinned scenario).
-    pub rejects: u64,
-    /// Wall-clock nanoseconds for the run.
-    pub wall_ns: u128,
-    /// Heap allocations during the run (0 without a counting allocator).
-    pub allocations: u64,
-    /// True if the run hit the event-cap safety valve before the
-    /// horizon — the measurement covers a prefix, not the scenario.
-    pub truncated: bool,
-}
-
-impl SignedMeasurement {
-    /// Delivered messages per wall-clock second.
-    pub fn msgs_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.msgs_delivered as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Sign+verify operations per wall-clock second (the headline
-    /// authenticator-throughput number).
-    pub fn sig_ops_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        (self.sigs_signed + self.sigs_verified) as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Wall-clock nanoseconds per delivered message.
-    pub fn ns_per_delivery(&self) -> f64 {
-        if self.msgs_delivered == 0 {
-            return 0.0;
-        }
-        self.wall_ns as f64 / self.msgs_delivered as f64
-    }
-}
-
 /// Run the pinned signed scenario and return its metrics (tests).
 pub fn run_signed(seed: u64, suite: AuthSuite, periods: u64) -> SimMetrics {
     let mut w = signed_world(seed, suite, periods, false);
     w.start();
-    w.run_until(horizon(&w, periods));
+    w.run_until(horizon(w.period(), periods));
     *w.metrics()
-}
-
-/// Measure one suite on the pinned signed scenario.
-pub fn measure_signed(
-    seed: u64,
-    suite: AuthSuite,
-    periods: u64,
-    alloc_counter: &dyn Fn() -> u64,
-) -> SignedMeasurement {
-    let mut w = signed_world(seed, suite, periods, false);
-    w.start();
-    let horizon = horizon(&w, periods);
-    let allocs_before = alloc_counter();
-    let start = std::time::Instant::now();
-    w.run_until(horizon);
-    let wall_ns = start.elapsed().as_nanos();
-    let allocations = alloc_counter().saturating_sub(allocs_before);
-
-    let (mut signs, mut verifies, mut rejects) = (0u64, 0u64, 0u64);
-    for i in 0..SIGNED_NODES as u32 {
-        let b = w
-            .behavior(NodeId(i))
-            .and_then(|b| b.as_any())
-            .and_then(|a| a.downcast_ref::<SignedBlaster>())
-            .expect("signed blaster installed");
-        signs += b.signs;
-        verifies += b.verifies;
-        rejects += b.rejects;
-    }
-    let m = w.metrics();
-    SignedMeasurement {
-        suite,
-        msgs_sent: m.msgs_sent,
-        msgs_delivered: m.msgs_delivered,
-        sigs_signed: signs,
-        sigs_verified: verifies,
-        rejects,
-        wall_ns,
-        allocations,
-        truncated: w.truncated(),
-    }
-}
-
-/// Nanoseconds per sign+verify pair for one suite, measured directly on
-/// the `Signer`/`KeyStore` API over a pinned envelope-sized message.
-/// This is the `pair_ns` that `harness bench --signed` reports and takes
-/// `speedup_sign_verify` from: it isolates authenticator cost from
-/// simulator overhead.
-pub fn measure_pair_ns(suite: AuthSuite, iters: u32) -> f64 {
-    use btr_crypto::{KeyStore, NodeKey, Signer};
-    let signer = Signer::new(NodeKey::derive_suite(7, 0, suite));
-    let ks = KeyStore::derive_suite(7, SIGNED_NODES, suite);
-    // A representative envelope signing payload (~128 bytes).
-    let msg = [0x5au8; 128];
-    // Warm up, then measure.
-    for _ in 0..iters / 10 + 1 {
-        let sig = signer.sign(&msg);
-        ks.verify(&sig, &msg).expect("verifies");
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..iters.max(1) {
-        let sig = std::hint::black_box(signer.sign(std::hint::black_box(&msg)));
-        ks.verify(&sig, &msg).expect("verifies");
-    }
-    start.elapsed().as_nanos() as f64 / iters.max(1) as f64
 }
 
 #[cfg(test)]
@@ -292,7 +174,7 @@ mod tests {
     fn traced_run(seed: u64, suite: AuthSuite, periods: u64) -> (SimMetrics, Vec<TraceEvent>) {
         let mut w = signed_world(seed, suite, periods, true);
         w.start();
-        w.run_until(horizon(&w, periods));
+        w.run_until(horizon(w.period(), periods));
         (*w.metrics(), w.trace().to_vec())
     }
 
@@ -336,30 +218,32 @@ mod tests {
     #[test]
     fn every_message_verifies_under_both_suites() {
         for suite in AuthSuite::ALL {
-            let m = measure_signed(3, suite, 50, &|| 0);
-            assert_eq!(m.rejects, 0, "{suite}: verification rejected traffic");
+            let mut w = signed_world(3, suite, 50, false);
+            w.start();
+            w.run_until(horizon(w.period(), 50));
+            let (mut signs, mut verifies, mut rejects) = (0u64, 0u64, 0u64);
+            for i in 0..SIGNED_NODES as u32 {
+                let b = w
+                    .behavior(NodeId(i))
+                    .and_then(|b| b.as_any())
+                    .and_then(|a| a.downcast_ref::<SignedBlaster>())
+                    .expect("signed blaster installed");
+                signs += b.signs;
+                verifies += b.verifies;
+                rejects += b.rejects;
+            }
+            let m = w.metrics();
+            assert_eq!(rejects, 0, "{suite}: verification rejected traffic");
             assert_eq!(m.msgs_delivered, m.msgs_sent);
             // 2 signs per sent message; 2..=2+W verifies per delivery
             // (the witness window fills over the first periods).
-            assert_eq!(m.sigs_signed, 2 * m.msgs_sent);
-            assert!(m.sigs_verified >= 2 * m.msgs_delivered);
+            assert_eq!(signs, 2 * m.msgs_sent);
+            assert!(verifies >= 2 * m.msgs_delivered);
             assert!(
-                m.sigs_verified <= (2 + SIGNED_WITNESSES as u64) * m.msgs_delivered,
-                "{suite}: {} verifies for {} deliveries",
-                m.sigs_verified,
+                verifies <= (2 + SIGNED_WITNESSES as u64) * m.msgs_delivered,
+                "{suite}: {verifies} verifies for {} deliveries",
                 m.msgs_delivered
             );
-        }
-    }
-
-    #[test]
-    fn pair_measurement_is_sane() {
-        // Smoke only: both suites must produce a positive, finite cost.
-        // How the two compare is reported, not gated — it depends on
-        // whether the CPU has the SHA extensions.
-        for suite in AuthSuite::ALL {
-            let ns = measure_pair_ns(suite, 200);
-            assert!(ns.is_finite() && ns > 0.0, "{suite}: {ns}");
         }
     }
 }

@@ -1,0 +1,151 @@
+//! The `harness` binary's exit-code contract: 0 on success, 1 when a
+//! gate fails, 2 on anything malformed — and never a panic. Only error
+//! paths and `--list`/`--help` run here; they return before any
+//! measurement starts, so the debug binary answers in milliseconds.
+
+use std::process::{Command, Output, Stdio};
+
+fn harness(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(args)
+        .output()
+        .expect("harness runs")
+}
+
+/// Run `args`, expect exit 2 with nothing on stdout, return stderr.
+fn rejected(args: &[&str]) -> String {
+    let out = harness(args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    err
+}
+
+#[test]
+fn unknown_and_retired_commands_exit_2() {
+    for cmd in ["e99", "bench", "scale", "obs"] {
+        let err = rejected(&[cmd]);
+        assert!(err.contains(&format!("'{cmd}'")), "{err}");
+    }
+    // The retired commands' flags went with them, and a bad id stops the
+    // run before the good one before it has printed anything.
+    rejected(&["bench", "500", "--signed"]);
+    rejected(&["profile", "--no-such-flag", "x.json"]);
+    rejected(&["e3", "bench"]);
+    rejected(&["all", "e99"]);
+}
+
+#[test]
+fn no_command_is_usage_on_stderr_and_help_is_usage_on_stdout() {
+    assert!(rejected(&[]).starts_with("usage: harness"));
+    assert!(rejected(&["--threads", "2"]).starts_with("usage: harness"));
+    for flag in ["--help", "-h"] {
+        let out = harness(&[flag]);
+        assert_eq!(out.status.code(), Some(0));
+        assert!(out.stderr.is_empty());
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: harness"));
+    }
+}
+
+#[test]
+fn malformed_flag_values_exit_2() {
+    assert!(rejected(&["fuzz", "--budget"]).contains("needs a value"));
+    assert!(rejected(&["fuzz", "--budget", "many"]).contains("bad value 'many'"));
+    assert!(rejected(&["fuzz", "--budget", "0"]).contains("at least 1"));
+    assert!(rejected(&["--threads", "0", "e3"]).contains("at least 1"));
+    assert!(rejected(&["campaign", "--auth", "rot13"]).contains("hmac, sip, or both"));
+    assert!(rejected(&["profile", "--nodes", "1"]).contains("sizes >= 2"));
+    assert!(rejected(&["profile", "--nodes", "20,,100"]).contains("sizes >= 2"));
+    assert!(rejected(&["live", "--pace", "0"]).contains("must be positive"));
+    assert!(rejected(&["live", "--pace", "inf"]).contains("must be positive"));
+    assert!(rejected(&["live", "--flight-cap", "0"]).contains("at least 1"));
+    for cmd in ["profile", "live", "campaign", "fuzz"] {
+        let err = rejected(&[cmd, "stray"]);
+        assert!(
+            err.contains(&format!("unknown {cmd} argument 'stray'")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn malformed_replay_tokens_exit_2() {
+    let token = "w=avionics;t=bus1x100x1;f=1;r=150000;h=100000;me=0;s=1;fl=";
+    for cmd in ["campaign", "live"] {
+        assert!(rejected(&[cmd, "--replay", token]).contains("bad replay token"));
+        assert!(rejected(&[cmd, "--replay", "not a token"]).contains("bad replay token"));
+    }
+}
+
+#[test]
+fn a_flag_value_that_spells_a_command_does_not_pick_the_command() {
+    // `--out campaign` names a file. Both readings fail fast, each with
+    // its own message: fuzz rejects the zero budget, campaign would
+    // reject `fuzz` and `--budget` as arguments it does not know.
+    let err = rejected(&["fuzz", "--budget", "0", "--out", "campaign"]);
+    assert!(err.contains("--budget must be at least 1"), "{err}");
+    let err = rejected(&["--threads", "1", "live", "--pace", "0", "--out", "fuzz"]);
+    assert!(err.contains("--pace must be positive"), "{err}");
+}
+
+#[test]
+fn list_names_the_experiments_and_exactly_four_commands() {
+    let out = harness(&["--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(out.stderr.is_empty());
+    // The first word of every unindented line.
+    let listed: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| !l.starts_with(' '))
+        .filter_map(|l| l.split_whitespace().next().map(str::to_string))
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "a1", "a2", "r1",
+            "profile", "live", "campaign", "fuzz"
+        ]
+    );
+}
+
+#[test]
+fn list_and_help_advertise_the_same_flags() {
+    let flags = |args: &[&str]| {
+        let out = harness(args);
+        let mut flags: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .map(str::to_string)
+            .collect();
+        flags.sort();
+        flags.dedup();
+        flags
+    };
+    let mut list = flags(&["--list"]);
+    // The two global flags live only in the usage text.
+    list.extend(["--list".to_string(), "--threads".to_string()]);
+    list.sort();
+    assert_eq!(list, flags(&["--help"]));
+    assert!(list.contains(&"--flight-cap".to_string()));
+    assert!(!list.contains(&"--signed".to_string()));
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    // `harness --list | head -1` after head has gone: the read end is
+    // closed before the child starts, so its first write gets EPIPE.
+    for flag in ["--list", "--help"] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .arg(flag)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("harness runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {err}");
+        assert!(err.is_empty(), "{flag}: {err}");
+    }
+}

@@ -176,12 +176,6 @@ impl BtrSystem {
         })
     }
 
-    /// Override the per-node runtime configuration.
-    pub fn with_node_config(mut self, cfg: BtrConfig) -> Self {
-        self.node_cfg = cfg;
-        self
-    }
-
     /// Enable residual link loss (parts per million) — the post-FEC error
     /// rate of Section 2.1's "losses are rare enough to be ignored".
     pub fn with_loss_ppm(mut self, ppm: u32) -> Self {

@@ -281,14 +281,6 @@ impl Plan {
             .map(|s| s.utilization(period))
             .fold(0.0, f64::max)
     }
-
-    /// Total data-plane bytes per period across links.
-    pub fn total_bandwidth(&self) -> u64 {
-        self.link_alloc
-            .iter()
-            .map(|l| l.shares.values().sum::<u64>())
-            .sum()
-    }
 }
 
 /// A migration of one augmented task during a mode transition.

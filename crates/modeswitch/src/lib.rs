@@ -209,12 +209,6 @@ impl ModeSwitcher {
                 .last_activated
                 .is_some_and(|t| now.saturating_since(t) <= settle)
     }
-
-    /// Worst-case time from fault report to activation for the *next*
-    /// single fault (used in R accounting / diagnostics).
-    pub fn next_switch_bound(&self, strategy: &Strategy) -> Duration {
-        strategy.worst_transition_bound() + strategy.period
-    }
 }
 
 #[cfg(test)]

@@ -169,14 +169,6 @@ impl ObsRecorder {
         }
     }
 
-    /// Pre-size the mark log (the record path then stays
-    /// allocation-free up to `cap` marks).
-    pub fn with_mark_capacity(cap: usize) -> ObsRecorder {
-        let mut r = Self::new();
-        r.marks.reserve(cap);
-        r
-    }
-
     /// A counter's value.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize]
