@@ -1133,6 +1133,14 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
             t.runs_per_sec()
         );
     }
+    if let Some(t) = outcome.scaling.first() {
+        outln!(
+            "  {:.2} MACs per delivered message ({} MACs / {} deliveries)",
+            t.macs_per_delivery(),
+            t.macs,
+            t.delivered
+        );
+    }
     let admissible_viol = outcome.admissible_violations();
     let total_viol = outcome
         .records

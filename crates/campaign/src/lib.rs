@@ -68,6 +68,12 @@ pub struct Timing {
     pub wall_ns: u64,
     /// Runs executed.
     pub runs: usize,
+    /// MAC tags the runs computed, signing and verifying (a count, the
+    /// same at any thread count; reported as a cost, beside the wall
+    /// time, not as part of any verdict).
+    pub macs: u64,
+    /// Messages the runs delivered.
+    pub delivered: u64,
 }
 
 impl Timing {
@@ -77,6 +83,12 @@ impl Timing {
             return f64::NAN;
         }
         self.runs as f64 / (self.wall_ns as f64 / 1e9)
+    }
+
+    /// MACs computed per delivered message: about two when every signed
+    /// thing is signed once and checked once by each receiver.
+    pub fn macs_per_delivery(&self) -> f64 {
+        self.macs as f64 / self.delivered as f64
     }
 }
 
@@ -224,15 +236,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, CampaignErr
 
     let mut seq_cfg = cfg.clone();
     seq_cfg.threads = 1;
-    let (records, seq_wall) = runner::execute(&seq_cfg, &cells);
-    let mut scaling = vec![Timing {
-        threads: 1,
-        wall_ns: seq_wall,
-        runs: records.len(),
-    }];
+    let (records, seq_timing) = runner::execute(&seq_cfg, &cells);
+    let mut scaling = vec![seq_timing];
 
     if cfg.threads > 1 {
-        let (par_records, par_wall) = runner::execute(cfg, &cells);
+        let (par_records, par_timing) = runner::execute(cfg, &cells);
         if let Some(first) = records
             .iter()
             .zip(&par_records)
@@ -244,11 +252,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, CampaignErr
                 first_divergence: first as u32,
             });
         }
-        scaling.push(Timing {
-            threads: cfg.threads,
-            wall_ns: par_wall,
-            runs: par_records.len(),
-        });
+        scaling.push(par_timing);
     }
 
     // Shrink the first few violating runs to minimal reproducers.

@@ -364,8 +364,13 @@ pub fn render(out: &CampaignOutcome) -> String {
         }
         _ => "null".to_string(),
     };
+    // From the 1-thread pass (a count: any pass would read the same).
+    let macs = out
+        .scaling
+        .first()
+        .map_or(f64::NAN, |t| t.macs_per_delivery());
     s.push_str(&format!(
-        "    ],\n    \"parallel_speedup\": {speedup}\n  }}\n}}\n"
+        "    ],\n    \"parallel_speedup\": {speedup},\n    \"macs_per_delivery\": {macs:.3}\n  }}\n}}\n"
     ));
     s
 }

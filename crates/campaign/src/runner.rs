@@ -12,6 +12,7 @@
 use crate::grid::{CellError, CellSpec};
 use crate::schedule::{self, FaultSchedule, ScheduleParams};
 use crate::verdict::{score, Violation};
+use crate::Timing;
 use btr_core::BtrSystem;
 use btr_model::Duration;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -172,6 +173,19 @@ pub fn execute_run(
     schedule_id: u32,
     seed_slot: u32,
 ) -> RunRecord {
+    run_and_score(cfg, cells, run_idx, cell_idx, schedule_id, seed_slot).0
+}
+
+/// [`execute_run`], plus the messages the run delivered (the base of the
+/// timing region's MACs-per-delivery figure; not part of the record).
+fn run_and_score(
+    cfg: &CampaignConfig,
+    cells: &[PlannedCell],
+    run_idx: u32,
+    cell_idx: u16,
+    schedule_id: u32,
+    seed_slot: u32,
+) -> (RunRecord, u64) {
     let cell = &cells[cell_idx as usize];
     let sched = &cell.schedules[schedule_id as usize];
     let seed = sim_seed(cfg.seed, seed_slot);
@@ -204,7 +218,7 @@ pub fn execute_run(
         .map(|(_, _, _, fs)| *fs as u32)
         .max()
         .unwrap_or(0);
-    RunRecord {
+    let record = RunRecord {
         run_idx,
         cell_idx,
         schedule_id,
@@ -221,7 +235,8 @@ pub fn execute_run(
         suppressed,
         convictions,
         violations,
-    }
+    };
+    (record, report.metrics.msgs_delivered)
 }
 
 /// The work-stealing primitive every fleet in this workspace runs on:
@@ -269,8 +284,10 @@ where
 }
 
 /// Run the whole grid at `cfg.threads`, returning records in run order
-/// plus the wall time of the execution phase.
-pub fn execute(cfg: &CampaignConfig, cells: &[PlannedCell]) -> (Vec<RunRecord>, u64) {
+/// plus what the execution phase cost: its wall time, and the MACs the
+/// runs computed against the messages they delivered (each worker reads
+/// its own thread's `btr_crypto::mac_count` around each run).
+pub fn execute(cfg: &CampaignConfig, cells: &[PlannedCell]) -> (Vec<RunRecord>, Timing) {
     // Lay the grid out cell-major so the report reads naturally.
     let mut specs: Vec<(u16, u32, u32)> = Vec::new();
     for (c, cell) in cells.iter().enumerate() {
@@ -281,12 +298,28 @@ pub fn execute(cfg: &CampaignConfig, cells: &[PlannedCell]) -> (Vec<RunRecord>, 
         }
     }
     let started = std::time::Instant::now();
-    let records = run_indexed(specs.len(), cfg.threads, |i| {
+    let runs = run_indexed(specs.len(), cfg.threads, |i| {
         let (c, s, k) = specs[i];
-        execute_run(cfg, cells, i as u32, c, s, k)
+        let macs_before = btr_crypto::mac_count();
+        let (record, delivered) = run_and_score(cfg, cells, i as u32, c, s, k);
+        (record, btr_crypto::mac_count() - macs_before, delivered)
     });
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    (records, wall_ns)
+    let mut timing = Timing {
+        threads: cfg.threads,
+        wall_ns: started.elapsed().as_nanos() as u64,
+        runs: runs.len(),
+        macs: 0,
+        delivered: 0,
+    };
+    let records = runs
+        .into_iter()
+        .map(|(record, macs, delivered)| {
+            timing.macs += macs;
+            timing.delivered += delivered;
+            record
+        })
+        .collect();
+    (records, timing)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub use chain::{ChainEntry, HashChain};
 pub use hmac::{hmac_sha256, HmacKey, HmacState};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sha256::{sha256, Digest, Sha256};
-pub use sign::{AuthSuite, KeyStore, NodeKey, SigBatch, SigError, Signature, Signer};
+pub use sign::{mac_count, AuthSuite, KeyStore, NodeKey, SigBatch, SigError, Signature, Signer};
 pub use siphash::{SipKey, SipState};
 
 /// Convenience: hash a sequence of byte slices as one message.

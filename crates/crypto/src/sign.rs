@@ -35,6 +35,21 @@ use crate::hmac::HmacKey;
 use crate::sha256::Digest;
 use crate::siphash::SipKey;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+
+thread_local! {
+    /// MAC computations made on this thread (see [`mac_count`]).
+    static MACS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// MAC tags computed on the calling thread so far, signing and verifying
+/// alike, either suite. A plain per-thread tally beside the one place
+/// tags are computed: a caller reads it before and after a piece of work
+/// to learn how many MACs that work cost (a simulated run is
+/// single-threaded, so its difference is exact). Nothing can reset it.
+pub fn mac_count() -> u64 {
+    MACS.with(Cell::get)
+}
 
 /// Identifier of a signing principal (one per node).
 ///
@@ -177,6 +192,7 @@ impl Material {
 
     /// Compute the 32-byte tag field for a message given as parts.
     fn tag_parts(&self, parts: &[&[u8]]) -> Digest {
+        MACS.with(|n| n.set(n.get() + 1));
         match self {
             Material::Hmac(k) => k.mac_parts(parts),
             Material::Sip(k) => {
@@ -659,6 +675,33 @@ mod tests {
         let mut ok = Vec::new();
         assert_eq!(store.verify_batch(&batch, &mut ok), 0);
         assert_eq!(store.verify_batch_all(&batch), Err(SigError::UnknownKey(9)));
+    }
+
+    #[test]
+    fn mac_count_tallies_every_tag_on_this_thread_only() {
+        for suite in AuthSuite::ALL {
+            let (signers, store) = setup_suite(2, suite);
+            let t0 = mac_count();
+            let sig = signers[0].sign(b"one");
+            assert_eq!(mac_count() - t0, 1, "{suite}: sign");
+            store.verify(&sig, b"one").unwrap();
+            assert_eq!(mac_count() - t0, 2, "{suite}: verify");
+            // A batch spends one MAC per staged item, none on a
+            // pre-failed one.
+            let mut batch = SigBatch::new();
+            batch.push_prefailed();
+            batch.push_with(&sig, |buf| buf.extend_from_slice(b"one"));
+            batch.push_with(&sig, |buf| buf.extend_from_slice(b"two"));
+            store.verify_batch(&batch, &mut Vec::new());
+            assert_eq!(mac_count() - t0, 4, "{suite}: batch");
+            // Another thread's MACs are that thread's.
+            let elsewhere = std::thread::spawn(move || {
+                signers[1].sign(b"away");
+                mac_count()
+            });
+            assert_eq!(elsewhere.join().unwrap(), 1);
+            assert_eq!(mac_count() - t0, 4, "{suite}: other thread");
+        }
     }
 
     #[test]

@@ -16,18 +16,34 @@ use btr_model::{
 };
 use std::collections::BTreeMap;
 
-/// First-seen signed outputs, for equivocation detection.
+/// First-seen signed outputs, for equivocation detection — and the
+/// node's verified-record memo.
 ///
 /// Keyed by (task, replica, period): any two validly signed outputs under
 /// the same key with different content are an equivocation proof against
 /// their producer. Shared across all checkers on a node so witnesses from
 /// different flows cross-check each other.
+///
+/// Invariant: every resident was MAC-verified by this node before it was
+/// inserted ([`OutputPool::insert_checked`] is only ever handed verified
+/// outputs). A later copy that equals a resident in every field, tag and
+/// key id included, is therefore known valid without another MAC
+/// ([`OutputPool::is_resident`]); a copy that differs anywhere is not
+/// covered and must be MAC-checked like a first sighting.
 #[derive(Debug, Default)]
 pub struct OutputPool {
     seen: BTreeMap<(TaskId, ReplicaIdx, PeriodIdx), SignedOutput>,
 }
 
 impl OutputPool {
+    /// True if `out` is byte-for-byte the verified copy this pool holds
+    /// for its (task, replica, period): same fields, same tag, same key
+    /// id. The comparison needs no constant-time care — a resident's tag
+    /// already travelled the network in the clear.
+    pub fn is_resident(&self, out: &SignedOutput) -> bool {
+        self.seen.get(&(out.task, out.replica, out.period)) == Some(out)
+    }
+
     /// Insert a (signature-verified) output; returns an equivocation
     /// proof if it conflicts with an earlier copy.
     pub fn insert_checked(&mut self, out: &SignedOutput) -> Option<EvidenceRecord> {
@@ -96,7 +112,10 @@ pub struct ReplicaChecker {
 
 impl ReplicaChecker {
     /// Create a checker from its plan-derived configuration.
-    pub fn new(cfg: CheckerConfig) -> Self {
+    pub fn new(mut cfg: CheckerConfig) -> Self {
+        // Sorted once: `observe` compares it with each output's sorted
+        // witness tasks.
+        cfg.inputs.sort_unstable();
         ReplicaChecker {
             cfg,
             arrived: BTreeMap::new(),
@@ -154,12 +173,10 @@ impl ReplicaChecker {
             }
             vals.push((w.task, w.value));
         }
-        let mut declared = self.cfg.inputs.clone();
-        declared.sort_unstable();
         let mut supplied: Vec<TaskId> = vals.iter().map(|(t, _)| *t).collect();
         supplied.sort_unstable();
         if !self.cfg.is_source {
-            if declared != supplied {
+            if self.cfg.inputs != supplied {
                 witness_flaw = true;
             }
             if inputs_digest(&vals) != output.inputs_digest {

@@ -12,7 +12,8 @@
 //!   *proofs* for commission faults (bad computation, checked against the
 //!   producer's own signed input commitment) and equivocation.
 //! * [`checker::OutputPool`] — a cross-task pool of first-seen signed
-//!   outputs; any conflicting second copy is an equivocation proof.
+//!   outputs; any conflicting second copy is an equivocation proof, and
+//!   an identical one needs no second MAC (the verified-record memo).
 //! * [`timing::TimingWatch`] — detects "doing the right thing at the
 //!   wrong time": validly signed outputs arriving outside their window
 //!   become timing *declarations*.
@@ -54,8 +55,14 @@ pub struct Detector {
     /// output and all its witnesses are MAC-checked in one keyed pass
     /// over this scratch instead of one allocating verify per record.
     batch: SigBatch,
-    /// Per-item results of the last batch pass (index-aligned).
+    /// Per-item results of the last batch pass (aligned with the staged
+    /// items, which skip pool-resident witnesses).
     batch_ok: Vec<bool>,
+    /// Per-witness validity of the message at hand (aligned with its
+    /// witness list): resident in the pool, or MAC-checked in the batch.
+    witness_ok: Vec<bool>,
+    /// Reusable encoding scratch for evidence ids.
+    id_scratch: Vec<u8>,
     /// Nodes exonerated from missing-output blame: the node itself
     /// declared an upstream path problem for that period, so its silence
     /// was a cascade. Maps to the *root* producer/task being blamed, so
@@ -80,6 +87,8 @@ impl Detector {
             emitted: BTreeSet::new(),
             batch: SigBatch::new(),
             batch_ok: Vec::new(),
+            witness_ok: Vec::new(),
+            id_scratch: Vec::new(),
             exonerated: BTreeMap::new(),
             suppressed: 0,
         }
@@ -101,17 +110,25 @@ impl Detector {
         self.checkers.keys().copied().collect()
     }
 
-    fn dedup(&mut self, records: Vec<EvidenceRecord>) -> Vec<EvidenceRecord> {
+    fn dedup(&mut self, mut records: Vec<EvidenceRecord>) -> Vec<EvidenceRecord> {
+        records.retain(|r| self.emitted.insert(r.id_with(&mut self.id_scratch)));
         records
-            .into_iter()
-            .filter(|r| self.emitted.insert(r.id()))
-            .collect()
     }
 
     /// Feed a received task output (with witnesses) into the detector.
     ///
     /// `expected_by` is the output's arrival deadline (absolute time) and
     /// `arrived_at` the local arrival timestamp, for timing detection.
+    /// `verified` is the result of a MAC check of `output` the caller has
+    /// already made against this node's keystore (`None` if it made
+    /// none), so an output the runtime had to verify before storing it
+    /// is not verified again here.
+    ///
+    /// Each signed record is MAC-checked at most once per distinct copy:
+    /// one that equals the pool's verified resident — every field, the
+    /// tag and the key id — is valid without a MAC (see [`OutputPool`]);
+    /// anything else is staged and checked. No record is acted on that
+    /// this node has not verified at least once.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_output(
         &mut self,
@@ -119,6 +136,7 @@ impl Detector {
         signer: &Signer,
         view: &dyn WorkloadView,
         output: SignedOutput,
+        verified: Option<bool>,
         witnesses: &[SignedOutput],
         arrived_at: Time,
         expected_by: Option<Time>,
@@ -130,29 +148,43 @@ impl Detector {
         // set to a garbage-tagged output must not buy W extra MACs);
         // unverifiable outputs are dropped silently — the envelope
         // layer already attributes traffic.
-        self.batch.clear();
-        self.batch_ok.clear();
-        output.stage_for_verify(&mut self.batch);
-        ks.verify_batch(&self.batch, &mut self.batch_ok);
-        if !self.batch_ok[0] {
+        let output_ok = verified.unwrap_or_else(|| {
+            self.pool.is_resident(&output) || {
+                self.batch.clear();
+                self.batch_ok.clear();
+                output.stage_for_verify(&mut self.batch);
+                ks.verify_batch(&self.batch, &mut self.batch_ok) == 1
+            }
+        });
+        if !output_ok {
             return out;
         }
-        // Then the witness set, batched: one staging buffer, one keyed
-        // pass (amortising per-record setup; the per-record allocating
-        // `verify` this replaces dominated the audit cost). The results
-        // are index-aligned with `witnesses` and reused by the checker
-        // below, so each witness is MAC-checked exactly once.
+        // Then the witness set: the ones the pool does not already hold
+        // verified, batched — one staging buffer, one keyed pass
+        // (amortising per-record setup; the per-record allocating
+        // `verify` this replaces dominated the audit cost). `witness_ok`
+        // is index-aligned with `witnesses` and reused by the checker
+        // below, so each witness is MAC-checked at most once.
         self.batch.clear();
         self.batch_ok.clear();
+        self.witness_ok.clear();
         for w in witnesses {
-            w.stage_for_verify(&mut self.batch);
+            let resident = self.pool.is_resident(w);
+            self.witness_ok.push(resident);
+            if !resident {
+                w.stage_for_verify(&mut self.batch);
+            }
         }
         ks.verify_batch(&self.batch, &mut self.batch_ok);
+        let mut checked = self.batch_ok.iter();
+        for ok in self.witness_ok.iter_mut().filter(|ok| !**ok) {
+            *ok = *checked.next().expect("one result per staged witness");
+        }
         // Equivocation pool over the output and each valid witness.
         if let Some(ev) = self.pool.insert_checked(&output) {
             out.push(ev);
         }
-        for (w, &ok) in witnesses.iter().zip(&self.batch_ok) {
+        for (w, &ok) in witnesses.iter().zip(&self.witness_ok) {
             if ok {
                 if let Some(ev) = self.pool.insert_checked(w) {
                     out.push(ev);
@@ -169,9 +201,9 @@ impl Detector {
             }
         }
         // Commission checking, if this node checks the task — reusing
-        // the batch results instead of re-verifying every witness.
+        // the results above instead of re-verifying every witness.
         if let Some(chk) = self.checkers.get_mut(&output.task) {
-            out.extend(chk.observe(view, output, witnesses, &self.batch_ok, envelope));
+            out.extend(chk.observe(view, output, witnesses, &self.witness_ok, envelope));
         }
         self.dedup(out)
     }
@@ -401,9 +433,9 @@ mod tests {
         let (o0, w0) = lane_out(1, 0, 1, 0);
         let (o1, w1) = lane_out(1, 1, 2, 0);
         let s = signer(3);
-        let evs = d.observe_output(&ks(), &s, &View, o0, &w0, Time(100), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, o0, None, &w0, Time(100), None, None);
         assert!(evs.is_empty());
-        let evs = d.observe_output(&ks(), &s, &View, o1, &w1, Time(100), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, o1, None, &w1, Time(100), None, None);
         assert!(evs.is_empty(), "{evs:?}");
     }
 
@@ -413,14 +445,14 @@ mod tests {
         d.install_checker(checker_cfg());
         let (bad, w) = lane_out(1, 0, 1, 0xdead);
         let s = signer(3);
-        let evs = d.observe_output(&ks(), &s, &View, bad, &w, Time(100), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, bad, None, &w, Time(100), None, None);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].convicts(), Some(NodeId(1)));
         // The proof verifies independently.
         assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
         // Re-observing does not re-emit (dedup).
         let (bad2, w2) = lane_out(1, 0, 1, 0xdead);
-        let evs = d.observe_output(&ks(), &s, &View, bad2, &w2, Time(100), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, bad2, None, &w2, Time(100), None, None);
         assert!(evs.is_empty());
     }
 
@@ -431,9 +463,9 @@ mod tests {
         // Node 1 signs two different lane-0 outputs for the same period.
         let (a, wa) = lane_out(2, 0, 1, 0);
         let (b, wb) = lane_out(2, 0, 1, 0x55);
-        let evs = d.observe_output(&ks(), &s, &View, a, &wa, Time(0), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, a, None, &wa, Time(0), None, None);
         assert!(evs.is_empty());
-        let evs = d.observe_output(&ks(), &s, &View, b, &wb, Time(0), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, b, None, &wb, Time(0), None, None);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].convicts(), Some(NodeId(1)));
         assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
@@ -446,28 +478,228 @@ mod tests {
         // A forged output (tag does not match content) is dropped whole.
         let (mut forged, w) = lane_out(1, 0, 1, 0);
         forged.value ^= 1;
-        let evs = d.observe_output(&ks(), &s, &View, forged, &w, Time(0), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, forged, None, &w, Time(0), None, None);
         assert!(evs.is_empty());
         // A relabelled output (valid tag under the signer's own key, but
         // claiming another producer) is equally dropped: the batch path
         // must keep the key-id/producer consistency gate.
         let (mut relabelled, w) = lane_out(1, 0, 1, 0);
         relabelled.producer = NodeId(5);
-        let evs = d.observe_output(&ks(), &s, &View, relabelled, &w, Time(0), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, relabelled, None, &w, Time(0), None, None);
         assert!(evs.is_empty());
         // A valid output with one forged witness: the witness is skipped
         // (it cannot seed the equivocation pool) but the output lands.
         let (good, mut w) = lane_out(2, 0, 1, 0);
         w[0].value ^= 0xff; // Tag no longer matches.
-        let evs = d.observe_output(&ks(), &s, &View, good.clone(), &w, Time(0), None, None);
+        let evs = d.observe_output(
+            &ks(),
+            &s,
+            &View,
+            good.clone(),
+            None,
+            &w,
+            Time(0),
+            None,
+            None,
+        );
         assert!(evs.is_empty());
         // The same witness, validly signed with a *conflicting* value,
         // now meets the pool for the first time: no equivocation proof
         // can cite the forged copy, proving it was never admitted.
         let (again, w2) = lane_out(2, 0, 1, 0);
-        let evs = d.observe_output(&ks(), &s, &View, again, &w2, Time(1), None, None);
+        let evs = d.observe_output(&ks(), &s, &View, again, None, &w2, Time(1), None, None);
         assert!(evs.is_empty(), "forged witness must not have been pooled");
         let _ = good;
+        // Nor did it become the memo's resident: the forged copy, sent
+        // again, is still not taken on trust (a MAC is spent on it, and
+        // it fails), while the honest copy the last message pooled is.
+        assert!(!d.pool.is_resident(&w[0]) && d.pool.is_resident(&w2[0]));
+        let (third, _) = lane_out(2, 1, 2, 0);
+        let macs = btr_crypto::mac_count();
+        see(&mut d, third, None, &w);
+        assert_eq!(btr_crypto::mac_count() - macs, 2, "output + forged witness");
+        assert_eq!(d.witness_ok, [false]);
+    }
+
+    /// `observe_output` with no timing window and no envelope.
+    fn see(
+        d: &mut Detector,
+        output: SignedOutput,
+        verified: Option<bool>,
+        witnesses: &[SignedOutput],
+    ) -> Vec<EvidenceRecord> {
+        let s = signer(3);
+        d.observe_output(
+            &ks(),
+            &s,
+            &View,
+            output,
+            verified,
+            witnesses,
+            Time(0),
+            None,
+            None,
+        )
+    }
+
+    #[test]
+    fn resident_copies_cost_no_mac_and_anything_else_is_checked() {
+        let mut d = Detector::new(NodeId(3), 3, 3);
+        d.install_checker(checker_cfg());
+        let (o, w) = lane_out(1, 0, 1, 0);
+        let macs = btr_crypto::mac_count();
+        assert!(see(&mut d, o.clone(), None, &w).is_empty());
+        assert_eq!(
+            btr_crypto::mac_count() - macs,
+            2,
+            "first sight: one MAC each"
+        );
+        // The same message again (an echo, a second consumer's copy):
+        // output and witness are both the pool's verified residents.
+        let macs = btr_crypto::mac_count();
+        assert!(see(&mut d, o.clone(), None, &w).is_empty());
+        assert_eq!(btr_crypto::mac_count() - macs, 0, "all resident");
+        assert_eq!(d.witness_ok, [true]);
+        // The other lane carries the same witness: only its own output
+        // is new. And an output the runtime already verified is not
+        // verified again.
+        let (o1, w1) = lane_out(1, 1, 2, 0);
+        let macs = btr_crypto::mac_count();
+        assert!(see(&mut d, o1, None, &w1).is_empty());
+        assert_eq!(
+            btr_crypto::mac_count() - macs,
+            1,
+            "new output, resident witness"
+        );
+        let (o2, w2) = lane_out(2, 0, 1, 0);
+        let macs = btr_crypto::mac_count();
+        assert!(see(&mut d, o2, Some(true), &w2).is_empty());
+        assert_eq!(
+            btr_crypto::mac_count() - macs,
+            1,
+            "caller-verified output, new witness"
+        );
+        // And one the runtime found forged is dropped on its word.
+        let (mut o3, w3) = lane_out(3, 0, 1, 0);
+        o3.value ^= 1;
+        let macs = btr_crypto::mac_count();
+        assert!(see(&mut d, o3.clone(), Some(false), &w3).is_empty());
+        assert_eq!(btr_crypto::mac_count() - macs, 0);
+        assert!(!d.pool.is_resident(&o3) && !d.pool.is_resident(&w3[0]));
+
+        // A copy of the resident witness altered in any one field, in the
+        // tag, or in the key id is not the resident: it takes the staged
+        // path and, being forged, fails it — as a witness and as an
+        // output — and never displaces the verified copy.
+        let resident = w[0].clone();
+        let mut altered = vec![resident.clone(); 8];
+        altered[0].task = TaskId(1);
+        altered[1].replica = 1;
+        altered[2].period = 2;
+        altered[3].value ^= 1;
+        altered[4].inputs_digest ^= 1;
+        altered[5].producer = NodeId(4);
+        altered[6].sig.tag.0[31] ^= 1;
+        altered[7].sig.key = 4;
+        for (i, forged) in altered.iter().enumerate() {
+            assert!(!d.pool.is_resident(forged), "field {i}");
+            assert!(forged.verify(&ks()).is_err(), "field {i} is a forgery");
+            let (carrier, _) = lane_out(1, 0, 1, 0);
+            let macs = btr_crypto::mac_count();
+            see(&mut d, carrier, None, std::slice::from_ref(forged));
+            assert_eq!(d.witness_ok, [false], "field {i} as a witness");
+            // Staged and MAC-checked, unless the key id contradicts the
+            // producer, which fails before any MAC is spent.
+            let gate = u64::from(forged.sig.key == forged.producer.0);
+            assert_eq!(btr_crypto::mac_count() - macs, gate, "field {i}");
+            assert!(see(&mut d, forged.clone(), None, &[]).is_empty());
+            assert!(!d.pool.is_resident(forged), "field {i} as an output");
+            assert!(
+                d.pool.is_resident(&resident),
+                "field {i} displaced the resident"
+            );
+        }
+    }
+
+    #[test]
+    fn validly_signed_conflicting_copy_is_checked_and_convicts() {
+        let mut d = Detector::new(NodeId(3), 3, 3);
+        let (a, wa) = lane_out(2, 0, 1, 0);
+        let (b, wb) = lane_out(2, 0, 1, 0x55);
+        assert!(see(&mut d, a.clone(), None, &wa).is_empty());
+        // `b` shares a's slot, producer and key but not its bytes: the
+        // memo does not cover it, its MAC is checked (one: the witness is
+        // resident), and the two copies are an equivocation proof —
+        // also when the runtime did the checking.
+        let macs = btr_crypto::mac_count();
+        let evs = see(&mut d, b.clone(), None, &wb);
+        assert_eq!(btr_crypto::mac_count() - macs, 1);
+        assert!(
+            matches!(&evs[..], [EvidenceRecord::Equivocation { accused, .. }] if *accused == NodeId(1))
+        );
+        assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
+        let mut d = Detector::new(NodeId(3), 3, 3);
+        see(&mut d, a.clone(), Some(true), &wa);
+        let evs = see(&mut d, b, Some(true), &wb);
+        assert_eq!(evs.len(), 1);
+        // The first-seen copy stays the resident.
+        assert!(d.pool.is_resident(&a));
+    }
+
+    proptest::proptest! {
+        /// The memo changes what a message costs, never what it yields: a
+        /// detector whose pool already holds the (honest) source outputs
+        /// every message cites returns, message for message, the evidence
+        /// a cold one does — over honest, miscomputed and equivocating
+        /// outputs, honest and forged witnesses, outputs the runtime did
+        /// and did not verify itself.
+        #[test]
+        fn prop_prewarmed_pool_changes_no_evidence(
+            msgs in proptest::collection::vec((1u64..4, 0u8..2, 0u8..3, 0u8..10), 1..14)
+        ) {
+            let mut cold = Detector::new(NodeId(3), 3, 3);
+            let mut warm = Detector::new(NodeId(3), 3, 3);
+            for d in [&mut cold, &mut warm] {
+                d.install_checker(checker_cfg());
+            }
+            for p in 1..4 {
+                proptest::prop_assert!(see(&mut warm, src_out(p), None, &[]).is_empty());
+            }
+            let (mut cold_macs, mut warm_macs) = (0, 0);
+            for (i, &(p, lane, out_kind, k)) in msgs.iter().enumerate() {
+                let (wit_kind, by_runtime) = (k % 5, k >= 5);
+                let xor = [0, 0xdead, 0x55 + i as u64][out_kind as usize];
+                let (output, mut w) = lane_out(p, lane, 1 + lane as u32, xor);
+                match wit_kind {
+                    0 | 1 => {}
+                    2 => w[0].sig.tag.0[0] ^= 1,
+                    3 => w[0].value ^= 1,
+                    _ => w[0].sig.key = 5,
+                }
+                // The producer's envelope signature, so a malformed
+                // witness set can be proven (BadWitness).
+                let payload = btr_model::Payload::Output { output: output.clone(), witnesses: w.clone() };
+                let env_sig = btr_model::Envelope::sign_parts(
+                    &signer(output.producer.0), output.producer, Time(i as u64), &payload, &mut Vec::new());
+                let verified = by_runtime.then(|| output.verify(&ks()).is_ok());
+                let feed = |d: &mut Detector| {
+                    let macs = btr_crypto::mac_count();
+                    let evs = d.observe_output(
+                        &ks(), &signer(3), &View, output.clone(), verified, &w,
+                        Time(i as u64), None, Some((Time(i as u64), env_sig)));
+                    (evs, btr_crypto::mac_count() - macs)
+                };
+                let (cold_evs, c) = feed(&mut cold);
+                let (warm_evs, m) = feed(&mut warm);
+                proptest::prop_assert!(cold_evs == warm_evs, "message {i}: {cold_evs:?} vs {warm_evs:?}");
+                for ev in &cold_evs {
+                    proptest::prop_assert_eq!(ev.verify(&ks(), &View), Ok(()));
+                }
+                cold_macs += c;
+                warm_macs += m;
+            }
+            proptest::prop_assert!(warm_macs <= cold_macs);
+        }
     }
 
     #[test]
@@ -480,6 +712,7 @@ mod tests {
             &s,
             &View,
             o,
+            None,
             &w,
             Time(9_000),
             Some(Time(5_000)),
@@ -497,7 +730,7 @@ mod tests {
         let s = signer(3);
         // Only lane 1 arrives in period 5.
         let (o1, w1) = lane_out(5, 1, 2, 0);
-        d.observe_output(&ks(), &s, &View, o1, &w1, Time(0), None, None);
+        d.observe_output(&ks(), &s, &View, o1, None, &w1, Time(0), None, None);
         let evs = d.end_of_period(&s, 5, &BTreeSet::new(), &|_, _| false);
         assert_eq!(evs.len(), 1);
         match &evs[0] {

@@ -59,19 +59,19 @@ impl Disseminator {
         self.forwarded.insert(id)
     }
 
-    /// Flooding targets: every healthy peer except the node itself and
-    /// the peer the record arrived from (it already has it).
+    /// Flooding targets, in id order: every peer except the node itself
+    /// and the peer the record arrived from (it already has it). Suspected
+    /// and convicted peers are *not* excluded: fault sets converge only
+    /// if all correct nodes eventually hold the same evidence, and local
+    /// suspicion must never partition the control plane.
     pub fn targets(
-        &self,
         node: NodeId,
         all_nodes: usize,
         from: Option<NodeId>,
-        known_faulty: &BTreeSet<NodeId>,
-    ) -> Vec<NodeId> {
+    ) -> impl Iterator<Item = NodeId> {
         (0..all_nodes as u32)
             .map(NodeId)
-            .filter(|&n| n != node && Some(n) != from && !known_faulty.contains(&n))
-            .collect()
+            .filter(move |&n| n != node && Some(n) != from)
     }
 
     /// True exactly once per (task, replica, period): the caller should
@@ -121,13 +121,11 @@ mod tests {
     }
 
     #[test]
-    fn targets_exclude_self_source_and_faulty() {
-        let d = Disseminator::new();
-        let faulty = BTreeSet::from([NodeId(3)]);
-        let t = d.targets(NodeId(0), 5, Some(NodeId(1)), &faulty);
-        assert_eq!(t, vec![NodeId(2), NodeId(4)]);
+    fn targets_exclude_self_and_source() {
+        let t: Vec<NodeId> = Disseminator::targets(NodeId(0), 5, Some(NodeId(1))).collect();
+        assert_eq!(t, vec![NodeId(2), NodeId(3), NodeId(4)]);
         // Locally generated evidence (no source) goes to everyone else.
-        let t = d.targets(NodeId(0), 4, None, &BTreeSet::new());
+        let t: Vec<NodeId> = Disseminator::targets(NodeId(0), 4, None).collect();
         assert_eq!(t, vec![NodeId(1), NodeId(2), NodeId(3)]);
     }
 }

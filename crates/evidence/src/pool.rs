@@ -29,6 +29,10 @@ impl Default for PoolConfig {
 pub enum AdmitOutcome {
     /// Newly verified: act on it (update fault set) and forward it.
     Verified {
+        /// The record's id, as computed for the duplicate check (the
+        /// caller's flooding dedup keys on it; hashing the record again
+        /// would cost another encoding and SHA-256).
+        id: EvidenceId,
         /// Proofs convict this node directly.
         convicts: Option<NodeId>,
         /// The record's class.
@@ -53,6 +57,8 @@ pub struct EvidencePool {
     blacklist: BTreeSet<NodeId>,
     used_budget: BTreeMap<NodeId, (PeriodIdx, u32)>,
     convicted: BTreeSet<NodeId>,
+    /// Reusable encoding scratch for record ids.
+    id_scratch: Vec<u8>,
 }
 
 impl EvidencePool {
@@ -66,6 +72,7 @@ impl EvidencePool {
             blacklist: BTreeSet::new(),
             used_budget: BTreeMap::new(),
             convicted: BTreeSet::new(),
+            id_scratch: Vec::new(),
         }
     }
 
@@ -85,7 +92,7 @@ impl EvidencePool {
         if self.blacklist.contains(&sender) {
             return AdmitOutcome::Blacklisted;
         }
-        let id = record.id();
+        let id = record.id_with(&mut self.id_scratch);
         if self.verified.contains_key(&id) || self.rejected_ids.contains(&id) {
             return AdmitOutcome::Duplicate;
         }
@@ -106,6 +113,7 @@ impl EvidencePool {
                 }
                 self.verified.insert(id, record.clone());
                 AdmitOutcome::Verified {
+                    id,
                     convicts: record.convicts(),
                     class: record.class(),
                 }
@@ -316,6 +324,7 @@ mod tests {
         assert_eq!(
             out,
             AdmitOutcome::Verified {
+                id: d.id(),
                 convicts: None,
                 class: EvidenceClass::Declaration
             }

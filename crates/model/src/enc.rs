@@ -112,6 +112,24 @@ impl<'a> Enc<'a> {
         self
     }
 
+    /// Append a length-prefixed nested encoding whose length is known
+    /// only once `body` has written it: the prefix is reserved, `body`
+    /// runs, and the prefix is patched. Byte-identical to
+    /// `self.bytes(&inner)` for an `inner` built by the same calls, in
+    /// one pass and with no intermediate vector.
+    pub fn nested(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        let at = self.len();
+        self.u64(0);
+        body(self);
+        let inner = (self.len() - at - 8) as u64;
+        match &mut self.out {
+            Out::Owned(b) => b[at..at + 8].copy_from_slice(&inner.to_be_bytes()),
+            Out::Borrowed(b) => b[at..at + 8].copy_from_slice(&inner.to_be_bytes()),
+            Out::Count(_) => {}
+        }
+        self
+    }
+
     /// Bytes written (or counted) so far.
     pub fn len(&self) -> usize {
         match &self.out {
@@ -227,6 +245,30 @@ mod tests {
         }
         assert_eq!(&buf[..split], &first[..]);
         assert_eq!(&buf[split..], &second[..]);
+    }
+
+    #[test]
+    fn nested_matches_bytes_of_the_inner_encoding() {
+        let mut inner = Enc::new("inner");
+        inner.u32(5).bytes(b"payload");
+        let mut reference = Enc::new("outer");
+        reference.u8(1).bytes(&inner.finish()).u8(2);
+        let expected = reference.finish();
+
+        let body = |e: &mut Enc<'_>| {
+            e.bytes(b"inner").u32(5).bytes(b"payload");
+        };
+        let mut owned = Enc::new("outer");
+        owned.u8(1).nested(body).u8(2);
+        assert_eq!(owned.finish(), expected);
+        // Appended after existing content, the patch lands at the right
+        // offset; counting sizes it the same.
+        let mut buf = vec![7u8; 5];
+        Enc::append(&mut buf, "outer").u8(1).nested(body).u8(2);
+        assert_eq!(&buf[5..], &expected[..]);
+        let mut counter = Enc::count("outer");
+        counter.u8(1).nested(body).u8(2);
+        assert_eq!(counter.len(), expected.len());
     }
 
     #[test]

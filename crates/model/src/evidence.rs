@@ -431,11 +431,20 @@ impl EvidenceRecord {
     /// Canonical bytes (identifies and sizes the record).
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut e = Enc::new("btr-evidence");
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    /// Stream the canonical encoding (sans domain prefix) into an
+    /// in-progress encoder: what [`EvidenceRecord::canonical_bytes`]
+    /// holds after its domain tag, without the intermediate vector. An
+    /// envelope carrying a record signs, verifies and sizes through this.
+    pub fn encode_into(&self, e: &mut Enc<'_>) {
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
                 e.u8(0).u32(accused.0);
-                a.encode(&mut e);
-                b.encode(&mut e);
+                a.encode(e);
+                b.encode(e);
             }
             EvidenceRecord::BadComputation {
                 accused,
@@ -443,10 +452,10 @@ impl EvidenceRecord {
                 inputs,
             } => {
                 e.u8(1).u32(accused.0);
-                output.encode(&mut e);
+                output.encode(e);
                 e.u32(inputs.len() as u32);
                 for i in inputs {
-                    i.encode(&mut e);
+                    i.encode(e);
                 }
             }
             EvidenceRecord::PathDeclaration {
@@ -474,7 +483,7 @@ impl EvidenceRecord {
                 sig,
             } => {
                 e.u8(3).u32(declarer.0);
-                output.encode(&mut e);
+                output.encode(e);
                 e.u64(expected_by.0)
                     .u64(observed_at.0)
                     .u32(sig.key)
@@ -501,25 +510,34 @@ impl EvidenceRecord {
                 env_sig,
             } => {
                 e.u8(5).u32(accused.0);
-                output.encode(&mut e);
+                output.encode(e);
                 e.u32(witnesses.len() as u32);
                 for w in witnesses {
-                    w.encode(&mut e);
+                    w.encode(e);
                 }
                 e.u64(sent_at.0).u32(env_sig.key).bytes(&env_sig.tag.0);
             }
         }
-        e.finish()
     }
 
     /// Stable id for deduplication.
     pub fn id(&self) -> EvidenceId {
-        EvidenceId(digest64(&[&self.canonical_bytes()]))
+        self.id_with(&mut Vec::new())
+    }
+
+    /// Like [`EvidenceRecord::id`], encoding into a reusable scratch
+    /// buffer (cleared first) instead of allocating.
+    pub fn id_with(&self, scratch: &mut Vec<u8>) -> EvidenceId {
+        let mut e = Enc::over(scratch, "btr-evidence");
+        self.encode_into(&mut e);
+        EvidenceId(digest64(&[e.as_slice()]))
     }
 
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> u32 {
-        self.canonical_bytes().len() as u32
+        let mut e = Enc::count("btr-evidence");
+        self.encode_into(&mut e);
+        e.len() as u32
     }
 
     /// Verify the record.

@@ -104,9 +104,7 @@ impl Payload {
     }
 
     /// Exact length of [`Payload::canonical_bytes`] without materialising
-    /// it. Allocation-free for every variant except `Evidence`, whose
-    /// nested record is variable-length (evidence is control-plane
-    /// traffic, deliberately rare).
+    /// it: a counting pass, allocation-free for every variant.
     pub fn canonical_len(&self) -> usize {
         let mut e = Enc::count("btr-payload");
         self.encode_into(&mut e);
@@ -129,7 +127,11 @@ impl Payload {
                 e.u8(1).u64(*period);
             }
             Payload::Evidence(ev) => {
-                e.u8(2).bytes(&ev.canonical_bytes());
+                // In place of `e.bytes(&ev.canonical_bytes())`.
+                e.u8(2).nested(|e| {
+                    e.bytes(b"btr-evidence");
+                    ev.encode_into(e);
+                });
             }
             Payload::StateTransfer {
                 task,
@@ -266,10 +268,11 @@ impl Envelope {
         e.u32(src.0).u64(sent_at.0);
         // Stream the payload encoding in place of
         // `e.bytes(&payload.canonical_bytes())`: length prefix, then the
-        // payload's own domain tag and body.
-        e.u64(payload.canonical_len() as u64);
-        e.bytes(b"btr-payload");
-        payload.encode_into(&mut e);
+        // payload's own domain tag and body, in one pass.
+        e.nested(|e| {
+            e.bytes(b"btr-payload");
+            payload.encode_into(e);
+        });
     }
 
     /// Sign the envelope as `signer` (must match `src` to verify).
@@ -281,9 +284,30 @@ impl Envelope {
     /// Like [`Envelope::signed`], writing the signing bytes into a
     /// reusable scratch buffer instead of allocating.
     pub fn signed_with(mut self, signer: &Signer, scratch: &mut Vec<u8>) -> Envelope {
-        Self::write_signing_bytes(self.src, self.sent_at, &self.payload, scratch);
-        self.sig = Some(signer.sign(scratch));
+        self.sig = Some(Self::sign_parts(
+            signer,
+            self.src,
+            self.sent_at,
+            &self.payload,
+            scratch,
+        ));
         self
+    }
+
+    /// The signature [`Envelope::signed_with`] would stamp on an envelope
+    /// of these parts. The signed bytes cover `(src, sent_at, payload)`
+    /// and *not* the destination, so one signature is valid on the copy
+    /// sent to every destination: a multicast signs once and stamps it
+    /// on each envelope (`CtxBackend::send_many`).
+    pub fn sign_parts(
+        signer: &Signer,
+        src: NodeId,
+        sent_at: Time,
+        payload: &Payload,
+        scratch: &mut Vec<u8>,
+    ) -> Signature {
+        Self::write_signing_bytes(src, sent_at, payload, scratch);
+        signer.sign(scratch)
     }
 
     /// Verify the envelope signature against the claimed source.
@@ -411,6 +435,17 @@ mod tests {
                 witnesses: vec![so(2, 20), so(3, 30)],
             },
             Payload::Heartbeat { period: 42 },
+            Payload::Evidence(EvidenceRecord::declare_crash(
+                &signer(1),
+                NodeId(1),
+                NodeId(2),
+                4,
+            )),
+            Payload::Evidence(EvidenceRecord::BadComputation {
+                accused: NodeId(1),
+                output: so(1, 10),
+                inputs: vec![so(2, 20), so(3, 30)],
+            }),
             Payload::StateTransfer {
                 task: TaskId(1),
                 to_plan: PlanId(2),
@@ -461,6 +496,30 @@ mod tests {
             let owned = Envelope::signing_bytes_for(NodeId(3), Time(99), &p);
             Envelope::write_signing_bytes(NodeId(3), Time(99), &p, &mut scratch);
             assert_eq!(scratch, owned, "scratch mismatch for {:?}", p.label());
+        }
+    }
+
+    #[test]
+    fn streamed_encodings_match_the_nested_vectors_they_replace() {
+        for p in sample_payloads() {
+            // The envelope's signing bytes embed the payload's canonical
+            // bytes as one length-prefixed string ...
+            let mut reference = Enc::new("btr-envelope");
+            reference.u32(3).u64(99).bytes(&p.canonical_bytes());
+            assert_eq!(
+                Envelope::signing_bytes_for(NodeId(3), Time(99), &p),
+                reference.finish(),
+                "envelope over {:?}",
+                p.label()
+            );
+            // ... and an evidence payload embeds the record's the same way.
+            if let Payload::Evidence(ev) = &p {
+                let mut reference = Enc::new("btr-payload");
+                reference.u8(2).bytes(&ev.canonical_bytes());
+                assert_eq!(p.canonical_bytes(), reference.finish());
+                assert_eq!(ev.wire_size() as usize, ev.canonical_bytes().len());
+                assert_eq!(ev.id_with(&mut vec![1, 2, 3]), ev.id());
+            }
         }
     }
 

@@ -260,6 +260,26 @@ impl CtxBackend for LiveCtx {
         self.port.send(self.logical, env);
     }
 
+    fn send_many(&mut self, src: NodeId, dsts: &[NodeId], payload: Payload) {
+        let Some((&last, rest)) = dsts.split_last() else {
+            return;
+        };
+        let sent_at = self.local_now(src);
+        let sig = Envelope::sign_parts(&self.signer, src, sent_at, &payload, &mut self.scratch);
+        let env = Envelope {
+            src,
+            dst: last,
+            sent_at,
+            payload,
+            sig: Some(sig),
+        };
+        for &dst in rest {
+            self.port
+                .send(self.logical, Envelope { dst, ..env.clone() });
+        }
+        self.port.send(self.logical, env);
+    }
+
     fn send_env(&mut self, _src: NodeId, env: Envelope) {
         self.port.send(self.logical, env);
     }
@@ -656,6 +676,66 @@ mod tests {
         let mut scratch = Vec::new();
         let signed = env.signed_with(CtxBackend::signer(&live, NodeId(2)), &mut scratch);
         assert!(CtxBackend::verify_env(&mut world, &signed).is_ok());
+    }
+
+    #[test]
+    fn send_many_is_the_send_loop_with_one_signature() {
+        // Lossy transport: every copy draws from the sender's loss
+        // chain and takes the next send sequence number, so a skipped or
+        // reordered copy would shift every later one.
+        let run = |many: bool| {
+            let net = Loopback::new(Topology::ring(5, 100_000, Duration(5)), 3, 300_000);
+            let ks = Arc::new(KeyStore::derive_suite(1, 5, AuthSuite::default()));
+            let rxs: Vec<_> = (1..5)
+                .map(|n| {
+                    let (tx, rx) = mailbox(256);
+                    net.register(NodeId(n), tx);
+                    rx
+                })
+                .collect();
+            let mut live = ctx_for(NodeId(0), &net, &ks);
+            let dsts = [NodeId(1), NodeId(3), NodeId(2), NodeId(3), NodeId(4)];
+            let macs_before = btr_crypto::mac_count();
+            for round in 0..40 {
+                live.logical = Time(100 * round);
+                let payload = Payload::Heartbeat { period: round };
+                if many {
+                    live.send_many(NodeId(0), &dsts, payload);
+                    live.send_many(NodeId(0), &[], Payload::Control(0));
+                } else {
+                    for dst in dsts {
+                        live.send(NodeId(0), dst, payload.clone());
+                    }
+                }
+            }
+            let macs = btr_crypto::mac_count() - macs_before;
+            let got: Vec<Vec<(Time, NodeId, u64, Envelope)>> = rxs
+                .iter()
+                .map(|rx| {
+                    rx.try_iter()
+                        .map(|m| (m.at, m.from, m.seq, m.env))
+                        .collect()
+                })
+                .collect();
+            let c = net.counters();
+            let load =
+                |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
+            (got, load(&c.sent), load(&c.transmission_loss), macs)
+        };
+        let (looped, many) = (run(false), run(true));
+        assert!(
+            looped.1 > 0 && looped.2 > 0,
+            "{} sent, {} lost",
+            looped.1,
+            looped.2
+        );
+        assert_eq!(looped.0, many.0, "mailboxes (arrival, sequence, tags)");
+        assert_eq!((looped.1, looped.2), (many.1, many.2), "transport counters");
+        assert_eq!(
+            (looped.3, many.3),
+            (40 * 5, 40),
+            "one MAC per round, not per copy"
+        );
     }
 
     /// Arms a timer chain and sends one message per firing.

@@ -18,6 +18,9 @@ pub struct PlanView {
     pub out_routes: BTreeMap<ATask, Vec<NodeId>>,
     /// For each Work task I host: (input task, lane, producer node).
     pub in_flows: BTreeMap<ATask, Vec<(TaskId, ReplicaIdx, NodeId)>>,
+    /// The distinct (task, lane) pairs of `in_flows`, sorted: the outputs
+    /// this node stores when they arrive (see [`PlanView::wants`]).
+    pub wanted: Vec<(TaskId, ReplicaIdx)>,
     /// Replica lane counts per unshed task.
     pub lanes: BTreeMap<TaskId, u8>,
     /// Checker configurations for Check tasks I host.
@@ -49,6 +52,12 @@ pub struct PlanView {
 }
 
 impl PlanView {
+    /// True if one of this node's tasks consumes lane `replica` of
+    /// `task` under this plan. Asked once per arriving output message.
+    pub fn wants(&self, task: TaskId, replica: ReplicaIdx) -> bool {
+        self.wanted.binary_search(&(task, replica)).is_ok()
+    }
+
     /// The remote nodes this node's slice of the plan exchanges traffic
     /// with: destinations of its output routes (consumers and checkers),
     /// producers of its input flows, and — when it receives any remote
@@ -197,11 +206,20 @@ pub fn derive_view(node: NodeId, plan: &Plan, workload: &Workload) -> PlanView {
         }
     }
 
+    let mut wanted: Vec<(TaskId, ReplicaIdx)> = in_flows
+        .values()
+        .flatten()
+        .map(|&(u, lane, _)| (u, lane))
+        .collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+
     PlanView {
         plan_id: plan.id,
         entries,
         out_routes,
         in_flows,
+        wanted,
         lanes,
         checkers,
         checker_nodes,
@@ -377,6 +395,8 @@ mod tests {
         assert_eq!(v.out_routes[&w10], vec![NodeId(2), NodeId(3)]);
         // Ctl lane 0 consumes source lane 0, produced locally on n0.
         assert_eq!(v.in_flows[&w10], vec![(TaskId(0), 0, NodeId(0))]);
+        assert_eq!(v.wanted, vec![(TaskId(0), 0)]);
+        assert!(v.wants(TaskId(0), 0) && !v.wants(TaskId(0), 1) && !v.wants(TaskId(1), 0));
         assert!(v.checkers.is_empty());
     }
 

@@ -24,9 +24,8 @@ pub use flows::{derive_view, plan_lanes, PlanView};
 use btr_detector::Detector;
 use btr_evidence::{AdmitOutcome, Disseminator, EvidencePool, PoolConfig};
 use btr_model::{
-    inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceClass,
-    EvidenceRecord, NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, Strategy, TaskId, Time,
-    Value,
+    inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
+    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, Strategy, TaskId, Time, Value,
 };
 use btr_modeswitch::{ModeSwitcher, SwitchAction};
 use btr_obs::Phase;
@@ -133,8 +132,16 @@ pub struct BtrNode {
     inputs: BTreeMap<(PeriodIdx, TaskId, ReplicaIdx), SignedOutput>,
     /// Computed outputs awaiting their emit instant: (period, slot idx).
     pending_emit: BTreeMap<(PeriodIdx, u16), (SignedOutput, Vec<SignedOutput>, bool)>,
-    /// Node count (flooding targets).
+    /// Node count.
     n_nodes: usize,
+    /// Every other node, in id order: who a heartbeat round and a
+    /// locally raised evidence flood go to.
+    peers: Vec<NodeId>,
+    /// Reusable destination list for the multicasts that are not all of
+    /// `peers` (a forwarded flood, a babble burst).
+    targets: Vec<NodeId>,
+    /// Reusable encoding scratch for signing this node's outputs.
+    scratch: Vec<u8>,
     /// Exposed counters.
     stats: NodeStats,
     /// Alternation flip used by the equivocation attack.
@@ -169,6 +176,9 @@ impl BtrNode {
             inputs: BTreeMap::new(),
             pending_emit: BTreeMap::new(),
             n_nodes,
+            peers: Disseminator::targets(id, n_nodes, None).collect(),
+            targets: Vec::new(),
+            scratch: Vec::new(),
             stats: NodeStats::default(),
             equiv_flip: 0,
         }
@@ -320,23 +330,30 @@ impl BtrNode {
         }
     }
 
-    fn flood(&mut self, record: &EvidenceRecord, from: Option<NodeId>, ctx: &mut NodeCtx<'_>) {
-        if !self.dissem.should_forward(record.id()) {
+    /// Forward a verified record (`id` is the one the pool admitted it
+    /// under) to everyone but its sender — even suspected nodes, see
+    /// [`Disseminator::targets`] — once: one signature for the round.
+    fn flood(
+        &mut self,
+        id: EvidenceId,
+        record: &EvidenceRecord,
+        from: Option<NodeId>,
+        ctx: &mut NodeCtx<'_>,
+    ) {
+        if !self.dissem.should_forward(id) {
             return;
         }
-        // Flood to everyone (even suspected nodes): fault sets converge
-        // only if all correct nodes eventually hold the same evidence,
-        // and local suspicion must never partition the control plane.
-        let targets = self.dissem.targets(
-            self.id,
-            self.n_nodes,
-            from,
-            &std::collections::BTreeSet::new(),
-        );
-        for t in targets {
-            ctx.send(t, Payload::Evidence(record.clone()));
-            self.stats.evidence_forwarded += 1;
-        }
+        let targets = match from {
+            None => &self.peers,
+            Some(_) => {
+                self.targets.clear();
+                self.targets
+                    .extend(Disseminator::targets(self.id, self.n_nodes, from));
+                &self.targets
+            }
+        };
+        ctx.send_many(targets, Payload::Evidence(record.clone()));
+        self.stats.evidence_forwarded += targets.len() as u64;
     }
 
     /// Admit locally generated evidence, act on it, and flood it.
@@ -350,10 +367,10 @@ impl BtrNode {
                 &record,
                 period,
             );
-            if let AdmitOutcome::Verified { .. } = outcome {
+            if let AdmitOutcome::Verified { id, .. } = outcome {
                 self.stats.evidence_generated += 1;
                 self.act_on_verified(&record, ctx);
-                self.flood(&record, None, ctx);
+                self.flood(id, &record, None, ctx);
             }
         }
     }
@@ -371,25 +388,18 @@ impl BtrNode {
         if self.cfg.heartbeats && !drop_hb {
             // Heartbeats go to *everyone*, including suspected nodes: a
             // wrongly suspected peer must keep hearing us, or suspicion
-            // becomes self-fulfilling.
-            for n in 0..self.n_nodes as u32 {
-                let n = NodeId(n);
-                if n != self.id {
-                    ctx.send(n, Payload::Heartbeat { period: p });
-                    self.stats.heartbeats_sent += 1;
-                }
-            }
+            // becomes self-fulfilling. One signature covers the round.
+            ctx.send_many(&self.peers, Payload::Heartbeat { period: p });
+            self.stats.heartbeats_sent += self.peers.len() as u64;
         }
         // Attack side-channels that fire per period.
-        match self.cfg.attack.clone() {
-            Some(Attack::EvidenceSpam { from, per_period })
-                if Time::ZERO + Duration::ZERO <= ctx.now() && ctx.now() >= from =>
-            {
+        match self.cfg.attack {
+            Some(Attack::EvidenceSpam { from, per_period }) if ctx.now() >= from => {
                 for i in 0..per_period {
                     let victim = NodeId((self.id.0 + 1 + i) % self.n_nodes as u32);
                     // Fabricated "proof" with an invalid inner signature:
                     // cheap for verifiers to reject, counted against us.
-                    let forged = SignedOutput::sign(
+                    let forged = SignedOutput::sign_with(
                         ctx.signer(),
                         TaskId(0),
                         0,
@@ -397,29 +407,26 @@ impl BtrNode {
                         0xBAD0 + i as u64,
                         0,
                         victim, // Producer mismatch: sig.key != producer.
+                        &mut self.scratch,
                     );
                     let bogus = EvidenceRecord::BadComputation {
                         accused: victim,
                         output: forged,
                         inputs: vec![],
                     };
-                    for n in 0..self.n_nodes as u32 {
-                        if NodeId(n) != self.id {
-                            ctx.send(NodeId(n), Payload::Evidence(bogus.clone()));
-                        }
-                    }
+                    ctx.send_many(&self.peers, Payload::Evidence(bogus));
                 }
             }
             Some(Attack::Babble {
                 from,
                 msgs_per_period,
             }) if ctx.now() >= from => {
-                for i in 0..msgs_per_period {
-                    let dst = NodeId(i % self.n_nodes as u32);
-                    if dst != self.id {
-                        ctx.send(dst, Payload::Control(0xBB));
-                    }
-                }
+                let n = self.n_nodes as u32;
+                self.targets.clear();
+                self.targets
+                    .extend((0..msgs_per_period).map(|i| NodeId(i % n)));
+                self.targets.retain(|&dst| dst != self.id);
+                ctx.send_many(&self.targets, Payload::Control(0xBB));
             }
             _ => {}
         }
@@ -434,14 +441,14 @@ impl BtrNode {
             if blackout {
                 self.detector.gc(p.saturating_sub(4));
             } else {
-                let faulty = self.switcher.fault_set().as_set().clone();
+                let faulty = self.switcher.fault_set().as_set();
                 let upstream_hosts = &self.view.upstream_hosts;
                 let explained = |task: TaskId, _producer: NodeId| {
-                    starvation_explained(upstream_hosts, &faulty, task)
+                    starvation_explained(upstream_hosts, faulty, task)
                 };
                 let evs = self
                     .detector
-                    .end_of_period(ctx.signer(), p - 1, &faulty, &explained);
+                    .end_of_period(ctx.signer(), p - 1, faulty, &explained);
                 self.handle_local_evidence(evs, ctx);
             }
         }
@@ -490,12 +497,11 @@ impl BtrNode {
                 .view
                 .in_flows
                 .get(&entry.atask)
-                .cloned()
-                .unwrap_or_default();
+                .map_or(&[][..], Vec::as_slice);
             let mut vals = Vec::with_capacity(flows.len());
             let mut wits = Vec::with_capacity(flows.len());
             let mut missing: Option<(TaskId, NodeId)> = None;
-            for (u, lane, node) in flows {
+            for &(u, lane, node) in flows {
                 match self.inputs.get(&(p, u, lane)) {
                     Some(w) => {
                         vals.push((u, w.value));
@@ -564,7 +570,16 @@ impl BtrNode {
             }
         }
 
-        let output = SignedOutput::sign(ctx.signer(), task, replica, p, value, digest, self.id);
+        let output = SignedOutput::sign_with(
+            ctx.signer(),
+            task,
+            replica,
+            p,
+            value,
+            digest,
+            self.id,
+            &mut self.scratch,
+        );
         // Make the value available to same-node consumers immediately:
         // the static schedule already serialises slots on this node, so a
         // local consumer can never be scheduled before this slot ends —
@@ -620,14 +635,14 @@ impl BtrNode {
                 task: output.task,
                 replica: output.replica,
             })
-            .cloned()
-            .unwrap_or_default();
+            .map_or(&[][..], Vec::as_slice);
+        self.stats.outputs_sent += 1;
         // Equivocation attack: sign a conflicting twin and split targets.
         let equivocate =
             matches!(&self.cfg.attack, Some(Attack::Equivocate { from }) if ctx.now() >= *from);
         if equivocate && targets.len() >= 2 {
             self.equiv_flip += 1;
-            let twin = SignedOutput::sign(
+            let twin = SignedOutput::sign_with(
                 ctx.signer(),
                 output.task,
                 output.replica,
@@ -635,35 +650,26 @@ impl BtrNode {
                 output.value ^ (0x5150 + self.equiv_flip),
                 output.inputs_digest,
                 self.id,
+                &mut self.scratch,
             );
-            let half = targets.len() / 2;
-            for (i, t) in targets.iter().enumerate() {
-                let o = if i < half {
-                    output.clone()
-                } else {
-                    twin.clone()
-                };
-                ctx.send(
-                    *t,
-                    Payload::Output {
-                        output: o,
-                        witnesses: witnesses.clone(),
-                    },
-                );
-            }
-            self.stats.outputs_sent += 1;
-            return;
-        }
-        for t in targets {
-            ctx.send(
-                t,
+            let (first, second) = targets.split_at(targets.len() / 2);
+            ctx.send_many(
+                first,
                 Payload::Output {
-                    output: output.clone(),
+                    output,
                     witnesses: witnesses.clone(),
                 },
             );
+            ctx.send_many(
+                second,
+                Payload::Output {
+                    output: twin,
+                    witnesses,
+                },
+            );
+            return;
         }
-        self.stats.outputs_sent += 1;
+        ctx.send_many(targets, Payload::Output { output, witnesses });
     }
 
     fn store_input(&mut self, output: SignedOutput) {
@@ -685,12 +691,11 @@ impl BtrNode {
         // echoed onward.
         let direct = env_src == output.producer;
         // Store if this is an input one of my tasks expects.
-        let wanted = self.view.in_flows.values().any(|flows| {
-            flows
-                .iter()
-                .any(|&(u, lane, _)| u == output.task && lane == output.replica)
-        });
-        if wanted && ctx.verify_output(&output).is_ok() {
+        let verified = self
+            .view
+            .wants(output.task, output.replica)
+            .then(|| ctx.verify_output(&output).is_ok());
+        if verified == Some(true) {
             self.store_input(output.clone());
             // Echo the accepted copy to the task's checker, once per
             // slot: conflicting signed copies then meet in the checker's
@@ -728,12 +733,12 @@ impl BtrNode {
         } else {
             None
         };
-        let signer = ctx.signer().clone();
         let evs = self.detector.observe_output(
             ctx.keystore(),
-            &signer,
+            ctx.signer(),
             self.workload.as_ref(),
             output,
+            verified,
             &witnesses,
             ctx.now(),
             expected_by,
@@ -752,14 +757,12 @@ impl BtrNode {
             period,
         );
         match outcome {
-            AdmitOutcome::Verified { .. } => {
-                // Record declarations for attribution even when they do
-                // not (yet) cross the threshold.
+            AdmitOutcome::Verified { id, .. } => {
+                // Proofs update the switcher directly; declarations feed
+                // the detector's tracker even when they do not (yet)
+                // cross the threshold.
                 self.act_on_verified(&record, ctx);
-                self.flood(&record, Some(from), ctx);
-                // Declarations also feed the detector's tracker above via
-                // act_on_verified; proofs update the switcher directly.
-                let _ = EvidenceClass::Proof;
+                self.flood(id, &record, Some(from), ctx);
             }
             AdmitOutcome::Rejected(_) => {
                 self.stats.evidence_rejected += 1;
@@ -1136,6 +1139,59 @@ mod tests {
             }
         }
         assert!(converged >= 7, "timing fault not attributed: {converged}");
+    }
+
+    #[test]
+    fn one_mac_per_heartbeat_round_and_about_two_per_delivery() {
+        let (w, s, topo) = setup(1);
+        let run = |heartbeats: bool| {
+            let mut world = world_with_btr(&w, &s, &topo, &[]);
+            if !heartbeats {
+                for n in 0..9u32 {
+                    let cfg = BtrConfig {
+                        heartbeats: false,
+                        ..BtrConfig::default()
+                    };
+                    world.set_behavior(
+                        NodeId(n),
+                        Box::new(BtrNode::new(
+                            NodeId(n),
+                            Arc::clone(&w),
+                            Arc::clone(&s),
+                            9,
+                            cfg,
+                        )),
+                    );
+                }
+            }
+            world.start();
+            let macs_before = btr_crypto::mac_count();
+            world.run_until(Time::from_millis(100));
+            let macs = btr_crypto::mac_count() - macs_before;
+            let rounds: u64 = (0..9u32)
+                .map(|n| node_ref(&world, NodeId(n)).stats().heartbeats_sent / 8)
+                .sum();
+            for n in 0..9u32 {
+                assert_eq!(node_ref(&world, NodeId(n)).stats().evidence_generated, 0);
+            }
+            (macs, rounds, world.metrics().msgs_delivered)
+        };
+        let (macs_on, rounds, delivered_on) = run(true);
+        let (macs_off, no_rounds, delivered_off) = run(false);
+        assert_eq!((rounds, no_rounds), (9 * 11, 0));
+        // A round costs its sender one MAC however many peers it reaches,
+        // and each delivered heartbeat its receiver one.
+        assert_eq!(
+            macs_on - macs_off,
+            rounds + (delivered_on - delivered_off),
+            "heartbeats: one signature per round, one check per delivery"
+        );
+        // Over the whole fault-free run that comes to about two MACs per
+        // delivered message: signed once, checked once by each receiver,
+        // witnesses and echoed copies checked only where first seen (it
+        // was three when every copy was signed and checked for itself).
+        let per_delivery = macs_on as f64 / delivered_on as f64;
+        assert!(per_delivery < 2.2, "{per_delivery:.2} MACs per delivery");
     }
 
     #[test]

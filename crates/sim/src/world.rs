@@ -899,6 +899,17 @@ pub trait CtxBackend {
     fn keystore(&self) -> &KeyStore;
     /// Sign a payload as `src` and transmit it to `dst`.
     fn send(&mut self, src: NodeId, dst: NodeId, payload: Payload);
+    /// Sign a payload as `src` once and transmit a copy to each of
+    /// `dsts`, in that order (a destination may repeat). Observably the
+    /// same as calling [`CtxBackend::send`] per destination — an envelope
+    /// signature does not cover the destination, so the copies carry the
+    /// tag each would have been given — which is what this default does;
+    /// a backend implements it to compute that tag once.
+    fn send_many(&mut self, src: NodeId, dsts: &[NodeId], payload: Payload) {
+        for &dst in dsts {
+            self.send(src, dst, payload.clone());
+        }
+    }
     /// Transmit a pre-built envelope, charging `src`'s allocation.
     fn send_env(&mut self, src: NodeId, env: Envelope);
     /// Verify an envelope signature (scratch-buffer reuse inside).
@@ -955,6 +966,35 @@ impl CtxBackend for World {
         let env = env.signed_with(&self.slots[src.index()].signer, &mut scratch);
         self.scratch = scratch;
         self.wall_end(Subsystem::CryptoSign, t0);
+        self.transmit(src, env);
+    }
+
+    fn send_many(&mut self, src: NodeId, dsts: &[NodeId], payload: Payload) {
+        let Some((&last, rest)) = dsts.split_last() else {
+            return;
+        };
+        let t0 = self.wall_start();
+        let sent_at = self.local_now(src);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let signer = &self.slots[src.index()].signer;
+        let sig = Envelope::sign_parts(signer, src, sent_at, &payload, &mut scratch);
+        self.scratch = scratch;
+        self.wall_end(Subsystem::CryptoSign, t0);
+        let env = Envelope {
+            src,
+            dst: last,
+            sent_at,
+            payload,
+            sig: Some(sig),
+        };
+        // One signed envelope per destination, as the profile counts
+        // them; transmitted in the caller's order, so the loss stream and
+        // the event queue see what a `send` per destination gave them.
+        for &dst in rest {
+            self.prof(Subsystem::CryptoSign);
+            self.transmit(src, Envelope { dst, ..env.clone() });
+        }
+        self.prof(Subsystem::CryptoSign);
         self.transmit(src, env);
     }
 
@@ -1095,6 +1135,12 @@ impl<'w> NodeCtx<'w> {
     /// Sign and send a payload to `dst`.
     pub fn send(&mut self, dst: NodeId, payload: Payload) {
         self.backend.send(self.node, dst, payload);
+    }
+
+    /// Sign a payload once and send a copy to each of `dsts`, in order:
+    /// what a [`NodeCtx::send`] per destination does, for one MAC.
+    pub fn send_many(&mut self, dsts: &[NodeId], payload: Payload) {
+        self.backend.send_many(self.node, dsts, payload);
     }
 
     /// Verify an envelope signature using the backend's reusable scratch
@@ -1341,6 +1387,125 @@ mod tests {
             let off = w.slots[i].clock_offset;
             assert!(off.abs() <= 50, "node {i} skew {off}");
         }
+    }
+
+    /// Multicasts a payload per timer to a list that repeats one
+    /// destination and skips others, as one `send_many` or as the `send`
+    /// loop it stands for; node 2 sends on its own in between.
+    struct Caster {
+        many: bool,
+        round: u64,
+    }
+    impl NodeBehavior for Caster {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer(Duration(100), 0);
+        }
+        fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, t: TimerId) {
+            let dsts = [NodeId(1), NodeId(4), NodeId(2), NodeId(4), NodeId(5)];
+            let payload = Payload::Heartbeat { period: self.round };
+            if ctx.id() == NodeId(2) {
+                ctx.send(NodeId(4), payload);
+            } else if self.many {
+                ctx.send_many(&dsts, payload);
+                ctx.send_many(&[], Payload::Control(0));
+            } else {
+                for dst in dsts {
+                    ctx.send(dst, payload.clone());
+                }
+            }
+            self.round += 1;
+            if self.round < 40 {
+                ctx.set_timer(Duration(150), t);
+            }
+        }
+    }
+
+    /// Keeps every envelope it is handed and actuates on its tag, so the
+    /// logical trace covers who got what, signed how, and when.
+    #[derive(Default)]
+    struct Keeper {
+        got: Vec<Envelope>,
+    }
+    impl NodeBehavior for Keeper {
+        fn on_start(&mut self, _c: &mut NodeCtx<'_>) {}
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
+            assert!(ctx.verify_env(&env).is_ok());
+            let tag = env.sig.expect("signed").tag.0;
+            let value = u64::from_be_bytes(tag[..8].try_into().unwrap());
+            ctx.actuate(TaskId(env.src.0), self.got.len() as u64, value);
+            self.got.push(env);
+        }
+        fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn send_many_is_the_send_loop_with_one_signature() {
+        // Lossy links with FEC: every copy draws six loss rolls from the
+        // world's one stream, so a reordered or skipped transmission
+        // would shift every later verdict.
+        let run = |many: bool| {
+            let mut cfg = SimConfig::new(11);
+            cfg.trace = true;
+            cfg.loss_ppm = 250_000;
+            cfg.fec = Some((4, 2));
+            let mut w = World::new(Topology::ring(6, 50_000, Duration(10)), cfg);
+            w.set_recorder(Box::new(btr_obs::ObsRecorder::new()));
+            for n in [0, 2, 3] {
+                w.set_behavior(NodeId(n), Box::new(Caster { many, round: 0 }));
+            }
+            for n in [1, 4, 5] {
+                w.set_behavior(NodeId(n), Box::new(Keeper::default()));
+            }
+            w.start();
+            let macs_before = btr_crypto::mac_count();
+            w.run_until(Time::from_millis(20));
+            let macs = btr_crypto::mac_count() - macs_before;
+            let got: Vec<Vec<Envelope>> = [1, 4, 5]
+                .iter()
+                .map(|&n| {
+                    let b = w.behavior(NodeId(n)).and_then(|b| b.as_any());
+                    b.and_then(|a| a.downcast_ref::<Keeper>())
+                        .expect("keeper")
+                        .got
+                        .clone()
+                })
+                .collect();
+            let rec = w.take_recorder().expect("recorder");
+            let counts: Vec<u64> = rec
+                .as_any()
+                .and_then(|a| a.downcast_ref::<btr_obs::ObsRecorder>())
+                .map(|r| {
+                    let p = r.subsystem_profile();
+                    Subsystem::all().iter().map(|&s| p.count(s)).collect()
+                })
+                .expect("obs recorder");
+            (
+                got,
+                w.logical_trace().digest(),
+                *w.metrics(),
+                w.trace().to_vec(),
+                counts,
+                macs,
+            )
+        };
+        let (looped, many) = (run(false), run(true));
+        assert!(looped.0.iter().all(|g| !g.is_empty()), "nothing delivered");
+        assert!(looped.2.drops_other > 0, "no loss exercised");
+        assert_eq!(looped.0, many.0, "envelopes (tags included)");
+        assert_eq!(looped.1, many.1, "logical trace digest");
+        assert_eq!(looped.2, many.2, "metrics");
+        assert_eq!(looped.3, many.3, "event trace");
+        assert_eq!(
+            looped.4, many.4,
+            "count profile (signed envelopes, not MACs)"
+        );
+        // Two casters x 40 rounds x 5 copies signed once each, not five
+        // times; everything else (node 2's sends, every verify) the same.
+        assert_eq!(looped.5 - many.5, 2 * 40 * 4);
     }
 
     #[test]
