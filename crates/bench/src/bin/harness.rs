@@ -500,6 +500,8 @@ fn live_scenario_json(r: &ScenarioRun) -> String {
             "      \"msgs_sent\": {},\n",
             "      \"mailbox_full\": {},\n",
             "      \"frontier_stalls\": {},\n",
+            "      \"frontier_blockers\": {:?},\n",
+            "      \"top_blocker\": {},\n",
             "      \"redrains\": {},\n",
             "      \"timer_lag_p50_us\": {},\n",
             "      \"timer_lag_p95_us\": {},\n",
@@ -530,6 +532,8 @@ fn live_scenario_json(r: &ScenarioRun) -> String {
         m.msgs_sent,
         m.mailbox_full,
         m.frontier_stalls,
+        m.frontier_blockers,
+        json_opt_u64(m.top_blocker().map(|(node, _)| u64::from(node.0))),
         m.redrains,
         m.timer_lag_p50_us,
         m.timer_lag_p95_us,
@@ -731,13 +735,20 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
                 ms(t.recovery_us),
                 t.slack_to_r_us as f64 / 1e3,
             ),
-            None => outln!(
-                "  {:<14} fault-free: no recovery to decompose  (stalls {}, redrains {})",
-                "",
-                m.frontier_stalls,
-                m.redrains,
-            ),
+            None => outln!("  {:<14} fault-free: no recovery to decompose", ""),
         }
+        // Who held the frontier: the peer the fleet slept on most.
+        outln!(
+            "  {:<14} frontier: {} stalls ({}), {} redrains over {} msgs",
+            "",
+            m.frontier_stalls,
+            match m.top_blocker() {
+                Some((node, sleeps)) => format!("top blocker {node}, {sleeps}"),
+                None => "nobody blocked".to_string(),
+            },
+            m.redrains,
+            m.msgs_sent,
+        );
         // The latency quantiles both substrates carry: the simulator's
         // logical delivery latencies, and the live runtime's wall timer
         // lag past its paced instants.

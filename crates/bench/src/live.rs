@@ -154,8 +154,11 @@ pub struct LiveMeasurement {
     pub msgs_sent: u64,
     /// Bounded-mailbox backpressure drops (0 in the pinned scenarios).
     pub mailbox_full: u64,
-    /// Causal-gate wait polls summed over all actors.
+    /// Causal-gate sleeps summed over all actors.
     pub frontier_stalls: u64,
+    /// Of those sleeps, how many each node was the peer holding the
+    /// sleeper's frontier lowest (index = node).
+    pub frontier_blockers: Vec<u64>,
     /// Anchor re-folds forced by sub-anchor arrivals.
     pub redrains: u64,
     /// Median wall lateness of timer dispatches past their paced
@@ -190,6 +193,17 @@ impl LiveMeasurement {
             && self.within_r
             && self.within_r_wall
             && timeline_ok
+    }
+
+    /// The node the fleet slept on most, with its share of the stalls
+    /// (lowest id on a tie; None when nothing ever blocked).
+    pub fn top_blocker(&self) -> Option<(NodeId, u64)> {
+        let (node, &sleeps) = self
+            .frontier_blockers
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, &sleeps)| (sleeps, std::cmp::Reverse(i)))?;
+        (sleeps > 0).then_some((NodeId(node as u32), sleeps))
     }
 }
 
@@ -272,6 +286,7 @@ pub fn measure_live(
         msgs_sent: live.drops.sent,
         mailbox_full: live.drops.mailbox_full,
         frontier_stalls: live.frontier_stalls,
+        frontier_blockers: live.frontier_blockers.clone(),
         redrains: live.redrains,
         timer_lag_p50_us: live.timer_lag.quantile(0.5).unwrap_or(0),
         timer_lag_p95_us: live.timer_lag.quantile(0.95).unwrap_or(0),
@@ -378,6 +393,14 @@ mod tests {
         assert!(m.actuations > 0);
         assert!(m.fault.is_empty());
         assert!(sim_rec.lat(btr_obs::Lat::Delivery).count() > 0);
+        // Every sleep names its blocker; the top one is the largest
+        // tally, the lowest node id on a tie, nobody when none slept.
+        assert_eq!(m.frontier_blockers.iter().sum::<u64>(), m.frontier_stalls);
+        let mut tied = m.clone();
+        tied.frontier_blockers = vec![0, 7, 3, 7, 0];
+        assert_eq!(tied.top_blocker(), Some((NodeId(1), 7)));
+        tied.frontier_blockers = vec![0; 5];
+        assert_eq!(tied.top_blocker(), None);
         // Every term of the gate bites on its own.
         let fails = |break_it: fn(&mut LiveMeasurement)| {
             let mut broken = m.clone();

@@ -32,7 +32,7 @@
 //! by global push sequence instead; the two conventions only differ for
 //! exact logical-time ties, which the pinned differential tests cover.
 
-use crate::transport::{LiveMsg, Loopback, Port};
+use crate::transport::{Gate, LiveMsg, Loopback, Port};
 use crate::wheel::TimerWheel;
 use btr_crypto::{digest64, AuthSuite, KeyStore, NodeKey, SigError, Signer, SplitMix64};
 use btr_model::{
@@ -354,11 +354,11 @@ pub struct ActorOutcome {
     pub stopped_at: Time,
     /// Recovery-phase boundaries the node's runtime observed.
     pub marks: Vec<PhaseMark>,
-    /// Causal-gate wait polls (the event at hand was not yet provably
-    /// safe to dispatch).
+    /// Causal-gate sleeps (the event at hand was not yet provably safe
+    /// to dispatch and the node parked until woken).
     pub frontier_stalls: u64,
-    /// Anchor re-folds forced by a message that arrived below the
-    /// published anchor (fold-and-clear repeat iterations).
+    /// Repeat folds: a message reached the mailbox after the drain —
+    /// below the fold, or between the fold and the bound read.
     pub redrains: u64,
     /// Wall-clock lateness of timer dispatches past their paced
     /// instant, in µs (live-only: logically always 0).
@@ -378,11 +378,27 @@ pub struct NodeActor {
     /// Ring of the last few dispatches, shared with the supervisor so
     /// the tail survives even when this thread panics mid-dispatch.
     flight: Arc<Mutex<FlightRecorder>>,
+    /// Logical downtime after which the supervisor restarts this node
+    /// if it crashes (`ZERO`: it stays down).
+    restart_after: Duration,
     frontier_stalls: u64,
     redrains: u64,
     timer_lag: Histogram,
 }
 
+/// The logical instant a node that crashed at `crashed_at` comes back,
+/// if it does: the supervisor restarts only what returns inside the
+/// horizon. The dying actor and the supervisor both decide by this.
+pub(crate) fn restart_instant(
+    crashed_at: Time,
+    restart_after: Duration,
+    end: Time,
+) -> Option<Time> {
+    let back_at = crashed_at + restart_after;
+    (restart_after > Duration::ZERO && back_at < end).then_some(back_at)
+}
+
+#[derive(Clone, Copy)]
 enum Next {
     Timer(Time),
     Message(Time),
@@ -407,6 +423,7 @@ impl NodeActor {
             net,
             last_switch_count: 0,
             flight: Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_CAP))),
+            restart_after: Duration::ZERO,
             frontier_stalls: 0,
             redrains: 0,
             timer_lag: Histogram::new(),
@@ -417,6 +434,14 @@ impl NodeActor {
     /// the other handle, so the tail is readable after a panic).
     pub fn with_flight(mut self, flight: Arc<Mutex<FlightRecorder>>) -> NodeActor {
         self.flight = flight;
+        self
+    }
+
+    /// This node will be restarted `after` a crash (see
+    /// [`restart_instant`]): dying, it hands its frontier cell to the
+    /// next incarnation instead of going terminal.
+    pub fn with_restart(mut self, after: Duration) -> NodeActor {
+        self.restart_after = after;
         self
     }
 
@@ -441,19 +466,6 @@ impl NodeActor {
     fn drain(&mut self) {
         while let Ok(m) = self.rx.try_recv() {
             self.park(m);
-        }
-    }
-
-    /// Block briefly on the mailbox: an arrival wakes us immediately;
-    /// peer frontier updates carry no wakeup, so cap the wait and
-    /// re-evaluate. (`Disconnected` still sleeps — a closed channel must
-    /// not turn the causal wait into a busy spin.)
-    fn wait_briefly(&mut self) {
-        const POLL: std::time::Duration = std::time::Duration::from_micros(100);
-        match self.rx.recv_timeout(POLL) {
-            Ok(m) => self.park(m),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(POLL),
         }
     }
 
@@ -514,62 +526,42 @@ impl NodeActor {
         }
         self.emit(&events, &pacer, EventKind::Started);
         self.record_flight(self.ctx.logical(), FlightKind::Start);
+        self.net.attach_sleeper(self.node);
         let terminal = loop {
             if self.ctx.is_crashed() {
                 break EventKind::Crashed;
             }
-            // Publish our anchor — the earliest event we could dispatch.
-            // The fold returns our cell's inflight floor: if it is below
-            // our known next event, a message delivered since our drain
-            // is already in the mailbox (delivery precedes the floor
-            // update), so drain again until the picture is stable.
-            let next = loop {
-                self.drain();
-                let next = self.next_event();
-                let next_at = match &next {
-                    Some(Next::Timer(at)) | Some(Next::Message(at)) => *at,
-                    None => Time(u64::MAX),
-                };
-                if self.net.publish_anchor(self.node, next_at) >= next_at {
-                    break next;
-                }
-                self.redrains += 1;
+            self.drain();
+            // Our anchor is the earliest event we could dispatch; `need`
+            // is the causal bound that makes the step at hand safe.
+            // Timers may dispatch at the bound (they win ties), messages
+            // only strictly below it (an in-flight message could tie and
+            // order ahead by `(from, seq)`); with nothing left inside the
+            // horizon we are done once nothing can still arrive in it.
+            let next = self.next_event();
+            let (anchor, need, due) = match next {
+                Some(Next::Timer(at)) if at <= end => (at, at, next),
+                Some(Next::Message(at)) if at <= end => (at, at + Duration(1), next),
+                Some(Next::Timer(at) | Next::Message(at)) => (at, end + Duration(1), None),
+                None => (Time(u64::MAX), end + Duration(1), None),
             };
-            let bound = self.net.frontier_bound(self.node);
-            let Some(next) = next else {
-                // Nothing armed: done once no in-flight message can
-                // still arrive inside the horizon.
-                if bound > end {
-                    break EventKind::Finished;
+            match self.net.gate(self.node, anchor, need) {
+                Gate::Go => {}
+                Gate::Redrain => {
+                    self.redrains += 1;
+                    continue;
                 }
-                self.wait_briefly();
-                continue;
-            };
-            let at = match next {
-                Next::Timer(at) | Next::Message(at) => at,
-            };
-            if at > end {
-                if bound > end {
-                    break EventKind::Finished;
+                Gate::Wait { .. } => {
+                    self.frontier_stalls += u64::from(self.net.wait(self.node, need));
+                    continue;
                 }
-                self.wait_briefly();
-                continue;
             }
-            // Causal gate: timers may dispatch at the bound (they win
-            // ties), messages only strictly below it (an in-flight
-            // message could tie and order ahead by `(from, seq)`).
-            let causal_ok = match next {
-                Next::Timer(_) => at <= bound,
-                Next::Message(_) => at < bound,
+            let Some(next) = due else {
+                break EventKind::Finished;
             };
-            if !causal_ok {
-                self.frontier_stalls += 1;
-                self.wait_briefly();
-                continue;
-            }
             // Wall gate: park arrivals until the event's wall instant,
             // then re-select (a new arrival may precede the choice).
-            let target = pacer.wall_for(at);
+            let target = pacer.wall_for(anchor);
             let now = Instant::now();
             if now < target {
                 match self.rx.recv_timeout(target - now) {
@@ -603,15 +595,19 @@ impl NodeActor {
             }
             self.post_dispatch(&events, &pacer);
         };
-        // Terminal either way: this node will never send again, so no
-        // peer may wait on it.
-        self.net.set_terminal(self.node);
         let crashed = matches!(terminal, EventKind::Crashed);
         if crashed {
             // Fail-stop for real: detach the mailbox and reroute around
             // this node before the thread dies.
             self.net.crash(self.node);
             self.record_flight(self.ctx.logical(), FlightKind::Crash);
+        }
+        match restart_instant(self.ctx.logical(), self.restart_after, end).filter(|_| crashed) {
+            // Coming back: the cell goes straight to the restart instant.
+            Some(back_at) => self.net.hand_off(self.node, back_at),
+            // Terminal: this node will never send again, so no peer may
+            // wait on it.
+            None => self.net.set_terminal(self.node),
         }
         self.emit(&events, &pacer, terminal);
         ActorOutcome {

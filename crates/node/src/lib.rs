@@ -15,7 +15,8 @@
 //! Layering:
 //!
 //! * [`transport`] — loopback network: routes, per-hop delays,
-//!   deterministic loss, bounded mailboxes, crash/restore.
+//!   deterministic loss, bounded mailboxes, crash/restore, and the
+//!   causal frontier with its gate and wake-ups.
 //! * [`wheel`] — hashed timer wheel keyed by the runtime's packed
 //!   timer-id encodings.
 //! * [`actor`] — [`actor::LiveCtx`] (the live `CtxBackend`) and the
@@ -40,5 +41,5 @@ pub use faulty::{FaultyNode, Rejoin, CRASH_TIMER};
 pub use supervisor::{
     run_live, DropTotals, DumpReason, FlightDump, LiveConfig, LiveReport, PanicReport,
 };
-pub use transport::{LiveMsg, Loopback, Port};
+pub use transport::{Gate, LiveMsg, Loopback, Port};
 pub use wheel::TimerWheel;

@@ -15,13 +15,17 @@
 //!   silence a crash produces);
 //! * optionally restarts crashed nodes after a scripted downtime with a
 //!   fresh runtime wrapped in [`Rejoin`](crate::faulty::Rejoin), which
-//!   is the live analogue of the paper's bounded-time recovery loop.
+//!   is the live analogue of the paper's bounded-time recovery loop
+//!   (the dying actor itself parks its causal frontier at the restart
+//!   instant, so there is no window for the supervisor to close).
 //!
 //! The report carries the canonical [`LogicalTrace`] (the simulator is
 //! the oracle: a fault-free live run must digest-match the simulated
 //! one) plus wall-clock-stamped events for real latency measurements.
 
-use crate::actor::{ActorOutcome, EventKind, LiveCtx, NodeActor, Pacer, RuntimeEvent};
+use crate::actor::{
+    restart_instant, ActorOutcome, EventKind, LiveCtx, NodeActor, Pacer, RuntimeEvent,
+};
 use crate::faulty::{FaultyNode, Rejoin};
 use crate::transport::{mailbox, Loopback};
 use btr_core::{BtrSystem, FaultScenario};
@@ -33,7 +37,7 @@ use btr_sim::{LogicalTrace, NodeBehavior, SimConfig};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -227,9 +231,13 @@ pub struct LiveReport {
     /// Phase marks observed across all node runtimes, in node order
     /// (empty when `LiveConfig::obs` is off).
     pub phase_marks: Vec<PhaseMark>,
-    /// Causal-gate wait polls summed over all actors.
+    /// Causal-gate sleeps summed over all actors.
     pub frontier_stalls: u64,
-    /// Anchor re-folds forced by sub-anchor arrivals, summed.
+    /// Who held the frontier: of those sleeps, how many had each node as
+    /// the peer holding the sleeper's bound lowest (index = node; sums
+    /// to `frontier_stalls` when no actor was detached as an overrun).
+    pub frontier_blockers: Vec<u64>,
+    /// Repeat folds forced by arrivals after an actor's drain, summed.
     pub redrains: u64,
     /// Wall-clock lateness of timer dispatches (µs), merged over all
     /// actors.
@@ -294,6 +302,42 @@ pub(crate) fn run_guarded(
     }
 }
 
+/// The start barrier: logical zero is the wall instant the last party
+/// arrives, so no thread starts behind the wall schedule at any pace —
+/// and none waits out a guess at how long spawning takes.
+struct StartLine {
+    parties: usize,
+    /// Arrivals so far, and the epoch once everyone is up.
+    state: Mutex<(usize, Option<Instant>)>,
+    all_up: Condvar,
+}
+
+impl StartLine {
+    fn new(parties: usize) -> StartLine {
+        StartLine {
+            parties,
+            state: Mutex::new((0, None)),
+            all_up: Condvar::new(),
+        }
+    }
+
+    /// Arrive, wait for the rest, and learn the shared epoch.
+    fn arrive(&self) -> Instant {
+        let mut state = self.state.lock().expect("start line lock");
+        state.0 += 1;
+        if state.0 == self.parties {
+            state.1 = Some(Instant::now());
+            self.all_up.notify_all();
+        }
+        loop {
+            if let Some(epoch) = state.1 {
+                return epoch;
+            }
+            state = self.all_up.wait(state).expect("start line lock");
+        }
+    }
+}
+
 /// Execute `scenario` on the live thread-per-node runtime.
 pub fn run_live(
     system: &BtrSystem,
@@ -316,12 +360,9 @@ pub fn run_live(
     let workload = system.workload_arc();
     let strategy = system.strategy_arc();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
-    // Logical zero opens a beat after spawn so no thread starts behind
-    // the wall schedule.
-    let pacer = Pacer::new(
-        Instant::now() + std::time::Duration::from_millis(25),
-        cfg.pace,
-    );
+    // Every actor thread and this one meet at the start line.
+    let start = Arc::new(StartLine::new(n + 1));
+    let pace = cfg.pace;
 
     let mut handles: Vec<Option<JoinHandle<Option<ActorOutcome>>>> = (0..n).map(|_| None).collect();
     // Whether the *current* thread for a node has emitted its terminal
@@ -374,14 +415,17 @@ pub fn run_live(
         );
         ctx.set_obs(cfg.obs);
         let actor = NodeActor::new(node, behavior, ctx, rx, net.clone())
-            .with_flight(Arc::clone(&flights[i as usize]));
+            .with_flight(Arc::clone(&flights[i as usize]))
+            .with_restart(cfg.restart_after);
         let ev = ev_tx.clone();
+        let start = Arc::clone(&start);
         let h = thread::Builder::new()
             .name(format!("btr-{node}"))
-            .spawn(move || run_guarded(actor, end, pacer, ev))
+            .spawn(move || run_guarded(actor, end, Pacer::new(start.arrive(), pace), ev))
             .expect("spawn node thread");
         handles[i as usize] = Some(h);
     }
+    let pacer = Pacer::new(start.arrive(), pace);
 
     let deadline = pacer.wall_for(end) + cfg.join_grace;
     let mut live_threads = n;
@@ -424,8 +468,12 @@ pub fn run_live(
                 thread_done[idx] = true;
                 live_threads -= 1;
                 ever_crashed[idx] = true;
-                let restart_at = e.logical + cfg.restart_after;
-                if cfg.restart_after > Duration::ZERO && !restarted[idx] && restart_at < end {
+                // The dying actor decided the same way and left its
+                // frontier cell at `restart_at` for the next incarnation
+                // (which, built without `with_restart`, stays down if it
+                // crashes again).
+                let restart_at = restart_instant(e.logical, cfg.restart_after, end);
+                if let Some(restart_at) = restart_at.filter(|_| !restarted[idx]) {
                     restarted[idx] = true;
                     // The terminal event precedes the thread's return by
                     // instants; this join is prompt.
@@ -436,12 +484,6 @@ pub fn run_live(
                     }
                     thread_done[idx] = false;
                     live_threads += 1;
-                    // Pull the dead thread's terminal frontier back down:
-                    // the restarted incarnation sends nothing before
-                    // `restart_at`, and peers are wall-paced well behind
-                    // that instant when this runs, so the window between
-                    // the crash and this store cannot be outrun.
-                    net.reset_frontier(e.node, restart_at);
                     let node = e.node;
                     let ev = ev_tx.clone();
                     let net2 = net.clone();
@@ -548,6 +590,7 @@ pub fn run_live(
     let mailbox_full_by_node: Vec<u64> = (0..n as u32)
         .map(|i| net.mailbox_full_at(NodeId(i)))
         .collect();
+    let frontier_blockers: Vec<u64> = (0..n as u32).map(|i| net.slept_on(NodeId(i))).collect();
 
     // Dump flight recorders for every flagged node: panics, deadline
     // overruns, and overflowing mailboxes each earn a dump under their
@@ -602,6 +645,7 @@ pub fn run_live(
         flight_dumps,
         phase_marks,
         frontier_stalls,
+        frontier_blockers,
         redrains,
         timer_lag,
         wall: run_start.elapsed(),
