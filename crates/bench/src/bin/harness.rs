@@ -205,6 +205,13 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
             p.wall_share_pct(Subsystem::Dispatch),
             p.wall_share_pct(Subsystem::Other),
         );
+        if p.routing_rows_built > 0 {
+            outln!(
+                "    routing rows: {} built, {} of them healed after the crash",
+                p.routing_rows_built,
+                p.routing_rows_healed,
+            );
+        }
         for c in &p.shard_plan {
             outln!(
                 "    shard {:<16} {} regions  cut {:>5.1}%  imbalance {:.2}  \
@@ -310,6 +317,8 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
                 "      \"allocations\": {},\n",
                 "      \"routing_kind\": \"{}\",\n",
                 "      \"routing_resident_bytes\": {},\n",
+                "      \"routing_rows_built\": {},\n",
+                "      \"routing_rows_healed\": {},\n",
                 "      \"drops_forward\": {},\n",
                 "      \"envelopes_leaked\": {},\n",
                 "      \"truncated\": {},\n",
@@ -343,6 +352,8 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
             p.allocations,
             p.routing_kind,
             p.routing_resident_bytes,
+            p.routing_rows_built,
+            p.routing_rows_healed,
             p.metrics.drops_forward,
             p.envelopes_leaked,
             p.truncated,

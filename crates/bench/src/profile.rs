@@ -73,6 +73,12 @@ pub struct ProfilePoint {
     pub routing_resident_bytes: usize,
     /// Selected routing backend ("precomputed" / "demand").
     pub routing_kind: &'static str,
+    /// Routing rows the baseline run built by BFS, heals included (0 for
+    /// the precomputed backend).
+    pub routing_rows_built: u64,
+    /// Of those, stale rows rebuilt because a message's walk crossed the
+    /// crashed relay — what the crash cost the routing layer.
+    pub routing_rows_healed: u64,
     /// Envelopes still parked in the event arena after the baseline run
     /// (must be 0: the queue drained).
     pub envelopes_leaked: usize,
@@ -244,8 +250,9 @@ pub fn profile_topology(family: &str, n: usize) -> Topology {
 
 /// Build one profile world: the scale traffic on `topo`, with one relay
 /// dying mid-run so the link layer must heal multi-hop routes around it
-/// (table rebuild below the backend threshold, row invalidation above
-/// it) — which is also what exercises the mode-switch subsystem scope.
+/// (table rebuild below the backend threshold, stale rows healed on
+/// demand above it) — which is also what exercises the mode-switch
+/// subsystem scope.
 pub fn profile_world(topo: Topology, n: usize, seed: u64, periods: u64) -> World {
     let cfg = SimConfig::new(seed);
     let mut w = World::new(topo, cfg);
@@ -332,6 +339,7 @@ pub fn measure_profile_point(
         last_round = Some((base, allocations, observed));
     }
     let (base, allocations, mut observed) = last_round.expect("OBS_AB_ROUNDS is at least 1");
+    let (routing_rows_built, routing_rows_healed) = base.routing_rows_built();
     let metrics = *base.metrics();
     let digest = base.logical_trace().digest();
     let inert = *observed.metrics() == metrics && observed.logical_trace().digest() == digest;
@@ -362,6 +370,8 @@ pub fn measure_profile_point(
         allocations,
         routing_resident_bytes: base.routing_resident_bytes(),
         routing_kind: base.routing_kind(),
+        routing_rows_built,
+        routing_rows_healed,
         envelopes_leaked: base.envelopes_in_flight(),
         truncated: base.truncated(),
         digest,

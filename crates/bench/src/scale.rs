@@ -12,7 +12,8 @@
 //! Each point also crashes one relay mid-run
 //! (`crate::profile::profile_world`), exercising the
 //! `avoiding_transit` recomputation path at scale: a full table rebuild
-//! below the threshold, an O(n) invalidation above it. A point whose
+//! below the threshold; above it the rows are kept, marked stale, and
+//! healed one at a time as traffic crosses the dead relay. A point whose
 //! routing residency exceeds [`SCALE_ROUTING_BUDGET`] fails the harness
 //! — the sub-quadratic gate CI enforces at n = 1000.
 

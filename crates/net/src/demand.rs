@@ -24,9 +24,18 @@
 //! doubling up to the byte budget (`with_budget`'s one argument; at least
 //! one row), with a `dst → slab row` map and each slab row's owner. When
 //! the slab is full a miss takes over the next slab row round-robin — off
-//! the hit path, which pays one map load and a counter. `set_avoid` forgets
-//! every row (the map is cleared, the slab keeps its capacity), which is
-//! the at-scale crash-heal: rows re-materialise on demand.
+//! the hit path, which pays one map load and a counter.
+//!
+//! **Rows outlive a crash.** When the avoid set *grows* (a node crashed),
+//! `set_avoid` keeps every resident row and marks it stale — a bit of its
+//! map entry, no new array. The BFS is destination-rooted with ascending
+//! neighbour order, so removing a relay changes the parent only of the
+//! nodes in *its* subtree: a walk over a stale row that meets no avoided
+//! relay is bit-for-bit the walk a fresh BFS would give, and only a walk
+//! that crosses one rebuilds that one row in place (DESIGN.md "The link
+//! layer: what a hop reads"). A shrinking avoid set, or a change of
+//! semantics over a non-empty one, forgets every row (the map is cleared,
+//! the slab keeps its capacity) and rows re-materialise on demand.
 //!
 //! **What the budget bounds.** The slab only: `rows × n × 2` bytes. The
 //! CSR adjacency (`n + 1` offsets, one edge and one reverse slot per
@@ -62,6 +71,11 @@ const NONE: u16 = u16::MAX;
 
 /// `row_of` entry for a destination with no resident row.
 const NO_ROW: u32 = u32::MAX;
+
+/// `row_of` bit of a row built under a smaller avoid set than the current
+/// one: still resident, but a walk over it must check its relays. Entries
+/// below this are fresh rows, so the hit path stays one compare.
+const STALE: u32 = 1 << 31;
 
 /// Most neighbours a node may have: a row entry indexes the sender's
 /// adjacency list in 16 bits, with [`NONE`] set aside.
@@ -113,14 +127,18 @@ pub struct DemandRoutes {
     /// from `v`.
     back_slot: Vec<u16>,
     avoid: BTreeSet<NodeId>,
-    /// `avoid` as a mask, for the BFS.
+    /// `avoid` as a mask, for the BFS and the walk over a stale row.
     avoided: Vec<bool>,
     endpoints_ok: bool,
+    /// Nodes a row's BFS can mark besides its destination; the fill
+    /// stops when it has marked them all.
+    markable: usize,
     /// Most rows the budget admits (at least one, at most `n`).
     max_rows: usize,
     /// Resident rows, `n` entries each; row `r` is `slab[r * n..][..n]`.
     slab: Vec<u16>,
-    /// `row_of[dst]` = which slab row is `dst`'s, or [`NO_ROW`].
+    /// `row_of[dst]` = which slab row is `dst`'s, with [`STALE`] set if
+    /// it predates the current avoid set, or [`NO_ROW`].
     row_of: Vec<u32>,
     /// `owner[r]` = the destination whose row slab row `r` holds.
     owner: Vec<NodeId>,
@@ -130,6 +148,8 @@ pub struct DemandRoutes {
     hits: u64,
     misses: u64,
     evictions: u64,
+    kept_stale: u64,
+    healed: u64,
     // Reusable scratch: the BFS queue and the staged path returned by
     // `path_and_links`.
     queue: Vec<NodeId>,
@@ -145,33 +165,49 @@ fn check_degree(node: NodeId, degree: usize) {
     );
 }
 
+/// How a walk over a row ended.
+#[derive(PartialEq)]
+enum Walk {
+    /// At `dst`.
+    Found,
+    /// Short of `dst`: no route.
+    NoRoute,
+    /// At an avoided relay of a stale row: the row must be rebuilt.
+    Crossed,
+}
+
 /// Follow a destination's `row` from `src`, reporting each hop: the
-/// slot `row[cur]` picks the edge of `cur` that leads on. False if the
-/// walk ends short of `dst` (no route). `src != dst`.
+/// slot `row[cur]` picks the edge of `cur` that leads on. A `STALE` row
+/// predates the current avoid set, so each relay is checked against
+/// `avoided`; a fresh row never leads through one. `src != dst`.
 #[inline(always)]
-fn walk(
+fn walk<const STALE: bool>(
     row: &[u16],
     first_edge: &[u32],
     edges: &[(NodeId, LinkId)],
+    avoided: &[bool],
     src: NodeId,
     dst: NodeId,
     mut hop: impl FnMut(NodeId, NodeId, LinkId),
-) -> bool {
+) -> Walk {
     let mut cur = src;
     // A row is a tree rooted at `dst`, so a walk is under n hops.
     for _ in 0..row.len() {
         let slot = row[cur.index()];
         if slot == NONE {
-            return false;
+            return Walk::NoRoute;
         }
         let (next, link) = edges[first_edge[cur.index()] as usize + slot as usize];
         hop(cur, next, link);
         if next == dst {
-            return true;
+            return Walk::Found;
+        }
+        if STALE && avoided[next.index()] {
+            return Walk::Crossed;
         }
         cur = next;
     }
-    false
+    Walk::NoRoute
 }
 
 impl DemandRoutes {
@@ -221,6 +257,7 @@ impl DemandRoutes {
             avoid: BTreeSet::new(),
             avoided: vec![false; n],
             endpoints_ok: false,
+            markable: n.saturating_sub(1),
             max_rows: (budget / (n * std::mem::size_of::<u16>())).clamp(1, n),
             slab: Vec::new(),
             row_of: vec![NO_ROW; n],
@@ -229,6 +266,8 @@ impl DemandRoutes {
             hits: 0,
             misses: 0,
             evictions: 0,
+            kept_stale: 0,
+            healed: 0,
             queue: Vec::with_capacity(n),
             path_nodes: Vec::new(),
             path_links: Vec::new(),
@@ -252,13 +291,18 @@ impl DemandRoutes {
         d
     }
 
-    /// Install a new avoid set, forgetting every resident row (the slab
-    /// keeps its capacity). This is the at-scale crash-heal path: O(n)
-    /// instead of the table's O(n² · diameter) rebuild.
+    /// Install a new avoid set — the at-scale crash-heal path, O(resident
+    /// rows) where the table rebuilds all pairs. A set that grew under
+    /// unchanged semantics (or from empty, where the two semantics agree)
+    /// keeps every resident row and marks it stale: lookups check a stale
+    /// row's relays and rebuild only a row they find crossing an avoided
+    /// one. Anything else forgets every row (the slab keeps its capacity).
     pub fn set_avoid(&mut self, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) {
         if self.avoid == *avoid && self.endpoints_ok == endpoints_ok {
             return;
         }
+        let grew = avoid.is_superset(&self.avoid)
+            && (endpoints_ok == self.endpoints_ok || self.avoid.is_empty());
         self.avoid = avoid.clone();
         self.endpoints_ok = endpoints_ok;
         self.avoided.fill(false);
@@ -267,15 +311,32 @@ impl DemandRoutes {
                 *m = true;
             }
         }
-        self.row_of.fill(NO_ROW);
-        self.owner.clear();
-        self.slab.clear();
-        self.next_victim = 0;
+        self.markable = crate::routing::markable(&self.avoided, endpoints_ok);
+        if grew {
+            for owner in &self.owner {
+                self.row_of[owner.index()] |= STALE;
+            }
+            self.kept_stale += self.owner.len() as u64;
+        } else {
+            self.row_of.fill(NO_ROW);
+            self.owner.clear();
+            self.slab.clear();
+            self.next_victim = 0;
+        }
     }
 
-    /// (hits, misses, evictions) since construction.
+    /// (hits, misses, evictions) since construction. A lookup answered
+    /// from a resident row, stale or not, is a hit; a miss builds a row
+    /// for a destination that had none.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
+    }
+
+    /// What growing avoid sets cost since construction: (rows kept
+    /// resident and marked stale, stale rows rebuilt because a walk
+    /// crossed an avoided relay). A rebuild is neither a hit nor a miss.
+    pub fn heal_stats(&self) -> (u64, u64) {
+        (self.kept_stale, self.healed)
     }
 
     /// Number of rows currently resident.
@@ -293,8 +354,13 @@ impl DemandRoutes {
     /// first message of each flow.
     pub fn warm<I: IntoIterator<Item = NodeId>>(&mut self, dsts: I) {
         for dst in dsts {
-            if dst.index() < self.n {
-                self.ensure_row(dst);
+            if dst.index() >= self.n {
+                continue;
+            }
+            if self.row_of[dst.index()] == NO_ROW {
+                self.build_row(dst);
+            } else {
+                self.hits += 1;
             }
         }
     }
@@ -305,37 +371,82 @@ impl DemandRoutes {
     /// is no route; a self-path is zero hops.
     #[inline]
     pub fn hops_into(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<Hop>) -> bool {
+        let mark = out.len();
+        self.route(
+            src,
+            dst,
+            out,
+            |out, a, b, l| out.push((a, b, l)),
+            |out| out.truncate(mark),
+        )
+    }
+
+    /// The one walk behind every lookup: `hop` reports each hop of the
+    /// path from `src` to `dst` into `sink`, and `rewind` takes back what
+    /// was reported — when there is no route (false), and when a stale
+    /// row led to an avoided relay, before the walk restarts on the
+    /// rebuilt row. No answer ever comes from a path the current avoid
+    /// set forbids.
+    #[inline]
+    fn route<S: ?Sized>(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        sink: &mut S,
+        hop: impl Fn(&mut S, NodeId, NodeId, LinkId),
+        rewind: impl Fn(&mut S),
+    ) -> bool {
         if src == dst {
             return true;
         }
-        let row = self.ensure_row(dst);
-        let (row, fe, edges) = (&self.slab[row..row + self.n], &self.first_edge, &self.edges);
-        let mark = out.len();
-        let found = walk(row, fe, edges, src, dst, |a, b, l| out.push((a, b, l)));
-        if !found {
-            out.truncate(mark);
-        }
-        found
-    }
-
-    /// The slab offset of `dst`'s row, building it first if it is not
-    /// resident.
-    #[inline]
-    fn ensure_row(&mut self, dst: NodeId) -> usize {
-        let r = self.row_of[dst.index()];
-        if r != NO_ROW {
+        let n = self.n;
+        let (fe, edges, avoided) = (&self.first_edge, &self.edges, &self.avoided);
+        let entry = self.row_of[dst.index()];
+        let r = if entry < STALE {
             self.hits += 1;
-            return r as usize * self.n;
+            entry as usize
+        } else if entry == NO_ROW {
+            self.build_row(dst)
+        } else {
+            let r = (entry & !STALE) as usize;
+            // `avoiding` gives an avoided endpoint no route at all.
+            let refused = !self.endpoints_ok && (avoided[src.index()] || avoided[dst.index()]);
+            let walked = if refused {
+                Walk::NoRoute
+            } else {
+                let row = &self.slab[r * n..][..n];
+                walk::<true>(row, fe, edges, avoided, src, dst, |a, b, l| {
+                    hop(sink, a, b, l)
+                })
+            };
+            if walked != Walk::Crossed {
+                // Unreachable before the set grew is unreachable after.
+                self.hits += 1;
+                if walked == Walk::NoRoute {
+                    rewind(sink);
+                }
+                return walked == Walk::Found;
+            }
+            rewind(sink);
+            self.healed += 1;
+            self.row_of[dst.index()] = r as u32;
+            self.fill_row(r, dst);
+            r
+        };
+        let row = &self.slab[r * n..][..n];
+        let (fe, edges, avoided) = (&self.first_edge, &self.edges, &self.avoided);
+        let walked = walk::<false>(row, fe, edges, avoided, src, dst, |a, b, l| {
+            hop(sink, a, b, l)
+        });
+        if walked != Walk::Found {
+            rewind(sink);
         }
-        self.build_row(dst)
+        walked == Walk::Found
     }
 
     /// Claim a slab row for `dst` — a fresh one while the budget admits
-    /// it, else the next victim's, round-robin — and fill it: the exact
-    /// BFS of `RoutingTable::build` restricted to one destination, with
-    /// ascending-id neighbour order and avoided nodes either skipped
-    /// (`avoiding`) or assigned a hop but never expanded
-    /// (`avoiding_transit`). The row is its own visited set.
+    /// it, else the next victim's, round-robin — and fill it. Returns
+    /// the slab row.
     #[cold]
     fn build_row(&mut self, dst: NodeId) -> usize {
         self.misses += 1;
@@ -355,67 +466,91 @@ impl DemandRoutes {
             self.row_of[self.owner[r].index()] = NO_ROW;
             self.owner[r] = dst;
             self.evictions += 1;
-            self.slab[r * n..(r + 1) * n].fill(NONE);
             r
         };
         self.row_of[dst.index()] = r as u32;
+        self.fill_row(r, dst);
+        r
+    }
+
+    /// Fill slab row `r` for `dst` under the current avoid set: the exact
+    /// BFS of `RoutingTable::build` restricted to one destination, with
+    /// ascending-id neighbour order and avoided nodes either skipped
+    /// (`avoiding`) or assigned a hop but never expanded
+    /// (`avoiding_transit`). The row is its own visited set, and the
+    /// search ends with the last markable node, not with the queue.
+    fn fill_row(&mut self, r: usize, dst: NodeId) {
+        let n = self.n;
         let row = &mut self.slab[r * n..(r + 1) * n];
-        if !self.avoided[dst.index()] || self.endpoints_ok {
-            let (first_edge, edges, back_slot) =
-                (&self.first_edge[..], &self.edges[..], &self.back_slot[..]);
-            let (avoided, endpoints_ok) = (&self.avoided[..n], self.endpoints_ok);
-            let queue = &mut self.queue;
-            row[dst.index()] = 0; // Visited; restored below.
-            queue.clear();
-            queue.push(dst);
-            let mut head = 0;
-            while let Some(&cur) = queue.get(head) {
-                head += 1;
-                let (lo, hi) = (
-                    first_edge[cur.index()] as usize,
-                    first_edge[cur.index() + 1] as usize,
-                );
-                for (&(nb, _), &back) in edges[lo..hi].iter().zip(&back_slot[lo..hi]) {
-                    if row[nb.index()] != NONE {
+        row.fill(NONE);
+        if self.avoided[dst.index()] && !self.endpoints_ok {
+            return;
+        }
+        let (first_edge, edges, back_slot) =
+            (&self.first_edge[..], &self.edges[..], &self.back_slot[..]);
+        let (avoided, endpoints_ok) = (&self.avoided[..n], self.endpoints_ok);
+        let queue = &mut self.queue;
+        let mut unmarked = self.markable;
+        row[dst.index()] = 0; // Visited; restored below.
+        queue.clear();
+        queue.push(dst);
+        let mut head = 0;
+        'bfs: while let Some(&cur) = queue.get(head) {
+            head += 1;
+            let (lo, hi) = (
+                first_edge[cur.index()] as usize,
+                first_edge[cur.index() + 1] as usize,
+            );
+            for (&(nb, _), &back) in edges[lo..hi].iter().zip(&back_slot[lo..hi]) {
+                if row[nb.index()] != NONE {
+                    continue;
+                }
+                if avoided[nb.index()] {
+                    if !endpoints_ok {
                         continue;
                     }
-                    if avoided[nb.index()] {
-                        if endpoints_ok {
-                            // May originate (gets a next hop), never relays.
-                            row[nb.index()] = back;
-                        }
-                        continue;
-                    }
-                    row[nb.index()] = back;
+                    // May originate (gets a next hop), never relays.
+                } else {
                     queue.push(nb);
                 }
+                row[nb.index()] = back;
+                unmarked -= 1;
+                if unmarked == 0 {
+                    break 'bfs;
+                }
             }
-            row[dst.index()] = NONE;
         }
-        r * n
+        row[dst.index()] = NONE;
     }
 }
 
 impl Routes for DemandRoutes {
     fn path_and_links(&mut self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])> {
-        self.path_nodes.clear();
-        self.path_links.clear();
-        self.path_nodes.push(src);
-        // Loopback does not traverse the network; self-paths exist even
-        // for avoided nodes (matches the table's spans).
-        if src != dst {
-            let row = self.ensure_row(dst);
-            let (row, fe, edges) = (&self.slab[row..row + self.n], &self.first_edge, &self.edges);
-            let (nodes, links) = (&mut self.path_nodes, &mut self.path_links);
-            let found = walk(row, fe, edges, src, dst, |_, to, link| {
+        let mut path = (
+            std::mem::take(&mut self.path_nodes),
+            std::mem::take(&mut self.path_links),
+        );
+        path.0.clear();
+        path.1.clear();
+        path.0.push(src);
+        // Loopback does not traverse the network: `route` gives a
+        // self-path zero hops even for avoided nodes (matches the table's
+        // spans).
+        let found = self.route(
+            src,
+            dst,
+            &mut path,
+            |(nodes, links), _, to, link| {
                 nodes.push(to);
                 links.push(link);
-            });
-            if !found {
-                return None;
-            }
-        }
-        Some((&self.path_nodes, &self.path_links))
+            },
+            |(nodes, links)| {
+                nodes.truncate(1);
+                links.clear();
+            },
+        );
+        (self.path_nodes, self.path_links) = path;
+        found.then_some((&self.path_nodes[..], &self.path_links[..]))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -465,6 +600,19 @@ impl RouteBackend {
         match self {
             RouteBackend::Precomputed(_) => "precomputed",
             RouteBackend::Demand(_) => "demand",
+        }
+    }
+
+    /// (rows built, how many of those were heals of a stale row) since
+    /// construction — what demand routing cost in BFS runs. The
+    /// precomputed table builds no rows.
+    pub fn rows_built(&self) -> (u64, u64) {
+        match self {
+            RouteBackend::Precomputed(_) => (0, 0),
+            RouteBackend::Demand(d) => {
+                let healed = d.heal_stats().1;
+                (d.cache_stats().1 + healed, healed)
+            }
         }
     }
 
@@ -609,12 +757,13 @@ mod tests {
         }
         assert_eq!((d.cached_rows(), d.cache_stats().2), (3, 3));
         // Heal around n1, then ask for an evicted destination, a resident
-        // one, and churn past the budget again: the `dst → slab row` map
-        // and the rows' owners were reset together, so every answer is the
-        // healed table's and the owners stay one-to-one with the map.
+        // one, and churn past the budget again: the resident rows stay,
+        // stale, and the `dst → slab row` map and the rows' owners stay
+        // one-to-one through heals in place and takeovers alike, so every
+        // answer is the healed table's.
         let avoid = BTreeSet::from([NodeId(1)]);
         d.set_avoid(&avoid, true);
-        assert_eq!(d.cached_rows(), 0);
+        assert_eq!((d.cached_rows(), d.heal_stats()), (3, (3, 0)));
         let table = RoutingTable::avoiding_transit(&t, &avoid);
         for dst in [0u32, 4, 2, 6, 0, 5, 4] {
             let expect = table
@@ -625,7 +774,7 @@ mod tests {
                 .map(|(p, l)| (p.to_vec(), l.to_vec()));
             assert_eq!(expect, got, "3 -> {dst} after heal");
             for (r, owner) in d.owner.iter().enumerate() {
-                assert_eq!(d.row_of[owner.index()], r as u32);
+                assert_eq!(d.row_of[owner.index()] & !STALE, r as u32);
             }
             let mapped = d.row_of.iter().filter(|&&r| r != NO_ROW).count();
             assert_eq!(mapped, d.cached_rows());
@@ -671,16 +820,81 @@ mod tests {
         let t = Topology::ring(6, 100, Duration(1));
         let mut d = DemandRoutes::new(&t);
         assert!(d.path_and_links(NodeId(0), NodeId(2)).is_some());
-        assert_eq!(d.cached_rows(), 1);
-        d.set_avoid(&BTreeSet::from([NodeId(1)]), true);
-        assert_eq!(d.cached_rows(), 0, "avoid change must drop rows");
-        // Healed path goes the long way, matching the transit table.
-        let table = RoutingTable::avoiding_transit(&t, &BTreeSet::from([NodeId(1)]));
+        assert!(d.path_and_links(NodeId(0), NodeId(5)).is_some());
+        assert_eq!(d.cached_rows(), 2);
+        let avoid = BTreeSet::from([NodeId(1)]);
+        d.set_avoid(&avoid, true);
+        // Both rows are still resident, but no answer predates the crash:
+        // the walk to n2 met n1 and healed its row the long way round, the
+        // one to n5 never came near it and was served as it stood.
+        assert_eq!((d.cached_rows(), d.heal_stats()), (2, (2, 0)));
+        let table = RoutingTable::avoiding_transit(&t, &avoid);
+        let owned = |p: Option<(&[NodeId], &[LinkId])>| p.map(|(p, l)| (p.to_vec(), l.to_vec()));
+        for dst in [2, 5] {
+            assert_eq!(
+                owned(d.path_and_links(NodeId(0), NodeId(dst))),
+                owned(table.path_and_links(NodeId(0), NodeId(dst))),
+            );
+        }
+        assert_eq!(d.heal_stats(), (2, 1));
+        // A heal is a rebuild in place: not a miss, not an eviction.
+        assert_eq!(d.cache_stats(), (1, 2, 0));
         paths_match(&table, &mut d, 6, "post-heal");
-        // Re-installing the same set keeps the cache.
-        let cached = d.cached_rows();
-        d.set_avoid(&BTreeSet::from([NodeId(1)]), true);
-        assert_eq!(d.cached_rows(), cached);
+        // Re-installing the same set changes nothing.
+        let before = (d.cached_rows(), d.cache_stats(), d.heal_stats());
+        d.set_avoid(&avoid, true);
+        assert_eq!((d.cached_rows(), d.cache_stats(), d.heal_stats()), before);
+    }
+
+    #[test]
+    fn shrinking_or_flipped_avoid_set_forgets() {
+        let t = Topology::ring(6, 100, Duration(1));
+        let one = BTreeSet::from([NodeId(1)]);
+        let two = BTreeSet::from([NodeId(1), NodeId(4)]);
+        let mut d = DemandRoutes::avoiding_transit(&t, &two);
+        d.warm((0..6).map(NodeId));
+        // A node came back: rows built around it know nothing shorter.
+        d.set_avoid(&one, true);
+        assert_eq!((d.cached_rows(), d.heal_stats()), (0, (0, 0)));
+        paths_match(
+            &RoutingTable::avoiding_transit(&t, &one),
+            &mut d,
+            6,
+            "shrunk",
+        );
+        // Same set, other semantics: an avoided endpoint lost its routes.
+        d.set_avoid(&one, false);
+        assert_eq!(d.cached_rows(), 0);
+        paths_match(&RoutingTable::avoiding(&t, &one), &mut d, 6, "flipped");
+        // Growth under `avoiding` keeps the rows and refuses the new
+        // endpoint without rebuilding anything.
+        d.set_avoid(&two, false);
+        assert_eq!((d.cached_rows(), d.heal_stats()), (6, (6, 0)));
+        assert!(d.path_and_links(NodeId(4), NodeId(3)).is_none());
+        assert!(d.path_and_links(NodeId(3), NodeId(4)).is_none());
+        assert_eq!(d.heal_stats(), (6, 0));
+        paths_match(&RoutingTable::avoiding(&t, &two), &mut d, 6, "regrown");
+    }
+
+    #[test]
+    fn evicted_stale_row_comes_back_fresh() {
+        // One slab row over a ring of 8: n2's row goes stale with the
+        // crash of n1, is taken over by n6's, and is built anew when n2
+        // is asked for again — fresh, with nothing left to heal.
+        let t = Topology::ring(8, 100, Duration(1));
+        let row = DemandRoutes::new(&t).row_bytes();
+        let mut d = DemandRoutes::with_budget(&t, row);
+        assert!(d.path_and_links(NodeId(0), NodeId(2)).is_some());
+        let avoid = BTreeSet::from([NodeId(1)]);
+        d.set_avoid(&avoid, true);
+        assert_eq!(d.row_of[2], STALE);
+        assert!(d.path_and_links(NodeId(0), NodeId(6)).is_some());
+        assert_eq!((d.row_of[2], d.row_of[6]), (NO_ROW, 0));
+        let (nodes, _) = d.path_and_links(NodeId(0), NodeId(2)).expect("heals");
+        let via: Vec<u32> = nodes.iter().map(|n| n.0).collect();
+        assert_eq!(via, [0, 7, 6, 5, 4, 3, 2]);
+        assert_eq!((d.row_of[2], d.row_of[6]), (0, NO_ROW));
+        assert_eq!((d.heal_stats(), d.cache_stats()), ((1, 0), (0, 3, 2)));
     }
 
     #[test]

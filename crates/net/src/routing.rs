@@ -23,6 +23,18 @@
 use btr_model::{LinkId, NodeId, Topology};
 use std::collections::{BTreeSet, VecDeque};
 
+/// Nodes one destination's BFS can mark besides the destination: all of
+/// them when avoided nodes may be endpoints (they get a hop, unexpanded),
+/// the non-avoided ones otherwise. Both backends stop a search there.
+pub(crate) fn markable(avoided: &[bool], endpoints_ok: bool) -> usize {
+    let skipped = if endpoints_ok {
+        0
+    } else {
+        avoided.iter().filter(|&&a| a).count()
+    };
+    (avoided.len() - skipped).saturating_sub(1)
+}
+
 /// Pool offsets for one (src, dst) pair's cached path.
 #[derive(Debug, Clone, Copy, Default)]
 struct PathSpan {
@@ -88,6 +100,10 @@ impl RoutingTable {
                 *slot = true;
             }
         }
+        // The search ends with the last markable node — on a bus, after
+        // the destination's own neighbour list — and runs the queue dry
+        // only when some are unreachable.
+        let markable = markable(&avoided, endpoints_ok);
         let mut visited = vec![false; n];
         let mut queue = VecDeque::new();
         for dst in 0..n {
@@ -97,8 +113,10 @@ impl RoutingTable {
             }
             visited.fill(false);
             visited[dst] = true;
+            queue.clear();
             queue.push_back(dst_id);
-            while let Some(cur) = queue.pop_front() {
+            let mut unmarked = markable;
+            'bfs: while let Some(cur) = queue.pop_front() {
                 for &(nb, _) in topo.neighbors(cur) {
                     if visited[nb.index()] {
                         continue;
@@ -109,14 +127,16 @@ impl RoutingTable {
                         }
                         // An avoided node may originate traffic (it gets a
                         // next hop) but never relays: don't expand it.
-                        visited[nb.index()] = true;
-                        next_hop[nb.index() * n + dst] = Some(cur);
-                        continue;
+                    } else {
+                        queue.push_back(nb);
                     }
                     visited[nb.index()] = true;
                     // From nb, the next hop toward dst is cur.
                     next_hop[nb.index() * n + dst] = Some(cur);
-                    queue.push_back(nb);
+                    unmarked -= 1;
+                    if unmarked == 0 {
+                        break 'bfs;
+                    }
                 }
             }
         }

@@ -7,10 +7,15 @@
 //!
 //! This is the contract that lets `RouteBackend::auto` switch backends
 //! by node count without changing a single simulation bit.
+//!
+//! The second half holds a `DemandRoutes` that *lived through* crashes —
+//! rows kept stale across growing avoid sets, healed one at a time — to
+//! a fresh one built for the final set: same answer on every pair,
+//! through both lookups.
 
-use btr_model::{Duration, NodeId, Topology};
-use btr_net::{DemandRoutes, Routes, RoutingTable};
-use btr_topo::{torus, torus_dims};
+use btr_model::{Duration, LinkId, NodeId, Topology};
+use btr_net::{DemandRoutes, Hop, Routes, RoutingTable};
+use btr_topo::{fat_tree, torus, torus_dims};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -56,8 +61,112 @@ fn assert_equivalent(topo: &Topology, avoid: &BTreeSet<NodeId>, transit: bool, c
     }
 }
 
+type OwnedPath = Option<(Vec<NodeId>, Vec<LinkId>)>;
+
+fn via_path_and_links(d: &mut DemandRoutes, s: NodeId, t: NodeId) -> OwnedPath {
+    d.path_and_links(s, t)
+        .map(|(p, l)| (p.to_vec(), l.to_vec()))
+}
+
+/// The same answer through the simulator's lookup. The buffer arrives
+/// holding a sentinel hop, which must survive whatever the walk does.
+fn via_hops_into(d: &mut DemandRoutes, s: NodeId, t: NodeId, buf: &mut Vec<Hop>) -> OwnedPath {
+    buf.truncate(1);
+    let found = d.hops_into(s, t, buf);
+    assert_eq!(buf[0], SENTINEL, "{s}->{t}: staged hops were clobbered");
+    if !found {
+        assert_eq!(buf.len(), 1, "{s}->{t}: no route, yet hops were left");
+        return None;
+    }
+    let mut nodes = vec![s];
+    nodes.extend(buf[1..].iter().map(|h| h.1));
+    Some((nodes, buf[1..].iter().map(|h| h.2).collect()))
+}
+
+const SENTINEL: Hop = (NodeId(u32::MAX), NodeId(u32::MAX), LinkId(u32::MAX));
+
+/// Every pair of `survivor`, through both lookups, against `fresh`. Each
+/// lookup gets its own copy, so both meet the stale rows as they are.
+fn assert_survivor_matches(survivor: &DemandRoutes, fresh: &mut DemandRoutes, n: u32, ctx: &str) {
+    let (mut by_hops, mut by_path) = (survivor.clone(), survivor.clone());
+    let mut buf = vec![SENTINEL];
+    for s in (0..n).map(NodeId) {
+        for t in (0..n).map(NodeId) {
+            let expect = via_path_and_links(fresh, s, t);
+            assert_eq!(
+                via_hops_into(&mut by_hops, s, t, &mut buf),
+                expect,
+                "{ctx}: hops_into {s}->{t}"
+            );
+            assert_eq!(
+                via_path_and_links(&mut by_path, s, t),
+                expect,
+                "{ctx}: path_and_links {s}->{t}"
+            );
+        }
+    }
+}
+
+/// The families a crash can reroute on: ring, mesh, torus, fat-tree
+/// (dual-homed hosts), dual bus.
+fn healing_family(which: u8, n: usize) -> Topology {
+    match which % 5 {
+        0 => Topology::ring(n.max(3), 100, Duration(3)),
+        1 | 2 => family(which + 1, n),
+        3 => fat_tree(4, n % 5, 100, Duration(3)).expect("k = 4 builds"),
+        _ => Topology::dual_bus(n.max(2), 100, Duration(3)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Rows outlive crashes: one `DemandRoutes` sees up to four nodes
+    /// join the avoid set one at a time, with random lookups in between
+    /// (so some rows heal early, some go stale twice, and under a small
+    /// budget some are taken over while stale), and after every crash it
+    /// equals a fresh `avoiding_transit` / `avoiding` build on every pair.
+    #[test]
+    fn prop_rows_that_outlive_crashes_match_fresh(
+        which in 0u8..5,
+        n in 6usize..=30,
+        crashes in proptest::collection::vec(0u32..64, 1..=4),
+        mode in 0u8..4,
+        seed in 0u64..1000,
+    ) {
+        let (transit, tight) = (mode & 1 == 1, mode & 2 == 2);
+        let topo = healing_family(which, n);
+        let n_nodes = topo.node_count() as u32;
+        let budget = DemandRoutes::new(&topo).row_bytes() * if tight { 3 } else { n_nodes as usize };
+        let mut survivor = DemandRoutes::with_budget(&topo, budget);
+        let mut avoid = BTreeSet::new();
+        let mut x = seed + 1;
+        let mut buf = vec![SENTINEL];
+        for step in 0..=crashes.len() {
+            if step > 0 {
+                avoid.insert(NodeId(crashes[step - 1] % n_nodes));
+                survivor.set_avoid(&avoid, transit);
+            }
+            let mut fresh = if transit {
+                DemandRoutes::avoiding_transit(&topo, &avoid)
+            } else {
+                DemandRoutes::avoiding(&topo, &avoid)
+            };
+            for i in 0..n_nodes {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let s = NodeId((x >> 33) as u32 % n_nodes);
+                let t = NodeId((x >> 17) as u32 % n_nodes);
+                let got = if i % 2 == 0 {
+                    via_hops_into(&mut survivor, s, t, &mut buf)
+                } else {
+                    via_path_and_links(&mut survivor, s, t)
+                };
+                prop_assert_eq!(got, via_path_and_links(&mut fresh, s, t));
+            }
+            let ctx = format!("fam{which} n{n} avoid{avoid:?} transit={transit} tight={tight}");
+            assert_survivor_matches(&survivor, &mut fresh, n_nodes, &ctx);
+        }
+    }
 
     /// Full-topology routing: every pair's path and per-hop links agree
     /// on bus, ring, mesh, and torus platforms up to 32 nodes.
@@ -160,4 +269,56 @@ fn high_degree_bus_slots_agree() {
     let avoid = BTreeSet::from([NodeId(0), NodeId(257), NodeId(299)]);
     assert_equivalent(&topo, &avoid, true, "bus300 transit-avoid");
     assert_equivalent(&topo, &avoid, false, "bus300 avoid");
+}
+
+/// The crash the benchmark's torus workload scripts, exhaustively: all
+/// 1000 rows warm, n1 dies, and every one of the million pairs is asked
+/// of the rows that lived through it. Asked for everything, nearly every
+/// row has *some* source behind the dead relay; the workload's own
+/// traffic (each node to its +1, +7, +13 and +500 peers) crosses it on
+/// few rows, so few are rebuilt — the planner's rule that extra
+/// reassignments only prolong recovery, applied to the simulator's own
+/// routing.
+#[test]
+fn torus1000_crash_heals_only_rows_it_crosses() {
+    let topo = torus(25, 40, 100, Duration(3)).expect("25x40 is a valid torus");
+    let mut survivor = DemandRoutes::new(&topo);
+    survivor.warm((0..1000).map(NodeId));
+    let avoid = BTreeSet::from([NodeId(1)]);
+    survivor.set_avoid(&avoid, true);
+    assert_eq!(survivor.heal_stats(), (1000, 0));
+    let mut buf = vec![SENTINEL];
+    let mut workload = survivor.clone();
+    for s in 0..1000u32 {
+        for stride in [1, 7, 13, 500] {
+            workload.hops_into(NodeId(s), NodeId((s + stride) % 1000), &mut buf);
+        }
+    }
+    let healed = workload.heal_stats().1;
+    assert!(
+        (1..150).contains(&healed),
+        "{healed} of 1000 rows rebuilt for one dead relay"
+    );
+    let mut fresh = DemandRoutes::avoiding_transit(&topo, &avoid);
+    for s in (0..1000).map(NodeId) {
+        for t in (0..1000).map(NodeId) {
+            let expect = fresh.path_and_links(s, t);
+            let expect = expect.map(|(p, l)| (&p[1..], l));
+            buf.truncate(1);
+            let got = survivor.hops_into(s, t, &mut buf).then_some(&buf[1..]);
+            let same = match (got, expect) {
+                (Some(hops), Some((nodes, links))) => {
+                    hops.iter().map(|h| h.1).eq(nodes.iter().copied())
+                        && hops.iter().map(|h| h.2).eq(links.iter().copied())
+                }
+                (None, None) => true,
+                _ => false,
+            };
+            assert!(same, "{s}->{t}: {got:?} != {expect:?}");
+        }
+    }
+    let (kept, healed_by_all) = survivor.heal_stats();
+    assert_eq!(kept, 1000);
+    assert!(healed_by_all >= healed && healed_by_all <= 1000);
+    assert_eq!(survivor.cache_stats().1, 1000, "a heal is not a miss");
 }

@@ -250,7 +250,7 @@ impl World {
             links,
             routing,
             slots,
-            queue: EventQueue::default(),
+            queue: EventQueue::for_nodes(n),
             now: Time::ZERO,
             seq: 0,
             loss_rng,
@@ -431,6 +431,12 @@ impl World {
         self.routing.resident_bytes()
     }
 
+    /// (routing rows built, how many of those healed a row a crash
+    /// crossed) so far; zeros for the precomputed backend.
+    pub fn routing_rows_built(&self) -> (u64, u64) {
+        self.routing.rows_built()
+    }
+
     /// The selected routing backend ("precomputed" or "demand").
     pub fn routing_kind(&self) -> &'static str {
         self.routing.kind()
@@ -490,18 +496,18 @@ impl World {
     pub fn run_until(&mut self, t: Time) {
         assert!(self.started, "call start() first");
         loop {
-            let due = matches!(self.queue.next_at(), Some(at) if at <= t);
-            if !due {
-                break;
-            }
-            // Check the cap only when another event would dispatch: a run
-            // that *finishes* with exactly `max_events` events was not
-            // cut short and must not be flagged.
             if self.cfg.max_events > 0 && self.metrics.events >= self.cfg.max_events {
-                self.truncated = true;
+                // Cut short only if another event would have dispatched: a
+                // run that *finishes* with exactly `max_events` events
+                // must not be flagged.
+                if matches!(self.queue.next_at(), Some(at) if at <= t) {
+                    self.truncated = true;
+                }
                 break;
             }
-            let (at, event) = self.queue.pop().expect("peeked");
+            let Some((at, event)) = self.queue.pop_due(t) else {
+                break;
+            };
             self.now = at;
             self.metrics.events += 1;
             if self.obs.is_some() {
@@ -841,8 +847,9 @@ impl World {
     /// single-hop platforms are bit-identical to the pre-heal behaviour.
     ///
     /// Cost is backend-dependent: the precomputed table rebuilds all
-    /// pairs (O(n² · diameter)); the demand backend just installs the new
-    /// avoid set and drops its cached rows, re-materialising on demand.
+    /// pairs (O(n² · diameter)); the demand backend installs the new
+    /// avoid set, keeps its rows, and rebuilds one only when a message's
+    /// walk crosses a crashed relay.
     fn heal_routes(&mut self) {
         let crashed: BTreeSet<NodeId> = self
             .slots
