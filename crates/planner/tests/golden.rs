@@ -6,14 +6,15 @@
 //! its `Debug` rendering plus the full `StrategyStats` — and the exact
 //! text of the error a strict admission returns, on every platform
 //! family the planner is exercised on, including the shed-and-retry
-//! path. Planner-internal changes (how often a routing table is built,
+//! path, masking lane counts, both placement ablations, and a bus with
+//! two sensors and mixed node speeds. Planner-internal changes (how often a routing table is built,
 //! where transitions are derived) must leave every constant untouched.
 //!
 //! To regenerate after an *intended* behaviour change:
 //! `GOLDEN_PRINT=1 cargo test -p btr-planner --test golden -- --nocapture`.
 
-use btr_model::{Duration, Topology};
-use btr_planner::{build_strategy, PlannerConfig, ShedPolicy, StrategyStats};
+use btr_model::{Duration, Topology, TopologyBuilder};
+use btr_planner::{build_strategy, PlannerConfig, ReplicationMode, ShedPolicy, StrategyStats};
 use btr_workload::{generators, Workload};
 
 /// FNV-1a, 64 bit: a digest with a fixed definition (std's hashers
@@ -35,8 +36,30 @@ fn platform(name: &str) -> (Topology, u8) {
         // Overloaded: too little bandwidth for the full workload, so
         // most modes go through shed-and-retry.
         "bus5_overloaded" => (Topology::bus(5, 20_000, lat), 2),
+        // The campaign's largest cell shape: 36 fabric nodes plus three
+        // extra dual-homed hosts.
+        "fat_tree4" => (
+            btr_topo::fat_tree(4, 3, 150_000, lat).expect("valid fat-tree"),
+            1,
+        ),
+        "bus6_mixed" => (bus6_mixed(), 2),
         other => panic!("unknown platform {other}"),
     }
+}
+
+/// A six-node bus with two sensing nodes (n0, n4) and node speeds of
+/// 50 / 100 / 200 %: source lanes are capped at the healthy sensor
+/// count, the mode {n0, n4} has no sensor at all, and every WCET is
+/// scaled by its host's speed.
+fn bus6_mixed() -> Topology {
+    let mut b = TopologyBuilder::new();
+    let nodes: Vec<_> = [50, 100, 200, 100, 50, 200]
+        .into_iter()
+        .enumerate()
+        .map(|(i, speed_pct)| b.node(speed_pct, i == 0 || i == 4, true))
+        .collect();
+    b.link(&nodes, 150_000, Duration(5));
+    b.build().expect("valid bus")
 }
 
 fn workload(name: &str, nodes: usize) -> Workload {
@@ -85,10 +108,11 @@ fn strict(w: &Workload, topo: &Topology, cfg: &PlannerConfig) -> String {
     }
 }
 
-fn measure(wl: &str, plat: &str) -> Golden {
+fn measure(wl: &str, plat: &str, tweak: fn(&mut PlannerConfig)) -> Golden {
     let (topo, f) = platform(plat);
     let w = workload(wl, topo.node_count());
     let mut cfg = PlannerConfig::new(f, Duration::from_millis(300));
+    tweak(&mut cfg);
     cfg.admit_best_effort = true;
     let (strategy, stats) = build_strategy(&w, &topo, &cfg).expect("best-effort build");
     // The threaded build must be the same value, not merely equivalent.
@@ -142,7 +166,12 @@ fn golden(
 }
 
 fn check(wl: &str, plat: &str, expect: Golden) {
-    let got = measure(wl, plat);
+    check_with(wl, plat, |_| {}, expect);
+}
+
+/// `check` under a planner configuration other than the default.
+fn check_with(wl: &str, plat: &str, tweak: fn(&mut PlannerConfig), expect: Golden) {
+    let got = measure(wl, plat, tweak);
     if std::env::var_os("GOLDEN_PRINT").is_some() {
         println!(
             "{wl} {plat}:\n    golden(\n        {:#018x},\n        {:?},\n        {:?},\n        {:?},\n        {:?},\n    )",
@@ -329,6 +358,87 @@ fn scada_bus5_overloaded_f2() {
             "transition {} -> {n0} bound 24.773ms exceeds R = 20.000ms",
             "transition {} -> {n4} bound 25.029ms exceeds R = 25.028ms",
             "no feasible plan for {n0}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn scada_fat_tree4_f1() {
+    check(
+        "scada",
+        "fat_tree4",
+        golden(
+            0x7938_bd49_a880_77c7,
+            [40, 39, 11459, 2, 16, 1, 3],
+            "transition {} -> {n0} bound 22.668ms exceeds R = 20.000ms",
+            "transition {} -> {n20} bound 23.459ms exceeds R = 23.458ms",
+            "no feasible plan for {n3}: t4: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_bus20_masking_f1() {
+    check_with(
+        "avionics",
+        "bus20",
+        |cfg| {
+            cfg.f = 1;
+            cfg.replication = ReplicationMode::Masking;
+        },
+        golden(
+            0x063b_ae6c_1114_a826,
+            [21, 20, 11174, 6, 69, 1, 6],
+            "transition {} -> {n0} bound 22.764ms exceeds R = 20.000ms",
+            "transition {} -> {n3} bound 23.174ms exceeds R = 23.173ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_mesh3x4_checkers_apart_f2() {
+    check_with(
+        "avionics",
+        "mesh3x4",
+        |cfg| cfg.checker_colocate = false,
+        golden(
+            0x767e_0c77_72cd_2108,
+            [79, 144, 11156, 16, 861, 11, 57],
+            "transition {} -> {n0} bound 22.945ms exceeds R = 20.000ms",
+            "transition {n1} -> {n1,n6} bound 23.156ms exceeds R = 23.155ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_mesh3x4_no_delta_minimisation_f2() {
+    check_with(
+        "avionics",
+        "mesh3x4",
+        |cfg| cfg.minimize_delta = false,
+        golden(
+            0x08d6_343a_6a8d_4bc0,
+            [79, 144, 11212, 38, 4046, 11, 57],
+            "transition {} -> {n0} bound 22.790ms exceeds R = 20.000ms",
+            "transition {n1} -> {n1,n6} bound 23.212ms exceeds R = 23.211ms",
+            "no feasible plan for {n3}: t7: actuator node is faulty",
+        ),
+    );
+}
+
+#[test]
+fn avionics_bus6_mixed_f2() {
+    check(
+        "avionics",
+        "bus6_mixed",
+        golden(
+            0x3a3c_176b_5bea_1345,
+            [22, 36, 10867, 18, 335, 3, 21],
+            "transition {} -> {n0} bound 22.631ms exceeds R = 20.000ms",
+            "transition {n4} -> {n3,n4} bound 22.867ms exceeds R = 22.866ms",
+            "no feasible plan for {n0}: t12: actuator node is faulty",
         ),
     );
 }
