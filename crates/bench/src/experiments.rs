@@ -222,16 +222,11 @@ pub fn e3_min_speed() -> String {
                 };
                 lanes.insert(task.id, n);
             }
-            let mut lanes_for_placement = lanes.clone();
-            if !checkers {
-                // round_robin_placement adds checkers for lanes >= 2;
-                // baselines vote instead, but keeping the checker slot
-                // would inflate their cost, so strip via placement with
-                // single-lane map trick is not possible — accept checkers
-                // only for BTR by zeroing verify reserve for baselines.
-                lanes_for_placement = lanes.clone();
-            }
-            let placement = round_robin_placement(&w, &topo, &lanes_for_placement, &[]);
+            // `round_robin_placement` gives every replicated task a
+            // checker slot, the voting baselines' too; what tells the
+            // columns apart is the verify reserve below, which only BTR
+            // pays.
+            let placement = round_robin_placement(&w, &topo, &lanes, &[]);
             let result = min_speed_pct(|pct| {
                 let params = SchedParams {
                     speed_pct: pct,

@@ -21,9 +21,17 @@
 //! workers, transitions included. Modes are absorbed into the strategy
 //! in enumeration order, so plan ids, the transition map and the
 //! statistics do not depend on the thread count.
+//!
+//! Within a mode nothing is done twice either. The shed loop asks
+//! `placement::broken_constraint` — a walk over the tasks, no scoring —
+//! whether the lanes can be placed at all, and places a mode once, when
+//! they can; the mode's routes are read once into a
+//! `placement::CommTable` that answers the placer's distance queries and
+//! every worst-case bound of the transitions; and a thread's working
+//! arrays (`Scratch`) are reused from mode to mode.
 
 use crate::augment::lane_counts;
-use crate::placement::{place, worst_comm, PlaceOpts, PlacementError};
+use crate::placement::{broken_constraint, CommTable, Healthy, PlaceOpts, PlacementError, Placer};
 use crate::{PlannerConfig, ShedPolicy};
 use btr_model::{
     ATask, Criticality, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId,
@@ -112,13 +120,34 @@ struct Mode {
     incoming: Vec<Transition>,
 }
 
+/// A planning thread's working memory, reused from mode to mode:
+/// O(n² + augmented tasks) bytes, none of it kept in the [`Strategy`].
+struct Scratch<'a> {
+    comm: CommTable<'a>,
+    placer: Placer,
+    /// State bytes each old host sends in the transition being derived.
+    sender_bytes: Vec<u64>,
+}
+
+impl<'a> Scratch<'a> {
+    fn new(topo: &'a btr_model::Topology) -> Scratch<'a> {
+        Scratch {
+            comm: CommTable::new(topo),
+            placer: Placer::default(),
+            sender_bytes: vec![0; topo.node_count()],
+        }
+    }
+}
+
 /// Plan the mode for fault set `fs`, which will get plan id `id`: place,
 /// schedule, shed-and-retry, then derive every transition into it.
 ///
 /// This is the only place a fault set's routing table is built: the
 /// placement, the synthesis and the mode's incoming transitions all read
-/// the one table, which is dropped on return. `built` holds every mode of
-/// the levels below, so each parent `F∖{x}` is already complete.
+/// the one table — the placer and the transition bounds through the one
+/// [`CommTable`] read off it — which is dropped on return. `built` holds
+/// every mode of the levels below, so each parent `F∖{x}` is already
+/// complete.
 fn plan_mode(
     workload: &Workload,
     topo: &btr_model::Topology,
@@ -126,8 +155,10 @@ fn plan_mode(
     fs: &FaultSet,
     id: PlanId,
     built: &Assembly,
+    scratch: &mut Scratch<'_>,
 ) -> Result<Mode, StrategyError> {
     let routing = RoutingTable::avoiding(topo, fs.as_set());
+    scratch.comm.read_routes(&routing);
     let parents: Vec<(NodeId, &Plan)> = fs
         .iter()
         .map(|x| {
@@ -142,23 +173,26 @@ fn plan_mode(
     // Delta minimisation seeds from the parent that lacks the largest
     // faulty node.
     let seed = parents.last().map(|(_, parent)| &parent.placement);
-    let mut mode = place_and_schedule(workload, topo, cfg, fs, &routing, seed)?;
+    let mut mode = place_and_schedule(workload, topo, cfg, fs, &routing, seed, scratch)?;
 
     // Evidence distribution depends on the mode being entered only.
-    let dist_bound = Duration(
-        2 * worst_comm(topo, &routing, EVIDENCE_WIRE_BYTES).as_micros()
-            + VALIDATION_SLACK.as_micros(),
-    );
+    let comm = &scratch.comm;
+    let dist_bound =
+        Duration(2 * comm.worst(EVIDENCE_WIRE_BYTES).as_micros() + VALIDATION_SLACK.as_micros());
     mode.incoming = parents
         .iter()
         .map(|&(trigger, from)| {
-            let (migrations, transfer_bytes) =
-                migrations(workload, &from.placement, &mode.placement);
+            let (migrations, transfer_bytes) = migrations(
+                workload,
+                &from.placement,
+                &mode.placement,
+                &mut scratch.sender_bytes,
+            );
             // State transfer: senders transmit in parallel on their own
-            // slices, and `worst_comm` is monotone in bytes, so the
+            // slices, and the worst bound is monotone in bytes, so the
             // slowest sender is the one with the most bytes.
             let transfer_bound = transfer_bytes.map_or(Duration::ZERO, |bytes| {
-                worst_comm(topo, &routing, bytes.min(u32::MAX as u64) as u32)
+                comm.worst(bytes.min(u32::MAX as u64) as u32)
             });
             Transition {
                 from: from.id,
@@ -175,19 +209,25 @@ fn plan_mode(
 /// Every work/check task whose host differs between two placements —
 /// their count is the plan distance, `placement_distance` — and the most
 /// state bytes any one old host must send (`None` if no task leaves a
-/// host).
+/// host). Both maps are sorted, so they are merged, not searched.
+/// `sender_bytes` is one zero per node, and is left so.
 fn migrations(
     workload: &Workload,
     from: &BTreeMap<ATask, NodeId>,
     to: &BTreeMap<ATask, NodeId>,
+    sender_bytes: &mut [u64],
 ) -> (Vec<Migration>, Option<u64>) {
     let mut migrations = Vec::new();
-    let mut sender_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
+    let mut most: Option<u64> = None;
+    let mut old_rows = from.iter().peekable();
     for (&atask, &new_node) in to {
         if matches!(atask, ATask::Verify { .. }) {
-            continue;
+            break; // Reserves sort last, and are fixtures, not tasks.
         }
-        let old = from.get(&atask).copied();
+        while old_rows.next_if(|&(&old, _)| old < atask).is_some() {}
+        let old = old_rows
+            .next_if(|&(&old, _)| old == atask)
+            .map(|(_, &node)| node);
         if old == Some(new_node) {
             continue;
         }
@@ -196,7 +236,8 @@ fn migrations(
             _ => 0,
         };
         if let Some(o) = old {
-            *sender_bytes.entry(o).or_insert(0) += state_bytes as u64;
+            sender_bytes[o.index()] += state_bytes as u64;
+            most = most.max(Some(sender_bytes[o.index()]));
         }
         migrations.push(Migration {
             atask,
@@ -205,11 +246,29 @@ fn migrations(
             state_bytes,
         });
     }
-    (migrations, sender_bytes.values().copied().max())
+    for m in &migrations {
+        if let Some(o) = m.from {
+            sender_bytes[o.index()] = 0;
+        }
+    }
+    (migrations, most)
+}
+
+/// The task to shed when the mode cannot be scheduled: the lowest
+/// criticality alive task; within a level, largest WCET first.
+fn capacity_victim(workload: &Workload, lanes: &BTreeMap<TaskId, u8>) -> Option<TaskId> {
+    workload
+        .tasks()
+        .iter()
+        .filter(|t| lanes.contains_key(&t.id))
+        .min_by_key(|t| shed_order_key(workload, t.id))
+        .map(|t| t.id)
 }
 
 /// Place and schedule one mode, shedding and retrying until it fits
-/// (`incoming` is left for the caller).
+/// (`incoming` is left for the caller). A mode is placed once: lanes
+/// that break a hard constraint are shed on `broken_constraint`'s word,
+/// before anything is scored.
 fn place_and_schedule(
     workload: &Workload,
     topo: &btr_model::Topology,
@@ -217,17 +276,18 @@ fn place_and_schedule(
     fs: &FaultSet,
     routing: &RoutingTable,
     parent: Option<&BTreeMap<ATask, NodeId>>,
+    scratch: &mut Scratch<'_>,
 ) -> Result<Mode, StrategyError> {
-    let healthy_sensors = topo
-        .nodes()
-        .iter()
-        .filter(|n| n.can_sense && !fs.contains(n.id))
-        .count()
-        .max(1) as u8;
+    let healthy = Healthy::count(topo, fs.as_set());
+    let healthy_sensors = healthy.sensors.max(1) as u8;
     let opts = PlaceOpts {
         checker_colocate: cfg.checker_colocate,
         minimize_delta: cfg.minimize_delta,
         ..PlaceOpts::default()
+    };
+    let infeasible = |reason: String| StrategyError::Infeasible {
+        fault_set: fs.clone(),
+        reason,
     };
     let mut shed: BTreeSet<TaskId> = BTreeSet::new();
     loop {
@@ -242,10 +302,7 @@ fn place_and_schedule(
                 &lanes,
                 &cfg.sched,
             )
-            .map_err(|e| StrategyError::Infeasible {
-                fault_set: fs.clone(),
-                reason: format!("even the empty plan failed: {e}"),
-            })?;
+            .map_err(|e| infeasible(format!("even the empty plan failed: {e}")))?;
             return Ok(Mode {
                 placement: BTreeMap::new(),
                 synth,
@@ -253,24 +310,25 @@ fn place_and_schedule(
                 incoming: Vec::new(),
             });
         }
-        let placement = match place(workload, topo, routing, &lanes, fs.as_set(), parent, &opts) {
-            Ok(p) => p,
-            Err(e) => {
-                let victim = match e {
-                    PlacementError::ActuatorLost(t)
-                    | PlacementError::NoSensorNode(t)
-                    | PlacementError::InsufficientNodes { task: t, .. } => t,
-                };
-                if cfg.shed == ShedPolicy::Never {
-                    return Err(StrategyError::Infeasible {
-                        fault_set: fs.clone(),
-                        reason: e.to_string(),
-                    });
-                }
-                shed.insert(victim);
-                continue;
+        if let Some(e) = broken_constraint(workload, &lanes, fs.as_set(), healthy) {
+            if cfg.shed == ShedPolicy::Never {
+                return Err(infeasible(e.to_string()));
             }
-        };
+            let (PlacementError::ActuatorLost(victim)
+            | PlacementError::NoSensorNode(victim)
+            | PlacementError::InsufficientNodes { task: victim, .. }) = e;
+            shed.insert(victim);
+            continue;
+        }
+        let placement = scratch.placer.place(
+            workload,
+            topo,
+            &scratch.comm,
+            &lanes,
+            fs.as_set(),
+            parent,
+            &opts,
+        );
         match synthesize(workload, topo, routing, &placement, &lanes, &cfg.sched) {
             Ok(synth) => {
                 // Effective shed set: anything without lanes.
@@ -289,28 +347,16 @@ fn place_and_schedule(
             }
             Err(e) => {
                 if cfg.shed == ShedPolicy::Never {
-                    return Err(StrategyError::Infeasible {
-                        fault_set: fs.clone(),
-                        reason: e.to_string(),
-                    });
+                    return Err(infeasible(e.to_string()));
                 }
-                // Pick the shedding victim: lowest criticality alive task;
-                // within a level, largest WCET first.
-                let victim = workload
-                    .tasks()
-                    .iter()
-                    .filter(|t| lanes.contains_key(&t.id))
-                    .min_by_key(|t| shed_order_key(workload, t.id))
-                    .map(|t| t.id);
-                match victim {
+                match capacity_victim(workload, &lanes) {
                     Some(v) => {
                         shed.insert(v);
                     }
                     None => {
-                        return Err(StrategyError::Infeasible {
-                            fault_set: fs.clone(),
-                            reason: format!("unschedulable with empty workload: {e}"),
-                        });
+                        return Err(infeasible(format!(
+                            "unschedulable with empty workload: {e}"
+                        )));
                     }
                 }
             }
@@ -417,13 +463,14 @@ pub fn build_strategy(
 ) -> Result<(Strategy, StrategyStats), StrategyError> {
     let n = topo.node_count();
     let mut built = Assembly::default();
+    let mut scratch = Scratch::new(topo);
 
     for k in 0..=cfg.f as usize {
         let sets = enumerate_fault_sets(n, k);
         let base = built.plans.len();
-        let plan_nth = |i: usize, built: &Assembly| {
+        let plan_nth = |i: usize, built: &Assembly, scratch: &mut Scratch| {
             let id = PlanId((base + i) as u32);
-            plan_mode(workload, topo, cfg, &sets[i], id, built)
+            plan_mode(workload, topo, cfg, &sets[i], id, built, scratch)
         };
 
         if cfg.threads > 1 && sets.len() > 8 {
@@ -434,7 +481,12 @@ pub fn build_strategy(
                     .step_by(chunk)
                     .map(|start| {
                         let end = (start + chunk).min(sets.len());
-                        scope.spawn(move || (start..end).map(|i| plan_nth(i, built_ref)).collect())
+                        scope.spawn(move || {
+                            let mut scratch = Scratch::new(topo);
+                            (start..end)
+                                .map(|i| plan_nth(i, built_ref, &mut scratch))
+                                .collect()
+                        })
                     })
                     .collect();
                 handles
@@ -451,7 +503,7 @@ pub fn build_strategy(
             }
         } else {
             for i in 0..sets.len() {
-                let mode = plan_nth(i, &built)?;
+                let mode = plan_nth(i, &built, &mut scratch)?;
                 built.absorb(cfg, sets[i].clone(), mode);
             }
         }
@@ -521,6 +573,178 @@ mod tests {
         let uniq: BTreeSet<_> = sets.iter().cloned().collect();
         assert_eq!(uniq.len(), sets.len());
         assert_eq!(sets.len(), 20);
+    }
+
+    /// The error the placer's control flow meets first when every lane
+    /// takes the candidate `pick` chooses: the hard constraints spelled
+    /// out lane by lane, with no scoring.
+    fn first_error_placing(
+        w: &Workload,
+        topo: &Topology,
+        lanes: &BTreeMap<TaskId, u8>,
+        faulty: &BTreeSet<NodeId>,
+        pick: fn(&[NodeId]) -> NodeId,
+    ) -> Option<PlacementError> {
+        use btr_workload::TaskKind;
+        let healthy: Vec<NodeId> = topo
+            .nodes()
+            .iter()
+            .map(|n| n.id)
+            .filter(|n| !faulty.contains(n))
+            .collect();
+        for &tid in w.topo_order() {
+            let Some(&n_lanes) = lanes.get(&tid) else {
+                continue;
+            };
+            let mut siblings: Vec<NodeId> = Vec::new();
+            for r in 0..n_lanes {
+                let free = |n: &NodeId| !siblings.contains(n);
+                let candidates: Vec<NodeId> = match w.task(tid).kind {
+                    TaskKind::Sink { pinned } if faulty.contains(&pinned) => {
+                        return Some(PlacementError::ActuatorLost(tid));
+                    }
+                    TaskKind::Sink { pinned } => vec![pinned],
+                    TaskKind::Source { .. } => {
+                        let sensing = |n: &NodeId| topo.node(*n).can_sense;
+                        healthy
+                            .iter()
+                            .copied()
+                            .filter(sensing)
+                            .filter(free)
+                            .collect()
+                    }
+                    TaskKind::Compute => healthy.iter().copied().filter(free).collect(),
+                };
+                if candidates.is_empty() {
+                    match w.task(tid).kind {
+                        TaskKind::Source { .. } if r == 0 => {
+                            return Some(PlacementError::NoSensorNode(tid));
+                        }
+                        TaskKind::Source { .. } => break,
+                        _ => {
+                            return Some(PlacementError::InsufficientNodes {
+                                task: tid,
+                                need: n_lanes,
+                                have: healthy.len(),
+                            });
+                        }
+                    }
+                }
+                siblings.push(pick(&candidates));
+            }
+        }
+        None
+    }
+
+    /// The golden platforms (`tests/golden.rs`) with their fault budgets.
+    fn golden_platforms() -> Vec<(Topology, u8)> {
+        let lat = Duration(5);
+        let mut mixed = btr_model::TopologyBuilder::new();
+        let nodes: Vec<NodeId> = [50, 100, 200, 100, 50, 200]
+            .into_iter()
+            .enumerate()
+            .map(|(i, speed_pct)| mixed.node(speed_pct, i == 0 || i == 4, true))
+            .collect();
+        mixed.link(&nodes, 150_000, lat);
+        vec![
+            (Topology::bus(20, 150_000, lat), 2),
+            (Topology::bus(36, 150_000, lat), 1),
+            (Topology::ring(12, 150_000, lat), 2),
+            (Topology::mesh(3, 4, 150_000, lat), 2),
+            (Topology::dual_bus(6, 150_000, lat), 3),
+            (Topology::bus(5, 20_000, lat), 2),
+            (btr_topo::fat_tree(4, 3, 150_000, lat).unwrap(), 1),
+            (mixed.build().unwrap(), 2),
+        ]
+    }
+
+    #[test]
+    fn constraint_walk_is_the_placers_verdict() {
+        // Over every fault set and every shed prefix the shed loop
+        // visits: the walk, the placer, and the constraints spelled out
+        // lane by lane — whichever node each lane takes — agree.
+        let opts = PlaceOpts::default();
+        let (mut modes, mut broken) = (0, 0);
+        for (topo, f) in golden_platforms() {
+            for w in [
+                btr_workload::generators::avionics(topo.node_count()),
+                btr_workload::generators::scada(topo.node_count()),
+            ] {
+                let cfg = PlannerConfig::new(f, ms(300));
+                let fault_sets =
+                    (0..=f as usize).flat_map(|k| enumerate_fault_sets(topo.node_count(), k));
+                for fs in fault_sets {
+                    let routing = RoutingTable::avoiding(&topo, fs.as_set());
+                    let healthy = Healthy::count(&topo, fs.as_set());
+                    let mut shed = BTreeSet::new();
+                    loop {
+                        let lanes = lane_counts(
+                            &w,
+                            cfg.replication,
+                            cfg.f,
+                            &shed,
+                            healthy.sensors.max(1) as u8,
+                        );
+                        if lanes.is_empty() {
+                            break;
+                        }
+                        let walk = broken_constraint(&w, &lanes, fs.as_set(), healthy);
+                        let placed =
+                            crate::place(&w, &topo, &routing, &lanes, fs.as_set(), None, &opts);
+                        assert_eq!(walk, placed.as_ref().err().cloned(), "{fs} shed {shed:?}");
+                        for pick in [
+                            (|c| c[0]) as fn(&[NodeId]) -> NodeId,
+                            |c| c[c.len() - 1],
+                            |c| c[c.len() / 2],
+                        ] {
+                            let spelled = first_error_placing(&w, &topo, &lanes, fs.as_set(), pick);
+                            assert_eq!(walk, spelled, "{fs} shed {shed:?}");
+                        }
+                        modes += 1;
+                        let victim = match placed {
+                            Err(
+                                PlacementError::ActuatorLost(t)
+                                | PlacementError::NoSensorNode(t)
+                                | PlacementError::InsufficientNodes { task: t, .. },
+                            ) => {
+                                broken += 1;
+                                Some(t)
+                            }
+                            Ok(placement) => {
+                                match synthesize(
+                                    &w, &topo, &routing, &placement, &lanes, &cfg.sched,
+                                ) {
+                                    Ok(_) => None,
+                                    Err(_) => capacity_victim(&w, &lanes),
+                                }
+                            }
+                        };
+                        match victim {
+                            Some(t) => shed.insert(t),
+                            None => break,
+                        };
+                    }
+                }
+            }
+        }
+        // The sweep is not vacuous: most prefixes place, many do not.
+        assert!(broken > 200 && modes > 3 * broken, "{broken} of {modes}");
+    }
+
+    #[test]
+    fn each_mode_is_placed_once() {
+        use crate::placement::PLACEMENTS;
+        let w = btr_workload::generators::avionics(20);
+        let topo = Topology::bus(20, 150_000, Duration(5));
+        let mut cfg = PlannerConfig::new(2, ms(300));
+        cfg.admit_best_effort = true;
+        let before = PLACEMENTS.with(|n| n.get());
+        let (_, stats) = build_strategy(&w, &topo, &cfg).unwrap();
+        let placements = PLACEMENTS.with(|n| n.get()) - before;
+        // 105 of the 211 modes shed (the goldens' `degraded_plans`), 120
+        // sheds in all, and none of them costs a placement.
+        assert_eq!((stats.plans, stats.degraded_plans), (211, 105));
+        assert_eq!(placements, stats.plans);
     }
 
     #[test]

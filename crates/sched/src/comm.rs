@@ -8,8 +8,24 @@
 //! slice is idle and conservative otherwise. The link carrying each hop
 //! is the one the routing table cached when it materialised the path.
 
-use btr_model::{Duration, NodeId, Topology};
+use btr_model::{Duration, LinkSpec, NodeId, Topology};
 use btr_net::RoutingTable;
+
+/// Bytes per millisecond one sender may put on `link`: its static,
+/// equal share of the link's bandwidth.
+#[inline]
+pub fn slice_rate(link: &LinkSpec) -> u64 {
+    (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1)
+}
+
+/// One hop's term of the bound: serialising `bytes` at the sender's
+/// slice of `link`, plus the link's propagation latency. It depends on
+/// the link's slice rate and latency alone.
+#[inline]
+pub fn hop_bound(link: &LinkSpec, bytes: u32) -> Duration {
+    let tx = (bytes as u64 * 1_000).div_ceil(slice_rate(link)).max(1);
+    Duration(tx) + link.latency
+}
 
 /// Upper bound on delivering `bytes` from `src` to `dst`.
 ///
@@ -28,10 +44,7 @@ pub fn comm_bound(
     let (_, links) = routing.path_and_links(src, dst)?;
     let mut total = Duration::ZERO;
     for &link_id in links {
-        let link = topo.link(link_id);
-        let slice_rate = (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1);
-        let tx = (bytes as u64 * 1_000).div_ceil(slice_rate).max(1);
-        total += Duration(tx) + link.latency;
+        total += hop_bound(topo.link(link_id), bytes);
     }
     Some(total)
 }

@@ -21,11 +21,13 @@
 #![warn(missing_docs)]
 
 pub mod comm;
+mod index;
 
 pub use comm::comm_bound;
+pub use index::{AtaskIndex, UNPLACED};
 
 use btr_model::{
-    ATask, Duration, LinkAlloc, NodeId, NodeSchedule, ScheduleEntry, TaskId, Topology,
+    ATask, Duration, LinkAlloc, LinkId, NodeId, NodeSchedule, ScheduleEntry, TaskId, Topology,
 };
 use btr_net::RoutingTable;
 use btr_workload::{TaskKind, Workload};
@@ -177,6 +179,10 @@ pub fn check_wcet(lanes: u8) -> Duration {
 /// every `ATask::Work { task, replica < lanes[task] }`, for every
 /// `ATask::Check { task }` with `lanes[task] >= 2`, and may contain
 /// `ATask::Verify` entries for per-node reserves.
+///
+/// The maps are read once into arrays over the [`AtaskIndex`]; every
+/// step of the list scheduler is then an indexed load, and the maps of
+/// the returned [`Synthesis`] are each built once from sorted rows.
 pub fn synthesize(
     workload: &Workload,
     topo: &Topology,
@@ -185,58 +191,24 @@ pub fn synthesize(
     lanes: &BTreeMap<TaskId, u8>,
     params: &SchedParams,
 ) -> Result<Synthesis, SchedError> {
-    let mut node_avail: BTreeMap<NodeId, Duration> = BTreeMap::new();
-    let mut entries: BTreeMap<NodeId, Vec<ScheduleEntry>> = BTreeMap::new();
-    let mut finish: BTreeMap<ATask, Duration> = BTreeMap::new();
-    let mut link_demand: BTreeMap<(NodeId, u32), u64> = BTreeMap::new(); // (sender, link) -> bytes.
-    let mut primary_finish: BTreeMap<TaskId, Duration> = BTreeMap::new();
-
-    let scale = |wcet: Duration, node: NodeId| -> Duration {
-        let node_speed = topo.node(node).speed_pct.max(1) as u64;
-        let eff = node_speed * params.speed_pct.max(1) as u64 / 100;
-        Duration((wcet.0 * 100).div_ceil(eff.max(1)))
-    };
-
-    let place = |atask: ATask,
-                 node: NodeId,
-                 ready: Duration,
-                 wcet: Duration,
-                 node_avail: &mut BTreeMap<NodeId, Duration>,
-                 entries: &mut BTreeMap<NodeId, Vec<ScheduleEntry>>|
-     -> Duration {
-        let avail = node_avail.get(&node).copied().unwrap_or(Duration::ZERO);
-        let start = ready.max(avail);
-        let end = start + wcet;
-        node_avail.insert(node, end);
-        entries
-            .entry(node)
-            .or_default()
-            .push(ScheduleEntry { atask, start, wcet });
-        end
-    };
-
-    // Account one flow's bytes along its route.
-    let charge_route = |from: NodeId,
-                        to: NodeId,
-                        bytes: u32,
-                        link_demand: &mut BTreeMap<(NodeId, u32), u64>|
-     -> Result<(), SchedError> {
-        if from == to {
-            return Ok(());
+    let mut index = AtaskIndex::default();
+    index.set(workload.len(), lanes);
+    let mut node_of = Vec::new();
+    index.read_placement(placement, &mut node_of);
+    let placed = |atask: ATask, slot: usize| -> Result<NodeId, SchedError> {
+        match node_of[slot] {
+            UNPLACED => Err(SchedError::MissingPlacement(atask)),
+            node => Ok(NodeId(node)),
         }
-        let (path, links) = routing
-            .path_and_links(from, to)
-            .ok_or(SchedError::NoRoute { from, to })?;
-        for (&sender, link) in path.iter().zip(links) {
-            *link_demand.entry((sender, link.0)).or_insert(0) += bytes as u64;
-        }
-        Ok(())
     };
+    let mut finish = vec![Duration::ZERO; index.slots()];
+    let mut timeline = Timeline::new(topo, params, index.slots());
+    let mut demand = LinkDemand::new(topo, routing, params.comm_slack);
 
     // Schedule workload tasks in topological order; within a task,
     // replicas ascending, then the checker.
     for &tid in workload.topo_order() {
-        let Some(&n_lanes) = lanes.get(&tid) else {
+        let Some(n_lanes) = index.lanes(tid) else {
             continue; // Shed task.
         };
         let spec = workload.task(tid);
@@ -245,175 +217,244 @@ pub fn synthesize(
                 task: tid,
                 replica: r,
             };
-            let node = *placement
-                .get(&atask)
-                .ok_or(SchedError::MissingPlacement(atask))?;
+            let node = placed(atask, index.work(tid, r))?;
             // Ready when the needed input lanes' outputs have arrived
             // here: the matched lane for BTR, every lane for voting
             // baselines.
             let mut ready = Duration::ZERO;
             for &input in &spec.inputs {
-                let Some(&in_lanes) = lanes.get(&input) else {
+                let Some(in_lanes) = index.lanes(input) else {
                     continue; // Input shed: task runs degraded (no data).
                 };
-                let needed: Vec<u8> = if params.consume_all_lanes {
-                    (0..in_lanes).collect()
+                let needed = if params.consume_all_lanes {
+                    0..in_lanes
                 } else {
-                    vec![input_lane(r, in_lanes)]
+                    let lane = input_lane(r, in_lanes);
+                    lane..lane + 1
                 };
+                // The producer's message carries one witness per input
+                // of the *producer* task.
+                let bytes =
+                    output_wire_estimate(params.output_bytes, workload.task(input).inputs.len());
                 for lane in needed {
+                    let in_slot = index.work(input, lane);
                     let in_atask = ATask::Work {
                         task: input,
                         replica: lane,
                     };
-                    let in_node = *placement
-                        .get(&in_atask)
-                        .ok_or(SchedError::MissingPlacement(in_atask))?;
-                    let f = finish.get(&in_atask).copied().unwrap_or(Duration::ZERO);
-                    // The producer's message carries one witness per input
-                    // of the *producer* task.
-                    let bytes = output_wire_estimate(
-                        params.output_bytes,
-                        workload.task(input).inputs.len(),
-                    );
-                    let hop = comm_bound(topo, routing, in_node, node, bytes).ok_or(
-                        SchedError::NoRoute {
-                            from: in_node,
-                            to: node,
-                        },
-                    )?;
-                    let arrive = f + if in_node == node {
-                        Duration::ZERO
-                    } else {
-                        hop + params.comm_slack
-                    };
-                    ready = ready.max(arrive);
-                    charge_route(in_node, node, bytes, &mut link_demand)?;
+                    let in_node = placed(in_atask, in_slot)?;
+                    let sent = finish[in_slot];
+                    ready = ready.max(sent + demand.send(in_node, node, bytes)?);
                 }
             }
-            let wcet = scale(spec.wcet, node);
-            let end = place(atask, node, ready, wcet, &mut node_avail, &mut entries);
-            finish.insert(atask, end);
-            if r == 0 {
-                primary_finish.insert(tid, end);
-            }
+            let end = timeline.run(atask, node, ready, spec.wcet);
+            finish[index.work(tid, r)] = end;
         }
         // Checking task (only for replicated tasks).
         if n_lanes >= 2 {
             let chk = ATask::Check { task: tid };
-            let node = *placement
-                .get(&chk)
-                .ok_or(SchedError::MissingPlacement(chk))?;
+            let node = placed(chk, index.check(tid))?;
             let mut ready = Duration::ZERO;
             let bytes = output_wire_estimate(params.output_bytes, spec.inputs.len());
             for r in 0..n_lanes {
-                let in_atask = ATask::Work {
-                    task: tid,
-                    replica: r,
-                };
-                let in_node = placement[&in_atask];
-                let f = finish[&in_atask];
-                let hop =
-                    comm_bound(topo, routing, in_node, node, bytes).ok_or(SchedError::NoRoute {
-                        from: in_node,
-                        to: node,
-                    })?;
-                let arrive = f + if in_node == node {
-                    Duration::ZERO
-                } else {
-                    hop + params.comm_slack
-                };
-                ready = ready.max(arrive);
-                charge_route(in_node, node, bytes, &mut link_demand)?;
+                let in_slot = index.work(tid, r);
+                let in_node = NodeId(node_of[in_slot]);
+                ready = ready.max(finish[in_slot] + demand.send(in_node, node, bytes)?);
             }
-            let wcet = scale(check_wcet(n_lanes), node);
-            let end = place(chk, node, ready, wcet, &mut node_avail, &mut entries);
-            finish.insert(chk, end);
+            finish[index.check(tid)] = timeline.run(chk, node, ready, check_wcet(n_lanes));
         }
     }
 
-    // Deadline checks on the primary lane of every scheduled task.
-    for (&tid, &f) in &primary_finish {
-        let spec = workload.task(tid);
-        // For sinks the finish time includes delivering to the actuator
-        // (the sink task runs *on* the actuating node).
-        if f > spec.deadline {
+    // Deadline checks on the primary lane of every scheduled task, in
+    // task order. For sinks the finish time includes delivering to the
+    // actuator (the sink task runs *on* the actuating node).
+    let primary = |spec: &btr_workload::TaskSpec| {
+        matches!(index.lanes(spec.id), Some(1..)).then(|| (spec.id, finish[index.work(spec.id, 0)]))
+    };
+    for (tid, f) in workload.tasks().iter().filter_map(primary) {
+        let deadline = workload.task(tid).deadline;
+        if f > deadline {
             return Err(SchedError::DeadlineMiss {
                 task: tid,
                 finish: f,
-                deadline: spec.deadline,
+                deadline,
             });
         }
     }
 
     // Verification reserves: appended after the data-plane slots.
-    for (&atask, &node) in placement.iter() {
-        if let ATask::Verify { .. } = atask {
-            let wcet = scale(params.verify_reserve, node);
-            place(
-                atask,
-                node,
-                Duration::ZERO,
-                wcet,
-                &mut node_avail,
-                &mut entries,
-            );
-        }
+    // (`Verify` is the last `ATask` variant, so the range is exactly the
+    // reserves.)
+    for (&atask, &node) in placement.range(ATask::Verify { node: NodeId(0) }..) {
+        timeline.run(atask, node, Duration::ZERO, params.verify_reserve);
     }
 
-    // Period fit.
+    // Period fit. A node nothing ran on is free at zero.
     let mut makespan = Duration::ZERO;
-    for (&node, avail) in &node_avail {
-        if *avail > params.period {
-            return Err(SchedError::PeriodOverrun { node });
+    for (i, &avail) in timeline.node_avail.iter().enumerate() {
+        if avail > params.period {
+            return Err(SchedError::PeriodOverrun {
+                node: NodeId(i as u32),
+            });
         }
-        makespan = makespan.max(*avail);
+        makespan = makespan.max(avail);
     }
 
     // Link bandwidth: each sender's demand must fit its share minus the
     // control reserve.
     let mut link_alloc: Vec<LinkAlloc> = Vec::with_capacity(topo.links().len());
     for link in topo.links() {
-        let slice_rate = (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1);
-        let share = slice_rate * params.period.as_micros() / 1_000;
+        let share = comm::slice_rate(link) * params.period.as_micros() / 1_000;
         let control = (share as f64 * params.control_reserve_frac) as u64;
         let capacity = share.saturating_sub(control);
-        let mut shares = BTreeMap::new();
-        for &node in &link.endpoints {
-            let demand = link_demand.get(&(node, link.id.0)).copied().unwrap_or(0);
-            if demand > capacity {
-                return Err(SchedError::BandwidthExceeded {
-                    node,
-                    demand,
-                    capacity,
-                });
-            }
-            shares.insert(node, demand);
+        let demanded = |&node: &NodeId| (node, demand.of(node, link.id));
+        if let Some((node, demand)) = link
+            .endpoints
+            .iter()
+            .map(demanded)
+            .find(|&(_, demand)| demand > capacity)
+        {
+            return Err(SchedError::BandwidthExceeded {
+                node,
+                demand,
+                capacity,
+            });
         }
         link_alloc.push(LinkAlloc {
             link: link.id,
-            shares,
+            shares: link.endpoints.iter().map(demanded).collect(),
             control_reserve: control,
         });
     }
 
-    // Sort and wrap schedules. A strategy keeps one of these per node
-    // per plan, so the push-growth slack is given back here.
-    let schedules = entries
-        .into_iter()
-        .map(|(node, mut es)| {
-            es.sort_by_key(|e| (e.start, e.atask));
-            es.shrink_to_fit();
-            (node, NodeSchedule { entries: es })
-        })
-        .collect();
-
     Ok(Synthesis {
-        schedules,
+        schedules: timeline.into_schedules(),
         link_alloc,
         makespan,
-        primary_finish,
+        primary_finish: workload.tasks().iter().filter_map(primary).collect(),
     })
+}
+
+/// The per-node timelines under construction.
+struct Timeline<'a> {
+    topo: &'a Topology,
+    params: &'a SchedParams,
+    /// When each node is next free.
+    node_avail: Vec<Duration>,
+    /// Every slot in creation order, with its node.
+    slots: Vec<(NodeId, ScheduleEntry)>,
+}
+
+impl<'a> Timeline<'a> {
+    fn new(topo: &'a Topology, params: &'a SchedParams, atasks: usize) -> Self {
+        Timeline {
+            topo,
+            params,
+            node_avail: vec![Duration::ZERO; topo.node_count()],
+            slots: Vec::with_capacity(atasks + topo.node_count()),
+        }
+    }
+
+    /// Run `atask` on `node` as soon as it is `ready` and the node is
+    /// free, for `wcet` at nominal speed; returns when it ends.
+    fn run(&mut self, atask: ATask, node: NodeId, ready: Duration, wcet: Duration) -> Duration {
+        let node_speed = self.topo.node(node).speed_pct.max(1) as u64;
+        let eff = node_speed * self.params.speed_pct.max(1) as u64 / 100;
+        let wcet = Duration((wcet.0 * 100).div_ceil(eff.max(1)));
+        let start = ready.max(self.node_avail[node.index()]);
+        let end = start + wcet;
+        self.node_avail[node.index()] = end;
+        self.slots
+            .push((node, ScheduleEntry { atask, start, wcet }));
+        end
+    }
+
+    /// One sorted schedule per node that runs anything. A strategy keeps
+    /// one of these per node per plan, so each is allocated at its exact
+    /// size.
+    fn into_schedules(self) -> BTreeMap<NodeId, NodeSchedule> {
+        let mut count = vec![0usize; self.node_avail.len()];
+        for (node, _) in &self.slots {
+            count[node.index()] += 1;
+        }
+        let mut entries: Vec<Vec<ScheduleEntry>> =
+            count.into_iter().map(Vec::with_capacity).collect();
+        for (node, entry) in self.slots {
+            entries[node.index()].push(entry);
+        }
+        entries
+            .into_iter()
+            .enumerate()
+            .filter(|(_, es)| !es.is_empty())
+            .map(|(i, mut es)| {
+                es.sort_unstable_by_key(|e| (e.start, e.atask));
+                (NodeId(i as u32), NodeSchedule { entries: es })
+            })
+            .collect()
+    }
+}
+
+/// Data-plane bytes per period each sender puts on each of its links.
+struct LinkDemand<'a> {
+    topo: &'a Topology,
+    routing: &'a RoutingTable,
+    /// Added to every remote delivery's bound ([`SchedParams::comm_slack`]).
+    slack: Duration,
+    /// Node `n`'s links are `bytes[first[n]..]`, in `links_of(n)` order.
+    first: Vec<u32>,
+    bytes: Vec<u64>,
+}
+
+impl<'a> LinkDemand<'a> {
+    fn new(topo: &'a Topology, routing: &'a RoutingTable, slack: Duration) -> Self {
+        let mut first = Vec::with_capacity(topo.node_count());
+        let mut total = 0u32;
+        for node in topo.nodes() {
+            first.push(total);
+            total += topo.links_of(node.id).len() as u32;
+        }
+        LinkDemand {
+            topo,
+            routing,
+            slack,
+            first,
+            bytes: vec![0; total as usize],
+        }
+    }
+
+    fn slot(&self, sender: NodeId, link: LinkId) -> usize {
+        let nth = self
+            .topo
+            .links_of(sender)
+            .iter()
+            .position(|&l| l == link)
+            .expect("a hop's link attaches its sender");
+        self.first[sender.index()] as usize + nth
+    }
+
+    fn of(&self, sender: NodeId, link: LinkId) -> u64 {
+        self.bytes[self.slot(sender, link)]
+    }
+
+    /// Send one `bytes`-long output from `from` to `to`: charge it along
+    /// its route and bound its delivery, the sender's slack included.
+    /// Local delivery is free and immediate.
+    fn send(&mut self, from: NodeId, to: NodeId, bytes: u32) -> Result<Duration, SchedError> {
+        if from == to {
+            return Ok(Duration::ZERO);
+        }
+        let (path, links) = self
+            .routing
+            .path_and_links(from, to)
+            .ok_or(SchedError::NoRoute { from, to })?;
+        let mut bound = self.slack;
+        for (&sender, &link) in path.iter().zip(links) {
+            bound += comm::hop_bound(self.topo.link(link), bytes);
+            let slot = self.slot(sender, link);
+            self.bytes[slot] += bytes as u64;
+        }
+        Ok(bound)
+    }
 }
 
 /// The minimum global CPU speed (percent of nominal) at which `try_synth`
