@@ -4,12 +4,27 @@
 //! measurement starts, so the debug binary answers in milliseconds.
 
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
+/// Run the harness to completion — inside ten seconds: nothing here
+/// starts a measurement, and a hang is a failure this reports, not one
+/// it waits out.
 fn harness(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_harness"))
+    let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))
         .args(args)
-        .output()
-        .expect("harness runs")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("harness runs");
+    let started = Instant::now();
+    while child.try_wait().expect("harness polls").is_none() {
+        if started.elapsed() > Duration::from_secs(10) {
+            child.kill().expect("harness dies");
+            panic!("{args:?} still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    child.wait_with_output().expect("harness output")
 }
 
 /// Run `args`, expect exit 2 with nothing on stdout, return stderr.
@@ -71,10 +86,23 @@ fn malformed_flag_values_exit_2() {
 
 #[test]
 fn malformed_replay_tokens_exit_2() {
-    let token = "w=avionics;t=bus1x100x1;f=1;r=150000;h=100000;me=0;s=1;fl=";
+    // One node; then the three that used to panic in the topology
+    // builder (zero bandwidth, and 2^32 truncated to it) or never return
+    // (a horizon of u64::MAX); a bound and a fault instant past the
+    // replay ceiling.
+    let tokens = [
+        "not a token",
+        "w=avionics;t=bus1x100x1;f=1;r=150000;h=100000;me=0;s=1;fl=",
+        "w=avionics;t=bus9x0x5;f=1;r=150000;h=700000;me=1000;s=1;fl=",
+        "w=avionics;t=bus9x4294967296x5;f=1;r=150000;h=700000;me=1000;s=1;fl=",
+        "w=avionics;t=bus9x100000x5;f=1;r=150000;h=18446744073709551615;me=1000;s=1;fl=",
+        "w=avionics;t=bus9x100000x5;f=1;r=3600000001;h=700000;me=1000;s=1;fl=",
+        "w=avionics;t=bus9x100000x5;f=1;r=150000;h=700000;me=1000;s=1;fl=crash@3600000001@n3",
+    ];
     for cmd in ["campaign", "live"] {
-        assert!(rejected(&[cmd, "--replay", token]).contains("bad replay token"));
-        assert!(rejected(&[cmd, "--replay", "not a token"]).contains("bad replay token"));
+        for token in tokens {
+            assert!(rejected(&[cmd, "--replay", token]).contains("bad replay token"));
+        }
     }
 }
 

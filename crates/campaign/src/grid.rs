@@ -17,6 +17,11 @@ use btr_model::{Duration, Time, Topology};
 use btr_planner::PlannerConfig;
 use btr_workload::generators;
 
+/// The longest span a replay token may name, µs: an hour of simulated
+/// time. No cell comes near it; a latency, bound, horizon or fault
+/// instant past it is a parse error instead of a run that never ends.
+pub(crate) const MAX_TOKEN_US: u64 = 3_600_000_000;
+
 /// Platform family, sized. Spelled `bus9x100000x5` in labels and replay
 /// tokens: family, node count, bytes/ms, latency µs (mesh adds rows×cols).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,44 +175,46 @@ impl TopoSpec {
             .map(str::parse)
             .collect::<Result<_, _>>()
             .ok()?;
-        match (family, nums.as_slice()) {
-            ("bus", &[n, b, l]) => Some(TopoSpec::Bus {
+        // A crafted token must parse to None (the replay CLI's clean
+        // exit(2) path), never truncate on its way into a field, panic in
+        // a topology builder (zero bandwidth) or overflow in a later
+        // n_nodes()/generator computation: bandwidth and latency are the
+        // last two numbers of every family, sizes are checked per family
+        // with checked arithmetic and sane ceilings.
+        let (sizes, &[b, latency_us]) = nums.split_last_chunk::<2>()?;
+        let bytes_per_ms = u32::try_from(b).ok().filter(|&b| b > 0)?;
+        if latency_us > MAX_TOKEN_US {
+            return None;
+        }
+        let grid = |r: u64, c: u64| r.checked_mul(c).is_some_and(|p| (2..=1 << 20).contains(&p));
+        match (family, sizes) {
+            ("bus", &[n]) => Some(TopoSpec::Bus {
                 n: n as usize,
-                bytes_per_ms: b as u32,
-                latency_us: l,
+                bytes_per_ms,
+                latency_us,
             }),
-            ("ring", &[n, b, l]) => Some(TopoSpec::Ring {
+            ("ring", &[n]) => Some(TopoSpec::Ring {
                 n: n as usize,
-                bytes_per_ms: b as u32,
-                latency_us: l,
+                bytes_per_ms,
+                latency_us,
             }),
-            ("mesh", &[r, c, b, l]) => Some(TopoSpec::Mesh {
+            ("mesh", &[r, c]) if grid(r, c) => Some(TopoSpec::Mesh {
                 rows: r as usize,
                 cols: c as usize,
-                bytes_per_ms: b as u32,
-                latency_us: l,
+                bytes_per_ms,
+                latency_us,
             }),
-            // Size guards use checked arithmetic and sane ceilings: a
-            // crafted token must parse to None (the replay CLI's clean
-            // exit(2) path), never overflow in the guard itself or in a
-            // later n_nodes()/generator computation.
-            ("torus", &[r, c, b, l])
-                if r.checked_mul(c).is_some_and(|p| (2..=1 << 20).contains(&p)) =>
-            {
-                Some(TopoSpec::Torus {
-                    rows: r as usize,
-                    cols: c as usize,
-                    bytes_per_ms: b as u32,
-                    latency_us: l,
-                })
-            }
-            ("fattree", &[k, b, l]) if (2..=64).contains(&k) && k % 2 == 0 => {
-                Some(TopoSpec::FatTree {
-                    k: k as usize,
-                    bytes_per_ms: b as u32,
-                    latency_us: l,
-                })
-            }
+            ("torus", &[r, c]) if grid(r, c) => Some(TopoSpec::Torus {
+                rows: r as usize,
+                cols: c as usize,
+                bytes_per_ms,
+                latency_us,
+            }),
+            ("fattree", &[k]) if (2..=64).contains(&k) && k % 2 == 0 => Some(TopoSpec::FatTree {
+                k: k as usize,
+                bytes_per_ms,
+                latency_us,
+            }),
             _ => None,
         }
     }
@@ -609,6 +616,15 @@ mod tests {
         assert!(TopoSpec::parse("fattree3x100x1").is_none());
         assert!(TopoSpec::parse("fattree0x100x1").is_none());
         assert!(TopoSpec::parse("fattree6000000x1x1").is_none());
+        assert!(TopoSpec::parse("mesh4294967296x4294967296x100x5").is_none());
+        // Bandwidth is 1..=u32::MAX — zero panics in the topology
+        // builder, and 2^32 used to truncate to it — and latency stops
+        // at the token ceiling.
+        assert!(TopoSpec::parse("bus9x0x5").is_none());
+        assert!(TopoSpec::parse("bus9x4294967296x5").is_none());
+        assert!(TopoSpec::parse("bus9x4294967295x5").is_some());
+        assert!(TopoSpec::parse("ring6x100x3600000001").is_none());
+        assert!(TopoSpec::parse("ring6x100x3600000000").is_some());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! (absent = the default HMAC suite, so pre-suite tokens parse and
 //! re-render unchanged).
 
-use crate::grid::{CellError, CellSpec, TopoSpec};
+use crate::grid::{CellError, CellSpec, TopoSpec, MAX_TOKEN_US};
 use crate::schedule::{FaultSchedule, FaultVariant};
 use crate::verdict::{score, Violation};
 use btr_core::FaultScenario;
@@ -106,6 +106,18 @@ fn num(fields: &[(&str, &str)], key: &str) -> Result<u64, ReplayError> {
         .map_err(|_| ReplayError(format!("field '{key}' is not a number")))
 }
 
+/// A span or instant field: positive, and within [`MAX_TOKEN_US`] — a
+/// horizon of `u64::MAX` would run (or overflow its clock) forever.
+fn span(fields: &[(&str, &str)], key: &str, what: &str) -> Result<u64, ReplayError> {
+    match num(fields, key)? {
+        0 => Err(ReplayError(format!("{what} {key} must be positive"))),
+        us if us > MAX_TOKEN_US => Err(ReplayError(format!(
+            "{what} {key}={us} is past the replay ceiling of {MAX_TOKEN_US} us"
+        ))),
+        us => Ok(us),
+    }
+}
+
 /// Parse a token back into a runnable spec.
 pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
     let fields: Vec<(&str, &str)> = tok
@@ -148,14 +160,8 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
             u8::MAX
         )));
     }
-    let r = num(&fields, "r")?;
-    if r == 0 {
-        return Err(ReplayError("recovery bound r must be positive".into()));
-    }
-    let h = num(&fields, "h")?;
-    if h == 0 {
-        return Err(ReplayError("horizon h must be positive".into()));
-    }
+    let r = span(&fields, "r", "recovery bound")?;
+    let h = span(&fields, "h", "horizon")?;
 
     let mut faults = Vec::new();
     let fl = field(&fields, "fl")?;
@@ -171,7 +177,9 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
                 .ok_or_else(|| ReplayError(format!("unknown variant '{variant}'")))?;
             let at: u64 = at
                 .parse()
-                .map_err(|_| ReplayError(format!("bad activation '{at}'")))?;
+                .ok()
+                .filter(|&at| at <= MAX_TOKEN_US)
+                .ok_or_else(|| ReplayError(format!("bad activation '{at}'")))?;
             let node: u32 = node
                 .strip_prefix('n')
                 .and_then(|n| n.parse().ok())
@@ -430,6 +438,21 @@ mod tests {
                 "w=avionics;t=bus9x1x1;f=1;r=1;h=0;s=1;fl=",
                 "must be positive",
             ),
+            // Spans past an hour of simulated time: a horizon of
+            // u64::MAX used to run forever.
+            (
+                "w=avionics;t=bus9x1x1;f=1;r=1;h=18446744073709551615;s=1;fl=",
+                "past the replay ceiling",
+            ),
+            (
+                "w=avionics;t=bus9x1x1;f=1;r=3600000001;h=1;s=1;fl=",
+                "past the replay ceiling",
+            ),
+            (
+                "w=avionics;t=bus9x1x1;f=1;r=1;h=1;s=1;fl=crash@3600000001@n1",
+                "bad activation",
+            ),
+            ("w=avionics;t=bus9x0x1;f=1;r=1;h=1;s=1;fl=", "unparseable"),
             // Oversized platforms: crafted tokens must not reach the
             // workload generator (allocation panic) — the overflow-prone
             // torus/fattree guards parse to None, and in-range-but-huge

@@ -298,7 +298,7 @@ impl Envelope {
     /// of these parts. The signed bytes cover `(src, sent_at, payload)`
     /// and *not* the destination, so one signature is valid on the copy
     /// sent to every destination: a multicast signs once and stamps it
-    /// on each envelope (`CtxBackend::send_many`).
+    /// on each envelope (`NodeCtx::send_many`).
     pub fn sign_parts(
         signer: &Signer,
         src: NodeId,

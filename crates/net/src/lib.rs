@@ -10,7 +10,8 @@
 //! allocated between the nodes".
 //!
 //! This crate implements exactly that substrate, as pure logic the
-//! simulator drives:
+//! simulator drives — FEC excepted: no run encodes a shard, so what the
+//! code buys is modelled where loss is rolled (`SimConfig::fec`).
 //!
 //! * [`routing`] — static shortest-path routing over partial topologies,
 //!   with fault-avoiding recomputation.
@@ -21,8 +22,6 @@
 //! * [`guardian`] — per-(node, link) bandwidth guardians (the MAC-enforced
 //!   static allocation). Guardians bind *even Byzantine senders*, as the
 //!   paper argues hardware MACs do.
-//! * [`fec`] — a GF(256) Reed–Solomon-style erasure code for masking
-//!   transmission losses.
 //! * [`LinkLayer`] — the transmission model of every link: each sender
 //!   owns a reserved bandwidth slice of each link it attaches to, so one
 //!   sender's backlog never delays another's traffic (no shared queues
@@ -32,14 +31,12 @@
 #![warn(missing_docs)]
 
 pub mod demand;
-pub mod fec;
 pub mod guardian;
 pub mod routing;
 
 pub use demand::{
     DemandRoutes, Hop, RouteBackend, Routes, DEMAND_CACHE_BUDGET, DEMAND_ROUTING_THRESHOLD,
 };
-pub use fec::{FecCodec, FecError};
 pub use guardian::{Guardian, GuardianVerdict};
 pub use routing::RoutingTable;
 

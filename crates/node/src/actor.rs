@@ -1,11 +1,14 @@
 //! The per-node actor: one OS thread running one `NodeBehavior`.
 //!
-//! Each node owns a logical clock, a timer wheel, and a mailbox. All
-//! *protocol-visible* time is logical — envelope timestamps, timer
-//! deadlines, actuation stamps — so a fault-free live run produces the
-//! same canonical actuation trace as the discrete-event simulator, and
-//! the wall clock only determines how long the run physically takes
-//! (and how real the measured recovery latencies are).
+//! Each node owns a logical clock, an agenda, and a mailbox, and holds
+//! its [`Seat`] — skew, signer, RNG stream, derived as the simulator
+//! derives them and lent to a `NodeCtx` per dispatch beside the
+//! [`LiveCtx`] substrate. All *protocol-visible* time is logical —
+//! envelope timestamps, timer deadlines, actuation stamps — so a
+//! fault-free live run produces the same canonical actuation trace as
+//! the discrete-event simulator, and the wall clock only determines how
+//! long the run physically takes (and how real the measured recovery
+//! latencies are).
 //!
 //! Two gates sit in front of every dispatch:
 //!
@@ -24,24 +27,22 @@
 //!   instant `epoch + pace · t`, which is what makes measured recovery
 //!   latencies real.
 //!
-//! Event order within an actor is `(logical time, class, tie)` with
-//! timers (class 0, ordered by arm sequence) before parked messages
-//! (class 1, ordered by transport `(sender, send seq)`); the causal
-//! gate admits timers at the frontier bound (they win ties) and
-//! messages strictly below it. The simulator orders same-instant events
-//! by global push sequence instead; the two conventions only differ for
-//! exact logical-time ties, which the pinned differential tests cover.
+//! Everything an actor has yet to dispatch sits in one agenda, ordered
+//! `(logical time, class, tie)` with timers (class 0, ordered by arm
+//! sequence) before parked messages (class 1, ordered by transport
+//! `(sender, send seq)`); the causal gate admits timers at the frontier
+//! bound (they win ties) and messages strictly below it. The simulator
+//! orders same-instant events by global push sequence instead; the two
+//! conventions only differ for exact logical-time ties, which the pinned
+//! differential tests cover.
 
 use crate::transport::{Gate, LiveMsg, Loopback, Port};
-use crate::wheel::TimerWheel;
-use btr_crypto::{digest64, AuthSuite, KeyStore, NodeKey, SigError, Signer, SplitMix64};
-use btr_model::{
-    Duration, Envelope, EvidenceFlaw, NodeId, Payload, PeriodIdx, SignedOutput, TaskId, Time, Value,
-};
+use btr_crypto::KeyStore;
+use btr_model::{Duration, Envelope, NodeId, PeriodIdx, TaskId, Time, Value};
 use btr_obs::{FlightKind, FlightRecorder, Histogram, Phase, PhaseMark, FLIGHT_CAP};
 use btr_runtime::BtrNode;
-use btr_sim::{Actuation, CtxBackend, NodeBehavior, NodeCtx, TimerId};
-use std::cmp::Reverse;
+use btr_sim::{Actuation, CtxBackend, NodeBehavior, NodeCtx, Seat, TimerId};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -110,55 +111,88 @@ pub enum EventKind {
     Panicked(String),
 }
 
-/// A message parked until its logical arrival time.
-#[derive(Debug)]
-struct Parked {
-    at: Time,
-    from: NodeId,
-    seq: u64,
-    env: Envelope,
+/// Agenda class of a timer: dispatches at the causal bound.
+const TIMER: u64 = 0;
+/// Agenda class of a parked message: dispatches strictly below the
+/// bound (one still in flight could tie and order ahead by sender).
+const MESSAGE: u64 = 1;
+
+/// One thing an actor has yet to dispatch.
+struct Due {
+    /// `(at, class, a, b)`: an armed timer is `(due, TIMER, arm
+    /// sequence, timer id)`, a parked message `(arrival, MESSAGE,
+    /// sender, send sequence)`. Unique, so it alone orders the agenda.
+    key: (Time, u64, u64, u64),
+    /// The parked envelope (none for a timer).
+    env: Option<Envelope>,
 }
 
-impl Parked {
-    fn key(&self) -> (Time, NodeId, u64) {
-        (self.at, self.from, self.seq)
-    }
-}
-
-impl PartialEq for Parked {
+impl PartialEq for Due {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.key == other.key
     }
 }
-impl Eq for Parked {}
-impl PartialOrd for Parked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl Eq for Due {}
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Parked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+impl Ord for Due {
+    /// Reversed: the earliest key is the heap's greatest element.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
     }
 }
 
-/// The live, single-node counterpart of the simulator's `World`: the
+/// Everything a live actor has yet to dispatch, in dispatch order:
+/// same-instant timers fire in arm order — the simulator's global event
+/// sequence restricted to one node — and before the instant's messages.
+/// Timer ids are the runtime's opaque `u64` encodings, never
+/// interpreted here.
+#[derive(Default)]
+struct Agenda {
+    heap: BinaryHeap<Due>,
+    armed: u64,
+}
+
+impl Agenda {
+    fn arm(&mut self, at: Time, timer: TimerId) {
+        self.armed += 1;
+        self.heap.push(Due {
+            key: (at, TIMER, self.armed, timer),
+            env: None,
+        });
+    }
+
+    fn park(&mut self, m: LiveMsg) {
+        self.heap.push(Due {
+            key: (m.at, MESSAGE, u64::from(m.from.0), m.seq),
+            env: Some(m.env),
+        });
+    }
+
+    /// The next event's instant and class.
+    fn peek(&self) -> Option<(Time, u64)> {
+        self.heap.peek().map(|d| (d.key.0, d.key.1))
+    }
+
+    fn pop(&mut self) -> Option<Due> {
+        self.heap.pop()
+    }
+}
+
+/// The live, single-node counterpart of the simulator's substrate: the
 /// [`CtxBackend`] a behaviour acts through when it runs on its own
-/// thread. Skew, signer, RNG stream, and envelope timestamps are
-/// derived exactly as the simulator derives them, which is what makes
-/// the two substrates trace-equivalent.
+/// thread. All it stamps is logical time, which is what makes the two
+/// substrates trace-equivalent.
 pub struct LiveCtx {
     node: NodeId,
     logical: Time,
-    clock_offset: i64,
     period: Duration,
-    signer: Signer,
     keystore: Arc<KeyStore>,
-    scratch: Vec<u8>,
-    rng: SplitMix64,
     port: Port,
-    wheel: TimerWheel,
-    timer_seq: u64,
+    agenda: Agenda,
     actuations: Vec<Actuation>,
     crashed: bool,
     /// Observation switch: when off, `observe` is a no-op and the mark
@@ -168,39 +202,22 @@ pub struct LiveCtx {
 }
 
 impl LiveCtx {
-    /// Build the context for `node`, deriving skew, keys, and the RNG
-    /// stream from `(seed, node)` with the simulator's constructions.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the substrate for `node`, whose logical clock starts at
+    /// `start`.
     pub fn new(
         node: NodeId,
-        seed: u64,
         period: Duration,
-        max_clock_skew: Duration,
-        suite: AuthSuite,
         keystore: Arc<KeyStore>,
         port: Port,
         start: Time,
     ) -> LiveCtx {
-        let span = 2 * max_clock_skew.as_micros() + 1;
-        let skew = (digest64(&[b"btr-skew", &seed.to_be_bytes(), &node.0.to_be_bytes()]) % span)
-            as i64
-            - max_clock_skew.as_micros() as i64;
         LiveCtx {
             node,
             logical: start,
-            clock_offset: skew,
             period,
-            signer: Signer::new(NodeKey::derive_suite(seed, node.0, suite)),
             keystore,
-            scratch: Vec::new(),
-            rng: SplitMix64::from_parts(&[
-                b"btr-node-rng",
-                &seed.to_be_bytes(),
-                &node.0.to_be_bytes(),
-            ]),
             port,
-            wheel: TimerWheel::new(),
-            timer_seq: 0,
+            agenda: Agenda::default(),
             actuations: Vec::new(),
             crashed: false,
             obs: true,
@@ -235,73 +252,20 @@ impl CtxBackend for LiveCtx {
         self.logical
     }
 
-    fn local_now(&self, _node: NodeId) -> Time {
-        let t = self.logical.as_micros() as i64 + self.clock_offset;
-        Time(t.max(0) as u64)
-    }
-
     fn period(&self) -> Duration {
         self.period
-    }
-
-    fn signer(&self, _node: NodeId) -> &Signer {
-        &self.signer
     }
 
     fn keystore(&self) -> &KeyStore {
         &self.keystore
     }
 
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: Payload) {
-        let env = Envelope::new(src, dst, self.local_now(src), payload);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let env = env.signed_with(&self.signer, &mut scratch);
-        self.scratch = scratch;
-        self.port.send(self.logical, env);
-    }
-
-    fn send_many(&mut self, src: NodeId, dsts: &[NodeId], payload: Payload) {
-        let Some((&last, rest)) = dsts.split_last() else {
-            return;
-        };
-        let sent_at = self.local_now(src);
-        let sig = Envelope::sign_parts(&self.signer, src, sent_at, &payload, &mut self.scratch);
-        let env = Envelope {
-            src,
-            dst: last,
-            sent_at,
-            payload,
-            sig: Some(sig),
-        };
-        for &dst in rest {
-            self.port
-                .send(self.logical, Envelope { dst, ..env.clone() });
-        }
-        self.port.send(self.logical, env);
-    }
-
     fn send_env(&mut self, _src: NodeId, env: Envelope) {
         self.port.send(self.logical, env);
     }
 
-    fn verify_env(&mut self, env: &Envelope) -> Result<(), SigError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = env.verify_with(&self.keystore, &mut scratch);
-        self.scratch = scratch;
-        r
-    }
-
-    fn verify_output(&mut self, output: &SignedOutput) -> Result<(), EvidenceFlaw> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = output.verify_with(&self.keystore, &mut scratch);
-        self.scratch = scratch;
-        r
-    }
-
     fn set_timer_at(&mut self, _node: NodeId, at: Time, timer: TimerId) {
-        let at = at.max(self.logical);
-        self.timer_seq += 1;
-        self.wheel.arm(at, self.timer_seq, timer);
+        self.agenda.arm(at.max(self.logical), timer);
     }
 
     fn actuate(&mut self, node: NodeId, task: TaskId, period: PeriodIdx, value: Value) {
@@ -327,10 +291,6 @@ impl CtxBackend for LiveCtx {
                 at: self.logical,
             });
         }
-    }
-
-    fn rng_u64(&mut self, _node: NodeId) -> u64 {
-        self.rng.next_u64()
     }
 
     fn observe(&mut self, mark: PhaseMark) {
@@ -370,9 +330,12 @@ pub struct ActorOutcome {
 pub struct NodeActor {
     node: NodeId,
     behavior: Box<dyn NodeBehavior + Send>,
+    seat: Seat,
+    /// Scratch for the canonical bytes of what the node signs or
+    /// verifies.
+    scratch: Vec<u8>,
     ctx: LiveCtx,
     rx: Receiver<LiveMsg>,
-    pending: BinaryHeap<Reverse<Parked>>,
     net: Loopback,
     last_switch_count: u64,
     /// Ring of the last few dispatches, shared with the supervisor so
@@ -398,18 +361,13 @@ pub(crate) fn restart_instant(
     (restart_after > Duration::ZERO && back_at < end).then_some(back_at)
 }
 
-#[derive(Clone, Copy)]
-enum Next {
-    Timer(Time),
-    Message(Time),
-}
-
 impl NodeActor {
     /// Assemble an actor (does not start it; call [`NodeActor::run`] on
     /// its thread).
     pub fn new(
         node: NodeId,
         behavior: Box<dyn NodeBehavior + Send>,
+        seat: Seat,
         ctx: LiveCtx,
         rx: Receiver<LiveMsg>,
         net: Loopback,
@@ -417,9 +375,10 @@ impl NodeActor {
         NodeActor {
             node,
             behavior,
+            seat,
+            scratch: Vec::new(),
             ctx,
             rx,
-            pending: BinaryHeap::new(),
             net,
             last_switch_count: 0,
             flight: Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_CAP))),
@@ -454,36 +413,9 @@ impl NodeActor {
         self.flight.lock().expect("flight lock").push(at, kind);
     }
 
-    fn park(&mut self, m: LiveMsg) {
-        self.pending.push(Reverse(Parked {
-            at: m.at,
-            from: m.from,
-            seq: m.seq,
-            env: m.env,
-        }));
-    }
-
     fn drain(&mut self) {
         while let Ok(m) = self.rx.try_recv() {
-            self.park(m);
-        }
-    }
-
-    /// Timers before messages at equal logical time (see module docs).
-    fn next_event(&self) -> Option<Next> {
-        let timer = self.ctx.wheel.peek().map(|(at, _)| at);
-        let msg = self.pending.peek().map(|Reverse(p)| p.at);
-        match (timer, msg) {
-            (None, None) => None,
-            (Some(t), None) => Some(Next::Timer(t)),
-            (None, Some(m)) => Some(Next::Message(m)),
-            (Some(t), Some(m)) => {
-                if t <= m {
-                    Some(Next::Timer(t))
-                } else {
-                    Some(Next::Message(m))
-                }
-            }
+            self.ctx.agenda.park(m);
         }
     }
 
@@ -520,10 +452,12 @@ impl NodeActor {
     /// event *before* returning, so the supervisor can join without a
     /// timeout once it has seen the terminal event.
     pub fn run(mut self, end: Time, pacer: Pacer, events: Sender<RuntimeEvent>) -> ActorOutcome {
-        {
-            let mut ctx = NodeCtx::new(&mut self.ctx, self.node);
-            self.behavior.on_start(&mut ctx);
-        }
+        self.behavior.on_start(&mut NodeCtx::new(
+            &mut self.seat,
+            &mut self.scratch,
+            &mut self.ctx,
+            self.node,
+        ));
         self.emit(&events, &pacer, EventKind::Started);
         self.record_flight(self.ctx.logical(), FlightKind::Start);
         self.net.attach_sleeper(self.node);
@@ -533,17 +467,14 @@ impl NodeActor {
             }
             self.drain();
             // Our anchor is the earliest event we could dispatch; `need`
-            // is the causal bound that makes the step at hand safe.
-            // Timers may dispatch at the bound (they win ties), messages
-            // only strictly below it (an in-flight message could tie and
-            // order ahead by `(from, seq)`); with nothing left inside the
-            // horizon we are done once nothing can still arrive in it.
-            let next = self.next_event();
-            let (anchor, need, due) = match next {
-                Some(Next::Timer(at)) if at <= end => (at, at, next),
-                Some(Next::Message(at)) if at <= end => (at, at + Duration(1), next),
-                Some(Next::Timer(at) | Next::Message(at)) => (at, end + Duration(1), None),
-                None => (Time(u64::MAX), end + Duration(1), None),
+            // is the causal bound that makes the step at hand safe: a
+            // timer's instant, one past a message's (see the classes);
+            // with nothing left inside the horizon we are done once
+            // nothing can still arrive in it.
+            let (anchor, need, due) = match self.ctx.agenda.peek() {
+                Some((at, class)) if at <= end => (at, at + Duration(class), true),
+                Some((at, _)) => (at, end + Duration(1), false),
+                None => (Time(u64::MAX), end + Duration(1), false),
             };
             match self.net.gate(self.node, anchor, need) {
                 Gate::Go => {}
@@ -556,16 +487,16 @@ impl NodeActor {
                     continue;
                 }
             }
-            let Some(next) = due else {
+            if !due {
                 break EventKind::Finished;
-            };
+            }
             // Wall gate: park arrivals until the event's wall instant,
             // then re-select (a new arrival may precede the choice).
             let target = pacer.wall_for(anchor);
             let now = Instant::now();
             if now < target {
                 match self.rx.recv_timeout(target - now) {
-                    Ok(m) => self.park(m),
+                    Ok(m) => self.ctx.agenda.park(m),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => {
                         let left = target.saturating_duration_since(Instant::now());
@@ -574,24 +505,24 @@ impl NodeActor {
                 }
                 continue;
             }
-            match next {
-                Next::Timer(_) => {
-                    let (at, _, timer) = self.ctx.wheel.pop().expect("peeked timer");
-                    self.timer_lag
-                        .record(Instant::now().saturating_duration_since(target).as_micros()
-                            as u64);
-                    self.record_flight(at, FlightKind::Timer);
-                    self.ctx.logical = self.ctx.logical.max(at);
-                    let mut ctx = NodeCtx::new(&mut self.ctx, self.node);
-                    self.behavior.on_timer(&mut ctx, timer);
+            let Due { key, env } = self.ctx.agenda.pop().expect("peeked event");
+            let (at, _, a, b) = key;
+            let kind = match env {
+                None => {
+                    let late = Instant::now().saturating_duration_since(target);
+                    self.timer_lag.record(late.as_micros() as u64);
+                    FlightKind::Timer
                 }
-                Next::Message(_) => {
-                    let Reverse(p) = self.pending.pop().expect("peeked message");
-                    self.record_flight(p.at, FlightKind::Message { from: p.from });
-                    self.ctx.logical = self.ctx.logical.max(p.at);
-                    let mut ctx = NodeCtx::new(&mut self.ctx, self.node);
-                    self.behavior.on_message(&mut ctx, p.env);
-                }
+                Some(_) => FlightKind::Message {
+                    from: NodeId(a as u32),
+                },
+            };
+            self.record_flight(at, kind);
+            self.ctx.logical = self.ctx.logical.max(at);
+            let mut ctx = NodeCtx::new(&mut self.seat, &mut self.scratch, &mut self.ctx, self.node);
+            match env {
+                None => self.behavior.on_timer(&mut ctx, b),
+                Some(env) => self.behavior.on_message(&mut ctx, env),
             }
             self.post_dispatch(&events, &pacer);
         };
@@ -628,7 +559,8 @@ impl NodeActor {
 mod tests {
     use super::*;
     use crate::transport::mailbox;
-    use btr_model::Topology;
+    use btr_crypto::AuthSuite;
+    use btr_model::{Payload, Topology};
 
     fn harness(n: usize) -> (Loopback, Arc<KeyStore>) {
         let topo = Topology::bus(n, 100_000, Duration(5));
@@ -638,99 +570,49 @@ mod tests {
     }
 
     fn ctx_for(node: NodeId, net: &Loopback, ks: &Arc<KeyStore>) -> LiveCtx {
-        LiveCtx::new(
-            node,
-            1,
-            Duration::from_millis(10),
-            Duration(20),
-            AuthSuite::default(),
-            Arc::clone(ks),
-            net.port(node),
-            Time::ZERO,
-        )
+        let period = Duration::from_millis(10);
+        LiveCtx::new(node, period, Arc::clone(ks), net.port(node), Time::ZERO)
+    }
+
+    fn seat_for(node: NodeId) -> Seat {
+        Seat::derive(1, node, Duration(20), AuthSuite::default())
     }
 
     #[test]
-    fn live_ctx_matches_simulator_derivations() {
-        // Skew, signer identity, and the RNG stream must be exactly the
-        // simulator's for the same (seed, node) — the substance of the
-        // trace-equivalence claim.
-        let (net, ks) = harness(3);
-        let mut live = ctx_for(NodeId(2), &net, &ks);
-        let topo = Topology::bus(3, 100_000, Duration(5));
-        let mut world = btr_sim::World::new(topo, btr_sim::SimConfig::new(1));
-        assert_eq!(live.local_now(NodeId(2)), world.local_now(NodeId(2)));
-        for _ in 0..8 {
-            assert_eq!(
-                CtxBackend::rng_u64(&mut live, NodeId(2)),
-                CtxBackend::rng_u64(&mut world, NodeId(2))
-            );
-        }
-        // A signed envelope from the live signer verifies against the
-        // world's keystore and vice versa.
-        let env = Envelope::new(NodeId(2), NodeId(0), Time(7), Payload::Control(9));
-        let mut scratch = Vec::new();
-        let signed = env.signed_with(CtxBackend::signer(&live, NodeId(2)), &mut scratch);
-        assert!(CtxBackend::verify_env(&mut world, &signed).is_ok());
-    }
-
-    #[test]
-    fn send_many_is_the_send_loop_with_one_signature() {
-        // Lossy transport: every copy draws from the sender's loss
-        // chain and takes the next send sequence number, so a skipped or
-        // reordered copy would shift every later one.
-        let run = |many: bool| {
-            let net = Loopback::new(Topology::ring(5, 100_000, Duration(5)), 3, 300_000);
-            let ks = Arc::new(KeyStore::derive_suite(1, 5, AuthSuite::default()));
-            let rxs: Vec<_> = (1..5)
-                .map(|n| {
-                    let (tx, rx) = mailbox(256);
-                    net.register(NodeId(n), tx);
-                    rx
-                })
-                .collect();
-            let mut live = ctx_for(NodeId(0), &net, &ks);
-            let dsts = [NodeId(1), NodeId(3), NodeId(2), NodeId(3), NodeId(4)];
-            let macs_before = btr_crypto::mac_count();
-            for round in 0..40 {
-                live.logical = Time(100 * round);
-                let payload = Payload::Heartbeat { period: round };
-                if many {
-                    live.send_many(NodeId(0), &dsts, payload);
-                    live.send_many(NodeId(0), &[], Payload::Control(0));
-                } else {
-                    for dst in dsts {
-                        live.send(NodeId(0), dst, payload.clone());
-                    }
-                }
-            }
-            let macs = btr_crypto::mac_count() - macs_before;
-            let got: Vec<Vec<(Time, NodeId, u64, Envelope)>> = rxs
-                .iter()
-                .map(|rx| {
-                    rx.try_iter()
-                        .map(|m| (m.at, m.from, m.seq, m.env))
-                        .collect()
-                })
-                .collect();
-            let c = net.counters();
-            let load =
-                |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
-            (got, load(&c.sent), load(&c.transmission_loss), macs)
+    fn agenda_pops_timers_in_arm_order_then_messages_by_sender() {
+        let msg = |at, from, seq| LiveMsg {
+            at,
+            from: NodeId(from),
+            seq,
+            env: Envelope::new(NodeId(from), NodeId(0), at, Payload::Control(0)),
         };
-        let (looped, many) = (run(false), run(true));
-        assert!(
-            looped.1 > 0 && looped.2 > 0,
-            "{} sent, {} lost",
-            looped.1,
-            looped.2
-        );
-        assert_eq!(looped.0, many.0, "mailboxes (arrival, sequence, tags)");
-        assert_eq!((looped.1, looped.2), (many.1, many.2), "transport counters");
+        let mut agenda = Agenda::default();
+        // Far past the 65 ms horizon the timer wheel used to promote
+        // across, armed first.
+        agenda.arm(Time::from_millis(500), 99);
+        agenda.park(msg(Time(50), 2, 0));
+        agenda.park(msg(Time(50), 1, 4));
+        agenda.arm(Time(50), 70);
+        agenda.park(msg(Time(50), 1, 3));
+        agenda.arm(Time(50), 30);
+        agenda.park(msg(Time(40), 3, 9));
+        agenda.arm(Time::from_millis(70), 7);
+        assert_eq!(agenda.peek(), Some((Time(40), MESSAGE)));
+        let popped: Vec<_> = std::iter::from_fn(|| agenda.pop())
+            .map(|d| (d.key, d.env.is_some()))
+            .collect();
         assert_eq!(
-            (looped.3, many.3),
-            (40 * 5, 40),
-            "one MAC per round, not per copy"
+            popped,
+            [
+                ((Time(40), MESSAGE, 3, 9), true),
+                ((Time(50), TIMER, 2, 70), false),
+                ((Time(50), TIMER, 3, 30), false),
+                ((Time(50), MESSAGE, 1, 3), true),
+                ((Time(50), MESSAGE, 1, 4), true),
+                ((Time(50), MESSAGE, 2, 0), true),
+                ((Time::from_millis(70), TIMER, 4, 7), false),
+                ((Time::from_millis(500), TIMER, 1, 99), false),
+            ]
         );
     }
 
@@ -767,6 +649,7 @@ mod tests {
         let actor = NodeActor::new(
             NodeId(0),
             Box::new(Pinger { fired: 0 }),
+            seat_for(NodeId(0)),
             ctx_for(NodeId(0), &net, &ks),
             rx,
             net.clone(),
@@ -818,6 +701,7 @@ mod tests {
         let actor = NodeActor::new(
             NodeId(0),
             Box::new(Suicidal),
+            seat_for(NodeId(0)),
             ctx_for(NodeId(0), &net, &ks),
             rx,
             net.clone(),

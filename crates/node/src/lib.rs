@@ -3,7 +3,7 @@
 //! The simulator (`btr-sim`) substitutes for the paper's hardware
 //! testbed; this crate substitutes for its *deployment*: every node is
 //! an independently scheduled actor on its own OS thread with a bounded
-//! mailbox, a wall-clock-paced timer wheel, and an in-process loopback
+//! mailbox, a wall-clock-paced agenda, and an in-process loopback
 //! transport mirroring the `btr_net` link parameters. Crashes are real
 //! thread deaths; recovery is measured on the wall clock against the
 //! paper's R bound; and the simulator is the *trace oracle*: all
@@ -17,10 +17,10 @@
 //! * [`transport`] — loopback network: routes, per-hop delays,
 //!   deterministic loss, bounded mailboxes, crash/restore, and the
 //!   causal frontier with its gate and wake-ups.
-//! * [`wheel`] — hashed timer wheel keyed by the runtime's packed
-//!   timer-id encodings.
-//! * [`actor`] — [`actor::LiveCtx`] (the live `CtxBackend`) and the
-//!   per-node event loop, paced against the wall clock.
+//! * [`actor`] — [`actor::LiveCtx`] (the live `CtxBackend`: the
+//!   substrate's half of hosting a node; the node's half is the
+//!   `btr_sim::Seat` both substrates derive alike) and the per-node
+//!   event loop over one agenda, paced against the wall clock.
 //! * [`faulty`] — [`faulty::FaultyNode`] splices scripted faults into
 //!   live behaviour; [`faulty::Rejoin`] re-synchronises restarts.
 //! * [`supervisor`] — spawns the fleet, watches for panics, crashes,
@@ -34,7 +34,6 @@ pub mod actor;
 pub mod faulty;
 pub mod supervisor;
 pub mod transport;
-pub mod wheel;
 
 pub use actor::{ActorOutcome, EventKind, LiveCtx, NodeActor, Pacer, RuntimeEvent};
 pub use faulty::{FaultyNode, Rejoin, CRASH_TIMER};
@@ -42,4 +41,3 @@ pub use supervisor::{
     run_live, DropTotals, DumpReason, FlightDump, LiveConfig, LiveReport, PanicReport,
 };
 pub use transport::{Gate, LiveMsg, Loopback, Port};
-pub use wheel::TimerWheel;

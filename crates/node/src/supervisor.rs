@@ -27,13 +27,13 @@ use crate::actor::{
     restart_instant, ActorOutcome, EventKind, LiveCtx, NodeActor, Pacer, RuntimeEvent,
 };
 use crate::faulty::{FaultyNode, Rejoin};
-use crate::transport::{mailbox, Loopback};
+use crate::transport::{mailbox, LiveMsg, Loopback};
 use btr_core::{BtrSystem, FaultScenario};
 use btr_crypto::KeyStore;
 use btr_model::{Duration, NodeId, PlanId, Time};
 use btr_obs::{FlightEvent, FlightRecorder, Histogram, PhaseMark, FLIGHT_CAP};
 use btr_runtime::{BtrNode, NodeStats};
-use btr_sim::{LogicalTrace, NodeBehavior, SimConfig};
+use btr_sim::{LogicalTrace, NodeBehavior, Seat, SimConfig};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -360,6 +360,40 @@ pub fn run_live(
     let workload = system.workload_arc();
     let strategy = system.strategy_arc();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
+    // One flight recorder per node, owned here and shared with the
+    // actor: the tail stays readable after the actor's thread panics.
+    let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..n)
+        .map(|_| Arc::new(Mutex::new(FlightRecorder::new(cfg.flight_cap))))
+        .collect();
+    // Spawn the thread of one incarnation of `node`, its logical clock
+    // starting at `start`. On that thread `ready` first brings the node
+    // to the point of running — meets the start line, or sits out a
+    // downtime and re-attaches — and yields the pacer and the mailbox;
+    // then context and actor are built and run guarded.
+    type Ready = Box<dyn FnOnce() -> (Pacer, mpsc::Receiver<LiveMsg>) + Send>;
+    let spawn = |node: NodeId,
+                 behavior: Box<dyn NodeBehavior + Send>,
+                 start: Time,
+                 restart_after: Duration,
+                 ready: Ready| {
+        let (net, keystore, events) = (net.clone(), Arc::clone(&keystore), ev_tx.clone());
+        let seat = Seat::derive(cfg.seed, node, max_skew, suite);
+        let flight = Arc::clone(&flights[node.index()]);
+        let obs = cfg.obs;
+        let again = if start > Time::ZERO { "-r" } else { "" };
+        thread::Builder::new()
+            .name(format!("btr-{node}{again}"))
+            .spawn(move || {
+                let (pacer, rx) = ready();
+                let mut ctx = LiveCtx::new(node, period, keystore, net.port(node), start);
+                ctx.set_obs(obs);
+                let actor = NodeActor::new(node, behavior, seat, ctx, rx, net)
+                    .with_flight(flight)
+                    .with_restart(restart_after);
+                run_guarded(actor, end, pacer, events)
+            })
+            .expect("spawn node thread")
+    };
     // Every actor thread and this one meet at the start line.
     let start = Arc::new(StartLine::new(n + 1));
     let pace = cfg.pace;
@@ -373,11 +407,6 @@ pub fn run_live(
     let mut outcomes: Vec<ActorOutcome> = Vec::new();
     let mut events: Vec<RuntimeEvent> = Vec::new();
     let mut panics: Vec<PanicReport> = Vec::new();
-    // One flight recorder per node, owned here and shared with the
-    // actor: the tail stays readable after the actor's thread panics.
-    let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..n)
-        .map(|_| Arc::new(Mutex::new(FlightRecorder::new(cfg.flight_cap))))
-        .collect();
 
     for i in 0..n as u32 {
         let node = NodeId(i);
@@ -403,26 +432,9 @@ pub fn run_live(
                 node_cfg,
             )),
         };
-        let mut ctx = LiveCtx::new(
-            node,
-            cfg.seed,
-            period,
-            max_skew,
-            suite,
-            Arc::clone(&keystore),
-            net.port(node),
-            Time::ZERO,
-        );
-        ctx.set_obs(cfg.obs);
-        let actor = NodeActor::new(node, behavior, ctx, rx, net.clone())
-            .with_flight(Arc::clone(&flights[i as usize]))
-            .with_restart(cfg.restart_after);
-        let ev = ev_tx.clone();
-        let start = Arc::clone(&start);
-        let h = thread::Builder::new()
-            .name(format!("btr-{node}"))
-            .spawn(move || run_guarded(actor, end, Pacer::new(start.arrive(), pace), ev))
-            .expect("spawn node thread");
+        let line = Arc::clone(&start);
+        let ready = Box::new(move || (Pacer::new(line.arrive(), pace), rx));
+        let h = spawn(node, behavior, Time::ZERO, cfg.restart_after, ready);
         handles[i as usize] = Some(h);
     }
     let pacer = Pacer::new(start.arrive(), pace);
@@ -485,50 +497,31 @@ pub fn run_live(
                     thread_done[idx] = false;
                     live_threads += 1;
                     let node = e.node;
-                    let ev = ev_tx.clone();
-                    let net2 = net.clone();
-                    let ks = Arc::clone(&keystore);
-                    let wl = Arc::clone(&workload);
-                    let st = Arc::clone(&strategy);
-                    let node_cfg = system.node_config().clone();
-                    let cap = cfg.mailbox_cap;
-                    let seed = cfg.seed;
-                    let obs = cfg.obs;
-                    let flight = Arc::clone(&flights[idx]);
-                    let h = thread::Builder::new()
-                        .name(format!("btr-{node}-r"))
-                        .spawn(move || {
-                            // Sit out the scripted downtime, then rejoin:
-                            // a down node must miss the traffic of its
-                            // downtime, so the mailbox is only attached
-                            // on wake.
-                            let wake = pacer.wall_for(restart_at);
-                            let now = Instant::now();
-                            if wake > now {
-                                thread::sleep(wake - now);
-                            }
-                            let (tx, rx) = mailbox(cap);
-                            net2.restore(node);
-                            net2.register(node, tx);
-                            let fresh = BtrNode::new(node, wl, st, n, node_cfg);
-                            let behavior: Box<dyn NodeBehavior + Send> =
-                                Box::new(Rejoin::new(fresh));
-                            let mut ctx = LiveCtx::new(
-                                node,
-                                seed,
-                                period,
-                                max_skew,
-                                suite,
-                                ks,
-                                net2.port(node),
-                                restart_at,
-                            );
-                            ctx.set_obs(obs);
-                            let actor = NodeActor::new(node, behavior, ctx, rx, net2.clone())
-                                .with_flight(flight);
-                            run_guarded(actor, end, pacer, ev)
-                        })
-                        .expect("spawn restart thread");
+                    let fresh = BtrNode::new(
+                        node,
+                        Arc::clone(&workload),
+                        Arc::clone(&strategy),
+                        n,
+                        system.node_config().clone(),
+                    );
+                    let (net, cap) = (net.clone(), cfg.mailbox_cap);
+                    let ready = Box::new(move || {
+                        // Sit out the scripted downtime, then rejoin: a
+                        // down node must miss the traffic of its
+                        // downtime, so the mailbox is only attached on
+                        // wake.
+                        let wake = pacer.wall_for(restart_at);
+                        let now = Instant::now();
+                        if wake > now {
+                            thread::sleep(wake - now);
+                        }
+                        let (tx, rx) = mailbox(cap);
+                        net.restore(node);
+                        net.register(node, tx);
+                        (pacer, rx)
+                    });
+                    let rejoin = Box::new(Rejoin::new(fresh));
+                    let h = spawn(node, rejoin, restart_at, Duration::ZERO, ready);
                     handles[idx] = Some(h);
                 }
             }

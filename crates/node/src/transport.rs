@@ -496,8 +496,9 @@ pub struct Port {
 
 impl Port {
     /// One transmission-loss roll in `0..1_000_000`, deterministic per
-    /// (seed, sender, message index) — the live counterpart of the
-    /// simulator's hash-chain sampler.
+    /// (seed, sender, message index): a digest per roll, where the
+    /// simulator draws from one xoshiro256** stream per world — a sender
+    /// here cannot see the order in which its peers send.
     fn loss_roll(&mut self) -> u32 {
         self.loss_counter += 1;
         (digest64(&[

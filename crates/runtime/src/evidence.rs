@@ -21,13 +21,6 @@
 //!   CPU, and senders exceeding a bogus-record threshold are blacklisted
 //!   ("invalid evidence can be counted as evidence against the signer").
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod pool;
-
-pub use pool::{AdmitOutcome, EvidencePool, PoolConfig};
-
 use btr_model::{EvidenceId, NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use std::collections::BTreeSet;
 
@@ -85,11 +78,6 @@ impl Disseminator {
     pub fn gc_echoes(&mut self, before: PeriodIdx) {
         self.echoed.retain(|&(_, _, p)| p >= before);
     }
-
-    /// Number of records forwarded so far.
-    pub fn forwarded_count(&self) -> usize {
-        self.forwarded.len()
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +91,7 @@ mod tests {
         assert!(d.should_forward(id));
         assert!(!d.should_forward(id));
         assert!(d.should_forward(EvidenceId(8)));
-        assert_eq!(d.forwarded_count(), 2);
+        assert_eq!(d.forwarded.len(), 2);
     }
 
     #[test]

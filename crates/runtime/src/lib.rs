@@ -15,22 +15,27 @@
 #![warn(missing_docs)]
 
 pub mod attack;
+mod evidence;
 pub mod flows;
+mod modeswitch;
+mod pool;
 pub mod timers;
 
 pub use attack::Attack;
 pub use flows::{derive_view, plan_lanes, PlanView};
+pub use pool::{EvidencePool, PoolConfig};
 
 use btr_detector::Detector;
-use btr_evidence::{AdmitOutcome, Disseminator, EvidencePool, PoolConfig};
 use btr_model::{
     inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
     NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, Strategy, TaskId, Time, Value,
 };
-use btr_modeswitch::{ModeSwitcher, SwitchAction};
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
 use btr_workload::{TaskKind, Workload};
+use evidence::Disseminator;
+use modeswitch::{ModeSwitcher, SwitchAction};
+use pool::AdmitOutcome;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use timers::Timer;

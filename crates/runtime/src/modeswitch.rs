@@ -19,9 +19,6 @@
 //! concern: "if different nodes switch modes at different times, some
 //! confusion can briefly result").
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use btr_model::{ATask, Duration, FaultSet, NodeId, PlanId, Strategy, Time};
 
 /// A state transfer this node must perform as part of a transition.
@@ -191,11 +188,6 @@ impl ModeSwitcher {
             }
             _ => None,
         }
-    }
-
-    /// The instant of the most recently completed activation.
-    pub fn last_activated(&self) -> Option<Time> {
-        self.last_activated
     }
 
     /// True while a mode transition is pending or completed less than
@@ -377,7 +369,7 @@ mod tests {
         // Pending: blackout regardless of time.
         assert!(m.in_blackout(Time(5_000), settle));
         assert_eq!(m.poll(Time::from_millis(30)), Some(PlanId(2)));
-        assert_eq!(m.last_activated(), Some(Time::from_millis(30)));
+        assert_eq!(m.last_activated, Some(Time::from_millis(30)));
         // Settling: blackout for `settle` after activation, then clear.
         assert!(m.in_blackout(Time::from_millis(49), settle));
         assert!(m.in_blackout(Time::from_millis(50), settle));
@@ -402,8 +394,8 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests_support::strategy_for_props;
     use super::*;
-    use crate::tests_support::strategy_for_props;
     use proptest::prelude::*;
 
     proptest! {

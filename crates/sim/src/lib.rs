@@ -25,9 +25,11 @@
 #![warn(missing_docs)]
 
 pub(crate) mod queue;
+mod seat;
 pub mod trace;
 pub mod world;
 
+pub use seat::Seat;
 pub use trace::{DropReason, LogicalTrace, SimMetrics, TraceEvent};
 pub use world::{Actuation, ControlAction, CtxBackend, ForwardPolicy, NodeCtx, SimConfig, World};
 

@@ -1,11 +1,10 @@
 //! The simulation engine.
 
 use crate::queue::{Event, EventQueue};
+use crate::seat::Seat;
 use crate::trace::{DropReason, SimMetrics, TraceEvent};
 use crate::{NodeBehavior, TimerId};
-use btr_crypto::{
-    digest64, AuthSuite, KeyStore, NodeKey, SigError, Signer, SplitMix64, Xoshiro256StarStar,
-};
+use btr_crypto::{AuthSuite, KeyStore, SigError, Signer, Xoshiro256StarStar};
 use btr_model::{
     Duration, Envelope, EvidenceFlaw, NodeId, Payload, PeriodIdx, SignedOutput, TaskId, Time,
     Topology, Value,
@@ -36,10 +35,11 @@ pub struct SimConfig {
     /// link-level FEC masks transmission errors; without `fec` this is
     /// the *residual* post-FEC rate. Deterministic per seed.
     pub loss_ppm: u32,
-    /// Link-level forward error correction: `(k, m)` sends every message
-    /// as k data + m parity shards (cf. `btr_net::fec::FecCodec`); the
-    /// message survives any ≤ m shard losses, at a wire-byte overhead of
-    /// (k+m)/k. With this on, `loss_ppm` applies per *shard*.
+    /// Link-level forward error correction, as a loss model: `(k, m)`
+    /// sends every message as k data + m parity shards, each rolled for
+    /// loss on its own; the message survives any ≤ m shard losses, at a
+    /// wire-byte overhead of (k+m)/k. With this on, `loss_ppm` applies
+    /// per *shard*.
     pub fec: Option<(u8, u8)>,
     /// Hard cap on dispatched events (0 = unlimited). When a run exceeds
     /// the cap, [`World::run_until`] stops dispatching and the world is
@@ -135,13 +135,8 @@ pub struct Actuation {
 
 struct NodeSlot {
     behavior: Option<Box<dyn NodeBehavior>>,
-    signer: Signer,
     crashed: bool,
-    /// Local clock = global + offset (µs, may be negative).
-    clock_offset: i64,
     forward: ForwardPolicy,
-    /// Per-node RNG stream, seeded once from (seed, node).
-    rng: SplitMix64,
 }
 
 /// Hot-path observability staging. Counters and latency samples
@@ -168,6 +163,17 @@ struct ObsScratch {
 
 /// The simulated world: platform, network, node behaviours, event queue.
 pub struct World {
+    /// One seat per node, beside the substrate so that a dispatch can
+    /// lend the node's seat and the substrate to one [`NodeCtx`].
+    seats: Vec<Seat>,
+    /// Reusable scratch for canonical signing bytes (send + verify
+    /// paths): one per world, lent to every dispatch.
+    scratch: Vec<u8>,
+    sub: Substrate,
+}
+
+/// The world less its seats: what a [`NodeCtx`] acts on.
+struct Substrate {
     topo: Topology,
     cfg: SimConfig,
     /// Every (node, link) sender lane of the platform, in one table.
@@ -182,8 +188,6 @@ pub struct World {
     /// Loss sampler: one PRNG stream per world, seeded from the seed
     /// digest.
     loss_rng: Xoshiro256StarStar,
-    /// Reusable scratch for canonical signing bytes (send + verify paths).
-    scratch: Vec<u8>,
     /// Reusable per-message hop staging buffer: (from, to, link).
     hop_buf: Vec<Hop>,
     keystore: KeyStore,
@@ -222,50 +226,42 @@ impl World {
         let keystore = KeyStore::derive_suite(cfg.seed, n, cfg.auth_suite);
         let links = LinkLayer::new(&topo, cfg.period);
         let routing = RouteBackend::auto(&topo);
+        let seats = (0..n as u32)
+            .map(|i| Seat::derive(cfg.seed, NodeId(i), cfg.max_clock_skew, cfg.auth_suite))
+            .collect();
         let slots = (0..n)
-            .map(|i| {
-                let id = i as u32;
-                let span = 2 * cfg.max_clock_skew.as_micros() + 1;
-                let skew = (digest64(&[b"btr-skew", &cfg.seed.to_be_bytes(), &id.to_be_bytes()])
-                    % span) as i64
-                    - cfg.max_clock_skew.as_micros() as i64;
-                NodeSlot {
-                    behavior: Some(Box::new(crate::IdleBehavior)),
-                    signer: Signer::new(NodeKey::derive_suite(cfg.seed, id, cfg.auth_suite)),
-                    crashed: false,
-                    clock_offset: skew,
-                    forward: ForwardPolicy::Forward,
-                    rng: SplitMix64::from_parts(&[
-                        b"btr-node-rng",
-                        &cfg.seed.to_be_bytes(),
-                        &id.to_be_bytes(),
-                    ]),
-                }
+            .map(|_| NodeSlot {
+                behavior: Some(Box::new(crate::IdleBehavior)),
+                crashed: false,
+                forward: ForwardPolicy::Forward,
             })
             .collect();
         let loss_rng = Xoshiro256StarStar::from_parts(&[b"btr-loss", &cfg.seed.to_be_bytes()]);
         World {
-            topo,
-            cfg,
-            links,
-            routing,
-            slots,
-            queue: EventQueue::for_nodes(n),
-            now: Time::ZERO,
-            seq: 0,
-            loss_rng,
+            seats,
             scratch: Vec::new(),
-            hop_buf: Vec::new(),
-            keystore,
-            actuations: Vec::new(),
-            trace: Vec::new(),
-            metrics: SimMetrics::default(),
-            started: false,
-            truncated: false,
-            obs: None,
-            obs_scratch: ObsScratch::default(),
-            wall_prof: false,
-            wall_nested_ns: 0,
+            sub: Substrate {
+                topo,
+                cfg,
+                links,
+                routing,
+                slots,
+                queue: EventQueue::for_nodes(n),
+                now: Time::ZERO,
+                seq: 0,
+                loss_rng,
+                hop_buf: Vec::new(),
+                keystore,
+                actuations: Vec::new(),
+                trace: Vec::new(),
+                metrics: SimMetrics::default(),
+                started: false,
+                truncated: false,
+                obs: None,
+                obs_scratch: ObsScratch::default(),
+                wall_prof: false,
+                wall_nested_ns: 0,
+            },
         }
     }
 
@@ -276,11 +272,11 @@ impl World {
         // Flush staged facts into any outgoing recorder first so a swap
         // never leaks one observation window's counts into the next.
         let _ = self.take_recorder();
-        self.obs = Some(r);
+        self.sub.obs = Some(r);
         // Size the traffic matrix once, here — every hot-path record
         // after this is an indexed increment, no allocation.
-        self.obs_scratch.traffic =
-            TrafficMatrix::new(self.topo.node_count(), self.topo.links().len());
+        self.sub.obs_scratch.traffic =
+            TrafficMatrix::new(self.sub.topo.node_count(), self.sub.topo.links().len());
     }
 
     /// Enable or disable wall-clock sampling of the hot-path subsystem
@@ -290,9 +286,330 @@ impl World {
     /// they are machine- and load-dependent. Count profiles are always
     /// collected when a recorder is installed; this switch adds timing.
     pub fn set_wall_profiling(&mut self, on: bool) {
-        self.wall_prof = on;
+        self.sub.wall_prof = on;
     }
 
+    /// Remove and return the installed recorder (to read its contents
+    /// after a run). Staged hot-path facts are flushed into it here.
+    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
+        let mut r = self.sub.obs.take()?;
+        let s = std::mem::take(&mut self.sub.obs_scratch);
+        for c in Counter::all() {
+            let n = s.counts[c as usize];
+            if n > 0 {
+                r.count(c, n);
+            }
+        }
+        if s.delivery.count() > 0 {
+            r.latencies(Lat::Delivery, &s.delivery);
+        }
+        if s.timer_lag.count() > 0 {
+            r.latencies(Lat::TimerLag, &s.timer_lag);
+        }
+        if !s.profile.is_empty() {
+            r.profile(&s.profile);
+        }
+        if !s.traffic.is_empty() {
+            r.traffic(&s.traffic);
+        }
+        Some(r)
+    }
+
+    /// Install a node's behaviour (before or after start).
+    pub fn set_behavior(&mut self, node: NodeId, behavior: Box<dyn NodeBehavior>) {
+        self.sub.slots[node.index()].behavior = Some(behavior);
+    }
+
+    /// The platform topology.
+    pub fn topology(&self) -> &Topology {
+        &self.sub.topo
+    }
+
+    /// The shared verification keystore.
+    pub fn keystore(&self) -> &KeyStore {
+        &self.sub.keystore
+    }
+
+    /// The authenticator suite this world's signers and keystore use.
+    pub fn auth_suite(&self) -> AuthSuite {
+        self.sub.cfg.auth_suite
+    }
+
+    /// Current simulation time.
+    pub fn now(&self) -> Time {
+        self.sub.now
+    }
+
+    /// The system period.
+    pub fn period(&self) -> Duration {
+        self.sub.cfg.period
+    }
+
+    /// Recorded actuations so far.
+    pub fn actuations(&self) -> &[Actuation] {
+        &self.sub.actuations
+    }
+
+    /// The run's canonical logical trace (the cross-substrate
+    /// equivalence oracle; see [`crate::trace::LogicalTrace`]).
+    pub fn logical_trace(&self) -> crate::trace::LogicalTrace {
+        crate::trace::LogicalTrace::from_actuations(&self.sub.actuations)
+    }
+
+    /// Aggregate metrics.
+    pub fn metrics(&self) -> &SimMetrics {
+        &self.sub.metrics
+    }
+
+    /// The trace (empty unless `cfg.trace`).
+    pub fn trace(&self) -> &[TraceEvent] {
+        &self.sub.trace
+    }
+
+    /// True if the node has crashed.
+    pub fn is_crashed(&self, node: NodeId) -> bool {
+        self.sub.slots[node.index()].crashed
+    }
+
+    /// True if a run hit the `max_events` cap and stopped dispatching.
+    pub fn truncated(&self) -> bool {
+        self.sub.truncated
+    }
+
+    /// Heap bytes resident for routing state — O(n² · diameter) for the
+    /// precomputed table, near-linear for the demand-driven rows.
+    /// The scale harness gates this sub-quadratic at n = 1000.
+    pub fn routing_resident_bytes(&self) -> usize {
+        self.sub.routing.resident_bytes()
+    }
+
+    /// (routing rows built, how many of those healed a row a crash
+    /// crossed) so far; zeros for the precomputed backend.
+    pub fn routing_rows_built(&self) -> (u64, u64) {
+        self.sub.routing.rows_built()
+    }
+
+    /// The selected routing backend ("precomputed" or "demand").
+    pub fn routing_kind(&self) -> &'static str {
+        self.sub.routing.kind()
+    }
+
+    /// Events currently queued (diagnostics).
+    pub fn queued_events(&self) -> usize {
+        self.sub.queue.len()
+    }
+
+    /// Envelopes parked in the event arena awaiting delivery. Must
+    /// track the queued `Deliver` count exactly — a nonzero value after
+    /// the queue drains would be an arena leak.
+    pub fn envelopes_in_flight(&self) -> usize {
+        self.sub.queue.envelopes_in_flight()
+    }
+
+    /// Pre-materialise routing state toward the given destinations (the
+    /// plan-derived traffic matrix; see `PlanView::route_demand`). A
+    /// no-op for the precomputed backend, which is always warm; purely a
+    /// latency optimisation for the demand backend — rows are built
+    /// deterministically on first use either way.
+    pub fn warm_routes<I: IntoIterator<Item = NodeId>>(&mut self, dsts: I) {
+        self.sub.routing.warm(dsts);
+    }
+
+    /// Borrow a node's behaviour for inspection (None while dispatching).
+    pub fn behavior(&self, node: NodeId) -> Option<&dyn crate::NodeBehavior> {
+        self.sub.slots[node.index()].behavior.as_deref()
+    }
+
+    /// Total guardian-denied bytes for a node across all links.
+    pub fn guardian_drops(&self, node: NodeId) -> u64 {
+        self.sub.links.guardian_drops(node)
+    }
+
+    /// Schedule a control action at an absolute time.
+    pub fn schedule_control(&mut self, at: Time, action: ControlAction) {
+        self.sub.push(at, Event::Control(action));
+    }
+
+    /// Call `on_start` on every behaviour (in node-id order) and mark the
+    /// world runnable.
+    pub fn start(&mut self) {
+        assert!(!self.sub.started, "world already started");
+        self.sub.started = true;
+        for i in 0..self.sub.slots.len() {
+            self.dispatch_start(NodeId(i as u32));
+        }
+    }
+
+    /// Run until the queue is empty or `t` is reached; time advances to `t`.
+    ///
+    /// If `cfg.max_events` is set and the run reaches it, dispatching
+    /// stops immediately and [`World::truncated`] turns true (the cap is
+    /// checked per event, so runs are still bit-deterministic).
+    pub fn run_until(&mut self, t: Time) {
+        assert!(self.sub.started, "call start() first");
+        loop {
+            if self.sub.cfg.max_events > 0 && self.sub.metrics.events >= self.sub.cfg.max_events {
+                // Cut short only if another event would have dispatched: a
+                // run that *finishes* with exactly `max_events` events
+                // must not be flagged.
+                if matches!(self.sub.queue.next_at(), Some(at) if at <= t) {
+                    self.sub.truncated = true;
+                }
+                break;
+            }
+            let Some((at, event)) = self.sub.queue.pop_due(t) else {
+                break;
+            };
+            self.sub.now = at;
+            self.sub.metrics.events += 1;
+            if self.sub.obs.is_some() {
+                self.sub.obs_scratch.counts[Counter::Events as usize] += 1;
+                self.sub.obs_scratch.profile.bump(Subsystem::Queue);
+            }
+            match event {
+                Event::Deliver { dst, env } => self.dispatch_message(dst, env),
+                Event::Timer { node, timer } => self.dispatch_timer(node, timer),
+                Event::Control(action) => self.apply_control(action),
+            }
+        }
+        if t > self.sub.now {
+            self.sub.now = t;
+        }
+    }
+
+    /// Run for a span from the current time.
+    pub fn run_for(&mut self, d: Duration) {
+        let t = self.sub.now + d;
+        self.run_until(t);
+    }
+
+    fn apply_control(&mut self, action: ControlAction) {
+        if self.sub.obs.is_some() {
+            self.sub.obs_scratch.counts[Counter::Controls as usize] += 1;
+            self.sub.obs_scratch.profile.bump(Subsystem::ModeSwitch);
+        }
+        let t0 = self.sub.wall_start();
+        let nested0 = self.sub.wall_nested_ns;
+        self.apply_control_inner(action);
+        self.sub
+            .wall_end_exclusive(Subsystem::ModeSwitch, t0, nested0);
+    }
+
+    fn apply_control_inner(&mut self, action: ControlAction) {
+        match action {
+            ControlAction::Crash(n) => self.sub.crash(n),
+            ControlAction::SetForwardPolicy(n, p) => {
+                self.sub.slots[n.index()].forward = p;
+            }
+            ControlAction::ShiftClock(n, d) => {
+                self.seats[n.index()].clock_offset += d;
+            }
+            ControlAction::ReplaceBehavior(n, b) => {
+                self.sub.slots[n.index()].behavior = Some(b);
+                // A fresh behaviour gets a start callback so it can set
+                // up timers.
+                self.dispatch_start(n);
+            }
+        }
+    }
+
+    /// Bind `node`'s seat, the world's scratch and the substrate into the
+    /// context of one dispatch.
+    fn ctx(&mut self, node: NodeId) -> NodeCtx<'_> {
+        let seat = &mut self.seats[node.index()];
+        NodeCtx::new(seat, &mut self.scratch, &mut self.sub, node)
+    }
+
+    fn dispatch_start(&mut self, node: NodeId) {
+        if self.sub.slots[node.index()].crashed {
+            return;
+        }
+        let mut behavior = match self.sub.slots[node.index()].behavior.take() {
+            Some(b) => b,
+            None => return,
+        };
+        let mut ctx = self.ctx(node);
+        behavior.on_start(&mut ctx);
+        self.sub.slots[node.index()]
+            .behavior
+            .get_or_insert(behavior);
+    }
+
+    fn dispatch_message(&mut self, dst: NodeId, env: Envelope) {
+        if self.sub.slots[dst.index()].crashed {
+            self.sub.metrics.drops_other += 1;
+            if self.sub.obs.is_some() {
+                // Attribute the drop to the (real, in-range) receiver;
+                // env.src is a claim a Byzantine sender controls.
+                self.sub.obs_scratch.traffic.record_drop(dst.index());
+            }
+            if self.sub.cfg.trace {
+                self.sub.trace.push(TraceEvent::Dropped {
+                    at: self.sub.now,
+                    src: env.src,
+                    dst,
+                    reason: DropReason::ReceiverCrashed,
+                });
+            }
+            return;
+        }
+        self.sub.metrics.msgs_delivered += 1;
+        if self.sub.obs.is_some() {
+            self.sub.obs_scratch.counts[Counter::Delivers as usize] += 1;
+            self.sub.obs_scratch.profile.bump(Subsystem::Dispatch);
+            self.sub.obs_scratch.traffic.record_rx(dst.index());
+        }
+        if self.sub.cfg.trace {
+            self.sub.trace.push(TraceEvent::Delivered {
+                at: self.sub.now,
+                src: env.src,
+                dst,
+                label: env.payload.label(),
+            });
+        }
+        let mut behavior = match self.sub.slots[dst.index()].behavior.take() {
+            Some(b) => b,
+            None => return,
+        };
+        let t0 = self.sub.wall_start();
+        let nested0 = self.sub.wall_nested_ns;
+        let mut ctx = self.ctx(dst);
+        behavior.on_message(&mut ctx, env);
+        self.sub
+            .wall_end_exclusive(Subsystem::Dispatch, t0, nested0);
+        self.sub.slots[dst.index()].behavior.get_or_insert(behavior);
+    }
+
+    fn dispatch_timer(&mut self, node: NodeId, timer: TimerId) {
+        if self.sub.slots[node.index()].crashed {
+            return;
+        }
+        self.sub.metrics.timers += 1;
+        if self.sub.obs.is_some() {
+            self.sub.obs_scratch.counts[Counter::Timers as usize] += 1;
+            self.sub.obs_scratch.profile.bump(Subsystem::Dispatch);
+            // Sim timers fire exactly when armed; the lag histogram
+            // exists for symmetry with the live substrate, where it
+            // measures scheduling-induced dispatch lateness.
+            self.sub.obs_scratch.timer_lag.record(0);
+        }
+        let mut behavior = match self.sub.slots[node.index()].behavior.take() {
+            Some(b) => b,
+            None => return,
+        };
+        let t0 = self.sub.wall_start();
+        let nested0 = self.sub.wall_nested_ns;
+        let mut ctx = self.ctx(node);
+        behavior.on_timer(&mut ctx, timer);
+        self.sub
+            .wall_end_exclusive(Subsystem::Dispatch, t0, nested0);
+        self.sub.slots[node.index()]
+            .behavior
+            .get_or_insert(behavior);
+    }
+}
+
+impl Substrate {
     /// Start a wall-sampling scope (None unless wall profiling is on
     /// and a recorder is installed).
     #[inline]
@@ -337,200 +654,6 @@ impl World {
         }
     }
 
-    /// Remove and return the installed recorder (to read its contents
-    /// after a run). Staged hot-path facts are flushed into it here.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        let mut r = self.obs.take()?;
-        let s = std::mem::take(&mut self.obs_scratch);
-        for c in Counter::all() {
-            let n = s.counts[c as usize];
-            if n > 0 {
-                r.count(c, n);
-            }
-        }
-        if s.delivery.count() > 0 {
-            r.latencies(Lat::Delivery, &s.delivery);
-        }
-        if s.timer_lag.count() > 0 {
-            r.latencies(Lat::TimerLag, &s.timer_lag);
-        }
-        if !s.profile.is_empty() {
-            r.profile(&s.profile);
-        }
-        if !s.traffic.is_empty() {
-            r.traffic(&s.traffic);
-        }
-        Some(r)
-    }
-
-    /// Install a node's behaviour (before or after start).
-    pub fn set_behavior(&mut self, node: NodeId, behavior: Box<dyn NodeBehavior>) {
-        self.slots[node.index()].behavior = Some(behavior);
-    }
-
-    /// The platform topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The shared verification keystore.
-    pub fn keystore(&self) -> &KeyStore {
-        &self.keystore
-    }
-
-    /// The authenticator suite this world's signers and keystore use.
-    pub fn auth_suite(&self) -> AuthSuite {
-        self.cfg.auth_suite
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// The system period.
-    pub fn period(&self) -> Duration {
-        self.cfg.period
-    }
-
-    /// Recorded actuations so far.
-    pub fn actuations(&self) -> &[Actuation] {
-        &self.actuations
-    }
-
-    /// The run's canonical logical trace (the cross-substrate
-    /// equivalence oracle; see [`crate::trace::LogicalTrace`]).
-    pub fn logical_trace(&self) -> crate::trace::LogicalTrace {
-        crate::trace::LogicalTrace::from_actuations(&self.actuations)
-    }
-
-    /// Aggregate metrics.
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
-    }
-
-    /// The trace (empty unless `cfg.trace`).
-    pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
-    /// True if the node has crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.slots[node.index()].crashed
-    }
-
-    /// True if a run hit the `max_events` cap and stopped dispatching.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// Heap bytes resident for routing state — O(n² · diameter) for the
-    /// precomputed table, near-linear for the demand-driven rows.
-    /// The scale harness gates this sub-quadratic at n = 1000.
-    pub fn routing_resident_bytes(&self) -> usize {
-        self.routing.resident_bytes()
-    }
-
-    /// (routing rows built, how many of those healed a row a crash
-    /// crossed) so far; zeros for the precomputed backend.
-    pub fn routing_rows_built(&self) -> (u64, u64) {
-        self.routing.rows_built()
-    }
-
-    /// The selected routing backend ("precomputed" or "demand").
-    pub fn routing_kind(&self) -> &'static str {
-        self.routing.kind()
-    }
-
-    /// Events currently queued (diagnostics).
-    pub fn queued_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Envelopes parked in the event arena awaiting delivery. Must
-    /// track the queued `Deliver` count exactly — a nonzero value after
-    /// the queue drains would be an arena leak.
-    pub fn envelopes_in_flight(&self) -> usize {
-        self.queue.envelopes_in_flight()
-    }
-
-    /// Pre-materialise routing state toward the given destinations (the
-    /// plan-derived traffic matrix; see `PlanView::route_demand`). A
-    /// no-op for the precomputed backend, which is always warm; purely a
-    /// latency optimisation for the demand backend — rows are built
-    /// deterministically on first use either way.
-    pub fn warm_routes<I: IntoIterator<Item = NodeId>>(&mut self, dsts: I) {
-        self.routing.warm(dsts);
-    }
-
-    /// Borrow a node's behaviour for inspection (None while dispatching).
-    pub fn behavior(&self, node: NodeId) -> Option<&dyn crate::NodeBehavior> {
-        self.slots[node.index()].behavior.as_deref()
-    }
-
-    /// Total guardian-denied bytes for a node across all links.
-    pub fn guardian_drops(&self, node: NodeId) -> u64 {
-        self.links.guardian_drops(node)
-    }
-
-    /// Schedule a control action at an absolute time.
-    pub fn schedule_control(&mut self, at: Time, action: ControlAction) {
-        self.push(at, Event::Control(action));
-    }
-
-    /// Call `on_start` on every behaviour (in node-id order) and mark the
-    /// world runnable.
-    pub fn start(&mut self) {
-        assert!(!self.started, "world already started");
-        self.started = true;
-        for i in 0..self.slots.len() {
-            self.dispatch_start(NodeId(i as u32));
-        }
-    }
-
-    /// Run until the queue is empty or `t` is reached; time advances to `t`.
-    ///
-    /// If `cfg.max_events` is set and the run reaches it, dispatching
-    /// stops immediately and [`World::truncated`] turns true (the cap is
-    /// checked per event, so runs are still bit-deterministic).
-    pub fn run_until(&mut self, t: Time) {
-        assert!(self.started, "call start() first");
-        loop {
-            if self.cfg.max_events > 0 && self.metrics.events >= self.cfg.max_events {
-                // Cut short only if another event would have dispatched: a
-                // run that *finishes* with exactly `max_events` events
-                // must not be flagged.
-                if matches!(self.queue.next_at(), Some(at) if at <= t) {
-                    self.truncated = true;
-                }
-                break;
-            }
-            let Some((at, event)) = self.queue.pop_due(t) else {
-                break;
-            };
-            self.now = at;
-            self.metrics.events += 1;
-            if self.obs.is_some() {
-                self.obs_scratch.counts[Counter::Events as usize] += 1;
-                self.obs_scratch.profile.bump(Subsystem::Queue);
-            }
-            match event {
-                Event::Deliver { dst, env } => self.dispatch_message(dst, env),
-                Event::Timer { node, timer } => self.dispatch_timer(node, timer),
-                Event::Control(action) => self.apply_control(action),
-            }
-        }
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Run for a span from the current time.
-    pub fn run_for(&mut self, d: Duration) {
-        let t = self.now + d;
-        self.run_until(t);
-    }
-
     fn push(&mut self, at: Time, event: Event) {
         let seq = self.seq;
         self.seq += 1;
@@ -538,138 +661,6 @@ impl World {
             self.obs_scratch.profile.bump(Subsystem::Queue);
         }
         self.queue.push(at, seq, event);
-    }
-
-    fn apply_control(&mut self, action: ControlAction) {
-        if self.obs.is_some() {
-            self.obs_scratch.counts[Counter::Controls as usize] += 1;
-            self.obs_scratch.profile.bump(Subsystem::ModeSwitch);
-        }
-        let t0 = self.wall_start();
-        let nested0 = self.wall_nested_ns;
-        self.apply_control_inner(action);
-        self.wall_end_exclusive(Subsystem::ModeSwitch, t0, nested0);
-    }
-
-    fn apply_control_inner(&mut self, action: ControlAction) {
-        match action {
-            ControlAction::Crash(n) => {
-                let slot = &mut self.slots[n.index()];
-                if !slot.crashed {
-                    slot.crashed = true;
-                    slot.forward = ForwardPolicy::DropAll;
-                    if self.cfg.trace {
-                        self.trace.push(TraceEvent::Crashed {
-                            at: self.now,
-                            node: n,
-                        });
-                    }
-                    if let Some(obs) = self.obs.as_deref_mut() {
-                        obs.mark(PhaseMark {
-                            observer: n,
-                            subject: n,
-                            phase: Phase::FaultActive,
-                            at: self.now,
-                        });
-                    }
-                    self.heal_routes();
-                }
-            }
-            ControlAction::SetForwardPolicy(n, p) => {
-                self.slots[n.index()].forward = p;
-            }
-            ControlAction::ShiftClock(n, d) => {
-                self.slots[n.index()].clock_offset += d;
-            }
-            ControlAction::ReplaceBehavior(n, b) => {
-                self.slots[n.index()].behavior = Some(b);
-                // A fresh behaviour gets a start callback so it can set
-                // up timers.
-                self.dispatch_start(n);
-            }
-        }
-    }
-
-    fn dispatch_start(&mut self, node: NodeId) {
-        if self.slots[node.index()].crashed {
-            return;
-        }
-        let mut behavior = match self.slots[node.index()].behavior.take() {
-            Some(b) => b,
-            None => return,
-        };
-        let mut ctx = NodeCtx::new(self, node);
-        behavior.on_start(&mut ctx);
-        self.slots[node.index()].behavior.get_or_insert(behavior);
-    }
-
-    fn dispatch_message(&mut self, dst: NodeId, env: Envelope) {
-        if self.slots[dst.index()].crashed {
-            self.metrics.drops_other += 1;
-            if self.obs.is_some() {
-                // Attribute the drop to the (real, in-range) receiver;
-                // env.src is a claim a Byzantine sender controls.
-                self.obs_scratch.traffic.record_drop(dst.index());
-            }
-            if self.cfg.trace {
-                self.trace.push(TraceEvent::Dropped {
-                    at: self.now,
-                    src: env.src,
-                    dst,
-                    reason: DropReason::ReceiverCrashed,
-                });
-            }
-            return;
-        }
-        self.metrics.msgs_delivered += 1;
-        if self.obs.is_some() {
-            self.obs_scratch.counts[Counter::Delivers as usize] += 1;
-            self.obs_scratch.profile.bump(Subsystem::Dispatch);
-            self.obs_scratch.traffic.record_rx(dst.index());
-        }
-        if self.cfg.trace {
-            self.trace.push(TraceEvent::Delivered {
-                at: self.now,
-                src: env.src,
-                dst,
-                label: env.payload.label(),
-            });
-        }
-        let mut behavior = match self.slots[dst.index()].behavior.take() {
-            Some(b) => b,
-            None => return,
-        };
-        let t0 = self.wall_start();
-        let nested0 = self.wall_nested_ns;
-        let mut ctx = NodeCtx::new(self, dst);
-        behavior.on_message(&mut ctx, env);
-        self.wall_end_exclusive(Subsystem::Dispatch, t0, nested0);
-        self.slots[dst.index()].behavior.get_or_insert(behavior);
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, timer: TimerId) {
-        if self.slots[node.index()].crashed {
-            return;
-        }
-        self.metrics.timers += 1;
-        if self.obs.is_some() {
-            self.obs_scratch.counts[Counter::Timers as usize] += 1;
-            self.obs_scratch.profile.bump(Subsystem::Dispatch);
-            // Sim timers fire exactly when armed; the lag histogram
-            // exists for symmetry with the live substrate, where it
-            // measures scheduling-induced dispatch lateness.
-            self.obs_scratch.timer_lag.record(0);
-        }
-        let mut behavior = match self.slots[node.index()].behavior.take() {
-            Some(b) => b,
-            None => return,
-        };
-        let t0 = self.wall_start();
-        let nested0 = self.wall_nested_ns;
-        let mut ctx = NodeCtx::new(self, node);
-        behavior.on_timer(&mut ctx, timer);
-        self.wall_end_exclusive(Subsystem::Dispatch, t0, nested0);
-        self.slots[node.index()].behavior.get_or_insert(behavior);
     }
 
     /// One transmission-loss roll in `0..1_000_000`, deterministic per
@@ -839,6 +830,29 @@ impl World {
         Some(t)
     }
 
+    /// Fail-stop `node`, by control action or by its own hand: it stops
+    /// relaying, the fault's timeline starts, routes heal around it.
+    fn crash(&mut self, node: NodeId) {
+        let slot = &mut self.slots[node.index()];
+        if slot.crashed {
+            return;
+        }
+        slot.crashed = true;
+        slot.forward = ForwardPolicy::DropAll;
+        if self.cfg.trace {
+            self.trace.push(TraceEvent::Crashed { at: self.now, node });
+        }
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.mark(PhaseMark {
+                observer: node,
+                subject: node,
+                phase: Phase::FaultActive,
+                at: self.now,
+            });
+        }
+        self.heal_routes();
+    }
+
     /// Recompute routes around every crashed node. A dead node on a
     /// point-to-point link loses carrier, so its neighbours deterministically
     /// stop relaying through it; traffic *addressed* to it still routes and
@@ -890,47 +904,27 @@ impl World {
 /// trace oracle for the live runtime: the *same* protocol code runs on
 /// both substrates, and only the event transport underneath differs.
 ///
-/// Methods take the acting node explicitly; the backend enforces key
-/// secrecy by construction because `signer(node)` is only ever called
-/// with the id the dispatcher bound into the `NodeCtx`.
+/// This is the substrate's half of hosting a node — time, transport,
+/// timers, actuators. The node's half (its clock, key and RNG stream:
+/// the [`Seat`]) and everything done with it (stamping, signing,
+/// verifying) is `NodeCtx`'s own, written once for every substrate.
+/// Methods take the acting node explicitly: the id the dispatcher bound
+/// into the `NodeCtx`.
 pub trait CtxBackend {
     /// Global time (simulation time, or the live runtime's logical clock).
     fn now(&self) -> Time;
-    /// The node's local clock reading (global time + bounded skew).
-    fn local_now(&self, node: NodeId) -> Time;
     /// The system period.
     fn period(&self) -> Duration;
-    /// The node's own signer.
-    fn signer(&self, node: NodeId) -> &Signer;
     /// The shared verification keystore.
     fn keystore(&self) -> &KeyStore;
-    /// Sign a payload as `src` and transmit it to `dst`.
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: Payload);
-    /// Sign a payload as `src` once and transmit a copy to each of
-    /// `dsts`, in that order (a destination may repeat). Observably the
-    /// same as calling [`CtxBackend::send`] per destination — an envelope
-    /// signature does not cover the destination, so the copies carry the
-    /// tag each would have been given — which is what this default does;
-    /// a backend implements it to compute that tag once.
-    fn send_many(&mut self, src: NodeId, dsts: &[NodeId], payload: Payload) {
-        for &dst in dsts {
-            self.send(src, dst, payload.clone());
-        }
-    }
     /// Transmit a pre-built envelope, charging `src`'s allocation.
     fn send_env(&mut self, src: NodeId, env: Envelope);
-    /// Verify an envelope signature (scratch-buffer reuse inside).
-    fn verify_env(&mut self, env: &Envelope) -> Result<(), SigError>;
-    /// Verify a signed task output (scratch-buffer reuse inside).
-    fn verify_output(&mut self, output: &SignedOutput) -> Result<(), EvidenceFlaw>;
     /// Arm a timer for `node` at an absolute global time.
     fn set_timer_at(&mut self, node: NodeId, at: Time, timer: TimerId);
     /// Record a sink actuation by `node`.
     fn actuate(&mut self, node: NodeId, task: TaskId, period: PeriodIdx, value: Value);
     /// Fail-stop `node` immediately.
     fn crash_self(&mut self, node: NodeId);
-    /// Advance `node`'s deterministic pseudo-random stream.
-    fn rng_u64(&mut self, node: NodeId) -> u64;
     /// Observe a recovery-phase boundary (out-of-band).
     ///
     /// Defaults to a no-op so backends without an observability layer
@@ -939,94 +933,32 @@ pub trait CtxBackend {
     /// timing, or RNG streams — that is what keeps obs-on and obs-off
     /// runs bit-identical.
     fn observe(&mut self, _mark: PhaseMark) {}
+    /// `NodeCtx` is about to do `n` operations' worth of `s` (sign for
+    /// `n` envelopes, verify one): a substrate that profiles counts them
+    /// and, if it samples wall time, starts the clock. Out-of-band like
+    /// [`CtxBackend::observe`]; the default does nothing.
+    fn scope_enter(&mut self, _s: Subsystem, _n: u64) -> Option<std::time::Instant> {
+        None
+    }
+    /// Close the scope [`CtxBackend::scope_enter`] opened.
+    fn scope_exit(&mut self, _s: Subsystem, _t0: Option<std::time::Instant>) {}
 }
 
-impl CtxBackend for World {
+impl CtxBackend for Substrate {
     fn now(&self) -> Time {
         self.now
-    }
-
-    fn local_now(&self, node: NodeId) -> Time {
-        let t = self.now.as_micros() as i64 + self.slots[node.index()].clock_offset;
-        Time(t.max(0) as u64)
     }
 
     fn period(&self) -> Duration {
         self.cfg.period
     }
 
-    fn signer(&self, node: NodeId) -> &Signer {
-        &self.slots[node.index()].signer
-    }
-
     fn keystore(&self) -> &KeyStore {
         &self.keystore
     }
 
-    fn send(&mut self, src: NodeId, dst: NodeId, payload: Payload) {
-        self.prof(Subsystem::CryptoSign);
-        let t0 = self.wall_start();
-        let env = Envelope::new(src, dst, self.local_now(src), payload);
-        // Write the canonical signing bytes into the world's scratch
-        // buffer; steady-state sends perform no heap allocation.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let env = env.signed_with(&self.slots[src.index()].signer, &mut scratch);
-        self.scratch = scratch;
-        self.wall_end(Subsystem::CryptoSign, t0);
-        self.transmit(src, env);
-    }
-
-    fn send_many(&mut self, src: NodeId, dsts: &[NodeId], payload: Payload) {
-        let Some((&last, rest)) = dsts.split_last() else {
-            return;
-        };
-        let t0 = self.wall_start();
-        let sent_at = self.local_now(src);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let signer = &self.slots[src.index()].signer;
-        let sig = Envelope::sign_parts(signer, src, sent_at, &payload, &mut scratch);
-        self.scratch = scratch;
-        self.wall_end(Subsystem::CryptoSign, t0);
-        let env = Envelope {
-            src,
-            dst: last,
-            sent_at,
-            payload,
-            sig: Some(sig),
-        };
-        // One signed envelope per destination, as the profile counts
-        // them; transmitted in the caller's order, so the loss stream and
-        // the event queue see what a `send` per destination gave them.
-        for &dst in rest {
-            self.prof(Subsystem::CryptoSign);
-            self.transmit(src, Envelope { dst, ..env.clone() });
-        }
-        self.prof(Subsystem::CryptoSign);
-        self.transmit(src, env);
-    }
-
     fn send_env(&mut self, src: NodeId, env: Envelope) {
         self.transmit(src, env);
-    }
-
-    fn verify_env(&mut self, env: &Envelope) -> Result<(), SigError> {
-        self.prof(Subsystem::CryptoVerify);
-        let t0 = self.wall_start();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = env.verify_with(&self.keystore, &mut scratch);
-        self.scratch = scratch;
-        self.wall_end(Subsystem::CryptoVerify, t0);
-        r
-    }
-
-    fn verify_output(&mut self, output: &SignedOutput) -> Result<(), EvidenceFlaw> {
-        self.prof(Subsystem::Audit);
-        let t0 = self.wall_start();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = output.verify_with(&self.keystore, &mut scratch);
-        self.scratch = scratch;
-        self.wall_end(Subsystem::Audit, t0);
-        r
     }
 
     fn set_timer_at(&mut self, node: NodeId, at: Time, timer: TimerId) {
@@ -1061,21 +993,7 @@ impl CtxBackend for World {
     fn crash_self(&mut self, node: NodeId) {
         self.prof(Subsystem::ModeSwitch);
         let t0 = self.wall_start();
-        let slot = &mut self.slots[node.index()];
-        slot.crashed = true;
-        slot.forward = ForwardPolicy::DropAll;
-        if self.cfg.trace {
-            self.trace.push(TraceEvent::Crashed { at: self.now, node });
-        }
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.mark(PhaseMark {
-                observer: node,
-                subject: node,
-                phase: Phase::FaultActive,
-                at: self.now,
-            });
-        }
-        self.heal_routes();
+        self.crash(node);
         self.wall_end(Subsystem::ModeSwitch, t0);
     }
 
@@ -1085,26 +1003,47 @@ impl CtxBackend for World {
         }
     }
 
-    fn rng_u64(&mut self, node: NodeId) -> u64 {
-        self.slots[node.index()].rng.next_u64()
+    fn scope_enter(&mut self, s: Subsystem, n: u64) -> Option<std::time::Instant> {
+        if self.obs.is_some() {
+            self.obs_scratch.profile.bump_n(s, n);
+        }
+        self.wall_start()
+    }
+
+    fn scope_exit(&mut self, s: Subsystem, t0: Option<std::time::Instant>) {
+        self.wall_end(s, t0);
     }
 }
 
 /// The API a node behaviour uses to act on the world.
 ///
-/// A thin, substrate-agnostic view over a [`CtxBackend`]: the simulator
-/// and the live runtime construct one per dispatch, and behaviours are
-/// oblivious to which is underneath.
+/// One node's [`Seat`] bound to a [`CtxBackend`] for one dispatch: the
+/// simulator and the live runtime construct one per dispatch, and
+/// behaviours are oblivious to which is underneath.
 pub struct NodeCtx<'w> {
+    seat: &'w mut Seat,
+    /// Where the canonical bytes of what is signed or verified are laid
+    /// out (the host's to reuse: signing allocates nothing).
+    scratch: &'w mut Vec<u8>,
     backend: &'w mut dyn CtxBackend,
     node: NodeId,
 }
 
 impl<'w> NodeCtx<'w> {
-    /// Bind a context for `node` over a backend (used by dispatchers,
-    /// not behaviours).
-    pub fn new(backend: &'w mut dyn CtxBackend, node: NodeId) -> NodeCtx<'w> {
-        NodeCtx { backend, node }
+    /// Bind a context for `node`, whose seat is `seat`, over a backend
+    /// (used by dispatchers, not behaviours).
+    pub fn new(
+        seat: &'w mut Seat,
+        scratch: &'w mut Vec<u8>,
+        backend: &'w mut dyn CtxBackend,
+        node: NodeId,
+    ) -> NodeCtx<'w> {
+        NodeCtx {
+            seat,
+            scratch,
+            backend,
+            node,
+        }
     }
 
     /// This node's id.
@@ -1120,7 +1059,7 @@ impl<'w> NodeCtx<'w> {
 
     /// The node's local clock reading (global time + bounded skew).
     pub fn local_now(&self) -> Time {
-        self.backend.local_now(self.node)
+        self.seat.local(self.backend.now())
     }
 
     /// The system period.
@@ -1129,9 +1068,10 @@ impl<'w> NodeCtx<'w> {
     }
 
     /// This node's signer. Only the owning node can reach its signer —
-    /// the simulator-enforced key secrecy that makes evidence sound.
+    /// the key secrecy, enforced by construction, that makes evidence
+    /// sound.
     pub fn signer(&self) -> &Signer {
-        self.backend.signer(self.node)
+        &self.seat.signer
     }
 
     /// The shared verification keystore.
@@ -1141,26 +1081,56 @@ impl<'w> NodeCtx<'w> {
 
     /// Sign and send a payload to `dst`.
     pub fn send(&mut self, dst: NodeId, payload: Payload) {
-        self.backend.send(self.node, dst, payload);
+        self.send_many(&[dst], payload);
     }
 
-    /// Sign a payload once and send a copy to each of `dsts`, in order:
-    /// what a [`NodeCtx::send`] per destination does, for one MAC.
+    /// Sign a payload once and send a copy to each of `dsts`, in order
+    /// (a destination may repeat). An envelope signature does not cover
+    /// the destination, so every copy carries the tag a [`NodeCtx::send`]
+    /// of its own would have given it, for one MAC.
     pub fn send_many(&mut self, dsts: &[NodeId], payload: Payload) {
-        self.backend.send_many(self.node, dsts, payload);
+        let Some((&last, rest)) = dsts.split_last() else {
+            return;
+        };
+        // One signed envelope per destination is what a profile counts.
+        let t0 = self
+            .backend
+            .scope_enter(Subsystem::CryptoSign, dsts.len() as u64);
+        let (src, sent_at) = (self.node, self.local_now());
+        let sig = Envelope::sign_parts(&self.seat.signer, src, sent_at, &payload, self.scratch);
+        self.backend.scope_exit(Subsystem::CryptoSign, t0);
+        let env = Envelope {
+            src,
+            dst: last,
+            sent_at,
+            payload,
+            sig: Some(sig),
+        };
+        // Transmitted in the caller's order, so a substrate's loss stream
+        // and event queue see what a `send` per destination gives them.
+        for &dst in rest {
+            self.backend.send_env(src, Envelope { dst, ..env.clone() });
+        }
+        self.backend.send_env(src, env);
     }
 
-    /// Verify an envelope signature using the backend's reusable scratch
+    /// Verify an envelope signature using the host's reusable scratch
     /// buffer (equivalent to `env.verify(ctx.keystore())`, without the
     /// per-call allocation).
     pub fn verify_env(&mut self, env: &Envelope) -> Result<(), SigError> {
-        self.backend.verify_env(env)
+        let t0 = self.backend.scope_enter(Subsystem::CryptoVerify, 1);
+        let r = env.verify_with(self.backend.keystore(), self.scratch);
+        self.backend.scope_exit(Subsystem::CryptoVerify, t0);
+        r
     }
 
-    /// Verify a signed task output using the backend's reusable scratch
+    /// Verify a signed task output using the host's reusable scratch
     /// buffer (equivalent to `output.verify(ctx.keystore())`).
     pub fn verify_output(&mut self, output: &SignedOutput) -> Result<(), EvidenceFlaw> {
-        self.backend.verify_output(output)
+        let t0 = self.backend.scope_enter(Subsystem::Audit, 1);
+        let r = output.verify_with(self.backend.keystore(), self.scratch);
+        self.backend.scope_exit(Subsystem::Audit, t0);
+        r
     }
 
     /// Send an arbitrary envelope (Byzantine behaviours use this to spoof
@@ -1196,7 +1166,7 @@ impl<'w> NodeCtx<'w> {
     /// Distinct per node and per seed: a SplitMix64 stream seeded once
     /// per node.
     pub fn rng_u64(&mut self) -> u64 {
-        self.backend.rng_u64(self.node)
+        self.seat.rng.next_u64()
     }
 
     /// Observe a recovery-phase boundary concerning `subject`, as seen
@@ -1391,7 +1361,7 @@ mod tests {
         cfg.max_clock_skew = Duration(50);
         let w = World::new(topo, cfg);
         for i in 0..8 {
-            let off = w.slots[i].clock_offset;
+            let off = w.seats[i].clock_offset;
             assert!(off.abs() <= 50, "node {i} skew {off}");
         }
     }
@@ -1612,7 +1582,7 @@ mod tests {
         }
         let mut w = world(1);
         w.set_behavior(NodeId(0), Box::new(ReadClock));
-        let base_off = w.slots[0].clock_offset;
+        let base_off = w.seats[0].clock_offset;
         w.schedule_control(Time(0), ControlAction::ShiftClock(NodeId(0), 5_000));
         w.start();
         // Fire a timer at 10 ms to read the clock.
@@ -1774,11 +1744,11 @@ mod tests {
     fn rng_streams_are_deterministic_and_distinct() {
         let mut w = world(2);
         w.start();
-        let mut ctx0 = NodeCtx::new(&mut w, NodeId(0));
+        let mut ctx0 = w.ctx(NodeId(0));
         let a1 = ctx0.rng_u64();
         let a2 = ctx0.rng_u64();
         assert_ne!(a1, a2);
-        let mut ctx1 = NodeCtx::new(&mut w, NodeId(1));
+        let mut ctx1 = w.ctx(NodeId(1));
         let b1 = ctx1.rng_u64();
         assert_ne!(a1, b1);
     }

@@ -8,7 +8,7 @@
 //!
 //! * [`crypto`] — SHA-256/HMAC, keystores, hash chains.
 //! * [`model`] — time, ids, topology, messages, plans, strategies.
-//! * [`net`] — bandwidth-reserved links, guardians, routing, FEC.
+//! * [`net`] — bandwidth-reserved links, guardians, routing.
 //! * [`sim`] — deterministic discrete-event simulator.
 //! * [`topo`] — parametric large-scale platform topologies (torus,
 //!   fat-tree, small-world, SCADA star-of-rings).
@@ -16,9 +16,9 @@
 //! * [`sched`] — schedule synthesis and schedulability analysis.
 //! * [`planner`] — the offline BTR planner (Section 4.1 of the paper).
 //! * [`detector`] — the online fault detector (Section 4.2).
-//! * [`evidence`] — evidence validation and distribution (Section 4.3).
-//! * [`modeswitch`] — the mode-change protocol (Section 4.4).
-//! * [`runtime`] — the per-node BTR software stack.
+//! * [`runtime`] — the per-node BTR software stack, with evidence
+//!   validation and distribution (Section 4.3) and the mode-change
+//!   protocol (Section 4.4) inside it.
 //! * [`node`] — the live thread-per-node runtime: real OS threads,
 //!   wall-clock bounded-time recovery, runtime fault injection, with
 //!   the simulator as trace oracle.
@@ -37,9 +37,7 @@ pub use btr_campaign as campaign;
 pub use btr_core as core;
 pub use btr_crypto as crypto;
 pub use btr_detector as detector;
-pub use btr_evidence as evidence;
 pub use btr_model as model;
-pub use btr_modeswitch as modeswitch;
 pub use btr_net as net;
 pub use btr_node as node;
 pub use btr_planner as planner;

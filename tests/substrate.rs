@@ -3,28 +3,9 @@
 
 use btr::core::{BtrSystem, FaultScenario};
 use btr::model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr::net::{FecCodec, RoutingTable};
+use btr::net::RoutingTable;
 use btr::planner::PlannerConfig;
 use std::collections::BTreeSet;
-
-#[test]
-fn fec_masks_bus_error_rates() {
-    // A (6, 2) code over representative CAN frames: any double erasure
-    // recovers, which is what lets Section 2.1 assume "losses are rare
-    // enough to be ignored".
-    let codec = FecCodec::new(6, 2).unwrap();
-    let frame: Vec<u8> = (0..512u32).map(|i| (i * 31 % 251) as u8).collect();
-    let shards = codec.encode(&frame);
-    for a in 0..8 {
-        for b in (a + 1)..8 {
-            let mut received: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
-            received[a] = None;
-            received[b] = None;
-            let out = codec.decode(&received).unwrap();
-            assert_eq!(&out[..frame.len()], &frame[..], "erasures {a},{b}");
-        }
-    }
-}
 
 #[test]
 fn residual_loss_does_not_destabilise_btr() {
