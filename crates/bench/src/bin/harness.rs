@@ -1030,6 +1030,11 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// The most runs one `harness campaign` takes. A million is over an hour
+/// of this host at ~300 judged runs a second, and far below where the
+/// schedule tables of that many runs stop fitting in memory.
+const MAX_CAMPAIGN_RUNS: usize = 1_000_000;
+
 fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     use btr_campaign as campaign;
 
@@ -1080,6 +1085,10 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     }
 
     let runs = take_value(&mut args, "--runs").unwrap_or(256);
+    if runs > MAX_CAMPAIGN_RUNS {
+        eprintln!("error: --runs must be at most {MAX_CAMPAIGN_RUNS}, got {runs}");
+        std::process::exit(2);
+    }
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let sim_seeds = take_value(&mut args, "--sim-seeds").unwrap_or(2);
     let combos = take_flag(&mut args, "--combos");

@@ -70,6 +70,11 @@ fn malformed_flag_values_exit_2() {
     assert!(rejected(&["fuzz", "--budget", "0"]).contains("at least 1"));
     assert!(rejected(&["--threads", "0", "e3"]).contains("at least 1"));
     assert!(rejected(&["campaign", "--auth", "rot13"]).contains("hmac, sip, or both"));
+    // Used to die reserving the schedule table: capacity overflow (exit
+    // 101), and an abort on a 177 GB allocation (exit 134).
+    for runs in ["18446744073709551615", "100000000000"] {
+        assert!(rejected(&["campaign", "--runs", runs]).contains("at most 1000000"));
+    }
     assert!(rejected(&["profile", "--nodes", "1"]).contains("sizes >= 2"));
     assert!(rejected(&["profile", "--nodes", "20,,100"]).contains("sizes >= 2"));
     assert!(rejected(&["live", "--pace", "0"]).contains("must be positive"));

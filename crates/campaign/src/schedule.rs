@@ -240,7 +240,8 @@ impl FaultSchedule {
 pub fn generate(params: &ScheduleParams, seed: u64, count: usize) -> Vec<FaultSchedule> {
     assert!(params.n_nodes > 0, "need at least one node");
     assert!(!params.variants.is_empty(), "need at least one variant");
-    let mut out = Vec::with_capacity(count);
+    // Grown as filled: `count` comes from a command line.
+    let mut out = Vec::new();
 
     // Phase 1: boundary enumeration, up to half the requested schedules.
     let boundary = boundary_schedules(params);

@@ -16,6 +16,14 @@ use btr_model::{
 };
 use std::collections::BTreeMap;
 
+/// Periods the pool keeps a row for. `Detector` collects four periods
+/// behind the one it closes and outputs arrive for the current one, so
+/// honest traffic spans six; everything else is the overflow's.
+const WINDOW: u64 = 8;
+/// Slots a full row grows by: a row never holds more than seven slots
+/// it does not use (doubling would hold up to as many again as it does).
+const ROW_GROWTH: usize = 8;
+
 /// First-seen signed outputs, for equivocation detection — and the
 /// node's verified-record memo.
 ///
@@ -30,58 +38,127 @@ use std::collections::BTreeMap;
 /// key id included, is therefore known valid without another MAC
 /// ([`OutputPool::is_resident`]); a copy that differs anywhere is not
 /// covered and must be MAC-checked like a first sighting.
+///
+/// Layout: period first. The periods `[base, base + WINDOW)` each have a
+/// row — `rows[period % WINDOW]`, sorted by (task, replica) — so a
+/// lookup is an index and a short binary search, and collecting a period
+/// frees its row without looking at any other: the pool holds its live
+/// records at 72 bytes each and nothing else. A Byzantine producer
+/// may sign any period: what falls outside the window when it arrives
+/// goes to an ordered map, as everything used to, and stays there until
+/// collected (a key lives in one place: where its first copy was put).
 #[derive(Debug, Default)]
 pub struct OutputPool {
-    seen: BTreeMap<(TaskId, ReplicaIdx, PeriodIdx), SignedOutput>,
+    rows: [Vec<SignedOutput>; WINDOW as usize],
+    /// First period of the window: the greatest `before` collected so far.
+    base: PeriodIdx,
+    overflow: BTreeMap<(TaskId, ReplicaIdx, PeriodIdx), SignedOutput>,
 }
 
 impl OutputPool {
+    /// Where (task, replica) is, or belongs, in `period`'s row; `None`
+    /// for a period outside the window.
+    fn in_row(
+        &self,
+        task: TaskId,
+        replica: ReplicaIdx,
+        period: PeriodIdx,
+    ) -> Option<Result<usize, usize>> {
+        let in_window = period >= self.base && period - self.base < WINDOW;
+        in_window.then(|| {
+            self.rows[(period % WINDOW) as usize]
+                .binary_search_by_key(&(task, replica), |o| (o.task, o.replica))
+        })
+    }
+
+    /// The copy held for (task, replica, period).
+    pub fn get(
+        &self,
+        task: TaskId,
+        replica: ReplicaIdx,
+        period: PeriodIdx,
+    ) -> Option<&SignedOutput> {
+        if let Some(Ok(i)) = self.in_row(task, replica, period) {
+            return Some(&self.rows[(period % WINDOW) as usize][i]);
+        }
+        // Empty unless someone signed a period far from the present.
+        if self.overflow.is_empty() {
+            return None;
+        }
+        self.overflow.get(&(task, replica, period))
+    }
+
     /// True if `out` is byte-for-byte the verified copy this pool holds
     /// for its (task, replica, period): same fields, same tag, same key
     /// id. The comparison needs no constant-time care — a resident's tag
     /// already travelled the network in the clear.
     pub fn is_resident(&self, out: &SignedOutput) -> bool {
-        self.seen.get(&(out.task, out.replica, out.period)) == Some(out)
+        self.get(out.task, out.replica, out.period) == Some(out)
+    }
+
+    /// Keep `out` unless a copy is already held for its (task, replica,
+    /// period); returns that earlier copy, which stays.
+    pub fn insert_first(&mut self, out: &SignedOutput) -> Option<&SignedOutput> {
+        let key = (out.task, out.replica, out.period);
+        let r = (out.period % WINDOW) as usize;
+        let place = self.in_row(out.task, out.replica, out.period);
+        if let Some(Ok(i)) = place {
+            return Some(&self.rows[r][i]);
+        }
+        if !self.overflow.is_empty() && self.overflow.contains_key(&key) {
+            return self.overflow.get(&key);
+        }
+        match place {
+            Some(Err(i)) => {
+                let row = &mut self.rows[r];
+                if row.len() == row.capacity() {
+                    row.reserve_exact(ROW_GROWTH);
+                }
+                row.insert(i, out.clone());
+            }
+            _ => {
+                self.overflow.insert(key, out.clone());
+            }
+        }
+        None
     }
 
     /// Insert a (signature-verified) output; returns an equivocation
     /// proof if it conflicts with an earlier copy.
     pub fn insert_checked(&mut self, out: &SignedOutput) -> Option<EvidenceRecord> {
-        let key = (out.task, out.replica, out.period);
-        match self.seen.get(&key) {
-            None => {
-                self.seen.insert(key, out.clone());
-                None
-            }
-            Some(prev) => {
-                if prev.producer == out.producer
-                    && (prev.value != out.value || prev.inputs_digest != out.inputs_digest)
-                {
-                    Some(EvidenceRecord::Equivocation {
-                        accused: out.producer,
-                        a: prev.clone(),
-                        b: out.clone(),
-                    })
-                } else {
-                    None
-                }
-            }
-        }
+        let prev = self.insert_first(out)?;
+        (prev.producer == out.producer
+            && (prev.value != out.value || prev.inputs_digest != out.inputs_digest))
+            .then(|| EvidenceRecord::Equivocation {
+                accused: out.producer,
+                a: prev.clone(),
+                b: out.clone(),
+            })
     }
 
     /// Drop entries older than `before` periods (bounded memory).
     pub fn gc(&mut self, before: PeriodIdx) {
-        self.seen.retain(|&(_, _, p), _| p >= before);
+        if before > self.base {
+            // The window moves up: the rows it leaves behind are freed
+            // (and are the rows of the periods it moves onto).
+            for p in self.base..before.min(self.base.saturating_add(WINDOW)) {
+                self.rows[(p % WINDOW) as usize] = Vec::new();
+            }
+            self.base = before;
+        }
+        if !self.overflow.is_empty() {
+            self.overflow.retain(|&(_, _, p), _| p >= before);
+        }
     }
 
     /// Number of pooled outputs (diagnostics).
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.rows.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
     }
 
     /// True if the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.len() == 0
     }
 }
 
@@ -309,6 +386,116 @@ mod tests {
         assert_eq!(pool.len(), 1);
         pool.gc(2);
         assert!(pool.is_empty());
+    }
+
+    /// The ordered map the pool used to be, and still must behave as.
+    #[derive(Default)]
+    struct MapPool(BTreeMap<(TaskId, ReplicaIdx, PeriodIdx), SignedOutput>);
+
+    impl MapPool {
+        fn is_resident(&self, out: &SignedOutput) -> bool {
+            self.0.get(&(out.task, out.replica, out.period)) == Some(out)
+        }
+        fn insert_checked(&mut self, out: &SignedOutput) -> Option<EvidenceRecord> {
+            let prev = match self.0.entry((out.task, out.replica, out.period)) {
+                std::collections::btree_map::Entry::Vacant(v) => {
+                    v.insert(out.clone());
+                    return None;
+                }
+                std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
+            };
+            (prev.producer == out.producer
+                && (prev.value != out.value || prev.inputs_digest != out.inputs_digest))
+                .then(|| EvidenceRecord::Equivocation {
+                    accused: out.producer,
+                    a: prev.clone(),
+                    b: out.clone(),
+                })
+        }
+        fn gc(&mut self, before: PeriodIdx) {
+            self.0.retain(|&(_, _, p), _| p >= before);
+        }
+    }
+
+    proptest::proptest! {
+        /// Rows, window and overflow are a layout, not a behaviour: over
+        /// inserts, lookups and collections in any order — periods at,
+        /// behind and far ahead of the window (a Byzantine producer may
+        /// sign any period), replica indices up to 255, collections that
+        /// jump ahead or step back — the pool answers as the map does.
+        #[test]
+        fn prop_pool_is_the_map_it_replaced(
+            ops in proptest::collection::vec(((0u8..10, 0u32..3), (0u8..4, 0u8..24, 0u64..3)), 1..160)
+        ) {
+            let (mut pool, mut model) = (OutputPool::default(), MapPool::default());
+            // The period honest traffic is at; it drifts up as gc is called.
+            let mut now: PeriodIdx = 2;
+            for (step, &((op, task), (r, p, v))) in ops.iter().enumerate() {
+                let period = match p {
+                    0..=11 => (now + u64::from(p)).saturating_sub(6),
+                    12..=15 => now + u64::from(p),
+                    16..=18 => now + 1_000 * u64::from(p),
+                    19 => u64::MAX - u64::from(r),
+                    _ => u64::from(p - 20),
+                };
+                let out = SignedOutput {
+                    task: TaskId(task),
+                    replica: [0, 1, 7, 255][r as usize],
+                    period,
+                    value: v,
+                    inputs_digest: v / 2,
+                    producer: NodeId(task + (v == 2) as u32),
+                    sig: Signature { key: task, tag: btr_crypto::Digest([v as u8; 32]) },
+                };
+                match op {
+                    0..=4 => proptest::prop_assert!(
+                        pool.insert_checked(&out) == model.insert_checked(&out), "step {step}"
+                    ),
+                    5 | 6 => {}
+                    7 | 8 => {
+                        now += u64::from(op - 7) * (v + 1);
+                        pool.gc(now.saturating_sub(4));
+                        model.gc(now.saturating_sub(4));
+                    }
+                    _ => {
+                        // Out of step: behind the window, or past all of it.
+                        pool.gc(period);
+                        model.gc(period);
+                        now = now.max(period.min(1 << 40));
+                    }
+                }
+                proptest::prop_assert!(
+                    pool.is_resident(&out) == model.is_resident(&out), "step {step}: residency"
+                );
+                proptest::prop_assert!(pool.len() == model.0.len(), "step {step}: len");
+                proptest::prop_assert_eq!(pool.is_empty(), model.0.is_empty());
+            }
+            // Whatever is left is found, copy for copy.
+            for out in model.0.values() {
+                proptest::prop_assert!(pool.is_resident(out));
+            }
+        }
+    }
+
+    #[test]
+    fn honest_traffic_never_touches_the_overflow() {
+        // Six periods in flight, collected as `Detector` collects: the
+        // map stays empty and only the live periods hold memory.
+        let mut pool = OutputPool::default();
+        for p in 0..40 {
+            for task in 0..3 {
+                let mut out = input(p);
+                out.task = TaskId(task);
+                assert!(pool.insert_checked(&out).is_none());
+                assert!(pool.is_resident(&out));
+            }
+            pool.gc(p.saturating_sub(5));
+            assert!(pool.overflow.is_empty());
+            assert_eq!(pool.len(), 3 * (p.min(5) as usize + 1));
+        }
+        let held = pool.rows.iter().filter(|r| r.capacity() > 0).count();
+        assert_eq!(held, 6);
+        assert!(pool.rows.iter().all(|r| r.capacity() <= ROW_GROWTH));
     }
 
     #[test]

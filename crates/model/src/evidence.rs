@@ -19,7 +19,7 @@ use crate::compute::{sensor_value, task_value, Value};
 use crate::enc::Enc;
 use crate::ids::{NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use crate::time::Time;
-use btr_crypto::{digest64, KeyStore, Signature, Signer};
+use btr_crypto::{digest64, KeyStore, SigError, Signature, Signer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -122,12 +122,12 @@ impl SignedOutput {
     }
 
     /// Stage this output into a verification batch, carrying the same
-    /// key-id/producer consistency gate as [`SignedOutput::verify_with`]
+    /// key-id/producer consistency gate as [`SignedOutput::verify_by`]
     /// (a tag made under the *sender's* key over bytes naming a
     /// different producer is a valid MAC but a forged attribution — it
     /// is staged pre-failed so no MAC is spent on it). This is the one
     /// place the gate lives for the batched path; after
-    /// `KeyStore::verify_batch`, `ok[i]` equals what `verify_with`
+    /// `KeyStore::verify_batch`, `ok[i]` equals what `verify`
     /// would have returned for the i-th staged output.
     pub fn stage_for_verify(&self, batch: &mut btr_crypto::SigBatch) {
         if self.sig.key != self.producer.0 {
@@ -197,13 +197,18 @@ impl SignedOutput {
 
     /// Verify the producer's signature.
     pub fn verify(&self, ks: &KeyStore) -> Result<(), EvidenceFlaw> {
-        let mut scratch = Vec::new();
-        self.verify_with(ks, &mut scratch)
+        self.verify_by(&mut Vec::new(), |sig, msg| ks.verify(sig, msg))
     }
 
-    /// Like [`SignedOutput::verify`], writing the signing bytes into a
-    /// reusable scratch buffer instead of allocating.
-    pub fn verify_with(&self, ks: &KeyStore, scratch: &mut Vec<u8>) -> Result<(), EvidenceFlaw> {
+    /// [`SignedOutput::verify`] with the MAC check handed to the caller:
+    /// the key-id/producer gate, then the signing bytes laid out in the
+    /// reusable `scratch`, then `check(sig, bytes)` (see
+    /// `Envelope::verify_by`).
+    pub fn verify_by(
+        &self,
+        scratch: &mut Vec<u8>,
+        check: impl FnOnce(&Signature, &[u8]) -> Result<(), SigError>,
+    ) -> Result<(), EvidenceFlaw> {
         if self.sig.key != self.producer.0 {
             return Err(EvidenceFlaw::BadSignature);
         }
@@ -216,8 +221,7 @@ impl SignedOutput {
             self.producer,
             scratch,
         );
-        ks.verify(&self.sig, scratch)
-            .map_err(|_| EvidenceFlaw::BadSignature)
+        check(&self.sig, scratch).map_err(|_| EvidenceFlaw::BadSignature)
     }
 
     fn encode(&self, e: &mut Enc<'_>) {
@@ -928,11 +932,14 @@ mod tests {
         let s = signer(3);
         let out = SignedOutput::sign(&s, TaskId(2), 0, 5, 0xdead, 0, NodeId(3));
         let mut scratch = vec![1, 2, 3];
-        assert_eq!(out.verify_with(&keystore(), &mut scratch), Ok(()));
+        assert_eq!(
+            out.verify_by(&mut scratch, |s, m| keystore().verify(s, m)),
+            Ok(())
+        );
         let mut forged = out.clone();
         forged.period = 6;
         assert_eq!(
-            forged.verify_with(&keystore(), &mut scratch),
+            forged.verify_by(&mut scratch, |s, m| keystore().verify(s, m)),
             Err(EvidenceFlaw::BadSignature)
         );
     }

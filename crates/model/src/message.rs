@@ -312,22 +312,25 @@ impl Envelope {
 
     /// Verify the envelope signature against the claimed source.
     pub fn verify(&self, ks: &KeyStore) -> Result<(), SigError> {
-        let mut scratch = Vec::new();
-        self.verify_with(ks, &mut scratch)
+        self.verify_by(&mut Vec::new(), |sig, msg| ks.verify(sig, msg))
     }
 
-    /// Like [`Envelope::verify`], writing the signing bytes into a
-    /// reusable scratch buffer instead of allocating.
-    pub fn verify_with(&self, ks: &KeyStore, scratch: &mut Vec<u8>) -> Result<(), SigError> {
+    /// [`Envelope::verify`] with the MAC check handed to the caller: the
+    /// attribution gate (signed, and by the claimed source), then the
+    /// signing bytes laid out in the reusable `scratch`, then
+    /// `check(sig, bytes)`. A host passes `KeyStore::verify` behind its
+    /// memo of what that has already accepted.
+    pub fn verify_by(
+        &self,
+        scratch: &mut Vec<u8>,
+        check: impl FnOnce(&Signature, &[u8]) -> Result<(), SigError>,
+    ) -> Result<(), SigError> {
         match &self.sig {
-            None => Err(SigError::BadTag(self.src.0)),
-            Some(sig) => {
-                if sig.key != self.src.0 {
-                    return Err(SigError::BadTag(self.src.0));
-                }
+            Some(sig) if sig.key == self.src.0 => {
                 Self::write_signing_bytes(self.src, self.sent_at, &self.payload, scratch);
-                ks.verify(sig, scratch)
+                check(sig, scratch)
             }
+            _ => Err(SigError::BadTag(self.src.0)),
         }
     }
 
@@ -531,7 +534,7 @@ mod tests {
             let b = Envelope::new(NodeId(1), NodeId(2), Time(5), p)
                 .signed_with(&signer(1), &mut scratch);
             assert_eq!(a, b);
-            assert_eq!(a.verify_with(&ks(), &mut scratch), Ok(()));
+            assert_eq!(a.verify_by(&mut scratch, |s, m| ks().verify(s, m)), Ok(()));
         }
     }
 

@@ -41,7 +41,7 @@ use btr_crypto::KeyStore;
 use btr_model::{Duration, Envelope, NodeId, PeriodIdx, TaskId, Time, Value};
 use btr_obs::{FlightKind, FlightRecorder, Histogram, Phase, PhaseMark, FLIGHT_CAP};
 use btr_runtime::BtrNode;
-use btr_sim::{Actuation, CtxBackend, NodeBehavior, NodeCtx, Seat, TimerId};
+use btr_sim::{Actuation, CtxBackend, NodeBehavior, NodeCtx, Scratch, Seat, TimerId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -332,8 +332,9 @@ pub struct NodeActor {
     behavior: Box<dyn NodeBehavior + Send>,
     seat: Seat,
     /// Scratch for the canonical bytes of what the node signs or
-    /// verifies.
-    scratch: Vec<u8>,
+    /// verifies. No verification memo: this host has one node, and each
+    /// envelope reaches it once.
+    scratch: Scratch,
     ctx: LiveCtx,
     rx: Receiver<LiveMsg>,
     net: Loopback,
@@ -376,7 +377,7 @@ impl NodeActor {
             node,
             behavior,
             seat,
-            scratch: Vec::new(),
+            scratch: Scratch::for_node(),
             ctx,
             rx,
             net,

@@ -25,10 +25,12 @@
 #![warn(missing_docs)]
 
 pub(crate) mod queue;
+mod scratch;
 mod seat;
 pub mod trace;
 pub mod world;
 
+pub use scratch::Scratch;
 pub use seat::Seat;
 pub use trace::{DropReason, LogicalTrace, SimMetrics, TraceEvent};
 pub use world::{Actuation, ControlAction, CtxBackend, ForwardPolicy, NodeCtx, SimConfig, World};

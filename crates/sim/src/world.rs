@@ -1,6 +1,7 @@
 //! The simulation engine.
 
 use crate::queue::{Event, EventQueue};
+use crate::scratch::Scratch;
 use crate::seat::Seat;
 use crate::trace::{DropReason, SimMetrics, TraceEvent};
 use crate::{NodeBehavior, TimerId};
@@ -166,9 +167,10 @@ pub struct World {
     /// One seat per node, beside the substrate so that a dispatch can
     /// lend the node's seat and the substrate to one [`NodeCtx`].
     seats: Vec<Seat>,
-    /// Reusable scratch for canonical signing bytes (send + verify
-    /// paths): one per world, lent to every dispatch.
-    scratch: Vec<u8>,
+    /// Room for canonical signing bytes (send + verify paths) and the
+    /// memo of verified triples: one per world, lent to every dispatch,
+    /// so a multicast is MAC-checked once per world.
+    scratch: Scratch,
     sub: Substrate,
 }
 
@@ -239,7 +241,7 @@ impl World {
         let loss_rng = Xoshiro256StarStar::from_parts(&[b"btr-loss", &cfg.seed.to_be_bytes()]);
         World {
             seats,
-            scratch: Vec::new(),
+            scratch: Scratch::for_world(),
             sub: Substrate {
                 topo,
                 cfg,
@@ -1023,8 +1025,9 @@ impl CtxBackend for Substrate {
 pub struct NodeCtx<'w> {
     seat: &'w mut Seat,
     /// Where the canonical bytes of what is signed or verified are laid
-    /// out (the host's to reuse: signing allocates nothing).
-    scratch: &'w mut Vec<u8>,
+    /// out (the host's to reuse: signing allocates nothing), and what
+    /// the host remembers having verified.
+    scratch: &'w mut Scratch,
     backend: &'w mut dyn CtxBackend,
     node: NodeId,
 }
@@ -1034,7 +1037,7 @@ impl<'w> NodeCtx<'w> {
     /// (used by dispatchers, not behaviours).
     pub fn new(
         seat: &'w mut Seat,
-        scratch: &'w mut Vec<u8>,
+        scratch: &'w mut Scratch,
         backend: &'w mut dyn CtxBackend,
         node: NodeId,
     ) -> NodeCtx<'w> {
@@ -1097,8 +1100,12 @@ impl<'w> NodeCtx<'w> {
             .backend
             .scope_enter(Subsystem::CryptoSign, dsts.len() as u64);
         let (src, sent_at) = (self.node, self.local_now());
-        let sig = Envelope::sign_parts(&self.seat.signer, src, sent_at, &payload, self.scratch);
+        let buf = &mut self.scratch.buf;
+        let sig = Envelope::sign_parts(&self.seat.signer, src, sent_at, &payload, buf);
         self.backend.scope_exit(Subsystem::CryptoSign, t0);
+        if !rest.is_empty() {
+            self.scratch.saw_multicast();
+        }
         let env = Envelope {
             src,
             dst: last,
@@ -1114,21 +1121,26 @@ impl<'w> NodeCtx<'w> {
         self.backend.send_env(src, env);
     }
 
-    /// Verify an envelope signature using the host's reusable scratch
-    /// buffer (equivalent to `env.verify(ctx.keystore())`, without the
-    /// per-call allocation).
+    /// Verify an envelope signature using the host's scratch: what
+    /// `env.verify(ctx.keystore())` returns, without the per-call
+    /// allocation, and without the MAC when this host has already
+    /// verified the very same key id, tag and signing bytes (another
+    /// receiver's copy of a multicast; see DESIGN.md "Hosting a node").
     pub fn verify_env(&mut self, env: &Envelope) -> Result<(), SigError> {
         let t0 = self.backend.scope_enter(Subsystem::CryptoVerify, 1);
-        let r = env.verify_with(self.backend.keystore(), self.scratch);
+        let (Scratch { buf, memo, .. }, ks) = (&mut *self.scratch, self.backend.keystore());
+        let r = env.verify_by(buf, |sig, msg| memo.verify(ks, sig, msg));
         self.backend.scope_exit(Subsystem::CryptoVerify, t0);
         r
     }
 
-    /// Verify a signed task output using the host's reusable scratch
-    /// buffer (equivalent to `output.verify(ctx.keystore())`).
+    /// Verify a signed task output using the host's scratch (what
+    /// `output.verify(ctx.keystore())` returns, as [`NodeCtx::verify_env`]
+    /// does it).
     pub fn verify_output(&mut self, output: &SignedOutput) -> Result<(), EvidenceFlaw> {
         let t0 = self.backend.scope_enter(Subsystem::Audit, 1);
-        let r = output.verify_with(self.backend.keystore(), self.scratch);
+        let (Scratch { buf, memo, .. }, ks) = (&mut *self.scratch, self.backend.keystore());
+        let r = output.verify_by(buf, |sig, msg| memo.verify(ks, sig, msg));
         self.backend.scope_exit(Subsystem::Audit, t0);
         r
     }
@@ -1187,6 +1199,7 @@ impl<'w> NodeCtx<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_crypto::Signature;
     use btr_model::Payload;
 
     /// Echoes every control message back to its (claimed) source.
@@ -1480,9 +1493,54 @@ mod tests {
             looped.4, many.4,
             "count profile (signed envelopes, not MACs)"
         );
-        // Two casters x 40 rounds x 5 copies signed once each, not five
-        // times; everything else (node 2's sends, every verify) the same.
-        assert_eq!(looped.5 - many.5, 2 * 40 * 4);
+        // Two casters x 40 rounds x 5 copies, plus node 2's 40 sends:
+        // the loop signs every copy and — no multicast ever arming the
+        // world's memo — MAC-checks every delivery; `send_many` signs a
+        // round once and each distinct envelope is MAC-checked once,
+        // however many keepers it reaches.
+        let delivered: Vec<&Envelope> = many.0.iter().flatten().collect();
+        let distinct: BTreeSet<_> = delivered.iter().map(|e| e.sig.unwrap().tag.0).collect();
+        assert!(distinct.len() < delivered.len());
+        assert_eq!(looped.5, (2 * 40 * 5 + 40) + delivered.len() as u64);
+        assert_eq!(many.5, (2 * 40 + 40) + distinct.len() as u64);
+        // ...while a profile still counts a verification per delivery.
+        let verify = Subsystem::all()
+            .iter()
+            .position(|&s| s == Subsystem::CryptoVerify)
+            .unwrap();
+        assert_eq!(many.4[verify], delivered.len() as u64);
+
+        // The same on the smallest case: one round to eight receivers.
+        struct Round;
+        impl NodeBehavior for Round {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                let peers: Vec<NodeId> = (1..9).map(NodeId).collect();
+                ctx.send_many(&peers, Payload::Heartbeat { period: 3 });
+            }
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        let mut w = world(9);
+        w.set_recorder(Box::new(btr_obs::ObsRecorder::new()));
+        w.set_behavior(NodeId(0), Box::new(Round));
+        for n in 1..9 {
+            w.set_behavior(NodeId(n), Box::new(Keeper::default()));
+        }
+        let macs_before = btr_crypto::mac_count();
+        w.start();
+        w.run_until(Time::from_millis(10));
+        // One to sign, one for the first receiver; the other seven find
+        // the triple in the memo (it was nine).
+        assert_eq!(btr_crypto::mac_count() - macs_before, 2);
+        assert_eq!(w.actuations().len(), 8, "every receiver verified its copy");
+        let rec = w.take_recorder().expect("recorder");
+        let profile = rec
+            .as_any()
+            .and_then(|a| a.downcast_ref::<btr_obs::ObsRecorder>())
+            .expect("obs recorder")
+            .subsystem_profile();
+        assert_eq!(profile.count(Subsystem::CryptoVerify), 8);
+        assert_eq!(profile.count(Subsystem::CryptoSign), 8);
     }
 
     #[test]
@@ -1539,14 +1597,39 @@ mod tests {
                 let env = Envelope::new(NodeId(2), NodeId(1), ctx.now(), Payload::Control(9));
                 ctx.send_env(env);
             }
-            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_>, genuine: Envelope) {
+                // Having seen what node 2 really sent: the same claim
+                // again, unsigned, and node 2's tag on another payload.
+                let unsigned = Envelope::new(
+                    genuine.src,
+                    NodeId(1),
+                    genuine.sent_at,
+                    genuine.payload.clone(),
+                );
+                ctx.send_env(unsigned);
+                ctx.send_env(Envelope {
+                    dst: NodeId(1),
+                    payload: Payload::Control(8),
+                    ..genuine
+                });
+            }
             fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        /// Node 2 itself: one multicast, to the checker and the spoofer.
+        struct Genuine;
+        impl NodeBehavior for Genuine {
+            fn on_start(&mut self, _c: &mut NodeCtx<'_>) {}
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: TimerId) {
+                ctx.send_many(&[NodeId(1), NodeId(0)], Payload::Control(9));
+            }
         }
         struct Check;
         impl NodeBehavior for Check {
             fn on_start(&mut self, _c: &mut NodeCtx<'_>) {}
             fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
-                let ok = env.verify(ctx.keystore()).is_ok();
+                let ok = ctx.verify_env(&env).is_ok();
+                assert_eq!(ok, env.verify(ctx.keystore()).is_ok());
                 ctx.actuate(TaskId(0), 0, ok as u64);
             }
             fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
@@ -1554,9 +1637,168 @@ mod tests {
         let mut w = world(3);
         w.set_behavior(NodeId(0), Box::new(Spoof));
         w.set_behavior(NodeId(1), Box::new(Check));
+        w.set_behavior(NodeId(2), Box::new(Genuine));
         w.start();
         w.run_until(Time::from_millis(10));
         assert_eq!(w.actuations()[0].value, 0, "spoof must fail verification");
+        // Again with the genuine copy verified first, by the checker and
+        // by the spoofer, so that the world's memo holds it.
+        w.sub.set_timer_at(NodeId(2), Time::from_millis(11), 0);
+        w.run_until(Time::from_millis(20));
+        let verdicts: Vec<Value> = w.actuations()[1..].iter().map(|a| a.value).collect();
+        assert_eq!(verdicts, [1, 0, 0], "genuine, then two spoofs of it");
+    }
+
+    /// `n` witnesses for an output payload (never verified: an envelope
+    /// signature covers their bytes, not their validity).
+    fn filler(n: usize) -> Vec<SignedOutput> {
+        let sig = Signature {
+            key: 3,
+            tag: btr_crypto::Digest([7; 32]),
+        };
+        (0..n as u64)
+            .map(|i| SignedOutput {
+                task: TaskId(1),
+                replica: 0,
+                period: i,
+                value: i,
+                inputs_digest: 0,
+                producer: NodeId(3),
+                sig,
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// A hit is exact. With the memo armed and holding two genuine
+        /// envelopes and two genuine outputs, every tampered sibling of
+        /// one — a payload byte, the send time, the source, a tag lifted
+        /// from the other, another key id under the same tag, no
+        /// signature — gets from the host what a cold verification
+        /// returns, the first time and the second (a failure is never
+        /// remembered, and costs its MAC each time); and so does an
+        /// envelope too long to be remembered.
+        #[test]
+        fn prop_warm_memo_answers_as_a_cold_verify(
+            (seed, suite) in (0u64..1_000, 0usize..2),
+            (bit, witnesses, at) in (0u32..64, 0usize..4, 0u64..1_000_000),
+        ) {
+            let mut cfg = SimConfig::new(seed);
+            cfg.auth_suite = AuthSuite::ALL[suite];
+            let mut w = World::new(Topology::bus(4, 10_000, Duration(10)), cfg);
+            // The first multicast arms the memo.
+            w.ctx(NodeId(0)).send_many(&[NodeId(1), NodeId(2)], Payload::Control(0));
+            let ks = w.keystore().clone();
+            let out = |w: &World, node: u32, value: Value| {
+                let signer = &w.seats[node as usize].signer;
+                SignedOutput::sign(signer, TaskId(2), 1, 5, value, 9, NodeId(node))
+            };
+            let (o1, o2) = (out(&w, 1, 1 << bit), out(&w, 2, 77));
+            let output = Payload::Output { output: o1.clone(), witnesses: filler(witnesses) };
+            let e1 = Envelope::new(NodeId(1), NodeId(3), Time(at), output)
+                .signed(&w.seats[1].signer);
+            let e2 = Envelope::new(NodeId(2), NodeId(3), Time(at), Payload::Heartbeat { period: at })
+                .signed(&w.seats[2].signer);
+            // Warm: a MAC each the first time, none the second.
+            let mut ctx = w.ctx(NodeId(3));
+            for pass in 0..2 {
+                let macs = btr_crypto::mac_count();
+                proptest::prop_assert_eq!(ctx.verify_env(&e1), Ok(()));
+                proptest::prop_assert_eq!(ctx.verify_env(&e2), Ok(()));
+                proptest::prop_assert_eq!(ctx.verify_output(&o1), Ok(()));
+                proptest::prop_assert_eq!(ctx.verify_output(&o2), Ok(()));
+                proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, [4, 0][pass]);
+            }
+
+            let sig1 = e1.sig.unwrap();
+            let mut envs = vec![e1.clone(); 8];
+            if let Payload::Output { output, witnesses } = &mut envs[0].payload {
+                match witnesses.last_mut() {
+                    Some(w) => w.value ^= 1 << bit,
+                    None => output.value ^= 1 << bit,
+                }
+            }
+            envs[1].sent_at = Time(at ^ (1 << (bit % 20)));
+            envs[2].src = NodeId(2);
+            (envs[3].src, envs[3].sig) = (NodeId(2), Some(Signature { key: 2, ..sig1 }));
+            envs[4].sig = Some(Signature { tag: e2.sig.unwrap().tag, ..sig1 });
+            envs[5].sig = Some(Signature { key: 2, ..sig1 });
+            envs[6].sig = None;
+            envs[7].payload = e2.payload.clone();
+            let mut flipped = sig1;
+            flipped.tag.0[(bit % 32) as usize] ^= 1 << (bit % 8);
+            envs.push(Envelope { sig: Some(flipped), ..e1.clone() });
+            for (i, env) in envs.iter().enumerate() {
+                let cold = env.verify(&ks);
+                proptest::prop_assert!(cold.is_err(), "sibling {i} is a forgery");
+                // The attribution gate refuses some before any MAC.
+                let gated = env.sig.is_none_or(|s| s.key != env.src.0);
+                for _ in 0..2 {
+                    let macs = btr_crypto::mac_count();
+                    proptest::prop_assert!(ctx.verify_env(env) == cold, "sibling {i}");
+                    proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, u64::from(!gated));
+                }
+            }
+
+            let mut outs = vec![o1.clone(); 9];
+            outs[0].task = TaskId(3);
+            outs[1].replica = 0;
+            outs[2].period ^= 1 << bit;
+            outs[3].value ^= 1;
+            outs[4].inputs_digest ^= 1 << bit;
+            outs[5].producer = NodeId(2);
+            (outs[6].producer, outs[6].sig.key) = (NodeId(2), 2);
+            outs[7].sig.tag = o2.sig.tag;
+            outs[8].sig.tag.0[(bit % 32) as usize] ^= 1 << (bit % 8);
+            for (i, out) in outs.iter().enumerate() {
+                let cold = out.verify(&ks);
+                proptest::prop_assert!(cold.is_err(), "output sibling {i} is a forgery");
+                let gated = out.sig.key != out.producer.0;
+                for _ in 0..2 {
+                    let macs = btr_crypto::mac_count();
+                    proptest::prop_assert!(ctx.verify_output(out) == cold, "output sibling {i}");
+                    proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, u64::from(!gated));
+                }
+            }
+            // None of that displaced what was genuinely verified.
+            let macs = btr_crypto::mac_count();
+            proptest::prop_assert_eq!(ctx.verify_env(&e1), Ok(()));
+            proptest::prop_assert_eq!(ctx.verify_output(&o1), Ok(()));
+            proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, 0);
+
+            // Past the memo's cap: right answers, a MAC every time.
+            let long = Payload::Output { output: o2.clone(), witnesses: filler(16 + witnesses) };
+            let long = Envelope::new(NodeId(2), NodeId(3), Time(at), long).signed(&w.seats[2].signer);
+            let mut tampered = long.clone();
+            tampered.sent_at = Time(at + 1);
+            let cold = tampered.verify(&ks);
+            let mut ctx = w.ctx(NodeId(3));
+            for _ in 0..2 {
+                let macs = btr_crypto::mac_count();
+                proptest::prop_assert_eq!(ctx.verify_env(&long), Ok(()));
+                proptest::prop_assert!(ctx.verify_env(&tampered) == cold && cold.is_err());
+                proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, 2);
+            }
+        }
+    }
+
+    #[test]
+    fn a_world_without_multicasts_keeps_no_memo() {
+        // Unicast traffic can only miss: such a world never allocates the
+        // memo, and pays a MAC per verification as it always did.
+        let mut w = world(3);
+        w.ctx(NodeId(0)).send(NodeId(1), Payload::Control(1));
+        let env = Envelope::new(NodeId(2), NodeId(1), Time(5), Payload::Control(2))
+            .signed(&w.seats[2].signer);
+        let macs = btr_crypto::mac_count();
+        for _ in 0..3 {
+            assert_eq!(w.ctx(NodeId(1)).verify_env(&env), Ok(()));
+        }
+        assert_eq!(btr_crypto::mac_count() - macs, 3);
+        assert_eq!(w.scratch.memo_bytes(), 0);
+        w.ctx(NodeId(0))
+            .send_many(&[NodeId(1), NodeId(2)], Payload::Control(1));
+        assert!(w.scratch.memo_bytes() > 8 * 1024 && w.scratch.memo_bytes() < 9 * 1024);
     }
 
     #[test]
