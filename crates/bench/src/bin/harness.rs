@@ -556,6 +556,33 @@ fn live_scenario_json(r: &ScenarioRun) -> String {
     )
 }
 
+/// The verdict lines of one judged run: what `campaign --replay` and
+/// `live --replay` both end on.
+fn print_record(r: &btr_campaign::RunRecord) {
+    outln!(
+        "  schedule {} ({}): bad window {:.1} ms (slack to budget {:.1} ms), {}/{} bad outputs, \
+         converged: {}, convictions: {}",
+        r.label,
+        if r.admissible {
+            "admissible"
+        } else {
+            "over budget"
+        },
+        r.recovery_us as f64 / 1e3,
+        r.slack_us as f64 / 1e3,
+        r.bad_outputs,
+        r.total_outputs,
+        r.converged,
+        r.convictions
+    );
+    if r.violations.is_empty() {
+        outln!("  no violations");
+    }
+    for v in &r.violations {
+        outln!("  VIOLATION: {v}");
+    }
+}
+
 /// Replay a campaign reproducer token on the live runtime: plan the
 /// cell, run the schedule on real threads, and hold the live trace
 /// against the simulator oracle.
@@ -591,23 +618,22 @@ fn run_live_replay(token: &str, pace: f64) {
         spec.cell.r_bound,
         spec.sim_seed
     );
-    let (reference, _) = live::sim_observed(&system, &spec.scenario, spec.horizon, spec.sim_seed);
+    let (reference, _) = system.observed_world(&spec.scenario, spec.horizon, spec.sim_seed);
+    let reference = reference.logical_trace();
     let mut cfg = LiveConfig::new(spec.sim_seed);
     cfg.pace = pace;
     let report = run_live(&system, &spec.scenario, spec.horizon, &cfg);
     let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
     outln!(
-        "  trace {} simulator ({} actuations), bad window {:.1} ms (R = {:.1} ms), converged: {}",
+        "  trace {} simulator ({} actuations)",
         if report.trace.digest() == reference.digest() {
             "matches"
         } else {
             "DIVERGES from"
         },
         report.trace.len(),
-        judgment.recovery.bad_window().as_micros() as f64 / 1e3,
-        spec.cell.r_bound.as_micros() as f64 / 1e3,
-        report.converged,
     );
+    print_record(&spec.judge(&system, live::finished(&judgment, &report)));
     if let Some(w) = report.last_switch_wall_us() {
         outln!("  last mode switch at wall {:.1} ms", w as f64 / 1e3);
     }
@@ -1059,23 +1085,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
             spec.sim_seed
         );
         match campaign::replay::run(&spec) {
-            Ok(r) => {
-                outln!(
-                    "  schedule {}: bad window {:.1} ms, {}/{} bad outputs, converged: {}",
-                    r.label,
-                    r.recovery_us as f64 / 1e3,
-                    r.bad_outputs,
-                    r.total_outputs,
-                    r.converged
-                );
-                if r.violations.is_empty() {
-                    outln!("  no violations (the reproducer no longer fires)");
-                } else {
-                    for v in &r.violations {
-                        outln!("  VIOLATION: {v}");
-                    }
-                }
-            }
+            Ok(r) => print_record(&r),
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(2);

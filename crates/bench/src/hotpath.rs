@@ -221,11 +221,7 @@ mod tests {
         w.run_until(horizon(w.period(), 100));
         assert_eq!(*w.metrics(), plain);
         assert!(!w.truncated());
-        let rec = w.take_recorder().expect("installed above");
-        let rec = rec
-            .as_any()
-            .and_then(|a| a.downcast_ref::<ObsRecorder>())
-            .expect("an ObsRecorder");
+        let rec = w.take_obs();
         assert_eq!(rec.counter(Counter::Sends), plain.msgs_sent);
         assert_eq!(rec.counter(Counter::Delivers), plain.msgs_delivered);
         assert_eq!(rec.counter(Counter::Events), plain.events);

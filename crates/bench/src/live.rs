@@ -233,7 +233,11 @@ pub fn measure_live(
         None => FaultScenario::none(),
         Some((node, kind, at)) => FaultScenario::single(node, kind, at),
     };
-    let (reference, sim_rec) = sim_observed(sys, &scenario, spec.horizon, seed);
+    // The simulator side of the differential: same scenario, seed and
+    // horizon (the recorder is inert by contract, so the trace is the
+    // one an unobserved world produces).
+    let (reference, sim_rec) = sys.observed_world(&scenario, spec.horizon, seed);
+    let reference = reference.logical_trace();
     let mut cfg = LiveConfig::new(seed);
     cfg.pace = pace;
     cfg.restart_after = spec.restart_after;
@@ -297,22 +301,18 @@ pub fn measure_live(
     (m, live, sim_rec)
 }
 
-/// The simulator side of the differential: same scenario, same seed,
-/// same horizon. Returns the canonical logical trace and the collecting
-/// recorder's phase marks and latency histograms (the recorder is inert
-/// by contract, so the trace is the one an unobserved world produces).
-pub fn sim_observed(
-    sys: &BtrSystem,
-    scenario: &FaultScenario,
-    horizon: Duration,
-    seed: u64,
-) -> (btr_sim::LogicalTrace, ObsRecorder) {
-    let mut world = sys.build_world(scenario, seed);
-    world.set_recorder(Box::new(ObsRecorder::new()));
-    world.start();
-    world.run_until(Time::ZERO + horizon + sys.grace());
-    let rec = crate::profile::take_obs(&mut world);
-    (world.logical_trace(), rec)
+/// A live run as the campaign's judge reads it: the judged trace beside
+/// the fleet's own end state (nothing truncates a live run).
+pub fn finished<'a>(
+    judgment: &'a btr_core::ActuationJudgment,
+    live: &'a LiveReport,
+) -> btr_campaign::Finished<'a> {
+    btr_campaign::Finished {
+        recovery: &judgment.recovery,
+        node_stats: &live.node_stats,
+        converged: live.converged,
+        truncated: false,
+    }
 }
 
 fn event_label(kind: &EventKind) -> String {
@@ -412,6 +412,33 @@ mod tests {
         assert!(fails(|m| m.within_r_wall = false));
         assert!(fails(|m| m.converged = false));
         assert!(fails(|m| m.healthy = false));
+    }
+
+    #[test]
+    fn live_and_simulator_runs_fold_to_the_same_record() {
+        // One judge for both substrates: on the pinned bus-9 crash and
+        // omission the fleet's run folds to the simulator's record.
+        use btr_campaign::{FaultSchedule, RunRecord};
+        let sys = live_system(LIVE_NODES);
+        let mut cfg = LiveConfig::new(LIVE_SEED);
+        cfg.pace = 0.1;
+        for spec in pinned_scenarios(false) {
+            if !matches!(spec.name, "crash" | "omission") {
+                continue;
+            }
+            let (node, kind, at) = spec.fault.expect("a faulted scenario");
+            let sched = FaultSchedule {
+                id: 0,
+                scenario: FaultScenario::single(node, kind, at),
+            };
+            let sim = sys.run(&sched.scenario, spec.horizon, LIVE_SEED);
+            let live = run_live(&sys, &sched.scenario, spec.horizon, &cfg);
+            let judgment = sys.judge_actuations(&sched.scenario, spec.horizon, &live.trace.events);
+            let fold = |run| RunRecord::judge(&sys, &sched, LIVE_SEED, run, Duration::ZERO);
+            let (live, sim) = (fold(finished(&judgment, &live)), fold((&sim).into()));
+            assert!(sim.recovery_us > 0 && sim.convictions == 1, "{sim:?}");
+            assert_eq!(live, sim, "{}", spec.name);
+        }
     }
 
     #[test]

@@ -294,16 +294,6 @@ fn run_to_horizon(w: &mut World, periods: u64, alloc_counter: &dyn Fn() -> u64) 
     (wall_ns, alloc_counter().saturating_sub(allocs_before))
 }
 
-/// Take back the [`ObsRecorder`] installed on `w`.
-pub(crate) fn take_obs(w: &mut World) -> ObsRecorder {
-    w.take_recorder()
-        .and_then(|r| {
-            r.as_any()
-                .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
-        })
-        .unwrap_or_default()
-}
-
 /// Measure one (family, n) profile point: baseline, counts, and wall
 /// passes plus the shard plan over the measured traffic.
 /// `alloc_counter` reads the process-wide allocation count (the harness
@@ -343,7 +333,7 @@ pub fn measure_profile_point(
     let metrics = *base.metrics();
     let digest = base.logical_trace().digest();
     let inert = *observed.metrics() == metrics && observed.logical_trace().digest() == digest;
-    let rec = take_obs(&mut observed);
+    let rec = observed.take_obs();
     let counts = rec.subsystem_profile().clone();
     let traffic = rec.traffic_matrix().clone();
 
@@ -353,7 +343,7 @@ pub fn measure_profile_point(
     w.set_recorder(Box::new(ObsRecorder::new()));
     w.set_wall_profiling(true);
     let (wall_total_ns, _) = run_to_horizon(&mut w, periods, alloc_counter);
-    let wall = take_obs(&mut w).subsystem_profile().clone();
+    let wall = w.take_obs().subsystem_profile().clone();
 
     let shard_plan = candidate_partitions(family, n)
         .iter()

@@ -25,7 +25,6 @@ use crate::replay;
 use crate::runner::{self, run_indexed, CampaignConfig, PlannedCell, RunRecord};
 use crate::schedule::{mutate, FaultSchedule};
 use crate::score::{base_score, signature, NEW_COVERAGE_PTS};
-use crate::verdict::score as verdict_score;
 use btr_model::Duration;
 use std::collections::BTreeSet;
 
@@ -184,9 +183,9 @@ struct FuzzRun {
     token: String,
 }
 
-/// Execute one job with the recorder installed and assemble the record
-/// (same field derivations as `runner::execute_run`, off the observed
-/// report) plus the coverage signature and replay token.
+/// Execute one job with the recorder installed: the record is the
+/// campaign's fold over the observed report; the coverage signature off
+/// the recorder's marks and the replay token are the fuzzer's own.
 fn execute_observed(
     cfg: &FuzzConfig,
     cell: &PlannedCell,
@@ -198,70 +197,27 @@ fn execute_observed(
     let (report, rec) = cell
         .system
         .run_observed(&sched.scenario, cell.horizon, seed);
-    let violations = verdict_score(&cell.system, sched, &report, cfg.slack);
-    let recovery_us = report.recovery.bad_window().as_micros();
-    let faults = &sched.scenario.faults;
-    let budget_us = match (
-        faults.iter().map(|f| f.at).min(),
-        faults.iter().map(|f| f.at).max(),
-    ) {
-        (Some(first), Some(last)) => (last - first).as_micros() + cell.spec.r_bound.as_micros(),
-        _ => cell.spec.r_bound.as_micros(),
-    };
-    let near_misses = report
-        .node_stats
-        .iter()
-        .map(|(_, s, _, _)| s.near_miss_accusations)
-        .sum();
-    let suppressed = report
-        .node_stats
-        .iter()
-        .map(|(_, s, _, _)| s.suppressed_declarations)
-        .sum();
-    let convictions = report
-        .node_stats
-        .iter()
-        .map(|(_, _, _, fs)| *fs as u32)
-        .max()
-        .unwrap_or(0);
-    let sig = signature(sched, &report, rec.marks(), cell.spec.r_bound);
-    let token = replay::token(
-        &cell.spec,
-        seed,
-        cell.horizon,
-        cell.max_events,
-        &sched.scenario,
-    );
     FuzzRun {
         record: RunRecord {
             run_idx,
             cell_idx,
-            schedule_id: 0,
-            sim_seed: seed,
-            label: sched.label(),
-            n_faults: faults.len() as u8,
-            admissible: sched.budget() <= cell.spec.f as usize,
-            recovery_us,
-            slack_us: budget_us as i64 - recovery_us as i64,
-            bad_outputs: report.recovery.bad_outputs as u32,
-            total_outputs: report.recovery.total_outputs as u32,
-            converged: report.converged,
-            near_misses,
-            suppressed,
-            convictions,
-            violations,
+            ..RunRecord::judge(&cell.system, sched, seed, (&report).into(), cfg.slack)
         },
-        signature: sig,
-        token,
+        signature: signature(sched, &report, rec.marks(), cell.spec.r_bound),
+        token: replay::token(
+            &cell.spec,
+            seed,
+            cell.horizon,
+            cell.max_events,
+            &sched.scenario,
+        ),
     }
 }
 
-/// Run the coverage-guided search. Pure in `(cfg.seed, cfg.budget)`:
-/// thread count changes wall time only.
-pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, CellError> {
-    // Plan the cells and draw the seed generation with the campaign
-    // machinery: combos on, so seed schedules already span 1..=f chains.
-    let plan_cfg = CampaignConfig {
+/// Plan the cells and draw the seed generation with the campaign
+/// machinery: combos on, so seed schedules already span 1..=f chains.
+fn plan(cfg: &FuzzConfig) -> Result<Vec<PlannedCell>, CellError> {
+    runner::plan_cells(&CampaignConfig {
         seed: cfg.seed,
         runs: SEED_SCHEDULES_PER_CELL * cfg.cells.len().max(1),
         threads: cfg.threads,
@@ -271,8 +227,13 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, CellError> {
         max_events: cfg.max_events,
         slack: cfg.slack,
         cells: cfg.cells.clone(),
-    };
-    let cells = runner::plan_cells(&plan_cfg)?;
+    })
+}
+
+/// Run the coverage-guided search. Pure in `(cfg.seed, cfg.budget)`:
+/// thread count changes wall time only.
+pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, CellError> {
+    let cells = plan(cfg)?;
     let cell_names: Vec<String> = cells.iter().map(|c| c.spec.name()).collect();
 
     // Generation 0: the seed schedules, interleaved across cells so a
@@ -417,6 +378,20 @@ mod tests {
         // The curve is monotone in both coordinates.
         for w in a.curve.windows(2) {
             assert!(w[1].0 > w[0].0 && w[1].1 >= w[0].1, "{:?}", a.curve);
+        }
+        // Ten runs are the first ten seed schedules, and each one's
+        // record survives its own token: replayed, it is the same but
+        // for the run index, which a token does not carry.
+        let cfg = tiny_fuzz(10, 1);
+        let cell = &plan(&cfg).expect("plans")[0];
+        for (i, sched) in cell.schedules.iter().take(10).enumerate() {
+            let run = execute_observed(&cfg, cell, 0, sched, i as u32);
+            let replayed = replay::run(&replay::parse(&run.token).expect("parses"));
+            let replayed = RunRecord {
+                run_idx: i as u32,
+                ..replayed.expect("replays")
+            };
+            assert_eq!(replayed, run.record, "{}", run.token);
         }
     }
 

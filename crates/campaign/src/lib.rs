@@ -15,9 +15,12 @@
 //!   cells, each pinned to the fault-variant space it is known to cover.
 //! * [`runner`] — a work-stealing parallel runner on
 //!   `std::thread::scope`; results merge in run order, so reports are
-//!   bit-identical at any thread count.
+//!   bit-identical at any thread count. [`RunRecord::judge`] is the one
+//!   fold from a finished run, on either substrate, to its record: the
+//!   campaign, the fuzzer, the shrinker and both replays call it.
 //! * [`verdict`] — the oracle: R-bound, pre-fault correctness, and
-//!   criticality-ordered shedding.
+//!   criticality-ordered shedding, over what a finished run hands over
+//!   ([`Finished`]); the recovery budget is computed here only.
 //! * [`shrink`] — delta-debugs violating schedules to minimal
 //!   reproducers (fewest faults, latest activation).
 //! * [`replay`] — one-string replay tokens for shrunk reproducers.
@@ -57,7 +60,7 @@ pub use grid::{
 pub use runner::{CampaignConfig, RunRecord};
 pub use schedule::{FaultSchedule, FaultVariant, ScheduleParams};
 pub use shrink::ShrinkOutcome;
-pub use verdict::Violation;
+pub use verdict::{Finished, Violation};
 
 /// Wall-clock measurement of one execution pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,22 +193,12 @@ fn cell_profile(
     cell: &runner::PlannedCell,
     cfg: &CampaignConfig,
 ) -> (Vec<(&'static str, u64)>, u64) {
-    use btr_obs::{ObsRecorder, Subsystem};
-    let scenario = btr_core::FaultScenario::none();
-    let mut w = cell
-        .system
-        .build_world(&scenario, runner::sim_seed(cfg.seed, 0));
-    w.set_recorder(Box::new(ObsRecorder::new()));
-    w.start();
-    w.run_until(btr_model::Time::ZERO + cell.horizon + cell.system.grace());
-    let delivered = w.metrics().msgs_delivered;
-    let rec = w
-        .take_recorder()
-        .and_then(|r| {
-            r.as_any()
-                .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
-        })
-        .unwrap_or_default();
+    use btr_obs::Subsystem;
+    let (report, rec) = cell.system.run_observed(
+        &btr_core::FaultScenario::none(),
+        cell.horizon,
+        runner::sim_seed(cfg.seed, 0),
+    );
     let prof = rec.subsystem_profile();
     let counts = Subsystem::all()
         .iter()
@@ -214,7 +207,7 @@ fn cell_profile(
             (n > 0).then_some((s.label(), n))
         })
         .collect();
-    (counts, delivered)
+    (counts, report.metrics.msgs_delivered)
 }
 
 /// How many violating runs get shrunk per campaign (shrinking costs

@@ -18,9 +18,10 @@
 //! re-render unchanged).
 
 use crate::grid::{CellError, CellSpec, TopoSpec, MAX_TOKEN_US};
+use crate::runner::RunRecord;
 use crate::schedule::{FaultSchedule, FaultVariant};
-use crate::verdict::{score, Violation};
-use btr_core::FaultScenario;
+use crate::verdict::Finished;
+use btr_core::{BtrSystem, FaultScenario};
 use btr_crypto::AuthSuite;
 use btr_model::{Duration, NodeId, Time};
 
@@ -256,40 +257,24 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
     })
 }
 
-/// The outcome of replaying a token.
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Kind signature of the replayed schedule.
-    pub label: String,
-    /// Measured bad-output window (µs).
-    pub recovery_us: u64,
-    /// Unacceptable / judged output slots.
-    pub bad_outputs: usize,
-    /// Judged output slots.
-    pub total_outputs: usize,
-    /// Whether correct nodes converged.
-    pub converged: bool,
-    /// Broken claims (the reason the reproducer exists).
-    pub violations: Vec<Violation>,
+/// Plan and execute a replay, judged like any campaign run (zero
+/// slack, grid indices zero).
+pub fn run(spec: &ReplaySpec) -> Result<RunRecord, CellError> {
+    let system = spec.cell.plan()?.with_max_events(spec.max_events);
+    let report = system.run(&spec.scenario, spec.horizon, spec.sim_seed);
+    Ok(spec.judge(&system, (&report).into()))
 }
 
-/// Plan and execute a replay, scoring it like any campaign run.
-pub fn run(spec: &ReplaySpec) -> Result<ReplayReport, CellError> {
-    let system = spec.cell.plan()?.with_max_events(spec.max_events);
-    let schedule = FaultSchedule {
-        id: 0,
-        scenario: spec.scenario.clone(),
-    };
-    let report = system.run(&spec.scenario, spec.horizon, spec.sim_seed);
-    let violations = score(&system, &schedule, &report, Duration::ZERO);
-    Ok(ReplayReport {
-        label: schedule.label(),
-        recovery_us: report.recovery.bad_window().as_micros(),
-        bad_outputs: report.recovery.bad_outputs,
-        total_outputs: report.recovery.total_outputs,
-        converged: report.converged,
-        violations,
-    })
+impl ReplaySpec {
+    /// The record of this token's run on `system` (planned from
+    /// [`ReplaySpec::cell`]), on whichever substrate `run` finished.
+    pub fn judge(&self, system: &BtrSystem, run: Finished<'_>) -> RunRecord {
+        let schedule = FaultSchedule {
+            id: 0,
+            scenario: self.scenario.clone(),
+        };
+        RunRecord::judge(system, &schedule, self.sim_seed, run, Duration::ZERO)
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use crate::grid::{CellError, CellSpec};
 use crate::schedule::{self, FaultSchedule, ScheduleParams};
-use crate::verdict::{score, Violation};
+use crate::verdict::{budget, violations, Finished, Violation};
 use crate::Timing;
 use btr_core::BtrSystem;
 use btr_model::Duration;
@@ -103,6 +103,45 @@ pub struct RunRecord {
     pub violations: Vec<Violation>,
 }
 
+impl RunRecord {
+    /// The one fold from a finished run to its record, on either
+    /// substrate: the oracle's verdicts, the window and its slack to
+    /// the schedule's budget, and the detector counters summed over the
+    /// correct nodes. `f` and R are the planned system's. The three
+    /// indices say where a run sat in a grid, which the run itself does
+    /// not know: they are zero here and the caller's to set.
+    pub fn judge(
+        sys: &BtrSystem,
+        sched: &FaultSchedule,
+        sim_seed: u64,
+        run: Finished<'_>,
+        slack: Duration,
+    ) -> RunRecord {
+        let strategy = sys.strategy();
+        let recovery_us = run.recovery.bad_window().as_micros();
+        let budget_us = budget(&sched.scenario, strategy.r_bound).as_micros();
+        let stats = || run.node_stats.iter();
+        RunRecord {
+            run_idx: 0,
+            cell_idx: 0,
+            schedule_id: 0,
+            sim_seed,
+            label: sched.label(),
+            n_faults: sched.scenario.faults.len() as u8,
+            admissible: sched.budget() <= strategy.f as usize,
+            recovery_us,
+            slack_us: budget_us as i64 - recovery_us as i64,
+            bad_outputs: run.recovery.bad_outputs as u32,
+            total_outputs: run.recovery.total_outputs as u32,
+            converged: run.converged,
+            near_misses: stats().map(|(_, s, _, _)| s.near_miss_accusations).sum(),
+            suppressed: stats().map(|(_, s, _, _)| s.suppressed_declarations).sum(),
+            convictions: stats().map(|(.., fs)| *fs as u32).max().unwrap_or(0),
+            violations: violations(sys, &sched.scenario, run, slack),
+        }
+    }
+}
+
 /// A planned cell with its generated schedule set.
 pub struct PlannedCell {
     /// The cell's spec.
@@ -190,51 +229,11 @@ fn run_and_score(
     let sched = &cell.schedules[schedule_id as usize];
     let seed = sim_seed(cfg.seed, seed_slot);
     let report = cell.system.run(&sched.scenario, cell.horizon, seed);
-    let violations = score(&cell.system, sched, &report, cfg.slack);
-    let recovery_us = report.recovery.bad_window().as_micros();
-    // The budget mirrors the verdict's deadline: a sequential schedule
-    // may legitimately stay degraded until R past its *last* fault.
-    let faults = &sched.scenario.faults;
-    let budget_us = match (
-        faults.iter().map(|f| f.at).min(),
-        faults.iter().map(|f| f.at).max(),
-    ) {
-        (Some(first), Some(last)) => (last - first).as_micros() + cell.spec.r_bound.as_micros(),
-        _ => cell.spec.r_bound.as_micros(),
-    };
-    let near_misses = report
-        .node_stats
-        .iter()
-        .map(|(_, s, _, _)| s.near_miss_accusations)
-        .sum();
-    let suppressed = report
-        .node_stats
-        .iter()
-        .map(|(_, s, _, _)| s.suppressed_declarations)
-        .sum();
-    let convictions = report
-        .node_stats
-        .iter()
-        .map(|(_, _, _, fs)| *fs as u32)
-        .max()
-        .unwrap_or(0);
     let record = RunRecord {
         run_idx,
         cell_idx,
         schedule_id,
-        sim_seed: seed,
-        label: sched.label(),
-        n_faults: sched.scenario.faults.len() as u8,
-        admissible: sched.budget() <= cell.spec.f as usize,
-        recovery_us,
-        slack_us: budget_us as i64 - recovery_us as i64,
-        bad_outputs: report.recovery.bad_outputs as u32,
-        total_outputs: report.recovery.total_outputs as u32,
-        converged: report.converged,
-        near_misses,
-        suppressed,
-        convictions,
-        violations,
+        ..RunRecord::judge(&cell.system, sched, seed, (&report).into(), cfg.slack)
     };
     (record, report.metrics.msgs_delivered)
 }
@@ -326,6 +325,7 @@ pub fn execute(cfg: &CampaignConfig, cells: &[PlannedCell]) -> (Vec<RunRecord>, 
 mod tests {
     use super::*;
     use crate::grid::TopoSpec;
+    use crate::replay;
     use crate::schedule::FaultVariant;
     use btr_crypto::AuthSuite;
 
@@ -386,6 +386,27 @@ mod tests {
         let cfg3 = tiny_config(3);
         let (par, _) = execute(&cfg3, &cells);
         assert_eq!(seq, par, "records must not depend on thread count");
+        // Every record survives its own replay token, but for the grid
+        // indices, which a token does not carry.
+        for r in &seq {
+            let cell = &cells[r.cell_idx as usize];
+            let scenario = &cell.schedules[r.schedule_id as usize].scenario;
+            let tok = replay::token(
+                &cell.spec,
+                r.sim_seed,
+                cell.horizon,
+                cell.max_events,
+                scenario,
+            );
+            let replayed = replay::run(&replay::parse(&tok).expect("parses")).expect("replays");
+            let replayed = RunRecord {
+                run_idx: r.run_idx,
+                cell_idx: r.cell_idx,
+                schedule_id: r.schedule_id,
+                ..replayed
+            };
+            assert_eq!(replayed, *r, "{tok}");
+        }
     }
 
     #[test]

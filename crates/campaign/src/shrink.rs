@@ -16,9 +16,8 @@
 //! The outcome carries a replay token; `harness campaign --replay`
 //! re-executes it bit-for-bit.
 
-use crate::runner::PlannedCell;
+use crate::runner::{PlannedCell, RunRecord};
 use crate::schedule::FaultSchedule;
-use crate::verdict::score;
 use btr_core::FaultScenario;
 use btr_model::{Duration, Time};
 
@@ -59,7 +58,9 @@ pub fn shrink_violation(
             scenario: scenario.clone(),
         };
         let report = cell.system.run(scenario, cell.horizon, sim_seed);
-        !score(&cell.system, &probe, &report, slack).is_empty()
+        !RunRecord::judge(&cell.system, &probe, sim_seed, (&report).into(), slack)
+            .violations
+            .is_empty()
     };
 
     // The initial probe always runs (and counts), so `probes` — which is
@@ -167,6 +168,7 @@ mod tests {
     use crate::grid::{CellSpec, TopoSpec};
     use crate::runner::{plan_cells, CampaignConfig};
     use crate::schedule::FaultVariant;
+    use crate::verdict::score;
     use btr_crypto::AuthSuite;
     use btr_model::NodeId;
 
@@ -240,7 +242,7 @@ mod tests {
 mod prop_tests {
     use super::*;
     use crate::schedule::FaultVariant;
-    use crate::verdict::Violation;
+    use crate::verdict::{score, Violation};
     use btr_model::NodeId;
     use proptest::prelude::*;
 

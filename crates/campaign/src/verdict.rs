@@ -15,7 +15,7 @@
 //! judge could not finish proves nothing.
 
 use crate::schedule::FaultSchedule;
-use btr_core::{BtrSystem, RunReport};
+use btr_core::{BtrSystem, FaultScenario, NodeRow, RecoveryStats, RunReport};
 use btr_model::{Duration, FaultSet, TaskId};
 
 /// One broken claim.
@@ -88,30 +88,72 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Score one run against the cell's claims.
-///
-/// `slack` widens the R check to absorb judging granularity (bad windows
-/// are measured at period-end resolution); zero is correct for the
-/// default grids because measured clean-run windows sit far below R.
+/// A finished run as the judge reads it: what the simulator's
+/// [`RunReport`] and the live fleet's report (with
+/// [`BtrSystem::judge_actuations`] over its trace) can both hand over.
+#[derive(Debug, Clone, Copy)]
+pub struct Finished<'a> {
+    /// The judged bad-output window.
+    pub recovery: &'a RecoveryStats,
+    /// The correct nodes' end states.
+    pub node_stats: &'a [NodeRow],
+    /// All correct nodes ended on identical fault sets and plans.
+    pub converged: bool,
+    /// The run was cut short (simulator event cap).
+    pub truncated: bool,
+}
+
+impl<'a> From<&'a RunReport> for Finished<'a> {
+    fn from(report: &'a RunReport) -> Self {
+        Finished {
+            recovery: &report.recovery,
+            node_stats: &report.node_stats,
+            converged: report.converged,
+            truncated: report.truncated,
+        }
+    }
+}
+
+/// The recovery budget a schedule has, counted from its first
+/// manifestation: a sequential schedule may legitimately stay degraded
+/// until R past its *last* fault, so `(last − first) + R`; `R` when
+/// fault-free. The R-bound verdict and the record's slack both read it
+/// here.
+pub(crate) fn budget(scenario: &FaultScenario, r: Duration) -> Duration {
+    let ats = || scenario.faults.iter().map(|f| f.at);
+    match (ats().min(), ats().max()) {
+        (Some(first), Some(last)) => (last - first) + r,
+        _ => r,
+    }
+}
+
+/// Score one simulator run against the cell's claims.
 pub fn score(
     sys: &BtrSystem,
     schedule: &FaultSchedule,
     report: &RunReport,
     slack: Duration,
 ) -> Vec<Violation> {
+    violations(sys, &schedule.scenario, report.into(), slack)
+}
+
+/// Score one finished run against the cell's claims.
+///
+/// `slack` widens the R check to absorb judging granularity (bad windows
+/// are measured at period-end resolution); zero is correct for the
+/// default grids because measured clean-run windows sit far below R.
+pub(crate) fn violations(
+    sys: &BtrSystem,
+    scenario: &FaultScenario,
+    run: Finished<'_>,
+    slack: Duration,
+) -> Vec<Violation> {
     let mut out = Vec::new();
-    if report.truncated {
+    if run.truncated {
         out.push(Violation::Truncated);
     }
-    let scenario = &schedule.scenario;
     if let Some(first_at) = scenario.first_manifestation() {
-        let last_at = scenario
-            .faults
-            .iter()
-            .map(|f| f.at)
-            .max()
-            .expect("non-empty scenario");
-        if let Some(first_bad) = report.recovery.first_bad {
+        if let Some(first_bad) = run.recovery.first_bad {
             // `first_bad` is a period end: a bad period that closed at or
             // before the first manifestation was entirely fault-free.
             if first_bad <= first_at {
@@ -121,23 +163,19 @@ pub fn score(
                 });
             }
         }
-        if let Some(last_bad) = report.recovery.last_bad {
-            let r = sys.strategy().r_bound;
-            let deadline = last_at + r + slack;
-            if last_bad > deadline {
+        if let Some(last_bad) = run.recovery.last_bad {
+            let budget = budget(scenario, sys.strategy().r_bound);
+            if last_bad > first_at + budget + slack {
                 out.push(Violation::RBoundExceeded {
                     window_us: last_bad.saturating_since(first_at).as_micros(),
-                    budget_us: last_at.saturating_since(first_at).as_micros() + r.as_micros(),
+                    budget_us: budget.as_micros(),
                 });
             }
         }
         out.extend(shed_inversions(sys, scenario.compromised()));
-    } else if report.recovery.bad_outputs > 0 {
+    } else if run.recovery.bad_outputs > 0 {
         // Fault-free runs must be perfect; report the earliest bad slot.
-        let first_bad = report
-            .recovery
-            .first_bad
-            .expect("bad outputs imply a window");
+        let first_bad = run.recovery.first_bad.expect("bad outputs imply a window");
         out.push(Violation::PreFaultBad {
             first_bad_us: first_bad.as_micros(),
             fault_at_us: 0,
@@ -207,7 +245,6 @@ fn shed_inversions(sys: &BtrSystem, compromised: Vec<btr_model::NodeId>) -> Vec<
 mod tests {
     use super::*;
     use crate::schedule::FaultVariant;
-    use btr_core::FaultScenario;
     use btr_model::{NodeId, Time, Topology};
     use btr_planner::PlannerConfig;
 

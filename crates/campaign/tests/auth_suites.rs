@@ -76,9 +76,5 @@ fn sip_replay_token_reproduces_hmac_verdicts() {
         !hmac.violations.is_empty(),
         "double crash at f=1 must violate"
     );
-    assert_eq!(hmac.violations, sip.violations);
-    assert_eq!(hmac.recovery_us, sip.recovery_us);
-    assert_eq!(hmac.bad_outputs, sip.bad_outputs);
-    assert_eq!(hmac.total_outputs, sip.total_outputs);
-    assert_eq!(hmac.converged, sip.converged);
+    assert_eq!(hmac, sip);
 }

@@ -23,7 +23,7 @@
 //!    crashed relay were never healed; fixed by the simulator's link
 //!    layer rerouting around crashed relays.
 
-use btr_campaign::replay::{self, ReplayReport};
+use btr_campaign::{replay, RunRecord};
 
 /// The frozen reproducer tokens, verbatim from EXPERIMENTS.md.
 const FINDINGS: [(&str, &str); 4] = [
@@ -61,12 +61,12 @@ const SIBLING_REPRODUCERS: [&str; 3] = [
      s=13679457532755275413;fl=omission@377579@n5+commission@570000@n4",
 ];
 
-fn replay_token(tok: &str) -> ReplayReport {
+fn replay_token(tok: &str) -> RunRecord {
     let spec = replay::parse(tok).unwrap_or_else(|e| panic!("{tok}: {e}"));
     replay::run(&spec).unwrap_or_else(|e| panic!("{tok}: {e}"))
 }
 
-fn assert_recovers(name: &str, tok: &str, report: &ReplayReport) {
+fn assert_recovers(name: &str, tok: &str, report: &RunRecord) {
     assert!(
         report.violations.is_empty(),
         "{name}: regression reopened — token '{tok}' violates again: {:?} \
@@ -80,17 +80,14 @@ fn assert_recovers(name: &str, tok: &str, report: &ReplayReport) {
 }
 
 /// Every finding's primary reproducer recovers within R, and replaying
-/// it twice is bit-for-bit identical (same windows, same verdicts).
+/// it twice is bit-for-bit identical (the whole record).
 #[test]
 fn campaign_findings_stay_fixed_and_deterministic() {
     for (name, tok) in FINDINGS {
         let a = replay_token(tok);
         assert_recovers(name, tok, &a);
         let b = replay_token(tok);
-        assert_eq!(a.recovery_us, b.recovery_us, "{name}: window differs");
-        assert_eq!(a.bad_outputs, b.bad_outputs, "{name}: bad outputs differ");
-        assert_eq!(a.total_outputs, b.total_outputs, "{name}: slots differ");
-        assert_eq!(a.violations, b.violations, "{name}: verdicts differ");
+        assert_eq!(a, b, "{name}: the record differs");
     }
 }
 
@@ -126,7 +123,7 @@ fn findings_replay_identically_across_threads() {
         .iter()
         .map(|(_, tok)| {
             let r = replay_token(tok);
-            (r.recovery_us, r.bad_outputs as u32)
+            (r.recovery_us, r.bad_outputs)
         })
         .collect();
     let parallel: Vec<(u64, u32)> = std::thread::scope(|scope| {
@@ -135,7 +132,7 @@ fn findings_replay_identically_across_threads() {
             .map(|(_, tok)| {
                 scope.spawn(move || {
                     let r = replay_token(tok);
-                    (r.recovery_us, r.bad_outputs as u32)
+                    (r.recovery_us, r.bad_outputs)
                 })
             })
             .collect();

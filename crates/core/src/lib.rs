@@ -39,4 +39,4 @@ pub mod system;
 pub use faults::{FaultMods, FaultScenario, InjectedFault};
 pub use oracle::{reference_value, shed_aware_value, RecoveryStats, SinkVerdict, Verdict};
 pub use plant::{Plant, PlantConfig};
-pub use system::{ActuationJudgment, BtrSystem, RunReport, SystemError};
+pub use system::{ActuationJudgment, BtrSystem, NodeRow, RunReport, SystemError};

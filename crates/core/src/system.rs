@@ -5,6 +5,7 @@ use crate::oracle::{judge, survival_by_criticality, RecoveryStats, SinkVerdict};
 use btr_model::{
     Criticality, Duration, FaultKind, FaultSet, NodeId, PlanId, Strategy, Time, Topology,
 };
+use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
 use btr_runtime::{BtrConfig, BtrNode, NodeStats};
 use btr_sim::{ControlAction, SimConfig, SimMetrics, World};
@@ -71,6 +72,10 @@ pub struct BtrSystem {
     auth_suite: btr_crypto::AuthSuite,
 }
 
+/// One correct node at the end of a run: its id, runtime stats, final
+/// plan and fault-set size. Both substrates report these rows.
+pub type NodeRow = (NodeId, NodeStats, PlanId, usize);
+
 /// Verdicts for an actuation stream, however it was produced — by the
 /// simulator ([`BtrSystem::run`]) or by the live thread-per-node runtime
 /// (`btr-node`), which uses the simulator as its trace oracle.
@@ -99,7 +104,7 @@ pub struct RunReport {
     pub metrics: SimMetrics,
     /// Per-node runtime stats, final plan, and fault-set size (correct
     /// nodes only; compromised/crashed nodes excluded).
-    pub node_stats: Vec<(NodeId, NodeStats, PlanId, usize)>,
+    pub node_stats: Vec<NodeRow>,
     /// True if all correct nodes ended on identical fault sets and plans.
     pub converged: bool,
     /// Number of fully judged periods.
@@ -363,7 +368,7 @@ impl BtrSystem {
         self.judge_world(scenario, horizon, world)
     }
 
-    /// [`BtrSystem::run`] with an [`btr_obs::ObsRecorder`] installed for
+    /// [`BtrSystem::run`] with an [`ObsRecorder`] installed for
     /// the duration: same report, plus the phase marks and counters the
     /// recorder absorbed. The recorder is pure observation — the report
     /// is byte-identical to an unobserved run at the same seed — so
@@ -374,19 +379,26 @@ impl BtrSystem {
         scenario: &FaultScenario,
         horizon: Duration,
         seed: u64,
-    ) -> (RunReport, btr_obs::ObsRecorder) {
+    ) -> (RunReport, ObsRecorder) {
+        let (world, rec) = self.observed_world(scenario, horizon, seed);
+        (self.judge_world(scenario, horizon, world), rec)
+    }
+
+    /// The world of an observed run, finished but not yet judged, beside
+    /// what its recorder collected — for callers that read the world
+    /// itself (the live differential compares its logical trace).
+    pub fn observed_world(
+        &self,
+        scenario: &FaultScenario,
+        horizon: Duration,
+        seed: u64,
+    ) -> (World, ObsRecorder) {
         let mut world = self.build_world(scenario, seed);
-        world.set_recorder(Box::new(btr_obs::ObsRecorder::new()));
+        world.set_recorder(Box::new(ObsRecorder::new()));
         world.start();
         world.run_until(Time::ZERO + horizon + self.grace);
-        let rec = world
-            .take_recorder()
-            .and_then(|r| {
-                r.as_any()
-                    .and_then(|a| a.downcast_ref::<btr_obs::ObsRecorder>().cloned())
-            })
-            .unwrap_or_default();
-        (self.judge_world(scenario, horizon, world), rec)
+        let rec = world.take_obs();
+        (world, rec)
     }
 
     /// Judge a finished world: actuation verdicts, convergence, and

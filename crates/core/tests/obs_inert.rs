@@ -40,11 +40,7 @@ fn run(
     world.run_until(Time::ZERO + horizon + sys.grace());
     let digest = world.logical_trace().digest();
     let metrics = *world.metrics();
-    let rec = world.take_recorder().and_then(|r| {
-        r.as_any()
-            .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
-    });
-    (digest, metrics, rec)
+    (digest, metrics, observed.then(|| world.take_obs()))
 }
 
 #[test]
@@ -123,13 +119,7 @@ fn wall_profiling_is_inert() {
     world.run_until(Time::ZERO + horizon + sys.grace());
     let d_on = world.logical_trace().digest();
     let m_on = *world.metrics();
-    let rec = world
-        .take_recorder()
-        .and_then(|r| {
-            r.as_any()
-                .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
-        })
-        .unwrap();
+    let rec = world.take_obs();
 
     assert_eq!(d_off, d_on, "wall profiling changed the logical trace");
     assert_eq!(m_off, m_on, "wall profiling changed the metrics");

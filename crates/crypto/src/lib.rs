@@ -20,7 +20,6 @@
 //!   because only the owner of a key can produce a valid tag, and every
 //!   correct node can verify every other node's tags. [`SigBatch`]
 //!   stages a message's whole evidence set for one verification pass.
-//! * [`chain`] — PeerReview-style tamper-evident hash chains for logs.
 //!
 //! The crate holds one `unsafe` block, the only one in any library crate
 //! of the workspace: the call in `sha256::compress_blocks` that enters
@@ -34,14 +33,12 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod hmac;
 pub mod rng;
 pub mod sha256;
 pub mod sign;
 pub mod siphash;
 
-pub use chain::{ChainEntry, HashChain};
 pub use hmac::{hmac_sha256, HmacKey, HmacState};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sha256::{sha256, Digest, Sha256};

@@ -12,8 +12,8 @@ use btr_model::{
 };
 use btr_net::{Frame, Hop, LinkLayer, RouteBackend, Routes, SendError};
 use btr_obs::{
-    Counter, Histogram, Lat, Phase, PhaseMark, Profile, Recorder, Subsystem, TrafficMatrix,
-    COUNTER_KINDS,
+    Counter, Histogram, Lat, ObsRecorder, Phase, PhaseMark, Profile, Recorder, Subsystem,
+    TrafficMatrix, COUNTER_KINDS,
 };
 use std::collections::BTreeSet;
 
@@ -315,6 +315,18 @@ impl World {
             r.traffic(&s.traffic);
         }
         Some(r)
+    }
+
+    /// [`World::take_recorder`] for the collecting [`ObsRecorder`]:
+    /// hands it back by value (empty when none, or another kind of
+    /// recorder, was installed).
+    pub fn take_obs(&mut self) -> ObsRecorder {
+        self.take_recorder()
+            .and_then(|r| {
+                r.as_any()
+                    .and_then(|a| a.downcast_ref::<ObsRecorder>().cloned())
+            })
+            .unwrap_or_default()
     }
 
     /// Install a node's behaviour (before or after start).
@@ -1443,7 +1455,7 @@ mod tests {
             cfg.loss_ppm = 250_000;
             cfg.fec = Some((4, 2));
             let mut w = World::new(Topology::ring(6, 50_000, Duration(10)), cfg);
-            w.set_recorder(Box::new(btr_obs::ObsRecorder::new()));
+            w.set_recorder(Box::new(ObsRecorder::new()));
             for n in [0, 2, 3] {
                 w.set_behavior(NodeId(n), Box::new(Caster { many, round: 0 }));
             }
@@ -1464,15 +1476,9 @@ mod tests {
                         .clone()
                 })
                 .collect();
-            let rec = w.take_recorder().expect("recorder");
-            let counts: Vec<u64> = rec
-                .as_any()
-                .and_then(|a| a.downcast_ref::<btr_obs::ObsRecorder>())
-                .map(|r| {
-                    let p = r.subsystem_profile();
-                    Subsystem::all().iter().map(|&s| p.count(s)).collect()
-                })
-                .expect("obs recorder");
+            let rec = w.take_obs();
+            let p = rec.subsystem_profile();
+            let counts: Vec<u64> = Subsystem::all().iter().map(|&s| p.count(s)).collect();
             (
                 got,
                 w.logical_trace().digest(),
@@ -1521,7 +1527,7 @@ mod tests {
             fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
         }
         let mut w = world(9);
-        w.set_recorder(Box::new(btr_obs::ObsRecorder::new()));
+        w.set_recorder(Box::new(ObsRecorder::new()));
         w.set_behavior(NodeId(0), Box::new(Round));
         for n in 1..9 {
             w.set_behavior(NodeId(n), Box::new(Keeper::default()));
@@ -1533,12 +1539,8 @@ mod tests {
         // the triple in the memo (it was nine).
         assert_eq!(btr_crypto::mac_count() - macs_before, 2);
         assert_eq!(w.actuations().len(), 8, "every receiver verified its copy");
-        let rec = w.take_recorder().expect("recorder");
-        let profile = rec
-            .as_any()
-            .and_then(|a| a.downcast_ref::<btr_obs::ObsRecorder>())
-            .expect("obs recorder")
-            .subsystem_profile();
+        let rec = w.take_obs();
+        let profile = rec.subsystem_profile();
         assert_eq!(profile.count(Subsystem::CryptoVerify), 8);
         assert_eq!(profile.count(Subsystem::CryptoSign), 8);
     }

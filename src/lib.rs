@@ -6,7 +6,7 @@
 //! This facade crate re-exports the workspace crates so applications can
 //! depend on a single `btr` crate:
 //!
-//! * [`crypto`] — SHA-256/HMAC, keystores, hash chains.
+//! * [`crypto`] — SHA-256/HMAC, SipHash, keystores, fast PRNGs.
 //! * [`model`] — time, ids, topology, messages, plans, strategies.
 //! * [`net`] — bandwidth-reserved links, guardians, routing.
 //! * [`sim`] — deterministic discrete-event simulator.

@@ -83,18 +83,3 @@ fn btr_runs_on_a_ring_with_multi_hop_flows() {
     let tail = &tl[tl.len().saturating_sub(3)..];
     assert!(tail.iter().all(|(_, f)| *f >= 0.99), "tail: {tail:?}");
 }
-
-#[test]
-fn hash_chain_commits_message_history() {
-    use btr::crypto::HashChain;
-    // A node's send log is tamper-evident: any reordering or edit of a
-    // logged message changes the head (PeerReview-style accountability).
-    let msgs: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 16]).collect();
-    let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-    let head = HashChain::replay(b"node-4", &refs);
-
-    let mut swapped = msgs.clone();
-    swapped.swap(3, 4);
-    let refs2: Vec<&[u8]> = swapped.iter().map(|m| m.as_slice()).collect();
-    assert_ne!(HashChain::replay(b"node-4", &refs2), head);
-}
