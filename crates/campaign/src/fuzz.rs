@@ -412,4 +412,73 @@ mod tests {
         let json = out.to_json();
         assert!(json.contains("\"violations_admissible\""));
     }
+
+    #[test]
+    fn to_json_pins_violation_tokens() {
+        use btr_core::FaultScenario;
+        use btr_model::{NodeId, Time};
+        let cells = vec!["avionics9-bus-f3".to_string(), "scada6-bus-f2".to_string()];
+        let mut corpus = Corpus::new(4);
+        for (cell_idx, score, faults) in [
+            (
+                0u16,
+                1814,
+                vec![FaultVariant::CRASH.inject(NodeId(4), Time(49_999))],
+            ),
+            (
+                1,
+                1490,
+                vec![
+                    FaultVariant::TIMING.inject(NodeId(0), Time(367_641)),
+                    FaultVariant::OMISSION_STEALTH.inject(NodeId(2), Time(901_829)),
+                ],
+            ),
+        ] {
+            let schedule = FaultSchedule {
+                id: 0,
+                scenario: FaultScenario { faults },
+            };
+            corpus.offer(cell_idx, &cells[cell_idx as usize], &schedule, score, 2);
+        }
+        let out = FuzzOutcome {
+            config: FuzzConfig::new(41, 3, 2),
+            cells,
+            runs: 3,
+            coverage: 17,
+            curve: vec![(2, 11), (3, 17)],
+            corpus,
+            min_slack_us: Some(-1_500),
+            max_slack_us: Some(915_001),
+            best_score: 2856,
+            violations: vec![
+                "w=avionics;t=bus9x100000x5;f=3;r=150000;h=700000;me=20000000;s=1;fl=crash@49999@n4"
+                    .into(),
+                "w=scada;t=bus6x100000x10;f=2;r=400000;h=1500000;me=20000000;s=2;fl=timing@367641@n0"
+                    .into(),
+            ],
+        };
+        assert_eq!(out.to_json(), VIOLATING_FUZZ);
+    }
+
+    /// The `to_json` of the outcome above, as the hand-laid writer of
+    /// PR 24 produced it.
+    const VIOLATING_FUZZ: &str = r#"{
+  "fuzz": "btr-schedule-fuzz",
+  "seed": 41, "budget": 3, "batch": 16, "corpus_max": 64,
+  "cells": ["avionics9-bus-f3", "scada6-bus-f2"],
+  "runs": 3, "coverage": 17,
+  "coverage_curve": [[2, 11], [3, 17]],
+  "slack": {"min_us": -1500, "max_us": 915001},
+  "best_score": 2856,
+  "corpus": {
+    "size": 2, "digest": "0xc852fc39f7dc10ae",
+    "entries": [
+      {"key": "avionics9-bus-f3:crash@49999@n4", "score": 1814, "faults": 1, "new_signatures": 2},
+      {"key": "scada6-bus-f2:timing@367641@n0+omission-stealth@901829@n2", "score": 1490, "faults": 2, "new_signatures": 2}
+    ]
+  },
+  "violations_admissible": 2,
+  "violations": ["w=avionics;t=bus9x100000x5;f=3;r=150000;h=700000;me=20000000;s=1;fl=crash@49999@n4", "w=scada;t=bus6x100000x10;f=2;r=400000;h=1500000;me=20000000;s=2;fl=timing@367641@n0"]
+}
+"#;
 }

@@ -474,4 +474,178 @@ mod tests {
         assert_eq!(json_str("plain"), "\"plain\"");
         assert_eq!(json_str("q\"q"), "\"q\\\"q\"");
     }
+
+    /// A hand-built outcome with what the committed report never holds:
+    /// an over-budget run with two violations, a clean run on a second
+    /// cell with an empty profile and no variants, and a shrunk
+    /// reproducer with two minimal faults.
+    fn violating_outcome() -> CampaignOutcome {
+        use crate::schedule::FaultVariant;
+        use crate::verdict::Violation;
+        use crate::{CellSummary, ShrinkOutcome, Timing};
+        use btr_core::FaultScenario;
+        use btr_model::{NodeId, Time};
+        let cell = |name: &str, variants: Vec<&'static str>, profile| CellSummary {
+            name: name.into(),
+            workload: "avionics".into(),
+            topology: "bus9x100000x5".into(),
+            nodes: 9,
+            f: 1,
+            r_bound_us: 150_000,
+            horizon_us: 490_000,
+            schedules: 3,
+            variants,
+            profile,
+            delivered: 6656,
+        };
+        let record =
+            |run_idx: u32, cell_idx: u16, admissible, recovery_us: u64, violations| RunRecord {
+                run_idx,
+                cell_idx,
+                schedule_id: run_idx,
+                sim_seed: 0xfeed,
+                label: "crash+omission-stealth".into(),
+                n_faults: 2,
+                admissible,
+                recovery_us,
+                slack_us: 150_000 - recovery_us as i64,
+                bad_outputs: 3,
+                total_outputs: 40,
+                converged: true,
+                near_misses: 0,
+                suppressed: 0,
+                convictions: 2,
+                violations,
+            };
+        let timing = |threads, wall_ns| Timing {
+            threads,
+            wall_ns,
+            runs: 2,
+            macs: 5,
+            delivered: 8,
+        };
+        CampaignOutcome {
+            config: crate::CampaignConfig::new(99, 2, 2),
+            cells: vec![
+                cell(
+                    "avionics9-bus-f1",
+                    vec!["crash", "omission-stealth"],
+                    vec![("routing", 6728), ("dispatch", 10829)],
+                ),
+                cell("avionics9-bus-f2", Vec::new(), Vec::new()),
+            ],
+            records: vec![
+                record(
+                    0,
+                    0,
+                    false,
+                    448_000,
+                    vec![
+                        Violation::RBoundExceeded {
+                            window_us: 448_000,
+                            budget_us: 350_000,
+                        },
+                        Violation::Truncated,
+                    ],
+                ),
+                record(1, 1, true, 40_001, Vec::new()),
+                record(
+                    2,
+                    1,
+                    true,
+                    30_001,
+                    vec![Violation::PreFaultBad {
+                        first_bad_us: 20_000,
+                        fault_at_us: 52_000,
+                    }],
+                ),
+            ],
+            shrunk: vec![ShrinkOutcome {
+                run_idx: 0,
+                faults_before: 3,
+                faults_after: 2,
+                probes: 17,
+                minimal: FaultScenario {
+                    faults: vec![
+                        FaultVariant::CRASH.inject(NodeId(0), Time(52_000)),
+                        FaultVariant::OMISSION_STEALTH.inject(NodeId(1), Time(252_000)),
+                    ],
+                },
+                replay: "w=avionics;t=bus9x100000x5;f=1;r=150000;h=490000;me=20000000;s=65261;\
+                         fl=crash@52000@n0+omission-stealth@252000@n1"
+                    .into(),
+            }],
+            scaling: vec![timing(1, 2_000_000_000), timing(2, 800_000_000)],
+        }
+    }
+
+    #[test]
+    fn render_pins_violations_and_reproducers() {
+        assert_eq!(render(&violating_outcome()), VIOLATING_REPORT);
+    }
+
+    /// `render(&violating_outcome())`, as the hand-laid writer of PR 24
+    /// produced it.
+    const VIOLATING_REPORT: &str = r#"{
+  "campaign": "btr-fault-injection",
+  "config": {
+    "seed": 99,
+    "requested_runs": 2,
+    "sim_seeds_per_schedule": 2,
+    "combos": false,
+    "over_budget": false,
+    "max_events": 20000000,
+    "slack_us": 0,
+    "cells": [
+      {"name": "avionics9-bus-f1", "workload": "avionics", "topology": "bus9x100000x5", "nodes": 9, "f": 1, "r_bound_us": 150000, "horizon_us": 490000, "schedules": 3, "variants": ["crash", "omission-stealth"],
+       "delivered": 6656, "profile": {"routing": 6728, "dispatch": 10829}},
+      {"name": "avionics9-bus-f2", "workload": "avionics", "topology": "bus9x100000x5", "nodes": 9, "f": 1, "r_bound_us": 150000, "horizon_us": 490000, "schedules": 3, "variants": [],
+       "delivered": 6656, "profile": {}}
+    ]
+  },
+  "results": {
+    "total_runs": 3,
+    "admissible_runs": 2,
+    "violations_admissible": 1,
+    "violations_over_budget": 1,
+    "truncated_runs": 1,
+    "diverged_runs": 0,
+    "runs_digest": "380aa50bedd89b07",
+    "min_slack_us": 109999,
+    "slack_us": {"p50": 119999, "p90": 119999, "p99": 119999, "max": 119999, "buckets": [[119999, 2]]},
+    "by_variant": {
+      "crash+omission-stealth": {
+        "runs": 3, "violations": 2,
+        "recovery_us": {"p50": 40001, "p90": 448000, "p99": 448000, "max": 448000}
+      }
+    },
+    "by_cell": {
+      "avionics9-bus-f1": {
+        "runs": 1, "violations": 1,
+        "recovery_us": {"p50": 448000, "p90": 448000, "p99": 448000, "max": 448000}
+      },
+      "avionics9-bus-f2": {
+        "runs": 2, "violations": 1,
+        "recovery_us": {"p50": 40001, "p90": 40001, "p99": 40001, "max": 40001}
+      }
+    },
+    "violations": [
+      {"run": 0, "cell": "avionics9-bus-f1", "schedule": 0, "sim_seed": 65261, "label": "crash+omission-stealth", "admissible": false, "window_us": 448000, "kinds": ["r-bound", "truncated"], "details": ["R-bound exceeded: bad window 448.0 ms > budget 350.0 ms", "run hit the simulator event cap"]},
+      {"run": 2, "cell": "avionics9-bus-f2", "schedule": 2, "sim_seed": 65261, "label": "crash+omission-stealth", "admissible": true, "window_us": 30001, "kinds": ["pre-fault-bad"], "details": ["output bad at 20.0 ms before the fault at 52.0 ms"]}
+    ],
+    "reproducers": [
+      {"run": 0, "faults_before": 3, "faults_after": 2, "probes": 17, "minimal": [{"node": 0, "variant": "crash", "at_us": 52000}, {"node": 1, "variant": "omission-stealth", "at_us": 252000}],
+       "replay": "w=avionics;t=bus9x100000x5;f=1;r=150000;h=490000;me=20000000;s=65261;fl=crash@52000@n0+omission-stealth@252000@n1"}
+    ]
+  },
+  "timing": {
+    "scaling": [
+      {"threads": 1, "wall_ns": 2000000000, "runs_per_sec": 1.0},
+      {"threads": 2, "wall_ns": 800000000, "runs_per_sec": 2.5}
+    ],
+    "parallel_speedup": 2.50,
+    "macs_per_delivery": 0.625
+  }
+}
+"#;
 }

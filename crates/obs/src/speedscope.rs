@@ -110,44 +110,11 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn structurally_valid_json(s: &str) -> bool {
-        let (mut depth_obj, mut depth_arr) = (0i64, 0i64);
-        let mut in_str = false;
-        let mut prev_escape = false;
-        for c in s.chars() {
-            if in_str {
-                if prev_escape {
-                    prev_escape = false;
-                } else if c == '\\' {
-                    prev_escape = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' => depth_obj += 1,
-                '}' => depth_obj -= 1,
-                '[' => depth_arr += 1,
-                ']' => depth_arr -= 1,
-                _ => {}
-            }
-            if depth_obj < 0 || depth_arr < 0 {
-                return false;
-            }
-        }
-        depth_obj == 0 && depth_arr == 0 && !in_str
-    }
-
     #[test]
     fn empty_file_is_valid() {
         let b = SpeedscopeBuilder::new();
         assert!(b.is_empty());
-        let s = b.finish("empty");
-        assert!(structurally_valid_json(&s), "{s}");
-        assert!(s.contains("\"$schema\""));
-        assert!(s.contains("\"frames\":["));
+        assert_eq!(b.finish("empty"), EMPTY);
     }
 
     #[test]
@@ -158,23 +125,35 @@ mod tests {
         let mut b = SpeedscopeBuilder::new();
         b.add("n=20 counts", &p);
         assert_eq!(b.len(), 1);
-        let s = b.finish("test");
-        assert!(structurally_valid_json(&s), "{s}");
-        assert!(s.contains("\"unit\":\"none\""));
-        assert!(s.contains("\"endValue\":150"));
-        assert!(s.contains("\"weights\":[100,50]"));
+        assert_eq!(b.finish("te\"st"), COUNTS);
     }
 
     #[test]
     fn wall_profile_renders_nanoseconds() {
-        let mut p = Profile::new();
-        p.bump_n(Subsystem::Routing, 5);
-        p.add_wall(Subsystem::Routing, 4_200);
+        let mut counts = Profile::new();
+        counts.bump_n(Subsystem::Routing, 5);
+        counts.bump_n(Subsystem::Queue, 9);
+        let mut wall = counts.clone();
+        wall.add_wall(Subsystem::Routing, 4_200);
         let mut b = SpeedscopeBuilder::new();
-        b.add("n=20 wall", &p);
-        let s = b.finish("test");
-        assert!(structurally_valid_json(&s), "{s}");
-        assert!(s.contains("\"unit\":\"nanoseconds\""));
-        assert!(s.contains("\"weights\":[4200]"));
+        b.add("n=20 counts", &counts);
+        b.add("n=20 wall", &wall);
+        assert_eq!(b.finish("test"), WALL);
     }
+
+    // `finish()` of the files above, as the hand-laid writer of PR 24
+    // produced them.
+    const EMPTY: &str = r#"{"$schema":"https://www.speedscope.app/file-format-schema.json","name":"empty","exporter":"btr-obs","shared":{"frames":[{"name":"routing"},{"name":"crypto_sign"},{"name":"crypto_verify"},{"name":"queue"},{"name":"audit"},{"name":"mode_switch"},{"name":"dispatch"},{"name":"other"}]},"profiles":[
+
+]}
+"#;
+    const COUNTS: &str = r#"{"$schema":"https://www.speedscope.app/file-format-schema.json","name":"te\"st","exporter":"btr-obs","shared":{"frames":[{"name":"routing"},{"name":"crypto_sign"},{"name":"crypto_verify"},{"name":"queue"},{"name":"audit"},{"name":"mode_switch"},{"name":"dispatch"},{"name":"other"}]},"profiles":[
+{"type":"sampled","name":"n=20 counts","unit":"none","startValue":0,"endValue":150,"samples":[[0],[6]],"weights":[100,50]}
+]}
+"#;
+    const WALL: &str = r#"{"$schema":"https://www.speedscope.app/file-format-schema.json","name":"test","exporter":"btr-obs","shared":{"frames":[{"name":"routing"},{"name":"crypto_sign"},{"name":"crypto_verify"},{"name":"queue"},{"name":"audit"},{"name":"mode_switch"},{"name":"dispatch"},{"name":"other"}]},"profiles":[
+{"type":"sampled","name":"n=20 counts","unit":"none","startValue":0,"endValue":14,"samples":[[0],[3]],"weights":[5,9]},
+{"type":"sampled","name":"n=20 wall","unit":"nanoseconds","startValue":0,"endValue":4200,"samples":[[0]],"weights":[4200]}
+]}
+"#;
 }

@@ -103,46 +103,11 @@ impl TraceBuilder {
 mod tests {
     use super::*;
 
-    /// Minimal structural JSON check (the CI smoke step does a real
-    /// parse with python): quotes balanced outside escapes, braces and
-    /// brackets balanced and non-negative throughout.
-    fn structurally_valid_json(s: &str) -> bool {
-        let (mut depth_obj, mut depth_arr) = (0i64, 0i64);
-        let mut in_str = false;
-        let mut prev_escape = false;
-        for c in s.chars() {
-            if in_str {
-                if prev_escape {
-                    prev_escape = false;
-                } else if c == '\\' {
-                    prev_escape = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' => depth_obj += 1,
-                '}' => depth_obj -= 1,
-                '[' => depth_arr += 1,
-                ']' => depth_arr -= 1,
-                _ => {}
-            }
-            if depth_obj < 0 || depth_arr < 0 {
-                return false;
-            }
-        }
-        depth_obj == 0 && depth_arr == 0 && !in_str
-    }
-
     #[test]
     fn empty_trace_is_valid() {
         let t = TraceBuilder::new();
         assert!(t.is_empty());
-        let s = t.finish();
-        assert!(s.contains("\"traceEvents\":["));
-        assert!(structurally_valid_json(&s), "{s}");
+        assert_eq!(t.finish(), EMPTY);
     }
 
     #[test]
@@ -152,19 +117,31 @@ mod tests {
         t.span("detect", 2, 6, 42_000, 8_000);
         t.instant("actuate", 2, 0, 50_000);
         assert_eq!(t.len(), 3);
-        let s = t.finish();
-        assert!(structurally_valid_json(&s), "{s}");
-        assert!(s.contains("\"ph\":\"X\""));
-        assert!(s.contains("\"dur\":8000"));
-        assert!(s.contains("\"ph\":\"i\""));
+        assert_eq!(t.finish(), EVENTS);
     }
 
     #[test]
     fn names_are_escaped() {
         let mut t = TraceBuilder::new();
-        t.instant("we\"ird\\na\tme\n", 1, 0, 0);
-        let s = t.finish();
-        assert!(structurally_valid_json(&s), "{s}");
-        assert!(s.contains("we\\\"ird"));
+        t.instant("we\"ird\\na\tme\n\u{1}", 1, 0, 0);
+        t.process_name(1, "q\"p");
+        assert_eq!(t.finish(), ESCAPED);
     }
+
+    // `finish()` of the traces above, as the hand-laid writer of PR 24
+    // produced them.
+    const EMPTY: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+]}
+"#;
+    const EVENTS: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+{"name":"process_name","ph":"M","pid":2,"args":{"name":"live"}},
+{"name":"detect","ph":"X","ts":42000,"dur":8000,"pid":2,"tid":6},
+{"name":"actuate","ph":"i","s":"t","ts":50000,"pid":2,"tid":0}
+]}
+"#;
+    const ESCAPED: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+{"name":"we\"ird\\na\tme\n\u0001","ph":"i","s":"t","ts":0,"pid":1,"tid":0},
+{"name":"process_name","ph":"M","pid":1,"args":{"name":"q\"p"}}
+]}
+"#;
 }
