@@ -24,9 +24,8 @@ use btr_bench::profile::{
 };
 use btr_bench::scale::{SCALE_NODES, SCALE_ROUTING_BUDGET, SCALE_SMOKE_MSGS, SCALE_TARGET_MSGS};
 use btr_crypto::AuthSuite;
-use btr_obs::{
-    Histogram, Lat, RecoveryTimeline, SpeedscopeBuilder, Subsystem, TraceBuilder, FLIGHT_CAP,
-};
+use btr_obs::json::{self, Layout::Block, Layout::Inline};
+use btr_obs::{Histogram, Lat, SpeedscopeBuilder, Subsystem, TraceBuilder, FLIGHT_CAP};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,25 +85,36 @@ macro_rules! outln {
     ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
 }
 
-/// Write a report file, or exit 2: an unwritable path is a usage error.
-fn write_report(path: &str, content: &str) {
-    match std::fs::write(path, content) {
-        Ok(()) => outln!("  wrote {path}"),
-        Err(e) => {
-            eprintln!("error: failed to write {path}: {e}");
-            std::process::exit(2);
+/// A report file, opened while the arguments are parsed: an unwritable
+/// path is a usage error (exit 2) before any measurement starts. An
+/// existing file keeps its contents until the replacement is ready.
+struct Report(String, std::fs::File);
+
+impl Report {
+    fn open(path: String) -> Report {
+        let mut options = std::fs::OpenOptions::new();
+        match options.write(true).create(true).truncate(false).open(&path) {
+            Ok(file) => Report(path, file),
+            Err(e) => {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(2);
+            }
         }
     }
-}
 
-/// Minimal JSON writer (serialization crates are stubbed offline; the
-/// format here is flat and fully controlled). Rates take one decimal;
-/// fractions (cut-traffic shares, imbalance ratios) need four.
-fn json_f64(v: f64, decimals: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.decimals$}")
-    } else {
-        "null".to_string()
+    /// Replace the file's contents with `content`, or exit 2.
+    fn write(self, content: &str) {
+        let Report(path, mut file) = self;
+        match file
+            .set_len(0)
+            .and_then(|()| file.write_all(content.as_bytes()))
+        {
+            Ok(()) => outln!("  wrote {path}"),
+            Err(e) => {
+                eprintln!("error: failed to write {path}: {e}");
+                std::process::exit(2);
+            }
+        }
     }
 }
 
@@ -142,6 +152,9 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
         eprintln!("error: unknown profile argument '{stray}'");
         std::process::exit(2);
     }
+    let report = Report::open(out_path);
+    let speedscope_report = Report::open(speedscope_path);
+    let stacks_report = Report::open(stacks_path);
 
     let target = if smoke {
         SCALE_SMOKE_MSGS
@@ -257,161 +270,29 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
         gate_failed = true;
     }
 
-    let point_json = |p: &ProfilePoint| {
-        let counts = Subsystem::all()
-            .iter()
-            .map(|&s| format!("        \"{}\": {}", s.label(), p.counts.count(s)))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let wall = Subsystem::all()
-            .iter()
-            .map(|&s| {
-                let ns = if s == Subsystem::Other {
-                    p.other_wall_ns()
-                } else {
-                    p.wall.wall_ns(s) as u128
-                };
-                format!(
-                    "        \"{}\": {{\"wall_ns\": {}, \"share_pct\": {}}}",
-                    s.label(),
-                    ns,
-                    json_f64(p.wall_share_pct(s), 4)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let shard = p
-            .shard_plan
-            .iter()
-            .map(|c| {
-                format!(
-                    concat!(
-                        "        {{\"name\": \"{}\", \"regions\": {}, \"cut_links\": {}, ",
-                        "\"cut_traffic_fraction\": {}, \"imbalance\": {}, ",
-                        "\"lookahead_us\": {}, \"predicted_ceiling\": {}}}"
-                    ),
-                    c.name,
-                    c.regions,
-                    c.cut_links,
-                    json_f64(c.cut_traffic_fraction, 4),
-                    json_f64(c.imbalance, 4),
-                    c.lookahead_us,
-                    json_f64(c.predicted_ceiling, 4),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"family\": \"{}\",\n",
-                "      \"nodes\": {},\n",
-                "      \"periods\": {},\n",
-                "      \"msgs_sent\": {},\n",
-                "      \"msgs_delivered\": {},\n",
-                "      \"events\": {},\n",
-                "      \"baseline_wall_ns\": {},\n",
-                "      \"observed_wall_ns\": {},\n",
-                "      \"msgs_per_sec\": {},\n",
-                "      \"ns_per_delivery\": {},\n",
-                "      \"allocations\": {},\n",
-                "      \"routing_kind\": \"{}\",\n",
-                "      \"routing_resident_bytes\": {},\n",
-                "      \"routing_rows_built\": {},\n",
-                "      \"routing_rows_healed\": {},\n",
-                "      \"drops_forward\": {},\n",
-                "      \"envelopes_leaked\": {},\n",
-                "      \"truncated\": {},\n",
-                "      \"digest\": \"{:016x}\",\n",
-                "      \"inert\": {},\n",
-                "      \"counts\": {{\n{}\n      }},\n",
-                "      \"wall_total_ns\": {},\n",
-                "      \"wall\": {{\n{}\n      }},\n",
-                "      \"traffic\": {{\n",
-                "        \"tx_total\": {},\n",
-                "        \"rx_total\": {},\n",
-                "        \"drop_total\": {},\n",
-                "        \"link_msgs_total\": {},\n",
-                "        \"link_bytes_total\": {},\n",
-                "        \"link_bytes_signed_total\": {},\n",
-                "        \"consistent\": {}\n",
-                "      }},\n",
-                "      \"shard_plan\": [\n{}\n      ]\n",
-                "    }}"
-            ),
-            p.family,
-            p.nodes,
-            p.periods,
-            p.metrics.msgs_sent,
-            p.metrics.msgs_delivered,
-            p.metrics.events,
-            p.baseline_wall_ns,
-            p.observed_wall_ns,
-            json_f64(p.msgs_per_sec(), 1),
-            json_f64(p.ns_per_delivery(), 1),
-            p.allocations,
-            p.routing_kind,
-            p.routing_resident_bytes,
-            p.routing_rows_built,
-            p.routing_rows_healed,
-            p.metrics.drops_forward,
-            p.envelopes_leaked,
-            p.truncated,
-            p.digest,
-            p.inert,
-            counts,
-            p.wall_total_ns,
-            wall,
-            p.traffic.tx_total(),
-            p.traffic.rx_total(),
-            p.traffic.drop_total(),
-            p.traffic.link_msgs_total(),
-            p.traffic.link_bytes_total(),
-            p.traffic.link_bytes_signed_total(),
-            p.traffic_consistent(),
-            shard,
-        )
-    };
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"report\": \"btr_profile\",\n",
-            "  \"sha256_backend\": \"{}\",\n",
-            "  \"seed\": {},\n",
-            "  \"smoke\": {},\n",
-            "  \"routing_budget_bytes\": {},\n",
-            "  \"obs_overhead\": {{\n",
-            "    \"baseline_wall_ns\": {},\n",
-            "    \"observed_wall_ns\": {},\n",
-            "    \"overhead_pct\": {},\n",
-            "    \"ceiling_pct\": {},\n",
-            "    \"noise_floor_ns\": {},\n",
-            "    \"rounds\": {},\n",
-            "    \"profile_events\": {},\n",
-            "    \"traffic_consistent\": {}\n",
-            "  }},\n",
-            "  \"points\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        sha256_backend,
-        seed,
-        smoke,
-        SCALE_ROUTING_BUDGET,
-        obs.baseline_wall_ns,
-        obs.observed_wall_ns,
-        json_f64(obs.pct(), 4),
-        json_f64(OBS_OVERHEAD_PCT, 1),
-        OBS_NOISE_NS,
-        OBS_AB_ROUNDS,
-        profile_events,
-        traffic_ok,
-        points
-            .iter()
-            .map(point_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write_report(&out_path, &json);
+    let json = json::document(Block, |o| {
+        o.field("report", "btr_profile");
+        o.field("sha256_backend", sha256_backend);
+        o.field("seed", seed);
+        o.field("smoke", smoke);
+        o.field("routing_budget_bytes", SCALE_ROUTING_BUDGET);
+        o.object("obs_overhead", Block, |o| {
+            o.field("baseline_wall_ns", obs.baseline_wall_ns);
+            o.field("observed_wall_ns", obs.observed_wall_ns);
+            o.field("overhead_pct", json::fixed(obs.pct(), 4));
+            o.field("ceiling_pct", json::fixed(OBS_OVERHEAD_PCT, 1));
+            o.field("noise_floor_ns", OBS_NOISE_NS);
+            o.field("rounds", OBS_AB_ROUNDS);
+            o.field("profile_events", profile_events);
+            o.field("traffic_consistent", traffic_ok);
+        });
+        o.array("points", Block, |a| {
+            for p in &points {
+                a.object(Block, |o| point_json(o, p));
+            }
+        });
+    });
+    report.write(&json);
 
     // Speedscope: one count profile and one wall profile per point, all
     // in one file (speedscope renders them as selectable profiles).
@@ -420,7 +301,7 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
         ss.add(&format!("{}-n{}-counts", p.family, p.nodes), &p.counts);
         ss.add(&format!("{}-n{}-wall", p.family, p.nodes), &p.wall);
     }
-    write_report(&speedscope_path, &ss.finish("btr-profile"));
+    speedscope_report.write(&ss.finish("btr-profile"));
 
     let stacks: String = points
         .iter()
@@ -429,131 +310,146 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
                 .collapsed_stacks(&format!("{}-n{}", p.family, p.nodes))
         })
         .collect();
-    write_report(&stacks_path, &stacks);
+    stacks_report.write(&stacks);
 
     if gate_failed {
         std::process::exit(1);
     }
 }
 
-fn json_opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
+/// One profile point's members: the run's counts, its wall-time split,
+/// its traffic totals and its shard plan. Rates take one decimal;
+/// fractions (cut-traffic shares, imbalance ratios) need four.
+fn point_json(o: &mut json::Object<'_>, p: &ProfilePoint) {
+    o.field("family", p.family);
+    o.field("nodes", p.nodes);
+    o.field("periods", p.periods);
+    o.field("msgs_sent", p.metrics.msgs_sent);
+    o.field("msgs_delivered", p.metrics.msgs_delivered);
+    o.field("events", p.metrics.events);
+    o.field("baseline_wall_ns", p.baseline_wall_ns);
+    o.field("observed_wall_ns", p.observed_wall_ns);
+    o.field("msgs_per_sec", json::fixed(p.msgs_per_sec(), 1));
+    o.field("ns_per_delivery", json::fixed(p.ns_per_delivery(), 1));
+    o.field("allocations", p.allocations);
+    o.field("routing_kind", p.routing_kind);
+    o.field("routing_resident_bytes", p.routing_resident_bytes);
+    o.field("routing_rows_built", p.routing_rows_built);
+    o.field("routing_rows_healed", p.routing_rows_healed);
+    o.field("drops_forward", p.metrics.drops_forward);
+    o.field("envelopes_leaked", p.envelopes_leaked);
+    o.field("truncated", p.truncated);
+    o.field("digest", format!("{:016x}", p.digest));
+    o.field("inert", p.inert);
+    o.object("counts", Block, |o| {
+        for s in Subsystem::all() {
+            o.field(s.label(), p.counts.count(s));
+        }
+    });
+    o.field("wall_total_ns", p.wall_total_ns);
+    o.object("wall", Block, |o| {
+        for s in Subsystem::all() {
+            let ns = if s == Subsystem::Other {
+                p.other_wall_ns()
+            } else {
+                p.wall.wall_ns(s) as u128
+            };
+            o.object(s.label(), Inline, |o| {
+                o.field("wall_ns", ns);
+                o.field("share_pct", json::fixed(p.wall_share_pct(s), 4));
+            });
+        }
+    });
+    o.object("traffic", Block, |o| {
+        o.field("tx_total", p.traffic.tx_total());
+        o.field("rx_total", p.traffic.rx_total());
+        o.field("drop_total", p.traffic.drop_total());
+        o.field("link_msgs_total", p.traffic.link_msgs_total());
+        o.field("link_bytes_total", p.traffic.link_bytes_total());
+        o.field(
+            "link_bytes_signed_total",
+            p.traffic.link_bytes_signed_total(),
+        );
+        o.field("consistent", p.traffic_consistent());
+    });
+    o.array("shard_plan", Block, |a| {
+        for c in &p.shard_plan {
+            a.object(Inline, |o| {
+                o.field("name", &c.name);
+                o.field("regions", c.regions);
+                o.field("cut_links", c.cut_links);
+                o.field(
+                    "cut_traffic_fraction",
+                    json::fixed(c.cut_traffic_fraction, 4),
+                );
+                o.field("imbalance", json::fixed(c.imbalance, 4));
+                o.field("lookahead_us", c.lookahead_us);
+                o.field("predicted_ceiling", json::fixed(c.predicted_ceiling, 4));
+            });
+        }
+    });
 }
 
-/// A histogram's p50/p95/p99 as a flat object (`Histogram::quantile`
-/// returns the upper edge of the hit bucket; null quantiles mean the
-/// histogram is empty).
-fn quantiles_json(h: &Histogram) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-        h.count(),
-        json_opt_u64(h.quantile(0.5)),
-        json_opt_u64(h.quantile(0.95)),
-        json_opt_u64(h.quantile(0.99)),
-    )
+/// A histogram's count and p50/p95/p99 (`Histogram::quantile` returns
+/// the upper edge of the hit bucket; null quantiles mean the histogram
+/// is empty).
+fn quantiles_json(o: &mut json::Object<'_>, key: &str, h: &Histogram) {
+    o.object(key, Inline, |o| {
+        o.field("count", h.count());
+        o.field("p50", h.quantile(0.5));
+        o.field("p95", h.quantile(0.95));
+        o.field("p99", h.quantile(0.99));
+    });
 }
 
-/// The five-phase recovery timeline as a nested object (`null` when
-/// fault-free: nothing to decompose).
-fn timeline_json(t: Option<&RecoveryTimeline>) -> String {
-    match t {
-        None => "null".to_string(),
-        Some(t) => format!(
-            concat!(
-                "{{\n",
-                "        \"detect_us\": {},\n",
-                "        \"agree_us\": {},\n",
-                "        \"blackout_us\": {},\n",
-                "        \"switch_us\": {},\n",
-                "        \"settle_us\": {},\n",
-                "        \"recovery_us\": {},\n",
-                "        \"slack_to_r_us\": {}\n",
-                "      }}"
-            ),
-            t.detect_us,
-            t.agree_us,
-            t.blackout_us,
-            t.switch_us,
-            t.settle_us,
-            t.recovery_us,
-            t.slack_to_r_us,
-        ),
-    }
-}
-
-/// One pinned scenario as JSON: the live measurement, then the
-/// simulator substrate's latency quantiles.
-fn live_scenario_json(r: &ScenarioRun) -> String {
+/// One pinned scenario's members: the live measurement, its five-phase
+/// recovery timeline (`null` when fault-free: nothing to decompose),
+/// then the simulator substrate's latency quantiles.
+fn live_scenario_json(o: &mut json::Object<'_>, r: &ScenarioRun) {
     let m = &r.m;
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"name\": \"{}\",\n",
-            "      \"nodes\": {},\n",
-            "      \"horizon_us\": {},\n",
-            "      \"fault\": \"{}\",\n",
-            "      \"trace_match\": {},\n",
-            "      \"actuations\": {},\n",
-            "      \"healthy\": {},\n",
-            "      \"panics\": {},\n",
-            "      \"overruns\": {},\n",
-            "      \"converged\": {},\n",
-            "      \"recovery_us\": {},\n",
-            "      \"r_bound_us\": {},\n",
-            "      \"within_r\": {},\n",
-            "      \"fault_wall_us\": {},\n",
-            "      \"switch_wall_us\": {},\n",
-            "      \"recovery_wall_us\": {},\n",
-            "      \"within_r_wall\": {},\n",
-            "      \"msgs_sent\": {},\n",
-            "      \"mailbox_full\": {},\n",
-            "      \"frontier_stalls\": {},\n",
-            "      \"frontier_blockers\": {:?},\n",
-            "      \"top_blocker\": {},\n",
-            "      \"redrains\": {},\n",
-            "      \"timer_lag_p50_us\": {},\n",
-            "      \"timer_lag_p95_us\": {},\n",
-            "      \"timer_lag_p99_us\": {},\n",
-            "      \"timeline\": {},\n",
-            "      \"wall_ms\": {},\n",
-            "      \"sim_delivery_latency_us\": {},\n",
-            "      \"sim_timer_lag_us\": {}\n",
-            "    }}"
-        ),
-        m.name,
-        m.nodes,
-        m.horizon_us,
-        m.fault,
-        m.trace_match,
-        m.actuations,
-        m.healthy,
-        m.panics,
-        m.overruns,
-        m.converged,
-        m.recovery_us,
-        m.r_bound_us,
-        m.within_r,
-        json_opt_u64(m.fault_wall_us),
-        json_opt_u64(m.switch_wall_us),
-        json_opt_u64(m.recovery_wall_us),
-        m.within_r_wall,
-        m.msgs_sent,
-        m.mailbox_full,
-        m.frontier_stalls,
-        m.frontier_blockers,
-        json_opt_u64(m.top_blocker().map(|(node, _)| u64::from(node.0))),
-        m.redrains,
-        m.timer_lag_p50_us,
-        m.timer_lag_p95_us,
-        m.timer_lag_p99_us,
-        timeline_json(m.timeline.as_ref()),
-        m.wall_ms,
-        quantiles_json(r.sim_rec.lat(Lat::Delivery)),
-        quantiles_json(r.sim_rec.lat(Lat::TimerLag)),
-    )
+    o.field("name", m.name);
+    o.field("nodes", m.nodes);
+    o.field("horizon_us", m.horizon_us);
+    o.field("fault", &m.fault);
+    o.field("trace_match", m.trace_match);
+    o.field("actuations", m.actuations);
+    o.field("healthy", m.healthy);
+    o.field("panics", m.panics);
+    o.field("overruns", m.overruns);
+    o.field("converged", m.converged);
+    o.field("recovery_us", m.recovery_us);
+    o.field("r_bound_us", m.r_bound_us);
+    o.field("within_r", m.within_r);
+    o.field("fault_wall_us", m.fault_wall_us);
+    o.field("switch_wall_us", m.switch_wall_us);
+    o.field("recovery_wall_us", m.recovery_wall_us);
+    o.field("within_r_wall", m.within_r_wall);
+    o.field("msgs_sent", m.msgs_sent);
+    o.field("mailbox_full", m.mailbox_full);
+    o.field("frontier_stalls", m.frontier_stalls);
+    o.array("frontier_blockers", Inline, |a| {
+        a.items(&m.frontier_blockers)
+    });
+    o.field("top_blocker", m.top_blocker().map(|(node, _)| node.0));
+    o.field("redrains", m.redrains);
+    o.field("timer_lag_p50_us", m.timer_lag_p50_us);
+    o.field("timer_lag_p95_us", m.timer_lag_p95_us);
+    o.field("timer_lag_p99_us", m.timer_lag_p99_us);
+    match &m.timeline {
+        Some(t) => o.object("timeline", Block, |o| {
+            o.field("detect_us", t.detect_us);
+            o.field("agree_us", t.agree_us);
+            o.field("blackout_us", t.blackout_us);
+            o.field("switch_us", t.switch_us);
+            o.field("settle_us", t.settle_us);
+            o.field("recovery_us", t.recovery_us);
+            o.field("slack_to_r_us", t.slack_to_r_us);
+        }),
+        None => o.field("timeline", None::<u64>),
+    }
+    o.field("wall_ms", m.wall_ms);
+    quantiles_json(o, "sim_delivery_latency_us", r.sim_rec.lat(Lat::Delivery));
+    quantiles_json(o, "sim_timer_lag_us", r.sim_rec.lat(Lat::TimerLag));
 }
 
 /// The verdict lines of one judged run: what `campaign --replay` and
@@ -730,6 +626,8 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
         run_live_replay(&token, pace);
         return;
     }
+    let report = Report::open(out_path);
+    let trace_report = trace_out.map(Report::open);
 
     let runs = run_scenario_set(smoke, seed, pace, flight_cap);
     outln!(
@@ -803,31 +701,21 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
             m.timer_lag_p99_us,
         );
     }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"report\": \"btr_live\",\n",
-            "  \"seed\": {},\n",
-            "  \"pace\": {},\n",
-            "  \"smoke\": {},\n",
-            "  \"flight_cap\": {},\n",
-            "  \"wall_slack_us\": {},\n",
-            "  \"scenarios\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        seed,
-        pace,
-        smoke,
-        flight_cap,
-        live::LIVE_WALL_SLACK_US,
-        runs.iter()
-            .map(live_scenario_json)
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    write_report(&out_path, &json);
-    if let Some(path) = trace_out {
-        write_report(&path, &build_trace(&runs).finish());
+    report.write(&json::document(Block, |o| {
+        o.field("report", "btr_live");
+        o.field("seed", seed);
+        o.field("pace", pace);
+        o.field("smoke", smoke);
+        o.field("flight_cap", flight_cap);
+        o.field("wall_slack_us", live::LIVE_WALL_SLACK_US);
+        o.array("scenarios", Block, |a| {
+            for r in &runs {
+                a.object(Block, |o| live_scenario_json(o, r));
+            }
+        });
+    }));
+    if let Some(trace) = trace_report {
+        trace.write(&build_trace(&runs).finish());
     }
     let failed: Vec<&str> = runs
         .iter()
@@ -1143,6 +1031,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
             }
         },
     };
+    let report = Report::open(out_path);
 
     outln!(
         "campaign: {} cells, target {} runs, seed {}, {} threads{}{}{}{}, sha256 {}",
@@ -1210,7 +1099,7 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
         outln!("    harness campaign --replay '{}'", sh.replay);
     }
 
-    write_report(&out_path, &outcome.to_json());
+    report.write(&outcome.to_json());
     // Any admissible violation is a bug: the campaign-found R-bound gaps
     // are fixed, so the full variant space — including --all-variants
     // and --combos — gates the exit code. (Over-budget schedules are
@@ -1235,6 +1124,7 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
         eprintln!("error: --budget must be at least 1");
         std::process::exit(2);
     }
+    let report = Report::open(out_path);
 
     let cfg = campaign::FuzzConfig::new(seed, budget, threads);
     outln!(
@@ -1284,7 +1174,7 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
         outln!("    harness campaign --replay '{tok}'");
     }
 
-    write_report(&out_path, &out.to_json());
+    report.write(&out.to_json());
     // Like the campaign: an admissible violation is a bug, and a fuzz
     // run that surfaces one fails loudly so CI can gate on it (fixed
     // findings are frozen as replay-token regressions in

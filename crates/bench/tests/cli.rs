@@ -86,6 +86,13 @@ fn malformed_flag_values_exit_2() {
             err.contains(&format!("unknown {cmd} argument 'stray'")),
             "{err}"
         );
+        // An unwritable report is found while the arguments are parsed,
+        // not after the measurement it would have held.
+        let err = rejected(&[cmd, "--out", "/nonexistent/dir/x.json"]);
+        assert!(
+            err.contains("cannot write /nonexistent/dir/x.json"),
+            "{err}"
+        );
     }
 }
 

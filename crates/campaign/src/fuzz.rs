@@ -26,6 +26,7 @@ use crate::runner::{self, run_indexed, CampaignConfig, PlannedCell, RunRecord};
 use crate::schedule::{mutate, FaultSchedule};
 use crate::score::{base_score, signature, NEW_COVERAGE_PTS};
 use btr_model::Duration;
+use btr_obs::json::{self, Layout};
 use std::collections::BTreeSet;
 
 /// Seed schedules generated per cell before mutation takes over.
@@ -101,79 +102,50 @@ impl FuzzOutcome {
     /// Render the full `FUZZ_btr.json` contents. Contains no wall-clock
     /// data — the whole file is byte-identical at any thread count.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"fuzz\": \"btr-schedule-fuzz\",\n");
-        s.push_str(&format!(
-            "  \"seed\": {}, \"budget\": {}, \"batch\": {}, \"corpus_max\": {},\n",
-            self.config.seed, self.config.budget, self.config.batch, self.config.corpus_max
-        ));
-        s.push_str(&format!(
-            "  \"cells\": [{}],\n",
-            self.cells
-                .iter()
-                .map(|c| json_str(c))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"runs\": {}, \"coverage\": {},\n",
-            self.runs, self.coverage
-        ));
-        s.push_str("  \"coverage_curve\": [");
-        for (i, (runs, cov)) in self.curve.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("[{runs}, {cov}]"));
-        }
-        s.push_str("],\n");
-        s.push_str(&format!(
-            "  \"slack\": {{\"min_us\": {}, \"max_us\": {}}},\n",
-            json_opt_i64(self.min_slack_us),
-            json_opt_i64(self.max_slack_us)
-        ));
-        s.push_str(&format!("  \"best_score\": {},\n", self.best_score));
-        s.push_str(&format!(
-            "  \"corpus\": {{\n    \"size\": {}, \"digest\": \"{:#018x}\",\n    \"entries\": [\n",
-            self.corpus.len(),
-            self.corpus.digest()
-        ));
-        let n = self.corpus.len();
-        for (i, e) in self.corpus.entries().enumerate() {
-            s.push_str(&format!(
-                "      {{\"key\": {}, \"score\": {}, \"faults\": {}, \"new_signatures\": {}}}{}\n",
-                json_str(&canonical_key(
-                    &self.cells[e.cell_idx as usize],
-                    &e.schedule
-                )),
-                e.score,
-                e.schedule.scenario.faults.len(),
-                e.new_signatures,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        s.push_str("    ]\n  },\n");
-        s.push_str(&format!(
-            "  \"violations_admissible\": {},\n  \"violations\": [",
-            self.violations.len()
-        ));
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_str(v));
-        }
-        s.push_str("]\n}\n");
-        s
+        json::document(Layout::Block, |o| {
+            o.field("fuzz", "btr-schedule-fuzz");
+            o.row(|o| {
+                o.field("seed", self.config.seed);
+                o.field("budget", self.config.budget);
+                o.field("batch", self.config.batch);
+                o.field("corpus_max", self.config.corpus_max);
+            });
+            o.array("cells", Layout::Inline, |a| a.items(&self.cells));
+            o.row(|o| {
+                o.field("runs", self.runs);
+                o.field("coverage", self.coverage);
+            });
+            o.array("coverage_curve", Layout::Inline, |a| {
+                for &(runs, cov) in &self.curve {
+                    a.array(Layout::Inline, |a| a.items([runs, cov]));
+                }
+            });
+            o.object("slack", Layout::Inline, |o| {
+                o.field("min_us", self.min_slack_us);
+                o.field("max_us", self.max_slack_us);
+            });
+            o.field("best_score", self.best_score);
+            o.object("corpus", Layout::Block, |o| {
+                o.row(|o| {
+                    o.field("size", self.corpus.len());
+                    o.field("digest", format!("{:#018x}", self.corpus.digest()));
+                });
+                o.array("entries", Layout::Block, |a| {
+                    for e in self.corpus.entries() {
+                        a.object(Layout::Inline, |o| {
+                            let cell = &self.cells[e.cell_idx as usize];
+                            o.field("key", canonical_key(cell, &e.schedule));
+                            o.field("score", e.score);
+                            o.field("faults", e.schedule.scenario.faults.len());
+                            o.field("new_signatures", e.new_signatures);
+                        });
+                    }
+                });
+            });
+            o.field("violations_admissible", self.violations.len());
+            o.array("violations", Layout::Inline, |a| a.items(&self.violations));
+        })
     }
-}
-
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-fn json_opt_i64(v: Option<i64>) -> String {
-    v.map_or_else(|| "null".into(), |v| v.to_string())
 }
 
 /// One executed-and-fingerprinted fuzz run.

@@ -7,12 +7,14 @@
 //! wall-clock measurements, including the 1-thread vs N-thread scaling
 //! trajectory future PRs track.
 //!
-//! Serialization crates are stubbed offline (see vendor/README.md), so
-//! the writer is hand-rolled; the format is flat and fully controlled.
+//! The layout is [`btr_obs::json`]'s: the one writer every report in
+//! the workspace goes through.
 
 use crate::runner::RunRecord;
+use crate::schedule::FaultVariant;
 use crate::CampaignOutcome;
 use btr_crypto::digest64;
+use btr_obs::json::{self, Layout};
 use std::collections::BTreeMap;
 
 /// Recovery-time percentiles over a set of runs (µs).
@@ -137,242 +139,187 @@ pub fn min_slack_us(records: &[RunRecord]) -> Option<i64> {
         .min()
 }
 
-fn json_str(s: &str) -> String {
-    // Labels and tokens are ASCII identifiers/punctuation by
-    // construction; escape the two JSON-special characters anyway.
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-fn fault_json(f: &btr_core::InjectedFault) -> String {
-    format!(
-        "{{\"node\": {}, \"variant\": {}, \"at_us\": {}}}",
-        f.node.0,
-        json_str(crate::schedule::FaultVariant::of(f).label()),
-        f.at.as_micros()
-    )
-}
-
-fn group_json(indent: &str, agg: &GroupAgg) -> String {
-    format!(
-        "{{\n{indent}  \"runs\": {}, \"violations\": {},\n\
-         {indent}  \"recovery_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}\n\
-         {indent}}}",
-        agg.runs,
-        agg.violations,
-        agg.recovery.p50,
-        agg.recovery.p90,
-        agg.recovery.p99,
-        agg.recovery.max
-    )
-}
-
-/// Render the deterministic region of the report (everything except the
-/// closing brace and the `"timing"` object). Byte-identical at any
-/// thread count for the same campaign config and seed.
-pub fn render_deterministic(out: &CampaignOutcome) -> String {
+/// The deterministic members of the report: everything but `"timing"`.
+fn deterministic(o: &mut json::Object<'_>, out: &CampaignOutcome) {
     let cfg = &out.config;
-    let mut s = String::new();
-    s.push_str("{\n  \"campaign\": \"btr-fault-injection\",\n");
+    o.field("campaign", "btr-fault-injection");
+    o.object("config", Layout::Block, |o| {
+        o.field("seed", cfg.seed);
+        o.field("requested_runs", cfg.runs);
+        o.field("sim_seeds_per_schedule", cfg.sim_seeds);
+        o.field("combos", cfg.combos);
+        o.field("over_budget", cfg.over_budget);
+        o.field("max_events", cfg.max_events);
+        o.field("slack_us", cfg.slack.as_micros());
+        o.array("cells", Layout::Block, |a| {
+            for c in &out.cells {
+                a.object(Layout::Inline, |o| {
+                    o.field("name", &c.name);
+                    o.field("workload", &c.workload);
+                    o.field("topology", &c.topology);
+                    o.field("nodes", c.nodes);
+                    o.field("f", c.f);
+                    o.field("r_bound_us", c.r_bound_us);
+                    o.field("horizon_us", c.horizon_us);
+                    o.field("schedules", c.schedules);
+                    o.array("variants", Layout::Inline, |a| a.items(&c.variants));
+                    o.newline();
+                    o.field("delivered", c.delivered);
+                    // The reference-run count profile is deterministic
+                    // (sequential, seed-pinned, counts not wall), so it
+                    // renders here rather than in the timing region.
+                    o.object("profile", Layout::Inline, |o| {
+                        for (label, n) in &c.profile {
+                            o.field(label, n);
+                        }
+                    });
+                });
+            }
+        });
+    });
 
-    // Config.
-    s.push_str(&format!(
-        "  \"config\": {{\n    \"seed\": {},\n    \"requested_runs\": {},\n    \
-         \"sim_seeds_per_schedule\": {},\n    \"combos\": {},\n    \"over_budget\": {},\n    \
-         \"max_events\": {},\n    \"slack_us\": {},\n    \"cells\": [\n",
-        cfg.seed,
-        cfg.runs,
-        cfg.sim_seeds,
-        cfg.combos,
-        cfg.over_budget,
-        cfg.max_events,
-        cfg.slack.as_micros(),
-    ));
-    for (i, c) in out.cells.iter().enumerate() {
-        let variants: Vec<String> = c.variants.iter().map(|v| json_str(v)).collect();
-        // The reference-run count profile is deterministic (sequential,
-        // seed-pinned, counts not wall), so it renders here rather than
-        // in the timing region.
-        let profile: Vec<String> = c
-            .profile
-            .iter()
-            .map(|(label, n)| format!("{}: {}", json_str(label), n))
-            .collect();
-        s.push_str(&format!(
-            "      {{\"name\": {}, \"workload\": {}, \"topology\": {}, \"nodes\": {}, \
-             \"f\": {}, \"r_bound_us\": {}, \"horizon_us\": {}, \"schedules\": {}, \
-             \"variants\": [{}],\n       \"delivered\": {}, \"profile\": {{{}}}}}{}\n",
-            json_str(&c.name),
-            json_str(&c.workload),
-            json_str(&c.topology),
-            c.nodes,
-            c.f,
-            c.r_bound_us,
-            c.horizon_us,
-            c.schedules,
-            variants.join(", "),
-            c.delivered,
-            profile.join(", "),
-            if i + 1 < out.cells.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-
-    // Results.
     let records = &out.records;
-    let admissible = records.iter().filter(|r| r.admissible).count();
-    let viol_admissible = records
-        .iter()
-        .filter(|r| r.admissible && !r.violations.is_empty())
-        .count();
-    let viol_over = records
-        .iter()
-        .filter(|r| !r.admissible && !r.violations.is_empty())
-        .count();
-    let truncated = records
-        .iter()
-        .filter(|r| r.violations.iter().any(|v| v.kind() == "truncated"))
-        .count();
-    let diverged = records.iter().filter(|r| !r.converged).count();
-    s.push_str(&format!(
-        "  \"results\": {{\n    \"total_runs\": {},\n    \"admissible_runs\": {},\n    \
-         \"violations_admissible\": {},\n    \"violations_over_budget\": {},\n    \
-         \"truncated_runs\": {},\n    \"diverged_runs\": {},\n    \"runs_digest\": {},\n",
-        records.len(),
-        admissible,
-        viol_admissible,
-        viol_over,
-        truncated,
-        diverged,
-        json_str(&format!("{:016x}", runs_digest(records))),
-    ));
+    let count = |keep: fn(&RunRecord) -> bool| records.iter().filter(|r| keep(r)).count();
+    let violating = || records.iter().filter(|r| !r.violations.is_empty());
+    o.object("results", Layout::Block, |o| {
+        o.field("total_runs", records.len());
+        o.field("admissible_runs", count(|r| r.admissible));
+        o.field(
+            "violations_admissible",
+            violating().filter(|r| r.admissible).count(),
+        );
+        o.field(
+            "violations_over_budget",
+            violating().filter(|r| !r.admissible).count(),
+        );
+        let truncated = |r: &RunRecord| r.violations.iter().any(|v| v.kind() == "truncated");
+        o.field("truncated_runs", count(truncated));
+        o.field("diverged_runs", count(|r| !r.converged));
+        o.field("runs_digest", format!("{:016x}", runs_digest(records)));
 
-    // Slack to R over admissible runs: the minimum scores the
-    // campaign's scariest schedule; the log-bucketed histogram gives
-    // the distribution without storing per-run samples.
-    let slack = slack_histogram(records);
-    let q = |p: f64| slack.quantile(p).map_or("null".into(), |v| v.to_string());
-    let buckets: Vec<String> = slack
-        .nonzero()
-        .iter()
-        .map(|(ceil, n)| format!("[{ceil}, {n}]"))
-        .collect();
-    s.push_str(&format!(
-        "    \"min_slack_us\": {},\n    \"slack_us\": {{\"p50\": {}, \"p90\": {}, \
-         \"p99\": {}, \"max\": {}, \"buckets\": [{}]}},\n",
-        min_slack_us(records).map_or("null".to_string(), |v| v.to_string()),
-        q(0.5),
-        q(0.9),
-        q(0.99),
-        slack.max().map_or("null".to_string(), |v| v.to_string()),
-        buckets.join(", "),
-    ));
+        // Slack to R over admissible runs: the minimum scores the
+        // campaign's scariest schedule; the log-bucketed histogram gives
+        // the distribution without storing per-run samples.
+        o.field("min_slack_us", min_slack_us(records));
+        let slack = slack_histogram(records);
+        o.object("slack_us", Layout::Inline, |o| {
+            o.field("p50", slack.quantile(0.5));
+            o.field("p90", slack.quantile(0.9));
+            o.field("p99", slack.quantile(0.99));
+            o.field("max", slack.max());
+            o.array("buckets", Layout::Inline, |a| {
+                for (ceil, n) in slack.nonzero() {
+                    a.array(Layout::Inline, |a| a.items([ceil, n]));
+                }
+            });
+        });
 
-    let by_variant = aggregate_by(records, |r| r.label.clone());
-    s.push_str("    \"by_variant\": {\n");
-    let n = by_variant.len();
-    for (i, (label, agg)) in by_variant.iter().enumerate() {
-        s.push_str(&format!(
-            "      {}: {}{}\n",
-            json_str(label),
-            group_json("      ", agg),
-            if i + 1 < n { "," } else { "" }
-        ));
-    }
-    s.push_str("    },\n");
+        o.object("by_variant", Layout::Block, |o| {
+            for (label, agg) in aggregate_by(records, |r| r.label.clone()) {
+                o.object(&label, Layout::Block, |o| group(o, &agg));
+            }
+        });
+        o.object("by_cell", Layout::Block, |o| {
+            for (cell_idx, agg) in aggregate_by(records, |r| r.cell_idx) {
+                let name = &out.cells[cell_idx as usize].name;
+                o.object(name, Layout::Block, |o| group(o, &agg));
+            }
+        });
 
-    let by_cell = aggregate_by(records, |r| r.cell_idx);
-    s.push_str("    \"by_cell\": {\n");
-    let n = by_cell.len();
-    for (i, (cell_idx, agg)) in by_cell.iter().enumerate() {
-        let name = &out.cells[*cell_idx as usize].name;
-        s.push_str(&format!(
-            "      {}: {}{}\n",
-            json_str(name),
-            group_json("      ", agg),
-            if i + 1 < n { "," } else { "" }
-        ));
-    }
-    s.push_str("    },\n");
+        // Violating runs, in run order.
+        o.array("violations", Layout::Block, |a| {
+            for r in violating() {
+                a.object(Layout::Inline, |o| {
+                    o.field("run", r.run_idx);
+                    o.field("cell", &out.cells[r.cell_idx as usize].name);
+                    o.field("schedule", r.schedule_id);
+                    o.field("sim_seed", r.sim_seed);
+                    o.field("label", &r.label);
+                    o.field("admissible", r.admissible);
+                    o.field("window_us", r.recovery_us);
+                    o.array("kinds", Layout::Inline, |a| {
+                        a.items(r.violations.iter().map(|v| v.kind()));
+                    });
+                    o.array("details", Layout::Inline, |a| {
+                        a.items(r.violations.iter().map(|v| v.to_string()));
+                    });
+                });
+            }
+        });
 
-    // Violating runs, in run order.
-    s.push_str("    \"violations\": [\n");
-    let violating: Vec<&RunRecord> = records
-        .iter()
-        .filter(|r| !r.violations.is_empty())
-        .collect();
-    for (i, r) in violating.iter().enumerate() {
-        let kinds: Vec<String> = r.violations.iter().map(|v| json_str(v.kind())).collect();
-        let details: Vec<String> = r
-            .violations
-            .iter()
-            .map(|v| json_str(&format!("{v}")))
-            .collect();
-        s.push_str(&format!(
-            "      {{\"run\": {}, \"cell\": {}, \"schedule\": {}, \"sim_seed\": {}, \
-             \"label\": {}, \"admissible\": {}, \"window_us\": {}, \"kinds\": [{}], \
-             \"details\": [{}]}}{}\n",
-            r.run_idx,
-            json_str(&out.cells[r.cell_idx as usize].name),
-            r.schedule_id,
-            r.sim_seed,
-            json_str(&r.label),
-            r.admissible,
-            r.recovery_us,
-            kinds.join(", "),
-            details.join(", "),
-            if i + 1 < violating.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ],\n");
+        // Shrunk reproducers.
+        o.array("reproducers", Layout::Block, |a| {
+            for sh in &out.shrunk {
+                a.object(Layout::Inline, |o| {
+                    o.field("run", sh.run_idx);
+                    o.field("faults_before", sh.faults_before);
+                    o.field("faults_after", sh.faults_after);
+                    o.field("probes", sh.probes);
+                    o.array("minimal", Layout::Inline, |a| {
+                        for f in &sh.minimal.faults {
+                            a.object(Layout::Inline, |o| {
+                                o.field("node", f.node.0);
+                                o.field("variant", FaultVariant::of(f).label());
+                                o.field("at_us", f.at.as_micros());
+                            });
+                        }
+                    });
+                    o.newline();
+                    o.field("replay", &sh.replay);
+                });
+            }
+        });
+    });
+}
 
-    // Shrunk reproducers.
-    s.push_str("    \"reproducers\": [\n");
-    for (i, sh) in out.shrunk.iter().enumerate() {
-        let faults: Vec<String> = sh.minimal.faults.iter().map(fault_json).collect();
-        s.push_str(&format!(
-            "      {{\"run\": {}, \"faults_before\": {}, \"faults_after\": {}, \
-             \"probes\": {}, \"minimal\": [{}],\n       \"replay\": {}}}{}\n",
-            sh.run_idx,
-            sh.faults_before,
-            sh.faults_after,
-            sh.probes,
-            faults.join(", "),
-            json_str(&sh.replay),
-            if i + 1 < out.shrunk.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-    s
+/// One `by_variant` / `by_cell` group.
+fn group(o: &mut json::Object<'_>, agg: &GroupAgg) {
+    o.row(|o| {
+        o.field("runs", agg.runs);
+        o.field("violations", agg.violations);
+    });
+    o.object("recovery_us", Layout::Inline, |o| {
+        o.field("p50", agg.recovery.p50);
+        o.field("p90", agg.recovery.p90);
+        o.field("p99", agg.recovery.p99);
+        o.field("max", agg.recovery.max);
+    });
+}
+
+/// The deterministic region of the report as a document of its own:
+/// every member but `"timing"`. Byte-identical at any thread count for
+/// the same campaign config and seed.
+pub fn render_deterministic(out: &CampaignOutcome) -> String {
+    json::document(Layout::Block, |o| deterministic(o, out))
 }
 
 /// Render the full report: the deterministic region plus `"timing"`.
 pub fn render(out: &CampaignOutcome) -> String {
-    let mut s = render_deterministic(out);
-    s.push_str("  \"timing\": {\n    \"scaling\": [\n");
-    for (i, t) in out.scaling.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"threads\": {}, \"wall_ns\": {}, \"runs_per_sec\": {:.1}}}{}\n",
-            t.threads,
-            t.wall_ns,
-            t.runs_per_sec(),
-            if i + 1 < out.scaling.len() { "," } else { "" },
-        ));
-    }
-    let speedup = match (out.scaling.first(), out.scaling.last()) {
-        (Some(a), Some(b)) if a.threads != b.threads && b.wall_ns > 0 => {
-            format!("{:.2}", a.wall_ns as f64 / b.wall_ns as f64)
-        }
-        _ => "null".to_string(),
-    };
-    // From the 1-thread pass (a count: any pass would read the same).
-    let macs = out
-        .scaling
-        .first()
-        .map_or(f64::NAN, |t| t.macs_per_delivery());
-    s.push_str(&format!(
-        "    ],\n    \"parallel_speedup\": {speedup},\n    \"macs_per_delivery\": {macs:.3}\n  }}\n}}\n"
-    ));
-    s
+    json::document(Layout::Block, |o| {
+        deterministic(o, out);
+        o.object("timing", Layout::Block, |o| {
+            o.array("scaling", Layout::Block, |a| {
+                for t in &out.scaling {
+                    a.object(Layout::Inline, |o| {
+                        o.field("threads", t.threads);
+                        o.field("wall_ns", t.wall_ns);
+                        o.field("runs_per_sec", json::fixed(t.runs_per_sec(), 1));
+                    });
+                }
+            });
+            let speedup = match (out.scaling.first(), out.scaling.last()) {
+                (Some(a), Some(b)) if a.threads != b.threads && b.wall_ns > 0 => {
+                    json::fixed(a.wall_ns as f64 / b.wall_ns as f64, 2)
+                }
+                _ => None,
+            };
+            o.field("parallel_speedup", speedup);
+            // From the 1-thread pass (a count: any pass would read the
+            // same).
+            let macs = out.scaling.first().map(|t| t.macs_per_delivery());
+            o.field("macs_per_delivery", macs.and_then(|m| json::fixed(m, 3)));
+        });
+    })
 }
 
 #[cfg(test)]
@@ -471,8 +418,12 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("q\"q"), "\"q\\\"q\"");
+        let mut out = violating_outcome();
+        out.cells[1].name = "q\"q\\".into();
+        let s = render(&out);
+        // The cell name is a value in `cells` and a key in `by_cell`.
+        assert!(s.contains(r#"{"name": "q\"q\\", "#), "{s}");
+        assert!(s.contains(r#"      "q\"q\\": {"#), "{s}");
     }
 
     /// A hand-built outcome with what the committed report never holds:

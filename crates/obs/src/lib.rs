@@ -36,11 +36,14 @@
 //! - [`SpeedscopeBuilder`]: speedscope JSON export for profiles,
 //!   alongside the collapsed-stack text from
 //!   [`Profile::collapsed_stacks`].
+//! - [`json`]: the one JSON writer every report in the workspace goes
+//!   through — three layouts, one set of escape, null and number rules.
 
 #![forbid(unsafe_code)]
 
 mod flight;
 mod hist;
+pub mod json;
 mod profile;
 mod recorder;
 mod speedscope;

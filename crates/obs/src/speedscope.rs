@@ -5,15 +5,17 @@
 //! viewer accepts: a shared frame table plus one `sampled` profile per
 //! run, where each sample is a single-frame stack (one subsystem) and
 //! the weight is either the deterministic event count (`unit: "none"`)
-//! or the wall-sampled nanoseconds (`unit: "nanoseconds"`). JSON is
-//! hand-rolled like everywhere else in this workspace.
+//! or the wall-sampled nanoseconds (`unit: "nanoseconds"`). The file is
+//! written by [`crate::json`], compact, one profile per line.
 
+use crate::json::{self, Layout};
 use crate::profile::{Profile, Subsystem};
 
 /// Builder for one speedscope file: a shared frame table (the
 /// subsystem labels) and any number of profiles.
 #[derive(Debug, Default)]
 pub struct SpeedscopeBuilder {
+    /// Each profile rendered as a compact object.
     profiles: Vec<String>,
 }
 
@@ -39,71 +41,61 @@ impl SpeedscopeBuilder {
     /// are nanoseconds; otherwise the deterministic event counts.
     pub fn add(&mut self, name: &str, p: &Profile) {
         let wall = p.total_wall_ns() > 0;
-        let unit = if wall { "nanoseconds" } else { "none" };
-        let mut samples = String::new();
-        let mut weights = String::new();
-        let mut total = 0u64;
-        for (i, s) in Subsystem::all().iter().enumerate() {
-            let w = if wall { p.wall_ns(*s) } else { p.count(*s) };
-            if w == 0 {
-                continue;
-            }
-            if !samples.is_empty() {
-                samples.push(',');
-                weights.push(',');
-            }
-            samples.push_str(&format!("[{i}]"));
-            weights.push_str(&w.to_string());
-            total = total.saturating_add(w);
-        }
-        self.profiles.push(format!(
-            concat!(
-                "{{\"type\":\"sampled\",\"name\":\"{}\",\"unit\":\"{}\",",
-                "\"startValue\":0,\"endValue\":{},",
-                "\"samples\":[{}],\"weights\":[{}]}}"
-            ),
-            escape(name),
-            unit,
-            total,
-            samples,
-            weights
-        ));
+        // (frame index, weight) of every subsystem that weighs anything.
+        let samples: Vec<(usize, u64)> = Subsystem::all()
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (i, if wall { p.wall_ns(s) } else { p.count(s) }))
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        let total = samples.iter().fold(0u64, |t, &(_, w)| t.saturating_add(w));
+        self.profiles.push(json::object(Layout::Compact, |o| {
+            o.field("type", "sampled");
+            o.field("name", name);
+            o.field("unit", if wall { "nanoseconds" } else { "none" });
+            o.field("startValue", 0u64);
+            o.field("endValue", total);
+            o.array("samples", Layout::Compact, |a| {
+                for &(i, _) in &samples {
+                    a.array(Layout::Compact, |a| a.items([i]));
+                }
+            });
+            o.array("weights", Layout::Compact, |a| {
+                a.items(samples.iter().map(|&(_, w)| w));
+            });
+        }));
     }
 
     /// Render the complete speedscope file.
     pub fn finish(&self, name: &str) -> String {
-        let frames: Vec<String> = Subsystem::all()
-            .iter()
-            .map(|s| format!("{{\"name\":\"{}\"}}", s.label()))
-            .collect();
-        format!(
-            concat!(
-                "{{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",",
-                "\"name\":\"{}\",\"exporter\":\"btr-obs\",",
-                "\"shared\":{{\"frames\":[{}]}},",
-                "\"profiles\":[\n{}\n]}}\n"
-            ),
-            escape(name),
-            frames.join(","),
-            self.profiles.join(",\n")
-        )
+        json::document(Layout::Compact, |o| {
+            o.field(
+                "$schema",
+                "https://www.speedscope.app/file-format-schema.json",
+            );
+            o.field("name", name);
+            o.field("exporter", "btr-obs");
+            o.object("shared", Layout::Compact, |o| {
+                o.array("frames", Layout::Compact, |a| {
+                    for s in Subsystem::all() {
+                        a.object(Layout::Compact, |o| o.field("name", s.label()));
+                    }
+                });
+            });
+            o.array("profiles", Layout::Compact, |a| {
+                for p in &self.profiles {
+                    a.newline();
+                    a.raw(p);
+                }
+                a.newline();
+                // An empty file keeps the blank line it has always had
+                // between the brackets.
+                if self.profiles.is_empty() {
+                    a.newline();
+                }
+            });
+        })
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -8,30 +8,15 @@
 //! recovery renders as one lane per node with the phase spans stacked
 //! over the dispatch instants.
 //!
-//! JSON is hand-rolled like everywhere else in this workspace (no
-//! serializer dependency); names pass through a minimal string escape
-//! so arbitrary labels cannot produce invalid output.
+//! The file is written by [`crate::json`], compact, one event per line.
+
+use crate::json::{self, Layout};
 
 /// Builder for one trace file.
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
+    /// Each event rendered as a compact object.
     events: Vec<String>,
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl TraceBuilder {
@@ -53,49 +38,51 @@ impl TraceBuilder {
     /// A complete event: a span of `dur_us` starting at `ts_us` on
     /// process `pid`, lane `tid`.
     pub fn span(&mut self, name: &str, pid: u32, tid: u32, ts_us: u64, dur_us: u64) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-            escape(name),
-            ts_us,
-            dur_us,
-            pid,
-            tid
-        ));
+        self.events.push(json::object(Layout::Compact, |o| {
+            o.field("name", name);
+            o.field("ph", "X");
+            o.field("ts", ts_us);
+            o.field("dur", dur_us);
+            o.field("pid", pid);
+            o.field("tid", tid);
+        }));
     }
 
     /// An instant event at `ts_us` on process `pid`, lane `tid`
     /// (thread scope).
     pub fn instant(&mut self, name: &str, pid: u32, tid: u32, ts_us: u64) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            escape(name),
-            ts_us,
-            pid,
-            tid
-        ));
+        self.events.push(json::object(Layout::Compact, |o| {
+            o.field("name", name);
+            o.field("ph", "i");
+            o.field("s", "t");
+            o.field("ts", ts_us);
+            o.field("pid", pid);
+            o.field("tid", tid);
+        }));
     }
 
     /// Name a process lane (metadata event, shown as the group title).
     pub fn process_name(&mut self, pid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            pid,
-            escape(name)
-        ));
+        self.events.push(json::object(Layout::Compact, |o| {
+            o.field("name", "process_name");
+            o.field("ph", "M");
+            o.field("pid", pid);
+            o.object("args", Layout::Compact, |o| o.field("name", name));
+        }));
     }
 
     /// Render the complete trace file.
     pub fn finish(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(e);
-        }
-        out.push_str("\n]}\n");
-        out
+        json::document(Layout::Compact, |o| {
+            o.field("displayTimeUnit", "ms");
+            o.array("traceEvents", Layout::Compact, |a| {
+                for e in &self.events {
+                    a.newline();
+                    a.raw(e);
+                }
+                a.newline();
+            });
+        })
     }
 }
 
