@@ -18,10 +18,7 @@
 
 use btr_bench::experiments as exp;
 use btr_bench::live::{self, LiveMeasurement, LIVE_PACE, LIVE_SEED, LIVE_SMOKE_PACE};
-use btr_bench::profile::{
-    self, ObsOverhead, ProfilePoint, OBS_AB_ROUNDS, OBS_NOISE_NS, OBS_OVERHEAD_PCT,
-    PROFILE_FAMILIES,
-};
+use btr_bench::profile::{self, ObsOverhead, OBS_AB_ROUNDS, OBS_NOISE_NS, OBS_OVERHEAD_PCT};
 use btr_bench::scale::{SCALE_NODES, SCALE_ROUTING_BUDGET, SCALE_SMOKE_MSGS, SCALE_TARGET_MSGS};
 use btr_crypto::AuthSuite;
 use btr_obs::json::{self, Layout::Block, Layout::Inline};
@@ -118,11 +115,10 @@ impl Report {
     }
 }
 
-/// `harness profile`: the simulator measurement. Torus points at every
-/// sweep size plus one point per extra family (for their distinct
-/// natural cuts), each measured by the three-pass kernel in
+/// `harness profile`: the simulator measurement. One torus point per
+/// sweep size, each measured by the three-pass kernel in
 /// `btr_bench::profile`: throughput, allocations and routing residency
-/// from the baseline pass, the recorder's cost and the traffic matrix
+/// from the baseline pass, the recorder's cost and the subsystem counts
 /// from the counts pass, per-subsystem shares from the wall pass. Emits
 /// the JSON report, a speedscope export and collapsed-stack text. Exits
 /// 1 if any point trips a gate (`ProfilePoint::gate_failures`) or the
@@ -140,9 +136,16 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
         Some(list) => {
             let parsed: Result<Vec<usize>, _> = list.split(',').map(str::parse).collect();
             match parsed {
-                Ok(v) if !v.is_empty() && v.iter().all(|&n| n >= 2) => v,
+                Ok(v)
+                    if !v.is_empty() && v.iter().all(|&n| (2..=MAX_PROFILE_NODES).contains(&n)) =>
+                {
+                    v
+                }
                 _ => {
-                    eprintln!("error: --nodes wants a comma list of sizes >= 2, got '{list}'");
+                    eprintln!(
+                        "error: --nodes wants a comma list of sizes >= 2 and \
+                         <= {MAX_PROFILE_NODES}, got '{list}'"
+                    );
                     std::process::exit(2);
                 }
             }
@@ -161,48 +164,23 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
     } else {
         SCALE_TARGET_MSGS
     };
-    // The non-torus families contribute their cut structure, not a
-    // scale sweep: one representative size each.
-    let family_n = 100;
     let sha256_backend = btr_crypto::sha256::backend();
     outln!(
-        "profile sweep: torus n ∈ {nodes:?} plus {:?} at n={family_n}, \
-         ~{target} msgs/point, seed {seed}{}, sha256 {sha256_backend}",
-        PROFILE_FAMILIES
-            .iter()
-            .filter(|f| **f != "torus")
-            .collect::<Vec<_>>(),
+        "profile sweep: torus n ∈ {nodes:?}, ~{target} msgs/point, seed {seed}{}, \
+         sha256 {sha256_backend}",
         if smoke { " (smoke)" } else { "" }
     );
 
-    let mut points: Vec<ProfilePoint> = Vec::new();
-    for &n in &nodes {
-        points.push(profile::measure_profile_point(
-            "torus",
-            n,
-            seed,
-            target,
-            &alloc_count,
-        ));
-    }
-    for family in PROFILE_FAMILIES {
-        if family != "torus" {
-            points.push(profile::measure_profile_point(
-                family,
-                family_n,
-                seed,
-                target,
-                &alloc_count,
-            ));
-        }
-    }
+    let points: Vec<_> = nodes
+        .iter()
+        .map(|&n| profile::measure_profile_point(n, seed, target, &alloc_count))
+        .collect();
 
     let mut gate_failed = false;
     for p in &points {
         outln!(
-            "  {:<10} n={:<5} {:>9.0} msgs/s  {:>5.0} ns/delivery  {:>8} routing bytes ({})  \
+            "  torus      n={:<5} {:>9.0} msgs/s  {:>5.0} ns/delivery  {:>8} routing bytes ({})  \
              {:>4} allocs  [{}]",
-            p.family,
             p.nodes,
             p.msgs_per_sec(),
             p.ns_per_delivery(),
@@ -225,20 +203,8 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
                 p.routing_rows_healed,
             );
         }
-        for c in &p.shard_plan {
-            outln!(
-                "    shard {:<16} {} regions  cut {:>5.1}%  imbalance {:.2}  \
-                 lookahead {} µs  ceiling {:.2}x",
-                c.name,
-                c.regions,
-                c.cut_traffic_fraction * 100.0,
-                c.imbalance,
-                c.lookahead_us,
-                c.predicted_ceiling,
-            );
-        }
         for why in p.gate_failures() {
-            eprintln!("error: {} n={}: {why}", p.family, p.nodes);
+            eprintln!("error: torus n={}: {why}", p.nodes);
             gate_failed = true;
         }
     }
@@ -247,20 +213,14 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
     // installed (pass 2) against without (pass 1), best of
     // OBS_AB_ROUNDS interleaved rounds each, summed over the sweep —
     // the recorder sees every event, send and delivery and stages the
-    // subsystem counts and the traffic matrix, so this is the
-    // worst-case instrumentation cost.
+    // counters and the subsystem counts, so this is the worst-case
+    // instrumentation cost.
     let obs = ObsOverhead::of(&points);
     let profile_events: u64 = points.iter().map(|p| p.counts.total_count()).sum();
-    let traffic_ok = points.iter().all(ProfilePoint::traffic_consistent);
     outln!(
         "  obs       +{:.2}% wall with recorder on (ceiling {OBS_OVERHEAD_PCT}%), \
-         {profile_events} subsystem events staged (traffic {})",
+         {profile_events} subsystem events staged",
         obs.pct(),
-        if traffic_ok {
-            "consistent"
-        } else {
-            "INCONSISTENT"
-        }
     );
     if obs.exceeded() {
         eprintln!(
@@ -284,7 +244,6 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
             o.field("noise_floor_ns", OBS_NOISE_NS);
             o.field("rounds", OBS_AB_ROUNDS);
             o.field("profile_events", profile_events);
-            o.field("traffic_consistent", traffic_ok);
         });
         o.array("points", Block, |a| {
             for p in &points {
@@ -298,17 +257,14 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
     // in one file (speedscope renders them as selectable profiles).
     let mut ss = SpeedscopeBuilder::new();
     for p in &points {
-        ss.add(&format!("{}-n{}-counts", p.family, p.nodes), &p.counts);
-        ss.add(&format!("{}-n{}-wall", p.family, p.nodes), &p.wall);
+        ss.add(&format!("torus-n{}-counts", p.nodes), &p.counts);
+        ss.add(&format!("torus-n{}-wall", p.nodes), &p.wall);
     }
     speedscope_report.write(&ss.finish("btr-profile"));
 
     let stacks: String = points
         .iter()
-        .map(|p| {
-            p.counts
-                .collapsed_stacks(&format!("{}-n{}", p.family, p.nodes))
-        })
+        .map(|p| p.counts.collapsed_stacks(&format!("torus-n{}", p.nodes)))
         .collect();
     stacks_report.write(&stacks);
 
@@ -317,11 +273,10 @@ fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
     }
 }
 
-/// One profile point's members: the run's counts, its wall-time split,
-/// its traffic totals and its shard plan. Rates take one decimal;
-/// fractions (cut-traffic shares, imbalance ratios) need four.
-fn point_json(o: &mut json::Object<'_>, p: &ProfilePoint) {
-    o.field("family", p.family);
+/// One profile point's members: the run's counts and its wall-time
+/// split. Rates take one decimal, shares four.
+fn point_json(o: &mut json::Object<'_>, p: &profile::ProfilePoint) {
+    o.field("family", "torus");
     o.field("nodes", p.nodes);
     o.field("periods", p.periods);
     o.field("msgs_sent", p.metrics.msgs_sent);
@@ -357,34 +312,6 @@ fn point_json(o: &mut json::Object<'_>, p: &ProfilePoint) {
             o.object(s.label(), Inline, |o| {
                 o.field("wall_ns", ns);
                 o.field("share_pct", json::fixed(p.wall_share_pct(s), 4));
-            });
-        }
-    });
-    o.object("traffic", Block, |o| {
-        o.field("tx_total", p.traffic.tx_total());
-        o.field("rx_total", p.traffic.rx_total());
-        o.field("drop_total", p.traffic.drop_total());
-        o.field("link_msgs_total", p.traffic.link_msgs_total());
-        o.field("link_bytes_total", p.traffic.link_bytes_total());
-        o.field(
-            "link_bytes_signed_total",
-            p.traffic.link_bytes_signed_total(),
-        );
-        o.field("consistent", p.traffic_consistent());
-    });
-    o.array("shard_plan", Block, |a| {
-        for c in &p.shard_plan {
-            a.object(Inline, |o| {
-                o.field("name", &c.name);
-                o.field("regions", c.regions);
-                o.field("cut_links", c.cut_links);
-                o.field(
-                    "cut_traffic_fraction",
-                    json::fixed(c.cut_traffic_fraction, 4),
-                );
-                o.field("imbalance", json::fixed(c.imbalance, 4));
-                o.field("lookahead_us", c.lookahead_us);
-                o.field("predicted_ceiling", json::fixed(c.predicted_ceiling, 4));
             });
         }
     });
@@ -610,6 +537,10 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
         eprintln!("error: --pace must be positive, got {pace}");
         std::process::exit(2);
     }
+    if pace > MAX_PACE {
+        eprintln!("error: --pace must be at most {MAX_PACE}");
+        std::process::exit(2);
+    }
     let out_path: String = take_value(&mut args, "--out").unwrap_or("LIVE_btr.json".into());
     let trace_out: Option<String> = take_value(&mut args, "--trace-out");
     let replay: Option<String> = take_value(&mut args, "--replay");
@@ -744,15 +675,14 @@ const COMMANDS: [Command; 4] = [
     Command {
         name: "profile",
         about: "the simulator measurement: a torus sweep to a thousand\n\
-                nodes plus one point per topology family — throughput,\n\
-                allocations, routing residency, recorder overhead,\n\
-                per-subsystem cost shares, traffic matrix, shard plan\n\
-                (emits PROFILE_btr.json plus speedscope and\n\
-                collapsed-stack exports)",
+                nodes — throughput, allocations, routing residency,\n\
+                recorder overhead, per-subsystem cost shares (emits\n\
+                PROFILE_btr.json plus speedscope and collapsed-stack\n\
+                exports)",
         options: &[
             (
                 "--nodes N,N,...",
-                "torus sweep sizes (default 20,100,400,1000)",
+                "torus sweep sizes, 2 to 4096 (default 20,100,400,1000)",
             ),
             ("--seed S", "simulator seed (default 7)"),
             ("--smoke", "~10x fewer messages per point (CI budget)"),
@@ -782,11 +712,13 @@ const COMMANDS: [Command; 4] = [
             ("--seed S", "run seed (default 7)"),
             (
                 "--pace X",
-                "wall-us per logical-us (default 1.0; 0.5 under --smoke)",
+                "wall-us per logical-us, at most 100 (default 1.0; 0.5\n\
+                 under --smoke)",
             ),
             (
                 "--flight-cap N",
-                "per-node flight-recorder ring capacity (default 32)",
+                "per-node flight-recorder ring capacity, 1 to 65536\n\
+                 (default 32)",
             ),
             ("--out PATH", "report path (default LIVE_btr.json)"),
             (
@@ -923,11 +855,16 @@ fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Optio
 
 /// Remove `--flight-cap N` (default [`FLIGHT_CAP`]), rejecting 0: the
 /// recorder would silently clamp it to 1, and a silently-corrected
-/// flag is worse than an error.
+/// flag is worse than an error. Above [`MAX_FLIGHT_CAP`] the rings
+/// could not be allocated.
 fn take_flight_cap(args: &mut Vec<String>) -> usize {
     let cap = take_value(args, "--flight-cap").unwrap_or(FLIGHT_CAP);
     if cap == 0 {
         eprintln!("error: --flight-cap must be at least 1");
+        std::process::exit(2);
+    }
+    if cap > MAX_FLIGHT_CAP {
+        eprintln!("error: --flight-cap must be at most {MAX_FLIGHT_CAP}, got {cap}");
         std::process::exit(2);
     }
     cap
@@ -948,6 +885,20 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 /// of this host at ~300 judged runs a second, and far below where the
 /// schedule tables of that many runs stop fitting in memory.
 const MAX_CAMPAIGN_RUNS: usize = 1_000_000;
+
+/// The largest torus `harness profile` builds, the same ceiling replay
+/// tokens take. Far larger sizes used to abort on their allocation or
+/// never return.
+const MAX_PROFILE_NODES: usize = 4096;
+
+/// The slowest `harness live` pace: at 100 wall microseconds per logical
+/// one the pinned scenarios already take minutes, and far slower paces
+/// used to never return.
+const MAX_PACE: f64 = 100.0;
+
+/// The largest per-node flight-recorder ring: 64 Ki events of 32 bytes,
+/// 2 MiB a node, allocated up front for every node of the fleet.
+const MAX_FLIGHT_CAP: usize = 1 << 16;
 
 fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     use btr_campaign as campaign;

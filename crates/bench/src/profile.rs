@@ -1,17 +1,17 @@
 //! The simulator measurement (`harness profile`).
 //!
 //! Each profile point runs the scale traffic (`crate::scale`) on one
-//! topology family in three kinds of pass with the same seed:
+//! 2-D torus in three kinds of pass with the same seed:
 //!
 //! 1. **baseline** — no recorder: end-to-end wall time, throughput,
 //!    allocations, routing residency, and the logical digest the other
 //!    passes are held against;
 //! 2. **counts** — a collecting recorder, wall sampling off: the
-//!    digest-stable per-subsystem event counts and the per-node /
-//!    per-link traffic matrix. The run must be *bit-identical* to the
-//!    baseline (same `SimMetrics`, same logical digest) — that equality
-//!    is the inertness proof the point carries in its report — and its
-//!    wall time against the baseline's is what the recorder costs.
+//!    digest-stable per-subsystem event counts. The run must be
+//!    *bit-identical* to the baseline (same `SimMetrics`, same logical
+//!    digest) — that equality is the inertness proof the point carries
+//!    in its report — and its wall time against the baseline's is what
+//!    the recorder costs.
 //!    Passes 1 and 2 run [`OBS_AB_ROUNDS`] interleaved rounds and each
 //!    keeps its best (minimum) wall: noise only ever adds time, so the
 //!    minima converge on the true costs where single shots jitter by
@@ -21,24 +21,12 @@
 //!    but never folded into any digest; the unscoped remainder is
 //!    published as `other`, making the shares sum to exactly 100% of
 //!    this pass's end-to-end wall time.
-//!
-//! The measured traffic matrix then prices the PDES split: every
-//! natural partition of the family (torus bands/tiles, fat-tree pods,
-//! star-of-rings arms) is scored by `btr_topo::shard` into the
-//! `shard_plan` section — cut-traffic fraction, load imbalance,
-//! lookahead, and the predicted speedup ceiling.
 
 use crate::scale::{ScaleBlaster, SCALE_ROUTING_BUDGET};
 use btr_model::{Duration, NodeId, Time, Topology};
-use btr_obs::{ObsRecorder, Profile, Subsystem, TrafficMatrix};
+use btr_obs::{ObsRecorder, Profile, Subsystem};
 use btr_sim::{SimConfig, SimMetrics, World};
-use btr_topo::shard::{analyze_partition, candidate_partitions, ShardCandidate};
-use btr_topo::{by_name, TopoParams};
-
-/// Topology families profiled per sweep point. Torus is the headline
-/// (it is what the node sweep runs); the other families exist for
-/// their distinct natural cuts.
-pub const PROFILE_FAMILIES: [&str; 3] = ["torus", "fat-tree", "scada-star"];
+use btr_topo::{torus, torus_dims};
 
 /// Recorder-overhead ceiling: a collecting recorder on the hot path may
 /// cost at most this much wall-clock overhead (per cent).
@@ -51,11 +39,9 @@ pub const OBS_NOISE_NS: u128 = 10_000_000;
 /// best wall.
 pub const OBS_AB_ROUNDS: u32 = 3;
 
-/// One profiled (family, n) point.
+/// One profiled torus point.
 #[derive(Debug, Clone)]
 pub struct ProfilePoint {
-    /// Topology family name (from `btr_topo::catalog`).
-    pub family: &'static str,
     /// Node count.
     pub nodes: usize,
     /// Traffic periods driven.
@@ -92,15 +78,11 @@ pub struct ProfilePoint {
     pub inert: bool,
     /// Digest-stable per-subsystem event counts (counts pass).
     pub counts: Profile,
-    /// Per-node / per-link traffic matrix (counts pass).
-    pub traffic: TrafficMatrix,
     /// Per-subsystem wall nanoseconds (wall pass; counts ledger also
     /// populated but identical to `counts` by determinism).
     pub wall: Profile,
     /// End-to-end wall nanoseconds of the wall pass.
     pub wall_total_ns: u128,
-    /// Scored candidate partitions for the family's natural cuts.
-    pub shard_plan: Vec<ShardCandidate>,
 }
 
 impl ProfilePoint {
@@ -147,13 +129,6 @@ impl ProfilePoint {
         ns as f64 / self.wall_total_ns as f64 * 100.0
     }
 
-    /// The traffic matrix must be a re-aggregation of the engine
-    /// counters: per-node sends, deliveries, and drops sum to the
-    /// `SimMetrics` totals, and per-link bytes sum to `bytes_sent`.
-    pub fn traffic_consistent(&self) -> bool {
-        traffic_matches_metrics(&self.traffic, &self.metrics)
-    }
-
     /// The gates `harness profile` exits 1 on, one line per gate this
     /// point trips (empty when healthy).
     pub fn gate_failures(&self) -> Vec<String> {
@@ -163,15 +138,6 @@ impl ProfilePoint {
         }
         if self.counts.total_count() == 0 {
             failed.push("the recorder staged no subsystem events".to_string());
-        }
-        if !self.traffic_consistent() {
-            failed.push("traffic matrix disagrees with the engine counters".to_string());
-        }
-        if self.shard_plan.len() < 2 {
-            failed.push(format!(
-                "only {} candidate partition(s)",
-                self.shard_plan.len()
-            ));
         }
         if self.routing_resident_bytes > SCALE_ROUTING_BUDGET {
             failed.push(format!(
@@ -229,25 +195,6 @@ impl ObsOverhead {
     }
 }
 
-/// The four row/column-sum invariants tying a [`TrafficMatrix`] to the
-/// engine's [`SimMetrics`] (also pinned by property tests on random
-/// scenarios).
-pub fn traffic_matches_metrics(t: &TrafficMatrix, m: &SimMetrics) -> bool {
-    t.tx_total() == m.msgs_sent
-        && t.rx_total() == m.msgs_delivered
-        && t.drop_total() == m.drops_guardian + m.drops_forward + m.drops_other
-        && t.link_bytes_total() == m.bytes_sent
-}
-
-/// Build the profiled topology for one (family, n) point: the family's
-/// catalog generator with the scale traffic's link parameters.
-pub fn profile_topology(family: &str, n: usize) -> Topology {
-    let generator = by_name(family).expect("profiled families are in the catalog");
-    let mut p = TopoParams::new(n);
-    p.bytes_per_ms = 1_000_000;
-    generator(&p).expect("profiled sizes instantiate")
-}
-
 /// Build one profile world: the scale traffic on `topo`, with one relay
 /// dying mid-run so the link layer must heal multi-hop routes around it
 /// (table rebuild below the backend threshold, stale rows healed on
@@ -294,12 +241,11 @@ fn run_to_horizon(w: &mut World, periods: u64, alloc_counter: &dyn Fn() -> u64) 
     (wall_ns, alloc_counter().saturating_sub(allocs_before))
 }
 
-/// Measure one (family, n) profile point: baseline, counts, and wall
-/// passes plus the shard plan over the measured traffic.
-/// `alloc_counter` reads the process-wide allocation count (the harness
-/// wires in its counting allocator; library callers pass `|| 0`).
+/// Measure one torus profile point of `n` nodes: baseline, counts, and
+/// wall passes. `alloc_counter` reads the process-wide allocation count
+/// (the harness wires in its counting allocator; library callers pass
+/// `|| 0`).
 pub fn measure_profile_point(
-    family: &'static str,
     n: usize,
     seed: u64,
     target_msgs: u64,
@@ -308,7 +254,9 @@ pub fn measure_profile_point(
     // Sends per period = 4 per node; pick periods to hit the target
     // message count so every point does comparable work.
     let periods = (target_msgs / (4 * n as u64)).max(20);
-    let topo = profile_topology(family, n);
+    // The most nearly square torus of exactly `n` nodes.
+    let (rows, cols) = torus_dims(n);
+    let topo = torus(rows, cols, 1_000_000, Duration(5)).expect("profiled sizes instantiate");
 
     // Passes 1 and 2, interleaved. Every round of a pass is the same
     // deterministic run, so everything but the wall clock is read off
@@ -335,23 +283,16 @@ pub fn measure_profile_point(
     let inert = *observed.metrics() == metrics && observed.logical_trace().digest() == digest;
     let rec = observed.take_obs();
     let counts = rec.subsystem_profile().clone();
-    let traffic = rec.traffic_matrix().clone();
 
     // Pass 3: wall sampling. The per-subsystem nanoseconds are
     // machine-dependent and never enter a digest.
-    let mut w = profile_world(topo.clone(), n, seed, periods);
+    let mut w = profile_world(topo, n, seed, periods);
     w.set_recorder(Box::new(ObsRecorder::new()));
     w.set_wall_profiling(true);
     let (wall_total_ns, _) = run_to_horizon(&mut w, periods, alloc_counter);
     let wall = w.take_obs().subsystem_profile().clone();
 
-    let shard_plan = candidate_partitions(family, n)
-        .iter()
-        .map(|(name, assign)| analyze_partition(&topo, assign, &traffic, name))
-        .collect();
-
     ProfilePoint {
-        family,
         nodes: n,
         periods,
         baseline_wall_ns,
@@ -367,10 +308,8 @@ pub fn measure_profile_point(
         digest,
         inert,
         counts,
-        traffic,
         wall,
         wall_total_ns,
-        shard_plan,
     }
 }
 
@@ -380,12 +319,15 @@ mod tests {
 
     #[test]
     fn count_profile_is_inert_and_consistent() {
-        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let p = measure_profile_point(20, 7, 4_000, &|| 0);
         assert!(p.inert, "count profiling perturbed the run: {p:?}");
-        assert!(p.traffic_consistent(), "{:?} vs {:?}", p.traffic, p.metrics);
+        // One dispatch count per delivered message and per fired timer.
+        assert_eq!(
+            p.counts.count(Subsystem::Dispatch),
+            p.metrics.msgs_delivered + p.metrics.timers
+        );
         assert!(p.counts.count(Subsystem::Routing) > 0);
         assert!(p.counts.count(Subsystem::CryptoSign) > 0);
-        assert!(p.counts.count(Subsystem::Dispatch) > 0);
         // The mid-run crash heals routes: a mode switch was profiled.
         assert!(p.counts.count(Subsystem::ModeSwitch) > 0);
         assert_eq!(p.counts.total_wall_ns(), 0, "counts pass sampled wall");
@@ -393,16 +335,16 @@ mod tests {
 
     #[test]
     fn count_profiles_are_deterministic() {
-        let a = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
-        let b = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let a = measure_profile_point(20, 7, 4_000, &|| 0);
+        let b = measure_profile_point(20, 7, 4_000, &|| 0);
         assert_eq!(a.counts, b.counts);
-        assert_eq!(a.traffic, b.traffic);
+        assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.digest, b.digest);
     }
 
     #[test]
     fn wall_pass_attributes_time_and_keeps_shares_complete() {
-        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let p = measure_profile_point(20, 7, 4_000, &|| 0);
         assert!(p.wall.total_wall_ns() > 0, "wall pass recorded nothing");
         assert!(
             p.scoped_wall_ns() as u128 <= p.wall_total_ns,
@@ -418,39 +360,18 @@ mod tests {
     }
 
     #[test]
-    fn every_family_scores_at_least_two_partitions() {
-        for family in PROFILE_FAMILIES {
-            let p = measure_profile_point(family, 100, 7, 2_000, &|| 0);
-            assert!(p.inert, "{family}: profiling perturbed the run");
-            assert!(
-                p.shard_plan.len() >= 2,
-                "{family}: only {} candidates",
-                p.shard_plan.len()
-            );
-            for c in &p.shard_plan {
-                assert!(
-                    c.cut_traffic_fraction > 0.0,
-                    "{family}/{}: no cut traffic",
-                    c.name
-                );
-                assert!(c.predicted_ceiling >= 1.0, "{family}/{}: {c:?}", c.name);
-                assert!(c.lookahead_us > 0, "{family}/{}: zero lookahead", c.name);
-            }
-        }
-    }
-
-    #[test]
     fn signed_lane_is_separated() {
-        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
-        // The blaster sends 3 unsigned + 1 signed per node per period:
-        // both lanes must carry traffic, and they must sum to the total.
-        assert!(p.traffic.link_bytes_signed_total() > 0);
-        assert!(p.traffic.link_bytes_total() > p.traffic.link_bytes_signed_total());
+        let p = measure_profile_point(20, 7, 4_000, &|| 0);
+        // Every firing routes 3 unsigned envelopes and one signed
+        // heartbeat, and signs only the heartbeat.
+        let signed = p.counts.count(Subsystem::CryptoSign);
+        assert!(signed > 0);
+        assert_eq!(p.counts.count(Subsystem::Routing), 4 * signed);
     }
 
     #[test]
     fn every_point_gate_bites() {
-        let healthy = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let healthy = measure_profile_point(20, 7, 4_000, &|| 0);
         assert_eq!(healthy.gate_failures(), Vec::<String>::new());
         assert_eq!(healthy.envelopes_leaked, 0);
         assert!(!healthy.truncated);
@@ -465,14 +386,21 @@ mod tests {
         };
         trips(&|p| p.inert = false, "perturbed");
         trips(&|p| p.counts = Profile::new(), "staged no subsystem events");
-        trips(&|p| p.metrics.bytes_sent += 1, "traffic matrix");
-        trips(&|p| p.shard_plan.truncate(1), "candidate partition");
         trips(
             &|p| p.routing_resident_bytes = SCALE_ROUTING_BUDGET + 1,
             "sub-quadratic budget",
         );
+        trips(&|p| p.metrics.msgs_delivered = 0, "delivered nothing");
         trips(&|p| p.envelopes_leaked = 3, "leaked 3");
         trips(&|p| p.truncated = true, "truncated");
+    }
+
+    #[test]
+    fn the_smallest_tori_pass_every_gate() {
+        for n in [2, 3] {
+            let p = measure_profile_point(n, 7, 4_000, &|| 0);
+            assert_eq!(p.gate_failures(), Vec::<String>::new(), "n = {n}");
+        }
     }
 
     #[test]
@@ -491,7 +419,7 @@ mod tests {
         assert_eq!(ab(100, 90).pct(), 0.0);
         assert!(!ab(0, 0).exceeded());
 
-        let p = measure_profile_point("torus", 20, 7, 4_000, &|| 0);
+        let p = measure_profile_point(20, 7, 4_000, &|| 0);
         let sum = ObsOverhead::of(&[p.clone(), p.clone()]);
         assert_eq!(sum.baseline_wall_ns, 2 * p.baseline_wall_ns);
         assert_eq!(sum.observed_wall_ns, 2 * p.observed_wall_ns);

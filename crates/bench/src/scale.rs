@@ -1,10 +1,9 @@
 //! The scale traffic and its sweep constants.
 //!
 //! `harness profile` sweeps this traffic across 2-D torus platforms of
-//! n ∈ {20, 100, 400, 1000} nodes (and one point per other topology
-//! family) and measures what actually limits scale: delivered
-//! throughput, per-delivery cost, heap allocations, and
-//! **routing-resident bytes**, which the all-pairs table grows as
+//! n ∈ {20, 100, 400, 1000} nodes and measures what actually limits
+//! scale: delivered throughput, per-delivery cost, heap allocations,
+//! and **routing-resident bytes**, which the all-pairs table grows as
 //! O(n² · diameter) and the demand-driven rows keep near-linear
 //! (`btr_net::RouteBackend` switches backend at
 //! `DEMAND_ROUTING_THRESHOLD` nodes, so the sweep crosses it).
@@ -38,8 +37,8 @@ pub const SCALE_ROUTING_BUDGET: usize = 64 << 20;
 /// envelopes — two short-stride peers and the torus antipode (which
 /// forces diameter-scale multi-hop routes) — plus one signed heartbeat
 /// to its successor. The same shape as the pinned 20-node hot-path
-/// scenario, sized by n; `crate::profile` drives it over every
-/// topology family.
+/// scenario, sized by n; `crate::profile` drives it over the torus
+/// sweep.
 pub(crate) struct ScaleBlaster {
     pub(crate) period: Duration,
     pub(crate) periods: u64,
@@ -89,7 +88,7 @@ mod tests {
     use btr_net::DEMAND_ROUTING_THRESHOLD;
 
     fn torus_point(n: usize, seed: u64, target_msgs: u64) -> ProfilePoint {
-        measure_profile_point("torus", n, seed, target_msgs, &|| 0)
+        measure_profile_point(n, seed, target_msgs, &|| 0)
     }
 
     #[test]

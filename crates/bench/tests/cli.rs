@@ -80,6 +80,18 @@ fn malformed_flag_values_exit_2() {
     assert!(rejected(&["live", "--pace", "0"]).contains("must be positive"));
     assert!(rejected(&["live", "--pace", "inf"]).contains("must be positive"));
     assert!(rejected(&["live", "--flight-cap", "0"]).contains("at least 1"));
+    // Used to abort on a 3 GiB allocation (exit 134) or never return.
+    for nodes in ["400000000", "18446744073709551615", "20,4097"] {
+        assert!(rejected(&["profile", "--nodes", nodes]).contains("<= 4096"));
+    }
+    // Used to panic with "capacity overflow" (exit 101).
+    for cap in ["18446744073709551615", "65537"] {
+        assert!(rejected(&["live", "--flight-cap", cap]).contains("at most 65536"));
+    }
+    // Used to never return.
+    for pace in ["1e300", "100.5"] {
+        assert!(rejected(&["live", "--pace", pace]).contains("at most 100"));
+    }
     for cmd in ["profile", "live", "campaign", "fuzz"] {
         let err = rejected(&[cmd, "stray"]);
         assert!(

@@ -133,14 +133,13 @@ proptest! {
     // the case count far below the pure-function props in btr-obs.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// On *any* single-fault scenario the traffic matrix must reconcile
-    /// with `SimMetrics` exactly: every send appears as a tx, every
-    /// delivery as an rx, every drop in exactly one drop lane, and the
-    /// per-link byte ledger sums to the global byte counter. This is
-    /// the invariant `harness profile` gates on for its pinned points;
-    /// here it is pinned across the whole fault-kind space.
+    /// On *any* single-fault scenario the recorder's counters must
+    /// reconcile with `SimMetrics` exactly: every accepted send is one
+    /// `Sends`, every delivery one `Delivers`, every dispatched event,
+    /// timer and actuation one of its own. The pinned crash above checks
+    /// one scenario; here the whole fault-kind space.
     #[test]
-    fn prop_traffic_matrix_reconciles_with_metrics(
+    fn prop_counters_reconcile_with_metrics(
         nodes in 4usize..10,
         kind_idx in 0usize..FaultKind::ALL.len(),
         node in 0u32..10,
@@ -156,14 +155,11 @@ proptest! {
         let horizon = Duration::from_millis(250);
         let (_, m, rec) = run(&sys, &scenario, horizon, seed, true);
         let rec = rec.unwrap();
-        let t = rec.traffic_matrix();
-        prop_assert_eq!(t.tx_total(), m.msgs_sent);
-        prop_assert_eq!(t.rx_total(), m.msgs_delivered);
-        prop_assert_eq!(
-            t.drop_total(),
-            m.drops_guardian + m.drops_forward + m.drops_other
-        );
-        prop_assert_eq!(t.link_bytes_total(), m.bytes_sent);
+        prop_assert_eq!(rec.counter(Counter::Sends), m.msgs_sent);
+        prop_assert_eq!(rec.counter(Counter::Delivers), m.msgs_delivered);
+        prop_assert_eq!(rec.counter(Counter::Events), m.events);
+        prop_assert_eq!(rec.counter(Counter::Timers), m.timers);
+        prop_assert_eq!(rec.counter(Counter::Actuations), m.actuations);
     }
 }
 

@@ -30,9 +30,6 @@
 //! - [`Profile`] / [`Subsystem`]: deterministic per-subsystem cost
 //!   profiles — digest-stable event counts plus optional wall-sampled
 //!   nanoseconds that are reported but never folded into digests.
-//! - [`TrafficMatrix`]: per-node and per-link delivered-message/byte
-//!   matrices with signed and unsigned lanes separated, mergeable like
-//!   [`Histogram`] — the input to the shard-partition analyzer.
 //! - [`SpeedscopeBuilder`]: speedscope JSON export for profiles,
 //!   alongside the collapsed-stack text from
 //!   [`Profile::collapsed_stacks`].
@@ -49,7 +46,6 @@ mod recorder;
 mod speedscope;
 mod timeline;
 mod trace_event;
-mod traffic;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAP};
 pub use hist::{Histogram, BUCKETS};
@@ -58,4 +54,3 @@ pub use recorder::{Counter, Lat, NoopRecorder, ObsRecorder, Recorder, COUNTER_KI
 pub use speedscope::SpeedscopeBuilder;
 pub use timeline::{Phase, PhaseMark, RecoveryTimeline};
 pub use trace_event::TraceBuilder;
-pub use traffic::TrafficMatrix;

@@ -12,8 +12,8 @@
 //! - **Wall nanoseconds** — optional scoped timings collected only when
 //!   the caller explicitly enables wall sampling. Wall times are
 //!   machine- and load-dependent, so they are *reported but never
-//!   folded into digests or verdicts*; they exist to price the PDES
-//!   sharding split, not to judge protocol behaviour.
+//!   folded into digests or verdicts*; they exist to say where the
+//!   time goes, not to judge protocol behaviour.
 //!
 //! Like [`crate::Histogram`], merging is element-wise saturating
 //! addition — associative and commutative — so per-run profiles fold

@@ -12,7 +12,6 @@
 use crate::hist::Histogram;
 use crate::profile::Profile;
 use crate::timeline::PhaseMark;
-use crate::traffic::TrafficMatrix;
 
 /// Monotonic counters the substrates maintain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,11 +126,6 @@ pub trait Recorder {
     #[inline]
     fn profile(&mut self, _p: &Profile) {}
 
-    /// Fold a pre-aggregated traffic matrix in (same batching shape as
-    /// [`Recorder::profile`]).
-    #[inline]
-    fn traffic(&mut self, _t: &TrafficMatrix) {}
-
     /// Downcast support, so callers holding `Box<dyn Recorder>` can
     /// retrieve a concrete recorder's contents after a run (mirrors
     /// the `NodeBehavior::as_any` pattern).
@@ -154,7 +148,6 @@ pub struct ObsRecorder {
     lats: [Histogram; LAT_KINDS],
     marks: Vec<PhaseMark>,
     profile: Profile,
-    traffic: TrafficMatrix,
 }
 
 impl ObsRecorder {
@@ -165,7 +158,6 @@ impl ObsRecorder {
             lats: [Histogram::new(), Histogram::new(), Histogram::new()],
             marks: Vec::new(),
             profile: Profile::new(),
-            traffic: TrafficMatrix::default(),
         }
     }
 
@@ -189,11 +181,6 @@ impl ObsRecorder {
         &self.profile
     }
 
-    /// The accumulated traffic matrix.
-    pub fn traffic_matrix(&self) -> &TrafficMatrix {
-        &self.traffic
-    }
-
     /// Fold another recorder in (counters add, histograms merge,
     /// marks append).
     pub fn absorb(&mut self, other: &ObsRecorder) {
@@ -205,7 +192,6 @@ impl ObsRecorder {
         }
         self.marks.extend_from_slice(&other.marks);
         self.profile.merge(&other.profile);
-        self.traffic.merge(&other.traffic);
     }
 }
 
@@ -234,11 +220,6 @@ impl Recorder for ObsRecorder {
     #[inline]
     fn profile(&mut self, p: &Profile) {
         self.profile.merge(p);
-    }
-
-    #[inline]
-    fn traffic(&mut self, t: &TrafficMatrix) {
-        self.traffic.merge(t);
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -303,18 +284,17 @@ mod tests {
         use crate::profile::Subsystem;
         let mut p = Profile::new();
         p.bump_n(Subsystem::Routing, 9);
-        let mut t = TrafficMatrix::new(2, 1);
-        t.record_tx(0);
-        t.record_link(0, 64, true);
         let mut r = ObsRecorder::new();
         r.profile(&p);
-        r.traffic(&t);
+        r.count(Counter::Sends, 4);
+        r.count(Counter::Delivers, 3);
         assert_eq!(r.subsystem_profile().count(Subsystem::Routing), 9);
-        assert_eq!(r.traffic_matrix().tx_total(), 1);
         let mut other = ObsRecorder::new();
         other.absorb(&r);
-        assert_eq!(other.subsystem_profile().count(Subsystem::Routing), 9);
-        assert_eq!(other.traffic_matrix().link_bytes_signed_total(), 64);
+        other.absorb(&r);
+        assert_eq!(other.subsystem_profile().count(Subsystem::Routing), 18);
+        assert_eq!(other.counter(Counter::Sends), 8);
+        assert_eq!(other.counter(Counter::Delivers), 6);
     }
 
     #[test]

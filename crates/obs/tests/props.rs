@@ -8,7 +8,7 @@
 //! threads.
 
 use btr_model::{Duration, NodeId, Time};
-use btr_obs::{Histogram, Phase, PhaseMark, Profile, RecoveryTimeline, Subsystem, TrafficMatrix};
+use btr_obs::{Histogram, Phase, PhaseMark, Profile, RecoveryTimeline, Subsystem};
 use proptest::prelude::*;
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -29,23 +29,6 @@ fn profile_of(ops: &[(u8, u32, u32)]) -> Profile {
         p.add_wall(sub, ns as u64);
     }
     p
-}
-
-const MAT_NODES: usize = 8;
-const MAT_LINKS: usize = 12;
-
-/// Interpret a raw op list as traffic-matrix records on a fixed shape.
-fn matrix_of(ops: &[(u8, u8, u32, bool)]) -> TrafficMatrix {
-    let mut t = TrafficMatrix::new(MAT_NODES, MAT_LINKS);
-    for &(kind, idx, bytes, signed) in ops {
-        match kind % 4 {
-            0 => t.record_tx(idx as usize % MAT_NODES),
-            1 => t.record_rx(idx as usize % MAT_NODES),
-            2 => t.record_drop(idx as usize % MAT_NODES),
-            _ => t.record_link(idx as usize % MAT_LINKS, bytes as u64, signed),
-        }
-    }
-    t
 }
 
 fn phase_of(raw: u8) -> Phase {
@@ -176,46 +159,6 @@ proptest! {
         let mut merged = profile_of(&xs[..cut]);
         merged.merge(&profile_of(&xs[cut..]));
         prop_assert_eq!(merged, profile_of(&xs));
-    }
-
-    /// Traffic matrices merge commutatively over every lane — per-node
-    /// rows, per-link columns, signed and unsigned alike.
-    #[test]
-    fn prop_traffic_merge_commutative(
-        xs in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u32..100_000, any::<bool>()), 0..64),
-        ys in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u32..100_000, any::<bool>()), 0..64),
-    ) {
-        let (a, b) = (matrix_of(&xs), matrix_of(&ys));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Traffic-matrix merge is associative, and sharded recording
-    /// equals single-pass recording — which is what lets the profiling
-    /// kernel and any future PDES shards fold matrices in any order.
-    #[test]
-    fn prop_traffic_merge_associative_and_union(
-        xs in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u32..100_000, any::<bool>()), 0..48),
-        ys in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u32..100_000, any::<bool>()), 0..48),
-        zs in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u32..100_000, any::<bool>()), 0..48),
-        split in any::<usize>(),
-    ) {
-        let (a, b, c) = (matrix_of(&xs), matrix_of(&ys), matrix_of(&zs));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-        let cut = if xs.is_empty() { 0 } else { split % (xs.len() + 1) };
-        let mut sharded = matrix_of(&xs[..cut]);
-        sharded.merge(&matrix_of(&xs[cut..]));
-        prop_assert_eq!(sharded, matrix_of(&xs));
     }
 
     /// For any mark soup — arbitrary observers, subjects, phases, and

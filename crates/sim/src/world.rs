@@ -13,7 +13,7 @@ use btr_model::{
 use btr_net::{Frame, Hop, LinkLayer, RouteBackend, Routes, SendError};
 use btr_obs::{
     Counter, Histogram, Lat, ObsRecorder, Phase, PhaseMark, Profile, Recorder, Subsystem,
-    TrafficMatrix, COUNTER_KINDS,
+    COUNTER_KINDS,
 };
 use std::collections::BTreeSet;
 
@@ -157,9 +157,6 @@ struct ObsScratch {
     /// is installed), wall nanoseconds only under
     /// [`World::set_wall_profiling`].
     profile: Profile,
-    /// Per-node / per-link traffic attribution, sized once at
-    /// [`World::set_recorder`] (the only allocation).
-    traffic: TrafficMatrix,
 }
 
 /// The simulated world: platform, network, node behaviours, event queue.
@@ -275,10 +272,6 @@ impl World {
         // never leaks one observation window's counts into the next.
         let _ = self.take_recorder();
         self.sub.obs = Some(r);
-        // Size the traffic matrix once, here — every hot-path record
-        // after this is an indexed increment, no allocation.
-        self.sub.obs_scratch.traffic =
-            TrafficMatrix::new(self.sub.topo.node_count(), self.sub.topo.links().len());
     }
 
     /// Enable or disable wall-clock sampling of the hot-path subsystem
@@ -310,9 +303,6 @@ impl World {
         }
         if !s.profile.is_empty() {
             r.profile(&s.profile);
-        }
-        if !s.traffic.is_empty() {
-            r.traffic(&s.traffic);
         }
         Some(r)
     }
@@ -552,11 +542,6 @@ impl World {
     fn dispatch_message(&mut self, dst: NodeId, env: Envelope) {
         if self.sub.slots[dst.index()].crashed {
             self.sub.metrics.drops_other += 1;
-            if self.sub.obs.is_some() {
-                // Attribute the drop to the (real, in-range) receiver;
-                // env.src is a claim a Byzantine sender controls.
-                self.sub.obs_scratch.traffic.record_drop(dst.index());
-            }
             if self.sub.cfg.trace {
                 self.sub.trace.push(TraceEvent::Dropped {
                     at: self.sub.now,
@@ -571,7 +556,6 @@ impl World {
         if self.sub.obs.is_some() {
             self.sub.obs_scratch.counts[Counter::Delivers as usize] += 1;
             self.sub.obs_scratch.profile.bump(Subsystem::Dispatch);
-            self.sub.obs_scratch.traffic.record_rx(dst.index());
         }
         if self.sub.cfg.trace {
             self.sub.trace.push(TraceEvent::Delivered {
@@ -695,10 +679,6 @@ impl Substrate {
     fn transmit(&mut self, src: NodeId, env: Envelope) -> Option<Time> {
         let bytes = env.wire_size();
         let dst = env.dst;
-        // The signed/unsigned lane split for the traffic matrix: signed
-        // traffic is the expensive lane (sign at the source, verify at
-        // sinks), so the shard analyzer wants to see where it flows.
-        let signed = env.sig.is_some();
         if self.slots[src.index()].crashed {
             self.record_drop(src, dst, DropReason::SenderCrashed);
             return None;
@@ -717,7 +697,6 @@ impl Substrate {
             self.metrics.msgs_sent += 1;
             if self.obs.is_some() {
                 self.obs_scratch.counts[Counter::Sends as usize] += 1;
-                self.obs_scratch.traffic.record_tx(src.index());
             }
             let at = self.now;
             self.push(at, Event::Deliver { dst, env });
@@ -737,14 +716,13 @@ impl Substrate {
             return None;
         }
 
-        let delivery = self.transmit_over(&hops, src, dst, bytes, signed);
+        let delivery = self.transmit_over(&hops, src, dst, bytes);
         self.hop_buf = hops;
         let t = delivery?;
         self.metrics.msgs_sent += 1;
         if self.obs.is_some() {
             self.obs_scratch.counts[Counter::Sends as usize] += 1;
             self.obs_scratch.delivery.record((t - self.now).as_micros());
-            self.obs_scratch.traffic.record_tx(src.index());
         }
         self.push(t, Event::Deliver { dst, env });
         Some(t)
@@ -759,7 +737,6 @@ impl Substrate {
         src: NodeId,
         dst: NodeId,
         bytes: u32,
-        signed: bool,
     ) -> Option<Time> {
         // Transmission loss, deterministic per seed. With FEC enabled the
         // message is sharded: it survives up to m shard losses and pays a
@@ -799,9 +776,6 @@ impl Substrate {
                 let slot = &self.slots[a.index()];
                 if slot.crashed || slot.forward.refuses(dst) {
                     self.metrics.drops_forward += 1;
-                    if self.obs.is_some() {
-                        self.obs_scratch.traffic.record_drop(src.index());
-                    }
                     if self.cfg.trace {
                         self.trace.push(TraceEvent::Dropped {
                             at: t,
@@ -817,9 +791,6 @@ impl Substrate {
                 Ok(arrival) => t = arrival,
                 Err(SendError::AllocationExhausted) => {
                     self.metrics.drops_guardian += 1;
-                    if self.obs.is_some() {
-                        self.obs_scratch.traffic.record_drop(src.index());
-                    }
                     if self.cfg.trace {
                         self.trace.push(TraceEvent::Dropped {
                             at: t,
@@ -835,11 +806,6 @@ impl Substrate {
                 }
             }
             self.metrics.bytes_sent += bytes as u64;
-            if self.obs.is_some() {
-                self.obs_scratch
-                    .traffic
-                    .record_link(link.index(), bytes as u64, signed);
-            }
         }
         Some(t)
     }
@@ -894,9 +860,6 @@ impl Substrate {
             DropReason::GuardianDenied => self.metrics.drops_guardian += 1,
             DropReason::ForwardRefused(_) => self.metrics.drops_forward += 1,
             _ => self.metrics.drops_other += 1,
-        }
-        if self.obs.is_some() {
-            self.obs_scratch.traffic.record_drop(src.index());
         }
         if self.cfg.trace {
             self.trace.push(TraceEvent::Dropped {

@@ -19,8 +19,6 @@ use btr_model::{Duration, NodeId, Topology, TopologyBuilder, TopologyError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-pub mod shard;
-
 /// Sizing and link parameters shared by every topology family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoParams {
