@@ -15,7 +15,7 @@ use btr_model::message::PbftPhase;
 use btr_model::Plan;
 use btr_model::{
     inputs_digest, sensor_value, task_value, ATask, Envelope, NodeId, Payload, PeriodIdx,
-    ReplicaIdx, SignedOutput, TaskId, Time, Value,
+    ReplicaIdx, TaskId, Time, Value,
 };
 use btr_runtime::timers::{self, Timer};
 use btr_runtime::Attack;
@@ -140,7 +140,7 @@ impl BftNode {
                 self.equiv_flip += 1;
                 v = value ^ (0xE0 + self.equiv_flip);
             }
-            let out = SignedOutput::sign(ctx.signer(), t, r, p, v, inputs_digest(&[]), self.id);
+            let out = ctx.sign_output(t, r, p, v, inputs_digest(&[]), self.id);
             ctx.send(
                 *dst,
                 Payload::Output {

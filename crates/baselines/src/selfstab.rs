@@ -16,8 +16,8 @@
 use btr_core::oracle::reference_value;
 use btr_model::Plan;
 use btr_model::{
-    inputs_digest, sensor_value, task_value, ATask, Envelope, NodeId, Payload, PeriodIdx,
-    SignedOutput, TaskId, Time, Value,
+    inputs_digest, sensor_value, task_value, ATask, Envelope, NodeId, Payload, PeriodIdx, TaskId,
+    Time, Value,
 };
 use btr_runtime::timers::{self, Timer};
 use btr_runtime::Attack;
@@ -167,8 +167,7 @@ impl SelfStabNode {
         targets.dedup();
         targets.retain(|&n| n != self.id);
         for dst in targets {
-            let out =
-                SignedOutput::sign(ctx.signer(), task, 0, p, value, inputs_digest(&[]), self.id);
+            let out = ctx.sign_output(task, 0, p, value, inputs_digest(&[]), self.id);
             ctx.send(
                 dst,
                 Payload::Output {

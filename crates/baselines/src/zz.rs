@@ -13,7 +13,7 @@
 use btr_model::Plan;
 use btr_model::{
     inputs_digest, sensor_value, task_value, ATask, Envelope, NodeId, Payload, PeriodIdx,
-    ReplicaIdx, SignedOutput, TaskId, Time, Value,
+    ReplicaIdx, TaskId, Time, Value,
 };
 use btr_runtime::timers::{self, Timer};
 use btr_runtime::Attack;
@@ -206,15 +206,7 @@ impl ZzNode {
         }
         self.inputs.entry((p, task, replica)).or_insert(value);
         for dst in self.targets(task) {
-            let out = SignedOutput::sign(
-                ctx.signer(),
-                task,
-                replica,
-                p,
-                value,
-                inputs_digest(&[]),
-                self.id,
-            );
+            let out = ctx.sign_output(task, replica, p, value, inputs_digest(&[]), self.id);
             ctx.send(
                 dst,
                 Payload::Output {

@@ -447,15 +447,21 @@ fn run_live_replay(token: &str, pace: f64) {
     cfg.pace = pace;
     let report = run_live(&system, &spec.scenario, spec.horizon, &cfg);
     let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
+    let divergence = report
+        .trace
+        .first_divergence(&reference, ["live", "simulator"]);
     outln!(
         "  trace {} simulator ({} actuations)",
-        if report.trace.digest() == reference.digest() {
+        if divergence.is_none() {
             "matches"
         } else {
             "DIVERGES from"
         },
         report.trace.len(),
     );
+    if let Some(d) = divergence {
+        outln!("  first divergence: {d}");
+    }
     print_record(&spec.judge(&system, live::finished(&judgment, &report)));
     if let Some(w) = report.last_switch_wall_us() {
         outln!("  last mode switch at wall {:.1} ms", w as f64 / 1e3);
@@ -736,9 +742,16 @@ const COMMANDS: [Command; 4] = [
         name: "campaign",
         about: "parallel fault-injection campaign (emits CAMPAIGN_btr.json)",
         options: &[
-            ("--runs N", "target run count (default 256)"),
+            (
+                "--runs N",
+                "target run count (default 256); with the cells and\n\
+                 --sim-seeds, at most 1000000 executed runs",
+            ),
             ("--seed S", "campaign seed (default 42)"),
-            ("--sim-seeds K", "simulator seeds per schedule (default 2)"),
+            (
+                "--sim-seeds K",
+                "simulator seeds per schedule, at least 1 (default 2)",
+            ),
             (
                 "--combos",
                 "sequential multi-fault schedules up to budget f",
@@ -770,7 +783,11 @@ const COMMANDS: [Command; 4] = [
                 hunting grid (emits FUZZ_btr.json; byte-identical at any\n\
                 thread count)",
         options: &[
-            ("--budget N", "total simulation runs to spend (default 128)"),
+            (
+                "--budget N",
+                "total simulation runs to spend, 1 to 1000000 (default\n\
+                 128)",
+            ),
             ("--seed S", "fuzzer seed (default 42)"),
             ("--out PATH", "report path (default FUZZ_btr.json)"),
         ],
@@ -881,10 +898,15 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-/// The most runs one `harness campaign` takes. A million is over an hour
-/// of this host at ~300 judged runs a second, and far below where the
-/// schedule tables of that many runs stop fitting in memory.
+/// The most runs one `harness campaign` executes (cells × schedules per
+/// cell × `--sim-seeds`). A million is over an hour of this host at ~300
+/// judged runs a second, and far below where the schedule tables of that
+/// many runs stop fitting in memory.
 const MAX_CAMPAIGN_RUNS: usize = 1_000_000;
+
+/// The most simulation runs one `harness fuzz` spends: the campaign's
+/// ceiling, for the same reason. Far larger budgets used to never return.
+const MAX_FUZZ_BUDGET: usize = MAX_CAMPAIGN_RUNS;
 
 /// The largest torus `harness profile` builds, the same ceiling replay
 /// tokens take. Far larger sizes used to abort on their allocation or
@@ -934,12 +956,12 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     }
 
     let runs = take_value(&mut args, "--runs").unwrap_or(256);
-    if runs > MAX_CAMPAIGN_RUNS {
-        eprintln!("error: --runs must be at most {MAX_CAMPAIGN_RUNS}, got {runs}");
-        std::process::exit(2);
-    }
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let sim_seeds = take_value(&mut args, "--sim-seeds").unwrap_or(2);
+    if sim_seeds == 0 {
+        eprintln!("error: --sim-seeds must be at least 1");
+        std::process::exit(2);
+    }
     let combos = take_flag(&mut args, "--combos");
     let over_budget = take_flag(&mut args, "--over-budget");
     let all_variants = take_flag(&mut args, "--all-variants");
@@ -982,6 +1004,16 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
             }
         },
     };
+    // What runs is cells x schedules x seeds, each factor from a flag.
+    let executed = cfg.executed_runs();
+    if executed > MAX_CAMPAIGN_RUNS {
+        eprintln!(
+            "error: --runs {runs} over {} cells at --sim-seeds {sim_seeds} executes {executed} \
+             runs, at most {MAX_CAMPAIGN_RUNS}",
+            cfg.cells.len()
+        );
+        std::process::exit(2);
+    }
     let report = Report::open(out_path);
 
     outln!(
@@ -1073,6 +1105,10 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     }
     if budget == 0 {
         eprintln!("error: --budget must be at least 1");
+        std::process::exit(2);
+    }
+    if budget > MAX_FUZZ_BUDGET {
+        eprintln!("error: --budget must be at most {MAX_FUZZ_BUDGET}, got {budget}");
         std::process::exit(2);
     }
     let report = Report::open(out_path);

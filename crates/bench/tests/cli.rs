@@ -1,14 +1,16 @@
 //! The `harness` binary's exit-code contract: 0 on success, 1 when a
-//! gate fails, 2 on anything malformed — and never a panic. Only error
-//! paths and `--list`/`--help` run here; they return before any
-//! measurement starts, so the debug binary answers in milliseconds.
+//! gate fails, 2 on anything malformed — and never a panic. Error paths
+//! and `--list`/`--help` return before any measurement starts, so the
+//! debug binary answers in milliseconds; one live replay, paced for a
+//! debug build, pins what `live --replay` prints when the substrates
+//! part.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 /// Run the harness to completion — inside ten seconds: nothing here
-/// starts a measurement, and a hang is a failure this reports, not one
-/// it waits out.
+/// needs more, and a hang is a failure this reports, not one it waits
+/// out.
 fn harness(args: &[&str]) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))
         .args(args)
@@ -75,6 +77,19 @@ fn malformed_flag_values_exit_2() {
     for runs in ["18446744073709551615", "100000000000"] {
         assert!(rejected(&["campaign", "--runs", runs]).contains("at most 1000000"));
     }
+    // The ceiling bounds the runs executed, cells x schedules x seeds:
+    // one run at four billion seeds used to abort on a 6 GiB allocation
+    // (exit 134), and 1000000 at three seeds rounds up past it.
+    for (runs, seeds) in [("1", "4000000000"), ("1000000", "3")] {
+        let err = rejected(&["campaign", "--runs", runs, "--sim-seeds", seeds]);
+        assert!(err.contains("runs, at most 1000000"), "{err}");
+    }
+    // Used to run as one seed, silently.
+    assert!(rejected(&["campaign", "--sim-seeds", "0"]).contains("at least 1"));
+    // Used to never return.
+    for budget in ["18446744073709551615", "1000001"] {
+        assert!(rejected(&["fuzz", "--budget", budget]).contains("at most 1000000"));
+    }
     assert!(rejected(&["profile", "--nodes", "1"]).contains("sizes >= 2"));
     assert!(rejected(&["profile", "--nodes", "20,,100"]).contains("sizes >= 2"));
     assert!(rejected(&["live", "--pace", "0"]).contains("must be positive"));
@@ -128,6 +143,25 @@ fn malformed_replay_tokens_exit_2() {
             assert!(rejected(&[cmd, "--replay", token]).contains("bad replay token"));
         }
     }
+}
+
+#[test]
+fn live_replay_names_the_first_divergence() {
+    // The open fat-tree finding (EXPERIMENTS.md "Campaign findings —
+    // open"): the thread fleet actuates at 181.7 ms, the simulator not
+    // again until 241.7 ms. The line is the same at every pace; this one
+    // leaves a debug binary seconds of slack.
+    let token = "w=scada;t=fattree4x1000000x5;f=1;r=400000;h=1080000;me=20000000;\
+                 s=7191089600892374487;fl=evidence-spam@169689@n8";
+    let out = harness(&["live", "--replay", token, "--pace", "3"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let expected =
+        "  trace DIVERGES from simulator (168 actuations)\n  first divergence: event 27: \
+        live Actuation { at: Time(181696), node: NodeId(5), task: TaskId(7), period: 9, \
+        value: 13268599406100021415 } != simulator Actuation { at: Time(241718), \
+        node: NodeId(4), task: TaskId(5), period: 12, value: 16938273351789618244 }\n";
+    assert!(stdout.contains(expected), "{stdout}");
 }
 
 #[test]

@@ -56,6 +56,23 @@ impl CampaignConfig {
             cells: crate::grid::default_grid(),
         }
     }
+
+    /// Schedules each cell draws: the target run count spread over the
+    /// cells and simulator seeds, rounded up, at least one.
+    pub fn schedules_per_cell(&self) -> usize {
+        let spread = self.cells.len().max(1) * self.sim_seeds.max(1) as usize;
+        self.runs.div_ceil(spread).max(1)
+    }
+
+    /// The runs [`execute`] performs: cells × schedules per cell ×
+    /// simulator seeds (saturating). A ceiling on a campaign's size must
+    /// bound this, not the target `runs` it is rounded up from.
+    pub fn executed_runs(&self) -> usize {
+        self.cells
+            .len()
+            .saturating_mul(self.schedules_per_cell())
+            .saturating_mul(self.sim_seeds.max(1) as usize)
+    }
 }
 
 /// One scored run (everything in here is deterministic).
@@ -163,10 +180,7 @@ pub struct PlannedCell {
 /// Plan every cell and generate its schedules. Deterministic; the
 /// expensive planner work is shared by all runs of a cell.
 pub fn plan_cells(cfg: &CampaignConfig) -> Result<Vec<PlannedCell>, CellError> {
-    let per_cell = cfg
-        .runs
-        .div_ceil(cfg.cells.len().max(1) * cfg.sim_seeds.max(1) as usize)
-        .max(1);
+    let per_cell = cfg.schedules_per_cell();
     cfg.cells
         .iter()
         .map(|spec| {
@@ -365,6 +379,22 @@ mod tests {
         }
         assert_eq!(seq, run_indexed(37, 4, f));
         assert!(run_indexed(0, 3, f).is_empty());
+    }
+
+    #[test]
+    fn executed_runs_counts_what_execute_runs() {
+        // 5 runs over 1 cell and 2 seeds round up to 3 schedules: 6 runs.
+        let mut cfg = tiny_config(1);
+        (cfg.runs, cfg.sim_seeds) = (5, 2);
+        let cells = plan_cells(&cfg).expect("plans");
+        assert_eq!(cells[0].schedules.len(), cfg.schedules_per_cell());
+        assert_eq!(execute(&cfg, &cells).0.len(), 6);
+        assert_eq!(cfg.executed_runs(), 6);
+        // Far past any ceiling, without overflow.
+        (cfg.runs, cfg.sim_seeds) = (usize::MAX, u32::MAX);
+        assert_eq!(cfg.executed_runs(), usize::MAX);
+        (cfg.runs, cfg.sim_seeds) = (1, u32::MAX);
+        assert_eq!(cfg.executed_runs(), u32::MAX as usize);
     }
 
     #[test]

@@ -14,8 +14,9 @@ const OPAD: u8 = 0x5c;
 /// Holds the *midstates* of SHA-256 after absorbing the inner and outer
 /// padded key blocks, so every MAC computation (the simulator signs and
 /// verifies one per message) skips the two key-block compressions and the
-/// pad XORs that a from-scratch HMAC pays.
-#[derive(Clone)]
+/// pad XORs that a from-scratch HMAC pays. Equal midstates compute equal
+/// MACs.
+#[derive(Clone, PartialEq, Eq)]
 pub struct HmacKey {
     /// SHA-256 state after absorbing `key ⊕ ipad`.
     inner0: Sha256,

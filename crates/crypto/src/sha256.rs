@@ -386,8 +386,9 @@ fn compress_blocks_shani(state: &mut [u32; 8], blocks: &[u8]) {
     .map(|w| w as u32);
 }
 
-/// Incremental SHA-256 hasher.
-#[derive(Clone)]
+/// Incremental SHA-256 hasher. Two equal hashers finish equal on equal
+/// input (what makes HMAC keys comparable without computing a MAC).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Sha256 {
     state: [u32; 8],
     /// Bytes buffered until a full 64-byte block is available.

@@ -148,8 +148,8 @@ impl std::error::Error for SigError {}
 
 /// Suite-specific key material (secret and verification material are the
 /// same bytes under the MAC substitution; only `verify` is exposed on the
-/// store side).
-#[derive(Clone)]
+/// store side). Equal material computes equal tags.
+#[derive(Clone, PartialEq, Eq)]
 enum Material {
     Hmac(HmacKey),
     Sip(SipKey),
@@ -416,6 +416,14 @@ impl KeyStore {
         self.suite
     }
 
+    /// True when this store verifies under `signer`'s id with exactly the
+    /// key material `signer` signs with: then every tag `signer` makes
+    /// verifies here, which a host may take on trust instead of
+    /// recomputing it. A comparison of key material, no MAC.
+    pub fn holds(&self, signer: &Signer) -> bool {
+        self.keys.get(signer.key.id as usize) == Some(&signer.key.material)
+    }
+
     /// Verify `sig` over `parts`.
     pub fn verify_parts(&self, sig: &Signature, parts: &[&[u8]]) -> Result<(), SigError> {
         let key = self
@@ -551,6 +559,27 @@ mod tests {
             let sig = signers[0].sign_parts(&[b"ab", b"cd"]);
             assert_eq!(store.verify(&sig, b"abcd"), Ok(()));
         }
+    }
+
+    #[test]
+    fn a_store_holds_exactly_the_signers_it_derived_and_spends_no_mac() {
+        let macs = mac_count();
+        for suite in AuthSuite::ALL {
+            let (signers, store) = setup_suite(3, suite);
+            assert!(signers.iter().all(|s| store.holds(s)), "{suite}");
+            // Another seed, the other suite, an id past the store.
+            let other = AuthSuite::ALL.into_iter().find(|&s| s != suite).unwrap();
+            assert!(!store.holds(&Signer::new(NodeKey::derive_suite(43, 1, suite))));
+            assert!(!store.holds(&Signer::new(NodeKey::derive_suite(42, 1, other))));
+            assert!(!store.holds(&Signer::new(NodeKey::derive_suite(42, 3, suite))));
+            // Node 2's key under node 1's id.
+            let relabelled = Signer::new(NodeKey {
+                id: 1,
+                ..NodeKey::derive_suite(42, 2, suite)
+            });
+            assert!(!store.holds(&relabelled));
+        }
+        assert_eq!(mac_count(), macs);
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn rounds(v: &mut [u64; 4], n: usize) {
 /// Holds the four initialization words precomputed for the 128-bit
 /// output variant, so starting a MAC is four register copies — the
 /// key-schedule analogue of the HMAC midstate cache.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SipKey {
     /// Initial state (key XOR constants, 128-bit variant's `v1 ^= 0xee`
     /// already applied).

@@ -207,8 +207,8 @@ impl ReplicaChecker {
     /// Check one replica output against its own witnesses.
     ///
     /// `witness_ok[i]` is the signature-verification result for
-    /// `witnesses[i]`, computed by the caller's batched pass (see
-    /// `Detector::observe_output`) so no witness is MAC-checked twice.
+    /// `witnesses[i]`, computed by the caller (see
+    /// `Detector::observe_output`) so no witness is checked twice.
     /// Returns at most one bad-computation proof (plus nothing else; the
     /// caller runs the equivocation pool and timing watch separately).
     pub fn observe(

@@ -33,7 +33,7 @@ pub use checker::{CheckerConfig, OutputPool, ReplicaChecker};
 pub use omission::OmissionTracker;
 pub use timing::{HeartbeatMonitor, TimingWatch};
 
-use btr_crypto::{KeyStore, SigBatch, Signature, Signer};
+use btr_crypto::{SigError, Signature, Signer};
 use btr_model::evidence::WorkloadView;
 use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,18 +51,12 @@ pub struct Detector {
     omission: OmissionTracker,
     /// Records already emitted (dedup so retransmits don't double-count).
     emitted: BTreeSet<EvidenceId>,
-    /// Reusable staging for batched signature verification: an arriving
-    /// output and all its witnesses are MAC-checked in one keyed pass
-    /// over this scratch instead of one allocating verify per record.
-    batch: SigBatch,
-    /// Per-item results of the last batch pass (aligned with the staged
-    /// items, which skip pool-resident witnesses).
-    batch_ok: Vec<bool>,
     /// Per-witness validity of the message at hand (aligned with its
-    /// witness list): resident in the pool, or MAC-checked in the batch.
+    /// witness list): resident in the pool, or checked by the verifier.
     witness_ok: Vec<bool>,
-    /// Reusable encoding scratch for evidence ids.
-    id_scratch: Vec<u8>,
+    /// Reusable encoding scratch: the signing bytes of what is checked,
+    /// and evidence ids.
+    scratch: Vec<u8>,
     /// Nodes exonerated from missing-output blame: the node itself
     /// declared an upstream path problem for that period, so its silence
     /// was a cascade. Maps to the *root* producer/task being blamed, so
@@ -85,10 +79,8 @@ impl Detector {
             heartbeats: HeartbeatMonitor::new(heartbeat_miss_threshold),
             omission: OmissionTracker::new(omission_threshold),
             emitted: BTreeSet::new(),
-            batch: SigBatch::new(),
-            batch_ok: Vec::new(),
             witness_ok: Vec::new(),
-            id_scratch: Vec::new(),
+            scratch: Vec::new(),
             exonerated: BTreeMap::new(),
             suppressed: 0,
         }
@@ -111,7 +103,7 @@ impl Detector {
     }
 
     fn dedup(&mut self, mut records: Vec<EvidenceRecord>) -> Vec<EvidenceRecord> {
-        records.retain(|r| self.emitted.insert(r.id_with(&mut self.id_scratch)));
+        records.retain(|r| self.emitted.insert(r.id_with(&mut self.scratch)));
         records
     }
 
@@ -124,15 +116,19 @@ impl Detector {
     /// none), so an output the runtime had to verify before storing it
     /// is not verified again here.
     ///
-    /// Each signed record is MAC-checked at most once per distinct copy:
-    /// one that equals the pool's verified resident — every field, the
-    /// tag and the key id — is valid without a MAC (see [`OutputPool`]);
-    /// anything else is staged and checked. No record is acted on that
-    /// this node has not verified at least once.
+    /// `verify(sig, bytes)` must answer as `KeyStore::verify` does with
+    /// this node's keystore: the keystore itself, or — what a host lends,
+    /// `NodeCtx::verifier` — the host's memo of triples it already knows
+    /// valid in front of it. Each signed record is checked at most once
+    /// per distinct copy: one that equals the pool's verified resident —
+    /// every field, the tag and the key id — is valid without a check
+    /// (see [`OutputPool`]); anything else goes through `verify`, behind
+    /// `SignedOutput::verify_by`'s key-id/producer gate. No record is
+    /// acted on that this node has not verified at least once.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_output(
         &mut self,
-        ks: &KeyStore,
+        mut verify: impl FnMut(&Signature, &[u8]) -> Result<(), SigError>,
         signer: &Signer,
         view: &dyn WorkloadView,
         output: SignedOutput,
@@ -144,41 +140,25 @@ impl Detector {
     ) -> Vec<EvidenceRecord> {
         let mut out = Vec::new();
         // Signature gate: the output alone first, so forged spam is
-        // dropped after one MAC (a sender attaching a maximal witness
+        // dropped after one check (a sender attaching a maximal witness
         // set to a garbage-tagged output must not buy W extra MACs);
         // unverifiable outputs are dropped silently — the envelope
         // layer already attributes traffic.
         let output_ok = verified.unwrap_or_else(|| {
-            self.pool.is_resident(&output) || {
-                self.batch.clear();
-                self.batch_ok.clear();
-                output.stage_for_verify(&mut self.batch);
-                ks.verify_batch(&self.batch, &mut self.batch_ok) == 1
-            }
+            self.pool.is_resident(&output)
+                || output.verify_by(&mut self.scratch, &mut verify).is_ok()
         });
         if !output_ok {
             return out;
         }
-        // Then the witness set: the ones the pool does not already hold
-        // verified, batched — one staging buffer, one keyed pass
-        // (amortising per-record setup; the per-record allocating
-        // `verify` this replaces dominated the audit cost). `witness_ok`
-        // is index-aligned with `witnesses` and reused by the checker
-        // below, so each witness is MAC-checked at most once.
-        self.batch.clear();
-        self.batch_ok.clear();
+        // Then the witness set. `witness_ok` is index-aligned with
+        // `witnesses` and reused by the checker below, so each witness
+        // is checked at most once.
         self.witness_ok.clear();
         for w in witnesses {
-            let resident = self.pool.is_resident(w);
-            self.witness_ok.push(resident);
-            if !resident {
-                w.stage_for_verify(&mut self.batch);
-            }
-        }
-        ks.verify_batch(&self.batch, &mut self.batch_ok);
-        let mut checked = self.batch_ok.iter();
-        for ok in self.witness_ok.iter_mut().filter(|ok| !**ok) {
-            *ok = *checked.next().expect("one result per staged witness");
+            let ok =
+                self.pool.is_resident(w) || w.verify_by(&mut self.scratch, &mut verify).is_ok();
+            self.witness_ok.push(ok);
         }
         // Equivocation pool over the output and each valid witness.
         if let Some(ev) = self.pool.insert_checked(&output) {
@@ -354,7 +334,7 @@ impl Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_crypto::NodeKey;
+    use btr_crypto::{KeyStore, NodeKey};
     use btr_model::{inputs_digest, sensor_value, task_value, Value};
 
     struct View;
@@ -379,6 +359,11 @@ mod tests {
     }
     fn ks() -> KeyStore {
         KeyStore::derive(11, 8)
+    }
+
+    /// The verifier of a host with no memo: the keystore itself.
+    fn by_keystore(ks: &KeyStore) -> impl FnMut(&Signature, &[u8]) -> Result<(), SigError> + '_ {
+        |sig, msg| ks.verify(sig, msg)
     }
 
     fn checker_cfg() -> CheckerConfig {
@@ -432,10 +417,9 @@ mod tests {
         d.install_checker(checker_cfg());
         let (o0, w0) = lane_out(1, 0, 1, 0);
         let (o1, w1) = lane_out(1, 1, 2, 0);
-        let s = signer(3);
-        let evs = d.observe_output(&ks(), &s, &View, o0, None, &w0, Time(100), None, None);
+        let evs = see(&mut d, o0, None, &w0);
         assert!(evs.is_empty());
-        let evs = d.observe_output(&ks(), &s, &View, o1, None, &w1, Time(100), None, None);
+        let evs = see(&mut d, o1, None, &w1);
         assert!(evs.is_empty(), "{evs:?}");
     }
 
@@ -444,70 +428,57 @@ mod tests {
         let mut d = Detector::new(NodeId(3), 3, 3);
         d.install_checker(checker_cfg());
         let (bad, w) = lane_out(1, 0, 1, 0xdead);
-        let s = signer(3);
-        let evs = d.observe_output(&ks(), &s, &View, bad, None, &w, Time(100), None, None);
+        let evs = see(&mut d, bad, None, &w);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].convicts(), Some(NodeId(1)));
         // The proof verifies independently.
         assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
         // Re-observing does not re-emit (dedup).
         let (bad2, w2) = lane_out(1, 0, 1, 0xdead);
-        let evs = d.observe_output(&ks(), &s, &View, bad2, None, &w2, Time(100), None, None);
+        let evs = see(&mut d, bad2, None, &w2);
         assert!(evs.is_empty());
     }
 
     #[test]
     fn equivocation_across_copies_is_proven() {
         let mut d = Detector::new(NodeId(3), 3, 3);
-        let s = signer(3);
         // Node 1 signs two different lane-0 outputs for the same period.
         let (a, wa) = lane_out(2, 0, 1, 0);
         let (b, wb) = lane_out(2, 0, 1, 0x55);
-        let evs = d.observe_output(&ks(), &s, &View, a, None, &wa, Time(0), None, None);
+        let evs = see(&mut d, a, None, &wa);
         assert!(evs.is_empty());
-        let evs = d.observe_output(&ks(), &s, &View, b, None, &wb, Time(0), None, None);
+        let evs = see(&mut d, b, None, &wb);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].convicts(), Some(NodeId(1)));
         assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
     }
 
     #[test]
-    fn batched_gate_drops_forged_outputs_and_skips_forged_witnesses() {
+    fn gate_drops_forged_outputs_and_skips_forged_witnesses() {
         let mut d = Detector::new(NodeId(3), 3, 3);
-        let s = signer(3);
         // A forged output (tag does not match content) is dropped whole.
         let (mut forged, w) = lane_out(1, 0, 1, 0);
         forged.value ^= 1;
-        let evs = d.observe_output(&ks(), &s, &View, forged, None, &w, Time(0), None, None);
+        let evs = see(&mut d, forged, None, &w);
         assert!(evs.is_empty());
         // A relabelled output (valid tag under the signer's own key, but
-        // claiming another producer) is equally dropped: the batch path
-        // must keep the key-id/producer consistency gate.
+        // claiming another producer) is equally dropped: whatever the
+        // verifier, the key-id/producer consistency gate holds.
         let (mut relabelled, w) = lane_out(1, 0, 1, 0);
         relabelled.producer = NodeId(5);
-        let evs = d.observe_output(&ks(), &s, &View, relabelled, None, &w, Time(0), None, None);
+        let evs = see(&mut d, relabelled, None, &w);
         assert!(evs.is_empty());
         // A valid output with one forged witness: the witness is skipped
         // (it cannot seed the equivocation pool) but the output lands.
         let (good, mut w) = lane_out(2, 0, 1, 0);
         w[0].value ^= 0xff; // Tag no longer matches.
-        let evs = d.observe_output(
-            &ks(),
-            &s,
-            &View,
-            good.clone(),
-            None,
-            &w,
-            Time(0),
-            None,
-            None,
-        );
+        let evs = see(&mut d, good.clone(), None, &w);
         assert!(evs.is_empty());
         // The same witness, validly signed with a *conflicting* value,
         // now meets the pool for the first time: no equivocation proof
         // can cite the forged copy, proving it was never admitted.
         let (again, w2) = lane_out(2, 0, 1, 0);
-        let evs = d.observe_output(&ks(), &s, &View, again, None, &w2, Time(1), None, None);
+        let evs = see(&mut d, again, None, &w2);
         assert!(evs.is_empty(), "forged witness must not have been pooled");
         let _ = good;
         // Nor did it become the memo's resident: the forged copy, sent
@@ -530,7 +501,7 @@ mod tests {
     ) -> Vec<EvidenceRecord> {
         let s = signer(3);
         d.observe_output(
-            &ks(),
+            by_keystore(&ks()),
             &s,
             &View,
             output,
@@ -608,7 +579,7 @@ mod tests {
             let macs = btr_crypto::mac_count();
             see(&mut d, carrier, None, std::slice::from_ref(forged));
             assert_eq!(d.witness_ok, [false], "field {i} as a witness");
-            // Staged and MAC-checked, unless the key id contradicts the
+            // MAC-checked, unless the key id contradicts the
             // producer, which fails before any MAC is spent.
             let gate = u64::from(forged.sig.key == forged.producer.0);
             assert_eq!(btr_crypto::mac_count() - macs, gate, "field {i}");
@@ -685,7 +656,7 @@ mod tests {
                 let feed = |d: &mut Detector| {
                     let macs = btr_crypto::mac_count();
                     let evs = d.observe_output(
-                        &ks(), &signer(3), &View, output.clone(), verified, &w,
+                        by_keystore(&ks()), &signer(3), &View, output.clone(), verified, &w,
                         Time(i as u64), None, Some((Time(i as u64), env_sig)));
                     (evs, btr_crypto::mac_count() - macs)
                 };
@@ -708,7 +679,7 @@ mod tests {
         let s = signer(3);
         let (o, w) = lane_out(1, 0, 1, 0);
         let evs = d.observe_output(
-            &ks(),
+            by_keystore(&ks()),
             &s,
             &View,
             o,
@@ -730,7 +701,7 @@ mod tests {
         let s = signer(3);
         // Only lane 1 arrives in period 5.
         let (o1, w1) = lane_out(5, 1, 2, 0);
-        d.observe_output(&ks(), &s, &View, o1, None, &w1, Time(0), None, None);
+        see(&mut d, o1, None, &w1);
         let evs = d.end_of_period(&s, 5, &BTreeSet::new(), &|_, _| false);
         assert_eq!(evs.len(), 1);
         match &evs[0] {

@@ -240,7 +240,7 @@ mod tests {
             via_wrapper.digest(),
             via_control.digest(),
             "divergence: {:?}",
-            via_wrapper.first_divergence(&via_control)
+            via_wrapper.first_divergence(&via_control, ["wrapper", "control"])
         );
     }
 }

@@ -66,7 +66,8 @@ fn fault_free_live_run_is_trace_identical_to_simulator() {
         live.trace.digest(),
         reference.digest(),
         "live diverged from simulator: {:?}",
-        live.trace.first_divergence(&reference)
+        live.trace
+            .first_divergence(&reference, ["live", "simulator"])
     );
     // The per-node runtime counters must agree too — same messages
     // sent, same evidence flow, on both substrates.
@@ -92,7 +93,8 @@ fn live_crash_scenario_matches_sim_and_recovers_within_r() {
         live.trace.digest(),
         reference.digest(),
         "live diverged from simulator: {:?}",
-        live.trace.first_divergence(&reference)
+        live.trace
+            .first_divergence(&reference, ["live", "simulator"])
     );
     // The dead node really crashed (thread exit, not simulation flag) …
     assert!(live

@@ -1,12 +1,14 @@
 //! The host's half of authenticating: the buffer signing bytes are laid
-//! out in, and a memo of what the keystore has already accepted.
+//! out in, and a memo of what the keystore would accept — because it
+//! already has, or because the host has just computed the tag itself.
 
-use btr_crypto::{Digest, KeyStore, SigError, Signature};
+use btr_crypto::{Digest, KeyStore, SigError, Signature, Signer};
 
 /// What a host lends, beside the seat, to every [`NodeCtx`] it binds:
 /// reusable room for the canonical bytes of whatever is being signed or
-/// verified, and the memo that — on a host of many nodes — lets a
-/// multicast be MAC-checked once per host instead of once per receiver.
+/// verified, and the memo that — on a host of many nodes — lets a tag be
+/// computed once per host: where it is signed, and by nobody who
+/// receives it.
 ///
 /// A scratch serves one keystore for its whole life (a world's, an
 /// actor's): what the memo remembers is that keystore's verdicts.
@@ -50,6 +52,14 @@ impl Scratch {
         }
     }
 
+    /// `signer` has just made `sig` over the signing bytes in `buf`:
+    /// remember the triple if `ks` verifies `sig.key` with `signer`'s very
+    /// key (then `ks.verify` would accept it), so that no receiver on
+    /// this host computes the tag again.
+    pub(crate) fn signed(&mut self, ks: &KeyStore, signer: &Signer, sig: &Signature) {
+        self.memo.remember_signed(ks, signer, sig, &self.buf);
+    }
+
     /// Heap bytes the memo holds (its whole footprint: it never grows).
     #[cfg(test)]
     pub(crate) fn memo_bytes(&self) -> usize {
@@ -58,13 +68,13 @@ impl Scratch {
 }
 
 /// Bytes of entry log. With the index, all the memo ever holds.
-const LOG_BYTES: usize = 8 * 1024;
+const LOG_BYTES: usize = 32 * 1024;
 /// Index slots: twice the entries a log may hold, so a probe always ends.
-const INDEX_SLOTS: usize = 256;
+const INDEX_SLOTS: usize = 1024;
 const MAX_ENTRIES: usize = INDEX_SLOTS / 2;
 /// Signing bytes longer than this are not remembered (MAC-checked every
 /// time): one oversized record must not flush everything else.
-const MAX_MSG: usize = LOG_BYTES / 8;
+pub(crate) const MAX_MSG: usize = LOG_BYTES / 8;
 /// Key id, tag, length.
 const HEADER: usize = 4 + 32 + 2;
 const EMPTY: u16 = u16::MAX;
@@ -72,15 +82,20 @@ const EMPTY: u16 = u16::MAX;
 const _: () = assert!(LOG_BYTES < EMPTY as usize);
 
 /// An exact memo of `(key id, tag, signing bytes)` triples that
-/// `KeyStore::verify` has accepted.
+/// `KeyStore::verify` accepts: ones it has accepted, and ones signed on
+/// this host under a key the keystore holds for that id.
 ///
 /// `KeyStore::verify` is a pure function of the keystore and the triple,
 /// so a triple byte-equal to one it accepted is accepted again without
-/// computing the MAC; anything else — one differing byte anywhere, a
-/// triple never seen, one that failed — is MAC-checked as if there were
-/// no memo. Failures are never remembered. The comparison needs no
-/// constant-time care: a remembered tag is the valid tag of the
-/// remembered bytes, and both already crossed the network in the clear.
+/// computing the MAC. So is a triple the host's own signer just made, if
+/// the keystore's material for the signer's id equals the signer's: the
+/// keystore would compute the very same tag over the very same bytes.
+/// Anything else — one differing byte anywhere, a triple never seen, one
+/// that failed, one signed under a key the keystore does not hold — is
+/// MAC-checked as if there were no memo. Failures are never remembered.
+/// The comparison needs no constant-time care: a remembered tag is the
+/// valid tag of the remembered bytes, and both cross the network in the
+/// clear.
 ///
 /// Entries (`key id | tag | length | bytes`) are appended to one small
 /// log and found through an open-addressed index on two tag bytes; when
@@ -123,6 +138,21 @@ impl VerifyMemo {
         ks.verify(sig, msg)?;
         self.remember(slot, sig, msg);
         Ok(())
+    }
+
+    /// `signer` made `sig` over `msg`; remember that `ks.verify(sig, msg)`
+    /// accepts it if `ks` holds `signer`'s key (nothing, until armed).
+    fn remember_signed(&mut self, ks: &KeyStore, signer: &Signer, sig: &Signature, msg: &[u8]) {
+        if self.index.is_empty()
+            || msg.len() > MAX_MSG
+            || sig.key != signer.id()
+            || !ks.holds(signer)
+        {
+            return;
+        }
+        if let Err(slot) = self.find(sig, msg) {
+            self.remember(slot, sig, msg);
+        }
     }
 
     fn first_slot(tag: &Digest) -> usize {
@@ -202,6 +232,69 @@ mod tests {
         assert_eq!(memo.verify(&ks, &sig, b"payload"), Ok(()));
         assert_eq!(memo.verify(&ks, &sig, b"payloae"), Err(SigError::BadTag(1)));
         assert_eq!(btr_crypto::mac_count() - macs, 1);
+    }
+
+    #[test]
+    fn a_signed_triple_answers_as_a_cold_verify_and_nothing_else_is_spared() {
+        let ks = KeyStore::derive(5, 3);
+        let signer = Signer::new(NodeKey::derive(5, 1));
+        let sig = signer.sign(b"payload");
+        let mut memo = armed();
+        memo.remember_signed(&ks, &signer, &sig, b"payload");
+        let macs = btr_crypto::mac_count();
+        assert_eq!(
+            memo.verify(&ks, &sig, b"payload"),
+            ks.verify(&sig, b"payload")
+        );
+        assert_eq!(btr_crypto::mac_count() - macs, 1, "only the cold one");
+        // Near misses of the seeded triple pay their MAC and fail, every
+        // time (a failure is not remembered).
+        let mut flipped = sig;
+        flipped.tag.0[7] ^= 0x10;
+        let near: [(Signature, &[u8]); 4] = [
+            (flipped, b"payload"),
+            (Signature { key: 2, ..sig }, b"payload"),
+            (sig, b"payloae"),
+            (sig, b"payload!"),
+        ];
+        for (i, (s, msg)) in near.iter().enumerate() {
+            for _ in 0..2 {
+                let macs = btr_crypto::mac_count();
+                assert!(memo.verify(&ks, s, msg).is_err(), "near miss {i}");
+                assert_eq!(btr_crypto::mac_count() - macs, 1, "near miss {i}");
+            }
+        }
+        // A signer whose key the keystore does not hold — another seed,
+        // the other suite — seeds nothing: the keystore rejects its tags,
+        // and so does the memo.
+        let strangers = [
+            Signer::new(NodeKey::derive(6, 1)),
+            Signer::new(NodeKey::derive_suite(
+                5,
+                1,
+                btr_crypto::AuthSuite::SipHash24,
+            )),
+        ];
+        for (i, stranger) in strangers.iter().enumerate() {
+            let sig = stranger.sign(b"forged");
+            memo.remember_signed(&ks, stranger, &sig, b"forged");
+            assert_eq!(memo.entries, 1, "stranger {i} seeded nothing");
+            let macs = btr_crypto::mac_count();
+            assert_eq!(memo.verify(&ks, &sig, b"forged"), Err(SigError::BadTag(1)));
+            assert_eq!(btr_crypto::mac_count() - macs, 1);
+        }
+        // Nor does a tag claimed under an id other than the signer's.
+        let relabelled = Signature {
+            key: 2,
+            ..signer.sign(b"mine")
+        };
+        memo.remember_signed(&ks, &signer, &relabelled, b"mine");
+        assert_eq!(memo.entries, 1);
+        // And an unarmed memo (a live actor's, a unicast world's) takes
+        // nothing at all.
+        let mut off = VerifyMemo::default();
+        off.remember_signed(&ks, &signer, &sig, b"payload");
+        assert_eq!((off.entries, off.log.capacity()), (0, 0));
     }
 
     #[test]

@@ -157,28 +157,28 @@ impl LogicalTrace {
         digest64(&[b"btr-logical-trace", &buf])
     }
 
-    /// Describe the first divergence from `other`, if any (for test
-    /// failure messages; `None` means the traces are identical).
-    pub fn first_divergence(&self, other: &LogicalTrace) -> Option<String> {
+    /// Describe the first divergence from `other`, if any (`None` means
+    /// the traces are identical): the index of the first event that
+    /// differs and both sides' event, or which side is longer and its
+    /// first extra event. `sides` names this trace and `other`, in that
+    /// order, e.g. `["live", "simulator"]`.
+    pub fn first_divergence(&self, other: &LogicalTrace, sides: [&str; 2]) -> Option<String> {
+        let [this, that] = sides;
         for (i, (a, b)) in self.events.iter().zip(other.events.iter()).enumerate() {
             if a != b {
-                return Some(format!("event {i}: {a:?} != {b:?}"));
+                return Some(format!("event {i}: {this} {a:?} != {that} {b:?}"));
             }
         }
-        if self.events.len() != other.events.len() {
-            let (longer, n) = if self.events.len() > other.events.len() {
-                (&self.events, other.events.len())
-            } else {
-                (&other.events, self.events.len())
-            };
-            return Some(format!(
-                "lengths differ ({} vs {}); first extra: {:?}",
-                self.events.len(),
-                other.events.len(),
-                longer[n]
-            ));
-        }
-        None
+        let (n, m) = (self.events.len(), other.events.len());
+        let (longer, extra) = match n.cmp(&m) {
+            std::cmp::Ordering::Equal => return None,
+            std::cmp::Ordering::Greater => (this, &self.events[m]),
+            std::cmp::Ordering::Less => (that, &other.events[n]),
+        };
+        Some(format!(
+            "{longer} is longer ({this} {n} vs {that} {m} events); first extra, event {}: {extra:?}",
+            n.min(m)
+        ))
     }
 }
 
@@ -224,6 +224,36 @@ mod tests {
             value: 3,
         };
         assert_eq!(e.at(), Time(9));
+    }
+
+    #[test]
+    fn first_divergence_names_the_event_and_the_longer_side() {
+        let act = |at: u64, value: Value| Actuation {
+            at: Time(at),
+            node: NodeId(1),
+            task: TaskId(2),
+            period: 3,
+            value,
+        };
+        let trace = |acts: &[Actuation]| LogicalTrace::from_actuations(acts);
+        let base = trace(&[act(5, 1), act(9, 2)]);
+        let sides = ["live", "simulator"];
+        assert_eq!(base.first_divergence(&base.clone(), sides), None);
+        let changed = trace(&[act(5, 1), act(9, 7)]);
+        let d = base.first_divergence(&changed, sides).unwrap();
+        assert!(d.starts_with("event 1: live Actuation {"), "{d}");
+        assert!(d.contains("value: 2 } != simulator Actuation {"), "{d}");
+        let longer = trace(&[act(5, 1), act(9, 2), act(12, 4)]);
+        let d = longer.first_divergence(&base, sides).unwrap();
+        assert!(
+            d.starts_with("live is longer (live 3 vs simulator 2 events); first extra, event 2: "),
+            "{d}"
+        );
+        let d = base.first_divergence(&longer, sides).unwrap();
+        assert!(
+            d.starts_with("simulator is longer (live 2 vs simulator 3 events)"),
+            "{d}"
+        );
     }
 
     #[test]

@@ -5,10 +5,10 @@ use crate::scratch::Scratch;
 use crate::seat::Seat;
 use crate::trace::{DropReason, SimMetrics, TraceEvent};
 use crate::{NodeBehavior, TimerId};
-use btr_crypto::{AuthSuite, KeyStore, SigError, Signer, Xoshiro256StarStar};
+use btr_crypto::{AuthSuite, KeyStore, SigError, Signature, Signer, Xoshiro256StarStar};
 use btr_model::{
-    Duration, Envelope, EvidenceFlaw, NodeId, Payload, PeriodIdx, SignedOutput, TaskId, Time,
-    Topology, Value,
+    Duration, Envelope, EvidenceFlaw, NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId,
+    Time, Topology, Value,
 };
 use btr_net::{Frame, Hop, LinkLayer, RouteBackend, Routes, SendError};
 use btr_obs::{
@@ -1065,7 +1065,9 @@ impl<'w> NodeCtx<'w> {
     /// Sign a payload once and send a copy to each of `dsts`, in order
     /// (a destination may repeat). An envelope signature does not cover
     /// the destination, so every copy carries the tag a [`NodeCtx::send`]
-    /// of its own would have given it, for one MAC.
+    /// of its own would have given it, for one MAC — the only one the
+    /// host computes for it, if its memo is armed (see
+    /// [`NodeCtx::sign_output`]).
     pub fn send_many(&mut self, dsts: &[NodeId], payload: Payload) {
         let Some((&last, rest)) = dsts.split_last() else {
             return;
@@ -1075,12 +1077,14 @@ impl<'w> NodeCtx<'w> {
             .backend
             .scope_enter(Subsystem::CryptoSign, dsts.len() as u64);
         let (src, sent_at) = (self.node, self.local_now());
-        let buf = &mut self.scratch.buf;
-        let sig = Envelope::sign_parts(&self.seat.signer, src, sent_at, &payload, buf);
-        self.backend.scope_exit(Subsystem::CryptoSign, t0);
         if !rest.is_empty() {
             self.scratch.saw_multicast();
         }
+        let buf = &mut self.scratch.buf;
+        let sig = Envelope::sign_parts(&self.seat.signer, src, sent_at, &payload, buf);
+        self.scratch
+            .signed(self.backend.keystore(), &self.seat.signer, &sig);
+        self.backend.scope_exit(Subsystem::CryptoSign, t0);
         let env = Envelope {
             src,
             dst: last,
@@ -1118,6 +1122,54 @@ impl<'w> NodeCtx<'w> {
         let r = output.verify_by(buf, |sig, msg| memo.verify(ks, sig, msg));
         self.backend.scope_exit(Subsystem::Audit, t0);
         r
+    }
+
+    /// Sign a task output as this node: what
+    /// `SignedOutput::sign(ctx.signer(), …)` returns, laid out in the
+    /// host's scratch. On a host whose memo is armed the triple is
+    /// remembered as it is signed, so that this host's receivers of the
+    /// output — consumers, checkers, a detector reading it as a witness —
+    /// spend no MAC on it (DESIGN.md "The host's verification memo").
+    pub fn sign_output(
+        &mut self,
+        task: TaskId,
+        replica: ReplicaIdx,
+        period: PeriodIdx,
+        value: Value,
+        inputs_digest: u64,
+        producer: NodeId,
+    ) -> SignedOutput {
+        let signer = &self.seat.signer;
+        let output = SignedOutput::sign_with(
+            signer,
+            task,
+            replica,
+            period,
+            value,
+            inputs_digest,
+            producer,
+            &mut self.scratch.buf,
+        );
+        self.scratch
+            .signed(self.backend.keystore(), signer, &output.sig);
+        output
+    }
+
+    /// What this node's detector checks signed records with, lent beside
+    /// the node's signer (for the declarations it raises): the keystore's
+    /// verdicts, behind the host's memo as in [`NodeCtx::verify_output`],
+    /// but with no profile scope of its own.
+    pub fn verifier(
+        &mut self,
+    ) -> (
+        impl FnMut(&Signature, &[u8]) -> Result<(), SigError> + '_,
+        &Signer,
+    ) {
+        let (memo, ks) = (&mut self.scratch.memo, self.backend.keystore());
+        (
+            move |sig: &Signature, msg: &[u8]| memo.verify(ks, sig, msg),
+            &self.seat.signer,
+        )
     }
 
     /// Send an arbitrary envelope (Byzantine behaviours use this to spoof
@@ -1465,13 +1517,14 @@ mod tests {
         // Two casters x 40 rounds x 5 copies, plus node 2's 40 sends:
         // the loop signs every copy and — no multicast ever arming the
         // world's memo — MAC-checks every delivery; `send_many` signs a
-        // round once and each distinct envelope is MAC-checked once,
-        // however many keepers it reaches.
+        // round once, and no keeper computes a tag again: node 0's first
+        // round arms the memo before anything is signed, and from then
+        // on every tag is remembered as it is signed.
         let delivered: Vec<&Envelope> = many.0.iter().flatten().collect();
         let distinct: BTreeSet<_> = delivered.iter().map(|e| e.sig.unwrap().tag.0).collect();
         assert!(distinct.len() < delivered.len());
         assert_eq!(looped.5, (2 * 40 * 5 + 40) + delivered.len() as u64);
-        assert_eq!(many.5, (2 * 40 + 40) + distinct.len() as u64);
+        assert_eq!(many.5, 2 * 40 + 40);
         // ...while a profile still counts a verification per delivery.
         let verify = Subsystem::all()
             .iter()
@@ -1479,7 +1532,8 @@ mod tests {
             .unwrap();
         assert_eq!(many.4[verify], delivered.len() as u64);
 
-        // The same on the smallest case: one round to eight receivers.
+        // The same on the smallest case: one round to eight receivers
+        // costs one MAC world-wide.
         struct Round;
         impl NodeBehavior for Round {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -1498,9 +1552,10 @@ mod tests {
         let macs_before = btr_crypto::mac_count();
         w.start();
         w.run_until(Time::from_millis(10));
-        // One to sign, one for the first receiver; the other seven find
-        // the triple in the memo (it was nine).
-        assert_eq!(btr_crypto::mac_count() - macs_before, 2);
+        // One to sign; all eight receivers find the triple the signature
+        // left in the memo (it was two when the first receiver checked
+        // the tag, nine when every receiver did).
+        assert_eq!(btr_crypto::mac_count() - macs_before, 1);
         assert_eq!(w.actuations().len(), 8, "every receiver verified its copy");
         let rec = w.take_obs();
         let profile = rec.subsystem_profile();
@@ -1635,14 +1690,15 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A hit is exact. With the memo armed and holding two genuine
-        /// envelopes and two genuine outputs, every tampered sibling of
-        /// one — a payload byte, the send time, the source, a tag lifted
-        /// from the other, another key id under the same tag, no
-        /// signature — gets from the host what a cold verification
-        /// returns, the first time and the second (a failure is never
-        /// remembered, and costs its MAC each time); and so does an
-        /// envelope too long to be remembered.
+        /// A hit is exact. With the memo armed and holding genuine
+        /// envelopes and outputs — two of each it verified, one of each
+        /// a node of its own signed — every tampered sibling of one — a
+        /// payload byte, the send time, the source, a tag lifted from
+        /// another, another key id under the same tag, no signature —
+        /// gets from the host what a cold verification returns, the first
+        /// time and the second (a failure is never remembered, and costs
+        /// its MAC each time); and so does an envelope too long to be
+        /// remembered, signed here or not.
         #[test]
         fn prop_warm_memo_answers_as_a_cold_verify(
             (seed, suite) in (0u64..1_000, 0usize..2),
@@ -1654,17 +1710,25 @@ mod tests {
             // The first multicast arms the memo.
             w.ctx(NodeId(0)).send_many(&[NodeId(1), NodeId(2)], Payload::Control(0));
             let ks = w.keystore().clone();
-            let out = |w: &World, node: u32, value: Value| {
+            let out = |w: &World, node: u32, period: u64, value: Value| {
                 let signer = &w.seats[node as usize].signer;
-                SignedOutput::sign(signer, TaskId(2), 1, 5, value, 9, NodeId(node))
+                SignedOutput::sign(signer, TaskId(2), 1, period, value, 9, NodeId(node))
             };
-            let (o1, o2) = (out(&w, 1, 1 << bit), out(&w, 2, 77));
-            let output = Payload::Output { output: o1.clone(), witnesses: filler(witnesses) };
-            let e1 = Envelope::new(NodeId(1), NodeId(3), Time(at), output)
+            let carrying = |o: &SignedOutput| Payload::Output { output: o.clone(), witnesses: filler(witnesses) };
+            let (o1, o2) = (out(&w, 1, 5, 1 << bit), out(&w, 2, 5, 77));
+            let e1 = Envelope::new(NodeId(1), NodeId(3), Time(at), carrying(&o1))
                 .signed(&w.seats[1].signer);
             let e2 = Envelope::new(NodeId(2), NodeId(3), Time(at), Payload::Heartbeat { period: at })
                 .signed(&w.seats[2].signer);
-            // Warm: a MAC each the first time, none the second.
+            // Signed on this host: the memo takes each triple as its tag
+            // is computed.
+            let o3 = w.ctx(NodeId(1)).sign_output(TaskId(2), 1, 6, 1 << bit, 9, NodeId(1));
+            proptest::prop_assert_eq!(&o3, &out(&w, 1, 6, 1 << bit));
+            w.ctx(NodeId(1)).send(NodeId(3), carrying(&o3));
+            let e3 = Envelope::new(NodeId(1), NodeId(3), w.seats[1].local(w.now()), carrying(&o3))
+                .signed(&w.seats[1].signer);
+            // Warm: a MAC each the first time, none the second; none ever
+            // for what was signed here.
             let mut ctx = w.ctx(NodeId(3));
             for pass in 0..2 {
                 let macs = btr_crypto::mac_count();
@@ -1673,76 +1737,93 @@ mod tests {
                 proptest::prop_assert_eq!(ctx.verify_output(&o1), Ok(()));
                 proptest::prop_assert_eq!(ctx.verify_output(&o2), Ok(()));
                 proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, [4, 0][pass]);
+                let macs = btr_crypto::mac_count();
+                proptest::prop_assert_eq!(ctx.verify_env(&e3), Ok(()));
+                proptest::prop_assert_eq!(ctx.verify_output(&o3), Ok(()));
+                proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, 0);
             }
 
-            let sig1 = e1.sig.unwrap();
-            let mut envs = vec![e1.clone(); 8];
-            if let Payload::Output { output, witnesses } = &mut envs[0].payload {
-                match witnesses.last_mut() {
-                    Some(w) => w.value ^= 1 << bit,
-                    None => output.value ^= 1 << bit,
+            let other = e2.sig.unwrap();
+            for (genuine, o) in [(&e1, &o1), (&e3, &o3)] {
+                let sig = genuine.sig.unwrap();
+                let mut envs = vec![genuine.clone(); 8];
+                if let Payload::Output { output, witnesses } = &mut envs[0].payload {
+                    match witnesses.last_mut() {
+                        Some(w) => w.value ^= 1 << bit,
+                        None => output.value ^= 1 << bit,
+                    }
                 }
-            }
-            envs[1].sent_at = Time(at ^ (1 << (bit % 20)));
-            envs[2].src = NodeId(2);
-            (envs[3].src, envs[3].sig) = (NodeId(2), Some(Signature { key: 2, ..sig1 }));
-            envs[4].sig = Some(Signature { tag: e2.sig.unwrap().tag, ..sig1 });
-            envs[5].sig = Some(Signature { key: 2, ..sig1 });
-            envs[6].sig = None;
-            envs[7].payload = e2.payload.clone();
-            let mut flipped = sig1;
-            flipped.tag.0[(bit % 32) as usize] ^= 1 << (bit % 8);
-            envs.push(Envelope { sig: Some(flipped), ..e1.clone() });
-            for (i, env) in envs.iter().enumerate() {
-                let cold = env.verify(&ks);
-                proptest::prop_assert!(cold.is_err(), "sibling {i} is a forgery");
-                // The attribution gate refuses some before any MAC.
-                let gated = env.sig.is_none_or(|s| s.key != env.src.0);
-                for _ in 0..2 {
-                    let macs = btr_crypto::mac_count();
-                    proptest::prop_assert!(ctx.verify_env(env) == cold, "sibling {i}");
-                    proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, u64::from(!gated));
+                envs[1].sent_at = Time(genuine.sent_at.0 ^ (1 << (bit % 20)));
+                envs[2].src = NodeId(2);
+                (envs[3].src, envs[3].sig) = (NodeId(2), Some(Signature { key: 2, ..sig }));
+                envs[4].sig = Some(Signature { tag: other.tag, ..sig });
+                envs[5].sig = Some(Signature { key: 2, ..sig });
+                envs[6].sig = None;
+                envs[7].payload = e2.payload.clone();
+                let mut flipped = sig;
+                flipped.tag.0[(bit % 32) as usize] ^= 1 << (bit % 8);
+                envs.push(Envelope { sig: Some(flipped), ..genuine.clone() });
+                for (i, env) in envs.iter().enumerate() {
+                    let cold = env.verify(&ks);
+                    proptest::prop_assert!(cold.is_err(), "sibling {i} is a forgery");
+                    // The attribution gate refuses some before any MAC.
+                    let gated = env.sig.is_none_or(|s| s.key != env.src.0);
+                    for _ in 0..2 {
+                        let macs = btr_crypto::mac_count();
+                        proptest::prop_assert!(ctx.verify_env(env) == cold, "sibling {i}");
+                        proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, u64::from(!gated));
+                    }
                 }
-            }
 
-            let mut outs = vec![o1.clone(); 9];
-            outs[0].task = TaskId(3);
-            outs[1].replica = 0;
-            outs[2].period ^= 1 << bit;
-            outs[3].value ^= 1;
-            outs[4].inputs_digest ^= 1 << bit;
-            outs[5].producer = NodeId(2);
-            (outs[6].producer, outs[6].sig.key) = (NodeId(2), 2);
-            outs[7].sig.tag = o2.sig.tag;
-            outs[8].sig.tag.0[(bit % 32) as usize] ^= 1 << (bit % 8);
-            for (i, out) in outs.iter().enumerate() {
-                let cold = out.verify(&ks);
-                proptest::prop_assert!(cold.is_err(), "output sibling {i} is a forgery");
-                let gated = out.sig.key != out.producer.0;
-                for _ in 0..2 {
-                    let macs = btr_crypto::mac_count();
-                    proptest::prop_assert!(ctx.verify_output(out) == cold, "output sibling {i}");
-                    proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, u64::from(!gated));
+                let mut outs = vec![o.clone(); 9];
+                outs[0].task = TaskId(3);
+                outs[1].replica = 0;
+                outs[2].period ^= 1 << bit;
+                outs[3].value ^= 1;
+                outs[4].inputs_digest ^= 1 << bit;
+                outs[5].producer = NodeId(2);
+                (outs[6].producer, outs[6].sig.key) = (NodeId(2), 2);
+                outs[7].sig.tag = o2.sig.tag;
+                outs[8].sig.tag.0[(bit % 32) as usize] ^= 1 << (bit % 8);
+                for (i, out) in outs.iter().enumerate() {
+                    let cold = out.verify(&ks);
+                    proptest::prop_assert!(cold.is_err(), "output sibling {i} is a forgery");
+                    let gated = out.sig.key != out.producer.0;
+                    for _ in 0..2 {
+                        let macs = btr_crypto::mac_count();
+                        proptest::prop_assert!(ctx.verify_output(out) == cold, "output sibling {i}");
+                        proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, u64::from(!gated));
+                    }
                 }
             }
-            // None of that displaced what was genuinely verified.
+            // None of that displaced what is genuine.
             let macs = btr_crypto::mac_count();
-            proptest::prop_assert_eq!(ctx.verify_env(&e1), Ok(()));
-            proptest::prop_assert_eq!(ctx.verify_output(&o1), Ok(()));
+            for (e, o) in [(&e1, &o1), (&e3, &o3)] {
+                proptest::prop_assert_eq!(ctx.verify_env(e), Ok(()));
+                proptest::prop_assert_eq!(ctx.verify_output(o), Ok(()));
+            }
             proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, 0);
 
-            // Past the memo's cap: right answers, a MAC every time.
-            let long = Payload::Output { output: o2.clone(), witnesses: filler(16 + witnesses) };
-            let long = Envelope::new(NodeId(2), NodeId(3), Time(at), long).signed(&w.seats[2].signer);
+            // Past the memo's cap, signed here or not: right answers, a
+            // MAC every time.
+            let filled = filler(crate::scratch::MAX_MSG / SignedOutput::CANONICAL_ID_LEN + witnesses);
+            let long = Payload::Output { output: o2.clone(), witnesses: filled };
+            w.ctx(NodeId(2)).send(NodeId(3), long.clone());
+            let long = Envelope::new(NodeId(2), NodeId(3), w.seats[2].local(w.now()), long)
+                .signed(&w.seats[2].signer);
+            let mut far = long.clone();
+            far.sent_at = Time(at);
+            let far = far.signed(&w.seats[2].signer);
             let mut tampered = long.clone();
-            tampered.sent_at = Time(at + 1);
+            tampered.sent_at = Time(long.sent_at.0 + 1);
             let cold = tampered.verify(&ks);
             let mut ctx = w.ctx(NodeId(3));
             for _ in 0..2 {
                 let macs = btr_crypto::mac_count();
                 proptest::prop_assert_eq!(ctx.verify_env(&long), Ok(()));
+                proptest::prop_assert_eq!(ctx.verify_env(&far), Ok(()));
                 proptest::prop_assert!(ctx.verify_env(&tampered) == cold && cold.is_err());
-                proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, 2);
+                proptest::prop_assert_eq!(btr_crypto::mac_count() - macs, 3);
             }
         }
     }
@@ -1763,7 +1844,51 @@ mod tests {
         assert_eq!(w.scratch.memo_bytes(), 0);
         w.ctx(NodeId(0))
             .send_many(&[NodeId(1), NodeId(2)], Payload::Control(1));
-        assert!(w.scratch.memo_bytes() > 8 * 1024 && w.scratch.memo_bytes() < 9 * 1024);
+        assert!(w.scratch.memo_bytes() > 32 * 1024 && w.scratch.memo_bytes() < 35 * 1024);
+    }
+
+    #[test]
+    fn an_n_receiver_multicast_costs_one_mac_world_wide() {
+        // Node 0 multicasts a heartbeat, then an output signed through
+        // its context: three signatures, and they are the only MACs —
+        // every receiver finds each triple the signing host remembered,
+        // envelope and output alike.
+        struct Producer(u32);
+        impl NodeBehavior for Producer {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                let receivers: Vec<NodeId> = (1..=self.0).map(NodeId).collect();
+                ctx.send_many(&receivers, Payload::Heartbeat { period: 1 });
+                let output = ctx.sign_output(TaskId(1), 0, 3, 7, 9, NodeId(0));
+                let witnesses = Vec::new();
+                ctx.send_many(&receivers, Payload::Output { output, witnesses });
+            }
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        struct Consumer;
+        impl NodeBehavior for Consumer {
+            fn on_start(&mut self, _c: &mut NodeCtx<'_>) {}
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
+                assert_eq!(ctx.verify_env(&env), Ok(()));
+                if let Payload::Output { output, .. } = &env.payload {
+                    assert_eq!(ctx.verify_output(output), Ok(()));
+                }
+                ctx.actuate(TaskId(0), 0, 1);
+            }
+            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        for n in 2..=12u32 {
+            let mut w = world(n as usize + 1);
+            w.set_behavior(NodeId(0), Box::new(Producer(n)));
+            for r in 1..=n {
+                w.set_behavior(NodeId(r), Box::new(Consumer));
+            }
+            let macs = btr_crypto::mac_count();
+            w.start();
+            w.run_until(Time::from_millis(10));
+            assert_eq!(w.actuations().len(), 2 * n as usize, "{n}: all delivered");
+            assert_eq!(btr_crypto::mac_count() - macs, 3, "{n} receivers");
+        }
     }
 
     #[test]
