@@ -1,14 +1,13 @@
 //! The experiment harness: regenerates every table/figure in
-//! EXPERIMENTS.md, measures the simulator (`profile`) and the live
-//! thread fleet (`live`), and drives the fault-injection campaign and
-//! the schedule fuzzer.
+//! EXPERIMENTS.md, measures the live thread fleet (`live`), and drives
+//! the fault-injection campaign and the schedule fuzzer. The simulator's
+//! wall clock is the repository benchmark's (`benchmark/`).
 //!
 //! Usage:
 //!
 //! ```text
 //! harness all               # run the full experiment suite
 //! harness e1 e7 a2          # run selected experiments
-//! harness profile [...]     # the simulator measurement, emit PROFILE_btr.json
 //! harness live [...]        # the thread-fleet measurement, emit LIVE_btr.json
 //! harness campaign [...]    # fault-injection campaign, emit CAMPAIGN_btr.json
 //! harness fuzz [...]        # coverage-guided schedule search, emit FUZZ_btr.json
@@ -16,45 +15,15 @@
 //! harness --threads N ...   # worker threads (campaign + fuzz + e6 planner)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use btr_bench::experiments as exp;
 use btr_bench::live::{self, LiveMeasurement, LIVE_PACE, LIVE_SEED, LIVE_SMOKE_PACE};
-use btr_bench::profile::{self, ObsOverhead, OBS_AB_ROUNDS, OBS_NOISE_NS, OBS_OVERHEAD_PCT};
-use btr_bench::scale::{SCALE_NODES, SCALE_ROUTING_BUDGET, SCALE_SMOKE_MSGS, SCALE_TARGET_MSGS};
 use btr_crypto::AuthSuite;
 use btr_obs::json::{self, Layout::Block, Layout::Inline};
-use btr_obs::{Histogram, Lat, SpeedscopeBuilder, Subsystem, TraceBuilder, FLIGHT_CAP};
-use std::alloc::{GlobalAlloc, Layout, System};
+use btr_obs::{Histogram, Lat, TraceBuilder, FLIGHT_CAP};
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Counts heap allocations so `harness profile` can report the
-/// allocations of a measured run (the "allocation-free hot path" metric).
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to the system allocator unchanged;
-// the only addition is a relaxed counter increment.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set once a write to stdout has failed (`harness --list | head`).
 static STDOUT_GONE: AtomicBool = AtomicBool::new(false);
@@ -113,208 +82,6 @@ impl Report {
             }
         }
     }
-}
-
-/// `harness profile`: the simulator measurement. One torus point per
-/// sweep size, each measured by the three-pass kernel in
-/// `btr_bench::profile`: throughput, allocations and routing residency
-/// from the baseline pass, the recorder's cost and the subsystem counts
-/// from the counts pass, per-subsystem shares from the wall pass. Emits
-/// the JSON report, a speedscope export and collapsed-stack text. Exits
-/// 1 if any point trips a gate (`ProfilePoint::gate_failures`) or the
-/// recorder cost the sweep more than its ceiling.
-fn run_profile_cli(mut args: Vec<String>, _threads: usize) {
-    let seed = take_value(&mut args, "--seed").unwrap_or(7u64);
-    let smoke = take_flag(&mut args, "--smoke");
-    let out_path: String = take_value(&mut args, "--out").unwrap_or("PROFILE_btr.json".into());
-    let speedscope_path: String =
-        take_value(&mut args, "--profile-out").unwrap_or("PROFILE_btr.speedscope.json".into());
-    let stacks_path: String =
-        take_value(&mut args, "--stacks-out").unwrap_or("PROFILE_btr.stacks.txt".into());
-    let nodes: Vec<usize> = match take_value::<String>(&mut args, "--nodes") {
-        None => SCALE_NODES.to_vec(),
-        Some(list) => {
-            let parsed: Result<Vec<usize>, _> = list.split(',').map(str::parse).collect();
-            match parsed {
-                Ok(v)
-                    if !v.is_empty() && v.iter().all(|&n| (2..=MAX_PROFILE_NODES).contains(&n)) =>
-                {
-                    v
-                }
-                _ => {
-                    eprintln!(
-                        "error: --nodes wants a comma list of sizes >= 2 and \
-                         <= {MAX_PROFILE_NODES}, got '{list}'"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
-    if let Some(stray) = args.first() {
-        eprintln!("error: unknown profile argument '{stray}'");
-        std::process::exit(2);
-    }
-    let report = Report::open(out_path);
-    let speedscope_report = Report::open(speedscope_path);
-    let stacks_report = Report::open(stacks_path);
-
-    let target = if smoke {
-        SCALE_SMOKE_MSGS
-    } else {
-        SCALE_TARGET_MSGS
-    };
-    let sha256_backend = btr_crypto::sha256::backend();
-    outln!(
-        "profile sweep: torus n ∈ {nodes:?}, ~{target} msgs/point, seed {seed}{}, \
-         sha256 {sha256_backend}",
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    let points: Vec<_> = nodes
-        .iter()
-        .map(|&n| profile::measure_profile_point(n, seed, target, &alloc_count))
-        .collect();
-
-    let mut gate_failed = false;
-    for p in &points {
-        outln!(
-            "  torus      n={:<5} {:>9.0} msgs/s  {:>5.0} ns/delivery  {:>8} routing bytes ({})  \
-             {:>4} allocs  [{}]",
-            p.nodes,
-            p.msgs_per_sec(),
-            p.ns_per_delivery(),
-            p.routing_resident_bytes,
-            p.routing_kind,
-            p.allocations,
-            if p.inert { "inert" } else { "PERTURBED" },
-        );
-        outln!(
-            "    routing {:>4.1}%  crypto {:>4.1}%  dispatch {:>4.1}%  other {:>4.1}%",
-            p.wall_share_pct(Subsystem::Routing),
-            p.wall_share_pct(Subsystem::CryptoSign) + p.wall_share_pct(Subsystem::CryptoVerify),
-            p.wall_share_pct(Subsystem::Dispatch),
-            p.wall_share_pct(Subsystem::Other),
-        );
-        if p.routing_rows_built > 0 {
-            outln!(
-                "    routing rows: {} built, {} of them healed after the crash",
-                p.routing_rows_built,
-                p.routing_rows_healed,
-            );
-        }
-        for why in p.gate_failures() {
-            eprintln!("error: torus n={}: {why}", p.nodes);
-            gate_failed = true;
-        }
-    }
-
-    // What the collecting recorder cost: the identical runs with it
-    // installed (pass 2) against without (pass 1), best of
-    // OBS_AB_ROUNDS interleaved rounds each, summed over the sweep —
-    // the recorder sees every event, send and delivery and stages the
-    // counters and the subsystem counts, so this is the worst-case
-    // instrumentation cost.
-    let obs = ObsOverhead::of(&points);
-    let profile_events: u64 = points.iter().map(|p| p.counts.total_count()).sum();
-    outln!(
-        "  obs       +{:.2}% wall with recorder on (ceiling {OBS_OVERHEAD_PCT}%), \
-         {profile_events} subsystem events staged",
-        obs.pct(),
-    );
-    if obs.exceeded() {
-        eprintln!(
-            "error: obs overhead {:.2}% exceeds the {OBS_OVERHEAD_PCT}% ceiling",
-            obs.pct()
-        );
-        gate_failed = true;
-    }
-
-    let json = json::document(Block, |o| {
-        o.field("report", "btr_profile");
-        o.field("sha256_backend", sha256_backend);
-        o.field("seed", seed);
-        o.field("smoke", smoke);
-        o.field("routing_budget_bytes", SCALE_ROUTING_BUDGET);
-        o.object("obs_overhead", Block, |o| {
-            o.field("baseline_wall_ns", obs.baseline_wall_ns);
-            o.field("observed_wall_ns", obs.observed_wall_ns);
-            o.field("overhead_pct", json::fixed(obs.pct(), 4));
-            o.field("ceiling_pct", json::fixed(OBS_OVERHEAD_PCT, 1));
-            o.field("noise_floor_ns", OBS_NOISE_NS);
-            o.field("rounds", OBS_AB_ROUNDS);
-            o.field("profile_events", profile_events);
-        });
-        o.array("points", Block, |a| {
-            for p in &points {
-                a.object(Block, |o| point_json(o, p));
-            }
-        });
-    });
-    report.write(&json);
-
-    // Speedscope: one count profile and one wall profile per point, all
-    // in one file (speedscope renders them as selectable profiles).
-    let mut ss = SpeedscopeBuilder::new();
-    for p in &points {
-        ss.add(&format!("torus-n{}-counts", p.nodes), &p.counts);
-        ss.add(&format!("torus-n{}-wall", p.nodes), &p.wall);
-    }
-    speedscope_report.write(&ss.finish("btr-profile"));
-
-    let stacks: String = points
-        .iter()
-        .map(|p| p.counts.collapsed_stacks(&format!("torus-n{}", p.nodes)))
-        .collect();
-    stacks_report.write(&stacks);
-
-    if gate_failed {
-        std::process::exit(1);
-    }
-}
-
-/// One profile point's members: the run's counts and its wall-time
-/// split. Rates take one decimal, shares four.
-fn point_json(o: &mut json::Object<'_>, p: &profile::ProfilePoint) {
-    o.field("family", "torus");
-    o.field("nodes", p.nodes);
-    o.field("periods", p.periods);
-    o.field("msgs_sent", p.metrics.msgs_sent);
-    o.field("msgs_delivered", p.metrics.msgs_delivered);
-    o.field("events", p.metrics.events);
-    o.field("baseline_wall_ns", p.baseline_wall_ns);
-    o.field("observed_wall_ns", p.observed_wall_ns);
-    o.field("msgs_per_sec", json::fixed(p.msgs_per_sec(), 1));
-    o.field("ns_per_delivery", json::fixed(p.ns_per_delivery(), 1));
-    o.field("allocations", p.allocations);
-    o.field("routing_kind", p.routing_kind);
-    o.field("routing_resident_bytes", p.routing_resident_bytes);
-    o.field("routing_rows_built", p.routing_rows_built);
-    o.field("routing_rows_healed", p.routing_rows_healed);
-    o.field("drops_forward", p.metrics.drops_forward);
-    o.field("envelopes_leaked", p.envelopes_leaked);
-    o.field("truncated", p.truncated);
-    o.field("digest", format!("{:016x}", p.digest));
-    o.field("inert", p.inert);
-    o.object("counts", Block, |o| {
-        for s in Subsystem::all() {
-            o.field(s.label(), p.counts.count(s));
-        }
-    });
-    o.field("wall_total_ns", p.wall_total_ns);
-    o.object("wall", Block, |o| {
-        for s in Subsystem::all() {
-            let ns = if s == Subsystem::Other {
-                p.other_wall_ns()
-            } else {
-                p.wall.wall_ns(s) as u128
-            };
-            o.object(s.label(), Inline, |o| {
-                o.field("wall_ns", ns);
-                o.field("share_pct", json::fixed(p.wall_share_pct(s), 4));
-            });
-        }
-    });
 }
 
 /// A histogram's count and p50/p95/p99 (`Histogram::quantile` returns
@@ -677,33 +444,7 @@ struct Command {
     run: fn(Vec<String>, usize),
 }
 
-const COMMANDS: [Command; 4] = [
-    Command {
-        name: "profile",
-        about: "the simulator measurement: a torus sweep to a thousand\n\
-                nodes — throughput, allocations, routing residency,\n\
-                recorder overhead, per-subsystem cost shares (emits\n\
-                PROFILE_btr.json plus speedscope and collapsed-stack\n\
-                exports)",
-        options: &[
-            (
-                "--nodes N,N,...",
-                "torus sweep sizes, 2 to 4096 (default 20,100,400,1000)",
-            ),
-            ("--seed S", "simulator seed (default 7)"),
-            ("--smoke", "~10x fewer messages per point (CI budget)"),
-            ("--out PATH", "JSON report path (default PROFILE_btr.json)"),
-            (
-                "--profile-out PATH",
-                "speedscope export (default PROFILE_btr.speedscope.json)",
-            ),
-            (
-                "--stacks-out PATH",
-                "collapsed-stack text (default PROFILE_btr.stacks.txt)",
-            ),
-        ],
-        run: run_profile_cli,
-    },
+const COMMANDS: [Command; 3] = [
     Command {
         name: "live",
         about: "the thread-fleet measurement: pinned fault scenarios on\n\
@@ -744,8 +485,8 @@ const COMMANDS: [Command; 4] = [
         options: &[
             (
                 "--runs N",
-                "target run count (default 256); with the cells and\n\
-                 --sim-seeds, at most 1000000 executed runs",
+                "target run count, at least 1 (default 256); with the\n\
+                 cells and --sim-seeds, at most 1000000 executed runs",
             ),
             ("--seed S", "campaign seed (default 42)"),
             (
@@ -908,11 +649,6 @@ const MAX_CAMPAIGN_RUNS: usize = 1_000_000;
 /// ceiling, for the same reason. Far larger budgets used to never return.
 const MAX_FUZZ_BUDGET: usize = MAX_CAMPAIGN_RUNS;
 
-/// The largest torus `harness profile` builds, the same ceiling replay
-/// tokens take. Far larger sizes used to abort on their allocation or
-/// never return.
-const MAX_PROFILE_NODES: usize = 4096;
-
 /// The slowest `harness live` pace: at 100 wall microseconds per logical
 /// one the pinned scenarios already take minutes, and far slower paces
 /// used to never return.
@@ -956,6 +692,10 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     }
 
     let runs = take_value(&mut args, "--runs").unwrap_or(256);
+    if runs == 0 {
+        eprintln!("error: --runs must be at least 1");
+        std::process::exit(2);
+    }
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let sim_seeds = take_value(&mut args, "--sim-seeds").unwrap_or(2);
     if sim_seeds == 0 {

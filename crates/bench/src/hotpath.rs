@@ -8,9 +8,10 @@
 //! pin them with golden counters and a golden trace digest. The wall
 //! clock of this scenario is the benchmark's `sim_mesh20_unsigned`
 //! workload (`benchmark/`); this module only holds the run to its bits.
+//! The same traffic on the torus of `sim_torus1000_unsigned`, relay
+//! crash included, is held to its routing and inertness facts here too.
 
-use crate::profile::horizon;
-use btr_model::{Duration, Envelope, NodeId, Payload, Topology};
+use btr_model::{Duration, Envelope, NodeId, Payload, Time, Topology};
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};
 
 /// Nodes in the pinned scenario (4x5 mesh).
@@ -28,6 +29,10 @@ struct Blaster {
     periods: u64,
     fired: u64,
     n: u32,
+    /// Far-peer strides of the data plane: coprime with n on the mesh so
+    /// the whole mesh sees traffic; the torus swaps the middle one for the
+    /// antipode so routes reach diameter length.
+    strides: [u32; 3],
 }
 
 impl NodeBehavior for Blaster {
@@ -40,9 +45,7 @@ impl NodeBehavior for Blaster {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId) {
         let me = ctx.id().0;
         let n = self.n;
-        // Unsigned data plane: three far peers, stride-coprime with n so
-        // the whole mesh sees traffic.
-        for stride in [7u32, 11, 13] {
+        for stride in self.strides {
             let dst = NodeId((me + stride) % n);
             let env = Envelope::new(
                 ctx.id(),
@@ -87,10 +90,17 @@ pub fn hotpath_world(seed: u64, periods: u64, loss_ppm: u32, trace: bool) -> Wor
                 periods,
                 fired: 0,
                 n: HOTPATH_NODES as u32,
+                strides: [7, 11, 13],
             }),
         );
     }
     w
+}
+
+/// The horizon by which `periods` periods have run and their traffic
+/// has drained (one second past the last).
+pub(crate) fn horizon(period: Duration, periods: u64) -> Time {
+    Time(periods * period.as_micros() + 1_000_000)
 }
 
 /// Run the pinned scenario to completion and return its metrics.
@@ -104,7 +114,8 @@ pub fn run_hotpath(seed: u64, periods: u64, loss_ppm: u32) -> SimMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_sim::TraceEvent;
+    use btr_obs::{Counter, Lat, ObsRecorder, Subsystem};
+    use btr_sim::{ControlAction, TraceEvent};
 
     fn traced_run(seed: u64, periods: u64, loss_ppm: u32) -> (SimMetrics, Vec<TraceEvent>) {
         let mut w = hotpath_world(seed, periods, loss_ppm, true);
@@ -213,7 +224,6 @@ mod tests {
     fn observed_hotpath_matches_unobserved_run() {
         // A recorder must see the *same* run: identical engine counters,
         // and tallies that agree with the metrics it shadowed.
-        use btr_obs::{Counter, ObsRecorder};
         let plain = run_hotpath(7, 100, HOTPATH_LOSS_PPM);
         let mut w = hotpath_world(7, 100, HOTPATH_LOSS_PPM, false);
         w.set_recorder(Box::new(ObsRecorder::new()));
@@ -226,5 +236,110 @@ mod tests {
         assert_eq!(rec.counter(Counter::Delivers), plain.msgs_delivered);
         assert_eq!(rec.counter(Counter::Events), plain.events);
         assert_eq!(rec.counter(Counter::Timers), plain.timers);
+        let profile = rec.subsystem_profile();
+        // One dispatch per delivered message and per fired timer. Every
+        // firing routes three unsigned envelopes and one heartbeat, and
+        // signs only the heartbeat.
+        assert_eq!(
+            profile.count(Subsystem::Dispatch),
+            plain.msgs_delivered + plain.timers
+        );
+        assert_eq!(
+            profile.count(Subsystem::Routing),
+            4 * profile.count(Subsystem::CryptoSign)
+        );
+        // The recorder's ceiling, restated as work: the increments it
+        // stages per dispatched event, exactly (7.80: eight for a
+        // delivered message's send and delivery, seven for a timer's
+        // firing and its heartbeat's signature). The benchmark judges
+        // their wall cost (`sim.trace_overhead_pct`,
+        // `obs.recorder_overhead_pct`); this pin makes any added
+        // per-event staging a visible change.
+        let staged = profile.total_count()
+            + Counter::all().iter().map(|&c| rec.counter(c)).sum::<u64>()
+            + rec.lat(Lat::Delivery).count()
+            + rec.lat(Lat::TimerLag).count();
+        assert_eq!(
+            (staged, plain.events),
+            (77_993, 9_999),
+            "{:.4} staged increments per event",
+            staged as f64 / plain.events as f64
+        );
+    }
+
+    /// The benchmark's `sim_torus1000_unsigned` world over `periods`
+    /// periods: the same traffic on a `rows` × `cols` torus, relay n1
+    /// crashed at mid-run.
+    fn torus_world(rows: usize, cols: usize, periods: u64) -> World {
+        let n = (rows * cols) as u32;
+        let topo = btr_topo::torus(rows, cols, 1_000_000, Duration(5)).expect("a valid torus");
+        let mut w = World::new(topo, SimConfig::new(1));
+        for i in 0..n {
+            w.set_behavior(
+                NodeId(i),
+                Box::new(Blaster {
+                    period: w.period(),
+                    periods,
+                    fired: 0,
+                    n,
+                    strides: [7, 13, n / 2],
+                }),
+            );
+        }
+        w.schedule_control(
+            Time(periods / 2 * w.period().as_micros()),
+            ControlAction::Crash(NodeId(1)),
+        );
+        w
+    }
+
+    #[test]
+    fn torus_heals_the_crash_and_records_the_same_run() {
+        let periods = 4;
+        for (rows, cols) in [(1, 2), (1, 3), (25, 40)] {
+            let n = rows * cols;
+            let run = |recorded: bool| {
+                let mut w = torus_world(rows, cols, periods);
+                if recorded {
+                    w.set_recorder(Box::new(ObsRecorder::new()));
+                }
+                w.start();
+                w.run_until(horizon(w.period(), periods));
+                w
+            };
+            let plain = run(false);
+            let m = *plain.metrics();
+            assert!(!plain.truncated(), "n = {n}: truncated");
+            assert_eq!(plain.envelopes_in_flight(), 0, "n = {n}: leaked envelopes");
+            // The dead relay never refuses traffic: routes healed around it.
+            assert_eq!(m.drops_forward, 0, "n = {n}: {m:?}");
+            assert!(m.msgs_delivered > 0, "n = {n}: {m:?}");
+            let mut recorded = run(true);
+            assert_eq!(
+                *recorded.metrics(),
+                m,
+                "n = {n}: the recorder moved the run"
+            );
+            assert_eq!(
+                recorded.logical_trace().digest(),
+                plain.logical_trace().digest()
+            );
+            let switches = recorded
+                .take_obs()
+                .subsystem_profile()
+                .count(Subsystem::ModeSwitch);
+            assert_eq!(switches, 1, "n = {n}: the crash");
+            if n == 1000 {
+                let resident = plain.routing_resident_bytes();
+                assert!(resident < 3 << 20, "{resident} routing bytes");
+                // The crash takes the lazy path: some rows crossed the dead
+                // relay and were rebuilt, far from all of them.
+                let (built, healed) = plain.routing_rows_built();
+                assert!(
+                    (1..500).contains(&healed),
+                    "{healed} of {built} rows healed"
+                );
+            }
+        }
     }
 }

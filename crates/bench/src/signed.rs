@@ -17,7 +17,7 @@
 //! equivalence tests below pin. The wall clock of this scenario is the
 //! benchmark's `sim_mesh20_signed` workload (`benchmark/`).
 
-use crate::profile::horizon;
+use crate::hotpath::horizon;
 use btr_crypto::{AuthSuite, SigBatch};
 use btr_model::{Duration, Envelope, NodeId, Payload, SignedOutput, TaskId, Topology};
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};

@@ -41,14 +41,14 @@ fn rejected(args: &[&str]) -> String {
 
 #[test]
 fn unknown_and_retired_commands_exit_2() {
-    for cmd in ["e99", "bench", "scale", "obs"] {
+    for cmd in ["e99", "bench", "scale", "obs", "profile"] {
         let err = rejected(&[cmd]);
         assert!(err.contains(&format!("'{cmd}'")), "{err}");
     }
     // The retired commands' flags went with them, and a bad id stops the
     // run before the good one before it has printed anything.
     rejected(&["bench", "500", "--signed"]);
-    rejected(&["profile", "--no-such-flag", "x.json"]);
+    rejected(&["profile", "--smoke", "--nodes", "1000"]);
     rejected(&["e3", "bench"]);
     rejected(&["all", "e99"]);
 }
@@ -86,19 +86,15 @@ fn malformed_flag_values_exit_2() {
     }
     // Used to run as one seed, silently.
     assert!(rejected(&["campaign", "--sim-seeds", "0"]).contains("at least 1"));
+    // Used to run one schedule per cell and seed, 18 runs, and exit 0.
+    assert!(rejected(&["campaign", "--runs", "0"]).contains("--runs must be at least 1"));
     // Used to never return.
     for budget in ["18446744073709551615", "1000001"] {
         assert!(rejected(&["fuzz", "--budget", budget]).contains("at most 1000000"));
     }
-    assert!(rejected(&["profile", "--nodes", "1"]).contains("sizes >= 2"));
-    assert!(rejected(&["profile", "--nodes", "20,,100"]).contains("sizes >= 2"));
     assert!(rejected(&["live", "--pace", "0"]).contains("must be positive"));
     assert!(rejected(&["live", "--pace", "inf"]).contains("must be positive"));
     assert!(rejected(&["live", "--flight-cap", "0"]).contains("at least 1"));
-    // Used to abort on a 3 GiB allocation (exit 134) or never return.
-    for nodes in ["400000000", "18446744073709551615", "20,4097"] {
-        assert!(rejected(&["profile", "--nodes", nodes]).contains("<= 4096"));
-    }
     // Used to panic with "capacity overflow" (exit 101).
     for cap in ["18446744073709551615", "65537"] {
         assert!(rejected(&["live", "--flight-cap", cap]).contains("at most 65536"));
@@ -107,7 +103,7 @@ fn malformed_flag_values_exit_2() {
     for pace in ["1e300", "100.5"] {
         assert!(rejected(&["live", "--pace", pace]).contains("at most 100"));
     }
-    for cmd in ["profile", "live", "campaign", "fuzz"] {
+    for cmd in ["live", "campaign", "fuzz"] {
         let err = rejected(&[cmd, "stray"]);
         assert!(
             err.contains(&format!("unknown {cmd} argument 'stray'")),
@@ -176,7 +172,7 @@ fn a_flag_value_that_spells_a_command_does_not_pick_the_command() {
 }
 
 #[test]
-fn list_names_the_experiments_and_exactly_four_commands() {
+fn list_names_the_experiments_and_exactly_three_commands() {
     let out = harness(&["--list"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(out.stderr.is_empty());
@@ -189,8 +185,8 @@ fn list_names_the_experiments_and_exactly_four_commands() {
     assert_eq!(
         listed,
         [
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "a1", "a2", "r1",
-            "profile", "live", "campaign", "fuzz"
+            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "a1", "a2", "r1", "live",
+            "campaign", "fuzz"
         ]
     );
 }

@@ -11,7 +11,7 @@
 
 use btr_core::{BtrSystem, FaultScenario};
 use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr_obs::{Counter, ObsRecorder, Phase, RecoveryTimeline};
+use btr_obs::{Counter, ObsRecorder, Phase, RecoveryTimeline, Subsystem};
 use btr_planner::PlannerConfig;
 use proptest::prelude::*;
 
@@ -58,6 +58,8 @@ fn obs_on_and_off_are_bit_identical_with_crash() {
     assert_eq!(rec.counter(Counter::Actuations), m_on.actuations);
     assert_eq!(rec.counter(Counter::Sends), m_on.msgs_sent);
     assert_eq!(rec.counter(Counter::Delivers), m_on.msgs_delivered);
+    // The crash is control-plane work: the profile counts it.
+    assert!(rec.subsystem_profile().count(Subsystem::ModeSwitch) > 0);
 }
 
 #[test]
@@ -104,7 +106,8 @@ fn recorder_sees_all_phase_boundaries_and_timeline_partitions() {
 /// Wall-clock sampling is the one obs feature that reads a real clock,
 /// so it gets its own inertness pin: profiling on must leave the
 /// logical digest and metrics bit-identical to a bare run, while still
-/// charging nonzero wall time to the subsystem ledger.
+/// charging nonzero wall time to the subsystem ledger, and no more than
+/// the run took: scopes charge self time only, so they never overlap.
 #[test]
 fn wall_profiling_is_inert() {
     let sys = pinned_system(9);
@@ -115,8 +118,10 @@ fn wall_profiling_is_inert() {
     let mut world = sys.build_world(&scenario, 7);
     world.set_recorder(Box::new(ObsRecorder::new()));
     world.set_wall_profiling(true);
+    let started = std::time::Instant::now();
     world.start();
     world.run_until(Time::ZERO + horizon + sys.grace());
+    let elapsed_ns = started.elapsed().as_nanos();
     let d_on = world.logical_trace().digest();
     let m_on = *world.metrics();
     let rec = world.take_obs();
@@ -126,6 +131,11 @@ fn wall_profiling_is_inert() {
     let prof = rec.subsystem_profile();
     assert!(prof.total_count() > 0, "profiling saw no events");
     assert!(prof.total_wall_ns() > 0, "wall sampling charged nothing");
+    assert!(
+        u128::from(prof.total_wall_ns()) <= elapsed_ns,
+        "scoped wall {} ns exceeds the run's {elapsed_ns} ns",
+        prof.total_wall_ns()
+    );
 }
 
 proptest! {
@@ -136,7 +146,8 @@ proptest! {
     /// On *any* single-fault scenario the recorder's counters must
     /// reconcile with `SimMetrics` exactly: every accepted send is one
     /// `Sends`, every delivery one `Delivers`, every dispatched event,
-    /// timer and actuation one of its own. The pinned crash above checks
+    /// timer and actuation one of its own, and the profile's `Dispatch`
+    /// one per delivery and per timer. The pinned crash above checks
     /// one scenario; here the whole fault-kind space.
     #[test]
     fn prop_counters_reconcile_with_metrics(
@@ -160,6 +171,10 @@ proptest! {
         prop_assert_eq!(rec.counter(Counter::Events), m.events);
         prop_assert_eq!(rec.counter(Counter::Timers), m.timers);
         prop_assert_eq!(rec.counter(Counter::Actuations), m.actuations);
+        prop_assert_eq!(
+            rec.subsystem_profile().count(Subsystem::Dispatch),
+            m.msgs_delivered + m.timers
+        );
     }
 }
 

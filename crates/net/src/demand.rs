@@ -98,7 +98,7 @@ pub trait Routes {
     fn path_and_links(&mut self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])>;
 
     /// Heap bytes resident for routing state (tables, cached rows,
-    /// scratch) — the metric the scale harness gates sub-quadratic.
+    /// scratch) — what must stay sub-quadratic at scale.
     fn resident_bytes(&self) -> usize;
 }
 
@@ -144,7 +144,7 @@ pub struct DemandRoutes {
     owner: Vec<NodeId>,
     /// The slab row the next miss takes over once the slab is full.
     next_victim: usize,
-    /// Lifetime counters (diagnostics; the scale harness reports them).
+    /// Lifetime counters (diagnostics; the benchmark's probes read them).
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -937,6 +937,18 @@ mod tests {
         // The slab never outgrows the budget, whatever the doubling did.
         assert_eq!(d.slab.capacity() * 2, 8 * row);
         assert!(d.resident_bytes() < 8 * row + (16 << 10));
+        // Every row of a 100-node torus warm is 26 712 bytes; the
+        // all-pairs table there holds 724 288 and grows quadratically.
+        let t = btr_topo::torus(10, 10, 100, Duration(1)).expect("10x10 builds");
+        let mut d = DemandRoutes::new(&t);
+        d.warm((0..100).map(NodeId));
+        assert_eq!(d.cached_rows(), 100);
+        let table = RoutingTable::new(&t).resident_bytes();
+        assert!(
+            d.resident_bytes() < (64 << 10).min(table / 4),
+            "{} demand bytes against the table's {table}",
+            d.resident_bytes()
+        );
     }
 
     #[test]

@@ -237,8 +237,8 @@ impl Array<'_> {
         write_array(self.0.member(None), layout, body);
     }
 
-    /// An element this writer rendered earlier (a trace event, a
-    /// speedscope profile, kept until its file is finished).
+    /// An element this writer rendered earlier (a trace event, kept
+    /// until its file is finished).
     pub fn raw(&mut self, json: &str) {
         self.0.member(None).push_str(json);
     }

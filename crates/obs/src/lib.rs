@@ -29,10 +29,9 @@
 //!   can be inspected on a timeline (`chrome://tracing`, Perfetto).
 //! - [`Profile`] / [`Subsystem`]: deterministic per-subsystem cost
 //!   profiles — digest-stable event counts plus optional wall-sampled
-//!   nanoseconds that are reported but never folded into digests.
-//! - [`SpeedscopeBuilder`]: speedscope JSON export for profiles,
-//!   alongside the collapsed-stack text from
-//!   [`Profile::collapsed_stacks`].
+//!   nanoseconds that are reported but never folded into digests. The
+//!   repository benchmark's traced slices read both ledgers, and every
+//!   campaign cell records its reference run's counts.
 //! - [`json`]: the one JSON writer every report in the workspace goes
 //!   through — three layouts, one set of escape, null and number rules.
 
@@ -43,7 +42,6 @@ mod hist;
 pub mod json;
 mod profile;
 mod recorder;
-mod speedscope;
 mod timeline;
 mod trace_event;
 
@@ -51,6 +49,5 @@ pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAP};
 pub use hist::{Histogram, BUCKETS};
 pub use profile::{Profile, Subsystem, SUBSYSTEM_KINDS};
 pub use recorder::{Counter, Lat, NoopRecorder, ObsRecorder, Recorder, COUNTER_KINDS, LAT_KINDS};
-pub use speedscope::SpeedscopeBuilder;
 pub use timeline::{Phase, PhaseMark, RecoveryTimeline};
 pub use trace_event::TraceBuilder;

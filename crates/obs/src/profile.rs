@@ -41,7 +41,8 @@ pub enum Subsystem {
     /// Behaviour dispatch (message and timer handlers).
     Dispatch,
     /// Everything not scoped above (wall remainder; count 0 by
-    /// construction — only the harness assigns remainder wall time).
+    /// construction — only a reader of the profile, such as the
+    /// repository benchmark, assigns remainder wall time).
     Other,
 }
 
@@ -49,7 +50,7 @@ pub enum Subsystem {
 pub const SUBSYSTEM_KINDS: usize = 8;
 
 impl Subsystem {
-    /// Stable lowercase label (JSON keys, collapsed-stack frames).
+    /// Stable lowercase label (JSON keys, benchmark metric names).
     pub fn label(self) -> &'static str {
         match self {
             Subsystem::Routing => "routing",
@@ -154,22 +155,6 @@ impl Profile {
             self.wall_ns[i] = self.wall_ns[i].saturating_add(other.wall_ns[i]);
         }
     }
-
-    /// Collapsed-stack text (Brendan Gregg flamegraph input): one line
-    /// per subsystem, `root;subsystem weight`. `weight` is the wall
-    /// nanoseconds when wall sampling ran, else the event count —
-    /// always one consistent unit per file.
-    pub fn collapsed_stacks(&self, root: &str) -> String {
-        let wall = self.total_wall_ns() > 0;
-        let mut out = String::new();
-        for s in Subsystem::all() {
-            let w = if wall { self.wall_ns(s) } else { self.count(s) };
-            if w > 0 {
-                out.push_str(&format!("{root};{} {}\n", s.label(), w));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +167,6 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.total_count(), 0);
         assert_eq!(p.total_wall_ns(), 0);
-        assert!(p.collapsed_stacks("sim").is_empty());
     }
 
     #[test]
@@ -223,15 +207,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
-    }
-
-    #[test]
-    fn collapsed_prefers_wall_when_present() {
-        let mut p = Profile::new();
-        p.bump_n(Subsystem::Routing, 10);
-        assert_eq!(p.collapsed_stacks("sim"), "sim;routing 10\n");
-        p.add_wall(Subsystem::Routing, 777);
-        assert_eq!(p.collapsed_stacks("sim"), "sim;routing 777\n");
     }
 
     #[test]
