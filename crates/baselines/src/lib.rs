@@ -134,7 +134,6 @@ pub fn baseline_plan(
         placement,
         schedules: synth.schedules,
         shed: BTreeSet::new(),
-        link_alloc: synth.link_alloc,
     })
 }
 

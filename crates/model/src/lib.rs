@@ -33,7 +33,7 @@ pub use fault::{FaultKind, FaultSet};
 pub use ids::{LinkId, NodeId, PeriodIdx, PlanId, ReplicaIdx, TaskId};
 pub use message::{Envelope, Payload};
 pub use plan::{
-    ATask, LinkAlloc, Migration, NodeSchedule, Plan, PlanError, ScheduleEntry, Strategy, Transition,
+    ATask, Migration, NodeSchedule, Plan, PlanError, ScheduleEntry, Strategy, Transition,
 };
 pub use time::{Duration, Time};
 pub use topology::{Adjacency, LinkSpec, NodeSpec, Topology, TopologyBuilder, TopologyError};

@@ -9,7 +9,7 @@
 //! between them, form the system's strategy for responding to faults").
 
 use crate::fault::FaultSet;
-use crate::ids::{LinkId, NodeId, PlanId, ReplicaIdx, TaskId};
+use crate::ids::{NodeId, PlanId, ReplicaIdx, TaskId};
 use crate::time::Duration;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -179,19 +179,6 @@ impl NodeSchedule {
     }
 }
 
-/// Per-link bandwidth shares for one plan (bytes per period per node).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinkAlloc {
-    /// The link being shared.
-    pub link: LinkId,
-    /// Data-plane bytes per period each node may send.
-    pub shares: BTreeMap<NodeId, u64>,
-    /// Reserved control-plane bytes per period per node (evidence and
-    /// mode-change traffic, Section 4.3's "reserving some amount of
-    /// computation and bandwidth for evidence distribution").
-    pub control_reserve: u64,
-}
-
 /// A distributed schedule for one fault pattern.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Plan {
@@ -206,8 +193,6 @@ pub struct Plan {
     pub schedules: BTreeMap<NodeId, NodeSchedule>,
     /// Workload tasks shed in this mode (mixed-criticality degradation).
     pub shed: BTreeSet<TaskId>,
-    /// Per-link bandwidth shares.
-    pub link_alloc: Vec<LinkAlloc>,
 }
 
 impl Plan {
@@ -493,7 +478,6 @@ mod tests {
             placement,
             schedules,
             shed: BTreeSet::new(),
-            link_alloc: vec![],
         }
     }
 

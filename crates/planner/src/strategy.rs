@@ -442,7 +442,6 @@ impl Assembly {
             placement: mode.placement,
             schedules: mode.synth.schedules,
             shed: mode.shed,
-            link_alloc: mode.synth.link_alloc,
         });
         self.index.insert(fs, id);
     }

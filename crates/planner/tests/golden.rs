@@ -188,7 +188,7 @@ fn avionics_bus20_f2() {
         "avionics",
         "bus20",
         golden(
-            0xa293_0b2d_a315_b0c9,
+            0x5254_8d5c_c0d7_ffba,
             [211, 400, 11447, 10, 1509, 2, 105],
             "transition {} -> {n0} bound 22.764ms exceeds R = 20.000ms",
             "transition {n3} -> {n3,n6} bound 23.447ms exceeds R = 23.446ms",
@@ -203,7 +203,7 @@ fn scada_bus20_f2() {
         "scada",
         "bus20",
         golden(
-            0x2ffe_e3d7_7ab1_c8cd,
+            0x44ee_6607_1b59_8592,
             [211, 400, 11720, 6, 755, 2, 57],
             "transition {} -> {n0} bound 22.628ms exceeds R = 20.000ms",
             "transition {} -> {n14} bound 23.720ms exceeds R = 23.719ms",
@@ -218,7 +218,7 @@ fn avionics_bus36_f1() {
         "avionics",
         "bus36",
         golden(
-            0xcf25_eb02_33e2_1d86,
+            0x3b52_9efb_d0ae_be43,
             [37, 36, 11701, 3, 40, 1, 6],
             "transition {} -> {n0} bound 22.718ms exceeds R = 20.000ms",
             "transition {} -> {n13} bound 23.701ms exceeds R = 23.700ms",
@@ -233,7 +233,7 @@ fn scada_bus36_f1() {
         "scada",
         "bus36",
         golden(
-            0x7f4d_46f4_6185_6451,
+            0x04fd_5529_89ee_7334,
             [37, 36, 12684, 3, 20, 1, 3],
             "transition {} -> {n0} bound 22.718ms exceeds R = 20.000ms",
             "transition {} -> {n10} bound 24.684ms exceeds R = 24.683ms",
@@ -248,7 +248,7 @@ fn avionics_ring12_f2() {
         "avionics",
         "ring12",
         golden(
-            0xedb7_b566_cd32_711e,
+            0x5f18_7a5f_6f64_b770,
             [79, 144, 11320, 17, 478, 15, 64],
             "transition {} -> {n0} bound 23.320ms exceeds R = 20.000ms",
             "transition {} -> {n0} bound 23.320ms exceeds R = 23.319ms",
@@ -263,7 +263,7 @@ fn scada_ring12_f2() {
         "scada",
         "ring12",
         golden(
-            0xfbcc_fb58_abf8_a90f,
+            0xa3b4_f695_6bec_5953,
             [79, 144, 11870, 7, 286, 7, 58],
             "transition {} -> {n0} bound 22.780ms exceeds R = 20.000ms",
             "transition {} -> {n5} bound 23.870ms exceeds R = 23.869ms",
@@ -278,7 +278,7 @@ fn avionics_mesh3x4_f2() {
         "avionics",
         "mesh3x4",
         golden(
-            0x8e93_6d98_adb0_010b,
+            0x4430_31dd_9ccf_2a5b,
             [79, 144, 11076, 14, 868, 11, 57],
             "transition {} -> {n0} bound 22.705ms exceeds R = 20.000ms",
             "transition {n2} -> {n2,n5} bound 23.076ms exceeds R = 23.075ms",
@@ -293,7 +293,7 @@ fn scada_mesh3x4_f2() {
         "scada",
         "mesh3x4",
         golden(
-            0x830c_e2aa_8d84_dadb,
+            0xf457_b339_602c_52f9,
             [79, 144, 11700, 7, 455, 6, 34],
             "transition {} -> {n0} bound 22.640ms exceeds R = 20.000ms",
             "transition {n9} -> {n6,n9} bound 23.700ms exceeds R = 23.699ms",
@@ -308,7 +308,7 @@ fn avionics_dual_bus6_f3() {
         "avionics",
         "dual_bus6",
         golden(
-            0xeebe_d578_b651_b0a2,
+            0xc306_866f_a0ea_7c76,
             [42, 96, 10898, 28, 926, 13, 41],
             "transition {} -> {n0} bound 22.713ms exceeds R = 20.000ms",
             "transition {n0} -> {n0,n3} bound 22.898ms exceeds R = 22.897ms",
@@ -323,7 +323,7 @@ fn scada_dual_bus6_f3() {
         "scada",
         "dual_bus6",
         golden(
-            0x2001_0421_b134_960d,
+            0x80a5_8da1_7a2b_ef19,
             [42, 96, 10918, 17, 646, 5, 35],
             "transition {} -> {n0} bound 22.918ms exceeds R = 20.000ms",
             "transition {} -> {n0} bound 22.918ms exceeds R = 22.917ms",
@@ -338,7 +338,7 @@ fn avionics_bus5_overloaded_f2() {
         "avionics",
         "bus5_overloaded",
         golden(
-            0xb9b9_5dea_0753_53b2,
+            0xa481_e4aa_5027_5e27,
             [16, 25, 12773, 25, 375, 3, 15],
             "transition {} -> {n0} bound 23.685ms exceeds R = 20.000ms",
             "transition {n0} -> {n0,n1} bound 24.773ms exceeds R = 24.772ms",
@@ -353,7 +353,7 @@ fn scada_bus5_overloaded_f2() {
         "scada",
         "bus5_overloaded",
         golden(
-            0x10f9_6e1f_eac5_d701,
+            0xa0b9_ce94_3f7b_935e,
             [16, 25, 13029, 15, 188, 2, 12],
             "transition {} -> {n0} bound 24.773ms exceeds R = 20.000ms",
             "transition {} -> {n4} bound 25.029ms exceeds R = 25.028ms",
@@ -368,7 +368,7 @@ fn scada_fat_tree4_f1() {
         "scada",
         "fat_tree4",
         golden(
-            0x7938_bd49_a880_77c7,
+            0x7360_4c7d_2e05_65c3,
             [40, 39, 11459, 2, 16, 1, 3],
             "transition {} -> {n0} bound 22.668ms exceeds R = 20.000ms",
             "transition {} -> {n20} bound 23.459ms exceeds R = 23.458ms",
@@ -387,7 +387,7 @@ fn avionics_bus20_masking_f1() {
             cfg.replication = ReplicationMode::Masking;
         },
         golden(
-            0x063b_ae6c_1114_a826,
+            0xc3bd_bf1f_b911_4474,
             [21, 20, 11174, 6, 69, 1, 6],
             "transition {} -> {n0} bound 22.764ms exceeds R = 20.000ms",
             "transition {} -> {n3} bound 23.174ms exceeds R = 23.173ms",
@@ -403,7 +403,7 @@ fn avionics_mesh3x4_checkers_apart_f2() {
         "mesh3x4",
         |cfg| cfg.checker_colocate = false,
         golden(
-            0x767e_0c77_72cd_2108,
+            0xc7e5_a97a_42b6_828c,
             [79, 144, 11156, 16, 861, 11, 57],
             "transition {} -> {n0} bound 22.945ms exceeds R = 20.000ms",
             "transition {n1} -> {n1,n6} bound 23.156ms exceeds R = 23.155ms",
@@ -419,7 +419,7 @@ fn avionics_mesh3x4_no_delta_minimisation_f2() {
         "mesh3x4",
         |cfg| cfg.minimize_delta = false,
         golden(
-            0x08d6_343a_6a8d_4bc0,
+            0x4d78_60c0_fde1_9a73,
             [79, 144, 11212, 38, 4046, 11, 57],
             "transition {} -> {n0} bound 22.790ms exceeds R = 20.000ms",
             "transition {n1} -> {n1,n6} bound 23.212ms exceeds R = 23.211ms",
@@ -434,7 +434,7 @@ fn avionics_bus6_mixed_f2() {
         "avionics",
         "bus6_mixed",
         golden(
-            0x3a3c_176b_5bea_1345,
+            0x36ce_fed5_84f8_ab34,
             [22, 36, 10867, 18, 335, 3, 21],
             "transition {} -> {n0} bound 22.631ms exceeds R = 20.000ms",
             "transition {n4} -> {n3,n4} bound 22.867ms exceeds R = 22.866ms",

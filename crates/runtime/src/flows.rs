@@ -360,7 +360,6 @@ mod tests {
             placement,
             schedules,
             shed: Default::default(),
-            link_alloc: vec![],
         };
         (w, plan)
     }

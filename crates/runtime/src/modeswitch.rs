@@ -221,7 +221,6 @@ mod tests {
             placement: BTreeMap::new(),
             schedules: BTreeMap::new(),
             shed: Default::default(),
-            link_alloc: vec![],
         };
         let mut index = BTreeMap::new();
         index.insert(FaultSet::empty(), PlanId(0));
@@ -478,7 +477,6 @@ mod tests_support {
                 placement: BTreeMap::new(),
                 schedules: BTreeMap::new(),
                 shed: Default::default(),
-                link_alloc: vec![],
             });
         }
         Strategy {

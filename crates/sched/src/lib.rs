@@ -26,9 +26,7 @@ mod index;
 pub use comm::comm_bound;
 pub use index::{AtaskIndex, UNPLACED};
 
-use btr_model::{
-    ATask, Duration, LinkAlloc, LinkId, NodeId, NodeSchedule, ScheduleEntry, TaskId, Topology,
-};
+use btr_model::{ATask, Duration, LinkId, NodeId, NodeSchedule, ScheduleEntry, TaskId, Topology};
 use btr_net::RoutingTable;
 use btr_workload::{TaskKind, Workload};
 use std::collections::BTreeMap;
@@ -150,8 +148,6 @@ impl std::error::Error for SchedError {}
 pub struct Synthesis {
     /// Per-node cyclic schedules.
     pub schedules: BTreeMap<NodeId, NodeSchedule>,
-    /// Per-link bandwidth shares actually used (plus control reserve).
-    pub link_alloc: Vec<LinkAlloc>,
     /// Completion offset of the latest task in the period.
     pub makespan: Duration,
     /// Finish offset of each task's primary lane (for deadline reports).
@@ -302,16 +298,14 @@ pub fn synthesize(
 
     // Link bandwidth: each sender's demand must fit its share minus the
     // control reserve.
-    let mut link_alloc: Vec<LinkAlloc> = Vec::with_capacity(topo.links().len());
     for link in topo.links() {
         let share = comm::slice_rate(link) * params.period.as_micros() / 1_000;
         let control = (share as f64 * params.control_reserve_frac) as u64;
         let capacity = share.saturating_sub(control);
-        let demanded = |&node: &NodeId| (node, demand.of(node, link.id));
         if let Some((node, demand)) = link
             .endpoints
             .iter()
-            .map(demanded)
+            .map(|&node| (node, demand.of(node, link.id)))
             .find(|&(_, demand)| demand > capacity)
         {
             return Err(SchedError::BandwidthExceeded {
@@ -320,16 +314,10 @@ pub fn synthesize(
                 capacity,
             });
         }
-        link_alloc.push(LinkAlloc {
-            link: link.id,
-            shares: link.endpoints.iter().map(demanded).collect(),
-            control_reserve: control,
-        });
     }
 
     Ok(Synthesis {
         schedules: timeline.into_schedules(),
-        link_alloc,
         makespan,
         primary_finish: workload.tasks().iter().filter_map(primary).collect(),
     })
