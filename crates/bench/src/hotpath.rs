@@ -138,7 +138,10 @@ mod tests {
         // the event queue alone decide the run. The golden — the metrics
         // plus a SHA-256 over the `Debug` of the full trace — was recorded
         // at 584b735 from the seed implementation of all three (per-
-        // message route walk, allocating signing, inline-heap queue).
+        // message route walk, allocating signing, inline-heap queue). The
+        // trace digest moved once since, when relays stopped spending
+        // their own slices on forwarded traffic (delivery instants only;
+        // the metrics held).
         let (m, trace) = traced_run(23, 100, 0);
         let golden = SimMetrics {
             msgs_sent: 8_000,
@@ -155,7 +158,7 @@ mod tests {
         assert_eq!(trace.len(), 16_000);
         assert_eq!(
             btr_crypto::sha256(format!("{trace:?}").as_bytes()).to_hex(),
-            "f66ebe3ee422f892bc2f4f853ba8fc0e1c8b63be532f9c2ed6d66fe1e5fc43d6",
+            "0fa2d25fb3475501e16e66dea46f9b6e351b9324da6e8b7ce5dcf067dad6db6f",
             "loss-free pinned trace changed"
         );
     }

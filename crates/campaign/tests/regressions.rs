@@ -100,17 +100,22 @@ fn sibling_reproducers_stay_fixed() {
     }
 }
 
-/// Open finding (PR 10, found while sizing the benchmark's 36-node
-/// cell): evidence-spam on n8 of the scada fat-tree leaves outputs bad to
-/// the end of the horizon — 910 ms against R = 400 ms — although the
-/// schedule is admissible. Frozen here so the fixing PR only removes the
-/// `#[ignore]`.
+/// Evidence-spam on n8 of the scada fat-tree (found while sizing the
+/// benchmark's 36-node cell). While relays forwarded on their own slices,
+/// the honest relays on n8's paths queued their own outputs behind its
+/// flood (no guardian denied anything): outputs went missing for a 910 ms
+/// window against R = 400 ms, and two of those relays (n0, n2) were
+/// convicted instead of n8. A relay now forwards on the originator's slice
+/// (DESIGN.md "Network model"), so the flood spends only n8's allocation:
+/// no output goes bad and nobody is convicted — the record the thread
+/// fleet folds to as well.
 #[test]
-#[ignore = "open finding, PR 10"]
 fn scada_fattree_evidence_spam_recovers_within_r() {
     let tok = "w=scada;t=fattree4x1000000x5;f=1;r=400000;h=1080000;me=20000000;\
                s=7191089600892374487;fl=evidence-spam@169689@n8";
-    assert_recovers("scada-fattree-evidence-spam", tok, &replay_token(tok));
+    let report = replay_token(tok);
+    assert_recovers("scada-fattree-evidence-spam", tok, &report);
+    assert_eq!((report.bad_outputs, report.convictions), (0, 0));
 }
 
 /// The primary reproducers replayed from N concurrent threads agree

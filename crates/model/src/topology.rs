@@ -53,13 +53,6 @@ impl LinkSpec {
     pub fn attaches(&self, n: NodeId) -> bool {
         self.endpoints.contains(&n)
     }
-
-    /// Time to serialise `bytes` onto this link (excluding propagation).
-    pub fn tx_time(&self, bytes: u32) -> Duration {
-        // bytes / (bytes_per_ms / 1000 per µs), rounded up, at least 1 µs.
-        let us = (bytes as u64 * 1_000).div_ceil(self.bytes_per_ms as u64);
-        Duration(us.max(1))
-    }
 }
 
 /// Errors from topology construction.
@@ -474,23 +467,6 @@ mod tests {
         assert!(matches!(b.build(), Err(TopologyError::UnknownNode(_))));
 
         assert_eq!(TopologyBuilder::new().build(), Err(TopologyError::Empty));
-    }
-
-    #[test]
-    fn tx_time_rounds_up() {
-        let l = LinkSpec {
-            id: LinkId(0),
-            endpoints: vec![NodeId(0), NodeId(1)],
-            bytes_per_ms: 1000, // 1 byte per µs.
-            latency: Duration(0),
-        };
-        assert_eq!(l.tx_time(1), Duration(1));
-        assert_eq!(l.tx_time(1500), Duration(1500));
-        let slow = LinkSpec {
-            bytes_per_ms: 3,
-            ..l
-        };
-        assert_eq!(slow.tx_time(1), Duration(334)); // ceil(1000/3).
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! implemented in hardware and thus can enforce bandwidth allocations
 //! even if nodes are corrupted". A [`Guardian`] is that hardware MAC:
 //! a per-period byte budget that refills at period boundaries and cannot
-//! be bypassed by the node software (faulty or not) because the simulator
-//! routes every send through it.
+//! be bypassed by the node software (faulty or not) because both
+//! substrates route every send through it. It sits on the link a message
+//! leaves its originator by, and is charged at the originator's own send
+//! instants, so the times it sees never go back.
 
 use btr_model::{Duration, Time};
 
@@ -52,22 +54,14 @@ impl Guardian {
         }
     }
 
-    /// True while `now` lies in the period the budget belongs to. The
-    /// window is two-sided because a lane does not see monotonic time
-    /// (a relayed message reaches it at its *arrival* time, which can be
-    /// ahead of the lane's own node): an earlier `now` leaves the period
-    /// just as a later one does. No division — `start` is a multiple of
-    /// the period, so the subtraction decides it, at any `now`.
-    #[inline]
-    fn in_period(&self, now: Time) -> bool {
-        now.0 >= self.start && now.0 - self.start < self.period.0
-    }
-
     /// Move the budget to the period containing `now`; divides only when
-    /// `now` has left the current one.
+    /// `now` has passed the current one (`start` is a multiple of the
+    /// period, so one subtraction decides it). An earlier `now` than the
+    /// last never reaches a guardian; it would count against the current
+    /// period.
     #[inline]
     fn roll(&mut self, now: Time) {
-        if !self.in_period(now) {
+        if now.0.saturating_sub(self.start) >= self.period.0 {
             self.start = now.0 - now.0 % self.period.0;
             self.remaining = self.budget;
         }
@@ -85,28 +79,9 @@ impl Guardian {
         }
     }
 
-    /// Remaining budget in the period containing `now` (without spending).
-    pub fn remaining_at(&self, now: Time) -> u64 {
-        if self.in_period(now) {
-            self.remaining
-        } else {
-            self.budget
-        }
-    }
-
     /// Total bytes denied so far.
     pub fn denied_bytes(&self) -> u64 {
         self.denied
-    }
-
-    /// The configured per-period budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// The refill interval.
-    pub fn period(&self) -> Duration {
-        self.period
     }
 }
 
@@ -130,16 +105,6 @@ mod tests {
         assert_eq!(g.check(Time(0), 100), GuardianVerdict::Permit);
         assert_eq!(g.check(Time(999), 1), GuardianVerdict::Deny);
         assert_eq!(g.check(Time(1_000), 100), GuardianVerdict::Permit);
-    }
-
-    #[test]
-    fn remaining_at_is_pure() {
-        let mut g = Guardian::new(100, Duration(1_000));
-        g.check(Time(0), 30);
-        assert_eq!(g.remaining_at(Time(1)), 70);
-        assert_eq!(g.remaining_at(Time(1)), 70);
-        // Next period looks fresh even before a check rolls it.
-        assert_eq!(g.remaining_at(Time(1_000)), 100);
     }
 
     #[test]
@@ -173,34 +138,13 @@ mod tests {
                 GuardianVerdict::Deny
             }
         }
-
-        fn remaining_at(&self, now: Time) -> u64 {
-            if now.period_index(self.period) != self.current_period {
-                self.budget
-            } else {
-                self.remaining
-            }
-        }
-    }
-
-    #[test]
-    fn earlier_time_leaves_the_period_too() {
-        // A relayed message charged at its arrival time (period 1), then
-        // the lane's own node sending at an earlier `now` (period 0):
-        // both directions refill, as the period-index rule always did.
-        let mut g = Guardian::new(100, Duration(1_000));
-        assert_eq!(g.check(Time(1_500), 100), GuardianVerdict::Permit);
-        assert_eq!(g.remaining_at(Time(999)), 100);
-        assert_eq!(g.check(Time(999), 100), GuardianVerdict::Permit);
-        assert_eq!(g.check(Time(0), 1), GuardianVerdict::Deny);
-        assert_eq!(g.check(Time(1_000), 100), GuardianVerdict::Permit);
     }
 
     proptest! {
-        /// `roll`/`check`/`remaining_at` without a division agree with
-        /// the period-index oracle on every step of an arbitrary — not
-        /// monotonic — time sequence, for any budget and any period, up
-        /// to the last representable instants.
+        /// `roll`/`check` without a division agree with the period-index
+        /// oracle on every step of a nondecreasing time sequence — the
+        /// only kind a lane's owner produces — for any budget and any
+        /// period, up to the last representable instants.
         #[test]
         fn prop_window_matches_period_index_oracle(
             budget in 0u64..5_000,
@@ -219,21 +163,23 @@ mod tests {
                 remaining: budget,
                 denied: 0,
             };
-            let mut last = Time(0);
-            for (kind, raw, bytes) in steps {
-                let now = Time(match kind {
-                    0 => base.saturating_add(raw % near),
-                    1 => base.saturating_sub(raw % near),
-                    2 => raw,
-                    3 => raw % near,
-                    _ => u64::MAX - 1 - raw % 3,
-                });
-                prop_assert_eq!(g.remaining_at(now), oracle.remaining_at(now));
-                prop_assert_eq!(g.check(now, bytes), oracle.check(now, bytes));
-                prop_assert_eq!(g.remaining_at(now), oracle.remaining_at(now));
-                prop_assert_eq!(g.remaining_at(last), oracle.remaining_at(last));
+            let mut times: Vec<(u64, u64)> = steps
+                .into_iter()
+                .map(|(kind, raw, bytes)| {
+                    let now = match kind {
+                        0 => base.saturating_add(raw % near),
+                        1 => base.saturating_sub(raw % near),
+                        2 => raw,
+                        3 => raw % near,
+                        _ => u64::MAX - 1 - raw % 3,
+                    };
+                    (now, bytes)
+                })
+                .collect();
+            times.sort_by_key(|&(now, _)| now);
+            for (now, bytes) in times {
+                prop_assert_eq!(g.check(Time(now), bytes), oracle.check(Time(now), bytes));
                 prop_assert_eq!(g.denied_bytes(), oracle.denied);
-                last = now;
             }
         }
 

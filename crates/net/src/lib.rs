@@ -9,9 +9,11 @@
 //! babbling-idiot problem ... the bandwidth of each link is statically
 //! allocated between the nodes".
 //!
-//! This crate implements exactly that substrate, as pure logic the
-//! simulator drives — FEC excepted: no run encodes a shard, so what the
-//! code buys is modelled where loss is rolled (`SimConfig::fec`).
+//! This crate implements exactly that substrate, as pure logic both
+//! substrates drive — the simulator's world and the live fleet's
+//! transport send through the same [`LinkLayer`]. FEC is the exception:
+//! no run encodes a shard, so what the code buys is modelled where loss
+//! is rolled (`SimConfig::fec`).
 //!
 //! * [`routing`] — static shortest-path routing over partial topologies,
 //!   with fault-avoiding recomputation.
@@ -22,10 +24,16 @@
 //! * [`guardian`] — per-(node, link) bandwidth guardians (the MAC-enforced
 //!   static allocation). Guardians bind *even Byzantine senders*, as the
 //!   paper argues hardware MACs do.
-//! * [`LinkLayer`] — the transmission model of every link: each sender
-//!   owns a reserved bandwidth slice of each link it attaches to, so one
-//!   sender's backlog never delays another's traffic (no shared queues
-//!   to overflow).
+//! * [`LinkLayer`] — the transmission model of every link, on both
+//!   substrates: each node owns a reserved bandwidth slice of each link
+//!   it attaches to, and a message spends only its *originator's* slice
+//!   and budget, on the link it leaves by; every later hop adds that
+//!   link's [`hop_bound`] and charges no relay. One sender's backlog
+//!   never delays another's traffic (no shared queues to overflow), and
+//!   no sender can spend a relay's allocation.
+//! * [`slice_rate`] and [`hop_bound`] — the one hop rule. The link layer
+//!   charges by it, and the scheduler's comm bounds and the planner's
+//!   placement costs read it, so a bound is exact for an idle sender.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +48,7 @@ pub use demand::{
 pub use guardian::{Guardian, GuardianVerdict};
 pub use routing::RoutingTable;
 
-use btr_model::{Duration, LinkId, NodeId, Time, Topology};
+use btr_model::{Duration, LinkId, LinkSpec, NodeId, Time, Topology};
 
 /// Why a send was refused by the link layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,11 +71,34 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
+/// Bytes per millisecond one sender may put on `link`: its static,
+/// equal share of the link's bandwidth (§2.1's "statically allocated
+/// between the nodes").
+#[inline]
+pub fn slice_rate(link: &LinkSpec) -> u64 {
+    (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1)
+}
+
+/// Serialisation time of `bytes` at `rate` bytes/ms, rounded up, at
+/// least 1 µs.
+#[inline]
+fn serialisation(bytes: u32, rate_bytes_per_ms: u64) -> Duration {
+    Duration((bytes as u64 * 1_000).div_ceil(rate_bytes_per_ms).max(1))
+}
+
+/// One hop's term of a delivery: serialising `bytes` at a sender's
+/// slice of `link`, plus the link's propagation latency. A route's
+/// bound is the sum over its links; [`LinkLayer::send`] delivers in
+/// exactly that when the originator's lane is idle.
+#[inline]
+pub fn hop_bound(link: &LinkSpec, bytes: u32) -> Duration {
+    serialisation(bytes, slice_rate(link)) + link.latency
+}
+
 /// One message on the wire: its size, and its serialisation time at the
-/// slice rate it was last sent at. A multi-hop message crosses links of
+/// slice rate it was last timed at. A multi-hop message crosses links of
 /// (nearly always) one rate, so carrying the memo with the message pays
-/// the division in the timing rule once per message instead of once per
-/// hop — and costs the lanes nothing.
+/// the division once per message instead of once per hop.
 #[derive(Debug, Clone, Copy)]
 pub struct Frame {
     bytes: u32,
@@ -86,53 +117,57 @@ impl Frame {
         }
     }
 
-    /// Serialisation time at `rate` bytes/ms, rounded up, at least 1 µs.
-    /// The single timing rule of the link layer, so the scheduler's comm
-    /// bounds (`btr-sched` holds its own arithmetic to it) and the
-    /// simulator's charged times cannot diverge.
+    /// [`hop_bound`]'s serialisation term at `rate` bytes/ms, memoised.
     #[inline]
     fn tx_time(&mut self, rate_bytes_per_ms: u64) -> Duration {
         if rate_bytes_per_ms != self.rate_bytes_per_ms {
-            let us = (self.bytes as u64 * 1_000).div_ceil(rate_bytes_per_ms);
             self.rate_bytes_per_ms = rate_bytes_per_ms;
-            self.tx = Duration(us.max(1));
+            self.tx = serialisation(self.bytes, rate_bytes_per_ms);
         }
         self.tx
     }
 }
 
-/// One sender's transmission state on one link — a cache line.
-#[derive(Debug, Clone)]
-struct SenderLane {
-    /// Reserved bandwidth for this sender, bytes per millisecond.
+/// What a hop over one link costs, fixed at construction.
+#[derive(Debug, Clone, Copy)]
+struct LinkClass {
+    /// [`slice_rate`] of the link.
     rate_bytes_per_ms: u64,
-    /// When this sender's reserved slice is next free.
-    busy_until: Time,
     /// The link's propagation latency.
     latency: Duration,
+}
+
+/// One sender's transmission state on one link.
+#[derive(Debug, Clone)]
+struct SenderLane {
+    /// When this sender's reserved slice is next free.
+    busy_until: Time,
     /// The per-period byte budget guardian.
     guardian: Guardian,
 }
 
 /// The transmission model of a whole platform: one lane per
-/// (node, attached link), in one flat table.
+/// (node, attached link), in one flat table, and what a hop over each
+/// link costs.
 ///
 /// Each node attached to a link owns a *reserved slice* of its bandwidth
 /// (circuit-switched style, an equal static split between the link's
-/// endpoints). Serialisation happens at the slice rate, so transmissions
-/// by different senders do not interact — predictable timing by
-/// construction. A guardian additionally caps each sender's bytes per
-/// period so a babbling node cannot even saturate its own future slots
-/// indefinitely beyond its allocation.
+/// endpoints). A message is serialised on its originator's slice of the
+/// link it leaves by, after that slice's backlog, and the originator's
+/// guardian debits its bytes for the period; every later hop adds its
+/// link's [`hop_bound`] and touches no lane, because a relay forwards on
+/// the originator's reservation. So transmissions by different senders
+/// never interact, a babbling node spends only its own allocation, and
+/// each lane has one writer — its node, at its own send instants, which
+/// never go back in time.
 ///
 /// A node's lanes are contiguous, in [`Topology::links_of`] order, and
 /// the lane of `(node, link)` is found by scanning the node's few link
 /// ids — nodes attach to a handful of links on every platform family,
-/// however many endpoints a bus has. The simulator calls
-/// [`LinkLayer::send`] once per hop per message; a send touches the
-/// node's entry in two small index tables and the lane itself. Nothing
-/// here is sized by the node count per link, and the topology is read at
-/// construction only, not kept.
+/// however many endpoints a bus has. A send touches the node's entry in
+/// two small index tables, the lane itself, and the link table once per
+/// hop. Nothing here is sized by the node count per link, and the
+/// topology is read at construction only, not kept.
 #[derive(Debug, Clone)]
 pub struct LinkLayer {
     lanes: Vec<SenderLane>,
@@ -140,6 +175,8 @@ pub struct LinkLayer {
     lane_base: Vec<u32>,
     /// The link each lane sends on, parallel to `lanes`.
     lane_link: Vec<LinkId>,
+    /// What a hop costs, by link id. Never written after construction.
+    links: Vec<LinkClass>,
 }
 
 impl LinkLayer {
@@ -150,6 +187,14 @@ impl LinkLayer {
     /// # Panics
     /// Panics if the period is zero.
     pub fn new(topo: &Topology, period: Duration) -> LinkLayer {
+        let links: Vec<LinkClass> = topo
+            .links()
+            .iter()
+            .map(|spec| LinkClass {
+                rate_bytes_per_ms: slice_rate(spec),
+                latency: spec.latency,
+            })
+            .collect();
         let total = topo.links().iter().map(|l| l.endpoints.len()).sum();
         let mut lanes = Vec::with_capacity(total);
         let mut lane_link = Vec::with_capacity(total);
@@ -157,13 +202,10 @@ impl LinkLayer {
         for node in topo.nodes() {
             lane_base.push(lanes.len() as u32);
             for &link in topo.links_of(node.id) {
-                let spec = topo.link(link);
-                let rate = (spec.bytes_per_ms as u64 / spec.endpoints.len() as u64).max(1);
+                let rate = links[link.index()].rate_bytes_per_ms;
                 let budget = (rate * period.as_micros() / 1_000).max(1);
                 lanes.push(SenderLane {
-                    rate_bytes_per_ms: rate,
                     busy_until: Time::ZERO,
-                    latency: spec.latency,
                     guardian: Guardian::new(budget, period),
                 });
                 lane_link.push(link);
@@ -174,6 +216,7 @@ impl LinkLayer {
             lanes,
             lane_base,
             lane_link,
+            links,
         }
     }
 
@@ -196,40 +239,39 @@ impl LinkLayer {
         Some(lanes.start + k)
     }
 
-    /// Give `src` a different bytes-per-period budget on `link` than the
-    /// default full-slice one (an unequal static allocation), starting
-    /// with a full budget. Returns false if `src` is not attached.
-    pub fn set_budget(&mut self, src: NodeId, link: LinkId, budget: u64) -> bool {
-        let Some(i) = self.lane_of(src, link) else {
-            return false;
-        };
-        let guardian = &mut self.lanes[i].guardian;
-        *guardian = Guardian::new(budget.max(1), guardian.period());
-        true
-    }
-
-    /// Attempt to transmit `frame` from `src` over `link` at time `now`.
+    /// Transmit `frame` from its originator `src` at time `now` over
+    /// `route`, the links of its hops in order.
     ///
-    /// On success returns the *delivery time* at the receiving ends
-    /// (serialisation on the sender's slice + propagation latency).
+    /// Only `src`'s lane on the first link is charged: the guardian
+    /// debits the bytes, and the slice serialises the frame after its
+    /// backlog. Each later link adds its [`hop_bound`]. On success
+    /// returns the *delivery time* at the destination — for an idle
+    /// lane, `now` plus the route's summed hop bounds. `now` must not go
+    /// back in time from one send of `src` to the next.
     #[inline]
     pub fn send(
         &mut self,
         now: Time,
         src: NodeId,
-        link: LinkId,
+        route: impl IntoIterator<Item = LinkId>,
         frame: &mut Frame,
     ) -> Result<Time, SendError> {
-        let i = self.lane_of(src, link).ok_or(SendError::NotAttached)?;
+        let mut route = route.into_iter();
+        let first = route.next().ok_or(SendError::NotAttached)?;
+        let i = self.lane_of(src, first).ok_or(SendError::NotAttached)?;
+        let class = self.links[first.index()];
         let lane = &mut self.lanes[i];
-        let tx = frame.tx_time(lane.rate_bytes_per_ms);
-        match lane.guardian.check(now, frame.bytes as u64) {
-            GuardianVerdict::Permit => {}
-            GuardianVerdict::Deny => return Err(SendError::AllocationExhausted),
+        if lane.guardian.check(now, frame.bytes as u64) == GuardianVerdict::Deny {
+            return Err(SendError::AllocationExhausted);
         }
-        let done = now.max(lane.busy_until) + tx;
+        let done = now.max(lane.busy_until) + frame.tx_time(class.rate_bytes_per_ms);
         lane.busy_until = done;
-        Ok(done + lane.latency)
+        let mut at = done + class.latency;
+        for link in route {
+            let class = self.links[link.index()];
+            at = at + frame.tx_time(class.rate_bytes_per_ms) + class.latency;
+        }
+        Ok(at)
     }
 
     /// Bytes the guardians dropped for a sender so far, over all the
@@ -239,13 +281,6 @@ impl LinkLayer {
             .iter()
             .map(|l| l.guardian.denied_bytes())
             .sum()
-    }
-
-    /// Remaining budget for a sender on a link in the period containing
-    /// `now` (0 if not attached).
-    pub fn remaining_budget(&self, src: NodeId, link: LinkId, now: Time) -> u64 {
-        self.lane_of(src, link)
-            .map_or(0, |i| self.lanes[i].guardian.remaining_at(now))
     }
 }
 
@@ -263,7 +298,7 @@ mod tests {
     }
 
     fn send(n: &mut LinkLayer, now: Time, src: u32, bytes: u32) -> Result<Time, SendError> {
-        n.send(now, NodeId(src), BUS, &mut Frame::new(bytes))
+        n.send(now, NodeId(src), [BUS], &mut Frame::new(bytes))
     }
 
     #[test]
@@ -325,12 +360,14 @@ mod tests {
             send(&mut n, Time(1), 2, 100),
             Err(SendError::AllocationExhausted)
         ));
-        // Next period boundary at 10 ms: budget is fresh.
-        assert!(send(&mut n, Time::from_millis(10), 2, 100).is_ok());
-        assert_eq!(
-            n.remaining_budget(NodeId(2), BUS, Time::from_millis(10)),
-            10_000 - 100
-        );
+        // Next period boundary at 10 ms: the whole budget is fresh.
+        for _ in 0..100 {
+            assert!(send(&mut n, Time::from_millis(10), 2, 100).is_ok());
+        }
+        assert!(matches!(
+            send(&mut n, Time::from_millis(10), 2, 100),
+            Err(SendError::AllocationExhausted)
+        ));
     }
 
     #[test]
@@ -338,22 +375,14 @@ mod tests {
         let mut n = bus(4000);
         assert_eq!(send(&mut n, Time(0), 9, 10), Err(SendError::NotAttached));
         assert_eq!(
-            n.send(Time(0), NodeId(0), LinkId(7), &mut Frame::new(10)),
+            n.send(Time(0), NodeId(0), [LinkId(7)], &mut Frame::new(10)),
+            Err(SendError::NotAttached)
+        );
+        assert_eq!(
+            n.send(Time(0), NodeId(0), [], &mut Frame::new(10)),
             Err(SendError::NotAttached)
         );
         assert_eq!(n.guardian_drops(NodeId(9)), 0);
-    }
-
-    #[test]
-    fn override_allocation() {
-        let mut n = bus(4000);
-        assert!(n.set_budget(NodeId(0), BUS, 150));
-        assert!(!n.set_budget(NodeId(9), BUS, 150));
-        assert!(send(&mut n, Time(0), 0, 100).is_ok());
-        assert!(matches!(
-            send(&mut n, Time(0), 0, 100),
-            Err(SendError::AllocationExhausted)
-        ));
     }
 
     #[test]
@@ -368,9 +397,9 @@ mod tests {
         assert_eq!(topo.links_of(centre).len(), 4);
         // 2 B/ms over 2 endpoints for 1 ms: a one-byte budget per lane.
         for (k, &link) in topo.links_of(centre).iter().enumerate() {
-            assert!(n.send(Time(0), centre, link, &mut Frame::new(1)).is_ok());
+            assert!(n.send(Time(0), centre, [link], &mut Frame::new(1)).is_ok());
             assert_eq!(
-                n.send(Time(0), centre, link, &mut Frame::new(7)),
+                n.send(Time(0), centre, [link], &mut Frame::new(7)),
                 Err(SendError::AllocationExhausted)
             );
             assert_eq!(n.guardian_drops(centre), 7 * (k as u64 + 1));
@@ -380,8 +409,63 @@ mod tests {
                 .iter()
                 .find(|&&e| e != centre)
                 .unwrap();
-            assert_eq!(n.remaining_budget(other, link, Time(0)), 1);
+            assert!(n.send(Time(0), other, [link], &mut Frame::new(1)).is_ok());
         }
+    }
+
+    #[test]
+    fn only_the_originator_pays() {
+        // A line n0 - n1 - n2 of 2 000 B/ms links (1 B/µs slices, a
+        // 1 000-byte budget per 1 ms period) and 5 µs latency. n0's
+        // message to n2 costs both hops but spends only n0's lane on the
+        // first link: n1's lane on the second is idle, its budget whole.
+        let mut b = btr_model::TopologyBuilder::new();
+        let [n0, n1, n2] = [b.full_node(), b.full_node(), b.full_node()];
+        let l0 = b.link(&[n0, n1], 2_000, Duration(5));
+        let l1 = b.link(&[n1, n2], 2_000, Duration(5));
+        let topo = b.build().unwrap();
+        let mut n = LinkLayer::new(&topo, Duration::from_millis(1));
+        let hops = hop_bound(topo.link(l0), 600) + hop_bound(topo.link(l1), 600);
+        assert_eq!(hops, Duration(2 * (600 + 5)));
+        let relayed = n.send(Time(0), n0, [l0, l1], &mut Frame::new(600));
+        assert_eq!(relayed, Ok(Time(0) + hops));
+        assert_eq!(
+            n.send(Time(0), n1, [l1], &mut Frame::new(1_000)),
+            Ok(Time(1_000 + 5))
+        );
+        // The originator's lane holds the backlog, and its budget is spent.
+        assert_eq!(
+            n.send(Time(0), n0, [l0], &mut Frame::new(400)),
+            Ok(Time(600 + 400 + 5))
+        );
+        assert_eq!(
+            n.send(Time(1), n0, [l0], &mut Frame::new(1)),
+            Err(SendError::AllocationExhausted)
+        );
+        assert_eq!(n.guardian_drops(n1), 0);
+    }
+
+    #[test]
+    fn hop_rule_rounds_up_to_a_microsecond() {
+        let link = |bytes_per_ms| LinkSpec {
+            id: LinkId(0),
+            endpoints: vec![NodeId(0), NodeId(1)],
+            bytes_per_ms,
+            latency: Duration(0),
+        };
+        // 2 000 B/ms between two endpoints: 1 B/µs each.
+        assert_eq!(slice_rate(&link(2_000)), 1_000);
+        assert_eq!(hop_bound(&link(2_000), 1), Duration(1));
+        assert_eq!(hop_bound(&link(2_000), 1_500), Duration(1_500));
+        assert_eq!(hop_bound(&link(2_000), 0), Duration(1));
+        assert_eq!(hop_bound(&link(6), 1), Duration(334)); // ceil(1000/3).
+                                                           // A slice never rounds down to nothing.
+        assert_eq!(slice_rate(&link(1)), 1);
+        let slow = LinkSpec {
+            latency: Duration(9),
+            ..link(1)
+        };
+        assert_eq!(hop_bound(&slow, 2), Duration(2_009));
     }
 
     #[test]

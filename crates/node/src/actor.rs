@@ -565,7 +565,7 @@ mod tests {
 
     fn harness(n: usize) -> (Loopback, Arc<KeyStore>) {
         let topo = Topology::bus(n, 100_000, Duration(5));
-        let net = Loopback::new(topo, 1, 0);
+        let net = Loopback::new(topo, 1, 0, Duration::from_millis(10));
         let ks = Arc::new(KeyStore::derive_suite(1, n, AuthSuite::default()));
         (net, ks)
     }

@@ -94,6 +94,8 @@ pub struct DropTotals {
     pub transmission_loss: u64,
     /// No route (partition after crashes).
     pub no_route: u64,
+    /// Sends a sender's bandwidth guardian denied.
+    pub guardian_denied: u64,
     /// Messages that entered the network.
     pub sent: u64,
 }
@@ -356,7 +358,7 @@ pub fn run_live(
     let suite = system.auth_suite();
     let period = system.workload().period;
     let keystore = Arc::new(KeyStore::derive_suite(cfg.seed, n, suite));
-    let net = Loopback::new(topo, cfg.seed, system.loss_ppm());
+    let net = Loopback::new(topo, cfg.seed, system.loss_ppm(), period);
     let workload = system.workload_arc();
     let strategy = system.strategy_arc();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
@@ -578,6 +580,7 @@ pub fn run_live(
         receiver_down: c.receiver_down.load(Ordering::Relaxed),
         transmission_loss: c.transmission_loss.load(Ordering::Relaxed),
         no_route: c.no_route.load(Ordering::Relaxed),
+        guardian_denied: c.guardian_denied.load(Ordering::Relaxed),
         sent: c.sent.load(Ordering::Relaxed),
     };
     let mailbox_full_by_node: Vec<u64> = (0..n as u32)

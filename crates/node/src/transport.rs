@@ -1,15 +1,15 @@
 //! In-process loopback transport for the live runtime.
 //!
-//! Mirrors the simulator's network model on the same `btr_net` link
-//! parameters: multi-hop routes from `RoutingTable::avoiding_transit`
-//! (crashed relays lose carrier and routes heal around them, exactly
-//! like `World::heal_routes`), per-hop delay = serialisation time +
-//! propagation latency from each `LinkSpec`, and deterministic
-//! transmission loss from a per-sender hash-chain roll. What it does
-//! *not* model is link contention (`LinkLayer` busy-until) and guardian
-//! byte accounting — the live analogue of a finite link is the bounded
-//! mailbox, whose backpressure drops are counted and surfaced instead
-//! of silently blocking a sender.
+//! Sends through the simulator's network model itself: multi-hop routes
+//! from `RoutingTable::avoiding_transit` (crashed relays lose carrier and
+//! routes heal around them, exactly like `World::heal_routes`), then one
+//! `btr_net::LinkLayer::send` per message, which charges the sender's
+//! lane on the link it leaves by — its slice's backlog and its guardian's
+//! budget — and adds every later hop's slice serialisation and latency.
+//! The lanes are shared by every incarnation of a node, as the
+//! simulator's table is. Transmission loss is a deterministic per-sender
+//! hash-chain roll. A full receiver mailbox drops the message, counted
+//! and surfaced instead of silently blocking a sender.
 //!
 //! Envelopes are physically handed over the moment they are sent, but
 //! stamped with their *logical* arrival time; the receiving actor parks
@@ -28,7 +28,7 @@
 
 use btr_crypto::digest64;
 use btr_model::{Duration, Envelope, NodeId, Time, Topology};
-use btr_net::RoutingTable;
+use btr_net::{Frame, LinkLayer, RoutingTable, SendError};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -40,7 +40,7 @@ use std::thread::Thread;
 /// ordering at the receiver.
 #[derive(Debug)]
 pub struct LiveMsg {
-    /// Logical arrival time (send time + per-hop link delays).
+    /// Logical arrival time (what the link layer charged).
     pub at: Time,
     /// Sending node (transport-level truth, unlike `env.src` which a
     /// Byzantine sender can spoof).
@@ -62,6 +62,9 @@ pub struct TransportCounters {
     pub transmission_loss: AtomicU64,
     /// No route to the destination (partition after crashes).
     pub no_route: AtomicU64,
+    /// Sends the sender's bandwidth guardian denied (its per-period
+    /// budget on the link spent).
+    pub guardian_denied: AtomicU64,
     /// Messages accepted into the network.
     pub sent: AtomicU64,
 }
@@ -140,6 +143,9 @@ struct Inner {
     seed: u64,
     loss_ppm: u32,
     routes: RwLock<RouteState>,
+    /// Every node's sender lanes. A node's send charges only its own, so
+    /// the lock is for memory safety, not arbitration.
+    links: Mutex<LinkLayer>,
     mailboxes: RwLock<Vec<Option<SyncSender<LiveMsg>>>>,
     counters: TransportCounters,
     /// Per-receiver `mailbox_full` attribution: which node's bounded
@@ -258,9 +264,11 @@ pub struct Loopback {
 }
 
 impl Loopback {
-    /// Build a network over `topo` with deterministic per-sender loss.
-    pub fn new(topo: Topology, seed: u64, loss_ppm: u32) -> Loopback {
+    /// Build a network over `topo` with deterministic per-sender loss,
+    /// its guardians refilled every system `period`.
+    pub fn new(topo: Topology, seed: u64, loss_ppm: u32, period: Duration) -> Loopback {
         let table = RoutingTable::new(&topo);
+        let links = Mutex::new(LinkLayer::new(&topo, period));
         let n = topo.node_count();
         // Any inter-node path crosses at least one link, so its delay is
         // at least the smallest link latency. Clamped to 1 µs: a
@@ -282,6 +290,7 @@ impl Loopback {
                     table,
                     crashed: BTreeSet::new(),
                 }),
+                links,
                 mailboxes: RwLock::new((0..n).map(|_| None).collect()),
                 counters: TransportCounters::default(),
                 mailbox_full_by: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -494,53 +503,59 @@ pub struct Port {
     seq: u64,
 }
 
-impl Port {
-    /// One transmission-loss roll in `0..1_000_000`, deterministic per
-    /// (seed, sender, message index): a digest per roll, where the
-    /// simulator draws from one xoshiro256** stream per world — a sender
-    /// here cannot see the order in which its peers send.
-    fn loss_roll(&mut self) -> u32 {
-        self.loss_counter += 1;
-        (digest64(&[
-            b"btr-live-loss",
-            &self.inner.seed.to_be_bytes(),
-            &self.src.0.to_be_bytes(),
-            &self.loss_counter.to_be_bytes(),
-        ]) % 1_000_000) as u32
-    }
+/// One transmission-loss roll in `0..1_000_000`, deterministic per
+/// (seed, sender, message index): a digest per roll, where the simulator
+/// draws from one xoshiro256** stream per world — a sender here cannot
+/// see the order in which its peers send.
+fn loss_roll(seed: u64, src: NodeId, counter: &mut u64) -> u32 {
+    *counter += 1;
+    (digest64(&[
+        b"btr-live-loss",
+        &seed.to_be_bytes(),
+        &src.0.to_be_bytes(),
+        &counter.to_be_bytes(),
+    ]) % 1_000_000) as u32
+}
 
+impl Port {
     /// Route and send an envelope at logical time `now`. Returns the
     /// logical arrival time if the message entered the network (drops
     /// are counted, never surfaced to the sender — same contract as the
     /// simulator's fire-and-forget `transmit`).
     pub fn send(&mut self, now: Time, env: Envelope) -> Option<Time> {
         let dst = env.dst;
+        let c = &self.inner.counters;
         let at = if dst == self.src {
             // Loopback: immediate, lossless, no network traversal —
             // mirrors the simulator's `transmit` self-send short-circuit.
             now
         } else {
-            let bytes = env.wire_size();
-            let delay = {
-                let st = self.inner.routes.read().expect("routes lock");
-                let Some((_, links)) = st.table.path_and_links(self.src, dst) else {
-                    let c = &self.inner.counters;
-                    c.no_route.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                };
-                let mut d = Duration::ZERO;
-                for &l in links {
-                    let spec = self.inner.topo.link(l);
-                    d += spec.tx_time(bytes) + spec.latency;
-                }
-                d
+            // Route, roll for loss, then charge the link layer: the
+            // simulator's `transmit` order.
+            let st = self.inner.routes.read().expect("routes lock");
+            let Some((_, route)) = st.table.path_and_links(self.src, dst) else {
+                c.no_route.fetch_add(1, Ordering::Relaxed);
+                return None;
             };
-            if self.inner.loss_ppm > 0 && self.loss_roll() < self.inner.loss_ppm {
-                let c = &self.inner.counters;
+            let (seed, loss_ppm) = (self.inner.seed, self.inner.loss_ppm);
+            if loss_ppm > 0 && loss_roll(seed, self.src, &mut self.loss_counter) < loss_ppm {
                 c.transmission_loss.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
-            now + delay
+            let mut links = self.inner.links.lock().expect("links lock");
+            match links.send(
+                now,
+                self.src,
+                route.iter().copied(),
+                &mut Frame::new(env.wire_size()),
+            ) {
+                Ok(at) => at,
+                Err(SendError::AllocationExhausted) => {
+                    c.guardian_denied.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                }
+                Err(SendError::NotAttached) => unreachable!("a route leaves its sender's link"),
+            }
         };
         self.seq += 1;
         let msg = LiveMsg {
@@ -549,7 +564,6 @@ impl Port {
             seq: self.seq,
             env,
         };
-        let c = &self.inner.counters;
         // Hand over and note the receiver's floor under the one read
         // guard: once `crash` has detached a mailbox (write guard), no
         // floor note for it is still on its way.
@@ -592,6 +606,9 @@ pub fn mailbox(cap: usize) -> (SyncSender<LiveMsg>, Receiver<LiveMsg>) {
 mod tests {
     use super::*;
     use btr_model::Payload;
+    use btr_net::hop_bound;
+
+    const PERIOD: Duration = Duration(10_000);
 
     fn env(src: u32, dst: u32) -> Envelope {
         Envelope::new(NodeId(src), NodeId(dst), Time(0), Payload::Control(1))
@@ -600,14 +617,14 @@ mod tests {
     #[test]
     fn delivers_with_link_delay() {
         let topo = Topology::bus(3, 10_000, Duration(10));
-        let net = Loopback::new(topo.clone(), 1, 0);
+        let net = Loopback::new(topo.clone(), 1, 0, PERIOD);
         let (tx, rx) = mailbox(16);
         net.register(NodeId(1), tx);
         let mut port = net.port(NodeId(0));
         let e = env(0, 1);
         let wire = e.wire_size();
         let at = port.send(Time(100), e).expect("delivered");
-        let expect = Time(100) + topo.link(btr_model::LinkId(0)).tx_time(wire) + Duration(10);
+        let expect = Time(100) + hop_bound(topo.link(btr_model::LinkId(0)), wire);
         assert_eq!(at, expect);
         let got = rx.recv().unwrap();
         assert_eq!(got.at, expect);
@@ -625,7 +642,7 @@ mod tests {
         let n2 = b.full_node();
         b.link(&[n0, n1], 10_000, Duration(5));
         b.link(&[n1, n2], 10_000, Duration(5));
-        let net = Loopback::new(b.build().unwrap(), 1, 0);
+        let net = Loopback::new(b.build().unwrap(), 1, 0, PERIOD);
         let (tx0, _rx0) = mailbox(4);
         net.register(NodeId(2), tx0);
         let mut port = net.port(NodeId(0));
@@ -643,7 +660,7 @@ mod tests {
     #[test]
     fn mailbox_backpressure_counts_drops() {
         let topo = Topology::bus(2, 10_000, Duration(1));
-        let net = Loopback::new(topo, 1, 0);
+        let net = Loopback::new(topo, 1, 0, PERIOD);
         let (tx, _rx) = mailbox(2);
         net.register(NodeId(1), tx);
         let mut port = net.port(NodeId(0));
@@ -660,7 +677,7 @@ mod tests {
     #[test]
     fn frontier_bound_tracks_anchors_inflight_and_death() {
         let topo = Topology::bus(3, 10_000, Duration(10));
-        let net = Loopback::new(topo, 1, 0);
+        let net = Loopback::new(topo, 1, 0, PERIOD);
         assert_eq!(net.lookahead(), Duration(10));
         // Initial anchors are 0: bound = 0 + lookahead.
         assert_eq!(net.frontier_bound(NodeId(0)).0, Time(10));
@@ -697,13 +714,13 @@ mod tests {
     fn topo_delay() -> Duration {
         let topo = Topology::bus(3, 10_000, Duration(10));
         let e = env(0, 2);
-        topo.link(btr_model::LinkId(0)).tx_time(e.wire_size()) + Duration(10)
+        hop_bound(topo.link(btr_model::LinkId(0)), e.wire_size())
     }
 
     /// R = node 0 and P = node 1 on a three-node bus (lookahead 10)
     /// whose third node is terminal; R's mailbox is registered.
     fn gate_net() -> (Loopback, Receiver<LiveMsg>) {
-        let net = Loopback::new(Topology::bus(3, 10_000, Duration(10)), 1, 0);
+        let net = Loopback::new(Topology::bus(3, 10_000, Duration(10)), 1, 0, PERIOD);
         net.set_terminal(NodeId(2));
         let (tx, rx) = mailbox(8);
         net.register(R, tx);
@@ -765,7 +782,7 @@ mod tests {
     #[test]
     fn publish_wakes_exactly_the_sleepers_it_released() {
         // Q = node 2 alive this time: two publishers, one sleeper.
-        let net = Loopback::new(Topology::bus(3, 10_000, Duration(10)), 1, 0);
+        let net = Loopback::new(Topology::bus(3, 10_000, Duration(10)), 1, 0, PERIOD);
         let q = NodeId(2);
         net.publish_anchor(P, Time(200));
         net.publish_anchor(q, Time(100));
@@ -861,7 +878,7 @@ mod tests {
     fn loss_is_deterministic_per_sender() {
         let topo = Topology::bus(2, 10_000, Duration(1));
         let run = || {
-            let net = Loopback::new(topo.clone(), 9, 200_000);
+            let net = Loopback::new(topo.clone(), 9, 200_000, PERIOD);
             let (tx, rx) = mailbox(64);
             net.register(NodeId(1), tx);
             let mut port = net.port(NodeId(0));

@@ -17,8 +17,12 @@ use btr_planner::PlannerConfig;
 const SEED: u64 = 7;
 
 fn system(f: u8) -> BtrSystem {
+    system_on(Topology::bus(9, 100_000, Duration(5)), f)
+}
+
+/// The avionics workload planned on nine nodes of `topo`.
+fn system_on(topo: Topology, f: u8) -> BtrSystem {
     let workload = btr_workload::generators::avionics(9);
-    let topo = Topology::bus(9, 100_000, Duration(5));
     let mut cfg = PlannerConfig::new(f, Duration::from_millis(150));
     cfg.admit_best_effort = true;
     BtrSystem::plan(workload, topo, cfg).expect("plannable")
@@ -74,6 +78,34 @@ fn fault_free_live_run_is_trace_identical_to_simulator() {
     let report = sys.run(&scenario, horizon, SEED);
     assert_eq!(live.node_stats, report.node_stats, "node stats diverged");
     assert!(live.converged);
+}
+
+#[test]
+fn fault_free_mesh_run_is_trace_identical_to_simulator() {
+    // Multi-hop: on a 3 x 3 mesh most routes cross a relay, so the
+    // fleet's trace is the simulator's only if both charge a hop alike
+    // (the originator's slice, then each later link's hop term).
+    let sys = system_on(Topology::mesh(3, 3, 100_000, Duration(5)), 1);
+    let horizon = Duration::from_millis(120);
+    let scenario = FaultScenario::none();
+    let reference = sim_trace(&sys, &scenario, horizon);
+    let live = run_live(&sys, &scenario, horizon, &live_cfg());
+    assert!(
+        live.healthy(),
+        "panics: {:?}, overruns: {:?}",
+        live.panics,
+        live.deadline_overruns
+    );
+    assert!(!reference.is_empty());
+    assert_eq!(
+        live.trace.digest(),
+        reference.digest(),
+        "live diverged from simulator: {:?}",
+        live.trace
+            .first_divergence(&reference, ["live", "simulator"])
+    );
+    let report = sys.run(&scenario, horizon, SEED);
+    assert_eq!(live.node_stats, report.node_stats, "node stats diverged");
 }
 
 #[test]

@@ -16,8 +16,7 @@
 //! mode's `CommTable`.
 
 use btr_model::{ATask, Duration, LinkSpec, NodeId, TaskId, Topology};
-use btr_net::RoutingTable;
-use btr_sched::comm::{hop_bound, slice_rate};
+use btr_net::{hop_bound, slice_rate, RoutingTable};
 use btr_sched::{AtaskIndex, UNPLACED};
 use btr_workload::{TaskKind, Workload};
 use std::collections::{BTreeMap, BTreeSet};

@@ -2,30 +2,16 @@
 //!
 //! The planner and scheduler need an upper bound on how long a message of
 //! a given size takes between two nodes. With reserved per-sender slices
-//! and static routes this is a closed form: per hop, serialisation at the
-//! slice rate plus propagation latency. This is the same arithmetic the
-//! simulator's `LinkLayer` performs, so the bound is exact when the sender's
-//! slice is idle and conservative otherwise. The link carrying each hop
-//! is the one the routing table cached when it materialised the path.
+//! and static routes this is a closed form: the sum of
+//! [`btr_net::hop_bound`] over the route's links. Both substrates deliver
+//! through `btr_net::LinkLayer`, which charges only the originator's
+//! slice and adds the same hop rule for every later link, so the bound is
+//! exact when the originator's slice is idle and conservative otherwise.
+//! The link carrying each hop is the one the routing table cached when it
+//! materialised the path.
 
-use btr_model::{Duration, LinkSpec, NodeId, Topology};
-use btr_net::RoutingTable;
-
-/// Bytes per millisecond one sender may put on `link`: its static,
-/// equal share of the link's bandwidth.
-#[inline]
-pub fn slice_rate(link: &LinkSpec) -> u64 {
-    (link.bytes_per_ms as u64 / link.endpoints.len() as u64).max(1)
-}
-
-/// One hop's term of the bound: serialising `bytes` at the sender's
-/// slice of `link`, plus the link's propagation latency. It depends on
-/// the link's slice rate and latency alone.
-#[inline]
-pub fn hop_bound(link: &LinkSpec, bytes: u32) -> Duration {
-    let tx = (bytes as u64 * 1_000).div_ceil(slice_rate(link)).max(1);
-    Duration(tx) + link.latency
-}
+use btr_model::{Duration, NodeId, Topology};
+use btr_net::{hop_bound, RoutingTable};
 
 /// Upper bound on delivering `bytes` from `src` to `dst`.
 ///
@@ -135,15 +121,35 @@ mod tests {
 
     #[test]
     fn matches_simulator_nic_timing() {
+        // An idle originator's delivery through the link layer is the
+        // bound, for every pair, on every platform family: the relays on
+        // a route add their hop terms and charge nothing.
         use btr_model::Time;
         use btr_net::{Frame, LinkLayer};
-        let t = Topology::bus(4, 4_000, Duration(50));
-        let r = RoutingTable::new(&t);
-        let bound = comm_bound(&t, &r, NodeId(0), NodeId(3), 128).unwrap();
-        let mut links = LinkLayer::new(&t, Duration::from_millis(10));
-        let measured = links
-            .send(Time(0), NodeId(0), t.links()[0].id, &mut Frame::new(128))
-            .unwrap();
-        assert_eq!(Time(bound.0), measured);
+        let lat = Duration(50);
+        let platforms = [
+            ("bus", Topology::bus(4, 4_000, lat)),
+            ("ring", Topology::ring(9, 2_000, lat)),
+            ("mesh", Topology::mesh(3, 4, 3_000, lat)),
+            ("fat_tree", btr_topo::fat_tree(4, 3, 5_000, lat).unwrap()),
+            ("torus", btr_topo::torus(4, 5, 7_000, lat).unwrap()),
+        ];
+        for (name, t) in &platforms {
+            let r = RoutingTable::new(t);
+            let n = t.node_count() as u32;
+            for (s, d) in (0..n).flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d)))) {
+                if s == d {
+                    continue;
+                }
+                for bytes in [1, 128, 1_000] {
+                    let bound = comm_bound(t, &r, s, d, bytes).unwrap();
+                    let (_, route) = r.path_and_links(s, d).unwrap();
+                    let mut links = LinkLayer::new(t, Duration::from_millis(10));
+                    let at = Time(1_000);
+                    let measured = links.send(at, s, route.iter().copied(), &mut Frame::new(bytes));
+                    assert_eq!(measured, Ok(at + bound), "{name}: {s} -> {d}, {bytes} B");
+                }
+            }
+        }
     }
 }

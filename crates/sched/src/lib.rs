@@ -299,7 +299,7 @@ pub fn synthesize(
     // Link bandwidth: each sender's demand must fit its share minus the
     // control reserve.
     for link in topo.links() {
-        let share = comm::slice_rate(link) * params.period.as_micros() / 1_000;
+        let share = btr_net::slice_rate(link) * params.period.as_micros() / 1_000;
         let control = (share as f64 * params.control_reserve_frac) as u64;
         let capacity = share.saturating_sub(control);
         if let Some((node, demand)) = link
@@ -382,7 +382,8 @@ impl<'a> Timeline<'a> {
     }
 }
 
-/// Data-plane bytes per period each sender puts on each of its links.
+/// Data-plane bytes per period each sender originates on each of its
+/// links.
 struct LinkDemand<'a> {
     topo: &'a Topology,
     routing: &'a RoutingTable,
@@ -424,24 +425,25 @@ impl<'a> LinkDemand<'a> {
         self.bytes[self.slot(sender, link)]
     }
 
-    /// Send one `bytes`-long output from `from` to `to`: charge it along
-    /// its route and bound its delivery, the sender's slack included.
-    /// Local delivery is free and immediate.
+    /// Send one `bytes`-long output from `from` to `to`: charge it to
+    /// `from`'s slice of the link it leaves by — relays forward on the
+    /// originator's reservation, as the link layer does — and bound its
+    /// delivery, the sender's slack included. Local delivery is free and
+    /// immediate.
     fn send(&mut self, from: NodeId, to: NodeId, bytes: u32) -> Result<Duration, SchedError> {
         if from == to {
             return Ok(Duration::ZERO);
         }
-        let (path, links) = self
+        let (_, links) = self
             .routing
             .path_and_links(from, to)
             .ok_or(SchedError::NoRoute { from, to })?;
-        let mut bound = self.slack;
-        for (&sender, &link) in path.iter().zip(links) {
-            bound += comm::hop_bound(self.topo.link(link), bytes);
-            let slot = self.slot(sender, link);
-            self.bytes[slot] += bytes as u64;
-        }
-        Ok(bound)
+        let slot = self.slot(from, links[0]);
+        self.bytes[slot] += bytes as u64;
+        let hops = links
+            .iter()
+            .map(|&l| btr_net::hop_bound(self.topo.link(l), bytes));
+        Ok(hops.fold(self.slack, |bound, hop| bound + hop))
     }
 }
 

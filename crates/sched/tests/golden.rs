@@ -112,7 +112,8 @@ fn round_robin_syntheses() {
 fn error_texts() {
     let lat = Duration(5);
     // Voting with all but a thousandth of every share reserved for
-    // control traffic: timing is untouched, the first link overflows.
+    // control traffic: timing is untouched, the first link overflows. n0's
+    // demand is what it originates; what it relays is its originators'.
     check(
         "bandwidth",
         &Topology::ring(9, 150_000, lat),
@@ -121,7 +122,7 @@ fn error_texts() {
             control_reserve_frac: 0.999,
             ..SchedParams::default()
         },
-        "n0 needs 1480 B/period, share is 750",
+        "n0 needs 1040 B/period, share is 750",
     );
     // A quarter-speed clock: a sink's primary lane finishes late.
     check(

@@ -33,7 +33,7 @@ pub mod world;
 pub use scratch::Scratch;
 pub use seat::Seat;
 pub use trace::{DropReason, LogicalTrace, SimMetrics, TraceEvent};
-pub use world::{Actuation, ControlAction, CtxBackend, ForwardPolicy, NodeCtx, SimConfig, World};
+pub use world::{Actuation, ControlAction, CtxBackend, NodeCtx, SimConfig, World};
 
 use btr_model::Envelope;
 

@@ -74,34 +74,10 @@ impl SimConfig {
     }
 }
 
-/// How a node treats traffic it is asked to relay.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ForwardPolicy {
-    /// Relay everything (correct behaviour).
-    #[default]
-    Forward,
-    /// Relay nothing (crashed or maliciously silent).
-    DropAll,
-    /// Drop traffic destined to specific nodes (targeted omission).
-    DropTo(BTreeSet<NodeId>),
-}
-
-impl ForwardPolicy {
-    fn refuses(&self, dst: NodeId) -> bool {
-        match self {
-            ForwardPolicy::Forward => false,
-            ForwardPolicy::DropAll => true,
-            ForwardPolicy::DropTo(set) => set.contains(&dst),
-        }
-    }
-}
-
 /// Scheduled control-plane interventions (the fault injector's lever).
 pub enum ControlAction {
     /// Fail-stop the node.
     Crash(NodeId),
-    /// Change how the node relays traffic.
-    SetForwardPolicy(NodeId, ForwardPolicy),
     /// Shift the node's local clock by a signed offset (timing faults).
     ShiftClock(NodeId, i64),
     /// Swap in a new behaviour (e.g. turn a correct node Byzantine).
@@ -112,7 +88,6 @@ impl std::fmt::Debug for ControlAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ControlAction::Crash(n) => write!(f, "Crash({n})"),
-            ControlAction::SetForwardPolicy(n, p) => write!(f, "SetForwardPolicy({n}, {p:?})"),
             ControlAction::ShiftClock(n, d) => write!(f, "ShiftClock({n}, {d})"),
             ControlAction::ReplaceBehavior(n, _) => write!(f, "ReplaceBehavior({n}, ..)"),
         }
@@ -137,7 +112,6 @@ pub struct Actuation {
 struct NodeSlot {
     behavior: Option<Box<dyn NodeBehavior>>,
     crashed: bool,
-    forward: ForwardPolicy,
 }
 
 /// Hot-path observability staging. Counters and latency samples
@@ -232,7 +206,6 @@ impl World {
             .map(|_| NodeSlot {
                 behavior: Some(Box::new(crate::IdleBehavior)),
                 crashed: false,
-                forward: ForwardPolicy::Forward,
             })
             .collect();
         let loss_rng = Xoshiro256StarStar::from_parts(&[b"btr-loss", &cfg.seed.to_be_bytes()]);
@@ -502,9 +475,6 @@ impl World {
     fn apply_control_inner(&mut self, action: ControlAction) {
         match action {
             ControlAction::Crash(n) => self.sub.crash(n),
-            ControlAction::SetForwardPolicy(n, p) => {
-                self.sub.slots[n.index()].forward = p;
-            }
             ControlAction::ShiftClock(n, d) => {
                 self.seats[n.index()].clock_offset += d;
             }
@@ -766,46 +736,31 @@ impl Substrate {
                 }
             }
         }
-        // One frame per message: its serialisation time is worked out
-        // once per slice rate it meets, not once per hop.
-        let mut frame = Frame::new(bytes);
-        let mut t = self.now;
-        for &(a, _b, link) in hops {
-            // Relay policy applies to intermediate hops only.
-            if a != src {
-                let slot = &self.slots[a.index()];
-                if slot.crashed || slot.forward.refuses(dst) {
-                    self.metrics.drops_forward += 1;
-                    if self.cfg.trace {
-                        self.trace.push(TraceEvent::Dropped {
-                            at: t,
-                            src,
-                            dst,
-                            reason: DropReason::ForwardRefused(a),
-                        });
-                    }
-                    return None;
-                }
+        // One link-layer operation per message: the originator's lane on
+        // the first link is charged at this instant, and every later hop
+        // adds its link's slice serialisation and latency (DESIGN.md
+        // "Network model").
+        let route = hops.iter().map(|&(_, _, link)| link);
+        let t = match self
+            .links
+            .send(self.now, src, route, &mut Frame::new(bytes))
+        {
+            Ok(t) => t,
+            Err(SendError::AllocationExhausted) => {
+                self.record_drop(src, dst, DropReason::GuardianDenied);
+                return None;
             }
-            match self.links.send(t, a, link, &mut frame) {
-                Ok(arrival) => t = arrival,
-                Err(SendError::AllocationExhausted) => {
-                    self.metrics.drops_guardian += 1;
-                    if self.cfg.trace {
-                        self.trace.push(TraceEvent::Dropped {
-                            at: t,
-                            src,
-                            dst,
-                            reason: DropReason::GuardianDenied,
-                        });
-                    }
-                    return None;
-                }
-                Err(SendError::NotAttached) => {
-                    unreachable!("path hop not attached to its link")
-                }
-            }
-            self.metrics.bytes_sent += bytes as u64;
+            Err(SendError::NotAttached) => unreachable!("a route leaves its sender's link"),
+        };
+        // A crashed relay forwards nothing. Routes heal around a node as
+        // it crashes, so no staged route should cross one.
+        let refused = hops[1..]
+            .iter()
+            .position(|&(relay, _, _)| self.slots[relay.index()].crashed);
+        self.metrics.bytes_sent += bytes as u64 * refused.map_or(hops.len(), |k| k + 1) as u64;
+        if let Some(k) = refused {
+            self.record_drop(src, dst, DropReason::ForwardRefused(hops[k + 1].0));
+            return None;
         }
         Some(t)
     }
@@ -818,7 +773,6 @@ impl Substrate {
             return;
         }
         slot.crashed = true;
-        slot.forward = ForwardPolicy::DropAll;
         if self.cfg.trace {
             self.trace.push(TraceEvent::Crashed { at: self.now, node });
         }
@@ -1321,49 +1275,39 @@ mod tests {
 
     #[test]
     fn relay_refusal_drops_multihop() {
-        // Line topology 0-1-2: node 1 refuses to forward.
+        // Line topology 0-1-2, 1 B/µs slices, 5 µs latency. A delivery
+        // over both hops costs both hop terms; then relay 1 dies without
+        // its routes healing (the only way a staged route can cross a dead
+        // relay), and the next message stops there.
         let mut b = btr_model::TopologyBuilder::new();
         let n0 = b.full_node();
         let n1 = b.full_node();
         let n2 = b.full_node();
-        b.link(&[n0, n1], 10_000, Duration(5));
-        b.link(&[n1, n2], 10_000, Duration(5));
+        b.link(&[n0, n1], 2_000, Duration(5));
+        b.link(&[n1, n2], 2_000, Duration(5));
         let mut cfg = SimConfig::new(2);
         cfg.trace = true;
         let mut w = World::new(b.build().unwrap(), cfg);
-
-        struct SendTo2;
-        impl NodeBehavior for SendTo2 {
-            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.send(NodeId(2), Payload::Control(0));
-            }
-            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
-            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
-        }
-        w.set_behavior(NodeId(0), Box::new(SendTo2));
-        w.schedule_control(
-            Time(0),
-            ControlAction::SetForwardPolicy(NodeId(1), ForwardPolicy::DropAll),
+        let env = || Envelope::new(NodeId(0), NodeId(2), Time(0), Payload::Control(0));
+        let wire = env().wire_size() as u64;
+        let at = w.sub.transmit(NodeId(0), env());
+        assert_eq!(at, Some(Time(2 * (wire + 5))));
+        assert_eq!(w.metrics().bytes_sent, 2 * wire);
+        w.sub.slots[1].crashed = true;
+        assert_eq!(w.sub.transmit(NodeId(0), env()), None);
+        assert_eq!(w.metrics().drops_forward, 1);
+        assert_eq!(
+            w.metrics().bytes_sent,
+            3 * wire,
+            "the first hop was crossed"
         );
-        w.start();
-        // Control action at t=0 runs before... actually start() dispatches
-        // on_start synchronously first, so the first message may pass.
-        w.run_until(Time::from_millis(20));
-        // Send again after the policy change.
-        struct Again;
-        impl NodeBehavior for Again {
-            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.send(NodeId(2), Payload::Control(1));
-            }
-            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
-            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
-        }
-        w.schedule_control(
-            Time::from_millis(21),
-            ControlAction::ReplaceBehavior(NodeId(0), Box::new(Again)),
-        );
-        w.run_until(Time::from_millis(40));
-        assert!(w.metrics().drops_forward >= 1);
+        assert!(matches!(
+            w.trace().last(),
+            Some(TraceEvent::Dropped {
+                reason: DropReason::ForwardRefused(NodeId(1)),
+                ..
+            })
+        ));
     }
 
     #[test]
