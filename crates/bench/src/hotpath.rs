@@ -138,10 +138,9 @@ mod tests {
         // the event queue alone decide the run. The golden — the metrics
         // plus a SHA-256 over the `Debug` of the full trace — was recorded
         // at 584b735 from the seed implementation of all three (per-
-        // message route walk, allocating signing, inline-heap queue). The
-        // trace digest moved once since, when relays stopped spending
-        // their own slices on forwarded traffic (delivery instants only;
-        // the metrics held).
+        // message route walk, allocating signing, inline-heap queue); the
+        // trace digest since moved with the network model's delivery
+        // instants (EXPERIMENTS.md "One network model").
         let (m, trace) = traced_run(23, 100, 0);
         let golden = SimMetrics {
             msgs_sent: 8_000,

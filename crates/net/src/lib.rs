@@ -95,39 +95,6 @@ pub fn hop_bound(link: &LinkSpec, bytes: u32) -> Duration {
     serialisation(bytes, slice_rate(link)) + link.latency
 }
 
-/// One message on the wire: its size, and its serialisation time at the
-/// slice rate it was last timed at. A multi-hop message crosses links of
-/// (nearly always) one rate, so carrying the memo with the message pays
-/// the division once per message instead of once per hop.
-#[derive(Debug, Clone, Copy)]
-pub struct Frame {
-    bytes: u32,
-    /// Rate `tx` was computed for (0 = not yet; slice rates are ≥ 1).
-    rate_bytes_per_ms: u64,
-    tx: Duration,
-}
-
-impl Frame {
-    /// A frame of `bytes` wire bytes.
-    pub fn new(bytes: u32) -> Frame {
-        Frame {
-            bytes,
-            rate_bytes_per_ms: 0,
-            tx: Duration(0),
-        }
-    }
-
-    /// [`hop_bound`]'s serialisation term at `rate` bytes/ms, memoised.
-    #[inline]
-    fn tx_time(&mut self, rate_bytes_per_ms: u64) -> Duration {
-        if rate_bytes_per_ms != self.rate_bytes_per_ms {
-            self.rate_bytes_per_ms = rate_bytes_per_ms;
-            self.tx = serialisation(self.bytes, rate_bytes_per_ms);
-        }
-        self.tx
-    }
-}
-
 /// What a hop over one link costs, fixed at construction.
 #[derive(Debug, Clone, Copy)]
 struct LinkClass {
@@ -239,11 +206,11 @@ impl LinkLayer {
         Some(lanes.start + k)
     }
 
-    /// Transmit `frame` from its originator `src` at time `now` over
-    /// `route`, the links of its hops in order.
+    /// Transmit `bytes` wire bytes from their originator `src` at time
+    /// `now` over `route`, the links of its hops in order.
     ///
     /// Only `src`'s lane on the first link is charged: the guardian
-    /// debits the bytes, and the slice serialises the frame after its
+    /// debits the bytes, and the slice serialises them after its
     /// backlog. Each later link adds its [`hop_bound`]. On success
     /// returns the *delivery time* at the destination — for an idle
     /// lane, `now` plus the route's summed hop bounds. `now` must not go
@@ -254,22 +221,31 @@ impl LinkLayer {
         now: Time,
         src: NodeId,
         route: impl IntoIterator<Item = LinkId>,
-        frame: &mut Frame,
+        bytes: u32,
     ) -> Result<Time, SendError> {
         let mut route = route.into_iter();
         let first = route.next().ok_or(SendError::NotAttached)?;
         let i = self.lane_of(src, first).ok_or(SendError::NotAttached)?;
-        let class = self.links[first.index()];
         let lane = &mut self.lanes[i];
-        if lane.guardian.check(now, frame.bytes as u64) == GuardianVerdict::Deny {
+        if lane.guardian.check(now, bytes as u64) == GuardianVerdict::Deny {
             return Err(SendError::AllocationExhausted);
         }
-        let done = now.max(lane.busy_until) + frame.tx_time(class.rate_bytes_per_ms);
-        lane.busy_until = done;
-        let mut at = done + class.latency;
+        let LinkClass {
+            mut rate_bytes_per_ms,
+            latency,
+        } = self.links[first.index()];
+        // A route crosses links of (nearly always) one rate, so the
+        // division is paid once per rate met, not once per hop.
+        let mut tx = serialisation(bytes, rate_bytes_per_ms);
+        lane.busy_until = now.max(lane.busy_until) + tx;
+        let mut at = lane.busy_until + latency;
         for link in route {
             let class = self.links[link.index()];
-            at = at + frame.tx_time(class.rate_bytes_per_ms) + class.latency;
+            if class.rate_bytes_per_ms != rate_bytes_per_ms {
+                rate_bytes_per_ms = class.rate_bytes_per_ms;
+                tx = serialisation(bytes, rate_bytes_per_ms);
+            }
+            at = at + tx + class.latency;
         }
         Ok(at)
     }
@@ -298,7 +274,7 @@ mod tests {
     }
 
     fn send(n: &mut LinkLayer, now: Time, src: u32, bytes: u32) -> Result<Time, SendError> {
-        n.send(now, NodeId(src), [BUS], &mut Frame::new(bytes))
+        n.send(now, NodeId(src), [BUS], bytes)
     }
 
     #[test]
@@ -375,11 +351,11 @@ mod tests {
         let mut n = bus(4000);
         assert_eq!(send(&mut n, Time(0), 9, 10), Err(SendError::NotAttached));
         assert_eq!(
-            n.send(Time(0), NodeId(0), [LinkId(7)], &mut Frame::new(10)),
+            n.send(Time(0), NodeId(0), [LinkId(7)], 10),
             Err(SendError::NotAttached)
         );
         assert_eq!(
-            n.send(Time(0), NodeId(0), [], &mut Frame::new(10)),
+            n.send(Time(0), NodeId(0), [], 10),
             Err(SendError::NotAttached)
         );
         assert_eq!(n.guardian_drops(NodeId(9)), 0);
@@ -397,9 +373,9 @@ mod tests {
         assert_eq!(topo.links_of(centre).len(), 4);
         // 2 B/ms over 2 endpoints for 1 ms: a one-byte budget per lane.
         for (k, &link) in topo.links_of(centre).iter().enumerate() {
-            assert!(n.send(Time(0), centre, [link], &mut Frame::new(1)).is_ok());
+            assert!(n.send(Time(0), centre, [link], 1).is_ok());
             assert_eq!(
-                n.send(Time(0), centre, [link], &mut Frame::new(7)),
+                n.send(Time(0), centre, [link], 7),
                 Err(SendError::AllocationExhausted)
             );
             assert_eq!(n.guardian_drops(centre), 7 * (k as u64 + 1));
@@ -409,7 +385,7 @@ mod tests {
                 .iter()
                 .find(|&&e| e != centre)
                 .unwrap();
-            assert!(n.send(Time(0), other, [link], &mut Frame::new(1)).is_ok());
+            assert!(n.send(Time(0), other, [link], 1).is_ok());
         }
     }
 
@@ -427,19 +403,13 @@ mod tests {
         let mut n = LinkLayer::new(&topo, Duration::from_millis(1));
         let hops = hop_bound(topo.link(l0), 600) + hop_bound(topo.link(l1), 600);
         assert_eq!(hops, Duration(2 * (600 + 5)));
-        let relayed = n.send(Time(0), n0, [l0, l1], &mut Frame::new(600));
+        let relayed = n.send(Time(0), n0, [l0, l1], 600);
         assert_eq!(relayed, Ok(Time(0) + hops));
-        assert_eq!(
-            n.send(Time(0), n1, [l1], &mut Frame::new(1_000)),
-            Ok(Time(1_000 + 5))
-        );
+        assert_eq!(n.send(Time(0), n1, [l1], 1_000), Ok(Time(1_000 + 5)));
         // The originator's lane holds the backlog, and its budget is spent.
+        assert_eq!(n.send(Time(0), n0, [l0], 400), Ok(Time(600 + 400 + 5)));
         assert_eq!(
-            n.send(Time(0), n0, [l0], &mut Frame::new(400)),
-            Ok(Time(600 + 400 + 5))
-        );
-        assert_eq!(
-            n.send(Time(1), n0, [l0], &mut Frame::new(1)),
+            n.send(Time(1), n0, [l0], 1),
             Err(SendError::AllocationExhausted)
         );
         assert_eq!(n.guardian_drops(n1), 0);
@@ -470,11 +440,30 @@ mod tests {
 
     #[test]
     fn frame_memoises_one_rate_at_a_time() {
-        let mut f = Frame::new(150);
-        assert_eq!(f.tx_time(1_000), Duration(150));
-        assert_eq!(f.tx_time(1_000), Duration(150));
-        assert_eq!(f.tx_time(7), Duration(21_429));
-        assert_eq!(f.tx_time(1_000), Duration(150));
-        assert_eq!(Frame::new(0).tx_time(5), Duration(1));
+        // A route whose links change rate and change back: each hop is
+        // timed at its own rate, memo or not.
+        let mut b = btr_model::TopologyBuilder::new();
+        let nodes: Vec<NodeId> = (0..5).map(|_| b.full_node()).collect();
+        let route: Vec<LinkId> = [2_000, 2_000, 14, 2_000]
+            .iter()
+            .zip(nodes.windows(2))
+            .map(|(&bw, pair)| b.link(pair, bw, Duration(3)))
+            .collect();
+        let topo = b.build().unwrap();
+        for bytes in [0, 150] {
+            let mut n = LinkLayer::new(&topo, Duration::from_millis(100));
+            let bound = route
+                .iter()
+                .map(|&l| hop_bound(topo.link(l), bytes))
+                .fold(Duration::ZERO, |a, h| a + h);
+            assert_eq!(
+                n.send(Time(0), nodes[0], route.iter().copied(), bytes),
+                Ok(Time(0) + bound)
+            );
+        }
+        // 150 B: 150 µs per 1 B/µs hop and ceil(150 000 / 7) at 7 B/ms.
+        let hops = [150, 150, 21_429, 150].iter().map(|us| us + 3).sum::<u64>();
+        let mut n = LinkLayer::new(&topo, Duration::from_millis(100));
+        assert_eq!(n.send(Time(0), nodes[0], route, 150), Ok(Time(hops)));
     }
 }

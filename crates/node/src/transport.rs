@@ -28,7 +28,7 @@
 
 use btr_crypto::digest64;
 use btr_model::{Duration, Envelope, NodeId, Time, Topology};
-use btr_net::{Frame, LinkLayer, RoutingTable, SendError};
+use btr_net::{LinkLayer, RoutingTable, SendError};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -543,12 +543,7 @@ impl Port {
                 return None;
             }
             let mut links = self.inner.links.lock().expect("links lock");
-            match links.send(
-                now,
-                self.src,
-                route.iter().copied(),
-                &mut Frame::new(env.wire_size()),
-            ) {
+            match links.send(now, self.src, route.iter().copied(), env.wire_size()) {
                 Ok(at) => at,
                 Err(SendError::AllocationExhausted) => {
                     c.guardian_denied.fetch_add(1, Ordering::Relaxed);

@@ -125,7 +125,7 @@ mod tests {
         // bound, for every pair, on every platform family: the relays on
         // a route add their hop terms and charge nothing.
         use btr_model::Time;
-        use btr_net::{Frame, LinkLayer};
+        use btr_net::LinkLayer;
         let lat = Duration(50);
         let platforms = [
             ("bus", Topology::bus(4, 4_000, lat)),
@@ -146,7 +146,7 @@ mod tests {
                     let (_, route) = r.path_and_links(s, d).unwrap();
                     let mut links = LinkLayer::new(t, Duration::from_millis(10));
                     let at = Time(1_000);
-                    let measured = links.send(at, s, route.iter().copied(), &mut Frame::new(bytes));
+                    let measured = links.send(at, s, route.iter().copied(), bytes);
                     assert_eq!(measured, Ok(at + bound), "{name}: {s} -> {d}, {bytes} B");
                 }
             }

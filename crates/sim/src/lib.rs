@@ -15,11 +15,11 @@
 //!   through [`NodeCtx::signer`]; forging another node's signature is
 //!   impossible by construction, which is what makes evidence sound.
 //! * **MAC-enforced bandwidth.** Every transmission — including those of
-//!   compromised nodes — passes the per-sender link guardians from
-//!   `btr-net`, mirroring the paper's hardware-MAC argument.
-//! * **Transparent multi-hop routing** with per-node forwarding policies,
-//!   so crashed or malicious relays drop traffic and omission faults
-//!   become observable end to end.
+//!   compromised nodes — passes its originator's link guardian from
+//!   `btr-net`, mirroring the paper's hardware-MAC argument; relays
+//!   forward on the originator's reservation (DESIGN.md "Network model").
+//! * **Transparent multi-hop routing** that heals around crashed relays,
+//!   so omission faults become observable end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

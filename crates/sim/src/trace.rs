@@ -9,7 +9,7 @@ use btr_model::{NodeId, PeriodIdx, TaskId, Time, Value};
 pub enum DropReason {
     /// The sender exceeded its static bandwidth allocation.
     GuardianDenied,
-    /// A relay on the path refused to forward (crashed or malicious).
+    /// A crashed relay on the path could not forward.
     ForwardRefused(NodeId),
     /// No route existed between the endpoints.
     NoRoute,

@@ -10,7 +10,7 @@ use btr_model::{
     Duration, Envelope, EvidenceFlaw, NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId,
     Time, Topology, Value,
 };
-use btr_net::{Frame, Hop, LinkLayer, RouteBackend, Routes, SendError};
+use btr_net::{Hop, LinkLayer, RouteBackend, Routes, SendError};
 use btr_obs::{
     Counter, Histogram, Lat, ObsRecorder, Phase, PhaseMark, Profile, Recorder, Subsystem,
     COUNTER_KINDS,
@@ -741,10 +741,7 @@ impl Substrate {
         // adds its link's slice serialisation and latency (DESIGN.md
         // "Network model").
         let route = hops.iter().map(|&(_, _, link)| link);
-        let t = match self
-            .links
-            .send(self.now, src, route, &mut Frame::new(bytes))
-        {
+        let t = match self.links.send(self.now, src, route, bytes) {
             Ok(t) => t,
             Err(SendError::AllocationExhausted) => {
                 self.record_drop(src, dst, DropReason::GuardianDenied);
