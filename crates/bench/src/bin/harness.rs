@@ -12,7 +12,7 @@
 //! harness campaign [...]    # fault-injection campaign, emit CAMPAIGN_btr.json
 //! harness fuzz [...]        # coverage-guided schedule search, emit FUZZ_btr.json
 //! harness --list            # list every subcommand and experiment id
-//! harness --threads N ...   # worker threads (campaign + fuzz + e6 planner)
+//! harness --threads N ...   # worker threads (campaign + fuzz + all)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -555,7 +555,7 @@ fn usage() -> String {
     u += "\nglobal options:\n";
     u += &help_entry(
         "--threads N",
-        "worker threads for campaign, fuzz and the e6 planner\n\
+        "worker threads for campaign, fuzz and `all`\n\
          (default: available parallelism)",
     );
     for c in &COMMANDS {
@@ -961,6 +961,6 @@ fn main() {
         return;
     }
     for table in tables {
-        outln!("{}", table(threads));
+        outln!("{}", table());
     }
 }
