@@ -5,43 +5,42 @@
 //! crate implements the alternatives *on the same simulator, network,
 //! and workload substrate*:
 //!
-//! * [`bft::BftNode`] — classical masking: 2f+1 replicas per task,
-//!   majority voting on every input ("for R = 0, BTR is analogous to
+//! * [`Baseline::BftMask`] — classical masking: 2f+1 replicas per task,
+//!   plurality voting on every input ("for R = 0, BTR is analogous to
 //!   classical fault tolerance — as in BFT — where all faults must be
 //!   masked").
-//! * [`bft::BftNode`] with `agreement` — "PBFT-lite": 3f+1 replicas plus
-//!   an echo round before any output is released, pricing the message
-//!   and latency cost of agreement-based SMR.
-//! * [`zz::ZzNode`] — ZZ-style reactive replication \[71\]: f+1 active
+//! * [`Baseline::PbftLite`] — 3f+1 replicas plus an all-to-all echo
+//!   round per output, pricing the message cost of agreement-based SMR.
+//! * [`Baseline::Zz`] — ZZ-style reactive replication \[71\]: f+1 active
 //!   replicas, f dormant ones woken on disagreement ("ZZ ... runs only
 //!   f+1 replicas by default, and ... changes to agreement only if these
 //!   replicas disagree").
-//! * [`selfstab::SelfStabNode`] — self-stabilisation (Section 3.1's
-//!   R → ∞ strawman): one copy of everything, periodic audits, reboot on
+//! * [`Baseline::SelfStab`] — self-stabilisation (Section 3.1's R → ∞
+//!   strawman): one copy of everything, periodic audits, reboot on
 //!   divergence; recovery is *eventual* with no bound, and only benign
 //!   faults repair at all.
 //! * [`crash_restart_system`] — crash-only restart recovery, expressed
 //!   as a BTR configuration with single lanes (no checkers): heartbeats
 //!   detect crashes, plans reassign work; commission faults sail through
 //!   undetected — the gap the paper's threat model highlights.
+//!
+//! The four schemes run on one engine, [`BaselineNode`], and are built
+//! and judged by the same functions as [`btr_core::BtrSystem`]
+//! (DESIGN.md "Baselines").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bft;
-pub mod selfstab;
-pub mod zz;
+mod node;
 
-pub use bft::{BftConfig, BftNode};
-pub use selfstab::{SelfStabConfig, SelfStabNode};
-pub use zz::{ZzConfig, ZzNode};
+pub use node::BaselineNode;
 
-use btr_core::{oracle, FaultScenario, RunReport};
-use btr_model::{Duration, FaultKind, FaultSet, NodeId, Plan, PlanId, Time, Topology};
+use btr_core::{FaultScenario, RunReport};
+use btr_model::{Duration, FaultSet, Plan, PlanId, Time, Topology};
 use btr_net::RoutingTable;
 use btr_planner::PlannerConfig;
 use btr_sched::{round_robin_placement, synthesize, SchedParams};
-use btr_sim::{ControlAction, SimConfig, World};
+use btr_sim::SimConfig;
 use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -49,7 +48,7 @@ use std::sync::Arc;
 /// Which baseline scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baseline {
-    /// 2f+1 replicas, majority voting, no reconfiguration.
+    /// 2f+1 replicas, plurality voting, no reconfiguration.
     BftMask,
     /// 3f+1 replicas + echo round (agreement cost model).
     PbftLite,
@@ -166,99 +165,26 @@ impl BaselineSystem {
         &self.workload
     }
 
-    /// Run a scenario and judge with the shared oracle. Baselines never
-    /// degrade by plan, so any wrong/missing output counts against them.
+    /// Run a scenario and judge it with the system's own pipeline.
+    /// Baselines never degrade by plan, so nothing is legitimately shed
+    /// and any wrong or missing output counts against them.
     pub fn run(&self, scenario: &FaultScenario, horizon: Duration, seed: u64) -> RunReport {
         let mut sim_cfg = SimConfig::new(seed);
         sim_cfg.period = self.workload.period;
-        let mut world = World::new(self.topo.clone(), sim_cfg);
-        let n = self.topo.node_count();
-        for i in 0..n as u32 {
-            let node = NodeId(i);
-            let attack = scenario.attack_for(node);
-            let behavior: Box<dyn btr_sim::NodeBehavior> = match self.baseline {
-                Baseline::BftMask => Box::new(BftNode::new(
+        let mut world =
+            btr_core::scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
+                Box::new(BaselineNode::new(
                     node,
+                    self.baseline,
+                    self.f,
                     Arc::clone(&self.workload),
                     Arc::clone(&self.plan),
-                    BftConfig {
-                        lanes: self.baseline.lanes(self.f),
-                        agreement: false,
-                        f: self.f,
-                    },
                     attack,
-                )),
-                Baseline::PbftLite => Box::new(BftNode::new(
-                    node,
-                    Arc::clone(&self.workload),
-                    Arc::clone(&self.plan),
-                    BftConfig {
-                        lanes: self.baseline.lanes(self.f),
-                        agreement: true,
-                        f: self.f,
-                    },
-                    attack,
-                )),
-                Baseline::Zz => Box::new(ZzNode::new(
-                    node,
-                    Arc::clone(&self.workload),
-                    Arc::clone(&self.plan),
-                    ZzConfig {
-                        active: self.f + 1,
-                        total: self.baseline.lanes(self.f),
-                        wake_boot_periods: 2,
-                    },
-                    attack,
-                )),
-                Baseline::SelfStab => Box::new(SelfStabNode::new(
-                    node,
-                    Arc::clone(&self.workload),
-                    Arc::clone(&self.plan),
-                    SelfStabConfig {
-                        reboot_periods: 3,
-                        repairable: true,
-                    },
-                    attack,
-                )),
-            };
-            world.set_behavior(node, behavior);
-        }
-        for fin in &scenario.faults {
-            if fin.kind == FaultKind::Crash {
-                world.schedule_control(fin.at, ControlAction::Crash(fin.node));
-            }
-        }
+                ))
+            });
         world.start();
         world.run_until(Time::ZERO + horizon + Duration::from_millis(30));
-
-        let periods = horizon.as_micros() / self.workload.period.as_micros();
-        let verdicts = oracle::judge(
-            &self.workload,
-            world.actuations(),
-            periods,
-            &BTreeSet::new(),
-            &scenario.compromised().into_iter().collect(),
-            scenario.first_manifestation(),
-            Duration(1_000),
-        );
-        let recovery = oracle::RecoveryStats::from_verdicts(
-            &self.workload,
-            &verdicts,
-            scenario.first_manifestation(),
-        );
-        let survival = oracle::survival_by_criticality(&verdicts);
-        let guardian_drops = (0..n as u32).map(|i| world.guardian_drops(NodeId(i))).sum();
-        RunReport {
-            verdicts,
-            recovery,
-            survival,
-            metrics: *world.metrics(),
-            node_stats: Vec::new(),
-            converged: true,
-            periods,
-            guardian_drops,
-            truncated: world.truncated(),
-        }
+        btr_core::judge_world(&self.workload, &BTreeSet::new(), scenario, horizon, &world)
     }
 }
 
@@ -280,6 +206,7 @@ pub fn crash_restart_system(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_model::{FaultKind, NodeId};
 
     fn setup(b: Baseline, f: u8) -> BaselineSystem {
         let w = btr_workload::generators::avionics(9);

@@ -3,12 +3,12 @@
 use crate::faults::FaultScenario;
 use crate::oracle::{judge, survival_by_criticality, RecoveryStats, SinkVerdict};
 use btr_model::{
-    Criticality, Duration, FaultKind, FaultSet, NodeId, PlanId, Strategy, Time, Topology,
+    Criticality, Duration, FaultKind, FaultSet, NodeId, PlanId, Strategy, TaskId, Time, Topology,
 };
 use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
-use btr_runtime::{BtrConfig, BtrNode, NodeStats};
-use btr_sim::{ControlAction, SimConfig, SimMetrics, World};
+use btr_runtime::{Attack, BtrConfig, BtrNode, NodeStats};
+use btr_sim::{Actuation, ControlAction, NodeBehavior, SimConfig, SimMetrics, World};
 use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -276,28 +276,18 @@ impl BtrSystem {
         sim_cfg.fec = self.fec;
         sim_cfg.max_events = self.max_events;
         sim_cfg.auth_suite = self.auth_suite;
-        let mut world = World::new(self.topo.clone(), sim_cfg);
         let n = self.topo.node_count();
-        for i in 0..n as u32 {
-            let node = NodeId(i);
+        let mut world = scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
             let mut cfg = self.node_cfg.clone();
-            cfg.attack = scenario.attack_for(node);
-            world.set_behavior(
+            cfg.attack = attack;
+            Box::new(BtrNode::new(
                 node,
-                Box::new(BtrNode::new(
-                    node,
-                    Arc::clone(&self.workload),
-                    Arc::clone(&self.strategy),
-                    n,
-                    cfg,
-                )),
-            );
-        }
-        for f in &scenario.faults {
-            if f.kind == FaultKind::Crash {
-                world.schedule_control(f.at, ControlAction::Crash(f.node));
-            }
-        }
+                Arc::clone(&self.workload),
+                Arc::clone(&self.strategy),
+                n,
+                cfg,
+            ))
+        });
         // At scale the world selects the demand-driven routing backend;
         // warm it with the plan-derived traffic matrix so the first
         // period's flows don't each pay a BFS (purely a latency
@@ -328,36 +318,25 @@ impl BtrSystem {
         horizon: Duration,
         actuations: &[btr_sim::Actuation],
     ) -> ActuationJudgment {
-        // The degraded plan the strategy prescribes for the injected
-        // pattern (what "legitimate degradation" means for the oracle).
-        let injected: FaultSet = scenario.compromised().into_iter().collect();
-        let degraded_shed: BTreeSet<_> = if injected.is_empty() {
-            BTreeSet::new()
-        } else {
-            let pid = self.strategy.best_plan_for(&injected);
-            self.strategy.plan(pid).shed.iter().copied().collect()
-        };
-
-        let periods = horizon.as_micros() / self.workload.period.as_micros();
-        let compromised_set: BTreeSet<NodeId> = scenario.compromised().into_iter().collect();
-        let verdicts = judge(
+        judge_stream(
             &self.workload,
+            &self.degraded_shed(scenario),
+            scenario,
+            horizon,
             actuations,
-            periods,
-            &degraded_shed,
-            &compromised_set,
-            scenario.first_manifestation(),
-            Duration(1_000),
-        );
-        let recovery =
-            RecoveryStats::from_verdicts(&self.workload, &verdicts, scenario.first_manifestation());
-        let survival = survival_by_criticality(&verdicts);
-        ActuationJudgment {
-            verdicts,
-            recovery,
-            survival,
-            periods,
+        )
+    }
+
+    /// The shed set of the degraded plan the strategy prescribes for the
+    /// injected pattern (what "legitimate degradation" means for the
+    /// oracle).
+    fn degraded_shed(&self, scenario: &FaultScenario) -> BTreeSet<TaskId> {
+        let injected: FaultSet = scenario.compromised().into_iter().collect();
+        if injected.is_empty() {
+            return BTreeSet::new();
         }
+        let pid = self.strategy.best_plan_for(&injected);
+        self.strategy.plan(pid).shed.iter().copied().collect()
     }
 
     /// Run a fault scenario for `horizon` and judge the outputs.
@@ -365,7 +344,8 @@ impl BtrSystem {
         let mut world = self.build_world(scenario, seed);
         world.start();
         world.run_until(Time::ZERO + horizon + self.grace);
-        self.judge_world(scenario, horizon, world)
+        let shed = self.degraded_shed(scenario);
+        judge_world(&self.workload, &shed, scenario, horizon, &world)
     }
 
     /// [`BtrSystem::run`] with an [`ObsRecorder`] installed for
@@ -381,7 +361,11 @@ impl BtrSystem {
         seed: u64,
     ) -> (RunReport, ObsRecorder) {
         let (world, rec) = self.observed_world(scenario, horizon, seed);
-        (self.judge_world(scenario, horizon, world), rec)
+        let shed = self.degraded_shed(scenario);
+        (
+            judge_world(&self.workload, &shed, scenario, horizon, &world),
+            rec,
+        )
     }
 
     /// The world of an observed run, finished but not yet judged, beside
@@ -400,51 +384,121 @@ impl BtrSystem {
         let rec = world.take_obs();
         (world, rec)
     }
+}
 
-    /// Judge a finished world: actuation verdicts, convergence, and
-    /// per-node stats. Shared tail of [`BtrSystem::run`] and
-    /// [`BtrSystem::run_observed`].
-    fn judge_world(&self, scenario: &FaultScenario, horizon: Duration, world: World) -> RunReport {
-        let ActuationJudgment {
-            verdicts,
-            recovery,
-            survival,
-            periods,
-        } = self.judge_actuations(scenario, horizon, world.actuations());
-
-        let compromised = scenario.compromised();
-        let mut node_stats = Vec::new();
-        let mut sets: BTreeSet<(Vec<NodeId>, PlanId)> = BTreeSet::new();
-        for i in 0..self.topo.node_count() as u32 {
-            let node = NodeId(i);
-            if compromised.contains(&node) || world.is_crashed(node) {
-                continue;
-            }
-            if let Some(b) = world
-                .behavior(node)
-                .and_then(|b| b.as_any())
-                .and_then(|a| a.downcast_ref::<BtrNode>())
-            {
-                node_stats.push((node, b.stats(), b.current_plan(), b.fault_set().len()));
-                sets.insert((b.fault_set().iter().collect(), b.current_plan()));
-            }
+/// The world a scenario runs in: one behaviour per node, made by
+/// `behavior` from the node's id and the attack the scenario scripts for
+/// it, and the scenario's crashes scheduled as control actions. BTR and
+/// the baselines build their worlds here.
+pub fn scenario_world(
+    topo: Topology,
+    sim_cfg: SimConfig,
+    scenario: &FaultScenario,
+    mut behavior: impl FnMut(NodeId, Option<Attack>) -> Box<dyn NodeBehavior>,
+) -> World {
+    let n = topo.node_count() as u32;
+    let mut world = World::new(topo, sim_cfg);
+    for node in (0..n).map(NodeId) {
+        world.set_behavior(node, behavior(node, scenario.attack_for(node)));
+    }
+    for f in &scenario.faults {
+        if f.kind == FaultKind::Crash {
+            world.schedule_control(f.at, ControlAction::Crash(f.node));
         }
-        let converged = sets.len() <= 1;
-        let guardian_drops = (0..self.topo.node_count() as u32)
-            .map(|i| world.guardian_drops(NodeId(i)))
-            .sum();
+    }
+    world
+}
 
-        RunReport {
-            verdicts,
-            recovery,
-            survival,
-            metrics: *world.metrics(),
-            node_stats,
-            converged,
-            periods,
-            guardian_drops,
-            truncated: world.truncated(),
+/// Judge an actuation stream, however it was produced, against the
+/// all-correct reference: `shed` is the shed set of the plan prescribed
+/// for the injected faults (empty for a scheme that never degrades by
+/// plan), the scenario's compromised nodes are excluded, and recovery is
+/// measured from its first manifestation.
+pub fn judge_stream(
+    workload: &Workload,
+    shed: &BTreeSet<TaskId>,
+    scenario: &FaultScenario,
+    horizon: Duration,
+    actuations: &[Actuation],
+) -> ActuationJudgment {
+    let periods = horizon.as_micros() / workload.period.as_micros();
+    let compromised: BTreeSet<NodeId> = scenario.compromised().into_iter().collect();
+    let fault_at = scenario.first_manifestation();
+    let verdicts = judge(
+        workload,
+        actuations,
+        periods,
+        shed,
+        &compromised,
+        fault_at,
+        Duration(1_000),
+    );
+    let recovery = RecoveryStats::from_verdicts(workload, &verdicts, fault_at);
+    let survival = survival_by_criticality(&verdicts);
+    ActuationJudgment {
+        verdicts,
+        recovery,
+        survival,
+        periods,
+    }
+}
+
+/// The correct nodes' rows at the end of a run, and whether they all
+/// ended on one fault set and plan. `survivors` are the nodes that ran
+/// to the end uncrashed, with their behaviours; compromised nodes are
+/// dropped, and so is any behaviour that is not a [`BtrNode`]. Both
+/// substrates fold their nodes here.
+pub fn node_rows<'a>(
+    scenario: &FaultScenario,
+    survivors: impl IntoIterator<Item = (NodeId, &'a dyn NodeBehavior)>,
+) -> (Vec<NodeRow>, bool) {
+    let compromised = scenario.compromised();
+    let mut rows = Vec::new();
+    let mut sets: BTreeSet<(Vec<NodeId>, PlanId)> = BTreeSet::new();
+    for (node, behavior) in survivors {
+        if compromised.contains(&node) {
+            continue;
         }
+        if let Some(b) = behavior.as_any().and_then(|a| a.downcast_ref::<BtrNode>()) {
+            rows.push((node, b.stats(), b.current_plan(), b.fault_set().len()));
+            sets.insert((b.fault_set().iter().collect(), b.current_plan()));
+        }
+    }
+    (rows, sets.len() <= 1)
+}
+
+/// Fold a finished world into its report: [`judge_stream`] over its
+/// actuations, the correct nodes' [`node_rows`], and the simulator's
+/// counters.
+pub fn judge_world(
+    workload: &Workload,
+    shed: &BTreeSet<TaskId>,
+    scenario: &FaultScenario,
+    horizon: Duration,
+    world: &World,
+) -> RunReport {
+    let ActuationJudgment {
+        verdicts,
+        recovery,
+        survival,
+        periods,
+    } = judge_stream(workload, shed, scenario, horizon, world.actuations());
+    let nodes = (0..world.topology().node_count() as u32).map(NodeId);
+    let survivors = nodes
+        .clone()
+        .filter(|&node| !world.is_crashed(node))
+        .filter_map(|node| Some((node, world.behavior(node)?)));
+    let (node_stats, converged) = node_rows(scenario, survivors);
+    RunReport {
+        verdicts,
+        recovery,
+        survival,
+        metrics: *world.metrics(),
+        node_stats,
+        converged,
+        periods,
+        guardian_drops: nodes.map(|node| world.guardian_drops(node)).sum(),
+        truncated: world.truncated(),
     }
 }
 

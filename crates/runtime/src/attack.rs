@@ -90,6 +90,41 @@ impl Attack {
         }
     }
 
+    /// True if this attack drops the node's task outputs at `now`.
+    pub fn drops_outputs(&self, now: Time) -> bool {
+        matches!(
+            self,
+            Attack::Omission {
+                drop_outputs: true,
+                ..
+            }
+        ) && self.active(now)
+    }
+
+    /// True if this attack drops the node's heartbeats at `now`.
+    pub fn drops_heartbeats(&self, now: Time) -> bool {
+        matches!(
+            self,
+            Attack::Omission {
+                drop_heartbeats: true,
+                ..
+            }
+        ) && self.active(now)
+    }
+
+    /// The delay this attack adds to an emission scheduled at `now`.
+    pub fn emit_delay(&self, now: Time) -> Duration {
+        match self {
+            Attack::Timing { delay, .. } if self.active(now) => *delay,
+            _ => Duration::ZERO,
+        }
+    }
+
+    /// True if this attack sends conflicting outputs at `now`.
+    pub fn equivocates(&self, now: Time) -> bool {
+        matches!(self, Attack::Equivocate { .. }) && self.active(now)
+    }
+
     /// Short label for experiment tables.
     pub fn label(&self) -> &'static str {
         match self {

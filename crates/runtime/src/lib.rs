@@ -382,13 +382,11 @@ impl BtrNode {
     fn handle_boundary(&mut self, p: PeriodIdx, ctx: &mut NodeCtx<'_>) {
         let p_start = self.period_start(p);
         // Heartbeats.
-        let drop_hb = matches!(
-            self.cfg.attack,
-            Some(Attack::Omission {
-                drop_heartbeats: true,
-                ..
-            }) if self.cfg.attack.as_ref().unwrap().active(ctx.now())
-        );
+        let drop_hb = self
+            .cfg
+            .attack
+            .as_ref()
+            .is_some_and(|a| a.drops_heartbeats(ctx.now()));
         if self.cfg.heartbeats && !drop_hb {
             // Heartbeats go to *everyone*, including suspected nodes: a
             // wrongly suspected peer must keep hearing us, or suspicion
@@ -583,12 +581,12 @@ impl BtrNode {
             .insert((p, idx), (output, witnesses, is_sink));
 
         // Emit after the execution budget (plus any timing-attack delay).
-        let mut delay = entry.wcet;
-        if let Some(Attack::Timing { from, delay: d }) = &self.cfg.attack {
-            if ctx.now() >= *from {
-                delay += *d;
-            }
-        }
+        let delay = entry.wcet
+            + self
+                .cfg
+                .attack
+                .as_ref()
+                .map_or(Duration::ZERO, |a| a.emit_delay(ctx.now()));
         ctx.set_timer(
             delay,
             timers::encode(Timer::SlotEmit {
@@ -611,15 +609,13 @@ impl BtrNode {
             return;
         }
         // Omission attack: silently drop outputs.
-        if let Some(Attack::Omission {
-            from,
-            drop_outputs: true,
-            ..
-        }) = &self.cfg.attack
+        if self
+            .cfg
+            .attack
+            .as_ref()
+            .is_some_and(|a| a.drops_outputs(ctx.now()))
         {
-            if ctx.now() >= *from {
-                return;
-            }
+            return;
         }
         let targets = self
             .view
@@ -631,8 +627,11 @@ impl BtrNode {
             .map_or(&[][..], Vec::as_slice);
         self.stats.outputs_sent += 1;
         // Equivocation attack: sign a conflicting twin and split targets.
-        let equivocate =
-            matches!(&self.cfg.attack, Some(Attack::Equivocate { from }) if ctx.now() >= *from);
+        let equivocate = self
+            .cfg
+            .attack
+            .as_ref()
+            .is_some_and(|a| a.equivocates(ctx.now()));
         if equivocate && targets.len() >= 2 {
             self.equiv_flip += 1;
             let twin = ctx.sign_output(
