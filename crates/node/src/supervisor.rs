@@ -28,13 +28,12 @@ use crate::actor::{
 };
 use crate::faulty::{FaultyNode, Rejoin};
 use crate::transport::{mailbox, LiveMsg, Loopback};
-use btr_core::{BtrSystem, FaultScenario};
+use btr_core::{BtrSystem, FaultScenario, NodeRow};
 use btr_crypto::KeyStore;
-use btr_model::{Duration, NodeId, PlanId, Time};
+use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, FlightRecorder, Histogram, PhaseMark, FLIGHT_CAP};
-use btr_runtime::{BtrNode, NodeStats};
+use btr_runtime::BtrNode;
 use btr_sim::{LogicalTrace, NodeBehavior, Seat, SimConfig};
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -213,7 +212,7 @@ pub struct LiveReport {
     pub trace: LogicalTrace,
     /// Per-node runtime stats, final plan, fault-set size (correct,
     /// never-crashed nodes only — same exclusions as `RunReport`).
-    pub node_stats: Vec<(NodeId, NodeStats, PlanId, usize)>,
+    pub node_stats: Vec<NodeRow>,
     /// True if all such nodes agree on fault set and plan.
     pub converged: bool,
     /// Every runtime event, logically and wall-clock stamped.
@@ -414,8 +413,7 @@ pub fn run_live(
         let node = NodeId(i);
         let (tx, rx) = mailbox(cfg.mailbox_cap);
         net.register(node, tx);
-        let mut node_cfg = system.node_config().clone();
-        node_cfg.attack = scenario.attack_for(node);
+        let node_cfg = system.node_config().clone();
         let fault = scenario.faults.iter().find(|f| f.node == node);
         let behavior: Box<dyn NodeBehavior + Send> = match fault {
             Some(f) => Box::new(FaultyNode::make(
@@ -552,27 +550,16 @@ pub fn run_live(
         }
     }
 
-    let compromised: BTreeSet<NodeId> = scenario.compromised().into_iter().collect();
-    let mut node_stats: Vec<(NodeId, NodeStats, PlanId, usize)> = Vec::new();
-    let mut sets: BTreeSet<(Vec<NodeId>, PlanId)> = BTreeSet::new();
     let mut actuations = Vec::new();
     for out in &mut outcomes {
         actuations.append(&mut out.actuations);
     }
     outcomes.sort_by_key(|o| o.node);
-    for out in &outcomes {
-        if compromised.contains(&out.node) || ever_crashed[out.node.index()] {
-            continue;
-        }
-        if let Some(b) = out
-            .behavior
-            .as_any()
-            .and_then(|a| a.downcast_ref::<BtrNode>())
-        {
-            node_stats.push((out.node, b.stats(), b.current_plan(), b.fault_set().len()));
-            sets.insert((b.fault_set().iter().collect(), b.current_plan()));
-        }
-    }
+    let survivors = outcomes
+        .iter()
+        .filter(|o| !ever_crashed[o.node.index()])
+        .map(|o| (o.node, &*o.behavior as &dyn NodeBehavior));
+    let (node_stats, converged) = btr_core::node_rows(scenario, survivors);
 
     let c = net.counters();
     let drops = DropTotals {
@@ -632,7 +619,7 @@ pub fn run_live(
     LiveReport {
         trace: LogicalTrace::from_actuations(&actuations),
         node_stats,
-        converged: sets.len() <= 1,
+        converged,
         events,
         panics,
         deadline_overruns,
