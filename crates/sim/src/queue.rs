@@ -24,8 +24,8 @@
 //! rests on.
 //!
 //! Payloads never move through either tier: an [`Envelope`] is ~200
-//! bytes, so envelopes (and the rare boxed control actions) live in
-//! free-listed arenas and an entry carries a tag plus a 4-byte handle.
+//! bytes, so envelopes live in a free-listed arena and an entry carries
+//! a tag plus a 4-byte handle.
 
 use crate::world::ControlAction;
 use crate::TimerId;
@@ -110,12 +110,13 @@ impl<T> Arena<T> {
     }
 }
 
-/// Compact event: a tag plus a handle into the side arenas.
+/// Compact event: a tag plus, for a delivery, a handle into the
+/// envelope arena.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CompactEvent {
     Deliver { dst: NodeId, env: u32 },
     Timer { node: NodeId, timer: TimerId },
-    Control(u32),
+    Control(ControlAction),
 }
 
 /// Buckets in the wheel: one per microsecond, a power of two. 512 covers
@@ -301,12 +302,11 @@ enum Head {
 }
 
 /// The world's event queue: the wheel, the overflow heap, and the
-/// payload arenas.
+/// envelope arena.
 pub(crate) struct EventQueue {
     wheel: Wheel,
     overflow: BinaryHeap<Reverse<CompactScheduled>>,
     envs: Arena<Envelope>,
-    controls: Arena<ControlAction>,
 }
 
 impl EventQueue {
@@ -318,7 +318,6 @@ impl EventQueue {
             wheel: Wheel::with_capacity(nodes),
             overflow: BinaryHeap::with_capacity(nodes),
             envs: Arena::with_capacity(nodes),
-            controls: Arena::with_capacity(0),
         }
     }
 
@@ -330,7 +329,7 @@ impl EventQueue {
                 env: self.envs.insert(env),
             },
             Event::Timer { node, timer } => CompactEvent::Timer { node, timer },
-            Event::Control(action) => CompactEvent::Control(self.controls.insert(action)),
+            Event::Control(action) => CompactEvent::Control(action),
         };
         if self.wheel.covers(at.as_micros()) {
             self.wheel.push(at.as_micros(), seq, ev);
@@ -389,7 +388,7 @@ impl EventQueue {
                 env: self.envs.take(env),
             },
             CompactEvent::Timer { node, timer } => Event::Timer { node, timer },
-            CompactEvent::Control(h) => Event::Control(self.controls.take(h)),
+            CompactEvent::Control(action) => Event::Control(action),
         };
         Some((Time(at), event))
     }

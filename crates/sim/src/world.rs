@@ -75,21 +75,18 @@ impl SimConfig {
 }
 
 /// Scheduled control-plane interventions (the fault injector's lever).
+/// Only what the live fleet can do too: a fault built on a lever one
+/// substrate lacks could never be cross-checked.
+#[derive(Clone, Copy)]
 pub enum ControlAction {
     /// Fail-stop the node.
     Crash(NodeId),
-    /// Shift the node's local clock by a signed offset (timing faults).
-    ShiftClock(NodeId, i64),
-    /// Swap in a new behaviour (e.g. turn a correct node Byzantine).
-    ReplaceBehavior(NodeId, Box<dyn NodeBehavior>),
 }
 
 impl std::fmt::Debug for ControlAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ControlAction::Crash(n) => write!(f, "Crash({n})"),
-            ControlAction::ShiftClock(n, d) => write!(f, "ShiftClock({n}, {d})"),
-            ControlAction::ReplaceBehavior(n, _) => write!(f, "ReplaceBehavior({n}, ..)"),
         }
     }
 }
@@ -475,15 +472,6 @@ impl World {
     fn apply_control_inner(&mut self, action: ControlAction) {
         match action {
             ControlAction::Crash(n) => self.sub.crash(n),
-            ControlAction::ShiftClock(n, d) => {
-                self.seats[n.index()].clock_offset += d;
-            }
-            ControlAction::ReplaceBehavior(n, b) => {
-                self.sub.slots[n.index()].behavior = Some(b);
-                // A fresh behaviour gets a start callback so it can set
-                // up timers.
-                self.dispatch_start(n);
-            }
         }
     }
 
@@ -1840,42 +1828,6 @@ mod tests {
         assert_eq!(w.now(), Time::from_millis(123));
         w.run_for(Duration::from_millis(7));
         assert_eq!(w.now(), Time::from_millis(130));
-    }
-
-    #[test]
-    fn clock_shift_control_action() {
-        struct ReadClock;
-        impl NodeBehavior for ReadClock {
-            fn on_start(&mut self, _c: &mut NodeCtx<'_>) {}
-            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
-            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: TimerId) {
-                let local = ctx.local_now();
-                ctx.actuate(TaskId(0), 0, local.as_micros());
-            }
-        }
-        let mut w = world(1);
-        w.set_behavior(NodeId(0), Box::new(ReadClock));
-        let base_off = w.seats[0].clock_offset;
-        w.schedule_control(Time(0), ControlAction::ShiftClock(NodeId(0), 5_000));
-        w.start();
-        // Fire a timer at 10 ms to read the clock.
-        struct Arm;
-        impl NodeBehavior for Arm {
-            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                ctx.set_timer(Duration::from_millis(10), 0);
-            }
-            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
-            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: TimerId) {
-                ctx.actuate(TaskId(0), 0, ctx.local_now().as_micros());
-            }
-        }
-        w.schedule_control(
-            Time(0),
-            ControlAction::ReplaceBehavior(NodeId(0), Box::new(Arm)),
-        );
-        w.run_until(Time::from_millis(20));
-        let v = w.actuations()[0].value as i64;
-        assert_eq!(v, 10_000 + base_off + 5_000);
     }
 
     #[test]
