@@ -2,49 +2,16 @@
 //!
 //! The hand-rolled `Topology::{bus, ring, mesh}` constructors in
 //! `btr-model` cover the paper's small testbed shapes; this crate grows
-//! the platform side to the thousand-node regime the ROADMAP names:
-//! structured fabrics (2-D torus, fat-tree), statistical graphs
-//! (small-world rewiring), and the hierarchical star-of-rings layout of
+//! the platform side to the thousand-node regime: structured fabrics
+//! (2-D torus, fat-tree) and the hierarchical star-of-rings layout of
 //! real SCADA plants. Every family is built on
-//! [`btr_model::TopologyBuilder`], is deterministic in its parameters
-//! (the small-world family additionally in its seed), and is registered
-//! in [`catalog`]/[`by_name`] mirroring `btr_workload::generators`, so
-//! harness subcommands and campaign cells can name platforms the same
-//! way they name workloads.
+//! [`btr_model::TopologyBuilder`] and is deterministic in its
+//! parameters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use btr_model::{Duration, NodeId, Topology, TopologyBuilder, TopologyError};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Sizing and link parameters shared by every topology family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopoParams {
-    /// Total node count the family must instantiate exactly.
-    pub n: usize,
-    /// Seed for the statistically-generated families (small-world
-    /// rewiring); structured families ignore it.
-    pub seed: u64,
-    /// Usable bandwidth of every link, bytes per millisecond.
-    pub bytes_per_ms: u32,
-    /// Propagation latency of every link.
-    pub latency: Duration,
-}
-
-impl TopoParams {
-    /// Parameters for `n` nodes with the default link characteristics
-    /// used across the experiment suite (100 kB/ms, 5 µs).
-    pub fn new(n: usize) -> TopoParams {
-        TopoParams {
-            n,
-            seed: 0x7090,
-            bytes_per_ms: 100_000,
-            latency: Duration(5),
-        }
-    }
-}
 
 /// Why a family could not be instantiated at the requested size.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,52 +185,6 @@ pub fn fat_tree_size(k: usize) -> usize {
         .saturating_add(k.saturating_mul(half).saturating_mul(half))
 }
 
-/// A Newman–Watts small-world graph: a base ring (which guarantees
-/// connectivity) plus one second-neighbour chord per node, each chord
-/// independently rewired to a uniformly random non-adjacent target with
-/// probability 10% — deterministically from `seed`.
-///
-/// Requires `n ≥ 5` (below that every pair is already ring-adjacent and
-/// there is nowhere to rewire to).
-pub fn small_world(
-    n: usize,
-    seed: u64,
-    bytes_per_ms: u32,
-    latency: Duration,
-) -> Result<Topology, TopoBuildError> {
-    if n < 5 {
-        return Err(TopoBuildError::TooFewNodes {
-            family: "small-world",
-            need: 5,
-            got: n,
-        });
-    }
-    const REWIRE_PPM: u64 = 100_000; // 10% of chords become shortcuts.
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = TopologyBuilder::new();
-    let ids: Vec<NodeId> = (0..n).map(|_| b.full_node()).collect();
-    for i in 0..n {
-        b.link(&[ids[i], ids[(i + 1) % n]], bytes_per_ms, latency);
-    }
-    for i in 0..n {
-        let mut target = (i + 2) % n;
-        if rng.gen_range(0u64..1_000_000) < REWIRE_PPM {
-            // Redraw until the chord is neither a self-loop nor a ring
-            // edge nor the default chord (expected O(1) draws at n ≥ 5).
-            loop {
-                let t = rng.gen_range(0usize..n);
-                let d = (n + t - i) % n;
-                if d >= 2 && d != n - 1 && t != target {
-                    target = t;
-                    break;
-                }
-            }
-        }
-        b.link(&[ids[i], ids[target]], bytes_per_ms, latency);
-    }
-    finish(b)
-}
-
 /// A hierarchical SCADA plant: a control backbone ring of hub nodes
 /// (PLCs/RTU concentrators), each hub anchoring a field ring of the
 /// devices assigned to it round-robin.
@@ -323,83 +244,9 @@ pub fn scada_star(
     finish(b)
 }
 
-fn torus_n(p: &TopoParams) -> Result<Topology, TopoBuildError> {
-    let (rows, cols) = torus_dims(p.n);
-    torus(rows, cols, p.bytes_per_ms, p.latency)
-}
-
-fn fat_tree_n(p: &TopoParams) -> Result<Topology, TopoBuildError> {
-    // Largest even k whose bare fat-tree fits, padded with extra hosts
-    // up to exactly n.
-    let mut k = 2;
-    while fat_tree_size(k + 2) <= p.n {
-        k += 2;
-    }
-    if fat_tree_size(k) > p.n {
-        return Err(TopoBuildError::TooFewNodes {
-            family: "fat-tree",
-            need: fat_tree_size(2),
-            got: p.n,
-        });
-    }
-    fat_tree(k, p.n - fat_tree_size(k), p.bytes_per_ms, p.latency)
-}
-
-fn small_world_n(p: &TopoParams) -> Result<Topology, TopoBuildError> {
-    small_world(p.n, p.seed, p.bytes_per_ms, p.latency)
-}
-
-fn scada_star_n(p: &TopoParams) -> Result<Topology, TopoBuildError> {
-    scada_star(p.n, p.bytes_per_ms, p.latency)
-}
-
-/// A topology family constructor: parameters in, an exactly-`n`-node
-/// platform out.
-pub type TopoGenerator = fn(&TopoParams) -> Result<Topology, TopoBuildError>;
-
-/// A named topology family.
-pub type NamedTopology = (&'static str, TopoGenerator);
-
-/// The named topology catalog.
-///
-/// Harness subcommands and campaign cells refer to platform families by
-/// name, so the mapping must be stable and enumerable — the platform
-/// counterpart of `btr_workload::generators::catalog`.
-pub fn catalog() -> &'static [NamedTopology] {
-    &[
-        ("torus", torus_n),
-        ("fat-tree", fat_tree_n),
-        ("small-world", small_world_n),
-        ("scada-star", scada_star_n),
-    ]
-}
-
-/// Look up a catalog family by name.
-pub fn by_name(name: &str) -> Option<TopoGenerator> {
-    catalog().iter().find(|(n, _)| *n == name).map(|(_, g)| *g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn catalog_names_resolve_and_generate_exact_n() {
-        for (name, gen) in catalog() {
-            let via_lookup = by_name(name).expect("catalog name resolves");
-            for n in [40usize, 97, 250] {
-                let p = TopoParams::new(n);
-                let t = gen(&p).unwrap_or_else(|e| panic!("{name}({n}): {e}"));
-                assert_eq!(t.node_count(), n, "{name}({n}) node count");
-                assert_eq!(
-                    t,
-                    via_lookup(&p).unwrap(),
-                    "{name}({n}) lookup/direct mismatch"
-                );
-            }
-        }
-        assert!(by_name("no-such-family").is_none());
-    }
 
     #[test]
     fn torus_shape_and_distances() {
@@ -491,21 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn small_world_is_seeded_and_shortens_paths() {
-        let a = small_world(64, 1, 100, Duration(1)).unwrap();
-        let b = small_world(64, 1, 100, Duration(1)).unwrap();
-        assert_eq!(a, b, "same seed must give the same graph");
-        let c = small_world(64, 2, 100, Duration(1)).unwrap();
-        assert_ne!(a, c, "different seeds should rewire differently");
-        // Base ring + one chord per node.
-        assert_eq!(a.links().len(), 128);
-        // Chords cut the 64-ring diameter (32) roughly in half even
-        // before any shortcut rewiring.
-        assert!(a.diameter() <= 17, "diameter {}", a.diameter());
-        assert!(small_world(4, 1, 100, Duration(1)).is_err());
-    }
-
-    #[test]
     fn scada_star_shape() {
         let t = scada_star(43, 100, Duration(1)).unwrap();
         assert_eq!(t.node_count(), 43);
@@ -520,21 +352,37 @@ mod tests {
     fn families_validate_across_sizes() {
         // Sweep sizes incl. awkward ones; every build must validate (the
         // TopologyBuilder checks connectivity, link sanity, etc.).
+        let lat = Duration(5);
         for n in [7usize, 16, 36, 37, 99, 100, 101, 512, 1000] {
-            for (name, gen) in catalog() {
-                let t = gen(&TopoParams::new(n)).unwrap_or_else(|e| panic!("{name}({n}): {e}"));
-                assert_eq!(t.node_count(), n, "{name}({n})");
-            }
+            let (rows, cols) = torus_dims(n);
+            let torus =
+                torus(rows, cols, 100_000, lat).unwrap_or_else(|e| panic!("torus({n}): {e}"));
+            assert_eq!(torus.node_count(), n, "torus({n})");
+            let star = scada_star(n, 100_000, lat).unwrap_or_else(|e| panic!("scada({n}): {e}"));
+            assert_eq!(star.node_count(), n, "scada({n})");
+        }
+        for (k, extra) in [(2, 0), (4, 1), (6, 17)] {
+            let t =
+                fat_tree(k, extra, 100_000, lat).unwrap_or_else(|e| panic!("fat-tree({k}): {e}"));
+            assert_eq!(
+                t.node_count(),
+                fat_tree_size(k) + extra,
+                "fat-tree({k})+{extra}"
+            );
         }
     }
 
     #[test]
     fn too_small_sizes_are_clean_errors() {
-        for (name, gen) in catalog() {
-            let err = gen(&TopoParams::new(1));
+        let lat = Duration(5);
+        for err in [
+            torus(1, 1, 100, lat),
+            fat_tree(0, 0, 100, lat),
+            scada_star(1, 100, lat),
+        ] {
             assert!(
                 matches!(err, Err(TopoBuildError::TooFewNodes { .. })),
-                "{name}(1) should be TooFewNodes, got {err:?}"
+                "should be TooFewNodes, got {err:?}"
             );
         }
         let e = TopoBuildError::TooFewNodes {

@@ -11,7 +11,7 @@
 //! * [`net`] — bandwidth-reserved links, guardians, routing.
 //! * [`sim`] — deterministic discrete-event simulator.
 //! * [`topo`] — parametric large-scale platform topologies (torus,
-//!   fat-tree, small-world, SCADA star-of-rings).
+//!   fat-tree, SCADA star-of-rings).
 //! * [`workload`] — periodic dataflow workloads and generators.
 //! * [`sched`] — schedule synthesis and schedulability analysis.
 //! * [`planner`] — the offline BTR planner (Section 4.1 of the paper).
