@@ -40,6 +40,6 @@ pub use faults::{FaultMods, FaultScenario, InjectedFault};
 pub use oracle::{reference_value, shed_aware_value, RecoveryStats, SinkVerdict, Verdict};
 pub use plant::{Plant, PlantConfig};
 pub use system::{
-    judge_stream, judge_world, node_rows, scenario_world, ActuationJudgment, BtrSystem, NodeRow,
-    RunReport, SystemError,
+    judge_world, node_rows, scenario_world, ActuationJudgment, BtrSystem, NodeRow, RunReport,
+    SystemError,
 };

@@ -316,7 +316,7 @@ impl BtrSystem {
         &self,
         scenario: &FaultScenario,
         horizon: Duration,
-        actuations: &[btr_sim::Actuation],
+        actuations: &[Actuation],
     ) -> ActuationJudgment {
         judge_stream(
             &self.workload,
@@ -414,7 +414,7 @@ pub fn scenario_world(
 /// for the injected faults (empty for a scheme that never degrades by
 /// plan), the scenario's compromised nodes are excluded, and recovery is
 /// measured from its first manifestation.
-pub fn judge_stream(
+fn judge_stream(
     workload: &Workload,
     shed: &BTreeSet<TaskId>,
     scenario: &FaultScenario,
@@ -467,9 +467,9 @@ pub fn node_rows<'a>(
     (rows, sets.len() <= 1)
 }
 
-/// Fold a finished world into its report: [`judge_stream`] over its
-/// actuations, the correct nodes' [`node_rows`], and the simulator's
-/// counters.
+/// Fold a finished world into its report: the oracle's verdicts over
+/// its actuations (the same pipeline as [`BtrSystem::judge_actuations`]),
+/// the correct nodes' [`node_rows`], and the simulator's counters.
 pub fn judge_world(
     workload: &Workload,
     shed: &BTreeSet<TaskId>,
