@@ -777,6 +777,42 @@ mod tests {
         assert!(strategy.worst_transition_bound() > Duration::ZERO);
     }
 
+    /// Every transition's bound carries exactly one period, and it is
+    /// the workload's: the 5 ms `automotive` and the 20 ms `scada` are
+    /// planned at their own periods. The rest of each bound — evidence
+    /// distribution plus the slowest state transfer — is derived again
+    /// here from the plans the strategy holds.
+    #[test]
+    fn period_is_the_workloads() {
+        use btr_workload::generators::{automotive, scada};
+        for (w, n) in [(automotive(8), 8), (scada(6), 6)] {
+            let topo = Topology::bus(n, 150_000, Duration(5));
+            let mut cfg = PlannerConfig::new(1, ms(300));
+            cfg.admit_best_effort = true;
+            let (strategy, stats) = build_strategy(&w, &topo, &cfg).unwrap();
+            assert_eq!(strategy.period, w.period);
+            let mut comm = CommTable::new(&topo);
+            let mut sender_bytes = vec![0; n];
+            for t in strategy.transitions.values() {
+                let (from, to) = (strategy.plan(t.from), strategy.plan(t.to));
+                comm.read_routes(&RoutingTable::avoiding(&topo, to.fault_set.as_set()));
+                let dist = Duration(
+                    2 * comm.worst(EVIDENCE_WIRE_BYTES).as_micros() + VALIDATION_SLACK.as_micros(),
+                );
+                let (_, bytes) = migrations(&w, &from.placement, &to.placement, &mut sender_bytes);
+                let transfer = bytes.map_or(Duration::ZERO, |b| comm.worst(b as u32));
+                assert_eq!(
+                    t.bound,
+                    dist + transfer + w.period,
+                    "{} -> {}",
+                    t.from,
+                    t.to
+                );
+            }
+            assert_eq!(stats.worst_transition, strategy.worst_transition_bound());
+        }
+    }
+
     #[test]
     fn strict_admission_rejects_tiny_r() {
         let (w, topo) = setup();

@@ -1132,25 +1132,18 @@ mod tests {
     fn one_mac_per_heartbeat_round_and_under_one_per_delivery() {
         let (w, s, topo) = setup(1);
         let run = |heartbeats: bool| {
-            let mut world = world_with_btr(&w, &s, &topo, &[]);
-            if !heartbeats {
-                for n in 0..9u32 {
-                    let cfg = BtrConfig {
-                        heartbeats: false,
-                        ..BtrConfig::default()
-                    };
-                    world.set_behavior(
-                        NodeId(n),
-                        Box::new(BtrNode::new(
-                            NodeId(n),
-                            Arc::clone(&w),
-                            Arc::clone(&s),
-                            9,
-                            cfg,
-                        )),
-                    );
-                }
-            }
+            // Silencing heartbeats on every node leaves everything else
+            // the run does as it was.
+            let silent = Attack::Omission {
+                from: Time::ZERO,
+                drop_outputs: false,
+                drop_heartbeats: true,
+            };
+            let attacks: Vec<(NodeId, Attack)> = (0..9u32)
+                .filter(|_| !heartbeats)
+                .map(|n| (NodeId(n), silent.clone()))
+                .collect();
+            let mut world = world_with_btr(&w, &s, &topo, &attacks);
             world.start();
             let macs_before = btr_crypto::mac_count();
             world.run_until(Time::from_millis(100));

@@ -252,16 +252,14 @@ mod tests {
 
     #[test]
     fn bogus_leads_to_blacklist() {
-        let mut pool = EvidencePool::new(PoolConfig {
-            per_sender_budget: 100,
-            blacklist_threshold: 3,
-        });
-        for p in 0..3 {
+        let mut pool = EvidencePool::new(PoolConfig::default());
+        for p in 0..8 {
+            assert!(!pool.blacklisted().contains(&NodeId(6)));
             let out = pool.admit(&ks(), &View, NodeId(6), &bogus(p), 0);
             assert!(matches!(out, AdmitOutcome::Rejected(_)), "{out:?}");
         }
         assert!(pool.blacklisted().contains(&NodeId(6)));
-        assert_eq!(pool.bogus_count(NodeId(6)), 3);
+        assert_eq!(pool.bogus_count(NodeId(6)), 8);
         // Further records from the blacklisted sender are ignored — even
         // valid ones.
         assert_eq!(
@@ -277,25 +275,20 @@ mod tests {
 
     #[test]
     fn rate_limit_per_period_resets() {
-        let mut pool = EvidencePool::new(PoolConfig {
-            per_sender_budget: 2,
-            blacklist_threshold: 100,
-        });
-        assert!(matches!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(0), 7),
-            AdmitOutcome::Verified { .. }
-        ));
-        assert!(matches!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(1), 7),
-            AdmitOutcome::Verified { .. }
-        ));
+        let mut pool = EvidencePool::new(PoolConfig::default());
+        for p in 0..64 {
+            assert!(matches!(
+                pool.admit(&ks(), &View, NodeId(1), &valid_proof(p), 7),
+                AdmitOutcome::Verified { .. }
+            ));
+        }
         assert_eq!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(2), 7),
+            pool.admit(&ks(), &View, NodeId(1), &valid_proof(64), 7),
             AdmitOutcome::RateLimited
         );
         // Next period: budget refreshed.
         assert!(matches!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(2), 8),
+            pool.admit(&ks(), &View, NodeId(1), &valid_proof(64), 8),
             AdmitOutcome::Verified { .. }
         ));
     }

@@ -587,6 +587,53 @@ mod tests {
         assert!(matches!(err, SchedError::DeadlineMiss { .. }), "{err:?}");
     }
 
+    /// A 5 ms workload whose slots on n0 end at 4.9 ms, with n0's 200 µs
+    /// verification reserve after them: the node overruns its period,
+    /// which is the workload's.
+    #[test]
+    fn period_fit_is_checked_against_the_workload_period() {
+        let mut b = WorkloadBuilder::new(ms(5), 1);
+        let s = b.source("s", NodeId(0), Duration(2_000), Criticality::Safety, ms(5));
+        let c = b.compute("c", &[s], Duration(2_000), Criticality::Safety, ms(5), 0);
+        b.sink(
+            "k",
+            NodeId(0),
+            &[c],
+            Duration(900),
+            Criticality::Safety,
+            ms(5),
+        );
+        let w = b.build().unwrap();
+        let topo = Topology::bus(2, 10_000, Duration(10));
+        let lanes = single_lanes(&w);
+        let mut placement: BTreeMap<ATask, NodeId> = w
+            .tasks()
+            .iter()
+            .map(|t| {
+                (
+                    ATask::Work {
+                        task: t.id,
+                        replica: 0,
+                    },
+                    NodeId(0),
+                )
+            })
+            .collect();
+        for node in [NodeId(0), NodeId(1)] {
+            placement.insert(ATask::Verify { node }, node);
+        }
+        let err = synthesize(
+            &w,
+            &topo,
+            &RoutingTable::new(&topo),
+            &placement,
+            &lanes,
+            &SchedParams::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, SchedError::PeriodOverrun { node: NodeId(0) });
+    }
+
     #[test]
     fn replicated_lanes_schedule_and_check() {
         let w = chain();
