@@ -651,7 +651,7 @@ pub fn a1_plan_distance() -> String {
     for minimize in [true, false] {
         let mut cfg = PlannerConfig::new(1, ms(150));
         cfg.admit_best_effort = true;
-        cfg.minimize_delta = minimize;
+        cfg.place.minimize_delta = minimize;
         let sys = BtrSystem::plan(w.clone(), topo.clone(), cfg).expect("plannable");
         let victim = pick_victim(&sys);
         let report = sys.run(
@@ -689,7 +689,7 @@ pub fn a2_checker_placement() -> String {
     for colocate in [true, false] {
         let mut cfg = PlannerConfig::new(1, ms(150));
         cfg.admit_best_effort = true;
-        cfg.checker_colocate = colocate;
+        cfg.place.checker_colocate = colocate;
         let sys = BtrSystem::plan(w.clone(), topo.clone(), cfg).expect("plannable");
         let victim = sys
             .strategy()

@@ -22,7 +22,7 @@
 use crate::corpus::{canonical_key, Corpus};
 use crate::grid::{CellError, CellSpec};
 use crate::replay;
-use crate::runner::{self, run_indexed, CampaignConfig, PlannedCell, RunRecord};
+use crate::runner::{self, run_indexed, CampaignConfig, PlannedCell, RunRecord, MAX_EVENTS};
 use crate::schedule::{mutate, FaultSchedule};
 use crate::score::{base_score, signature, NEW_COVERAGE_PTS};
 use btr_model::Duration;
@@ -48,10 +48,6 @@ pub struct FuzzConfig {
     /// Mutants bred per generation. Fixed independently of `threads` —
     /// batch composition is part of the deterministic outcome.
     pub batch: usize,
-    /// Per-run simulator event cap (0 = unlimited).
-    pub max_events: u64,
-    /// Extra tolerance on the R-bound check.
-    pub slack: Duration,
     /// The cells to fuzz.
     pub cells: Vec<CellSpec>,
 }
@@ -65,8 +61,6 @@ impl FuzzConfig {
             threads,
             corpus_max: 64,
             batch: 16,
-            max_events: 20_000_000,
-            slack: Duration::ZERO,
             cells: crate::grid::fuzz_grid(),
         }
     }
@@ -173,16 +167,10 @@ fn execute_observed(
         record: RunRecord {
             run_idx,
             cell_idx,
-            ..RunRecord::judge(&cell.system, sched, seed, (&report).into(), cfg.slack)
+            ..RunRecord::judge(&cell.system, sched, seed, (&report).into(), Duration::ZERO)
         },
         signature: signature(sched, &report, rec.marks(), cell.spec.r_bound),
-        token: replay::token(
-            &cell.spec,
-            seed,
-            cell.horizon,
-            cell.max_events,
-            &sched.scenario,
-        ),
+        token: replay::token(&cell.spec, seed, cell.horizon, MAX_EVENTS, &sched.scenario),
     }
 }
 
@@ -196,8 +184,7 @@ fn plan(cfg: &FuzzConfig) -> Result<Vec<PlannedCell>, CellError> {
         sim_seeds: 1,
         combos: true,
         over_budget: false,
-        max_events: cfg.max_events,
-        slack: cfg.slack,
+        slack: Duration::ZERO,
         cells: cfg.cells.clone(),
     })
 }

@@ -149,7 +149,7 @@ fn deterministic(o: &mut json::Object<'_>, out: &CampaignOutcome) {
         o.field("sim_seeds_per_schedule", cfg.sim_seeds);
         o.field("combos", cfg.combos);
         o.field("over_budget", cfg.over_budget);
-        o.field("max_events", cfg.max_events);
+        o.field("max_events", crate::runner::MAX_EVENTS);
         o.field("slack_us", cfg.slack.as_micros());
         o.array("cells", Layout::Block, |a| {
             for c in &out.cells {

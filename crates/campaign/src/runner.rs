@@ -17,6 +17,10 @@ use btr_core::BtrSystem;
 use btr_model::Duration;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Per-run simulator event cap of every campaign, fuzz and shrink run,
+/// pinned into each replay token as `me=` so a truncated run reproduces.
+pub const MAX_EVENTS: u64 = 20_000_000;
+
 /// Campaign-wide configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -33,8 +37,6 @@ pub struct CampaignConfig {
     pub combos: bool,
     /// Include f+1-fault (inadmissible) schedules.
     pub over_budget: bool,
-    /// Per-run simulator event cap (0 = unlimited).
-    pub max_events: u64,
     /// Extra tolerance on the R-bound check.
     pub slack: Duration,
     /// The grid.
@@ -51,7 +53,6 @@ impl CampaignConfig {
             sim_seeds: 2,
             combos: false,
             over_budget: false,
-            max_events: 20_000_000,
             slack: Duration::ZERO,
             cells: crate::grid::default_grid(),
         }
@@ -169,9 +170,6 @@ pub struct PlannedCell {
     pub schedules: Vec<FaultSchedule>,
     /// The judging horizon for this cell's runs.
     pub horizon: Duration,
-    /// The event cap the cell's system runs under (pinned into replay
-    /// tokens so truncated runs reproduce).
-    pub max_events: u64,
     /// The schedule-generation parameters the cell's schedules were
     /// drawn under (the fuzzer mutates within the same bounds).
     pub params: ScheduleParams,
@@ -184,7 +182,7 @@ pub fn plan_cells(cfg: &CampaignConfig) -> Result<Vec<PlannedCell>, CellError> {
     cfg.cells
         .iter()
         .map(|spec| {
-            let system = spec.plan()?.with_max_events(cfg.max_events);
+            let system = spec.plan()?.with_max_events(MAX_EVENTS);
             let period = system.workload().period;
             let deadline = system
                 .workload()
@@ -200,7 +198,6 @@ pub fn plan_cells(cfg: &CampaignConfig) -> Result<Vec<PlannedCell>, CellError> {
                 system,
                 schedules,
                 horizon,
-                max_events: cfg.max_events,
                 params,
             })
         })
@@ -352,7 +349,6 @@ mod tests {
             sim_seeds: 1,
             combos: false,
             over_budget: false,
-            max_events: 20_000_000,
             slack: Duration::ZERO,
             cells: vec![CellSpec {
                 workload: "avionics".into(),
@@ -421,13 +417,7 @@ mod tests {
         for r in &seq {
             let cell = &cells[r.cell_idx as usize];
             let scenario = &cell.schedules[r.schedule_id as usize].scenario;
-            let tok = replay::token(
-                &cell.spec,
-                r.sim_seed,
-                cell.horizon,
-                cell.max_events,
-                scenario,
-            );
+            let tok = replay::token(&cell.spec, r.sim_seed, cell.horizon, MAX_EVENTS, scenario);
             let replayed = replay::run(&replay::parse(&tok).expect("parses")).expect("replays");
             let replayed = RunRecord {
                 run_idx: r.run_idx,

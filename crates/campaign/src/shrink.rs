@@ -149,7 +149,7 @@ pub fn shrink_violation(
         &cell.spec,
         sim_seed,
         cell.horizon,
-        cell.max_events,
+        crate::runner::MAX_EVENTS,
         &current,
     );
     ShrinkOutcome {
@@ -184,7 +184,6 @@ mod tests {
             sim_seeds: 1,
             combos: false,
             over_budget: false,
-            max_events: 20_000_000,
             slack: Duration::ZERO,
             cells: vec![CellSpec {
                 workload: "avionics".into(),

@@ -7,7 +7,7 @@ use btr_model::{
 };
 use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
-use btr_runtime::{Attack, BtrConfig, BtrNode, NodeStats};
+use btr_runtime::{Attack, BtrNode, NodeStats};
 use btr_sim::{Actuation, ControlAction, NodeBehavior, SimConfig, SimMetrics, World};
 use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,7 +56,6 @@ pub struct BtrSystem {
     topo: Topology,
     strategy: Arc<Strategy>,
     stats: StrategyStats,
-    node_cfg: BtrConfig,
     /// Extra settle time appended after the horizon so in-flight outputs
     /// of the final judged period can land.
     grace: Duration,
@@ -172,7 +171,6 @@ impl BtrSystem {
             topo,
             strategy: Arc::new(strategy),
             stats,
-            node_cfg: BtrConfig::default(),
             grace: Duration::from_millis(30),
             loss_ppm: 0,
             fec: None,
@@ -237,11 +235,6 @@ impl BtrSystem {
         Arc::clone(&self.strategy)
     }
 
-    /// The per-node runtime configuration runs are built with.
-    pub fn node_config(&self) -> &BtrConfig {
-        &self.node_cfg
-    }
-
     /// Settle time appended after the horizon before judging.
     pub fn grace(&self) -> Duration {
         self.grace
@@ -278,14 +271,12 @@ impl BtrSystem {
         sim_cfg.auth_suite = self.auth_suite;
         let n = self.topo.node_count();
         let mut world = scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
-            let mut cfg = self.node_cfg.clone();
-            cfg.attack = attack;
             Box::new(BtrNode::new(
                 node,
                 Arc::clone(&self.workload),
                 Arc::clone(&self.strategy),
                 n,
-                cfg,
+                attack,
             ))
         });
         // At scale the world selects the demand-driven routing backend;

@@ -38,6 +38,14 @@ use btr_model::evidence::WorkloadView;
 use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Heartbeat periods a peer may miss before it is suspected of a crash.
+pub const HEARTBEAT_MISS_THRESHOLD: u64 = 3;
+
+/// Distinct peers implicating a node before omission attribution (scaled
+/// down per suspect to the accuser fan-in the active plan actually
+/// provides, never below two; see [`OmissionTracker`]).
+pub const OMISSION_THRESHOLD: usize = 3;
+
 /// Per-node detector facade combining all detection mechanisms.
 ///
 /// The runtime feeds it observations; it returns evidence records, which
@@ -70,14 +78,14 @@ pub struct Detector {
 
 impl Detector {
     /// Create a detector for `node`.
-    pub fn new(node: NodeId, heartbeat_miss_threshold: u64, omission_threshold: usize) -> Self {
+    pub fn new(node: NodeId) -> Self {
         Detector {
             node,
             pool: OutputPool::default(),
             checkers: BTreeMap::new(),
             timing: TimingWatch::default(),
-            heartbeats: HeartbeatMonitor::new(heartbeat_miss_threshold),
-            omission: OmissionTracker::new(omission_threshold),
+            heartbeats: HeartbeatMonitor::new(HEARTBEAT_MISS_THRESHOLD),
+            omission: OmissionTracker::new(OMISSION_THRESHOLD),
             emitted: BTreeSet::new(),
             witness_ok: Vec::new(),
             scratch: Vec::new(),
@@ -413,7 +421,7 @@ mod tests {
 
     #[test]
     fn clean_outputs_produce_no_evidence() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         d.install_checker(checker_cfg());
         let (o0, w0) = lane_out(1, 0, 1, 0);
         let (o1, w1) = lane_out(1, 1, 2, 0);
@@ -425,7 +433,7 @@ mod tests {
 
     #[test]
     fn bad_computation_is_proven() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         d.install_checker(checker_cfg());
         let (bad, w) = lane_out(1, 0, 1, 0xdead);
         let evs = see(&mut d, bad, None, &w);
@@ -441,7 +449,7 @@ mod tests {
 
     #[test]
     fn equivocation_across_copies_is_proven() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         // Node 1 signs two different lane-0 outputs for the same period.
         let (a, wa) = lane_out(2, 0, 1, 0);
         let (b, wb) = lane_out(2, 0, 1, 0x55);
@@ -455,7 +463,7 @@ mod tests {
 
     #[test]
     fn gate_drops_forged_outputs_and_skips_forged_witnesses() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         // A forged output (tag does not match content) is dropped whole.
         let (mut forged, w) = lane_out(1, 0, 1, 0);
         forged.value ^= 1;
@@ -515,7 +523,7 @@ mod tests {
 
     #[test]
     fn resident_copies_cost_no_mac_and_anything_else_is_checked() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         d.install_checker(checker_cfg());
         let (o, w) = lane_out(1, 0, 1, 0);
         let macs = btr_crypto::mac_count();
@@ -594,7 +602,7 @@ mod tests {
 
     #[test]
     fn validly_signed_conflicting_copy_is_checked_and_convicts() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         let (a, wa) = lane_out(2, 0, 1, 0);
         let (b, wb) = lane_out(2, 0, 1, 0x55);
         assert!(see(&mut d, a.clone(), None, &wa).is_empty());
@@ -609,7 +617,7 @@ mod tests {
             matches!(&evs[..], [EvidenceRecord::Equivocation { accused, .. }] if *accused == NodeId(1))
         );
         assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         see(&mut d, a.clone(), Some(true), &wa);
         let evs = see(&mut d, b, Some(true), &wb);
         assert_eq!(evs.len(), 1);
@@ -628,8 +636,8 @@ mod tests {
         fn prop_prewarmed_pool_changes_no_evidence(
             msgs in proptest::collection::vec((1u64..4, 0u8..2, 0u8..3, 0u8..10), 1..14)
         ) {
-            let mut cold = Detector::new(NodeId(3), 3, 3);
-            let mut warm = Detector::new(NodeId(3), 3, 3);
+            let mut cold = Detector::new(NodeId(3));
+            let mut warm = Detector::new(NodeId(3));
             for d in [&mut cold, &mut warm] {
                 d.install_checker(checker_cfg());
             }
@@ -675,7 +683,7 @@ mod tests {
 
     #[test]
     fn late_arrival_yields_timing_declaration() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         let s = signer(3);
         let (o, w) = lane_out(1, 0, 1, 0);
         let evs = d.observe_output(
@@ -696,7 +704,7 @@ mod tests {
 
     #[test]
     fn missing_lane_yields_path_declaration() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         d.install_checker(checker_cfg());
         let s = signer(3);
         // Only lane 1 arrives in period 5.
@@ -714,7 +722,7 @@ mod tests {
 
     #[test]
     fn known_faulty_lanes_not_redeclared() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         d.install_checker(checker_cfg());
         let s = signer(3);
         let faulty = BTreeSet::from([NodeId(1), NodeId(2)]);
@@ -724,41 +732,51 @@ mod tests {
 
     #[test]
     fn heartbeat_silence_suspected() {
-        let mut d = Detector::new(NodeId(3), 2, 3);
+        let mut d = Detector::new(NodeId(3));
         let s = signer(3);
         d.observe_heartbeat(NodeId(4), 0);
         d.observe_heartbeat(NodeId(5), 0);
         // Node 4 goes silent; node 5 keeps beating.
-        for p in 1..=4 {
+        let suspects = |d: &mut Detector, p: PeriodIdx| -> Vec<NodeId> {
             d.observe_heartbeat(NodeId(5), p);
+            let evs = d.end_of_period(&s, p, &BTreeSet::new(), &|_, _| false);
+            evs.iter()
+                .filter_map(|e| match e {
+                    EvidenceRecord::CrashSuspicion { about, .. } => Some(*about),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Two missed beats are tolerated; the third is a suspicion.
+        for p in 1..HEARTBEAT_MISS_THRESHOLD {
+            assert!(suspects(&mut d, p).is_empty(), "period {p}");
         }
-        let evs = d.end_of_period(&s, 4, &BTreeSet::new(), &|_, _| false);
-        let suspects: Vec<NodeId> = evs
-            .iter()
-            .filter_map(|e| match e {
-                EvidenceRecord::CrashSuspicion { about, .. } => Some(*about),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(suspects, vec![NodeId(4)]);
+        assert_eq!(suspects(&mut d, HEARTBEAT_MISS_THRESHOLD), vec![NodeId(4)]);
     }
 
     #[test]
     fn attribution_via_declarations() {
-        let mut d = Detector::new(NodeId(3), 3, 2);
-        let decl1 =
-            EvidenceRecord::declare_path(&signer(5), NodeId(5), NodeId(4), NodeId(5), TaskId(1), 1);
-        let decl2 =
-            EvidenceRecord::declare_path(&signer(6), NodeId(6), NodeId(4), NodeId(6), TaskId(1), 2);
-        assert!(d.record_declaration(&decl1).is_empty());
-        let newly = d.record_declaration(&decl2);
+        let mut d = Detector::new(NodeId(3));
+        let declare = |from: u32, period: PeriodIdx| {
+            let from = NodeId(from);
+            EvidenceRecord::declare_path(&signer(from.0), from, NodeId(4), from, TaskId(1), period)
+        };
+        // No plan is installed, so every accuser counts toward the full
+        // threshold, over at least two periods.
+        let last = 5 + OMISSION_THRESHOLD as u32 - 1;
+        for from in 5..last {
+            assert!(d
+                .record_declaration(&declare(from, from as PeriodIdx % 2))
+                .is_empty());
+        }
+        let newly = d.record_declaration(&declare(last, 2));
         assert_eq!(newly, vec![NodeId(4)]);
         assert!(d.attributed().contains(&NodeId(4)));
     }
 
     #[test]
     fn checker_management() {
-        let mut d = Detector::new(NodeId(3), 3, 3);
+        let mut d = Detector::new(NodeId(3));
         d.install_checker(checker_cfg());
         assert_eq!(d.checked_tasks(), vec![TaskId(1)]);
         d.remove_checker(TaskId(1));

@@ -576,7 +576,7 @@ mod tests {
     }
 
     fn seat_for(node: NodeId) -> Seat {
-        Seat::derive(1, node, Duration(20), AuthSuite::default())
+        Seat::derive(1, node, AuthSuite::default())
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! entry into a live node's behaviour. Byzantine manifestations
 //! (omission, commission, timing, equivocation, babble, evidence spam,
 //! with their `FaultMods` sub-strategies) ride the runtime's own
-//! `Attack` script in `BtrConfig`, exactly as the simulator splices
-//! them; crashes become *real*: a sentinel timer fires at the scripted
+//! `Attack` script, handed to `BtrNode::new` exactly as the simulator
+//! hands it; crashes become *real*: a sentinel timer fires at the scripted
 //! instant, the wrapper calls `crash_self`, and the actor loop lets the
 //! OS thread die. The supervisor may later restart the node with a
 //! fresh runtime wrapped in [`Rejoin`], which re-synchronises the period
@@ -14,7 +14,7 @@
 use btr_core::InjectedFault;
 use btr_model::{Envelope, FaultKind, NodeId, Strategy, Time};
 use btr_runtime::timers::{self, Timer};
-use btr_runtime::{BtrConfig, BtrNode};
+use btr_runtime::BtrNode;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
 use btr_workload::Workload;
 use std::sync::Arc;
@@ -31,19 +31,17 @@ pub struct FaultyNode {
 }
 
 impl FaultyNode {
-    /// Build the faulty node: `fault.attack()` (None for crashes) goes
-    /// into the runtime config, a crash schedules the sentinel timer.
+    /// Build the faulty node: `fault.attack()` (None for crashes) is
+    /// the runtime's attack script, a crash schedules the sentinel timer.
     pub fn make(
         node: NodeId,
         workload: Arc<Workload>,
         strategy: Arc<Strategy>,
         n: usize,
-        mut cfg: BtrConfig,
         fault: &InjectedFault,
     ) -> FaultyNode {
-        cfg.attack = fault.attack();
         FaultyNode {
-            inner: BtrNode::new(node, workload, strategy, n, cfg),
+            inner: BtrNode::new(node, workload, strategy, n, fault.attack()),
             crash_at: (fault.kind == FaultKind::Crash).then_some(fault.at),
         }
     }
@@ -172,7 +170,6 @@ mod tests {
                     Arc::clone(&workload),
                     Arc::clone(&strategy),
                     N,
-                    BtrConfig::default(),
                     &fault,
                 ))
             } else {
@@ -181,7 +178,7 @@ mod tests {
                     Arc::clone(&workload),
                     Arc::clone(&strategy),
                     N,
-                    BtrConfig::default(),
+                    None,
                 ))
             };
             world.set_behavior(node, behavior);
@@ -212,7 +209,6 @@ mod tests {
                         Arc::clone(&workload),
                         Arc::clone(&strategy),
                         N,
-                        BtrConfig::default(),
                         &fault,
                     ))
                 } else {
@@ -221,7 +217,7 @@ mod tests {
                         Arc::clone(&workload),
                         Arc::clone(&strategy),
                         N,
-                        BtrConfig::default(),
+                        None,
                     ))
                 };
                 world.set_behavior(node, behavior);

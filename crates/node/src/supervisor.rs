@@ -33,7 +33,7 @@ use btr_crypto::KeyStore;
 use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, FlightRecorder, Histogram, PhaseMark, FLIGHT_CAP};
 use btr_runtime::BtrNode;
-use btr_sim::{LogicalTrace, NodeBehavior, Seat, SimConfig};
+use btr_sim::{LogicalTrace, NodeBehavior, Seat};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -350,10 +350,6 @@ pub fn run_live(
     let topo = system.topology().clone();
     let n = topo.node_count();
     let end = Time::ZERO + horizon + system.grace();
-    // Pull skew span (and any future clock parameters) from the same
-    // defaults the simulator uses, so derivations line up bit-for-bit.
-    let sim_defaults = SimConfig::new(cfg.seed);
-    let max_skew = sim_defaults.max_clock_skew;
     let suite = system.auth_suite();
     let period = system.workload().period;
     let keystore = Arc::new(KeyStore::derive_suite(cfg.seed, n, suite));
@@ -378,7 +374,7 @@ pub fn run_live(
                  restart_after: Duration,
                  ready: Ready| {
         let (net, keystore, events) = (net.clone(), Arc::clone(&keystore), ev_tx.clone());
-        let seat = Seat::derive(cfg.seed, node, max_skew, suite);
+        let seat = Seat::derive(cfg.seed, node, suite);
         let flight = Arc::clone(&flights[node.index()]);
         let obs = cfg.obs;
         let again = if start > Time::ZERO { "-r" } else { "" };
@@ -413,7 +409,6 @@ pub fn run_live(
         let node = NodeId(i);
         let (tx, rx) = mailbox(cfg.mailbox_cap);
         net.register(node, tx);
-        let node_cfg = system.node_config().clone();
         let fault = scenario.faults.iter().find(|f| f.node == node);
         let behavior: Box<dyn NodeBehavior + Send> = match fault {
             Some(f) => Box::new(FaultyNode::make(
@@ -421,7 +416,6 @@ pub fn run_live(
                 Arc::clone(&workload),
                 Arc::clone(&strategy),
                 n,
-                node_cfg,
                 f,
             )),
             None => Box::new(BtrNode::new(
@@ -429,7 +423,7 @@ pub fn run_live(
                 Arc::clone(&workload),
                 Arc::clone(&strategy),
                 n,
-                node_cfg,
+                None,
             )),
         };
         let line = Arc::clone(&start);
@@ -497,13 +491,8 @@ pub fn run_live(
                     thread_done[idx] = false;
                     live_threads += 1;
                     let node = e.node;
-                    let fresh = BtrNode::new(
-                        node,
-                        Arc::clone(&workload),
-                        Arc::clone(&strategy),
-                        n,
-                        system.node_config().clone(),
-                    );
+                    let fresh =
+                        BtrNode::new(node, Arc::clone(&workload), Arc::clone(&strategy), n, None);
                     let (net, cap) = (net.clone(), cfg.mailbox_cap);
                     let ready = Box::new(move || {
                         // Sit out the scripted downtime, then rejoin: a

@@ -41,6 +41,13 @@ pub use strategy::{build_strategy, StrategyError, StrategyStats};
 
 use btr_model::Duration;
 use btr_sched::SchedParams;
+use placement::PlaceOpts;
+
+/// Detection-latency component assumed by the R admission check (one
+/// period for the checker to see a bad output, plus slack): a strategy
+/// is admitted when `DETECT_MARGIN + bound` of every transition is
+/// within R.
+pub const DETECT_MARGIN: Duration = Duration::from_millis(12);
 
 /// How aggressively the planner sheds tasks when a mode is infeasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,20 +68,15 @@ pub struct PlannerConfig {
     pub r_bound: Duration,
     /// Replication mode (detection vs masking lane counts).
     pub replication: ReplicationMode,
-    /// Scheduling parameters (period, speed, reserves).
+    /// Scheduling parameters (speed, reserves); the period is the
+    /// workload's.
     pub sched: SchedParams,
     /// Shedding policy for infeasible modes.
     pub shed: ShedPolicy,
-    /// Keep each child plan as close as possible to its parent plan
-    /// ("it should otherwise change as little as possible"). Turning
-    /// this off is the A1 ablation.
-    pub minimize_delta: bool,
-    /// Place checkers near the replicas they check ("putting checking
-    /// tasks close to replicas"). Turning this off is the A2 ablation.
-    pub checker_colocate: bool,
-    /// Detection-latency component assumed by the R admission check
-    /// (one period for the checker to see a bad output, plus slack).
-    pub detect_margin: Duration,
+    /// The placement switches: keep each child plan close to its parent
+    /// (`minimize_delta`, off in the A1 ablation) and checkers close to
+    /// their replicas (`checker_colocate`, off in A2).
+    pub place: PlaceOpts,
     /// If true, a strategy whose worst transition violates R is still
     /// returned (with the violation recorded) instead of failing.
     pub admit_best_effort: bool,
@@ -91,9 +93,7 @@ impl PlannerConfig {
             replication: ReplicationMode::Detection,
             sched: SchedParams::default(),
             shed: ShedPolicy::ByCriticality,
-            minimize_delta: true,
-            checker_colocate: true,
-            detect_margin: Duration::from_millis(12),
+            place: PlaceOpts::default(),
             admit_best_effort: false,
             threads: 1,
         }
@@ -109,8 +109,8 @@ mod tests {
         let c = PlannerConfig::new(2, Duration::from_millis(100));
         assert_eq!(c.f, 2);
         assert_eq!(c.replication, ReplicationMode::Detection);
-        assert!(c.minimize_delta);
-        assert!(c.checker_colocate);
+        assert!(c.place.minimize_delta);
+        assert!(c.place.checker_colocate);
         assert_eq!(c.threads, 1);
     }
 }

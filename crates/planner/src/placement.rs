@@ -53,15 +53,14 @@ impl std::fmt::Display for PlacementError {
 
 impl std::error::Error for PlacementError {}
 
-/// Knobs for the placement heuristics.
+/// Penalty (µs-equivalent) for moving a task off its parent-plan node.
+/// A candidate's cost is otherwise its load plus its distance to the
+/// lane's producers, both in µs.
+const DELTA_PENALTY: f64 = 5_000.0;
+
+/// The placement heuristics' two ablation switches.
 #[derive(Debug, Clone)]
 pub struct PlaceOpts {
-    /// Prefer nodes close (in comm-bound terms) to input producers.
-    pub bandwidth_weight: f64,
-    /// Prefer lightly loaded nodes.
-    pub load_weight: f64,
-    /// Penalty (µs-equivalent) for moving a task off its parent-plan node.
-    pub delta_penalty: f64,
     /// Place checkers near their replicas (A2 ablation toggles this).
     pub checker_colocate: bool,
     /// Keep assignments from the parent plan when possible (A1 ablation).
@@ -71,9 +70,6 @@ pub struct PlaceOpts {
 impl Default for PlaceOpts {
     fn default() -> Self {
         PlaceOpts {
-            bandwidth_weight: 1.0,
-            load_weight: 1.0,
-            delta_penalty: 5_000.0,
             checker_colocate: true,
             minimize_delta: true,
         }
@@ -229,7 +225,7 @@ impl Placer {
         }
         let delta_penalty = |keep: u32, cand: NodeId| -> f64 {
             if keep != UNPLACED && keep != cand.0 {
-                opts.delta_penalty
+                DELTA_PENALTY
             } else {
                 0.0
             }
@@ -258,9 +254,9 @@ impl Placer {
                     (node != UNPLACED).then_some(NodeId(node))
                 }));
                 let cost = |cand: NodeId| {
-                    let mut cost = opts.load_weight * load[cand.index()] as f64;
+                    let mut cost = load[cand.index()] as f64;
                     for &in_node in producers.iter() {
-                        cost += opts.bandwidth_weight * comm.distance(in_node, cand);
+                        cost += comm.distance(in_node, cand);
                     }
                     cost + delta_penalty(keep[slot], cand)
                 };
@@ -301,14 +297,12 @@ impl Placer {
                         .map(|&rn| comm.distance(NodeId(rn), cand))
                         .sum();
                     let locality = if opts.checker_colocate {
-                        opts.bandwidth_weight * dist_sum
+                        dist_sum
                     } else {
                         // Ablation: actively prefer distant checkers.
-                        -(opts.bandwidth_weight * dist_sum)
+                        -dist_sum
                     };
-                    opts.load_weight * load[cand.index()] as f64
-                        + locality
-                        + delta_penalty(keep[slot], cand)
+                    load[cand.index()] as f64 + locality + delta_penalty(keep[slot], cand)
                 })
                 .expect("a mode with two lanes placed has a healthy node");
                 load[node.index()] += 50;

@@ -31,8 +31,8 @@
 //! arrays (`Scratch`) are reused from mode to mode.
 
 use crate::augment::lane_counts;
-use crate::placement::{broken_constraint, CommTable, Healthy, PlaceOpts, PlacementError, Placer};
-use crate::{PlannerConfig, ShedPolicy};
+use crate::placement::{broken_constraint, CommTable, Healthy, PlacementError, Placer};
+use crate::{PlannerConfig, ShedPolicy, DETECT_MARGIN};
 use btr_model::{
     ATask, Criticality, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId,
     Transition,
@@ -280,11 +280,6 @@ fn place_and_schedule(
 ) -> Result<Mode, StrategyError> {
     let healthy = Healthy::count(topo, fs.as_set());
     let healthy_sensors = healthy.sensors.max(1) as u8;
-    let opts = PlaceOpts {
-        checker_colocate: cfg.checker_colocate,
-        minimize_delta: cfg.minimize_delta,
-        ..PlaceOpts::default()
-    };
     let infeasible = |reason: String| StrategyError::Infeasible {
         fault_set: fs.clone(),
         reason,
@@ -327,7 +322,7 @@ fn place_and_schedule(
             &lanes,
             fs.as_set(),
             parent,
-            &opts,
+            &cfg.place,
         );
         match synthesize(workload, topo, routing, &placement, &lanes, &cfg.sched) {
             Ok(synth) => {
@@ -417,7 +412,7 @@ impl Assembly {
         for transition in mode.incoming {
             debug_assert_eq!(transition.to, id, "plan ids follow enumeration order");
             let distance = transition.migrations.len();
-            let total = cfg.detect_margin + transition.bound;
+            let total = DETECT_MARGIN + transition.bound;
             if total > cfg.r_bound && !cfg.admit_best_effort {
                 let from_fs = &self.plans[transition.from.index()].fault_set;
                 let earlier = self
@@ -662,7 +657,7 @@ mod tests {
         // Over every fault set and every shed prefix the shed loop
         // visits: the walk, the placer, and the constraints spelled out
         // lane by lane — whichever node each lane takes — agree.
-        let opts = PlaceOpts::default();
+        let opts = crate::placement::PlaceOpts::default();
         let (mut modes, mut broken) = (0, 0);
         for (topo, f) in golden_platforms() {
             for w in [

@@ -14,7 +14,9 @@
 //! `GOLDEN_PRINT=1 cargo test -p btr-planner --test golden -- --nocapture`.
 
 use btr_model::{Duration, Topology, TopologyBuilder};
-use btr_planner::{build_strategy, PlannerConfig, ReplicationMode, ShedPolicy, StrategyStats};
+use btr_planner::{
+    build_strategy, PlannerConfig, ReplicationMode, ShedPolicy, StrategyStats, DETECT_MARGIN,
+};
 use btr_workload::{generators, Workload};
 
 /// FNV-1a, 64 bit: a digest with a fixed definition (std's hashers
@@ -131,7 +133,7 @@ fn measure(wl: &str, plat: &str, tweak: fn(&mut PlannerConfig)) -> Golden {
     cfg.shed = ShedPolicy::Never;
     let strict_never = strict(&w, &topo, &cfg);
     cfg.shed = ShedPolicy::ByCriticality;
-    cfg.r_bound = cfg.detect_margin + stats.worst_transition - Duration(1);
+    cfg.r_bound = DETECT_MARGIN + stats.worst_transition - Duration(1);
     let strict_tight = strict(&w, &topo, &cfg);
     cfg.threads = 3;
     assert_eq!(
@@ -401,7 +403,7 @@ fn avionics_mesh3x4_checkers_apart_f2() {
     check_with(
         "avionics",
         "mesh3x4",
-        |cfg| cfg.checker_colocate = false,
+        |cfg| cfg.place.checker_colocate = false,
         golden(
             0xc7e5_a97a_42b6_828c,
             [79, 144, 11156, 16, 861, 11, 57],
@@ -417,7 +419,7 @@ fn avionics_mesh3x4_no_delta_minimisation_f2() {
     check_with(
         "avionics",
         "mesh3x4",
-        |cfg| cfg.minimize_delta = false,
+        |cfg| cfg.place.minimize_delta = false,
         golden(
             0x4d78_60c0_fde1_9a73,
             [79, 144, 11212, 38, 4046, 11, 57],

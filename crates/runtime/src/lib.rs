@@ -23,7 +23,7 @@ pub mod timers;
 
 pub use attack::Attack;
 pub use flows::{derive_view, plan_lanes, PlanView};
-pub use pool::{EvidencePool, PoolConfig};
+pub use pool::EvidencePool;
 
 use btr_detector::{Detector, OutputPool};
 use btr_model::{
@@ -59,40 +59,11 @@ fn starvation_explained(
         .is_some_and(|hosts| hosts.iter().any(|h| faulty.contains(h)))
 }
 
-/// Runtime configuration for a BTR node.
-#[derive(Debug, Clone)]
-pub struct BtrConfig {
-    /// Heartbeat periods missed before crash suspicion.
-    pub heartbeat_miss_threshold: u64,
-    /// Distinct peers implicating a node before omission attribution
-    /// (scaled down per suspect to the accuser fan-in the active plan
-    /// actually provides, never below two).
-    pub omission_threshold: usize,
-    /// Tolerated lateness beyond a lane's scheduled emit instant before
-    /// an arriving output is declared mistimed. Wide enough to absorb
-    /// network queueing; far below the delays a timing attack needs to
-    /// corrupt downstream schedules.
-    pub timing_slack: Duration,
-    /// Evidence pool admission limits.
-    pub pool: PoolConfig,
-    /// Send per-period heartbeats (crash detection substrate).
-    pub heartbeats: bool,
-    /// Optional adversarial script (compromised node).
-    pub attack: Option<Attack>,
-}
-
-impl Default for BtrConfig {
-    fn default() -> Self {
-        BtrConfig {
-            heartbeat_miss_threshold: 3,
-            omission_threshold: 3,
-            timing_slack: Duration::from_millis(4),
-            pool: PoolConfig::default(),
-            heartbeats: true,
-            attack: None,
-        }
-    }
-}
+/// Tolerated lateness beyond a lane's scheduled emit instant before an
+/// arriving output is declared mistimed. Wide enough to absorb network
+/// queueing; far below the delays a timing attack needs to corrupt
+/// downstream schedules.
+const TIMING_SLACK: Duration = Duration::from_millis(4);
 
 /// Counters exposed for experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,7 +96,8 @@ pub struct BtrNode {
     id: NodeId,
     workload: Arc<Workload>,
     strategy: Arc<Strategy>,
-    cfg: BtrConfig,
+    /// The adversarial script of a compromised node (`None`: correct).
+    attack: Option<Attack>,
     detector: Detector,
     pool: EvidencePool,
     dissem: Disseminator,
@@ -154,16 +126,16 @@ pub struct BtrNode {
 }
 
 impl BtrNode {
-    /// Create a node runtime over an installed workload and strategy.
+    /// Create a node runtime over an installed workload and strategy;
+    /// `attack` makes it a compromised node running that script.
     pub fn new(
         id: NodeId,
         workload: Arc<Workload>,
         strategy: Arc<Strategy>,
         n_nodes: usize,
-        cfg: BtrConfig,
+        attack: Option<Attack>,
     ) -> BtrNode {
-        let mut detector = Detector::new(id, cfg.heartbeat_miss_threshold, cfg.omission_threshold);
-        let pool = EvidencePool::new(cfg.pool.clone());
+        let mut detector = Detector::new(id);
         let switcher = ModeSwitcher::new(id, &strategy);
         let view = derive_view(id, strategy.initial_plan(), &workload);
         detector.set_plausible_accusers(view.accuser_sets.clone());
@@ -171,9 +143,9 @@ impl BtrNode {
             id,
             workload,
             strategy,
-            cfg,
+            attack,
             detector,
-            pool,
+            pool: EvidencePool::new(),
             dissem: Disseminator::new(),
             switcher,
             view,
@@ -383,11 +355,10 @@ impl BtrNode {
         let p_start = self.period_start(p);
         // Heartbeats.
         let drop_hb = self
-            .cfg
             .attack
             .as_ref()
             .is_some_and(|a| a.drops_heartbeats(ctx.now()));
-        if self.cfg.heartbeats && !drop_hb {
+        if !drop_hb {
             // Heartbeats go to *everyone*, including suspected nodes: a
             // wrongly suspected peer must keep hearing us, or suspicion
             // becomes self-fulfilling. One signature covers the round.
@@ -395,7 +366,7 @@ impl BtrNode {
             self.stats.heartbeats_sent += self.peers.len() as u64;
         }
         // Attack side-channels that fire per period.
-        match self.cfg.attack {
+        match self.attack {
             Some(Attack::EvidenceSpam { from, per_period }) if ctx.now() >= from => {
                 for i in 0..per_period {
                     let victim = NodeId((self.id.0 + 1 + i) % self.n_nodes as u32);
@@ -557,7 +528,7 @@ impl BtrNode {
         let mut digest = inputs_digest(&vals);
 
         // Commission attack: corrupt the value (and maybe the commitment).
-        if let Some(attack) = &self.cfg.attack {
+        if let Some(attack) = &self.attack {
             if attack.corrupts(ctx.now(), task) {
                 value ^= 0xDEAD_BEEF;
                 if let Attack::Commission {
@@ -583,7 +554,6 @@ impl BtrNode {
         // Emit after the execution budget (plus any timing-attack delay).
         let delay = entry.wcet
             + self
-                .cfg
                 .attack
                 .as_ref()
                 .map_or(Duration::ZERO, |a| a.emit_delay(ctx.now()));
@@ -610,7 +580,6 @@ impl BtrNode {
         }
         // Omission attack: silently drop outputs.
         if self
-            .cfg
             .attack
             .as_ref()
             .is_some_and(|a| a.drops_outputs(ctx.now()))
@@ -628,7 +597,6 @@ impl BtrNode {
         self.stats.outputs_sent += 1;
         // Equivocation attack: sign a conflicting twin and split targets.
         let equivocate = self
-            .cfg
             .attack
             .as_ref()
             .is_some_and(|a| a.equivocates(ctx.now()));
@@ -711,7 +679,7 @@ impl BtrNode {
         // judged — echoes arrive a hop late by design.
         let expected_by = if direct && !self.in_blackout(ctx.now()) {
             let base = match self.view.emit_offsets.get(&(output.task, output.replica)) {
-                Some(&emit) => emit + self.cfg.timing_slack,
+                Some(&emit) => emit + TIMING_SLACK,
                 None => self.workload.task(output.task).deadline,
             };
             Some(self.period_start(output.period) + base)
@@ -855,10 +823,7 @@ mod tests {
         sim_cfg.period = w.period;
         let mut world = World::new(topo.clone(), sim_cfg);
         for n in 0..topo.node_count() as u32 {
-            let mut cfg = BtrConfig::default();
-            if let Some((_, a)) = attacks.iter().find(|(id, _)| *id == NodeId(n)) {
-                cfg.attack = Some(a.clone());
-            }
+            let attack = attacks.iter().find(|(id, _)| *id == NodeId(n));
             world.set_behavior(
                 NodeId(n),
                 Box::new(BtrNode::new(
@@ -866,7 +831,7 @@ mod tests {
                     Arc::clone(w),
                     Arc::clone(s),
                     topo.node_count(),
-                    cfg,
+                    attack.map(|(_, a)| a.clone()),
                 )),
             );
         }

@@ -5,24 +5,11 @@ use btr_model::evidence::{EvidenceFlaw, WorkloadView};
 use btr_model::{EvidenceClass, EvidenceId, EvidenceRecord, NodeId, PeriodIdx};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Pool configuration.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Max records admitted to full verification per sender per period
-    /// (models the bounded `Verify` CPU slot).
-    pub per_sender_budget: u32,
-    /// Bogus records before a sender is blacklisted.
-    pub blacklist_threshold: u32,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            per_sender_budget: 64,
-            blacklist_threshold: 8,
-        }
-    }
-}
+/// Max records admitted to full verification per sender per period
+/// (models the bounded `Verify` CPU slot).
+const PER_SENDER_BUDGET: u32 = 64;
+/// Bogus records before a sender is blacklisted.
+const BLACKLIST_THRESHOLD: u32 = 8;
 
 /// Outcome of offering a record to the pool.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +36,8 @@ pub enum AdmitOutcome {
 }
 
 /// Per-node store of validated evidence.
+#[derive(Default)]
 pub struct EvidencePool {
-    cfg: PoolConfig,
     verified: BTreeMap<EvidenceId, EvidenceRecord>,
     rejected_ids: BTreeSet<EvidenceId>,
     bogus_by: BTreeMap<NodeId, u32>,
@@ -62,18 +49,9 @@ pub struct EvidencePool {
 }
 
 impl EvidencePool {
-    /// Create a pool.
-    pub fn new(cfg: PoolConfig) -> Self {
-        EvidencePool {
-            cfg,
-            verified: BTreeMap::new(),
-            rejected_ids: BTreeSet::new(),
-            bogus_by: BTreeMap::new(),
-            blacklist: BTreeSet::new(),
-            used_budget: BTreeMap::new(),
-            convicted: BTreeSet::new(),
-            id_scratch: Vec::new(),
-        }
+    /// Create an empty pool.
+    pub fn new() -> Self {
+        EvidencePool::default()
     }
 
     /// Offer a record received from `sender` during `period`.
@@ -101,7 +79,7 @@ impl EvidencePool {
         if entry.0 != period {
             *entry = (period, 0);
         }
-        if entry.1 >= self.cfg.per_sender_budget {
+        if entry.1 >= PER_SENDER_BUDGET {
             return AdmitOutcome::RateLimited;
         }
         entry.1 += 1;
@@ -122,7 +100,7 @@ impl EvidencePool {
                 self.rejected_ids.insert(id);
                 let count = self.bogus_by.entry(sender).or_insert(0);
                 *count += 1;
-                if *count >= self.cfg.blacklist_threshold {
+                if *count >= BLACKLIST_THRESHOLD {
                     self.blacklist.insert(sender);
                 }
                 AdmitOutcome::Rejected(flaw)
@@ -232,7 +210,7 @@ mod tests {
 
     #[test]
     fn verify_then_duplicate() {
-        let mut pool = EvidencePool::new(PoolConfig::default());
+        let mut pool = EvidencePool::new();
         let r = valid_proof(1);
         let out = pool.admit(&ks(), &View, NodeId(1), &r, 0);
         assert!(matches!(
@@ -252,14 +230,14 @@ mod tests {
 
     #[test]
     fn bogus_leads_to_blacklist() {
-        let mut pool = EvidencePool::new(PoolConfig::default());
-        for p in 0..8 {
+        let mut pool = EvidencePool::new();
+        for p in 0..BLACKLIST_THRESHOLD as PeriodIdx {
             assert!(!pool.blacklisted().contains(&NodeId(6)));
             let out = pool.admit(&ks(), &View, NodeId(6), &bogus(p), 0);
             assert!(matches!(out, AdmitOutcome::Rejected(_)), "{out:?}");
         }
         assert!(pool.blacklisted().contains(&NodeId(6)));
-        assert_eq!(pool.bogus_count(NodeId(6)), 8);
+        assert_eq!(pool.bogus_count(NodeId(6)), BLACKLIST_THRESHOLD);
         // Further records from the blacklisted sender are ignored — even
         // valid ones.
         assert_eq!(
@@ -275,27 +253,39 @@ mod tests {
 
     #[test]
     fn rate_limit_per_period_resets() {
-        let mut pool = EvidencePool::new(PoolConfig::default());
-        for p in 0..64 {
+        let mut pool = EvidencePool::new();
+        for p in 0..PER_SENDER_BUDGET as PeriodIdx {
             assert!(matches!(
                 pool.admit(&ks(), &View, NodeId(1), &valid_proof(p), 7),
                 AdmitOutcome::Verified { .. }
             ));
         }
         assert_eq!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(64), 7),
+            pool.admit(
+                &ks(),
+                &View,
+                NodeId(1),
+                &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
+                7
+            ),
             AdmitOutcome::RateLimited
         );
         // Next period: budget refreshed.
         assert!(matches!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(64), 8),
+            pool.admit(
+                &ks(),
+                &View,
+                NodeId(1),
+                &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
+                8
+            ),
             AdmitOutcome::Verified { .. }
         ));
     }
 
     #[test]
     fn rejected_records_become_cheap_duplicates() {
-        let mut pool = EvidencePool::new(PoolConfig::default());
+        let mut pool = EvidencePool::new();
         let b = bogus(1);
         assert!(matches!(
             pool.admit(&ks(), &View, NodeId(1), &b, 0),
@@ -311,7 +301,7 @@ mod tests {
 
     #[test]
     fn declarations_verify_without_convicting() {
-        let mut pool = EvidencePool::new(PoolConfig::default());
+        let mut pool = EvidencePool::new();
         let d = EvidenceRecord::declare_crash(&signer(4), NodeId(4), NodeId(5), 3);
         let out = pool.admit(&ks(), &View, NodeId(4), &d, 0);
         assert_eq!(

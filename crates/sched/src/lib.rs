@@ -35,10 +35,14 @@ use std::collections::BTreeMap;
 pub const OUTPUT_WIRE_BYTES: u32 = 200;
 /// Additional wire bytes per carried witness (signed input).
 pub const WITNESS_WIRE_BYTES: u32 = 120;
+/// Slack added to every message-arrival bound, covering control-plane
+/// competition on the sender's reserved slice (heartbeat bursts at
+/// period boundaries, evidence floods during recovery).
+pub const COMM_SLACK: Duration = Duration(300);
 
 /// Estimated wire size of a task output carrying `fanin` witnesses.
-pub fn output_wire_estimate(base: u32, fanin: usize) -> u32 {
-    base + WITNESS_WIRE_BYTES * fanin as u32
+pub fn output_wire_estimate(fanin: usize) -> u32 {
+    OUTPUT_WIRE_BYTES + WITNESS_WIRE_BYTES * fanin as u32
 }
 
 /// Scheduling parameters.
@@ -49,13 +53,6 @@ pub struct SchedParams {
     /// Global CPU speed in percent of nominal (sweeps the clock-frequency
     /// metric; per-node speeds from the topology are multiplied in).
     pub speed_pct: u32,
-    /// Base wire bytes per task-output message (witnesses are added per
-    /// input; see [`output_wire_estimate`]).
-    pub output_bytes: u32,
-    /// Slack added to every message-arrival bound, covering control-plane
-    /// competition on the sender's reserved slice (heartbeat bursts at
-    /// period boundaries, evidence floods during recovery).
-    pub comm_slack: Duration,
     /// Per-node CPU reserve for evidence verification (the paper's
     /// "verification tasks ... consume resources at runtime and must
     /// therefore be scheduled together with the workload tasks").
@@ -75,8 +72,6 @@ impl Default for SchedParams {
         SchedParams {
             period: Duration::from_millis(10),
             speed_pct: 100,
-            output_bytes: OUTPUT_WIRE_BYTES,
-            comm_slack: Duration(300),
             verify_reserve: Duration(200),
             control_reserve_frac: 0.2,
             consume_all_lanes: false,
@@ -199,7 +194,7 @@ pub fn synthesize(
     };
     let mut finish = vec![Duration::ZERO; index.slots()];
     let mut timeline = Timeline::new(topo, params, index.slots());
-    let mut demand = LinkDemand::new(topo, routing, params.comm_slack);
+    let mut demand = LinkDemand::new(topo, routing);
 
     // Schedule workload tasks in topological order; within a task,
     // replicas ascending, then the checker.
@@ -230,8 +225,7 @@ pub fn synthesize(
                 };
                 // The producer's message carries one witness per input
                 // of the *producer* task.
-                let bytes =
-                    output_wire_estimate(params.output_bytes, workload.task(input).inputs.len());
+                let bytes = output_wire_estimate(workload.task(input).inputs.len());
                 for lane in needed {
                     let in_slot = index.work(input, lane);
                     let in_atask = ATask::Work {
@@ -251,7 +245,7 @@ pub fn synthesize(
             let chk = ATask::Check { task: tid };
             let node = placed(chk, index.check(tid))?;
             let mut ready = Duration::ZERO;
-            let bytes = output_wire_estimate(params.output_bytes, spec.inputs.len());
+            let bytes = output_wire_estimate(spec.inputs.len());
             for r in 0..n_lanes {
                 let in_slot = index.work(tid, r);
                 let in_node = NodeId(node_of[in_slot]);
@@ -387,15 +381,13 @@ impl<'a> Timeline<'a> {
 struct LinkDemand<'a> {
     topo: &'a Topology,
     routing: &'a RoutingTable,
-    /// Added to every remote delivery's bound ([`SchedParams::comm_slack`]).
-    slack: Duration,
     /// Node `n`'s links are `bytes[first[n]..]`, in `links_of(n)` order.
     first: Vec<u32>,
     bytes: Vec<u64>,
 }
 
 impl<'a> LinkDemand<'a> {
-    fn new(topo: &'a Topology, routing: &'a RoutingTable, slack: Duration) -> Self {
+    fn new(topo: &'a Topology, routing: &'a RoutingTable) -> Self {
         let mut first = Vec::with_capacity(topo.node_count());
         let mut total = 0u32;
         for node in topo.nodes() {
@@ -405,7 +397,6 @@ impl<'a> LinkDemand<'a> {
         LinkDemand {
             topo,
             routing,
-            slack,
             first,
             bytes: vec![0; total as usize],
         }
@@ -443,7 +434,7 @@ impl<'a> LinkDemand<'a> {
         let hops = links
             .iter()
             .map(|&l| btr_net::hop_bound(self.topo.link(l), bytes));
-        Ok(hops.fold(self.slack, |bound, hop| bound + hop))
+        Ok(hops.fold(COMM_SLACK, |bound, hop| bound + hop))
     }
 }
 

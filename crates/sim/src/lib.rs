@@ -31,7 +31,7 @@ pub mod trace;
 pub mod world;
 
 pub use scratch::Scratch;
-pub use seat::Seat;
+pub use seat::{Seat, MAX_CLOCK_SKEW};
 pub use trace::{DropReason, LogicalTrace, SimMetrics, TraceEvent};
 pub use world::{Actuation, ControlAction, CtxBackend, NodeCtx, SimConfig, World};
 

@@ -4,6 +4,10 @@
 use btr_crypto::{digest64, AuthSuite, NodeKey, Signer, SplitMix64};
 use btr_model::{Duration, NodeId, Time};
 
+/// Maximum absolute per-node clock skew: every local clock stays within
+/// this bound of global time (the paper's synchrony assumption).
+pub const MAX_CLOCK_SKEW: Duration = Duration(20);
+
 /// One node's seat at the protocol: its local clock, its signing key and
 /// its pseudo-random stream, all derived from `(seed, node)`.
 ///
@@ -20,13 +24,13 @@ pub struct Seat {
 }
 
 impl Seat {
-    /// The seat of `node` under `seed`: a clock skew within `max_skew` of
-    /// global time, the node's key under `suite`, and its RNG stream.
-    pub fn derive(seed: u64, node: NodeId, max_skew: Duration, suite: AuthSuite) -> Seat {
+    /// The seat of `node` under `seed`: a clock skew within
+    /// [`MAX_CLOCK_SKEW`] of global time, the node's key under `suite`, and its RNG stream.
+    pub fn derive(seed: u64, node: NodeId, suite: AuthSuite) -> Seat {
         let (seed_bytes, id_bytes) = (seed.to_be_bytes(), node.0.to_be_bytes());
-        let span = 2 * max_skew.as_micros() + 1;
+        let span = 2 * MAX_CLOCK_SKEW.as_micros() + 1;
         let skew = (digest64(&[b"btr-skew", &seed_bytes, &id_bytes]) % span) as i64
-            - max_skew.as_micros() as i64;
+            - MAX_CLOCK_SKEW.as_micros() as i64;
         Seat {
             clock_offset: skew,
             signer: Signer::new(NodeKey::derive_suite(seed, node.0, suite)),
@@ -50,7 +54,7 @@ mod tests {
         // Skew, first RNG draw and a tag as the parent of the commit that
         // introduced `Seat` derived them in both substrates: every
         // committed digest and replay token depends on these.
-        let mut seat = Seat::derive(1, NodeId(2), Duration(20), AuthSuite::HmacSha256);
+        let mut seat = Seat::derive(1, NodeId(2), AuthSuite::HmacSha256);
         assert_eq!(seat.clock_offset, -4);
         assert_eq!(seat.local(Time(100)), Time(96));
         assert_eq!(seat.rng.next_u64(), 0x3581_582b_1bf8_f035);

@@ -24,9 +24,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// The system period P (guardian refill interval).
     pub period: Duration,
-    /// Maximum absolute per-node clock skew (local clocks stay within
-    /// this bound of global time — the paper's synchrony assumption).
-    pub max_clock_skew: Duration,
     /// Collect a full event trace (adds memory; metrics are always on).
     pub trace: bool,
     /// Message-loss probability in parts per million (per message, or
@@ -64,7 +61,6 @@ impl SimConfig {
         SimConfig {
             seed,
             period: Duration::from_millis(10),
-            max_clock_skew: Duration(20),
             trace: false,
             loss_ppm: 0,
             fec: None,
@@ -197,7 +193,7 @@ impl World {
         let links = LinkLayer::new(&topo, cfg.period);
         let routing = RouteBackend::auto(&topo);
         let seats = (0..n as u32)
-            .map(|i| Seat::derive(cfg.seed, NodeId(i), cfg.max_clock_skew, cfg.auth_suite))
+            .map(|i| Seat::derive(cfg.seed, NodeId(i), cfg.auth_suite))
             .collect();
         let slots = (0..n)
             .map(|_| NodeSlot {
@@ -1326,12 +1322,13 @@ mod tests {
     #[test]
     fn local_clock_skew_is_bounded() {
         let topo = Topology::bus(8, 10_000, Duration(10));
-        let mut cfg = SimConfig::new(3);
-        cfg.max_clock_skew = Duration(50);
-        let w = World::new(topo, cfg);
+        let w = World::new(topo, SimConfig::new(3));
         for i in 0..8 {
             let off = w.seats[i].clock_offset;
-            assert!(off.abs() <= 50, "node {i} skew {off}");
+            assert!(
+                off.unsigned_abs() <= crate::MAX_CLOCK_SKEW.as_micros(),
+                "node {i} skew {off}"
+            );
         }
     }
 
