@@ -506,11 +506,7 @@ pub fn e9_mode_change() -> String {
     ]);
     for &state in &[256u32, 4_096, 16_384] {
         // Fusion chain with configurable state.
-        let mut w = generators::fusion_chain(4, 9);
-        // Rebuild with scaled state: regenerate tasks via serde round trip
-        // is awkward; instead scale through a fresh workload.
-        let scaled = scale_state(&w, state);
-        w = scaled;
+        let w = scale_state(&generators::fusion_chain(4, 9), state);
         let topo = Topology::bus(9, 100_000, Duration(5));
         let mut cfg = PlannerConfig::new(1, ms(250));
         cfg.admit_best_effort = true;

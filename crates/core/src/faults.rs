@@ -7,7 +7,6 @@
 
 use btr_model::{Duration, FaultKind, NodeId, Time};
 use btr_runtime::Attack;
-use serde::{Deserialize, Serialize};
 
 /// Optional refinements of a fault's manifestation.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// fuzzing because the detection path differs: a garbled commitment
 /// evades re-execution proofs (and is convicted via `BadWitness`
 /// instead), and dropped heartbeats make an omission look like a crash.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultMods {
     /// Commission only: also lie about the input commitment.
     pub garble_commitment: bool,
@@ -25,7 +24,7 @@ pub struct FaultMods {
 }
 
 /// One injected fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedFault {
     /// The compromised node.
     pub node: NodeId,
@@ -87,7 +86,7 @@ impl InjectedFault {
 }
 
 /// A full adversarial script.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultScenario {
     /// The injected faults (at most one per node; later entries for the
     /// same node are ignored).

@@ -21,7 +21,6 @@ use btr_model::{
 };
 use btr_sim::Actuation;
 use btr_workload::{TaskKind, Workload};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The all-correct reference value of any task instance.
@@ -65,7 +64,7 @@ pub fn shed_aware_value(
 }
 
 /// Classification of one (sink, period) output slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Matches the all-correct reference, on time.
     Correct,
@@ -91,7 +90,7 @@ impl Verdict {
 }
 
 /// One judged output slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkVerdict {
     /// The sink task.
     pub sink: TaskId,
@@ -189,7 +188,7 @@ pub fn judge(
 }
 
 /// Recovery measurement for one run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// When the first injected fault manifested (None = fault-free run).
     pub fault_at: Option<Time>,

@@ -14,10 +14,8 @@
 //! the digest — is shared, the two are held equal by differential tests,
 //! and [`backend`] names the one in use.
 
-use serde::{Deserialize, Serialize};
-
 /// A 256-bit digest.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

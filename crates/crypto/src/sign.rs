@@ -34,7 +34,6 @@
 use crate::hmac::HmacKey;
 use crate::sha256::Digest;
 use crate::siphash::SipKey;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 thread_local! {
@@ -105,7 +104,7 @@ impl std::fmt::Display for AuthSuite {
 }
 
 /// A message authenticator produced by [`Signer::sign`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Which key produced this signature.
     pub key: KeyId,

@@ -7,12 +7,8 @@
 //! resources to the more critical ones" (Section 1). We use four levels,
 //! loosely modelled on automotive ASIL bands.
 
-use serde::{Deserialize, Serialize};
-
 /// Criticality of a task's output. Higher levels are shed last.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Criticality {
     /// Best-effort (e.g. in-flight entertainment).
     #[default]

@@ -20,7 +20,6 @@ use crate::enc::Enc;
 use crate::ids::{NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use crate::time::Time;
 use btr_crypto::{digest64, KeyStore, SigError, Signature, Signer};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// What evidence verifiers need to know about the workload.
@@ -41,7 +40,7 @@ pub trait WorkloadView {
 /// A task output signed by its producer.
 ///
 /// This is the atom of both the data plane and the evidence plane.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignedOutput {
     /// The logical task that produced the value.
     pub task: TaskId,
@@ -237,7 +236,7 @@ impl SignedOutput {
 }
 
 /// Proof vs declaration (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvidenceClass {
     /// Independently verifiable; convicts the accused node.
     Proof,
@@ -246,7 +245,7 @@ pub enum EvidenceClass {
 }
 
 /// Unique id of an evidence record (digest of canonical bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EvidenceId(pub u64);
 
 impl std::fmt::Display for EvidenceId {
@@ -290,7 +289,7 @@ impl std::fmt::Display for EvidenceFlaw {
 impl std::error::Error for EvidenceFlaw {}
 
 /// A piece of evidence about a fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EvidenceRecord {
     /// Two conflicting signed outputs for the same (task, replica, period):
     /// irrefutable proof the producer equivocated.

@@ -8,11 +8,10 @@
 //! converge on a plan without running agreement.
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A concrete fault behaviour that can manifest on a compromised node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultKind {
     /// The node stops entirely (fail-stop).
     Crash,
@@ -68,7 +67,7 @@ impl std::fmt::Display for FaultKind {
 /// Section 4.4: "this set is append-only, and, if a node receives valid
 /// evidence of a fault on some other node X, it can safely add X to its
 /// local set". Plan selection is a deterministic function of this set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FaultSet(BTreeSet<NodeId>);
 
 impl FaultSet {

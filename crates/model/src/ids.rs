@@ -1,12 +1,10 @@
 //! Identifiers for nodes, tasks, links, plans, replicas, and periods.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord,
         )]
         pub struct $name(pub u32);
 

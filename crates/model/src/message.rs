@@ -10,10 +10,9 @@ use crate::evidence::{EvidenceRecord, SignedOutput};
 use crate::ids::{NodeId, PeriodIdx, PlanId, TaskId};
 use crate::time::Time;
 use btr_crypto::{KeyStore, SigError, Signature, Signer};
-use serde::{Deserialize, Serialize};
 
 /// Phases of the PBFT-lite baseline's agreement round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PbftPhase {
     /// Leader proposes a value.
     PrePrepare,
@@ -24,7 +23,7 @@ pub enum PbftPhase {
 }
 
 /// Message payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// A task output on the data plane, carrying the signed inputs the
     /// producer consumed ("witnesses") so checkers can verify the
@@ -214,7 +213,7 @@ impl Payload {
 }
 
 /// A message in flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Sending node.
     pub src: NodeId,

@@ -12,43 +12,12 @@ use crate::fault::FaultSet;
 use crate::ids::{NodeId, PlanId, ReplicaIdx, TaskId};
 use crate::time::Duration;
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Serialize ordered maps with structured keys as pair sequences, since
-/// JSON only supports string map keys.
-///
-/// Only reachable through the `#[serde(with = ...)]` attributes, which the
-/// offline serde stand-in treats as inert — hence the `dead_code` allow.
-#[allow(dead_code)]
-mod serde_pairs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
-
-    pub fn serialize<K, V, S>(map: &BTreeMap<K, V>, ser: S) -> Result<S::Ok, S::Error>
-    where
-        K: Serialize + Ord,
-        V: Serialize,
-        S: Serializer,
-    {
-        ser.collect_seq(map.iter())
-    }
-
-    pub fn deserialize<'de, K, V, D>(de: D) -> Result<BTreeMap<K, V>, D::Error>
-    where
-        K: Deserialize<'de> + Ord,
-        V: Deserialize<'de>,
-        D: Deserializer<'de>,
-    {
-        let pairs: Vec<(K, V)> = Vec::deserialize(de)?;
-        Ok(pairs.into_iter().collect())
-    }
-}
 
 /// An *augmented* task: a workload task replica, or one of the auxiliary
 /// tasks the planner adds (Section 4.1: "It adds 1) replicas; 2) checking
 /// tasks ...; and 3) verification tasks").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ATask {
     /// Replica `replica` of workload task `task`.
     Work {
@@ -95,7 +64,7 @@ impl std::fmt::Display for ATask {
 }
 
 /// One slot in a node's static cyclic schedule (offsets within the period).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEntry {
     /// What runs.
     pub atask: ATask,
@@ -113,7 +82,7 @@ impl ScheduleEntry {
 }
 
 /// A node's static cyclic schedule for one plan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NodeSchedule {
     /// Slots sorted by start offset.
     pub entries: Vec<ScheduleEntry>,
@@ -180,14 +149,13 @@ impl NodeSchedule {
 }
 
 /// A distributed schedule for one fault pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// This plan's id (index into the strategy's plan store).
     pub id: PlanId,
     /// The fault pattern this plan handles.
     pub fault_set: FaultSet,
     /// Where every augmented task runs.
-    #[serde(with = "serde_pairs")]
     pub placement: BTreeMap<ATask, NodeId>,
     /// Per-node cyclic schedules.
     pub schedules: BTreeMap<NodeId, NodeSchedule>,
@@ -269,7 +237,7 @@ impl Plan {
 }
 
 /// A migration of one augmented task during a mode transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Migration {
     /// The migrating task.
     pub atask: ATask,
@@ -282,7 +250,7 @@ pub struct Migration {
 }
 
 /// Metadata for one mode transition (edge in the strategy graph).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transition {
     /// Plan the system is leaving.
     pub from: PlanId,
@@ -311,7 +279,7 @@ impl Transition {
 }
 
 /// The complete offline strategy: plans plus switching conditions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Strategy {
     /// Fault budget: max simultaneous faulty nodes planned for.
     pub f: u8,
@@ -322,10 +290,8 @@ pub struct Strategy {
     /// All plans; `plans[p.index()]` has id `p`.
     pub plans: Vec<Plan>,
     /// Deterministic fault-set -> plan mapping.
-    #[serde(with = "serde_pairs")]
     pub index: BTreeMap<FaultSet, PlanId>,
     /// Transition metadata keyed by (from, to).
-    #[serde(with = "serde_pairs")]
     pub transitions: BTreeMap<(PlanId, PlanId), Transition>,
 }
 

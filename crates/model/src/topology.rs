@@ -17,11 +17,10 @@
 
 use crate::ids::{LinkId, NodeId};
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Static description of one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeSpec {
     /// The node's id (dense, 0-based).
     pub id: NodeId,
@@ -36,7 +35,7 @@ pub struct NodeSpec {
 }
 
 /// Static description of one link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkSpec {
     /// The link's id (dense, 0-based).
     pub id: LinkId,
@@ -95,7 +94,7 @@ impl std::error::Error for TopologyError {}
 /// Ascending order is what makes every BFS over it deterministic
 /// (lowest-id tie-breaking); the lowest shared link is the one a hop
 /// between the two nodes is carried on (it matters on redundant buses).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Adjacency {
     rows: Vec<Vec<(NodeId, LinkId)>>,
 }
@@ -147,7 +146,7 @@ impl Adjacency {
 }
 
 /// A validated platform description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<NodeSpec>,
     links: Vec<LinkSpec>,

@@ -21,11 +21,10 @@ pub mod generators;
 
 use btr_model::evidence::WorkloadView;
 use btr_model::{Criticality, Duration, NodeId, TaskId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// What role a task plays in the dataflow graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// Reads a physical sensor; pinned to a sensing-capable node.
     Source {
@@ -52,7 +51,7 @@ impl TaskKind {
 }
 
 /// Static description of one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// Dense 0-based id.
     pub id: TaskId,
@@ -122,7 +121,7 @@ impl std::fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 /// A validated periodic dataflow workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// The system period P.
     pub period: Duration,
