@@ -2,7 +2,7 @@
 //!
 //! A *schedule* is a concrete adversarial script — which nodes are
 //! compromised, when, and with which manifestation — drawn from the full
-//! [`Attack`](btr_runtime::Attack) space the fault injector can express.
+//! `btr_runtime::Attack` space the fault injector can express.
 //! The generator is a **pure function of its parameters and seed**: the
 //! same `(params, seed, count)` always yields the same schedule set, on
 //! any machine, at any thread count. Campaign reports and replay tokens

@@ -65,7 +65,7 @@ fn digest_sorted(domain: &[u8], head: &[u8], inputs: &[(TaskId, Value)]) -> u64 
 /// `inputs` is (producer task, value) pairs; the function sorts them by
 /// producer id internally so callers need not pre-sort (pairs of one
 /// producer keep an order that depends on the caller's; see
-/// [`digest_sorted`]). Allocates nothing up to [`INLINE_INPUTS`] pairs.
+/// `digest_sorted`). Allocates nothing up to `INLINE_INPUTS` pairs.
 pub fn task_value(task: TaskId, period: PeriodIdx, inputs: &[(TaskId, Value)]) -> Value {
     let mut head = [0u8; 12];
     head[..4].copy_from_slice(&task.0.to_be_bytes());

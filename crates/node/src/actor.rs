@@ -398,7 +398,7 @@ impl NodeActor {
     }
 
     /// This node will be restarted `after` a crash (see
-    /// [`restart_instant`]): dying, it hands its frontier cell to the
+    /// `restart_instant`): dying, it hands its frontier cell to the
     /// next incarnation instead of going terminal.
     pub fn with_restart(mut self, after: Duration) -> NodeActor {
         self.restart_after = after;

@@ -14,7 +14,7 @@
 //!   detaches the dead node from the network (its peers see the same
 //!   silence a crash produces);
 //! * optionally restarts crashed nodes after a scripted downtime with a
-//!   fresh runtime wrapped in [`Rejoin`](crate::faulty::Rejoin), which
+//!   fresh runtime wrapped in [`Rejoin`], which
 //!   is the live analogue of the paper's bounded-time recovery loop
 //!   (the dying actor itself parks its causal frontier at the restart
 //!   instant, so there is no window for the supervisor to close).
