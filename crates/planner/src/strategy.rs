@@ -199,7 +199,7 @@ fn plan_mode(
                 to: id,
                 trigger,
                 migrations,
-                bound: dist_bound + transfer_bound + cfg.sched.period,
+                bound: dist_bound + transfer_bound + workload.period,
             }
         })
         .collect();
@@ -521,7 +521,7 @@ pub fn build_strategy(
         Strategy {
             f: cfg.f,
             r_bound: cfg.r_bound,
-            period: cfg.sched.period,
+            period: workload.period,
             plans: built.plans,
             index: built.index,
             transitions: built.transitions,

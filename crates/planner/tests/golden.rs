@@ -205,10 +205,10 @@ fn scada_bus20_f2() {
         "scada",
         "bus20",
         golden(
-            0x44ee_6607_1b59_8592,
-            [211, 400, 11720, 6, 755, 2, 57],
-            "transition {} -> {n0} bound 22.628ms exceeds R = 20.000ms",
-            "transition {} -> {n14} bound 23.720ms exceeds R = 23.719ms",
+            0x5cd5_217f_910b_26e1,
+            [211, 400, 21720, 6, 755, 2, 57],
+            "transition {} -> {n0} bound 32.628ms exceeds R = 20.000ms",
+            "transition {} -> {n14} bound 33.720ms exceeds R = 33.719ms",
             "no feasible plan for {n3}: t4: actuator node is faulty",
         ),
     );
@@ -235,10 +235,10 @@ fn scada_bus36_f1() {
         "scada",
         "bus36",
         golden(
-            0x04fd_5529_89ee_7334,
-            [37, 36, 12684, 3, 20, 1, 3],
-            "transition {} -> {n0} bound 22.718ms exceeds R = 20.000ms",
-            "transition {} -> {n10} bound 24.684ms exceeds R = 24.683ms",
+            0x51fc_9112_155b_f413,
+            [37, 36, 22684, 3, 20, 1, 3],
+            "transition {} -> {n0} bound 32.718ms exceeds R = 20.000ms",
+            "transition {} -> {n10} bound 34.684ms exceeds R = 34.683ms",
             "no feasible plan for {n3}: t4: actuator node is faulty",
         ),
     );
@@ -265,10 +265,10 @@ fn scada_ring12_f2() {
         "scada",
         "ring12",
         golden(
-            0xa3b4_f695_6bec_5953,
-            [79, 144, 11870, 7, 286, 7, 58],
-            "transition {} -> {n0} bound 22.780ms exceeds R = 20.000ms",
-            "transition {} -> {n5} bound 23.870ms exceeds R = 23.869ms",
+            0x36a3_ce57_cddf_b432,
+            [79, 144, 21870, 7, 286, 7, 58],
+            "transition {} -> {n0} bound 32.780ms exceeds R = 20.000ms",
+            "transition {} -> {n5} bound 33.870ms exceeds R = 33.869ms",
             "no feasible plan for {n3}: t4: actuator node is faulty",
         ),
     );
@@ -295,10 +295,10 @@ fn scada_mesh3x4_f2() {
         "scada",
         "mesh3x4",
         golden(
-            0xf457_b339_602c_52f9,
-            [79, 144, 11700, 7, 455, 6, 34],
-            "transition {} -> {n0} bound 22.640ms exceeds R = 20.000ms",
-            "transition {n9} -> {n6,n9} bound 23.700ms exceeds R = 23.699ms",
+            0x7d28_1fe8_12c6_9294,
+            [79, 144, 21700, 7, 455, 6, 34],
+            "transition {} -> {n0} bound 32.640ms exceeds R = 20.000ms",
+            "transition {n9} -> {n6,n9} bound 33.700ms exceeds R = 33.699ms",
             "no feasible plan for {n3}: t4: actuator node is faulty",
         ),
     );
@@ -325,10 +325,10 @@ fn scada_dual_bus6_f3() {
         "scada",
         "dual_bus6",
         golden(
-            0x80a5_8da1_7a2b_ef19,
-            [42, 96, 10918, 17, 646, 5, 35],
-            "transition {} -> {n0} bound 22.918ms exceeds R = 20.000ms",
-            "transition {} -> {n0} bound 22.918ms exceeds R = 22.917ms",
+            0xe063_1110_7108_048e,
+            [42, 96, 20918, 17, 646, 5, 35],
+            "transition {} -> {n0} bound 32.918ms exceeds R = 20.000ms",
+            "transition {} -> {n0} bound 32.918ms exceeds R = 32.917ms",
             "no feasible plan for {n3}: t4: actuator node is faulty",
         ),
     );
@@ -355,10 +355,10 @@ fn scada_bus5_overloaded_f2() {
         "scada",
         "bus5_overloaded",
         golden(
-            0xa0b9_ce94_3f7b_935e,
-            [16, 25, 13029, 15, 188, 2, 12],
-            "transition {} -> {n0} bound 24.773ms exceeds R = 20.000ms",
-            "transition {} -> {n4} bound 25.029ms exceeds R = 25.028ms",
+            0x8be3_2927_c64f_8d02,
+            [16, 25, 23029, 15, 188, 2, 12],
+            "transition {} -> {n0} bound 34.773ms exceeds R = 20.000ms",
+            "transition {} -> {n4} bound 35.029ms exceeds R = 35.028ms",
             "no feasible plan for {n0}: t7: actuator node is faulty",
         ),
     );
@@ -370,10 +370,10 @@ fn scada_fat_tree4_f1() {
         "scada",
         "fat_tree4",
         golden(
-            0x7360_4c7d_2e05_65c3,
-            [40, 39, 11459, 2, 16, 1, 3],
-            "transition {} -> {n0} bound 22.668ms exceeds R = 20.000ms",
-            "transition {} -> {n20} bound 23.459ms exceeds R = 23.458ms",
+            0xf547_d0fd_38f3_4d61,
+            [40, 39, 21459, 2, 16, 1, 3],
+            "transition {} -> {n0} bound 32.668ms exceeds R = 20.000ms",
+            "transition {} -> {n20} bound 33.459ms exceeds R = 33.458ms",
             "no feasible plan for {n3}: t4: actuator node is faulty",
         ),
     );

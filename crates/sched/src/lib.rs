@@ -45,11 +45,10 @@ pub fn output_wire_estimate(fanin: usize) -> u32 {
     OUTPUT_WIRE_BYTES + WITNESS_WIRE_BYTES * fanin as u32
 }
 
-/// Scheduling parameters.
+/// Scheduling parameters. The period every node's schedule and every
+/// link share is fitted to is the workload's.
 #[derive(Debug, Clone)]
 pub struct SchedParams {
-    /// The system period P.
-    pub period: Duration,
     /// Global CPU speed in percent of nominal (sweeps the clock-frequency
     /// metric; per-node speeds from the topology are multiplied in).
     pub speed_pct: u32,
@@ -70,7 +69,6 @@ pub struct SchedParams {
 impl Default for SchedParams {
     fn default() -> Self {
         SchedParams {
-            period: Duration::from_millis(10),
             speed_pct: 100,
             verify_reserve: Duration(200),
             control_reserve_frac: 0.2,
@@ -282,7 +280,7 @@ pub fn synthesize(
     // Period fit. A node nothing ran on is free at zero.
     let mut makespan = Duration::ZERO;
     for (i, &avail) in timeline.node_avail.iter().enumerate() {
-        if avail > params.period {
+        if avail > workload.period {
             return Err(SchedError::PeriodOverrun {
                 node: NodeId(i as u32),
             });
@@ -293,7 +291,7 @@ pub fn synthesize(
     // Link bandwidth: each sender's demand must fit its share minus the
     // control reserve.
     for link in topo.links() {
-        let share = btr_net::slice_rate(link) * params.period.as_micros() / 1_000;
+        let share = btr_net::slice_rate(link) * workload.period.as_micros() / 1_000;
         let control = (share as f64 * params.control_reserve_frac) as u64;
         let capacity = share.saturating_sub(control);
         if let Some((node, demand)) = link
