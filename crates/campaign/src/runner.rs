@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-run simulator event cap of every campaign, fuzz and shrink run,
 /// pinned into each replay token as `me=` so a truncated run reproduces.
-pub const MAX_EVENTS: u64 = 20_000_000;
+pub(crate) const MAX_EVENTS: u64 = 20_000_000;
 
 /// Campaign-wide configuration.
 #[derive(Debug, Clone)]

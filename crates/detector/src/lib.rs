@@ -39,12 +39,12 @@ use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, Tas
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Heartbeat periods a peer may miss before it is suspected of a crash.
-pub const HEARTBEAT_MISS_THRESHOLD: u64 = 3;
+const HEARTBEAT_MISS_THRESHOLD: u64 = 3;
 
 /// Distinct peers implicating a node before omission attribution (scaled
 /// down per suspect to the accuser fan-in the active plan actually
 /// provides, never below two; see [`OmissionTracker`]).
-pub const OMISSION_THRESHOLD: usize = 3;
+const OMISSION_THRESHOLD: usize = 3;
 
 /// Per-node detector facade combining all detection mechanisms.
 ///

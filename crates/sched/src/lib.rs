@@ -38,7 +38,7 @@ pub const WITNESS_WIRE_BYTES: u32 = 120;
 /// Slack added to every message-arrival bound, covering control-plane
 /// competition on the sender's reserved slice (heartbeat bursts at
 /// period boundaries, evidence floods during recovery).
-pub const COMM_SLACK: Duration = Duration(300);
+const COMM_SLACK: Duration = Duration(300);
 
 /// Estimated wire size of a task output carrying `fanin` witnesses.
 pub fn output_wire_estimate(fanin: usize) -> u32 {
