@@ -870,6 +870,33 @@ mod tests {
     }
 
     #[test]
+    fn a_restarted_port_continues_its_nodes_loss_stream() {
+        // Forty sends from one port, or twenty from each of two
+        // incarnations of node 0 with a crash between: one loss pattern.
+        let topo = Topology::bus(2, 10_000, Duration(1));
+        let pattern = |incarnations: usize| {
+            let net = Loopback::new(topo.clone(), 9, 200_000, PERIOD);
+            let (tx, _rx) = mailbox(64);
+            net.register(NodeId(1), tx);
+            let mut sent = Vec::new();
+            for k in 0..incarnations {
+                if k > 0 {
+                    net.crash(NodeId(0));
+                    net.restore(NodeId(0));
+                }
+                let mut port = net.port(NodeId(0));
+                for _ in 0..40 / incarnations {
+                    sent.push(port.send(Time(0), env(0, 1)).is_some());
+                }
+            }
+            sent
+        };
+        let one = pattern(1);
+        assert!(one.contains(&true) && one.contains(&false), "{one:?}");
+        assert_eq!(pattern(2), one);
+    }
+
+    #[test]
     fn loss_is_deterministic_per_sender() {
         let topo = Topology::bus(2, 10_000, Duration(1));
         let run = || {

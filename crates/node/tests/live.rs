@@ -109,6 +109,58 @@ fn fault_free_mesh_run_is_trace_identical_to_simulator() {
 }
 
 #[test]
+fn lossy_mesh_runs_are_trace_identical_to_simulator() {
+    // The 3 x 3 mesh with lossy links, plain and under FEC(4, 2): both
+    // substrates roll a sender's losses from its own stream, so they lose
+    // the same messages, fault-free and across n6's crash.
+    let mesh = || system_on(Topology::mesh(3, 3, 100_000, Duration(5)), 1);
+    for (links, sys) in [
+        ("5 000 ppm", mesh().with_loss_ppm(5_000)),
+        (
+            "20 000 ppm + FEC(4, 2)",
+            mesh().with_loss_ppm(20_000).with_fec(4, 2),
+        ),
+    ] {
+        for (faults, scenario, horizon) in [
+            (
+                "fault-free",
+                FaultScenario::none(),
+                Duration::from_millis(120),
+            ),
+            ("crash", crash_at_42ms(), Duration::from_millis(250)),
+        ] {
+            let reference = sim_trace(&sys, &scenario, horizon);
+            let live = run_live(&sys, &scenario, horizon, &live_cfg());
+            assert!(
+                live.healthy(),
+                "{links}, {faults}: panics: {:?}, overruns: {:?}",
+                live.panics,
+                live.deadline_overruns
+            );
+            assert_eq!(
+                live.trace.digest(),
+                reference.digest(),
+                "{links}, {faults}: live diverged from simulator: {:?}",
+                live.trace
+                    .first_divergence(&reference, ["live", "simulator"])
+            );
+            let report = sys.run(&scenario, horizon, SEED);
+            assert_eq!(
+                live.node_stats, report.node_stats,
+                "{links}, {faults}: node stats diverged"
+            );
+            if scenario.faults.is_empty() {
+                // Without a fault every drop is a transmission loss.
+                assert_eq!(
+                    live.drops.transmission_loss, report.metrics.drops_other,
+                    "{links}: losses"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn live_crash_scenario_matches_sim_and_recovers_within_r() {
     let sys = system(1);
     let horizon = Duration::from_millis(400);

@@ -1834,7 +1834,7 @@ mod tests {
         struct Blaster;
         impl NodeBehavior for Blaster {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-                for i in 0..500u64 {
+                for i in 0..5_000u64 {
                     ctx.set_timer(Duration(i * 10), i);
                 }
             }
@@ -1862,6 +1862,54 @@ mod tests {
             "FEC should mask most losses: {fec_drop} vs {plain_drop}"
         );
         assert!(fec_ok > plain_ok);
+    }
+
+    #[test]
+    fn a_senders_losses_do_not_depend_on_other_senders() {
+        // Node 0 sends 200 heartbeats to node 2 at 20% loss; node 1, when
+        // present, sends to node 2 at the same instants. Each sender rolls
+        // its own loss stream, so node 0's delivered set is the same
+        // either way.
+        struct Sender;
+        impl NodeBehavior for Sender {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                for i in 0..200u64 {
+                    ctx.set_timer(Duration(i * 100), i);
+                }
+            }
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, t: TimerId) {
+                ctx.send(NodeId(2), Payload::Heartbeat { period: t });
+            }
+        }
+        let delivered_from_0 = |second_sender: bool| -> Vec<u64> {
+            let mut cfg = SimConfig::new(8);
+            cfg.loss_ppm = 200_000;
+            let mut w = World::new(Topology::bus(3, 1_000_000, Duration(1)), cfg);
+            w.set_behavior(NodeId(0), Box::new(Sender));
+            if second_sender {
+                w.set_behavior(NodeId(1), Box::new(Sender));
+            }
+            w.set_behavior(NodeId(2), Box::new(Keeper::default()));
+            w.start();
+            w.run_until(Time::from_millis(30));
+            let keeper = w.behavior(NodeId(2)).and_then(|b| b.as_any());
+            let got = &keeper.and_then(|a| a.downcast_ref::<Keeper>()).unwrap().got;
+            got.iter()
+                .filter(|e| e.src == NodeId(0))
+                .map(|e| match e.payload {
+                    Payload::Heartbeat { period } => period,
+                    _ => unreachable!("only heartbeats are sent"),
+                })
+                .collect()
+        };
+        let alone = delivered_from_0(false);
+        assert!(
+            (100..200).contains(&alone.len()),
+            "20% loss must show: {} of 200 delivered",
+            alone.len()
+        );
+        assert_eq!(delivered_from_0(true), alone);
     }
 
     #[test]
