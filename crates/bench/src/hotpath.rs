@@ -191,11 +191,11 @@ mod tests {
 
     #[test]
     fn lossy_run_matches_pinned_golden() {
-        // The lossy golden: xoshiro loss stream + arena-backed event
-        // queue, seed 7, 200 periods. Together with the loss-free golden
-        // above this pins the pinned scenario bit-for-bit run over run:
-        // any change to event ordering or the loss stream moves these
-        // counters.
+        // The lossy golden: per-sender xoshiro loss streams (one per
+        // node, `btr_net::Network`) + arena-backed event queue, seed 7,
+        // 200 periods. Together with the loss-free golden above this pins
+        // the pinned scenario bit-for-bit run over run: a change to event
+        // ordering or to how losses are drawn can move these counters.
         let m = run_hotpath(7, 200, HOTPATH_LOSS_PPM);
         let golden = SimMetrics {
             msgs_sent: 15_997,

@@ -10,8 +10,10 @@
 //! witnesses (`btr_crypto::SigBatch`).
 //!
 //! Per delivered message that is 2 MAC signs (envelope + output) and
-//! `2 + SIGNED_WITNESSES` MAC verifies — the same shape as the runtime's
-//! `Payload::Output` handling. The scenario runs unchanged under both
+//! `2 + SIGNED_WITNESSES` MAC verifies. The runtime's `Payload::Output`
+//! handling checks the same items one at a time through
+//! `NodeCtx::verifier` and never batches; re-pointing this audit at that
+//! path is ROADMAP direction 5 (a). The scenario runs unchanged under both
 //! [`AuthSuite`]s; because authenticator wire sizes are suite-independent
 //! the two runs are bit-identical in everything but tag bytes, which the
 //! equivalence tests below pin. The wall clock of this scenario is the

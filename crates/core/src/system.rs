@@ -5,6 +5,7 @@ use crate::oracle::{judge, survival_by_criticality, RecoveryStats, SinkVerdict};
 use btr_model::{
     Criticality, Duration, FaultKind, FaultSet, NodeId, PlanId, Strategy, TaskId, Time, Topology,
 };
+use btr_net::Network;
 use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
 use btr_runtime::{Attack, BtrNode, NodeStats};
@@ -240,9 +241,11 @@ impl BtrSystem {
         self.grace
     }
 
-    /// The residual message-loss rate (ppm) runs are built with.
-    pub fn loss_ppm(&self) -> u32 {
-        self.loss_ppm
+    /// The channel a live run with `seed` sends through: the one
+    /// [`BtrSystem::build_world`]'s world builds from its config.
+    pub fn network(&self, seed: u64) -> Network {
+        let (topo, period) = (self.topo.clone(), self.workload.period);
+        Network::new(topo, period, seed, self.loss_ppm, self.fec)
     }
 
     /// The platform.

@@ -50,8 +50,8 @@ impl SplitMix64 {
 
 /// xoshiro256** 1.0 (Blackman, Vigna 2018): the all-purpose fast PRNG.
 ///
-/// 256 bits of state, period 2^256 − 1, ~1 ns per draw. Used for the
-/// world's transmission-loss stream.
+/// 256 bits of state, period 2^256 − 1, ~1 ns per draw. Used for each
+/// sender's transmission-loss stream (`btr_net::Network`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],

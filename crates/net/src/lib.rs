@@ -11,9 +11,9 @@
 //!
 //! This crate implements exactly that substrate, as pure logic both
 //! substrates drive — the simulator's world and the live fleet's
-//! transport send through the same [`LinkLayer`]. FEC is the exception:
-//! no run encodes a shard, so what the code buys is modelled where loss
-//! is rolled (`SimConfig::fec`).
+//! transport each send every message through one [`Network`]: route,
+//! loss roll (per shard under FEC, though no run encodes a shard), one
+//! [`LinkLayer::send`], a down relay's refusal.
 //!
 //! * [`routing`] — static shortest-path routing over partial topologies,
 //!   with fault-avoiding recomputation.
@@ -40,12 +40,14 @@
 
 pub mod demand;
 pub mod guardian;
+pub mod network;
 pub mod routing;
 
 pub use demand::{
     DemandRoutes, Hop, RouteBackend, Routes, DEMAND_CACHE_BUDGET, DEMAND_ROUTING_THRESHOLD,
 };
 pub use guardian::{Guardian, GuardianVerdict};
+pub use network::{DropReason, Network};
 pub use routing::RoutingTable;
 
 use btr_model::{Duration, LinkId, LinkSpec, NodeId, Time, Topology};

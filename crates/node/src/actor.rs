@@ -562,10 +562,11 @@ mod tests {
     use crate::transport::mailbox;
     use btr_crypto::AuthSuite;
     use btr_model::{Payload, Topology};
+    use btr_net::Network;
 
     fn harness(n: usize) -> (Loopback, Arc<KeyStore>) {
         let topo = Topology::bus(n, 100_000, Duration(5));
-        let net = Loopback::new(topo, 1, 0, Duration::from_millis(10));
+        let net = Loopback::new(Network::new(topo, Duration::from_millis(10), 1, 0, None));
         let ks = Arc::new(KeyStore::derive_suite(1, n, AuthSuite::default()));
         (net, ks)
     }

@@ -347,13 +347,12 @@ pub fn run_live(
     cfg: &LiveConfig,
 ) -> LiveReport {
     let run_start = Instant::now();
-    let topo = system.topology().clone();
-    let n = topo.node_count();
+    let n = system.topology().node_count();
     let end = Time::ZERO + horizon + system.grace();
     let suite = system.auth_suite();
     let period = system.workload().period;
     let keystore = Arc::new(KeyStore::derive_suite(cfg.seed, n, suite));
-    let net = Loopback::new(topo, cfg.seed, system.loss_ppm(), period);
+    let net = Loopback::new(system.network(cfg.seed));
     let workload = system.workload_arc();
     let strategy = system.strategy_arc();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();

@@ -1,15 +1,14 @@
 //! In-process loopback transport for the live runtime.
 //!
-//! Sends through the simulator's network model itself: multi-hop routes
-//! from `RoutingTable::avoiding_transit` (crashed relays lose carrier and
-//! routes heal around them, exactly like `World::heal_routes`), then one
-//! `btr_net::LinkLayer::send` per message, which charges the sender's
-//! lane on the link it leaves by — its slice's backlog and its guardian's
-//! budget — and adds every later hop's slice serialisation and latency.
-//! The lanes are shared by every incarnation of a node, as the
-//! simulator's table is. Transmission loss is a deterministic per-sender
-//! hash-chain roll. A full receiver mailbox drops the message, counted
-//! and surfaced instead of silently blocking a sender.
+//! Sends through the simulator's channel itself: one shared
+//! `btr_net::Network`, which routes the message (around crashed relays,
+//! which lose carrier), rolls the sender's own loss stream (per shard
+//! under FEC), and charges the sender's lane on the link it leaves by —
+//! its slice's backlog and its guardian's budget — adding every later
+//! hop's slice serialisation and latency. A node's lanes and loss stream
+//! are shared by all its incarnations, as they are in the simulator's
+//! one network. A full receiver mailbox drops the message, counted and
+//! surfaced instead of silently blocking a sender.
 //!
 //! Envelopes are physically handed over the moment they are sent, but
 //! stamped with their *logical* arrival time; the receiving actor parks
@@ -26,10 +25,8 @@
 //! what admits the message. [`Loopback::gate`] is the dispatch rule
 //! itself; see the actor module docs for the loop built on it.
 
-use btr_crypto::digest64;
-use btr_model::{Duration, Envelope, NodeId, Time, Topology};
-use btr_net::{LinkLayer, RoutingTable, SendError};
-use std::collections::BTreeSet;
+use btr_model::{Duration, Envelope, NodeId, Time};
+use btr_net::{DropReason, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
@@ -58,20 +55,15 @@ pub struct TransportCounters {
     pub mailbox_full: AtomicU64,
     /// Messages addressed to a crashed / not-yet-restarted node.
     pub receiver_down: AtomicU64,
-    /// Deterministic transmission loss (per-sender hash-chain roll).
+    /// Deterministic transmission loss (the sender's loss stream).
     pub transmission_loss: AtomicU64,
-    /// No route to the destination (partition after crashes).
+    /// No route to the destination, or a crashed relay on it.
     pub no_route: AtomicU64,
     /// Sends the sender's bandwidth guardian denied (its per-period
     /// budget on the link spent).
     pub guardian_denied: AtomicU64,
     /// Messages accepted into the network.
     pub sent: AtomicU64,
-}
-
-struct RouteState {
-    table: RoutingTable,
-    crashed: BTreeSet<NodeId>,
 }
 
 /// One node's causal-frontier cell (see [`Loopback::frontier_bound`]).
@@ -139,13 +131,10 @@ pub enum Gate {
 }
 
 struct Inner {
-    topo: Topology,
-    seed: u64,
-    loss_ppm: u32,
-    routes: RwLock<RouteState>,
-    /// Every node's sender lanes. A node's send charges only its own, so
-    /// the lock is for memory safety, not arbitration.
-    links: Mutex<LinkLayer>,
+    /// The channel. A node's send charges only its own lanes and rolls
+    /// only its own loss stream, so the lock is for memory safety, not
+    /// arbitration.
+    net: Mutex<Network>,
     mailboxes: RwLock<Vec<Option<SyncSender<LiveMsg>>>>,
     counters: TransportCounters,
     /// Per-receiver `mailbox_full` attribution: which node's bounded
@@ -163,6 +152,10 @@ struct Inner {
 }
 
 impl Inner {
+    fn network(&self) -> std::sync::MutexGuard<'_, Network> {
+        self.net.lock().expect("network lock")
+    }
+
     fn cell(&self, node: NodeId) -> std::sync::MutexGuard<'_, FrontierCell> {
         self.frontier[node.index()]
             .cell
@@ -264,17 +257,15 @@ pub struct Loopback {
 }
 
 impl Loopback {
-    /// Build a network over `topo` with deterministic per-sender loss,
-    /// its guardians refilled every system `period`.
-    pub fn new(topo: Topology, seed: u64, loss_ppm: u32, period: Duration) -> Loopback {
-        let table = RoutingTable::new(&topo);
-        let links = Mutex::new(LinkLayer::new(&topo, period));
-        let n = topo.node_count();
+    /// The fleet's transport over `net`, the channel its nodes share.
+    pub fn new(net: Network) -> Loopback {
+        let n = net.topology().node_count();
         // Any inter-node path crosses at least one link, so its delay is
         // at least the smallest link latency. Clamped to 1 µs: a
         // zero-latency link would leave no causal slack at all and the
         // conservative scheduler could not make strict progress.
-        let lookahead = topo
+        let lookahead = net
+            .topology()
             .links()
             .iter()
             .map(|l| l.latency)
@@ -283,14 +274,7 @@ impl Loopback {
             .max(Duration(1));
         Loopback {
             inner: Arc::new(Inner {
-                topo,
-                seed,
-                loss_ppm,
-                routes: RwLock::new(RouteState {
-                    table,
-                    crashed: BTreeSet::new(),
-                }),
-                links,
+                net: Mutex::new(net),
                 mailboxes: RwLock::new((0..n).map(|_| None).collect()),
                 counters: TransportCounters::default(),
                 mailbox_full_by: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -455,22 +439,17 @@ impl Loopback {
         self.inner.mailboxes.write().expect("mailboxes lock")[node.index()] = Some(tx);
     }
 
-    /// Mark a node crashed: detach its mailbox and heal routes around it
-    /// (dead relays lose carrier, same semantics as the simulator's
-    /// `heal_routes`).
+    /// Mark a node crashed: detach its mailbox and take it down in the
+    /// network, whose routes heal around it (dead relays lose carrier).
     pub fn crash(&self, node: NodeId) {
         self.inner.mailboxes.write().expect("mailboxes lock")[node.index()] = None;
-        let mut st = self.inner.routes.write().expect("routes lock");
-        st.crashed.insert(node);
-        st.table = RoutingTable::avoiding_transit(&self.inner.topo, &st.crashed);
+        self.inner.network().set_down(node, true);
     }
 
     /// Bring a restarted node back: routes may transit it again once its
     /// mailbox is re-registered.
     pub fn restore(&self, node: NodeId) {
-        let mut st = self.inner.routes.write().expect("routes lock");
-        st.crashed.remove(&node);
-        st.table = RoutingTable::avoiding_transit(&self.inner.topo, &st.crashed);
+        self.inner.network().set_down(node, false);
     }
 
     /// A sending handle for `node`.
@@ -478,7 +457,6 @@ impl Loopback {
         Port {
             inner: Arc::clone(&self.inner),
             src: node,
-            loss_counter: 0,
             seq: 0,
         }
     }
@@ -494,27 +472,12 @@ impl Loopback {
     }
 }
 
-/// A per-sender handle (owns the sender's loss-roll chain and send
-/// sequence; lives on the actor thread).
+/// A per-sender handle (owns the sender's send sequence; lives on the
+/// actor thread).
 pub struct Port {
     inner: Arc<Inner>,
     src: NodeId,
-    loss_counter: u64,
     seq: u64,
-}
-
-/// One transmission-loss roll in `0..1_000_000`, deterministic per
-/// (seed, sender, message index): a digest per roll, where the simulator
-/// draws from one xoshiro256** stream per world — a sender here cannot
-/// see the order in which its peers send.
-fn loss_roll(seed: u64, src: NodeId, counter: &mut u64) -> u32 {
-    *counter += 1;
-    (digest64(&[
-        b"btr-live-loss",
-        &seed.to_be_bytes(),
-        &src.0.to_be_bytes(),
-        &counter.to_be_bytes(),
-    ]) % 1_000_000) as u32
 }
 
 impl Port {
@@ -530,26 +493,23 @@ impl Port {
             // mirrors the simulator's `transmit` self-send short-circuit.
             now
         } else {
-            // Route, roll for loss, then charge the link layer: the
-            // simulator's `transmit` order.
-            let st = self.inner.routes.read().expect("routes lock");
-            let Some((_, route)) = st.table.path_and_links(self.src, dst) else {
-                c.no_route.fetch_add(1, Ordering::Relaxed);
-                return None;
-            };
-            let (seed, loss_ppm) = (self.inner.seed, self.inner.loss_ppm);
-            if loss_ppm > 0 && loss_roll(seed, self.src, &mut self.loss_counter) < loss_ppm {
-                c.transmission_loss.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            let mut links = self.inner.links.lock().expect("links lock");
-            match links.send(now, self.src, route.iter().copied(), env.wire_size()) {
+            // The simulator's `transmit`, through the same channel.
+            let bytes = env.wire_size();
+            let mut net = self.inner.network();
+            let sent = net
+                .route(self.src, dst)
+                .and_then(|()| net.transmit(now, self.src, bytes));
+            match sent {
                 Ok(at) => at,
-                Err(SendError::AllocationExhausted) => {
-                    c.guardian_denied.fetch_add(1, Ordering::Relaxed);
+                Err(reason) => {
+                    let counter = match reason {
+                        DropReason::TransmissionLoss => &c.transmission_loss,
+                        DropReason::GuardianDenied => &c.guardian_denied,
+                        _ => &c.no_route,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
-                Err(SendError::NotAttached) => unreachable!("a route leaves its sender's link"),
             }
         };
         self.seq += 1;
@@ -600,7 +560,7 @@ pub fn mailbox(cap: usize) -> (SyncSender<LiveMsg>, Receiver<LiveMsg>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_model::Payload;
+    use btr_model::{Payload, Topology};
     use btr_net::hop_bound;
 
     const PERIOD: Duration = Duration(10_000);
@@ -612,7 +572,7 @@ mod tests {
     #[test]
     fn delivers_with_link_delay() {
         let topo = Topology::bus(3, 10_000, Duration(10));
-        let net = Loopback::new(topo.clone(), 1, 0, PERIOD);
+        let net = Loopback::new(Network::new(topo.clone(), PERIOD, 1, 0, None));
         let (tx, rx) = mailbox(16);
         net.register(NodeId(1), tx);
         let mut port = net.port(NodeId(0));
@@ -637,7 +597,7 @@ mod tests {
         let n2 = b.full_node();
         b.link(&[n0, n1], 10_000, Duration(5));
         b.link(&[n1, n2], 10_000, Duration(5));
-        let net = Loopback::new(b.build().unwrap(), 1, 0, PERIOD);
+        let net = Loopback::new(Network::new(b.build().unwrap(), PERIOD, 1, 0, None));
         let (tx0, _rx0) = mailbox(4);
         net.register(NodeId(2), tx0);
         let mut port = net.port(NodeId(0));
@@ -655,7 +615,7 @@ mod tests {
     #[test]
     fn mailbox_backpressure_counts_drops() {
         let topo = Topology::bus(2, 10_000, Duration(1));
-        let net = Loopback::new(topo, 1, 0, PERIOD);
+        let net = Loopback::new(Network::new(topo, PERIOD, 1, 0, None));
         let (tx, _rx) = mailbox(2);
         net.register(NodeId(1), tx);
         let mut port = net.port(NodeId(0));
@@ -672,7 +632,7 @@ mod tests {
     #[test]
     fn frontier_bound_tracks_anchors_inflight_and_death() {
         let topo = Topology::bus(3, 10_000, Duration(10));
-        let net = Loopback::new(topo, 1, 0, PERIOD);
+        let net = Loopback::new(Network::new(topo, PERIOD, 1, 0, None));
         assert_eq!(net.lookahead(), Duration(10));
         // Initial anchors are 0: bound = 0 + lookahead.
         assert_eq!(net.frontier_bound(NodeId(0)).0, Time(10));
@@ -715,7 +675,13 @@ mod tests {
     /// R = node 0 and P = node 1 on a three-node bus (lookahead 10)
     /// whose third node is terminal; R's mailbox is registered.
     fn gate_net() -> (Loopback, Receiver<LiveMsg>) {
-        let net = Loopback::new(Topology::bus(3, 10_000, Duration(10)), 1, 0, PERIOD);
+        let net = Loopback::new(Network::new(
+            Topology::bus(3, 10_000, Duration(10)),
+            PERIOD,
+            1,
+            0,
+            None,
+        ));
         net.set_terminal(NodeId(2));
         let (tx, rx) = mailbox(8);
         net.register(R, tx);
@@ -777,7 +743,13 @@ mod tests {
     #[test]
     fn publish_wakes_exactly_the_sleepers_it_released() {
         // Q = node 2 alive this time: two publishers, one sleeper.
-        let net = Loopback::new(Topology::bus(3, 10_000, Duration(10)), 1, 0, PERIOD);
+        let net = Loopback::new(Network::new(
+            Topology::bus(3, 10_000, Duration(10)),
+            PERIOD,
+            1,
+            0,
+            None,
+        ));
         let q = NodeId(2);
         net.publish_anchor(P, Time(200));
         net.publish_anchor(q, Time(100));
@@ -875,7 +847,7 @@ mod tests {
         // incarnations of node 0 with a crash between: one loss pattern.
         let topo = Topology::bus(2, 10_000, Duration(1));
         let pattern = |incarnations: usize| {
-            let net = Loopback::new(topo.clone(), 9, 200_000, PERIOD);
+            let net = Loopback::new(Network::new(topo.clone(), PERIOD, 9, 200_000, None));
             let (tx, _rx) = mailbox(64);
             net.register(NodeId(1), tx);
             let mut sent = Vec::new();
@@ -894,28 +866,5 @@ mod tests {
         let one = pattern(1);
         assert!(one.contains(&true) && one.contains(&false), "{one:?}");
         assert_eq!(pattern(2), one);
-    }
-
-    #[test]
-    fn loss_is_deterministic_per_sender() {
-        let topo = Topology::bus(2, 10_000, Duration(1));
-        let run = || {
-            let net = Loopback::new(topo.clone(), 9, 200_000, PERIOD);
-            let (tx, rx) = mailbox(64);
-            net.register(NodeId(1), tx);
-            let mut port = net.port(NodeId(0));
-            let mut pattern = Vec::new();
-            for _ in 0..32 {
-                pattern.push(port.send(Time(0), env(0, 1)).is_some());
-            }
-            drop(net);
-            drop(rx);
-            pattern
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "loss stream must be deterministic");
-        assert!(a.iter().any(|&x| x), "some messages survive");
-        assert!(a.iter().any(|&x| !x), "20% loss must show in 32 rolls");
     }
 }

@@ -3,36 +3,7 @@
 use crate::world::Actuation;
 use btr_crypto::digest64;
 use btr_model::{NodeId, PeriodIdx, TaskId, Time, Value};
-
-/// Why a message never arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// The sender exceeded its static bandwidth allocation.
-    GuardianDenied,
-    /// A crashed relay on the path could not forward.
-    ForwardRefused(NodeId),
-    /// No route existed between the endpoints.
-    NoRoute,
-    /// The sender was crashed.
-    SenderCrashed,
-    /// The destination was crashed at delivery time.
-    ReceiverCrashed,
-    /// Residual transmission loss (post-FEC bit errors).
-    TransmissionLoss,
-}
-
-impl std::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DropReason::GuardianDenied => write!(f, "guardian-denied"),
-            DropReason::ForwardRefused(n) => write!(f, "forward-refused@{n}"),
-            DropReason::NoRoute => write!(f, "no-route"),
-            DropReason::SenderCrashed => write!(f, "sender-crashed"),
-            DropReason::ReceiverCrashed => write!(f, "receiver-crashed"),
-            DropReason::TransmissionLoss => write!(f, "transmission-loss"),
-        }
-    }
-}
+pub use btr_net::DropReason;
 
 /// One trace record (only collected when tracing is enabled).
 #[derive(Debug, Clone, PartialEq)]
