@@ -42,7 +42,7 @@ impl std::fmt::Display for DropReason {
 }
 
 /// A platform's lanes, routes, down nodes and loss model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Network {
     topo: Topology,
     links: LinkLayer,

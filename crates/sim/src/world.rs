@@ -470,9 +470,9 @@ impl World {
 
     fn dispatch_message(&mut self, dst: NodeId, env: Envelope) {
         if self.sub.net.is_down(dst) {
-            return self
-                .sub
+            self.sub
                 .record_drop(env.src, dst, DropReason::ReceiverCrashed);
+            return;
         }
         self.sub.metrics.msgs_delivered += 1;
         if self.sub.obs.is_some() {
