@@ -175,33 +175,36 @@ pub struct PlannedCell {
     pub params: ScheduleParams,
 }
 
-/// Plan every cell and generate its schedules. Deterministic; the
-/// expensive planner work is shared by all runs of a cell.
+/// Plan every cell and generate its schedules, cells spread over
+/// `cfg.threads` workers. Deterministic: the cells come back in grid
+/// order, and a failure is the first failing cell's in that order,
+/// whatever the thread count. The expensive planner work is shared by
+/// all runs of a cell.
 pub fn plan_cells(cfg: &CampaignConfig) -> Result<Vec<PlannedCell>, CellError> {
     let per_cell = cfg.schedules_per_cell();
-    cfg.cells
-        .iter()
-        .map(|spec| {
-            let system = spec.plan()?.with_max_events(MAX_EVENTS);
-            let period = system.workload().period;
-            let deadline = system
-                .workload()
-                .sinks()
-                .map(|s| s.deadline)
-                .min()
-                .unwrap_or(period);
-            let params = spec.schedule_params(period, deadline, cfg.combos, cfg.over_budget);
-            let schedules = schedule::generate(&params, cfg.seed, per_cell);
-            let horizon = spec.horizon(period, cfg.combos, cfg.over_budget);
-            Ok(PlannedCell {
-                spec: spec.clone(),
-                system,
-                schedules,
-                horizon,
-                params,
-            })
+    run_indexed(cfg.cells.len(), cfg.threads, |c| {
+        let spec = &cfg.cells[c];
+        let system = spec.plan()?.with_max_events(MAX_EVENTS);
+        let period = system.workload().period;
+        let deadline = system
+            .workload()
+            .sinks()
+            .map(|s| s.deadline)
+            .min()
+            .unwrap_or(period);
+        let params = spec.schedule_params(period, deadline, cfg.combos, cfg.over_budget);
+        let schedules = schedule::generate(&params, cfg.seed, per_cell);
+        let horizon = spec.horizon(period, cfg.combos, cfg.over_budget);
+        Ok(PlannedCell {
+            spec: spec.clone(),
+            system,
+            schedules,
+            horizon,
+            params,
         })
-        .collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The simulator seed for seed-slot `k` of a campaign.
@@ -391,6 +394,66 @@ mod tests {
         assert_eq!(cfg.executed_runs(), usize::MAX);
         (cfg.runs, cfg.sim_seeds) = (1, u32::MAX);
         assert_eq!(cfg.executed_runs(), u32::MAX as usize);
+    }
+
+    #[test]
+    fn plan_cells_is_thread_invariant() {
+        let mut cfg = tiny_config(1);
+        let mut ring = cfg.cells[0].clone();
+        ring.topo = TopoSpec::Ring {
+            n: 6,
+            bytes_per_ms: 100_000,
+            latency_us: 5,
+        };
+        ring.f = 2;
+        cfg.cells.push(ring);
+        let planned = |threads| {
+            let cells = plan_cells(&CampaignConfig {
+                threads,
+                ..cfg.clone()
+            })
+            .expect("plans");
+            cells
+                .iter()
+                .map(|c| {
+                    let params = format!("{:?}", c.params);
+                    let strategy = c.system.strategy().clone();
+                    (
+                        c.spec.clone(),
+                        strategy,
+                        c.schedules.clone(),
+                        c.horizon,
+                        params,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let one = planned(1);
+        assert_eq!(one.len(), 2);
+        assert_eq!(one, planned(2), "cells must not depend on thread count");
+
+        // A bad cell fails the grid with its own error, the first in grid
+        // order, however many cells plan at once.
+        let mut unknown = cfg.cells[0].clone();
+        unknown.workload = "no-such-workload".into();
+        let mut tiny = cfg.cells[0].clone();
+        tiny.topo = TopoSpec::Bus {
+            n: 1,
+            bytes_per_ms: 100_000,
+            latency_us: 5,
+        };
+        cfg.cells.splice(1..1, [unknown, tiny]);
+        let error = |threads| {
+            let Err(e) = plan_cells(&CampaignConfig {
+                threads,
+                ..cfg.clone()
+            }) else {
+                panic!("a grid with a bad cell plans");
+            };
+            e.to_string()
+        };
+        assert_eq!(error(1), "unknown workload 'no-such-workload'");
+        assert_eq!(error(1), error(2));
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! some subset of the nodes"), so multi-hop flows exist and the planner
 //! must know the paths — both to budget link bandwidth and to reason
 //! about which faults cut which flows. Routes are computed offline (BFS,
-//! deterministic lowest-id tie-breaking) and recomputed per plan to avoid
-//! nodes in the plan's fault set.
+//! deterministic lowest-id tie-breaking) and derived per plan to avoid
+//! nodes in the plan's fault set: the planner searches all pairs once,
+//! fault-free, and [`RoutingTable::avoiding_from`] patches that table for
+//! each fault set, searching again only the destinations a faulty node
+//! relayed for.
 //!
 //! The graph the BFS walks is the topology's own adjacency
 //! (`Topology::neighbors`: neighbours ascending, each with the lowest-id
@@ -59,6 +62,40 @@ pub struct RoutingTable {
     node_pool: Vec<NodeId>,
     /// Concatenated per-hop link ids (one fewer than nodes per path).
     link_pool: Vec<LinkId>,
+    /// Destinations whose BFS ran to build this table.
+    searched: usize,
+}
+
+/// The backward BFS toward one destination over the nodes an avoid set
+/// leaves, with the working arrays it reuses from destination to
+/// destination.
+struct Search {
+    /// `avoided[v]`: `v` is in the avoid set.
+    avoided: Vec<bool>,
+    /// Avoided nodes may still originate and terminate traffic.
+    endpoints_ok: bool,
+    /// Nodes one search can mark besides its destination ([`markable`]).
+    markable: usize,
+    visited: Vec<bool>,
+    queue: VecDeque<NodeId>,
+}
+
+impl Search {
+    fn new(n: usize, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) -> Search {
+        let mut avoided = vec![false; n];
+        for a in avoid {
+            if let Some(slot) = avoided.get_mut(a.index()) {
+                *slot = true;
+            }
+        }
+        Search {
+            markable: markable(&avoided, endpoints_ok),
+            avoided,
+            endpoints_ok,
+            visited: vec![false; n],
+            queue: VecDeque::new(),
+        }
+    }
 }
 
 impl RoutingTable {
@@ -89,40 +126,110 @@ impl RoutingTable {
         Self::build(topo, avoid, true)
     }
 
-    fn build(topo: &Topology, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) -> RoutingTable {
-        let n = topo.node_count();
-        let mut next_hop: Vec<Option<NodeId>> = vec![None; n * n];
-        // BFS backwards from each destination: parent pointers give the
-        // next hop toward that destination.
-        let mut avoided = vec![false; n];
-        for a in avoid {
-            if let Some(slot) = avoided.get_mut(a.index()) {
-                *slot = true;
+    /// The table [`RoutingTable::avoiding`] returns for `avoid`, derived
+    /// from `base`, the fault-free table [`RoutingTable::new`]`(topo)`:
+    /// the routes from and to `avoid` are removed, and only the
+    /// destinations some other source reached through an avoided relay
+    /// are searched again.
+    ///
+    /// Removing a relay changes a BFS tree only inside the relay's
+    /// subtree (DESIGN.md "Why a stale row may answer"), so every other
+    /// destination keeps its routes as they are. On a bus no route has a
+    /// relay and nothing is searched again. A destination searched again
+    /// appends its paths to the pools copied from `base`; the ones they
+    /// replace stay there, unreferenced.
+    pub fn avoiding_from(
+        topo: &Topology,
+        base: &RoutingTable,
+        avoid: &BTreeSet<NodeId>,
+    ) -> RoutingTable {
+        let n = base.n;
+        debug_assert_eq!(n, topo.node_count(), "base routes this topology");
+        let mut search = Search::new(n, avoid, false);
+        let mut table = RoutingTable {
+            searched: 0,
+            ..base.clone()
+        };
+        for x in (0..n).filter(|&x| search.avoided[x]) {
+            for other in (0..n).filter(|&other| other != x) {
+                for pair in [x * n + other, other * n + x] {
+                    table.next_hop[pair] = None;
+                    table.spans[pair] = PathSpan::default();
+                }
             }
         }
-        // The search ends with the last markable node — on a bus, after
-        // the destination's own neighbour list — and runs the queue dry
-        // only when some are unreachable.
-        let markable = markable(&avoided, endpoints_ok);
-        let mut visited = vec![false; n];
-        let mut queue = VecDeque::new();
         for dst in 0..n {
-            let dst_id = NodeId(dst as u32);
-            if avoided[dst] && !endpoints_ok {
-                continue;
+            let column = (0..n).map(|src| src * n + dst);
+            let relayed = !search.avoided[dst]
+                && column.clone().any(|pair| {
+                    table.next_hop[pair].is_some_and(|hop| search.avoided[hop.index()])
+                });
+            if relayed {
+                for pair in column {
+                    table.next_hop[pair] = None;
+                }
+                table.search_to(topo, dst, &mut search);
+                for src in 0..n {
+                    table.cache_path(topo, src, dst);
+                }
             }
+        }
+        table
+    }
+
+    fn build(topo: &Topology, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) -> RoutingTable {
+        let n = topo.node_count();
+        let mut table = RoutingTable {
+            n,
+            next_hop: vec![None; n * n],
+            spans: vec![PathSpan::default(); n * n],
+            node_pool: Vec::new(),
+            link_pool: Vec::new(),
+            searched: 0,
+        };
+        let mut search = Search::new(n, avoid, endpoints_ok);
+        for dst in 0..n {
+            table.search_to(topo, dst, &mut search);
+        }
+        // Source-major pools: a sender's paths sit together, as the
+        // simulator reads them message by message.
+        for src in 0..n {
+            for dst in 0..n {
+                table.cache_path(topo, src, dst);
+            }
+        }
+        table
+    }
+
+    /// BFS backwards from `dst`, whose column holds no route yet, writing
+    /// the column's parent pointers: the next hop toward `dst`. An avoided
+    /// destination that may not terminate traffic is not searched.
+    fn search_to(&mut self, topo: &Topology, dst: usize, search: &mut Search) {
+        let n = self.n;
+        let Search {
+            avoided,
+            endpoints_ok,
+            markable,
+            visited,
+            queue,
+        } = search;
+        if !avoided[dst] || *endpoints_ok {
+            self.searched += 1;
             visited.fill(false);
             visited[dst] = true;
             queue.clear();
-            queue.push_back(dst_id);
-            let mut unmarked = markable;
+            queue.push_back(NodeId(dst as u32));
+            // The search ends with the last markable node — on a bus,
+            // after the destination's own neighbour list — and runs the
+            // queue dry only when some are unreachable.
+            let mut unmarked = *markable;
             'bfs: while let Some(cur) = queue.pop_front() {
                 for &(nb, _) in topo.neighbors(cur) {
                     if visited[nb.index()] {
                         continue;
                     }
                     if avoided[nb.index()] {
-                        if !endpoints_ok {
+                        if !*endpoints_ok {
                             continue;
                         }
                         // An avoided node may originate traffic (it gets a
@@ -132,7 +239,7 @@ impl RoutingTable {
                     }
                     visited[nb.index()] = true;
                     // From nb, the next hop toward dst is cur.
-                    next_hop[nb.index() * n + dst] = Some(cur);
+                    self.next_hop[nb.index() * n + dst] = Some(cur);
                     unmarked -= 1;
                     if unmarked == 0 {
                         break 'bfs;
@@ -140,64 +247,44 @@ impl RoutingTable {
                 }
             }
         }
+    }
 
-        // Materialise every path once so per-message routing is a slice
-        // borrow. Pool size is bounded by n^2 * diameter.
-        let mut spans = vec![PathSpan::default(); n * n];
-        let mut node_pool = Vec::new();
-        let mut link_pool = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                let span = &mut spans[src * n + dst];
-                if src == dst {
-                    // Self-paths always exist (loopback), matching the
-                    // pre-cache behaviour even for avoided nodes.
-                    span.node_off = node_pool.len() as u32;
-                    span.link_off = link_pool.len() as u32;
-                    span.len = 1;
-                    node_pool.push(NodeId(src as u32));
-                    continue;
-                }
-                let node_off = node_pool.len();
-                let link_off = link_pool.len();
-                let mut cur = NodeId(src as u32);
-                node_pool.push(cur);
-                let mut ok = false;
-                for _ in 0..=n {
-                    match next_hop[cur.index() * n + dst] {
-                        None => break,
-                        Some(hop) => {
-                            link_pool.push(
-                                topo.link_between(cur, hop)
-                                    .expect("next-hop pairs share a link"),
-                            );
-                            node_pool.push(hop);
-                            cur = hop;
-                            if hop.index() == dst {
-                                ok = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if ok {
-                    span.node_off = node_off as u32;
-                    span.link_off = link_off as u32;
-                    span.len = (node_pool.len() - node_off) as u16;
-                } else {
-                    node_pool.truncate(node_off);
-                    link_pool.truncate(link_off);
-                }
-            }
+    /// Walk the path from `src` to `dst` once and append it to the pools,
+    /// so per-message routing is a slice borrow (pool size is bounded by
+    /// n² · diameter). Self-paths always exist (loopback), even for
+    /// avoided nodes.
+    fn cache_path(&mut self, topo: &Topology, src: usize, dst: usize) {
+        let pair = src * self.n + dst;
+        if src != dst && self.next_hop[pair].is_none() {
+            self.spans[pair] = PathSpan::default();
+            return;
         }
+        let (node_off, link_off) = (self.node_pool.len(), self.link_pool.len());
+        let mut cur = NodeId(src as u32);
+        self.node_pool.push(cur);
+        // The walk ends at dst, which has no next hop toward itself.
+        while let Some(hop) = self.next_hop[cur.index() * self.n + dst] {
+            self.link_pool.push(
+                topo.link_between(cur, hop)
+                    .expect("next-hop pairs share a link"),
+            );
+            self.node_pool.push(hop);
+            cur = hop;
+        }
+        debug_assert_eq!(cur.index(), dst, "a BFS tree leads to its root");
+        self.spans[pair] = PathSpan {
+            node_off: node_off as u32,
+            link_off: link_off as u32,
+            len: (self.node_pool.len() - node_off) as u16,
+        };
+    }
 
-        RoutingTable {
-            n,
-            next_hop,
-            spans,
-            node_pool,
-            link_pool,
-        }
+    /// Destinations whose BFS ran to build this table: every one that
+    /// may terminate traffic for [`RoutingTable::avoiding`], only those
+    /// an avoided node relayed for in `base` for
+    /// [`RoutingTable::avoiding_from`].
+    pub fn searched(&self) -> usize {
+        self.searched
     }
 
     /// The next hop from `src` toward `dst` (None if unreachable or equal).

@@ -12,6 +12,12 @@
 //! rows kept stale across growing avoid sets, healed one at a time — to
 //! a fresh one built for the final set: same answer on every pair,
 //! through both lookups.
+//!
+//! A third input is the planner's: `RoutingTable::avoiding_from`, the
+//! fault-free table with the routes through an avoid set patched out.
+//! Wherever `avoiding` is the reference it must agree, and on the
+//! planner's golden platforms and a torus it is held to a fresh
+//! `avoiding` table for every avoid set of up to two nodes.
 
 use btr_model::{Duration, LinkId, NodeId, Topology};
 use btr_net::{DemandRoutes, Hop, Routes, RoutingTable};
@@ -59,6 +65,42 @@ fn assert_equivalent(topo: &Topology, avoid: &BTreeSet<NodeId>, transit: bool, c
             assert_eq!(expect, got, "{ctx}: pair {s}->{d}");
         }
     }
+    if !transit {
+        let derived = RoutingTable::avoiding_from(topo, &RoutingTable::new(topo), avoid);
+        assert_derived_matches(topo, &derived, &table, avoid, ctx);
+    }
+}
+
+/// A table derived by `avoiding_from` against a fresh `avoiding` table
+/// for the same set: every pair's path, links and next hop, and whether
+/// the survivors stay connected.
+fn assert_derived_matches(
+    topo: &Topology,
+    derived: &RoutingTable,
+    fresh: &RoutingTable,
+    avoid: &BTreeSet<NodeId>,
+    ctx: &str,
+) {
+    let n = topo.node_count() as u32;
+    for s in (0..n).map(NodeId) {
+        for d in (0..n).map(NodeId) {
+            assert_eq!(
+                derived.path_and_links(s, d),
+                fresh.path_and_links(s, d),
+                "{ctx}: derived path {s}->{d}"
+            );
+            assert_eq!(
+                derived.next_hop(s, d),
+                fresh.next_hop(s, d),
+                "{ctx}: derived next hop {s}->{d}"
+            );
+        }
+    }
+    assert_eq!(
+        derived.fully_connected(avoid),
+        fresh.fully_connected(avoid),
+        "{ctx}: derived connectivity"
+    );
 }
 
 type OwnedPath = Option<(Vec<NodeId>, Vec<LinkId>)>;
@@ -321,4 +363,65 @@ fn torus1000_crash_heals_only_rows_it_crosses() {
     assert_eq!(kept, 1000);
     assert!(healed_by_all >= healed && healed_by_all <= 1000);
     assert_eq!(survivor.cache_stats().1, 1000, "a heal is not a miss");
+}
+
+/// The platforms of the planner's golden strategies, and a torus: every
+/// avoid set of up to two nodes, derived from the one fault-free table,
+/// equals a fresh `avoiding` build. Where every route is one hop (a bus,
+/// a dual bus) nothing is relayed and nothing is searched again; a ring,
+/// a mesh, a torus or a fat-tree searches some destinations again.
+#[test]
+fn derived_tables_match_fresh_on_planner_platforms() {
+    let lat = Duration(5);
+    let mut mixed = btr_model::TopologyBuilder::new();
+    let nodes: Vec<NodeId> = [50, 100, 200, 100, 50, 200]
+        .into_iter()
+        .enumerate()
+        .map(|(i, speed_pct)| mixed.node(speed_pct, i == 0 || i == 4, true))
+        .collect();
+    mixed.link(&nodes, 150_000, lat);
+    let platforms = [
+        ("bus20", Topology::bus(20, 150_000, lat)),
+        ("bus36", Topology::bus(36, 150_000, lat)),
+        ("ring12", Topology::ring(12, 150_000, lat)),
+        ("mesh3x4", Topology::mesh(3, 4, 150_000, lat)),
+        ("dual_bus6", Topology::dual_bus(6, 150_000, lat)),
+        ("bus5", Topology::bus(5, 20_000, lat)),
+        (
+            "fat_tree4",
+            fat_tree(4, 3, 150_000, lat).expect("k = 4 builds"),
+        ),
+        ("mixed6", mixed.build().expect("one shared link builds")),
+        (
+            "torus5x6",
+            torus(5, 6, 150_000, lat).expect("5x6 is a valid torus"),
+        ),
+    ];
+    for (name, topo) in &platforms {
+        let n = topo.node_count() as u32;
+        let base = RoutingTable::new(topo);
+        assert_eq!(base.searched(), n as usize, "{name}");
+        let singles = (0..n).map(|x| BTreeSet::from([NodeId(x)]));
+        let pairs =
+            (0..n).flat_map(|x| (x + 1..n).map(move |y| BTreeSet::from([NodeId(x), NodeId(y)])));
+        let mut searched_again = 0;
+        for avoid in std::iter::once(BTreeSet::new()).chain(singles).chain(pairs) {
+            let derived = RoutingTable::avoiding_from(topo, &base, &avoid);
+            let fresh = RoutingTable::avoiding(topo, &avoid);
+            assert_derived_matches(
+                topo,
+                &derived,
+                &fresh,
+                &avoid,
+                &format!("{name} avoid{avoid:?}"),
+            );
+            searched_again += derived.searched();
+        }
+        let one_hop = (0..n).all(|s| (0..n).all(|d| base.hops(NodeId(s), NodeId(d)) <= Some(1)));
+        assert_eq!(
+            one_hop,
+            searched_again == 0,
+            "{name}: {searched_again} searched again"
+        );
+    }
 }

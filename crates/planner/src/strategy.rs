@@ -11,8 +11,10 @@
 //! single-fault edge, and the whole strategy is admitted against the
 //! recovery bound R.
 //!
-//! The level loop does each fault set's work once. A mode `F` is planned
-//! by `plan_mode`, which builds the one routing table that avoids `F`
+//! The level loop does each fault set's work once. Routes are searched
+//! once per strategy, fault-free. A mode `F` is planned by `plan_mode`,
+//! which derives from that table the one routing table that avoids `F`
+//! (searching again only the destinations a node of `F` relayed for)
 //! and uses it for placement, for schedule synthesis, and — because
 //! every parent `F∖{x}` was completed one level down — for the
 //! transitions `F∖{x} → F` into the mode, whose evidence-distribution
@@ -127,6 +129,9 @@ struct Scratch<'a> {
     placer: Placer,
     /// State bytes each old host sends in the transition being derived.
     sender_bytes: Vec<u64>,
+    /// The migrations of the transition being derived, copied out at
+    /// their exact length.
+    migrations: Vec<Migration>,
 }
 
 impl<'a> Scratch<'a> {
@@ -135,29 +140,43 @@ impl<'a> Scratch<'a> {
             comm: CommTable::new(topo),
             placer: Placer::default(),
             sender_bytes: vec![0; topo.node_count()],
+            migrations: Vec::new(),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Destinations whose routes were searched on this thread, for the
+    /// strategy's fault-free table and every mode's derived one.
+    pub(crate) static SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Plan the mode for fault set `fs`, which will get plan id `id`: place,
 /// schedule, shed-and-retry, then derive every transition into it.
 ///
-/// This is the only place a fault set's routing table is built: the
-/// placement, the synthesis and the mode's incoming transitions all read
-/// the one table — the placer and the transition bounds through the one
-/// [`CommTable`] read off it — which is dropped on return. `built` holds
-/// every mode of the levels below, so each parent `F∖{x}` is already
-/// complete.
+/// This is the only place a fault set's routing table is made: it is
+/// derived from `base`, the strategy's one fault-free table, by
+/// [`RoutingTable::avoiding_from`], which searches again only the
+/// destinations a node of `fs` relayed for. The placement, the synthesis
+/// and the mode's incoming transitions all read the one table — the
+/// placer and the transition bounds through the one [`CommTable`] read
+/// off it — which is dropped on return. `built` holds every mode of the
+/// levels below, so each parent `F∖{x}` is already complete.
+#[allow(clippy::too_many_arguments)]
 fn plan_mode(
     workload: &Workload,
     topo: &btr_model::Topology,
     cfg: &PlannerConfig,
+    base: &RoutingTable,
     fs: &FaultSet,
     id: PlanId,
     built: &Assembly,
     scratch: &mut Scratch<'_>,
 ) -> Result<Mode, StrategyError> {
-    let routing = RoutingTable::avoiding(topo, fs.as_set());
+    let routing = RoutingTable::avoiding_from(topo, base, fs.as_set());
+    #[cfg(test)]
+    SEARCHES.with(|n| n.set(n.get() + routing.searched()));
     scratch.comm.read_routes(&routing);
     let parents: Vec<(NodeId, &Plan)> = fs
         .iter()
@@ -182,11 +201,12 @@ fn plan_mode(
     mode.incoming = parents
         .iter()
         .map(|&(trigger, from)| {
-            let (migrations, transfer_bytes) = migrations(
+            let transfer_bytes = migrations(
                 workload,
                 &from.placement,
                 &mode.placement,
                 &mut scratch.sender_bytes,
+                &mut scratch.migrations,
             );
             // State transfer: senders transmit in parallel on their own
             // slices, and the worst bound is monotone in bytes, so the
@@ -198,7 +218,7 @@ fn plan_mode(
                 from: from.id,
                 to: id,
                 trigger,
-                migrations,
+                migrations: scratch.migrations.to_vec(),
                 bound: dist_bound + transfer_bound + workload.period,
             }
         })
@@ -207,17 +227,19 @@ fn plan_mode(
 }
 
 /// Every work/check task whose host differs between two placements —
-/// their count is the plan distance, `placement_distance` — and the most
-/// state bytes any one old host must send (`None` if no task leaves a
-/// host). Both maps are sorted, so they are merged, not searched.
-/// `sender_bytes` is one zero per node, and is left so.
+/// their count is the plan distance, `placement_distance` — written over
+/// `migrations`; returns the most state bytes any one old host must send
+/// (`None` if no task leaves a host). Both maps are sorted, so they are
+/// merged, not searched. `sender_bytes` is one zero per node, and is
+/// left so.
 fn migrations(
     workload: &Workload,
     from: &BTreeMap<ATask, NodeId>,
     to: &BTreeMap<ATask, NodeId>,
     sender_bytes: &mut [u64],
-) -> (Vec<Migration>, Option<u64>) {
-    let mut migrations = Vec::new();
+    migrations: &mut Vec<Migration>,
+) -> Option<u64> {
+    migrations.clear();
     let mut most: Option<u64> = None;
     let mut old_rows = from.iter().peekable();
     for (&atask, &new_node) in to {
@@ -246,12 +268,12 @@ fn migrations(
             state_bytes,
         });
     }
-    for m in &migrations {
+    for m in migrations.iter() {
         if let Some(o) = m.from {
             sender_bytes[o.index()] = 0;
         }
     }
-    (migrations, most)
+    most
 }
 
 /// The task to shed when the mode cannot be scheduled: the lowest
@@ -442,34 +464,51 @@ impl Assembly {
     }
 }
 
+/// The number of fault sets of at most `f` of `n` nodes: the modes of a
+/// strategy.
+fn lattice_size(n: usize, f: usize) -> usize {
+    let (mut level, mut total) = (1, 0);
+    for k in 0..=f.min(n) {
+        total += level;
+        level = level * (n - k) / (k + 1);
+    }
+    total
+}
+
 /// Build the full strategy for a workload on a platform.
 ///
-/// One pass over the fault-set lattice, level by level: each mode is
-/// planned once (`plan_mode`) together with the transitions into it
-/// from its parents one level down, on a worker thread when
-/// `cfg.threads > 1`, and absorbed in enumeration order. An infeasible
-/// mode fails the build as soon as its level is reached; a transition
-/// over R under strict admission fails it once every mode is planned.
+/// One all-pairs route search, fault-free, then one pass over the
+/// fault-set lattice, level by level: each mode is planned once
+/// (`plan_mode`, on a table derived from the fault-free one) together
+/// with the transitions into it from its parents one level down, on a
+/// worker thread when `cfg.threads > 1`, and absorbed in enumeration
+/// order. An infeasible mode fails the build as soon as its level is
+/// reached; a transition over R under strict admission fails it once
+/// every mode is planned.
 pub fn build_strategy(
     workload: &Workload,
     topo: &btr_model::Topology,
     cfg: &PlannerConfig,
 ) -> Result<(Strategy, StrategyStats), StrategyError> {
     let n = topo.node_count();
+    let routes = RoutingTable::new(topo);
+    #[cfg(test)]
+    SEARCHES.with(|s| s.set(s.get() + routes.searched()));
     let mut built = Assembly::default();
+    built.plans.reserve_exact(lattice_size(n, cfg.f as usize));
     let mut scratch = Scratch::new(topo);
 
     for k in 0..=cfg.f as usize {
         let sets = enumerate_fault_sets(n, k);
         let base = built.plans.len();
-        let plan_nth = |i: usize, built: &Assembly, scratch: &mut Scratch| {
+        let plan_nth = |i: usize, fs: &FaultSet, built: &Assembly, scratch: &mut Scratch| {
             let id = PlanId((base + i) as u32);
-            plan_mode(workload, topo, cfg, &sets[i], id, built, scratch)
+            plan_mode(workload, topo, cfg, &routes, fs, id, built, scratch)
         };
 
         if cfg.threads > 1 && sets.len() > 8 {
             let chunk = sets.len().div_ceil(cfg.threads);
-            let (built_ref, plan_nth) = (&built, &plan_nth);
+            let (sets_ref, built_ref, plan_nth) = (&sets, &built, &plan_nth);
             let chunks: Vec<Result<Vec<Mode>, StrategyError>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..sets.len())
                     .step_by(chunk)
@@ -478,7 +517,7 @@ pub fn build_strategy(
                         scope.spawn(move || {
                             let mut scratch = Scratch::new(topo);
                             (start..end)
-                                .map(|i| plan_nth(i, built_ref, &mut scratch))
+                                .map(|i| plan_nth(i, &sets_ref[i], built_ref, &mut scratch))
                                 .collect()
                         })
                     })
@@ -496,9 +535,9 @@ pub fn build_strategy(
                 built.absorb(cfg, fs, mode);
             }
         } else {
-            for i in 0..sets.len() {
-                let mode = plan_nth(i, &built, &mut scratch)?;
-                built.absorb(cfg, sets[i].clone(), mode);
+            for (i, fs) in sets.into_iter().enumerate() {
+                let mode = plan_nth(i, &fs, &built, &mut scratch)?;
+                built.absorb(cfg, fs, mode);
             }
         }
     }
@@ -567,6 +606,39 @@ mod tests {
         let uniq: BTreeSet<_> = sets.iter().cloned().collect();
         assert_eq!(uniq.len(), sets.len());
         assert_eq!(sets.len(), 20);
+        for (n, f) in [(4, 5), (9, 1), (20, 2), (36, 1), (12, 3), (6, 0)] {
+            let modes: usize = (0..=f).map(|k| enumerate_fault_sets(n, k).len()).sum();
+            assert_eq!(lattice_size(n, f), modes, "({n}, {f})");
+        }
+    }
+
+    /// Destinations searched while building a strategy with one thread.
+    fn searches_building(w: &Workload, topo: &Topology, f: u8) -> (usize, StrategyStats) {
+        let mut cfg = PlannerConfig::new(f, ms(300));
+        cfg.admit_best_effort = true;
+        let before = SEARCHES.with(|n| n.get());
+        let (_, stats) = build_strategy(w, topo, &cfg).unwrap();
+        (SEARCHES.with(|n| n.get()) - before, stats)
+    }
+
+    #[test]
+    fn modes_search_only_what_their_faults_relayed() {
+        // On a bus no route has a relay: the fault-free table's 20
+        // searches are all the 211 modes of (20, 2) cost.
+        let bus = Topology::bus(20, 150_000, Duration(5));
+        let (searches, stats) = searches_building(&btr_workload::generators::avionics(20), &bus, 2);
+        assert_eq!((searches, stats.plans), (20, 211));
+        // On a ring every node relays for someone, yet a mode searches
+        // again only the destinations its faulty nodes relayed for: 744
+        // searches in all, where a fresh table per mode searched its
+        // 12 − |F| destinations, 804.
+        let ring = Topology::ring(12, 150_000, Duration(5));
+        let (searches, stats) =
+            searches_building(&btr_workload::generators::avionics(12), &ring, 2);
+        let fresh: usize = (0..=2)
+            .map(|k| (12 - k) * enumerate_fault_sets(12, k).len())
+            .sum();
+        assert_eq!((searches, fresh, stats.plans), (744, 804, 79));
     }
 
     /// The error the placer's control flow meets first when every lane
@@ -787,14 +859,21 @@ mod tests {
             let (strategy, stats) = build_strategy(&w, &topo, &cfg).unwrap();
             assert_eq!(strategy.period, w.period);
             let mut comm = CommTable::new(&topo);
-            let mut sender_bytes = vec![0; n];
+            let (mut sender_bytes, mut moved) = (vec![0; n], vec![]);
             for t in strategy.transitions.values() {
                 let (from, to) = (strategy.plan(t.from), strategy.plan(t.to));
                 comm.read_routes(&RoutingTable::avoiding(&topo, to.fault_set.as_set()));
                 let dist = Duration(
                     2 * comm.worst(EVIDENCE_WIRE_BYTES).as_micros() + VALIDATION_SLACK.as_micros(),
                 );
-                let (_, bytes) = migrations(&w, &from.placement, &to.placement, &mut sender_bytes);
+                let bytes = migrations(
+                    &w,
+                    &from.placement,
+                    &to.placement,
+                    &mut sender_bytes,
+                    &mut moved,
+                );
+                assert_eq!(t.migrations, moved, "{} -> {}", t.from, t.to);
                 let transfer = bytes.map_or(Duration::ZERO, |b| comm.worst(b as u32));
                 assert_eq!(
                     t.bound,
