@@ -24,7 +24,7 @@
 //!   detect crashes, plans reassign work; commission faults sail through
 //!   undetected — the gap the paper's threat model highlights.
 //!
-//! The four schemes run on one engine, [`BaselineNode`], and are built
+//! The four schemes run on one engine, `BaselineNode`, and are built
 //! and judged by the same functions as [`btr_core::BtrSystem`]
 //! (DESIGN.md "Baselines").
 
@@ -33,8 +33,6 @@
 
 mod node;
 
-pub use node::BaselineNode;
-
 use btr_core::{FaultScenario, RunReport};
 use btr_model::{Duration, FaultSet, Plan, PlanId, Time, Topology};
 use btr_net::RoutingTable;
@@ -42,6 +40,7 @@ use btr_planner::PlannerConfig;
 use btr_sched::{round_robin_placement, synthesize, SchedParams};
 use btr_sim::SimConfig;
 use btr_workload::Workload;
+use node::BaselineNode;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -84,7 +83,7 @@ impl Baseline {
 /// reconfigure).
 pub struct BaselineSystem {
     /// Which scheme.
-    pub baseline: Baseline,
+    pub(crate) baseline: Baseline,
     /// Fault budget the replication was sized for.
     pub f: u8,
     workload: Arc<Workload>,
@@ -105,13 +104,21 @@ impl std::fmt::Display for BaselineError {
 impl std::error::Error for BaselineError {}
 
 /// Compute the static plan a baseline runs (round-robin placement of its
-/// lane count, scheduled by the shared scheduler).
-pub fn baseline_plan(
+/// lane count, scheduled by the shared scheduler). A lane count past the
+/// node count is an error: the scheme would run short of the replicas it
+/// is sized for.
+pub(crate) fn baseline_plan(
     workload: &Workload,
     topo: &Topology,
     lanes_per_task: u8,
     params: &SchedParams,
 ) -> Result<Plan, BaselineError> {
+    if usize::from(lanes_per_task) > topo.node_count() {
+        return Err(BaselineError(format!(
+            "{lanes_per_task} lanes per task do not fit {} nodes",
+            topo.node_count()
+        )));
+    }
     let mut params = params.clone();
     params.consume_all_lanes = lanes_per_task > 1;
     let params = &params;
@@ -120,7 +127,7 @@ pub fn baseline_plan(
     for t in workload.tasks() {
         let n = match t.kind {
             btr_workload::TaskKind::Sink { .. } => 1,
-            _ => lanes_per_task.min(topo.node_count() as u8),
+            _ => lanes_per_task,
         };
         lanes.insert(t.id, n);
     }
@@ -220,6 +227,18 @@ mod tests {
         assert_eq!(Baseline::PbftLite.lanes(1), 4);
         assert_eq!(Baseline::Zz.lanes(1), 3);
         assert_eq!(Baseline::SelfStab.lanes(2), 1);
+    }
+
+    #[test]
+    fn lanes_past_the_node_count_are_an_error() {
+        // PBFT-lite at f = 3 needs 3f + 1 = 10 lanes per task; a 9-node
+        // bus has 9 nodes to put them on.
+        let w = btr_workload::generators::avionics(9);
+        let topo = Topology::bus(9, 200_000, Duration(5));
+        let err = BaselineSystem::plan(Baseline::PbftLite, w, topo, 3, &SchedParams::default())
+            .err()
+            .expect("10 lanes per task do not fit 9 nodes");
+        assert!(err.to_string().contains("10 lanes"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ const WAKE_BOOT_PERIODS: PeriodIdx = 2;
 const REBOOT_PERIODS: PeriodIdx = 3;
 
 /// A node running one baseline scheme on a static plan.
-pub struct BaselineNode {
+pub(crate) struct BaselineNode {
     id: NodeId,
     scheme: Baseline,
     f: u8,
@@ -66,7 +66,7 @@ pub struct BaselineNode {
 
 impl BaselineNode {
     /// A node running `scheme`, replicated for fault budget `f`.
-    pub fn new(
+    pub(crate) fn new(
         id: NodeId,
         scheme: Baseline,
         f: u8,

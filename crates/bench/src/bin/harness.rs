@@ -178,7 +178,7 @@ fn print_record(r: &btr_campaign::RunRecord) {
 /// against the simulator oracle.
 fn run_live_replay(token: &str, pace: f64) {
     use btr_campaign as campaign;
-    use btr_node::supervisor::{run_live, LiveConfig};
+    use btr_node::{run_live, LiveConfig};
 
     let spec = match campaign::replay::parse(token) {
         Ok(s) => s,

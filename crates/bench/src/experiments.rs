@@ -23,7 +23,7 @@ fn ms(x: u64) -> Duration {
 }
 
 /// Standard 9-node avionics platform used by most experiments.
-pub fn avionics_setup(f: u8) -> BtrSystem {
+pub(crate) fn avionics_setup(f: u8) -> BtrSystem {
     let workload = generators::avionics(9);
     let topo = Topology::bus(9, 100_000, Duration(5));
     let mut cfg = PlannerConfig::new(f, ms(150));
@@ -55,7 +55,7 @@ fn pick_victim(sys: &BtrSystem) -> NodeId {
 /// Claim (Definition 3.1 + Section 3.1): BTR's incorrect-output window is
 /// bounded by R; BFT masks (no window); self-stabilisation recovers only
 /// eventually.
-pub fn e1_recovery_timeline() -> String {
+pub(crate) fn e1_recovery_timeline() -> String {
     let mut t = Table::new(&[
         "approach",
         "fault",
@@ -130,7 +130,7 @@ pub fn e1_recovery_timeline() -> String {
 /// E2 / Table 1 — replication cost: replicas, traffic, CPU.
 ///
 /// Claim (Section 1): "detection requires fewer replicas than masking".
-pub fn e2_replica_cost(f: u8) -> String {
+pub(crate) fn e2_replica_cost(f: u8) -> String {
     let mut t = Table::new(&[
         "approach",
         "lanes",
@@ -191,7 +191,7 @@ pub fn e2_replica_cost(f: u8) -> String {
 ///
 /// Claim (Section 2): "the impact on clock frequency is a common
 /// evaluation metric"; BTR needs less speed than masking.
-pub fn e3_min_speed() -> String {
+pub(crate) fn e3_min_speed() -> String {
     let mut t = Table::new(&[
         "utilisation",
         "unprotected",
@@ -255,7 +255,7 @@ pub fn e3_min_speed() -> String {
 ///
 /// Claim (Section 3): an adversary triggering k <= f faults forces at
 /// most ~kR of bad output; provisioning R = D/f keeps the plant safe.
-pub fn e4_sequential_faults() -> String {
+pub(crate) fn e4_sequential_faults() -> String {
     let mut t = Table::new(&[
         "k faults",
         "bad window (ms)",
@@ -303,7 +303,7 @@ pub fn e4_sequential_faults() -> String {
 ///
 /// Claim (Section 1): "the system can disable some of the less critical
 /// tasks and allocate their resources to the more critical ones".
-pub fn e5_degradation() -> String {
+pub(crate) fn e5_degradation() -> String {
     let mut t = Table::new(&[
         "failed nodes",
         "SAFETY sinks",
@@ -353,7 +353,7 @@ pub fn e5_degradation() -> String {
 /// E6 / Table 2 — planner scalability and the strategy game tree. Build
 /// times are the repository benchmark's (`planner_ladder`); this table
 /// keeps the counts, which repeat exactly.
-pub fn e6_planner_scale() -> String {
+pub(crate) fn e6_planner_scale() -> String {
     let mut t = Table::new(&[
         "nodes",
         "f",
@@ -382,7 +382,7 @@ pub fn e6_planner_scale() -> String {
 }
 
 /// Detection + convergence latency for a scenario, by stepping the world.
-pub fn detection_latency(
+pub(crate) fn detection_latency(
     sys: &BtrSystem,
     scenario: &FaultScenario,
     victim: NodeId,
@@ -430,7 +430,7 @@ pub fn detection_latency(
 }
 
 /// E7 / Figure 5 — detection and convergence latency per fault type.
-pub fn e7_detection_latency() -> String {
+pub(crate) fn e7_detection_latency() -> String {
     let mut t = Table::new(&["fault", "first detection (ms)", "all nodes (ms)"]);
     let sys = avionics_setup(1);
     let victim = pick_victim(&sys);
@@ -455,7 +455,7 @@ pub fn e7_detection_latency() -> String {
 }
 
 /// E8 / Figure 6 — evidence distribution under bogus-evidence DoS.
-pub fn e8_evidence_dissemination() -> String {
+pub(crate) fn e8_evidence_dissemination() -> String {
     let mut t = Table::new(&[
         "spam records/period",
         "convergence (ms)",
@@ -497,7 +497,7 @@ pub fn e8_evidence_dissemination() -> String {
 }
 
 /// E9 / Figure 7 — mode-change cost vs migrated state.
-pub fn e9_mode_change() -> String {
+pub(crate) fn e9_mode_change() -> String {
     let mut t = Table::new(&[
         "state per task (bytes)",
         "planner bound (ms)",
@@ -550,7 +550,7 @@ fn scale_state(w: &Workload, state: u32) -> Workload {
 }
 
 /// E10 / Table 3 — omission attribution accuracy.
-pub fn e10_omission_attribution() -> String {
+pub(crate) fn e10_omission_attribution() -> String {
     let mut t = Table::new(&[
         "scenario",
         "victim attributed",
@@ -590,7 +590,7 @@ pub fn e10_omission_attribution() -> String {
 /// this checks the detector tolerates the *residual* rate: sporadic
 /// drops may cost individual output slots but must never convict a
 /// healthy node or destabilise the system.
-pub fn r1_link_loss() -> String {
+pub(crate) fn r1_link_loss() -> String {
     let mut t = Table::new(&[
         "loss (ppm)",
         "acceptable outputs",
@@ -635,7 +635,7 @@ pub fn r1_link_loss() -> String {
 }
 
 /// A1 — plan-distance minimisation ablation.
-pub fn a1_plan_distance() -> String {
+pub(crate) fn a1_plan_distance() -> String {
     let mut t = Table::new(&[
         "delta minimisation",
         "total reassignments",
@@ -673,7 +673,7 @@ pub fn a1_plan_distance() -> String {
 /// On a single bus every placement is equidistant, so this runs on a
 /// ring, where "putting checking tasks close to replicas" (Section 4.1)
 /// actually changes hop counts.
-pub fn a2_checker_placement() -> String {
+pub(crate) fn a2_checker_placement() -> String {
     let mut t = Table::new(&[
         "checkers co-located",
         "fault-free kbytes (200ms)",
@@ -713,7 +713,7 @@ pub fn a2_checker_placement() -> String {
 
 /// One experiment of the suite: id, what it regenerates, and its
 /// rendered table.
-pub type Experiment = (&'static str, &'static str, fn() -> String);
+pub(crate) type Experiment = (&'static str, &'static str, fn() -> String);
 
 /// The suite in report order. `harness <id>`, `harness all` and
 /// `harness --list` are all driven by this one table.

@@ -15,11 +15,11 @@ use btr_model::{Duration, Envelope, NodeId, Payload, Time, Topology};
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};
 
 /// Nodes in the pinned scenario (4x5 mesh).
-pub const HOTPATH_NODES: usize = 20;
+pub(crate) const HOTPATH_NODES: usize = 20;
 /// Per-shard loss probability (ppm) in the pinned scenario.
-pub const HOTPATH_LOSS_PPM: u32 = 20_000;
+pub(crate) const HOTPATH_LOSS_PPM: u32 = 20_000;
 /// FEC code of the pinned scenario: 4 data + 2 parity shards.
-pub const HOTPATH_FEC: (u8, u8) = (4, 2);
+pub(crate) const HOTPATH_FEC: (u8, u8) = (4, 2);
 
 /// Traffic generator: every period, each node sends three unsigned
 /// data-plane envelopes to distant peers (multi-hop on the mesh) and one
@@ -71,7 +71,7 @@ impl NodeBehavior for Blaster {
 ///
 /// `loss_ppm` is parameterised so the golden-trace test can turn losses
 /// off; `trace` enables full event tracing for the determinism tests.
-pub fn hotpath_world(seed: u64, periods: u64, loss_ppm: u32, trace: bool) -> World {
+pub(crate) fn hotpath_world(seed: u64, periods: u64, loss_ppm: u32, trace: bool) -> World {
     let topo = Topology::mesh(4, 5, 1_000_000, Duration(5));
     let mut cfg = SimConfig::new(seed);
     cfg.loss_ppm = loss_ppm;
@@ -104,7 +104,7 @@ pub(crate) fn horizon(period: Duration, periods: u64) -> Time {
 }
 
 /// Run the pinned scenario to completion and return its metrics.
-pub fn run_hotpath(seed: u64, periods: u64, loss_ppm: u32) -> SimMetrics {
+pub(crate) fn run_hotpath(seed: u64, periods: u64, loss_ppm: u32) -> SimMetrics {
     let mut w = hotpath_world(seed, periods, loss_ppm, false);
     w.start();
     w.run_until(horizon(w.period(), periods));
@@ -274,7 +274,8 @@ mod tests {
     /// crashed at mid-run.
     fn torus_world(rows: usize, cols: usize, periods: u64) -> World {
         let n = (rows * cols) as u32;
-        let topo = btr_topo::torus(rows, cols, 1_000_000, Duration(5)).expect("a valid torus");
+        let topo =
+            btr_model::topology::torus(rows, cols, 1_000_000, Duration(5)).expect("a valid torus");
         let mut w = World::new(topo, SimConfig::new(1));
         for i in 0..n {
             w.set_behavior(

@@ -22,4 +22,3 @@ mod signed;
 pub mod table;
 
 pub use experiments::*;
-pub use table::Table;

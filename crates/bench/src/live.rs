@@ -11,16 +11,15 @@
 
 use btr_core::{BtrSystem, FaultScenario};
 use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr_node::supervisor::{run_live, LiveConfig, LiveReport};
-use btr_node::EventKind;
+use btr_node::{run_live, EventKind, LiveConfig, LiveReport};
 use btr_obs::{ObsRecorder, PhaseMark, RecoveryTimeline, TraceBuilder};
 use btr_planner::PlannerConfig;
 
 /// Node count for the full pinned scenarios (mirrors the differential
 /// tests in `crates/node/tests/live.rs`).
-pub const LIVE_NODES: usize = 9;
+pub(crate) const LIVE_NODES: usize = 9;
 /// Node count for the CI smoke pass.
-pub const LIVE_SMOKE_NODES: usize = 5;
+pub(crate) const LIVE_SMOKE_NODES: usize = 5;
 /// Pinned seed (keys, skews, RNG streams, loss — both substrates).
 pub const LIVE_SEED: u64 = 7;
 /// Wall-µs per logical-µs for the full run: real time, so the measured

@@ -25,9 +25,9 @@ use btr_model::{Duration, Envelope, NodeId, Payload, SignedOutput, TaskId, Topol
 use btr_sim::{NodeBehavior, NodeCtx, SimConfig, SimMetrics, TimerId, World};
 
 /// Nodes in the pinned scenario (the same 4x5 mesh as the raw hot path).
-pub const SIGNED_NODES: usize = 20;
+pub(crate) const SIGNED_NODES: usize = 20;
 /// Witnesses attached to every output message (evidence-set size).
-pub const SIGNED_WITNESSES: usize = 3;
+pub(crate) const SIGNED_WITNESSES: usize = 3;
 
 /// Signed-traffic generator and auditor.
 ///
@@ -145,7 +145,7 @@ impl NodeBehavior for SignedBlaster {
 /// Build the pinned signed-traffic world. Loss is disabled: the signed
 /// scenario isolates authenticator cost, and loss-free runs make the
 /// cross-suite bit-equality oracle exact.
-pub fn signed_world(seed: u64, suite: AuthSuite, periods: u64, trace: bool) -> World {
+pub(crate) fn signed_world(seed: u64, suite: AuthSuite, periods: u64, trace: bool) -> World {
     let topo = Topology::mesh(4, 5, 1_000_000, Duration(5));
     let mut cfg = SimConfig::new(seed);
     cfg.auth_suite = suite;
@@ -161,7 +161,7 @@ pub fn signed_world(seed: u64, suite: AuthSuite, periods: u64, trace: bool) -> W
 }
 
 /// Run the pinned signed scenario and return its metrics (tests).
-pub fn run_signed(seed: u64, suite: AuthSuite, periods: u64) -> SimMetrics {
+pub(crate) fn run_signed(seed: u64, suite: AuthSuite, periods: u64) -> SimMetrics {
     let mut w = signed_world(seed, suite, periods, false);
     w.start();
     w.run_until(horizon(w.period(), periods));

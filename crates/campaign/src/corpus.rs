@@ -30,7 +30,7 @@ pub struct CorpusEntry {
     /// Interest score at admission (base + coverage bonus).
     pub score: u64,
     /// Signature elements this entry was first to produce.
-    pub new_signatures: usize,
+    pub(crate) new_signatures: usize,
 }
 
 /// The canonical corpus key of a schedule on a cell: faults re-sorted by
@@ -97,14 +97,6 @@ impl Corpus {
     /// The `i`-th resident in key order (parent selection wraps).
     pub fn nth(&self, i: usize) -> Option<&CorpusEntry> {
         self.entries.values().nth(i % self.entries.len().max(1))
-    }
-
-    /// The lowest admitted score (0 when empty or not yet full).
-    pub fn admission_floor(&self) -> u64 {
-        if self.entries.len() < self.max {
-            return 0;
-        }
-        self.entries.values().map(|e| e.score).min().unwrap_or(0)
     }
 
     /// Offer a schedule. Returns `true` when it was admitted (or
@@ -208,7 +200,6 @@ mod tests {
         let s3 = sched(vec![FaultVariant::CRASH.inject(NodeId(3), Time(50_000))]);
         assert!(c.offer(0, "cell", &s1, 10, 0));
         assert!(c.offer(0, "cell", &s2, 30, 0));
-        assert_eq!(c.admission_floor(), 10);
         assert!(!c.offer(0, "cell", &s3, 10, 0), "ties lose at capacity");
         assert!(c.offer(0, "cell", &s3, 20, 0));
         assert_eq!(c.len(), 2);

@@ -8,7 +8,7 @@
 //! batches are bred from the corpus with the seeded mutation operators
 //! in [`crate::schedule::mutate`] — including chain extension to the
 //! cell's full budget, which is how 1-fault seeds evolve into the f=3
-//! sequential chains the [`crate::grid::fuzz_grid`] hunts.
+//! sequential chains the `fuzz_grid` hunts.
 //!
 //! **Determinism.** The search is generational: a batch's jobs are a
 //! pure function of the corpus state *after the previous batch*, jobs
@@ -44,7 +44,7 @@ pub struct FuzzConfig {
     /// Worker threads (never affects results, only wall time).
     pub threads: usize,
     /// Corpus capacity.
-    pub corpus_max: usize,
+    pub(crate) corpus_max: usize,
     /// Mutants bred per generation. Fixed independently of `threads` —
     /// batch composition is part of the deterministic outcome.
     pub batch: usize,
@@ -53,7 +53,7 @@ pub struct FuzzConfig {
 }
 
 impl FuzzConfig {
-    /// A fuzzing campaign over [`crate::grid::fuzz_grid`].
+    /// A fuzzing campaign over `fuzz_grid`.
     pub fn new(seed: u64, budget: usize, threads: usize) -> FuzzConfig {
         FuzzConfig {
             seed,

@@ -55,7 +55,7 @@ pub enum TopoSpec {
         /// Propagation latency, µs.
         latency_us: u64,
     },
-    /// A 2D torus (mesh with wrap-around links; see `btr_topo::torus`).
+    /// A 2D torus (mesh with wrap-around links; see `btr_model::topology::torus`).
     Torus {
         /// Grid rows.
         rows: usize,
@@ -66,7 +66,7 @@ pub enum TopoSpec {
         /// Propagation latency, µs.
         latency_us: u64,
     },
-    /// A k-ary fat-tree (see `btr_topo::fat_tree`; `k³/4 + 5k²/4` nodes).
+    /// A k-ary fat-tree (see `btr_model::topology::fat_tree`; `k³/4 + 5k²/4` nodes).
     FatTree {
         /// Tree arity (even, ≥ 2).
         k: usize,
@@ -83,7 +83,7 @@ impl TopoSpec {
         match *self {
             TopoSpec::Bus { n, .. } | TopoSpec::Ring { n, .. } => n,
             TopoSpec::Mesh { rows, cols, .. } | TopoSpec::Torus { rows, cols, .. } => rows * cols,
-            TopoSpec::FatTree { k, .. } => btr_topo::fat_tree_size(k),
+            TopoSpec::FatTree { k, .. } => btr_model::topology::fat_tree_size(k),
         }
     }
 
@@ -111,13 +111,13 @@ impl TopoSpec {
                 cols,
                 bytes_per_ms,
                 latency_us,
-            } => btr_topo::torus(rows, cols, bytes_per_ms, Duration(latency_us))
+            } => btr_model::topology::torus(rows, cols, bytes_per_ms, Duration(latency_us))
                 .expect("torus specs are size-validated at parse/construction"),
             TopoSpec::FatTree {
                 k,
                 bytes_per_ms,
                 latency_us,
-            } => btr_topo::fat_tree(k, 0, bytes_per_ms, Duration(latency_us))
+            } => btr_model::topology::fat_tree(k, 0, bytes_per_ms, Duration(latency_us))
                 .expect("fat-tree specs are size-validated at parse/construction"),
         }
     }
@@ -289,7 +289,7 @@ impl CellSpec {
     /// faults start after 4 warm-up periods, first activations spread
     /// over 20 periods, and sequential faults are spaced at least R
     /// apart (the paper's "a new fault every R" adversary).
-    pub fn schedule_params(
+    pub(crate) fn schedule_params(
         &self,
         period: Duration,
         deadline: Duration,
@@ -365,8 +365,9 @@ impl std::error::Error for CellError {}
 /// that used to pin this grid to a "clean" subspace were R-bound gaps,
 /// now fixed — see EXPERIMENTS.md "campaign findings — resolved"; the
 /// mesh/torus/fat-tree cells and the second f=2 cell are the ROADMAP's
-/// "scale the grid" step riding on the btr-topo subsystem.
-pub fn default_grid() -> Vec<CellSpec> {
+/// "scale the grid" step riding on `btr_model::topology`'s platform
+/// families.
+pub(crate) fn default_grid() -> Vec<CellSpec> {
     vec![
         CellSpec {
             workload: "avionics".into(),
@@ -500,7 +501,7 @@ pub fn default_grid() -> Vec<CellSpec> {
 /// and f=2 on the sparse-fan-in SCADA bus whose scaled attribution
 /// thresholds the campaign already bent once. Kept to two cells so a
 /// bounded `--budget` buys chain depth rather than grid breadth.
-pub fn fuzz_grid() -> Vec<CellSpec> {
+pub(crate) fn fuzz_grid() -> Vec<CellSpec> {
     vec![
         CellSpec {
             workload: "avionics".into(),
@@ -529,7 +530,7 @@ pub fn fuzz_grid() -> Vec<CellSpec> {
     ]
 }
 
-/// The same cells as [`default_grid`] with every variant enabled. Since
+/// The same cells as `default_grid` with every variant enabled. Since
 /// the campaign-found gaps were fixed, the default grid already runs the
 /// full variant space, so this is an alias; it remains the stable name
 /// scripts pass via `--all-variants`.

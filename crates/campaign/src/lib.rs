@@ -21,7 +21,7 @@
 //! * [`verdict`] — the oracle: R-bound, pre-fault correctness, and
 //!   criticality-ordered shedding, over what a finished run hands over
 //!   ([`Finished`]); the recovery budget is computed here only.
-//! * [`shrink`] — delta-debugs violating schedules to minimal
+//! * `shrink` — delta-debugs violating schedules to minimal
 //!   reproducers (fewest faults, latest activation).
 //! * [`replay`] — one-string replay tokens for shrunk reproducers.
 //! * [`report`] — aggregation and the `CAMPAIGN_btr.json` writer, with
@@ -49,18 +49,18 @@ pub mod report;
 pub mod runner;
 pub mod schedule;
 pub mod score;
-pub mod shrink;
+pub(crate) mod shrink;
 pub mod verdict;
 
 pub use corpus::Corpus;
-pub use fuzz::{run_fuzz, FuzzConfig, FuzzOutcome};
-pub use grid::{
-    all_variant_grid, auth_sweep, default_grid, fuzz_grid, with_auth, CellError, CellSpec, TopoSpec,
-};
+pub use fuzz::{run_fuzz, FuzzConfig};
+pub use grid::{all_variant_grid, auth_sweep, with_auth, CellSpec, TopoSpec};
 pub use runner::{CampaignConfig, RunRecord};
 pub use schedule::{FaultSchedule, FaultVariant, ScheduleParams};
 pub use shrink::ShrinkOutcome;
-pub use verdict::{Finished, Violation};
+pub use verdict::Finished;
+
+use grid::CellError;
 
 /// Wall-clock measurement of one execution pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +97,7 @@ impl Timing {
 
 /// Static summary of one planned cell (for the report header).
 #[derive(Debug, Clone)]
-pub struct CellSummary {
+pub(crate) struct CellSummary {
     /// Display name.
     pub name: String,
     /// Workload family.
@@ -131,7 +131,7 @@ pub struct CampaignOutcome {
     /// The configuration the campaign ran with.
     pub config: CampaignConfig,
     /// Per-cell summaries, in grid order.
-    pub cells: Vec<CellSummary>,
+    pub(crate) cells: Vec<CellSummary>,
     /// Every scored run, in run order (deterministic).
     pub records: Vec<RunRecord>,
     /// Minimal reproducers for violating runs (capped).
@@ -213,10 +213,10 @@ fn cell_profile(
 /// How many violating runs get shrunk per campaign (shrinking costs
 /// dozens of probe simulations each; the first few reproducers are the
 /// actionable ones).
-pub const MAX_SHRINKS: usize = 4;
+pub(crate) const MAX_SHRINKS: usize = 4;
 
 /// Simulation-probe budget per shrink.
-pub const SHRINK_PROBES: u32 = 96;
+pub(crate) const SHRINK_PROBES: u32 = 96;
 
 /// Plan, execute, verify determinism, shrink, and summarize a campaign.
 ///

@@ -19,11 +19,11 @@ use std::collections::BTreeMap;
 
 /// Recovery-time percentiles over a set of runs (µs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Percentiles {
+pub(crate) struct Percentiles {
     /// Median.
     pub p50: u64,
     /// 90th percentile.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th percentile.
     pub p99: u64,
     /// Maximum.
@@ -31,7 +31,7 @@ pub struct Percentiles {
 }
 
 /// Nearest-rank percentiles of a sample (empty sample = all zeros).
-pub fn percentiles(values: &mut [u64]) -> Percentiles {
+pub(crate) fn percentiles(values: &mut [u64]) -> Percentiles {
     if values.is_empty() {
         return Percentiles {
             p50: 0,
@@ -55,7 +55,7 @@ pub fn percentiles(values: &mut [u64]) -> Percentiles {
 
 /// Per-group aggregate (fault-kind signature or cell).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupAgg {
+pub(crate) struct GroupAgg {
     /// Runs in the group.
     pub runs: usize,
     /// Runs with at least one violation.
@@ -121,7 +121,7 @@ pub fn runs_digest(records: &[RunRecord]) -> u64 {
 /// Fold every admissible run's slack into one mergeable histogram
 /// (negative slack — a blown bound — clamps into the zero bucket; the
 /// signed minimum is reported alongside).
-pub fn slack_histogram(records: &[RunRecord]) -> btr_obs::Histogram {
+pub(crate) fn slack_histogram(records: &[RunRecord]) -> btr_obs::Histogram {
     let mut h = btr_obs::Histogram::new();
     for r in records.iter().filter(|r| r.admissible) {
         h.record(r.slack_us.max(0) as u64);

@@ -60,7 +60,7 @@ impl CampaignConfig {
 
     /// Schedules each cell draws: the target run count spread over the
     /// cells and simulator seeds, rounded up, at least one.
-    pub fn schedules_per_cell(&self) -> usize {
+    pub(crate) fn schedules_per_cell(&self) -> usize {
         let spread = self.cells.len().max(1) * self.sim_seeds.max(1) as usize;
         self.runs.div_ceil(spread).max(1)
     }
@@ -84,7 +84,7 @@ pub struct RunRecord {
     /// Cell index into the campaign's grid.
     pub cell_idx: u16,
     /// Schedule id within the cell.
-    pub schedule_id: u32,
+    pub(crate) schedule_id: u32,
     /// Simulator seed used.
     pub sim_seed: u64,
     /// Kind signature of the schedule, e.g. `crash+omission`.

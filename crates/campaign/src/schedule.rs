@@ -52,7 +52,7 @@ impl FaultVariant {
         mods: NO_MODS,
     };
     /// Output omission, heartbeats kept (distinguishable from a crash).
-    pub const OMISSION: FaultVariant = FaultVariant {
+    pub(crate) const OMISSION: FaultVariant = FaultVariant {
         kind: FaultKind::Omission,
         mods: NO_MODS,
     };
@@ -70,7 +70,7 @@ impl FaultVariant {
         mods: NO_MODS,
     };
     /// Wrong values with garbled commitments (caught via `BadWitness`).
-    pub const COMMISSION_GARBLED: FaultVariant = FaultVariant {
+    pub(crate) const COMMISSION_GARBLED: FaultVariant = FaultVariant {
         kind: FaultKind::Commission,
         mods: FaultMods {
             garble_commitment: true,
@@ -78,7 +78,7 @@ impl FaultVariant {
         },
     };
     /// Right values at the wrong time.
-    pub const TIMING: FaultVariant = FaultVariant {
+    pub(crate) const TIMING: FaultVariant = FaultVariant {
         kind: FaultKind::Timing,
         mods: NO_MODS,
     };
@@ -88,7 +88,7 @@ impl FaultVariant {
         mods: NO_MODS,
     };
     /// Bogus-evidence flooding of the verifiers.
-    pub const EVIDENCE_SPAM: FaultVariant = FaultVariant {
+    pub(crate) const EVIDENCE_SPAM: FaultVariant = FaultVariant {
         kind: FaultKind::EvidenceSpam,
         mods: NO_MODS,
     };
@@ -342,7 +342,7 @@ fn sample_schedule(params: &ScheduleParams, rng: &mut SmallRng) -> FaultSchedule
 }
 
 /// Number of seeded mutation operators `mutate` dispatches over.
-pub const MUTATION_OPS: u32 = 4;
+pub(crate) const MUTATION_OPS: u32 = 4;
 
 /// Mutate a schedule with one seeded operator. Pure function of
 /// `(params, sched, seed)` — the fuzzer's byte-identical-at-any-thread-

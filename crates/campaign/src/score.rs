@@ -44,12 +44,12 @@ const SUPPRESSED_PTS: u64 = 2;
 /// Points per conviction beyond the injected fault count.
 const EXCESS_CONVICTION_PTS: u64 = 200;
 /// Points per signature element no earlier run produced.
-pub const NEW_COVERAGE_PTS: u64 = 400;
+pub(crate) const NEW_COVERAGE_PTS: u64 = 400;
 
 /// The deterministic interest score of one executed run, before the
 /// coverage bonus (which depends on global fuzzer state and is added by
 /// the batch loop).
-pub fn base_score(rec: &RunRecord) -> u64 {
+pub(crate) fn base_score(rec: &RunRecord) -> u64 {
     let slack = if rec.slack_us <= 0 {
         SLACK_SATURATION
     } else {

@@ -33,7 +33,7 @@ pub struct ShrinkOutcome {
     /// Simulation probes spent.
     pub probes: u32,
     /// The minimal violating scenario.
-    pub minimal: FaultScenario,
+    pub(crate) minimal: FaultScenario,
     /// Replay token for `harness campaign --replay`.
     pub replay: String,
 }
@@ -42,7 +42,7 @@ pub struct ShrinkOutcome {
 ///
 /// `max_probes` bounds the simulation budget; when exhausted the current
 /// (still-violating) scenario is returned as-is.
-pub fn shrink_violation(
+pub(crate) fn shrink_violation(
     cell: &PlannedCell,
     schedule: &FaultSchedule,
     sim_seed: u64,

@@ -49,7 +49,7 @@ pub enum Violation {
 
 impl Violation {
     /// Stable kind tag for reports.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Violation::RBoundExceeded { .. } => "r-bound",
             Violation::PreFaultBad { .. } => "pre-fault-bad",

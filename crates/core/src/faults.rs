@@ -121,7 +121,7 @@ impl FaultScenario {
     }
 
     /// The attack script for a node, if it is compromised.
-    pub fn attack_for(&self, node: NodeId) -> Option<Attack> {
+    pub(crate) fn attack_for(&self, node: NodeId) -> Option<Attack> {
         self.faults
             .iter()
             .find(|f| f.node == node)

@@ -37,7 +37,7 @@ pub mod plant;
 pub mod system;
 
 pub use faults::{FaultMods, FaultScenario, InjectedFault};
-pub use oracle::{reference_value, shed_aware_value, RecoveryStats, SinkVerdict, Verdict};
+pub use oracle::{reference_value, RecoveryStats, Verdict};
 pub use plant::{Plant, PlantConfig};
 pub use system::{
     judge_world, node_rows, scenario_world, ActuationJudgment, BtrSystem, NodeRow, RunReport,

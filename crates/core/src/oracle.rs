@@ -39,7 +39,7 @@ pub fn reference_value(w: &Workload, t: TaskId, p: PeriodIdx) -> Value {
 
 /// The expected value of a task instance under a shed set (degraded
 /// modes drop inputs). `None` if the task itself cannot run.
-pub fn shed_aware_value(
+pub(crate) fn shed_aware_value(
     w: &Workload,
     shed: &BTreeSet<TaskId>,
     t: TaskId,
@@ -203,14 +203,18 @@ pub struct RecoveryStats {
     /// Recovery time: last bad instant minus fault manifestation.
     /// `Some(ZERO)` when a fault was injected but no output ever went bad
     /// (fault masked or harmless).
-    pub recovery_time: Option<Duration>,
+    pub(crate) recovery_time: Option<Duration>,
 }
 
 impl RecoveryStats {
     /// Compute from verdicts. Bad slots *before* the fault manifested
     /// (startup noise would show here; there should be none) also count —
     /// correctness is unconditional pre-fault.
-    pub fn from_verdicts(w: &Workload, verdicts: &[SinkVerdict], fault_at: Option<Time>) -> Self {
+    pub(crate) fn from_verdicts(
+        w: &Workload,
+        verdicts: &[SinkVerdict],
+        fault_at: Option<Time>,
+    ) -> Self {
         let period_us = w.period.as_micros();
         let mut first_bad = None;
         let mut last_bad = None;
@@ -255,7 +259,7 @@ impl RecoveryStats {
 }
 
 /// Fraction of acceptable slots per criticality level (E5).
-pub fn survival_by_criticality(verdicts: &[SinkVerdict]) -> BTreeMap<Criticality, f64> {
+pub(crate) fn survival_by_criticality(verdicts: &[SinkVerdict]) -> BTreeMap<Criticality, f64> {
     let mut tally: BTreeMap<Criticality, (usize, usize)> = BTreeMap::new();
     for v in verdicts {
         let e = tally.entry(v.criticality).or_insert((0, 0));

@@ -16,7 +16,7 @@
 //! (roughly) the deadline D.
 
 use crate::oracle::SinkVerdict;
-use btr_model::{Duration, PeriodIdx};
+use btr_model::Duration;
 use btr_workload::Workload;
 
 /// Plant parameters.
@@ -111,11 +111,6 @@ impl Plant {
     pub fn peak_stress(&self) -> f64 {
         self.peak / self.budget()
     }
-
-    /// Number of consecutive bad periods the plant tolerates.
-    pub fn tolerance_periods(&self) -> PeriodIdx {
-        self.budget().ceil() as PeriodIdx
-    }
 }
 
 #[cfg(test)]
@@ -178,7 +173,6 @@ mod tests {
         p.step(false);
         p.step(true);
         assert!((p.error - 1.0).abs() < 1e-9);
-        assert_eq!(p.tolerance_periods(), 5);
     }
 
     #[test]

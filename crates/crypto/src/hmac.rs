@@ -17,7 +17,7 @@ const OPAD: u8 = 0x5c;
 /// pad XORs that a from-scratch HMAC pays. Equal midstates compute equal
 /// MACs.
 #[derive(Clone, PartialEq, Eq)]
-pub struct HmacKey {
+pub(crate) struct HmacKey {
     /// SHA-256 state after absorbing `key ⊕ ipad`.
     inner0: Sha256,
     /// SHA-256 state after absorbing `key ⊕ opad`.
@@ -33,7 +33,7 @@ impl std::fmt::Debug for HmacKey {
 
 impl HmacKey {
     /// Derive an HMAC key from arbitrary key bytes.
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut padded = [0u8; BLOCK];
         if key.len() > BLOCK {
             let d = crate::sha256(key);
@@ -57,7 +57,7 @@ impl HmacKey {
     /// Begin a streaming MAC computation over message parts fed via
     /// [`HmacState::update`]. Equivalent to [`HmacKey::mac`] over the
     /// concatenation, with no intermediate buffer.
-    pub fn begin(&self) -> HmacState {
+    pub(crate) fn begin(&self) -> HmacState {
         HmacState {
             inner: self.inner0.clone(),
             outer: self.outer0.clone(),
@@ -65,7 +65,7 @@ impl HmacKey {
     }
 
     /// Compute `HMAC(key, msg)` over a list of message parts.
-    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+    pub(crate) fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
         let mut st = self.begin();
         for p in parts {
             st.update(p);
@@ -73,15 +73,17 @@ impl HmacKey {
         st.finalize()
     }
 
-    /// Compute `HMAC(key, msg)` over a single message slice.
-    pub fn mac(&self, msg: &[u8]) -> Digest {
+    /// Compute `HMAC(key, msg)` over a single message slice: the
+    /// one-shot reference `mac_parts` is tested against.
+    #[cfg(test)]
+    fn mac(&self, msg: &[u8]) -> Digest {
         self.mac_parts(&[msg])
     }
 }
 
 /// An in-progress streaming HMAC computation (see [`HmacKey::begin`]).
 #[derive(Clone)]
-pub struct HmacState {
+pub(crate) struct HmacState {
     inner: Sha256,
     outer: Sha256,
 }
@@ -94,12 +96,12 @@ impl std::fmt::Debug for HmacState {
 
 impl HmacState {
     /// Absorb more message bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Finish and produce the MAC.
-    pub fn finalize(self) -> Digest {
+    pub(crate) fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
         let mut outer = self.outer;
         outer.update(&inner_digest.0);
@@ -107,8 +109,9 @@ impl HmacState {
     }
 }
 
-/// One-shot HMAC-SHA-256.
-pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
+/// One-shot HMAC-SHA-256: the RFC 4231 reference path.
+#[cfg(test)]
+fn hmac_sha256(key: &[u8], msg: &[u8]) -> Digest {
     HmacKey::new(key).mac(msg)
 }
 

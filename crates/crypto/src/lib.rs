@@ -38,10 +38,9 @@ pub mod rng;
 pub mod sha256;
 pub mod sign;
 pub mod siphash;
-
-pub use hmac::{hmac_sha256, HmacKey, HmacState};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use sha256::{sha256, Digest, Sha256};
+use sha256::Sha256;
+pub use sha256::{sha256, Digest};
 pub use sign::{mac_count, AuthSuite, KeyStore, NodeKey, SigBatch, SigError, Signature, Signer};
 pub use siphash::{SipKey, SipState};
 
@@ -49,7 +48,7 @@ pub use siphash::{SipKey, SipState};
 ///
 /// Equivalent to concatenating the slices and hashing, but without the
 /// intermediate allocation. Used pervasively for evidence digests.
-pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
+pub(crate) fn sha256_concat(parts: &[&[u8]]) -> Digest {
     let mut h = Sha256::new();
     for p in parts {
         h.update(p);

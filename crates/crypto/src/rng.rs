@@ -8,7 +8,7 @@
 //! matters — bit-exact determinism per seed — at a few arithmetic
 //! instructions per draw instead of a hash compression.
 //!
-//! Seeding still goes through SHA-256 ([`Xoshiro256StarStar::from_digest`]
+//! Seeding still goes through SHA-256 (`Xoshiro256StarStar::from_digest`
 //! / [`SplitMix64::from_parts`]): one hash at construction buys
 //! domain-separated, well-mixed initial states, so independent streams
 //! (loss sampling, each node's local stream) never correlate even for
@@ -60,7 +60,7 @@ pub struct Xoshiro256StarStar {
 impl Xoshiro256StarStar {
     /// Seed from a full SHA-256 digest: the 32 digest bytes become the
     /// 256-bit state directly (big-endian words).
-    pub fn from_digest(d: &Digest) -> Xoshiro256StarStar {
+    pub(crate) fn from_digest(d: &Digest) -> Xoshiro256StarStar {
         let w = |i: usize| {
             u64::from_be_bytes([
                 d.0[i],

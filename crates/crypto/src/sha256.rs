@@ -32,26 +32,6 @@ impl Digest {
         s
     }
 
-    /// Parse a 64-character hex string into a digest.
-    ///
-    /// Returns `None` if the string is not exactly 64 ASCII hex
-    /// characters. Non-ASCII input is rejected up front: a multi-byte
-    /// character can make the *byte* length 64 without the string being
-    /// 64 hex digits, and the nibble loop should never see such bytes.
-    pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 || !s.is_ascii() {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        let bytes = s.as_bytes();
-        for (i, chunk) in bytes.chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Some(Digest(out))
-    }
-
     /// A short 8-hex-character prefix, for human-readable logs.
     pub fn short(&self) -> String {
         self.to_hex()[..8].to_string()
@@ -62,7 +42,7 @@ impl Digest {
     /// Equivalent to `f.write_str(&self.short())` without the `String`:
     /// `Debug` on digests and signatures runs once per message in
     /// trace-enabled simulations, so it must not heap-allocate.
-    pub fn fmt_short(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    pub(crate) fn fmt_short(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for b in &self.0[..4] {
             write!(f, "{b:02x}")?;
         }
@@ -77,7 +57,7 @@ impl Digest {
     /// authenticator suites, single and batched verification) go through
     /// this one accumulate-then-test loop instead.
     #[inline]
-    pub fn ct_eq(&self, other: &Digest) -> bool {
+    pub(crate) fn ct_eq(&self, other: &Digest) -> bool {
         let mut acc = 0u8;
         for (a, b) in self.0.iter().zip(other.0.iter()) {
             acc |= a ^ b;
@@ -387,7 +367,7 @@ fn compress_blocks_shani(state: &mut [u32; 8], blocks: &[u8]) {
 /// Incremental SHA-256 hasher. Two equal hashers finish equal on equal
 /// input (what makes HMAC keys comparable without computing a MAC).
 #[derive(Clone, PartialEq, Eq)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     /// Bytes buffered until a full 64-byte block is available.
     buf: [u8; 64],
@@ -404,7 +384,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Create a fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
@@ -414,7 +394,7 @@ impl Sha256 {
     }
 
     /// Absorb more message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Fill the partial block first.
         if self.buf_len > 0 {
@@ -441,7 +421,7 @@ impl Sha256 {
     }
 
     /// Finish and produce the digest.
-    pub fn finalize(mut self) -> Digest {
+    pub(crate) fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
         // written in place. `buf_len` < 64 always, so the marker fits;
@@ -600,14 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trip() {
-        let d = sha256(b"round trip");
-        assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
-        assert_eq!(Digest::from_hex("zz"), None);
-        assert_eq!(Digest::from_hex(&"g".repeat(64)), None);
-    }
-
-    #[test]
     fn hex_round_trips_arbitrary_digests() {
         for i in 0..32u8 {
             let mut raw = [0u8; 32];
@@ -616,27 +588,9 @@ mod tests {
             let d = Digest(raw);
             let hex = d.to_hex();
             assert_eq!(hex.len(), 64);
-            assert_eq!(Digest::from_hex(&hex), Some(d));
             assert_eq!(d.short(), hex[..8].to_string());
         }
         assert_eq!(Digest::ZERO.to_hex(), "0".repeat(64));
-        assert_eq!(Digest::from_hex(&"0".repeat(64)), Some(Digest::ZERO));
-    }
-
-    #[test]
-    fn from_hex_rejects_non_ascii() {
-        // 32 two-byte UTF-8 characters: byte length 64, but not 64 hex
-        // digits. Must be rejected before the nibble loop.
-        let tricky = "é".repeat(32);
-        assert_eq!(tricky.len(), 64);
-        assert_eq!(Digest::from_hex(&tricky), None);
-        // Mixed: 62 valid hex digits plus one two-byte char.
-        let mixed = format!("{}é", "a".repeat(62));
-        assert_eq!(mixed.len(), 64);
-        assert_eq!(Digest::from_hex(&mixed), None);
-        // Wrong lengths.
-        assert_eq!(Digest::from_hex(&"a".repeat(63)), None);
-        assert_eq!(Digest::from_hex(&"a".repeat(65)), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! field (SipHash tags are zero-padded), so the two suites are
 //! wire-compatible: message sizes, and therefore link timings, are
 //! bit-identical across suites and only the CPU cost differs. Tag
-//! equality goes through [`Digest::ct_eq`] — one constant-time comparison
+//! equality goes through `Digest::ct_eq` — one constant-time comparison
 //! shared by both suites and by single and batched verification.
 
 use crate::hmac::HmacKey;
@@ -54,7 +54,7 @@ pub fn mac_count() -> u64 {
 ///
 /// This deliberately mirrors `btr_model::NodeId` but is kept separate so the
 /// crypto crate stays at the bottom of the dependency graph.
-pub type KeyId = u32;
+pub(crate) type KeyId = u32;
 
 /// Which MAC construction backs the `Signer`/`KeyStore` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -424,7 +424,7 @@ impl KeyStore {
     }
 
     /// Verify `sig` over `parts`.
-    pub fn verify_parts(&self, sig: &Signature, parts: &[&[u8]]) -> Result<(), SigError> {
+    pub(crate) fn verify_parts(&self, sig: &Signature, parts: &[&[u8]]) -> Result<(), SigError> {
         let key = self
             .keys
             .get(sig.key as usize)

@@ -13,7 +13,7 @@
 //! word plus four finalization rounds, versus at least two full SHA-256
 //! compressions.
 //!
-//! The streaming interface mirrors [`crate::hmac::HmacState`] so the
+//! The streaming interface mirrors `HmacState` so the
 //! signing layer can absorb multi-part canonical encodings without
 //! concatenating them first.
 

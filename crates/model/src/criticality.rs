@@ -40,17 +40,6 @@ impl Criticality {
         }
     }
 
-    /// Inverse of [`Criticality::rank`].
-    pub const fn from_rank(rank: u8) -> Option<Criticality> {
-        match rank {
-            0 => Some(Criticality::Low),
-            1 => Some(Criticality::Medium),
-            2 => Some(Criticality::High),
-            3 => Some(Criticality::Safety),
-            _ => None,
-        }
-    }
-
     /// Short human-readable label.
     pub const fn label(self) -> &'static str {
         match self {
@@ -77,10 +66,6 @@ mod tests {
         assert!(Criticality::Low < Criticality::Medium);
         assert!(Criticality::Medium < Criticality::High);
         assert!(Criticality::High < Criticality::Safety);
-        for c in Criticality::ALL {
-            assert_eq!(Criticality::from_rank(c.rank()), Some(c));
-        }
-        assert_eq!(Criticality::from_rank(9), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ enum Out<'a> {
 }
 
 /// Incrementally builds (or sizes) a canonical byte string.
-pub struct Enc<'a> {
+pub(crate) struct Enc<'a> {
     out: Out<'a>,
 }
 
@@ -35,7 +35,7 @@ impl std::fmt::Debug for Enc<'_> {
 
 impl Enc<'static> {
     /// Start an owned encoding with a domain-separation tag.
-    pub fn new(domain: &str) -> Enc<'static> {
+    pub(crate) fn new(domain: &str) -> Enc<'static> {
         let mut e = Enc {
             out: Out::Owned(Vec::new()),
         };
@@ -45,7 +45,7 @@ impl Enc<'static> {
 
     /// Start a counting encoding: no bytes are written, but [`Enc::len`]
     /// reports exactly what [`Enc::new`] would have produced.
-    pub fn count(domain: &str) -> Enc<'static> {
+    pub(crate) fn count(domain: &str) -> Enc<'static> {
         let mut e = Enc { out: Out::Count(0) };
         e.bytes(domain.as_bytes());
         e
@@ -56,7 +56,7 @@ impl<'a> Enc<'a> {
     /// Start an encoding into a caller-owned scratch buffer (cleared
     /// first). The buffer keeps its capacity across uses, so a reused
     /// scratch makes encoding allocation-free in steady state.
-    pub fn over(buf: &'a mut Vec<u8>, domain: &str) -> Enc<'a> {
+    pub(crate) fn over(buf: &'a mut Vec<u8>, domain: &str) -> Enc<'a> {
         buf.clear();
         Self::append(buf, domain)
     }
@@ -66,7 +66,7 @@ impl<'a> Enc<'a> {
     /// many messages' canonical bytes share one scratch buffer (see
     /// `btr_crypto::SigBatch`), each encoding starting where the previous
     /// one ended.
-    pub fn append(buf: &'a mut Vec<u8>, domain: &str) -> Enc<'a> {
+    pub(crate) fn append(buf: &'a mut Vec<u8>, domain: &str) -> Enc<'a> {
         let mut e = Enc {
             out: Out::Borrowed(buf),
         };
@@ -85,28 +85,28 @@ impl<'a> Enc<'a> {
 
     /// Append a `u8`.
     #[inline]
-    pub fn u8(&mut self, v: u8) -> &mut Self {
+    pub(crate) fn u8(&mut self, v: u8) -> &mut Self {
         self.raw(&[v]);
         self
     }
 
     /// Append a `u32` (big-endian).
     #[inline]
-    pub fn u32(&mut self, v: u32) -> &mut Self {
+    pub(crate) fn u32(&mut self, v: u32) -> &mut Self {
         self.raw(&v.to_be_bytes());
         self
     }
 
     /// Append a `u64` (big-endian).
     #[inline]
-    pub fn u64(&mut self, v: u64) -> &mut Self {
+    pub(crate) fn u64(&mut self, v: u64) -> &mut Self {
         self.raw(&v.to_be_bytes());
         self
     }
 
     /// Append a length-prefixed byte string.
     #[inline]
-    pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
+    pub(crate) fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u64(v.len() as u64);
         self.raw(v);
         self
@@ -117,7 +117,7 @@ impl<'a> Enc<'a> {
     /// runs, and the prefix is patched. Byte-identical to
     /// `self.bytes(&inner)` for an `inner` built by the same calls, in
     /// one pass and with no intermediate vector.
-    pub fn nested(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+    pub(crate) fn nested(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
         let at = self.len();
         self.u64(0);
         body(self);
@@ -131,7 +131,7 @@ impl<'a> Enc<'a> {
     }
 
     /// Bytes written (or counted) so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.out {
             Out::Owned(b) => b.len(),
             Out::Borrowed(b) => b.len(),
@@ -139,17 +139,12 @@ impl<'a> Enc<'a> {
         }
     }
 
-    /// True if nothing has been written (never, once a domain is in).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Finish and return the canonical bytes.
     ///
     /// # Panics
     /// Panics for counting or borrowed encoders — those callers read the
     /// scratch buffer or [`Enc::len`] instead.
-    pub fn finish(self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
         match self.out {
             Out::Owned(b) => b,
             Out::Borrowed(_) => panic!("finish() on a borrowed Enc; read the scratch buffer"),
@@ -161,7 +156,7 @@ impl<'a> Enc<'a> {
     ///
     /// # Panics
     /// Panics for counting encoders, which materialise no bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match &self.out {
             Out::Owned(b) => b,
             Out::Borrowed(b) => b,
@@ -278,6 +273,5 @@ mod tests {
         let mut counter = Enc::count("count-me");
         counter.u8(1).u32(2).u64(3).bytes(&[0u8; 17]);
         assert_eq!(counter.len(), owned.finish().len());
-        assert!(!counter.is_empty());
     }
 }

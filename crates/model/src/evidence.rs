@@ -63,8 +63,10 @@ pub struct SignedOutput {
 }
 
 impl SignedOutput {
-    /// Canonical bytes covered by the signature.
-    pub fn signing_bytes(
+    /// Canonical bytes covered by the signature, as one vector: the
+    /// reference the appending encoding is tested against.
+    #[cfg(test)]
+    fn signing_bytes(
         task: TaskId,
         replica: ReplicaIdx,
         period: PeriodIdx,
@@ -88,7 +90,7 @@ impl SignedOutput {
     /// Write the signing bytes into a caller-owned scratch buffer
     /// (cleared first); allocation-free once the scratch has warmed up.
     #[allow(clippy::too_many_arguments)]
-    pub fn write_signing_bytes(
+    pub(crate) fn write_signing_bytes(
         task: TaskId,
         replica: ReplicaIdx,
         period: PeriodIdx,
@@ -109,8 +111,8 @@ impl SignedOutput {
     /// Append this output's signing bytes to a shared buffer without
     /// clearing it — the staging primitive for batched verification
     /// (`btr_crypto::SigBatch` carries many outputs' bytes in one
-    /// scratch). Byte-identical to [`SignedOutput::signing_bytes`].
-    pub fn append_signing_bytes(&self, buf: &mut Vec<u8>) {
+    /// scratch). Byte-identical to the owned `signing_bytes` reference.
+    pub(crate) fn append_signing_bytes(&self, buf: &mut Vec<u8>) {
         let mut e = Enc::append(buf, "btr-output");
         e.u32(self.task.0)
             .u8(self.replica)
@@ -431,18 +433,19 @@ impl EvidenceRecord {
         }
     }
 
-    /// Canonical bytes (identifies and sizes the record).
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    /// Canonical bytes, as one vector: the reference the streamed
+    /// encoding is tested against.
+    #[cfg(test)]
+    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
         let mut e = Enc::new("btr-evidence");
         self.encode_into(&mut e);
         e.finish()
     }
 
     /// Stream the canonical encoding (sans domain prefix) into an
-    /// in-progress encoder: what [`EvidenceRecord::canonical_bytes`]
-    /// holds after its domain tag, without the intermediate vector. An
+    /// in-progress encoder, without an intermediate vector. An
     /// envelope carrying a record signs, verifies and sizes through this.
-    pub fn encode_into(&self, e: &mut Enc<'_>) {
+    pub(crate) fn encode_into(&self, e: &mut Enc<'_>) {
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
                 e.u8(0).u32(accused.0);
@@ -790,7 +793,7 @@ impl EvidenceRecord {
 }
 
 impl SignedOutput {
-    /// Length of [`SignedOutput::canonical_id_bytes`]; every field is
+    /// Length of `SignedOutput::canonical_id_bytes`; every field is
     /// fixed-size, so callers embedding an id can write the length prefix
     /// first and stream the encoding without building it. Checked against
     /// the actual encoding by a test.
@@ -803,7 +806,7 @@ impl SignedOutput {
 
     /// Bytes that uniquely identify this output (including its signature),
     /// used when a declaration references an output.
-    pub fn canonical_id_bytes(&self) -> Vec<u8> {
+    pub(crate) fn canonical_id_bytes(&self) -> Vec<u8> {
         let mut e = Enc::new("btr-output-id");
         self.encode(&mut e);
         e.finish()
@@ -812,7 +815,7 @@ impl SignedOutput {
     /// Stream the id encoding (exactly [`SignedOutput::CANONICAL_ID_LEN`]
     /// bytes) into an in-progress encoder, avoiding the intermediate
     /// vector of [`SignedOutput::canonical_id_bytes`].
-    pub fn encode_id(&self, e: &mut Enc<'_>) {
+    pub(crate) fn encode_id(&self, e: &mut Enc<'_>) {
         e.bytes(b"btr-output-id");
         self.encode(e);
     }

@@ -111,23 +111,9 @@ impl FaultSet {
         self.0.is_subset(&other.0)
     }
 
-    /// Union of two fault sets.
-    pub fn union(&self, other: &FaultSet) -> FaultSet {
-        FaultSet(self.0.union(&other.0).copied().collect())
-    }
-
     /// The set as a borrowed `BTreeSet` (for graph algorithms).
     pub fn as_set(&self) -> &BTreeSet<NodeId> {
         &self.0
-    }
-
-    /// Canonical bytes for indexing/signing.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 * self.0.len());
-        for n in &self.0 {
-            out.extend_from_slice(&n.0.to_be_bytes());
-        }
-        out
     }
 }
 
@@ -180,18 +166,6 @@ mod tests {
         let b = FaultSet::from_nodes(&[NodeId(1), NodeId(2)]);
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
-        assert_eq!(a.union(&b), b);
-    }
-
-    #[test]
-    fn canonical_bytes_order_independent() {
-        let a = FaultSet::from_nodes(&[NodeId(2), NodeId(1)]);
-        let b = FaultSet::from_nodes(&[NodeId(1), NodeId(2)]);
-        assert_eq!(a.canonical_bytes(), b.canonical_bytes());
-        assert_ne!(
-            a.canonical_bytes(),
-            FaultSet::from_nodes(&[NodeId(1)]).canonical_bytes()
-        );
     }
 
     #[test]
@@ -207,20 +181,7 @@ mod tests {
             let fs1: FaultSet = ids.iter().map(|&i| NodeId(i)).collect();
             ids.reverse();
             let fs2: FaultSet = ids.iter().map(|&i| NodeId(i)).collect();
-            prop_assert_eq!(fs1.canonical_bytes(), fs2.canonical_bytes());
             prop_assert_eq!(fs1, fs2);
-        }
-
-        /// Union is commutative and monotone.
-        #[test]
-        fn prop_union_laws(a in proptest::collection::vec(0u32..12, 0..6),
-                           b in proptest::collection::vec(0u32..12, 0..6)) {
-            let fa: FaultSet = a.iter().map(|&i| NodeId(i)).collect();
-            let fb: FaultSet = b.iter().map(|&i| NodeId(i)).collect();
-            let u = fa.union(&fb);
-            prop_assert_eq!(u.clone(), fb.union(&fa));
-            prop_assert!(fa.is_subset(&u));
-            prop_assert!(fb.is_subset(&u));
         }
     }
 }

@@ -3,21 +3,22 @@
 //! This crate defines the types every other crate speaks: simulated time,
 //! node/task/link identifiers, the CPS topology of Section 2.1 of the
 //! paper ("a set of nodes and a set of links ... finite processing speed
-//! ... finite bandwidth"), the periodic dataflow vocabulary, wire messages
+//! ... finite bandwidth") with its parametric platform families (torus,
+//! fat-tree, SCADA star-of-rings), the periodic dataflow vocabulary, wire messages
 //! and their canonical signing encodings, plans and strategies produced by
 //! the planner, fault sets, and the evidence records exchanged by the
 //! detector and distributor.
 //!
-//! Keeping these in one bottom-of-the-graph crate lets `detector`,
-//! `evidence`, and `modeswitch` stay pure protocol logic, independently
-//! testable without the simulator.
+//! Keeping these in one bottom-of-the-graph crate lets the runtime's
+//! detector, evidence distribution and mode switch stay pure protocol
+//! logic, independently testable without the simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compute;
 pub mod criticality;
-pub mod enc;
+pub(crate) mod enc;
 pub mod evidence;
 pub mod fault;
 pub mod ids;
@@ -32,8 +33,6 @@ pub use evidence::{EvidenceClass, EvidenceFlaw, EvidenceId, EvidenceRecord, Sign
 pub use fault::{FaultKind, FaultSet};
 pub use ids::{LinkId, NodeId, PeriodIdx, PlanId, ReplicaIdx, TaskId};
 pub use message::{Envelope, Payload};
-pub use plan::{
-    ATask, Migration, NodeSchedule, Plan, PlanError, ScheduleEntry, Strategy, Transition,
-};
+pub use plan::{ATask, Migration, NodeSchedule, Plan, ScheduleEntry, Strategy, Transition};
 pub use time::{Duration, Time};
-pub use topology::{Adjacency, LinkSpec, NodeSpec, Topology, TopologyBuilder, TopologyError};
+pub use topology::{LinkSpec, Topology, TopologyBuilder};

@@ -95,16 +95,18 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Canonical bytes for envelope signing.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    /// Canonical bytes for envelope signing, as one vector: the
+    /// reference the streamed encodings are tested against.
+    #[cfg(test)]
+    fn canonical_bytes(&self) -> Vec<u8> {
         let mut e = Enc::new("btr-payload");
         self.encode_into(&mut e);
         e.finish()
     }
 
-    /// Exact length of [`Payload::canonical_bytes`] without materialising
-    /// it: a counting pass, allocation-free for every variant.
-    pub fn canonical_len(&self) -> usize {
+    /// Exact length of the canonical encoding without materialising it:
+    /// a counting pass, allocation-free for every variant.
+    pub(crate) fn canonical_len(&self) -> usize {
         let mut e = Enc::count("btr-payload");
         self.encode_into(&mut e);
         e.len()
@@ -228,14 +230,14 @@ pub struct Envelope {
 }
 
 /// Fixed per-envelope header bytes on the wire.
-pub const ENVELOPE_HEADER_BYTES: u32 = 28;
+pub(crate) const ENVELOPE_HEADER_BYTES: u32 = 28;
 /// Wire bytes for an envelope signature: a 4-byte key id plus the fixed
 /// 32-byte authenticator field. Both authenticator suites share the
 /// field (SipHash-2-4 tags are zero-padded; see `btr_crypto::AuthSuite`),
 /// so message sizes — and therefore link serialisation timings — are
 /// bit-identical across suites and only CPU cost differs. The
 /// cross-suite differential oracles rely on this.
-pub const SIGNATURE_BYTES: u32 = 36;
+pub(crate) const SIGNATURE_BYTES: u32 = 36;
 
 impl Envelope {
     /// Create an unsigned envelope.
@@ -252,7 +254,7 @@ impl Envelope {
     /// The canonical bytes an envelope signature covers. Public so that
     /// evidence records can re-verify a sender's envelope signature from
     /// its reconstructed parts (see `EvidenceRecord::BadWitness`).
-    pub fn signing_bytes_for(src: NodeId, sent_at: Time, payload: &Payload) -> Vec<u8> {
+    pub(crate) fn signing_bytes_for(src: NodeId, sent_at: Time, payload: &Payload) -> Vec<u8> {
         let mut buf = Vec::new();
         Self::write_signing_bytes(src, sent_at, payload, &mut buf);
         buf
@@ -262,7 +264,12 @@ impl Envelope {
     /// buffer (cleared first). Byte-identical to
     /// [`Envelope::signing_bytes_for`], but allocation-free once the
     /// scratch has warmed up — this is the simulator's per-message path.
-    pub fn write_signing_bytes(src: NodeId, sent_at: Time, payload: &Payload, buf: &mut Vec<u8>) {
+    pub(crate) fn write_signing_bytes(
+        src: NodeId,
+        sent_at: Time,
+        payload: &Payload,
+        buf: &mut Vec<u8>,
+    ) {
         let mut e = Enc::over(buf, "btr-envelope");
         e.u32(src.0).u64(sent_at.0);
         // Stream the payload encoding in place of
@@ -282,7 +289,7 @@ impl Envelope {
 
     /// Like [`Envelope::signed`], writing the signing bytes into a
     /// reusable scratch buffer instead of allocating.
-    pub fn signed_with(mut self, signer: &Signer, scratch: &mut Vec<u8>) -> Envelope {
+    pub(crate) fn signed_with(mut self, signer: &Signer, scratch: &mut Vec<u8>) -> Envelope {
         self.sig = Some(Self::sign_parts(
             signer,
             self.src,
@@ -293,7 +300,7 @@ impl Envelope {
         self
     }
 
-    /// The signature [`Envelope::signed_with`] would stamp on an envelope
+    /// The signature `Envelope::signed_with` would stamp on an envelope
     /// of these parts. The signed bytes cover `(src, sent_at, payload)`
     /// and *not* the destination, so one signature is valid on the copy
     /// sent to every destination: a multicast signs once and stamps it

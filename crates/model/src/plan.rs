@@ -38,21 +38,6 @@ pub enum ATask {
     },
 }
 
-impl ATask {
-    /// The underlying workload task, if this is a work or check task.
-    pub fn work_task(&self) -> Option<TaskId> {
-        match self {
-            ATask::Work { task, .. } | ATask::Check { task } => Some(*task),
-            ATask::Verify { .. } => None,
-        }
-    }
-
-    /// True for `Work` entries.
-    pub fn is_work(&self) -> bool {
-        matches!(self, ATask::Work { .. })
-    }
-}
-
 impl std::fmt::Display for ATask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -188,14 +173,6 @@ impl Plan {
     /// True if the plan sheds this workload task.
     pub fn is_shed(&self, task: TaskId) -> bool {
         self.shed.contains(&task)
-    }
-
-    /// Augmented tasks placed on a given node.
-    pub fn tasks_on(&self, node: NodeId) -> Vec<ATask> {
-        self.placement
-            .iter()
-            .filter_map(|(a, n)| (*n == node).then_some(*a))
-            .collect()
     }
 
     /// Validate the plan against a topology and period.
@@ -457,7 +434,6 @@ mod tests {
         );
         assert_eq!(p.checker_of(TaskId(0)), Some(NodeId(1)));
         assert!(!p.is_shed(TaskId(0)));
-        assert_eq!(p.tasks_on(NodeId(1)).len(), 2);
     }
 
     #[test]
@@ -564,9 +540,6 @@ mod tests {
         assert_eq!(work(3, 1).to_string(), "t3/r1");
         assert_eq!(ATask::Check { task: TaskId(2) }.to_string(), "chk(t2)");
         assert_eq!(ATask::Verify { node: NodeId(1) }.to_string(), "ver(n1)");
-        assert_eq!(work(3, 1).work_task(), Some(TaskId(3)));
-        assert_eq!(ATask::Verify { node: NodeId(1) }.work_task(), None);
-        assert!(work(0, 0).is_work());
     }
 
     #[test]

@@ -14,10 +14,18 @@
 //! walk in the workspace (the BFS here, `btr-net`'s routing table and
 //! demand rows) reads that one structure; nothing else derives
 //! neighbourhoods from the link list.
+//!
+//! Beside `Topology::{bus, ring, mesh}`, the parametric families
+//! [`torus`], [`fat_tree`] and [`scada_star`] build the thousand-node
+//! platforms on the same builder.
 
 use crate::ids::{LinkId, NodeId};
 use crate::time::Duration;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+
+mod families;
+
+pub use families::{fat_tree, fat_tree_size, scada_star, torus, torus_dims};
 
 /// Static description of one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +39,7 @@ pub struct NodeSpec {
     /// True if physical sensors are attached (the node can host sources).
     pub can_sense: bool,
     /// True if physical actuators are attached (the node can host sinks).
-    pub can_actuate: bool,
+    pub(crate) can_actuate: bool,
 }
 
 /// Static description of one link.
@@ -70,6 +78,15 @@ pub enum TopologyError {
     },
     /// No nodes were declared.
     Empty,
+    /// A platform family needs at least `need` nodes.
+    TooFewNodes {
+        /// The family that rejected the size.
+        family: &'static str,
+        /// Minimum node count the family supports.
+        need: usize,
+        /// The requested node count.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -82,6 +99,9 @@ impl std::fmt::Display for TopologyError {
                 write!(f, "topology is disconnected: {unreachable} unreachable")
             }
             TopologyError::Empty => write!(f, "topology has no nodes"),
+            TopologyError::TooFewNodes { family, need, got } => {
+                write!(f, "{family} needs at least {need} nodes, got {got}")
+            }
         }
     }
 }
@@ -211,12 +231,13 @@ impl Topology {
     }
 
     /// Hop-count distances from `src` to every node (BFS).
-    pub fn distances_from(&self, src: NodeId) -> Vec<u32> {
+    pub(crate) fn distances_from(&self, src: NodeId) -> Vec<u32> {
         self.distances_avoiding(src, &BTreeSet::new())
     }
 
-    /// Network diameter in hops.
-    pub fn diameter(&self) -> u32 {
+    /// Network diameter in hops (the tests' shape check).
+    #[cfg(test)]
+    fn diameter(&self) -> u32 {
         let mut d = 0;
         for n in &self.nodes {
             for x in self.distances_from(n.id) {
@@ -233,7 +254,7 @@ impl Topology {
     /// Faulty nodes neither originate nor relay traffic; links they sit on
     /// still work between the remaining endpoints (the MAC shares are
     /// static, so a faulty node cannot take over others' slots).
-    pub fn distances_avoiding(&self, src: NodeId, avoid: &BTreeSet<NodeId>) -> Vec<u32> {
+    pub(crate) fn distances_avoiding(&self, src: NodeId, avoid: &BTreeSet<NodeId>) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.nodes.len()];
         if avoid.contains(&src) {
             return dist;
@@ -395,12 +416,6 @@ impl Topology {
         b.build().expect("mesh topology is always valid")
     }
 }
-
-/// Per-node, per-link static bandwidth shares (bytes per period).
-///
-/// This is the "bandwidth of each link is statically allocated between the
-/// nodes" assumption from Section 2.1; guardians in `btr-net` enforce it.
-pub type BandwidthAlloc = BTreeMap<(NodeId, LinkId), u64>;
 
 #[cfg(test)]
 mod tests {

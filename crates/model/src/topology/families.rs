@@ -1,51 +1,15 @@
-//! Parametric large-scale platform topologies.
+//! Parametric large-scale platform families.
 //!
-//! The hand-rolled `Topology::{bus, ring, mesh}` constructors in
-//! `btr-model` cover the paper's small testbed shapes; this crate grows
-//! the platform side to the thousand-node regime: structured fabrics
-//! (2-D torus, fat-tree) and the hierarchical star-of-rings layout of
-//! real SCADA plants. Every family is built on
-//! [`btr_model::TopologyBuilder`] and is deterministic in its
+//! The hand-rolled `Topology::{bus, ring, mesh}` constructors cover the
+//! paper's small testbed shapes; these grow the platform side to the
+//! thousand-node regime: structured fabrics (2-D torus, fat-tree) and
+//! the hierarchical star-of-rings layout of real SCADA plants. Every
+//! family is built on [`TopologyBuilder`] and is deterministic in its
 //! parameters.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use btr_model::{Duration, NodeId, Topology, TopologyBuilder, TopologyError};
-
-/// Why a family could not be instantiated at the requested size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopoBuildError {
-    /// The family needs at least `need` nodes.
-    TooFewNodes {
-        /// The family that rejected the size.
-        family: &'static str,
-        /// Minimum node count the family supports.
-        need: usize,
-        /// The requested node count.
-        got: usize,
-    },
-    /// The assembled graph failed `TopologyBuilder` validation (a family
-    /// bug — the constructors here are supposed to emit valid graphs).
-    Invalid(TopologyError),
-}
-
-impl std::fmt::Display for TopoBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TopoBuildError::TooFewNodes { family, need, got } => {
-                write!(f, "{family} needs at least {need} nodes, got {got}")
-            }
-            TopoBuildError::Invalid(e) => write!(f, "invalid topology: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TopoBuildError {}
-
-fn finish(b: TopologyBuilder) -> Result<Topology, TopoBuildError> {
-    b.build().map_err(TopoBuildError::Invalid)
-}
+use super::{Topology, TopologyBuilder, TopologyError};
+use crate::ids::NodeId;
+use crate::time::Duration;
 
 /// A 2-D torus of `rows * cols` nodes: a mesh with wrap-around links in
 /// every dimension of extent ≥ 3 (at extent 2 the wrap link would
@@ -57,9 +21,9 @@ pub fn torus(
     cols: usize,
     bytes_per_ms: u32,
     latency: Duration,
-) -> Result<Topology, TopoBuildError> {
+) -> Result<Topology, TopologyError> {
     if rows * cols < 2 {
-        return Err(TopoBuildError::TooFewNodes {
+        return Err(TopologyError::TooFewNodes {
             family: "torus",
             need: 2,
             got: rows * cols,
@@ -85,7 +49,7 @@ pub fn torus(
             }
         }
     }
-    finish(b)
+    b.build()
 }
 
 /// The near-square factorisation used when a torus is requested by node
@@ -125,9 +89,9 @@ pub fn fat_tree(
     extra_hosts: usize,
     bytes_per_ms: u32,
     latency: Duration,
-) -> Result<Topology, TopoBuildError> {
+) -> Result<Topology, TopologyError> {
     if k < 2 || !k.is_multiple_of(2) {
-        return Err(TopoBuildError::TooFewNodes {
+        return Err(TopologyError::TooFewNodes {
             family: "fat-tree",
             need: fat_tree_size(2),
             got: k,
@@ -173,7 +137,7 @@ pub fn fat_tree(
         let pod_edges = &edges[pod * half..(pod + 1) * half];
         home(&mut b, pod_edges, e % half, host);
     }
-    finish(b)
+    b.build()
 }
 
 /// Node count of a k-ary fat-tree with no extra hosts (saturating, so
@@ -196,9 +160,9 @@ pub fn scada_star(
     n: usize,
     bytes_per_ms: u32,
     latency: Duration,
-) -> Result<Topology, TopoBuildError> {
+) -> Result<Topology, TopologyError> {
     if n < 3 {
-        return Err(TopoBuildError::TooFewNodes {
+        return Err(TopologyError::TooFewNodes {
             family: "scada-star",
             need: 3,
             got: n,
@@ -241,7 +205,7 @@ pub fn scada_star(
             }
         }
     }
-    finish(b)
+    b.build()
 }
 
 #[cfg(test)]
@@ -381,11 +345,11 @@ mod tests {
             scada_star(1, 100, lat),
         ] {
             assert!(
-                matches!(err, Err(TopoBuildError::TooFewNodes { .. })),
+                matches!(err, Err(TopologyError::TooFewNodes { .. })),
                 "should be TooFewNodes, got {err:?}"
             );
         }
-        let e = TopoBuildError::TooFewNodes {
+        let e = TopologyError::TooFewNodes {
             family: "torus",
             need: 2,
             got: 1,

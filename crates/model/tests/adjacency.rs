@@ -4,11 +4,11 @@
 //! and `Topology::link_between` to scan the link list; both now read
 //! the adjacency `TopologyBuilder::build` computes once. Every graph
 //! walk in the workspace goes through it, so it is held here to the
-//! definition — for every constructor of `btr-model` and this crate,
+//! definition — for every constructor and platform family of `btr-model`,
 //! including the dual bus, whose two links attach every pair.
 
+use btr_model::topology::{fat_tree, scada_star, torus};
 use btr_model::{Duration, LinkId, NodeId, Topology, TopologyBuilder};
-use btr_topo::{fat_tree, scada_star, torus};
 use std::collections::BTreeSet;
 
 fn assert_matches_brute_force(name: &str, t: &Topology) {

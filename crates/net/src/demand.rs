@@ -46,7 +46,7 @@
 //! bit-for-bit: identical paths, identical links, identical `avoiding` /
 //! `avoiding_transit` semantics (the `routes_equiv` property tests pin
 //! this). [`RouteBackend::auto`] picks the table below
-//! [`DEMAND_ROUTING_THRESHOLD`] nodes and the rows at or above it.
+//! `DEMAND_ROUTING_THRESHOLD` nodes and the rows at or above it.
 
 use crate::routing::RoutingTable;
 use btr_model::{LinkId, NodeId, Topology};
@@ -59,12 +59,12 @@ use std::collections::BTreeSet;
 /// zero-branch lookups keep the simulator hot path at its measured
 /// baseline; above it, table construction cost and residency grow
 /// quadratically while the rows stay near-linear.
-pub const DEMAND_ROUTING_THRESHOLD: usize = 64;
+pub(crate) const DEMAND_ROUTING_THRESHOLD: usize = 64;
 
 /// Default byte budget for resident rows (32 MiB): at n = 1000 every row
 /// is 2 kB, so the full row set costs 2 MB and nothing is evicted; the
 /// budget is the backstop that keeps residency bounded at any n.
-pub const DEMAND_CACHE_BUDGET: usize = 32 << 20;
+pub(crate) const DEMAND_CACHE_BUDGET: usize = 32 << 20;
 
 /// Row entry for "no next hop": unreachable, or the destination itself.
 const NONE: u16 = u16::MAX;
@@ -586,7 +586,7 @@ pub enum RouteBackend {
 
 impl RouteBackend {
     /// Select the backend by node count (see
-    /// [`DEMAND_ROUTING_THRESHOLD`]).
+    /// `DEMAND_ROUTING_THRESHOLD`).
     pub fn auto(topo: &Topology) -> RouteBackend {
         if topo.node_count() >= DEMAND_ROUTING_THRESHOLD {
             RouteBackend::Demand(DemandRoutes::new(topo))
@@ -939,7 +939,7 @@ mod tests {
         assert!(d.resident_bytes() < 8 * row + (16 << 10));
         // Every row of a 100-node torus warm is 26 712 bytes; the
         // all-pairs table there holds 724 288 and grows quadratically.
-        let t = btr_topo::torus(10, 10, 100, Duration(1)).expect("10x10 builds");
+        let t = btr_model::topology::torus(10, 10, 100, Duration(1)).expect("10x10 builds");
         let mut d = DemandRoutes::new(&t);
         d.warm((0..100).map(NodeId));
         assert_eq!(d.cached_rows(), 100);

@@ -4,7 +4,7 @@
 //! babbling-idiot problem \[11\] — e.g., that the bandwidth of each link is
 //! statically allocated between the nodes", and "the MAC is often
 //! implemented in hardware and thus can enforce bandwidth allocations
-//! even if nodes are corrupted". A [`Guardian`] is that hardware MAC:
+//! even if nodes are corrupted". A `Guardian` is that hardware MAC:
 //! a per-period byte budget that refills at period boundaries and cannot
 //! be bypassed by the node software (faulty or not) because both
 //! substrates route every send through it. It sits on the link a message
@@ -15,7 +15,7 @@ use btr_model::{Duration, Time};
 
 /// Outcome of a guardian check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardianVerdict {
+pub(crate) enum GuardianVerdict {
     /// The send fits in the current period's remaining budget.
     Permit,
     /// The send exceeds the budget and is dropped at the MAC.
@@ -24,7 +24,7 @@ pub enum GuardianVerdict {
 
 /// A per-period byte-budget enforcer for one (sender, link) pair.
 #[derive(Debug, Clone)]
-pub struct Guardian {
+pub(crate) struct Guardian {
     /// Budget in bytes per period.
     budget: u64,
     /// Refill interval.
@@ -43,7 +43,7 @@ impl Guardian {
     ///
     /// # Panics
     /// Panics if the period is zero.
-    pub fn new(budget: u64, period: Duration) -> Guardian {
+    pub(crate) fn new(budget: u64, period: Duration) -> Guardian {
         assert!(period.as_micros() > 0, "guardian period must be positive");
         Guardian {
             budget,
@@ -68,7 +68,7 @@ impl Guardian {
     }
 
     /// Check (and account for) a send of `bytes` at time `now`.
-    pub fn check(&mut self, now: Time, bytes: u64) -> GuardianVerdict {
+    pub(crate) fn check(&mut self, now: Time, bytes: u64) -> GuardianVerdict {
         self.roll(now);
         if bytes <= self.remaining {
             self.remaining -= bytes;
@@ -80,7 +80,7 @@ impl Guardian {
     }
 
     /// Total bytes denied so far.
-    pub fn denied_bytes(&self) -> u64 {
+    pub(crate) fn denied_bytes(&self) -> u64 {
         self.denied
     }
 }

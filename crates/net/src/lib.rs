@@ -43,12 +43,11 @@ pub mod guardian;
 pub mod network;
 pub mod routing;
 
-pub use demand::{
-    DemandRoutes, Hop, RouteBackend, Routes, DEMAND_CACHE_BUDGET, DEMAND_ROUTING_THRESHOLD,
-};
-pub use guardian::{Guardian, GuardianVerdict};
+pub use demand::{DemandRoutes, Hop, RouteBackend, Routes};
 pub use network::{DropReason, Network};
 pub use routing::RoutingTable;
+
+use guardian::{Guardian, GuardianVerdict};
 
 use btr_model::{Duration, LinkId, LinkSpec, NodeId, Time, Topology};
 

@@ -19,9 +19,9 @@
 //! planner's golden platforms and a torus it is held to a fresh
 //! `avoiding` table for every avoid set of up to two nodes.
 
+use btr_model::topology::{fat_tree, torus, torus_dims};
 use btr_model::{Duration, LinkId, NodeId, Topology};
 use btr_net::{DemandRoutes, Hop, Routes, RoutingTable};
-use btr_topo::{fat_tree, torus, torus_dims};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

@@ -53,26 +53,26 @@ use std::time::Instant;
 /// the run down (more slack for scheduling jitter); it never changes
 /// logical outcomes, only wall-clock fidelity.
 #[derive(Debug, Clone, Copy)]
-pub struct Pacer {
+pub(crate) struct Pacer {
     epoch: Instant,
     pace: f64,
 }
 
 impl Pacer {
     /// A pacer whose logical zero is `epoch`.
-    pub fn new(epoch: Instant, pace: f64) -> Pacer {
+    pub(crate) fn new(epoch: Instant, pace: f64) -> Pacer {
         assert!(pace > 0.0, "pace must be positive");
         Pacer { epoch, pace }
     }
 
     /// The wall instant before which logical `at` must not dispatch.
-    pub fn wall_for(&self, at: Time) -> Instant {
+    pub(crate) fn wall_for(&self, at: Time) -> Instant {
         let ns = at.as_micros() as f64 * self.pace * 1_000.0;
         self.epoch + std::time::Duration::from_nanos(ns as u64)
     }
 
     /// Wall µs elapsed since the logical-zero epoch (0 before it).
-    pub fn elapsed_us(&self) -> u64 {
+    pub(crate) fn elapsed_us(&self) -> u64 {
         Instant::now()
             .checked_duration_since(self.epoch)
             .map(|d| d.as_micros() as u64)
@@ -186,7 +186,7 @@ impl Agenda {
 /// [`CtxBackend`] a behaviour acts through when it runs on its own
 /// thread. All it stamps is logical time, which is what makes the two
 /// substrates trace-equivalent.
-pub struct LiveCtx {
+pub(crate) struct LiveCtx {
     node: NodeId,
     logical: Time,
     period: Duration,
@@ -204,7 +204,7 @@ pub struct LiveCtx {
 impl LiveCtx {
     /// Build the substrate for `node`, whose logical clock starts at
     /// `start`.
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         period: Duration,
         keystore: Arc<KeyStore>,
@@ -227,22 +227,17 @@ impl LiveCtx {
 
     /// Enable or disable phase-mark collection (on by default; marks
     /// are out-of-band either way, so this cannot change a run).
-    pub fn set_obs(&mut self, on: bool) {
+    pub(crate) fn set_obs(&mut self, on: bool) {
         self.obs = on;
     }
 
-    /// The node this context belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The node's current logical time.
-    pub fn logical(&self) -> Time {
+    pub(crate) fn logical(&self) -> Time {
         self.logical
     }
 
     /// True once the behaviour called `crash_self`.
-    pub fn is_crashed(&self) -> bool {
+    pub(crate) fn is_crashed(&self) -> bool {
         self.crashed
     }
 }
@@ -301,17 +296,13 @@ impl CtxBackend for LiveCtx {
 }
 
 /// What an actor thread hands back when it exits.
-pub struct ActorOutcome {
+pub(crate) struct ActorOutcome {
     /// The node.
     pub node: NodeId,
     /// The behaviour, for post-run inspection (stats, plan, fault set).
     pub behavior: Box<dyn NodeBehavior + Send>,
     /// Every actuation the node performed, logically stamped.
     pub actuations: Vec<Actuation>,
-    /// True if the node fail-stopped (vs. reaching the horizon).
-    pub crashed: bool,
-    /// Logical time the thread stopped dispatching.
-    pub stopped_at: Time,
     /// Recovery-phase boundaries the node's runtime observed.
     pub marks: Vec<PhaseMark>,
     /// Causal-gate sleeps (the event at hand was not yet provably safe
@@ -327,7 +318,7 @@ pub struct ActorOutcome {
 
 /// One node's event loop: behaviour + context + mailbox, run to a
 /// logical horizon under a wall-clock pacer.
-pub struct NodeActor {
+pub(crate) struct NodeActor {
     node: NodeId,
     behavior: Box<dyn NodeBehavior + Send>,
     seat: Seat,
@@ -365,7 +356,7 @@ pub(crate) fn restart_instant(
 impl NodeActor {
     /// Assemble an actor (does not start it; call [`NodeActor::run`] on
     /// its thread).
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         behavior: Box<dyn NodeBehavior + Send>,
         seat: Seat,
@@ -392,7 +383,7 @@ impl NodeActor {
 
     /// Share an externally owned flight recorder (the supervisor holds
     /// the other handle, so the tail is readable after a panic).
-    pub fn with_flight(mut self, flight: Arc<Mutex<FlightRecorder>>) -> NodeActor {
+    pub(crate) fn with_flight(mut self, flight: Arc<Mutex<FlightRecorder>>) -> NodeActor {
         self.flight = flight;
         self
     }
@@ -400,13 +391,13 @@ impl NodeActor {
     /// This node will be restarted `after` a crash (see
     /// `restart_instant`): dying, it hands its frontier cell to the
     /// next incarnation instead of going terminal.
-    pub fn with_restart(mut self, after: Duration) -> NodeActor {
+    pub(crate) fn with_restart(mut self, after: Duration) -> NodeActor {
         self.restart_after = after;
         self
     }
 
     /// The node this actor animates.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
@@ -452,7 +443,12 @@ impl NodeActor {
     /// `SwitchCompleted`s, then exactly one terminal `Finished`/`Crashed`
     /// event *before* returning, so the supervisor can join without a
     /// timeout once it has seen the terminal event.
-    pub fn run(mut self, end: Time, pacer: Pacer, events: Sender<RuntimeEvent>) -> ActorOutcome {
+    pub(crate) fn run(
+        mut self,
+        end: Time,
+        pacer: Pacer,
+        events: Sender<RuntimeEvent>,
+    ) -> ActorOutcome {
         self.behavior.on_start(&mut NodeCtx::new(
             &mut self.seat,
             &mut self.scratch,
@@ -546,8 +542,6 @@ impl NodeActor {
             node: self.node,
             behavior: self.behavior,
             actuations: std::mem::take(&mut self.ctx.actuations),
-            crashed,
-            stopped_at: self.ctx.logical(),
             marks: std::mem::take(&mut self.ctx.marks),
             frontier_stalls: self.frontier_stalls,
             redrains: self.redrains,
@@ -658,7 +652,6 @@ mod tests {
         );
         let pacer = Pacer::new(Instant::now(), 0.001); // ~free-running
         let out = actor.run(Time::from_millis(2), pacer, ev_tx);
-        assert!(!out.crashed);
         assert_eq!(out.actuations.len(), 5);
         assert_eq!(out.actuations[0].at, Time(100));
         assert_eq!(out.actuations[4].at, Time(500));
@@ -708,13 +701,11 @@ mod tests {
             rx,
             net.clone(),
         );
-        let out = actor.run(
+        actor.run(
             Time::from_millis(10),
             Pacer::new(Instant::now(), 0.001),
             ev_tx,
         );
-        assert!(out.crashed);
-        assert_eq!(out.stopped_at, Time(50));
         let evs: Vec<RuntimeEvent> = ev_rx.try_iter().collect();
         assert_eq!(evs.last().map(|e| e.kind.clone()), Some(EventKind::Crashed));
         // Post-crash, the network refuses traffic to the dead node.

@@ -22,10 +22,10 @@ use std::sync::Arc;
 /// The crash-trigger sentinel. `u64::MAX` has timer kind 15, outside
 /// the runtime's `[1, 4]` encoding range, so `timers::decode` rejects it
 /// and the inner runtime could never confuse it for its own timer.
-pub const CRASH_TIMER: TimerId = u64::MAX;
+pub(crate) const CRASH_TIMER: TimerId = u64::MAX;
 
 /// A live node with a scripted fault spliced into its behaviour.
-pub struct FaultyNode {
+pub(crate) struct FaultyNode {
     inner: BtrNode,
     crash_at: Option<Time>,
 }
@@ -33,7 +33,7 @@ pub struct FaultyNode {
 impl FaultyNode {
     /// Build the faulty node: `fault.attack()` (None for crashes) is
     /// the runtime's attack script, a crash schedules the sentinel timer.
-    pub fn make(
+    pub(crate) fn make(
         node: NodeId,
         workload: Arc<Workload>,
         strategy: Arc<Strategy>,
@@ -81,14 +81,14 @@ impl NodeBehavior for FaultyNode {
 /// (it also builds the checker tables), swallows that first stale
 /// boundary when it fires, and re-arms the boundary at the next true
 /// period start with the correct period index.
-pub struct Rejoin {
+pub(crate) struct Rejoin {
     inner: BtrNode,
     resynced: bool,
 }
 
 impl Rejoin {
     /// Wrap a fresh runtime for rejoin.
-    pub fn new(inner: BtrNode) -> Rejoin {
+    pub(crate) fn new(inner: BtrNode) -> Rejoin {
         Rejoin {
             inner,
             resynced: false,

@@ -14,30 +14,28 @@
 //!
 //! Layering:
 //!
-//! * [`transport`] — loopback network: routes, per-hop delays,
+//! * `transport` — the `Loopback` network: routes, per-hop delays,
 //!   deterministic loss, bounded mailboxes, crash/restore, and the
 //!   causal frontier with its gate and wake-ups.
-//! * [`actor`] — [`actor::LiveCtx`] (the live `CtxBackend`: the
-//!   substrate's half of hosting a node; the node's half is the
-//!   `btr_sim::Seat` both substrates derive alike) and the per-node
-//!   event loop over one agenda, paced against the wall clock.
-//! * [`faulty`] — [`faulty::FaultyNode`] splices scripted faults into
-//!   live behaviour; [`faulty::Rejoin`] re-synchronises restarts.
-//! * [`supervisor`] — spawns the fleet, watches for panics, crashes,
-//!   and deadline overruns, restarts scripted crash victims, and
-//!   assembles the [`supervisor::LiveReport`].
+//! * `actor` — `LiveCtx` (the live `CtxBackend`: the substrate's half
+//!   of hosting a node; the node's half is the `btr_sim::Seat` both
+//!   substrates derive alike) and the per-node event loop over one
+//!   agenda, paced against the wall clock.
+//! * `faulty` — `FaultyNode` splices scripted faults into live
+//!   behaviour; `Rejoin` re-synchronises restarts.
+//! * `supervisor` — [`run_live`] spawns the fleet, watches for panics,
+//!   crashes, and deadline overruns, restarts scripted crash victims,
+//!   and assembles the [`LiveReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actor;
-pub mod faulty;
-pub mod supervisor;
-pub mod transport;
+mod actor;
+mod faulty;
+mod supervisor;
+mod transport;
 
-pub use actor::{ActorOutcome, EventKind, LiveCtx, NodeActor, Pacer, RuntimeEvent};
-pub use faulty::{FaultyNode, Rejoin, CRASH_TIMER};
+pub use actor::{EventKind, RuntimeEvent};
 pub use supervisor::{
     run_live, DropTotals, DumpReason, FlightDump, LiveConfig, LiveReport, PanicReport,
 };
-pub use transport::{Gate, LiveMsg, Loopback, Port};

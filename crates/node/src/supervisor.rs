@@ -88,13 +88,13 @@ pub struct DropTotals {
     /// Bounded-mailbox backpressure drops.
     pub mailbox_full: u64,
     /// Sends to crashed / not-yet-restarted nodes.
-    pub receiver_down: u64,
+    pub(crate) receiver_down: u64,
     /// Deterministic transmission loss.
     pub transmission_loss: u64,
     /// No route (partition after crashes).
-    pub no_route: u64,
+    pub(crate) no_route: u64,
     /// Sends a sender's bandwidth guardian denied.
-    pub guardian_denied: u64,
+    pub(crate) guardian_denied: u64,
     /// Messages that entered the network.
     pub sent: u64,
 }
@@ -115,26 +115,6 @@ pub struct PanicReport {
     pub flight_total: u64,
     /// The last few dispatches, oldest first.
     pub flight_tail: Vec<FlightEvent>,
-}
-
-impl PanicReport {
-    /// One-line rendering: node, message, and the flight tail.
-    pub fn render(&self) -> String {
-        let at = self
-            .last_logical
-            .map(|t| format!("{}us", t.as_micros()))
-            .unwrap_or_else(|| "never-dispatched".to_string());
-        let tail: Vec<String> = self.flight_tail.iter().map(|e| e.to_string()).collect();
-        format!(
-            "{} panicked at logical {}: {} [last {} of {} events: {}]",
-            self.node,
-            at,
-            self.message,
-            self.flight_tail.len(),
-            self.flight_total,
-            tail.join("; "),
-        )
-    }
 }
 
 /// Why the supervisor dumped a node's flight recorder.
@@ -166,27 +146,10 @@ pub struct FlightDump {
     pub node: NodeId,
     /// Why it was flagged.
     pub reason: DumpReason,
-    /// The node's last flight-recorded logical timestamp.
-    pub last_logical: Option<Time>,
     /// Total events the node dispatched.
     pub total: u64,
     /// The last few dispatches, oldest first.
     pub tail: Vec<FlightEvent>,
-}
-
-impl FlightDump {
-    /// One-line rendering for reports.
-    pub fn render(&self) -> String {
-        let tail: Vec<String> = self.tail.iter().map(|e| e.to_string()).collect();
-        format!(
-            "{} [{}] last {} of {} events: {}",
-            self.node,
-            self.reason.label(),
-            self.tail.len(),
-            self.total,
-            tail.join(", "),
-        )
-    }
 }
 
 fn dump_flight(
@@ -198,7 +161,6 @@ fn dump_flight(
     FlightDump {
         node,
         reason,
-        last_logical: f.last_at(),
         total: f.total(),
         tail: f.tail(),
     }

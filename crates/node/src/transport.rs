@@ -36,7 +36,7 @@ use std::thread::Thread;
 /// time and a per-sender sequence for deterministic same-instant
 /// ordering at the receiver.
 #[derive(Debug)]
-pub struct LiveMsg {
+pub(crate) struct LiveMsg {
     /// Logical arrival time (what the link layer charged).
     pub at: Time,
     /// Sending node (transport-level truth, unlike `env.src` which a
@@ -50,18 +50,18 @@ pub struct LiveMsg {
 
 /// Drop counters, one cell per cause (all monotone; read at shutdown).
 #[derive(Debug, Default)]
-pub struct TransportCounters {
+pub(crate) struct TransportCounters {
     /// Bounded-mailbox backpressure drops (`try_send` on a full queue).
     pub mailbox_full: AtomicU64,
     /// Messages addressed to a crashed / not-yet-restarted node.
-    pub receiver_down: AtomicU64,
+    pub(crate) receiver_down: AtomicU64,
     /// Deterministic transmission loss (the sender's loss stream).
     pub transmission_loss: AtomicU64,
     /// No route to the destination, or a crashed relay on it.
-    pub no_route: AtomicU64,
+    pub(crate) no_route: AtomicU64,
     /// Sends the sender's bandwidth guardian denied (its per-period
     /// budget on the link spent).
-    pub guardian_denied: AtomicU64,
+    pub(crate) guardian_denied: AtomicU64,
     /// Messages accepted into the network.
     pub sent: AtomicU64,
 }
@@ -116,7 +116,7 @@ const WATCHDOG: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// The causal gate's verdict on a node's next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// Safe to dispatch: no message can still arrive ahead of it.
     Go,
     /// A message reached the mailbox after the caller's drain; drain
@@ -252,13 +252,13 @@ impl Inner {
 /// The shared loopback network. Cheaply cloneable; one [`Port`] per
 /// sending node.
 #[derive(Clone)]
-pub struct Loopback {
+pub(crate) struct Loopback {
     inner: Arc<Inner>,
 }
 
 impl Loopback {
     /// The fleet's transport over `net`, the channel its nodes share.
-    pub fn new(net: Network) -> Loopback {
+    pub(crate) fn new(net: Network) -> Loopback {
         let n = net.topology().node_count();
         // Any inter-node path crosses at least one link, so its delay is
         // at least the smallest link latency. Clamped to 1 µs: a
@@ -295,11 +295,6 @@ impl Loopback {
         }
     }
 
-    /// The minimum one-hop delay (see `Inner::lookahead`).
-    pub fn lookahead(&self) -> Duration {
-        self.inner.lookahead
-    }
-
     /// Fold-and-clear `node`'s own frontier cell: the anchor becomes
     /// `min(next, pending inflight floor)` and the floor resets; peers
     /// the old claim was holding back are woken. Returns the folded
@@ -307,7 +302,7 @@ impl Loopback {
     /// caller's known next event is already sitting in its mailbox
     /// (delivery precedes the floor update), so the caller must drain
     /// and re-fold before trusting its event choice.
-    pub fn publish_anchor(&self, node: NodeId, next: Time) -> Time {
+    pub(crate) fn publish_anchor(&self, node: NodeId, next: Time) -> Time {
         Time(self.inner.republish(node, |cell| {
             cell.anchor = next.as_micros().min(cell.inflight);
             cell.inflight = u64::MAX;
@@ -317,7 +312,7 @@ impl Loopback {
     /// Mark `node` terminal: it will never send again, so no peer may
     /// wait on it (and stray deliveries into its dying mailbox must not
     /// re-arm its floor).
-    pub fn set_terminal(&self, node: NodeId) {
+    pub(crate) fn set_terminal(&self, node: NodeId) {
         self.inner.republish(node, |cell| {
             cell.anchor = u64::MAX;
             cell.inflight = u64::MAX;
@@ -330,7 +325,7 @@ impl Loopback {
     /// after [`Loopback::crash`] — with the mailbox detached no sender
     /// can re-arm the floor behind this store — so the cell never reads
     /// terminal in between and no peer can slip past the downtime.
-    pub fn hand_off(&self, node: NodeId, back_at: Time) {
+    pub(crate) fn hand_off(&self, node: NodeId, back_at: Time) {
         self.inner.republish(node, |cell| {
             cell.anchor = back_at.as_micros();
             cell.inflight = u64::MAX;
@@ -345,7 +340,7 @@ impl Loopback {
     /// the blocker is `node` itself). Local events strictly below the
     /// bound are safe to dispatch (an event *at* it is safe if it is a
     /// timer, which wins ties against messages).
-    pub fn frontier_bound(&self, node: NodeId) -> (Time, NodeId) {
+    pub(crate) fn frontier_bound(&self, node: NodeId) -> (Time, NodeId) {
         let (bound, blocker) = self.inner.bound(node);
         (Time(bound), blocker)
     }
@@ -355,7 +350,7 @@ impl Loopback {
     /// read the node's own floor again. `need` is the bound that makes
     /// the event safe: its instant for a timer, one past it for a
     /// message, one past the horizon to finish.
-    pub fn gate(&self, node: NodeId, next: Time, need: Time) -> Gate {
+    pub(crate) fn gate(&self, node: NodeId, next: Time, need: Time) -> Gate {
         if self.publish_anchor(node, next) < next {
             return Gate::Redrain;
         }
@@ -381,7 +376,7 @@ impl Loopback {
     }
 
     /// Name the calling thread as the one to unpark for `node`.
-    pub fn attach_sleeper(&self, node: NodeId) {
+    pub(crate) fn attach_sleeper(&self, node: NodeId) {
         self.inner.cell(node).sleeper = Some(std::thread::current());
     }
 
@@ -408,7 +403,7 @@ impl Loopback {
     /// reached `need` (or a message's arrival lowered what it needs and
     /// that was reached). Returns false if the second look found the
     /// gate already open and the node never slept.
-    pub fn wait(&self, node: NodeId, need: Time) -> bool {
+    pub(crate) fn wait(&self, node: NodeId, need: Time) -> bool {
         let Some(blocker) = self.declare_need(node, need) else {
             return false;
         };
@@ -430,30 +425,30 @@ impl Loopback {
 
     /// Sleeps attributed to `node` as the peer holding the sleeper's
     /// frontier lowest.
-    pub fn slept_on(&self, node: NodeId) -> u64 {
+    pub(crate) fn slept_on(&self, node: NodeId) -> u64 {
         self.inner.slept_on[node.index()].load(Ordering::Relaxed)
     }
 
     /// Attach (or re-attach, after a restart) a node's mailbox sender.
-    pub fn register(&self, node: NodeId, tx: SyncSender<LiveMsg>) {
+    pub(crate) fn register(&self, node: NodeId, tx: SyncSender<LiveMsg>) {
         self.inner.mailboxes.write().expect("mailboxes lock")[node.index()] = Some(tx);
     }
 
     /// Mark a node crashed: detach its mailbox and take it down in the
     /// network, whose routes heal around it (dead relays lose carrier).
-    pub fn crash(&self, node: NodeId) {
+    pub(crate) fn crash(&self, node: NodeId) {
         self.inner.mailboxes.write().expect("mailboxes lock")[node.index()] = None;
         self.inner.network().set_down(node, true);
     }
 
     /// Bring a restarted node back: routes may transit it again once its
     /// mailbox is re-registered.
-    pub fn restore(&self, node: NodeId) {
+    pub(crate) fn restore(&self, node: NodeId) {
         self.inner.network().set_down(node, false);
     }
 
     /// A sending handle for `node`.
-    pub fn port(&self, node: NodeId) -> Port {
+    pub(crate) fn port(&self, node: NodeId) -> Port {
         Port {
             inner: Arc::clone(&self.inner),
             src: node,
@@ -462,19 +457,19 @@ impl Loopback {
     }
 
     /// Snapshot of the drop counters.
-    pub fn counters(&self) -> &TransportCounters {
+    pub(crate) fn counters(&self) -> &TransportCounters {
         &self.inner.counters
     }
 
     /// `mailbox_full` drops attributed to one receiver's mailbox.
-    pub fn mailbox_full_at(&self, node: NodeId) -> u64 {
+    pub(crate) fn mailbox_full_at(&self, node: NodeId) -> u64 {
         self.inner.mailbox_full_by[node.index()].load(Ordering::Relaxed)
     }
 }
 
 /// A per-sender handle (owns the sender's send sequence; lives on the
 /// actor thread).
-pub struct Port {
+pub(crate) struct Port {
     inner: Arc<Inner>,
     src: NodeId,
     seq: u64,
@@ -485,7 +480,7 @@ impl Port {
     /// logical arrival time if the message entered the network (drops
     /// are counted, never surfaced to the sender — same contract as the
     /// simulator's fire-and-forget `transmit`).
-    pub fn send(&mut self, now: Time, env: Envelope) -> Option<Time> {
+    pub(crate) fn send(&mut self, now: Time, env: Envelope) -> Option<Time> {
         let dst = env.dst;
         let c = &self.inner.counters;
         let at = if dst == self.src {
@@ -553,7 +548,7 @@ impl Port {
 }
 
 /// Build a bounded mailbox pair for one node.
-pub fn mailbox(cap: usize) -> (SyncSender<LiveMsg>, Receiver<LiveMsg>) {
+pub(crate) fn mailbox(cap: usize) -> (SyncSender<LiveMsg>, Receiver<LiveMsg>) {
     std::sync::mpsc::sync_channel(cap)
 }
 
@@ -633,7 +628,7 @@ mod tests {
     fn frontier_bound_tracks_anchors_inflight_and_death() {
         let topo = Topology::bus(3, 10_000, Duration(10));
         let net = Loopback::new(Network::new(topo, PERIOD, 1, 0, None));
-        assert_eq!(net.lookahead(), Duration(10));
+        assert_eq!(net.inner.lookahead, Duration(10));
         // Initial anchors are 0: bound = 0 + lookahead.
         assert_eq!(net.frontier_bound(NodeId(0)).0, Time(10));
         net.publish_anchor(NodeId(1), Time(50));

@@ -9,8 +9,7 @@
 
 use btr_core::{BtrSystem, FaultScenario};
 use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr_node::supervisor::{run_live, LiveConfig};
-use btr_node::{DumpReason, EventKind};
+use btr_node::{run_live, DumpReason, EventKind, LiveConfig};
 use btr_obs::{Phase, RecoveryTimeline};
 use btr_planner::PlannerConfig;
 

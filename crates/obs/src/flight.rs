@@ -129,19 +129,6 @@ impl FlightRecorder {
         out.extend_from_slice(&self.buf[..self.head]);
         out
     }
-
-    /// One-line human rendering of the tail: `"last K of N: a; b; c"`.
-    pub fn render_tail(&self) -> String {
-        let tail = self.tail();
-        let mut s = format!("last {} of {} events: ", tail.len(), self.total);
-        for (i, ev) in tail.iter().enumerate() {
-            if i > 0 {
-                s.push_str("; ");
-            }
-            s.push_str(&ev.to_string());
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -175,8 +162,7 @@ mod tests {
         );
         assert_eq!(fr.tail().len(), 2);
         assert_eq!(fr.last_at(), Some(Time(2)));
-        let s = fr.render_tail();
-        assert!(s.contains("last 2 of 2"), "{s}");
+        let s = fr.tail()[1].to_string();
         assert!(s.contains("msg<-n3"), "{s}");
     }
 

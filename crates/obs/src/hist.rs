@@ -16,7 +16,7 @@
 //! `tests/props.rs`.
 
 /// Number of buckets (fixed; covers all of `u64`).
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A mergeable log-bucketed histogram of `u64` samples (microseconds
 /// by convention, but unit-agnostic).

@@ -16,8 +16,8 @@
 //! Pieces:
 //! - [`Histogram`]: allocation-free log-bucketed latency histogram
 //!   (HDR-style, fixed `[u64; 64]` power-of-two buckets, mergeable).
-//! - [`Recorder`] / [`NoopRecorder`] / [`ObsRecorder`]: the hook trait,
-//!   a zero-cost default, and the collecting implementation.
+//! - [`Recorder`] / [`ObsRecorder`]: the hook trait and the collecting
+//!   implementation.
 //! - [`PhaseMark`] / [`RecoveryTimeline`]: per-fault phase marks
 //!   (activation → evidence → attribution → switch → recovered) folded
 //!   into a five-phase breakdown whose durations sum exactly to the
@@ -46,8 +46,8 @@ mod timeline;
 mod trace_event;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAP};
-pub use hist::{Histogram, BUCKETS};
-pub use profile::{Profile, Subsystem, SUBSYSTEM_KINDS};
-pub use recorder::{Counter, Lat, NoopRecorder, ObsRecorder, Recorder, COUNTER_KINDS, LAT_KINDS};
+pub use hist::Histogram;
+pub use profile::{Profile, Subsystem};
+pub use recorder::{Counter, Lat, ObsRecorder, Recorder, COUNTER_KINDS};
 pub use timeline::{Phase, PhaseMark, RecoveryTimeline};
 pub use trace_event::TraceBuilder;

@@ -47,7 +47,7 @@ pub enum Subsystem {
 }
 
 /// Number of [`Subsystem`] kinds (array sizing).
-pub const SUBSYSTEM_KINDS: usize = 8;
+pub(crate) const SUBSYSTEM_KINDS: usize = 8;
 
 impl Subsystem {
     /// Stable lowercase label (JSON keys, benchmark metric names).

@@ -4,10 +4,9 @@
 //! The trait is deliberately one-way — every method takes `&mut self`
 //! and plain-value facts, and returns nothing. An implementation can
 //! aggregate, but it cannot influence the caller: that one-way shape is
-//! the whole inertness argument (see the crate docs). [`NoopRecorder`]
-//! is the zero-cost default; every method body is empty, so with the
-//! default in place the instrumentation compiles down to nothing and
-//! the pinned hot-path goldens are untouched.
+//! the whole inertness argument (see the crate docs). Every method has
+//! an empty default body, and a substrate with observation off holds no
+//! recorder at all, so the pinned hot-path goldens are untouched.
 
 use crate::hist::Histogram;
 use crate::profile::Profile;
@@ -50,7 +49,7 @@ pub enum Lat {
 }
 
 /// Number of [`Lat`] kinds (array sizing).
-pub const LAT_KINDS: usize = 3;
+pub(crate) const LAT_KINDS: usize = 3;
 
 impl Counter {
     /// Stable lowercase label (JSON keys).
@@ -133,12 +132,6 @@ pub trait Recorder {
         None
     }
 }
-
-/// The zero-cost default: observation off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// The collecting recorder: fixed arrays for counters and histograms
 /// (allocation-free on the record path) plus an append-only mark log.
@@ -232,14 +225,6 @@ mod tests {
     use super::*;
     use crate::timeline::Phase;
     use btr_model::{NodeId, Time};
-
-    #[test]
-    fn noop_is_inert_and_copy() {
-        let mut r = NoopRecorder;
-        r.count(Counter::Events, 10);
-        r.latency(Lat::Delivery, 42);
-        let _copy = r;
-    }
 
     #[test]
     fn obs_collects() {

@@ -97,11 +97,11 @@ pub struct RecoveryTimeline {
     /// `R − recovery` (negative when the bound was blown).
     pub slack_to_r_us: i64,
     /// Raw (unclamped) first `EvidenceObserved` instant, if any.
-    pub first_evidence: Option<Time>,
+    pub(crate) first_evidence: Option<Time>,
     /// Raw last `Attributed` instant, if any.
-    pub last_attributed: Option<Time>,
+    pub(crate) last_attributed: Option<Time>,
     /// Raw first `SwitchCompleted` instant, if any.
-    pub first_switch: Option<Time>,
+    pub(crate) first_switch: Option<Time>,
     /// Raw last `SwitchCompleted` instant, if any.
     pub last_switch: Option<Time>,
 }

@@ -75,7 +75,7 @@ pub fn strategy_quality(strategy: &Strategy, workload: &Workload) -> QualityRepo
 /// score is the sum over steps (earlier damage also counts, modelling
 /// the paper's observation that an adversary "can trigger a new fault
 /// every R seconds").
-pub fn worst_case_sequence(strategy: &Strategy, workload: &Workload) -> (f64, Vec<NodeId>) {
+pub(crate) fn worst_case_sequence(strategy: &Strategy, workload: &Workload) -> (f64, Vec<NodeId>) {
     let n = strategy
         .plans
         .iter()

@@ -10,7 +10,7 @@
 //!
 //! The pipeline:
 //!
-//! 1. [`augment`] decides replica lane counts per task (f+1 for
+//! 1. [`lane_counts`] decides replica lane counts per task (f+1 for
 //!    detection; 2f+1 when configured for masking-cost comparisons).
 //! 2. [`placement`] maps augmented tasks to nodes for one fault pattern,
 //!    honouring hard constraints (replica anti-affinity, sensor/actuator
@@ -23,20 +23,20 @@
 //! 4. [`strategy`] walks fault patterns breadth-first up to the fault
 //!    budget `f`, derives transition metadata (migrations, state bytes,
 //!    time bounds), and admits the strategy against the recovery bound R.
-//! 5. [`gametree`] scores strategies adversarially — "computing a
+//! 5. [`strategy_quality`] scores strategies adversarially — "computing a
 //!    strategy is a bit like building a game tree for a game like chess".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod augment;
-pub mod gametree;
+mod augment;
+mod gametree;
 pub mod placement;
 pub mod strategy;
 
 pub use augment::{lane_counts, ReplicationMode};
-pub use gametree::{plan_utility, strategy_quality, worst_case_sequence, QualityReport};
-pub use placement::{place, PlacementError};
+pub use gametree::{plan_utility, strategy_quality, QualityReport};
+pub use placement::place;
 pub use strategy::{build_strategy, StrategyError, StrategyStats};
 
 use btr_model::Duration;

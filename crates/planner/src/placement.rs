@@ -340,8 +340,10 @@ fn cheapest(
 }
 
 /// Count how many augmented tasks moved between two placements
-/// (the plan-distance metric of Section 4.1).
-pub fn placement_distance(a: &BTreeMap<ATask, NodeId>, b: &BTreeMap<ATask, NodeId>) -> usize {
+/// (the plan-distance metric of Section 4.1): what the tests hold
+/// delta minimisation to.
+#[cfg(test)]
+fn placement_distance(a: &BTreeMap<ATask, NodeId>, b: &BTreeMap<ATask, NodeId>) -> usize {
     let mut moved = 0;
     for (atask, node) in b {
         if matches!(atask, ATask::Verify { .. }) {
@@ -800,8 +802,8 @@ mod tests {
             Topology::ring(9, 2_000, lat),
             Topology::mesh(3, 4, 3_000, lat),
             Topology::dual_bus(6, 40_000, lat),
-            btr_topo::fat_tree(4, 3, 5_000, lat).unwrap(),
-            btr_topo::scada_star(25, 5_000, lat).unwrap(),
+            btr_model::topology::fat_tree(4, 3, 5_000, lat).unwrap(),
+            btr_model::topology::scada_star(25, 5_000, lat).unwrap(),
             ring_of_buses(),
         ];
         for topo in &platforms {

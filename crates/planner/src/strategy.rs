@@ -36,8 +36,7 @@ use crate::augment::lane_counts;
 use crate::placement::{broken_constraint, CommTable, Healthy, PlacementError, Placer};
 use crate::{PlannerConfig, ShedPolicy, DETECT_MARGIN};
 use btr_model::{
-    ATask, Criticality, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId,
-    Transition,
+    ATask, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId, Transition,
 };
 use btr_net::RoutingTable;
 use btr_sched::synthesize;
@@ -45,7 +44,7 @@ use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Approximate wire size of an evidence record for bounds.
-pub const EVIDENCE_WIRE_BYTES: u32 = 420;
+pub(crate) const EVIDENCE_WIRE_BYTES: u32 = 420;
 /// Fixed slack for per-hop evidence validation in the distribution bound.
 const VALIDATION_SLACK: Duration = Duration(500);
 
@@ -569,21 +568,10 @@ pub fn build_strategy(
     ))
 }
 
-/// Count of sink outputs per criticality level that survive in a plan.
-pub fn surviving_sinks(plan: &Plan, workload: &Workload) -> BTreeMap<Criticality, usize> {
-    let mut out: BTreeMap<Criticality, usize> = BTreeMap::new();
-    for sink in workload.sinks() {
-        if !plan.is_shed(sink.id) {
-            *out.entry(sink.criticality).or_insert(0) += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_model::Topology;
+    use btr_model::{Criticality, Topology};
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
@@ -719,7 +707,10 @@ mod tests {
             (Topology::mesh(3, 4, 150_000, lat), 2),
             (Topology::dual_bus(6, 150_000, lat), 3),
             (Topology::bus(5, 20_000, lat), 2),
-            (btr_topo::fat_tree(4, 3, 150_000, lat).unwrap(), 1),
+            (
+                btr_model::topology::fat_tree(4, 3, 150_000, lat).unwrap(),
+                1,
+            ),
             (mixed.build().unwrap(), 2),
         ]
     }
@@ -971,15 +962,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn surviving_sinks_counts() {
-        let (w, topo) = setup();
-        let cfg = PlannerConfig::new(1, ms(100));
-        let (strategy, _) = build_strategy(&w, &topo, &cfg).unwrap();
-        let s = surviving_sinks(strategy.initial_plan(), &w);
-        let total: usize = s.values().sum();
-        assert_eq!(total, w.sinks().count());
     }
 }

@@ -41,7 +41,7 @@ fn platform(name: &str) -> (Topology, u8) {
         // The campaign's largest cell shape: 36 fabric nodes plus three
         // extra dual-homed hosts.
         "fat_tree4" => (
-            btr_topo::fat_tree(4, 3, 150_000, lat).expect("valid fat-tree"),
+            btr_model::topology::fat_tree(4, 3, 150_000, lat).expect("valid fat-tree"),
             1,
         ),
         "bus6_mixed" => (bus6_mixed(), 2),

@@ -102,7 +102,7 @@ impl Attack {
     }
 
     /// True if this attack drops the node's heartbeats at `now`.
-    pub fn drops_heartbeats(&self, now: Time) -> bool {
+    pub(crate) fn drops_heartbeats(&self, now: Time) -> bool {
         matches!(
             self,
             Attack::Omission {

@@ -48,7 +48,7 @@ const ROW_GROWTH: usize = 8;
 /// goes to an ordered map, as everything used to, and stays there until
 /// collected (a key lives in one place: where its first copy was put).
 #[derive(Debug, Default)]
-pub struct OutputPool {
+pub(crate) struct OutputPool {
     rows: [Vec<SignedOutput>; WINDOW as usize],
     /// First period of the window: the greatest `before` collected so far.
     base: PeriodIdx,
@@ -72,7 +72,7 @@ impl OutputPool {
     }
 
     /// The copy held for (task, replica, period).
-    pub fn get(
+    pub(crate) fn get(
         &self,
         task: TaskId,
         replica: ReplicaIdx,
@@ -92,13 +92,13 @@ impl OutputPool {
     /// for its (task, replica, period): same fields, same tag, same key
     /// id. The comparison needs no constant-time care — a resident's tag
     /// already travelled the network in the clear.
-    pub fn is_resident(&self, out: &SignedOutput) -> bool {
+    pub(crate) fn is_resident(&self, out: &SignedOutput) -> bool {
         self.get(out.task, out.replica, out.period) == Some(out)
     }
 
     /// Keep `out` unless a copy is already held for its (task, replica,
     /// period); returns that earlier copy, which stays.
-    pub fn insert_first(&mut self, out: &SignedOutput) -> Option<&SignedOutput> {
+    pub(crate) fn insert_first(&mut self, out: &SignedOutput) -> Option<&SignedOutput> {
         let key = (out.task, out.replica, out.period);
         let r = (out.period % WINDOW) as usize;
         let place = self.in_row(out.task, out.replica, out.period);
@@ -125,7 +125,7 @@ impl OutputPool {
 
     /// Insert a (signature-verified) output; returns an equivocation
     /// proof if it conflicts with an earlier copy.
-    pub fn insert_checked(&mut self, out: &SignedOutput) -> Option<EvidenceRecord> {
+    pub(crate) fn insert_checked(&mut self, out: &SignedOutput) -> Option<EvidenceRecord> {
         let prev = self.insert_first(out)?;
         (prev.producer == out.producer
             && (prev.value != out.value || prev.inputs_digest != out.inputs_digest))
@@ -137,7 +137,7 @@ impl OutputPool {
     }
 
     /// Drop entries older than `before` periods (bounded memory).
-    pub fn gc(&mut self, before: PeriodIdx) {
+    pub(crate) fn gc(&mut self, before: PeriodIdx) {
         if before > self.base {
             // The window moves up: the rows it leaves behind are freed
             // (and are the rows of the periods it moves onto).
@@ -151,28 +151,25 @@ impl OutputPool {
         }
     }
 
-    /// Number of pooled outputs (diagnostics).
-    pub fn len(&self) -> usize {
+    /// Number of pooled outputs: what the tests hold against the map
+    /// the pool replaced.
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.rows.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
-    }
-
-    /// True if the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 /// Static configuration of one checking task.
 #[derive(Debug, Clone)]
-pub struct CheckerConfig {
+pub(crate) struct CheckerConfig {
     /// The checked workload task.
     pub task: TaskId,
     /// Number of replica lanes.
     pub lanes: u8,
     /// Expected host of each lane (from the active plan).
-    pub lane_nodes: Vec<NodeId>,
+    pub(crate) lane_nodes: Vec<NodeId>,
     /// True if the task is a sensor source.
-    pub is_source: bool,
+    pub(crate) is_source: bool,
     /// Declared dataflow inputs.
     pub inputs: Vec<TaskId>,
     /// Workload seed (source readings).
@@ -181,7 +178,7 @@ pub struct CheckerConfig {
 
 /// The checking task for one workload task.
 #[derive(Debug)]
-pub struct ReplicaChecker {
+pub(crate) struct ReplicaChecker {
     cfg: CheckerConfig,
     /// Lanes seen per period.
     arrived: BTreeMap<PeriodIdx, Vec<ReplicaIdx>>,
@@ -189,7 +186,7 @@ pub struct ReplicaChecker {
 
 impl ReplicaChecker {
     /// Create a checker from its plan-derived configuration.
-    pub fn new(mut cfg: CheckerConfig) -> Self {
+    pub(crate) fn new(mut cfg: CheckerConfig) -> Self {
         // Sorted once: `observe` compares it with each output's sorted
         // witness tasks.
         cfg.inputs.sort_unstable();
@@ -200,7 +197,7 @@ impl ReplicaChecker {
     }
 
     /// The checked task.
-    pub fn task(&self) -> TaskId {
+    pub(crate) fn task(&self) -> TaskId {
         self.cfg.task
     }
 
@@ -211,7 +208,7 @@ impl ReplicaChecker {
     /// `Detector::observe_output`) so no witness is checked twice.
     /// Returns at most one bad-computation proof (plus nothing else; the
     /// caller runs the equivocation pool and timing watch separately).
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         _view: &dyn WorkloadView,
         output: SignedOutput,
@@ -292,7 +289,7 @@ impl ReplicaChecker {
     }
 
     /// Lanes that never arrived for `period`, with their planned hosts.
-    pub fn missing_lanes(&self, period: PeriodIdx) -> Vec<(ReplicaIdx, NodeId)> {
+    pub(crate) fn missing_lanes(&self, period: PeriodIdx) -> Vec<(ReplicaIdx, NodeId)> {
         let seen = self.arrived.get(&period);
         (0..self.cfg.lanes)
             .filter(|r| seen.is_none_or(|v| !v.contains(r)))
@@ -301,7 +298,7 @@ impl ReplicaChecker {
     }
 
     /// Drop state older than `before` (bounded memory).
-    pub fn gc(&mut self, before: PeriodIdx) {
+    pub(crate) fn gc(&mut self, before: PeriodIdx) {
         self.arrived.retain(|&p, _| p >= before);
     }
 }
@@ -385,7 +382,7 @@ mod tests {
         assert_eq!(ev.convicts(), Some(NodeId(0)));
         assert_eq!(pool.len(), 1);
         pool.gc(2);
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
     }
 
     /// The ordered map the pool used to be, and still must behave as.
@@ -468,7 +465,6 @@ mod tests {
                     pool.is_resident(&out) == model.is_resident(&out), "step {step}: residency"
                 );
                 proptest::prop_assert!(pool.len() == model.0.len(), "step {step}: len");
-                proptest::prop_assert_eq!(pool.is_empty(), model.0.is_empty());
             }
             // Whatever is left is found, copy for copy.
             for out in model.0.values() {

@@ -8,31 +8,23 @@
 //!
 //! The detector runs on every node and combines:
 //!
-//! * [`checker::ReplicaChecker`] — compares replica outputs; produces
+//! * [`ReplicaChecker`] — compares replica outputs; produces
 //!   *proofs* for commission faults (bad computation, checked against the
 //!   producer's own signed input commitment) and equivocation.
-//! * [`checker::OutputPool`] — a cross-task pool of first-seen signed
+//! * [`OutputPool`] — a cross-task pool of first-seen signed
 //!   outputs; any conflicting second copy is an equivocation proof, and
 //!   an identical one needs no second MAC (the verified-record memo).
-//! * [`timing::TimingWatch`] — detects "doing the right thing at the
+//! * [`TimingWatch`] — detects "doing the right thing at the
 //!   wrong time": validly signed outputs arriving outside their window
 //!   become timing *declarations*.
-//! * [`timing::HeartbeatMonitor`] — crash suspicion after missed beats.
-//! * [`omission::OmissionTracker`] — the paper's omission-fault counter-
+//! * [`HeartbeatMonitor`] — crash suspicion after missed beats.
+//! * [`OmissionTracker`] — the paper's omission-fault counter-
 //!   measure: unprovable path declarations are counted, and "if a node is
 //!   on a large number of problematic paths", it is attributed faulty.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod checker;
-pub mod omission;
-pub mod timing;
-
-pub use checker::{CheckerConfig, OutputPool, ReplicaChecker};
-pub use omission::OmissionTracker;
-pub use timing::{HeartbeatMonitor, TimingWatch};
-
+use crate::checker::{CheckerConfig, OutputPool, ReplicaChecker};
+use crate::omission::OmissionTracker;
+use crate::timing::{HeartbeatMonitor, TimingWatch};
 use btr_crypto::{SigError, Signature, Signer};
 use btr_model::evidence::WorkloadView;
 use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time};
@@ -50,7 +42,7 @@ const OMISSION_THRESHOLD: usize = 3;
 ///
 /// The runtime feeds it observations; it returns evidence records, which
 /// the runtime signs into envelopes and hands to the evidence distributor.
-pub struct Detector {
+pub(crate) struct Detector {
     node: NodeId,
     pool: OutputPool,
     checkers: BTreeMap<TaskId, ReplicaChecker>,
@@ -78,7 +70,7 @@ pub struct Detector {
 
 impl Detector {
     /// Create a detector for `node`.
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         Detector {
             node,
             pool: OutputPool::default(),
@@ -96,17 +88,17 @@ impl Detector {
 
     /// Install (or replace) the checker for one task. Called on mode
     /// switches when this node hosts `ATask::Check { task }`.
-    pub fn install_checker(&mut self, cfg: CheckerConfig) {
+    pub(crate) fn install_checker(&mut self, cfg: CheckerConfig) {
         self.checkers.insert(cfg.task, ReplicaChecker::new(cfg));
     }
 
     /// Remove a checker no longer assigned to this node.
-    pub fn remove_checker(&mut self, task: TaskId) {
+    pub(crate) fn remove_checker(&mut self, task: TaskId) {
         self.checkers.remove(&task);
     }
 
     /// Tasks this node currently checks.
-    pub fn checked_tasks(&self) -> Vec<TaskId> {
+    pub(crate) fn checked_tasks(&self) -> Vec<TaskId> {
         self.checkers.keys().copied().collect()
     }
 
@@ -134,7 +126,7 @@ impl Detector {
     /// `SignedOutput::verify_by`'s key-id/producer gate. No record is
     /// acted on that this node has not verified at least once.
     #[allow(clippy::too_many_arguments)]
-    pub fn observe_output(
+    pub(crate) fn observe_output(
         &mut self,
         mut verify: impl FnMut(&Signature, &[u8]) -> Result<(), SigError>,
         signer: &Signer,
@@ -197,7 +189,7 @@ impl Detector {
     }
 
     /// Feed a heartbeat.
-    pub fn observe_heartbeat(&mut self, from: NodeId, period: PeriodIdx) {
+    pub(crate) fn observe_heartbeat(&mut self, from: NodeId, period: PeriodIdx) {
         self.heartbeats.observe(from, period);
     }
 
@@ -209,7 +201,7 @@ impl Detector {
     /// producer's upstream chain contains a known-faulty node, so its
     /// silence is starvation, not a new fault (the false-attribution-
     /// cascade gate; see EXPERIMENTS.md campaign findings).
-    pub fn end_of_period(
+    pub(crate) fn end_of_period(
         &mut self,
         signer: &Signer,
         period: PeriodIdx,
@@ -258,7 +250,7 @@ impl Detector {
 
     /// Drop detector state older than `before` periods without emitting
     /// declarations (used during mode-transition blackouts).
-    pub fn gc(&mut self, before: PeriodIdx) {
+    pub(crate) fn gc(&mut self, before: PeriodIdx) {
         for chk in self.checkers.values_mut() {
             chk.gc(before);
         }
@@ -269,13 +261,13 @@ impl Detector {
 
     /// Install the plan-derived plausible accusers for threshold scaling
     /// (see [`OmissionTracker::set_plausible_accusers`]).
-    pub fn set_plausible_accusers(&mut self, accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) {
+    pub(crate) fn set_plausible_accusers(&mut self, accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) {
         self.omission.set_plausible_accusers(accusers);
     }
 
     /// Record an externally received (already validated) declaration for
     /// omission attribution. Returns nodes newly attributed faulty.
-    pub fn record_declaration(&mut self, record: &EvidenceRecord) -> Vec<NodeId> {
+    pub(crate) fn record_declaration(&mut self, record: &EvidenceRecord) -> Vec<NodeId> {
         match record {
             EvidenceRecord::PathDeclaration {
                 declarer,
@@ -315,26 +307,25 @@ impl Detector {
         }
     }
 
-    /// Nodes currently attributed faulty by the omission tracker.
-    pub fn attributed(&self) -> &BTreeSet<NodeId> {
-        self.omission.attributed()
-    }
-
     /// The root (producer, task) a silent node blamed for `period`, if it
     /// exonerated itself.
-    pub fn exoneration_of(&self, node: NodeId, period: PeriodIdx) -> Option<(NodeId, TaskId)> {
+    pub(crate) fn exoneration_of(
+        &self,
+        node: NodeId,
+        period: PeriodIdx,
+    ) -> Option<(NodeId, TaskId)> {
         self.exonerated.get(&(node, period)).copied()
     }
 
     /// Declarations the cascade gates swallowed so far (see
     /// [`Detector::end_of_period`]).
-    pub fn suppressed_declarations(&self) -> u64 {
+    pub(crate) fn suppressed_declarations(&self) -> u64 {
         self.suppressed
     }
 
     /// Unattributed suspects one accuser short of conviction (see
     /// [`OmissionTracker::near_miss_suspects`]).
-    pub fn near_miss_suspects(&self) -> usize {
+    pub(crate) fn near_miss_suspects(&self) -> usize {
         self.omission.near_miss_suspects()
     }
 }
@@ -771,7 +762,7 @@ mod tests {
         }
         let newly = d.record_declaration(&declare(last, 2));
         assert_eq!(newly, vec![NodeId(4)]);
-        assert!(d.attributed().contains(&NodeId(4)));
+        assert!(d.omission.attributed().contains(&NodeId(4)));
     }
 
     #[test]

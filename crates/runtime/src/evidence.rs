@@ -35,20 +35,20 @@ use std::collections::BTreeSet;
 /// accept to the task's checker, making the checker the designated
 /// meeting point (one extra message per consumed flow per period).
 #[derive(Debug, Default)]
-pub struct Disseminator {
+pub(crate) struct Disseminator {
     forwarded: BTreeSet<EvidenceId>,
     echoed: BTreeSet<(TaskId, ReplicaIdx, PeriodIdx)>,
 }
 
 impl Disseminator {
     /// Create an empty disseminator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// True exactly once per record id: the caller should forward the
     /// record to its flooding targets and will get `false` afterwards.
-    pub fn should_forward(&mut self, id: EvidenceId) -> bool {
+    pub(crate) fn should_forward(&mut self, id: EvidenceId) -> bool {
         self.forwarded.insert(id)
     }
 
@@ -57,7 +57,7 @@ impl Disseminator {
     /// and convicted peers are *not* excluded: fault sets converge only
     /// if all correct nodes eventually hold the same evidence, and local
     /// suspicion must never partition the control plane.
-    pub fn targets(
+    pub(crate) fn targets(
         node: NodeId,
         all_nodes: usize,
         from: Option<NodeId>,
@@ -69,13 +69,18 @@ impl Disseminator {
 
     /// True exactly once per (task, replica, period): the caller should
     /// echo the accepted output to the task's checker.
-    pub fn should_echo(&mut self, task: TaskId, replica: ReplicaIdx, period: PeriodIdx) -> bool {
+    pub(crate) fn should_echo(
+        &mut self,
+        task: TaskId,
+        replica: ReplicaIdx,
+        period: PeriodIdx,
+    ) -> bool {
         self.echoed.insert((task, replica, period))
     }
 
     /// Drop echo bookkeeping older than `before` periods (bounded memory;
     /// the checker's own pool dedups any re-echo after GC).
-    pub fn gc_echoes(&mut self, before: PeriodIdx) {
+    pub(crate) fn gc_echoes(&mut self, before: PeriodIdx) {
         self.echoed.retain(|&(_, _, p)| p >= before);
     }
 }

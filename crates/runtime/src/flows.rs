@@ -1,8 +1,8 @@
 //! Per-node view of the active plan: schedule slots, output routes,
 //! expected inputs, and checker configurations.
 
-use btr_detector::CheckerConfig;
-use btr_model::{ATask, Duration, NodeId, Plan, PlanId, ReplicaIdx, ScheduleEntry, TaskId};
+use crate::checker::CheckerConfig;
+use btr_model::{ATask, Duration, NodeId, Plan, ReplicaIdx, ScheduleEntry, TaskId};
 use btr_sched::input_lane;
 use btr_workload::{TaskKind, Workload};
 use std::collections::{BTreeMap, BTreeSet};
@@ -10,45 +10,43 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Everything a node needs to execute its part of one plan.
 #[derive(Debug, Clone)]
 pub struct PlanView {
-    /// The plan this view was derived from.
-    pub plan_id: PlanId,
     /// My schedule slots, in plan order (indices stable for timers).
     pub entries: Vec<ScheduleEntry>,
     /// For each Work task I host: destination nodes for its output.
-    pub out_routes: BTreeMap<ATask, Vec<NodeId>>,
+    pub(crate) out_routes: BTreeMap<ATask, Vec<NodeId>>,
     /// For each Work task I host: (input task, lane, producer node).
-    pub in_flows: BTreeMap<ATask, Vec<(TaskId, ReplicaIdx, NodeId)>>,
+    pub(crate) in_flows: BTreeMap<ATask, Vec<(TaskId, ReplicaIdx, NodeId)>>,
     /// The distinct (task, lane) pairs of `in_flows`, sorted: the outputs
     /// this node stores when they arrive (see [`PlanView::wants`]).
-    pub wanted: Vec<(TaskId, ReplicaIdx)>,
+    pub(crate) wanted: Vec<(TaskId, ReplicaIdx)>,
     /// Replica lane counts per unshed task.
     pub lanes: BTreeMap<TaskId, u8>,
     /// Checker configurations for Check tasks I host.
-    pub checkers: Vec<CheckerConfig>,
+    pub(crate) checkers: Vec<CheckerConfig>,
     /// The checker host of every checked task in the plan (all nodes, not
     /// just mine): consumers echo received outputs there so conflicting
     /// signed copies meet in one place (equivocation detection even when
     /// every victim task has a single consumer).
-    pub checker_nodes: BTreeMap<TaskId, NodeId>,
+    pub(crate) checker_nodes: BTreeMap<TaskId, NodeId>,
     /// When each work lane is scheduled to *emit* within its period
     /// (slot start + WCET), for every lane in the plan. Receivers derive
     /// arrival deadlines from this: an output arriving much later than
     /// its emit instant is a timing fault, even if it beats the task's
     /// end-to-end deadline.
-    pub emit_offsets: BTreeMap<(TaskId, ReplicaIdx), Duration>,
+    pub(crate) emit_offsets: BTreeMap<(TaskId, ReplicaIdx), Duration>,
     /// For every node: the *distinct* other nodes that would notice its
     /// silence under this plan (consumers of its lanes plus checkers of
     /// its tasks). This is the accuser fan-in the omission tracker can
     /// expect — a suspect with only two plausible accusers can never
     /// accumulate three distinct peers, so its attribution threshold
     /// scales down, but only for accusations from exactly this set.
-    pub accuser_sets: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    pub(crate) accuser_sets: BTreeMap<NodeId, BTreeSet<NodeId>>,
     /// For every task: the nodes hosting any lane of any *transitive*
     /// input task under this plan. A producer whose upstream set
     /// intersects the known fault set is starved, not faulty — its
     /// silence is explainable and must not be declared (the
     /// false-attribution-cascade gate).
-    pub upstream_hosts: BTreeMap<TaskId, BTreeSet<NodeId>>,
+    pub(crate) upstream_hosts: BTreeMap<TaskId, BTreeSet<NodeId>>,
 }
 
 impl PlanView {
@@ -98,7 +96,7 @@ impl PlanView {
 }
 
 /// Lane counts implied by a plan's placement.
-pub fn plan_lanes(plan: &Plan) -> BTreeMap<TaskId, u8> {
+pub(crate) fn plan_lanes(plan: &Plan) -> BTreeMap<TaskId, u8> {
     let mut lanes: BTreeMap<TaskId, u8> = BTreeMap::new();
     for atask in plan.placement.keys() {
         if let ATask::Work { task, replica } = atask {
@@ -215,7 +213,6 @@ pub fn derive_view(node: NodeId, plan: &Plan, workload: &Workload) -> PlanView {
     wanted.dedup();
 
     PlanView {
-        plan_id: plan.id,
         entries,
         out_routes,
         in_flows,
@@ -377,7 +374,6 @@ mod tests {
     fn node0_routes_and_flows() {
         let (w, plan) = setup();
         let v = derive_view(NodeId(0), &plan, &w);
-        assert_eq!(v.plan_id, PlanId(0));
         assert_eq!(v.entries.len(), 2);
         // Source lane 0 output: consumed by ctl lane 0 (local, excluded)
         // and the checker on n3.

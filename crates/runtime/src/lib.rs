@@ -15,17 +15,19 @@
 #![warn(missing_docs)]
 
 pub mod attack;
+mod checker;
+mod detector;
 mod evidence;
-pub mod flows;
+mod flows;
 mod modeswitch;
+mod omission;
 mod pool;
 pub mod timers;
+mod timing;
 
 pub use attack::Attack;
-pub use flows::{derive_view, plan_lanes, PlanView};
-pub use pool::EvidencePool;
+pub use flows::{derive_view, PlanView};
 
-use btr_detector::{Detector, OutputPool};
 use btr_model::{
     inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
     NodeId, Payload, PeriodIdx, SignedOutput, Strategy, TaskId, Time, Value,
@@ -33,9 +35,11 @@ use btr_model::{
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
 use btr_workload::{TaskKind, Workload};
+use checker::OutputPool;
+use detector::Detector;
 use evidence::Disseminator;
 use modeswitch::{ModeSwitcher, SwitchAction};
-use pool::AdmitOutcome;
+use pool::{AdmitOutcome, EvidencePool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use timers::Timer;
@@ -69,19 +73,19 @@ const TIMING_SLACK: Duration = Duration::from_millis(4);
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Task outputs emitted.
-    pub outputs_sent: u64,
+    pub(crate) outputs_sent: u64,
     /// Task instances skipped because an input never arrived.
-    pub outputs_missed: u64,
+    pub(crate) outputs_missed: u64,
     /// Evidence records generated locally.
-    pub evidence_generated: u64,
+    pub(crate) evidence_generated: u64,
     /// Evidence records forwarded (endorsed).
-    pub evidence_forwarded: u64,
+    pub(crate) evidence_forwarded: u64,
     /// Evidence records rejected as bogus.
     pub evidence_rejected: u64,
     /// Heartbeats sent.
-    pub heartbeats_sent: u64,
+    pub(crate) heartbeats_sent: u64,
     /// Bytes of migrated task state received.
-    pub state_bytes_in: u64,
+    pub(crate) state_bytes_in: u64,
     /// Evidence-pool near misses: suspects left one accuser short of
     /// conviction (snapshot of the detector's omission tracker).
     pub near_miss_accusations: u64,
@@ -183,11 +187,6 @@ impl BtrNode {
     /// Completed mode switches.
     pub fn switch_count(&self) -> u64 {
         self.switcher.switch_count()
-    }
-
-    /// The node's evidence pool (diagnostics and experiments).
-    pub fn pool(&self) -> &EvidencePool {
-        &self.pool
     }
 
     fn period_start(&self, p: PeriodIdx) -> Time {

@@ -23,7 +23,7 @@ use btr_model::{ATask, Duration, FaultSet, NodeId, PlanId, Strategy, Time};
 
 /// A state transfer this node must perform as part of a transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferOut {
+pub(crate) struct TransferOut {
     /// The migrating task (this node hosted it in the old plan).
     pub atask: ATask,
     /// The new host to send state to.
@@ -34,7 +34,7 @@ pub struct TransferOut {
 
 /// What the runtime must do after reporting a fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SwitchAction {
+pub(crate) enum SwitchAction {
     /// Nothing changed (fault already known, or plan unchanged).
     None,
     /// Begin a transition: send the listed state transfers now and
@@ -51,7 +51,7 @@ pub enum SwitchAction {
 
 /// Per-node mode-change state machine.
 #[derive(Debug, Clone)]
-pub struct ModeSwitcher {
+pub(crate) struct ModeSwitcher {
     node: NodeId,
     fault_set: FaultSet,
     current: PlanId,
@@ -64,7 +64,7 @@ pub struct ModeSwitcher {
 
 impl ModeSwitcher {
     /// Create a switcher starting in the strategy's initial plan.
-    pub fn new(node: NodeId, strategy: &Strategy) -> Self {
+    pub(crate) fn new(node: NodeId, strategy: &Strategy) -> Self {
         ModeSwitcher {
             node,
             fault_set: FaultSet::empty(),
@@ -76,22 +76,22 @@ impl ModeSwitcher {
     }
 
     /// The local (grow-only) fault set.
-    pub fn fault_set(&self) -> &FaultSet {
+    pub(crate) fn fault_set(&self) -> &FaultSet {
         &self.fault_set
     }
 
     /// The currently active plan.
-    pub fn current_plan(&self) -> PlanId {
+    pub(crate) fn current_plan(&self) -> PlanId {
         self.current
     }
 
     /// The pending transition, if one is scheduled.
-    pub fn pending(&self) -> Option<(PlanId, Time)> {
+    pub(crate) fn pending(&self) -> Option<(PlanId, Time)> {
         self.pending
     }
 
     /// Completed switch count.
-    pub fn switch_count(&self) -> u64 {
+    pub(crate) fn switch_count(&self) -> u64 {
         self.switches
     }
 
@@ -103,7 +103,7 @@ impl ModeSwitcher {
     /// computes the identical activation boundary — the coordination the
     /// paper calls for in Section 4.4 ("if different nodes switch modes
     /// at different times, some confusion can briefly result").
-    pub fn add_fault(
+    pub(crate) fn add_fault(
         &mut self,
         strategy: &Strategy,
         now: Time,
@@ -177,7 +177,7 @@ impl ModeSwitcher {
 
     /// Poll at (or after) an activation instant: if a pending switch is
     /// due, complete it and return the newly active plan.
-    pub fn poll(&mut self, now: Time) -> Option<PlanId> {
+    pub(crate) fn poll(&mut self, now: Time) -> Option<PlanId> {
         match self.pending {
             Some((to, at)) if now >= at => {
                 self.current = to;
@@ -195,7 +195,7 @@ impl ModeSwitcher {
     /// confusion may even be acceptable" around a switch; BTR charges
     /// that window against R instead of letting it generate accusations,
     /// so the detector suppresses declarations while this holds.
-    pub fn in_blackout(&self, now: Time, settle: Duration) -> bool {
+    pub(crate) fn in_blackout(&self, now: Time, settle: Duration) -> bool {
         self.pending.is_some()
             || self
                 .last_activated
@@ -456,7 +456,7 @@ mod tests_support {
     use std::collections::BTreeMap;
 
     /// A strategy over 3 nodes with plans for every fault set of size <= 2.
-    pub fn strategy_for_props() -> Strategy {
+    pub(crate) fn strategy_for_props() -> Strategy {
         let mut plans = Vec::new();
         let mut index = BTreeMap::new();
         let mut sets: Vec<FaultSet> = vec![FaultSet::empty()];

@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// periods, so a single transient burst (e.g. data delayed by an evidence
 /// flood during an unrelated recovery) never convicts a healthy node.
 #[derive(Debug)]
-pub struct OmissionTracker {
+pub(crate) struct OmissionTracker {
     /// suspect -> distinct nodes that declared against it.
     accusers: BTreeMap<NodeId, BTreeSet<NodeId>>,
     /// suspect -> periods in which it was accused (any accuser).
@@ -69,7 +69,7 @@ pub struct OmissionTracker {
 
 impl OmissionTracker {
     /// Attribute once a node is accused by `threshold` distinct peers.
-    pub fn new(threshold: usize) -> Self {
+    pub(crate) fn new(threshold: usize) -> Self {
         OmissionTracker {
             accusers: BTreeMap::new(),
             accused_periods: BTreeMap::new(),
@@ -92,7 +92,7 @@ impl OmissionTracker {
     /// full configured threshold, so nodes the plan gives no reason to
     /// complain (e.g. a colluding pair fabricating declarations about a
     /// sparse victim) cannot exploit the lowered bar.
-    pub fn set_plausible_accusers(&mut self, accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) {
+    pub(crate) fn set_plausible_accusers(&mut self, accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) {
         self.plausible_accusers = accusers;
     }
 
@@ -137,7 +137,7 @@ impl OmissionTracker {
     /// `period`; returns newly attributed nodes (the remote endpoint via
     /// the accusation count, and/or the declarer via the anti-flooding
     /// count).
-    pub fn record_path(
+    pub(crate) fn record_path(
         &mut self,
         declarer: NodeId,
         from: NodeId,
@@ -159,7 +159,7 @@ impl OmissionTracker {
     }
 
     /// Record a crash suspicion (declarer suspects `about` in `period`).
-    pub fn record_suspicion(
+    pub(crate) fn record_suspicion(
         &mut self,
         declarer: NodeId,
         about: NodeId,
@@ -178,26 +178,18 @@ impl OmissionTracker {
         newly
     }
 
-    /// Nodes attributed faulty so far.
-    pub fn attributed(&self) -> &BTreeSet<NodeId> {
+    /// Nodes attributed faulty so far (what the tests read; the
+    /// detector acts on each attribution as it is returned).
+    #[cfg(test)]
+    pub(crate) fn attributed(&self) -> &BTreeSet<NodeId> {
         &self.attributed
-    }
-
-    /// Distinct accusers of a suspect (diagnostics).
-    pub fn accuser_count(&self, suspect: NodeId) -> usize {
-        self.accusers.get(&suspect).map_or(0, |s| s.len())
-    }
-
-    /// Distinct remotes a declarer has complained about (diagnostics).
-    pub fn declared_count(&self, declarer: NodeId) -> usize {
-        self.declared_remotes.get(&declarer).map_or(0, |s| s.len())
     }
 
     /// Unattributed suspects exactly one distinct accuser short of their
     /// nearest conviction route (full or fan-in-scaled) — the evidence
     /// pool's near misses. The two-period rule is not held against the
     /// deficit: a closing accusation arrives with its own period.
-    pub fn near_miss_suspects(&self) -> usize {
+    pub(crate) fn near_miss_suspects(&self) -> usize {
         self.accusers
             .iter()
             .filter(|(suspect, set)| {
@@ -226,8 +218,8 @@ mod tests {
     fn single_accuser_attributes_nobody_at_threshold_two() {
         let mut t = OmissionTracker::new(2);
         assert!(t.record_path(NodeId(1), NodeId(2), NodeId(1), 0).is_empty());
-        assert_eq!(t.accuser_count(NodeId(2)), 1);
-        assert_eq!(t.declared_count(NodeId(1)), 1);
+        assert_eq!(t.accusers[&NodeId(2)].len(), 1);
+        assert_eq!(t.declared_remotes[&NodeId(1)].len(), 1);
     }
 
     #[test]
@@ -265,7 +257,7 @@ mod tests {
         for p in 0..10 {
             assert!(t.record_path(NodeId(2), NodeId(1), NodeId(2), p).is_empty());
         }
-        assert_eq!(t.accuser_count(NodeId(1)), 1);
+        assert_eq!(t.accusers[&NodeId(1)].len(), 1);
     }
 
     #[test]
@@ -282,7 +274,7 @@ mod tests {
             !t.attributed().contains(&NodeId(1)),
             "honest declarer convicted"
         );
-        assert_eq!(t.declared_count(NodeId(1)), 3);
+        assert_eq!(t.declared_remotes[&NodeId(1)].len(), 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@ const BLACKLIST_THRESHOLD: u32 = 8;
 
 /// Outcome of offering a record to the pool.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AdmitOutcome {
+pub(crate) enum AdmitOutcome {
     /// Newly verified: act on it (update fault set) and forward it.
     Verified {
         /// The record's id, as computed for the duplicate check (the
@@ -37,7 +37,7 @@ pub enum AdmitOutcome {
 
 /// Per-node store of validated evidence.
 #[derive(Default)]
-pub struct EvidencePool {
+pub(crate) struct EvidencePool {
     verified: BTreeMap<EvidenceId, EvidenceRecord>,
     rejected_ids: BTreeSet<EvidenceId>,
     bogus_by: BTreeMap<NodeId, u32>,
@@ -50,7 +50,7 @@ pub struct EvidencePool {
 
 impl EvidencePool {
     /// Create an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EvidencePool::default()
     }
 
@@ -59,7 +59,7 @@ impl EvidencePool {
     /// Validation order is cheap-first, per the paper's DoS concern:
     /// blacklist check, duplicate check, budget check, then signature
     /// and (for proofs) re-execution.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         ks: &KeyStore,
         view: &dyn WorkloadView,
@@ -106,41 +106,6 @@ impl EvidencePool {
                 AdmitOutcome::Rejected(flaw)
             }
         }
-    }
-
-    /// All verified records.
-    pub fn verified(&self) -> impl Iterator<Item = &EvidenceRecord> {
-        self.verified.values()
-    }
-
-    /// A verified record by id.
-    pub fn get(&self, id: EvidenceId) -> Option<&EvidenceRecord> {
-        self.verified.get(&id)
-    }
-
-    /// Nodes convicted by verified proofs.
-    pub fn convicted(&self) -> &BTreeSet<NodeId> {
-        &self.convicted
-    }
-
-    /// Senders currently blacklisted for bogus evidence.
-    pub fn blacklisted(&self) -> &BTreeSet<NodeId> {
-        &self.blacklist
-    }
-
-    /// Bogus-record count per sender (diagnostics / E8).
-    pub fn bogus_count(&self, sender: NodeId) -> u32 {
-        self.bogus_by.get(&sender).copied().unwrap_or(0)
-    }
-
-    /// Number of verified records.
-    pub fn len(&self) -> usize {
-        self.verified.len()
-    }
-
-    /// True if no record has been verified.
-    pub fn is_empty(&self) -> bool {
-        self.verified.is_empty()
     }
 }
 
@@ -224,20 +189,20 @@ mod tests {
             pool.admit(&ks(), &View, NodeId(3), &r, 0),
             AdmitOutcome::Duplicate
         );
-        assert!(pool.convicted().contains(&NodeId(2)));
-        assert_eq!(pool.len(), 1);
+        assert!(pool.convicted.contains(&NodeId(2)));
+        assert_eq!(pool.verified.len(), 1);
     }
 
     #[test]
     fn bogus_leads_to_blacklist() {
         let mut pool = EvidencePool::new();
         for p in 0..BLACKLIST_THRESHOLD as PeriodIdx {
-            assert!(!pool.blacklisted().contains(&NodeId(6)));
+            assert!(!pool.blacklist.contains(&NodeId(6)));
             let out = pool.admit(&ks(), &View, NodeId(6), &bogus(p), 0);
             assert!(matches!(out, AdmitOutcome::Rejected(_)), "{out:?}");
         }
-        assert!(pool.blacklisted().contains(&NodeId(6)));
-        assert_eq!(pool.bogus_count(NodeId(6)), BLACKLIST_THRESHOLD);
+        assert!(pool.blacklist.contains(&NodeId(6)));
+        assert_eq!(pool.bogus_by[&NodeId(6)], BLACKLIST_THRESHOLD);
         // Further records from the blacklisted sender are ignored — even
         // valid ones.
         assert_eq!(
@@ -296,7 +261,7 @@ mod tests {
             pool.admit(&ks(), &View, NodeId(2), &b, 0),
             AdmitOutcome::Duplicate
         );
-        assert!(pool.is_empty());
+        assert!(pool.verified.is_empty());
     }
 
     #[test]
@@ -312,6 +277,6 @@ mod tests {
                 class: EvidenceClass::Declaration
             }
         );
-        assert!(pool.convicted().is_empty());
+        assert!(pool.convicted.is_empty());
     }
 }

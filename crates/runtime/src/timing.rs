@@ -12,14 +12,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Emits timing declarations for late arrivals (one per output).
 #[derive(Debug, Default)]
-pub struct TimingWatch {
+pub(crate) struct TimingWatch {
     declared: BTreeSet<(btr_model::TaskId, u8, PeriodIdx)>,
 }
 
 impl TimingWatch {
     /// Observe an arrival; declare if late. At most one declaration per
     /// (task, replica, period).
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         signer: &Signer,
         declarer: NodeId,
@@ -44,7 +44,7 @@ impl TimingWatch {
     }
 
     /// Drop bookkeeping older than `before`.
-    pub fn gc(&mut self, before: PeriodIdx) {
+    pub(crate) fn gc(&mut self, before: PeriodIdx) {
         self.declared.retain(|&(_, _, p)| p >= before);
     }
 }
@@ -56,14 +56,14 @@ impl TimingWatch {
 /// periods imply a crash (or an omission fault — either way, evidence
 /// worth declaring).
 #[derive(Debug)]
-pub struct HeartbeatMonitor {
+pub(crate) struct HeartbeatMonitor {
     last_seen: BTreeMap<NodeId, PeriodIdx>,
     threshold: u64,
 }
 
 impl HeartbeatMonitor {
     /// Create a monitor that suspects after `threshold` missed periods.
-    pub fn new(threshold: u64) -> Self {
+    pub(crate) fn new(threshold: u64) -> Self {
         HeartbeatMonitor {
             last_seen: BTreeMap::new(),
             threshold: threshold.max(1),
@@ -71,7 +71,7 @@ impl HeartbeatMonitor {
     }
 
     /// Record a heartbeat.
-    pub fn observe(&mut self, from: NodeId, period: PeriodIdx) {
+    pub(crate) fn observe(&mut self, from: NodeId, period: PeriodIdx) {
         let e = self.last_seen.entry(from).or_insert(period);
         if *e < period {
             *e = period;
@@ -82,7 +82,7 @@ impl HeartbeatMonitor {
     /// check while the silence persists: the resulting declarations land
     /// in distinct periods, which the omission tracker requires before it
     /// attributes (single bursts never convict).
-    pub fn check(&mut self, now: PeriodIdx) -> Vec<NodeId> {
+    pub(crate) fn check(&mut self, now: PeriodIdx) -> Vec<NodeId> {
         self.last_seen
             .iter()
             .filter(|(_, &last)| now.saturating_sub(last) >= self.threshold)

@@ -100,7 +100,10 @@ mod tests {
             ("ring", Topology::ring(9, 2_000, lat)),
             ("mesh", Topology::mesh(3, 4, 3_000, lat)),
             ("dual_bus", Topology::dual_bus(6, 40_000, lat)),
-            ("fat_tree", btr_topo::fat_tree(4, 3, 5_000, lat).unwrap()),
+            (
+                "fat_tree",
+                btr_model::topology::fat_tree(4, 3, 5_000, lat).unwrap(),
+            ),
         ];
         for (name, t) in &platforms {
             for avoid in [BTreeSet::new(), BTreeSet::from([NodeId(1), NodeId(4)])] {
@@ -131,8 +134,14 @@ mod tests {
             ("bus", Topology::bus(4, 4_000, lat)),
             ("ring", Topology::ring(9, 2_000, lat)),
             ("mesh", Topology::mesh(3, 4, 3_000, lat)),
-            ("fat_tree", btr_topo::fat_tree(4, 3, 5_000, lat).unwrap()),
-            ("torus", btr_topo::torus(4, 5, 7_000, lat).unwrap()),
+            (
+                "fat_tree",
+                btr_model::topology::fat_tree(4, 3, 5_000, lat).unwrap(),
+            ),
+            (
+                "torus",
+                btr_model::topology::torus(4, 5, 7_000, lat).unwrap(),
+            ),
         ];
         for (name, t) in &platforms {
             let r = RoutingTable::new(t);

@@ -32,16 +32,16 @@ use btr_workload::{TaskKind, Workload};
 use std::collections::BTreeMap;
 
 /// Base wire size of one task-output envelope (header + signed output).
-pub const OUTPUT_WIRE_BYTES: u32 = 200;
+pub(crate) const OUTPUT_WIRE_BYTES: u32 = 200;
 /// Additional wire bytes per carried witness (signed input).
-pub const WITNESS_WIRE_BYTES: u32 = 120;
+pub(crate) const WITNESS_WIRE_BYTES: u32 = 120;
 /// Slack added to every message-arrival bound, covering control-plane
 /// competition on the sender's reserved slice (heartbeat bursts at
 /// period boundaries, evidence floods during recovery).
 const COMM_SLACK: Duration = Duration(300);
 
 /// Estimated wire size of a task output carrying `fanin` witnesses.
-pub fn output_wire_estimate(fanin: usize) -> u32 {
+pub(crate) fn output_wire_estimate(fanin: usize) -> u32 {
     OUTPUT_WIRE_BYTES + WITNESS_WIRE_BYTES * fanin as u32
 }
 
@@ -144,7 +144,7 @@ pub struct Synthesis {
     /// Completion offset of the latest task in the period.
     pub makespan: Duration,
     /// Finish offset of each task's primary lane (for deadline reports).
-    pub primary_finish: BTreeMap<TaskId, Duration>,
+    pub(crate) primary_finish: BTreeMap<TaskId, Duration>,
 }
 
 /// Which upstream replica a consumer lane reads.
@@ -157,7 +157,7 @@ pub fn input_lane(consumer_replica: u8, producer_lanes: u8) -> u8 {
 }
 
 /// WCET budget for a checking task over `lanes` replica outputs.
-pub fn check_wcet(lanes: u8) -> Duration {
+pub(crate) fn check_wcet(lanes: u8) -> Duration {
     Duration(20 + 10 * lanes as u64)
 }
 

@@ -31,7 +31,7 @@ pub mod trace;
 pub mod world;
 
 pub use scratch::Scratch;
-pub use seat::{Seat, MAX_CLOCK_SKEW};
+pub use seat::Seat;
 pub use trace::{DropReason, LogicalTrace, SimMetrics, TraceEvent};
 pub use world::{Actuation, ControlAction, CtxBackend, NodeCtx, SimConfig, World};
 
@@ -62,7 +62,7 @@ pub trait NodeBehavior {
 
 /// A behaviour that does nothing (useful as a default and in tests).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct IdleBehavior;
+pub(crate) struct IdleBehavior;
 
 impl NodeBehavior for IdleBehavior {
     fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {}

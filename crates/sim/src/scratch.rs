@@ -37,7 +37,7 @@ impl Scratch {
     /// The scratch of a host of every node of a world, where the copies
     /// of a multicast are verified one after another against one
     /// keystore. Its memo takes no memory until the first multicast.
-    pub fn for_world() -> Scratch {
+    pub(crate) fn for_world() -> Scratch {
         Scratch {
             many_nodes: true,
             ..Scratch::for_node()

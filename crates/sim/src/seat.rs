@@ -1,31 +1,30 @@
 //! The node's half of hosting: what belongs to one node whichever
 //! substrate runs it.
 
-use btr_crypto::{digest64, AuthSuite, NodeKey, Signer, SplitMix64};
+use btr_crypto::{digest64, AuthSuite, NodeKey, Signer};
 use btr_model::{Duration, NodeId, Time};
 
 /// Maximum absolute per-node clock skew: every local clock stays within
 /// this bound of global time (the paper's synchrony assumption).
-pub const MAX_CLOCK_SKEW: Duration = Duration(20);
+pub(crate) const MAX_CLOCK_SKEW: Duration = Duration(20);
 
-/// One node's seat at the protocol: its local clock, its signing key and
-/// its pseudo-random stream, all derived from `(seed, node)`.
+/// One node's seat at the protocol: its local clock and its signing key,
+/// both derived from `(seed, node)`.
 ///
 /// Both substrates build a seat per node with [`Seat::derive`] and lend
 /// it to a [`NodeCtx`](crate::NodeCtx) for each dispatch, so a node
-/// stamps, signs and draws the same on either — the substance of the
+/// stamps and signs the same on either — the substance of the
 /// trace-equivalence claim — and a behaviour can reach no signer but the
 /// one of the seat it is dispatched on.
 pub struct Seat {
     /// Local clock = global + offset (µs, may be negative).
     pub(crate) clock_offset: i64,
     pub(crate) signer: Signer,
-    pub(crate) rng: SplitMix64,
 }
 
 impl Seat {
     /// The seat of `node` under `seed`: a clock skew within
-    /// [`MAX_CLOCK_SKEW`] of global time, the node's key under `suite`, and its RNG stream.
+    /// `MAX_CLOCK_SKEW` of global time, and the node's key under `suite`.
     pub fn derive(seed: u64, node: NodeId, suite: AuthSuite) -> Seat {
         let (seed_bytes, id_bytes) = (seed.to_be_bytes(), node.0.to_be_bytes());
         let span = 2 * MAX_CLOCK_SKEW.as_micros() + 1;
@@ -34,7 +33,6 @@ impl Seat {
         Seat {
             clock_offset: skew,
             signer: Signer::new(NodeKey::derive_suite(seed, node.0, suite)),
-            rng: SplitMix64::from_parts(&[b"btr-node-rng", &seed_bytes, &id_bytes]),
         }
     }
 
@@ -51,13 +49,12 @@ mod tests {
 
     #[test]
     fn derivations_are_pinned() {
-        // Skew, first RNG draw and a tag as the parent of the commit that
-        // introduced `Seat` derived them in both substrates: every
-        // committed digest and replay token depends on these.
-        let mut seat = Seat::derive(1, NodeId(2), AuthSuite::HmacSha256);
+        // Skew and a tag as the parent of the commit that introduced
+        // `Seat` derived them in both substrates: every committed digest
+        // and replay token depends on these.
+        let seat = Seat::derive(1, NodeId(2), AuthSuite::HmacSha256);
         assert_eq!(seat.clock_offset, -4);
         assert_eq!(seat.local(Time(100)), Time(96));
-        assert_eq!(seat.rng.next_u64(), 0x3581_582b_1bf8_f035);
         let env = Envelope::new(NodeId(2), NodeId(0), Time(7), Payload::Control(9));
         let sig = env.signed(&seat.signer).sig.expect("signed");
         assert_eq!(format!("{sig:?}"), "Sig(k2,d4ba053d)");

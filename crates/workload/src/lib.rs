@@ -286,39 +286,9 @@ impl Workload {
         busy as f64 / self.period.0 as f64
     }
 
-    /// Length of the longest WCET chain (lower bound on makespan).
-    pub fn critical_path(&self) -> Duration {
-        let mut finish = vec![0u64; self.tasks.len()];
-        for &t in &self.topo_order {
-            let spec = self.task(t);
-            let ready = spec
-                .inputs
-                .iter()
-                .map(|i| finish[i.index()])
-                .max()
-                .unwrap_or(0);
-            finish[t.index()] = ready + spec.wcet.0;
-        }
-        Duration(finish.into_iter().max().unwrap_or(0))
-    }
-
     /// Tasks at a given criticality level.
     pub fn tasks_at(&self, c: Criticality) -> impl Iterator<Item = &TaskSpec> {
         self.tasks.iter().filter(move |t| t.criticality == c)
-    }
-
-    /// The tasks that transitively feed a given task (excluding itself).
-    pub fn ancestors(&self, id: TaskId) -> BTreeSet<TaskId> {
-        let mut out = BTreeSet::new();
-        let mut stack = vec![id];
-        while let Some(t) = stack.pop() {
-            for &i in &self.task(t).inputs {
-                if out.insert(i) {
-                    stack.push(i);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -487,12 +457,7 @@ mod tests {
         assert_eq!(w.sinks().count(), 1);
         assert_eq!(w.consumers_of(TaskId(0)), &[TaskId(1)]);
         assert_eq!(w.topo_order(), &[TaskId(0), TaskId(1), TaskId(2)]);
-        assert_eq!(w.critical_path(), Duration(800));
         assert!((w.utilization() - 0.08).abs() < 1e-9);
-        assert_eq!(
-            w.ancestors(TaskId(2)),
-            BTreeSet::from([TaskId(0), TaskId(1)])
-        );
         assert!(!w.is_empty());
     }
 
