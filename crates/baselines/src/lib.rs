@@ -85,7 +85,7 @@ pub struct BaselineSystem {
     /// Which scheme.
     pub(crate) baseline: Baseline,
     /// Fault budget the replication was sized for.
-    pub f: u8,
+    pub(crate) f: u8,
     workload: Arc<Workload>,
     topo: Topology,
     plan: Arc<Plan>,

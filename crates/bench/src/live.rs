@@ -41,11 +41,11 @@ pub struct LiveScenario {
     /// Platform size (avionics workload on a bus).
     pub nodes: usize,
     /// Judging horizon.
-    pub horizon: Duration,
+    pub(crate) horizon: Duration,
     /// The injected fault, if any.
-    pub fault: Option<(NodeId, FaultKind, Time)>,
+    pub(crate) fault: Option<(NodeId, FaultKind, Time)>,
     /// Downtime before a crashed node restarts (ZERO = stays down).
-    pub restart_after: Duration,
+    pub(crate) restart_after: Duration,
 }
 
 /// The pinned scenario set. The smoke set is small and short (CI runs

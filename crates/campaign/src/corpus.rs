@@ -95,7 +95,7 @@ impl Corpus {
     }
 
     /// The `i`-th resident in key order (parent selection wraps).
-    pub fn nth(&self, i: usize) -> Option<&CorpusEntry> {
+    pub(crate) fn nth(&self, i: usize) -> Option<&CorpusEntry> {
         self.entries.values().nth(i % self.entries.len().max(1))
     }
 

@@ -47,7 +47,7 @@ pub struct FuzzConfig {
     pub(crate) corpus_max: usize,
     /// Mutants bred per generation. Fixed independently of `threads` —
     /// batch composition is part of the deterministic outcome.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// The cells to fuzz.
     pub cells: Vec<CellSpec>,
 }
@@ -71,9 +71,9 @@ impl FuzzConfig {
 #[derive(Debug, Clone)]
 pub struct FuzzOutcome {
     /// The configuration the search ran with.
-    pub config: FuzzConfig,
+    pub(crate) config: FuzzConfig,
     /// Cell names, in grid order.
-    pub cells: Vec<String>,
+    pub(crate) cells: Vec<String>,
     /// Runs actually executed (≤ budget).
     pub runs: usize,
     /// Final coverage: distinct phase-timeline signature elements.

@@ -88,7 +88,7 @@ impl TopoSpec {
     }
 
     /// Build the topology.
-    pub fn build(&self) -> Topology {
+    pub(crate) fn build(&self) -> Topology {
         match *self {
             TopoSpec::Bus {
                 n,
@@ -123,7 +123,7 @@ impl TopoSpec {
     }
 
     /// Canonical token spelling (parseable by [`TopoSpec::parse`]).
-    pub fn token(&self) -> String {
+    pub(crate) fn token(&self) -> String {
         match *self {
             TopoSpec::Bus {
                 n,
@@ -156,7 +156,7 @@ impl TopoSpec {
     }
 
     /// Parse a [`TopoSpec::token`] spelling.
-    pub fn parse(s: &str) -> Option<TopoSpec> {
+    pub(crate) fn parse(s: &str) -> Option<TopoSpec> {
         let (family, rest) = if let Some(r) = s.strip_prefix("bus") {
             ("bus", r)
         } else if let Some(r) = s.strip_prefix("ring") {
@@ -314,7 +314,7 @@ impl CellSpec {
 
     /// The judging horizon: latest possible activation, plus R to
     /// recover, plus a 10-period settling tail.
-    pub fn horizon(&self, period: Duration, combos: bool, over_budget: bool) -> Duration {
+    pub(crate) fn horizon(&self, period: Duration, combos: bool, over_budget: bool) -> Duration {
         let p = period.as_micros();
         let r = self.r_bound.as_micros();
         let max_faults = if over_budget {

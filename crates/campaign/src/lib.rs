@@ -99,37 +99,37 @@ impl Timing {
 #[derive(Debug, Clone)]
 pub(crate) struct CellSummary {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Workload family.
-    pub workload: String,
+    pub(crate) workload: String,
     /// Topology token.
-    pub topology: String,
+    pub(crate) topology: String,
     /// Node count.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Fault budget.
-    pub f: u8,
+    pub(crate) f: u8,
     /// Recovery bound (µs).
-    pub r_bound_us: u64,
+    pub(crate) r_bound_us: u64,
     /// Judging horizon (µs).
-    pub horizon_us: u64,
+    pub(crate) horizon_us: u64,
     /// Schedules generated for the cell.
-    pub schedules: usize,
+    pub(crate) schedules: usize,
     /// Variant labels scheduled on the cell.
-    pub variants: Vec<&'static str>,
+    pub(crate) variants: Vec<&'static str>,
     /// Digest-stable per-subsystem event counts from one observed
     /// fault-free reference run of the cell (zero subsystems omitted).
     /// A pure function of the cell and campaign seed, so it lives in
     /// the report's deterministic region.
-    pub profile: Vec<(&'static str, u64)>,
+    pub(crate) profile: Vec<(&'static str, u64)>,
     /// Messages delivered in the reference run.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
 }
 
 /// Everything a finished campaign produced.
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
     /// The configuration the campaign ran with.
-    pub config: CampaignConfig,
+    pub(crate) config: CampaignConfig,
     /// Per-cell summaries, in grid order.
     pub(crate) cells: Vec<CellSummary>,
     /// Every scored run, in run order (deterministic).

@@ -26,7 +26,7 @@ use btr_crypto::AuthSuite;
 use btr_model::{Duration, NodeId, Time};
 
 /// Render the canonical token for a run.
-pub fn token(
+pub(crate) fn token(
     spec: &CellSpec,
     sim_seed: u64,
     horizon: Duration,

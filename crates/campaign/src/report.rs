@@ -21,13 +21,13 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Percentiles {
     /// Median.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// 90th percentile.
     pub(crate) p90: u64,
     /// 99th percentile.
-    pub p99: u64,
+    pub(crate) p99: u64,
     /// Maximum.
-    pub max: u64,
+    pub(crate) max: u64,
 }
 
 /// Nearest-rank percentiles of a sample (empty sample = all zeros).
@@ -57,11 +57,11 @@ pub(crate) fn percentiles(values: &mut [u64]) -> Percentiles {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct GroupAgg {
     /// Runs in the group.
-    pub runs: usize,
+    pub(crate) runs: usize,
     /// Runs with at least one violation.
-    pub violations: usize,
+    pub(crate) violations: usize,
     /// Recovery-time percentiles (µs).
-    pub recovery: Percentiles,
+    pub(crate) recovery: Percentiles,
 }
 
 fn aggregate_by<K: Ord, F: Fn(&RunRecord) -> K>(
@@ -294,7 +294,7 @@ pub fn render_deterministic(out: &CampaignOutcome) -> String {
 }
 
 /// Render the full report: the deterministic region plus `"timing"`.
-pub fn render(out: &CampaignOutcome) -> String {
+pub(crate) fn render(out: &CampaignOutcome) -> String {
     json::document(Layout::Block, |o| {
         deterministic(o, out);
         o.object("timing", Layout::Block, |o| {

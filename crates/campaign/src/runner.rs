@@ -80,13 +80,13 @@ impl CampaignConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunRecord {
     /// Dense run index (the merge order).
-    pub run_idx: u32,
+    pub(crate) run_idx: u32,
     /// Cell index into the campaign's grid.
-    pub cell_idx: u16,
+    pub(crate) cell_idx: u16,
     /// Schedule id within the cell.
     pub(crate) schedule_id: u32,
     /// Simulator seed used.
-    pub sim_seed: u64,
+    pub(crate) sim_seed: u64,
     /// Kind signature of the schedule, e.g. `crash+omission`.
     pub label: String,
     /// Number of injected faults.

@@ -35,9 +35,9 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultVariant {
     /// The fault family.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
     /// Refinements within the family.
-    pub mods: FaultMods,
+    pub(crate) mods: FaultMods,
 }
 
 const NO_MODS: FaultMods = FaultMods {
@@ -106,7 +106,7 @@ impl FaultVariant {
     ];
 
     /// Stable label, also the replay-token spelling.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match (
             self.kind,
             self.mods.garble_commitment,
@@ -125,7 +125,7 @@ impl FaultVariant {
     }
 
     /// Parse a replay-token spelling back into a variant.
-    pub fn parse(s: &str) -> Option<FaultVariant> {
+    pub(crate) fn parse(s: &str) -> Option<FaultVariant> {
         FaultVariant::ALL.into_iter().find(|v| v.label() == s)
     }
 
@@ -135,7 +135,7 @@ impl FaultVariant {
     }
 
     /// The variant of an injected fault (labels round-trip through this).
-    pub fn of(fault: &InjectedFault) -> FaultVariant {
+    pub(crate) fn of(fault: &InjectedFault) -> FaultVariant {
         // Normalize mods to the ones the kind actually consumes, so label
         // and equality are canonical.
         let mods = match fault.kind {
@@ -216,7 +216,7 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// Kind signature in activation order, e.g. `crash+omission`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let mut s = String::new();
         for (i, f) in self.scenario.faults.iter().enumerate() {
             if i > 0 {

@@ -14,7 +14,7 @@
 //!   convictions than the schedule injected faults means attribution
 //!   over-fired (the false-cascade family the campaign has caught
 //!   before).
-//! * **New coverage** — the run's [`signature`] elements not seen by any
+//! * **New coverage** — the run's `signature` elements not seen by any
 //!   earlier run. This is what keeps structurally novel schedules alive
 //!   even when their slack is fat: a schedule that exercises a new
 //!   detect/agree/blackout shape is a better mutation parent than a
@@ -81,7 +81,7 @@ fn log2_bucket(us: u64) -> u8 {
 /// run-level element hashing the schedule label with the bucketed
 /// end-to-end window, convergence, and violation kinds. Deterministic:
 /// marks come from the deterministic simulator and the fold is pure.
-pub fn signature(
+pub(crate) fn signature(
     sched: &FaultSchedule,
     report: &RunReport,
     marks: &[PhaseMark],

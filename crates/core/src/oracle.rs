@@ -84,7 +84,7 @@ pub enum Verdict {
 impl Verdict {
     /// True if this verdict counts as "correct" under Definition 3.1
     /// (with the paper's mixed-criticality extension).
-    pub fn acceptable(self) -> bool {
+    pub(crate) fn acceptable(self) -> bool {
         matches!(self, Verdict::Correct | Verdict::Degraded | Verdict::Shed)
     }
 }
@@ -95,11 +95,11 @@ pub struct SinkVerdict {
     /// The sink task.
     pub sink: TaskId,
     /// Its criticality.
-    pub criticality: Criticality,
+    pub(crate) criticality: Criticality,
     /// The release period.
     pub period: PeriodIdx,
     /// The classification.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
     /// When the output arrived (if it did).
     pub at: Option<Time>,
 }
@@ -114,7 +114,7 @@ pub struct SinkVerdict {
 /// gave that actuator up because its node is in the fault set, and no
 /// protocol can stop an adversary from driving hardware it owns;
 /// `deadline_slack` tolerates bounded clock skew in the on-time check.
-pub fn judge(
+pub(crate) fn judge(
     w: &Workload,
     actuations: &[Actuation],
     periods: PeriodIdx,
@@ -191,7 +191,7 @@ pub fn judge(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// When the first injected fault manifested (None = fault-free run).
-    pub fault_at: Option<Time>,
+    pub(crate) fault_at: Option<Time>,
     /// First unacceptable output slot's period end.
     pub first_bad: Option<Time>,
     /// Last unacceptable output slot's period end.

@@ -24,10 +24,10 @@ use btr_workload::Workload;
 pub struct PlantConfig {
     /// The damage deadline D: continuous bad output for this long breaks
     /// the envelope.
-    pub deadline: Duration,
+    pub(crate) deadline: Duration,
     /// Fraction of accumulated error that drains per *correct* period
     /// (inertia: how fast the plant re-stabilises). 1.0 = instant.
-    pub drain: f64,
+    pub(crate) drain: f64,
 }
 
 impl PlantConfig {

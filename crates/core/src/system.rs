@@ -82,11 +82,11 @@ pub type NodeRow = (NodeId, NodeStats, PlanId, usize);
 #[derive(Debug, Clone)]
 pub struct ActuationJudgment {
     /// Judged output slots ((sink, period) classification).
-    pub verdicts: Vec<SinkVerdict>,
+    pub(crate) verdicts: Vec<SinkVerdict>,
     /// Recovery window measurement.
     pub recovery: RecoveryStats,
     /// Fraction of acceptable slots per criticality level.
-    pub survival: BTreeMap<Criticality, f64>,
+    pub(crate) survival: BTreeMap<Criticality, f64>,
     /// Number of fully judged periods.
     pub periods: u64,
 }

@@ -1,25 +1,24 @@
 //! Fast deterministic PRNGs for the simulation hot path.
 //!
 //! The simulator originally derived every pseudo-random decision (loss
-//! rolls, per-node random streams) from a fresh SHA-256 compression via
+//! rolls) from a fresh SHA-256 compression via
 //! [`crate::digest64`]. That is cryptographically gold-plated for what is
 //! purely a *statistical* need, and it dominated the per-message cost of
 //! the simulator. These generators keep the property that actually
 //! matters — bit-exact determinism per seed — at a few arithmetic
 //! instructions per draw instead of a hash compression.
 //!
-//! Seeding still goes through SHA-256 (`Xoshiro256StarStar::from_digest`
-//! / [`SplitMix64::from_parts`]): one hash at construction buys
-//! domain-separated, well-mixed initial states, so independent streams
-//! (loss sampling, each node's local stream) never correlate even for
-//! adjacent integer seeds.
+//! Seeding still goes through SHA-256 (`Xoshiro256StarStar::from_parts`):
+//! one hash at construction buys domain-separated, well-mixed initial
+//! states, so independent streams (each sender's loss sampling) never
+//! correlate even for adjacent integer seeds.
 
 use crate::sha256::Digest;
 
 /// SplitMix64 (Steele, Lea, Flood 2014): the standard 64-bit state mixer.
 ///
-/// Used directly for per-node streams (one `u64` of state per node) and
-/// as the state expander for [`Xoshiro256StarStar`].
+/// The state expander for [`Xoshiro256StarStar`], and a cheap stream for
+/// tests that need one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -29,12 +28,6 @@ impl SplitMix64 {
     /// A generator starting from a raw 64-bit state.
     pub fn new(state: u64) -> SplitMix64 {
         SplitMix64 { state }
-    }
-
-    /// A generator seeded by hashing the given parts (domain separation
-    /// included by the caller's leading tag part).
-    pub fn from_parts(parts: &[&[u8]]) -> SplitMix64 {
-        SplitMix64::new(crate::digest64(parts))
     }
 
     /// Next 64 uniformly distributed bits.
@@ -90,7 +83,7 @@ impl Xoshiro256StarStar {
 
     /// Next 64 uniformly distributed bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
@@ -157,10 +150,6 @@ mod tests {
         assert_ne!(a1, b);
         let c = Xoshiro256StarStar::from_parts(&[b"node", &7u64.to_be_bytes()]);
         assert_ne!(a1, c);
-
-        let s1 = SplitMix64::from_parts(&[b"x", &1u32.to_be_bytes()]);
-        let s2 = SplitMix64::from_parts(&[b"x", &1u32.to_be_bytes()]);
-        assert_eq!(s1, s2);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub struct Digest(pub [u8; 32]);
 
 impl Digest {
     /// The all-zero digest, used as a chain genesis value.
-    pub const ZERO: Digest = Digest([0u8; 32]);
+    pub(crate) const ZERO: Digest = Digest([0u8; 32]);
 
     /// Render the digest as lowercase hex.
     pub fn to_hex(&self) -> String {
@@ -32,14 +32,16 @@ impl Digest {
         s
     }
 
-    /// A short 8-hex-character prefix, for human-readable logs.
-    pub fn short(&self) -> String {
+    /// A short 8-hex-character prefix: the reference `fmt_short` is
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn short(&self) -> String {
         self.to_hex()[..8].to_string()
     }
 
     /// Write the short 8-hex-character prefix straight into a formatter.
     ///
-    /// Equivalent to `f.write_str(&self.short())` without the `String`:
+    /// Equivalent to writing the first 8 hex characters, without a `String`:
     /// `Debug` on digests and signatures runs once per message in
     /// trace-enabled simulations, so it must not heap-allocate.
     pub(crate) fn fmt_short(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -72,7 +72,7 @@ impl AuthSuite {
     pub const ALL: [AuthSuite; 2] = [AuthSuite::HmacSha256, AuthSuite::SipHash24];
 
     /// Canonical long name (used in benchmark reports).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AuthSuite::HmacSha256 => "hmac-sha256",
             AuthSuite::SipHash24 => "siphash24",
@@ -182,13 +182,6 @@ impl Material {
         }
     }
 
-    fn suite(&self) -> AuthSuite {
-        match self {
-            Material::Hmac(_) => AuthSuite::HmacSha256,
-            Material::Sip(_) => AuthSuite::SipHash24,
-        }
-    }
-
     /// Compute the 32-byte tag field for a message given as parts.
     fn tag_parts(&self, parts: &[&[u8]]) -> Digest {
         MACS.with(|n| n.set(n.get() + 1));
@@ -234,16 +227,6 @@ impl NodeKey {
             material: Material::derive(system_seed, id, suite),
         }
     }
-
-    /// The key's principal id.
-    pub fn id(&self) -> KeyId {
-        self.id
-    }
-
-    /// The suite this key belongs to.
-    pub fn suite(&self) -> AuthSuite {
-        self.material.suite()
-    }
 }
 
 /// Signing handle held by a single node.
@@ -274,11 +257,6 @@ impl Signer {
     /// The signer's principal id.
     pub fn id(&self) -> KeyId {
         self.key.id
-    }
-
-    /// The signer's authenticator suite.
-    pub fn suite(&self) -> AuthSuite {
-        self.key.suite()
     }
 }
 
@@ -398,16 +376,6 @@ impl KeyStore {
             .map(|id| Material::derive(system_seed, id, suite))
             .collect();
         KeyStore { suite, keys }
-    }
-
-    /// Number of principals known to this store.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True if the store knows no principals.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// The store's authenticator suite.
@@ -584,9 +552,8 @@ mod tests {
     #[test]
     fn keystore_len() {
         let store = KeyStore::derive(7, 5);
-        assert_eq!(store.len(), 5);
-        assert!(!store.is_empty());
-        assert!(KeyStore::derive(7, 0).is_empty());
+        assert_eq!(store.keys.len(), 5);
+        assert!(KeyStore::derive(7, 0).keys.is_empty());
     }
 
     #[test]
@@ -606,8 +573,6 @@ mod tests {
     fn suites_are_selected_and_disjoint() {
         let hmac = Signer::new(NodeKey::derive_suite(42, 0, AuthSuite::HmacSha256));
         let sip = Signer::new(NodeKey::derive_suite(42, 0, AuthSuite::SipHash24));
-        assert_eq!(hmac.suite(), AuthSuite::HmacSha256);
-        assert_eq!(sip.suite(), AuthSuite::SipHash24);
         let a = hmac.sign(b"msg");
         let b = sip.sign(b"msg");
         assert_ne!(a.tag, b.tag);

@@ -423,16 +423,6 @@ impl EvidenceRecord {
         }
     }
 
-    /// The declarer of a declaration (None for proofs).
-    pub fn declarer(&self) -> Option<NodeId> {
-        match self {
-            EvidenceRecord::PathDeclaration { declarer, .. }
-            | EvidenceRecord::TimingDeclaration { declarer, .. }
-            | EvidenceRecord::CrashSuspicion { declarer, .. } => Some(*declarer),
-            _ => None,
-        }
-    }
-
     /// Canonical bytes, as one vector: the reference the streamed
     /// encoding is tested against.
     #[cfg(test)]
@@ -537,13 +527,6 @@ impl EvidenceRecord {
         let mut e = Enc::over(scratch, "btr-evidence");
         self.encode_into(&mut e);
         EvidenceId(digest64(&[e.as_slice()]))
-    }
-
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> u32 {
-        let mut e = Enc::count("btr-evidence");
-        self.encode_into(&mut e);
-        e.len() as u32
     }
 
     /// Verify the record.
@@ -1101,7 +1084,6 @@ mod tests {
         let d = EvidenceRecord::declare_path(&s, NodeId(2), NodeId(2), NodeId(4), TaskId(2), 7);
         assert_eq!(d.class(), EvidenceClass::Declaration);
         assert_eq!(d.convicts(), None);
-        assert_eq!(d.declarer(), Some(NodeId(2)));
         assert_eq!(d.verify(&keystore(), &TestView), Ok(()));
     }
 
@@ -1305,6 +1287,5 @@ mod tests {
         let d2 = EvidenceRecord::declare_crash(&s, NodeId(2), NodeId(3), 2);
         assert_eq!(d1.id(), d1.clone().id());
         assert_ne!(d1.id(), d2.id());
-        assert!(d1.wire_size() > 0);
     }
 }

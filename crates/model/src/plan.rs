@@ -61,7 +61,7 @@ pub struct ScheduleEntry {
 
 impl ScheduleEntry {
     /// End offset of the slot.
-    pub fn end(&self) -> Duration {
+    pub(crate) fn end(&self) -> Duration {
         self.start + self.wcet
     }
 }
@@ -119,7 +119,7 @@ impl NodeSchedule {
     }
 
     /// Fraction of the period spent executing.
-    pub fn utilization(&self, period: Duration) -> f64 {
+    pub(crate) fn utilization(&self, period: Duration) -> f64 {
         if period.0 == 0 {
             return 0.0;
         }
@@ -240,19 +240,6 @@ pub struct Transition {
     /// Planner's bound on the transition duration (state transfer +
     /// alignment); part of the R admission check.
     pub bound: Duration,
-}
-
-impl Transition {
-    /// Total state bytes moved by this transition.
-    pub fn state_bytes(&self) -> u64 {
-        self.migrations.iter().map(|m| m.state_bytes as u64).sum()
-    }
-
-    /// Number of task reassignments (the paper's plan-distance notion:
-    /// "it should otherwise change as little as possible").
-    pub fn distance(&self) -> usize {
-        self.migrations.len()
-    }
 }
 
 /// The complete offline strategy: plans plus switching conditions.
@@ -528,9 +515,7 @@ mod tests {
     #[test]
     fn transition_metadata() {
         let s = tiny_strategy();
-        let t = s.transition(PlanId(0), PlanId(1)).unwrap();
-        assert_eq!(t.distance(), 1);
-        assert_eq!(t.state_bytes(), 128);
+        assert!(s.transition(PlanId(0), PlanId(1)).is_some());
         assert_eq!(s.worst_transition_bound(), Duration(500));
         assert!(s.transition(PlanId(1), PlanId(0)).is_none());
     }

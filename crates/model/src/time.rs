@@ -35,7 +35,7 @@ impl Time {
     }
 
     /// Fractional milliseconds since the origin.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
@@ -72,11 +72,6 @@ impl Duration {
         Duration(ms * 1_000)
     }
 
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Duration {
-        Duration(s * 1_000_000)
-    }
-
     /// Microseconds in the span.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -85,20 +80,6 @@ impl Duration {
     /// Fractional milliseconds in the span.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// Multiply by an integer factor, saturating.
-    pub fn saturating_mul(self, k: u64) -> Duration {
-        Duration(self.0.saturating_mul(k))
-    }
-
-    /// Integer division by a factor, rounding up.
-    ///
-    /// # Panics
-    /// Panics if `k` is zero.
-    pub fn div_ceil(self, k: u64) -> Duration {
-        assert!(k > 0, "divisor must be positive");
-        Duration(self.0.div_ceil(k))
     }
 }
 
@@ -202,11 +183,5 @@ mod tests {
     fn display() {
         assert_eq!(format!("{}", Time(1_500)), "1.500ms");
         assert_eq!(format!("{}", Duration(250)), "0.250ms");
-    }
-
-    #[test]
-    fn div_ceil() {
-        assert_eq!(Duration(10).div_ceil(3), Duration(4));
-        assert_eq!(Duration(9).div_ceil(3), Duration(3));
     }
 }

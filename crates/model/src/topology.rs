@@ -8,7 +8,7 @@
 //! allocation is the statically-allocated MAC share that defeats the
 //! babbling-idiot problem.
 //!
-//! A built [`Topology`] owns its [`Adjacency`] — per node, the
+//! A built [`Topology`] owns its adjacency — per node, the
 //! neighbours in ascending order, each with the lowest-id link the pair
 //! shares — computed once by [`TopologyBuilder::build`]. Every graph
 //! walk in the workspace (the BFS here, `btr-net`'s routing table and
@@ -115,7 +115,7 @@ impl std::error::Error for TopologyError {}
 /// (lowest-id tie-breaking); the lowest shared link is the one a hop
 /// between the two nodes is carried on (it matters on redundant buses).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Adjacency {
+pub(crate) struct Adjacency {
     rows: Vec<Vec<(NodeId, LinkId)>>,
 }
 
@@ -142,26 +142,17 @@ impl Adjacency {
 
     /// The neighbours of `n`, ascending, each with the link reaching it.
     #[inline]
-    pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
+    pub(crate) fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
         &self.rows[n.index()]
     }
 
     /// The lowest-id link directly connecting `a` and `b`, if any.
     #[inline]
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
+    pub(crate) fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
         let row = &self.rows[a.index()];
         row.binary_search_by_key(&b.0, |&(nb, _)| nb.0)
             .ok()
             .map(|i| row[i].1)
-    }
-
-    /// Heap bytes this adjacency holds.
-    pub fn resident_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|row| row.capacity() * std::mem::size_of::<(NodeId, LinkId)>())
-            .sum::<usize>()
-            + self.rows.capacity() * std::mem::size_of::<Vec<(NodeId, LinkId)>>()
     }
 }
 
@@ -210,11 +201,6 @@ impl Topology {
     /// The links node `n` attaches to.
     pub fn links_of(&self, n: NodeId) -> &[LinkId] {
         &self.node_links[n.index()]
-    }
-
-    /// The adjacency computed when the topology was built.
-    pub fn adjacency(&self) -> &Adjacency {
-        &self.adjacency
     }
 
     /// Direct neighbours of `n` (nodes sharing at least one link),

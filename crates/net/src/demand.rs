@@ -644,7 +644,7 @@ impl RouteBackend {
     /// `out`; false (and `out` untouched) if there is no route. One
     /// backend `match` per message, as [`Routes::path_and_links`] has.
     #[inline]
-    pub fn hops_into(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<Hop>) -> bool {
+    pub(crate) fn hops_into(&mut self, src: NodeId, dst: NodeId, out: &mut Vec<Hop>) -> bool {
         match self {
             RouteBackend::Precomputed(rt) => match rt.path_and_links(src, dst) {
                 Some((nodes, links)) => {

@@ -253,7 +253,7 @@ impl LinkLayer {
 
     /// Bytes the guardians dropped for a sender so far, over all the
     /// links it attaches to.
-    pub fn guardian_drops(&self, src: NodeId) -> u64 {
+    pub(crate) fn guardian_drops(&self, src: NodeId) -> u64 {
         self.lanes[self.lanes_of(src)]
             .iter()
             .map(|l| l.guardian.denied_bytes())

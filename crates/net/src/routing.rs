@@ -334,7 +334,7 @@ impl RoutingTable {
     /// Heap bytes resident for this table (next-hop matrix, spans, and
     /// the materialised path pools) — O(n² · diameter), the number the
     /// demand-driven backend exists to avoid at scale.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.next_hop.capacity() * std::mem::size_of::<Option<NodeId>>()
             + self.spans.capacity() * std::mem::size_of::<PathSpan>()
             + self.node_pool.capacity() * std::mem::size_of::<NodeId>()

@@ -298,22 +298,22 @@ impl CtxBackend for LiveCtx {
 /// What an actor thread hands back when it exits.
 pub(crate) struct ActorOutcome {
     /// The node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// The behaviour, for post-run inspection (stats, plan, fault set).
-    pub behavior: Box<dyn NodeBehavior + Send>,
+    pub(crate) behavior: Box<dyn NodeBehavior + Send>,
     /// Every actuation the node performed, logically stamped.
-    pub actuations: Vec<Actuation>,
+    pub(crate) actuations: Vec<Actuation>,
     /// Recovery-phase boundaries the node's runtime observed.
-    pub marks: Vec<PhaseMark>,
+    pub(crate) marks: Vec<PhaseMark>,
     /// Causal-gate sleeps (the event at hand was not yet provably safe
     /// to dispatch and the node parked until woken).
-    pub frontier_stalls: u64,
+    pub(crate) frontier_stalls: u64,
     /// Repeat folds: a message reached the mailbox after the drain —
     /// below the fold, or between the fold and the bound read.
-    pub redrains: u64,
+    pub(crate) redrains: u64,
     /// Wall-clock lateness of timer dispatches past their paced
     /// instant, in µs (live-only: logically always 0).
-    pub timer_lag: Histogram,
+    pub(crate) timer_lag: Histogram,
 }
 
 /// One node's event loop: behaviour + context + mailbox, run to a

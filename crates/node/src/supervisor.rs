@@ -45,7 +45,7 @@ use std::time::Instant;
 pub struct LiveConfig {
     /// Seed for keys, skews, RNG streams, and transmission loss — the
     /// same derivations the simulator makes from its seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Wall-µs per logical-µs (1.0 = real time; larger = slower run
     /// with more scheduling slack; logical outcomes are unaffected).
     pub pace: f64,
@@ -105,7 +105,7 @@ pub struct DropTotals {
 #[derive(Debug, Clone)]
 pub struct PanicReport {
     /// The panicking node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// The panic payload (message).
     pub message: String,
     /// The node's last flight-recorded logical timestamp, if any event
@@ -126,17 +126,6 @@ pub enum DumpReason {
     DeadlineOverrun,
     /// The node's bounded mailbox overflowed (dropped deliveries).
     MailboxFull,
-}
-
-impl DumpReason {
-    /// Stable lowercase label (JSON keys / report lines).
-    pub fn label(self) -> &'static str {
-        match self {
-            DumpReason::Panic => "panic",
-            DumpReason::DeadlineOverrun => "deadline_overrun",
-            DumpReason::MailboxFull => "mailbox_full",
-        }
-    }
 }
 
 /// A flight-recorder dump the supervisor took when it flagged a node.

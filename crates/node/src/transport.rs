@@ -38,32 +38,32 @@ use std::thread::Thread;
 #[derive(Debug)]
 pub(crate) struct LiveMsg {
     /// Logical arrival time (what the link layer charged).
-    pub at: Time,
+    pub(crate) at: Time,
     /// Sending node (transport-level truth, unlike `env.src` which a
     /// Byzantine sender can spoof).
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Per-sender send counter.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The envelope.
-    pub env: Envelope,
+    pub(crate) env: Envelope,
 }
 
 /// Drop counters, one cell per cause (all monotone; read at shutdown).
 #[derive(Debug, Default)]
 pub(crate) struct TransportCounters {
     /// Bounded-mailbox backpressure drops (`try_send` on a full queue).
-    pub mailbox_full: AtomicU64,
+    pub(crate) mailbox_full: AtomicU64,
     /// Messages addressed to a crashed / not-yet-restarted node.
     pub(crate) receiver_down: AtomicU64,
     /// Deterministic transmission loss (the sender's loss stream).
-    pub transmission_loss: AtomicU64,
+    pub(crate) transmission_loss: AtomicU64,
     /// No route to the destination, or a crashed relay on it.
     pub(crate) no_route: AtomicU64,
     /// Sends the sender's bandwidth guardian denied (its per-period
     /// budget on the link spent).
     pub(crate) guardian_denied: AtomicU64,
     /// Messages accepted into the network.
-    pub sent: AtomicU64,
+    pub(crate) sent: AtomicU64,
 }
 
 /// One node's causal-frontier cell (see [`Loopback::frontier_bound`]).

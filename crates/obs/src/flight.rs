@@ -42,9 +42,9 @@ pub enum FlightKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Logical timestamp of the dispatch.
-    pub at: Time,
+    pub(crate) at: Time,
     /// What was dispatched.
-    pub kind: FlightKind,
+    pub(crate) kind: FlightKind,
 }
 
 impl std::fmt::Display for FlightEvent {

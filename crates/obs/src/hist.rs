@@ -24,7 +24,6 @@ pub(crate) const BUCKETS: usize = 64;
 pub struct Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
-    sum: u64,
     min: u64,
     max: u64,
 }
@@ -41,7 +40,6 @@ impl Histogram {
         Histogram {
             buckets: [0; BUCKETS],
             count: 0,
-            sum: 0,
             min: u64::MAX,
             max: 0,
         }
@@ -72,7 +70,6 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] = self.buckets[Self::bucket_of(v)].saturating_add(1);
         self.count = self.count.saturating_add(1);
-        self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -83,7 +80,6 @@ impl Histogram {
             *a = a.saturating_add(*b);
         }
         self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -91,16 +87,6 @@ impl Histogram {
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Smallest sample, or `None` when empty.
@@ -111,15 +97,6 @@ impl Histogram {
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample
@@ -161,11 +138,10 @@ mod tests {
     #[test]
     fn empty() {
         let h = Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), 0.0);
         assert!(h.nonzero().is_empty());
     }
 
@@ -191,7 +167,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 40_106);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(40_000));
         assert_eq!(h.quantile(0.0), Some(0));

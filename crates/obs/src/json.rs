@@ -239,19 +239,19 @@ impl Array<'_> {
 
     /// An element this writer rendered earlier (a trace event, kept
     /// until its file is finished).
-    pub fn raw(&mut self, json: &str) {
+    pub(crate) fn raw(&mut self, json: &str) {
         self.0.member(None).push_str(json);
     }
 
     /// Break the line before the next element or the closing bracket,
     /// once per call (see [`Layout`]).
-    pub fn newline(&mut self) {
+    pub(crate) fn newline(&mut self) {
         self.0.breaks += 1;
     }
 }
 
 /// Render one object.
-pub fn object(layout: Layout, body: impl FnOnce(&mut Object<'_>)) -> String {
+pub(crate) fn object(layout: Layout, body: impl FnOnce(&mut Object<'_>)) -> String {
     let mut out = String::new();
     write_object(&mut out, layout, body);
     out

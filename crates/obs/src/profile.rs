@@ -95,7 +95,7 @@ impl Default for Profile {
 
 impl Profile {
     /// An empty profile.
-    pub const fn new() -> Profile {
+    pub(crate) const fn new() -> Profile {
         Profile {
             counts: [0; SUBSYSTEM_KINDS],
             wall_ns: [0; SUBSYSTEM_KINDS],

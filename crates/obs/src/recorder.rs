@@ -52,20 +52,7 @@ pub enum Lat {
 pub(crate) const LAT_KINDS: usize = 3;
 
 impl Counter {
-    /// Stable lowercase label (JSON keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            Counter::Events => "events",
-            Counter::Delivers => "delivers",
-            Counter::Timers => "timers",
-            Counter::Controls => "controls",
-            Counter::Actuations => "actuations",
-            Counter::Sends => "sends",
-            Counter::Marks => "marks",
-        }
-    }
-
-    /// All kinds in label order.
+    /// All kinds, in declaration order.
     pub fn all() -> [Counter; COUNTER_KINDS] {
         [
             Counter::Events,
@@ -76,22 +63,6 @@ impl Counter {
             Counter::Sends,
             Counter::Marks,
         ]
-    }
-}
-
-impl Lat {
-    /// Stable lowercase label (JSON keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            Lat::Delivery => "delivery",
-            Lat::TimerLag => "timer_lag",
-            Lat::Slack => "slack",
-        }
-    }
-
-    /// All kinds in label order.
-    pub fn all() -> [Lat; LAT_KINDS] {
-        [Lat::Delivery, Lat::TimerLag, Lat::Slack]
     }
 }
 
@@ -173,19 +144,6 @@ impl ObsRecorder {
     pub fn subsystem_profile(&self) -> &Profile {
         &self.profile
     }
-
-    /// Fold another recorder in (counters add, histograms merge,
-    /// marks append).
-    pub fn absorb(&mut self, other: &ObsRecorder) {
-        for i in 0..COUNTER_KINDS {
-            self.counters[i] = self.counters[i].saturating_add(other.counters[i]);
-        }
-        for i in 0..LAT_KINDS {
-            self.lats[i].merge(&other.lats[i]);
-        }
-        self.marks.extend_from_slice(&other.marks);
-        self.profile.merge(&other.profile);
-    }
 }
 
 impl Recorder for ObsRecorder {
@@ -245,26 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_folds_everything() {
-        let mut a = ObsRecorder::new();
-        let mut b = ObsRecorder::new();
-        a.count(Counter::Events, 1);
-        b.count(Counter::Events, 2);
-        b.latency(Lat::TimerLag, 7);
-        b.mark(PhaseMark {
-            observer: NodeId(0),
-            subject: NodeId(0),
-            phase: Phase::FaultActive,
-            at: Time(1),
-        });
-        a.absorb(&b);
-        assert_eq!(a.counter(Counter::Events), 3);
-        assert_eq!(a.counter(Counter::Marks), 1);
-        assert_eq!(a.lat(Lat::TimerLag).count(), 1);
-        assert_eq!(a.marks().len(), 1);
-    }
-
-    #[test]
     fn profile_and_traffic_flow_through() {
         use crate::profile::Subsystem;
         let mut p = Profile::new();
@@ -274,23 +212,7 @@ mod tests {
         r.count(Counter::Sends, 4);
         r.count(Counter::Delivers, 3);
         assert_eq!(r.subsystem_profile().count(Subsystem::Routing), 9);
-        let mut other = ObsRecorder::new();
-        other.absorb(&r);
-        other.absorb(&r);
-        assert_eq!(other.subsystem_profile().count(Subsystem::Routing), 18);
-        assert_eq!(other.counter(Counter::Sends), 8);
-        assert_eq!(other.counter(Counter::Delivers), 6);
-    }
-
-    #[test]
-    fn labels_are_unique() {
-        let mut c: Vec<_> = Counter::all().iter().map(|c| c.label()).collect();
-        c.sort_unstable();
-        c.dedup();
-        assert_eq!(c.len(), COUNTER_KINDS);
-        let mut l: Vec<_> = Lat::all().iter().map(|l| l.label()).collect();
-        l.sort_unstable();
-        l.dedup();
-        assert_eq!(l.len(), LAT_KINDS);
+        assert_eq!(r.counter(Counter::Sends), 4);
+        assert_eq!(r.counter(Counter::Delivers), 3);
     }
 }

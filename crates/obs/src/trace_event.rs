@@ -25,16 +25,6 @@ impl TraceBuilder {
         TraceBuilder { events: Vec::new() }
     }
 
-    /// Number of events queued.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events were queued.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// A complete event: a span of `dur_us` starting at `ts_us` on
     /// process `pid`, lane `tid`.
     pub fn span(&mut self, name: &str, pid: u32, tid: u32, ts_us: u64, dur_us: u64) {
@@ -93,7 +83,7 @@ mod tests {
     #[test]
     fn empty_trace_is_valid() {
         let t = TraceBuilder::new();
-        assert!(t.is_empty());
+        assert!(t.events.is_empty());
         assert_eq!(t.finish(), EMPTY);
     }
 
@@ -103,7 +93,7 @@ mod tests {
         t.process_name(2, "live");
         t.span("detect", 2, 6, 42_000, 8_000);
         t.instant("actuate", 2, 0, 50_000);
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.events.len(), 3);
         assert_eq!(t.finish(), EVENTS);
     }
 

@@ -25,7 +25,7 @@ pub enum ReplicationMode {
 
 impl ReplicationMode {
     /// Lanes for a fault budget `f`.
-    pub fn lanes(self, f: u8) -> u8 {
+    pub(crate) fn lanes(self, f: u8) -> u8 {
         match self {
             ReplicationMode::Detection => f + 1,
             ReplicationMode::Masking => 2 * f + 1,

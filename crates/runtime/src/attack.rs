@@ -64,7 +64,7 @@ pub enum Attack {
 
 impl Attack {
     /// The attack's activation time.
-    pub fn from(&self) -> Time {
+    pub(crate) fn from(&self) -> Time {
         match self {
             Attack::Commission { from, .. }
             | Attack::Omission { from, .. }
@@ -76,7 +76,7 @@ impl Attack {
     }
 
     /// True once the attack is live at `now`.
-    pub fn active(&self, now: Time) -> bool {
+    pub(crate) fn active(&self, now: Time) -> bool {
         now >= self.from()
     }
 
@@ -124,18 +124,6 @@ impl Attack {
     pub fn equivocates(&self, now: Time) -> bool {
         matches!(self, Attack::Equivocate { .. }) && self.active(now)
     }
-
-    /// Short label for experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Attack::Commission { .. } => "commission",
-            Attack::Omission { .. } => "omission",
-            Attack::Timing { .. } => "timing",
-            Attack::Equivocate { .. } => "equivocation",
-            Attack::EvidenceSpam { .. } => "evidence-spam",
-            Attack::Babble { .. } => "babble",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,17 +162,5 @@ mod tests {
             drop_heartbeats: false,
         };
         assert!(!o.corrupts(Time(1), TaskId(0)));
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(
-            Attack::Babble {
-                from: Time(0),
-                msgs_per_period: 1
-            }
-            .label(),
-            "babble"
-        );
     }
 }

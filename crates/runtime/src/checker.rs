@@ -163,17 +163,17 @@ impl OutputPool {
 #[derive(Debug, Clone)]
 pub(crate) struct CheckerConfig {
     /// The checked workload task.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// Number of replica lanes.
-    pub lanes: u8,
+    pub(crate) lanes: u8,
     /// Expected host of each lane (from the active plan).
     pub(crate) lane_nodes: Vec<NodeId>,
     /// True if the task is a sensor source.
     pub(crate) is_source: bool,
     /// Declared dataflow inputs.
-    pub inputs: Vec<TaskId>,
+    pub(crate) inputs: Vec<TaskId>,
     /// Workload seed (source readings).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 /// The checking task for one workload task.

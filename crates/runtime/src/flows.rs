@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone)]
 pub struct PlanView {
     /// My schedule slots, in plan order (indices stable for timers).
-    pub entries: Vec<ScheduleEntry>,
+    pub(crate) entries: Vec<ScheduleEntry>,
     /// For each Work task I host: destination nodes for its output.
     pub(crate) out_routes: BTreeMap<ATask, Vec<NodeId>>,
     /// For each Work task I host: (input task, lane, producer node).
@@ -19,8 +19,6 @@ pub struct PlanView {
     /// The distinct (task, lane) pairs of `in_flows`, sorted: the outputs
     /// this node stores when they arrive (see [`PlanView::wants`]).
     pub(crate) wanted: Vec<(TaskId, ReplicaIdx)>,
-    /// Replica lane counts per unshed task.
-    pub lanes: BTreeMap<TaskId, u8>,
     /// Checker configurations for Check tasks I host.
     pub(crate) checkers: Vec<CheckerConfig>,
     /// The checker host of every checked task in the plan (all nodes, not
@@ -52,7 +50,7 @@ pub struct PlanView {
 impl PlanView {
     /// True if one of this node's tasks consumes lane `replica` of
     /// `task` under this plan. Asked once per arriving output message.
-    pub fn wants(&self, task: TaskId, replica: ReplicaIdx) -> bool {
+    pub(crate) fn wants(&self, task: TaskId, replica: ReplicaIdx) -> bool {
         self.wanted.binary_search(&(task, replica)).is_ok()
     }
 
@@ -217,7 +215,6 @@ pub fn derive_view(node: NodeId, plan: &Plan, workload: &Workload) -> PlanView {
         out_routes,
         in_flows,
         wanted,
-        lanes,
         checkers,
         checker_nodes,
         emit_offsets,

@@ -25,11 +25,11 @@ use btr_model::{ATask, Duration, FaultSet, NodeId, PlanId, Strategy, Time};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TransferOut {
     /// The migrating task (this node hosted it in the old plan).
-    pub atask: ATask,
+    pub(crate) atask: ATask,
     /// The new host to send state to.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Bytes of task state.
-    pub bytes: u32,
+    pub(crate) bytes: u32,
 }
 
 /// What the runtime must do after reporting a fault.

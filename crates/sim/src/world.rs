@@ -20,7 +20,7 @@ use btr_obs::{
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Seed for keys, clock skews, and per-node RNG streams.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The system period P (guardian refill interval).
     pub period: Duration,
     /// Collect a full event trace (adds memory; metrics are always on).
@@ -275,16 +275,6 @@ impl World {
     /// The shared verification keystore.
     pub fn keystore(&self) -> &KeyStore {
         &self.sub.keystore
-    }
-
-    /// The authenticator suite this world's signers and keystore use.
-    pub fn auth_suite(&self) -> AuthSuite {
-        self.sub.cfg.auth_suite
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.sub.now
     }
 
     /// The system period.
@@ -1343,7 +1333,7 @@ mod tests {
         let mut cfg = SimConfig::new(1);
         cfg.auth_suite = AuthSuite::SipHash24;
         let mut w = World::new(topo, cfg);
-        assert_eq!(w.auth_suite(), AuthSuite::SipHash24);
+        assert_eq!(w.sub.cfg.auth_suite, AuthSuite::SipHash24);
         assert_eq!(w.keystore().suite(), AuthSuite::SipHash24);
         w.set_behavior(NodeId(0), Box::new(Starter { sent: false }));
         w.set_behavior(NodeId(1), Box::new(Verify));
@@ -1469,7 +1459,7 @@ mod tests {
             let o3 = w.ctx(NodeId(1)).sign_output(TaskId(2), 1, 6, 1 << bit, 9, NodeId(1));
             proptest::prop_assert_eq!(&o3, &out(&w, 1, 6, 1 << bit));
             w.ctx(NodeId(1)).send(NodeId(3), carrying(&o3));
-            let e3 = Envelope::new(NodeId(1), NodeId(3), w.seats[1].local(w.now()), carrying(&o3))
+            let e3 = Envelope::new(NodeId(1), NodeId(3), w.seats[1].local(w.sub.now), carrying(&o3))
                 .signed(&w.seats[1].signer);
             // Warm: a MAC each the first time, none the second; none ever
             // for what was signed here.
@@ -1553,7 +1543,7 @@ mod tests {
             let filled = filler(crate::scratch::MAX_MSG / SignedOutput::CANONICAL_ID_LEN + witnesses);
             let long = Payload::Output { output: o2.clone(), witnesses: filled };
             w.ctx(NodeId(2)).send(NodeId(3), long.clone());
-            let long = Envelope::new(NodeId(2), NodeId(3), w.seats[2].local(w.now()), long)
+            let long = Envelope::new(NodeId(2), NodeId(3), w.seats[2].local(w.sub.now), long)
                 .signed(&w.seats[2].signer);
             let mut far = long.clone();
             far.sent_at = Time(at);
@@ -1640,7 +1630,7 @@ mod tests {
         let mut w = world(1);
         w.start();
         w.run_until(Time::from_millis(123));
-        assert_eq!(w.now(), Time::from_millis(123));
+        assert_eq!(w.sub.now, Time::from_millis(123));
     }
 
     #[test]

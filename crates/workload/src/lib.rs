@@ -265,8 +265,9 @@ impl Workload {
         &self.consumers[id.index()]
     }
 
-    /// All source tasks.
-    pub fn sources(&self) -> impl Iterator<Item = &TaskSpec> {
+    /// All source tasks (the generator tests count them).
+    #[cfg(test)]
+    pub(crate) fn sources(&self) -> impl Iterator<Item = &TaskSpec> {
         self.tasks
             .iter()
             .filter(|t| matches!(t.kind, TaskKind::Source { .. }))
