@@ -4,10 +4,10 @@
 //! node/task/link identifiers, the CPS topology of Section 2.1 of the
 //! paper ("a set of nodes and a set of links ... finite processing speed
 //! ... finite bandwidth") with its parametric platform families (torus,
-//! fat-tree, SCADA star-of-rings), the periodic dataflow vocabulary, wire messages
-//! and their canonical signing encodings, plans and strategies produced by
-//! the planner, fault sets, and the evidence records exchanged by the
-//! detector and distributor.
+//! fat-tree, SCADA star-of-rings), the periodic dataflow vocabulary,
+//! wire messages and their canonical signing encodings, plans and
+//! strategies produced by the planner, fault sets, and the evidence
+//! records exchanged by the detector and distributor.
 //!
 //! Keeping these in one bottom-of-the-graph crate lets the runtime's
 //! detector, evidence distribution and mode switch stay pure protocol

@@ -12,11 +12,12 @@
 //!
 //! **What a row holds.** `row[src]` is a `u16` *slot*: the position of
 //! the next hop in `src`'s adjacency list. The adjacency is a CSR copy
-//! of `Topology::adjacency` — one flat array of `(neighbour, link)`
-//! edges, each node's neighbours ascending, each with the lowest-id link
-//! the pair shares — taken at construction so the backend can outlive
-//! the borrow of the topology. A hop is therefore two indexed loads,
-//! `row[cur]` and `edges[first_edge[cur] + slot]`, and the edge yields
+//! of the topology's, read through `Topology::neighbors` — one flat
+//! array of `(neighbour, link)` edges, each node's neighbours
+//! ascending, each with the lowest-id link the pair shares — taken at
+//! construction so the backend can outlive the borrow of the topology.
+//! A hop is therefore two indexed loads, `row[cur]` and
+//! `edges[first_edge[cur] + slot]`, and the edge yields
 //! the next node *and* the link that carries the hop: no search, and two
 //! bytes per entry instead of a node id.
 //!

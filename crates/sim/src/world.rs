@@ -20,7 +20,7 @@ use btr_obs::{
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Seed for keys, clock skews, and per-node RNG streams.
-    pub(crate) seed: u64,
+    pub seed: u64,
     /// The system period P (guardian refill interval).
     pub period: Duration,
     /// Collect a full event trace (adds memory; metrics are always on).
