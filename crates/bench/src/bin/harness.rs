@@ -21,7 +21,7 @@ use btr_bench::experiments as exp;
 use btr_bench::live::{self, LiveMeasurement, LIVE_PACE, LIVE_SEED, LIVE_SMOKE_PACE};
 use btr_crypto::AuthSuite;
 use btr_obs::json::{self, Layout::Block, Layout::Inline};
-use btr_obs::{Histogram, Lat, TraceBuilder, FLIGHT_CAP};
+use btr_obs::{Histogram, Lat, TraceBuilder};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -143,7 +143,6 @@ fn live_scenario_json(o: &mut json::Object<'_>, r: &ScenarioRun) {
     }
     o.field("wall_ms", m.wall_ms);
     quantiles_json(o, "sim_delivery_latency_us", r.sim_rec.lat(Lat::Delivery));
-    quantiles_json(o, "sim_timer_lag_us", r.sim_rec.lat(Lat::TimerLag));
 }
 
 /// The verdict lines of one judged run: what `campaign --replay` and
@@ -246,7 +245,7 @@ fn run_live_replay(token: &str, pace: f64) {
 }
 
 /// One executed pinned scenario: the measurement, the raw live report
-/// (for trace export and flight-dump surfacing), and the simulator
+/// (for trace export), and the simulator
 /// substrate's recorder — phase marks plus latency histograms.
 struct ScenarioRun {
     spec: live::LiveScenario,
@@ -257,7 +256,7 @@ struct ScenarioRun {
 
 /// Plan each platform size once and run every pinned scenario on both
 /// substrates.
-fn run_scenario_set(smoke: bool, seed: u64, pace: f64, flight_cap: usize) -> Vec<ScenarioRun> {
+fn run_scenario_set(smoke: bool, seed: u64, pace: f64) -> Vec<ScenarioRun> {
     let specs = live::pinned_scenarios(smoke);
     let mut runs: Vec<ScenarioRun> = Vec::new();
     let mut system: Option<(usize, btr_core::BtrSystem)> = None;
@@ -266,7 +265,7 @@ fn run_scenario_set(smoke: bool, seed: u64, pace: f64, flight_cap: usize) -> Vec
             system = Some((spec.nodes, live::live_system(spec.nodes)));
         }
         let sys = &system.as_ref().expect("planned above").1;
-        let (m, report, sim_rec) = live::measure_live(sys, &spec, seed, pace, flight_cap);
+        let (m, report, sim_rec) = live::measure_live(sys, &spec, seed, pace);
         runs.push(ScenarioRun {
             spec,
             m,
@@ -317,7 +316,6 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
     let out_path: String = take_value(&mut args, "--out").unwrap_or("LIVE_btr.json".into());
     let trace_out: Option<String> = take_value(&mut args, "--trace-out");
     let replay: Option<String> = take_value(&mut args, "--replay");
-    let flight_cap = take_flight_cap(&mut args);
     if let Some(stray) = args.first() {
         eprintln!("error: unknown live argument '{stray}'");
         std::process::exit(2);
@@ -333,9 +331,9 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
     let report = Report::open(out_path);
     let trace_report = trace_out.map(Report::open);
 
-    let runs = run_scenario_set(smoke, seed, pace, flight_cap);
+    let runs = run_scenario_set(smoke, seed, pace);
     outln!(
-        "live runtime: {} pinned scenario(s), seed {seed}, pace {pace}, flight cap {flight_cap}{}",
+        "live runtime: {} pinned scenario(s), seed {seed}, pace {pace}{}",
         runs.len(),
         if smoke { " (smoke)" } else { "" }
     );
@@ -410,7 +408,6 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
         o.field("seed", seed);
         o.field("pace", pace);
         o.field("smoke", smoke);
-        o.field("flight_cap", flight_cap);
         o.field("wall_slack_us", live::LIVE_WALL_SLACK_US);
         o.array("scenarios", Block, |a| {
             for r in &runs {
@@ -461,11 +458,6 @@ const COMMANDS: [Command; 3] = [
                 "--pace X",
                 "wall-us per logical-us, at most 100 (default 1.0; 0.5\n\
                  under --smoke)",
-            ),
-            (
-                "--flight-cap N",
-                "per-node flight-recorder ring capacity, 1 to 65536\n\
-                 (default 32)",
             ),
             ("--out PATH", "report path (default LIVE_btr.json)"),
             (
@@ -611,23 +603,6 @@ fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Optio
     }
 }
 
-/// Remove `--flight-cap N` (default [`FLIGHT_CAP`]), rejecting 0: the
-/// recorder would silently clamp it to 1, and a silently-corrected
-/// flag is worse than an error. Above [`MAX_FLIGHT_CAP`] the rings
-/// could not be allocated.
-fn take_flight_cap(args: &mut Vec<String>) -> usize {
-    let cap = take_value(args, "--flight-cap").unwrap_or(FLIGHT_CAP);
-    if cap == 0 {
-        eprintln!("error: --flight-cap must be at least 1");
-        std::process::exit(2);
-    }
-    if cap > MAX_FLIGHT_CAP {
-        eprintln!("error: --flight-cap must be at most {MAX_FLIGHT_CAP}, got {cap}");
-        std::process::exit(2);
-    }
-    cap
-}
-
 /// Remove a bare `--flag`, returning whether it was present.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     match args.iter().position(|a| a == flag) {
@@ -653,10 +628,6 @@ const MAX_FUZZ_BUDGET: usize = MAX_CAMPAIGN_RUNS;
 /// one the pinned scenarios already take minutes, and far slower paces
 /// used to never return.
 const MAX_PACE: f64 = 100.0;
-
-/// The largest per-node flight-recorder ring: 64 Ki events of 32 bytes,
-/// 2 MiB a node, allocated up front for every node of the fleet.
-const MAX_FLIGHT_CAP: usize = 1 << 16;
 
 fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     use btr_campaign as campaign;

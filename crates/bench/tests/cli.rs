@@ -94,11 +94,6 @@ fn malformed_flag_values_exit_2() {
     }
     assert!(rejected(&["live", "--pace", "0"]).contains("must be positive"));
     assert!(rejected(&["live", "--pace", "inf"]).contains("must be positive"));
-    assert!(rejected(&["live", "--flight-cap", "0"]).contains("at least 1"));
-    // Used to panic with "capacity overflow" (exit 101).
-    for cap in ["18446744073709551615", "65537"] {
-        assert!(rejected(&["live", "--flight-cap", cap]).contains("at most 65536"));
-    }
     // Used to never return.
     for pace in ["1e300", "100.5"] {
         assert!(rejected(&["live", "--pace", pace]).contains("at most 100"));
@@ -124,7 +119,7 @@ fn malformed_replay_tokens_exit_2() {
     // One node; then the three that used to panic in the topology
     // builder (zero bandwidth, and 2^32 truncated to it) or never return
     // (a horizon of u64::MAX); a bound and a fault instant past the
-    // replay ceiling.
+    // replay ceiling; a fault list that names a node twice.
     let tokens = [
         "not a token",
         "w=avionics;t=bus1x100x1;f=1;r=150000;h=100000;me=0;s=1;fl=",
@@ -133,6 +128,8 @@ fn malformed_replay_tokens_exit_2() {
         "w=avionics;t=bus9x100000x5;f=1;r=150000;h=18446744073709551615;me=1000;s=1;fl=",
         "w=avionics;t=bus9x100000x5;f=1;r=3600000001;h=700000;me=1000;s=1;fl=",
         "w=avionics;t=bus9x100000x5;f=1;r=150000;h=700000;me=1000;s=1;fl=crash@3600000001@n3",
+        "w=avionics;t=bus9x100000x5;f=1;r=150000;h=400000;s=7;\
+         fl=commission@42000@n6+crash@60000@n6",
     ];
     for cmd in ["campaign", "live"] {
         for token in tokens {
@@ -208,7 +205,7 @@ fn list_and_help_advertise_the_same_flags() {
     list.extend(["--list".to_string(), "--threads".to_string()]);
     list.sort();
     assert_eq!(list, flags(&["--help"]));
-    assert!(list.contains(&"--flight-cap".to_string()));
+    assert!(list.contains(&"--pace".to_string()));
     assert!(!list.contains(&"--signed".to_string()));
 }
 

@@ -12,16 +12,16 @@
 //! `r`, `h`, and fault activations are µs; `me` is the simulator event
 //! cap the campaign ran with (0 or absent = unlimited — pinned so a
 //! `Truncated` verdict reproduces); `fl` faults are
-//! `variant@at_us@n<node>` joined with `+` (empty `fl` = fault-free). An
-//! optional trailing `a=sip` selects the SipHash authenticator suite
-//! (absent = the default HMAC suite, so pre-suite tokens parse and
-//! re-render unchanged).
+//! `variant@at_us@n<node>` joined with `+`, each node at most once
+//! (empty `fl` = fault-free). An optional trailing `a=sip` selects the
+//! SipHash authenticator suite (absent = the default HMAC suite, so
+//! pre-suite tokens parse and re-render unchanged).
 
 use crate::grid::{CellError, CellSpec, TopoSpec, MAX_TOKEN_US};
 use crate::runner::RunRecord;
 use crate::schedule::{FaultSchedule, FaultVariant};
 use crate::verdict::Finished;
-use btr_core::{BtrSystem, FaultScenario};
+use btr_core::{BtrSystem, FaultScenario, InjectedFault};
 use btr_crypto::AuthSuite;
 use btr_model::{Duration, NodeId, Time};
 
@@ -164,7 +164,7 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
     let r = span(&fields, "r", "recovery bound")?;
     let h = span(&fields, "h", "horizon")?;
 
-    let mut faults = Vec::new();
+    let mut faults: Vec<InjectedFault> = Vec::new();
     let fl = field(&fields, "fl")?;
     if !fl.is_empty() {
         for part in fl.split('+') {
@@ -190,6 +190,11 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
                     "node n{node} out of range for {} nodes",
                     n_nodes
                 )));
+            }
+            // A node suffers its first entry only (`fault_of`): a later
+            // one would be silently ignored.
+            if faults.iter().any(|f| f.node == NodeId(node)) {
+                return Err(ReplayError(format!("fault list names n{node} twice")));
             }
             faults.push(variant.inject(NodeId(node), Time(at)));
         }
@@ -470,6 +475,13 @@ mod tests {
                  fl=crash@1@n0+crash@2@n1+crash@3@n2+crash@4@n3+crash@5@n4\
                  +crash@6@n5+crash@7@n6+crash@8@n7+crash@9@n8",
                 "caps at",
+            ),
+            // A node suffers one fault (its first entry, on both
+            // substrates), so a list that names it twice is malformed.
+            (
+                "w=avionics;t=bus9x100000x5;f=1;r=150000;h=400000;s=7;\
+                 fl=commission@42000@n6+crash@60000@n6",
+                "names n6 twice",
             ),
         ] {
             let err = parse(tok).expect_err(tok).to_string();

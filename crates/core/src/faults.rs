@@ -1,9 +1,9 @@
 //! Scriptable fault injection.
 //!
 //! A [`FaultScenario`] lists which nodes the adversary compromises, when,
-//! and how (one of the paper's Byzantine manifestations). The system
-//! runner translates the scenario into attack scripts on the affected
-//! nodes' runtimes plus simulator control actions (crashes).
+//! and how (one of the paper's Byzantine manifestations). Both hosts of
+//! the protocol read a node's fault through [`FaultScenario::fault_of`]:
+//! an attack script handed to its runtime, or a crash its host applies.
 
 use btr_model::{Duration, FaultKind, NodeId, Time};
 use btr_runtime::Attack;
@@ -54,7 +54,7 @@ impl InjectedFault {
     }
 
     /// The runtime attack script for this fault (None for crashes, which
-    /// are simulator control actions instead).
+    /// the host applies instead: see [`InjectedFault::crash_at`]).
     pub fn attack(&self) -> Option<Attack> {
         match self.kind {
             FaultKind::Crash => None,
@@ -83,13 +83,20 @@ impl InjectedFault {
             }),
         }
     }
+
+    /// The instant the host fail-stops the node, if this fault is a
+    /// crash: a control action in the simulator, the end of the node's
+    /// thread in the live fleet.
+    pub fn crash_at(&self) -> Option<Time> {
+        (self.kind == FaultKind::Crash).then_some(self.at)
+    }
 }
 
 /// A full adversarial script.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultScenario {
     /// The injected faults (at most one per node; later entries for the
-    /// same node are ignored).
+    /// same node are ignored, see [`FaultScenario::fault_of`]).
     pub faults: Vec<InjectedFault>,
 }
 
@@ -120,12 +127,10 @@ impl FaultScenario {
         }
     }
 
-    /// The attack script for a node, if it is compromised.
-    pub(crate) fn attack_for(&self, node: NodeId) -> Option<Attack> {
-        self.faults
-            .iter()
-            .find(|f| f.node == node)
-            .and_then(|f| f.attack())
+    /// The fault `node` suffers, if it is compromised: its first entry.
+    /// The one reading both hosts make of a scenario.
+    pub fn fault_of(&self, node: NodeId) -> Option<&InjectedFault> {
+        self.faults.iter().find(|f| f.node == node)
     }
 
     /// The earliest manifestation time, if any fault is injected.
@@ -151,8 +156,21 @@ mod tests {
         let s = FaultScenario::single(NodeId(3), FaultKind::Crash, Time(100));
         assert_eq!(s.compromised(), vec![NodeId(3)]);
         assert_eq!(s.first_manifestation(), Some(Time(100)));
-        assert!(s.attack_for(NodeId(3)).is_none()); // Crash is a control action.
+        let crash = s.fault_of(NodeId(3)).expect("n3 is compromised");
+        assert_eq!((crash.attack(), crash.crash_at()), (None, Some(Time(100))));
         assert!(FaultScenario::none().first_manifestation().is_none());
+    }
+
+    #[test]
+    fn a_node_suffers_its_first_entry() {
+        let s = FaultScenario {
+            faults: vec![
+                InjectedFault::new(NodeId(6), FaultKind::Commission, Time(42_000)),
+                InjectedFault::new(NodeId(6), FaultKind::Crash, Time(60_000)),
+            ],
+        };
+        let f = s.fault_of(NodeId(6)).expect("n6 is compromised");
+        assert_eq!((f.kind, f.crash_at()), (FaultKind::Commission, None));
     }
 
     #[test]
@@ -166,8 +184,11 @@ mod tests {
         assert_eq!(s.faults[0].at, Time::from_millis(10));
         assert_eq!(s.faults[1].at, Time::from_millis(60));
         assert_eq!(s.faults[2].at, Time::from_millis(110));
-        assert!(s.attack_for(NodeId(2)).is_some());
-        assert!(s.attack_for(NodeId(7)).is_none());
+        assert!(s
+            .fault_of(NodeId(2))
+            .and_then(InjectedFault::attack)
+            .is_some());
+        assert!(s.fault_of(NodeId(7)).is_none());
     }
 
     #[test]
@@ -175,8 +196,8 @@ mod tests {
         for kind in FaultKind::ALL {
             let f = InjectedFault::new(NodeId(0), kind, Time(5));
             match kind {
-                FaultKind::Crash => assert!(f.attack().is_none()),
-                _ => assert!(f.attack().is_some(), "{kind}"),
+                FaultKind::Crash => assert!(f.attack().is_none() && f.crash_at() == Some(Time(5))),
+                _ => assert!(f.attack().is_some() && f.crash_at().is_none(), "{kind}"),
             }
         }
     }

@@ -1,9 +1,9 @@
 //! The end-to-end BTR system: plan offline, run under attack, judge.
 
-use crate::faults::FaultScenario;
+use crate::faults::{FaultScenario, InjectedFault};
 use crate::oracle::{judge, survival_by_criticality, RecoveryStats, SinkVerdict};
 use btr_model::{
-    Criticality, Duration, FaultKind, FaultSet, NodeId, PlanId, Strategy, TaskId, Time, Topology,
+    Criticality, Duration, FaultSet, NodeId, PlanId, Strategy, TaskId, Time, Topology,
 };
 use btr_net::Network;
 use btr_obs::ObsRecorder;
@@ -382,8 +382,9 @@ impl BtrSystem {
 
 /// The world a scenario runs in: one behaviour per node, made by
 /// `behavior` from the node's id and the attack the scenario scripts for
-/// it, and the scenario's crashes scheduled as control actions. BTR and
-/// the baselines build their worlds here.
+/// it, and each node's scripted crash scheduled as a control action
+/// (both read from [`FaultScenario::fault_of`], as the live fleet reads
+/// them). BTR and the baselines build their worlds here.
 pub fn scenario_world(
     topo: Topology,
     sim_cfg: SimConfig,
@@ -393,11 +394,10 @@ pub fn scenario_world(
     let n = topo.node_count() as u32;
     let mut world = World::new(topo, sim_cfg);
     for node in (0..n).map(NodeId) {
-        world.set_behavior(node, behavior(node, scenario.attack_for(node)));
-    }
-    for f in &scenario.faults {
-        if f.kind == FaultKind::Crash {
-            world.schedule_control(f.at, ControlAction::Crash(f.node));
+        let fault = scenario.fault_of(node);
+        world.set_behavior(node, behavior(node, fault.and_then(InjectedFault::attack)));
+        if let Some(at) = fault.and_then(InjectedFault::crash_at) {
+            world.schedule_control(at, ControlAction::Crash(node));
         }
     }
     world
@@ -499,7 +499,7 @@ pub fn judge_world(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::InjectedFault;
+    use btr_model::FaultKind;
 
     fn system(f: u8) -> BtrSystem {
         let workload = btr_workload::generators::avionics(9);

@@ -28,13 +28,15 @@
 //!   latencies real.
 //!
 //! Everything an actor has yet to dispatch sits in one agenda, ordered
-//! `(logical time, class, tie)` with timers (class 0, ordered by arm
-//! sequence) before parked messages (class 1, ordered by transport
-//! `(sender, send seq)`); the causal gate admits timers at the frontier
-//! bound (they win ties) and messages strictly below it. The simulator
-//! orders same-instant events by global push sequence instead; the two
-//! conventions only differ for exact logical-time ties, which the pinned
-//! differential tests cover.
+//! `(logical time, class, tie)`: the node's scripted crash first (the
+//! simulator schedules it as a control event before the run starts, so
+//! it pops ahead of everything else at its instant), then timers
+//! (ordered by arm sequence), then parked messages (ordered by transport
+//! `(sender, send seq)`); the causal gate admits a crash or a timer at
+//! the frontier bound (they win ties) and messages strictly below it.
+//! The simulator orders same-instant events by global push sequence
+//! instead; the two conventions only differ for exact logical-time ties,
+//! which the pinned differential tests cover.
 
 use crate::transport::{Gate, LiveMsg, Loopback, Port};
 use btr_crypto::KeyStore;
@@ -111,19 +113,23 @@ pub enum EventKind {
     Panicked(String),
 }
 
+/// Agenda class of the scripted crash: pops at the causal bound, before
+/// its instant's timers and messages.
+const CRASH: u64 = 0;
 /// Agenda class of a timer: dispatches at the causal bound.
-const TIMER: u64 = 0;
+const TIMER: u64 = 1;
 /// Agenda class of a parked message: dispatches strictly below the
 /// bound (one still in flight could tie and order ahead by sender).
-const MESSAGE: u64 = 1;
+const MESSAGE: u64 = 2;
 
 /// One thing an actor has yet to dispatch.
 struct Due {
-    /// `(at, class, a, b)`: an armed timer is `(due, TIMER, arm
-    /// sequence, timer id)`, a parked message `(arrival, MESSAGE,
-    /// sender, send sequence)`. Unique, so it alone orders the agenda.
+    /// `(at, class, a, b)`: the crash is `(at, CRASH, 0, 0)`, an armed
+    /// timer `(due, TIMER, arm sequence, timer id)`, a parked message
+    /// `(arrival, MESSAGE, sender, send sequence)`. Unique, so it alone
+    /// orders the agenda.
     key: (Time, u64, u64, u64),
-    /// The parked envelope (none for a timer).
+    /// The parked envelope (none for a timer or the crash).
     env: Option<Envelope>,
 }
 
@@ -145,9 +151,10 @@ impl Ord for Due {
     }
 }
 
-/// Everything a live actor has yet to dispatch, in dispatch order:
-/// same-instant timers fire in arm order — the simulator's global event
-/// sequence restricted to one node — and before the instant's messages.
+/// Everything a live actor has yet to dispatch, in dispatch order: a
+/// crash pops before its instant's timers, same-instant timers fire in
+/// arm order — the simulator's global event sequence restricted to one
+/// node — and before the instant's messages.
 /// Timer ids are the runtime's opaque `u64` encodings, never
 /// interpreted here.
 #[derive(Default)]
@@ -157,6 +164,13 @@ struct Agenda {
 }
 
 impl Agenda {
+    fn crash(&mut self, at: Time) {
+        self.heap.push(Due {
+            key: (at, CRASH, 0, 0),
+            env: None,
+        });
+    }
+
     fn arm(&mut self, at: Time, timer: TimerId) {
         self.armed += 1;
         self.heap.push(Due {
@@ -187,14 +201,12 @@ impl Agenda {
 /// thread. All it stamps is logical time, which is what makes the two
 /// substrates trace-equivalent.
 pub(crate) struct LiveCtx {
-    node: NodeId,
     logical: Time,
     period: Duration,
     keystore: Arc<KeyStore>,
     port: Port,
     agenda: Agenda,
     actuations: Vec<Actuation>,
-    crashed: bool,
     /// Observation switch: when off, `observe` is a no-op and the mark
     /// log stays empty (the live inertness tests flip this).
     obs: bool,
@@ -202,24 +214,21 @@ pub(crate) struct LiveCtx {
 }
 
 impl LiveCtx {
-    /// Build the substrate for `node`, whose logical clock starts at
-    /// `start`.
+    /// Build the substrate of the node behind `port`, whose logical
+    /// clock starts at `start`.
     pub(crate) fn new(
-        node: NodeId,
         period: Duration,
         keystore: Arc<KeyStore>,
         port: Port,
         start: Time,
     ) -> LiveCtx {
         LiveCtx {
-            node,
             logical: start,
             period,
             keystore,
             port,
             agenda: Agenda::default(),
             actuations: Vec::new(),
-            crashed: false,
             obs: true,
             marks: Vec::new(),
         }
@@ -234,11 +243,6 @@ impl LiveCtx {
     /// The node's current logical time.
     pub(crate) fn logical(&self) -> Time {
         self.logical
-    }
-
-    /// True once the behaviour called `crash_self`.
-    pub(crate) fn is_crashed(&self) -> bool {
-        self.crashed
     }
 }
 
@@ -271,21 +275,6 @@ impl CtxBackend for LiveCtx {
             period,
             value,
         });
-    }
-
-    fn crash_self(&mut self, _node: NodeId) {
-        self.crashed = true;
-        // Fault activation is a phase boundary: the recovery timeline
-        // starts here (the simulator emits the same mark in its
-        // control-action path).
-        if self.obs {
-            self.marks.push(PhaseMark {
-                observer: self.node,
-                subject: self.node,
-                phase: Phase::FaultActive,
-                at: self.logical,
-            });
-        }
     }
 
     fn observe(&mut self, mark: PhaseMark) {
@@ -334,7 +323,7 @@ pub(crate) struct NodeActor {
     /// the tail survives even when this thread panics mid-dispatch.
     flight: Arc<Mutex<FlightRecorder>>,
     /// Logical downtime after which the supervisor restarts this node
-    /// if it crashes (`ZERO`: it stays down).
+    /// once its scripted crash fires (`ZERO`: it stays down).
     restart_after: Duration,
     frontier_stalls: u64,
     redrains: u64,
@@ -388,11 +377,12 @@ impl NodeActor {
         self
     }
 
-    /// This node will be restarted `after` a crash (see
-    /// `restart_instant`): dying, it hands its frontier cell to the
-    /// next incarnation instead of going terminal.
-    pub(crate) fn with_restart(mut self, after: Duration) -> NodeActor {
-        self.restart_after = after;
+    /// Crash this node at logical `at`, and restart it `restart_after`
+    /// later (see `restart_instant`): dying, it then hands its frontier
+    /// cell to the next incarnation instead of going terminal.
+    pub(crate) fn with_crash(mut self, at: Time, restart_after: Duration) -> NodeActor {
+        self.ctx.agenda.crash(at);
+        self.restart_after = restart_after;
         self
     }
 
@@ -459,17 +449,16 @@ impl NodeActor {
         self.record_flight(self.ctx.logical(), FlightKind::Start);
         self.net.attach_sleeper(self.node);
         let terminal = loop {
-            if self.ctx.is_crashed() {
-                break EventKind::Crashed;
-            }
             self.drain();
             // Our anchor is the earliest event we could dispatch; `need`
             // is the causal bound that makes the step at hand safe: a
-            // timer's instant, one past a message's (see the classes);
-            // with nothing left inside the horizon we are done once
-            // nothing can still arrive in it.
+            // crash's or a timer's instant, one past a message's (see
+            // the classes); with nothing left inside the horizon we are
+            // done once nothing can still arrive in it.
             let (anchor, need, due) = match self.ctx.agenda.peek() {
-                Some((at, class)) if at <= end => (at, at + Duration(class), true),
+                Some((at, class)) if at <= end => {
+                    (at, at + Duration(u64::from(class == MESSAGE)), true)
+                }
                 Some((at, _)) => (at, end + Duration(1), false),
                 None => (Time(u64::MAX), end + Duration(1), false),
             };
@@ -503,7 +492,11 @@ impl NodeActor {
                 continue;
             }
             let Due { key, env } = self.ctx.agenda.pop().expect("peeked event");
-            let (at, _, a, b) = key;
+            let (at, class, a, b) = key;
+            self.ctx.logical = self.ctx.logical.max(at);
+            if class == CRASH {
+                break EventKind::Crashed;
+            }
             let kind = match env {
                 None => {
                     let late = Instant::now().saturating_duration_since(target);
@@ -515,7 +508,6 @@ impl NodeActor {
                 },
             };
             self.record_flight(at, kind);
-            self.ctx.logical = self.ctx.logical.max(at);
             let mut ctx = NodeCtx::new(&mut self.seat, &mut self.scratch, &mut self.ctx, self.node);
             match env {
                 None => self.behavior.on_timer(&mut ctx, b),
@@ -526,9 +518,17 @@ impl NodeActor {
         let crashed = matches!(terminal, EventKind::Crashed);
         if crashed {
             // Fail-stop for real: detach the mailbox and reroute around
-            // this node before the thread dies.
+            // this node before the thread dies. Fault activation is a
+            // phase boundary: the recovery timeline starts here, as it
+            // does in the simulator's control-action path.
             self.net.crash(self.node);
             self.record_flight(self.ctx.logical(), FlightKind::Crash);
+            self.ctx.observe(PhaseMark {
+                observer: self.node,
+                subject: self.node,
+                phase: Phase::FaultActive,
+                at: self.ctx.logical(),
+            });
         }
         match restart_instant(self.ctx.logical(), self.restart_after, end).filter(|_| crashed) {
             // Coming back: the cell goes straight to the restart instant.
@@ -567,7 +567,7 @@ mod tests {
 
     fn ctx_for(node: NodeId, net: &Loopback, ks: &Arc<KeyStore>) -> LiveCtx {
         let period = Duration::from_millis(10);
-        LiveCtx::new(node, period, Arc::clone(ks), net.port(node), Time::ZERO)
+        LiveCtx::new(period, Arc::clone(ks), net.port(node), Time::ZERO)
     }
 
     fn seat_for(node: NodeId) -> Seat {
@@ -593,6 +593,7 @@ mod tests {
         agenda.arm(Time(50), 30);
         agenda.park(msg(Time(40), 3, 9));
         agenda.arm(Time::from_millis(70), 7);
+        agenda.crash(Time(50));
         assert_eq!(agenda.peek(), Some((Time(40), MESSAGE)));
         let popped: Vec<_> = std::iter::from_fn(|| agenda.pop())
             .map(|d| (d.key, d.env.is_some()))
@@ -601,6 +602,7 @@ mod tests {
             popped,
             [
                 ((Time(40), MESSAGE, 3, 9), true),
+                ((Time(50), CRASH, 0, 0), false),
                 ((Time(50), TIMER, 2, 70), false),
                 ((Time(50), TIMER, 3, 30), false),
                 ((Time(50), MESSAGE, 1, 3), true),
@@ -674,40 +676,60 @@ mod tests {
         );
     }
 
-    /// Crashes itself on the first timer.
-    struct Suicidal;
-    impl NodeBehavior for Suicidal {
+    /// Arms a timer for 50 µs and actuates on every timer and message.
+    struct Actuator;
+    impl NodeBehavior for Actuator {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-            ctx.set_timer(Duration(50), 1);
+            ctx.set_timer_at(Time(50), 1);
         }
-        fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _env: Envelope) {}
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _env: Envelope) {
+            ctx.actuate(TaskId(1), 0, 0);
+        }
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId) {
-            ctx.crash_self();
+            ctx.actuate(TaskId(0), 0, 0);
         }
     }
 
     #[test]
     fn crash_is_terminal_and_detaches_mailbox() {
+        // A crash scripted for 50 µs pops before the timer armed for 50
+        // µs and the message parked for it: neither dispatches.
         let (net, ks) = harness(2);
         let (tx, rx) = mailbox(64);
-        net.register(NodeId(0), tx);
+        net.register(NodeId(0), tx.clone());
         net.set_terminal(NodeId(1));
+        let at = Time(50);
+        let env = Envelope::new(NodeId(1), NodeId(0), at, Payload::Control(1));
+        tx.send(LiveMsg {
+            at,
+            from: NodeId(1),
+            seq: 0,
+            env,
+        })
+        .expect("mailbox open");
         let (ev_tx, ev_rx) = std::sync::mpsc::channel();
         let actor = NodeActor::new(
             NodeId(0),
-            Box::new(Suicidal),
+            Box::new(Actuator),
             seat_for(NodeId(0)),
             ctx_for(NodeId(0), &net, &ks),
             rx,
             net.clone(),
-        );
-        actor.run(
+        )
+        .with_crash(at, Duration::ZERO);
+        let out = actor.run(
             Time::from_millis(10),
             Pacer::new(Instant::now(), 0.001),
             ev_tx,
         );
+        assert!(out.actuations.is_empty(), "{:?}", out.actuations);
+        let marks: Vec<_> = out.marks.iter().map(|m| (m.phase, m.at)).collect();
+        assert_eq!(marks, [(Phase::FaultActive, at)]);
         let evs: Vec<RuntimeEvent> = ev_rx.try_iter().collect();
-        assert_eq!(evs.last().map(|e| e.kind.clone()), Some(EventKind::Crashed));
+        assert_eq!(
+            evs.last().map(|e| (e.kind.clone(), e.logical)),
+            Some((EventKind::Crashed, at))
+        );
         // Post-crash, the network refuses traffic to the dead node.
         let mut port = net.port(NodeId(1));
         assert!(port

@@ -20,22 +20,19 @@
 //! * `actor` — `LiveCtx` (the live `CtxBackend`: the substrate's half
 //!   of hosting a node; the node's half is the `btr_sim::Seat` both
 //!   substrates derive alike) and the per-node event loop over one
-//!   agenda, paced against the wall clock.
-//! * `faulty` — `FaultyNode` splices scripted faults into live
-//!   behaviour; `Rejoin` re-synchronises restarts.
-//! * `supervisor` — [`run_live`] spawns the fleet, watches for panics,
-//!   crashes, and deadline overruns, restarts scripted crash victims,
-//!   and assembles the [`LiveReport`].
+//!   agenda, paced against the wall clock, which also stops the node at
+//!   its scripted crash.
+//! * `supervisor` — [`run_live`] spawns the fleet of plain `BtrNode`s,
+//!   each with the attack and the crash instant the scenario scripts for
+//!   it, watches for panics, crashes, and deadline overruns, restarts
+//!   scripted crash victims, and assembles the [`LiveReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod actor;
-mod faulty;
 mod supervisor;
 mod transport;
 
 pub use actor::{EventKind, RuntimeEvent};
-pub use supervisor::{
-    run_live, DropTotals, DumpReason, FlightDump, LiveConfig, LiveReport, PanicReport,
-};
+pub use supervisor::{run_live, DropTotals, LiveConfig, LiveReport, PanicReport};

@@ -3,8 +3,11 @@
 //!
 //! `run_live` takes the same inputs as `BtrSystem::run` — a planned
 //! system, a fault scenario, a horizon — and executes them on real OS
-//! threads instead of the discrete-event queue. Each node reports
-//! [`RuntimeEvent`]s over a channel; the supervisor:
+//! threads instead of the discrete-event queue. Every node is the
+//! `BtrNode` the simulator builds, with the attack the scenario scripts
+//! for it; a scripted crash is handed to the node's actor, which stops
+//! the node at that instant as the simulator's control action does.
+//! Each node reports [`RuntimeEvent`]s over a channel; the supervisor:
 //!
 //! * joins a node thread **only after** seeing its terminal event
 //!   (`Finished`/`Crashed`/`Panicked`), so a wedged node can never hang
@@ -13,11 +16,11 @@
 //! * catches behaviour panics, attributes them to the node id, and
 //!   detaches the dead node from the network (its peers see the same
 //!   silence a crash produces);
-//! * optionally restarts crashed nodes after a scripted downtime with a
-//!   fresh runtime wrapped in [`Rejoin`], which
-//!   is the live analogue of the paper's bounded-time recovery loop
-//!   (the dying actor itself parks its causal frontier at the restart
-//!   instant, so there is no window for the supervisor to close).
+//! * optionally restarts crashed nodes after a scripted downtime as a
+//!   fresh `BtrNode`, which joins at the next period boundary: the live
+//!   analogue of the paper's bounded-time recovery loop (the dying
+//!   actor itself parks its causal frontier at the restart instant, so
+//!   there is no window for the supervisor to close).
 //!
 //! The report carries the canonical [`LogicalTrace`] (the simulator is
 //! the oracle: a fault-free live run must digest-match the simulated
@@ -26,13 +29,12 @@
 use crate::actor::{
     restart_instant, ActorOutcome, EventKind, LiveCtx, NodeActor, Pacer, RuntimeEvent,
 };
-use crate::faulty::{FaultyNode, Rejoin};
 use crate::transport::{mailbox, LiveMsg, Loopback};
-use btr_core::{BtrSystem, FaultScenario, NodeRow};
+use btr_core::{BtrSystem, FaultScenario, InjectedFault, NodeRow};
 use btr_crypto::KeyStore;
 use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, FlightRecorder, Histogram, PhaseMark, FLIGHT_CAP};
-use btr_runtime::BtrNode;
+use btr_runtime::{Attack, BtrNode};
 use btr_sim::{LogicalTrace, NodeBehavior, Seat};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -60,15 +62,10 @@ pub struct LiveConfig {
     /// Collect phase marks on node runtimes (out-of-band either way;
     /// the obs on/off digest test flips this to prove inertness).
     pub obs: bool,
-    /// Per-node flight-recorder ring capacity: how many of the last
-    /// dispatches a panic/overrun/overflow dump can show. Must be at
-    /// least 1 (callers validate; [`FlightRecorder::new`] clamps).
-    pub flight_cap: usize,
 }
 
 impl LiveConfig {
-    /// Defaults: real-time pace, 4096-deep mailboxes, no restarts,
-    /// [`FLIGHT_CAP`]-deep flight rings.
+    /// Defaults: real-time pace, 4096-deep mailboxes, no restarts.
     pub fn new(seed: u64) -> LiveConfig {
         LiveConfig {
             seed,
@@ -77,7 +74,6 @@ impl LiveConfig {
             restart_after: Duration::ZERO,
             join_grace: std::time::Duration::from_millis(500),
             obs: true,
-            flight_cap: FLIGHT_CAP,
         }
     }
 }
@@ -105,7 +101,7 @@ pub struct DropTotals {
 #[derive(Debug, Clone)]
 pub struct PanicReport {
     /// The panicking node.
-    pub(crate) node: NodeId,
+    pub node: NodeId,
     /// The panic payload (message).
     pub message: String,
     /// The node's last flight-recorded logical timestamp, if any event
@@ -117,49 +113,13 @@ pub struct PanicReport {
     pub flight_tail: Vec<FlightEvent>,
 }
 
-/// Why the supervisor dumped a node's flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DumpReason {
-    /// The node's behaviour panicked.
-    Panic,
-    /// The node's thread missed the wall deadline and was detached.
-    DeadlineOverrun,
-    /// The node's bounded mailbox overflowed (dropped deliveries).
-    MailboxFull,
-}
-
-/// A flight-recorder dump the supervisor took when it flagged a node.
-#[derive(Debug, Clone)]
-pub struct FlightDump {
-    /// The flagged node.
-    pub node: NodeId,
-    /// Why it was flagged.
-    pub reason: DumpReason,
-    /// Total events the node dispatched.
-    pub total: u64,
-    /// The last few dispatches, oldest first.
-    pub tail: Vec<FlightEvent>,
-}
-
-fn dump_flight(
-    node: NodeId,
-    reason: DumpReason,
-    flight: &Arc<Mutex<FlightRecorder>>,
-) -> FlightDump {
-    let f = flight.lock().expect("flight lock");
-    FlightDump {
-        node,
-        reason,
-        total: f.total(),
-        tail: f.tail(),
-    }
-}
-
 /// Everything a live run produces.
 #[derive(Debug)]
 pub struct LiveReport {
     /// The canonical logical actuation trace (compare against
-    /// `World::logical_trace()` — the simulator is the oracle).
+    /// `World::logical_trace()` — the simulator is the oracle). It holds
+    /// the actuations of joined nodes only: a node detached as a
+    /// deadline overrun takes its actuations with it.
     pub trace: LogicalTrace,
     /// Per-node runtime stats, final plan, fault-set size (correct,
     /// never-crashed nodes only — same exclusions as `RunReport`).
@@ -177,9 +137,6 @@ pub struct LiveReport {
     pub drops: DropTotals,
     /// Per-node `mailbox_full` attribution (index = node).
     pub mailbox_full_by_node: Vec<u64>,
-    /// Flight-recorder dumps for flagged nodes (panic, overrun,
-    /// mailbox overflow).
-    pub flight_dumps: Vec<FlightDump>,
     /// Phase marks observed across all node runtimes, in node order
     /// (empty when `LiveConfig::obs` is off).
     pub phase_marks: Vec<PhaseMark>,
@@ -310,33 +267,43 @@ pub fn run_live(
     // One flight recorder per node, owned here and shared with the
     // actor: the tail stays readable after the actor's thread panics.
     let flights: Vec<Arc<Mutex<FlightRecorder>>> = (0..n)
-        .map(|_| Arc::new(Mutex::new(FlightRecorder::new(cfg.flight_cap))))
+        .map(|_| Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_CAP))))
         .collect();
-    // Spawn the thread of one incarnation of `node`, its logical clock
-    // starting at `start`. On that thread `ready` first brings the node
-    // to the point of running — meets the start line, or sits out a
-    // downtime and re-attaches — and yields the pacer and the mailbox;
+    // Spawn the thread of one incarnation of `node`, a fresh `BtrNode`
+    // running `attack` whose logical clock starts at `start` and that
+    // crashes at `crash_at`. On that thread `ready` first brings the
+    // node to the point of running — meets the start line, or sits out
+    // a downtime and re-attaches — and yields the pacer and the mailbox;
     // then context and actor are built and run guarded.
     type Ready = Box<dyn FnOnce() -> (Pacer, mpsc::Receiver<LiveMsg>) + Send>;
     let spawn = |node: NodeId,
-                 behavior: Box<dyn NodeBehavior + Send>,
+                 attack: Option<Attack>,
                  start: Time,
-                 restart_after: Duration,
+                 crash_at: Option<Time>,
                  ready: Ready| {
+        let behavior = Box::new(BtrNode::new(
+            node,
+            Arc::clone(&workload),
+            Arc::clone(&strategy),
+            n,
+            attack,
+        ));
         let (net, keystore, events) = (net.clone(), Arc::clone(&keystore), ev_tx.clone());
         let seat = Seat::derive(cfg.seed, node, suite);
         let flight = Arc::clone(&flights[node.index()]);
-        let obs = cfg.obs;
+        let (obs, restart_after) = (cfg.obs, cfg.restart_after);
         let again = if start > Time::ZERO { "-r" } else { "" };
         thread::Builder::new()
             .name(format!("btr-{node}{again}"))
             .spawn(move || {
                 let (pacer, rx) = ready();
-                let mut ctx = LiveCtx::new(node, period, keystore, net.port(node), start);
+                let mut ctx = LiveCtx::new(period, keystore, net.port(node), start);
                 ctx.set_obs(obs);
-                let actor = NodeActor::new(node, behavior, seat, ctx, rx, net)
-                    .with_flight(flight)
-                    .with_restart(restart_after);
+                let mut actor =
+                    NodeActor::new(node, behavior, seat, ctx, rx, net).with_flight(flight);
+                if let Some(at) = crash_at {
+                    actor = actor.with_crash(at, restart_after);
+                }
                 run_guarded(actor, end, pacer, events)
             })
             .expect("spawn node thread")
@@ -350,7 +317,6 @@ pub fn run_live(
     // event (join is only safe/prompt once this is true).
     let mut thread_done = vec![false; n];
     let mut ever_crashed = vec![false; n];
-    let mut restarted = vec![false; n];
     let mut outcomes: Vec<ActorOutcome> = Vec::new();
     let mut events: Vec<RuntimeEvent> = Vec::new();
     let mut panics: Vec<PanicReport> = Vec::new();
@@ -359,26 +325,16 @@ pub fn run_live(
         let node = NodeId(i);
         let (tx, rx) = mailbox(cfg.mailbox_cap);
         net.register(node, tx);
-        let fault = scenario.faults.iter().find(|f| f.node == node);
-        let behavior: Box<dyn NodeBehavior + Send> = match fault {
-            Some(f) => Box::new(FaultyNode::make(
-                node,
-                Arc::clone(&workload),
-                Arc::clone(&strategy),
-                n,
-                f,
-            )),
-            None => Box::new(BtrNode::new(
-                node,
-                Arc::clone(&workload),
-                Arc::clone(&strategy),
-                n,
-                None,
-            )),
-        };
+        let fault = scenario.fault_of(node);
         let line = Arc::clone(&start);
         let ready = Box::new(move || (Pacer::new(line.arrive(), pace), rx));
-        let h = spawn(node, behavior, Time::ZERO, cfg.restart_after, ready);
+        let h = spawn(
+            node,
+            fault.and_then(InjectedFault::attack),
+            Time::ZERO,
+            fault.and_then(InjectedFault::crash_at),
+            ready,
+        );
         handles[i as usize] = Some(h);
     }
     let pacer = Pacer::new(start.arrive(), pace);
@@ -426,11 +382,8 @@ pub fn run_live(
                 ever_crashed[idx] = true;
                 // The dying actor decided the same way and left its
                 // frontier cell at `restart_at` for the next incarnation
-                // (which, built without `with_restart`, stays down if it
-                // crashes again).
-                let restart_at = restart_instant(e.logical, cfg.restart_after, end);
-                if let Some(restart_at) = restart_at.filter(|_| !restarted[idx]) {
-                    restarted[idx] = true;
+                // (which has no scripted crash).
+                if let Some(restart_at) = restart_instant(e.logical, cfg.restart_after, end) {
                     // The terminal event precedes the thread's return by
                     // instants; this join is prompt.
                     if let Some(h) = handles[idx].take() {
@@ -441,8 +394,6 @@ pub fn run_live(
                     thread_done[idx] = false;
                     live_threads += 1;
                     let node = e.node;
-                    let fresh =
-                        BtrNode::new(node, Arc::clone(&workload), Arc::clone(&strategy), n, None);
                     let (net, cap) = (net.clone(), cfg.mailbox_cap);
                     let ready = Box::new(move || {
                         // Sit out the scripted downtime, then rejoin: a
@@ -459,8 +410,7 @@ pub fn run_live(
                         net.register(node, tx);
                         (pacer, rx)
                     });
-                    let rejoin = Box::new(Rejoin::new(fresh));
-                    let h = spawn(node, rejoin, restart_at, Duration::ZERO, ready);
+                    let h = spawn(node, None, restart_at, None, ready);
                     handles[idx] = Some(h);
                 }
             }
@@ -514,34 +464,6 @@ pub fn run_live(
         .collect();
     let frontier_blockers: Vec<u64> = (0..n as u32).map(|i| net.slept_on(NodeId(i))).collect();
 
-    // Dump flight recorders for every flagged node: panics, deadline
-    // overruns, and overflowing mailboxes each earn a dump under their
-    // own reason (a node can appear more than once).
-    let mut flight_dumps: Vec<FlightDump> = Vec::new();
-    for p in &panics {
-        flight_dumps.push(dump_flight(
-            p.node,
-            DumpReason::Panic,
-            &flights[p.node.index()],
-        ));
-    }
-    for &node in &deadline_overruns {
-        flight_dumps.push(dump_flight(
-            node,
-            DumpReason::DeadlineOverrun,
-            &flights[node.index()],
-        ));
-    }
-    for (i, &full) in mailbox_full_by_node.iter().enumerate() {
-        if full > 0 {
-            flight_dumps.push(dump_flight(
-                NodeId(i as u32),
-                DumpReason::MailboxFull,
-                &flights[i],
-            ));
-        }
-    }
-
     // Out-of-band observability totals (outcomes are already in node
     // order, so the mark log is deterministic given the run's events).
     let mut phase_marks: Vec<PhaseMark> = Vec::new();
@@ -564,7 +486,6 @@ pub fn run_live(
         deadline_overruns,
         drops,
         mailbox_full_by_node,
-        flight_dumps,
         phase_marks,
         frontier_stalls,
         frontier_blockers,

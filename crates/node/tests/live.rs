@@ -7,9 +7,9 @@
 //! jitter must not leak into logical outcomes; these tests are the
 //! enforcement.
 
-use btr_core::{BtrSystem, FaultScenario};
+use btr_core::{BtrSystem, FaultScenario, InjectedFault};
 use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr_node::{run_live, DumpReason, EventKind, LiveConfig};
+use btr_node::{run_live, EventKind, LiveConfig};
 use btr_obs::{Phase, RecoveryTimeline};
 use btr_planner::PlannerConfig;
 
@@ -206,11 +206,41 @@ fn live_crash_scenario_matches_sim_and_recovers_within_r() {
 }
 
 #[test]
+fn a_node_named_twice_suffers_its_first_fault_on_both_substrates() {
+    // n6 is scripted to commit commission at 42 ms and to crash at 60
+    // ms. Both hosts read the node's first entry only, so n6 lies and
+    // never crashes, on the fleet as in the simulator.
+    let sys = system(1);
+    let horizon = Duration::from_millis(400);
+    let scenario = FaultScenario {
+        faults: vec![
+            InjectedFault::new(NodeId(6), FaultKind::Commission, Time::from_millis(42)),
+            InjectedFault::new(NodeId(6), FaultKind::Crash, Time::from_millis(60)),
+        ],
+    };
+    let reference = sim_trace(&sys, &scenario, horizon);
+    let live = run_live(&sys, &scenario, horizon, &live_cfg());
+    assert!(
+        live.healthy(),
+        "panics: {:?}, overruns: {:?}",
+        live.panics,
+        live.deadline_overruns
+    );
+    assert_eq!(
+        live.trace.digest(),
+        reference.digest(),
+        "live diverged from simulator: {:?}",
+        live.trace
+            .first_divergence(&reference, ["live", "simulator"])
+    );
+    assert!(!live.events.iter().any(|e| e.kind == EventKind::Crashed));
+}
+
+#[test]
 fn undersized_mailbox_overflow_is_counted_and_attributed() {
     // Deliberately starve the mailboxes: depth 1 cannot absorb a
     // 9-node broadcast burst, so backpressure drops must show up in
-    // the aggregate counter, be attributed per receiver, and earn the
-    // overflowing nodes a flight-recorder dump.
+    // the aggregate counter and be attributed per receiver.
     let sys = system(1);
     let horizon = Duration::from_millis(120);
     let scenario = FaultScenario::none();
@@ -226,16 +256,6 @@ fn undersized_mailbox_overflow_is_counted_and_attributed() {
         attributed, live.drops.mailbox_full,
         "per-node attribution must sum to the aggregate counter"
     );
-    let dumps: Vec<_> = live
-        .flight_dumps
-        .iter()
-        .filter(|d| d.reason == DumpReason::MailboxFull)
-        .collect();
-    assert!(!dumps.is_empty(), "overflowing nodes should be dumped");
-    for d in &dumps {
-        assert!(live.mailbox_full_by_node[d.node.index()] > 0);
-        assert!(!d.tail.is_empty(), "dump should carry the flight tail");
-    }
 }
 
 #[test]
@@ -287,46 +307,6 @@ fn live_obs_on_and_off_are_trace_identical() {
     );
     assert_eq!(t.phases_sum(), t.recovery_us);
     assert!(t.slack_to_r_us > 0, "pinned crash recovers within R");
-}
-
-#[test]
-fn tiny_flight_cap_is_trace_inert() {
-    // The flight-recorder ring is bounded per node and configurable;
-    // shrinking it to near nothing must only lose history, never
-    // perturb the logical outcome.
-    let sys = system(1);
-    let horizon = Duration::from_millis(400);
-    let scenario = FaultScenario::single(NodeId(6), FaultKind::Crash, Time::from_millis(42));
-    let reference = sim_trace(&sys, &scenario, horizon);
-
-    let mut cfg = live_cfg();
-    cfg.flight_cap = 2;
-    let live = run_live(&sys, &scenario, horizon, &cfg);
-    assert!(live.healthy());
-    assert_eq!(
-        live.trace.digest(),
-        reference.digest(),
-        "flight cap changed the live trace"
-    );
-
-    // And the ring really truncates: rerun the mailbox-overflow
-    // scenario with the tiny cap — dumps carry at most two events even
-    // for nodes that dispatched far more.
-    let mut of_cfg = live_cfg();
-    of_cfg.mailbox_cap = 1;
-    of_cfg.flight_cap = 2;
-    let overflow = run_live(
-        &sys,
-        &FaultScenario::none(),
-        Duration::from_millis(120),
-        &of_cfg,
-    );
-    assert!(!overflow.flight_dumps.is_empty());
-    assert!(overflow.flight_dumps.iter().all(|d| d.tail.len() <= 2));
-    assert!(
-        overflow.flight_dumps.iter().any(|d| d.total > 2),
-        "a dumped node should have dispatched more than the ring holds"
-    );
 }
 
 #[test]

@@ -41,15 +41,12 @@ pub const COUNTER_KINDS: usize = 7;
 pub enum Lat {
     /// Network transit: send instant → delivery instant (logical µs).
     Delivery,
-    /// Timer lateness: scheduled instant → dispatch instant (logical
-    /// µs; 0 in the sim by construction, nonzero only live).
-    TimerLag,
     /// Per-run slack to R (campaign oracle: budget − window).
     Slack,
 }
 
 /// Number of [`Lat`] kinds (array sizing).
-pub(crate) const LAT_KINDS: usize = 3;
+pub(crate) const LAT_KINDS: usize = 2;
 
 impl Counter {
     /// All kinds, in declaration order.
@@ -119,7 +116,7 @@ impl ObsRecorder {
     pub fn new() -> ObsRecorder {
         ObsRecorder {
             counters: [0; COUNTER_KINDS],
-            lats: [Histogram::new(), Histogram::new(), Histogram::new()],
+            lats: [Histogram::new(), Histogram::new()],
             marks: Vec::new(),
             profile: Profile::new(),
         }

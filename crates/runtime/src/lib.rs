@@ -729,9 +729,19 @@ impl BtrNode {
 impl NodeBehavior for BtrNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.sync_checkers();
-        ctx.set_timer(
-            Duration::ZERO,
-            timers::encode(Timer::PeriodBoundary { period: 0 }),
+        // A cold boot runs period 0 at time zero. A node started later (a
+        // restart) has missed this period's slot starts, even exactly on
+        // its boundary, so it joins at the first boundary after now.
+        let period = self.workload.period;
+        let first = match ctx.now() {
+            Time::ZERO => Time::ZERO,
+            now => (now + Duration(1)).next_period_start(period),
+        };
+        ctx.set_timer_at(
+            first,
+            timers::encode(Timer::PeriodBoundary {
+                period: first.period_index(period),
+            }),
         );
     }
 
@@ -843,6 +853,61 @@ mod tests {
             .and_then(|b| b.as_any())
             .and_then(|a| a.downcast_ref::<BtrNode>())
             .expect("btr node")
+    }
+
+    /// A substrate held at one instant that records what a node arms.
+    struct Armed {
+        now: Time,
+        keystore: btr_crypto::KeyStore,
+        timers: Vec<(Time, TimerId)>,
+    }
+
+    impl btr_sim::CtxBackend for Armed {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn period(&self) -> Duration {
+            ms(10)
+        }
+        fn keystore(&self) -> &btr_crypto::KeyStore {
+            &self.keystore
+        }
+        fn send_env(&mut self, _src: NodeId, _env: Envelope) {}
+        fn set_timer_at(&mut self, _node: NodeId, at: Time, timer: TimerId) {
+            self.timers.push((at, timer));
+        }
+        fn actuate(&mut self, _: NodeId, _: TaskId, _: PeriodIdx, _: Value) {}
+    }
+
+    #[test]
+    fn on_start_arms_the_first_boundary_from_now() {
+        // At time zero, period 0; mid-period, the next boundary; exactly
+        // on a boundary, the one after it (that period's slots began).
+        let (w, s, _) = setup(1);
+        assert_eq!(w.period, ms(10));
+        for (now, first, period) in [
+            (Time::ZERO, Time::ZERO, 0),
+            (Time(17_000), Time(20_000), 2),
+            (Time(20_000), Time(30_000), 3),
+        ] {
+            let suite = btr_crypto::AuthSuite::default();
+            let mut host = Armed {
+                now,
+                keystore: btr_crypto::KeyStore::derive_suite(7, 9, suite),
+                timers: Vec::new(),
+            };
+            let mut seat = btr_sim::Seat::derive(7, NodeId(6), suite);
+            let mut scratch = btr_sim::Scratch::for_node();
+            let mut node = BtrNode::new(NodeId(6), Arc::clone(&w), Arc::clone(&s), 9, None);
+            node.on_start(&mut NodeCtx::new(
+                &mut seat,
+                &mut scratch,
+                &mut host,
+                NodeId(6),
+            ));
+            let boundary = timers::encode(Timer::PeriodBoundary { period });
+            assert_eq!(host.timers, [(first, boundary)], "started at {now:?}");
+        }
     }
 
     #[test]

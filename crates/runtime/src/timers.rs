@@ -153,8 +153,6 @@ mod tests {
         assert_eq!(decode(activate | 1), None);
         assert_eq!(decode(activate | (1 << PERIOD_BITS)), None);
         assert_eq!(decode(activate | (1 << (IDX_BITS + PERIOD_BITS))), None);
-        // The faulty-node crash sentinel (kind 15) stays foreign.
-        assert_eq!(decode(u64::MAX), None);
     }
 
     /// Property sweep over the full `Timer` space with a seeded PRNG:

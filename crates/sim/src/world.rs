@@ -114,7 +114,6 @@ pub struct Actuation {
 struct ObsScratch {
     counts: [u64; COUNTER_KINDS],
     delivery: Histogram,
-    timer_lag: Histogram,
     /// Per-subsystem cost profile: event counts always (when a recorder
     /// is installed), wall nanoseconds only under
     /// [`World::set_wall_profiling`].
@@ -240,9 +239,6 @@ impl World {
         }
         if s.delivery.count() > 0 {
             r.latencies(Lat::Delivery, &s.delivery);
-        }
-        if s.timer_lag.count() > 0 {
-            r.latencies(Lat::TimerLag, &s.timer_lag);
         }
         if !s.profile.is_empty() {
             r.profile(&s.profile);
@@ -492,10 +488,6 @@ impl World {
         if self.sub.obs.is_some() {
             self.sub.obs_scratch.counts[Counter::Timers as usize] += 1;
             self.sub.obs_scratch.profile.bump(Subsystem::Dispatch);
-            // Sim timers fire exactly when armed; the lag histogram
-            // exists for symmetry with the live substrate, where it
-            // measures scheduling-induced dispatch lateness.
-            self.sub.obs_scratch.timer_lag.record(0);
         }
         let mut behavior = match self.sub.behaviors[node.index()].take() {
             Some(b) => b,
@@ -622,8 +614,8 @@ impl Substrate {
         Some(t)
     }
 
-    /// Fail-stop `node`, by control action or by its own hand: it stops
-    /// relaying, the fault's timeline starts, routes heal around it.
+    /// Fail-stop `node` by control action: it stops relaying, the
+    /// fault's timeline starts, routes heal around it.
     fn crash(&mut self, node: NodeId) {
         if self.net.is_down(node) {
             return;
@@ -669,7 +661,10 @@ impl Substrate {
 /// both substrates, and only the event transport underneath differs.
 ///
 /// This is the substrate's half of hosting a node — time, transport,
-/// timers, actuators. The node's half (its clock, key and RNG stream:
+/// timers, actuators. A crash is not among them: the host applies a
+/// scripted crash itself (the simulator's [`ControlAction::Crash`], the
+/// live actor's agenda), so the protocol cannot end its own node's run.
+/// The node's half (its clock, key and RNG stream:
 /// the [`Seat`]) and everything done with it (stamping, signing,
 /// verifying) is `NodeCtx`'s own, written once for every substrate.
 /// Methods take the acting node explicitly: the id the dispatcher bound
@@ -687,8 +682,6 @@ pub trait CtxBackend {
     fn set_timer_at(&mut self, node: NodeId, at: Time, timer: TimerId);
     /// Record a sink actuation by `node`.
     fn actuate(&mut self, node: NodeId, task: TaskId, period: PeriodIdx, value: Value);
-    /// Fail-stop `node` immediately.
-    fn crash_self(&mut self, node: NodeId);
     /// Observe a recovery-phase boundary (out-of-band).
     ///
     /// Defaults to a no-op so backends without an observability layer
@@ -752,13 +745,6 @@ impl CtxBackend for Substrate {
                 value: a.value,
             });
         }
-    }
-
-    fn crash_self(&mut self, node: NodeId) {
-        self.prof(Subsystem::ModeSwitch);
-        let t0 = self.wall_start();
-        self.crash(node);
-        self.wall_end(Subsystem::ModeSwitch, t0);
     }
 
     fn observe(&mut self, mark: PhaseMark) {
@@ -980,11 +966,6 @@ impl<'w> NodeCtx<'w> {
     /// Record a sink actuation (an output to the physical world).
     pub fn actuate(&mut self, task: TaskId, period: PeriodIdx, value: Value) {
         self.backend.actuate(self.node, task, period, value);
-    }
-
-    /// Fail-stop this node immediately.
-    pub fn crash_self(&mut self) {
-        self.backend.crash_self(self.node);
     }
 
     /// Observe a recovery-phase boundary concerning `subject`, as seen

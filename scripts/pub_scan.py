@@ -31,7 +31,7 @@ KEEP = {'siphash', 'SipKey', 'SipState', 'verify_batch_all',
         'ShrinkOutcome', 'Violation', 'SinkVerdict', 'NodeSpec',
         'PlanError', 'TopologyError', 'SendError', 'PlacementError',
         'QualityReport', 'SchedError', 'WorkloadError', 'DropTotals',
-        'FlightDump', 'PanicReport', 'RuntimeEvent', 'PlanView'}
+        'PanicReport', 'RuntimeEvent', 'PlanView'}
 
 def rs(d):
     return glob.glob(d + '/**/*.rs', recursive=True)
