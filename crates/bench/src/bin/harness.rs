@@ -19,7 +19,6 @@
 
 use btr_bench::experiments as exp;
 use btr_bench::live::{self, LiveMeasurement, LIVE_PACE, LIVE_SEED, LIVE_SMOKE_PACE};
-use btr_crypto::AuthSuite;
 use btr_obs::json::{self, Layout::Block, Layout::Inline};
 use btr_obs::{Histogram, Lat, TraceBuilder};
 use std::io::Write;
@@ -493,15 +492,6 @@ const COMMANDS: [Command; 3] = [
                 "--over-budget",
                 "add f+1-fault schedules (inadmissible; exercises the shrinker)",
             ),
-            (
-                "--all-variants",
-                "every fault variant on every cell (alias of the default grid)",
-            ),
-            (
-                "--auth SUITE",
-                "hmac | sip force one authenticator suite on every cell;\n\
-                 both twins each cell with a `-sip` SipHash copy",
-            ),
             ("--out PATH", "report path (default CAMPAIGN_btr.json)"),
             (
                 "--replay TOKEN",
@@ -675,8 +665,6 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     }
     let combos = take_flag(&mut args, "--combos");
     let over_budget = take_flag(&mut args, "--over-budget");
-    let all_variants = take_flag(&mut args, "--all-variants");
-    let auth: Option<String> = take_value(&mut args, "--auth");
     let out_path: String = take_value(&mut args, "--out").unwrap_or("CAMPAIGN_btr.json".into());
     if let Some(stray) = args.first() {
         eprintln!("error: unknown campaign argument '{stray}'");
@@ -687,34 +675,6 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     cfg.sim_seeds = sim_seeds;
     cfg.combos = combos;
     cfg.over_budget = over_budget;
-    if all_variants {
-        cfg.cells = campaign::all_variant_grid();
-    }
-    // Authenticator-suite selection: force one suite on every cell, or
-    // sweep both (each cell twinned with `-sip`). Verdicts are
-    // suite-independent, so forced hmac/sip campaigns over the same
-    // grid must report the same runs_digest — the CI cross-suite check.
-    let auth_label = match auth.as_deref() {
-        None => "",
-        Some("both") => {
-            cfg.cells = campaign::auth_sweep(cfg.cells);
-            ", auth both"
-        }
-        Some(s) => match AuthSuite::parse(s) {
-            Some(AuthSuite::HmacSha256) => {
-                cfg.cells = campaign::with_auth(cfg.cells, AuthSuite::HmacSha256);
-                ", auth hmac"
-            }
-            Some(AuthSuite::SipHash24) => {
-                cfg.cells = campaign::with_auth(cfg.cells, AuthSuite::SipHash24);
-                ", auth sip"
-            }
-            None => {
-                eprintln!("error: --auth wants hmac, sip, or both (got '{s}')");
-                std::process::exit(2);
-            }
-        },
-    };
     // What runs is cells x schedules x seeds, each factor from a flag.
     let executed = cfg.executed_runs();
     if executed > MAX_CAMPAIGN_RUNS {
@@ -728,15 +688,13 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
     let report = Report::open(out_path);
 
     outln!(
-        "campaign: {} cells, target {} runs, seed {}, {} threads{}{}{}{}, sha256 {}",
+        "campaign: {} cells, target {} runs, seed {}, {} threads{}{}, sha256 {}",
         cfg.cells.len(),
         cfg.runs,
         cfg.seed,
         cfg.threads,
         if combos { ", combos" } else { "" },
         if over_budget { ", over-budget" } else { "" },
-        if all_variants { ", all-variants" } else { "" },
-        auth_label,
         btr_crypto::sha256::backend(),
     );
     let outcome = match campaign::run_campaign(&cfg) {
@@ -795,9 +753,9 @@ fn run_campaign_cli(mut args: Vec<String>, threads: usize) {
 
     report.write(&outcome.to_json());
     // Any admissible violation is a bug: the campaign-found R-bound gaps
-    // are fixed, so the full variant space — including --all-variants
-    // and --combos — gates the exit code. (Over-budget schedules are
-    // inadmissible by construction and never count.)
+    // are fixed, so the full variant space — including --combos — gates
+    // the exit code. (Over-budget schedules are inadmissible by
+    // construction and never count.)
     if admissible_viol > 0 {
         eprintln!("error: {admissible_viol} admissible runs violated the R-bound");
         std::process::exit(1);

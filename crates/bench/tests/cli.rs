@@ -3,7 +3,8 @@
 //! and `--list`/`--help` return before any measurement starts, so the
 //! debug binary answers in milliseconds; one live replay, paced for a
 //! debug build, pins that both substrates fold a multi-hop token to the
-//! same record.
+//! same record. The design notes and the verify skill may name only the
+//! flags `--list` advertises.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -71,7 +72,14 @@ fn malformed_flag_values_exit_2() {
     assert!(rejected(&["fuzz", "--budget", "many"]).contains("bad value 'many'"));
     assert!(rejected(&["fuzz", "--budget", "0"]).contains("at least 1"));
     assert!(rejected(&["--threads", "0", "e3"]).contains("at least 1"));
-    assert!(rejected(&["campaign", "--auth", "rot13"]).contains("hmac, sip, or both"));
+    // The suite and variant-set flags are gone with their settings.
+    for flag in ["--auth", "--all-variants"] {
+        let err = rejected(&["campaign", flag, "sip"]);
+        assert!(
+            err.contains(&format!("unknown campaign argument '{flag}'")),
+            "{err}"
+        );
+    }
     // Used to die reserving the schedule table: capacity overflow (exit
     // 101), and an abort on a 177 GB allocation (exit 134).
     for runs in ["18446744073709551615", "100000000000"] {
@@ -134,6 +142,23 @@ fn malformed_replay_tokens_exit_2() {
     for cmd in ["campaign", "live"] {
         for token in tokens {
             assert!(rejected(&[cmd, "--replay", token]).contains("bad replay token"));
+        }
+    }
+    // Each of these used to replay something the token did not say: the
+    // removed suite key under HMAC, the unknown key ignored, seed 1 of
+    // two seeds. The message names the key.
+    let base = "w=avionics;t=bus9x100000x5;f=1;r=150000;h=400000;me=0;s=1;fl=";
+    for (token, needle) in [
+        (
+            format!("{base};a=sip"),
+            "key 'a' (the authenticator suite) was removed",
+        ),
+        (format!("{base};zz=1"), "unknown key 'zz'"),
+        (format!("{base};s=2"), "key 's' given twice"),
+    ] {
+        for cmd in ["campaign", "live"] {
+            let err = rejected(&[cmd, "--replay", &token]);
+            assert!(err.contains(needle), "{cmd} {token}: {err}");
         }
     }
 }
@@ -207,6 +232,76 @@ fn list_and_help_advertise_the_same_flags() {
     assert_eq!(list, flags(&["--help"]));
     assert!(list.contains(&"--pace".to_string()));
     assert!(!list.contains(&"--signed".to_string()));
+}
+
+/// The code in `doc`: inline spans with their line breaks joined, and
+/// fenced lines with their `\` continuations joined.
+fn code_of(doc: &str) -> Vec<String> {
+    let mut code = Vec::new();
+    for (i, block) in doc.split("```").enumerate() {
+        if i % 2 == 1 {
+            code.extend(block.replace("\\\n", " ").lines().map(str::to_string));
+            continue;
+        }
+        let spans = block.split('`').skip(1).step_by(2);
+        code.extend(spans.map(|s| s.split_whitespace().collect::<Vec<_>>().join(" ")));
+    }
+    code
+}
+
+#[test]
+fn prose_names_only_flags_the_commands_take() {
+    // Each command's block of `--list`: its synopsis and description.
+    let list = String::from_utf8_lossy(&harness(&["--list"]).stdout).into_owned();
+    let block = |cmd: &str| -> String {
+        let start = list
+            .lines()
+            .position(|l| l.split_whitespace().next() == Some(cmd))
+            .unwrap_or_else(|| panic!("--list has no {cmd}"));
+        let mut lines = list.lines().skip(start);
+        let head = lines.next().unwrap_or_default().to_string();
+        lines
+            .take_while(|l| l.starts_with(' '))
+            .fold(head, |acc, l| acc + "\n" + l)
+    };
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let mut checked = 0;
+    for doc in ["DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(format!("{root}{doc}")).expect("doc reads");
+        for code in code_of(&text) {
+            let words: Vec<&str> = code.split_whitespace().collect();
+            for (i, w) in words.iter().enumerate() {
+                if !w.ends_with("harness") {
+                    continue;
+                }
+                // Skip the global flags to the command.
+                let mut rest = words[i + 1..].iter().copied();
+                let cmd = loop {
+                    match rest.next() {
+                        Some("--threads") => _ = rest.next(),
+                        other => break other.unwrap_or_default(),
+                    }
+                };
+                if !["campaign", "fuzz", "live"].contains(&cmd) {
+                    continue;
+                }
+                let synopsis = block(cmd);
+                let stop = |w: &&str| !w.ends_with("harness") && !["|", ">", "&&", ";"].contains(w);
+                let flags = rest.take_while(stop).filter(|w| w.starts_with("--"));
+                // `--threads` is global: the harness takes it anywhere.
+                for flag in flags.filter(|w| !w.starts_with("--threads")) {
+                    let flag = flag.trim_end_matches(|c: char| !c.is_ascii_alphanumeric());
+                    let listed = |end: char| synopsis.contains(&format!("[{flag}{end}"));
+                    assert!(
+                        listed(']') || listed(' '),
+                        "{doc}: `harness {cmd} {flag}` names a flag {cmd} does not take: {code}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 10, "only {checked} flags found in the prose");
 }
 
 #[test]

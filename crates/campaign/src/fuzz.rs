@@ -31,6 +31,11 @@ use std::collections::BTreeSet;
 
 /// Seed schedules generated per cell before mutation takes over.
 const SEED_SCHEDULES_PER_CELL: usize = 12;
+/// Corpus capacity.
+const CORPUS_MAX: usize = 64;
+/// Mutants bred per generation. Fixed independently of the thread
+/// count: batch composition is part of the deterministic outcome.
+const BATCH: usize = 16;
 /// Cap on distinct admissible-violation tokens kept in the outcome.
 const MAX_VIOLATION_TOKENS: usize = 32;
 
@@ -43,11 +48,6 @@ pub struct FuzzConfig {
     pub budget: usize,
     /// Worker threads (never affects results, only wall time).
     pub threads: usize,
-    /// Corpus capacity.
-    pub(crate) corpus_max: usize,
-    /// Mutants bred per generation. Fixed independently of `threads` —
-    /// batch composition is part of the deterministic outcome.
-    pub(crate) batch: usize,
     /// The cells to fuzz.
     pub cells: Vec<CellSpec>,
 }
@@ -59,8 +59,6 @@ impl FuzzConfig {
             seed,
             budget,
             threads,
-            corpus_max: 64,
-            batch: 16,
             cells: crate::grid::fuzz_grid(),
         }
     }
@@ -101,8 +99,8 @@ impl FuzzOutcome {
             o.row(|o| {
                 o.field("seed", self.config.seed);
                 o.field("budget", self.config.budget);
-                o.field("batch", self.config.batch);
-                o.field("corpus_max", self.config.corpus_max);
+                o.field("batch", BATCH);
+                o.field("corpus_max", CORPUS_MAX);
             });
             o.array("cells", Layout::Inline, |a| a.items(&self.cells));
             o.row(|o| {
@@ -207,7 +205,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, CellError> {
         }
     }
 
-    let mut corpus = Corpus::new(cfg.corpus_max);
+    let mut corpus = Corpus::new(CORPUS_MAX);
     let mut coverage: BTreeSet<u64> = BTreeSet::new();
     let mut curve = Vec::new();
     let mut violations: Vec<String> = Vec::new();
@@ -226,10 +224,10 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, CellError> {
             if corpus.is_empty() {
                 break;
             }
-            let n = cfg.batch.max(1).min(cfg.budget - executed);
+            let n = BATCH.min(cfg.budget - executed);
             for j in 0..n {
                 let parent = corpus
-                    .nth(generation.wrapping_mul(cfg.batch.max(1)).wrapping_add(j))
+                    .nth(generation.wrapping_mul(BATCH).wrapping_add(j))
                     .expect("non-empty corpus");
                 let cell = &cells[parent.cell_idx as usize];
                 let mseed = runner::sim_seed(cfg.seed ^ 0x6675_7a7a, (executed + j) as u32);
@@ -301,14 +299,11 @@ mod tests {
     use super::*;
     use crate::grid::TopoSpec;
     use crate::schedule::FaultVariant;
-    use btr_crypto::AuthSuite;
 
     /// A one-cell fuzz config small enough for unit tests: f=2 chains on
-    /// the avionics bus, two variants.
+    /// the avionics bus.
     fn tiny_fuzz(budget: usize, threads: usize) -> FuzzConfig {
         FuzzConfig {
-            corpus_max: 16,
-            batch: 4,
             cells: vec![CellSpec {
                 workload: "avionics".into(),
                 topo: TopoSpec::Bus {
@@ -318,8 +313,6 @@ mod tests {
                 },
                 f: 2,
                 r_bound: Duration::from_millis(150),
-                auth: AuthSuite::HmacSha256,
-                variants: vec![FaultVariant::CRASH, FaultVariant::OMISSION_STEALTH],
             }],
             ..FuzzConfig::new(41, budget, threads)
         }
@@ -356,11 +349,11 @@ mod tests {
 
     #[test]
     fn violating_cells_surface_replay_tokens() {
-        // R = 1 ms is unmeetable, so every crash run violates: the
-        // violation path must emit parseable, admissible tokens.
+        // R = 1 ms is unmeetable, so every crash run violates (the
+        // first seed schedule is a crash): the violation path must emit
+        // parseable, admissible tokens.
         let mut cfg = tiny_fuzz(6, 2);
         cfg.cells[0].r_bound = Duration::from_millis(1);
-        cfg.cells[0].variants = vec![FaultVariant::CRASH];
         let out = run_fuzz(&cfg).expect("fuzzes");
         assert!(!out.violations.is_empty());
         assert!(out.min_slack_us.unwrap() < 0, "{:?}", out.min_slack_us);

@@ -1,18 +1,17 @@
-//! The campaign grid: which (workload × platform × fault budget) cells a
-//! campaign sweeps, and how each cell is planned.
+//! The campaign grid: which (workload × platform × fault budget × R)
+//! cells a campaign sweeps, and how each cell is planned.
 //!
-//! Cells carry their own fault-variant set so a grid can focus a sweep,
-//! but the default grid no longer excludes anything: the R-bound gaps
-//! the first campaign found (equivocation on sparse-consumer victims,
-//! SCADA omission/timing attribution, the sequential false-attribution
-//! cascade, ring re-routing) are fixed, and every cell now schedules
-//! every variant — including the fusion-chain ring cell that the gaps
-//! had kept out. CI asserts zero admissible violations across the whole
-//! space (see EXPERIMENTS.md "campaign findings — resolved").
+//! A cell is those four values and nothing else. Every cell schedules
+//! every fault variant (`FaultVariant::ALL`) and runs the stack's one
+//! authenticator, HMAC-SHA-256. The R-bound gaps the first campaign
+//! found (equivocation on sparse-consumer victims, SCADA omission/timing
+//! attribution, the sequential false-attribution cascade, ring
+//! re-routing) are fixed, so no cell excludes a variant. CI asserts zero
+//! admissible violations across the whole space (see EXPERIMENTS.md
+//! "campaign findings — resolved").
 
-use crate::schedule::{FaultVariant, ScheduleParams};
+use crate::schedule::ScheduleParams;
 use btr_core::{BtrSystem, SystemError};
-use btr_crypto::AuthSuite;
 use btr_model::{Duration, Time, Topology};
 use btr_planner::PlannerConfig;
 use btr_workload::generators;
@@ -231,18 +230,10 @@ pub struct CellSpec {
     pub f: u8,
     /// The recovery bound R the cell is judged against.
     pub r_bound: Duration,
-    /// The authenticator suite the cell's deployment runs with
-    /// (HMAC-SHA-256 default; verdicts are suite-independent, so a
-    /// SipHash twin of a cell is a differential oracle, not new
-    /// coverage). Spelled `a=sip` in replay tokens, `-sip` in names.
-    pub auth: AuthSuite,
-    /// The fault variants scheduled on this cell.
-    pub variants: Vec<FaultVariant>,
 }
 
 impl CellSpec {
-    /// Short display name, e.g. `avionics9-bus-f1` (`-sip` appended for
-    /// the non-default authenticator suite).
+    /// Short display name, e.g. `avionics9-bus-f1`.
     pub fn name(&self) -> String {
         let family = match self.topo {
             TopoSpec::Bus { .. } => "bus",
@@ -252,15 +243,11 @@ impl CellSpec {
             TopoSpec::FatTree { .. } => "fattree",
         };
         format!(
-            "{}{}-{}-f{}{}",
+            "{}{}-{}-f{}",
             self.workload,
             self.topo.n_nodes(),
             family,
-            self.f,
-            match self.auth {
-                AuthSuite::HmacSha256 => "",
-                AuthSuite::SipHash24 => "-sip",
-            }
+            self.f
         )
     }
 
@@ -278,9 +265,7 @@ impl CellSpec {
         let workload = gen(n);
         let mut cfg = PlannerConfig::new(self.f, self.r_bound);
         cfg.admit_best_effort = true;
-        BtrSystem::plan(workload, self.topo.build(), cfg)
-            .map(|s| s.with_auth_suite(self.auth))
-            .map_err(CellError::Planning)
+        BtrSystem::plan(workload, self.topo.build(), cfg).map_err(CellError::Planning)
     }
 
     /// Schedule-generator parameters for this cell.
@@ -306,7 +291,6 @@ impl CellSpec {
             first_at: Time(4 * p),
             last_at: Time(4 * p + 20 * p),
             gap: (Duration(r), Duration(r + 10 * p)),
-            variants: self.variants.clone(),
             combos,
             over_budget,
         }
@@ -378,8 +362,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "avionics".into(),
@@ -390,8 +372,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 2,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "automotive".into(),
@@ -402,8 +382,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(100),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "scada".into(),
@@ -414,8 +392,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(400),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "fusion-chain".into(),
@@ -426,8 +402,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         // The ROADMAP-requested multi-hop grid growth: the same avionics
         // workload on a 3x3 mesh (relayed flows, crash re-routing), the
@@ -447,8 +421,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "fusion-chain".into(),
@@ -460,8 +432,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         // Datacenter-class bandwidth: at CAN-bus rates the period-start
         // heartbeat/evidence bursts queue ~1-3 ms on the shared relay
@@ -476,8 +446,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 1,
             r_bound: Duration::from_millis(400),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "avionics".into(),
@@ -489,8 +457,6 @@ pub(crate) fn default_grid() -> Vec<CellSpec> {
             },
             f: 2,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
     ]
 }
@@ -512,8 +478,6 @@ pub(crate) fn fuzz_grid() -> Vec<CellSpec> {
             },
             f: 3,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
         CellSpec {
             workload: "scada".into(),
@@ -524,43 +488,8 @@ pub(crate) fn fuzz_grid() -> Vec<CellSpec> {
             },
             f: 2,
             r_bound: Duration::from_millis(400),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         },
     ]
-}
-
-/// The same cells as `default_grid` with every variant enabled. Since
-/// the campaign-found gaps were fixed, the default grid already runs the
-/// full variant space, so this is an alias; it remains the stable name
-/// scripts pass via `--all-variants`.
-pub fn all_variant_grid() -> Vec<CellSpec> {
-    default_grid()
-}
-
-/// Force one authenticator suite on every cell of a grid (`harness
-/// campaign --auth hmac|sip`). Running the same grid under each suite
-/// and comparing `runs_digest` is the campaign-level cross-suite
-/// differential oracle — verdicts must be bit-identical.
-pub fn with_auth(mut cells: Vec<CellSpec>, suite: AuthSuite) -> Vec<CellSpec> {
-    for c in &mut cells {
-        c.auth = suite;
-    }
-    cells
-}
-
-/// Duplicate every cell with a SipHash twin (`harness campaign --auth
-/// both`): one campaign sweeps both suites side by side, twins
-/// distinguished by the `-sip` name suffix and the `a=sip` token field.
-pub fn auth_sweep(cells: Vec<CellSpec>) -> Vec<CellSpec> {
-    let mut out = Vec::with_capacity(cells.len() * 2);
-    for c in cells {
-        let mut twin = c.clone();
-        twin.auth = AuthSuite::SipHash24;
-        out.push(c);
-        out.push(twin);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -666,26 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn auth_sweep_twins_every_cell() {
-        let base = default_grid();
-        let swept = auth_sweep(default_grid());
-        assert_eq!(swept.len(), 2 * base.len());
-        // Twins differ only in suite; names stay distinct grid-wide.
-        for pair in swept.chunks(2) {
-            assert_eq!(pair[0].auth, AuthSuite::HmacSha256);
-            assert_eq!(pair[1].auth, AuthSuite::SipHash24);
-            assert_eq!(pair[1].name(), format!("{}-sip", pair[0].name()));
-        }
-        let names: std::collections::BTreeSet<String> = swept.iter().map(CellSpec::name).collect();
-        assert_eq!(names.len(), swept.len());
-        // Forcing a suite touches every cell and plans with it.
-        let forced = with_auth(default_grid(), AuthSuite::SipHash24);
-        assert!(forced.iter().all(|c| c.auth == AuthSuite::SipHash24));
-        let sys = forced[0].plan().expect("plans");
-        assert_eq!(sys.auth_suite(), AuthSuite::SipHash24);
-    }
-
-    #[test]
     fn horizon_covers_latest_activation_plus_r() {
         for cell in default_grid() {
             let period = Duration::from_millis(10);
@@ -712,8 +621,6 @@ mod tests {
             },
             f: 1,
             r_bound: Duration::from_millis(100),
-            auth: AuthSuite::HmacSha256,
-            variants: FaultVariant::ALL.to_vec(),
         };
         assert!(matches!(cell.plan(), Err(CellError::UnknownWorkload(_))));
     }

@@ -11,8 +11,9 @@
 //!   enumeration straddling period/deadline instants plus seeded
 //!   sampling of sequential multi-fault scripts up to (and, on request,
 //!   beyond) the budget f. A pure function of the seed.
-//! * [`grid`] — the campaign grid: planned (workload × platform × f)
-//!   cells, each pinned to the fault-variant space it is known to cover.
+//! * [`grid`] — the campaign grid: planned (workload × platform × f × R)
+//!   cells. Every cell schedules every fault variant and runs the
+//!   stack's one authenticator, HMAC-SHA-256.
 //! * [`runner`] — a work-stealing parallel runner on
 //!   `std::thread::scope`; results merge in run order, so reports are
 //!   bit-identical at any thread count. [`RunRecord::judge`] is the one
@@ -54,7 +55,7 @@ pub mod verdict;
 
 pub use corpus::Corpus;
 pub use fuzz::{run_fuzz, FuzzConfig};
-pub use grid::{all_variant_grid, auth_sweep, with_auth, CellSpec, TopoSpec};
+pub use grid::{CellSpec, TopoSpec};
 pub use runner::{CampaignConfig, RunRecord};
 pub use schedule::{FaultSchedule, FaultVariant, ScheduleParams};
 pub use shrink::ShrinkOutcome;
@@ -114,8 +115,6 @@ pub(crate) struct CellSummary {
     pub(crate) horizon_us: u64,
     /// Schedules generated for the cell.
     pub(crate) schedules: usize,
-    /// Variant labels scheduled on the cell.
-    pub(crate) variants: Vec<&'static str>,
     /// Digest-stable per-subsystem event counts from one observed
     /// fault-free reference run of the cell (zero subsystems omitted).
     /// A pure function of the cell and campaign seed, so it lives in
@@ -279,7 +278,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, CampaignErr
                 r_bound_us: c.spec.r_bound.as_micros(),
                 horizon_us: c.horizon.as_micros(),
                 schedules: c.schedules.len(),
-                variants: c.spec.variants.iter().map(|v| v.label()).collect(),
                 profile,
                 delivered,
             }

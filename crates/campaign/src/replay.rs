@@ -13,16 +13,16 @@
 //! cap the campaign ran with (0 or absent = unlimited — pinned so a
 //! `Truncated` verdict reproduces); `fl` faults are
 //! `variant@at_us@n<node>` joined with `+`, each node at most once
-//! (empty `fl` = fault-free). An optional trailing `a=sip` selects the
-//! SipHash authenticator suite (absent = the default HMAC suite, so
-//! pre-suite tokens parse and re-render unchanged).
+//! (empty `fl` = fault-free). Each key appears at most once, and a key
+//! outside these eight is a parse error, so a token is never replayed
+//! as something it does not say. The `a` key of older tokens (the
+//! authenticator suite) is one of those: every run now uses HMAC-SHA-256.
 
 use crate::grid::{CellError, CellSpec, TopoSpec, MAX_TOKEN_US};
 use crate::runner::RunRecord;
 use crate::schedule::{FaultSchedule, FaultVariant};
 use crate::verdict::Finished;
 use btr_core::{BtrSystem, FaultScenario, InjectedFault};
-use btr_crypto::AuthSuite;
 use btr_model::{Duration, NodeId, Time};
 
 /// Render the canonical token for a run.
@@ -46,7 +46,7 @@ pub(crate) fn token(
         })
         .collect();
     format!(
-        "w={};t={};f={};r={};h={};me={};s={};fl={}{}",
+        "w={};t={};f={};r={};h={};me={};s={};fl={}",
         spec.workload,
         spec.topo.token(),
         spec.f,
@@ -54,22 +54,14 @@ pub(crate) fn token(
         horizon.as_micros(),
         max_events,
         sim_seed,
-        faults.join("+"),
-        // The authenticator suite rides at the end, and only when it is
-        // not the default: every token minted before suites existed
-        // stays byte-identical, and hmac cells keep minting the same
-        // tokens they always did.
-        match spec.auth {
-            AuthSuite::HmacSha256 => "",
-            AuthSuite::SipHash24 => ";a=sip",
-        }
+        faults.join("+")
     )
 }
 
 /// A parsed token, ready to execute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplaySpec {
-    /// The cell to plan (variants derived from the scheduled faults).
+    /// The cell to plan.
     pub cell: CellSpec,
     /// Simulator seed.
     pub sim_seed: u64,
@@ -119,6 +111,9 @@ fn span(fields: &[(&str, &str)], key: &str, what: &str) -> Result<u64, ReplayErr
     }
 }
 
+/// The keys a token may carry, in rendering order.
+const KEYS: [&str; 8] = ["w", "t", "f", "r", "h", "me", "s", "fl"];
+
 /// Parse a token back into a runnable spec.
 pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
     let fields: Vec<(&str, &str)> = tok
@@ -130,6 +125,19 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
                 .ok_or_else(|| ReplayError(format!("'{pair}' is not key=value")))
         })
         .collect::<Result<_, _>>()?;
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if *key == "a" {
+            return Err(ReplayError(
+                "key 'a' (the authenticator suite) was removed; every run uses HMAC-SHA-256".into(),
+            ));
+        }
+        if !KEYS.contains(key) {
+            return Err(ReplayError(format!("unknown key '{key}'")));
+        }
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(ReplayError(format!("key '{key}' given twice")));
+        }
+    }
 
     let topo_tok = field(&fields, "t")?;
     let topo = TopoSpec::parse(topo_tok)
@@ -221,34 +229,12 @@ pub fn parse(tok: &str) -> Result<ReplaySpec, ReplayError> {
         }
     }
 
-    let mut variants: Vec<FaultVariant> = Vec::new();
-    for f in &faults {
-        let v = FaultVariant::of(f);
-        if !variants.contains(&v) {
-            variants.push(v);
-        }
-    }
-    if variants.is_empty() {
-        variants = FaultVariant::ALL.to_vec();
-    }
-
-    // Authenticator suite: optional trailing field; tokens minted before
-    // suites existed (no `a=`) mean the default HMAC suite.
-    let auth = match field(&fields, "a") {
-        Err(_) => AuthSuite::default(),
-        Ok(v) => {
-            AuthSuite::parse(v).ok_or_else(|| ReplayError(format!("unknown auth suite '{v}'")))?
-        }
-    };
-
     Ok(ReplaySpec {
         cell: CellSpec {
             workload: field(&fields, "w")?.to_string(),
             topo,
             f: f as u8,
             r_bound: Duration(r),
-            auth,
-            variants,
         },
         sim_seed: num(&fields, "s")?,
         horizon: Duration(h),
@@ -296,8 +282,6 @@ mod tests {
             },
             f: 1,
             r_bound: Duration::from_millis(150),
-            auth: AuthSuite::HmacSha256,
-            variants: vec![FaultVariant::EQUIVOCATION],
         }
     }
 
@@ -342,46 +326,19 @@ mod tests {
         let tok = "w=avionics;t=bus9x100000x5;f=1;r=150000;h=500000;s=7;fl=";
         let parsed = parse(tok).expect("parses");
         assert_eq!(parsed.max_events, 0);
-        // Pre-suite tokens mean the default HMAC suite, and re-render
-        // without an `a=` field — byte-identical to what older campaigns
-        // minted.
-        assert_eq!(parsed.cell.auth, AuthSuite::HmacSha256);
-        assert!(!token(
-            &parsed.cell,
-            parsed.sim_seed,
-            parsed.horizon,
-            parsed.max_events,
-            &parsed.scenario
-        )
-        .contains(";a="));
     }
 
     #[test]
-    fn sip_suite_tokens_round_trip() {
-        let mut cell = spec();
-        cell.auth = AuthSuite::SipHash24;
-        let scenario = FaultScenario {
-            faults: vec![FaultVariant::CRASH.inject(NodeId(2), Time::from_millis(52))],
-        };
-        let tok = token(&cell, 9, Duration::from_millis(400), 0, &scenario);
-        assert!(tok.ends_with(";a=sip"), "{tok}");
-        let parsed = parse(&tok).expect("parses");
-        assert_eq!(parsed.cell.auth, AuthSuite::SipHash24);
-        assert_eq!(parsed.cell.name(), "avionics9-bus-f1-sip");
-        assert_eq!(
-            token(
-                &parsed.cell,
-                parsed.sim_seed,
-                parsed.horizon,
-                parsed.max_events,
-                &parsed.scenario
-            ),
-            tok
-        );
-        // Unknown suites are parse errors, not silent defaults.
-        let bad = tok.replace(";a=sip", ";a=rot13");
-        let err = parse(&bad).expect_err("rejects").to_string();
-        assert!(err.contains("unknown auth suite"), "{err}");
+    fn suite_tokens_are_rejected() {
+        // The suite key is gone: a token that carries it must not replay
+        // under HMAC as if it said nothing.
+        let base = "w=avionics;t=bus9x100000x5;f=1;r=150000;h=400000;s=9;fl=crash@52000@n2";
+        for suite in ["sip", "hmac", "rot13"] {
+            let err = parse(&format!("{base};a={suite}"))
+                .expect_err(suite)
+                .to_string();
+            assert!(err.contains("'a'") && err.contains("removed"), "{err}");
+        }
     }
 
     #[test]
@@ -482,6 +439,25 @@ mod tests {
                 "w=avionics;t=bus9x100000x5;f=1;r=150000;h=400000;s=7;\
                  fl=commission@42000@n6+crash@60000@n6",
                 "names n6 twice",
+            ),
+            // A key outside the eight, or one given twice, is not
+            // ignored: the token would replay something it does not say.
+            (
+                "w=a;t=bus9x1x1;f=1;r=1;h=1;s=1;fl=;zz=1",
+                "unknown key 'zz'",
+            ),
+            ("w=a;t=bus9x1x1;f=1;r=1;h=1;s=1;fl=;S=1", "unknown key 'S'"),
+            (
+                "w=a;t=bus9x1x1;f=1;r=1;h=1;s=1;fl=;s=2",
+                "key 's' given twice",
+            ),
+            (
+                "me=0;w=a;t=bus9x1x1;f=1;r=1;h=1;s=1;me=5;fl=",
+                "key 'me' given twice",
+            ),
+            (
+                "w=a;t=bus9x1x1;f=1;r=1;h=1;s=1;fl=;fl=crash@1@n0",
+                "key 'fl' given twice",
             ),
         ] {
             let err = parse(tok).expect_err(tok).to_string();

@@ -162,7 +162,9 @@ fn deterministic(o: &mut json::Object<'_>, out: &CampaignOutcome) {
                     o.field("r_bound_us", c.r_bound_us);
                     o.field("horizon_us", c.horizon_us);
                     o.field("schedules", c.schedules);
-                    o.array("variants", Layout::Inline, |a| a.items(&c.variants));
+                    o.array("variants", Layout::Inline, |a| {
+                        a.items(FaultVariant::ALL.iter().map(|v| v.label()))
+                    });
                     o.newline();
                     o.field("delivered", c.delivered);
                     // The reference-run count profile is deterministic
@@ -428,15 +430,15 @@ mod tests {
 
     /// A hand-built outcome with what the committed report never holds:
     /// an over-budget run with two violations, a clean run on a second
-    /// cell with an empty profile and no variants, and a shrunk
-    /// reproducer with two minimal faults.
+    /// cell with an empty profile, and a shrunk reproducer with two
+    /// minimal faults.
     fn violating_outcome() -> CampaignOutcome {
         use crate::schedule::FaultVariant;
         use crate::verdict::Violation;
         use crate::{CellSummary, ShrinkOutcome, Timing};
         use btr_core::FaultScenario;
         use btr_model::{NodeId, Time};
-        let cell = |name: &str, variants: Vec<&'static str>, profile| CellSummary {
+        let cell = |name: &str, profile| CellSummary {
             name: name.into(),
             workload: "avionics".into(),
             topology: "bus9x100000x5".into(),
@@ -445,7 +447,6 @@ mod tests {
             r_bound_us: 150_000,
             horizon_us: 490_000,
             schedules: 3,
-            variants,
             profile,
             delivered: 6656,
         };
@@ -480,10 +481,9 @@ mod tests {
             cells: vec![
                 cell(
                     "avionics9-bus-f1",
-                    vec!["crash", "omission-stealth"],
                     vec![("routing", 6728), ("dispatch", 10829)],
                 ),
-                cell("avionics9-bus-f2", Vec::new(), Vec::new()),
+                cell("avionics9-bus-f2", Vec::new()),
             ],
             records: vec![
                 record(
@@ -548,9 +548,9 @@ mod tests {
     "max_events": 20000000,
     "slack_us": 0,
     "cells": [
-      {"name": "avionics9-bus-f1", "workload": "avionics", "topology": "bus9x100000x5", "nodes": 9, "f": 1, "r_bound_us": 150000, "horizon_us": 490000, "schedules": 3, "variants": ["crash", "omission-stealth"],
+      {"name": "avionics9-bus-f1", "workload": "avionics", "topology": "bus9x100000x5", "nodes": 9, "f": 1, "r_bound_us": 150000, "horizon_us": 490000, "schedules": 3, "variants": ["crash", "omission", "omission-stealth", "commission", "commission-garbled", "timing", "equivocation", "evidence-spam"],
        "delivered": 6656, "profile": {"routing": 6728, "dispatch": 10829}},
-      {"name": "avionics9-bus-f2", "workload": "avionics", "topology": "bus9x100000x5", "nodes": 9, "f": 1, "r_bound_us": 150000, "horizon_us": 490000, "schedules": 3, "variants": [],
+      {"name": "avionics9-bus-f2", "workload": "avionics", "topology": "bus9x100000x5", "nodes": 9, "f": 1, "r_bound_us": 150000, "horizon_us": 490000, "schedules": 3, "variants": ["crash", "omission", "omission-stealth", "commission", "commission-garbled", "timing", "equivocation", "evidence-spam"],
        "delivered": 6656, "profile": {}}
     ]
   },

@@ -340,8 +340,6 @@ mod tests {
     use super::*;
     use crate::grid::TopoSpec;
     use crate::replay;
-    use crate::schedule::FaultVariant;
-    use btr_crypto::AuthSuite;
 
     /// A one-cell config small enough for unit tests.
     pub(crate) fn tiny_config(threads: usize) -> CampaignConfig {
@@ -362,8 +360,6 @@ mod tests {
                 },
                 f: 1,
                 r_bound: Duration::from_millis(150),
-                auth: AuthSuite::HmacSha256,
-                variants: vec![FaultVariant::CRASH, FaultVariant::COMMISSION],
             }],
         }
     }

@@ -57,7 +57,7 @@ impl FaultVariant {
         mods: NO_MODS,
     };
     /// Omission of outputs *and* heartbeats (masquerades as a crash).
-    pub const OMISSION_STEALTH: FaultVariant = FaultVariant {
+    pub(crate) const OMISSION_STEALTH: FaultVariant = FaultVariant {
         kind: FaultKind::Omission,
         mods: FaultMods {
             garble_commitment: false,
@@ -65,7 +65,7 @@ impl FaultVariant {
         },
     };
     /// Wrong values with honest commitments (caught by re-execution).
-    pub const COMMISSION: FaultVariant = FaultVariant {
+    pub(crate) const COMMISSION: FaultVariant = FaultVariant {
         kind: FaultKind::Commission,
         mods: NO_MODS,
     };
@@ -83,7 +83,7 @@ impl FaultVariant {
         mods: NO_MODS,
     };
     /// Conflicting signed outputs to different consumers.
-    pub const EQUIVOCATION: FaultVariant = FaultVariant {
+    pub(crate) const EQUIVOCATION: FaultVariant = FaultVariant {
         kind: FaultKind::Equivocation,
         mods: NO_MODS,
     };
@@ -93,7 +93,8 @@ impl FaultVariant {
         mods: NO_MODS,
     };
 
-    /// Every variant the campaign can schedule, in stable order.
+    /// Every variant the campaign can schedule, in stable order. Every
+    /// cell schedules all of them; the generator's draws index this list.
     pub const ALL: [FaultVariant; 8] = [
         FaultVariant::CRASH,
         FaultVariant::OMISSION,
@@ -179,8 +180,6 @@ pub struct ScheduleParams {
     pub last_at: Time,
     /// Activation gap range for sequential multi-fault schedules.
     pub gap: (Duration, Duration),
-    /// The fault variants this cell schedules.
-    pub variants: Vec<FaultVariant>,
     /// Sample sequential multi-fault schedules up to budget f. Off by
     /// default: the sequential space is a hunting ground (the campaign
     /// found false-attribution cascades there — see EXPERIMENTS.md
@@ -239,7 +238,6 @@ impl FaultSchedule {
 /// Generate `count` schedules. Pure function of `(params, seed, count)`.
 pub fn generate(params: &ScheduleParams, seed: u64, count: usize) -> Vec<FaultSchedule> {
     assert!(params.n_nodes > 0, "need at least one node");
-    assert!(!params.variants.is_empty(), "need at least one variant");
     // Grown as filled: `count` comes from a command line.
     let mut out = Vec::new();
 
@@ -282,7 +280,7 @@ fn boundary_schedules(params: &ScheduleParams) -> Vec<FaultSchedule> {
         base + d + 1,
     ];
     let mut out = Vec::new();
-    for (iv, v) in params.variants.iter().enumerate() {
+    for (iv, v) in FaultVariant::ALL.iter().enumerate() {
         for (it, &t) in instants.iter().enumerate() {
             // Rotate victims so one node is not the only one probed.
             let victim = NodeId(((iv + it) % params.n_nodes as usize) as u32);
@@ -332,7 +330,7 @@ fn sample_schedule(params: &ScheduleParams, rng: &mut SmallRng) -> FaultSchedule
             let (lo, hi) = (params.gap.0.as_micros(), params.gap.1.as_micros());
             at += if hi > lo { rng.gen_range(lo..=hi) } else { lo };
         }
-        let v = params.variants[rng.gen_range(0..params.variants.len())];
+        let v = FaultVariant::ALL[rng.gen_range(0..FaultVariant::ALL.len())];
         faults.push(v.inject(NodeId(victim), Time(at)));
     }
     FaultSchedule {
@@ -355,8 +353,8 @@ pub(crate) const MUTATION_OPS: u32 = 4;
 ///    instant (`kP±1`, `kP+D±1`) — off-by-one windows live there.
 /// 2. **Swap** one victim for a node the schedule does not already use.
 /// 3. **Toggle** the variant: flip `FaultMods` counterparts
-///    (omission↔stealth, commission↔garbled) or rotate within the
-///    cell's variant list.
+///    (omission↔stealth, commission↔garbled) or rotate within
+///    `FaultVariant::ALL`.
 /// 4. **Extend** the chain with one sequential fault after the last
 ///    (gap drawn from `params.gap`, distinct victim). The new round's
 ///    behaviour is enumerated round-robin as the mutation seed advances
@@ -390,7 +388,7 @@ pub fn mutate(params: &ScheduleParams, sched: &FaultSchedule, seed: u64) -> Faul
             }
             2 if n > 0 => {
                 let i = rng.gen_range(0..n);
-                let next = toggle_variant(FaultVariant::of(&faults[i]), &params.variants);
+                let next = toggle_variant(FaultVariant::of(&faults[i]));
                 faults[i] = next.inject(faults[i].node, faults[i].at);
                 break;
             }
@@ -411,8 +409,8 @@ pub fn mutate(params: &ScheduleParams, sched: &FaultSchedule, seed: u64) -> Faul
                 };
                 let free: Vec<u32> = (0..params.n_nodes).filter(|v| !used.contains(v)).collect();
                 let victim = free[rng.gen_range(0..free.len())];
-                let vi = (seed as usize).wrapping_add(faults.len()) % params.variants.len();
-                faults.push(params.variants[vi].inject(NodeId(victim), Time(at)));
+                let vi = (seed as usize).wrapping_add(faults.len()) % FaultVariant::ALL.len();
+                faults.push(FaultVariant::ALL[vi].inject(NodeId(victim), Time(at)));
                 break;
             }
             _ => op = (op + 1) % MUTATION_OPS,
@@ -453,9 +451,8 @@ fn boundary_instants(params: &ScheduleParams, at: Time) -> Vec<u64> {
 }
 
 /// The toggled counterpart of a variant: its `FaultMods` flip when the
-/// kind has one and the cell schedules it, else the next variant in the
-/// cell's list.
-fn toggle_variant(v: FaultVariant, variants: &[FaultVariant]) -> FaultVariant {
+/// kind has one, else the next variant in `FaultVariant::ALL`.
+fn toggle_variant(v: FaultVariant) -> FaultVariant {
     let flipped = if v == FaultVariant::OMISSION {
         FaultVariant::OMISSION_STEALTH
     } else if v == FaultVariant::OMISSION_STEALTH {
@@ -467,11 +464,12 @@ fn toggle_variant(v: FaultVariant, variants: &[FaultVariant]) -> FaultVariant {
     } else {
         v
     };
-    if flipped != v && variants.contains(&flipped) {
+    if flipped != v {
         return flipped;
     }
-    let i = variants.iter().position(|&x| x == v).unwrap_or(0);
-    variants[(i + 1) % variants.len()]
+    let all = FaultVariant::ALL;
+    let i = all.iter().position(|&x| x == v).unwrap_or(0);
+    all[(i + 1) % all.len()]
 }
 
 #[cfg(test)]
@@ -487,7 +485,6 @@ mod tests {
             first_at: Time::from_millis(40),
             last_at: Time::from_millis(240),
             gap: (Duration::from_millis(150), Duration::from_millis(250)),
-            variants: FaultVariant::ALL.to_vec(),
             combos: true,
             over_budget: false,
         }
@@ -588,18 +585,6 @@ mod tests {
         assert_eq!(p.max_faults(), 1);
         for s in generate(&p, 5, 100) {
             assert_eq!(s.scenario.faults.len(), 1);
-        }
-    }
-
-    #[test]
-    fn restricted_variant_set_is_honored() {
-        let mut p = params();
-        p.variants = vec![FaultVariant::CRASH, FaultVariant::TIMING];
-        for s in generate(&p, 3, 100) {
-            for f in &s.scenario.faults {
-                let v = FaultVariant::of(f);
-                assert!(p.variants.contains(&v), "unexpected variant {v}");
-            }
         }
     }
 

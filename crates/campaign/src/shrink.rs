@@ -169,7 +169,6 @@ mod tests {
     use crate::runner::{plan_cells, CampaignConfig};
     use crate::schedule::FaultVariant;
     use crate::verdict::score;
-    use btr_crypto::AuthSuite;
     use btr_model::NodeId;
 
     /// A cell whose R is deliberately unachievable (1 ms), so any crash
@@ -194,8 +193,6 @@ mod tests {
                 },
                 f: 1,
                 r_bound: Duration::from_millis(1),
-                auth: AuthSuite::HmacSha256,
-                variants: vec![FaultVariant::CRASH],
             }],
         };
         plan_cells(&cfg).expect("plans").remove(0)

@@ -11,14 +11,13 @@
 //!   point under re-insertion of its own canonical forms.
 
 use btr_campaign::corpus::{canonical_key, Corpus};
-use btr_campaign::schedule::{generate, mutate, FaultVariant, ScheduleParams};
+use btr_campaign::schedule::{generate, mutate, ScheduleParams};
 use btr_campaign::{report, run_campaign, CampaignConfig, CellSpec, TopoSpec};
-use btr_crypto::AuthSuite;
 use btr_model::{Duration, Time};
 use proptest::prelude::*;
 
-/// A small single-cell campaign that still exercises schedules of every
-/// variant class plus multi-fault combos.
+/// A small single-cell campaign that still exercises schedules of
+/// several variant classes plus multi-fault combos.
 fn small_config(threads: usize) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(1234, 12, threads);
     cfg.sim_seeds = 1;
@@ -32,12 +31,6 @@ fn small_config(threads: usize) -> CampaignConfig {
         },
         f: 2,
         r_bound: Duration::from_millis(150),
-        auth: AuthSuite::HmacSha256,
-        variants: vec![
-            FaultVariant::CRASH,
-            FaultVariant::COMMISSION,
-            FaultVariant::OMISSION_STEALTH,
-        ],
     }];
     cfg
 }
@@ -91,7 +84,6 @@ fn gen_params(n_nodes: u32, f: u8) -> ScheduleParams {
         first_at: Time::from_millis(40),
         last_at: Time::from_millis(240),
         gap: (Duration::from_millis(150), Duration::from_millis(250)),
-        variants: FaultVariant::ALL.to_vec(),
         combos: true,
         over_budget: false,
     }

@@ -66,10 +66,6 @@ pub struct BtrSystem {
     fec: Option<(u8, u8)>,
     /// Hard cap on simulator events per run (0 = unlimited).
     max_events: u64,
-    /// Authenticator suite for every node's signer and the shared
-    /// keystore (HMAC-SHA-256 default; SipHash-2-4 for cheap statistical
-    /// experiments — see `btr_crypto::AuthSuite`).
-    auth_suite: btr_crypto::AuthSuite,
 }
 
 /// One correct node at the end of a run: its id, runtime stats, final
@@ -176,7 +172,6 @@ impl BtrSystem {
             loss_ppm: 0,
             fec: None,
             max_events: 0,
-            auth_suite: btr_crypto::AuthSuite::default(),
         })
     }
 
@@ -203,21 +198,6 @@ impl BtrSystem {
     pub fn with_max_events(mut self, cap: u64) -> Self {
         self.max_events = cap;
         self
-    }
-
-    /// Select the authenticator suite the deployment runs with. The
-    /// default (HMAC-SHA-256) is the pinned baseline; SipHash-2-4 gives
-    /// the same in-simulation unforgeability at a fraction of the CPU.
-    /// Wire sizes are suite-independent, so two runs differing only in
-    /// suite produce identical verdicts (the cross-suite oracle).
-    pub fn with_auth_suite(mut self, suite: btr_crypto::AuthSuite) -> Self {
-        self.auth_suite = suite;
-        self
-    }
-
-    /// The authenticator suite runs are built with.
-    pub fn auth_suite(&self) -> btr_crypto::AuthSuite {
-        self.auth_suite
     }
 
     /// The installed workload.
@@ -271,7 +251,6 @@ impl BtrSystem {
         sim_cfg.loss_ppm = self.loss_ppm;
         sim_cfg.fec = self.fec;
         sim_cfg.max_events = self.max_events;
-        sim_cfg.auth_suite = self.auth_suite;
         let n = self.topo.node_count();
         let mut world = scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
             Box::new(BtrNode::new(
@@ -603,40 +582,6 @@ mod tests {
             tail.iter().all(|(_, f)| *f >= 0.99),
             "tail not clean: {tail:?}"
         );
-    }
-
-    #[test]
-    fn auth_suites_produce_identical_verdicts() {
-        // The cross-suite differential oracle at the system level: the
-        // same evidence-heavy scenario (a commission fault exercises
-        // signed outputs, witnesses, proofs, and pool admission) must
-        // produce bit-identical verdicts, metrics, and node stats under
-        // both authenticator suites — tags differ, behaviour must not.
-        let scenario =
-            FaultScenario::single(NodeId(0), FaultKind::Commission, Time::from_millis(35));
-        let run = |suite: btr_crypto::AuthSuite| {
-            let workload = btr_workload::generators::avionics(9);
-            let topo = Topology::bus(9, 100_000, Duration(5));
-            let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
-            cfg.admit_best_effort = true;
-            let sys = BtrSystem::plan(workload, topo, cfg)
-                .expect("plannable")
-                .with_auth_suite(suite);
-            assert_eq!(sys.auth_suite(), suite);
-            sys.run(&scenario, Duration::from_millis(400), 5)
-        };
-        let hmac = run(btr_crypto::AuthSuite::HmacSha256);
-        let sip = run(btr_crypto::AuthSuite::SipHash24);
-        assert_eq!(hmac.verdicts, sip.verdicts, "verdicts diverged");
-        assert_eq!(hmac.recovery, sip.recovery);
-        assert_eq!(hmac.survival, sip.survival);
-        assert_eq!(hmac.metrics, sip.metrics, "simulator counters diverged");
-        assert_eq!(hmac.node_stats, sip.node_stats);
-        assert_eq!(hmac.converged, sip.converged);
-        assert_eq!(hmac.guardian_drops, sip.guardian_drops);
-        assert_eq!(hmac.truncated, sip.truncated);
-        // The scenario actually exercised the fault path.
-        assert!(hmac.recovery.bad_window() > Duration::ZERO);
     }
 
     #[test]

@@ -79,20 +79,11 @@ impl AuthSuite {
         }
     }
 
-    /// Short spelling for replay tokens and CLI flags.
+    /// Short spelling (the benchmark's per-suite metric names).
     pub fn token(self) -> &'static str {
         match self {
             AuthSuite::HmacSha256 => "hmac",
             AuthSuite::SipHash24 => "sip",
-        }
-    }
-
-    /// Parse either spelling.
-    pub fn parse(s: &str) -> Option<AuthSuite> {
-        match s {
-            "hmac" | "hmac-sha256" => Some(AuthSuite::HmacSha256),
-            "sip" | "siphash24" => Some(AuthSuite::SipHash24),
-            _ => None,
         }
     }
 }
@@ -599,11 +590,7 @@ mod tests {
 
     #[test]
     fn suite_names_round_trip() {
-        for suite in AuthSuite::ALL {
-            assert_eq!(AuthSuite::parse(suite.name()), Some(suite));
-            assert_eq!(AuthSuite::parse(suite.token()), Some(suite));
-        }
-        assert_eq!(AuthSuite::parse("rot13"), None);
+        assert_eq!(AuthSuite::SipHash24.token(), "sip");
         assert_eq!(AuthSuite::default(), AuthSuite::HmacSha256);
         assert_eq!(format!("{}", AuthSuite::SipHash24), "siphash24");
     }

@@ -31,7 +31,7 @@ use crate::actor::{
 };
 use crate::transport::{mailbox, LiveMsg, Loopback};
 use btr_core::{BtrSystem, FaultScenario, InjectedFault, NodeRow};
-use btr_crypto::KeyStore;
+use btr_crypto::{AuthSuite, KeyStore};
 use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, FlightRecorder, Histogram, PhaseMark, FLIGHT_CAP};
 use btr_runtime::{Attack, BtrNode};
@@ -257,9 +257,8 @@ pub fn run_live(
     let run_start = Instant::now();
     let n = system.topology().node_count();
     let end = Time::ZERO + horizon + system.grace();
-    let suite = system.auth_suite();
     let period = system.workload().period;
-    let keystore = Arc::new(KeyStore::derive_suite(cfg.seed, n, suite));
+    let keystore = Arc::new(KeyStore::derive(cfg.seed, n));
     let net = Loopback::new(system.network(cfg.seed));
     let workload = system.workload_arc();
     let strategy = system.strategy_arc();
@@ -289,7 +288,7 @@ pub fn run_live(
             attack,
         ));
         let (net, keystore, events) = (net.clone(), Arc::clone(&keystore), ev_tx.clone());
-        let seat = Seat::derive(cfg.seed, node, suite);
+        let seat = Seat::derive(cfg.seed, node, AuthSuite::default());
         let flight = Arc::clone(&flights[node.index()]);
         let (obs, restart_after) = (cfg.obs, cfg.restart_after);
         let again = if start > Time::ZERO { "-r" } else { "" };
