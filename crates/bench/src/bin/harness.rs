@@ -171,27 +171,59 @@ fn print_record(r: &btr_campaign::RunRecord) {
     }
 }
 
+/// Parse a reproducer token and plan its cell; malformed input exits 2.
+fn parse_and_plan(token: &str) -> (btr_campaign::replay::ReplaySpec, btr_core::BtrSystem) {
+    let spec = btr_campaign::replay::parse(token).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    let system = spec.cell.plan().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    (spec, system)
+}
+
+/// One token run on the live fleet beside the simulator's trace.
+struct LiveReplay {
+    report: btr_node::LiveReport,
+    /// Where the live trace first leaves the simulator's (the oracle's),
+    /// if it does.
+    divergence: Option<String>,
+    /// The live run folded by the campaign's judge.
+    record: btr_campaign::RunRecord,
+}
+
+impl LiveReplay {
+    /// Run `spec` on the live fleet at `pace` and judge it.
+    fn run(
+        spec: &btr_campaign::replay::ReplaySpec,
+        system: &btr_core::BtrSystem,
+        pace: f64,
+    ) -> LiveReplay {
+        let (reference, _) = system.observed_world(&spec.scenario, spec.horizon, spec.sim_seed);
+        let mut cfg = btr_node::LiveConfig::new(spec.sim_seed);
+        cfg.pace = pace;
+        let report = btr_node::run_live(system, &spec.scenario, spec.horizon, &cfg);
+        let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
+        let record = spec.judge(system, live::finished(&judgment, &report));
+        let divergence = report
+            .trace
+            .first_divergence(&reference.logical_trace(), ["live", "simulator"])
+            .map(|d| d.to_string());
+        LiveReplay {
+            report,
+            divergence,
+            record,
+        }
+    }
+}
+
 /// Replay a campaign reproducer token on the live runtime: plan the
-/// cell, run the schedule on real threads, and hold the live trace
+/// cell, run the schedule on the fleet, and hold the live trace
 /// against the simulator oracle.
 fn run_live_replay(token: &str, pace: f64) {
-    use btr_campaign as campaign;
-    use btr_node::{run_live, LiveConfig};
-
-    let spec = match campaign::replay::parse(token) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let system = match spec.cell.plan() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (spec, system) = parse_and_plan(token);
     if spec.max_events != 0 {
         outln!(
             "note: live replay ignores the token's simulator event cap (me={})",
@@ -206,41 +238,76 @@ fn run_live_replay(token: &str, pace: f64) {
         spec.cell.r_bound,
         spec.sim_seed
     );
-    let (reference, _) = system.observed_world(&spec.scenario, spec.horizon, spec.sim_seed);
-    let reference = reference.logical_trace();
-    let mut cfg = LiveConfig::new(spec.sim_seed);
-    cfg.pace = pace;
-    let report = run_live(&system, &spec.scenario, spec.horizon, &cfg);
-    let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
-    let divergence = report
-        .trace
-        .first_divergence(&reference, ["live", "simulator"]);
+    let run = LiveReplay::run(&spec, &system, pace);
     outln!(
         "  trace {} simulator ({} actuations)",
-        if divergence.is_none() {
+        if run.divergence.is_none() {
             "matches"
         } else {
             "DIVERGES from"
         },
-        report.trace.len(),
+        run.report.trace.len(),
     );
-    if let Some(d) = divergence {
+    if let Some(d) = &run.divergence {
         outln!("  first divergence: {d}");
     }
-    print_record(&spec.judge(&system, live::finished(&judgment, &report)));
-    if let Some(w) = report.last_switch_wall_us() {
+    print_record(&run.record);
+    if let Some(w) = run.report.last_switch_wall_us() {
         outln!("  last mode switch at wall {:.1} ms", w as f64 / 1e3);
     }
     // Arbitrary tokens include over-budget and byzantine-flood schedules
     // where divergence or R violation is the finding, not a harness bug;
     // only process health gates the exit code here.
-    if !report.healthy() {
+    if !run.report.healthy() {
         eprintln!(
             "error: live replay unhealthy (panics: {:?}, overruns: {:?})",
-            report.panics, report.deadline_overruns
+            run.report.panics, run.report.deadline_overruns
         );
         std::process::exit(1);
     }
+}
+
+/// The pace `fuzz --cross-check` replays at.
+const CROSS_CHECK_PACE: f64 = 1.0;
+
+/// `fuzz --cross-check`: replay every token on the live fleet and hold
+/// its trace digest and whole record to the simulator's. Returns the
+/// tokens that differ (or whose fleet was unhealthy), each printed with
+/// what differed.
+fn cross_check(tokens: &[String]) -> Vec<&String> {
+    let mut bad = Vec::new();
+    for token in tokens {
+        let (spec, system) = parse_and_plan(token);
+        let sim = btr_campaign::replay::run(&spec).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        let live = LiveReplay::run(&spec, &system, CROSS_CHECK_PACE);
+        let mut why = Vec::new();
+        if let Some(d) = &live.divergence {
+            why.push(format!("first divergence: {d}"));
+        }
+        if live.record != sim {
+            why.push(format!(
+                "record: live {:?} != simulator {sim:?}",
+                live.record
+            ));
+        }
+        if !live.report.healthy() {
+            why.push(format!(
+                "unhealthy: panics {:?}, overruns {:?}",
+                live.report.panics, live.report.deadline_overruns
+            ));
+        }
+        if !why.is_empty() {
+            outln!("  MISMATCH {token}");
+            for w in why {
+                outln!("    {w}");
+            }
+            bad.push(token);
+        }
+    }
+    bad
 }
 
 /// One executed pinned scenario: the measurement, the raw live report
@@ -513,6 +580,12 @@ const COMMANDS: [Command; 3] = [
             ),
             ("--seed S", "fuzzer seed (default 42)"),
             ("--out PATH", "report path (default FUZZ_btr.json)"),
+            (
+                "--cross-check",
+                "replay every corpus resident and one schedule per\n\
+                 variant per campaign cell on the live fleet; exit 1\n\
+                 unless each trace and record equals the simulator's",
+            ),
         ],
         run: run_fuzz_cli,
     },
@@ -768,6 +841,7 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     let budget = take_value(&mut args, "--budget").unwrap_or(128usize);
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let out_path: String = take_value(&mut args, "--out").unwrap_or("FUZZ_btr.json".into());
+    let cross = take_flag(&mut args, "--cross-check");
     if let Some(stray) = args.first() {
         eprintln!("error: unknown fuzz argument '{stray}'");
         std::process::exit(2);
@@ -831,6 +905,26 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     }
 
     report.write(&out.to_json());
+    if cross {
+        let tokens = out.cross_check_tokens().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        let bad = cross_check(&tokens);
+        outln!(
+            "  cross-check: {} of {} replays on the live fleet (pace {CROSS_CHECK_PACE}) match \
+             the simulator's trace and record",
+            tokens.len() - bad.len(),
+            tokens.len()
+        );
+        if !bad.is_empty() {
+            eprintln!(
+                "error: {} live replays differ from the simulator",
+                bad.len()
+            );
+            std::process::exit(1);
+        }
+    }
     // Like the campaign: an admissible violation is a bug, and a fuzz
     // run that surfaces one fails loudly so CI can gate on it (fixed
     // findings are frozen as replay-token regressions in

@@ -23,7 +23,7 @@ use crate::corpus::{canonical_key, Corpus};
 use crate::grid::{CellError, CellSpec};
 use crate::replay;
 use crate::runner::{self, run_indexed, CampaignConfig, PlannedCell, RunRecord, MAX_EVENTS};
-use crate::schedule::{mutate, FaultSchedule};
+use crate::schedule::{mutate, FaultSchedule, FaultVariant};
 use crate::score::{base_score, signature, NEW_COVERAGE_PTS};
 use btr_model::Duration;
 use btr_obs::json::{self, Layout};
@@ -137,6 +137,55 @@ impl FuzzOutcome {
             o.field("violations_admissible", self.violations.len());
             o.array("violations", Layout::Inline, |a| a.items(&self.violations));
         })
+    }
+}
+
+impl FuzzOutcome {
+    /// The replay tokens `harness fuzz --cross-check` runs on the live
+    /// fleet: every corpus resident on the cell and simulator seed it was
+    /// searched with, then one single-fault schedule per [`FaultVariant`]
+    /// on each cell of the default campaign grid (the first schedule of
+    /// that variant the campaign draws, at seed slot 0).
+    ///
+    /// [`FaultVariant`]: crate::FaultVariant
+    pub fn cross_check_tokens(&self) -> Result<Vec<String>, CellError> {
+        let fuzz_cells = plan(&self.config)?;
+        let mut tokens: Vec<String> = self
+            .corpus
+            .entries()
+            .map(|e| {
+                let cell = &fuzz_cells[e.cell_idx as usize];
+                let seed = runner::sim_seed(self.config.seed, e.cell_idx as u32);
+                let scenario = &e.schedule.scenario;
+                replay::token(&cell.spec, seed, cell.horizon, MAX_EVENTS, scenario)
+            })
+            .collect();
+        // `generate` spends the first half of its count on the boundary
+        // set spread over the variants, so two schedules per variant
+        // draw one of each first.
+        let mut grid = CampaignConfig::new(self.config.seed, 0, self.config.threads);
+        grid.sim_seeds = 1;
+        grid.runs = grid.cells.len() * 2 * FaultVariant::ALL.len();
+        let seed = runner::sim_seed(grid.seed, 0);
+        for cell in runner::plan_cells(&grid)? {
+            for v in FaultVariant::ALL {
+                let drawn = cell.schedules.iter().find(|s| {
+                    let faults = &s.scenario.faults;
+                    faults.len() == 1 && FaultVariant::of(&faults[0]) == v
+                });
+                if let Some(s) = drawn {
+                    let scenario = &s.scenario;
+                    tokens.push(replay::token(
+                        &cell.spec,
+                        seed,
+                        cell.horizon,
+                        MAX_EVENTS,
+                        scenario,
+                    ));
+                }
+            }
+        }
+        Ok(tokens)
     }
 }
 
