@@ -247,6 +247,10 @@ impl StartLine {
     }
 }
 
+/// Builds one incarnation of a node's behaviour from the attack the
+/// scenario scripts for it (none after a restart).
+pub(crate) type Make = dyn Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior + Send> + Send + Sync;
+
 /// Execute `scenario` on the live thread-per-node runtime.
 pub fn run_live(
     system: &BtrSystem,
@@ -254,14 +258,29 @@ pub fn run_live(
     horizon: Duration,
     cfg: &LiveConfig,
 ) -> LiveReport {
+    let n = system.topology().node_count();
+    let (workload, strategy) = (system.workload_arc(), system.strategy_arc());
+    let make = move |node, attack| -> Box<dyn NodeBehavior + Send> {
+        let (workload, strategy) = (Arc::clone(&workload), Arc::clone(&strategy));
+        Box::new(BtrNode::new(node, workload, strategy, n, attack))
+    };
+    run_fleet(system, scenario, horizon, cfg, &make)
+}
+
+/// [`run_live`] on the behaviours `make` builds.
+pub(crate) fn run_fleet(
+    system: &BtrSystem,
+    scenario: &FaultScenario,
+    horizon: Duration,
+    cfg: &LiveConfig,
+    make: &Make,
+) -> LiveReport {
     let run_start = Instant::now();
     let n = system.topology().node_count();
     let end = Time::ZERO + horizon + system.grace();
     let period = system.workload().period;
     let keystore = Arc::new(KeyStore::derive(cfg.seed, n));
     let net = Loopback::new(system.network(cfg.seed));
-    let workload = system.workload_arc();
-    let strategy = system.strategy_arc();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
     // One flight recorder per node, owned here and shared with the
     // actor: the tail stays readable after the actor's thread panics.
@@ -280,13 +299,7 @@ pub fn run_live(
                  start: Time,
                  crash_at: Option<Time>,
                  ready: Ready| {
-        let behavior = Box::new(BtrNode::new(
-            node,
-            Arc::clone(&workload),
-            Arc::clone(&strategy),
-            n,
-            attack,
-        ));
+        let behavior = make(node, attack);
         let (net, keystore, events) = (net.clone(), Arc::clone(&keystore), ev_tx.clone());
         let seat = Seat::derive(cfg.seed, node, AuthSuite::default());
         let flight = Arc::clone(&flights[node.index()]);
@@ -491,5 +504,105 @@ pub fn run_live(
         redrains,
         timer_lag,
         wall: run_start.elapsed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use btr_model::Envelope;
+    use btr_planner::PlannerConfig;
+    use btr_sim::{NodeCtx, TimerId};
+
+    /// The avionics workload planned on a nine-node bus, f = 1.
+    fn bus9() -> BtrSystem {
+        let workload = btr_workload::generators::avionics(9);
+        let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
+        cfg.admit_best_effort = true;
+        let topo = btr_model::Topology::bus(9, 100_000, Duration(5));
+        BtrSystem::plan(workload, topo, cfg).expect("plannable")
+    }
+
+    /// A `BtrNode` that panics on its first dispatch at or after `at`.
+    struct PanicsAt {
+        inner: BtrNode,
+        at: Time,
+    }
+
+    impl PanicsAt {
+        fn check(&self, ctx: &NodeCtx<'_>) {
+            if ctx.now() >= self.at {
+                panic!("scripted panic at {}", ctx.now());
+            }
+        }
+    }
+
+    impl NodeBehavior for PanicsAt {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
+            self.check(ctx);
+            self.inner.on_message(ctx, env);
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: TimerId) {
+            self.check(ctx);
+            self.inner.on_timer(ctx, timer);
+        }
+    }
+
+    #[test]
+    fn a_panicking_behaviour_is_attributed_and_the_rest_finish() {
+        let sys = bus9();
+        let (victim, at) = (NodeId(4), Time::from_millis(40));
+        let (workload, strategy) = (sys.workload_arc(), sys.strategy_arc());
+        let make = move |node: NodeId, attack| -> Box<dyn NodeBehavior + Send> {
+            let inner = BtrNode::new(
+                node,
+                Arc::clone(&workload),
+                Arc::clone(&strategy),
+                9,
+                attack,
+            );
+            match node == victim {
+                true => Box::new(PanicsAt { inner, at }),
+                false => Box::new(inner),
+            }
+        };
+        let mut cfg = LiveConfig::new(7);
+        cfg.pace = 0.5;
+        let live = run_fleet(
+            &sys,
+            &FaultScenario::none(),
+            Duration::from_millis(120),
+            &cfg,
+            &make,
+        );
+        assert_eq!(live.panics.len(), 1, "{:?}", live.panics);
+        let p = &live.panics[0];
+        assert_eq!(p.node, victim);
+        assert!(p.message.starts_with("scripted panic at "), "{}", p.message);
+        // The flight recorder logged the dispatch that panicked: the
+        // victim's first event at or after the scripted instant.
+        let last = p.last_logical.expect("dispatched before the panic");
+        assert!(
+            last >= at && last < at + Duration::from_millis(10),
+            "{last:?}"
+        );
+        assert!(p.flight_total > 0 && !p.flight_tail.is_empty());
+        // Every other node ran to the horizon.
+        assert!(
+            live.deadline_overruns.is_empty(),
+            "{:?}",
+            live.deadline_overruns
+        );
+        let finished: Vec<NodeId> = live
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Finished)
+            .map(|e| e.node)
+            .collect();
+        assert_eq!(finished.len(), 8, "{finished:?}");
+        assert!(!finished.contains(&victim));
     }
 }
