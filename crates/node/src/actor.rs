@@ -1,14 +1,14 @@
-//! The per-node actor: one OS thread running one `NodeBehavior`.
+//! The node host: one `NodeBehavior`, stepped by whichever fleet
+//! worker holds it.
 //!
-//! Each node owns a logical clock, an agenda, and a mailbox, and holds
+//! Each host owns a logical clock, an agenda, and a mailbox, and holds
 //! its [`Seat`] — skew, signer, RNG stream, derived as the simulator
 //! derives them and lent to a `NodeCtx` per dispatch beside the
 //! [`LiveCtx`] substrate. All *protocol-visible* time is logical —
-//! envelope timestamps, timer deadlines, actuation stamps — so a
-//! fault-free live run produces the same canonical actuation trace as
-//! the discrete-event simulator, and the wall clock only determines how
-//! long the run physically takes (and how real the measured recovery
-//! latencies are).
+//! envelope timestamps, timer deadlines, actuation stamps — so a live
+//! run produces the simulator's canonical actuation trace, and the wall
+//! clock only determines how long the run physically takes (and how
+//! real the measured recovery latencies are).
 //!
 //! Two gates sit in front of every dispatch:
 //!
@@ -18,16 +18,15 @@
 //!   the arrival time of anything it may still send, which is its next
 //!   dispatchable instant plus the topology's minimum link delay
 //!   (lookahead). A node dispatches an event at logical `t` only once
-//!   every peer's frontier has passed `t`, so an OS thread descheduled
-//!   for ten milliseconds delays the run but can never reorder it. The
-//!   protocol's schedules pack producer-emit → consumer-slot gaps at
-//!   microsecond scale, far below thread jitter; without this gate a
-//!   live run misses inputs and hallucinates faults.
+//!   every peer's frontier has passed `t`, so a worker descheduled for
+//!   ten milliseconds delays the run but can never reorder it; a host
+//!   the gate holds names the peer that holds it, and its worker steps
+//!   that peer next.
 //! * **Wall gate** (pacing): logical `t` does not dispatch before wall
 //!   instant `epoch + pace · t`, which is what makes measured recovery
 //!   latencies real.
 //!
-//! Everything an actor has yet to dispatch sits in one agenda, ordered
+//! Everything a host has yet to dispatch sits in one agenda, ordered
 //! `(logical time, class, tie)`: the node's scripted crash first (the
 //! simulator schedules it as a control event before the run starts, so
 //! it pops ahead of everything else at its instant), then timers
@@ -38,16 +37,17 @@
 //! instead; the two conventions only differ for exact logical-time ties,
 //! which the pinned differential tests cover.
 
-use crate::transport::{Gate, LiveMsg, Loopback, Port};
-use btr_crypto::KeyStore;
+use crate::supervisor::{LiveConfig, PanicReport};
+use crate::transport::{Gate, LiveMsg, Loopback, Mailbox, Port};
+use btr_crypto::{AuthSuite, KeyStore};
 use btr_model::{Duration, Envelope, NodeId, PeriodIdx, TaskId, Time, Value};
 use btr_obs::{FlightKind, FlightRecorder, Histogram, Phase, PhaseMark, FLIGHT_CAP};
 use btr_runtime::BtrNode;
 use btr_sim::{Actuation, CtxBackend, NodeBehavior, NodeCtx, Scratch, Seat, TimerId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Maps logical time onto the shared wall clock: logical `t` µs may not
@@ -76,9 +76,8 @@ impl Pacer {
     /// Wall µs elapsed since the logical-zero epoch (0 before it).
     pub(crate) fn elapsed_us(&self) -> u64 {
         Instant::now()
-            .checked_duration_since(self.epoch)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0)
+            .saturating_duration_since(self.epoch)
+            .as_micros() as u64
     }
 }
 
@@ -98,11 +97,11 @@ pub struct RuntimeEvent {
 /// The kinds of runtime events a node can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// The actor thread is up and `on_start` ran.
+    /// The host started and `on_start` ran.
     Started,
-    /// The actor reached the horizon and exited cleanly.
+    /// The host reached the horizon cleanly.
     Finished,
-    /// The node fail-stopped (its thread is dying for real).
+    /// The node fail-stopped: its mailbox is detached for good.
     Crashed,
     /// The node's runtime completed a mode switch (cumulative count).
     SwitchCompleted {
@@ -165,23 +164,20 @@ struct Agenda {
 
 impl Agenda {
     fn crash(&mut self, at: Time) {
-        self.heap.push(Due {
-            key: (at, CRASH, 0, 0),
-            env: None,
-        });
+        let key = (at, CRASH, 0, 0);
+        self.heap.push(Due { key, env: None });
     }
 
     fn arm(&mut self, at: Time, timer: TimerId) {
         self.armed += 1;
-        self.heap.push(Due {
-            key: (at, TIMER, self.armed, timer),
-            env: None,
-        });
+        let key = (at, TIMER, self.armed, timer);
+        self.heap.push(Due { key, env: None });
     }
 
     fn park(&mut self, m: LiveMsg) {
+        let key = (m.at, MESSAGE, u64::from(m.from.0), m.seq);
         self.heap.push(Due {
-            key: (m.at, MESSAGE, u64::from(m.from.0), m.seq),
+            key,
             env: Some(m.env),
         });
     }
@@ -197,8 +193,7 @@ impl Agenda {
 }
 
 /// The live, single-node counterpart of the simulator's substrate: the
-/// [`CtxBackend`] a behaviour acts through when it runs on its own
-/// thread. All it stamps is logical time, which is what makes the two
+/// [`CtxBackend`] a behaviour acts through on its host. All it stamps is logical time, which is what makes the two
 /// substrates trace-equivalent.
 pub(crate) struct LiveCtx {
     logical: Time,
@@ -206,21 +201,23 @@ pub(crate) struct LiveCtx {
     keystore: Arc<KeyStore>,
     port: Port,
     agenda: Agenda,
-    actuations: Vec<Actuation>,
+    pub(crate) actuations: Vec<Actuation>,
     /// Observation switch: when off, `observe` is a no-op and the mark
     /// log stays empty (the live inertness tests flip this).
     obs: bool,
-    marks: Vec<PhaseMark>,
+    pub(crate) marks: Vec<PhaseMark>,
 }
 
 impl LiveCtx {
     /// Build the substrate of the node behind `port`, whose logical
-    /// clock starts at `start`.
+    /// clock starts at `start`, collecting phase marks if `obs` (marks
+    /// are out-of-band either way, so this cannot change a run).
     pub(crate) fn new(
         period: Duration,
         keystore: Arc<KeyStore>,
         port: Port,
         start: Time,
+        obs: bool,
     ) -> LiveCtx {
         LiveCtx {
             logical: start,
@@ -229,20 +226,9 @@ impl LiveCtx {
             port,
             agenda: Agenda::default(),
             actuations: Vec::new(),
-            obs: true,
+            obs,
             marks: Vec::new(),
         }
-    }
-
-    /// Enable or disable phase-mark collection (on by default; marks
-    /// are out-of-band either way, so this cannot change a run).
-    pub(crate) fn set_obs(&mut self, on: bool) {
-        self.obs = on;
-    }
-
-    /// The node's current logical time.
-    pub(crate) fn logical(&self) -> Time {
-        self.logical
     }
 }
 
@@ -284,18 +270,60 @@ impl CtxBackend for LiveCtx {
     }
 }
 
-/// What an actor thread hands back when it exits.
-pub(crate) struct ActorOutcome {
-    /// The node.
+/// What one [`NodeActor::step`] did, or why it could not.
+pub(crate) enum Step {
+    /// Started the node, dispatched one event, or found a late arrival
+    /// to fold: step again.
+    Ran,
+    /// The causal gate holds the next event until `blocker`, the peer
+    /// holding the frontier lowest, publishes past it.
+    Wait { blocker: NodeId },
+    /// The next event may not dispatch before this wall instant.
+    NotBefore(Instant),
+    /// Terminal: the node finished or crashed, and comes back at the
+    /// instant given, if it does.
+    Done(Option<Time>),
+}
+
+/// What every host of one run shares: the network, the keys, the clock
+/// and the horizon, where hosts report, and the run's settings.
+pub(crate) struct Run {
+    pub(crate) net: Loopback,
+    pub(crate) keystore: Arc<KeyStore>,
+    pub(crate) period: Duration,
+    /// The logical horizon (inclusive, as the simulator's `run_until`).
+    pub(crate) end: Time,
+    pub(crate) pacer: Pacer,
+    pub(crate) events: Sender<RuntimeEvent>,
+    pub(crate) cfg: LiveConfig,
+}
+
+/// One node host: behaviour + context + mailbox, stepped to the run's
+/// horizon under its wall-clock pacer by whichever worker holds it. Once
+/// terminal, what it leaves (behaviour, actuations, marks, counters) is
+/// read off it.
+pub(crate) struct NodeActor {
     pub(crate) node: NodeId,
-    /// The behaviour, for post-run inspection (stats, plan, fault set).
     pub(crate) behavior: Box<dyn NodeBehavior + Send>,
-    /// Every actuation the node performed, logically stamped.
-    pub(crate) actuations: Vec<Actuation>,
-    /// Recovery-phase boundaries the node's runtime observed.
-    pub(crate) marks: Vec<PhaseMark>,
-    /// Causal-gate sleeps (the event at hand was not yet provably safe
-    /// to dispatch and the node parked until woken).
+    seat: Seat,
+    /// Scratch for the canonical bytes of what the node signs or
+    /// verifies. No verification memo: this host has one node, and each
+    /// envelope reaches it once.
+    scratch: Scratch,
+    pub(crate) ctx: LiveCtx,
+    /// Attached to the network when the host starts (a restart's only at
+    /// its instant: a down node misses its downtime's traffic).
+    mailbox: Mailbox,
+    run: Arc<Run>,
+    started: bool,
+    /// The scheduler's note of the wall instant before which stepping
+    /// this host is pointless.
+    pub(crate) not_before: Instant,
+    last_switch_count: u64,
+    /// Ring of the last few dispatches: the tail a panic report shows.
+    flight: FlightRecorder,
+    /// Causal-gate stalls (the event at hand was not yet provably safe
+    /// to dispatch, and the node blocked until a peer's publish).
     pub(crate) frontier_stalls: u64,
     /// Repeat folds: a message reached the mailbox after the drain —
     /// below the fold, or between the fold and the bound read.
@@ -305,114 +333,62 @@ pub(crate) struct ActorOutcome {
     pub(crate) timer_lag: Histogram,
 }
 
-/// One node's event loop: behaviour + context + mailbox, run to a
-/// logical horizon under a wall-clock pacer.
-pub(crate) struct NodeActor {
-    node: NodeId,
-    behavior: Box<dyn NodeBehavior + Send>,
-    seat: Seat,
-    /// Scratch for the canonical bytes of what the node signs or
-    /// verifies. No verification memo: this host has one node, and each
-    /// envelope reaches it once.
-    scratch: Scratch,
-    ctx: LiveCtx,
-    rx: Receiver<LiveMsg>,
-    net: Loopback,
-    last_switch_count: u64,
-    /// Ring of the last few dispatches, shared with the supervisor so
-    /// the tail survives even when this thread panics mid-dispatch.
-    flight: Arc<Mutex<FlightRecorder>>,
-    /// Logical downtime after which the supervisor restarts this node
-    /// once its scripted crash fires (`ZERO`: it stays down).
-    restart_after: Duration,
-    frontier_stalls: u64,
-    redrains: u64,
-    timer_lag: Histogram,
-}
-
-/// The logical instant a node that crashed at `crashed_at` comes back,
-/// if it does: the supervisor restarts only what returns inside the
-/// horizon. The dying actor and the supervisor both decide by this.
-pub(crate) fn restart_instant(
-    crashed_at: Time,
-    restart_after: Duration,
-    end: Time,
-) -> Option<Time> {
-    let back_at = crashed_at + restart_after;
-    (restart_after > Duration::ZERO && back_at < end).then_some(back_at)
-}
-
 impl NodeActor {
-    /// Assemble an actor (does not start it; call [`NodeActor::run`] on
-    /// its thread).
+    /// A host for `behavior` as `node` in `run`, whose logical clock
+    /// starts at `start`.
     pub(crate) fn new(
         node: NodeId,
         behavior: Box<dyn NodeBehavior + Send>,
-        seat: Seat,
-        ctx: LiveCtx,
-        rx: Receiver<LiveMsg>,
-        net: Loopback,
+        run: &Arc<Run>,
+        start: Time,
     ) -> NodeActor {
+        let (keystore, port) = (Arc::clone(&run.keystore), run.net.port(node));
         NodeActor {
             node,
             behavior,
-            seat,
+            seat: Seat::derive(run.cfg.seed, node, AuthSuite::default()),
             scratch: Scratch::for_node(),
-            ctx,
-            rx,
-            net,
+            ctx: LiveCtx::new(run.period, keystore, port, start, run.cfg.obs),
+            mailbox: Mailbox::new(run.cfg.mailbox_cap),
+            run: Arc::clone(run),
+            started: false,
+            not_before: run.pacer.wall_for(start),
             last_switch_count: 0,
-            flight: Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_CAP))),
-            restart_after: Duration::ZERO,
+            flight: FlightRecorder::new(FLIGHT_CAP),
             frontier_stalls: 0,
             redrains: 0,
             timer_lag: Histogram::new(),
         }
     }
 
-    /// Share an externally owned flight recorder (the supervisor holds
-    /// the other handle, so the tail is readable after a panic).
-    pub(crate) fn with_flight(mut self, flight: Arc<Mutex<FlightRecorder>>) -> NodeActor {
-        self.flight = flight;
-        self
-    }
-
-    /// Crash this node at logical `at`, and restart it `restart_after`
-    /// later (see `restart_instant`): dying, it then hands its frontier
-    /// cell to the next incarnation instead of going terminal.
-    pub(crate) fn with_crash(mut self, at: Time, restart_after: Duration) -> NodeActor {
+    /// Crash this node at logical `at`, and restart it the run's
+    /// `restart_after` later if that is inside the horizon: dying, it
+    /// then hands its frontier cell to the next incarnation instead of
+    /// going terminal.
+    pub(crate) fn with_crash(mut self, at: Time) -> NodeActor {
         self.ctx.agenda.crash(at);
-        self.restart_after = restart_after;
         self
     }
 
-    /// The node this actor animates.
-    pub(crate) fn node(&self) -> NodeId {
-        self.node
+    /// Attach the host's mailbox to the network (again, when it starts:
+    /// a cold boot's is attached up front, as its peers may send before
+    /// its first step).
+    pub(crate) fn attach(&self) {
+        self.run.net.restore(self.node);
+        self.run.net.register(self.node, self.mailbox.clone());
     }
 
-    fn record_flight(&self, at: Time, kind: FlightKind) {
-        self.flight.lock().expect("flight lock").push(at, kind);
-    }
-
-    fn drain(&mut self) {
-        while let Ok(m) = self.rx.try_recv() {
-            self.ctx.agenda.park(m);
-        }
-    }
-
-    fn emit(&self, events: &Sender<RuntimeEvent>, pacer: &Pacer, kind: EventKind) {
-        // The supervisor may have stopped listening (deadline overrun
-        // teardown); a dead event channel must not kill the actor.
-        let _ = events.send(RuntimeEvent {
+    fn emit(&self, kind: EventKind) {
+        // The supervisor drains the channel once the fleet has stopped.
+        let _ = self.run.events.send(RuntimeEvent {
             node: self.node,
-            logical: self.ctx.logical(),
-            wall_us: pacer.elapsed_us(),
+            logical: self.ctx.logical,
+            wall_us: self.run.pacer.elapsed_us(),
             kind,
         });
     }
 
-    fn post_dispatch(&mut self, events: &Sender<RuntimeEvent>, pacer: &Pacer) {
+    fn post_dispatch(&mut self) {
         if let Some(b) = self
             .behavior
             .as_any()
@@ -421,131 +397,144 @@ impl NodeActor {
             let count = b.switch_count();
             if count > self.last_switch_count {
                 self.last_switch_count = count;
-                self.record_flight(self.ctx.logical(), FlightKind::SwitchCompleted { count });
-                self.emit(events, pacer, EventKind::SwitchCompleted { count });
+                self.flight
+                    .push(self.ctx.logical, FlightKind::SwitchCompleted { count });
+                self.emit(EventKind::SwitchCompleted { count });
             }
         }
     }
 
-    /// Run the actor until logical `end` (inclusive, matching the
-    /// simulator's `run_until`), a crash, or — for a behaviour armed with
-    /// nothing — mailbox silence past the horizon. Emits `Started`, then
-    /// `SwitchCompleted`s, then exactly one terminal `Finished`/`Crashed`
-    /// event *before* returning, so the supervisor can join without a
-    /// timeout once it has seen the terminal event.
-    pub(crate) fn run(
-        mut self,
-        end: Time,
-        pacer: Pacer,
-        events: Sender<RuntimeEvent>,
-    ) -> ActorOutcome {
-        self.behavior.on_start(&mut NodeCtx::new(
-            &mut self.seat,
-            &mut self.scratch,
-            &mut self.ctx,
-            self.node,
-        ));
-        self.emit(&events, &pacer, EventKind::Started);
-        self.record_flight(self.ctx.logical(), FlightKind::Start);
-        self.net.attach_sleeper(self.node);
-        let terminal = loop {
-            self.drain();
-            // Our anchor is the earliest event we could dispatch; `need`
-            // is the causal bound that makes the step at hand safe: a
-            // crash's or a timer's instant, one past a message's (see
-            // the classes); with nothing left inside the horizon we are
-            // done once nothing can still arrive in it.
-            let (anchor, need, due) = match self.ctx.agenda.peek() {
-                Some((at, class)) if at <= end => {
-                    (at, at + Duration(u64::from(class == MESSAGE)), true)
-                }
-                Some((at, _)) => (at, end + Duration(1), false),
-                None => (Time(u64::MAX), end + Duration(1), false),
-            };
-            match self.net.gate(self.node, anchor, need) {
-                Gate::Go => {}
-                Gate::Redrain => {
-                    self.redrains += 1;
-                    continue;
-                }
-                Gate::Wait { .. } => {
-                    self.frontier_stalls += u64::from(self.net.wait(self.node, need));
-                    continue;
-                }
+    /// One step: start the node (`Started`), or dispatch its next event
+    /// once the causal gate and the wall gate admit it, or say why not.
+    /// Emits `SwitchCompleted`s as they happen, and exactly one terminal
+    /// `Finished`/`Crashed` event when it returns [`Step::Done`]; a
+    /// behaviour armed with nothing finishes once nothing can still
+    /// arrive inside the horizon.
+    pub(crate) fn step(&mut self) -> Step {
+        if !self.started {
+            if Instant::now() < self.not_before {
+                return Step::NotBefore(self.not_before);
             }
-            if !due {
-                break EventKind::Finished;
+            self.attach();
+            self.behavior.on_start(&mut NodeCtx::new(
+                &mut self.seat,
+                &mut self.scratch,
+                &mut self.ctx,
+                self.node,
+            ));
+            self.started = true;
+            self.emit(EventKind::Started);
+            self.flight.push(self.ctx.logical, FlightKind::Start);
+            return Step::Ran;
+        }
+        let agenda = &mut self.ctx.agenda;
+        self.mailbox.drain(|m| agenda.park(m));
+        // Our anchor is the earliest event we could dispatch; `need` is
+        // the causal bound that makes the step at hand safe: a crash's
+        // or a timer's instant, one past a message's (see the classes);
+        // with nothing left inside the horizon we are done once nothing
+        // can still arrive in it.
+        let end = self.run.end;
+        let (anchor, need, due) = match self.ctx.agenda.peek() {
+            Some((at, class)) if at <= end => {
+                (at, at + Duration(u64::from(class == MESSAGE)), true)
             }
-            // Wall gate: park arrivals until the event's wall instant,
-            // then re-select (a new arrival may precede the choice).
-            let target = pacer.wall_for(anchor);
-            let now = Instant::now();
-            if now < target {
-                match self.rx.recv_timeout(target - now) {
-                    Ok(m) => self.ctx.agenda.park(m),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        let left = target.saturating_duration_since(Instant::now());
-                        std::thread::sleep(left);
-                    }
-                }
-                continue;
-            }
-            let Due { key, env } = self.ctx.agenda.pop().expect("peeked event");
-            let (at, class, a, b) = key;
-            self.ctx.logical = self.ctx.logical.max(at);
-            if class == CRASH {
-                break EventKind::Crashed;
-            }
-            let kind = match env {
-                None => {
-                    let late = Instant::now().saturating_duration_since(target);
-                    self.timer_lag.record(late.as_micros() as u64);
-                    FlightKind::Timer
-                }
-                Some(_) => FlightKind::Message {
-                    from: NodeId(a as u32),
-                },
-            };
-            self.record_flight(at, kind);
-            let mut ctx = NodeCtx::new(&mut self.seat, &mut self.scratch, &mut self.ctx, self.node);
-            match env {
-                None => self.behavior.on_timer(&mut ctx, b),
-                Some(env) => self.behavior.on_message(&mut ctx, env),
-            }
-            self.post_dispatch(&events, &pacer);
+            Some((at, _)) => (at, end + Duration(1), false),
+            None => (Time(u64::MAX), end + Duration(1), false),
         };
-        let crashed = matches!(terminal, EventKind::Crashed);
+        match self.run.net.gate(self.node, anchor, need) {
+            Gate::Go => {}
+            Gate::Redrain => {
+                self.redrains += 1;
+                return Step::Ran;
+            }
+            Gate::Wait { blocker } => {
+                self.frontier_stalls += 1;
+                return Step::Wait { blocker };
+            }
+        }
+        if !due {
+            return self.finish(EventKind::Finished);
+        }
+        // Wall gate. The causal gate said Go, so no arrival can precede
+        // the event: it is the next one whenever its instant comes.
+        let target = self.run.pacer.wall_for(anchor);
+        if Instant::now() < target {
+            return Step::NotBefore(target);
+        }
+        let Due { key, env } = self.ctx.agenda.pop().expect("peeked event");
+        let (at, class, a, b) = key;
+        self.ctx.logical = self.ctx.logical.max(at);
+        if class == CRASH {
+            return self.finish(EventKind::Crashed);
+        }
+        let kind = match env {
+            None => {
+                let late = Instant::now().saturating_duration_since(target);
+                self.timer_lag.record(late.as_micros() as u64);
+                FlightKind::Timer
+            }
+            Some(_) => FlightKind::Message {
+                from: NodeId(a as u32),
+            },
+        };
+        self.flight.push(at, kind);
+        let mut ctx = NodeCtx::new(&mut self.seat, &mut self.scratch, &mut self.ctx, self.node);
+        match env {
+            None => self.behavior.on_timer(&mut ctx, b),
+            Some(env) => self.behavior.on_message(&mut ctx, env),
+        }
+        self.post_dispatch();
+        Step::Ran
+    }
+
+    /// Go terminal with `terminal` (`Finished` or `Crashed`).
+    fn finish(&mut self, terminal: EventKind) -> Step {
+        self.mailbox.close();
+        let crashed = terminal == EventKind::Crashed;
         if crashed {
             // Fail-stop for real: detach the mailbox and reroute around
-            // this node before the thread dies. Fault activation is a
-            // phase boundary: the recovery timeline starts here, as it
-            // does in the simulator's control-action path.
-            self.net.crash(self.node);
-            self.record_flight(self.ctx.logical(), FlightKind::Crash);
+            // this node. Fault activation is a phase boundary: the
+            // recovery timeline starts here, as it does in the
+            // simulator's control-action path.
+            self.run.net.crash(self.node);
+            self.flight.push(self.ctx.logical, FlightKind::Crash);
             self.ctx.observe(PhaseMark {
                 observer: self.node,
                 subject: self.node,
                 phase: Phase::FaultActive,
-                at: self.ctx.logical(),
+                at: self.ctx.logical,
             });
         }
-        match restart_instant(self.ctx.logical(), self.restart_after, end).filter(|_| crashed) {
+        let after = self.run.cfg.restart_after;
+        let back_at = self.ctx.logical + after;
+        let back_at =
+            (crashed && after > Duration::ZERO && back_at < self.run.end).then_some(back_at);
+        match back_at {
             // Coming back: the cell goes straight to the restart instant.
-            Some(back_at) => self.net.hand_off(self.node, back_at),
+            Some(at) => self.run.net.hand_off(self.node, at),
             // Terminal: this node will never send again, so no peer may
             // wait on it.
-            None => self.net.set_terminal(self.node),
+            None => self.run.net.set_terminal(self.node),
         }
-        self.emit(&events, &pacer, terminal);
-        ActorOutcome {
+        self.emit(terminal);
+        Step::Done(back_at)
+    }
+
+    /// The host's behaviour panicked mid-step: take the node down as a
+    /// crash does, release its causal hold, and report the panic with
+    /// the flight tail leading into it.
+    pub(crate) fn panicked(self, message: String) -> PanicReport {
+        self.mailbox.close();
+        self.run.net.crash(self.node);
+        self.run.net.set_terminal(self.node);
+        self.emit(EventKind::Panicked(message.clone()));
+        PanicReport {
             node: self.node,
-            behavior: self.behavior,
-            actuations: std::mem::take(&mut self.ctx.actuations),
-            marks: std::mem::take(&mut self.ctx.marks),
-            frontier_stalls: self.frontier_stalls,
-            redrains: self.redrains,
-            timer_lag: self.timer_lag,
+            message,
+            last_logical: self.flight.last_at(),
+            flight_total: self.flight.total(),
+            flight_tail: self.flight.tail(),
         }
     }
 }
@@ -553,10 +542,10 @@ impl NodeActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::mailbox;
-    use btr_crypto::AuthSuite;
+    use crate::transport::tests::mailbox;
     use btr_model::{Payload, Topology};
     use btr_net::Network;
+    use std::sync::mpsc::Receiver;
 
     fn harness(n: usize) -> (Loopback, Arc<KeyStore>) {
         let topo = Topology::bus(n, 100_000, Duration(5));
@@ -565,13 +554,35 @@ mod tests {
         (net, ks)
     }
 
-    fn ctx_for(node: NodeId, net: &Loopback, ks: &Arc<KeyStore>) -> LiveCtx {
-        let period = Duration::from_millis(10);
-        LiveCtx::new(period, Arc::clone(ks), net.port(node), Time::ZERO)
+    /// A host for `node` on `net`, run to `end` at a ~free-running pace.
+    fn host(
+        node: NodeId,
+        behavior: Box<dyn NodeBehavior + Send>,
+        net: &Loopback,
+        ks: &Arc<KeyStore>,
+        end: Time,
+    ) -> (NodeActor, Receiver<RuntimeEvent>) {
+        let (events, ev_rx) = std::sync::mpsc::channel();
+        let run = Arc::new(Run {
+            net: net.clone(),
+            keystore: Arc::clone(ks),
+            period: Duration::from_millis(10),
+            end,
+            pacer: Pacer::new(Instant::now(), 0.001),
+            events,
+            cfg: LiveConfig::new(1),
+        });
+        let actor = NodeActor::new(node, behavior, &run, Time::ZERO);
+        actor.attach();
+        (actor, ev_rx)
     }
 
-    fn seat_for(node: NodeId) -> Seat {
-        Seat::derive(1, node, AuthSuite::default())
+    /// Step a lone host until it is terminal.
+    fn run(mut actor: NodeActor) -> NodeActor {
+        while !matches!(actor.step(), Step::Done(_)) {
+            std::thread::yield_now();
+        }
+        actor
     }
 
     #[test]
@@ -636,30 +647,20 @@ mod tests {
     #[test]
     fn actor_runs_timer_chain_to_horizon() {
         let (net, ks) = harness(2);
-        let (tx, rx) = mailbox(64);
-        net.register(NodeId(0), tx);
         let (tx1, rx1) = mailbox(64);
         net.register(NodeId(1), tx1);
-        // Node 1 has no actor in this test: release its causal frontier
+        // Node 1 has no host in this test: release its causal frontier
         // so node 0's gate never waits on it.
         net.set_terminal(NodeId(1));
-        let (ev_tx, ev_rx) = std::sync::mpsc::channel();
-        let actor = NodeActor::new(
-            NodeId(0),
-            Box::new(Pinger { fired: 0 }),
-            seat_for(NodeId(0)),
-            ctx_for(NodeId(0), &net, &ks),
-            rx,
-            net.clone(),
-        );
-        let pacer = Pacer::new(Instant::now(), 0.001); // ~free-running
-        let out = actor.run(Time::from_millis(2), pacer, ev_tx);
-        assert_eq!(out.actuations.len(), 5);
-        assert_eq!(out.actuations[0].at, Time(100));
-        assert_eq!(out.actuations[4].at, Time(500));
+        let pinger = Box::new(Pinger { fired: 0 });
+        let (actor, ev_rx) = host(NodeId(0), pinger, &net, &ks, Time::from_millis(2));
+        let out = run(actor);
+        assert_eq!(out.ctx.actuations.len(), 5);
+        assert_eq!(out.ctx.actuations[0].at, Time(100));
+        assert_eq!(out.ctx.actuations[4].at, Time(500));
         // All five sends reached node 1's mailbox with logical stamps.
         let mut got = 0;
-        while let Ok(m) = rx1.try_recv() {
+        for m in rx1.take() {
             assert!(m.at > Time(100 * (got as u64)));
             got += 1;
         }
@@ -695,35 +696,22 @@ mod tests {
         // A crash scripted for 50 µs pops before the timer armed for 50
         // µs and the message parked for it: neither dispatches.
         let (net, ks) = harness(2);
-        let (tx, rx) = mailbox(64);
-        net.register(NodeId(0), tx.clone());
         net.set_terminal(NodeId(1));
-        let at = Time(50);
-        let env = Envelope::new(NodeId(1), NodeId(0), at, Payload::Control(1));
-        tx.send(LiveMsg {
-            at,
-            from: NodeId(1),
-            seq: 0,
-            env,
-        })
-        .expect("mailbox open");
-        let (ev_tx, ev_rx) = std::sync::mpsc::channel();
-        let actor = NodeActor::new(
+        let (actor, ev_rx) = host(
             NodeId(0),
             Box::new(Actuator),
-            seat_for(NodeId(0)),
-            ctx_for(NodeId(0), &net, &ks),
-            rx,
-            net.clone(),
-        )
-        .with_crash(at, Duration::ZERO);
-        let out = actor.run(
+            &net,
+            &ks,
             Time::from_millis(10),
-            Pacer::new(Instant::now(), 0.001),
-            ev_tx,
         );
-        assert!(out.actuations.is_empty(), "{:?}", out.actuations);
-        let marks: Vec<_> = out.marks.iter().map(|m| (m.phase, m.at)).collect();
+        let actor = actor.with_crash(Time(50));
+        let at = Time(50);
+        // A self-send arrives at its send instant: parked for 50 µs.
+        let env = Envelope::new(NodeId(0), NodeId(0), at, Payload::Control(1));
+        assert_eq!(net.port(NodeId(0)).send(at, env), Some(at));
+        let out = run(actor);
+        assert!(out.ctx.actuations.is_empty(), "{:?}", out.ctx.actuations);
+        let marks: Vec<_> = out.ctx.marks.iter().map(|m| (m.phase, m.at)).collect();
         assert_eq!(marks, [(Phase::FaultActive, at)]);
         let evs: Vec<RuntimeEvent> = ev_rx.try_iter().collect();
         assert_eq!(

@@ -11,7 +11,7 @@
 //! surfaced instead of silently blocking a sender.
 //!
 //! Envelopes are physically handed over the moment they are sent, but
-//! stamped with their *logical* arrival time; the receiving actor parks
+//! stamped with their *logical* arrival time; the receiving host parks
 //! them until that instant. Logical timestamps, not delivery jitter,
 //! are what the trace-equivalence oracle compares.
 //!
@@ -20,17 +20,20 @@
 //! arrival time of anything that node may still send), the
 //! topology-wide minimum link delay (lookahead), and the wake-ups that
 //! make the gate event-driven: a blocked node declares the bound it
-//! needs ([`Loopback::wait`]) and parks; the peer whose publish lets
-//! that bound through unparks it, and a send lowers a sleeper's need to
-//! what admits the message. [`Loopback::gate`] is the dispatch rule
-//! itself; see the actor module docs for the loop built on it.
+//! needs ([`Loopback::declare_need`]) and no worker steps it until the
+//! peer whose publish lets that bound through claims the need and rings
+//! a parked worker ([`Loopback::park`]) to take it; a send lowers a
+//! blocked node's need to what admits the message. [`Loopback::gate`]
+//! is the dispatch rule itself; see the actor module docs for the step
+//! built on it.
 
 use btr_model::{Duration, Envelope, NodeId, Time};
 use btr_net::{DropReason, Network};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::Thread;
+use std::sync::mpsc::TrySendError;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::Instant;
 
 /// A message in flight: the signed envelope plus its logical arrival
 /// time and a per-sender sequence for deterministic same-instant
@@ -51,7 +54,7 @@ pub(crate) struct LiveMsg {
 /// Drop counters, one cell per cause (all monotone; read at shutdown).
 #[derive(Debug, Default)]
 pub(crate) struct TransportCounters {
-    /// Bounded-mailbox backpressure drops (`try_send` on a full queue).
+    /// Bounded-mailbox backpressure drops (a send to a full queue).
     pub(crate) mailbox_full: AtomicU64,
     /// Messages addressed to a crashed / not-yet-restarted node.
     pub(crate) receiver_down: AtomicU64,
@@ -66,7 +69,7 @@ pub(crate) struct TransportCounters {
     pub(crate) sent: AtomicU64,
 }
 
-/// One node's causal-frontier cell (see [`Loopback::frontier_bound`]).
+/// One node's causal-frontier cell (see `Inner::bound`).
 ///
 /// `anchor` is the node's own claim: the logical time of its earliest
 /// known dispatchable event (its dispatches are nondecreasing under the
@@ -78,18 +81,23 @@ pub(crate) struct TransportCounters {
 /// below its published anchor. Keeping the floor in the receiver's cell
 /// until the receiver itself folds-and-clears it closes the window
 /// where an in-flight message is visible in nobody's claim.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FrontierCell {
     anchor: u64,
     inflight: u64,
     /// Terminal (crashed / finished / panicked): will never send again,
     /// and late deliveries into a dying mailbox must not wedge peers.
     dead: bool,
-    /// The actor thread to unpark when this node's need is met.
-    sleeper: Option<Thread>,
 }
 
 impl FrontierCell {
+    /// A node's cell before its first publish.
+    const FRESH: FrontierCell = FrontierCell {
+        anchor: 0,
+        inflight: u64::MAX,
+        dead: false,
+    };
+
     /// What peers read from this cell: nothing it sends arrives before
     /// this plus the lookahead.
     fn min(&self) -> u64 {
@@ -97,22 +105,17 @@ impl FrontierCell {
     }
 }
 
-/// No need declared: the node is not (about to be) asleep.
+/// No need declared: the node is runnable.
 const NO_NEED: u64 = u64::MAX;
 
-/// A frontier cell and, outside its lock, the bound its node is asleep
-/// waiting for. A waker *claims* a need by swapping it back to
-/// [`NO_NEED`], so one declared need earns at most one unpark.
-struct Slot {
-    cell: Mutex<FrontierCell>,
-    need: AtomicU64,
+/// Where a worker with no runnable node parks: under one lock, the wake
+/// generation (every claimed need bumps it) and the parked count, and
+/// the bell that rings them.
+#[derive(Default)]
+struct Idle {
+    state: Mutex<(u64, usize)>,
+    bell: Condvar,
 }
-
-/// How long a sleeping actor trusts its wakers before it looks for
-/// itself. Every state change that can open a gate carries a wake, so
-/// this is a backstop (a peer wedged inside a dispatch, say), not the
-/// mechanism: coarse on purpose.
-const WATCHDOG: std::time::Duration = std::time::Duration::from_millis(10);
 
 /// The causal gate's verdict on a node's next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,12 +125,9 @@ pub(crate) enum Gate {
     /// A message reached the mailbox after the caller's drain; drain
     /// and ask again.
     Redrain,
-    /// Not yet provably safe; `blocker` is the peer holding the
-    /// frontier lowest.
-    Wait {
-        /// The arg-min of the bound scan.
-        blocker: NodeId,
-    },
+    /// Not yet provably safe; `blocker`, the arg-min of the bound scan,
+    /// is the peer holding the frontier lowest.
+    Wait { blocker: NodeId },
 }
 
 struct Inner {
@@ -135,17 +135,23 @@ struct Inner {
     /// only its own loss stream, so the lock is for memory safety, not
     /// arbitration.
     net: Mutex<Network>,
-    mailboxes: RwLock<Vec<Option<SyncSender<LiveMsg>>>>,
+    mailboxes: RwLock<Vec<Option<Mailbox>>>,
     counters: TransportCounters,
     /// Per-receiver `mailbox_full` attribution: which node's bounded
     /// mailbox was overflowing (the aggregate counter says only *that*
     /// backpressure happened; the supervisor needs to know *whose*
     /// flight recorder to dump).
     mailbox_full_by: Vec<AtomicU64>,
-    /// Per-blocker sleep attribution: how often each node was the one
-    /// holding a peer's frontier lowest when that peer went to sleep.
+    /// Per-blocker stall attribution: how often each node was the one
+    /// holding a peer's frontier lowest when that peer blocked.
     slept_on: Vec<AtomicU64>,
-    frontier: Vec<Slot>,
+    /// The frontier cells, one lock for all: a gate reads every cell.
+    frontier: Mutex<Vec<FrontierCell>>,
+    /// Outside that lock, the bound each node is blocked on. A waker
+    /// *claims* a need by swapping it back to [`NO_NEED`], so one
+    /// declared need earns at most one wake.
+    needs: Vec<AtomicU64>,
+    idle: Idle,
     /// Minimum one-hop delay in the topology: no message between
     /// distinct nodes can arrive sooner than this after its send.
     lookahead: Duration,
@@ -156,96 +162,91 @@ impl Inner {
         self.net.lock().expect("network lock")
     }
 
-    fn cell(&self, node: NodeId) -> std::sync::MutexGuard<'_, FrontierCell> {
-        self.frontier[node.index()]
-            .cell
-            .lock()
-            .expect("frontier lock")
+    fn cells(&self) -> std::sync::MutexGuard<'_, Vec<FrontierCell>> {
+        self.frontier.lock().expect("frontier lock")
     }
 
     /// Record a delivered message's arrival time in the receiver's
-    /// inflight floor (sender side, after a successful `try_send`).
+    /// inflight floor (sender side, after a successful hand-over).
     fn note_inflight(&self, dst: NodeId, at: Time) {
-        let mut cell = self.cell(dst);
+        let cell = &mut self.cells()[dst.index()];
         if !cell.dead {
             cell.inflight = cell.inflight.min(at.as_micros());
         }
     }
 
-    /// The causal bound for `node` and the peer that sets it (see
-    /// [`Loopback::frontier_bound`]).
-    fn bound(&self, node: NodeId) -> (u64, NodeId) {
+    /// The causal bound for `node` over `cells` and the peer that sets
+    /// it: no message can arrive at `node` before this instant. Every
+    /// peer's future sends are dispatched at or after `min(anchor,
+    /// inflight)` of its cell, and any inter-node path adds at least
+    /// `lookahead`; dead peers never send (with none left alive the
+    /// bound is infinite and the blocker is `node` itself). Local events
+    /// strictly below the bound are safe to dispatch (an event *at* it
+    /// is safe if it is a timer, which wins ties against messages).
+    fn bound(&self, cells: &[FrontierCell], node: NodeId) -> (u64, NodeId) {
         let (mut min, mut blocker) = (u64::MAX, node);
-        for i in 0..self.frontier.len() as u32 {
-            if i == node.0 {
-                continue;
-            }
-            let cell = self.cell(NodeId(i));
-            if !cell.dead && cell.min() < min {
-                (min, blocker) = (cell.min(), NodeId(i));
+        for (i, cell) in cells.iter().enumerate() {
+            if i != node.index() && !cell.dead && cell.min() < min {
+                (min, blocker) = (cell.min(), NodeId(i as u32));
             }
         }
         (min.saturating_add(self.lookahead.as_micros()), blocker)
     }
 
-    /// Change `node`'s own cell under its lock, then wake whoever the
+    /// Change `node`'s own cell under the lock, and claim the needs the
     /// change released. Returns the cell's new minimum.
     fn republish(&self, node: NodeId, change: impl FnOnce(&mut FrontierCell)) -> u64 {
-        let (old_min, new_min) = {
-            let mut cell = self.cell(node);
-            let old_min = cell.min();
-            change(&mut cell);
-            (old_min, cell.min())
-        };
-        self.wake_released(node, old_min, new_min);
+        let mut cells = self.cells();
+        let old_min = cells[node.index()].min();
+        change(&mut cells[node.index()]);
+        let new_min = cells[node.index()].min();
+        self.wake_released(&cells, node, old_min, new_min);
         new_min
     }
 
     /// `publisher`'s cell minimum rose from `old_min` to `new_min`:
-    /// wake the sleepers this releases. A need is met by a bound at or
+    /// claim the needs this releases. A need is met by a bound at or
     /// above it, so the publisher held a peer back while `old_min +
     /// lookahead < need` and lets go once `need <= new_min + lookahead`;
     /// of those peers, the ones no *other* cell still holds back are
-    /// unparked (the rest would only look and sleep again — whichever
-    /// holder lets go last finds the whole bound open, because each
-    /// reads the others' cells after its own publish).
-    fn wake_released(&self, publisher: NodeId, old_min: u64, new_min: u64) {
+    /// claimed (the rest would only look and block again — whichever
+    /// holder lets go last finds the whole bound open).
+    fn wake_released(&self, cells: &[FrontierCell], publisher: NodeId, old_min: u64, new_min: u64) {
         if new_min <= old_min {
             return;
         }
         let la = self.lookahead.as_micros();
         let (held, free) = (old_min.saturating_add(la), new_min.saturating_add(la));
-        for (i, slot) in self.frontier.iter().enumerate() {
+        for (i, slot) in self.needs.iter().enumerate() {
             let sleeper = NodeId(i as u32);
-            let need = slot.need.load(Ordering::SeqCst);
+            let need = slot.load(Ordering::SeqCst);
             if sleeper == publisher || need == NO_NEED || need <= held || free < need {
                 continue;
             }
-            // Claim the need, so one sleep earns one unpark.
-            if self.bound(sleeper).0 >= need && slot.need.swap(NO_NEED, Ordering::SeqCst) != NO_NEED
+            // Claim the need, so one stall earns one wake; the worker
+            // whose step this is rings a parked one if it will not take
+            // the node itself.
+            if self.bound(cells, sleeper).0 >= need
+                && slot.swap(NO_NEED, Ordering::SeqCst) != NO_NEED
             {
-                if let Some(t) = &self.cell(sleeper).sleeper {
-                    t.unpark();
-                }
+                self.idle.state.lock().expect("idle lock").0 += 1;
             }
         }
     }
 
-    /// A message arriving at `at` was handed to `dst`: if `dst` sleeps
-    /// at the causal gate, the message may be its next event, so what
-    /// it is waiting for drops to the bound that admits the message.
-    /// No unpark here: the sender itself still holds that bound back
+    /// A message arriving at `at` was handed to `dst`: if `dst` is
+    /// blocked at the causal gate, the message may be its next event, so
+    /// what it is waiting for drops to the bound that admits the message.
+    /// No wake here: the sender itself still holds that bound back
     /// (its anchor is at or before the send), and its next publish —
     /// always its next step — runs the wake rule against the lowered
     /// need. A receiver that declares concurrently and overwrites this
-    /// finds its floor set on its second look and does not sleep.
+    /// finds its floor set on its second look and does not block.
     fn lower_need(&self, dst: NodeId, at: Time) {
         let admits = at.as_micros().saturating_add(1);
-        let _ = self.frontier[dst.index()].need.fetch_update(
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-            |need| (need != NO_NEED && admits < need).then_some(admits),
-        );
+        let _ = self.needs[dst.index()].fetch_update(Ordering::SeqCst, Ordering::SeqCst, |need| {
+            (need != NO_NEED && admits < need).then_some(admits)
+        });
     }
 }
 
@@ -279,18 +280,10 @@ impl Loopback {
                 counters: TransportCounters::default(),
                 mailbox_full_by: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 slept_on: (0..n).map(|_| AtomicU64::new(0)).collect(),
-                frontier: (0..n)
-                    .map(|_| Slot {
-                        cell: Mutex::new(FrontierCell {
-                            anchor: 0,
-                            inflight: u64::MAX,
-                            dead: false,
-                            sleeper: None,
-                        }),
-                        need: AtomicU64::new(NO_NEED),
-                    })
-                    .collect(),
+                frontier: Mutex::new(vec![FrontierCell::FRESH; n]),
+                needs: (0..n).map(|_| AtomicU64::new(NO_NEED)).collect(),
                 lookahead,
+                idle: Idle::default(),
             }),
         }
     }
@@ -332,29 +325,20 @@ impl Loopback {
         });
     }
 
-    /// The causal bound for `node` and the peer that sets it: no message
-    /// can arrive at `node` before this instant. Every peer's future
-    /// sends are dispatched at or after `min(anchor, inflight)` of its
-    /// cell, and any inter-node path adds at least `lookahead`; dead
-    /// peers never send (with none left alive the bound is infinite and
-    /// the blocker is `node` itself). Local events strictly below the
-    /// bound are safe to dispatch (an event *at* it is safe if it is a
-    /// timer, which wins ties against messages).
-    pub(crate) fn frontier_bound(&self, node: NodeId) -> (Time, NodeId) {
-        let (bound, blocker) = self.inner.bound(node);
-        (Time(bound), blocker)
-    }
-
     /// The dispatch rule, one call: fold `next` (the caller's earliest
     /// event after a drain) into the node's anchor, read the bound, then
-    /// read the node's own floor again. `need` is the bound that makes
-    /// the event safe: its instant for a timer, one past it for a
-    /// message, one past the horizon to finish.
+    /// read the node's own floor again; if that says wait, declare the
+    /// need. `need` is the bound that makes the event safe: its instant
+    /// for a timer, one past it for a message, one past the horizon to
+    /// finish.
     pub(crate) fn gate(&self, node: NodeId, next: Time, need: Time) -> Gate {
         if self.publish_anchor(node, next) < next {
             return Gate::Redrain;
         }
-        self.admit(node, need)
+        match self.admit(node, need) {
+            Gate::Wait { .. } => self.declare_need(node, need),
+            verdict => verdict,
+        }
     }
 
     /// Bound, then floor — in that order. Between the fold and the
@@ -365,73 +349,94 @@ impl Loopback {
     /// read saw the sender's later claim, this floor read sees the note:
     /// floor set means drain and go round again.
     fn admit(&self, node: NodeId, need: Time) -> Gate {
-        let (bound, blocker) = self.frontier_bound(node);
-        if self.inner.cell(node).inflight != u64::MAX {
+        let cells = self.inner.cells();
+        let (bound, blocker) = self.inner.bound(&cells, node);
+        if cells[node.index()].inflight != u64::MAX {
             Gate::Redrain
-        } else if bound >= need {
+        } else if bound >= need.as_micros() {
             Gate::Go
         } else {
             Gate::Wait { blocker }
         }
     }
 
-    /// Name the calling thread as the one to unpark for `node`.
-    pub(crate) fn attach_sleeper(&self, node: NodeId) {
-        self.inner.cell(node).sleeper = Some(std::thread::current());
-    }
-
-    /// Declare that `node` is about to sleep until its bound reaches
-    /// `need`, then look once more: a publish that landed before the
-    /// declaration saw no need and woke nobody. Returns the peer still
-    /// holding the node back, or None with the need withdrawn (do not
-    /// sleep). Cells change under their locks and a publisher reads the
-    /// needs after its unlock, so either this look sees the new cell or
-    /// the publisher sees the need.
-    fn declare_need(&self, node: NodeId, need: Time) -> Option<NodeId> {
-        let slot = &self.inner.frontier[node.index()];
-        slot.need.store(need.as_micros(), Ordering::SeqCst);
-        match self.admit(node, need) {
-            Gate::Wait { blocker } => Some(blocker),
-            Gate::Go | Gate::Redrain => {
-                slot.need.store(NO_NEED, Ordering::SeqCst);
-                None
+    /// Declare that `node` is blocked until its bound reaches `need`,
+    /// then look once more: a publish that landed before the declaration
+    /// saw no need and woke nobody. A wait is counted as the blocker's
+    /// stall; anything else withdraws the need. Cells change under the
+    /// frontier lock and a publisher reads the needs there after the
+    /// change, so either this look sees the new cell or the publisher
+    /// sees the need.
+    fn declare_need(&self, node: NodeId, need: Time) -> Gate {
+        let slot = &self.inner.needs[node.index()];
+        slot.store(need.as_micros(), Ordering::SeqCst);
+        let verdict = self.admit(node, need);
+        match verdict {
+            Gate::Wait { blocker } => {
+                self.inner.slept_on[blocker.index()].fetch_add(1, Ordering::Relaxed);
             }
+            Gate::Go | Gate::Redrain => slot.store(NO_NEED, Ordering::SeqCst),
+        }
+        verdict
+    }
+
+    /// True while `node` is blocked on a declared need nobody claimed.
+    pub(crate) fn blocked(&self, node: NodeId) -> bool {
+        self.inner.needs[node.index()].load(Ordering::SeqCst) != NO_NEED
+    }
+
+    /// Withdraw every declared need, so each blocked node is gated
+    /// afresh: the backstop of a worker that has found nothing runnable
+    /// for a while. Every state change that can open a gate carries a
+    /// wake, so this is never the mechanism.
+    pub(crate) fn unblock_all(&self) {
+        for slot in &self.inner.needs {
+            slot.store(NO_NEED, Ordering::SeqCst);
         }
     }
 
-    /// Put the calling actor to sleep until `node`'s bound can have
-    /// reached `need` (or a message's arrival lowered what it needs and
-    /// that was reached). Returns false if the second look found the
-    /// gate already open and the node never slept.
-    pub(crate) fn wait(&self, node: NodeId, need: Time) -> bool {
-        let Some(blocker) = self.declare_need(node, need) else {
-            return false;
-        };
-        self.inner.slept_on[blocker.index()].fetch_add(1, Ordering::Relaxed);
-        let slot = &self.inner.frontier[node.index()];
-        let asleep = std::time::Instant::now();
-        // A waker claims the need before it unparks; anything else that
-        // ends a park is spurious (or a token left by a waker that lost
-        // the race to an earlier sleep).
-        while slot.need.load(Ordering::SeqCst) != NO_NEED {
-            let Some(left) = WATCHDOG.checked_sub(asleep.elapsed()) else {
-                slot.need.store(NO_NEED, Ordering::SeqCst);
+    /// The wake generation a worker reads before it looks for work.
+    pub(crate) fn generation(&self) -> u64 {
+        self.inner.idle.state.lock().expect("idle lock").0
+    }
+
+    /// Park the calling worker until a wake after generation `seen`, or
+    /// `until`; true if woken.
+    pub(crate) fn park(&self, seen: u64, until: Instant) -> bool {
+        let idle = &self.inner.idle;
+        let mut state = idle.state.lock().expect("idle lock");
+        state.1 += 1;
+        while let Some(left) = until.checked_duration_since(Instant::now()) {
+            if state.0 != seen {
                 break;
-            };
-            std::thread::park_timeout(left);
+            }
+            state = idle.bell.wait_timeout(state, left).expect("idle lock").0;
         }
-        true
+        state.1 -= 1;
+        state.0 != seen
     }
 
-    /// Sleeps attributed to `node` as the peer holding the sleeper's
-    /// frontier lowest.
+    /// Ring one parked worker (`all`: every one; `bump`: first make it
+    /// look again, as a claim does).
+    pub(crate) fn ring(&self, all: bool, bump: bool) {
+        let mut state = self.inner.idle.state.lock().expect("idle lock");
+        state.0 += u64::from(bump);
+        match (state.1, all) {
+            (0, _) => {}
+            (_, true) => self.inner.idle.bell.notify_all(),
+            (_, false) => self.inner.idle.bell.notify_one(),
+        }
+    }
+
+    /// Stalls attributed to `node` as the peer holding the blocked
+    /// node's frontier lowest.
     pub(crate) fn slept_on(&self, node: NodeId) -> u64 {
         self.inner.slept_on[node.index()].load(Ordering::Relaxed)
     }
 
-    /// Attach (or re-attach, after a restart) a node's mailbox sender.
-    pub(crate) fn register(&self, node: NodeId, tx: SyncSender<LiveMsg>) {
-        self.inner.mailboxes.write().expect("mailboxes lock")[node.index()] = Some(tx);
+    /// Attach (or re-attach, after a restart) a node's mailbox.
+    pub(crate) fn register(&self, node: NodeId, mailbox: Mailbox) {
+        self.inner.mailboxes.write().expect("mailboxes lock")[node.index()] = Some(mailbox);
     }
 
     /// Mark a node crashed: detach its mailbox and take it down in the
@@ -467,8 +472,8 @@ impl Loopback {
     }
 }
 
-/// A per-sender handle (owns the sender's send sequence; lives on the
-/// actor thread).
+/// A per-sender handle (owns the sender's send sequence; lives in the
+/// sender's host).
 pub(crate) struct Port {
     inner: Arc<Inner>,
     src: NodeId,
@@ -517,29 +522,23 @@ impl Port {
         // Hand over and note the receiver's floor under the one read
         // guard: once `crash` has detached a mailbox (write guard), no
         // floor note for it is still on its way.
-        let handed = {
-            let boxes = self.inner.mailboxes.read().expect("mailboxes lock");
-            let handed = match &boxes[dst.index()] {
-                Some(tx) => tx.try_send(msg),
-                None => Err(TrySendError::Disconnected(msg)),
-            };
-            if handed.is_ok() {
+        let boxes = self.inner.mailboxes.read().expect("mailboxes lock");
+        match boxes[dst.index()]
+            .as_ref()
+            .map(|mailbox| mailbox.offer(msg))
+        {
+            Some(Ok(())) => {
                 self.inner.note_inflight(dst, at);
                 self.inner.lower_need(dst, at);
-            }
-            handed
-        };
-        match handed {
-            Ok(()) => {
                 c.sent.fetch_add(1, Ordering::Relaxed);
                 Some(at)
             }
-            Err(TrySendError::Full(_)) => {
+            Some(Err(TrySendError::Full(_))) => {
                 c.mailbox_full.fetch_add(1, Ordering::Relaxed);
                 self.inner.mailbox_full_by[dst.index()].fetch_add(1, Ordering::Relaxed);
                 None
             }
-            Err(TrySendError::Disconnected(_)) => {
+            _ => {
                 c.receiver_down.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -547,18 +546,71 @@ impl Port {
     }
 }
 
-/// Build a bounded mailbox pair for one node.
-pub(crate) fn mailbox(cap: usize) -> (SyncSender<LiveMsg>, Receiver<LiveMsg>) {
-    std::sync::mpsc::sync_channel(cap)
+/// A node's bounded mailbox, shared by its host and the network: its
+/// depth is reserved up front, a full one drops what it is offered, and
+/// a closed one (`None`: its node terminal) refuses it.
+#[derive(Clone)]
+pub(crate) struct Mailbox(Arc<Mutex<Option<VecDeque<LiveMsg>>>>);
+
+impl Mailbox {
+    /// An open, empty mailbox `cap` deep.
+    pub(crate) fn new(cap: usize) -> Mailbox {
+        Mailbox(Arc::new(Mutex::new(Some(VecDeque::with_capacity(cap)))))
+    }
+
+    fn offer(&self, m: LiveMsg) -> Result<(), TrySendError<()>> {
+        let mut queue = self.0.lock().expect("mailbox lock");
+        let q = queue.as_mut().ok_or(TrySendError::Disconnected(()))?;
+        if q.len() == q.capacity() {
+            return Err(TrySendError::Full(()));
+        }
+        q.push_back(m);
+        Ok(())
+    }
+
+    /// Hand everything queued, oldest first, to `take`.
+    pub(crate) fn drain(&self, take: impl FnMut(LiveMsg)) {
+        if let Some(q) = self.0.lock().expect("mailbox lock").as_mut() {
+            q.drain(..).for_each(take);
+        }
+    }
+
+    /// Refuse everything from now on, and free the buffer.
+    pub(crate) fn close(&self) {
+        *self.0.lock().expect("mailbox lock") = None;
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use btr_model::{Payload, Topology};
     use btr_net::hop_bound;
 
     const PERIOD: Duration = Duration(10_000);
+
+    /// A mailbox twice: the network's end and the host's.
+    pub(crate) fn mailbox(cap: usize) -> (Mailbox, Mailbox) {
+        let m = Mailbox::new(cap);
+        (m.clone(), m)
+    }
+
+    impl Loopback {
+        /// The causal bound for `node` and the peer that sets it.
+        fn frontier_bound(&self, node: NodeId) -> (Time, NodeId) {
+            let (bound, blocker) = self.inner.bound(&self.inner.cells(), node);
+            (Time(bound), blocker)
+        }
+    }
+
+    impl Mailbox {
+        /// Everything queued, oldest first.
+        pub(crate) fn take(&self) -> Vec<LiveMsg> {
+            let mut got = Vec::new();
+            self.drain(|m| got.push(m));
+            got
+        }
+    }
 
     fn env(src: u32, dst: u32) -> Envelope {
         Envelope::new(NodeId(src), NodeId(dst), Time(0), Payload::Control(1))
@@ -576,7 +628,7 @@ mod tests {
         let at = port.send(Time(100), e).expect("delivered");
         let expect = Time(100) + hop_bound(topo.link(btr_model::LinkId(0)), wire);
         assert_eq!(at, expect);
-        let got = rx.recv().unwrap();
+        let got = rx.take().remove(0);
         assert_eq!(got.at, expect);
         assert_eq!(got.from, NodeId(0));
     }
@@ -669,7 +721,7 @@ mod tests {
 
     /// R = node 0 and P = node 1 on a three-node bus (lookahead 10)
     /// whose third node is terminal; R's mailbox is registered.
-    fn gate_net() -> (Loopback, Receiver<LiveMsg>) {
+    fn gate_net() -> (Loopback, Mailbox) {
         let net = Loopback::new(Network::new(
             Topology::bus(3, 10_000, Duration(10)),
             PERIOD,
@@ -687,7 +739,7 @@ mod tests {
 
     /// The need `node` has declared, if a waker has not claimed it.
     fn declared(net: &Loopback, node: NodeId) -> Option<u64> {
-        let need = net.inner.frontier[node.index()].need.load(Ordering::SeqCst);
+        let need = net.inner.needs[node.index()].load(Ordering::SeqCst);
         (need != NO_NEED).then_some(need)
     }
 
@@ -749,7 +801,7 @@ mod tests {
         net.publish_anchor(P, Time(200));
         net.publish_anchor(q, Time(100));
         // R needs its bound at 150: Q (100 + 10) holds it back, P does not.
-        assert_eq!(net.declare_need(R, Time(150)), Some(q));
+        assert_eq!(net.declare_need(R, Time(150)), Gate::Wait { blocker: q });
         assert_eq!(declared(&net, R), Some(150));
         // P was not holding R back (old_min + la >= need): no wake.
         net.publish_anchor(P, Time(300));
@@ -765,7 +817,7 @@ mod tests {
         // only look and sleep again), the last one wakes it.
         net.publish_anchor(P, Time(100));
         net.publish_anchor(q, Time(100));
-        assert!(net.declare_need(R, Time(150)).is_some());
+        assert!(matches!(net.declare_need(R, Time(150)), Gate::Wait { .. }));
         net.publish_anchor(P, Time(300));
         assert_eq!(declared(&net, R), Some(150));
         net.publish_anchor(q, Time(300));
@@ -773,11 +825,11 @@ mod tests {
 
         // Going terminal or handing off to a restart releases too.
         net.publish_anchor(q, Time(100));
-        assert_eq!(net.declare_need(R, Time(150)), Some(q));
+        assert_eq!(net.declare_need(R, Time(150)), Gate::Wait { blocker: q });
         net.set_terminal(q);
         assert_eq!(declared(&net, R), None);
         net.publish_anchor(P, Time(100));
-        assert_eq!(net.declare_need(R, Time(150)), Some(P));
+        assert_eq!(net.declare_need(R, Time(150)), Gate::Wait { blocker: P });
         net.hand_off(P, Time(5_000));
         assert_eq!(declared(&net, R), None);
         assert_eq!(net.frontier_bound(R), (Time(5_010), P));
@@ -787,7 +839,7 @@ mod tests {
     fn send_lowers_a_sleepers_need_and_the_senders_publish_wakes_it() {
         let (net, _rx) = gate_net();
         net.publish_anchor(P, Time(100));
-        assert_eq!(net.declare_need(R, Time(500)), Some(P));
+        assert_eq!(net.declare_need(R, Time(500)), Gate::Wait { blocker: P });
         // P, dispatching at 100, sends to R: R now waits for the bound
         // that admits the message, and P still holds that back.
         let arrival = net.port(P).send(Time(100), env(1, 0)).expect("delivered");
@@ -810,18 +862,21 @@ mod tests {
     fn need_declared_after_the_change_is_caught_by_the_second_look() {
         // The publish finds no need to wake; the declaration's own look
         // finds the gate open and withdraws the need.
+        // (The gate's first look, then its declaration, one by one.)
         let (net, _rx) = gate_net();
         net.publish_anchor(P, Time(100));
-        assert_eq!(net.gate(R, Time(500), Time(500)), Gate::Wait { blocker: P });
+        net.publish_anchor(R, Time(500));
+        assert_eq!(net.admit(R, Time(500)), Gate::Wait { blocker: P });
         net.publish_anchor(P, Time(490));
-        assert_eq!(net.declare_need(R, Time(500)), None);
+        assert_eq!(net.declare_need(R, Time(500)), Gate::Go);
         assert_eq!(declared(&net, R), None);
-        assert!(!net.wait(R, Time(500)), "an open gate must not sleep");
-        // Same for a message that lands between the gate and the
+        assert!(!net.blocked(R), "an open gate must not block");
+        // Same for a message that lands between the look and the
         // declaration: the floor is set, so there is nothing to wait for.
-        assert_eq!(net.gate(R, Time(600), Time(600)), Gate::Wait { blocker: P });
+        net.publish_anchor(R, Time(600));
+        assert_eq!(net.admit(R, Time(600)), Gate::Wait { blocker: P });
         net.port(P).send(Time(490), env(1, 0)).expect("delivered");
-        assert_eq!(net.declare_need(R, Time(600)), None);
+        assert_eq!(net.declare_need(R, Time(600)), Gate::Redrain);
         assert_eq!(declared(&net, R), None);
         assert_eq!(net.slept_on(P), 0);
     }
@@ -829,11 +884,39 @@ mod tests {
     #[test]
     fn watchdog_ends_a_sleep_nobody_wakes() {
         let (net, _rx) = gate_net();
-        net.attach_sleeper(R);
         net.publish_anchor(P, Time(100));
-        assert!(net.wait(R, Time(500)), "blocked: this one sleeps");
-        assert_eq!(declared(&net, R), None);
+        assert_eq!(net.declare_need(R, Time(500)), Gate::Wait { blocker: P });
+        assert!(net.blocked(R));
         assert_eq!((net.slept_on(P), net.slept_on(R)), (1, 0));
+        // Nobody publishes: a parked worker wakes at its deadline, and
+        // the backstop gates every blocked node afresh.
+        let seen = net.generation();
+        let asleep = Instant::now();
+        net.park(seen, asleep + std::time::Duration::from_millis(2));
+        assert!(asleep.elapsed() >= std::time::Duration::from_millis(2));
+        assert_eq!(net.generation(), seen);
+        net.unblock_all();
+        assert!(!net.blocked(R));
+    }
+
+    #[test]
+    fn a_claimed_need_wakes_a_parked_worker() {
+        let (net, _rx) = gate_net();
+        net.publish_anchor(P, Time(100));
+        assert_eq!(net.declare_need(R, Time(500)), Gate::Wait { blocker: P });
+        let seen = net.generation();
+        let worker = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                net.park(seen, Instant::now() + std::time::Duration::from_secs(30));
+                net.generation()
+            })
+        };
+        // P's publish releases R: the claim bumps the generation and
+        // rings the parked worker long before its deadline.
+        net.publish_anchor(P, Time(490));
+        assert!(!net.blocked(R));
+        assert_eq!(worker.join().expect("worker"), seen + 1);
     }
 
     #[test]
