@@ -1,8 +1,8 @@
-//! Live-runtime measurement: pinned fault scenarios on the
-//! thread-per-node runtime, with the simulator as trace oracle.
+//! Live-runtime measurement: pinned fault scenarios on the live fleet,
+//! with the simulator as trace oracle.
 //!
 //! Each scenario runs twice — once on the discrete-event `World`, once
-//! on real OS threads via [`run_live`] — and the two canonical logical
+//! on the fleet's worker threads via [`run_live`] — and the two canonical logical
 //! actuation traces are compared by digest. On top of the trace gate,
 //! the live run contributes what the simulator cannot: *wall-clock*
 //! recovery latency, measured from the fault's paced activation instant
@@ -411,10 +411,6 @@ mod tests {
         let sys = live_system(LIVE_NODES);
         let mut cfg = LiveConfig::new(LIVE_SEED);
         cfg.pace = 0.1;
-        // Nine threads on however few cores: a slow host is not a wedge.
-        // A node that misses the deadline is detached with its
-        // actuations, which reads as bad outputs, not as divergence.
-        cfg.join_grace = std::time::Duration::from_secs(10);
         for spec in pinned_scenarios(false) {
             if !matches!(spec.name, "crash" | "omission") {
                 continue;
