@@ -86,7 +86,7 @@ pub struct DropTotals {
     /// Bounded-mailbox backpressure drops.
     pub mailbox_full: u64,
     /// Deterministic transmission loss.
-    pub transmission_loss: u64,
+    pub(crate) transmission_loss: u64,
     /// Messages that entered the network.
     pub sent: u64,
 }
