@@ -557,6 +557,10 @@ mod tests {
         let mut cfg = LiveConfig::new(SEED);
         cfg.pace = UNPACED;
         cfg.restart_after = restart_after;
+        // A debug run takes 90–400 ms of wall here while the other fleet
+        // tests share the two cores, against a 0.5 s default grace past
+        // a 3 ms paced horizon: a slow host is not a wedge.
+        cfg.join_grace = std::time::Duration::from_secs(10);
         (0..runs)
             .filter(|run| {
                 let live = run_fleet(sys, scenario, horizon, &cfg, workers, btr_nodes(sys));
@@ -853,13 +857,12 @@ mod tests {
                 false => Box::new(inner),
             }
         };
-        let mut cfg = LiveConfig::new(7);
-        cfg.pace = 0.5;
+        let none = FaultScenario::none();
         let live = run_fleet(
             &sys,
-            &FaultScenario::none(),
+            &none,
             Duration::from_millis(120),
-            &cfg,
+            &live_cfg(),
             2,
             Box::new(make),
         );
