@@ -143,7 +143,8 @@ impl FuzzOutcome {
     /// fleet: every corpus resident on the cell and simulator seed it was
     /// searched with, then one single-fault schedule per [`FaultVariant`]
     /// on each cell of the default campaign grid (the first schedule of
-    /// that variant the campaign draws, at seed slot 0).
+    /// that variant the campaign draws, at seed slot 0). Panics if the
+    /// campaign draws no such schedule for some cell and variant.
     pub fn cross_check_tokens(&self) -> Result<Vec<String>, CellError> {
         let fuzz_cells = plan(&self.config)?;
         let mut tokens: Vec<String> = self
@@ -158,7 +159,8 @@ impl FuzzOutcome {
             .collect();
         // `generate` spends the first half of its count on the boundary
         // set spread over the variants, so two schedules per variant
-        // draw one of each first.
+        // draw one of each first; a variant missing is a generator bug,
+        // never a smaller check.
         let mut grid = CampaignConfig::new(self.config.seed, 0, self.config.threads);
         grid.sim_seeds = 1;
         grid.runs = grid.cells.len() * 2 * FaultVariant::ALL.len();
@@ -169,16 +171,21 @@ impl FuzzOutcome {
                     let faults = &s.scenario.faults;
                     faults.len() == 1 && FaultVariant::of(&faults[0]) == v
                 });
-                if let Some(s) = drawn {
-                    let scenario = &s.scenario;
-                    tokens.push(replay::token(
-                        &cell.spec,
-                        seed,
-                        cell.horizon,
-                        MAX_EVENTS,
-                        scenario,
-                    ));
-                }
+                let Some(s) = drawn else {
+                    panic!(
+                        "{}: no single {} schedule drawn",
+                        cell.spec.name(),
+                        v.label()
+                    );
+                };
+                let scenario = &s.scenario;
+                tokens.push(replay::token(
+                    &cell.spec,
+                    seed,
+                    cell.horizon,
+                    MAX_EVENTS,
+                    scenario,
+                ));
             }
         }
         Ok(tokens)
