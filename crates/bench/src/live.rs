@@ -2,7 +2,7 @@
 //! with the simulator as trace oracle.
 //!
 //! Each scenario runs twice — once on the discrete-event `World`, once
-//! on the fleet's worker threads via [`run_live`] — and the two canonical logical
+//! on the live fleet via [`run_live`] — and the two canonical logical
 //! actuation traces are compared by digest. On top of the trace gate,
 //! the live run contributes what the simulator cannot: *wall-clock*
 //! recovery latency, measured from the fault's paced activation instant

@@ -1,5 +1,4 @@
-//! The node host: one `NodeBehavior`, stepped by whichever fleet
-//! worker holds it.
+//! The node host: one `NodeBehavior`, stepped by the fleet's worker.
 //!
 //! Each host owns a logical clock, an agenda, and a mailbox, and holds
 //! its [`Seat`] — skew, signer, RNG stream, derived as the simulator
@@ -18,10 +17,10 @@
 //!   the arrival time of anything it may still send, which is its next
 //!   dispatchable instant plus the topology's minimum link delay
 //!   (lookahead). A node dispatches an event at logical `t` only once
-//!   every peer's frontier has passed `t`, so a worker descheduled for
-//!   ten milliseconds delays the run but can never reorder it; a host
-//!   the gate holds names the peer that holds it, and its worker steps
-//!   that peer next.
+//!   every peer's frontier has passed `t`, so the order the worker
+//!   steps hosts in, or a worker descheduled for ten milliseconds,
+//!   delays the run but can never reorder it; a host the gate holds
+//!   names the peer that holds it, and the worker steps that peer next.
 //! * **Wall gate** (pacing): logical `t` does not dispatch before wall
 //!   instant `epoch + pace · t`, which is what makes measured recovery
 //!   latencies real.
@@ -285,8 +284,9 @@ pub(crate) enum Step {
     Done(Option<Time>),
 }
 
-/// What every host of one run shares: the network, the keys, the clock
-/// and the horizon, where hosts report, and the run's settings.
+/// What every host of one run shares, lent to each step: the network,
+/// the keys, the clock and the horizon, where hosts report, and the
+/// run's settings.
 pub(crate) struct Run {
     pub(crate) net: Loopback,
     pub(crate) keystore: Arc<KeyStore>,
@@ -299,9 +299,8 @@ pub(crate) struct Run {
 }
 
 /// One node host: behaviour + context + mailbox, stepped to the run's
-/// horizon under its wall-clock pacer by whichever worker holds it. Once
-/// terminal, what it leaves (behaviour, actuations, marks, counters) is
-/// read off it.
+/// horizon under the run's wall-clock pacer. Once terminal, what it
+/// leaves (behaviour, actuations, marks, counters) is read off it.
 pub(crate) struct NodeActor {
     pub(crate) node: NodeId,
     pub(crate) behavior: Box<dyn NodeBehavior + Send>,
@@ -314,7 +313,6 @@ pub(crate) struct NodeActor {
     /// Attached to the network when the host starts (a restart's only at
     /// its instant: a down node misses its downtime's traffic).
     mailbox: Mailbox,
-    run: Arc<Run>,
     started: bool,
     /// The scheduler's note of the wall instant before which stepping
     /// this host is pointless.
@@ -339,7 +337,7 @@ impl NodeActor {
     pub(crate) fn new(
         node: NodeId,
         behavior: Box<dyn NodeBehavior + Send>,
-        run: &Arc<Run>,
+        run: &Run,
         start: Time,
     ) -> NodeActor {
         let (keystore, port) = (Arc::clone(&run.keystore), run.net.port(node));
@@ -350,9 +348,9 @@ impl NodeActor {
             scratch: Scratch::for_node(),
             ctx: LiveCtx::new(run.period, keystore, port, start, run.cfg.obs),
             mailbox: Mailbox::new(run.cfg.mailbox_cap),
-            run: Arc::clone(run),
             started: false,
-            not_before: run.pacer.wall_for(start),
+            // Unknown until the first step says.
+            not_before: Instant::now(),
             last_switch_count: 0,
             flight: FlightRecorder::new(FLIGHT_CAP),
             frontier_stalls: 0,
@@ -373,22 +371,22 @@ impl NodeActor {
     /// Attach the host's mailbox to the network (again, when it starts:
     /// a cold boot's is attached up front, as its peers may send before
     /// its first step).
-    pub(crate) fn attach(&self) {
-        self.run.net.restore(self.node);
-        self.run.net.register(self.node, self.mailbox.clone());
+    pub(crate) fn attach(&self, net: &Loopback) {
+        net.restore(self.node);
+        net.register(self.node, self.mailbox.clone());
     }
 
-    fn emit(&self, kind: EventKind) {
+    fn emit(&self, run: &Run, kind: EventKind) {
         // The supervisor drains the channel once the fleet has stopped.
-        let _ = self.run.events.send(RuntimeEvent {
+        let _ = run.events.send(RuntimeEvent {
             node: self.node,
             logical: self.ctx.logical,
-            wall_us: self.run.pacer.elapsed_us(),
+            wall_us: run.pacer.elapsed_us(),
             kind,
         });
     }
 
-    fn post_dispatch(&mut self) {
+    fn post_dispatch(&mut self, run: &Run) {
         if let Some(b) = self
             .behavior
             .as_any()
@@ -399,7 +397,7 @@ impl NodeActor {
                 self.last_switch_count = count;
                 self.flight
                     .push(self.ctx.logical, FlightKind::SwitchCompleted { count });
-                self.emit(EventKind::SwitchCompleted { count });
+                self.emit(run, EventKind::SwitchCompleted { count });
             }
         }
     }
@@ -410,12 +408,13 @@ impl NodeActor {
     /// `Finished`/`Crashed` event when it returns [`Step::Done`]; a
     /// behaviour armed with nothing finishes once nothing can still
     /// arrive inside the horizon.
-    pub(crate) fn step(&mut self) -> Step {
+    pub(crate) fn step(&mut self, run: &Run) -> Step {
         if !self.started {
-            if Instant::now() < self.not_before {
-                return Step::NotBefore(self.not_before);
+            let at = run.pacer.wall_for(self.ctx.logical);
+            if Instant::now() < at {
+                return Step::NotBefore(at);
             }
-            self.attach();
+            self.attach(&run.net);
             self.behavior.on_start(&mut NodeCtx::new(
                 &mut self.seat,
                 &mut self.scratch,
@@ -423,7 +422,7 @@ impl NodeActor {
                 self.node,
             ));
             self.started = true;
-            self.emit(EventKind::Started);
+            self.emit(run, EventKind::Started);
             self.flight.push(self.ctx.logical, FlightKind::Start);
             return Step::Ran;
         }
@@ -434,7 +433,7 @@ impl NodeActor {
         // or a timer's instant, one past a message's (see the classes);
         // with nothing left inside the horizon we are done once nothing
         // can still arrive in it.
-        let end = self.run.end;
+        let end = run.end;
         let (anchor, need, due) = match self.ctx.agenda.peek() {
             Some((at, class)) if at <= end => {
                 (at, at + Duration(u64::from(class == MESSAGE)), true)
@@ -442,7 +441,7 @@ impl NodeActor {
             Some((at, _)) => (at, end + Duration(1), false),
             None => (Time(u64::MAX), end + Duration(1), false),
         };
-        match self.run.net.gate(self.node, anchor, need) {
+        match run.net.gate(self.node, anchor, need) {
             Gate::Go => {}
             Gate::Redrain => {
                 self.redrains += 1;
@@ -454,11 +453,11 @@ impl NodeActor {
             }
         }
         if !due {
-            return self.finish(EventKind::Finished);
+            return self.finish(run, EventKind::Finished);
         }
         // Wall gate. The causal gate said Go, so no arrival can precede
         // the event: it is the next one whenever its instant comes.
-        let target = self.run.pacer.wall_for(anchor);
+        let target = run.pacer.wall_for(anchor);
         if Instant::now() < target {
             return Step::NotBefore(target);
         }
@@ -466,7 +465,7 @@ impl NodeActor {
         let (at, class, a, b) = key;
         self.ctx.logical = self.ctx.logical.max(at);
         if class == CRASH {
-            return self.finish(EventKind::Crashed);
+            return self.finish(run, EventKind::Crashed);
         }
         let kind = match env {
             None => {
@@ -484,12 +483,12 @@ impl NodeActor {
             None => self.behavior.on_timer(&mut ctx, b),
             Some(env) => self.behavior.on_message(&mut ctx, env),
         }
-        self.post_dispatch();
+        self.post_dispatch(run);
         Step::Ran
     }
 
     /// Go terminal with `terminal` (`Finished` or `Crashed`).
-    fn finish(&mut self, terminal: EventKind) -> Step {
+    fn finish(&mut self, run: &Run, terminal: EventKind) -> Step {
         self.mailbox.close();
         let crashed = terminal == EventKind::Crashed;
         if crashed {
@@ -497,7 +496,7 @@ impl NodeActor {
             // this node. Fault activation is a phase boundary: the
             // recovery timeline starts here, as it does in the
             // simulator's control-action path.
-            self.run.net.crash(self.node);
+            run.net.crash(self.node);
             self.flight.push(self.ctx.logical, FlightKind::Crash);
             self.ctx.observe(PhaseMark {
                 observer: self.node,
@@ -506,29 +505,28 @@ impl NodeActor {
                 at: self.ctx.logical,
             });
         }
-        let after = self.run.cfg.restart_after;
+        let after = run.cfg.restart_after;
         let back_at = self.ctx.logical + after;
-        let back_at =
-            (crashed && after > Duration::ZERO && back_at < self.run.end).then_some(back_at);
+        let back_at = (crashed && after > Duration::ZERO && back_at < run.end).then_some(back_at);
         match back_at {
             // Coming back: the cell goes straight to the restart instant.
-            Some(at) => self.run.net.hand_off(self.node, at),
+            Some(at) => run.net.hand_off(self.node, at),
             // Terminal: this node will never send again, so no peer may
             // wait on it.
-            None => self.run.net.set_terminal(self.node),
+            None => run.net.set_terminal(self.node),
         }
-        self.emit(terminal);
+        self.emit(run, terminal);
         Step::Done(back_at)
     }
 
     /// The host's behaviour panicked mid-step: take the node down as a
     /// crash does, release its causal hold, and report the panic with
     /// the flight tail leading into it.
-    pub(crate) fn panicked(self, message: String) -> PanicReport {
+    pub(crate) fn panicked(self, run: &Run, message: String) -> PanicReport {
         self.mailbox.close();
-        self.run.net.crash(self.node);
-        self.run.net.set_terminal(self.node);
-        self.emit(EventKind::Panicked(message.clone()));
+        run.net.crash(self.node);
+        run.net.set_terminal(self.node);
+        self.emit(run, EventKind::Panicked(message.clone()));
         PanicReport {
             node: self.node,
             message,
@@ -561,9 +559,9 @@ mod tests {
         net: &Loopback,
         ks: &Arc<KeyStore>,
         end: Time,
-    ) -> (NodeActor, Receiver<RuntimeEvent>) {
+    ) -> (NodeActor, Run, Receiver<RuntimeEvent>) {
         let (events, ev_rx) = std::sync::mpsc::channel();
-        let run = Arc::new(Run {
+        let run = Run {
             net: net.clone(),
             keystore: Arc::clone(ks),
             period: Duration::from_millis(10),
@@ -571,15 +569,15 @@ mod tests {
             pacer: Pacer::new(Instant::now(), 0.001),
             events,
             cfg: LiveConfig::new(1),
-        });
+        };
         let actor = NodeActor::new(node, behavior, &run, Time::ZERO);
-        actor.attach();
-        (actor, ev_rx)
+        actor.attach(net);
+        (actor, run, ev_rx)
     }
 
     /// Step a lone host until it is terminal.
-    fn run(mut actor: NodeActor) -> NodeActor {
-        while !matches!(actor.step(), Step::Done(_)) {
+    fn run(mut actor: NodeActor, run: &Run) -> NodeActor {
+        while !matches!(actor.step(run), Step::Done(_)) {
             std::thread::yield_now();
         }
         actor
@@ -653,8 +651,8 @@ mod tests {
         // so node 0's gate never waits on it.
         net.set_terminal(NodeId(1));
         let pinger = Box::new(Pinger { fired: 0 });
-        let (actor, ev_rx) = host(NodeId(0), pinger, &net, &ks, Time::from_millis(2));
-        let out = run(actor);
+        let (actor, shared, ev_rx) = host(NodeId(0), pinger, &net, &ks, Time::from_millis(2));
+        let out = run(actor, &shared);
         assert_eq!(out.ctx.actuations.len(), 5);
         assert_eq!(out.ctx.actuations[0].at, Time(100));
         assert_eq!(out.ctx.actuations[4].at, Time(500));
@@ -697,7 +695,7 @@ mod tests {
         // µs and the message parked for it: neither dispatches.
         let (net, ks) = harness(2);
         net.set_terminal(NodeId(1));
-        let (actor, ev_rx) = host(
+        let (actor, shared, ev_rx) = host(
             NodeId(0),
             Box::new(Actuator),
             &net,
@@ -709,7 +707,7 @@ mod tests {
         // A self-send arrives at its send instant: parked for 50 µs.
         let env = Envelope::new(NodeId(0), NodeId(0), at, Payload::Control(1));
         assert_eq!(net.port(NodeId(0)).send(at, env), Some(at));
-        let out = run(actor);
+        let out = run(actor, &shared);
         assert!(out.ctx.actuations.is_empty(), "{:?}", out.ctx.actuations);
         let marks: Vec<_> = out.ctx.marks.iter().map(|m| (m.phase, m.at)).collect();
         assert_eq!(marks, [(Phase::FaultActive, at)]);

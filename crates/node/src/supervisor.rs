@@ -2,17 +2,21 @@
 //! fleet.
 //!
 //! `run_live` takes the same inputs as `BtrSystem::run` — a planned
-//! system, a fault scenario, a horizon — and executes them on k worker
-//! threads instead of the discrete-event queue, k = min(available
-//! parallelism, nodes). Every node is a host for the `BtrNode` the
-//! simulator builds, with the attack the scenario scripts for it; a
-//! scripted crash is handed to the node's host, which stops the node at
-//! that instant as the simulator's control action does. A worker steps
-//! one host at a time: a host the causal gate blocks hands the worker to
-//! its blocker, and a worker with nothing runnable parks until a peer's
-//! publish wakes it or the earliest wall instant a host awaits. The
-//! causal gate makes every interleaving of steps yield the simulator's
-//! trace. Hosts report [`RuntimeEvent`]s over a channel; the supervisor:
+//! system, a fault scenario, a horizon — and executes them on a worker
+//! thread that steps one host per node instead of the discrete-event
+//! queue. Every node is a host for the `BtrNode` the simulator builds,
+//! with the attack the scenario scripts for it; a scripted crash is
+//! handed to the node's host, which stops the node at that instant as
+//! the simulator's control action does. The worker steps one host at a
+//! time: a host the causal gate blocks hands the worker to its blocker,
+//! and with nothing runnable the worker sleeps until the earliest wall
+//! instant a host awaits. The causal gate makes any order of steps
+//! yield the simulator's trace. One worker, not one per core: the gate
+//! passes the frontier from host to host, so hosts rarely have work at
+//! the same time, and on two cores a second worker made every measured
+//! run slower (EXPERIMENTS.md "One worker stepping node hosts"). Hosts
+//! report [`RuntimeEvent`]s over a channel; the supervisor, on the
+//! calling thread:
 //!
 //! * stops the fleet past the wall-clock deadline, records the nodes
 //!   that never went terminal as overruns, and never joins a worker
@@ -39,9 +43,10 @@ use btr_obs::{FlightEvent, Histogram, PhaseMark};
 use btr_runtime::{Attack, BtrNode};
 use btr_sim::{LogicalTrace, NodeBehavior};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 
 /// Knobs for a live run.
@@ -86,7 +91,7 @@ pub struct DropTotals {
     /// Bounded-mailbox backpressure drops.
     pub mailbox_full: u64,
     /// Deterministic transmission loss.
-    pub(crate) transmission_loss: u64,
+    pub transmission_loss: u64,
     /// Messages that entered the network.
     pub sent: u64,
 }
@@ -179,31 +184,39 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     text.unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// How long a worker that finds nothing runnable trusts the wake-ups
-/// before it gates every blocked host afresh ([`Loopback::unblock_all`]):
-/// a backstop, not the mechanism, so coarse on purpose.
-const WATCHDOG: std::time::Duration = std::time::Duration::from_millis(10);
-
 /// Builds one incarnation of a node's behaviour from the attack the
 /// scenario scripts for it (none after a restart).
-pub(crate) type Make = dyn Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior + Send> + Send + Sync;
+pub(crate) type Make = dyn Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior + Send> + Send;
 
-/// A host's slot, locked by the worker stepping it.
-type Slot<'a> = MutexGuard<'a, Option<NodeActor>>;
+/// The behaviours the simulator builds for `system`: a `BtrNode` per
+/// node.
+pub(crate) fn btr_nodes(system: &BtrSystem) -> Box<Make> {
+    let n = system.topology().node_count();
+    let (workload, strategy) = (system.workload_arc(), system.strategy_arc());
+    Box::new(move |node, attack| {
+        let (workload, strategy) = (Arc::clone(&workload), Arc::clone(&strategy));
+        Box::new(BtrNode::new(node, workload, strategy, n, attack))
+    })
+}
 
-/// What the workers share: the hosts, one slot per node (empty once the
-/// node is terminal for good), and what a restart needs to build a host.
+/// A host gone terminal, handed from the worker to the supervisor.
+enum Settled {
+    /// Finished or crashed; `true` unless a restart follows.
+    Host(Box<NodeActor>, bool),
+    /// Its behaviour panicked.
+    Panic(PanicReport),
+}
+
+/// The worker's fleet: one slot per node (empty once the node is
+/// terminal for good), what a restart needs to build a host, and where
+/// terminal hosts go.
 struct Fleet {
-    hosts: Vec<Mutex<Option<NodeActor>>>,
-    /// Terminal hosts, in the order they went terminal.
-    done: Mutex<Vec<NodeActor>>,
-    panics: Mutex<Vec<PanicReport>>,
-    /// Nodes not yet terminal for good; the workers stop at zero.
-    pending: AtomicUsize,
-    /// Set past the deadline: the workers stop at their next step.
-    stop: AtomicBool,
+    hosts: Vec<Option<NodeActor>>,
+    /// Nodes not yet terminal for good; the worker stops at zero.
+    live: usize,
     make: Box<Make>,
-    run: Arc<Run>,
+    run: Run,
+    settled: mpsc::Sender<Settled>,
 }
 
 impl Fleet {
@@ -219,213 +232,169 @@ impl Fleet {
         }
     }
 
-    /// Lock host `i` if it is runnable now; otherwise fold the wall
-    /// instant it waits for into `wake_at`.
-    fn claim(&self, i: usize, now: Instant, wake_at: &mut Instant) -> Option<Slot<'_>> {
-        let slot = self.hosts[i].try_lock().ok()?;
-        let actor = slot.as_ref()?;
+    /// Whether host `i` is runnable now; if it awaits a wall instant,
+    /// fold that into `wake_at`.
+    fn runnable(&self, i: usize, now: Instant, wake_at: &mut Option<Instant>) -> bool {
+        let Some(actor) = &self.hosts[i] else {
+            return false;
+        };
         if actor.not_before > now {
-            *wake_at = (*wake_at).min(actor.not_before);
-            return None;
+            *wake_at = Some(wake_at.map_or(actor.not_before, |w| w.min(actor.not_before)));
+            return false;
         }
-        (!self.run.net.blocked(actor.node)).then_some(slot)
+        !self.run.net.blocked(actor.node)
     }
 
-    /// A worker: step runnable hosts until every node is terminal or the
-    /// supervisor stops the fleet. A host blocked at the causal gate
-    /// hands the worker to its blocker; with nothing runnable the worker
-    /// parks until a wake-up or the earliest wall instant a host awaits.
-    fn work(&self, first: usize) {
+    /// The worker: step runnable hosts until every node is terminal or
+    /// `deadline` passes. A host blocked at the causal gate hands the
+    /// worker to its blocker; with nothing runnable the worker sleeps
+    /// until the earliest wall instant a host awaits.
+    fn work(mut self, deadline: Instant) {
         let n = self.hosts.len();
-        let (mut cursor, mut next) = (first, None::<usize>);
-        while !self.stop.load(Ordering::Relaxed) && self.pending.load(Ordering::SeqCst) > 0 {
-            let seen = self.run.net.generation();
+        let (mut cursor, mut next) = (0, None::<usize>);
+        while self.live > 0 {
             let now = Instant::now();
-            let mut wake_at = now + WATCHDOG;
-            let handed = next.take().and_then(|b| self.claim(b, now, &mut wake_at));
+            if now >= deadline {
+                break;
+            }
+            let mut wake_at = None;
+            let handed = next.take().filter(|&b| self.runnable(b, now, &mut wake_at));
             let picked = handed.or_else(|| {
                 (0..n).find_map(|_| {
                     cursor = (cursor + 1) % n;
-                    self.claim(cursor, now, &mut wake_at)
+                    self.runnable(cursor, now, &mut wake_at).then_some(cursor)
                 })
             });
-            match picked {
-                Some(slot) => next = self.run(slot),
-                // Nobody woke us by the watchdog: gate every host afresh.
-                None if !self.run.net.park(seen, wake_at) && wake_at == now + WATCHDOG => {
-                    self.run.net.unblock_all();
-                }
-                None => {}
+            match (picked, wake_at) {
+                (Some(i), _) => next = self.drive(i, deadline),
+                (None, Some(at)) => thread::sleep(at - now),
+                // Every publish that opens a gate claims the need, so
+                // this backstop never decides a run: gate every blocked
+                // host afresh.
+                (None, None) => self.run.net.unblock_all(),
             }
         }
     }
 
-    /// Step the host in `slot` until it blocks, waits for the wall, or
-    /// goes terminal; returns the blocker to hand the worker to.
-    fn run(&self, mut slot: Slot<'_>) -> Option<usize> {
-        let actor = slot.as_mut().expect("claimed host");
-        let node = actor.node;
-        // Claims during our steps bump the generation: while we keep
-        // this host, the hosts they released are another worker's.
-        let mut seen = self.run.net.generation();
-        while !self.stop.load(Ordering::Relaxed) {
-            match catch_unwind(AssertUnwindSafe(|| actor.step())) {
-                Ok(Step::Ran) if self.run.net.generation() != seen => {
-                    seen = self.run.net.generation();
-                    self.run.net.ring(false, false);
-                }
-                Ok(Step::Ran) => {}
-                Ok(Step::Wait { blocker }) => {
-                    drop(slot);
-                    // We take the blocker next; anything else released,
-                    // or this host if a publish claimed its need while we
-                    // held it, is another worker's.
-                    if !self.run.net.blocked(node) || self.run.net.generation() > seen + 1 {
-                        self.run.net.ring(false, false);
-                    }
-                    return Some(blocker.index());
-                }
+    /// Step host `i` until it blocks, awaits the wall, or goes terminal;
+    /// returns the blocker to hand the worker to.
+    fn drive(&mut self, i: usize, deadline: Instant) -> Option<usize> {
+        let actor = self.hosts[i].as_mut().expect("runnable host");
+        let ended = loop {
+            match catch_unwind(AssertUnwindSafe(|| actor.step(&self.run))) {
+                Ok(Step::Ran) if Instant::now() < deadline => {}
+                Ok(Step::Ran) => return None,
+                Ok(Step::Wait { blocker }) => return Some(blocker.index()),
                 Ok(Step::NotBefore(at)) => {
                     actor.not_before = at;
-                    break;
+                    return None;
                 }
-                Ok(Step::Done(back_at)) => {
-                    let host = slot.take().expect("claimed host");
-                    self.done.lock().expect("hosts lock").push(host);
-                    match back_at {
-                        // A restart is a fresh host that joins at its instant.
-                        Some(at) => *slot = Some(self.host(node, None, at)),
-                        None => self.retire(),
-                    }
-                    break;
-                }
-                Err(payload) => {
-                    let host = slot.take().expect("claimed host");
-                    let report = host.panicked(panic_message(payload));
-                    self.panics.lock().expect("panics lock").push(report);
-                    self.retire();
-                    break;
-                }
+                Ok(Step::Done(back_at)) => break Ok(back_at),
+                Err(payload) => break Err(payload),
             }
-        }
+        };
+        let host = self.hosts[i].take().expect("runnable host");
+        let settled = match ended {
+            Ok(back_at) => {
+                // A restart is a fresh host that joins at its instant.
+                let again = back_at.map(|at| self.host(host.node, None, at));
+                self.hosts[i] = again;
+                Settled::Host(Box::new(host), back_at.is_none())
+            }
+            Err(payload) => Settled::Panic(host.panicked(&self.run, panic_message(payload))),
+        };
+        self.live -= usize::from(self.hosts[i].is_none());
+        let _ = self.settled.send(settled);
         None
-    }
-
-    /// One node is terminal for good; the last one releases every worker.
-    fn retire(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.run.net.ring(true, true);
-        }
     }
 }
 
-/// Execute `scenario` on the live fleet: k = min(available parallelism,
-/// nodes) workers step the node hosts.
+/// Execute `scenario` on the live fleet.
 pub fn run_live(
     system: &BtrSystem,
     scenario: &FaultScenario,
     horizon: Duration,
     cfg: &LiveConfig,
 ) -> LiveReport {
-    let n = system.topology().node_count();
-    let k = thread::available_parallelism().map_or(1, usize::from);
-    let (workload, strategy) = (system.workload_arc(), system.strategy_arc());
-    let make = move |node, attack| -> Box<dyn NodeBehavior + Send> {
-        let (workload, strategy) = (Arc::clone(&workload), Arc::clone(&strategy));
-        Box::new(BtrNode::new(node, workload, strategy, n, attack))
-    };
-    run_fleet(system, scenario, horizon, cfg, k.min(n), Box::new(make))
+    run_fleet(system, scenario, horizon, cfg, btr_nodes(system))
 }
 
-/// [`run_live`] on `workers` workers and the behaviours `make` builds.
+/// [`run_live`] with the behaviours `make` builds.
 pub(crate) fn run_fleet(
     system: &BtrSystem,
     scenario: &FaultScenario,
     horizon: Duration,
     cfg: &LiveConfig,
-    workers: usize,
     make: Box<Make>,
 ) -> LiveReport {
     let run_start = Instant::now();
     let n = system.topology().node_count();
     let end = Time::ZERO + horizon + system.grace();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
+    let (settled_tx, settled_rx) = mpsc::channel::<Settled>();
+    let net = Loopback::new(system.network(cfg.seed));
     let run = Run {
-        net: Loopback::new(system.network(cfg.seed)),
+        net: net.clone(),
         keystore: Arc::new(KeyStore::derive(cfg.seed, n)),
         period: system.workload().period,
         end,
-        pacer: Pacer::new(Instant::now(), cfg.pace),
+        pacer: Pacer::new(run_start, cfg.pace),
         events: ev_tx,
         cfg: cfg.clone(),
     };
-    let fleet = Arc::new(Fleet {
-        hosts: (0..n).map(|_| Mutex::new(None)).collect(),
-        done: Mutex::new(Vec::new()),
-        panics: Mutex::new(Vec::new()),
-        pending: AtomicUsize::new(n),
-        stop: AtomicBool::new(false),
+    let mut fleet = Fleet {
+        hosts: Vec::with_capacity(n),
+        live: n,
         make,
-        run: Arc::new(run),
-    });
-    for (i, slot) in fleet.hosts.iter().enumerate() {
+        run,
+        settled: settled_tx,
+    };
+    for i in 0..n {
         let node = NodeId(i as u32);
         let host = fleet.host(node, scenario.fault_of(node), Time::ZERO);
-        host.attach();
-        *slot.lock().expect("host lock") = Some(host);
+        host.attach(&net);
+        fleet.hosts.push(Some(host));
     }
-    let (exit_tx, exit_rx) = mpsc::channel::<()>();
-    let handles: Vec<JoinHandle<()>> = (0..workers.max(1))
-        .map(|w| {
-            let (fleet, exit) = (Arc::clone(&fleet), exit_tx.clone());
-            thread::Builder::new()
-                .name(format!("btr-worker-{w}"))
-                .spawn(move || {
-                    fleet.work(w * n / workers.max(1));
-                    drop(fleet);
-                    let _ = exit.send(());
-                })
-                .expect("spawn fleet worker")
-        })
-        .collect();
-    // Past the paced horizon and its grace the fleet is stopped; a
-    // worker wedged inside a dispatch gets one more grace, then is left
-    // behind, never joined.
-    let mut deadline = fleet.run.pacer.wall_for(end) + cfg.join_grace;
-    let mut exited = 0;
-    while exited < handles.len() {
-        match exit_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(()) => exited += 1,
-            Err(_) if !fleet.stop.swap(true, Ordering::SeqCst) => {
-                fleet.run.net.ring(true, true);
-                deadline = Instant::now() + cfg.join_grace;
+    // Logical zero is now, with every host built: none starts behind its
+    // wall schedule.
+    let pacer = Pacer::new(Instant::now(), cfg.pace);
+    fleet.run.pacer = pacer;
+    // Past the paced horizon and its grace the worker stops; one wedged
+    // inside a dispatch gets one more grace, then is left behind, never
+    // joined.
+    let stop = pacer.wall_for(end) + cfg.join_grace;
+    let worker = thread::Builder::new()
+        .name("btr-fleet".to_string())
+        .spawn(move || fleet.work(stop))
+        .expect("spawn fleet worker");
+    let (mut outcomes, mut panics, mut gone) = (Vec::new(), Vec::new(), vec![false; n]);
+    loop {
+        let left = (stop + cfg.join_grace).saturating_duration_since(Instant::now());
+        match settled_rx.recv_timeout(left) {
+            Ok(Settled::Host(host, for_good)) => {
+                gone[host.node.index()] |= for_good;
+                outcomes.push(host);
             }
-            Err(_) => break,
+            Ok(Settled::Panic(report)) => {
+                gone[report.node.index()] = true;
+                panics.push(report);
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                let _ = worker.join();
+                break;
+            }
+            Err(RecvTimeoutError::Timeout) => break,
         }
     }
-    let all_exited = exited == handles.len();
-    for h in handles
-        .into_iter()
-        .filter(|h| all_exited || h.is_finished())
-    {
-        let _ = h.join();
-    }
     let events: Vec<RuntimeEvent> = ev_rx.try_iter().collect();
-    // A host still in its slot never went terminal: an overrun, dropped
+    // A node that never went terminal for good is an overrun, dropped
     // with its actuations.
     let deadline_overruns: Vec<NodeId> = (0..n)
-        .filter(|&i| {
-            fleet.hosts[i]
-                .try_lock()
-                .map_or(true, |slot| slot.is_some())
-        })
+        .filter(|&i| !gone[i])
         .map(|i| NodeId(i as u32))
         .collect();
     let crashed = |e: &&RuntimeEvent| matches!(e.kind, EventKind::Crashed | EventKind::Panicked(_));
     let ever_crashed: Vec<NodeId> = events.iter().filter(crashed).map(|e| e.node).collect();
-    let panics = std::mem::take(&mut *fleet.panics.lock().expect("panics lock"));
-    let mut outcomes = std::mem::take(&mut *fleet.done.lock().expect("hosts lock"));
-    let net = &fleet.run.net;
 
     let mut actuations = Vec::new();
     for out in &mut outcomes {
@@ -445,7 +414,7 @@ pub(crate) fn run_fleet(
         sent: c.sent.load(Ordering::Relaxed),
     };
     let per_node =
-        |f: fn(&Loopback, NodeId) -> u64| (0..n as u32).map(|i| f(net, NodeId(i))).collect();
+        |f: fn(&Loopback, NodeId) -> u64| (0..n as u32).map(|i| f(&net, NodeId(i))).collect();
 
     // Out-of-band observability totals (outcomes are already in node
     // order, so the mark log is deterministic given the run's events).
@@ -477,268 +446,23 @@ pub(crate) fn run_fleet(
 
 #[cfg(test)]
 mod tests {
-    //! The fleet at chosen worker counts (k = 1, 2 and n), held to the
-    //! simulator as its trace oracle; `tests/live.rs` drives the public
-    //! entry, whose k the platform decides.
+    //! The fleet on behaviours `run_live` does not build; `tests/live.rs`
+    //! holds it to the simulator on the planned system's own.
 
     use super::*;
-    use btr_model::{Envelope, FaultKind, Payload, TaskId, Topology};
+    use btr_model::{Envelope, Payload, TaskId, Topology};
     use btr_planner::PlannerConfig;
     use btr_sim::{NodeCtx, SimConfig, TimerId, World};
 
     const SEED: u64 = 7;
 
-    /// The avionics workload planned on nine nodes of `topo`, f = 1.
-    fn system_on(topo: Topology) -> BtrSystem {
+    /// The avionics workload planned on a nine-node bus, f = 1.
+    fn bus9() -> BtrSystem {
         let workload = btr_workload::generators::avionics(9);
         let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
         cfg.admit_best_effort = true;
+        let topo = Topology::bus(9, 100_000, Duration(5));
         BtrSystem::plan(workload, topo, cfg).expect("plannable")
-    }
-
-    fn bus9() -> BtrSystem {
-        system_on(Topology::bus(9, 100_000, Duration(5)))
-    }
-
-    fn mesh9() -> BtrSystem {
-        system_on(Topology::mesh(3, 3, 100_000, Duration(5)))
-    }
-
-    fn sim_trace(sys: &BtrSystem, scenario: &FaultScenario, horizon: Duration) -> LogicalTrace {
-        let mut world = sys.build_world(scenario, SEED);
-        world.start();
-        world.run_until(Time::ZERO + horizon + sys.grace());
-        world.logical_trace()
-    }
-
-    /// The behaviours `run_live` builds.
-    fn btr_nodes(sys: &BtrSystem) -> Box<Make> {
-        let n = sys.topology().node_count();
-        let (workload, strategy) = (sys.workload_arc(), sys.strategy_arc());
-        Box::new(move |node, attack| {
-            let (workload, strategy) = (Arc::clone(&workload), Arc::clone(&strategy));
-            Box::new(BtrNode::new(node, workload, strategy, n, attack))
-        })
-    }
-
-    /// Debug binaries run the per-message crypto an order of magnitude
-    /// slower, so they get proportionally more wall room.
-    fn live_cfg() -> LiveConfig {
-        let mut cfg = LiveConfig::new(SEED);
-        cfg.pace = if cfg!(debug_assertions) { 4.0 } else { 0.5 };
-        cfg
-    }
-
-    fn crash_at_42ms() -> FaultScenario {
-        FaultScenario::single(NodeId(6), FaultKind::Crash, Time::from_millis(42))
-    }
-
-    /// The worker counts every fleet test runs at: one, two, and one per
-    /// node.
-    const WORKERS: [usize; 3] = [1, 2, 9];
-
-    /// Unpaced: at 0.01 wall-µs per logical-µs the wall gate never binds,
-    /// the causal gate does all the ordering, and every race the fleet
-    /// has is as wide as it gets.
-    const UNPACED: f64 = 0.01;
-
-    /// Run `scenario` unpaced `runs` times on `workers` workers; every
-    /// trace must equal the simulator's. Returns the divergent run
-    /// indices instead of failing on the first, so a soak reports how
-    /// many it saw.
-    fn unpaced_divergences(
-        sys: &BtrSystem,
-        scenario: &FaultScenario,
-        (horizon, restart_after): (Duration, Duration),
-        runs: usize,
-        workers: usize,
-    ) -> Vec<usize> {
-        let reference = sim_trace(sys, scenario, horizon).digest();
-        let mut cfg = LiveConfig::new(SEED);
-        cfg.pace = UNPACED;
-        cfg.restart_after = restart_after;
-        // A debug run takes 90–400 ms of wall here while the other fleet
-        // tests share the two cores, against a 0.5 s default grace past
-        // a 3 ms paced horizon: a slow host is not a wedge.
-        cfg.join_grace = std::time::Duration::from_secs(10);
-        (0..runs)
-            .filter(|run| {
-                let live = run_fleet(sys, scenario, horizon, &cfg, workers, btr_nodes(sys));
-                assert!(
-                    live.healthy() && live.drops.mailbox_full == 0,
-                    "k = {workers}, run {run}: panics {:?}, overruns {:?}, mailbox_full {}",
-                    live.panics,
-                    live.deadline_overruns,
-                    live.drops.mailbox_full
-                );
-                let blocked: u64 = live.frontier_blockers.iter().sum();
-                assert_eq!(
-                    blocked, live.frontier_stalls,
-                    "every stall names its blocker"
-                );
-                live.trace.digest() != reference
-            })
-            .collect()
-    }
-
-    #[test]
-    fn unpaced_runs_are_trace_identical_to_simulator() {
-        let sys = bus9();
-        let ms = Duration::from_millis;
-        let runs = if cfg!(debug_assertions) { 25 } else { 150 };
-        let omission = FaultScenario::single(NodeId(3), FaultKind::Omission, Time::from_millis(42));
-        for workers in WORKERS {
-            for (name, scenario, horizon, restart_after) in [
-                ("fault-free", FaultScenario::none(), ms(120), ms(0)),
-                ("crash", crash_at_42ms(), ms(250), ms(0)),
-                ("omission", omission.clone(), ms(250), ms(0)),
-                ("crash-restart", crash_at_42ms(), ms(300), ms(120)),
-            ] {
-                let diverged =
-                    unpaced_divergences(&sys, &scenario, (horizon, restart_after), runs, workers);
-                assert!(
-                    diverged.is_empty(),
-                    "k = {workers}, {name}: runs {diverged:?} of {runs} diverged from the simulator"
-                );
-            }
-        }
-    }
-
-    /// ROADMAP "Make the claim true again" (b): no unpaced run may lose a
-    /// race to a dying host. `cargo test --release -p btr-node -- --ignored soak`
-    /// (a few minutes on two cores).
-    #[test]
-    #[ignore = "soak: 7 000 live runs"]
-    fn soak_unpaced_crashes_never_diverge() {
-        let sys = bus9();
-        let ms = Duration::from_millis;
-        let k = thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(9);
-        let crashes = unpaced_divergences(&sys, &crash_at_42ms(), (ms(250), ms(0)), 5_000, k);
-        let restarts = unpaced_divergences(&sys, &crash_at_42ms(), (ms(300), ms(120)), 2_000, k);
-        println!(
-            "soak (k = {k}): {} of 5000 crash runs and {} of 2000 crash-restarts diverged",
-            crashes.len(),
-            restarts.len()
-        );
-        assert!(
-            crashes.is_empty() && restarts.is_empty(),
-            "diverged: crash runs {crashes:?}, crash-restart runs {restarts:?}"
-        );
-    }
-
-    #[test]
-    fn lossy_mesh_runs_are_trace_identical_to_simulator() {
-        // The 3 x 3 mesh with lossy links, plain and under FEC(4, 2): both
-        // substrates roll a sender's losses from its own stream, so they lose
-        // the same messages, fault-free and across n6's crash.
-        for (links, sys) in [
-            ("5 000 ppm", mesh9().with_loss_ppm(5_000)),
-            (
-                "20 000 ppm + FEC(4, 2)",
-                mesh9().with_loss_ppm(20_000).with_fec(4, 2),
-            ),
-        ] {
-            for (faults, scenario, horizon) in [
-                (
-                    "fault-free",
-                    FaultScenario::none(),
-                    Duration::from_millis(120),
-                ),
-                ("crash", crash_at_42ms(), Duration::from_millis(250)),
-            ] {
-                let reference = sim_trace(&sys, &scenario, horizon);
-                let report = sys.run(&scenario, horizon, SEED);
-                for workers in WORKERS {
-                    let live = run_fleet(
-                        &sys,
-                        &scenario,
-                        horizon,
-                        &live_cfg(),
-                        workers,
-                        btr_nodes(&sys),
-                    );
-                    let at = format!("k = {workers}, {links}, {faults}");
-                    assert!(
-                        live.healthy(),
-                        "{at}: panics: {:?}, overruns: {:?}",
-                        live.panics,
-                        live.deadline_overruns
-                    );
-                    assert_eq!(
-                        live.trace.digest(),
-                        reference.digest(),
-                        "{at}: live diverged from simulator: {:?}",
-                        live.trace
-                            .first_divergence(&reference, ["live", "simulator"])
-                    );
-                    assert_eq!(
-                        live.node_stats, report.node_stats,
-                        "{at}: node stats diverged"
-                    );
-                    if scenario.faults.is_empty() {
-                        // Without a fault every drop is a transmission loss.
-                        assert_eq!(
-                            live.drops.transmission_loss, report.metrics.drops_other,
-                            "{at}: losses"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn crashed_node_restarts_rejoins_and_stays_healthy() {
-        let sys = bus9();
-        let horizon = Duration::from_millis(400);
-        let scenario = crash_at_42ms();
-        let mut cfg = live_cfg();
-        cfg.restart_after = Duration::from_millis(120);
-        for workers in [1, 2] {
-            let live = run_fleet(&sys, &scenario, horizon, &cfg, workers, btr_nodes(&sys));
-            assert!(
-                live.healthy(),
-                "k = {workers}: panics: {:?}, overruns: {:?}",
-                live.panics,
-                live.deadline_overruns
-            );
-            // The node came up twice: cold boot and supervised restart.
-            let started: Vec<_> = live
-                .events
-                .iter()
-                .filter(|e| e.node == NodeId(6) && e.kind == EventKind::Started)
-                .collect();
-            assert_eq!(
-                started.len(),
-                2,
-                "k = {workers}: expected cold start + restart"
-            );
-            assert!(
-                started[1].logical >= Time::from_millis(162),
-                "k = {workers}: restart began at {:?}, before crash + downtime",
-                started[1].logical
-            );
-            // The restarted incarnation reached the horizon (no second crash).
-            let finished = live
-                .events
-                .iter()
-                .filter(|e| e.node == NodeId(6) && e.kind == EventKind::Finished)
-                .count();
-            assert_eq!(
-                finished, 1,
-                "k = {workers}: restarted node should finish cleanly"
-            );
-            // Recovery still holds with the node back in the fleet.
-            let judgment = sys.judge_actuations(&scenario, horizon, &live.trace.events);
-            assert!(
-                judgment.recovery.bad_window() <= sys.strategy().r_bound,
-                "k = {workers}: recovery {:?} exceeded R = {:?}",
-                judgment.recovery.bad_window(),
-                sys.strategy().r_bound
-            );
-        }
     }
 
     /// Passes a token round the nine nodes, one hop per receipt, and
@@ -767,8 +491,8 @@ mod tests {
 
     #[test]
     fn one_worker_follows_the_blockers_round_a_token_ring() {
-        // Liveness at k = 1: the lone worker can only make progress by
-        // stepping, each time, the host its current host is blocked on.
+        // Liveness: the worker can only make progress by stepping, each
+        // time, the host its current host is blocked on.
         let sys = bus9();
         let horizon = Duration::from_millis(20);
         let mut sim = SimConfig::new(SEED);
@@ -787,9 +511,10 @@ mod tests {
                 hops: 0,
             }) as Box<dyn NodeBehavior + Send>
         });
+        // Unpaced: the wall gate never binds.
         let mut cfg = LiveConfig::new(SEED);
-        cfg.pace = UNPACED;
-        let live = run_fleet(&sys, &FaultScenario::none(), horizon, &cfg, 1, ring);
+        cfg.pace = 0.01;
+        let live = run_fleet(&sys, &FaultScenario::none(), horizon, &cfg, ring);
         assert!(
             live.healthy(),
             "{:?} {:?}",
@@ -810,9 +535,9 @@ mod tests {
         );
     }
 
-    /// A `BtrNode` that panics on its first dispatch at or after `at`.
+    /// A behaviour that panics on its first dispatch at or after `at`.
     struct PanicsAt {
-        inner: BtrNode,
+        inner: Box<dyn NodeBehavior + Send>,
         at: Time,
     }
 
@@ -840,30 +565,27 @@ mod tests {
 
     #[test]
     fn a_panicking_behaviour_is_attributed_and_the_rest_finish() {
-        // At k = 2: the worker that catches the panic goes on stepping.
+        // The worker that catches the panic goes on stepping the rest.
         let sys = bus9();
         let (victim, at) = (NodeId(4), Time::from_millis(40));
-        let (workload, strategy) = (sys.workload_arc(), sys.strategy_arc());
+        let btr = btr_nodes(&sys);
         let make = move |node: NodeId, attack| -> Box<dyn NodeBehavior + Send> {
-            let inner = BtrNode::new(
-                node,
-                Arc::clone(&workload),
-                Arc::clone(&strategy),
-                9,
-                attack,
-            );
+            let inner = btr(node, attack);
             match node == victim {
                 true => Box::new(PanicsAt { inner, at }),
-                false => Box::new(inner),
+                false => inner,
             }
         };
+        // Debug binaries run the per-message crypto an order of
+        // magnitude slower, so they get proportionally more wall room.
+        let mut cfg = LiveConfig::new(SEED);
+        cfg.pace = if cfg!(debug_assertions) { 4.0 } else { 0.5 };
         let none = FaultScenario::none();
         let live = run_fleet(
             &sys,
             &none,
             Duration::from_millis(120),
-            &live_cfg(),
-            2,
+            &cfg,
             Box::new(make),
         );
         assert_eq!(live.panics.len(), 1, "{:?}", live.panics);

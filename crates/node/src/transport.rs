@@ -18,22 +18,20 @@
 //! The transport also carries the conservative scheduler's shared
 //! state: one causal-frontier cell per node (a lower bound on the
 //! arrival time of anything that node may still send), the
-//! topology-wide minimum link delay (lookahead), and the wake-ups that
+//! topology-wide minimum link delay (lookahead), and the needs that
 //! make the gate event-driven: a blocked node declares the bound it
-//! needs ([`Loopback::declare_need`]) and no worker steps it until the
-//! peer whose publish lets that bound through claims the need and rings
-//! a parked worker ([`Loopback::park`]) to take it; a send lowers a
-//! blocked node's need to what admits the message. [`Loopback::gate`]
-//! is the dispatch rule itself; see the actor module docs for the step
-//! built on it.
+//! needs ([`Loopback::declare_need`]) and the fleet's worker skips it
+//! until the peer whose publish lets that bound through claims the need;
+//! a send lowers a blocked node's need to what admits the message.
+//! [`Loopback::gate`] is the dispatch rule itself; see the actor module
+//! docs for the step built on it.
 
 use btr_model::{Duration, Envelope, NodeId, Time};
 use btr_net::{DropReason, Network};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// A message in flight: the signed envelope plus its logical arrival
 /// time and a per-sender sequence for deterministic same-instant
@@ -108,15 +106,6 @@ impl FrontierCell {
 /// No need declared: the node is runnable.
 const NO_NEED: u64 = u64::MAX;
 
-/// Where a worker with no runnable node parks: under one lock, the wake
-/// generation (every claimed need bumps it) and the parked count, and
-/// the bell that rings them.
-#[derive(Default)]
-struct Idle {
-    state: Mutex<(u64, usize)>,
-    bell: Condvar,
-}
-
 /// The causal gate's verdict on a node's next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Gate {
@@ -151,7 +140,6 @@ struct Inner {
     /// *claims* a need by swapping it back to [`NO_NEED`], so one
     /// declared need earns at most one wake.
     needs: Vec<AtomicU64>,
-    idle: Idle,
     /// Minimum one-hop delay in the topology: no message between
     /// distinct nodes can arrive sooner than this after its send.
     lookahead: Duration,
@@ -223,13 +211,10 @@ impl Inner {
             if sleeper == publisher || need == NO_NEED || need <= held || free < need {
                 continue;
             }
-            // Claim the need, so one stall earns one wake; the worker
-            // whose step this is rings a parked one if it will not take
-            // the node itself.
-            if self.bound(cells, sleeper).0 >= need
-                && slot.swap(NO_NEED, Ordering::SeqCst) != NO_NEED
-            {
-                self.idle.state.lock().expect("idle lock").0 += 1;
+            // Claim the need, so one stall earns one wake: the worker
+            // steps the node again.
+            if self.bound(cells, sleeper).0 >= need {
+                slot.store(NO_NEED, Ordering::SeqCst);
             }
         }
     }
@@ -237,11 +222,10 @@ impl Inner {
     /// A message arriving at `at` was handed to `dst`: if `dst` is
     /// blocked at the causal gate, the message may be its next event, so
     /// what it is waiting for drops to the bound that admits the message.
-    /// No wake here: the sender itself still holds that bound back
+    /// No claim here: the sender itself still holds that bound back
     /// (its anchor is at or before the send), and its next publish —
-    /// always its next step — runs the wake rule against the lowered
-    /// need. A receiver that declares concurrently and overwrites this
-    /// finds its floor set on its second look and does not block.
+    /// always its next step — runs the release rule against the lowered
+    /// need.
     fn lower_need(&self, dst: NodeId, at: Time) {
         let admits = at.as_micros().saturating_add(1);
         let _ = self.needs[dst.index()].fetch_update(Ordering::SeqCst, Ordering::SeqCst, |need| {
@@ -283,7 +267,6 @@ impl Loopback {
                 frontier: Mutex::new(vec![FrontierCell::FRESH; n]),
                 needs: (0..n).map(|_| AtomicU64::new(NO_NEED)).collect(),
                 lookahead,
-                idle: Idle::default(),
             }),
         }
     }
@@ -386,45 +369,12 @@ impl Loopback {
     }
 
     /// Withdraw every declared need, so each blocked node is gated
-    /// afresh: the backstop of a worker that has found nothing runnable
-    /// for a while. Every state change that can open a gate carries a
-    /// wake, so this is never the mechanism.
+    /// afresh: the backstop of a worker that finds nothing runnable and
+    /// no wall instant to wait for. Every state change that can open a
+    /// gate carries a claim, so this is never the mechanism.
     pub(crate) fn unblock_all(&self) {
         for slot in &self.inner.needs {
             slot.store(NO_NEED, Ordering::SeqCst);
-        }
-    }
-
-    /// The wake generation a worker reads before it looks for work.
-    pub(crate) fn generation(&self) -> u64 {
-        self.inner.idle.state.lock().expect("idle lock").0
-    }
-
-    /// Park the calling worker until a wake after generation `seen`, or
-    /// `until`; true if woken.
-    pub(crate) fn park(&self, seen: u64, until: Instant) -> bool {
-        let idle = &self.inner.idle;
-        let mut state = idle.state.lock().expect("idle lock");
-        state.1 += 1;
-        while let Some(left) = until.checked_duration_since(Instant::now()) {
-            if state.0 != seen {
-                break;
-            }
-            state = idle.bell.wait_timeout(state, left).expect("idle lock").0;
-        }
-        state.1 -= 1;
-        state.0 != seen
-    }
-
-    /// Ring one parked worker (`all`: every one; `bump`: first make it
-    /// look again, as a claim does).
-    pub(crate) fn ring(&self, all: bool, bump: bool) {
-        let mut state = self.inner.idle.state.lock().expect("idle lock");
-        state.0 += u64::from(bump);
-        match (state.1, all) {
-            (0, _) => {}
-            (_, true) => self.inner.idle.bell.notify_all(),
-            (_, false) => self.inner.idle.bell.notify_one(),
         }
     }
 
@@ -888,35 +838,10 @@ pub(crate) mod tests {
         assert_eq!(net.declare_need(R, Time(500)), Gate::Wait { blocker: P });
         assert!(net.blocked(R));
         assert_eq!((net.slept_on(P), net.slept_on(R)), (1, 0));
-        // Nobody publishes: a parked worker wakes at its deadline, and
-        // the backstop gates every blocked node afresh.
-        let seen = net.generation();
-        let asleep = Instant::now();
-        net.park(seen, asleep + std::time::Duration::from_millis(2));
-        assert!(asleep.elapsed() >= std::time::Duration::from_millis(2));
-        assert_eq!(net.generation(), seen);
+        // Nobody publishes: the backstop gates every blocked node afresh.
         net.unblock_all();
         assert!(!net.blocked(R));
-    }
-
-    #[test]
-    fn a_claimed_need_wakes_a_parked_worker() {
-        let (net, _rx) = gate_net();
-        net.publish_anchor(P, Time(100));
-        assert_eq!(net.declare_need(R, Time(500)), Gate::Wait { blocker: P });
-        let seen = net.generation();
-        let worker = {
-            let net = net.clone();
-            std::thread::spawn(move || {
-                net.park(seen, Instant::now() + std::time::Duration::from_secs(30));
-                net.generation()
-            })
-        };
-        // P's publish releases R: the claim bumps the generation and
-        // rings the parked worker long before its deadline.
-        net.publish_anchor(P, Time(490));
-        assert!(!net.blocked(R));
-        assert_eq!(worker.join().expect("worker"), seen + 1);
+        assert_eq!(net.gate(R, Time(500), Time(500)), Gate::Wait { blocker: P });
     }
 
     #[test]
