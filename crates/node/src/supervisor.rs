@@ -37,11 +37,12 @@
 use crate::actor::{EventKind, NodeActor, Pacer, Run, RuntimeEvent, Step};
 use crate::transport::Loopback;
 use btr_core::{BtrSystem, FaultScenario, InjectedFault, NodeRow};
-use btr_crypto::KeyStore;
+use btr_crypto::{KeyStore, SplitMix64};
 use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, Histogram, PhaseMark};
 use btr_runtime::{Attack, BtrNode};
-use btr_sim::{LogicalTrace, NodeBehavior};
+use btr_sim::{CtxBackend, LogicalTrace, NodeBehavior};
+use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -199,6 +200,26 @@ pub(crate) fn btr_nodes(system: &BtrSystem) -> Box<Make> {
     })
 }
 
+/// The order the worker steps runnable hosts in. The causal gate makes
+/// every order yield the simulator's trace; the crate's tests hold the
+/// fleet to that under each (only they step the seeded and `Ahead`
+/// orders).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Order {
+    /// The blocker hand-off, else the next runnable host round a cursor,
+    /// stepped until it blocks, awaits the wall or goes terminal: the
+    /// order [`run_live`] runs.
+    RoundRobin,
+    /// One event per pick: the hand-off with probability ½, else a
+    /// uniform pick among the runnable hosts, drawn from this seed.
+    Seeded(u64),
+    /// One event per pick: the runnable host whose logical clock is
+    /// furthest ahead (ties to the lowest id), which maximises the skew
+    /// between hosts.
+    Ahead,
+}
+
 /// A host gone terminal, handed from the worker to the supervisor.
 enum Settled {
     /// Finished or crashed; `true` unless a restart follows.
@@ -245,28 +266,44 @@ impl Fleet {
         !self.run.net.blocked(actor.node)
     }
 
-    /// The worker: step runnable hosts until every node is terminal or
-    /// `deadline` passes. A host blocked at the causal gate hands the
-    /// worker to its blocker; with nothing runnable the worker sleeps
-    /// until the earliest wall instant a host awaits.
-    fn work(mut self, deadline: Instant) {
+    /// The worker: step runnable hosts in `order` until every node is
+    /// terminal or `deadline` passes. A host blocked at the causal gate
+    /// hands the worker to its blocker; with nothing runnable the worker
+    /// sleeps until the earliest wall instant a host awaits.
+    fn work(mut self, deadline: Instant, order: Order) {
         let n = self.hosts.len();
+        let mut rng = SplitMix64::new(match order {
+            Order::Seeded(seed) => seed,
+            _ => 0,
+        });
         let (mut cursor, mut next) = (0, None::<usize>);
+        let mut runnable = Vec::with_capacity(n);
         while self.live > 0 {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
             let mut wake_at = None;
-            let handed = next.take().filter(|&b| self.runnable(b, now, &mut wake_at));
-            let picked = handed.or_else(|| {
-                (0..n).find_map(|_| {
-                    cursor = (cursor + 1) % n;
-                    self.runnable(cursor, now, &mut wake_at).then_some(cursor)
-                })
-            });
+            runnable.clear();
+            runnable.extend((0..n).filter(|&i| self.runnable(i, now, &mut wake_at)));
+            let handed = next.take().filter(|b| runnable.contains(b));
+            let picked = match order {
+                Order::RoundRobin => handed.or_else(|| {
+                    let after = runnable.iter().find(|&&i| i > cursor);
+                    cursor = *after.or(runnable.first())?;
+                    Some(cursor)
+                }),
+                Order::Seeded(_) => handed.filter(|_| rng.next_u64() >> 63 == 1).or_else(|| {
+                    let draw = u128::from(rng.next_u64()) * runnable.len() as u128;
+                    runnable.get((draw >> 64) as usize).copied()
+                }),
+                Order::Ahead => runnable.iter().copied().max_by_key(|&i| {
+                    let logical = self.hosts[i].as_ref().map(|a| a.ctx.now());
+                    (logical, Reverse(i))
+                }),
+            };
             match (picked, wake_at) {
-                (Some(i), _) => next = self.drive(i, deadline),
+                (Some(i), _) => next = self.drive(i, deadline, order == Order::RoundRobin),
                 (None, Some(at)) => thread::sleep(at - now),
                 // Every publish that opens a gate claims the need, so
                 // this backstop never decides a run: gate every blocked
@@ -276,13 +313,14 @@ impl Fleet {
         }
     }
 
-    /// Step host `i` until it blocks, awaits the wall, or goes terminal;
-    /// returns the blocker to hand the worker to.
-    fn drive(&mut self, i: usize, deadline: Instant) -> Option<usize> {
+    /// Step host `i` once, or until it blocks, awaits the wall, or goes
+    /// terminal if `until_blocked`; returns the blocker to hand the
+    /// worker to.
+    fn drive(&mut self, i: usize, deadline: Instant, until_blocked: bool) -> Option<usize> {
         let actor = self.hosts[i].as_mut().expect("runnable host");
         let ended = loop {
             match catch_unwind(AssertUnwindSafe(|| actor.step(&self.run))) {
-                Ok(Step::Ran) if Instant::now() < deadline => {}
+                Ok(Step::Ran) if until_blocked && Instant::now() < deadline => {}
                 Ok(Step::Ran) => return None,
                 Ok(Step::Wait { blocker }) => return Some(blocker.index()),
                 Ok(Step::NotBefore(at)) => {
@@ -316,16 +354,18 @@ pub fn run_live(
     horizon: Duration,
     cfg: &LiveConfig,
 ) -> LiveReport {
-    run_fleet(system, scenario, horizon, cfg, btr_nodes(system))
+    let make = btr_nodes(system);
+    run_fleet(system, scenario, horizon, cfg, make, Order::RoundRobin)
 }
 
-/// [`run_live`] with the behaviours `make` builds.
+/// [`run_live`] with the behaviours `make` builds, stepped in `order`.
 pub(crate) fn run_fleet(
     system: &BtrSystem,
     scenario: &FaultScenario,
     horizon: Duration,
     cfg: &LiveConfig,
     make: Box<Make>,
+    order: Order,
 ) -> LiveReport {
     let run_start = Instant::now();
     let n = system.topology().node_count();
@@ -365,7 +405,7 @@ pub(crate) fn run_fleet(
     let stop = pacer.wall_for(end) + cfg.join_grace;
     let worker = thread::Builder::new()
         .name("btr-fleet".to_string())
-        .spawn(move || fleet.work(stop))
+        .spawn(move || fleet.work(stop, order))
         .expect("spawn fleet worker");
     let (mut outcomes, mut panics, mut gone) = (Vec::new(), Vec::new(), vec![false; n]);
     loop {
@@ -450,7 +490,7 @@ mod tests {
     //! holds it to the simulator on the planned system's own.
 
     use super::*;
-    use btr_model::{Envelope, Payload, TaskId, Topology};
+    use btr_model::{Envelope, FaultKind, Payload, TaskId, Topology};
     use btr_planner::PlannerConfig;
     use btr_sim::{NodeCtx, SimConfig, TimerId, World};
 
@@ -458,11 +498,35 @@ mod tests {
 
     /// The avionics workload planned on a nine-node bus, f = 1.
     fn bus9() -> BtrSystem {
+        system_on(Topology::bus(9, 100_000, Duration(5)))
+    }
+
+    /// The avionics workload planned on nine nodes of `topo`, f = 1.
+    fn system_on(topo: Topology) -> BtrSystem {
         let workload = btr_workload::generators::avionics(9);
         let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
         cfg.admit_best_effort = true;
-        let topo = Topology::bus(9, 100_000, Duration(5));
         BtrSystem::plan(workload, topo, cfg).expect("plannable")
+    }
+
+    /// Unpaced: at 0.01 wall-µs per logical-µs the wall gate never
+    /// binds, and the causal gate alone orders the run.
+    fn unpaced() -> LiveConfig {
+        let mut cfg = LiveConfig::new(SEED);
+        cfg.pace = 0.01;
+        cfg
+    }
+
+    /// The orders every order-taking test steps: `RoundRobin`, `Ahead`
+    /// and 32 seeded orders (8 in a debug build, where a run takes
+    /// ~0.2 s).
+    fn orders() -> Vec<Order> {
+        let seeded = if cfg!(debug_assertions) { 8 } else { 32 };
+        let seeded = (0..seeded).map(Order::Seeded);
+        [Order::RoundRobin, Order::Ahead]
+            .into_iter()
+            .chain(seeded)
+            .collect()
     }
 
     /// Passes a token round the nine nodes, one hop per receipt, and
@@ -491,8 +555,9 @@ mod tests {
 
     #[test]
     fn one_worker_follows_the_blockers_round_a_token_ring() {
-        // Liveness: the worker can only make progress by stepping, each
-        // time, the host its current host is blocked on.
+        // Liveness under every order: only the host the token is in
+        // flight to can make progress, and the round-robin worker only
+        // finds it by following each host's blocker.
         let sys = bus9();
         let horizon = Duration::from_millis(20);
         let mut sim = SimConfig::new(SEED);
@@ -505,33 +570,140 @@ mod tests {
         world.run_until(Time::ZERO + horizon + sys.grace());
         let reference = world.logical_trace();
         assert_eq!(reference.len(), 9 * 60 - 8, "the token went round");
-        let ring = Box::new(|node: NodeId, _| {
-            Box::new(TokenRing {
-                me: node.0,
-                hops: 0,
-            }) as Box<dyn NodeBehavior + Send>
-        });
-        // Unpaced: the wall gate never binds.
-        let mut cfg = LiveConfig::new(SEED);
-        cfg.pace = 0.01;
-        let live = run_fleet(&sys, &FaultScenario::none(), horizon, &cfg, ring);
+        for order in orders() {
+            let ring = Box::new(|node: NodeId, _| {
+                Box::new(TokenRing {
+                    me: node.0,
+                    hops: 0,
+                }) as Box<dyn NodeBehavior + Send>
+            });
+            let live = run_fleet(
+                &sys,
+                &FaultScenario::none(),
+                horizon,
+                &unpaced(),
+                ring,
+                order,
+            );
+            assert!(
+                live.healthy(),
+                "{order:?}: {:?} {:?}",
+                live.panics,
+                live.deadline_overruns
+            );
+            assert_eq!(
+                live.trace.digest(),
+                reference.digest(),
+                "{order:?}: {:?}",
+                live.trace
+                    .first_divergence(&reference, ["live", "simulator"])
+            );
+            assert!(live.frontier_stalls > 0);
+            assert_eq!(
+                live.frontier_blockers.iter().sum::<u64>(),
+                live.frontier_stalls
+            );
+        }
+    }
+
+    /// Run `scenario` unpaced once under each of `orders`; every trace
+    /// must equal the simulator's. Returns the orders that diverged
+    /// instead of failing on the first, so a soak reports how many it
+    /// saw.
+    fn unpaced_divergences(
+        sys: &BtrSystem,
+        scenario: &FaultScenario,
+        horizon: Duration,
+        restart_after: Duration,
+        orders: impl IntoIterator<Item = Order>,
+    ) -> Vec<Order> {
+        let mut world = sys.build_world(scenario, SEED);
+        world.start();
+        world.run_until(Time::ZERO + horizon + sys.grace());
+        let reference = world.logical_trace().digest();
+        let mut cfg = unpaced();
+        cfg.restart_after = restart_after;
+        // A debug run takes 125–435 ms of wall here while the other fleet
+        // tests share two cores, against a 0.5 s default grace past a 3 ms
+        // paced horizon: a slow host is not a wedge.
+        cfg.join_grace = std::time::Duration::from_secs(10);
+        let orders = orders.into_iter();
+        orders
+            .filter(|&order| {
+                let live = run_fleet(sys, scenario, horizon, &cfg, btr_nodes(sys), order);
+                assert!(
+                    live.healthy() && live.drops.mailbox_full == 0,
+                    "{order:?}: panics {:?}, overruns {:?}, mailbox_full {}",
+                    live.panics,
+                    live.deadline_overruns,
+                    live.drops.mailbox_full
+                );
+                let blocked: u64 = live.frontier_blockers.iter().sum();
+                assert_eq!(
+                    blocked, live.frontier_stalls,
+                    "every sleep names its blocker"
+                );
+                live.trace.digest() != reference
+            })
+            .collect()
+    }
+
+    fn crash_at_42ms() -> FaultScenario {
+        FaultScenario::single(NodeId(6), FaultKind::Crash, Time::from_millis(42))
+    }
+
+    #[test]
+    fn unpaced_runs_are_trace_identical_to_simulator() {
+        let ms = Duration::from_millis;
+        let omission = FaultScenario::single(NodeId(3), FaultKind::Omission, Time::from_millis(42));
+        let mesh = || system_on(Topology::mesh(3, 3, 100_000, Duration(5)));
+        let lossy = mesh().with_loss_ppm(5_000);
+        let fec = mesh().with_loss_ppm(20_000).with_fec(4, 2);
+        let none = FaultScenario::none;
+        let bus = bus9();
+        for (name, sys, scenario, horizon, restart_after) in [
+            ("fault-free", &bus, none(), ms(120), ms(0)),
+            ("crash", &bus, crash_at_42ms(), ms(250), ms(0)),
+            ("omission", &bus, omission, ms(250), ms(0)),
+            ("crash-restart", &bus, crash_at_42ms(), ms(300), ms(120)),
+            ("5 000 ppm", &lossy, none(), ms(120), ms(0)),
+            ("5 000 ppm, crash", &lossy, crash_at_42ms(), ms(250), ms(0)),
+            ("FEC(4, 2)", &fec, none(), ms(120), ms(0)),
+            ("FEC(4, 2), crash", &fec, crash_at_42ms(), ms(250), ms(0)),
+        ] {
+            let diverged = unpaced_divergences(sys, &scenario, horizon, restart_after, orders());
+            assert!(
+                diverged.is_empty(),
+                "{name}: orders {diverged:?} diverged from the simulator"
+            );
+        }
+    }
+
+    /// No unpaced run may lose a race to a dying host, in any of 7 000
+    /// step orders, one per run. `cargo test --release -p btr-node --
+    /// --ignored soak` (under two minutes on two cores).
+    #[test]
+    #[ignore = "soak: 7 000 live runs"]
+    fn soak_unpaced_crashes_never_diverge() {
+        let sys = bus9();
+        let ms = Duration::from_millis;
+        let seeded = |runs: std::ops::Range<u64>| runs.map(Order::Seeded);
+        let crashes = unpaced_divergences(&sys, &crash_at_42ms(), ms(250), ms(0), seeded(0..5_000));
+        let restarts = unpaced_divergences(
+            &sys,
+            &crash_at_42ms(),
+            ms(300),
+            ms(120),
+            seeded(5_000..7_000),
+        );
+        println!(
+            "soak: {} of 5000 crash runs and {} of 2000 crash-restarts diverged",
+            crashes.len(),
+            restarts.len()
+        );
         assert!(
-            live.healthy(),
-            "{:?} {:?}",
-            live.panics,
-            live.deadline_overruns
-        );
-        assert_eq!(
-            live.trace.digest(),
-            reference.digest(),
-            "{:?}",
-            live.trace
-                .first_divergence(&reference, ["live", "simulator"])
-        );
-        assert!(live.frontier_stalls > 0);
-        assert_eq!(
-            live.frontier_blockers.iter().sum::<u64>(),
-            live.frontier_stalls
+            crashes.is_empty() && restarts.is_empty(),
+            "diverged: crash runs {crashes:?}, crash-restart runs {restarts:?}"
         );
     }
 
@@ -587,6 +759,7 @@ mod tests {
             Duration::from_millis(120),
             &cfg,
             Box::new(make),
+            Order::RoundRobin,
         );
         assert_eq!(live.panics.len(), 1, "{:?}", live.panics);
         let p = &live.panics[0];

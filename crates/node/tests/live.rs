@@ -351,90 +351,6 @@ fn crashed_node_restarts_rejoins_and_stays_healthy() {
     );
 }
 
-/// Unpaced: at 0.01 wall-µs per logical-µs the wall gate never binds,
-/// the causal gate does all the ordering, and every race the fleet has
-/// is as wide as it gets.
-const UNPACED: f64 = 0.01;
-
-/// Run `scenario` unpaced `runs` times; every trace must equal the
-/// simulator's. Returns the divergent run indices instead of failing
-/// on the first, so a soak reports how many it saw.
-fn unpaced_divergences(
-    sys: &BtrSystem,
-    scenario: &FaultScenario,
-    horizon: Duration,
-    restart_after: Duration,
-    runs: usize,
-) -> Vec<usize> {
-    let reference = sim_trace(sys, scenario, horizon).digest();
-    let mut cfg = LiveConfig::new(SEED);
-    cfg.pace = UNPACED;
-    cfg.restart_after = restart_after;
-    // A debug run takes 125–435 ms of wall here while the other fleet
-    // tests share two cores, against a 0.5 s default grace past a 3 ms
-    // paced horizon: a slow host is not a wedge.
-    cfg.join_grace = std::time::Duration::from_secs(10);
-    (0..runs)
-        .filter(|run| {
-            let live = run_live(sys, scenario, horizon, &cfg);
-            assert!(
-                live.healthy() && live.drops.mailbox_full == 0,
-                "run {run}: panics {:?}, overruns {:?}, mailbox_full {}",
-                live.panics,
-                live.deadline_overruns,
-                live.drops.mailbox_full
-            );
-            let blocked: u64 = live.frontier_blockers.iter().sum();
-            assert_eq!(
-                blocked, live.frontier_stalls,
-                "every sleep names its blocker"
-            );
-            live.trace.digest() != reference
-        })
-        .collect()
-}
-
 fn crash_at_42ms() -> FaultScenario {
     FaultScenario::single(NodeId(6), FaultKind::Crash, Time::from_millis(42))
-}
-
-#[test]
-fn unpaced_runs_are_trace_identical_to_simulator() {
-    let sys = system(1);
-    let ms = Duration::from_millis;
-    let runs = if cfg!(debug_assertions) { 25 } else { 150 };
-    let omission = FaultScenario::single(NodeId(3), FaultKind::Omission, Time::from_millis(42));
-    for (name, scenario, horizon, restart_after) in [
-        ("fault-free", FaultScenario::none(), ms(120), ms(0)),
-        ("crash", crash_at_42ms(), ms(250), ms(0)),
-        ("omission", omission, ms(250), ms(0)),
-        ("crash-restart", crash_at_42ms(), ms(300), ms(120)),
-    ] {
-        let diverged = unpaced_divergences(&sys, &scenario, horizon, restart_after, runs);
-        assert!(
-            diverged.is_empty(),
-            "{name}: runs {diverged:?} of {runs} diverged from the simulator"
-        );
-    }
-}
-
-/// ROADMAP "Make the claim true again" (b): no unpaced run may lose a
-/// race to a dying host. `cargo test --release -p btr-node -- --ignored soak`
-/// (under two minutes on two cores).
-#[test]
-#[ignore = "soak: 7 000 live runs"]
-fn soak_unpaced_crashes_never_diverge() {
-    let sys = system(1);
-    let ms = Duration::from_millis;
-    let crashes = unpaced_divergences(&sys, &crash_at_42ms(), ms(250), ms(0), 5_000);
-    let restarts = unpaced_divergences(&sys, &crash_at_42ms(), ms(300), ms(120), 2_000);
-    println!(
-        "soak: {} of 5000 crash runs and {} of 2000 crash-restarts diverged",
-        crashes.len(),
-        restarts.len()
-    );
-    assert!(
-        crashes.is_empty() && restarts.is_empty(),
-        "diverged: crash runs {crashes:?}, crash-restart runs {restarts:?}"
-    );
 }
