@@ -124,7 +124,6 @@ fn live_scenario_json(o: &mut json::Object<'_>, r: &ScenarioRun) {
         a.items(&m.frontier_blockers)
     });
     o.field("top_blocker", m.top_blocker().map(|(node, _)| node.0));
-    o.field("redrains", m.redrains);
     o.field("timer_lag_p50_us", m.timer_lag_p50_us);
     o.field("timer_lag_p95_us", m.timer_lag_p95_us);
     o.field("timer_lag_p99_us", m.timer_lag_p99_us);
@@ -444,14 +443,13 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
         }
         // Who held the frontier: the peer the fleet slept on most.
         outln!(
-            "  {:<14} frontier: {} stalls ({}), {} redrains over {} msgs",
+            "  {:<14} frontier: {} stalls ({}) over {} msgs",
             "",
             m.frontier_stalls,
             match m.top_blocker() {
                 Some((node, sleeps)) => format!("top blocker {node}, {sleeps}"),
                 None => "nobody blocked".to_string(),
             },
-            m.redrains,
             m.msgs_sent,
         );
         // The latency quantiles both substrates carry: the simulator's
@@ -513,7 +511,7 @@ const COMMANDS: [Command; 3] = [
     Command {
         name: "live",
         about: "the live-fleet measurement: pinned fault scenarios on\n\
-                the live fleet (worker threads stepping node hosts),\n\
+                the live fleet (one worker stepping node hosts),\n\
                 simulator as trace oracle, five-phase recovery\n\
                 timelines (emits LIVE_btr.json)",
         options: &[

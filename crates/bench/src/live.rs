@@ -158,8 +158,6 @@ pub struct LiveMeasurement {
     /// Of those sleeps, how many each node was the peer holding the
     /// sleeper's frontier lowest (index = node).
     pub frontier_blockers: Vec<u64>,
-    /// Anchor re-folds forced by sub-anchor arrivals.
-    pub redrains: u64,
     /// Median wall lateness of timer dispatches past their paced
     /// instant (µs; 0 when no timers fired).
     pub timer_lag_p50_us: u64,
@@ -286,7 +284,6 @@ pub fn measure_live(
         mailbox_full: live.drops.mailbox_full,
         frontier_stalls: live.frontier_stalls,
         frontier_blockers: live.frontier_blockers.clone(),
-        redrains: live.redrains,
         timer_lag_p50_us: live.timer_lag.quantile(0.5).unwrap_or(0),
         timer_lag_p95_us: live.timer_lag.quantile(0.95).unwrap_or(0),
         timer_lag_p99_us: live.timer_lag.quantile(0.99).unwrap_or(0),

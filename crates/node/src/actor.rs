@@ -37,7 +37,7 @@
 //! which the pinned differential tests cover.
 
 use crate::supervisor::{LiveConfig, PanicReport};
-use crate::transport::{Gate, LiveMsg, Loopback, Mailbox, Port};
+use crate::transport::{Gate, LiveMsg, Loopback};
 use btr_crypto::{AuthSuite, KeyStore};
 use btr_model::{Duration, Envelope, NodeId, PeriodIdx, TaskId, Time, Value};
 use btr_obs::{FlightKind, FlightRecorder, Histogram, Phase, PhaseMark, FLIGHT_CAP};
@@ -198,7 +198,11 @@ pub(crate) struct LiveCtx {
     logical: Time,
     period: Duration,
     keystore: Arc<KeyStore>,
-    port: Port,
+    /// What the dispatch at hand sent, in send order; the host hands it
+    /// to the network once the behaviour returns.
+    outbox: Vec<Envelope>,
+    /// This incarnation's sends so far.
+    sent: u64,
     agenda: Agenda,
     pub(crate) actuations: Vec<Actuation>,
     /// Observation switch: when off, `observe` is a no-op and the mark
@@ -208,13 +212,12 @@ pub(crate) struct LiveCtx {
 }
 
 impl LiveCtx {
-    /// Build the substrate of the node behind `port`, whose logical
-    /// clock starts at `start`, collecting phase marks if `obs` (marks
-    /// are out-of-band either way, so this cannot change a run).
+    /// Build a node's substrate, whose logical clock starts at `start`,
+    /// collecting phase marks if `obs` (marks are out-of-band either way,
+    /// so this cannot change a run).
     pub(crate) fn new(
         period: Duration,
         keystore: Arc<KeyStore>,
-        port: Port,
         start: Time,
         obs: bool,
     ) -> LiveCtx {
@@ -222,7 +225,8 @@ impl LiveCtx {
             logical: start,
             period,
             keystore,
-            port,
+            outbox: Vec::new(),
+            sent: 0,
             agenda: Agenda::default(),
             actuations: Vec::new(),
             obs,
@@ -245,7 +249,7 @@ impl CtxBackend for LiveCtx {
     }
 
     fn send_env(&mut self, _src: NodeId, env: Envelope) {
-        self.port.send(self.logical, env);
+        self.outbox.push(env);
     }
 
     fn set_timer_at(&mut self, _node: NodeId, at: Time, timer: TimerId) {
@@ -271,8 +275,7 @@ impl CtxBackend for LiveCtx {
 
 /// What one [`NodeActor::step`] did, or why it could not.
 pub(crate) enum Step {
-    /// Started the node, dispatched one event, or found a late arrival
-    /// to fold: step again.
+    /// Started the node or dispatched one event: step again.
     Ran,
     /// The causal gate holds the next event until `blocker`, the peer
     /// holding the frontier lowest, publishes past it.
@@ -286,7 +289,8 @@ pub(crate) enum Step {
 
 /// What every host of one run shares, lent to each step: the network,
 /// the keys, the clock and the horizon, where hosts report, and the
-/// run's settings.
+/// run's settings. The worker owns it and lends it to one step at a
+/// time.
 pub(crate) struct Run {
     pub(crate) net: Loopback,
     pub(crate) keystore: Arc<KeyStore>,
@@ -298,8 +302,8 @@ pub(crate) struct Run {
     pub(crate) cfg: LiveConfig,
 }
 
-/// One node host: behaviour + context + mailbox, stepped to the run's
-/// horizon under the run's wall-clock pacer. Once terminal, what it
+/// One node host: behaviour + context, stepped to the run's horizon
+/// under the run's wall-clock pacer; its mailbox is the transport's. Once terminal, what it
 /// leaves (behaviour, actuations, marks, counters) is read off it.
 pub(crate) struct NodeActor {
     pub(crate) node: NodeId,
@@ -310,9 +314,6 @@ pub(crate) struct NodeActor {
     /// envelope reaches it once.
     scratch: Scratch,
     pub(crate) ctx: LiveCtx,
-    /// Attached to the network when the host starts (a restart's only at
-    /// its instant: a down node misses its downtime's traffic).
-    mailbox: Mailbox,
     started: bool,
     /// The scheduler's note of the wall instant before which stepping
     /// this host is pointless.
@@ -323,9 +324,6 @@ pub(crate) struct NodeActor {
     /// Causal-gate stalls (the event at hand was not yet provably safe
     /// to dispatch, and the node blocked until a peer's publish).
     pub(crate) frontier_stalls: u64,
-    /// Repeat folds: a message reached the mailbox after the drain —
-    /// below the fold, or between the fold and the bound read.
-    pub(crate) redrains: u64,
     /// Wall-clock lateness of timer dispatches past their paced
     /// instant, in µs (live-only: logically always 0).
     pub(crate) timer_lag: Histogram,
@@ -340,21 +338,19 @@ impl NodeActor {
         run: &Run,
         start: Time,
     ) -> NodeActor {
-        let (keystore, port) = (Arc::clone(&run.keystore), run.net.port(node));
+        let keystore = Arc::clone(&run.keystore);
         NodeActor {
             node,
             behavior,
             seat: Seat::derive(run.cfg.seed, node, AuthSuite::default()),
             scratch: Scratch::for_node(),
-            ctx: LiveCtx::new(run.period, keystore, port, start, run.cfg.obs),
-            mailbox: Mailbox::new(run.cfg.mailbox_cap),
+            ctx: LiveCtx::new(run.period, keystore, start, run.cfg.obs),
             started: false,
             // Unknown until the first step says.
             not_before: Instant::now(),
             last_switch_count: 0,
             flight: FlightRecorder::new(FLIGHT_CAP),
             frontier_stalls: 0,
-            redrains: 0,
             timer_lag: Histogram::new(),
         }
     }
@@ -368,12 +364,21 @@ impl NodeActor {
         self
     }
 
-    /// Attach the host's mailbox to the network (again, when it starts:
-    /// a cold boot's is attached up front, as its peers may send before
-    /// its first step).
-    pub(crate) fn attach(&self, net: &Loopback) {
-        net.restore(self.node);
-        net.register(self.node, self.mailbox.clone());
+    /// Attach the host's node to the network with its mailbox (a
+    /// cold boot's up front, as its peers may send before its first
+    /// step; a restart's only at its instant: a down node misses its
+    /// downtime's traffic).
+    pub(crate) fn attach(&self, run: &mut Run) {
+        run.net.attach(self.node, run.cfg.mailbox_cap);
+    }
+
+    /// Hand what the dispatch just sent to the network, in send order.
+    fn flush(&mut self, net: &mut Loopback) {
+        let ctx = &mut self.ctx;
+        for env in ctx.outbox.drain(..) {
+            ctx.sent += 1;
+            net.send(self.node, ctx.sent, ctx.logical, env);
+        }
     }
 
     fn emit(&self, run: &Run, kind: EventKind) {
@@ -408,26 +413,27 @@ impl NodeActor {
     /// `Finished`/`Crashed` event when it returns [`Step::Done`]; a
     /// behaviour armed with nothing finishes once nothing can still
     /// arrive inside the horizon.
-    pub(crate) fn step(&mut self, run: &Run) -> Step {
+    pub(crate) fn step(&mut self, run: &mut Run) -> Step {
         if !self.started {
             let at = run.pacer.wall_for(self.ctx.logical);
             if Instant::now() < at {
                 return Step::NotBefore(at);
             }
-            self.attach(&run.net);
+            self.attach(run);
             self.behavior.on_start(&mut NodeCtx::new(
                 &mut self.seat,
                 &mut self.scratch,
                 &mut self.ctx,
                 self.node,
             ));
+            self.flush(&mut run.net);
             self.started = true;
             self.emit(run, EventKind::Started);
             self.flight.push(self.ctx.logical, FlightKind::Start);
             return Step::Ran;
         }
         let agenda = &mut self.ctx.agenda;
-        self.mailbox.drain(|m| agenda.park(m));
+        run.net.drain(self.node, |m| agenda.park(m));
         // Our anchor is the earliest event we could dispatch; `need` is
         // the causal bound that makes the step at hand safe: a crash's
         // or a timer's instant, one past a message's (see the classes);
@@ -441,16 +447,9 @@ impl NodeActor {
             Some((at, _)) => (at, end + Duration(1), false),
             None => (Time(u64::MAX), end + Duration(1), false),
         };
-        match run.net.gate(self.node, anchor, need) {
-            Gate::Go => {}
-            Gate::Redrain => {
-                self.redrains += 1;
-                return Step::Ran;
-            }
-            Gate::Wait { blocker } => {
-                self.frontier_stalls += 1;
-                return Step::Wait { blocker };
-            }
+        if let Gate::Wait { blocker } = run.net.gate(self.node, anchor, need) {
+            self.frontier_stalls += 1;
+            return Step::Wait { blocker };
         }
         if !due {
             return self.finish(run, EventKind::Finished);
@@ -483,13 +482,13 @@ impl NodeActor {
             None => self.behavior.on_timer(&mut ctx, b),
             Some(env) => self.behavior.on_message(&mut ctx, env),
         }
+        self.flush(&mut run.net);
         self.post_dispatch(run);
         Step::Ran
     }
 
     /// Go terminal with `terminal` (`Finished` or `Crashed`).
-    fn finish(&mut self, run: &Run, terminal: EventKind) -> Step {
-        self.mailbox.close();
+    fn finish(&mut self, run: &mut Run, terminal: EventKind) -> Step {
         let crashed = terminal == EventKind::Crashed;
         if crashed {
             // Fail-stop for real: detach the mailbox and reroute around
@@ -504,6 +503,8 @@ impl NodeActor {
                 phase: Phase::FaultActive,
                 at: self.ctx.logical,
             });
+        } else {
+            run.net.detach(self.node);
         }
         let after = run.cfg.restart_after;
         let back_at = self.ctx.logical + after;
@@ -522,8 +523,9 @@ impl NodeActor {
     /// The host's behaviour panicked mid-step: take the node down as a
     /// crash does, release its causal hold, and report the panic with
     /// the flight tail leading into it.
-    pub(crate) fn panicked(self, run: &Run, message: String) -> PanicReport {
-        self.mailbox.close();
+    pub(crate) fn panicked(mut self, run: &mut Run, message: String) -> PanicReport {
+        // What the behaviour sent before it panicked has left the node.
+        self.flush(&mut run.net);
         run.net.crash(self.node);
         run.net.set_terminal(self.node);
         self.emit(run, EventKind::Panicked(message.clone()));
@@ -540,7 +542,6 @@ impl NodeActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::tests::mailbox;
     use btr_model::{Payload, Topology};
     use btr_net::Network;
     use std::sync::mpsc::Receiver;
@@ -556,13 +557,13 @@ mod tests {
     fn host(
         node: NodeId,
         behavior: Box<dyn NodeBehavior + Send>,
-        net: &Loopback,
+        net: Loopback,
         ks: &Arc<KeyStore>,
         end: Time,
     ) -> (NodeActor, Run, Receiver<RuntimeEvent>) {
         let (events, ev_rx) = std::sync::mpsc::channel();
-        let run = Run {
-            net: net.clone(),
+        let mut run = Run {
+            net,
             keystore: Arc::clone(ks),
             period: Duration::from_millis(10),
             end,
@@ -571,12 +572,12 @@ mod tests {
             cfg: LiveConfig::new(1),
         };
         let actor = NodeActor::new(node, behavior, &run, Time::ZERO);
-        actor.attach(net);
+        actor.attach(&mut run);
         (actor, run, ev_rx)
     }
 
     /// Step a lone host until it is terminal.
-    fn run(mut actor: NodeActor, run: &Run) -> NodeActor {
+    fn run(mut actor: NodeActor, run: &mut Run) -> NodeActor {
         while !matches!(actor.step(run), Step::Done(_)) {
             std::thread::yield_now();
         }
@@ -644,21 +645,20 @@ mod tests {
 
     #[test]
     fn actor_runs_timer_chain_to_horizon() {
-        let (net, ks) = harness(2);
-        let (tx1, rx1) = mailbox(64);
-        net.register(NodeId(1), tx1);
+        let (mut net, ks) = harness(2);
+        net.attach(NodeId(1), 64);
         // Node 1 has no host in this test: release its causal frontier
         // so node 0's gate never waits on it.
         net.set_terminal(NodeId(1));
         let pinger = Box::new(Pinger { fired: 0 });
-        let (actor, shared, ev_rx) = host(NodeId(0), pinger, &net, &ks, Time::from_millis(2));
-        let out = run(actor, &shared);
+        let (actor, mut shared, ev_rx) = host(NodeId(0), pinger, net, &ks, Time::from_millis(2));
+        let out = run(actor, &mut shared);
         assert_eq!(out.ctx.actuations.len(), 5);
         assert_eq!(out.ctx.actuations[0].at, Time(100));
         assert_eq!(out.ctx.actuations[4].at, Time(500));
         // All five sends reached node 1's mailbox with logical stamps.
         let mut got = 0;
-        for m in rx1.take() {
+        for m in shared.net.take(NodeId(1)) {
             assert!(m.at > Time(100 * (got as u64)));
             got += 1;
         }
@@ -693,12 +693,12 @@ mod tests {
     fn crash_is_terminal_and_detaches_mailbox() {
         // A crash scripted for 50 µs pops before the timer armed for 50
         // µs and the message parked for it: neither dispatches.
-        let (net, ks) = harness(2);
+        let (mut net, ks) = harness(2);
         net.set_terminal(NodeId(1));
-        let (actor, shared, ev_rx) = host(
+        let (actor, mut shared, ev_rx) = host(
             NodeId(0),
             Box::new(Actuator),
-            &net,
+            net,
             &ks,
             Time::from_millis(10),
         );
@@ -706,8 +706,8 @@ mod tests {
         let at = Time(50);
         // A self-send arrives at its send instant: parked for 50 µs.
         let env = Envelope::new(NodeId(0), NodeId(0), at, Payload::Control(1));
-        assert_eq!(net.port(NodeId(0)).send(at, env), Some(at));
-        let out = run(actor, &shared);
+        assert_eq!(shared.net.send(NodeId(0), 1, at, env), Some(at));
+        let out = run(actor, &mut shared);
         assert!(out.ctx.actuations.is_empty(), "{:?}", out.ctx.actuations);
         let marks: Vec<_> = out.ctx.marks.iter().map(|m| (m.phase, m.at)).collect();
         assert_eq!(marks, [(Phase::FaultActive, at)]);
@@ -717,12 +717,7 @@ mod tests {
             Some((EventKind::Crashed, at))
         );
         // Post-crash, the network refuses traffic to the dead node.
-        let mut port = net.port(NodeId(1));
-        assert!(port
-            .send(
-                Time(60),
-                Envelope::new(NodeId(1), NodeId(0), Time(60), Payload::Control(1))
-            )
-            .is_none());
+        let env = Envelope::new(NodeId(1), NodeId(0), Time(60), Payload::Control(1));
+        assert!(shared.net.send(NodeId(1), 1, Time(60), env).is_none());
     }
 }

@@ -44,7 +44,6 @@ use btr_runtime::{Attack, BtrNode};
 use btr_sim::{CtxBackend, LogicalTrace, NodeBehavior};
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
@@ -135,7 +134,8 @@ pub struct LiveReport {
     pub panics: Vec<PanicReport>,
     /// Nodes that had not gone terminal by the wall deadline.
     pub deadline_overruns: Vec<NodeId>,
-    /// Transport counters.
+    /// Transport counters; all zero when the worker was left wedged
+    /// inside a dispatch, as the transport stays with it.
     pub drops: DropTotals,
     /// Per-node `mailbox_full` attribution (index = node).
     pub mailbox_full_by_node: Vec<u64>,
@@ -148,7 +148,9 @@ pub struct LiveReport {
     /// the peer holding the blocked node's bound lowest (index = node;
     /// sums to `frontier_stalls` when no host was left as an overrun).
     pub frontier_blockers: Vec<u64>,
-    /// Repeat folds forced by arrivals after a host's drain, summed.
+    /// Always 0: a host drains its mailbox and gates in one step, so no
+    /// arrival can force a repeat fold. Kept while the repository
+    /// benchmark reads it.
     pub redrains: u64,
     /// Wall-clock lateness of timer dispatches (µs), merged over all
     /// hosts.
@@ -263,14 +265,23 @@ impl Fleet {
             *wake_at = Some(wake_at.map_or(actor.not_before, |w| w.min(actor.not_before)));
             return false;
         }
-        !self.run.net.blocked(actor.node)
+        self.run.net.need(actor.node).is_none()
     }
 
     /// The worker: step runnable hosts in `order` until every node is
-    /// terminal or `deadline` passes. A host blocked at the causal gate
-    /// hands the worker to its blocker; with nothing runnable the worker
-    /// sleeps until the earliest wall instant a host awaits.
-    fn work(mut self, deadline: Instant, order: Order) {
+    /// terminal or `deadline` passes, then give back the transport,
+    /// whose counters are the run's totals. A host blocked at the causal
+    /// gate hands the worker to its blocker; with nothing runnable the
+    /// worker sleeps until the earliest wall instant a host awaits.
+    ///
+    /// Nothing runnable and no wall instant to wait for cannot happen:
+    /// every host would be blocked on a need nobody claims. A need is
+    /// claimed by the publish that lets it through — a fold, a restart
+    /// hand-off and going terminal each run the release rule — and a
+    /// send lowers a need only to what the sender's own anchor still
+    /// holds back, which the sender's next publish releases. So the
+    /// worker panics there, naming the blocked hosts and their needs.
+    fn work(mut self, deadline: Instant, order: Order) -> Loopback {
         let n = self.hosts.len();
         let mut rng = SplitMix64::new(match order {
             Order::Seeded(seed) => seed,
@@ -305,21 +316,28 @@ impl Fleet {
             match (picked, wake_at) {
                 (Some(i), _) => next = self.drive(i, deadline, order == Order::RoundRobin),
                 (None, Some(at)) => thread::sleep(at - now),
-                // Every publish that opens a gate claims the need, so
-                // this backstop never decides a run: gate every blocked
-                // host afresh.
-                (None, None) => self.run.net.unblock_all(),
+                (None, None) => {
+                    let net = &self.run.net;
+                    let needs: Vec<_> = (self.hosts.iter().flatten())
+                        .map(|a| (a.node, net.need(a.node)))
+                        .collect();
+                    panic!("every host blocked on an unclaimed need: {needs:?}");
+                }
             }
         }
+        self.run.net
     }
 
     /// Step host `i` once, or until it blocks, awaits the wall, or goes
     /// terminal if `until_blocked`; returns the blocker to hand the
     /// worker to.
     fn drive(&mut self, i: usize, deadline: Instant, until_blocked: bool) -> Option<usize> {
-        let actor = self.hosts[i].as_mut().expect("runnable host");
+        let (actor, run) = (
+            self.hosts[i].as_mut().expect("runnable host"),
+            &mut self.run,
+        );
         let ended = loop {
-            match catch_unwind(AssertUnwindSafe(|| actor.step(&self.run))) {
+            match catch_unwind(AssertUnwindSafe(|| actor.step(run))) {
                 Ok(Step::Ran) if until_blocked && Instant::now() < deadline => {}
                 Ok(Step::Ran) => return None,
                 Ok(Step::Wait { blocker }) => return Some(blocker.index()),
@@ -339,7 +357,7 @@ impl Fleet {
                 self.hosts[i] = again;
                 Settled::Host(Box::new(host), back_at.is_none())
             }
-            Err(payload) => Settled::Panic(host.panicked(&self.run, panic_message(payload))),
+            Err(payload) => Settled::Panic(host.panicked(&mut self.run, panic_message(payload))),
         };
         self.live -= usize::from(self.hosts[i].is_none());
         let _ = self.settled.send(settled);
@@ -372,9 +390,8 @@ pub(crate) fn run_fleet(
     let end = Time::ZERO + horizon + system.grace();
     let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
     let (settled_tx, settled_rx) = mpsc::channel::<Settled>();
-    let net = Loopback::new(system.network(cfg.seed));
     let run = Run {
-        net: net.clone(),
+        net: Loopback::new(system.network(cfg.seed)),
         keystore: Arc::new(KeyStore::derive(cfg.seed, n)),
         period: system.workload().period,
         end,
@@ -392,7 +409,7 @@ pub(crate) fn run_fleet(
     for i in 0..n {
         let node = NodeId(i as u32);
         let host = fleet.host(node, scenario.fault_of(node), Time::ZERO);
-        host.attach(&net);
+        host.attach(&mut fleet.run);
         fleet.hosts.push(Some(host));
     }
     // Logical zero is now, with every host built: none starts behind its
@@ -408,7 +425,8 @@ pub(crate) fn run_fleet(
         .spawn(move || fleet.work(stop, order))
         .expect("spawn fleet worker");
     let (mut outcomes, mut panics, mut gone) = (Vec::new(), Vec::new(), vec![false; n]);
-    loop {
+    // The transport comes back with the worker; a wedged one keeps it.
+    let net = loop {
         let left = (stop + cfg.join_grace).saturating_duration_since(Instant::now());
         match settled_rx.recv_timeout(left) {
             Ok(Settled::Host(host, for_good)) => {
@@ -419,13 +437,10 @@ pub(crate) fn run_fleet(
                 gone[report.node.index()] = true;
                 panics.push(report);
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                let _ = worker.join();
-                break;
-            }
-            Err(RecvTimeoutError::Timeout) => break,
+            Err(RecvTimeoutError::Disconnected) => break worker.join().ok(),
+            Err(RecvTimeoutError::Timeout) => break None,
         }
-    }
+    };
     let events: Vec<RuntimeEvent> = ev_rx.try_iter().collect();
     // A node that never went terminal for good is an overrun, dropped
     // with its actuations.
@@ -447,14 +462,18 @@ pub(crate) fn run_fleet(
         .map(|o| (o.node, &*o.behavior as &dyn NodeBehavior));
     let (node_stats, converged) = btr_core::node_rows(scenario, survivors);
 
-    let c = net.counters();
-    let drops = DropTotals {
-        mailbox_full: c.mailbox_full.load(Ordering::Relaxed),
-        transmission_loss: c.transmission_loss.load(Ordering::Relaxed),
-        sent: c.sent.load(Ordering::Relaxed),
+    let drops = net.as_ref().map_or(DropTotals::default(), |net| {
+        let c = net.counters();
+        DropTotals {
+            mailbox_full: c.mailbox_full,
+            transmission_loss: c.transmission_loss,
+            sent: c.sent,
+        }
+    });
+    let per_node = |f: fn(&Loopback, NodeId) -> u64| {
+        let node = |i| net.as_ref().map_or(0, |net| f(net, NodeId(i)));
+        (0..n as u32).map(node).collect()
     };
-    let per_node =
-        |f: fn(&Loopback, NodeId) -> u64| (0..n as u32).map(|i| f(&net, NodeId(i))).collect();
 
     // Out-of-band observability totals (outcomes are already in node
     // order, so the mark log is deterministic given the run's events).
@@ -478,7 +497,7 @@ pub(crate) fn run_fleet(
             .collect(),
         frontier_stalls: outcomes.iter().map(|o| o.frontier_stalls).sum(),
         frontier_blockers: per_node(Loopback::slept_on),
-        redrains: outcomes.iter().map(|o| o.redrains).sum(),
+        redrains: 0,
         timer_lag,
         wall: run_start.elapsed(),
     }
