@@ -408,11 +408,6 @@ mod tests {
         let sys = live_system(LIVE_NODES);
         let mut cfg = LiveConfig::new(LIVE_SEED);
         cfg.pace = 0.1;
-        // A debug fleet needs ~0.4 s of wall here against a ~0.55 s
-        // deadline, so a busy host overruns it: a slow host is not a
-        // wedge. A node that misses the deadline is detached with its
-        // actuations, which reads as bad outputs, not as divergence.
-        cfg.join_grace = std::time::Duration::from_secs(10);
         for spec in pinned_scenarios(false) {
             if !matches!(spec.name, "crash" | "omission") {
                 continue;

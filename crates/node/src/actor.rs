@@ -1,13 +1,15 @@
 //! The node host: one `NodeBehavior`, stepped by the fleet's worker.
 //!
-//! Each host owns a logical clock, an agenda, and a mailbox, and holds
-//! its [`Seat`] — skew, signer, RNG stream, derived as the simulator
+//! Each host owns a logical clock and an agenda, drains the mailbox
+//! the transport keeps for its node, and holds its [`Seat`] — skew, signer, RNG stream, derived as the simulator
 //! derives them and lent to a `NodeCtx` per dispatch beside the
 //! [`LiveCtx`] substrate. All *protocol-visible* time is logical —
 //! envelope timestamps, timer deadlines, actuation stamps — so a live
 //! run produces the simulator's canonical actuation trace, and the wall
 //! clock only determines how long the run physically takes (and how
-//! real the measured recovery latencies are).
+//! real the measured recovery latencies are). A step borrows the
+//! fleet's transport: it drains the mailbox, gates, dispatches, and
+//! hands what the dispatch sent to the network, with nothing between.
 //!
 //! Two gates sit in front of every dispatch:
 //!

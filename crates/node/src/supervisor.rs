@@ -11,16 +11,20 @@
 //! time: a host the causal gate blocks hands the worker to its blocker,
 //! and with nothing runnable the worker sleeps until the earliest wall
 //! instant a host awaits. The causal gate makes any order of steps
-//! yield the simulator's trace. One worker, not one per core: the gate
-//! passes the frontier from host to host, so hosts rarely have work at
-//! the same time, and on two cores a second worker made every measured
-//! run slower (EXPERIMENTS.md "One worker stepping node hosts"). Hosts
-//! report [`RuntimeEvent`]s over a channel; the supervisor, on the
-//! calling thread:
+//! yield the simulator's trace, and the crate's tests step seeded and
+//! skew-maximising orders ([`Order`]) to hold it to that. One worker,
+//! not one per core: the gate passes the frontier from host to host, so
+//! hosts rarely have work at the same time, and on two cores a second
+//! worker made every measured run slower (EXPERIMENTS.md "One worker
+//! stepping node hosts"). The
+//! worker owns the hosts and the transport, so neither needs a lock,
+//! and gives the transport back when it is joined. Hosts report
+//! [`RuntimeEvent`]s and terminal hosts over channels; the supervisor,
+//! on the calling thread:
 //!
 //! * stops the fleet past the wall-clock deadline, records the nodes
 //!   that never went terminal as overruns, and never joins a worker
-//!   wedged inside a dispatch;
+//!   wedged inside a dispatch (that run reports no transport totals);
 //! * catches behaviour panics per step, attributes them to the node id,
 //!   and detaches the dead node from the network (its peers see the
 //!   same silence a crash produces);
@@ -642,10 +646,6 @@ mod tests {
         let reference = world.logical_trace().digest();
         let mut cfg = unpaced();
         cfg.restart_after = restart_after;
-        // A debug run takes 125–435 ms of wall here while the other fleet
-        // tests share two cores, against a 0.5 s default grace past a 3 ms
-        // paced horizon: a slow host is not a wedge.
-        cfg.join_grace = std::time::Duration::from_secs(10);
         let orders = orders.into_iter();
         orders
             .filter(|&order| {
