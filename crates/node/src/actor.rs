@@ -1,9 +1,9 @@
 //! The node host: one `NodeBehavior`, stepped by the fleet's worker.
 //!
 //! Each host owns a logical clock and an agenda, drains the mailbox
-//! the transport keeps for its node, and holds its [`Seat`] — skew, signer, RNG stream, derived as the simulator
-//! derives them and lent to a `NodeCtx` per dispatch beside the
-//! [`LiveCtx`] substrate. All *protocol-visible* time is logical —
+//! the transport keeps for its node, and holds its [`Seat`] — skew,
+//! signer, RNG stream, derived as the simulator derives them and lent
+//! to a `NodeCtx` per dispatch beside the [`LiveCtx`] substrate. All *protocol-visible* time is logical —
 //! envelope timestamps, timer deadlines, actuation stamps — so a live
 //! run produces the simulator's canonical actuation trace, and the wall
 //! clock only determines how long the run physically takes (and how
@@ -305,8 +305,9 @@ pub(crate) struct Run {
 }
 
 /// One node host: behaviour + context, stepped to the run's horizon
-/// under the run's wall-clock pacer; its mailbox is the transport's. Once terminal, what it
-/// leaves (behaviour, actuations, marks, counters) is read off it.
+/// under the run's wall-clock pacer (its mailbox is the transport's).
+/// Once terminal, what it leaves (behaviour, actuations, marks,
+/// counters) is read off it.
 pub(crate) struct NodeActor {
     pub(crate) node: NodeId,
     pub(crate) behavior: Box<dyn NodeBehavior + Send>,
@@ -366,10 +367,9 @@ impl NodeActor {
         self
     }
 
-    /// Attach the host's node to the network with its mailbox (a
-    /// cold boot's up front, as its peers may send before its first
-    /// step; a restart's only at its instant: a down node misses its
-    /// downtime's traffic).
+    /// Attach the host's node to the network with its mailbox: a cold
+    /// boot's up front, as its peers may send before its first step; a
+    /// restart's when it starts, at the wall instant of its restart.
     pub(crate) fn attach(&self, run: &mut Run) {
         run.net.attach(self.node, run.cfg.mailbox_cap);
     }

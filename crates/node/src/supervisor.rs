@@ -16,11 +16,10 @@
 //! not one per core: the gate passes the frontier from host to host, so
 //! hosts rarely have work at the same time, and on two cores a second
 //! worker made every measured run slower (EXPERIMENTS.md "One worker
-//! stepping node hosts"). The
-//! worker owns the hosts and the transport, so neither needs a lock,
-//! and gives the transport back when it is joined. Hosts report
-//! [`RuntimeEvent`]s and terminal hosts over channels; the supervisor,
-//! on the calling thread:
+//! stepping node hosts"). The worker owns the hosts and the transport,
+//! so neither needs a lock, and gives the transport back when it is
+//! joined. Hosts report [`RuntimeEvent`]s and terminal hosts over
+//! channels; the supervisor, on the calling thread:
 //!
 //! * stops the fleet past the wall-clock deadline, records the nodes
 //!   that never went terminal as overruns, and never joins a worker

@@ -339,8 +339,12 @@ impl Loopback {
             self.mailbox_full_by[dst.index()] += 1;
             return None;
         }
-        let from = src;
-        q.push_back(LiveMsg { at, from, seq, env });
+        q.push_back(LiveMsg {
+            at,
+            from: src,
+            seq,
+            env,
+        });
         c.sent += 1;
         // Note the receiver's floor, and if it is blocked at the causal
         // gate, lower what it waits for to the bound that admits the
