@@ -119,11 +119,6 @@ fn live_scenario_json(o: &mut json::Object<'_>, r: &ScenarioRun) {
     o.field("within_r_wall", m.within_r_wall);
     o.field("msgs_sent", m.msgs_sent);
     o.field("mailbox_full", m.mailbox_full);
-    o.field("frontier_stalls", m.frontier_stalls);
-    o.array("frontier_blockers", Inline, |a| {
-        a.items(&m.frontier_blockers)
-    });
-    o.field("top_blocker", m.top_blocker().map(|(node, _)| node.0));
     o.field("timer_lag_p50_us", m.timer_lag_p50_us);
     o.field("timer_lag_p95_us", m.timer_lag_p95_us);
     o.field("timer_lag_p99_us", m.timer_lag_p99_us);
@@ -441,17 +436,6 @@ fn run_live_cli(mut args: Vec<String>, _threads: usize) {
             ),
             None => outln!("  {:<14} fault-free: no recovery to decompose", ""),
         }
-        // Who held the frontier: the peer the fleet slept on most.
-        outln!(
-            "  {:<14} frontier: {} stalls ({}) over {} msgs",
-            "",
-            m.frontier_stalls,
-            match m.top_blocker() {
-                Some((node, sleeps)) => format!("top blocker {node}, {sleeps}"),
-                None => "nobody blocked".to_string(),
-            },
-            m.msgs_sent,
-        );
         // The latency quantiles both substrates carry: the simulator's
         // logical delivery latencies, and the live runtime's wall timer
         // lag past its paced instants.

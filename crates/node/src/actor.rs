@@ -8,38 +8,27 @@
 //! run produces the simulator's canonical actuation trace, and the wall
 //! clock only determines how long the run physically takes (and how
 //! real the measured recovery latencies are). A step borrows the
-//! fleet's transport: it drains the mailbox, gates, dispatches, and
+//! fleet's transport: it drains the mailbox, dispatches one event, and
 //! hands what the dispatch sent to the network, with nothing between.
 //!
-//! Two gates sit in front of every dispatch:
-//!
-//! * **Causal gate** (correctness): conservative parallel
-//!   discrete-event execution in the Chandy–Misra–Bryant style. Each
-//!   node publishes a frontier through the transport — a lower bound on
-//!   the arrival time of anything it may still send, which is its next
-//!   dispatchable instant plus the topology's minimum link delay
-//!   (lookahead). A node dispatches an event at logical `t` only once
-//!   every peer's frontier has passed `t`, so the order the worker
-//!   steps hosts in, or a worker descheduled for ten milliseconds,
-//!   delays the run but can never reorder it; a host the gate holds
-//!   names the peer that holds it, and the worker steps that peer next.
-//! * **Wall gate** (pacing): logical `t` does not dispatch before wall
-//!   instant `epoch + pace · t`, which is what makes measured recovery
-//!   latencies real.
+//! A host needs no gate of its own. The fleet's worker steps the host
+//! whose head — its earliest pending work, [`NodeActor::head`] — is the
+//! least in the fleet, once the wall clock reaches that instant
+//! (`epoch + pace · t`, which is what makes measured recovery latencies
+//! real); the supervisor module says why nothing can then arrive ahead
+//! of the event the step dispatches.
 //!
 //! Everything a host has yet to dispatch sits in one agenda, ordered
 //! `(logical time, class, tie)`: the node's scripted crash first (the
 //! simulator schedules it as a control event before the run starts, so
-//! it pops ahead of everything else at its instant), then timers
+//! it pops ahead of every node's work at its instant), then timers
 //! (ordered by arm sequence), then parked messages (ordered by transport
-//! `(sender, send seq)`); the causal gate admits a crash or a timer at
-//! the frontier bound (they win ties) and messages strictly below it.
-//! The simulator orders same-instant events by global push sequence
-//! instead; the two conventions only differ for exact logical-time ties,
-//! which the pinned differential tests cover.
+//! `(sender, send seq)`). The simulator orders same-instant events by
+//! global push sequence instead; the two conventions only differ for
+//! exact logical-time ties, which the pinned differential tests cover.
 
 use crate::supervisor::{LiveConfig, PanicReport};
-use crate::transport::{Gate, LiveMsg, Loopback};
+use crate::transport::{LiveMsg, Loopback};
 use btr_crypto::{AuthSuite, KeyStore};
 use btr_model::{Duration, Envelope, NodeId, PeriodIdx, TaskId, Time, Value};
 use btr_obs::{FlightKind, FlightRecorder, Histogram, Phase, PhaseMark, FLIGHT_CAP};
@@ -113,14 +102,16 @@ pub enum EventKind {
     Panicked(String),
 }
 
-/// Agenda class of the scripted crash: pops at the causal bound, before
-/// its instant's timers and messages.
-const CRASH: u64 = 0;
-/// Agenda class of a timer: dispatches at the causal bound.
-const TIMER: u64 = 1;
-/// Agenda class of a parked message: dispatches strictly below the
-/// bound (one still in flight could tie and order ahead by sender).
-const MESSAGE: u64 = 2;
+/// Head class of a host that has not started: ahead of everything at
+/// its start instant.
+const START: u64 = 0;
+/// Agenda class of the scripted crash: pops before its instant's timers
+/// and messages, on every host.
+const CRASH: u64 = 1;
+/// Agenda class of a timer.
+const TIMER: u64 = 2;
+/// Agenda class of a parked (or still undrained) message.
+const MESSAGE: u64 = 3;
 
 /// One thing an actor has yet to dispatch.
 struct Due {
@@ -275,15 +266,10 @@ impl CtxBackend for LiveCtx {
     }
 }
 
-/// What one [`NodeActor::step`] did, or why it could not.
+/// What one [`NodeActor::step`] did.
 pub(crate) enum Step {
-    /// Started the node or dispatched one event: step again.
+    /// Started the node or dispatched one event.
     Ran,
-    /// The causal gate holds the next event until `blocker`, the peer
-    /// holding the frontier lowest, publishes past it.
-    Wait { blocker: NodeId },
-    /// The next event may not dispatch before this wall instant.
-    NotBefore(Instant),
     /// Terminal: the node finished or crashed, and comes back at the
     /// instant given, if it does.
     Done(Option<Time>),
@@ -318,15 +304,9 @@ pub(crate) struct NodeActor {
     scratch: Scratch,
     pub(crate) ctx: LiveCtx,
     started: bool,
-    /// The scheduler's note of the wall instant before which stepping
-    /// this host is pointless.
-    pub(crate) not_before: Instant,
     last_switch_count: u64,
     /// Ring of the last few dispatches: the tail a panic report shows.
     flight: FlightRecorder,
-    /// Causal-gate stalls (the event at hand was not yet provably safe
-    /// to dispatch, and the node blocked until a peer's publish).
-    pub(crate) frontier_stalls: u64,
     /// Wall-clock lateness of timer dispatches past their paced
     /// instant, in µs (live-only: logically always 0).
     pub(crate) timer_lag: Histogram,
@@ -349,19 +329,14 @@ impl NodeActor {
             scratch: Scratch::for_node(),
             ctx: LiveCtx::new(run.period, keystore, start, run.cfg.obs),
             started: false,
-            // Unknown until the first step says.
-            not_before: Instant::now(),
             last_switch_count: 0,
             flight: FlightRecorder::new(FLIGHT_CAP),
-            frontier_stalls: 0,
             timer_lag: Histogram::new(),
         }
     }
 
     /// Crash this node at logical `at`, and restart it the run's
-    /// `restart_after` later if that is inside the horizon: dying, it
-    /// then hands its frontier cell to the next incarnation instead of
-    /// going terminal.
+    /// `restart_after` later if that is inside the horizon.
     pub(crate) fn with_crash(mut self, at: Time) -> NodeActor {
         self.ctx.agenda.crash(at);
         self
@@ -369,7 +344,8 @@ impl NodeActor {
 
     /// Attach the host's node to the network with its mailbox: a cold
     /// boot's up front, as its peers may send before its first step; a
-    /// restart's when it starts, at the wall instant of its restart.
+    /// restart's when it starts, so a send during its downtime counts
+    /// as `receiver_down`, as a send to a down node does.
     pub(crate) fn attach(&self, run: &mut Run) {
         run.net.attach(self.node, run.cfg.mailbox_cap);
     }
@@ -409,18 +385,25 @@ impl NodeActor {
         }
     }
 
-    /// One step: start the node (`Started`), or dispatch its next event
-    /// once the causal gate and the wall gate admit it, or say why not.
-    /// Emits `SwitchCompleted`s as they happen, and exactly one terminal
-    /// `Finished`/`Crashed` event when it returns [`Step::Done`]; a
-    /// behaviour armed with nothing finishes once nothing can still
-    /// arrive inside the horizon.
+    /// The host's head, `(instant, class)`: its earliest pending work.
+    /// Before it starts, that is its start instant, ahead of every
+    /// class; after, the earlier of its agenda's next event and the
+    /// earliest arrival it has not drained. `None`: nothing pending.
+    pub(crate) fn head(&self, net: &Loopback) -> Option<(Time, u64)> {
+        if !self.started {
+            return Some((self.ctx.logical, START));
+        }
+        let arrival = net.undrained(self.node).map(|at| (at, MESSAGE));
+        self.ctx.agenda.peek().into_iter().chain(arrival).min()
+    }
+
+    /// One step, taken when this host's head is the fleet's least: start
+    /// the node (`Started`), or drain the mailbox and dispatch the next
+    /// event, or, with nothing left inside the horizon, finish. Emits
+    /// `SwitchCompleted`s as they happen, and exactly one terminal
+    /// `Finished`/`Crashed` event when it returns [`Step::Done`].
     pub(crate) fn step(&mut self, run: &mut Run) -> Step {
         if !self.started {
-            let at = run.pacer.wall_for(self.ctx.logical);
-            if Instant::now() < at {
-                return Step::NotBefore(at);
-            }
             self.attach(run);
             self.behavior.on_start(&mut NodeCtx::new(
                 &mut self.seat,
@@ -434,33 +417,20 @@ impl NodeActor {
             self.flight.push(self.ctx.logical, FlightKind::Start);
             return Step::Ran;
         }
-        let agenda = &mut self.ctx.agenda;
-        run.net.drain(self.node, |m| agenda.park(m));
-        // Our anchor is the earliest event we could dispatch; `need` is
-        // the causal bound that makes the step at hand safe: a crash's
-        // or a timer's instant, one past a message's (see the classes);
-        // with nothing left inside the horizon we are done once nothing
-        // can still arrive in it.
-        let end = run.end;
-        let (anchor, need, due) = match self.ctx.agenda.peek() {
-            Some((at, class)) if at <= end => {
-                (at, at + Duration(u64::from(class == MESSAGE)), true)
-            }
-            Some((at, _)) => (at, end + Duration(1), false),
-            None => (Time(u64::MAX), end + Duration(1), false),
-        };
-        if let Gate::Wait { blocker } = run.net.gate(self.node, anchor, need) {
-            self.frontier_stalls += 1;
-            return Step::Wait { blocker };
-        }
-        if !due {
+        let (agenda, clock) = (&mut self.ctx.agenda, self.ctx.logical);
+        run.net.drain(self.node, |m| {
+            // Every send that lands here came from a step before this
+            // one, at a head no later than ours, so none is late.
+            debug_assert!(
+                m.at >= clock,
+                "{} arrival at {} below the clock {clock}",
+                m.from,
+                m.at
+            );
+            agenda.park(m);
+        });
+        if !matches!(self.ctx.agenda.peek(), Some((at, _)) if at <= run.end) {
             return self.finish(run, EventKind::Finished);
-        }
-        // Wall gate. The causal gate said Go, so no arrival can precede
-        // the event: it is the next one whenever its instant comes.
-        let target = run.pacer.wall_for(anchor);
-        if Instant::now() < target {
-            return Step::NotBefore(target);
         }
         let Due { key, env } = self.ctx.agenda.pop().expect("peeked event");
         let (at, class, a, b) = key;
@@ -470,7 +440,7 @@ impl NodeActor {
         }
         let kind = match env {
             None => {
-                let late = Instant::now().saturating_duration_since(target);
+                let late = Instant::now().saturating_duration_since(run.pacer.wall_for(at));
                 self.timer_lag.record(late.as_micros() as u64);
                 FlightKind::Timer
             }
@@ -511,25 +481,17 @@ impl NodeActor {
         let after = run.cfg.restart_after;
         let back_at = self.ctx.logical + after;
         let back_at = (crashed && after > Duration::ZERO && back_at < run.end).then_some(back_at);
-        match back_at {
-            // Coming back: the cell goes straight to the restart instant.
-            Some(at) => run.net.hand_off(self.node, at),
-            // Terminal: this node will never send again, so no peer may
-            // wait on it.
-            None => run.net.set_terminal(self.node),
-        }
         self.emit(run, terminal);
         Step::Done(back_at)
     }
 
     /// The host's behaviour panicked mid-step: take the node down as a
-    /// crash does, release its causal hold, and report the panic with
-    /// the flight tail leading into it.
+    /// crash does, and report the panic with the flight tail leading
+    /// into it.
     pub(crate) fn panicked(mut self, run: &mut Run, message: String) -> PanicReport {
         // What the behaviour sent before it panicked has left the node.
         self.flush(&mut run.net);
         run.net.crash(self.node);
-        run.net.set_terminal(self.node);
         self.emit(run, EventKind::Panicked(message.clone()));
         PanicReport {
             node: self.node,
@@ -580,9 +542,7 @@ mod tests {
 
     /// Step a lone host until it is terminal.
     fn run(mut actor: NodeActor, run: &mut Run) -> NodeActor {
-        while !matches!(actor.step(run), Step::Done(_)) {
-            std::thread::yield_now();
-        }
+        while !matches!(actor.step(run), Step::Done(_)) {}
         actor
     }
 
@@ -649,9 +609,6 @@ mod tests {
     fn actor_runs_timer_chain_to_horizon() {
         let (mut net, ks) = harness(2);
         net.attach(NodeId(1), 64);
-        // Node 1 has no host in this test: release its causal frontier
-        // so node 0's gate never waits on it.
-        net.set_terminal(NodeId(1));
         let pinger = Box::new(Pinger { fired: 0 });
         let (actor, mut shared, ev_rx) = host(NodeId(0), pinger, net, &ks, Time::from_millis(2));
         let out = run(actor, &mut shared);
@@ -695,8 +652,7 @@ mod tests {
     fn crash_is_terminal_and_detaches_mailbox() {
         // A crash scripted for 50 µs pops before the timer armed for 50
         // µs and the message parked for it: neither dispatches.
-        let (mut net, ks) = harness(2);
-        net.set_terminal(NodeId(1));
+        let (net, ks) = harness(2);
         let (actor, mut shared, ev_rx) = host(
             NodeId(0),
             Box::new(Actuator),

@@ -9,21 +9,22 @@
 //! paper's R bound; and the simulator is the *trace oracle*: all
 //! protocol-visible time is logical, so every live run must be
 //! bit-identical to the simulated one on its canonical actuation trace
-//! (`LogicalTrace`), whatever order the hosts are stepped in.
+//! (`LogicalTrace`), however late the worker runs behind the wall.
 //!
 //! Layering:
 //!
 //! * `transport` — the `Loopback` network: routes, per-hop delays,
-//!   deterministic loss, bounded mailboxes, crash/restore, and the
-//!   causal frontier with its gate and the needs blocked hosts declare.
+//!   deterministic loss, bounded mailboxes, crash/restore, and each
+//!   node's earliest undrained arrival.
 //! * `actor` — `LiveCtx` (the live `CtxBackend`; the node's half is the
 //!   `btr_sim::Seat` both substrates derive alike) and the node host,
-//!   whose `step` dispatches one event or says why it cannot: blocked
-//!   on a peer, not before a wall instant, or terminal.
+//!   whose head is its earliest pending work and whose `step` starts
+//!   the node, dispatches one event, or finishes it.
 //! * `supervisor` — [`run_live`] builds a host per plain `BtrNode`, each
 //!   with the attack and crash instant the scenario scripts for it, runs
-//!   the worker, catches panics, restarts crash victims, records
-//!   deadline overruns, and assembles the [`LiveReport`].
+//!   the worker that steps the least head first, catches panics,
+//!   restarts crash victims, records deadline overruns, and assembles
+//!   the [`LiveReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

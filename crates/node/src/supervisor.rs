@@ -8,18 +8,17 @@
 //! with the attack the scenario scripts for it; a scripted crash is
 //! handed to the node's host, which stops the node at that instant as
 //! the simulator's control action does. The worker steps one host at a
-//! time: a host the causal gate blocks hands the worker to its blocker,
-//! and with nothing runnable the worker sleeps until the earliest wall
-//! instant a host awaits. The causal gate makes any order of steps
-//! yield the simulator's trace, and the crate's tests step seeded and
-//! skew-maximising orders ([`Order`]) to hold it to that. One worker,
-//! not one per core: the gate passes the frontier from host to host, so
-//! hosts rarely have work at the same time, and on two cores a second
-//! worker made every measured run slower (EXPERIMENTS.md "One worker
-//! stepping node hosts"). The worker owns the hosts and the transport,
-//! so neither needs a lock, and gives the transport back when it is
-//! joined. Hosts report [`RuntimeEvent`]s and terminal hosts over
-//! channels; the supervisor, on the calling thread:
+//! time, the one whose head (its earliest pending work) is the least in
+//! the fleet, once the wall clock reaches that instant: the simulator's
+//! own rule, step the earliest event. Nothing can then arrive ahead of
+//! the step, as every other head is at or after it and a message
+//! between nodes takes at least one link latency. One worker, not one
+//! per core: on two cores a second worker made every measured run
+//! slower (EXPERIMENTS.md "One worker stepping node hosts"). The worker
+//! owns the hosts and the transport, so neither needs a lock, and gives
+//! the transport back when it is joined. Hosts report [`RuntimeEvent`]s
+//! and terminal hosts over channels; the supervisor, on the calling
+//! thread:
 //!
 //! * stops the fleet past the wall-clock deadline, records the nodes
 //!   that never went terminal as overruns, and never joins a worker
@@ -29,9 +28,7 @@
 //!   same silence a crash produces);
 //! * optionally restarts crashed nodes after a scripted downtime as a
 //!   fresh `BtrNode` host, which joins at its instant: the live analogue
-//!   of the paper's bounded-time recovery loop (the dying host itself
-//!   parks its causal frontier at the restart instant, so there is no
-//!   window for the supervisor to close).
+//!   of the paper's bounded-time recovery loop.
 //!
 //! The report carries the canonical [`LogicalTrace`] (the simulator is
 //! the oracle: a fault-free live run must digest-match the simulated
@@ -40,12 +37,11 @@
 use crate::actor::{EventKind, NodeActor, Pacer, Run, RuntimeEvent, Step};
 use crate::transport::Loopback;
 use btr_core::{BtrSystem, FaultScenario, InjectedFault, NodeRow};
-use btr_crypto::{KeyStore, SplitMix64};
+use btr_crypto::KeyStore;
 use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, Histogram, PhaseMark};
 use btr_runtime::{Attack, BtrNode};
-use btr_sim::{CtxBackend, LogicalTrace, NodeBehavior};
-use std::cmp::Reverse;
+use btr_sim::{LogicalTrace, NodeBehavior};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -145,14 +141,12 @@ pub struct LiveReport {
     /// Phase marks observed across all node runtimes, in node order
     /// (empty when `LiveConfig::obs` is off).
     pub phase_marks: Vec<PhaseMark>,
-    /// Causal-gate stalls summed over all hosts.
+    /// Always 0: the worker steps a host only when its event is the
+    /// fleet's earliest, so no host ever stalls on a peer. Kept while
+    /// the repository benchmark reads it.
     pub frontier_stalls: u64,
-    /// Who held the frontier: of those stalls, how many had each node as
-    /// the peer holding the blocked node's bound lowest (index = node;
-    /// sums to `frontier_stalls` when no host was left as an overrun).
-    pub frontier_blockers: Vec<u64>,
-    /// Always 0: a host drains its mailbox and gates in one step, so no
-    /// arrival can force a repeat fold. Kept while the repository
+    /// Always 0: a host drains its mailbox in the step that dispatches,
+    /// so no arrival can force a repeat drain. Kept while the repository
     /// benchmark reads it.
     pub redrains: u64,
     /// Wall-clock lateness of timer dispatches (µs), merged over all
@@ -205,26 +199,6 @@ pub(crate) fn btr_nodes(system: &BtrSystem) -> Box<Make> {
     })
 }
 
-/// The order the worker steps runnable hosts in. The causal gate makes
-/// every order yield the simulator's trace; the crate's tests hold the
-/// fleet to that under each (only they step the seeded and `Ahead`
-/// orders).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) enum Order {
-    /// The blocker hand-off, else the next runnable host round a cursor,
-    /// stepped until it blocks, awaits the wall or goes terminal: the
-    /// order [`run_live`] runs.
-    RoundRobin,
-    /// One event per pick: the hand-off with probability ½, else a
-    /// uniform pick among the runnable hosts, drawn from this seed.
-    Seeded(u64),
-    /// One event per pick: the runnable host whose logical clock is
-    /// furthest ahead (ties to the lowest id), which maximises the skew
-    /// between hosts.
-    Ahead,
-}
-
 /// A host gone terminal, handed from the worker to the supervisor.
 enum Settled {
     /// Finished or crashed; `true` unless a restart follows.
@@ -258,101 +232,47 @@ impl Fleet {
         }
     }
 
-    /// Whether host `i` is runnable now; if it awaits a wall instant,
-    /// fold that into `wake_at`.
-    fn runnable(&self, i: usize, now: Instant, wake_at: &mut Option<Instant>) -> bool {
-        let Some(actor) = &self.hosts[i] else {
-            return false;
-        };
-        if actor.not_before > now {
-            *wake_at = Some(wake_at.map_or(actor.not_before, |w| w.min(actor.not_before)));
-            return false;
-        }
-        self.run.net.need(actor.node).is_none()
-    }
-
-    /// The worker: step runnable hosts in `order` until every node is
-    /// terminal or `deadline` passes, then give back the transport,
-    /// whose counters are the run's totals. A host blocked at the causal
-    /// gate hands the worker to its blocker; with nothing runnable the
-    /// worker sleeps until the earliest wall instant a host awaits.
+    /// The worker: step the host with the least head until every node
+    /// is terminal or `deadline` passes, then give back the transport,
+    /// whose counters are the run's totals.
     ///
-    /// Nothing runnable and no wall instant to wait for cannot happen:
-    /// every host would be blocked on a need nobody claims. A need is
-    /// claimed by the publish that lets it through — a fold, a restart
-    /// hand-off and going terminal each run the release rule — and a
-    /// send lowers a need only to what the sender's own anchor still
-    /// holds back, which the sender's next publish releases. So the
-    /// worker panics there, naming the blocked hosts and their needs.
-    fn work(mut self, deadline: Instant, order: Order) -> Loopback {
-        let n = self.hosts.len();
-        let mut rng = SplitMix64::new(match order {
-            Order::Seeded(seed) => seed,
-            _ => 0,
-        });
-        let (mut cursor, mut next) = (0, None::<usize>);
-        let mut runnable = Vec::with_capacity(n);
+    /// Heads are keyed `(instant, class, node id)`, and a host with
+    /// nothing pending goes last. The worker waits for the least head's
+    /// wall instant, capped at the deadline, and steps that host once
+    /// (the module docs say why that is safe). Once the least head is
+    /// past the horizon, each host stepped finishes.
+    fn work(mut self, deadline: Instant) -> Loopback {
         while self.live > 0 {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let mut wake_at = None;
-            runnable.clear();
-            runnable.extend((0..n).filter(|&i| self.runnable(i, now, &mut wake_at)));
-            let handed = next.take().filter(|b| runnable.contains(b));
-            let picked = match order {
-                Order::RoundRobin => handed.or_else(|| {
-                    let after = runnable.iter().find(|&&i| i > cursor);
-                    cursor = *after.or(runnable.first())?;
-                    Some(cursor)
-                }),
-                Order::Seeded(_) => handed.filter(|_| rng.next_u64() >> 63 == 1).or_else(|| {
-                    let draw = u128::from(rng.next_u64()) * runnable.len() as u128;
-                    runnable.get((draw >> 64) as usize).copied()
-                }),
-                Order::Ahead => runnable.iter().copied().max_by_key(|&i| {
-                    let logical = self.hosts[i].as_ref().map(|a| a.ctx.now());
-                    (logical, Reverse(i))
-                }),
-            };
-            match (picked, wake_at) {
-                (Some(i), _) => next = self.drive(i, deadline, order == Order::RoundRobin),
-                (None, Some(at)) => thread::sleep(at - now),
-                (None, None) => {
-                    let net = &self.run.net;
-                    let needs: Vec<_> = (self.hosts.iter().flatten())
-                        .map(|a| (a.node, net.need(a.node)))
-                        .collect();
-                    panic!("every host blocked on an unclaimed need: {needs:?}");
+            let net = &self.run.net;
+            let (head, i) = (self.hosts.iter().enumerate())
+                .filter_map(|(i, host)| Some((host.as_ref()?.head(net), i)))
+                .min_by_key(|&(head, i)| (head.is_none(), head, i))
+                .expect("a live host");
+            if let Some((at, _)) = head.filter(|&(at, _)| at <= self.run.end) {
+                let wall = self.run.pacer.wall_for(at);
+                if wall > now {
+                    thread::sleep(wall.min(deadline) - now);
+                    continue;
                 }
             }
+            self.step(i);
         }
         self.run.net
     }
 
-    /// Step host `i` once, or until it blocks, awaits the wall, or goes
-    /// terminal if `until_blocked`; returns the blocker to hand the
-    /// worker to.
-    fn drive(&mut self, i: usize, deadline: Instant, until_blocked: bool) -> Option<usize> {
-        let (actor, run) = (
-            self.hosts[i].as_mut().expect("runnable host"),
-            &mut self.run,
-        );
-        let ended = loop {
-            match catch_unwind(AssertUnwindSafe(|| actor.step(run))) {
-                Ok(Step::Ran) if until_blocked && Instant::now() < deadline => {}
-                Ok(Step::Ran) => return None,
-                Ok(Step::Wait { blocker }) => return Some(blocker.index()),
-                Ok(Step::NotBefore(at)) => {
-                    actor.not_before = at;
-                    return None;
-                }
-                Ok(Step::Done(back_at)) => break Ok(back_at),
-                Err(payload) => break Err(payload),
-            }
+    /// Step host `i` once; if that leaves it terminal, settle it.
+    fn step(&mut self, i: usize) {
+        let (actor, run) = (self.hosts[i].as_mut().expect("live host"), &mut self.run);
+        let ended = match catch_unwind(AssertUnwindSafe(|| actor.step(run))) {
+            Ok(Step::Ran) => return,
+            Ok(Step::Done(back_at)) => Ok(back_at),
+            Err(payload) => Err(payload),
         };
-        let host = self.hosts[i].take().expect("runnable host");
+        let host = self.hosts[i].take().expect("live host");
         let settled = match ended {
             Ok(back_at) => {
                 // A restart is a fresh host that joins at its instant.
@@ -364,7 +284,6 @@ impl Fleet {
         };
         self.live -= usize::from(self.hosts[i].is_none());
         let _ = self.settled.send(settled);
-        None
     }
 }
 
@@ -375,18 +294,16 @@ pub fn run_live(
     horizon: Duration,
     cfg: &LiveConfig,
 ) -> LiveReport {
-    let make = btr_nodes(system);
-    run_fleet(system, scenario, horizon, cfg, make, Order::RoundRobin)
+    run_fleet(system, scenario, horizon, cfg, btr_nodes(system))
 }
 
-/// [`run_live`] with the behaviours `make` builds, stepped in `order`.
+/// [`run_live`] with the behaviours `make` builds.
 pub(crate) fn run_fleet(
     system: &BtrSystem,
     scenario: &FaultScenario,
     horizon: Duration,
     cfg: &LiveConfig,
     make: Box<Make>,
-    order: Order,
 ) -> LiveReport {
     let run_start = Instant::now();
     let n = system.topology().node_count();
@@ -425,7 +342,7 @@ pub(crate) fn run_fleet(
     let stop = pacer.wall_for(end) + cfg.join_grace;
     let worker = thread::Builder::new()
         .name("btr-fleet".to_string())
-        .spawn(move || fleet.work(stop, order))
+        .spawn(move || fleet.work(stop))
         .expect("spawn fleet worker");
     let (mut outcomes, mut panics, mut gone) = (Vec::new(), Vec::new(), vec![false; n]);
     // The transport comes back with the worker; a wedged one keeps it.
@@ -473,10 +390,7 @@ pub(crate) fn run_fleet(
             sent: c.sent,
         }
     });
-    let per_node = |f: fn(&Loopback, NodeId) -> u64| {
-        let node = |i| net.as_ref().map_or(0, |net| f(net, NodeId(i)));
-        (0..n as u32).map(node).collect()
-    };
+    let mailbox_full_at = |i| net.as_ref().map_or(0, |net| net.mailbox_full_at(NodeId(i)));
 
     // Out-of-band observability totals (outcomes are already in node
     // order, so the mark log is deterministic given the run's events).
@@ -493,13 +407,12 @@ pub(crate) fn run_fleet(
         panics,
         deadline_overruns,
         drops,
-        mailbox_full_by_node: per_node(Loopback::mailbox_full_at),
+        mailbox_full_by_node: (0..n as u32).map(mailbox_full_at).collect(),
         phase_marks: outcomes
             .iter()
             .flat_map(|o| o.ctx.marks.iter().copied())
             .collect(),
-        frontier_stalls: outcomes.iter().map(|o| o.frontier_stalls).sum(),
-        frontier_blockers: per_node(Loopback::slept_on),
+        frontier_stalls: 0,
         redrains: 0,
         timer_lag,
         wall: run_start.elapsed(),
@@ -514,7 +427,7 @@ mod tests {
     use super::*;
     use btr_model::{Envelope, FaultKind, Payload, TaskId, Topology};
     use btr_planner::PlannerConfig;
-    use btr_sim::{NodeCtx, SimConfig, TimerId, World};
+    use btr_sim::{NodeCtx, SimConfig, TimerId};
 
     const SEED: u64 = 7;
 
@@ -531,29 +444,74 @@ mod tests {
         BtrSystem::plan(workload, topo, cfg).expect("plannable")
     }
 
-    /// Unpaced: at 0.01 wall-µs per logical-µs the wall gate never
-    /// binds, and the causal gate alone orders the run.
+    /// Unpaced: at 0.01 wall-µs per logical-µs the worker never waits
+    /// for the wall, and the least-head rule alone orders the run. A
+    /// debug build runs the crypto an order of magnitude slower, and its
+    /// crash-restart run needs nearly the default half-second grace, so
+    /// it gets 5 s before a host counts as wedged.
     fn unpaced() -> LiveConfig {
         let mut cfg = LiveConfig::new(SEED);
         cfg.pace = 0.01;
+        if cfg!(debug_assertions) {
+            cfg.join_grace = std::time::Duration::from_secs(5);
+        }
         cfg
     }
 
-    /// The orders every order-taking test steps: `RoundRobin`, `Ahead`
-    /// and 32 seeded orders (8 in a debug build, where a run takes
-    /// ~0.2 s).
-    fn orders() -> Vec<Order> {
-        let seeded = if cfg!(debug_assertions) { 8 } else { 32 };
-        let seeded = (0..seeded).map(Order::Seeded);
-        [Order::RoundRobin, Order::Ahead]
-            .into_iter()
-            .chain(seeded)
-            .collect()
+    /// Run `scenario` on the fleet of `sys` under `cfg`, with the
+    /// behaviours `make` builds, and hold its trace to `reference`, the
+    /// simulator's.
+    fn assert_fleet_matches(
+        name: &str,
+        sys: &BtrSystem,
+        scenario: &FaultScenario,
+        horizon: Duration,
+        cfg: &LiveConfig,
+        make: Box<Make>,
+        reference: &LogicalTrace,
+    ) {
+        let live = run_fleet(sys, scenario, horizon, cfg, make);
+        assert!(
+            live.healthy() && live.drops.mailbox_full == 0,
+            "{name}: panics {:?}, overruns {:?}, mailbox_full {}",
+            live.panics,
+            live.deadline_overruns,
+            live.drops.mailbox_full
+        );
+        assert_eq!(
+            live.trace.digest(),
+            reference.digest(),
+            "{name}: {:?}",
+            live.trace
+                .first_divergence(reference, ["live", "simulator"])
+        );
+    }
+
+    /// The simulator's trace of `scenario` on `sys`'s platform, with the
+    /// behaviours `make` builds, then the fleet's, unpaced, held to it.
+    fn assert_behaviours_match(
+        name: &str,
+        sys: &BtrSystem,
+        scenario: &FaultScenario,
+        horizon: Duration,
+        make: fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior + Send>,
+    ) -> LogicalTrace {
+        let mut sim = SimConfig::new(SEED);
+        sim.period = sys.workload().period;
+        let topo = sys.topology().clone();
+        let mut world =
+            btr_core::scenario_world(topo, sim, scenario, |node, attack| make(node, attack));
+        world.start();
+        world.run_until(Time::ZERO + horizon + sys.grace());
+        let reference = world.logical_trace();
+        let (cfg, make) = (unpaced(), Box::new(make));
+        assert_fleet_matches(name, sys, scenario, horizon, &cfg, make, &reference);
+        reference
     }
 
     /// Passes a token round the nine nodes, one hop per receipt, and
-    /// actuates each receipt: every host but the holder waits on the
-    /// host the token is in flight to.
+    /// actuates each receipt: only the host the token is in flight to
+    /// has work.
     struct TokenRing {
         me: u32,
         hops: u64,
@@ -576,104 +534,62 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_follows_the_blockers_round_a_token_ring() {
-        // Liveness under every order: only the host the token is in
-        // flight to can make progress, and the round-robin worker only
-        // finds it by following each host's blocker.
-        let sys = bus9();
-        let horizon = Duration::from_millis(20);
-        let mut sim = SimConfig::new(SEED);
-        sim.period = sys.workload().period;
-        let mut world = World::new(sys.topology().clone(), sim);
-        for i in 0..9 {
-            world.set_behavior(NodeId(i), Box::new(TokenRing { me: i, hops: 0 }));
-        }
-        world.start();
-        world.run_until(Time::ZERO + horizon + sys.grace());
-        let reference = world.logical_trace();
-        assert_eq!(reference.len(), 9 * 60 - 8, "the token went round");
-        for order in orders() {
-            let ring = Box::new(|node: NodeId, _| {
-                Box::new(TokenRing {
-                    me: node.0,
-                    hops: 0,
-                }) as Box<dyn NodeBehavior + Send>
-            });
-            let live = run_fleet(
-                &sys,
-                &FaultScenario::none(),
-                horizon,
-                &unpaced(),
-                ring,
-                order,
-            );
-            assert!(
-                live.healthy(),
-                "{order:?}: {:?} {:?}",
-                live.panics,
-                live.deadline_overruns
-            );
-            assert_eq!(
-                live.trace.digest(),
-                reference.digest(),
-                "{order:?}: {:?}",
-                live.trace
-                    .first_divergence(&reference, ["live", "simulator"])
-            );
-            assert!(live.frontier_stalls > 0);
-            assert_eq!(
-                live.frontier_blockers.iter().sum::<u64>(),
-                live.frontier_stalls
-            );
-        }
-    }
-
-    /// Run `scenario` unpaced once under each of `orders`; every trace
-    /// must equal the simulator's. Returns the orders that diverged
-    /// instead of failing on the first, so a soak reports how many it
-    /// saw.
-    fn unpaced_divergences(
-        sys: &BtrSystem,
-        scenario: &FaultScenario,
-        horizon: Duration,
-        restart_after: Duration,
-        orders: impl IntoIterator<Item = Order>,
-    ) -> Vec<Order> {
-        let mut world = sys.build_world(scenario, SEED);
-        world.start();
-        world.run_until(Time::ZERO + horizon + sys.grace());
-        let reference = world.logical_trace().digest();
-        let mut cfg = unpaced();
-        cfg.restart_after = restart_after;
-        let orders = orders.into_iter();
-        orders
-            .filter(|&order| {
-                let live = run_fleet(sys, scenario, horizon, &cfg, btr_nodes(sys), order);
-                assert!(
-                    live.healthy() && live.drops.mailbox_full == 0,
-                    "{order:?}: panics {:?}, overruns {:?}, mailbox_full {}",
-                    live.panics,
-                    live.deadline_overruns,
-                    live.drops.mailbox_full
-                );
-                let blocked: u64 = live.frontier_blockers.iter().sum();
-                assert_eq!(
-                    blocked, live.frontier_stalls,
-                    "every sleep names its blocker"
-                );
-                live.trace.digest() != reference
+    fn the_least_head_carries_a_token_round_the_ring() {
+        // Every host but one has nothing pending: the worker finds the
+        // one the token is in flight to by its undrained arrival.
+        let ring = |node: NodeId, _| -> Box<dyn NodeBehavior + Send> {
+            Box::new(TokenRing {
+                me: node.0,
+                hops: 0,
             })
-            .collect()
+        };
+        let (none, horizon) = (FaultScenario::none(), Duration::from_millis(20));
+        let reference = assert_behaviours_match("token ring", &bus9(), &none, horizon, ring);
+        assert_eq!(reference.len(), 9 * 60 - 8, "the token went round");
     }
 
-    fn crash_at_42ms() -> FaultScenario {
-        FaultScenario::single(NodeId(6), FaultKind::Crash, Time::from_millis(42))
+    /// On a 3 × 3 mesh, the edge-centre nodes each send across the centre
+    /// n4 at the instant it crashes, and each receiver actuates on
+    /// arrival, stamped with the sender.
+    struct AcrossTheCentre;
+
+    /// When n4 crashes and its peers send across it.
+    const CENTRE_CRASH: Time = Time(1_000);
+
+    impl NodeBehavior for AcrossTheCentre {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            ctx.set_timer_at(CENTRE_CRASH, 0);
+        }
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
+            ctx.actuate(TaskId(0), 0, u64::from(env.src.0));
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _timer: TimerId) {
+            // Opposite edge centres: 1 ↔ 7 and 3 ↔ 5.
+            if let Some(to) = [1, 3, 5, 7].into_iter().find(|&i| i + ctx.id().0 == 8) {
+                ctx.send(NodeId(to), Payload::Control(0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_send_at_a_peers_crash_instant_takes_the_healed_route() {
+        // The simulator queues the crash ahead of every event at its
+        // instant, so the route heals before the sends and each message
+        // takes a four-hop path round the centre; the fleet's heads key
+        // a crash ahead of every host's timers at that instant.
+        let sys = system_on(Topology::mesh(3, 3, 100_000, Duration(5)));
+        let scenario = FaultScenario::single(NodeId(4), FaultKind::Crash, CENTRE_CRASH);
+        let across = |_, _| -> Box<dyn NodeBehavior + Send> { Box::new(AcrossTheCentre) };
+        let horizon = Duration::from_millis(5);
+        let reference = assert_behaviours_match("across", &sys, &scenario, horizon, across);
+        assert_eq!(reference.len(), 4, "every cross-centre send arrived");
     }
 
     #[test]
     fn unpaced_runs_are_trace_identical_to_simulator() {
         let ms = Duration::from_millis;
         let omission = FaultScenario::single(NodeId(3), FaultKind::Omission, Time::from_millis(42));
+        let crash = FaultScenario::single(NodeId(6), FaultKind::Crash, Time::from_millis(42));
         let mesh = || system_on(Topology::mesh(3, 3, 100_000, Duration(5)));
         let lossy = mesh().with_loss_ppm(5_000);
         let fec = mesh().with_loss_ppm(20_000).with_fec(4, 2);
@@ -681,48 +597,30 @@ mod tests {
         let bus = bus9();
         for (name, sys, scenario, horizon, restart_after) in [
             ("fault-free", &bus, none(), ms(120), ms(0)),
-            ("crash", &bus, crash_at_42ms(), ms(250), ms(0)),
+            ("crash", &bus, crash.clone(), ms(250), ms(0)),
             ("omission", &bus, omission, ms(250), ms(0)),
-            ("crash-restart", &bus, crash_at_42ms(), ms(300), ms(120)),
+            ("crash-restart", &bus, crash.clone(), ms(300), ms(120)),
             ("5 000 ppm", &lossy, none(), ms(120), ms(0)),
-            ("5 000 ppm, crash", &lossy, crash_at_42ms(), ms(250), ms(0)),
+            ("5 000 ppm, crash", &lossy, crash.clone(), ms(250), ms(0)),
             ("FEC(4, 2)", &fec, none(), ms(120), ms(0)),
-            ("FEC(4, 2), crash", &fec, crash_at_42ms(), ms(250), ms(0)),
+            ("FEC(4, 2), crash", &fec, crash.clone(), ms(250), ms(0)),
         ] {
-            let diverged = unpaced_divergences(sys, &scenario, horizon, restart_after, orders());
-            assert!(
-                diverged.is_empty(),
-                "{name}: orders {diverged:?} diverged from the simulator"
+            let mut world = sys.build_world(&scenario, SEED);
+            world.start();
+            world.run_until(Time::ZERO + horizon + sys.grace());
+            let mut cfg = unpaced();
+            cfg.restart_after = restart_after;
+            let reference = world.logical_trace();
+            assert_fleet_matches(
+                name,
+                sys,
+                &scenario,
+                horizon,
+                &cfg,
+                btr_nodes(sys),
+                &reference,
             );
         }
-    }
-
-    /// No unpaced run may lose a race to a dying host, in any of 7 000
-    /// step orders, one per run. `cargo test --release -p btr-node --
-    /// --ignored soak` (under two minutes on two cores).
-    #[test]
-    #[ignore = "soak: 7 000 live runs"]
-    fn soak_unpaced_crashes_never_diverge() {
-        let sys = bus9();
-        let ms = Duration::from_millis;
-        let seeded = |runs: std::ops::Range<u64>| runs.map(Order::Seeded);
-        let crashes = unpaced_divergences(&sys, &crash_at_42ms(), ms(250), ms(0), seeded(0..5_000));
-        let restarts = unpaced_divergences(
-            &sys,
-            &crash_at_42ms(),
-            ms(300),
-            ms(120),
-            seeded(5_000..7_000),
-        );
-        println!(
-            "soak: {} of 5000 crash runs and {} of 2000 crash-restarts diverged",
-            crashes.len(),
-            restarts.len()
-        );
-        assert!(
-            crashes.is_empty() && restarts.is_empty(),
-            "diverged: crash runs {crashes:?}, crash-restart runs {restarts:?}"
-        );
     }
 
     /// A behaviour that panics on its first dispatch at or after `at`.
@@ -777,7 +675,6 @@ mod tests {
             Duration::from_millis(120),
             &cfg,
             Box::new(make),
-            Order::RoundRobin,
         );
         assert_eq!(live.panics.len(), 1, "{:?}", live.panics);
         let p = &live.panics[0];
