@@ -8,7 +8,7 @@
 //! ```text
 //! harness all               # run the full experiment suite
 //! harness e1 e7 a2          # run selected experiments
-//! harness live [...]        # the thread-fleet measurement, emit LIVE_btr.json
+//! harness live [...]        # the live-fleet measurement, emit LIVE_btr.json
 //! harness campaign [...]    # fault-injection campaign, emit CAMPAIGN_btr.json
 //! harness fuzz [...]        # coverage-guided schedule search, emit FUZZ_btr.json
 //! harness --list            # list every subcommand and experiment id
@@ -118,7 +118,6 @@ fn live_scenario_json(o: &mut json::Object<'_>, r: &ScenarioRun) {
     o.field("recovery_wall_us", m.recovery_wall_us);
     o.field("within_r_wall", m.within_r_wall);
     o.field("msgs_sent", m.msgs_sent);
-    o.field("mailbox_full", m.mailbox_full);
     o.field("timer_lag_p50_us", m.timer_lag_p50_us);
     o.field("timer_lag_p95_us", m.timer_lag_p95_us);
     o.field("timer_lag_p99_us", m.timer_lag_p99_us);
@@ -356,7 +355,7 @@ fn build_trace(runs: &[ScenarioRun]) -> TraceBuilder {
     t
 }
 
-/// `harness live`: the thread-fleet measurement. Runs the pinned fault
+/// `harness live`: the live-fleet measurement. Runs the pinned fault
 /// scenarios on both substrates, holds each live trace against the
 /// simulator's, prints each fault's five-phase recovery breakdown,
 /// writes the scenario records (timelines, runtime counters, latency
@@ -495,8 +494,8 @@ const COMMANDS: [Command; 3] = [
     Command {
         name: "live",
         about: "the live-fleet measurement: pinned fault scenarios on\n\
-                the live fleet (one worker stepping node hosts),\n\
-                simulator as trace oracle, five-phase recovery\n\
+                the simulator's world, paced on the wall clock, held to\n\
+                the free-running simulator's trace; five-phase recovery\n\
                 timelines (emits LIVE_btr.json)",
         options: &[
             (

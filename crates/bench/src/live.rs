@@ -151,8 +151,6 @@ pub struct LiveMeasurement {
     pub within_r_wall: bool,
     /// Messages that entered the live network.
     pub msgs_sent: u64,
-    /// Bounded-mailbox backpressure drops (0 in the pinned scenarios).
-    pub mailbox_full: u64,
     /// Median wall lateness of timer dispatches past their paced
     /// instant (µs; 0 when no timers fired).
     pub timer_lag_p50_us: u64,
@@ -265,7 +263,6 @@ pub fn measure_live(
         // switches that did happen.
         within_r_wall: recovery_wall_us.is_none_or(|w| w <= wall_r),
         msgs_sent: live.drops.sent,
-        mailbox_full: live.drops.mailbox_full,
         timer_lag_p50_us: live.timer_lag.quantile(0.5).unwrap_or(0),
         timer_lag_p95_us: live.timer_lag.quantile(0.95).unwrap_or(0),
         timer_lag_p99_us: live.timer_lag.quantile(0.99).unwrap_or(0),

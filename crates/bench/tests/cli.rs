@@ -166,13 +166,13 @@ fn malformed_replay_tokens_exit_2() {
 #[test]
 fn live_replay_names_the_first_divergence() {
     // The fat-tree token the substrates used to part on (EXPERIMENTS.md
-    // "One network model"): one network model on both, so the fleet's
-    // trace is the simulator's, and both fold it to one record. A debug
-    // fleet needs about 4 s of wall for n8's flood: pace 6 gives it 6.5 s
-    // plus the join grace, inside the helper's 10 s.
+    // "One network model"): the fleet's trace is the simulator's, and both
+    // fold it to one record. A debug fleet keeps up with n8's flood at
+    // real time: about 1.2 s of work for the 1.1 s paced horizon, inside
+    // its half-second grace.
     let token = "w=scada;t=fattree4x1000000x5;f=1;r=400000;h=1080000;me=20000000;\
                  s=7191089600892374487;fl=evidence-spam@169689@n8";
-    let out = harness(&["live", "--replay", token, "--pace", "6"]);
+    let out = harness(&["live", "--replay", token, "--pace", "1"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     let expected = "  trace matches simulator (168 actuations)\n  schedule evidence-spam \

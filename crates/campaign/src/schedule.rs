@@ -47,7 +47,7 @@ const NO_MODS: FaultMods = FaultMods {
 
 impl FaultVariant {
     /// Crash (fail-stop).
-    pub const CRASH: FaultVariant = FaultVariant {
+    pub(crate) const CRASH: FaultVariant = FaultVariant {
         kind: FaultKind::Crash,
         mods: NO_MODS,
     };

@@ -5,7 +5,6 @@ use crate::oracle::{judge, survival_by_criticality, RecoveryStats, SinkVerdict};
 use btr_model::{
     Criticality, Duration, FaultSet, NodeId, PlanId, Strategy, TaskId, Time, Topology,
 };
-use btr_net::Network;
 use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
 use btr_runtime::{Attack, BtrNode, NodeStats};
@@ -73,8 +72,8 @@ pub struct BtrSystem {
 pub type NodeRow = (NodeId, NodeStats, PlanId, usize);
 
 /// Verdicts for an actuation stream, however it was produced — by the
-/// simulator ([`BtrSystem::run`]) or by the live thread-per-node runtime
-/// (`btr-node`), which uses the simulator as its trace oracle.
+/// simulator ([`BtrSystem::run`]) or by the live fleet (`btr-node`),
+/// which drives a world on the wall clock.
 #[derive(Debug, Clone)]
 pub struct ActuationJudgment {
     /// Judged output slots ((sink, period) classification).
@@ -205,8 +204,8 @@ impl BtrSystem {
         &self.workload
     }
 
-    /// Shared handle to the workload (the live thread-per-node runtime
-    /// spawns its actors off the same `Arc` the simulator uses).
+    /// Shared handle to the workload (the live fleet builds its nodes
+    /// off the same `Arc` the simulator uses).
     pub fn workload_arc(&self) -> Arc<Workload> {
         Arc::clone(&self.workload)
     }
@@ -221,11 +220,15 @@ impl BtrSystem {
         self.grace
     }
 
-    /// The channel a live run with `seed` sends through: the one
-    /// [`BtrSystem::build_world`]'s world builds from its config.
-    pub fn network(&self, seed: u64) -> Network {
-        let (topo, period) = (self.topo.clone(), self.workload.period);
-        Network::new(topo, period, seed, self.loss_ppm, self.fec)
+    /// The configuration [`BtrSystem::build_world`] builds its world
+    /// under for `seed`.
+    pub fn sim_config(&self, seed: u64) -> SimConfig {
+        let mut sim_cfg = SimConfig::new(seed);
+        sim_cfg.period = self.workload.period;
+        sim_cfg.loss_ppm = self.loss_ppm;
+        sim_cfg.fec = self.fec;
+        sim_cfg.max_events = self.max_events;
+        sim_cfg
     }
 
     /// The platform.
@@ -246,12 +249,8 @@ impl BtrSystem {
     /// Build the simulated world for a scenario (exposed so experiments
     /// can instrument runs beyond what [`BtrSystem::run`] reports).
     pub fn build_world(&self, scenario: &FaultScenario, seed: u64) -> World {
-        let mut sim_cfg = SimConfig::new(seed);
-        sim_cfg.period = self.workload.period;
-        sim_cfg.loss_ppm = self.loss_ppm;
-        sim_cfg.fec = self.fec;
-        sim_cfg.max_events = self.max_events;
         let n = self.topo.node_count();
+        let sim_cfg = self.sim_config(seed);
         let mut world = scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
             Box::new(BtrNode::new(
                 node,
@@ -281,7 +280,7 @@ impl BtrSystem {
     }
 
     /// Judge an externally produced actuation stream (e.g. the live
-    /// thread-per-node runtime's) with exactly the pipeline
+    /// fleet's) with exactly the pipeline
     /// [`BtrSystem::run`] applies to the simulator's actuations: same
     /// shed-aware reference values, same compromised-node exclusions,
     /// same recovery accounting.

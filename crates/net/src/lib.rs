@@ -40,7 +40,7 @@
 
 pub mod demand;
 pub mod guardian;
-pub mod network;
+mod network;
 pub mod routing;
 
 pub use demand::{DemandRoutes, Hop, RouteBackend, Routes};

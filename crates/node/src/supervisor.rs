@@ -1,52 +1,75 @@
-//! The node supervisor: run, watch, restart, and account for a live
-//! fleet.
-//!
-//! `run_live` takes the same inputs as `BtrSystem::run` — a planned
-//! system, a fault scenario, a horizon — and executes them on a worker
-//! thread that steps one host per node instead of the discrete-event
-//! queue. Every node is a host for the `BtrNode` the simulator builds,
-//! with the attack the scenario scripts for it; a scripted crash is
-//! handed to the node's host, which stops the node at that instant as
-//! the simulator's control action does. The worker steps one host at a
-//! time, the one whose head (its earliest pending work) is the least in
-//! the fleet, once the wall clock reaches that instant: the simulator's
-//! own rule, step the earliest event. Nothing can then arrive ahead of
-//! the step, as every other head is at or after it and a message
-//! between nodes takes at least one link latency. One worker, not one
-//! per core: on two cores a second worker made every measured run
-//! slower (EXPERIMENTS.md "One worker stepping node hosts"). The worker
-//! owns the hosts and the transport, so neither needs a lock, and gives
-//! the transport back when it is joined. Hosts report [`RuntimeEvent`]s
-//! and terminal hosts over channels; the supervisor, on the calling
-//! thread:
-//!
-//! * stops the fleet past the wall-clock deadline, records the nodes
-//!   that never went terminal as overruns, and never joins a worker
-//!   wedged inside a dispatch (that run reports no transport totals);
-//! * catches behaviour panics per step, attributes them to the node id,
-//!   and detaches the dead node from the network (its peers see the
-//!   same silence a crash produces);
-//! * optionally restarts crashed nodes after a scripted downtime as a
-//!   fresh `BtrNode` host, which joins at its instant: the live analogue
-//!   of the paper's bounded-time recovery loop.
-//!
-//! The report carries the canonical [`LogicalTrace`] (the simulator is
-//! the oracle: a fault-free live run must digest-match the simulated
-//! one) plus wall-clock-stamped events for real latency measurements.
+//! The supervisor. Its world is `BtrSystem::build_world`'s, except that
+//! every node comes up through a scheduled start, so that a start is one
+//! step like any other: one `catch_unwind`, one `Started` event. One
+//! worker, not one per core: on two cores a second worker made every
+//! measured run slower (EXPERIMENTS.md "One worker stepping node hosts").
 
-use crate::actor::{EventKind, NodeActor, Pacer, Run, RuntimeEvent, Step};
-use crate::transport::Loopback;
 use btr_core::{BtrSystem, FaultScenario, InjectedFault, NodeRow};
-use btr_crypto::KeyStore;
 use btr_model::{Duration, NodeId, Time};
-use btr_obs::{FlightEvent, Histogram, PhaseMark};
+use btr_obs::{FlightEvent, FlightKind, FlightRecorder, Histogram, ObsRecorder, PhaseMark};
 use btr_runtime::{Attack, BtrNode};
-use btr_sim::{LogicalTrace, NodeBehavior};
+use btr_sim::{ControlAction, LogicalTrace, NodeBehavior, StepKind, Stepped, World};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
+
+/// Maps logical time onto the wall clock: logical `t` µs may not
+/// dispatch before `epoch + pace · t` µs of wall time. `pace` > 1 slows
+/// the run down (more slack for scheduling jitter); it never changes
+/// logical outcomes, only wall-clock fidelity.
+#[derive(Debug, Clone, Copy)]
+struct Pacer {
+    epoch: Instant,
+    pace: f64,
+}
+
+impl Pacer {
+    /// A pacer whose logical zero is now.
+    fn start(pace: f64) -> Pacer {
+        assert!(pace > 0.0, "pace must be positive");
+        let epoch = Instant::now();
+        Pacer { epoch, pace }
+    }
+
+    /// The wall instant before which logical `at` must not dispatch.
+    fn wall_for(&self, at: Time) -> Instant {
+        let ns = at.as_micros() as f64 * self.pace * 1_000.0;
+        self.epoch + std::time::Duration::from_nanos(ns as u64)
+    }
+}
+
+/// What a node reports to the supervisor, stamped in both time bases.
+#[derive(Debug, Clone)]
+pub struct RuntimeEvent {
+    /// The reporting node.
+    pub node: NodeId,
+    /// Its logical clock at the event.
+    pub logical: Time,
+    /// Wall µs since the run epoch.
+    pub wall_us: u64,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+/// The kinds of runtime events a node can report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EventKind {
+    /// The node came up (cold start or restart) and `on_start` ran.
+    Started,
+    /// The node was up at the horizon.
+    Finished,
+    /// The node fail-stopped.
+    Crashed,
+    /// The node's runtime completed a mode switch (cumulative count).
+    SwitchCompleted {
+        /// The node's total switches so far.
+        count: u64,
+    },
+    /// The behaviour panicked; the supervisor attributes and reports it.
+    Panicked(String),
+}
 
 /// Knobs for a live run.
 #[derive(Debug, Clone)]
@@ -57,26 +80,23 @@ pub struct LiveConfig {
     /// Wall-µs per logical-µs (1.0 = real time; larger = slower run
     /// with more scheduling slack; logical outcomes are unaffected).
     pub pace: f64,
-    /// Bounded mailbox depth per node (overflow = counted drops).
-    pub mailbox_cap: usize,
     /// Logical downtime before a crashed node is restarted
     /// (`Duration::ZERO` = crashed nodes stay down).
     pub restart_after: Duration,
-    /// Extra wall time past the paced horizon before non-terminal nodes
-    /// are declared deadline overruns and detached.
+    /// Extra wall time past the paced horizon before the nodes still up
+    /// are declared deadline overruns.
     pub join_grace: std::time::Duration,
-    /// Collect phase marks on node runtimes (out-of-band either way;
-    /// the obs on/off digest test flips this to prove inertness).
+    /// Collect phase marks (out-of-band either way; the obs on/off
+    /// digest test flips this to prove inertness).
     pub obs: bool,
 }
 
 impl LiveConfig {
-    /// Defaults: real-time pace, 4096-deep mailboxes, no restarts.
+    /// Defaults: real-time pace, no restarts.
     pub fn new(seed: u64) -> LiveConfig {
         LiveConfig {
             seed,
             pace: 1.0,
-            mailbox_cap: 4096,
             restart_after: Duration::ZERO,
             join_grace: std::time::Duration::from_millis(500),
             obs: true,
@@ -84,13 +104,17 @@ impl LiveConfig {
     }
 }
 
-/// Transport drop/send totals for the whole run.
+/// Send and drop totals for the whole run, from the world's metrics;
+/// all zero when the worker was left wedged inside a dispatch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DropTotals {
-    /// Bounded-mailbox backpressure drops.
+    /// Always 0: the fleet's world has no mailbox to overflow. Kept
+    /// while the repository benchmark reads it.
     pub mailbox_full: u64,
-    /// Deterministic transmission loss.
-    pub transmission_loss: u64,
+    /// Messages dropped for a cause other than a guardian or a refusing
+    /// relay: transmission loss, no route, a crashed endpoint
+    /// (`SimMetrics::drops_other`).
+    pub drops_other: u64,
     /// Messages that entered the network.
     pub sent: u64,
 }
@@ -104,22 +128,21 @@ pub struct PanicReport {
     pub node: NodeId,
     /// The panic payload (message).
     pub message: String,
-    /// The node's last flight-recorded logical timestamp, if any event
-    /// was dispatched before the panic.
+    /// The logical instant of the dispatch that panicked.
     pub last_logical: Option<Time>,
-    /// Total events the node dispatched before dying.
+    /// Total dispatches in the node's flight ring's history, the one
+    /// that panicked included.
     pub flight_total: u64,
     /// The last few dispatches, oldest first.
     pub flight_tail: Vec<FlightEvent>,
 }
 
 /// Everything a live run produces.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LiveReport {
     /// The canonical logical actuation trace (compare against
-    /// `World::logical_trace()` — the simulator is the oracle). It holds
-    /// the actuations of joined nodes only: a node detached as a
-    /// deadline overrun takes its actuations with it.
+    /// `World::logical_trace()` — the simulator is the oracle): every
+    /// actuation before the worker stopped, none if it was left wedged.
     pub trace: LogicalTrace,
     /// Per-node runtime stats, final plan, fault-set size (correct,
     /// never-crashed nodes only — same exclusions as `RunReport`).
@@ -128,29 +151,26 @@ pub struct LiveReport {
     pub converged: bool,
     /// Every runtime event, logically and wall-clock stamped.
     pub events: Vec<RuntimeEvent>,
-    /// Panics caught in node hosts, attributed to their node, with
-    /// each node's flight-recorder tail and last logical timestamp.
+    /// Panics caught in node dispatches, attributed to their node, with
+    /// each node's flight-recorder tail and last logical timestamp (none
+    /// if the worker was left wedged: the event log still has them).
     pub panics: Vec<PanicReport>,
-    /// Nodes that had not gone terminal by the wall deadline.
+    /// Nodes still up when the worker stopped at the wall deadline, short
+    /// of the horizon; every node, if it was left wedged.
     pub deadline_overruns: Vec<NodeId>,
-    /// Transport counters; all zero when the worker was left wedged
-    /// inside a dispatch, as the transport stays with it.
+    /// Send and drop totals.
     pub drops: DropTotals,
-    /// Per-node `mailbox_full` attribution (index = node).
-    pub mailbox_full_by_node: Vec<u64>,
-    /// Phase marks observed across all node runtimes, in node order
+    /// Phase marks observed across all nodes, in observation order
     /// (empty when `LiveConfig::obs` is off).
     pub phase_marks: Vec<PhaseMark>,
-    /// Always 0: the worker steps a host only when its event is the
-    /// fleet's earliest, so no host ever stalls on a peer. Kept while
-    /// the repository benchmark reads it.
+    /// Always 0: nothing stalls on a peer. Kept while the repository
+    /// benchmark reads it.
     pub frontier_stalls: u64,
-    /// Always 0: a host drains its mailbox in the step that dispatches,
-    /// so no arrival can force a repeat drain. Kept while the repository
+    /// Always 0: there is no mailbox to drain. Kept while the repository
     /// benchmark reads it.
     pub redrains: u64,
-    /// Wall-clock lateness of timer dispatches (µs), merged over all
-    /// hosts.
+    /// Wall-clock lateness of timer dispatches past their paced instant
+    /// (µs).
     pub timer_lag: Histogram,
     /// Wall time for the whole run (setup to last join).
     pub wall: std::time::Duration,
@@ -186,7 +206,7 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 
 /// Builds one incarnation of a node's behaviour from the attack the
 /// scenario scripts for it (none after a restart).
-pub(crate) type Make = dyn Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior + Send> + Send;
+pub(crate) type Make = dyn Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior> + Send;
 
 /// The behaviours the simulator builds for `system`: a `BtrNode` per
 /// node.
@@ -199,91 +219,192 @@ pub(crate) fn btr_nodes(system: &BtrSystem) -> Box<Make> {
     })
 }
 
-/// A host gone terminal, handed from the worker to the supervisor.
-enum Settled {
-    /// Finished or crashed; `true` unless a restart follows.
-    Host(Box<NodeActor>, bool),
-    /// Its behaviour panicked.
-    Panic(PanicReport),
+/// What the worker keeps per node beside the world.
+#[derive(Default)]
+struct Host {
+    up: bool,
+    /// Crashed or panicked at some point: no row in the report.
+    ever_down: bool,
+    /// This incarnation's behaviour panicked, and the world lost it.
+    panicked: bool,
+    /// The running incarnation's mode switches so far.
+    switches: u64,
+    /// Ring of the last few dispatches: the tail a panic report shows.
+    flight: FlightRecorder,
 }
 
-/// The worker's fleet: one slot per node (empty once the node is
-/// terminal for good), what a restart needs to build a host, and where
-/// terminal hosts go.
-struct Fleet {
-    hosts: Vec<Option<NodeActor>>,
-    /// Nodes not yet terminal for good; the worker stops at zero.
-    live: usize,
-    make: Box<Make>,
-    run: Run,
-    settled: mpsc::Sender<Settled>,
+/// The worker: the world, the fleet's state beside it, and where the
+/// fleet reports.
+struct Worker {
+    world: World,
+    hosts: Vec<Host>,
+    scenario: FaultScenario,
+    /// The logical horizon (inclusive, as the simulator's `run_until`).
+    end: Time,
+    pacer: Pacer,
+    events: Sender<RuntimeEvent>,
+    /// The report so far: the panics and the timer lag.
+    report: LiveReport,
 }
 
-impl Fleet {
-    /// A host for one incarnation of `node`: a fresh behaviour, whose
-    /// logical clock starts at `start`, suffering `fault` (none after a
-    /// restart).
-    fn host(&self, node: NodeId, fault: Option<&InjectedFault>, start: Time) -> NodeActor {
-        let behavior = (self.make)(node, fault.and_then(InjectedFault::attack));
-        let host = NodeActor::new(node, behavior, &self.run, start);
-        match fault.and_then(InjectedFault::crash_at) {
-            Some(at) => host.with_crash(at),
-            None => host,
+/// The fleet's world: the simulator's (`sim`, `topo`), with its nodes'
+/// starts scheduled ahead of everything else at their instants — every
+/// cold start at zero, then each crash victim's restart — and then the
+/// scenario's crashes.
+fn fleet_world(
+    sim: btr_sim::SimConfig,
+    topo: btr_model::Topology,
+    scenario: &FaultScenario,
+    cfg: &LiveConfig,
+    end: Time,
+    make: &Make,
+) -> World {
+    let nodes = (0..topo.node_count() as u32).map(NodeId);
+    let mut world = World::new(topo, sim);
+    for node in nodes.clone() {
+        let attack = scenario.fault_of(node).and_then(InjectedFault::attack);
+        world.schedule_start(Time::ZERO, node, make(node, attack));
+    }
+    let crash = |node| scenario.fault_of(node).and_then(InjectedFault::crash_at);
+    for node in nodes.clone() {
+        let back = crash(node).map(|at| at + cfg.restart_after);
+        if let Some(back) = back.filter(|&at| cfg.restart_after > Duration::ZERO && at < end) {
+            world.schedule_start(back, node, make(node, None));
         }
     }
+    for node in nodes {
+        if let Some(at) = crash(node) {
+            world.schedule_control(at, ControlAction::Crash(node));
+        }
+    }
+    if cfg.obs {
+        world.set_recorder(Box::new(ObsRecorder::new()));
+    }
+    world.start();
+    world
+}
 
-    /// The worker: step the host with the least head until every node
-    /// is terminal or `deadline` passes, then give back the transport,
-    /// whose counters are the run's totals.
-    ///
-    /// Heads are keyed `(instant, class, node id)`, and a host with
-    /// nothing pending goes last. The worker waits for the least head's
-    /// wall instant, capped at the deadline, and steps that host once
-    /// (the module docs say why that is safe). Once the least head is
-    /// past the horizon, each host stepped finishes.
-    fn work(mut self, deadline: Instant) -> Loopback {
-        while self.live > 0 {
+impl Worker {
+    fn emit(&self, node: NodeId, logical: Time, kind: EventKind) {
+        let wall_us = self.pacer.epoch.elapsed().as_micros() as u64;
+        let event = RuntimeEvent {
+            node,
+            logical,
+            wall_us,
+            kind,
+        };
+        // The supervisor drains the channel once the worker has stopped.
+        let _ = self.events.send(event);
+    }
+
+    /// Dispatch the world's events one at a time, each once the wall
+    /// reaches its paced instant (waits capped at `stop`), until none is
+    /// left inside the horizon or `stop` passes.
+    fn run(mut self, stop: Instant) -> LiveReport {
+        while let Some(at) = self.world.next_at().filter(|&at| at <= self.end) {
             let now = Instant::now();
-            if now >= deadline {
-                break;
+            if now >= stop {
+                return self.report(false);
             }
-            let net = &self.run.net;
-            let (head, i) = (self.hosts.iter().enumerate())
-                .filter_map(|(i, host)| Some((host.as_ref()?.head(net), i)))
-                .min_by_key(|&(head, i)| (head.is_none(), head, i))
-                .expect("a live host");
-            if let Some((at, _)) = head.filter(|&(at, _)| at <= self.run.end) {
-                let wall = self.run.pacer.wall_for(at);
-                if wall > now {
-                    thread::sleep(wall.min(deadline) - now);
-                    continue;
-                }
+            let wall = self.pacer.wall_for(at);
+            if wall > now {
+                thread::sleep(wall.min(stop) - now);
+                continue;
             }
-            self.step(i);
+            let (world, end) = (&mut self.world, self.end);
+            match catch_unwind(AssertUnwindSafe(|| world.step(end))) {
+                Ok(Some(step)) => self.stepped(step, now.duration_since(wall)),
+                Ok(None) => break,
+                Err(payload) => self.panicked(at, panic_message(payload)),
+            }
         }
-        self.run.net
+        self.report(true)
     }
 
-    /// Step host `i` once; if that leaves it terminal, settle it.
-    fn step(&mut self, i: usize) {
-        let (actor, run) = (self.hosts[i].as_mut().expect("live host"), &mut self.run);
-        let ended = match catch_unwind(AssertUnwindSafe(|| actor.step(run))) {
-            Ok(Step::Ran) => return,
-            Ok(Step::Done(back_at)) => Ok(back_at),
-            Err(payload) => Err(payload),
-        };
-        let host = self.hosts[i].take().expect("live host");
-        let settled = match ended {
-            Ok(back_at) => {
-                // A restart is a fresh host that joins at its instant.
-                let again = back_at.map(|at| self.host(host.node, None, at));
-                self.hosts[i] = again;
-                Settled::Host(Box::new(host), back_at.is_none())
+    /// Account for one step, dispatched `late` past its paced instant.
+    fn stepped(&mut self, Stepped { at, node, kind }: Stepped, late: std::time::Duration) {
+        let host = &mut self.hosts[node.index()];
+        let (flight, event) = match kind {
+            StepKind::Start => {
+                (host.up, host.panicked, host.switches) = (true, false, 0);
+                (FlightKind::Start, Some(EventKind::Started))
             }
-            Err(payload) => Settled::Panic(host.panicked(&mut self.run, panic_message(payload))),
+            // What pops for a node that is down reaches no behaviour, and
+            // a node that panicked crashes no further.
+            _ if !host.up => return,
+            StepKind::Crash => {
+                (host.up, host.ever_down) = (false, true);
+                (FlightKind::Crash, Some(EventKind::Crashed))
+            }
+            StepKind::Timer => {
+                self.report.timer_lag.record(late.as_micros() as u64);
+                (FlightKind::Timer, None)
+            }
+            StepKind::Message { src } => (FlightKind::Message { from: src }, None),
         };
-        self.live -= usize::from(self.hosts[i].is_none());
-        let _ = self.settled.send(settled);
+        host.flight.push(at, flight);
+        let behavior = self.world.behavior(node);
+        let btr = behavior.and_then(|b| b.as_any()?.downcast_ref::<BtrNode>());
+        let count = btr.map_or(0, BtrNode::switch_count);
+        let switched = count > host.switches;
+        if switched {
+            host.switches = count;
+            host.flight.push(at, FlightKind::SwitchCompleted { count });
+        }
+        if let Some(event) = event {
+            self.emit(node, at, event);
+        }
+        if switched {
+            self.emit(node, at, EventKind::SwitchCompleted { count });
+        }
+    }
+
+    /// A behaviour panicked in the dispatch at `at`: the world lent it out
+    /// of its slot, and the unwinding dropped it, so the node whose slot
+    /// is newly empty is the one. Take it down and report the flight tail.
+    fn panicked(&mut self, at: Time, message: String) {
+        let i = (0..self.hosts.len())
+            .find(|&i| !self.hosts[i].panicked && self.world.behavior(NodeId(i as u32)).is_none())
+            .expect("the panicking node's behaviour is out of its slot");
+        let node = NodeId(i as u32);
+        self.world.schedule_control(at, ControlAction::Crash(node));
+        let host = &mut self.hosts[i];
+        (host.up, host.ever_down, host.panicked) = (false, true, true);
+        host.flight.push(at, FlightKind::Note("panic"));
+        let report = PanicReport {
+            node,
+            message: message.clone(),
+            last_logical: host.flight.last_at(),
+            flight_total: host.flight.total(),
+            flight_tail: host.flight.tail(),
+        };
+        self.emit(node, at, EventKind::Panicked(message));
+        self.report.panics.push(report);
+    }
+
+    /// The run's results, once the worker `reached` the horizon (the
+    /// nodes up have finished) or stopped at the deadline (they overran).
+    fn report(mut self, reached: bool) -> LiveReport {
+        let up: Vec<NodeId> = (0..self.hosts.len() as u32)
+            .map(NodeId)
+            .filter(|node| self.hosts[node.index()].up)
+            .collect();
+        for &node in up.iter().filter(|_| reached) {
+            self.emit(node, self.end, EventKind::Finished);
+        }
+        let phase_marks = self.world.take_obs().marks().to_vec();
+        let world = &self.world;
+        let survivors = (0..self.hosts.len() as u32)
+            .map(NodeId)
+            .filter(|node| !self.hosts[node.index()].ever_down)
+            .filter_map(|node| Some((node, world.behavior(node)?)));
+        let r = &mut self.report;
+        (r.node_stats, r.converged) = btr_core::node_rows(&self.scenario, survivors);
+        let m = world.metrics();
+        (r.drops.drops_other, r.drops.sent) = (m.drops_other, m.msgs_sent);
+        (r.trace, r.phase_marks) = (world.logical_trace(), phase_marks);
+        r.deadline_overruns = if reached { Vec::new() } else { up };
+        self.report
     }
 }
 
@@ -306,117 +427,51 @@ pub(crate) fn run_fleet(
     make: Box<Make>,
 ) -> LiveReport {
     let run_start = Instant::now();
-    let n = system.topology().node_count();
     let end = Time::ZERO + horizon + system.grace();
-    let (ev_tx, ev_rx) = mpsc::channel::<RuntimeEvent>();
-    let (settled_tx, settled_rx) = mpsc::channel::<Settled>();
-    let run = Run {
-        net: Loopback::new(system.network(cfg.seed)),
-        keystore: Arc::new(KeyStore::derive(cfg.seed, n)),
-        period: system.workload().period,
-        end,
-        pacer: Pacer::new(run_start, cfg.pace),
-        events: ev_tx,
-        cfg: cfg.clone(),
-    };
-    let mut fleet = Fleet {
-        hosts: Vec::with_capacity(n),
-        live: n,
-        make,
-        run,
-        settled: settled_tx,
-    };
-    for i in 0..n {
-        let node = NodeId(i as u32);
-        let host = fleet.host(node, scenario.fault_of(node), Time::ZERO);
-        host.attach(&mut fleet.run);
-        fleet.hosts.push(Some(host));
-    }
-    // Logical zero is now, with every host built: none starts behind its
-    // wall schedule.
-    let pacer = Pacer::new(Instant::now(), cfg.pace);
-    fleet.run.pacer = pacer;
-    // Past the paced horizon and its grace the worker stops; one wedged
-    // inside a dispatch gets one more grace, then is left behind, never
-    // joined.
-    let stop = pacer.wall_for(end) + cfg.join_grace;
+    let mut sim = system.sim_config(cfg.seed);
+    // Nothing truncates a live run.
+    sim.max_events = 0;
+    let (topo, scenario_w, cfg_w) = (system.topology().clone(), scenario.clone(), cfg.clone());
+    let (n, grace) = (topo.node_count(), cfg.join_grace);
+    let (events, ev_rx) = mpsc::channel();
+    let (done, done_rx) = mpsc::channel();
     let worker = thread::Builder::new()
         .name("btr-fleet".to_string())
-        .spawn(move || fleet.work(stop))
+        .spawn(move || {
+            let world = fleet_world(sim, topo, &scenario_w, &cfg_w, end, &*make);
+            // Logical zero is now, with the world built: no node starts
+            // behind its wall schedule.
+            let pacer = Pacer::start(cfg_w.pace);
+            let worker = Worker {
+                world,
+                hosts: (0..n).map(|_| Host::default()).collect(),
+                scenario: scenario_w,
+                end,
+                pacer,
+                events,
+                report: LiveReport::default(),
+            };
+            // Past the paced horizon and its grace the worker stops.
+            let _ = done.send(worker.run(pacer.wall_for(end) + grace));
+        })
         .expect("spawn fleet worker");
-    let (mut outcomes, mut panics, mut gone) = (Vec::new(), Vec::new(), vec![false; n]);
-    // The transport comes back with the worker; a wedged one keeps it.
-    let net = loop {
-        let left = (stop + cfg.join_grace).saturating_duration_since(Instant::now());
-        match settled_rx.recv_timeout(left) {
-            Ok(Settled::Host(host, for_good)) => {
-                gone[host.node.index()] |= for_good;
-                outcomes.push(host);
-            }
-            Ok(Settled::Panic(report)) => {
-                gone[report.node.index()] = true;
-                panics.push(report);
-            }
-            Err(RecvTimeoutError::Disconnected) => break worker.join().ok(),
-            Err(RecvTimeoutError::Timeout) => break None,
-        }
+    // A worker wedged inside a dispatch gets one more grace past its
+    // stop (counted from this, earlier, epoch), then is left behind.
+    let give_up = Pacer::start(cfg.pace).wall_for(end) + 2 * grace;
+    let mut report = match done_rx.recv_timeout(give_up.saturating_duration_since(Instant::now())) {
+        Err(RecvTimeoutError::Timeout) => LiveReport {
+            deadline_overruns: (0..n as u32).map(NodeId).collect(),
+            ..LiveReport::default()
+        },
+        // A panic outside a behaviour's dispatch is the fleet's own bug.
+        received => match worker.join() {
+            Ok(()) => received.expect("a worker that ends has sent its report"),
+            Err(panic) => std::panic::resume_unwind(panic),
+        },
     };
-    let events: Vec<RuntimeEvent> = ev_rx.try_iter().collect();
-    // A node that never went terminal for good is an overrun, dropped
-    // with its actuations.
-    let deadline_overruns: Vec<NodeId> = (0..n)
-        .filter(|&i| !gone[i])
-        .map(|i| NodeId(i as u32))
-        .collect();
-    let crashed = |e: &&RuntimeEvent| matches!(e.kind, EventKind::Crashed | EventKind::Panicked(_));
-    let ever_crashed: Vec<NodeId> = events.iter().filter(crashed).map(|e| e.node).collect();
-
-    let mut actuations = Vec::new();
-    for out in &mut outcomes {
-        actuations.append(&mut out.ctx.actuations);
-    }
-    outcomes.sort_by_key(|o| o.node);
-    let survivors = outcomes
-        .iter()
-        .filter(|o| !ever_crashed.contains(&o.node))
-        .map(|o| (o.node, &*o.behavior as &dyn NodeBehavior));
-    let (node_stats, converged) = btr_core::node_rows(scenario, survivors);
-
-    let drops = net.as_ref().map_or(DropTotals::default(), |net| {
-        let c = net.counters();
-        DropTotals {
-            mailbox_full: c.mailbox_full,
-            transmission_loss: c.transmission_loss,
-            sent: c.sent,
-        }
-    });
-    let mailbox_full_at = |i| net.as_ref().map_or(0, |net| net.mailbox_full_at(NodeId(i)));
-
-    // Out-of-band observability totals (outcomes are already in node
-    // order, so the mark log is deterministic given the run's events).
-    let mut timer_lag = Histogram::new();
-    for out in &outcomes {
-        timer_lag.merge(&out.timer_lag);
-    }
-
-    LiveReport {
-        trace: LogicalTrace::from_actuations(&actuations),
-        node_stats,
-        converged,
-        events,
-        panics,
-        deadline_overruns,
-        drops,
-        mailbox_full_by_node: (0..n as u32).map(mailbox_full_at).collect(),
-        phase_marks: outcomes
-            .iter()
-            .flat_map(|o| o.ctx.marks.iter().copied())
-            .collect(),
-        frontier_stalls: 0,
-        redrains: 0,
-        timer_lag,
-        wall: run_start.elapsed(),
-    }
+    report.events = ev_rx.try_iter().collect();
+    report.wall = run_start.elapsed();
+    report
 }
 
 #[cfg(test)]
@@ -445,16 +500,10 @@ mod tests {
     }
 
     /// Unpaced: at 0.01 wall-µs per logical-µs the worker never waits
-    /// for the wall, and the least-head rule alone orders the run. A
-    /// debug build runs the crypto an order of magnitude slower, and its
-    /// crash-restart run needs nearly the default half-second grace, so
-    /// it gets 5 s before a host counts as wedged.
+    /// for the wall, and the world's own order alone orders the run.
     fn unpaced() -> LiveConfig {
         let mut cfg = LiveConfig::new(SEED);
         cfg.pace = 0.01;
-        if cfg!(debug_assertions) {
-            cfg.join_grace = std::time::Duration::from_secs(5);
-        }
         cfg
     }
 
@@ -472,11 +521,10 @@ mod tests {
     ) {
         let live = run_fleet(sys, scenario, horizon, cfg, make);
         assert!(
-            live.healthy() && live.drops.mailbox_full == 0,
-            "{name}: panics {:?}, overruns {:?}, mailbox_full {}",
+            live.healthy(),
+            "{name}: panics {:?}, overruns {:?}",
             live.panics,
-            live.deadline_overruns,
-            live.drops.mailbox_full
+            live.deadline_overruns
         );
         assert_eq!(
             live.trace.digest(),
@@ -494,7 +542,7 @@ mod tests {
         sys: &BtrSystem,
         scenario: &FaultScenario,
         horizon: Duration,
-        make: fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior + Send>,
+        make: fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior>,
     ) -> LogicalTrace {
         let mut sim = SimConfig::new(SEED);
         sim.period = sys.workload().period;
@@ -510,7 +558,7 @@ mod tests {
     }
 
     /// Passes a token round the nine nodes, one hop per receipt, and
-    /// actuates each receipt: only the host the token is in flight to
+    /// actuates each receipt: only the node the token is in flight to
     /// has work.
     struct TokenRing {
         me: u32,
@@ -535,9 +583,9 @@ mod tests {
 
     #[test]
     fn the_least_head_carries_a_token_round_the_ring() {
-        // Every host but one has nothing pending: the worker finds the
-        // one the token is in flight to by its undrained arrival.
-        let ring = |node: NodeId, _| -> Box<dyn NodeBehavior + Send> {
+        // Every node but one has nothing pending: the one event queued
+        // is the token's arrival.
+        let ring = |node: NodeId, _| -> Box<dyn NodeBehavior> {
             Box::new(TokenRing {
                 me: node.0,
                 hops: 0,
@@ -573,13 +621,12 @@ mod tests {
 
     #[test]
     fn a_send_at_a_peers_crash_instant_takes_the_healed_route() {
-        // The simulator queues the crash ahead of every event at its
+        // Both worlds queue the crash ahead of every event at its
         // instant, so the route heals before the sends and each message
-        // takes a four-hop path round the centre; the fleet's heads key
-        // a crash ahead of every host's timers at that instant.
+        // takes a four-hop path round the centre.
         let sys = system_on(Topology::mesh(3, 3, 100_000, Duration(5)));
         let scenario = FaultScenario::single(NodeId(4), FaultKind::Crash, CENTRE_CRASH);
-        let across = |_, _| -> Box<dyn NodeBehavior + Send> { Box::new(AcrossTheCentre) };
+        let across = |_, _| -> Box<dyn NodeBehavior> { Box::new(AcrossTheCentre) };
         let horizon = Duration::from_millis(5);
         let reference = assert_behaviours_match("across", &sys, &scenario, horizon, across);
         assert_eq!(reference.len(), 4, "every cross-centre send arrived");
@@ -625,7 +672,7 @@ mod tests {
 
     /// A behaviour that panics on its first dispatch at or after `at`.
     struct PanicsAt {
-        inner: Box<dyn NodeBehavior + Send>,
+        inner: Box<dyn NodeBehavior>,
         at: Time,
     }
 
@@ -653,15 +700,19 @@ mod tests {
 
     #[test]
     fn a_panicking_behaviour_is_attributed_and_the_rest_finish() {
-        // The worker that catches the panic goes on stepping the rest.
+        // The worker that catches a panic goes on stepping the rest; the
+        // second panic is the second victim's, not the first one's again.
         let sys = bus9();
-        let (victim, at) = (NodeId(4), Time::from_millis(40));
+        let victims = [
+            (NodeId(2), Time::from_millis(40)),
+            (NodeId(4), Time::from_millis(60)),
+        ];
         let btr = btr_nodes(&sys);
-        let make = move |node: NodeId, attack| -> Box<dyn NodeBehavior + Send> {
+        let make = move |node: NodeId, attack| -> Box<dyn NodeBehavior> {
             let inner = btr(node, attack);
-            match node == victim {
-                true => Box::new(PanicsAt { inner, at }),
-                false => inner,
+            match victims.iter().find(|&&(victim, _)| victim == node) {
+                Some(&(_, at)) => Box::new(PanicsAt { inner, at }),
+                None => inner,
             }
         };
         // Debug binaries run the per-message crypto an order of
@@ -676,18 +727,19 @@ mod tests {
             &cfg,
             Box::new(make),
         );
-        assert_eq!(live.panics.len(), 1, "{:?}", live.panics);
-        let p = &live.panics[0];
-        assert_eq!(p.node, victim);
-        assert!(p.message.starts_with("scripted panic at "), "{}", p.message);
-        // The flight recorder logged the dispatch that panicked: the
-        // victim's first event at or after the scripted instant.
-        let last = p.last_logical.expect("dispatched before the panic");
-        assert!(
-            last >= at && last < at + Duration::from_millis(10),
-            "{last:?}"
-        );
-        assert!(p.flight_total > 0 && !p.flight_tail.is_empty());
+        assert_eq!(live.panics.len(), 2, "{:?}", live.panics);
+        for (p, (victim, at)) in live.panics.iter().zip(victims) {
+            assert_eq!(p.node, victim);
+            assert!(p.message.starts_with("scripted panic at "), "{}", p.message);
+            // The flight recorder logged the dispatch that panicked: the
+            // victim's first event at or after the scripted instant.
+            let last = p.last_logical.expect("dispatched before the panic");
+            assert!(
+                last >= at && last < at + Duration::from_millis(10),
+                "{last:?}"
+            );
+            assert!(p.flight_total > 0 && !p.flight_tail.is_empty());
+        }
         // Every other node ran to the horizon.
         assert!(
             live.deadline_overruns.is_empty(),
@@ -700,7 +752,7 @@ mod tests {
             .filter(|e| e.kind == EventKind::Finished)
             .map(|e| e.node)
             .collect();
-        assert_eq!(finished.len(), 8, "{finished:?}");
-        assert!(!finished.contains(&victim));
+        assert_eq!(finished.len(), 7, "{finished:?}");
+        assert!(victims.iter().all(|(victim, _)| !finished.contains(victim)));
     }
 }

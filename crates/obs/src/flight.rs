@@ -1,24 +1,21 @@
 //! Per-node flight recorder: a fixed-capacity ring buffer of the last
-//! K dispatches, kept by the live runtime so that when a node dies —
-//! behaviour panic, wall-deadline overrun, mailbox overflow — the
-//! supervisor can attribute the failure with the node's final moments
+//! K dispatches, kept by the live fleet beside its world so that when a
+//! node's behaviour panics the report shows the node's final moments
 //! instead of just its id.
 //!
 //! The ring allocates once at construction and never again; pushing
-//! overwrites the oldest entry. The live actor shares the ring with the
-//! supervisor through `Arc<Mutex<_>>` so the tail survives
-//! `catch_unwind` (the actor itself is consumed by the panic).
+//! overwrites the oldest entry.
 
 use btr_model::{NodeId, Time};
 
 /// Default ring capacity: enough to see the last few periods of a
 /// node's life without bloating per-node memory.
-pub const FLIGHT_CAP: usize = 32;
+pub(crate) const FLIGHT_CAP: usize = 32;
 
 /// What a recorded dispatch was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
-    /// The behaviour thread started.
+    /// The node started (cold start or restart).
     Start,
     /// A message from `from` was dispatched.
     Message {

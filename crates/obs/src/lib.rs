@@ -23,8 +23,8 @@
 //!   into a five-phase breakdown whose durations sum exactly to the
 //!   judged end-to-end recovery window.
 //! - [`FlightRecorder`]: a fixed-capacity per-node ring buffer of the
-//!   last K dispatches, dumped by the live supervisor on panic,
-//!   deadline overrun, or mailbox overflow.
+//!   last K dispatches, whose tail the live fleet reports with a
+//!   behaviour panic.
 //! - [`TraceBuilder`]: Chrome `trace_event` JSON export so a recovery
 //!   can be inspected on a timeline (`chrome://tracing`, Perfetto).
 //! - [`Profile`] / [`Subsystem`]: deterministic per-subsystem cost
@@ -45,7 +45,7 @@ mod recorder;
 mod timeline;
 mod trace_event;
 
-pub use flight::{FlightEvent, FlightKind, FlightRecorder, FLIGHT_CAP};
+pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use hist::Histogram;
 pub use profile::{Profile, Subsystem};
 pub use recorder::{Counter, Lat, ObsRecorder, Recorder, COUNTER_KINDS};

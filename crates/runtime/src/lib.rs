@@ -897,7 +897,7 @@ mod tests {
                 timers: Vec::new(),
             };
             let mut seat = btr_sim::Seat::derive(7, NodeId(6), suite);
-            let mut scratch = btr_sim::Scratch::for_node();
+            let mut scratch = btr_sim::Scratch::default();
             let mut node = BtrNode::new(NodeId(6), Arc::clone(&w), Arc::clone(&s), 9, None);
             node.on_start(&mut NodeCtx::new(
                 &mut seat,

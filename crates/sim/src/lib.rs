@@ -33,7 +33,9 @@ pub mod world;
 pub use scratch::Scratch;
 pub use seat::Seat;
 pub use trace::{DropReason, LogicalTrace, SimMetrics, TraceEvent};
-pub use world::{Actuation, ControlAction, CtxBackend, NodeCtx, SimConfig, World};
+pub use world::{
+    Actuation, ControlAction, CtxBackend, NodeCtx, SimConfig, StepKind, Stepped, World,
+};
 
 use btr_model::Envelope;
 

@@ -51,6 +51,13 @@ pub(crate) enum Event {
     },
     /// Apply a control-plane intervention.
     Control(ControlAction),
+    /// Bring a node up as a fresh incarnation.
+    Start {
+        /// The node.
+        node: NodeId,
+        /// The incarnation's behaviour, held by the world.
+        incarnation: u32,
+    },
 }
 
 /// A slot of an [`Arena`]: a value, or a link of the free list.
@@ -117,6 +124,7 @@ pub(crate) enum CompactEvent {
     Deliver { dst: NodeId, env: u32 },
     Timer { node: NodeId, timer: TimerId },
     Control(ControlAction),
+    Start { node: NodeId, incarnation: u32 },
 }
 
 /// Buckets in the wheel: one per microsecond, a power of two. 512 covers
@@ -330,6 +338,7 @@ impl EventQueue {
             },
             Event::Timer { node, timer } => CompactEvent::Timer { node, timer },
             Event::Control(action) => CompactEvent::Control(action),
+            Event::Start { node, incarnation } => CompactEvent::Start { node, incarnation },
         };
         if self.wheel.covers(at.as_micros()) {
             self.wheel.push(at.as_micros(), seq, ev);
@@ -389,6 +398,7 @@ impl EventQueue {
             },
             CompactEvent::Timer { node, timer } => Event::Timer { node, timer },
             CompactEvent::Control(action) => Event::Control(action),
+            CompactEvent::Start { node, incarnation } => Event::Start { node, incarnation },
         };
         Some((Time(at), event))
     }
@@ -420,6 +430,7 @@ mod tests {
             Event::Deliver { dst, env } => format!("deliver:{dst}:{:?}", env.payload),
             Event::Timer { node, timer } => format!("timer:{node}:{timer}"),
             Event::Control(a) => format!("control:{a:?}"),
+            Event::Start { node, incarnation } => format!("start:{node}:{incarnation}"),
         }
     }
 

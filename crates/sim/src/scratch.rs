@@ -6,50 +6,28 @@ use btr_crypto::{Digest, KeyStore, SigError, Signature, Signer};
 
 /// What a host lends, beside the seat, to every [`NodeCtx`] it binds:
 /// reusable room for the canonical bytes of whatever is being signed or
-/// verified, and the memo that — on a host of many nodes — lets a tag be
-/// computed once per host: where it is signed, and by nobody who
-/// receives it.
+/// verified, and the memo that lets a tag be computed once per host:
+/// where it is signed, and by nobody who receives it.
 ///
-/// A scratch serves one keystore for its whole life (a world's, an
-/// actor's): what the memo remembers is that keystore's verdicts.
+/// A scratch serves one keystore for its whole life (a world's): what
+/// the memo remembers is that keystore's verdicts. A fresh one is empty,
+/// and its memo takes no memory until the first multicast: only the
+/// copies of a multicast are verified one after another against one
+/// keystore, so a host that never sends one has nothing worth
+/// remembering.
 ///
 /// [`NodeCtx`]: crate::NodeCtx
+#[derive(Default)]
 pub struct Scratch {
     pub(crate) buf: Vec<u8>,
     pub(crate) memo: VerifyMemo,
-    /// Whether this host has nodes verify what other nodes of it have
-    /// (only then is the memo ever armed).
-    many_nodes: bool,
 }
 
 impl Scratch {
-    /// The scratch of a host of one node (a live actor). Every envelope
-    /// reaches such a host once, so its memo stays off: nothing it
-    /// verifies has been verified there before.
-    pub fn for_node() -> Scratch {
-        Scratch {
-            buf: Vec::new(),
-            memo: VerifyMemo::default(),
-            many_nodes: false,
-        }
-    }
-
-    /// The scratch of a host of every node of a world, where the copies
-    /// of a multicast are verified one after another against one
-    /// keystore. Its memo takes no memory until the first multicast.
-    pub(crate) fn for_world() -> Scratch {
-        Scratch {
-            many_nodes: true,
-            ..Scratch::for_node()
-        }
-    }
-
     /// A multicast went out through this host: from here on remembering
     /// verdicts pays. (Unicast-only worlds never get here.)
     pub(crate) fn saw_multicast(&mut self) {
-        if self.many_nodes {
-            self.memo.arm();
-        }
+        self.memo.arm();
     }
 
     /// `signer` has just made `sig` over the signing bytes in `buf`:
@@ -290,7 +268,7 @@ mod tests {
         };
         memo.remember_signed(&ks, &signer, &relabelled, b"mine");
         assert_eq!(memo.entries, 1);
-        // And an unarmed memo (a live actor's, a unicast world's) takes
+        // And an unarmed memo (a unicast world's) takes
         // nothing at all.
         let mut off = VerifyMemo::default();
         off.remember_signed(&ks, &signer, &sig, b"payload");

@@ -1,5 +1,5 @@
-//! The node's half of hosting: what belongs to one node whichever
-//! substrate runs it.
+//! The node's half of hosting: what belongs to one node whatever
+//! backend its context runs on.
 
 use btr_crypto::{digest64, AuthSuite, NodeKey, Signer};
 use btr_model::{Duration, NodeId, Time};
@@ -11,11 +11,10 @@ pub(crate) const MAX_CLOCK_SKEW: Duration = Duration(20);
 /// One node's seat at the protocol: its local clock and its signing key,
 /// both derived from `(seed, node)`.
 ///
-/// Both substrates build a seat per node with [`Seat::derive`] and lend
-/// it to a [`NodeCtx`](crate::NodeCtx) for each dispatch, so a node
-/// stamps and signs the same on either — the substance of the
-/// trace-equivalence claim — and a behaviour can reach no signer but the
-/// one of the seat it is dispatched on.
+/// A world builds a seat per node with [`Seat::derive`] and lends it to
+/// a [`NodeCtx`](crate::NodeCtx) for each dispatch, so a node stamps and
+/// signs the same however the world is driven, and a behaviour can
+/// reach no signer but the one of the seat it is dispatched on.
 pub struct Seat {
     /// Local clock = global + offset (µs, may be negative).
     pub(crate) clock_offset: i64,

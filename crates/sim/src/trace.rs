@@ -81,14 +81,13 @@ impl TraceEvent {
 /// A run's end-to-end observable behaviour on logical timestamps, in
 /// canonical order.
 ///
-/// This is the cross-substrate equivalence oracle: the discrete-event
-/// [`crate::World`] and the live thread-per-node runtime (`btr-node`)
-/// both reduce a run to this record, and a fault-free live run must be
-/// *bit-identical* to the simulator here. Actuations are the right
-/// observable because they capture the full protocol dataflow (inputs
-/// gathered, replicas voted, checkers passed) with logical timestamps,
-/// while being insensitive to transport-level interleaving that the two
-/// substrates legitimately order differently at equal logical times.
+/// This is the cross-substrate equivalence oracle: a free-running
+/// [`crate::World`] and the live fleet (`btr-node`), which drives a
+/// world under a wall-clock pacer, both reduce a run to this record, and
+/// a live run must be *bit-identical* to the simulator here. Actuations
+/// are the right observable because they capture the full protocol
+/// dataflow (inputs gathered, replicas voted, checkers passed) with
+/// logical timestamps.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LogicalTrace {
     /// Actuations sorted by (at, node, task, period, value).
@@ -97,7 +96,7 @@ pub struct LogicalTrace {
 
 impl LogicalTrace {
     /// Canonicalise a run's actuation record.
-    pub fn from_actuations(acts: &[Actuation]) -> LogicalTrace {
+    pub(crate) fn from_actuations(acts: &[Actuation]) -> LogicalTrace {
         let mut events = acts.to_vec();
         events.sort_by_key(|a| (a.at, a.node, a.task, a.period, a.value));
         LogicalTrace { events }

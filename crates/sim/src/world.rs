@@ -71,8 +71,6 @@ impl SimConfig {
 }
 
 /// Scheduled control-plane interventions (the fault injector's lever).
-/// Only what the live fleet can do too: a fault built on a lever one
-/// substrate lacks could never be cross-checked.
 #[derive(Clone, Copy)]
 pub enum ControlAction {
     /// Fail-stop the node.
@@ -85,6 +83,34 @@ impl std::fmt::Debug for ControlAction {
             ControlAction::Crash(n) => write!(f, "Crash({n})"),
         }
     }
+}
+
+/// What one [`World::step`] dispatched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stepped {
+    /// The event's instant.
+    pub at: Time,
+    /// The node it was for.
+    pub node: NodeId,
+    /// What it was.
+    pub kind: StepKind,
+}
+
+/// The kinds of event a [`World::step`] dispatches. A message or timer
+/// for a node that is down when it pops reaches no behaviour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepKind {
+    /// The node came up as a fresh incarnation ([`World::schedule_start`]).
+    Start,
+    /// The node crashed ([`ControlAction::Crash`]).
+    Crash,
+    /// One of the node's timers fired.
+    Timer,
+    /// A message arrived at the node.
+    Message {
+        /// The sender the envelope names.
+        src: NodeId,
+    },
 }
 
 /// One recorded sink actuation.
@@ -139,6 +165,9 @@ struct Substrate {
     net: Network,
     /// Each node's behaviour (`None` while it is dispatching).
     behaviors: Vec<Option<Box<dyn NodeBehavior>>>,
+    /// The behaviours of scheduled starts, by incarnation (`None` once
+    /// started).
+    incarnations: Vec<Option<Box<dyn NodeBehavior>>>,
     queue: EventQueue,
     now: Time,
     seq: u64,
@@ -184,11 +213,12 @@ impl World {
             .collect();
         World {
             seats,
-            scratch: Scratch::for_world(),
+            scratch: Scratch::default(),
             sub: Substrate {
                 net: Network::new(topo, cfg.period, cfg.seed, cfg.loss_ppm, cfg.fec),
                 cfg,
                 behaviors,
+                incarnations: Vec::new(),
                 queue: EventQueue::for_nodes(n),
                 now: Time::ZERO,
                 seq: 0,
@@ -363,6 +393,20 @@ impl World {
         self.sub.push(at, Event::Control(action));
     }
 
+    /// Bring `node` up at `at` as a fresh incarnation running
+    /// `behavior`, and run its `on_start` there: a restart after a crash,
+    /// or a first start on a host that starts its nodes one event at a
+    /// time. Events of one instant pop in the order they were queued, so
+    /// a start scheduled before [`World::start`] pops ahead of everything
+    /// the nodes queue at its instant. The node is up in the network
+    /// again from then on (routes go through it, and its loss stream goes
+    /// on where it stopped); what arrives for it while it is down is lost.
+    pub fn schedule_start(&mut self, at: Time, node: NodeId, behavior: Box<dyn NodeBehavior>) {
+        let incarnation = self.sub.incarnations.len() as u32;
+        self.sub.incarnations.push(Some(behavior));
+        self.sub.push(at, Event::Start { node, incarnation });
+    }
+
     /// Call `on_start` on every behaviour (in node-id order) and mark the
     /// world runnable.
     pub fn start(&mut self) {
@@ -373,38 +417,65 @@ impl World {
         }
     }
 
-    /// Run until the queue is empty or `t` is reached; time advances to `t`.
-    ///
-    /// If `cfg.max_events` is set and the run reaches it, dispatching
-    /// stops immediately and [`World::truncated`] turns true (the cap is
-    /// checked per event, so runs are still bit-deterministic).
-    pub fn run_until(&mut self, t: Time) {
+    /// The instant of the next queued event, if any.
+    pub fn next_at(&self) -> Option<Time> {
+        self.sub.queue.next_at()
+    }
+
+    /// Dispatch the next event if it is due at or before `t`, and say
+    /// what it was; `None` when nothing is, or when the run has reached
+    /// `cfg.max_events` (then [`World::truncated`] turns true if an
+    /// event was due: the cap is checked per event, so runs are still
+    /// bit-deterministic).
+    #[inline]
+    pub fn step(&mut self, t: Time) -> Option<Stepped> {
         assert!(self.sub.started, "call start() first");
-        loop {
-            if self.sub.cfg.max_events > 0 && self.sub.metrics.events >= self.sub.cfg.max_events {
-                // Cut short only if another event would have dispatched: a
-                // run that *finishes* with exactly `max_events` events
-                // must not be flagged.
-                if matches!(self.sub.queue.next_at(), Some(at) if at <= t) {
-                    self.sub.truncated = true;
-                }
-                break;
+        if self.sub.cfg.max_events > 0 && self.sub.metrics.events >= self.sub.cfg.max_events {
+            // Cut short only if another event would have dispatched: a
+            // run that *finishes* with exactly `max_events` events must
+            // not be flagged.
+            if matches!(self.sub.queue.next_at(), Some(at) if at <= t) {
+                self.sub.truncated = true;
             }
-            let Some((at, event)) = self.sub.queue.pop_due(t) else {
-                break;
-            };
-            self.sub.now = at;
-            self.sub.metrics.events += 1;
-            if self.sub.obs.is_some() {
-                self.sub.obs_scratch.counts[Counter::Events as usize] += 1;
-                self.sub.obs_scratch.profile.bump(Subsystem::Queue);
-            }
-            match event {
-                Event::Deliver { dst, env } => self.dispatch_message(dst, env),
-                Event::Timer { node, timer } => self.dispatch_timer(node, timer),
-                Event::Control(action) => self.apply_control(action),
-            }
+            return None;
         }
+        let (at, event) = self.sub.queue.pop_due(t)?;
+        self.sub.now = at;
+        self.sub.metrics.events += 1;
+        if self.sub.obs.is_some() {
+            self.sub.obs_scratch.counts[Counter::Events as usize] += 1;
+            self.sub.obs_scratch.profile.bump(Subsystem::Queue);
+        }
+        let (node, kind) = match event {
+            Event::Deliver { dst, env } => {
+                let src = env.src;
+                self.dispatch_message(dst, env);
+                (dst, StepKind::Message { src })
+            }
+            Event::Timer { node, timer } => {
+                self.dispatch_timer(node, timer);
+                (node, StepKind::Timer)
+            }
+            Event::Control(action) => {
+                self.apply_control(action);
+                let ControlAction::Crash(node) = action;
+                (node, StepKind::Crash)
+            }
+            Event::Start { node, incarnation } => {
+                let behavior = self.sub.incarnations[incarnation as usize].take();
+                self.sub.behaviors[node.index()] = behavior;
+                self.sub.net.set_down(node, false);
+                self.dispatch_start(node);
+                (node, StepKind::Start)
+            }
+        };
+        Some(Stepped { at, node, kind })
+    }
+
+    /// Run until the queue is empty or `t` is reached, one
+    /// [`World::step`] at a time; time advances to `t`.
+    pub fn run_until(&mut self, t: Time) {
+        while self.step(t).is_some() {}
         if t > self.sub.now {
             self.sub.now = t;
         }
@@ -654,21 +725,18 @@ impl Substrate {
 /// The substrate a [`NodeCtx`] acts on.
 ///
 /// Node behaviours never touch this trait directly — they see the
-/// concrete `NodeCtx` wrapper, whose API is identical whether the
-/// backend is the discrete-event [`World`] or a live thread-per-node
-/// actor (`btr-node`). That is what makes the simulator usable as a
-/// trace oracle for the live runtime: the *same* protocol code runs on
-/// both substrates, and only the event transport underneath differs.
+/// concrete `NodeCtx` wrapper. The [`World`]'s substrate implements it,
+/// whether the world runs free or under the live fleet's wall-clock
+/// pacer (`btr-node`), and so can a test's fake, to hold one behaviour
+/// at an instant of its choosing.
 ///
 /// This is the substrate's half of hosting a node — time, transport,
 /// timers, actuators. A crash is not among them: the host applies a
-/// scripted crash itself (the simulator's [`ControlAction::Crash`], the
-/// live actor's agenda), so the protocol cannot end its own node's run.
-/// The node's half (its clock, key and RNG stream:
-/// the [`Seat`]) and everything done with it (stamping, signing,
-/// verifying) is `NodeCtx`'s own, written once for every substrate.
-/// Methods take the acting node explicitly: the id the dispatcher bound
-/// into the `NodeCtx`.
+/// scripted crash itself ([`ControlAction::Crash`]), so the protocol
+/// cannot end its own node's run. The node's half (its clock, key and
+/// RNG stream: the [`Seat`]) and everything done with it (stamping,
+/// signing, verifying) is `NodeCtx`'s own. Methods take the acting node
+/// explicitly: the id the dispatcher bound into the `NodeCtx`.
 pub trait CtxBackend {
     /// Global time (simulation time, or the live runtime's logical clock).
     fn now(&self) -> Time;
@@ -768,8 +836,7 @@ impl CtxBackend for Substrate {
 /// The API a node behaviour uses to act on the world.
 ///
 /// One node's [`Seat`] bound to a [`CtxBackend`] for one dispatch: the
-/// simulator and the live runtime construct one per dispatch, and
-/// behaviours are oblivious to which is underneath.
+/// world constructs one per dispatch (a test may bind one to a fake).
 pub struct NodeCtx<'w> {
     seat: &'w mut Seat,
     /// Where the canonical bytes of what is signed or verified are laid
@@ -1757,6 +1824,130 @@ mod tests {
         let (t3, e3, m3) = run(full_events);
         assert!(!t3, "exact-cap completion must not be flagged");
         assert_eq!((e3, m3), (full_events, full_msgs));
+    }
+
+    /// On a line n0 - n1 - n2, n0 sends `Control(k)` at k ms, k in
+    /// 1..=30, to n1 and across it to n2; a receiver actuates `k` under
+    /// its own id as task, and a restarted incarnation (`restarted`)
+    /// actuates task 9 in its `on_start`.
+    struct Line {
+        restarted: bool,
+    }
+    impl NodeBehavior for Line {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.restarted {
+                ctx.actuate(TaskId(9), 0, 0);
+            }
+            if ctx.id() == NodeId(0) {
+                ctx.set_timer(Duration::from_millis(1), 1);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
+            if let Payload::Control(k) = env.payload {
+                ctx.actuate(TaskId(ctx.id().0), 0, u64::from(k));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, k: TimerId) {
+            ctx.send_many(&[NodeId(1), NodeId(2)], Payload::Control(k as u8));
+            if k < 30 {
+                ctx.set_timer(Duration::from_millis(1), k + 1);
+            }
+        }
+    }
+
+    fn line(cfg: SimConfig) -> World {
+        let mut b = btr_model::TopologyBuilder::new();
+        let [n0, n1, n2] = [b.full_node(), b.full_node(), b.full_node()];
+        b.link(&[n0, n1], 10_000, Duration(5));
+        b.link(&[n1, n2], 10_000, Duration(5));
+        World::new(b.build().expect("a line"), cfg)
+    }
+
+    #[test]
+    fn a_restarted_node_starts_ahead_of_its_instant_and_routes_heal_back() {
+        let run = |restart: Option<Time>| {
+            let mut w = line(SimConfig::new(3));
+            for i in 0..3 {
+                w.set_behavior(NodeId(i), Box::new(Line { restarted: false }));
+            }
+            if let Some(at) = restart {
+                w.schedule_control(Time::from_millis(10), ControlAction::Crash(NodeId(1)));
+                w.schedule_start(at, NodeId(1), Box::new(Line { restarted: true }));
+            }
+            w.start();
+            w.run_until(Time::from_millis(40));
+            w.actuations().to_vec()
+        };
+        let got = |acts: &[Actuation], task: u32| -> Vec<u64> {
+            let of_task = acts.iter().filter(|a| a.task == TaskId(task));
+            of_task.map(|a| a.value).collect()
+        };
+        // The restart instant: when n0's twentieth message reaches n1.
+        let free = run(None);
+        let at = |acts: &[Actuation], task, k| {
+            acts.iter()
+                .find(|a| a.task == TaskId(task) && a.value == k)
+                .map(|a| a.at)
+        };
+        let back = at(&free, 1, 20).expect("delivered without a crash");
+        assert!(back > Time::from_millis(20));
+        let acts = run(Some(back));
+        // The new incarnation's `on_start` ran at its instant, ahead of the
+        // message due there, which reached it.
+        let started = acts.iter().position(|a| a.task == TaskId(9));
+        let first = acts
+            .iter()
+            .position(|a| a.task == TaskId(1) && a.value == 20);
+        assert_eq!(at(&acts, 9, 0), Some(back));
+        assert_eq!(at(&acts, 1, 20), Some(back));
+        assert!(started < first, "{acts:?}");
+        // Messages for n1 that arrived while it was down were lost, and so
+        // were those routed across it; the route heals back with it.
+        let upto = |hi: u64| (1..=hi).collect::<Vec<_>>();
+        assert_eq!(got(&acts, 1), [upto(9), (20..=30).collect()].concat());
+        assert_eq!(got(&acts, 2), [upto(9), (21..=30).collect()].concat());
+        assert_eq!((got(&free, 1), got(&free, 2)), (upto(30), upto(30)));
+    }
+
+    #[test]
+    fn a_restarted_node_continues_its_loss_stream() {
+        // Forty sends from one incarnation of n1, or twenty from each of
+        // two with a crash between: one loss pattern.
+        struct Sends(u8, u8);
+        impl NodeBehavior for Sends {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                ctx.set_timer(Duration::from_millis(1), 0);
+            }
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_>, env: Envelope) {
+                if let Payload::Control(k) = env.payload {
+                    ctx.actuate(TaskId(0), 0, u64::from(k));
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _t: TimerId) {
+                if self.0 < self.1 {
+                    ctx.send(NodeId(0), Payload::Control(self.0));
+                    self.0 += 1;
+                    ctx.set_timer(Duration::from_millis(1), 0);
+                }
+            }
+        }
+        let pattern = |incarnations: u8| {
+            let mut cfg = SimConfig::new(9);
+            cfg.loss_ppm = 200_000;
+            let mut w = line(cfg);
+            w.set_behavior(NodeId(0), Box::new(Sends(0, 0)));
+            w.set_behavior(NodeId(1), Box::new(Sends(0, 40 / incarnations)));
+            if incarnations == 2 {
+                w.schedule_control(Time::from_millis(25), ControlAction::Crash(NodeId(1)));
+                w.schedule_start(Time::from_millis(30), NodeId(1), Box::new(Sends(20, 40)));
+            }
+            w.start();
+            w.run_until(Time::from_millis(80));
+            w.actuations().iter().map(|a| a.value).collect::<Vec<_>>()
+        };
+        let one = pattern(1);
+        assert!(one.len() > 20 && one.len() < 40, "{one:?}");
+        assert_eq!(pattern(2), one);
     }
 
     #[test]

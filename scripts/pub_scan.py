@@ -24,10 +24,9 @@ REEXPORT = re.compile(r'^\s*pub\s+use\s+[^;]*;', re.M)
 # and types that appear in public signatures.
 KEEP_FILES = {'crates/crypto/src/siphash.rs'}
 KEEP = {'siphash', 'SipKey', 'SipState', 'verify_batch_all',
-        'message', 'last_logical', 'flight_total', 'flight_tail',
-        'periods', 'guardian_drops',
+        'last_logical', 'flight_total', 'flight_tail',
         'BaselineError', 'CampaignError', 'CampaignOutcome', 'CellError',
-        'CorpusEntry', 'FuzzOutcome', 'ReplayError', 'ReplaySpec',
+        'CorpusEntry', 'FuzzOutcome', 'ReplayError',
         'ShrinkOutcome', 'Violation', 'SinkVerdict', 'NodeSpec',
         'PlanError', 'TopologyError', 'SendError', 'PlacementError',
         'QualityReport', 'SchedError', 'WorkloadError', 'DropTotals',

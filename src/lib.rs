@@ -20,9 +20,10 @@
 //! * [`runtime`] — the per-node BTR software stack, with the online
 //!   fault detector (Section 4.2), evidence validation and distribution
 //!   (Section 4.3) and the mode-change protocol (Section 4.4) inside it.
-//! * [`node`] — the live thread-per-node runtime: real OS threads,
-//!   wall-clock bounded-time recovery, runtime fault injection, with
-//!   the simulator as trace oracle.
+//! * [`node`] — the live fleet: the simulator's world driven on a
+//!   worker thread under a wall-clock pacer, wall-clock bounded-time
+//!   recovery, restarts, with the free-running simulator as trace
+//!   oracle.
 //! * [`core`] — the end-to-end system, fault injection, and oracle.
 //! * [`baselines`] — BFT / PBFT-lite / ZZ / self-stabilisation / restart.
 //! * [`campaign`] — parallel fault-injection campaigns: schedule
