@@ -12,9 +12,15 @@
 //! (a caller-owned scratch buffer, no allocation), and size queries
 //! (counting only, no bytes materialised at all):
 //!
-//! * [`Enc::new`] — owned `Vec<u8>`, retrieved with [`Enc::finish`].
+//! * [`Enc::new`] — owned `Vec<u8>`, read with [`Enc::as_slice`] (or,
+//!   in tests, taken with `Enc::finish`).
 //! * [`Enc::over`] — borrowed scratch buffer, cleared and refilled.
 //! * [`Enc::count`] — byte counting via [`Enc::len`].
+
+/// What an owned encoding reserves up front: the signed bytes of a path
+/// declaration or a crash suspicion fit; a timing declaration's, which
+/// embed an output's id, grow the buffer once.
+const OWNED_CAPACITY: usize = 64;
 
 enum Out<'a> {
     Owned(Vec<u8>),
@@ -34,10 +40,12 @@ impl std::fmt::Debug for Enc<'_> {
 }
 
 impl Enc<'static> {
-    /// Start an owned encoding with a domain-separation tag.
+    /// Start an owned encoding with a domain-separation tag. The buffer
+    /// starts at [`OWNED_CAPACITY`] bytes, room for a declaration's
+    /// signed bytes, so signing one allocates once.
     pub(crate) fn new(domain: &str) -> Enc<'static> {
         let mut e = Enc {
-            out: Out::Owned(Vec::new()),
+            out: Out::Owned(Vec::with_capacity(OWNED_CAPACITY)),
         };
         e.bytes(domain.as_bytes());
         e
@@ -144,6 +152,7 @@ impl<'a> Enc<'a> {
     /// # Panics
     /// Panics for counting or borrowed encoders — those callers read the
     /// scratch buffer or [`Enc::len`] instead.
+    #[cfg(test)]
     pub(crate) fn finish(self) -> Vec<u8> {
         match self.out {
             Out::Owned(b) => b,

@@ -536,10 +536,25 @@ impl EvidenceRecord {
     /// declarer's signature and internal consistency only — declarations
     /// are *attributable*, not probative.
     pub fn verify(&self, ks: &KeyStore, view: &dyn WorkloadView) -> Result<(), EvidenceFlaw> {
+        self.verify_with(ks, view, &mut Vec::new())
+    }
+
+    /// [`EvidenceRecord::verify`], laying out every signed byte string
+    /// it checks in the reusable `scratch` (see
+    /// [`SignedOutput::verify_by`]) instead of a buffer of its own.
+    pub fn verify_with(
+        &self,
+        ks: &KeyStore,
+        view: &dyn WorkloadView,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), EvidenceFlaw> {
+        let signed_output = |o: &SignedOutput, scratch: &mut Vec<u8>| {
+            o.verify_by(scratch, |sig, msg| ks.verify(sig, msg))
+        };
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
-                a.verify(ks)?;
-                b.verify(ks)?;
+                signed_output(a, scratch)?;
+                signed_output(b, scratch)?;
                 if a.producer != *accused || b.producer != *accused {
                     return Err(EvidenceFlaw::Inconsistent("producer != accused"));
                 }
@@ -556,7 +571,7 @@ impl EvidenceRecord {
                 output,
                 inputs,
             } => {
-                output.verify(ks)?;
+                signed_output(output, scratch)?;
                 if output.producer != *accused {
                     return Err(EvidenceFlaw::Inconsistent("producer != accused"));
                 }
@@ -570,7 +585,7 @@ impl EvidenceRecord {
                 }
                 let mut vals = Vec::with_capacity(inputs.len());
                 for i in inputs {
-                    i.verify(ks)?;
+                    signed_output(i, scratch)?;
                     if i.period != output.period {
                         return Err(EvidenceFlaw::Inconsistent("input from wrong period"));
                     }
@@ -611,11 +626,12 @@ impl EvidenceRecord {
                     output: output.clone(),
                     witnesses: witnesses.clone(),
                 };
-                let bytes =
-                    crate::message::Envelope::signing_bytes_for(*accused, *sent_at, &payload);
-                ks.verify(env_sig, &bytes)
+                crate::message::Envelope::write_signing_bytes(
+                    *accused, *sent_at, &payload, scratch,
+                );
+                ks.verify(env_sig, scratch)
                     .map_err(|_| EvidenceFlaw::BadSignature)?;
-                output.verify(ks)?;
+                signed_output(output, scratch)?;
                 if view.task_is_source(output.task) {
                     return Err(EvidenceFlaw::Inconsistent(
                         "sources are checked by reading, not witnesses",
@@ -629,7 +645,7 @@ impl EvidenceRecord {
                 let mut vals = Vec::with_capacity(witnesses.len());
                 let mut witness_flaw = expected != supplied || witnesses.len() != supplied.len();
                 for w in witnesses {
-                    if w.verify(ks).is_err() || w.period != output.period {
+                    if signed_output(w, scratch).is_err() || w.period != output.period {
                         witness_flaw = true;
                     }
                     vals.push((w.task, w.value));
@@ -655,7 +671,7 @@ impl EvidenceRecord {
                 if declarer != from && declarer != to {
                     return Err(EvidenceFlaw::Inconsistent("declarer not on path"));
                 }
-                let mut e = Enc::new("btr-path-decl");
+                let mut e = Enc::over(scratch, "btr-path-decl");
                 e.u32(declarer.0)
                     .u32(from.0)
                     .u32(to.0)
@@ -670,15 +686,14 @@ impl EvidenceRecord {
                 observed_at,
                 sig,
             } => {
-                output.verify(ks)?;
+                signed_output(output, scratch)?;
                 if observed_at <= expected_by {
                     return Err(EvidenceFlaw::Inconsistent("observation not late"));
                 }
-                let mut e = Enc::new("btr-timing-decl");
-                e.u32(declarer.0)
-                    .bytes(&output.canonical_id_bytes())
-                    .u64(expected_by.0)
-                    .u64(observed_at.0);
+                let mut e = Enc::over(scratch, "btr-timing-decl");
+                e.u32(declarer.0).u64(SignedOutput::CANONICAL_ID_LEN as u64);
+                output.encode_id(&mut e);
+                e.u64(expected_by.0).u64(observed_at.0);
                 Self::check_decl_sig(ks, *declarer, sig, e.as_slice())
             }
             EvidenceRecord::CrashSuspicion {
@@ -690,7 +705,7 @@ impl EvidenceRecord {
                 if declarer == about {
                     return Err(EvidenceFlaw::Inconsistent("self-suspicion"));
                 }
-                let mut e = Enc::new("btr-crash-decl");
+                let mut e = Enc::over(scratch, "btr-crash-decl");
                 e.u32(declarer.0).u32(about.0).u64(*period);
                 Self::check_decl_sig(ks, *declarer, sig, e.as_slice())
             }
@@ -744,10 +759,9 @@ impl EvidenceRecord {
         observed_at: Time,
     ) -> EvidenceRecord {
         let mut e = Enc::new("btr-timing-decl");
-        e.u32(declarer.0)
-            .bytes(&output.canonical_id_bytes())
-            .u64(expected_by.0)
-            .u64(observed_at.0);
+        e.u32(declarer.0).u64(SignedOutput::CANONICAL_ID_LEN as u64);
+        output.encode_id(&mut e);
+        e.u64(expected_by.0).u64(observed_at.0);
         EvidenceRecord::TimingDeclaration {
             declarer,
             output,
@@ -776,10 +790,11 @@ impl EvidenceRecord {
 }
 
 impl SignedOutput {
-    /// Length of `SignedOutput::canonical_id_bytes`; every field is
-    /// fixed-size, so callers embedding an id can write the length prefix
-    /// first and stream the encoding without building it. Checked against
-    /// the actual encoding by a test.
+    /// Length of the encoding that identifies an output where a timing
+    /// declaration references it; every field is fixed-size, so callers
+    /// embedding an id can write the length prefix first and stream the
+    /// encoding without building it. Checked against the actual encoding
+    /// by a test.
     pub const CANONICAL_ID_LEN: usize = {
         let domain = 8 + "btr-output-id".len();
         let fields = 4 + 1 + 8 + 8 + 8 + 4; // task, replica, period, value, digest, producer
@@ -787,8 +802,10 @@ impl SignedOutput {
         domain + fields + sig
     };
 
-    /// Bytes that uniquely identify this output (including its signature),
-    /// used when a declaration references an output.
+    /// Bytes that uniquely identify this output (including its signature)
+    /// where a declaration references it, as one vector: the reference
+    /// the streamed [`SignedOutput::encode_id`] is tested against.
+    #[cfg(test)]
     pub(crate) fn canonical_id_bytes(&self) -> Vec<u8> {
         let mut e = Enc::new("btr-output-id");
         self.encode(&mut e);
@@ -796,8 +813,7 @@ impl SignedOutput {
     }
 
     /// Stream the id encoding (exactly [`SignedOutput::CANONICAL_ID_LEN`]
-    /// bytes) into an in-progress encoder, avoiding the intermediate
-    /// vector of [`SignedOutput::canonical_id_bytes`].
+    /// bytes) into an in-progress encoder, with no intermediate vector.
     pub(crate) fn encode_id(&self, e: &mut Enc<'_>) {
         e.bytes(b"btr-output-id");
         self.encode(e);
@@ -927,6 +943,65 @@ mod tests {
             forged.verify_by(&mut scratch, |s, m| keystore().verify(s, m)),
             Err(EvidenceFlaw::BadSignature)
         );
+    }
+
+    #[test]
+    fn verify_with_a_used_scratch_answers_as_verify() {
+        // One record of every kind, valid and with a field changed under
+        // its signature, through one scratch that already holds bytes:
+        // `verify_with` says what `verify` says.
+        let (p, w) = (5, good_inputs(5));
+        let vals: Vec<(TaskId, Value)> = w.iter().map(|i| (i.task, i.value)).collect();
+        let sign3 = |value, digest| {
+            SignedOutput::sign(&signer(3), TaskId(2), 0, p, value, digest, NodeId(3))
+        };
+        let wrong = sign3(task_value(TaskId(2), p, &vals) ^ 1, digest_of(&w));
+        let garbled = sign3(task_value(TaskId(2), p, &vals), 0xBAD);
+        let payload = crate::message::Payload::Output {
+            output: garbled.clone(),
+            witnesses: w.clone(),
+        };
+        let bytes = crate::message::Envelope::signing_bytes_for(NodeId(3), Time(9), &payload);
+        let records = [
+            EvidenceRecord::Equivocation {
+                accused: NodeId(3),
+                a: sign3(1, 0),
+                b: sign3(2, 0),
+            },
+            EvidenceRecord::BadComputation {
+                accused: NodeId(3),
+                output: wrong.clone(),
+                inputs: w.clone(),
+            },
+            EvidenceRecord::BadWitness {
+                accused: NodeId(3),
+                output: garbled,
+                witnesses: w,
+                sent_at: Time(9),
+                env_sig: signer(3).sign(&bytes),
+            },
+            EvidenceRecord::declare_path(&signer(2), NodeId(2), NodeId(2), NodeId(4), TaskId(2), 7),
+            EvidenceRecord::declare_timing(&signer(4), NodeId(4), wrong, Time(1), Time(2)),
+            EvidenceRecord::declare_crash(&signer(4), NodeId(4), NodeId(1), 3),
+        ];
+        let mut scratch = vec![7; 300];
+        for record in records {
+            let mut changed = record.clone();
+            match &mut changed {
+                EvidenceRecord::Equivocation { b: o, .. }
+                | EvidenceRecord::BadComputation { output: o, .. }
+                | EvidenceRecord::BadWitness { output: o, .. } => o.period += 1,
+                EvidenceRecord::TimingDeclaration { observed_at, .. } => observed_at.0 += 1,
+                EvidenceRecord::PathDeclaration { period, .. }
+                | EvidenceRecord::CrashSuspicion { period, .. } => *period += 1,
+            }
+            for r in [&record, &changed] {
+                let cold = r.verify(&keystore(), &TestView);
+                assert_eq!(r.verify_with(&keystore(), &TestView, &mut scratch), cold);
+            }
+            assert_eq!(record.verify(&keystore(), &TestView), Ok(()));
+            assert!(changed.verify(&keystore(), &TestView).is_err());
+        }
     }
 
     #[test]

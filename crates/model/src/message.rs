@@ -251,19 +251,21 @@ impl Envelope {
         }
     }
 
-    /// The canonical bytes an envelope signature covers. Public so that
-    /// evidence records can re-verify a sender's envelope signature from
-    /// its reconstructed parts (see `EvidenceRecord::BadWitness`).
+    /// The canonical bytes an envelope signature covers, as one vector:
+    /// the reference the streamed encoding is tested against, and what
+    /// the tests sign evidence records' envelopes over.
+    #[cfg(test)]
     pub(crate) fn signing_bytes_for(src: NodeId, sent_at: Time, payload: &Payload) -> Vec<u8> {
         let mut buf = Vec::new();
         Self::write_signing_bytes(src, sent_at, payload, &mut buf);
         buf
     }
 
-    /// Write the canonical signing bytes into a caller-owned scratch
-    /// buffer (cleared first). Byte-identical to
-    /// [`Envelope::signing_bytes_for`], but allocation-free once the
-    /// scratch has warmed up — this is the simulator's per-message path.
+    /// Write the canonical bytes an envelope signature covers into a
+    /// caller-owned scratch buffer (cleared first), allocation-free once
+    /// the scratch has warmed up — the simulator's per-message path, and
+    /// how evidence records re-verify a sender's envelope signature from
+    /// its reconstructed parts (see `EvidenceRecord::BadWitness`).
     pub(crate) fn write_signing_bytes(
         src: NodeId,
         sent_at: Time,

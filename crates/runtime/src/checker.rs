@@ -8,18 +8,13 @@
 //! No quorum is needed for detection — this is exactly why detection is
 //! cheaper than masking (f+1 vs 2f+1 replicas).
 
+use crate::window::{PeriodRows, Row, DETECTOR_PERIODS};
 use btr_crypto::Signature;
-use btr_model::evidence::WorkloadView;
 use btr_model::{
     inputs_digest, sensor_value, task_value, EvidenceRecord, NodeId, PeriodIdx, ReplicaIdx,
     SignedOutput, TaskId, Time, Value,
 };
-use std::collections::BTreeMap;
 
-/// Periods the pool keeps a row for. `Detector` collects four periods
-/// behind the one it closes and outputs arrive for the current one, so
-/// honest traffic spans six; everything else is the overflow's.
-const WINDOW: u64 = 8;
 /// Slots a full row grows by: a row never holds more than seven slots
 /// it does not use (doubling would hold up to as many again as it does).
 const ROW_GROWTH: usize = 8;
@@ -39,38 +34,18 @@ const ROW_GROWTH: usize = 8;
 /// ([`OutputPool::is_resident`]); a copy that differs anywhere is not
 /// covered and must be MAC-checked like a first sighting.
 ///
-/// Layout: period first. The periods `[base, base + WINDOW)` each have a
-/// row — `rows[period % WINDOW]`, sorted by (task, replica) — so a
-/// lookup is an index and a short binary search, and collecting a period
-/// frees its row without looking at any other: the pool holds its live
-/// records at 72 bytes each and nothing else. A Byzantine producer
-/// may sign any period: what falls outside the window when it arrives
-/// goes to an ordered map, as everything used to, and stays there until
-/// collected (a key lives in one place: where its first copy was put).
+/// Layout: period first, in [`PeriodRows`] over the `W` periods its
+/// owner keeps: each period's row is sorted by (task, replica), so a
+/// lookup is an index and a short binary search, and a collected
+/// period's row is emptied and kept for the period the window reaches
+/// next. The pool holds its records at 72 bytes each and allocates
+/// nothing once its rows have grown to the traffic of a period.
 #[derive(Debug, Default)]
-pub(crate) struct OutputPool {
-    rows: [Vec<SignedOutput>; WINDOW as usize],
-    /// First period of the window: the greatest `before` collected so far.
-    base: PeriodIdx,
-    overflow: BTreeMap<(TaskId, ReplicaIdx, PeriodIdx), SignedOutput>,
+pub(crate) struct OutputPool<const W: usize> {
+    rows: PeriodRows<Vec<SignedOutput>, W>,
 }
 
-impl OutputPool {
-    /// Where (task, replica) is, or belongs, in `period`'s row; `None`
-    /// for a period outside the window.
-    fn in_row(
-        &self,
-        task: TaskId,
-        replica: ReplicaIdx,
-        period: PeriodIdx,
-    ) -> Option<Result<usize, usize>> {
-        let in_window = period >= self.base && period - self.base < WINDOW;
-        in_window.then(|| {
-            self.rows[(period % WINDOW) as usize]
-                .binary_search_by_key(&(task, replica), |o| (o.task, o.replica))
-        })
-    }
-
+impl<const W: usize> OutputPool<W> {
     /// The copy held for (task, replica, period).
     pub(crate) fn get(
         &self,
@@ -78,14 +53,11 @@ impl OutputPool {
         replica: ReplicaIdx,
         period: PeriodIdx,
     ) -> Option<&SignedOutput> {
-        if let Some(Ok(i)) = self.in_row(task, replica, period) {
-            return Some(&self.rows[(period % WINDOW) as usize][i]);
-        }
-        // Empty unless someone signed a period far from the present.
-        if self.overflow.is_empty() {
-            return None;
-        }
-        self.overflow.get(&(task, replica, period))
+        let row = self.rows.get(period)?;
+        let i = row
+            .binary_search_by_key(&(task, replica), |o| (o.task, o.replica))
+            .ok()?;
+        Some(&row[i])
     }
 
     /// True if `out` is byte-for-byte the verified copy this pool holds
@@ -99,28 +71,17 @@ impl OutputPool {
     /// Keep `out` unless a copy is already held for its (task, replica,
     /// period); returns that earlier copy, which stays.
     pub(crate) fn insert_first(&mut self, out: &SignedOutput) -> Option<&SignedOutput> {
-        let key = (out.task, out.replica, out.period);
-        let r = (out.period % WINDOW) as usize;
-        let place = self.in_row(out.task, out.replica, out.period);
-        if let Some(Ok(i)) = place {
-            return Some(&self.rows[r][i]);
-        }
-        if !self.overflow.is_empty() && self.overflow.contains_key(&key) {
-            return self.overflow.get(&key);
-        }
-        match place {
-            Some(Err(i)) => {
-                let row = &mut self.rows[r];
+        let row = self.rows.get_mut(out.period);
+        match row.binary_search_by_key(&(out.task, out.replica), |o| (o.task, o.replica)) {
+            Ok(i) => Some(&row[i]),
+            Err(i) => {
                 if row.len() == row.capacity() {
                     row.reserve_exact(ROW_GROWTH);
                 }
                 row.insert(i, out.clone());
-            }
-            _ => {
-                self.overflow.insert(key, out.clone());
+                None
             }
         }
-        None
     }
 
     /// Insert a (signature-verified) output; returns an equivocation
@@ -138,24 +99,34 @@ impl OutputPool {
 
     /// Drop entries older than `before` periods (bounded memory).
     pub(crate) fn gc(&mut self, before: PeriodIdx) {
-        if before > self.base {
-            // The window moves up: the rows it leaves behind are freed
-            // (and are the rows of the periods it moves onto).
-            for p in self.base..before.min(self.base.saturating_add(WINDOW)) {
-                self.rows[(p % WINDOW) as usize] = Vec::new();
-            }
-            self.base = before;
-        }
-        if !self.overflow.is_empty() {
-            self.overflow.retain(|&(_, _, p), _| p >= before);
-        }
+        self.rows.gc(before);
     }
 
     /// Number of pooled outputs: what the tests hold against the map
     /// the pool replaced.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
+        self.rows.all().map(Vec::len).sum()
+    }
+}
+
+/// The replica lanes seen in one period: a bit per lane index.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneSet([u64; 4]);
+
+impl LaneSet {
+    fn insert(&mut self, lane: ReplicaIdx) {
+        self.0[usize::from(lane / 64)] |= 1 << (lane % 64);
+    }
+
+    fn contains(&self, lane: ReplicaIdx) -> bool {
+        self.0[usize::from(lane / 64)] & (1 << (lane % 64)) != 0
+    }
+}
+
+impl Row for LaneSet {
+    fn clear(&mut self) {
+        *self = LaneSet::default();
     }
 }
 
@@ -181,18 +152,15 @@ pub(crate) struct CheckerConfig {
 pub(crate) struct ReplicaChecker {
     cfg: CheckerConfig,
     /// Lanes seen per period.
-    arrived: BTreeMap<PeriodIdx, Vec<ReplicaIdx>>,
+    arrived: PeriodRows<LaneSet, DETECTOR_PERIODS>,
 }
 
 impl ReplicaChecker {
     /// Create a checker from its plan-derived configuration.
-    pub(crate) fn new(mut cfg: CheckerConfig) -> Self {
-        // Sorted once: `observe` compares it with each output's sorted
-        // witness tasks.
-        cfg.inputs.sort_unstable();
+    pub(crate) fn new(cfg: CheckerConfig) -> Self {
         ReplicaChecker {
             cfg,
-            arrived: BTreeMap::new(),
+            arrived: PeriodRows::default(),
         }
     }
 
@@ -201,24 +169,35 @@ impl ReplicaChecker {
         self.cfg.task
     }
 
+    /// True if the witnesses carry the declared input set in some order:
+    /// as many of them, each declared task once (a workload declares no
+    /// input twice).
+    fn supplies_inputs(&self, witnesses: &[SignedOutput]) -> bool {
+        let inputs = &self.cfg.inputs;
+        witnesses.len() == inputs.len()
+            && inputs
+                .iter()
+                .all(|&t| witnesses.iter().filter(|w| w.task == t).count() == 1)
+    }
+
     /// Check one replica output against its own witnesses.
     ///
     /// `witness_ok[i]` is the signature-verification result for
     /// `witnesses[i]`, computed by the caller (see
     /// `Detector::observe_output`) so no witness is checked twice.
-    /// Returns at most one bad-computation proof (plus nothing else; the
-    /// caller runs the equivocation pool and timing watch separately).
+    /// `vals` is the node's reusable input list. Returns at most one
+    /// bad-computation proof (plus nothing else; the caller runs the
+    /// equivocation pool and timing watch separately).
     pub(crate) fn observe(
         &mut self,
-        _view: &dyn WorkloadView,
         output: SignedOutput,
         witnesses: &[SignedOutput],
         witness_ok: &[bool],
         envelope: Option<(Time, Signature)>,
-    ) -> Vec<EvidenceRecord> {
-        let mut out = Vec::new();
+        vals: &mut Vec<(TaskId, Value)>,
+    ) -> Option<EvidenceRecord> {
         if output.task != self.cfg.task || output.replica >= self.cfg.lanes {
-            return out;
+            return None;
         }
         // Only accept the planned lane host: outputs for this lane from
         // other nodes are noise (they cannot be the scheduled replica).
@@ -228,85 +207,79 @@ impl ReplicaChecker {
             .get(output.replica as usize)
             .is_some_and(|&n| n != output.producer)
         {
-            return out;
+            return None;
         }
-        self.arrived
-            .entry(output.period)
-            .or_default()
-            .push(output.replica);
+        self.arrived.get_mut(output.period).insert(output.replica);
 
         // Witness validation: signatures, periods, the declared input
         // set, and the signed commitment. A producer that sent a
         // malformed witness set is convicted via its own envelope
         // signature (BadWitness), closing the garbage-commitment escape.
         let mut witness_flaw = false;
-        let mut vals: Vec<(TaskId, Value)> = Vec::with_capacity(witnesses.len());
+        vals.clear();
         for (i, w) in witnesses.iter().enumerate() {
             if !witness_ok.get(i).copied().unwrap_or(false) || w.period != output.period {
                 witness_flaw = true;
             }
             vals.push((w.task, w.value));
         }
-        let mut supplied: Vec<TaskId> = vals.iter().map(|(t, _)| *t).collect();
-        supplied.sort_unstable();
         if !self.cfg.is_source {
-            if self.cfg.inputs != supplied {
+            if !self.supplies_inputs(witnesses) {
                 witness_flaw = true;
             }
-            if inputs_digest(&vals) != output.inputs_digest {
+            if inputs_digest(vals) != output.inputs_digest {
                 witness_flaw = true;
             }
         }
         if witness_flaw && !self.cfg.is_source {
-            if let Some((sent_at, env_sig)) = envelope {
-                // The envelope signature must actually be the producer's
-                // own (otherwise this is relayed noise we cannot judge).
-                if env_sig.key == output.producer.0 {
-                    out.push(EvidenceRecord::BadWitness {
-                        accused: output.producer,
-                        output,
-                        witnesses: witnesses.to_vec(),
-                        sent_at,
-                        env_sig,
-                    });
-                }
-            }
-            return out;
+            // The envelope signature must actually be the producer's
+            // own (otherwise this is relayed noise we cannot judge).
+            return envelope
+                .filter(|(_, env_sig)| env_sig.key == output.producer.0)
+                .map(|(sent_at, env_sig)| EvidenceRecord::BadWitness {
+                    accused: output.producer,
+                    output,
+                    witnesses: witnesses.to_vec(),
+                    sent_at,
+                    env_sig,
+                });
         }
         let expected = if self.cfg.is_source {
             sensor_value(self.cfg.task, output.period, self.cfg.seed)
         } else {
-            task_value(self.cfg.task, output.period, &vals)
+            task_value(self.cfg.task, output.period, vals)
         };
-        if expected != output.value {
-            out.push(EvidenceRecord::BadComputation {
-                accused: output.producer,
-                output,
-                inputs: witnesses.to_vec(),
-            });
-        }
-        out
+        (expected != output.value).then(|| EvidenceRecord::BadComputation {
+            accused: output.producer,
+            output,
+            inputs: witnesses.to_vec(),
+        })
     }
 
     /// Lanes that never arrived for `period`, with their planned hosts.
-    pub(crate) fn missing_lanes(&self, period: PeriodIdx) -> Vec<(ReplicaIdx, NodeId)> {
-        let seen = self.arrived.get(&period);
+    pub(crate) fn missing_lanes(
+        &self,
+        period: PeriodIdx,
+    ) -> impl Iterator<Item = (ReplicaIdx, NodeId)> + '_ {
+        let seen = self.arrived.get(period).copied().unwrap_or_default();
         (0..self.cfg.lanes)
-            .filter(|r| seen.is_none_or(|v| !v.contains(r)))
+            .filter(move |&r| !seen.contains(r))
             .filter_map(|r| self.cfg.lane_nodes.get(r as usize).map(|&n| (r, n)))
-            .collect()
     }
 
     /// Drop state older than `before` (bounded memory).
     pub(crate) fn gc(&mut self, before: PeriodIdx) {
-        self.arrived.retain(|&p, _| p >= before);
+        self.arrived.gc(before);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::dealt_period;
     use btr_crypto::{KeyStore, NodeKey, Signer};
+    use btr_model::evidence::WorkloadView;
+    use std::collections::BTreeMap;
 
     struct View;
     impl WorkloadView for View {
@@ -337,6 +310,15 @@ mod tests {
         ws.iter().map(|w| w.verify(&ks()).is_ok()).collect()
     }
 
+    /// What the detector hands the checker for one message.
+    fn see(
+        chk: &mut ReplicaChecker,
+        output: SignedOutput,
+        ws: &[SignedOutput],
+    ) -> Option<EvidenceRecord> {
+        chk.observe(output, ws, &oks(ws), None, &mut Vec::new())
+    }
+
     fn cfg() -> CheckerConfig {
         CheckerConfig {
             task: TaskId(1),
@@ -363,7 +345,7 @@ mod tests {
 
     #[test]
     fn pool_detects_equivocation_only_on_conflict() {
-        let mut pool = OutputPool::default();
+        let mut pool = OutputPool::<DETECTOR_PERIODS>::default();
         let a = input(1);
         assert!(pool.insert_checked(&a).is_none());
         // Same copy again: no proof.
@@ -424,17 +406,11 @@ mod tests {
         fn prop_pool_is_the_map_it_replaced(
             ops in proptest::collection::vec(((0u8..10, 0u32..3), (0u8..4, 0u8..24, 0u64..3)), 1..160)
         ) {
-            let (mut pool, mut model) = (OutputPool::default(), MapPool::default());
+            let (mut pool, mut model) = (OutputPool::<DETECTOR_PERIODS>::default(), MapPool::default());
             // The period honest traffic is at; it drifts up as gc is called.
             let mut now: PeriodIdx = 2;
             for (step, &((op, task), (r, p, v))) in ops.iter().enumerate() {
-                let period = match p {
-                    0..=11 => (now + u64::from(p)).saturating_sub(6),
-                    12..=15 => now + u64::from(p),
-                    16..=18 => now + 1_000 * u64::from(p),
-                    19 => u64::MAX - u64::from(r),
-                    _ => u64::from(p - 20),
-                };
+                let period = dealt_period(now, p, r);
                 let out = SignedOutput {
                     task: TaskId(task),
                     replica: [0, 1, 7, 255][r as usize],
@@ -473,25 +449,133 @@ mod tests {
         }
     }
 
+    fn missing(chk: &ReplicaChecker, period: PeriodIdx) -> Vec<(ReplicaIdx, NodeId)> {
+        chk.missing_lanes(period).collect()
+    }
+
+    /// The ordered map the lane record used to be, and still must behave
+    /// as: lanes seen per period, as `observe` records them.
+    #[derive(Default)]
+    struct MapLanes(BTreeMap<PeriodIdx, Vec<ReplicaIdx>>);
+
+    impl MapLanes {
+        fn observe(&mut self, cfg: &CheckerConfig, out: &SignedOutput) {
+            let planned = cfg.lane_nodes.get(out.replica as usize);
+            if out.task == cfg.task
+                && out.replica < cfg.lanes
+                && planned.is_none_or(|&n| n == out.producer)
+            {
+                self.0.entry(out.period).or_default().push(out.replica);
+            }
+        }
+        fn missing_lanes(
+            &self,
+            cfg: &CheckerConfig,
+            period: PeriodIdx,
+        ) -> Vec<(ReplicaIdx, NodeId)> {
+            let seen = self.0.get(&period);
+            (0..cfg.lanes)
+                .filter(|r| seen.is_none_or(|v| !v.contains(r)))
+                .filter_map(|r| cfg.lane_nodes.get(r as usize).map(|&n| (r, n)))
+                .collect()
+        }
+        fn gc(&mut self, before: PeriodIdx) {
+            self.0.retain(|&p, _| p >= before);
+        }
+    }
+
+    proptest::proptest! {
+        /// The lane bitsets in period rows answer as the map of lane
+        /// lists did: over outputs on planned and unplanned hosts, lane
+        /// indices in every word of the set and past the plan's, other
+        /// tasks, periods anywhere (a Byzantine lane host signs what it
+        /// likes) and collections that jump ahead or step back,
+        /// `missing_lanes` names the same lanes for every period either
+        /// side has heard of.
+        #[test]
+        fn prop_lane_record_is_the_map_it_replaced(
+            ops in proptest::collection::vec(((0u8..10, 0usize..12), (0u32..4, 0u8..24, 0u8..4)), 1..160)
+        ) {
+            // 200 lanes, the last three with no planned host.
+            let cfg = CheckerConfig {
+                task: TaskId(1),
+                lanes: 200,
+                lane_nodes: (0..197).map(|r| NodeId(1 + r % 3)).collect(),
+                is_source: false,
+                inputs: vec![TaskId(0)],
+                seed: 3,
+            };
+            let mut chk = ReplicaChecker::new(cfg.clone());
+            let mut model = MapLanes::default();
+            let mut now: PeriodIdx = 2;
+            let mut asked: Vec<PeriodIdx> = Vec::new();
+            for (step, &((op, lane), (host, p, r))) in ops.iter().enumerate() {
+                let replica = [0, 1, 2, 63, 64, 65, 127, 128, 191, 198, 200, 255][lane];
+                let period = dealt_period(now, p, r);
+                asked.push(period);
+                match op {
+                    0..=5 => {
+                        // Mostly the planned host; now and then not.
+                        let producer = if host < 3 { 1 + u32::from(replica) % 3 } else { 7 };
+                        let out = SignedOutput {
+                            task: TaskId(1 + u32::from(op == 5)),
+                            replica,
+                            period,
+                            value: 1,
+                            inputs_digest: 2,
+                            producer: NodeId(producer),
+                            sig: Signature { key: producer, tag: btr_crypto::Digest([0; 32]) },
+                        };
+                        model.observe(&cfg, &out);
+                        see(&mut chk, out, &[]);
+                    }
+                    6 | 7 => {
+                        now += u64::from(op - 5) * u64::from(r + 1);
+                        chk.gc(now.saturating_sub(4));
+                        model.gc(now.saturating_sub(4));
+                    }
+                    _ => {
+                        chk.gc(period);
+                        model.gc(period);
+                        now = now.max(period.min(1 << 40));
+                    }
+                }
+                for &q in asked.iter().rev().take(8).chain(&[now, now.saturating_sub(1)]) {
+                    proptest::prop_assert!(
+                        missing(&chk, q) == model.missing_lanes(&cfg, q), "step {step}, period {q}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn honest_traffic_never_touches_the_overflow() {
-        // Six periods in flight, collected as `Detector` collects: the
-        // map stays empty and only the live periods hold memory.
-        let mut pool = OutputPool::default();
-        for p in 0..40 {
+        // Six periods in flight, collected as `Detector` collects (at
+        // the boundary of period p it closes p - 1 and collects what is
+        // older than p - 5): the map stays empty, and once the window has
+        // gone round, every period reuses the row its predecessor left:
+        // nothing grows.
+        let mut pool = OutputPool::<DETECTOR_PERIODS>::default();
+        let mut buffers = Vec::new();
+        for p in 0..40u64 {
+            pool.gc(p.saturating_sub(5));
             for task in 0..3 {
                 let mut out = input(p);
                 out.task = TaskId(task);
                 assert!(pool.insert_checked(&out).is_none());
                 assert!(pool.is_resident(&out));
             }
-            pool.gc(p.saturating_sub(5));
-            assert!(pool.overflow.is_empty());
+            assert!(pool.rows.overflow_is_empty());
             assert_eq!(pool.len(), 3 * (p.min(5) as usize + 1));
+            let now: Vec<*const SignedOutput> = pool.rows.all().map(|r| r.as_ptr()).collect();
+            if p == 8 {
+                buffers = now;
+            } else if p > 8 {
+                assert_eq!(now, buffers, "period {p} allocated a row");
+            }
         }
-        let held = pool.rows.iter().filter(|r| r.capacity() > 0).count();
-        assert_eq!(held, 6);
-        assert!(pool.rows.iter().all(|r| r.capacity() <= ROW_GROWTH));
+        assert!(pool.rows.all().all(|r| r.capacity() == ROW_GROWTH));
     }
 
     #[test]
@@ -510,7 +594,7 @@ mod tests {
             NodeId(5),
         );
         let ws = [w];
-        assert!(chk.observe(&View, o, &ws, &oks(&ws), None).is_empty());
+        assert!(see(&mut chk, o, &ws).is_none());
     }
 
     #[test]
@@ -521,13 +605,13 @@ mod tests {
         // unsound proof), leaving it to omission/timing handling.
         let o = SignedOutput::sign(&signer(1), TaskId(1), 0, 1, 0xbad, 0x1234, NodeId(1));
         let ws = [w];
-        assert!(chk.observe(&View, o, &ws, &oks(&ws), None).is_empty());
+        assert!(see(&mut chk, o, &ws).is_none());
     }
 
     #[test]
     fn missing_lanes_reported_until_arrival() {
         let mut chk = ReplicaChecker::new(cfg());
-        assert_eq!(chk.missing_lanes(7), vec![(0, NodeId(1)), (1, NodeId(2))]);
+        assert_eq!(missing(&chk, 7), [(0, NodeId(1)), (1, NodeId(2))]);
         let w = input(7);
         let vals = [(TaskId(0), w.value)];
         let o = SignedOutput::sign(
@@ -540,8 +624,8 @@ mod tests {
             NodeId(2),
         );
         let ws = [w];
-        chk.observe(&View, o, &ws, &oks(&ws), None);
-        assert_eq!(chk.missing_lanes(7), vec![(0, NodeId(1))]);
+        see(&mut chk, o, &ws);
+        assert_eq!(missing(&chk, 7), [(0, NodeId(1))]);
     }
 
     #[test]
@@ -555,7 +639,7 @@ mod tests {
             seed: 3,
         });
         let honest = input(4);
-        assert!(chk.observe(&View, honest, &[], &[], None).is_empty());
+        assert!(see(&mut chk, honest, &[]).is_none());
         let lying = SignedOutput::sign(
             &signer(0),
             TaskId(0),
@@ -565,9 +649,8 @@ mod tests {
             inputs_digest(&[]),
             NodeId(0),
         );
-        let evs = chk.observe(&View, lying, &[], &[], None);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
+        let ev = see(&mut chk, lying, &[]).expect("a proof");
+        assert_eq!(ev.verify(&ks(), &View), Ok(()));
     }
 
     #[test]
@@ -585,6 +668,64 @@ mod tests {
             NodeId(1),
         );
         let ws = [stale];
-        assert!(chk.observe(&View, o, &ws, &oks(&ws), None).is_empty());
+        assert!(see(&mut chk, o, &ws).is_none());
+    }
+
+    #[test]
+    fn witnesses_must_be_the_declared_inputs() {
+        // Lane 0 of a task declared over inputs 0 and 2 commits, honestly
+        // for what it sends, to other input sets of the right size: task
+        // 0 twice, or tasks 0 and 3. Value and commitment match those
+        // witnesses, so only the input-set check can see it; the
+        // producer's envelope then convicts it (BadWitness).
+        let mut chk = ReplicaChecker::new(CheckerConfig {
+            inputs: vec![TaskId(2), TaskId(0)],
+            ..cfg()
+        });
+        let p = 3;
+        let other = |task: u32| {
+            let mut w = input(p);
+            w.task = TaskId(task);
+            SignedOutput::sign(
+                &signer(0),
+                w.task,
+                0,
+                p,
+                w.value,
+                w.inputs_digest,
+                NodeId(0),
+            )
+        };
+        for ws in [
+            [input(p), input(p)],
+            [input(p), other(3)],
+            [other(2), input(p)],
+        ] {
+            let vals: Vec<(TaskId, Value)> = ws.iter().map(|w| (w.task, w.value)).collect();
+            let o = SignedOutput::sign(
+                &signer(1),
+                TaskId(1),
+                0,
+                p,
+                task_value(TaskId(1), p, &vals),
+                inputs_digest(&vals),
+                NodeId(1),
+            );
+            let envelope = Some((
+                Time(7),
+                Signature {
+                    key: 1,
+                    tag: btr_crypto::Digest([0; 32]),
+                },
+            ));
+            let found = chk.observe(o, &ws, &oks(&ws), envelope, &mut Vec::new());
+            let declared = ws[0].task == TaskId(2) || ws[1].task == TaskId(2);
+            assert_eq!(
+                matches!(found, Some(EvidenceRecord::BadWitness { .. })),
+                !declared,
+                "witness tasks {:?}",
+                vals
+            );
+        }
     }
 }

@@ -25,9 +25,9 @@
 use crate::checker::{CheckerConfig, OutputPool, ReplicaChecker};
 use crate::omission::OmissionTracker;
 use crate::timing::{HeartbeatMonitor, TimingWatch};
+use crate::window::DETECTOR_PERIODS;
 use btr_crypto::{SigError, Signature, Signer};
-use btr_model::evidence::WorkloadView;
-use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time};
+use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Heartbeat periods a peer may miss before it is suspected of a crash.
@@ -44,8 +44,9 @@ const OMISSION_THRESHOLD: usize = 3;
 /// the runtime signs into envelopes and hands to the evidence distributor.
 pub(crate) struct Detector {
     node: NodeId,
-    pool: OutputPool,
-    checkers: BTreeMap<TaskId, ReplicaChecker>,
+    pool: OutputPool<DETECTOR_PERIODS>,
+    /// The checkers of the tasks this node checks, by task.
+    checkers: Vec<ReplicaChecker>,
     timing: TimingWatch,
     heartbeats: HeartbeatMonitor,
     omission: OmissionTracker,
@@ -57,6 +58,9 @@ pub(crate) struct Detector {
     /// Reusable encoding scratch: the signing bytes of what is checked,
     /// and evidence ids.
     scratch: Vec<u8>,
+    /// The node's reusable (task, value) input list: a checker's, and a
+    /// slot start's (see [`Detector::input_values`]).
+    vals: Vec<(TaskId, Value)>,
     /// Nodes exonerated from missing-output blame: the node itself
     /// declared an upstream path problem for that period, so its silence
     /// was a cascade. Maps to the *root* producer/task being blamed, so
@@ -74,32 +78,38 @@ impl Detector {
         Detector {
             node,
             pool: OutputPool::default(),
-            checkers: BTreeMap::new(),
+            checkers: Vec::new(),
             timing: TimingWatch::default(),
             heartbeats: HeartbeatMonitor::new(HEARTBEAT_MISS_THRESHOLD),
             omission: OmissionTracker::new(OMISSION_THRESHOLD),
             emitted: BTreeSet::new(),
             witness_ok: Vec::new(),
             scratch: Vec::new(),
+            vals: Vec::new(),
             exonerated: BTreeMap::new(),
             suppressed: 0,
         }
     }
 
-    /// Install (or replace) the checker for one task. Called on mode
-    /// switches when this node hosts `ATask::Check { task }`.
+    /// Install (or replace) the checker for one task.
     pub(crate) fn install_checker(&mut self, cfg: CheckerConfig) {
-        self.checkers.insert(cfg.task, ReplicaChecker::new(cfg));
+        match self
+            .checkers
+            .binary_search_by_key(&cfg.task, ReplicaChecker::task)
+        {
+            Ok(i) => self.checkers[i] = ReplicaChecker::new(cfg),
+            Err(i) => self.checkers.insert(i, ReplicaChecker::new(cfg)),
+        }
     }
 
-    /// Remove a checker no longer assigned to this node.
-    pub(crate) fn remove_checker(&mut self, task: TaskId) {
-        self.checkers.remove(&task);
-    }
-
-    /// Tasks this node currently checks.
-    pub(crate) fn checked_tasks(&self) -> Vec<TaskId> {
-        self.checkers.keys().copied().collect()
+    /// Replace every checker with fresh ones for `cfgs`: the checking
+    /// tasks this node hosts under a newly installed plan.
+    pub(crate) fn set_checkers(&mut self, cfgs: &[CheckerConfig]) {
+        self.checkers.clear();
+        self.checkers.reserve_exact(cfgs.len());
+        for cfg in cfgs {
+            self.install_checker(cfg.clone());
+        }
     }
 
     fn dedup(&mut self, mut records: Vec<EvidenceRecord>) -> Vec<EvidenceRecord> {
@@ -130,7 +140,6 @@ impl Detector {
         &mut self,
         mut verify: impl FnMut(&Signature, &[u8]) -> Result<(), SigError>,
         signer: &Signer,
-        view: &dyn WorkloadView,
         output: SignedOutput,
         verified: Option<bool>,
         witnesses: &[SignedOutput],
@@ -182,10 +191,26 @@ impl Detector {
         }
         // Commission checking, if this node checks the task — reusing
         // the results above instead of re-verifying every witness.
-        if let Some(chk) = self.checkers.get_mut(&output.task) {
-            out.extend(chk.observe(view, output, witnesses, &self.witness_ok, envelope));
+        let at = self
+            .checkers
+            .binary_search_by_key(&output.task, ReplicaChecker::task);
+        if let Ok(i) = at {
+            out.extend(self.checkers[i].observe(
+                output,
+                witnesses,
+                &self.witness_ok,
+                envelope,
+                &mut self.vals,
+            ));
         }
         self.dedup(out)
+    }
+
+    /// The node's reusable input list, emptied: a slot start gathers its
+    /// input values here, as the checkers do, so neither allocates one.
+    pub(crate) fn input_values(&mut self) -> &mut Vec<(TaskId, Value)> {
+        self.vals.clear();
+        &mut self.vals
     }
 
     /// Feed a heartbeat.
@@ -209,7 +234,7 @@ impl Detector {
         silence_explained: &dyn Fn(TaskId, NodeId) -> bool,
     ) -> Vec<EvidenceRecord> {
         let mut out = Vec::new();
-        for chk in self.checkers.values_mut() {
+        for chk in &mut self.checkers {
             for (_, producer) in chk.missing_lanes(period) {
                 if known_faulty.contains(&producer) || producer == self.node {
                     continue;
@@ -251,7 +276,7 @@ impl Detector {
     /// Drop detector state older than `before` periods without emitting
     /// declarations (used during mode-transition blackouts).
     pub(crate) fn gc(&mut self, before: PeriodIdx) {
-        for chk in self.checkers.values_mut() {
+        for chk in &mut self.checkers {
             chk.gc(before);
         }
         self.pool.gc(before);
@@ -334,7 +359,8 @@ impl Detector {
 mod tests {
     use super::*;
     use btr_crypto::{KeyStore, NodeKey};
-    use btr_model::{inputs_digest, sensor_value, task_value, Value};
+    use btr_model::evidence::WorkloadView;
+    use btr_model::{inputs_digest, sensor_value, task_value};
 
     struct View;
     impl WorkloadView for View {
@@ -502,7 +528,6 @@ mod tests {
         d.observe_output(
             by_keystore(&ks()),
             &s,
-            &View,
             output,
             verified,
             witnesses,
@@ -655,7 +680,7 @@ mod tests {
                 let feed = |d: &mut Detector| {
                     let macs = btr_crypto::mac_count();
                     let evs = d.observe_output(
-                        by_keystore(&ks()), &signer(3), &View, output.clone(), verified, &w,
+                        by_keystore(&ks()), &signer(3), output.clone(), verified, &w,
                         Time(i as u64), None, Some((Time(i as u64), env_sig)));
                     (evs, btr_crypto::mac_count() - macs)
                 };
@@ -680,7 +705,6 @@ mod tests {
         let evs = d.observe_output(
             by_keystore(&ks()),
             &s,
-            &View,
             o,
             None,
             &w,
@@ -768,9 +792,22 @@ mod tests {
     #[test]
     fn checker_management() {
         let mut d = Detector::new(NodeId(3));
+        let checked = |d: &Detector| {
+            d.checkers
+                .iter()
+                .map(ReplicaChecker::task)
+                .collect::<Vec<_>>()
+        };
         d.install_checker(checker_cfg());
-        assert_eq!(d.checked_tasks(), vec![TaskId(1)]);
-        d.remove_checker(TaskId(1));
-        assert!(d.checked_tasks().is_empty());
+        let mut source = checker_cfg();
+        source.task = TaskId(0);
+        d.install_checker(source.clone());
+        // Installing a task's checker again replaces it.
+        d.install_checker(checker_cfg());
+        assert_eq!(checked(&d), [TaskId(0), TaskId(1)]);
+        d.set_checkers(&[source]);
+        assert_eq!(checked(&d), [TaskId(0)]);
+        d.set_checkers(&[]);
+        assert!(checked(&d).is_empty());
     }
 }

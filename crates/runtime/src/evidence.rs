@@ -21,6 +21,7 @@
 //!   CPU, and senders exceeding a bogus-record threshold are blacklisted
 //!   ("invalid evidence can be counted as evidence against the signer").
 
+use crate::window::{PeriodRows, NODE_PERIODS};
 use btr_model::{EvidenceId, NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use std::collections::BTreeSet;
 
@@ -37,7 +38,8 @@ use std::collections::BTreeSet;
 #[derive(Debug, Default)]
 pub(crate) struct Disseminator {
     forwarded: BTreeSet<EvidenceId>,
-    echoed: BTreeSet<(TaskId, ReplicaIdx, PeriodIdx)>,
+    /// The (task, replica) pairs echoed per period, each row sorted.
+    echoed: PeriodRows<Vec<(TaskId, ReplicaIdx)>, NODE_PERIODS>,
 }
 
 impl Disseminator {
@@ -75,19 +77,27 @@ impl Disseminator {
         replica: ReplicaIdx,
         period: PeriodIdx,
     ) -> bool {
-        self.echoed.insert((task, replica, period))
+        let row = self.echoed.get_mut(period);
+        match row.binary_search(&(task, replica)) {
+            Ok(_) => false,
+            Err(i) => {
+                row.insert(i, (task, replica));
+                true
+            }
+        }
     }
 
     /// Drop echo bookkeeping older than `before` periods (bounded memory;
     /// the checker's own pool dedups any re-echo after GC).
     pub(crate) fn gc_echoes(&mut self, before: PeriodIdx) {
-        self.echoed.retain(|&(_, _, p)| p >= before);
+        self.echoed.gc(before);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::dealt_period;
 
     #[test]
     fn forward_exactly_once() {
@@ -111,6 +121,47 @@ mod tests {
         // After GC the slot may echo again (bounded memory beats perfect
         // dedup; the checker's pool dedups the duplicate).
         assert!(d.should_echo(TaskId(1), 0, 5));
+    }
+
+    proptest::proptest! {
+        /// The echo rows answer as the set of echoed (task, replica,
+        /// period) triples did: over echoes for periods around the
+        /// present, ahead of the window and far outside it (a Byzantine
+        /// producer signs any period it likes), and collections that jump
+        /// ahead or step back, `should_echo` says yes exactly when the
+        /// set had no such triple.
+        #[test]
+        fn prop_echo_record_is_the_set_it_replaced(
+            ops in proptest::collection::vec(((0u8..10, 0u32..4), (0u8..3, 0u8..24, 0u8..4)), 1..200)
+        ) {
+            let mut d = Disseminator::new();
+            let mut model: BTreeSet<(TaskId, ReplicaIdx, PeriodIdx)> = BTreeSet::new();
+            let mut now: PeriodIdx = 2;
+            for (step, &((op, task), (replica, p, r))) in ops.iter().enumerate() {
+                let period = dealt_period(now, p, r);
+                match op {
+                    0..=6 => proptest::prop_assert!(
+                        d.should_echo(TaskId(task), replica, period)
+                            == model.insert((TaskId(task), replica, period)),
+                        "step {step}"
+                    ),
+                    7 | 8 => {
+                        now += u64::from(op - 6) * u64::from(r + 1);
+                        d.gc_echoes(now.saturating_sub(3));
+                        model.retain(|&(_, _, q)| q >= now.saturating_sub(3));
+                    }
+                    _ => {
+                        d.gc_echoes(period);
+                        model.retain(|&(_, _, q)| q >= period);
+                        now = now.max(period.min(1 << 40));
+                    }
+                }
+            }
+            // What is left is remembered, triple for triple.
+            for &(task, replica, period) in &model {
+                proptest::prop_assert!(!d.should_echo(task, replica, period));
+            }
+        }
     }
 
     #[test]

@@ -24,13 +24,14 @@ mod omission;
 mod pool;
 pub mod timers;
 mod timing;
+mod window;
 
 pub use attack::Attack;
 pub use flows::{derive_view, PlanView};
 
 use btr_model::{
     inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
-    NodeId, Payload, PeriodIdx, SignedOutput, Strategy, TaskId, Time, Value,
+    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, Strategy, TaskId, Time, Value,
 };
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
@@ -43,6 +44,44 @@ use pool::{AdmitOutcome, EvidencePool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use timers::Timer;
+use window::NODE_PERIODS;
+
+/// A computed output awaiting its emit instant.
+#[derive(Debug, Clone, PartialEq)]
+struct Pending {
+    /// The (period, slot index) its emit timer names.
+    slot: (PeriodIdx, u16),
+    output: SignedOutput,
+    /// The inputs it is sent with; none for a sink, which sends nothing.
+    witnesses: Vec<SignedOutput>,
+    is_sink: bool,
+}
+
+/// Outputs awaiting their emit instants: the few slots of a period or
+/// two in a short `Vec`, one entry per slot, which keeps its capacity.
+#[derive(Debug, Default)]
+struct PendingEmits(Vec<Pending>);
+
+impl PendingEmits {
+    /// Hold `pending` for its slot, in place of what the slot held.
+    fn insert(&mut self, pending: Pending) {
+        match self.0.iter_mut().find(|p| p.slot == pending.slot) {
+            Some(held) => *held = pending,
+            None => self.0.push(pending),
+        }
+    }
+
+    /// Take what is held for `slot`.
+    fn remove(&mut self, slot: (PeriodIdx, u16)) -> Option<Pending> {
+        let i = self.0.iter().position(|p| p.slot == slot)?;
+        Some(self.0.swap_remove(i))
+    }
+
+    /// Drop what is held for periods before `before`.
+    fn gc(&mut self, before: PeriodIdx) {
+        self.0.retain(|p| p.slot.0 >= before);
+    }
+}
 
 /// True if `producer`'s failure to deliver `task` is already explained by
 /// the known fault set: some lane of a transitive input of `task` is
@@ -112,9 +151,9 @@ pub struct BtrNode {
     /// Received input values by (task, lane, period), first wins: the
     /// detector's pool layout (a row per period), holding what this
     /// node's tasks consume and what they produced.
-    inputs: OutputPool,
-    /// Computed outputs awaiting their emit instant: (period, slot idx).
-    pending_emit: BTreeMap<(PeriodIdx, u16), (SignedOutput, Vec<SignedOutput>, bool)>,
+    inputs: OutputPool<NODE_PERIODS>,
+    /// Computed outputs awaiting their emit instant.
+    pending_emit: PendingEmits,
     /// Node count.
     n_nodes: usize,
     /// Every other node, in id order: who a heartbeat round and a
@@ -155,7 +194,7 @@ impl BtrNode {
             view,
             version: 0,
             inputs: OutputPool::default(),
-            pending_emit: BTreeMap::new(),
+            pending_emit: PendingEmits::default(),
             n_nodes,
             peers: Disseminator::targets(id, n_nodes, None).collect(),
             targets: Vec::new(),
@@ -210,21 +249,11 @@ impl BtrNode {
         )
     }
 
-    /// Install the checkers for the current view.
-    fn sync_checkers(&mut self) {
-        for t in self.detector.checked_tasks() {
-            self.detector.remove_checker(t);
-        }
-        for cfg in &self.view.checkers {
-            self.detector.install_checker(cfg.clone());
-        }
-    }
-
     fn install_plan(&mut self, plan_id: btr_model::PlanId, ctx: &mut NodeCtx<'_>) {
         let plan = self.strategy.plan(plan_id);
         self.view = derive_view(self.id, plan, &self.workload);
         self.version = self.version.wrapping_add(1);
-        self.sync_checkers();
+        self.detector.set_checkers(&self.view.checkers);
         self.detector
             .set_plausible_accusers(self.view.accuser_sets.clone());
         // Schedule the remaining slots of the current period under the
@@ -433,16 +462,81 @@ impl BtrNode {
                 }),
             );
         }
-        // Garbage-collect stale inputs.
-        let keep_from = p.saturating_sub(3);
+        // Garbage-collect stale inputs: keep this period and the three
+        // before it.
+        let keep_from = p.saturating_sub(NODE_PERIODS as u64 - 1);
         self.inputs.gc(keep_from);
-        self.pending_emit.retain(|&(ip, _), _| ip >= keep_from);
+        self.pending_emit.gc(keep_from);
         self.dissem.gc_echoes(keep_from);
         // Re-arm.
         ctx.set_timer_at(
             p_start + self.workload.period,
             timers::encode(Timer::PeriodBoundary { period: p + 1 }),
         );
+    }
+
+    /// The value of `task`'s instance in period `p` on lane `replica`
+    /// and its commitment to the inputs it was computed over, gathered
+    /// from the inputs this node holds into its reusable input list; or
+    /// the first input it lacks, with that input's producer.
+    fn compute(
+        &mut self,
+        task: TaskId,
+        replica: ReplicaIdx,
+        is_source: bool,
+        p: PeriodIdx,
+    ) -> Result<(Value, u64), (TaskId, NodeId)> {
+        if is_source {
+            return Ok((
+                sensor_value(task, p, self.workload.seed),
+                inputs_digest(&[]),
+            ));
+        }
+        let flows = self
+            .view
+            .in_flows
+            .get(&ATask::Work { task, replica })
+            .map_or(&[][..], Vec::as_slice);
+        let vals = self.detector.input_values();
+        for &(u, lane, node) in flows {
+            let w = self.inputs.get(u, lane, p).ok_or((u, node))?;
+            vals.push((u, w.value));
+        }
+        Ok((task_value(task, p, vals), inputs_digest(vals)))
+    }
+
+    /// A slot could not run in period `p`: input `u` from `producer`
+    /// never arrived.
+    fn missed_input(&mut self, u: TaskId, producer: NodeId, p: PeriodIdx, ctx: &mut NodeCtx<'_>) {
+        self.stats.outputs_missed += 1;
+        // Recipient-side path declaration (Section 4.2: "allow both the
+        // sender and the recipient to declare ... a problem with the
+        // path between them"). If the silent producer already
+        // exonerated itself by blaming its own upstream, chain the
+        // declaration to that *root* — blame propagates up the dataflow
+        // instead of pooling on innocent intermediates.
+        let (blame_node, blame_task) = self
+            .detector
+            .exoneration_of(producer, p)
+            .unwrap_or((producer, u));
+        if !self.in_blackout(ctx.now())
+            && blame_node != self.id
+            && !self.switcher.fault_set().contains(blame_node)
+            && !self.silence_explained(u)
+            && !self.silence_explained(blame_task)
+        {
+            let decl = EvidenceRecord::declare_path(
+                ctx.signer(),
+                self.id,
+                blame_node,
+                self.id,
+                blame_task,
+                p,
+            );
+            self.handle_local_evidence(vec![decl], ctx);
+        } else {
+            self.stats.suppressed_declarations += 1;
+        }
     }
 
     fn handle_slot_start(&mut self, version: u8, idx: u16, p: PeriodIdx, ctx: &mut NodeCtx<'_>) {
@@ -459,72 +553,21 @@ impl BtrNode {
         let is_sink = matches!(spec.kind, TaskKind::Sink { .. });
         let is_source = matches!(spec.kind, TaskKind::Source { .. });
 
-        // Gather inputs.
-        let (vals, witnesses): (Vec<(TaskId, Value)>, Vec<SignedOutput>) = if is_source {
-            (Vec::new(), Vec::new())
-        } else {
-            let flows = self
-                .view
-                .in_flows
-                .get(&entry.atask)
-                .map_or(&[][..], Vec::as_slice);
-            let mut vals = Vec::with_capacity(flows.len());
-            let mut wits = Vec::with_capacity(flows.len());
-            let mut missing: Option<(TaskId, NodeId)> = None;
-            for &(u, lane, node) in flows {
-                match self.inputs.get(u, lane, p) {
-                    Some(w) => {
-                        vals.push((u, w.value));
-                        wits.push(w.clone());
-                    }
-                    None => {
-                        missing = Some((u, node));
-                        break;
-                    }
-                }
-            }
-            if let Some((u, producer)) = missing {
-                self.stats.outputs_missed += 1;
-                // Recipient-side path declaration (Section 4.2: "allow
-                // both the sender and the recipient to declare ... a
-                // problem with the path between them"). If the silent
-                // producer already exonerated itself by blaming its own
-                // upstream, chain the declaration to that *root* — blame
-                // propagates up the dataflow instead of pooling on
-                // innocent intermediates.
-                let (blame_node, blame_task) = self
-                    .detector
-                    .exoneration_of(producer, p)
-                    .unwrap_or((producer, u));
-                if !self.in_blackout(ctx.now())
-                    && blame_node != self.id
-                    && !self.switcher.fault_set().contains(blame_node)
-                    && !self.silence_explained(u)
-                    && !self.silence_explained(blame_task)
-                {
-                    let decl = EvidenceRecord::declare_path(
-                        ctx.signer(),
-                        self.id,
-                        blame_node,
-                        self.id,
-                        blame_task,
-                        p,
-                    );
-                    self.handle_local_evidence(vec![decl], ctx);
-                } else {
-                    self.stats.suppressed_declarations += 1;
-                }
+        let (mut value, mut digest) = match self.compute(task, replica, is_source, p) {
+            Ok(computed) => computed,
+            Err((u, producer)) => {
+                self.missed_input(u, producer, p, ctx);
                 return; // Cannot compute this period.
             }
-            (vals, wits)
         };
-
-        let mut value = if is_source {
-            sensor_value(task, p, self.workload.seed)
-        } else {
-            task_value(task, p, &vals)
+        // The witnesses travel with the output: a sink sends nothing.
+        let witnesses: Vec<SignedOutput> = match self.view.in_flows.get(&entry.atask) {
+            Some(flows) if !is_sink => flows
+                .iter()
+                .filter_map(|&(u, lane, _)| self.inputs.get(u, lane, p).cloned())
+                .collect(),
+            _ => Vec::new(),
         };
-        let mut digest = inputs_digest(&vals);
 
         // Commission attack: corrupt the value (and maybe the commitment).
         if let Some(attack) = &self.attack {
@@ -547,8 +590,12 @@ impl BtrNode {
         // except exactly at the end boundary, where event order would
         // otherwise race.
         self.inputs.insert_first(&output);
-        self.pending_emit
-            .insert((p, idx), (output, witnesses, is_sink));
+        self.pending_emit.insert(Pending {
+            slot: (p, idx),
+            output,
+            witnesses,
+            is_sink,
+        });
 
         // Emit after the execution budget (plus any timing-attack delay).
         let delay = entry.wcet
@@ -570,7 +617,13 @@ impl BtrNode {
         if version != self.version {
             return;
         }
-        let Some((output, witnesses, is_sink)) = self.pending_emit.remove(&(p, idx)) else {
+        let Some(Pending {
+            output,
+            witnesses,
+            is_sink,
+            ..
+        }) = self.pending_emit.remove((p, idx))
+        else {
             return;
         };
         if is_sink {
@@ -690,7 +743,6 @@ impl BtrNode {
         let evs = self.detector.observe_output(
             verify,
             signer,
-            self.workload.as_ref(),
             output,
             verified,
             &witnesses,
@@ -728,7 +780,7 @@ impl BtrNode {
 
 impl NodeBehavior for BtrNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.sync_checkers();
+        self.detector.set_checkers(&self.view.checkers);
         // A cold boot runs period 0 at time zero. A node started later (a
         // restart) has missed this period's slot starts, even exactly on
         // its boundary, so it joins at the first boundary after now.
@@ -1205,6 +1257,54 @@ mod tests {
         // when every copy was signed for itself too).
         let per_delivery = macs_on as f64 / delivered_on as f64;
         assert!(per_delivery < 0.65, "{per_delivery:.2} MACs per delivery");
+    }
+
+    proptest::proptest! {
+        /// The short `Vec` of pending emits answers as the ordered map
+        /// it replaced: over inserts (a slot held again replaces what it
+        /// held), removals of held and unheld slots, and collections,
+        /// each slot holds what the map holds for its key.
+        #[test]
+        fn prop_pending_emits_are_the_map_they_replaced(
+            ops in proptest::collection::vec((0u8..8, 0u64..12, 0u16..4, 0u64..1000), 1..120)
+        ) {
+            let mut pending = PendingEmits::default();
+            let mut model: BTreeMap<(PeriodIdx, u16), Pending> = BTreeMap::new();
+            for (step, &(op, p, idx, v)) in ops.iter().enumerate() {
+                let slot = (p, idx);
+                match op {
+                    0..=3 => {
+                        let held = Pending {
+                            slot,
+                            output: SignedOutput {
+                                task: TaskId(u32::from(idx)),
+                                replica: 0,
+                                period: p,
+                                value: v,
+                                inputs_digest: 0,
+                                producer: NodeId(1),
+                                sig: btr_crypto::Signature { key: 1, tag: btr_crypto::Digest([0; 32]) },
+                            },
+                            witnesses: Vec::new(),
+                            is_sink: v % 2 == 0,
+                        };
+                        pending.insert(held.clone());
+                        model.insert(slot, held);
+                    }
+                    4..=6 => proptest::prop_assert!(
+                        pending.remove(slot) == model.remove(&slot), "step {step}"
+                    ),
+                    _ => {
+                        pending.gc(p);
+                        model.retain(|&(q, _), _| q >= p);
+                    }
+                }
+                proptest::prop_assert!(pending.0.len() == model.len(), "step {step}");
+            }
+            for (&slot, held) in &model {
+                proptest::prop_assert!(pending.remove(slot).as_ref() == Some(held));
+            }
+        }
     }
 
     #[test]

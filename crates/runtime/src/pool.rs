@@ -44,8 +44,9 @@ pub(crate) struct EvidencePool {
     blacklist: BTreeSet<NodeId>,
     used_budget: BTreeMap<NodeId, (PeriodIdx, u32)>,
     convicted: BTreeSet<NodeId>,
-    /// Reusable encoding scratch for record ids.
-    id_scratch: Vec<u8>,
+    /// Reusable encoding scratch: record ids, and the signed bytes a
+    /// record's verification checks.
+    scratch: Vec<u8>,
 }
 
 impl EvidencePool {
@@ -70,7 +71,7 @@ impl EvidencePool {
         if self.blacklist.contains(&sender) {
             return AdmitOutcome::Blacklisted;
         }
-        let id = record.id_with(&mut self.id_scratch);
+        let id = record.id_with(&mut self.scratch);
         if self.verified.contains_key(&id) || self.rejected_ids.contains(&id) {
             return AdmitOutcome::Duplicate;
         }
@@ -84,7 +85,7 @@ impl EvidencePool {
         }
         entry.1 += 1;
 
-        match record.verify(ks, view) {
+        match record.verify_with(ks, view, &mut self.scratch) {
             Ok(()) => {
                 if let Some(n) = record.convicts() {
                     self.convicted.insert(n);

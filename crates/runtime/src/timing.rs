@@ -82,12 +82,11 @@ impl HeartbeatMonitor {
     /// check while the silence persists: the resulting declarations land
     /// in distinct periods, which the omission tracker requires before it
     /// attributes (single bursts never convict).
-    pub(crate) fn check(&mut self, now: PeriodIdx) -> Vec<NodeId> {
+    pub(crate) fn check(&self, now: PeriodIdx) -> impl Iterator<Item = NodeId> + '_ {
         self.last_seen
             .iter()
-            .filter(|(_, &last)| now.saturating_sub(last) >= self.threshold)
+            .filter(move |(_, &last)| now.saturating_sub(last) >= self.threshold)
             .map(|(&node, _)| node)
-            .collect()
     }
 }
 
@@ -143,13 +142,14 @@ mod tests {
         let mut m = HeartbeatMonitor::new(2);
         m.observe(NodeId(1), 0);
         m.observe(NodeId(2), 0);
-        assert!(m.check(1).is_empty());
-        assert_eq!(m.check(2), vec![NodeId(1), NodeId(2)]);
+        let check = |m: &HeartbeatMonitor, now| m.check(now).collect::<Vec<_>>();
+        assert!(check(&m, 1).is_empty());
+        assert_eq!(check(&m, 2), [NodeId(1), NodeId(2)]);
         // Still silent: re-reported so declarations span periods.
-        assert_eq!(m.check(3), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(check(&m, 3), [NodeId(1), NodeId(2)]);
         // A fresh beat clears suspicion; silence re-reports later.
         m.observe(NodeId(1), 4);
-        assert_eq!(m.check(5), vec![NodeId(2)]);
-        assert_eq!(m.check(6), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(check(&m, 5), [NodeId(2)]);
+        assert_eq!(check(&m, 6), [NodeId(1), NodeId(2)]);
     }
 }
