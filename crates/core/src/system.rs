@@ -7,7 +7,7 @@ use btr_model::{
 };
 use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
-use btr_runtime::{Attack, BtrNode, NodeStats};
+use btr_runtime::{Attack, BtrNode, NodeStats, WorldPlans};
 use btr_sim::{Actuation, ControlAction, NodeBehavior, SimConfig, SimMetrics, World};
 use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -251,14 +251,10 @@ impl BtrSystem {
     pub fn build_world(&self, scenario: &FaultScenario, seed: u64) -> World {
         let n = self.topo.node_count();
         let sim_cfg = self.sim_config(seed);
+        // One plan handle per world: its nodes share each plan's tables.
+        let plans = WorldPlans::new(Arc::clone(&self.workload), Arc::clone(&self.strategy));
         let mut world = scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
-            Box::new(BtrNode::new(
-                node,
-                Arc::clone(&self.workload),
-                Arc::clone(&self.strategy),
-                n,
-                attack,
-            ))
+            Box::new(BtrNode::new(node, Arc::clone(&plans), n, attack))
         });
         // At scale the world selects the demand-driven routing backend;
         // warm it with the plan-derived traffic matrix so the first
@@ -266,15 +262,7 @@ impl BtrSystem {
         // optimisation — rows are built deterministically on first use
         // either way).
         if world.routing_kind() == "demand" {
-            let plan = self.strategy.initial_plan();
-            let mut dsts = BTreeSet::new();
-            for i in 0..n as u32 {
-                let node = NodeId(i);
-                dsts.extend(
-                    btr_runtime::derive_view(node, plan, &self.workload).route_demand(node),
-                );
-            }
-            world.warm_routes(dsts);
+            world.warm_routes(plans.route_demand());
         }
         world
     }

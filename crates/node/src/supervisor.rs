@@ -7,7 +7,7 @@
 use btr_core::{BtrSystem, FaultScenario, InjectedFault, NodeRow};
 use btr_model::{Duration, NodeId, Time};
 use btr_obs::{FlightEvent, FlightKind, FlightRecorder, Histogram, ObsRecorder, PhaseMark};
-use btr_runtime::{Attack, BtrNode};
+use btr_runtime::{Attack, BtrNode, WorldPlans};
 use btr_sim::{ControlAction, LogicalTrace, NodeBehavior, StepKind, Stepped, World};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
@@ -209,14 +209,12 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) type Make = dyn Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior> + Send;
 
 /// The behaviours the simulator builds for `system`: a `BtrNode` per
-/// node.
+/// node, every incarnation of every node sharing one plan handle (the
+/// run's world, as in `BtrSystem::build_world`).
 pub(crate) fn btr_nodes(system: &BtrSystem) -> Box<Make> {
     let n = system.topology().node_count();
-    let (workload, strategy) = (system.workload_arc(), system.strategy_arc());
-    Box::new(move |node, attack| {
-        let (workload, strategy) = (Arc::clone(&workload), Arc::clone(&strategy));
-        Box::new(BtrNode::new(node, workload, strategy, n, attack))
-    })
+    let plans = WorldPlans::new(system.workload_arc(), system.strategy_arc());
+    Box::new(move |node, attack| Box::new(BtrNode::new(node, Arc::clone(&plans), n, attack)))
 }
 
 /// What the worker keeps per node beside the world.
@@ -668,6 +666,24 @@ mod tests {
                 &reference,
             );
         }
+    }
+
+    #[test]
+    fn every_incarnation_of_a_run_shares_one_plan_handle() {
+        // A restart is `make` called again for the node: its incarnation
+        // reads the tables the run's first incarnations derived. A
+        // second run gets a handle of its own.
+        let sys = bus9();
+        let handle = |b: &dyn NodeBehavior| {
+            let node = b.as_any().and_then(|a| a.downcast_ref::<BtrNode>());
+            Arc::clone(node.expect("a BtrNode").plans())
+        };
+        let make = btr_nodes(&sys);
+        let first = handle(&*make(NodeId(6), None));
+        assert!(Arc::ptr_eq(&first, &handle(&*make(NodeId(6), None))));
+        assert!(Arc::ptr_eq(&first, &handle(&*make(NodeId(2), None))));
+        let other_run = handle(&*btr_nodes(&sys)(NodeId(6), None));
+        assert!(!Arc::ptr_eq(&first, &other_run));
     }
 
     /// A behaviour that panics on its first dispatch at or after `at`.

@@ -24,11 +24,13 @@
 
 use crate::checker::{CheckerConfig, OutputPool, ReplicaChecker};
 use crate::omission::OmissionTracker;
+use crate::tables::PlanTables;
 use crate::timing::{HeartbeatMonitor, TimingWatch};
 use crate::window::DETECTOR_PERIODS;
 use btr_crypto::{SigError, Signature, Signer};
 use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Heartbeat periods a peer may miss before it is suspected of a crash.
 const HEARTBEAT_MISS_THRESHOLD: u64 = 3;
@@ -284,10 +286,11 @@ impl Detector {
         self.exonerated.retain(|&(_, p), _| p >= before);
     }
 
-    /// Install the plan-derived plausible accusers for threshold scaling
-    /// (see [`OmissionTracker::set_plausible_accusers`]).
-    pub(crate) fn set_plausible_accusers(&mut self, accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) {
-        self.omission.set_plausible_accusers(accusers);
+    /// Install the active plan's tables, whose plausible accusers scale
+    /// the omission thresholds (see
+    /// [`OmissionTracker::set_plausible_accusers`]).
+    pub(crate) fn set_plausible_accusers(&mut self, plan: Arc<PlanTables>) {
+        self.omission.set_plausible_accusers(plan);
     }
 
     /// Record an externally received (already validated) declaration for

@@ -1,5 +1,9 @@
-//! Per-node view of the active plan: schedule slots, output routes,
-//! expected inputs, and checker configurations.
+//! The reference derivation of a node's view of a plan: schedule slots,
+//! output routes, expected inputs, checker configurations and the
+//! plan-global maps, rebuilt from the plan for one node as `BTreeMap`s.
+//! The runtime reads [`crate::tables::PlanTables`], derived once per
+//! world; the tests hold those tables to this derivation, plan by plan
+//! and node by node.
 
 use crate::checker::CheckerConfig;
 use btr_model::{ATask, Duration, NodeId, Plan, ReplicaIdx, ScheduleEntry, TaskId};
@@ -9,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything a node needs to execute its part of one plan.
 #[derive(Debug, Clone)]
-pub struct PlanView {
+pub(crate) struct PlanView {
     /// My schedule slots, in plan order (indices stable for timers).
     pub(crate) entries: Vec<ScheduleEntry>,
     /// For each Work task I host: destination nodes for its output.
@@ -65,7 +69,7 @@ impl PlanView {
     /// (`btr_sim::World::warm_routes`) pre-builds every row the plan's
     /// data plane will touch. Heartbeats and evidence floods reach all
     /// peers and fill the remaining rows on demand.
-    pub fn route_demand(&self, me: NodeId) -> BTreeSet<NodeId> {
+    pub(crate) fn route_demand(&self, me: NodeId) -> BTreeSet<NodeId> {
         let mut out = BTreeSet::new();
         for targets in self.out_routes.values() {
             out.extend(targets.iter().copied());
@@ -106,7 +110,7 @@ pub(crate) fn plan_lanes(plan: &Plan) -> BTreeMap<TaskId, u8> {
 }
 
 /// Derive the node-local view of a plan.
-pub fn derive_view(node: NodeId, plan: &Plan, workload: &Workload) -> PlanView {
+pub(crate) fn derive_view(node: NodeId, plan: &Plan, workload: &Workload) -> PlanView {
     let lanes = plan_lanes(plan);
     let entries: Vec<ScheduleEntry> = plan
         .schedules

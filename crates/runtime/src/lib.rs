@@ -18,31 +18,34 @@ pub mod attack;
 mod checker;
 mod detector;
 mod evidence;
+#[cfg(test)]
 mod flows;
 mod modeswitch;
 mod omission;
 mod pool;
+mod tables;
 pub mod timers;
 mod timing;
 mod window;
 
 pub use attack::Attack;
-pub use flows::{derive_view, PlanView};
+pub use tables::WorldPlans;
 
 use btr_model::{
     inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
-    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, Strategy, TaskId, Time, Value,
+    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value,
 };
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
-use btr_workload::{TaskKind, Workload};
+use btr_workload::TaskKind;
 use checker::OutputPool;
 use detector::Detector;
 use evidence::Disseminator;
 use modeswitch::{ModeSwitcher, SwitchAction};
 use pool::{AdmitOutcome, EvidencePool};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
+use tables::PlanTables;
 use timers::Timer;
 use window::NODE_PERIODS;
 
@@ -92,14 +95,9 @@ impl PendingEmits {
 ///
 /// Free function so the end-of-period handler can call it while the
 /// detector is mutably borrowed.
-fn starvation_explained(
-    upstream_hosts: &BTreeMap<TaskId, BTreeSet<NodeId>>,
-    faulty: &BTreeSet<NodeId>,
-    task: TaskId,
-) -> bool {
-    upstream_hosts
-        .get(&task)
-        .is_some_and(|hosts| hosts.iter().any(|h| faulty.contains(h)))
+fn starvation_explained(tables: &PlanTables, faulty: &BTreeSet<NodeId>, task: TaskId) -> bool {
+    let hosts = tables.upstream_hosts(task);
+    hosts.iter().any(|h| faulty.contains(h))
 }
 
 /// Tolerated lateness beyond a lane's scheduled emit instant before an
@@ -137,15 +135,16 @@ pub struct NodeStats {
 /// The BTR node behaviour.
 pub struct BtrNode {
     id: NodeId,
-    workload: Arc<Workload>,
-    strategy: Arc<Strategy>,
+    /// The world's workload, strategy and plan tables.
+    plans: Arc<WorldPlans>,
     /// The adversarial script of a compromised node (`None`: correct).
     attack: Option<Attack>,
     detector: Detector,
     pool: EvidencePool,
     dissem: Disseminator,
     switcher: ModeSwitcher,
-    view: PlanView,
+    /// The active plan's tables, shared by every node of the world.
+    tables: Arc<PlanTables>,
     /// Bumped on every plan install; stale slot timers are dropped.
     version: u8,
     /// Received input values by (task, lane, period), first wins: the
@@ -169,29 +168,28 @@ pub struct BtrNode {
 }
 
 impl BtrNode {
-    /// Create a node runtime over an installed workload and strategy;
-    /// `attack` makes it a compromised node running that script.
+    /// Create a node runtime in the world whose workload, strategy and
+    /// plan tables `plans` holds; `attack` makes it a compromised node
+    /// running that script.
     pub fn new(
         id: NodeId,
-        workload: Arc<Workload>,
-        strategy: Arc<Strategy>,
+        plans: Arc<WorldPlans>,
         n_nodes: usize,
         attack: Option<Attack>,
     ) -> BtrNode {
         let mut detector = Detector::new(id);
-        let switcher = ModeSwitcher::new(id, &strategy);
-        let view = derive_view(id, strategy.initial_plan(), &workload);
-        detector.set_plausible_accusers(view.accuser_sets.clone());
+        let switcher = ModeSwitcher::new(id, &plans.strategy);
+        let tables = plans.initial();
+        detector.set_plausible_accusers(Arc::clone(&tables));
         BtrNode {
             id,
-            workload,
-            strategy,
+            plans,
             attack,
             detector,
             pool: EvidencePool::new(),
             dissem: Disseminator::new(),
             switcher,
-            view,
+            tables,
             version: 0,
             inputs: OutputPool::default(),
             pending_emit: PendingEmits::default(),
@@ -228,8 +226,13 @@ impl BtrNode {
         self.switcher.switch_count()
     }
 
+    /// The world's plan handle this node reads its tables from.
+    pub fn plans(&self) -> &Arc<WorldPlans> {
+        &self.plans
+    }
+
     fn period_start(&self, p: PeriodIdx) -> Time {
-        Time(p * self.workload.period.as_micros())
+        Time(p * self.plans.workload.period.as_micros())
     }
 
     /// True while a mode transition is pending or freshly completed:
@@ -237,32 +240,27 @@ impl BtrNode {
     /// against R), not new faults.
     fn in_blackout(&self, now: Time) -> bool {
         self.switcher
-            .in_blackout(now, Duration(2 * self.workload.period.as_micros()))
+            .in_blackout(now, Duration(2 * self.plans.workload.period.as_micros()))
     }
 
     /// See [`starvation_explained`].
     fn silence_explained(&self, task: TaskId) -> bool {
-        starvation_explained(
-            &self.view.upstream_hosts,
-            self.switcher.fault_set().as_set(),
-            task,
-        )
+        starvation_explained(&self.tables, self.switcher.fault_set().as_set(), task)
     }
 
     fn install_plan(&mut self, plan_id: btr_model::PlanId, ctx: &mut NodeCtx<'_>) {
-        let plan = self.strategy.plan(plan_id);
-        self.view = derive_view(self.id, plan, &self.workload);
+        self.tables = self.plans.tables(plan_id);
         self.version = self.version.wrapping_add(1);
-        self.detector.set_checkers(&self.view.checkers);
+        self.detector.set_checkers(self.tables.checkers(self.id));
         self.detector
-            .set_plausible_accusers(self.view.accuser_sets.clone());
+            .set_plausible_accusers(Arc::clone(&self.tables));
         // Schedule the remaining slots of the current period under the
         // new version (the boundary handler for this period ran before
         // activation and its slots are now stale).
         let now = ctx.now();
-        let p = now.period_index(self.workload.period);
+        let p = now.period_index(self.plans.workload.period);
         let p_start = self.period_start(p);
-        for (idx, e) in self.view.entries.iter().enumerate() {
+        for (idx, e) in self.tables.entries(self.id).iter().enumerate() {
             let at = p_start + e.start;
             if at >= now {
                 ctx.set_timer_at(
@@ -280,7 +278,7 @@ impl BtrNode {
     fn report_fault(&mut self, faulty: NodeId, reference: Time, ctx: &mut NodeCtx<'_>) {
         match self
             .switcher
-            .add_fault(&self.strategy, ctx.now(), reference, faulty)
+            .add_fault(&self.plans.strategy, ctx.now(), reference, faulty)
         {
             SwitchAction::None => {}
             SwitchAction::Begin {
@@ -362,11 +360,11 @@ impl BtrNode {
 
     /// Admit locally generated evidence, act on it, and flood it.
     fn handle_local_evidence(&mut self, records: Vec<EvidenceRecord>, ctx: &mut NodeCtx<'_>) {
-        let period = ctx.now().period_index(self.workload.period);
+        let period = ctx.now().period_index(self.plans.workload.period);
         for record in records {
             let outcome = self.pool.admit(
                 ctx.keystore(),
-                self.workload.as_ref(),
+                self.plans.workload.as_ref(),
                 self.id,
                 &record,
                 period,
@@ -441,10 +439,9 @@ impl BtrNode {
                 self.detector.gc(p.saturating_sub(4));
             } else {
                 let faulty = self.switcher.fault_set().as_set();
-                let upstream_hosts = &self.view.upstream_hosts;
-                let explained = |task: TaskId, _producer: NodeId| {
-                    starvation_explained(upstream_hosts, faulty, task)
-                };
+                let tables = &self.tables;
+                let explained =
+                    |task: TaskId, _producer: NodeId| starvation_explained(tables, faulty, task);
                 let evs = self
                     .detector
                     .end_of_period(ctx.signer(), p - 1, faulty, &explained);
@@ -452,7 +449,7 @@ impl BtrNode {
             }
         }
         // Schedule this period's slots.
-        for (idx, e) in self.view.entries.iter().enumerate() {
+        for (idx, e) in self.tables.entries(self.id).iter().enumerate() {
             ctx.set_timer_at(
                 p_start + e.start,
                 timers::encode(Timer::SlotStart {
@@ -470,7 +467,7 @@ impl BtrNode {
         self.dissem.gc_echoes(keep_from);
         // Re-arm.
         ctx.set_timer_at(
-            p_start + self.workload.period,
+            p_start + self.plans.workload.period,
             timers::encode(Timer::PeriodBoundary { period: p + 1 }),
         );
     }
@@ -488,15 +485,11 @@ impl BtrNode {
     ) -> Result<(Value, u64), (TaskId, NodeId)> {
         if is_source {
             return Ok((
-                sensor_value(task, p, self.workload.seed),
+                sensor_value(task, p, self.plans.workload.seed),
                 inputs_digest(&[]),
             ));
         }
-        let flows = self
-            .view
-            .in_flows
-            .get(&ATask::Work { task, replica })
-            .map_or(&[][..], Vec::as_slice);
+        let flows = self.tables.in_flows(task, replica);
         let vals = self.detector.input_values();
         for &(u, lane, node) in flows {
             let w = self.inputs.get(u, lane, p).ok_or((u, node))?;
@@ -543,13 +536,13 @@ impl BtrNode {
         if version != self.version {
             return; // Stale plan.
         }
-        let Some(entry) = self.view.entries.get(idx as usize).copied() else {
+        let Some(entry) = self.tables.entries(self.id).get(idx as usize).copied() else {
             return;
         };
         let ATask::Work { task, replica } = entry.atask else {
             return; // Check/Verify slots are event-driven.
         };
-        let spec = self.workload.task(task);
+        let spec = self.plans.workload.task(task);
         let is_sink = matches!(spec.kind, TaskKind::Sink { .. });
         let is_source = matches!(spec.kind, TaskKind::Source { .. });
 
@@ -561,12 +554,14 @@ impl BtrNode {
             }
         };
         // The witnesses travel with the output: a sink sends nothing.
-        let witnesses: Vec<SignedOutput> = match self.view.in_flows.get(&entry.atask) {
-            Some(flows) if !is_sink => flows
+        let witnesses: Vec<SignedOutput> = if is_sink {
+            Vec::new()
+        } else {
+            let flows = self.tables.in_flows(task, replica);
+            flows
                 .iter()
                 .filter_map(|&(u, lane, _)| self.inputs.get(u, lane, p).cloned())
-                .collect(),
-            _ => Vec::new(),
+                .collect()
         };
 
         // Commission attack: corrupt the value (and maybe the commitment).
@@ -638,14 +633,7 @@ impl BtrNode {
         {
             return;
         }
-        let targets = self
-            .view
-            .out_routes
-            .get(&ATask::Work {
-                task: output.task,
-                replica: output.replica,
-            })
-            .map_or(&[][..], Vec::as_slice);
+        let targets = self.tables.out_routes(output.task, output.replica);
         self.stats.outputs_sent += 1;
         // Equivocation attack: sign a conflicting twin and split targets.
         let equivocate = self
@@ -697,8 +685,8 @@ impl BtrNode {
         let direct = env_src == output.producer;
         // Store if this is an input one of my tasks expects.
         let verified = self
-            .view
-            .wants(output.task, output.replica)
+            .tables
+            .wants(self.id, output.task, output.replica)
             .then(|| ctx.verify_output(&output).is_ok());
         if verified == Some(true) {
             self.inputs.insert_first(&output);
@@ -707,7 +695,7 @@ impl BtrNode {
             // pool even when each of the producer's tasks has a single
             // consumer (the campaign's avionics equivocation gap).
             if direct {
-                if let Some(&chk) = self.view.checker_nodes.get(&output.task) {
+                if let Some(chk) = self.tables.checker(output.task) {
                     if chk != self.id
                         && chk != output.producer
                         && self
@@ -727,14 +715,20 @@ impl BtrNode {
         }
         // Timing window: the lane's scheduled emit instant plus slack
         // (falling back to the task deadline when the plan has no slot
-        // for it). Only direct arrivals outside a transition blackout are
+        // for it; a task the workload does not know — a forged id — has
+        // none). Only direct arrivals outside a transition blackout are
         // judged — echoes arrive a hop late by design.
         let expected_by = if direct && !self.in_blackout(ctx.now()) {
-            let base = match self.view.emit_offsets.get(&(output.task, output.replica)) {
-                Some(&emit) => emit + TIMING_SLACK,
-                None => self.workload.task(output.task).deadline,
+            let base = match self.tables.emit_offset(output.task, output.replica) {
+                Some(emit) => Some(emit + TIMING_SLACK),
+                None => self
+                    .plans
+                    .workload
+                    .tasks()
+                    .get(output.task.index())
+                    .map(|t| t.deadline),
             };
-            Some(self.period_start(output.period) + base)
+            base.map(|base| self.period_start(output.period) + base)
         } else {
             None
         };
@@ -754,10 +748,10 @@ impl BtrNode {
     }
 
     fn handle_evidence_msg(&mut self, from: NodeId, record: EvidenceRecord, ctx: &mut NodeCtx<'_>) {
-        let period = ctx.now().period_index(self.workload.period);
+        let period = ctx.now().period_index(self.plans.workload.period);
         let outcome = self.pool.admit(
             ctx.keystore(),
-            self.workload.as_ref(),
+            self.plans.workload.as_ref(),
             from,
             &record,
             period,
@@ -780,11 +774,11 @@ impl BtrNode {
 
 impl NodeBehavior for BtrNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.detector.set_checkers(&self.view.checkers);
+        self.detector.set_checkers(self.tables.checkers(self.id));
         // A cold boot runs period 0 at time zero. A node started later (a
         // restart) has missed this period's slot starts, even exactly on
         // its boundary, so it joins at the first boundary after now.
-        let period = self.workload.period;
+        let period = self.plans.workload.period;
         let first = match ctx.now() {
             Time::ZERO => Time::ZERO,
             now => (now + Duration(1)).next_period_start(period),
@@ -857,9 +851,11 @@ impl NodeBehavior for BtrNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_model::Topology;
+    use btr_model::{Strategy, Topology};
     use btr_planner::{build_strategy, PlannerConfig};
     use btr_sim::{SimConfig, World};
+    use btr_workload::Workload;
+    use std::collections::BTreeMap;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
@@ -883,14 +879,14 @@ mod tests {
         let mut sim_cfg = SimConfig::new(7);
         sim_cfg.period = w.period;
         let mut world = World::new(topo.clone(), sim_cfg);
+        let plans = WorldPlans::new(Arc::clone(w), Arc::clone(s));
         for n in 0..topo.node_count() as u32 {
             let attack = attacks.iter().find(|(id, _)| *id == NodeId(n));
             world.set_behavior(
                 NodeId(n),
                 Box::new(BtrNode::new(
                     NodeId(n),
-                    Arc::clone(w),
-                    Arc::clone(s),
+                    Arc::clone(&plans),
                     topo.node_count(),
                     attack.map(|(_, a)| a.clone()),
                 )),
@@ -950,7 +946,8 @@ mod tests {
             };
             let mut seat = btr_sim::Seat::derive(7, NodeId(6), suite);
             let mut scratch = btr_sim::Scratch::default();
-            let mut node = BtrNode::new(NodeId(6), Arc::clone(&w), Arc::clone(&s), 9, None);
+            let plans = WorldPlans::new(Arc::clone(&w), Arc::clone(&s));
+            let mut node = BtrNode::new(NodeId(6), plans, 9, None);
             node.on_start(&mut NodeCtx::new(
                 &mut seat,
                 &mut scratch,
@@ -960,6 +957,103 @@ mod tests {
             let boundary = timers::encode(Timer::PeriodBoundary { period });
             assert_eq!(host.timers, [(first, boundary)], "started at {now:?}");
         }
+    }
+
+    /// A substrate held at one instant that keeps what a node sends.
+    struct Wire {
+        now: Time,
+        keystore: btr_crypto::KeyStore,
+        sent: Vec<Envelope>,
+    }
+
+    impl btr_sim::CtxBackend for Wire {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn period(&self) -> Duration {
+            ms(10)
+        }
+        fn keystore(&self) -> &btr_crypto::KeyStore {
+            &self.keystore
+        }
+        fn send_env(&mut self, _src: NodeId, env: Envelope) {
+            self.sent.push(env);
+        }
+        fn set_timer_at(&mut self, _node: NodeId, _at: Time, _timer: TimerId) {}
+        fn actuate(&mut self, _: NodeId, _: TaskId, _: PeriodIdx, _: Value) {}
+    }
+
+    #[test]
+    fn an_output_of_a_task_the_workload_lacks_is_dropped_without_a_panic() {
+        // A compromised peer's envelope authenticates, and the output in
+        // it is validly signed by its producer, but names a task past the
+        // workload's last: the receiver gives it no timing window (it
+        // arrives 17 periods after its own), stores nothing, and raises
+        // nothing.
+        let (w, s, _) = setup(1);
+        let suite = btr_crypto::AuthSuite::default();
+        let mut wire = Wire {
+            now: Time(200_000),
+            keystore: btr_crypto::KeyStore::derive_suite(7, 9, suite),
+            sent: Vec::new(),
+        };
+        let forged = TaskId(w.tasks().len() as u32 + 5);
+        let (peer, me) = (NodeId(1), NodeId(6));
+        let mut seat = btr_sim::Seat::derive(7, peer, suite);
+        let mut scratch = btr_sim::Scratch::default();
+        let mut ctx = NodeCtx::new(&mut seat, &mut scratch, &mut wire, peer);
+        let output = ctx.sign_output(forged, 0, 3, 1, 0, peer);
+        let witnesses = Vec::new();
+        ctx.send(me, Payload::Output { output, witnesses });
+        let plans = WorldPlans::new(Arc::clone(&w), Arc::clone(&s));
+        let mut node = BtrNode::new(me, plans, 9, None);
+        let mut seat = btr_sim::Seat::derive(7, me, suite);
+        let mut scratch = btr_sim::Scratch::default();
+        let env = wire.sent.pop().expect("sent");
+        node.on_message(
+            &mut NodeCtx::new(&mut seat, &mut scratch, &mut wire, me),
+            env,
+        );
+        assert!(node.inputs.get(forged, 0, 3).is_none());
+        assert_eq!(node.stats().evidence_generated, 0);
+        assert!(wire.sent.is_empty(), "{:?}", wire.sent);
+    }
+
+    #[test]
+    fn one_world_derives_each_installed_plan_once_and_a_restart_shares_it() {
+        // Every node of a world, and a restarted incarnation, reads one
+        // copy of each plan's tables: the initial plan's, derived when
+        // the first node was made, and the recovery plan's, derived by
+        // whichever node installed it first.
+        let (w, s, topo) = setup(1);
+        let plans = WorldPlans::new(Arc::clone(&w), Arc::clone(&s));
+        let mut sim_cfg = SimConfig::new(7);
+        sim_cfg.period = w.period;
+        let mut world = World::new(topo.clone(), sim_cfg);
+        let make = |node| Box::new(BtrNode::new(node, Arc::clone(&plans), 9, None));
+        for n in (0..9).map(NodeId) {
+            world.set_behavior(n, make(n));
+        }
+        assert_eq!(plans.built(), 1);
+        let victim = NodeId(6);
+        world.schedule_control(Time::from_millis(42), btr_sim::ControlAction::Crash(victim));
+        world.schedule_start(Time::from_millis(160), victim, make(victim));
+        world.start();
+        world.run_until(Time::from_millis(300));
+        let mut installed = BTreeSet::from([s.initial_plan().id]);
+        for n in (0..9).map(NodeId) {
+            let node = node_ref(&world, n);
+            installed.insert(node.current_plan());
+            let shared = plans.tables(node.current_plan());
+            assert!(Arc::ptr_eq(&node.tables, &shared), "{n}");
+            assert!(Arc::ptr_eq(node.plans(), &plans), "{n}");
+        }
+        // The survivors switched; the restarted node runs the initial
+        // plan's tables, the ones the first incarnations started on.
+        assert_eq!(installed.len(), 2, "{installed:?}");
+        assert_eq!(plans.built(), 2);
+        let restarted = node_ref(&world, victim);
+        assert_eq!(restarted.current_plan(), s.initial_plan().id);
     }
 
     #[test]

@@ -37,8 +37,10 @@
 //! the full configured threshold, so a colluding pair inside an admitted
 //! f = 2 budget cannot fabricate a sparse-fan-in conviction.
 
+use crate::tables::PlanTables;
 use btr_model::{NodeId, PeriodIdx};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Accusation matrix with distinct-peer thresholds.
 ///
@@ -61,9 +63,9 @@ pub(crate) struct OmissionTracker {
     /// declarer -> periods in which it declared.
     declared_periods: BTreeMap<NodeId, BTreeSet<PeriodIdx>>,
     threshold: usize,
-    /// Plan-derived plausible accusers per suspect (see
-    /// [`OmissionTracker::set_plausible_accusers`]).
-    plausible_accusers: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// The active plan's tables, read for each suspect's plausible
+    /// accusers (see [`OmissionTracker::set_plausible_accusers`]).
+    plan: Option<Arc<PlanTables>>,
     attributed: BTreeSet<NodeId>,
 }
 
@@ -77,14 +79,15 @@ impl OmissionTracker {
             declared_remotes: BTreeMap::new(),
             declared_periods: BTreeMap::new(),
             threshold: threshold.max(1),
-            plausible_accusers: BTreeMap::new(),
+            plan: None,
             attributed: BTreeSet::new(),
         }
     }
 
-    /// Install the plan-derived plausible accusers: for each node, the
-    /// distinct other nodes that would notice its silence under the
-    /// active plan (consumers of its lanes, checkers of its tasks).
+    /// Install the active plan's tables, whose plausible accusers the
+    /// tracker reads: for each node, the distinct other nodes that would
+    /// notice its silence under the plan (consumers of its lanes,
+    /// checkers of its tasks; [`PlanTables::accusers`]).
     ///
     /// Accusations from this set convict at the scaled threshold
     /// `min(threshold, max(2, |plausible|))`, so sparse-consumer victims
@@ -92,14 +95,14 @@ impl OmissionTracker {
     /// full configured threshold, so nodes the plan gives no reason to
     /// complain (e.g. a colluding pair fabricating declarations about a
     /// sparse victim) cannot exploit the lowered bar.
-    pub(crate) fn set_plausible_accusers(&mut self, accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) {
-        self.plausible_accusers = accusers;
+    pub(crate) fn set_plausible_accusers(&mut self, plan: Arc<PlanTables>) {
+        self.plan = Some(plan);
     }
 
     /// Record that `accuser` declared against `suspect` (direct evidence).
     fn accuse(&mut self, suspect: NodeId, accuser: NodeId, period: PeriodIdx) -> bool {
-        let plausible = self.plausible_accusers.get(&suspect);
-        let from_plausible = plausible.is_some_and(|p| p.contains(&accuser));
+        let plausible = self.plan.as_deref().and_then(|t| t.accusers(suspect));
+        let from_plausible = plausible.is_some_and(|p| p.binary_search(&accuser).is_ok());
         let set = self.accusers.entry(suspect).or_default();
         set.insert(accuser);
         let periods = self.accused_periods.entry(suspect).or_default();
@@ -118,7 +121,7 @@ impl OmissionTracker {
         let full = set.len() >= self.threshold && all_periods >= 2;
         let scaled = plausible.is_some_and(|plausible| {
             let scaled_threshold = self.threshold.min(plausible.len().max(2));
-            set.intersection(plausible).count() >= scaled_threshold && plausible_periods >= 2
+            among(set, plausible) >= scaled_threshold && plausible_periods >= 2
         });
         (full || scaled) && self.attributed.insert(suspect)
     }
@@ -197,17 +200,23 @@ impl OmissionTracker {
                     return false;
                 }
                 let full_short = set.len() + 1 == self.threshold;
-                let scaled_short = self
-                    .plausible_accusers
-                    .get(suspect)
-                    .is_some_and(|plausible| {
-                        let scaled_threshold = self.threshold.min(plausible.len().max(2));
-                        set.intersection(plausible).count() + 1 == scaled_threshold
-                    });
+                let plausible = self.plan.as_deref().and_then(|t| t.accusers(**suspect));
+                let scaled_short = plausible.is_some_and(|plausible| {
+                    let scaled_threshold = self.threshold.min(plausible.len().max(2));
+                    among(set, plausible) + 1 == scaled_threshold
+                });
                 full_short || scaled_short
             })
             .count()
     }
+}
+
+/// How many of `accusers` are in the sorted `plausible` set.
+fn among(accusers: &BTreeSet<NodeId>, plausible: &[NodeId]) -> usize {
+    accusers
+        .iter()
+        .filter(|a| plausible.binary_search(a).is_ok())
+        .count()
 }
 
 #[cfg(test)]
@@ -307,13 +316,13 @@ mod tests {
         // active plan: accusations from exactly those two convict, but
         // the full threshold still applies to everyone else.
         let mut t = OmissionTracker::new(3);
-        t.set_plausible_accusers(BTreeMap::from([
+        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([
             (NodeId(4), BTreeSet::from([NodeId(1), NodeId(2)])),
             (
                 NodeId(5),
                 BTreeSet::from_iter((0..8).map(NodeId).filter(|&n| n != NodeId(5))),
             ),
-        ]));
+        ])));
         t.record_path(NodeId(1), NodeId(4), NodeId(1), 0);
         let newly = t.record_path(NodeId(2), NodeId(4), NodeId(2), 1);
         assert_eq!(newly, vec![NodeId(4)]);
@@ -334,10 +343,10 @@ mod tests {
         // the scaled bar of 2, via path declarations or crash
         // suspicions: for them the full threshold (3) stands.
         let mut t = OmissionTracker::new(3);
-        t.set_plausible_accusers(BTreeMap::from([(
+        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
             NodeId(4),
             BTreeSet::from([NodeId(1), NodeId(2)]),
-        )]));
+        )])));
         for p in 0..4 {
             assert!(t.record_path(NodeId(7), NodeId(4), NodeId(7), p).is_empty());
             assert!(t.record_suspicion(NodeId(8), NodeId(4), p).is_empty());
@@ -359,10 +368,10 @@ mod tests {
         // a single burst period: the scaled route's two-period rule must
         // be judged on plausible accusations alone, so no conviction.
         let mut t = OmissionTracker::new(4);
-        t.set_plausible_accusers(BTreeMap::from([(
+        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
             NodeId(4),
             BTreeSet::from([NodeId(1), NodeId(2)]),
-        )]));
+        )])));
         t.record_path(NodeId(7), NodeId(4), NodeId(7), 3);
         t.record_path(NodeId(7), NodeId(4), NodeId(7), 4);
         assert!(t.record_path(NodeId(1), NodeId(4), NodeId(1), 9).is_empty());
@@ -383,7 +392,10 @@ mod tests {
         // observer's word is he-said-she-said, exactly what the paper's
         // threshold exists to resist. Only the full threshold convicts.
         let mut t = OmissionTracker::new(3);
-        t.set_plausible_accusers(BTreeMap::from([(NodeId(4), BTreeSet::from([NodeId(1)]))]));
+        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
+            NodeId(4),
+            BTreeSet::from([NodeId(1)]),
+        )])));
         for p in 0..5 {
             assert!(t.record_path(NodeId(1), NodeId(4), NodeId(1), p).is_empty());
         }
@@ -410,10 +422,10 @@ mod tests {
         assert_eq!(t.near_miss_suspects(), 0);
         // A sparse-fan-in suspect is a near miss after a single
         // plausible accusation (scaled bar of two).
-        t.set_plausible_accusers(BTreeMap::from([(
+        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
             NodeId(6),
             BTreeSet::from([NodeId(1), NodeId(2)]),
-        )]));
+        )])));
         t.record_path(NodeId(1), NodeId(6), NodeId(1), 5);
         assert_eq!(t.near_miss_suspects(), 1);
     }

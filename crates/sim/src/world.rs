@@ -370,7 +370,7 @@ impl World {
     }
 
     /// Pre-materialise routing state toward the given destinations (the
-    /// plan-derived traffic matrix; see `PlanView::route_demand`). A
+    /// plan-derived traffic matrix; see `WorldPlans::route_demand`). A
     /// no-op for the precomputed backend, which is always warm; purely a
     /// latency optimisation for the demand backend — rows are built
     /// deterministically on first use either way.

@@ -30,7 +30,7 @@ KEEP = {'siphash', 'SipKey', 'SipState', 'verify_batch_all',
         'ShrinkOutcome', 'Violation', 'SinkVerdict', 'NodeSpec',
         'PlanError', 'TopologyError', 'SendError', 'PlacementError',
         'QualityReport', 'SchedError', 'WorkloadError', 'DropTotals',
-        'PanicReport', 'RuntimeEvent', 'PlanView'}
+        'PanicReport', 'RuntimeEvent'}
 
 def rs(d):
     return glob.glob(d + '/**/*.rs', recursive=True)
