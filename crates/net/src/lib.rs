@@ -45,7 +45,7 @@ pub mod routing;
 
 pub use demand::{DemandRoutes, Hop, RouteBackend, Routes};
 pub use network::{DropReason, Network};
-pub use routing::RoutingTable;
+pub use routing::{BaseRoutes, Detours, ModeRoutes, RouteLookup, RoutingTable};
 
 use guardian::{Guardian, GuardianVerdict};
 

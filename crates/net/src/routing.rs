@@ -4,11 +4,12 @@
 //! some subset of the nodes"), so multi-hop flows exist and the planner
 //! must know the paths — both to budget link bandwidth and to reason
 //! about which faults cut which flows. Routes are computed offline (BFS,
-//! deterministic lowest-id tie-breaking) and derived per plan to avoid
-//! nodes in the plan's fault set: the planner searches all pairs once,
-//! fault-free, and [`RoutingTable::avoiding_from`] patches that table for
-//! each fault set, searching again only the destinations a faulty node
-//! relayed for.
+//! deterministic lowest-id tie-breaking) and avoid the nodes of a plan's
+//! fault set: the planner searches all pairs once, fault-free, into a
+//! [`BaseRoutes`], and a fault set's routes are a [`ModeRoutes`] view of
+//! it, answered from the fault-free table except to and from the faulty
+//! nodes and toward the destinations a faulty node relayed for, the only
+//! ones searched again.
 //!
 //! The graph the BFS walks is the topology's own adjacency
 //! (`Topology::neighbors`: neighbours ascending, each with the lowest-id
@@ -21,7 +22,7 @@
 //! [`RoutingTable::path`] and [`RoutingTable::path_and_links`] are then
 //! O(1) slice borrows with no per-call allocation or link lookup; the
 //! planner's bounds (`btr-sched`'s `comm_bound`, `synthesize`) read the
-//! cached links too.
+//! cached links too, from a table or a view, through [`RouteLookup`].
 
 use btr_model::{LinkId, NodeId, Topology};
 use std::collections::{BTreeSet, VecDeque};
@@ -38,6 +39,16 @@ pub(crate) fn markable(avoided: &[bool], endpoints_ok: bool) -> usize {
     (avoided.len() - skipped).saturating_sub(1)
 }
 
+/// Routes read without mutation: a [`RoutingTable`] or a mode's
+/// [`ModeRoutes`] view of one. What the planner's bounds and placement
+/// costs read.
+pub trait RouteLookup {
+    /// The path from `src` to `dst` inclusive of both endpoints, plus
+    /// the link carrying each hop (`links.len() + 1 == nodes.len()`).
+    /// `None` if unreachable. Self-paths always exist.
+    fn path_and_links(&self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])>;
+}
+
 /// Pool offsets for one (src, dst) pair's cached path.
 #[derive(Debug, Clone, Copy, Default)]
 struct PathSpan {
@@ -47,6 +58,26 @@ struct PathSpan {
     link_off: u32,
     /// Number of nodes on the path (0 = unreachable; 1 = src == dst).
     len: u16,
+}
+
+impl PathSpan {
+    /// The span's nodes and links in the pools it was cached into.
+    #[inline]
+    fn read<'p>(
+        self,
+        node_pool: &'p [NodeId],
+        link_pool: &'p [LinkId],
+    ) -> Option<(&'p [NodeId], &'p [LinkId])> {
+        if self.len == 0 {
+            return None;
+        }
+        let noff = self.node_off as usize;
+        let loff = self.link_off as usize;
+        Some((
+            &node_pool[noff..noff + self.len as usize],
+            &link_pool[loff..loff + self.len as usize - 1],
+        ))
+    }
 }
 
 /// All-pairs routing for one fault pattern, with fully cached paths.
@@ -69,6 +100,7 @@ pub struct RoutingTable {
 /// The backward BFS toward one destination over the nodes an avoid set
 /// leaves, with the working arrays it reuses from destination to
 /// destination.
+#[derive(Debug, Default)]
 struct Search {
     /// `avoided[v]`: `v` is in the avoid set.
     avoided: Vec<bool>,
@@ -81,20 +113,103 @@ struct Search {
 }
 
 impl Search {
-    fn new(n: usize, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) -> Search {
-        let mut avoided = vec![false; n];
+    /// Search `n` nodes around `avoid`, reusing the arrays.
+    fn reset(&mut self, n: usize, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) {
+        self.avoided.clear();
+        self.avoided.resize(n, false);
         for a in avoid {
-            if let Some(slot) = avoided.get_mut(a.index()) {
+            if let Some(slot) = self.avoided.get_mut(a.index()) {
                 *slot = true;
             }
         }
-        Search {
-            markable: markable(&avoided, endpoints_ok),
+        self.endpoints_ok = endpoints_ok;
+        self.markable = markable(&self.avoided, endpoints_ok);
+        self.visited.clear();
+        self.visited.resize(n, false);
+    }
+
+    /// BFS backwards from `dst`, calling `mark(v, hop)` for every node
+    /// `v` it reaches, `hop` being `v`'s next hop toward `dst`. An
+    /// avoided destination that may not terminate traffic is not
+    /// searched; returns whether the search ran.
+    fn run(&mut self, topo: &Topology, dst: usize, mut mark: impl FnMut(usize, NodeId)) -> bool {
+        let Search {
             avoided,
             endpoints_ok,
-            visited: vec![false; n],
-            queue: VecDeque::new(),
+            markable,
+            visited,
+            queue,
+        } = self;
+        if avoided[dst] && !*endpoints_ok {
+            return false;
         }
+        visited.fill(false);
+        visited[dst] = true;
+        queue.clear();
+        queue.push_back(NodeId(dst as u32));
+        // The search ends with the last markable node — on a bus, after
+        // the destination's own neighbour list — and runs the queue dry
+        // only when some are unreachable.
+        let mut unmarked = *markable;
+        'bfs: while let Some(cur) = queue.pop_front() {
+            for &(nb, _) in topo.neighbors(cur) {
+                if visited[nb.index()] {
+                    continue;
+                }
+                if avoided[nb.index()] {
+                    if !*endpoints_ok {
+                        continue;
+                    }
+                    // An avoided node may originate traffic (it gets a
+                    // next hop) but never relays: don't expand it.
+                } else {
+                    queue.push_back(nb);
+                }
+                visited[nb.index()] = true;
+                // From nb, the next hop toward dst is cur.
+                mark(nb.index(), cur);
+                unmarked -= 1;
+                if unmarked == 0 {
+                    break 'bfs;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Walk the path from `src` to `dst` along `next_hop` (a node's next hop
+/// toward `dst`) and append it to the pools, so per-message routing is a
+/// slice borrow (pool size is bounded by n² · diameter). Self-paths
+/// always exist (loopback), even for avoided nodes.
+fn cache_path(
+    topo: &Topology,
+    src: usize,
+    dst: usize,
+    next_hop: impl Fn(usize) -> Option<NodeId>,
+    node_pool: &mut Vec<NodeId>,
+    link_pool: &mut Vec<LinkId>,
+) -> PathSpan {
+    if src != dst && next_hop(src).is_none() {
+        return PathSpan::default();
+    }
+    let (node_off, link_off) = (node_pool.len(), link_pool.len());
+    let mut cur = NodeId(src as u32);
+    node_pool.push(cur);
+    // The walk ends at dst, which has no next hop toward itself.
+    while let Some(hop) = next_hop(cur.index()) {
+        link_pool.push(
+            topo.link_between(cur, hop)
+                .expect("next-hop pairs share a link"),
+        );
+        node_pool.push(hop);
+        cur = hop;
+    }
+    debug_assert_eq!(cur.index(), dst, "a BFS tree leads to its root");
+    PathSpan {
+        node_off: node_off as u32,
+        link_off: link_off as u32,
+        len: (node_pool.len() - node_off) as u16,
     }
 }
 
@@ -126,57 +241,6 @@ impl RoutingTable {
         Self::build(topo, avoid, true)
     }
 
-    /// The table [`RoutingTable::avoiding`] returns for `avoid`, derived
-    /// from `base`, the fault-free table [`RoutingTable::new`]`(topo)`:
-    /// the routes from and to `avoid` are removed, and only the
-    /// destinations some other source reached through an avoided relay
-    /// are searched again.
-    ///
-    /// Removing a relay changes a BFS tree only inside the relay's
-    /// subtree (DESIGN.md "Why a stale row may answer"), so every other
-    /// destination keeps its routes as they are. On a bus no route has a
-    /// relay and nothing is searched again. A destination searched again
-    /// appends its paths to the pools copied from `base`; the ones they
-    /// replace stay there, unreferenced.
-    pub fn avoiding_from(
-        topo: &Topology,
-        base: &RoutingTable,
-        avoid: &BTreeSet<NodeId>,
-    ) -> RoutingTable {
-        let n = base.n;
-        debug_assert_eq!(n, topo.node_count(), "base routes this topology");
-        let mut search = Search::new(n, avoid, false);
-        let mut table = RoutingTable {
-            searched: 0,
-            ..base.clone()
-        };
-        for x in (0..n).filter(|&x| search.avoided[x]) {
-            for other in (0..n).filter(|&other| other != x) {
-                for pair in [x * n + other, other * n + x] {
-                    table.next_hop[pair] = None;
-                    table.spans[pair] = PathSpan::default();
-                }
-            }
-        }
-        for dst in 0..n {
-            let column = (0..n).map(|src| src * n + dst);
-            let relayed = !search.avoided[dst]
-                && column.clone().any(|pair| {
-                    table.next_hop[pair].is_some_and(|hop| search.avoided[hop.index()])
-                });
-            if relayed {
-                for pair in column {
-                    table.next_hop[pair] = None;
-                }
-                table.search_to(topo, dst, &mut search);
-                for src in 0..n {
-                    table.cache_path(topo, src, dst);
-                }
-            }
-        }
-        table
-    }
-
     fn build(topo: &Topology, avoid: &BTreeSet<NodeId>, endpoints_ok: bool) -> RoutingTable {
         let n = topo.node_count();
         let mut table = RoutingTable {
@@ -187,109 +251,41 @@ impl RoutingTable {
             link_pool: Vec::new(),
             searched: 0,
         };
-        let mut search = Search::new(n, avoid, endpoints_ok);
+        let mut search = Search::default();
+        search.reset(n, avoid, endpoints_ok);
         for dst in 0..n {
-            table.search_to(topo, dst, &mut search);
+            let next_hop = &mut table.next_hop;
+            let ran = search.run(topo, dst, |v, hop| next_hop[v * n + dst] = Some(hop));
+            table.searched += ran as usize;
         }
         // Source-major pools: a sender's paths sit together, as the
         // simulator reads them message by message.
+        let RoutingTable {
+            next_hop,
+            spans,
+            node_pool,
+            link_pool,
+            ..
+        } = &mut table;
         for src in 0..n {
             for dst in 0..n {
-                table.cache_path(topo, src, dst);
+                let hop = |cur: usize| next_hop[cur * n + dst];
+                spans[src * n + dst] = cache_path(topo, src, dst, hop, node_pool, link_pool);
             }
         }
         table
     }
 
-    /// BFS backwards from `dst`, whose column holds no route yet, writing
-    /// the column's parent pointers: the next hop toward `dst`. An avoided
-    /// destination that may not terminate traffic is not searched.
-    fn search_to(&mut self, topo: &Topology, dst: usize, search: &mut Search) {
-        let n = self.n;
-        let Search {
-            avoided,
-            endpoints_ok,
-            markable,
-            visited,
-            queue,
-        } = search;
-        if !avoided[dst] || *endpoints_ok {
-            self.searched += 1;
-            visited.fill(false);
-            visited[dst] = true;
-            queue.clear();
-            queue.push_back(NodeId(dst as u32));
-            // The search ends with the last markable node — on a bus,
-            // after the destination's own neighbour list — and runs the
-            // queue dry only when some are unreachable.
-            let mut unmarked = *markable;
-            'bfs: while let Some(cur) = queue.pop_front() {
-                for &(nb, _) in topo.neighbors(cur) {
-                    if visited[nb.index()] {
-                        continue;
-                    }
-                    if avoided[nb.index()] {
-                        if !*endpoints_ok {
-                            continue;
-                        }
-                        // An avoided node may originate traffic (it gets a
-                        // next hop) but never relays: don't expand it.
-                    } else {
-                        queue.push_back(nb);
-                    }
-                    visited[nb.index()] = true;
-                    // From nb, the next hop toward dst is cur.
-                    self.next_hop[nb.index() * n + dst] = Some(cur);
-                    unmarked -= 1;
-                    if unmarked == 0 {
-                        break 'bfs;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Walk the path from `src` to `dst` once and append it to the pools,
-    /// so per-message routing is a slice borrow (pool size is bounded by
-    /// n² · diameter). Self-paths always exist (loopback), even for
-    /// avoided nodes.
-    fn cache_path(&mut self, topo: &Topology, src: usize, dst: usize) {
-        let pair = src * self.n + dst;
-        if src != dst && self.next_hop[pair].is_none() {
-            self.spans[pair] = PathSpan::default();
-            return;
-        }
-        let (node_off, link_off) = (self.node_pool.len(), self.link_pool.len());
-        let mut cur = NodeId(src as u32);
-        self.node_pool.push(cur);
-        // The walk ends at dst, which has no next hop toward itself.
-        while let Some(hop) = self.next_hop[cur.index() * self.n + dst] {
-            self.link_pool.push(
-                topo.link_between(cur, hop)
-                    .expect("next-hop pairs share a link"),
-            );
-            self.node_pool.push(hop);
-            cur = hop;
-        }
-        debug_assert_eq!(cur.index(), dst, "a BFS tree leads to its root");
-        self.spans[pair] = PathSpan {
-            node_off: node_off as u32,
-            link_off: link_off as u32,
-            len: (self.node_pool.len() - node_off) as u16,
-        };
-    }
-
     /// Destinations whose BFS ran to build this table: every one that
-    /// may terminate traffic for [`RoutingTable::avoiding`], only those
-    /// an avoided node relayed for in `base` for
-    /// [`RoutingTable::avoiding_from`].
+    /// may terminate traffic.
     pub fn searched(&self) -> usize {
         self.searched
     }
 
-    /// The next hop from `src` toward `dst` (None if unreachable or equal).
-    #[inline]
-    pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
+    /// The next hop from `src` toward `dst` (None if unreachable or
+    /// equal): the tests' reference for the cached paths.
+    #[cfg(test)]
+    fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
         if src == dst {
             return None;
         }
@@ -355,6 +351,211 @@ impl RoutingTable {
             }
         }
         true
+    }
+}
+
+impl RouteLookup for RoutingTable {
+    #[inline]
+    fn path_and_links(&self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])> {
+        RoutingTable::path_and_links(self, src, dst)
+    }
+}
+
+/// A strategy's one route search: the fault-free [`RoutingTable`], and
+/// for each node the pairs whose route it relays, from which every fault
+/// set's routes are patched ([`BaseRoutes::avoiding`]).
+#[derive(Debug)]
+pub struct BaseRoutes {
+    table: RoutingTable,
+    /// `relayed[relay_first[x]..relay_first[x + 1]]`: the pairs
+    /// `src * n + dst` whose route passes through `x` between its ends.
+    relay_first: Vec<u32>,
+    relayed: Vec<u32>,
+}
+
+/// `Detours::column_of` for a destination that is not searched again.
+const NO_COLUMN: u32 = u32::MAX;
+
+impl BaseRoutes {
+    /// Search all pairs of `topo` once, fault-free, and index the relays.
+    pub fn new(topo: &Topology) -> BaseRoutes {
+        let table = RoutingTable::new(topo);
+        let n = table.n;
+        let relays = |pair: usize| {
+            let span = table.spans[pair];
+            let off = span.node_off as usize;
+            let len = span.len as usize;
+            // Empty when unreachable; the ends are no relays.
+            table.node_pool[off..off + len.saturating_sub(1)]
+                .iter()
+                .skip(1)
+        };
+        let mut relay_first = vec![0u32; n + 1];
+        for pair in 0..n * n {
+            for relay in relays(pair) {
+                relay_first[relay.index() + 1] += 1;
+            }
+        }
+        for x in 0..n {
+            relay_first[x + 1] += relay_first[x];
+        }
+        let mut filled = relay_first.clone();
+        let mut relayed = vec![0; relay_first[n] as usize];
+        for pair in 0..n * n {
+            for relay in relays(pair) {
+                relayed[filled[relay.index()] as usize] = pair as u32;
+                filled[relay.index()] += 1;
+            }
+        }
+        BaseRoutes {
+            table,
+            relay_first,
+            relayed,
+        }
+    }
+
+    /// The fault-free table.
+    pub fn table(&self) -> &RoutingTable {
+        &self.table
+    }
+
+    /// The routes [`RoutingTable::avoiding`] gives for `avoid`, as a view
+    /// of the fault-free table: none from or to a node of `avoid`, and
+    /// the fault-free route everywhere else but toward the destinations
+    /// some other source reached through a node of `avoid`, the only
+    /// ones searched again, into `detours`.
+    ///
+    /// Removing a relay changes a BFS tree only inside the relay's
+    /// subtree (DESIGN.md "Why a stale row may answer"), so every other
+    /// destination keeps its routes as they are. On a bus no route has a
+    /// relay and nothing is searched again. The work is the avoided
+    /// nodes' relay lists plus the searched destinations' columns; the
+    /// rest of the n² pairs are not visited.
+    pub fn avoiding<'a>(
+        &'a self,
+        topo: &Topology,
+        avoid: &BTreeSet<NodeId>,
+        detours: &'a mut Detours,
+    ) -> ModeRoutes<'a> {
+        let n = self.table.n;
+        debug_assert_eq!(n, topo.node_count(), "these routes are this topology's");
+        let Detours {
+            search,
+            avoid: avoid_list,
+            dsts,
+            column_of,
+            next_hop,
+            spans,
+            node_pool,
+            link_pool,
+        } = detours;
+        search.reset(n, avoid, false);
+        avoid_list.clear();
+        avoid_list.extend(avoid.iter().copied().filter(|x| x.index() < n));
+        column_of.clear();
+        column_of.resize(n, NO_COLUMN);
+        for x in avoid_list.iter() {
+            let (from, to) = (self.relay_first[x.index()], self.relay_first[x.index() + 1]);
+            for &pair in &self.relayed[from as usize..to as usize] {
+                let (src, dst) = (pair as usize / n, pair as usize % n);
+                if !search.avoided[src] && !search.avoided[dst] {
+                    column_of[dst] = 0;
+                }
+            }
+        }
+        dsts.clear();
+        spans.clear();
+        node_pool.clear();
+        link_pool.clear();
+        next_hop.clear();
+        next_hop.resize(n, None);
+        for dst in 0..n {
+            if column_of[dst] == NO_COLUMN {
+                continue;
+            }
+            column_of[dst] = dsts.len() as u32;
+            dsts.push(NodeId(dst as u32));
+            next_hop.fill(None);
+            search.run(topo, dst, |v, hop| next_hop[v] = Some(hop));
+            for src in 0..n {
+                let hop = |cur: usize| next_hop[cur];
+                spans.push(cache_path(topo, src, dst, hop, node_pool, link_pool));
+            }
+        }
+        ModeRoutes {
+            base: &self.table,
+            detours,
+        }
+    }
+}
+
+/// A planning thread's working memory for [`BaseRoutes::avoiding`]: the
+/// avoid set and the destinations searched again, with their paths.
+/// Reused from mode to mode, it allocates only while it grows.
+#[derive(Debug, Default)]
+pub struct Detours {
+    search: Search,
+    /// The avoided nodes, ascending.
+    avoid: Vec<NodeId>,
+    /// The destinations searched again, ascending.
+    dsts: Vec<NodeId>,
+    /// `column_of[dst]`: `dst`'s place in `dsts`, or [`NO_COLUMN`].
+    column_of: Vec<u32>,
+    /// Each node's next hop toward the destination being searched.
+    next_hop: Vec<Option<NodeId>>,
+    /// `spans[column * n + src]`: the path from `src` to `dsts[column]`.
+    spans: Vec<PathSpan>,
+    node_pool: Vec<NodeId>,
+    link_pool: Vec<LinkId>,
+}
+
+/// One fault set's routes, borrowed from a [`BaseRoutes`] and the
+/// [`Detours`] it was patched into by [`BaseRoutes::avoiding`]: every
+/// answer equals [`RoutingTable::avoiding`]'s for the same set.
+#[derive(Debug, Clone, Copy)]
+pub struct ModeRoutes<'a> {
+    base: &'a RoutingTable,
+    detours: &'a Detours,
+}
+
+impl<'a> ModeRoutes<'a> {
+    /// The path plus the link carrying each hop, as
+    /// [`RoutingTable::path_and_links`].
+    #[inline]
+    pub fn path_and_links(&self, src: NodeId, dst: NodeId) -> Option<(&'a [NodeId], &'a [LinkId])> {
+        let Detours {
+            search,
+            column_of,
+            spans,
+            node_pool,
+            link_pool,
+            ..
+        } = self.detours;
+        if src != dst && (search.avoided[src.index()] || search.avoided[dst.index()]) {
+            return None;
+        }
+        match column_of[dst.index()] {
+            NO_COLUMN => self.base.path_and_links(src, dst),
+            column => spans[column as usize * self.base.n + src.index()].read(node_pool, link_pool),
+        }
+    }
+
+    /// The avoided nodes, ascending.
+    pub fn avoided(&self) -> &'a [NodeId] {
+        &self.detours.avoid
+    }
+
+    /// The destinations searched again, ascending: those some source
+    /// outside the avoid set reached through it.
+    pub fn detoured(&self) -> &'a [NodeId] {
+        &self.detours.dsts
+    }
+}
+
+impl RouteLookup for ModeRoutes<'_> {
+    #[inline]
+    fn path_and_links(&self, src: NodeId, dst: NodeId) -> Option<(&[NodeId], &[LinkId])> {
+        ModeRoutes::path_and_links(self, src, dst)
     }
 }
 

@@ -13,15 +13,16 @@
 //! a fresh one built for the final set: same answer on every pair,
 //! through both lookups.
 //!
-//! A third input is the planner's: `RoutingTable::avoiding_from`, the
+//! A third input is the planner's: `BaseRoutes::avoiding`, a view of the
 //! fault-free table with the routes through an avoid set patched out.
 //! Wherever `avoiding` is the reference it must agree, and on the
-//! planner's golden platforms and a torus it is held to a fresh
-//! `avoiding` table for every avoid set of up to two nodes.
+//! planner's golden platforms, a torus and the campaign's fat-tree it is
+//! held to a fresh `avoiding` table for every avoid set of up to two
+//! nodes.
 
 use btr_model::topology::{fat_tree, torus, torus_dims};
 use btr_model::{Duration, LinkId, NodeId, Topology};
-use btr_net::{DemandRoutes, Hop, Routes, RoutingTable};
+use btr_net::{BaseRoutes, DemandRoutes, Detours, Hop, ModeRoutes, Routes, RoutingTable};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -66,41 +67,25 @@ fn assert_equivalent(topo: &Topology, avoid: &BTreeSet<NodeId>, transit: bool, c
         }
     }
     if !transit {
-        let derived = RoutingTable::avoiding_from(topo, &RoutingTable::new(topo), avoid);
-        assert_derived_matches(topo, &derived, &table, avoid, ctx);
+        let (base, mut detours) = (BaseRoutes::new(topo), Detours::default());
+        let view = base.avoiding(topo, avoid, &mut detours);
+        assert_view_matches(topo, &view, &table, ctx);
     }
 }
 
-/// A table derived by `avoiding_from` against a fresh `avoiding` table
-/// for the same set: every pair's path, links and next hop, and whether
-/// the survivors stay connected.
-fn assert_derived_matches(
-    topo: &Topology,
-    derived: &RoutingTable,
-    fresh: &RoutingTable,
-    avoid: &BTreeSet<NodeId>,
-    ctx: &str,
-) {
+/// A mode's view of the fault-free table against a fresh `avoiding`
+/// table for the same set: every pair's path and links, or `None`.
+fn assert_view_matches(topo: &Topology, view: &ModeRoutes, fresh: &RoutingTable, ctx: &str) {
     let n = topo.node_count() as u32;
     for s in (0..n).map(NodeId) {
         for d in (0..n).map(NodeId) {
             assert_eq!(
-                derived.path_and_links(s, d),
+                view.path_and_links(s, d),
                 fresh.path_and_links(s, d),
-                "{ctx}: derived path {s}->{d}"
-            );
-            assert_eq!(
-                derived.next_hop(s, d),
-                fresh.next_hop(s, d),
-                "{ctx}: derived next hop {s}->{d}"
+                "{ctx}: view's path {s}->{d}"
             );
         }
     }
-    assert_eq!(
-        derived.fully_connected(avoid),
-        fresh.fully_connected(avoid),
-        "{ctx}: derived connectivity"
-    );
 }
 
 type OwnedPath = Option<(Vec<NodeId>, Vec<LinkId>)>;
@@ -365,11 +350,12 @@ fn torus1000_crash_heals_only_rows_it_crosses() {
     assert_eq!(survivor.cache_stats().1, 1000, "a heal is not a miss");
 }
 
-/// The platforms of the planner's golden strategies, and a torus: every
-/// avoid set of up to two nodes, derived from the one fault-free table,
-/// equals a fresh `avoiding` build. Where every route is one hop (a bus,
-/// a dual bus) nothing is relayed and nothing is searched again; a ring,
-/// a mesh, a torus or a fat-tree searches some destinations again.
+/// The platforms of the planner's golden strategies, a torus and the
+/// campaign's 36-node fat-tree: every avoid set of up to two nodes, as a
+/// view of the one fault-free table, equals a fresh `avoiding` build.
+/// Where every route is one hop (a bus, a dual bus) nothing is relayed
+/// and nothing is searched again; a ring, a mesh, a torus or a fat-tree
+/// searches some destinations again.
 #[test]
 fn derived_tables_match_fresh_on_planner_platforms() {
     let lat = Duration(5);
@@ -391,37 +377,41 @@ fn derived_tables_match_fresh_on_planner_platforms() {
             "fat_tree4",
             fat_tree(4, 3, 150_000, lat).expect("k = 4 builds"),
         ),
+        (
+            "fat_tree36",
+            fat_tree(4, 0, 1_000_000, lat).expect("k = 4 builds"),
+        ),
         ("mixed6", mixed.build().expect("one shared link builds")),
         (
             "torus5x6",
             torus(5, 6, 150_000, lat).expect("5x6 is a valid torus"),
         ),
     ];
+    let mut detours = Detours::default();
     for (name, topo) in &platforms {
         let n = topo.node_count() as u32;
-        let base = RoutingTable::new(topo);
-        assert_eq!(base.searched(), n as usize, "{name}");
+        let base = BaseRoutes::new(topo);
+        assert_eq!(base.table().searched(), n as usize, "{name}");
         let singles = (0..n).map(|x| BTreeSet::from([NodeId(x)]));
         let pairs =
             (0..n).flat_map(|x| (x + 1..n).map(move |y| BTreeSet::from([NodeId(x), NodeId(y)])));
         let mut searched_again = 0;
+        // One `Detours` serves every set of every platform, as a planning
+        // thread's does mode after mode.
         for avoid in std::iter::once(BTreeSet::new()).chain(singles).chain(pairs) {
-            let derived = RoutingTable::avoiding_from(topo, &base, &avoid);
+            let view = base.avoiding(topo, &avoid, &mut detours);
             let fresh = RoutingTable::avoiding(topo, &avoid);
-            assert_derived_matches(
-                topo,
-                &derived,
-                &fresh,
-                &avoid,
-                &format!("{name} avoid{avoid:?}"),
-            );
-            searched_again += derived.searched();
+            assert_view_matches(topo, &view, &fresh, &format!("{name} avoid{avoid:?}"));
+            assert!(view.avoided().iter().copied().eq(avoid.iter().copied()));
+            searched_again += view.detoured().len();
         }
-        let one_hop = (0..n).all(|s| (0..n).all(|d| base.hops(NodeId(s), NodeId(d)) <= Some(1)));
+        let one_hop =
+            (0..n).all(|s| (0..n).all(|d| base.table().hops(NodeId(s), NodeId(d)) <= Some(1)));
         assert_eq!(
             one_hop,
             searched_again == 0,
             "{name}: {searched_again} searched again"
         );
     }
+    assert_eq!(platforms[7].1.node_count(), 36, "the campaign's fat-tree");
 }

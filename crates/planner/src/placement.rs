@@ -13,10 +13,10 @@
 //! delta minimisation is on. The hard constraints are decided first and
 //! on their own (`broken_constraint`); the scoring works in arrays over
 //! the mode's `AtaskIndex` (`Placer`) and reads distances from the
-//! mode's `CommTable`.
+//! mode's `CommTable`, patched from the strategy's `BaseComm`.
 
-use btr_model::{ATask, Duration, LinkSpec, NodeId, TaskId, Topology};
-use btr_net::{hop_bound, slice_rate, RoutingTable};
+use btr_model::{ATask, Duration, LinkId, LinkSpec, NodeId, TaskId, Topology};
+use btr_net::{hop_bound, slice_rate, ModeRoutes, RouteLookup, RoutingTable};
 use btr_sched::{AtaskIndex, UNPLACED};
 use btr_workload::{TaskKind, Workload};
 use std::collections::{BTreeMap, BTreeSet};
@@ -139,11 +139,12 @@ pub(crate) fn broken_constraint(
 ///
 /// `lanes` comes from [`crate::augment::lane_counts`]; `parent` is the
 /// plan the system would be leaving (for delta minimisation); `faulty`
-/// is the fault pattern this plan must survive.
-pub fn place(
+/// is the fault pattern this plan must survive; `routing` is a routing
+/// table or a mode's view of one.
+pub fn place<R: RouteLookup + ?Sized>(
     workload: &Workload,
     topo: &Topology,
-    routing: &RoutingTable,
+    routing: &R,
     lanes: &BTreeMap<TaskId, u8>,
     faulty: &BTreeSet<NodeId>,
     parent: Option<&BTreeMap<ATask, NodeId>>,
@@ -371,6 +372,11 @@ fn placement_distance(a: &BTreeMap<ATask, NodeId>, b: &BTreeMap<ATask, NodeId>) 
 /// routes each. The same pass records every route's bound for the
 /// placer's 150-byte probe message, which every candidate of every lane
 /// asks for.
+///
+/// A strategy reads its fault-free routes once, into a [`BaseComm`], and
+/// each mode's table is that one patched ([`CommTable::patch`]):
+/// [`CommTable::read_routes`], the pass over every route, is the
+/// reference the patch is held to and what [`place`] reads.
 #[derive(Debug)]
 pub(crate) struct CommTable<'a> {
     /// Class of each link, by link id.
@@ -387,7 +393,31 @@ pub(crate) struct CommTable<'a> {
     front: Vec<u16>,
     /// The signature being counted.
     signature: Vec<u16>,
+    /// The mode's distinct route signatures, `classes.len()` entries
+    /// each, and how many routed pairs take each: what a patch keeps
+    /// ([`CommTable::patch`]).
+    signatures: Vec<u16>,
+    counts: Vec<u32>,
 }
+
+/// The fault-free routes' bounds, read once per strategy: each pair's
+/// probe distance and route signature, and how many pairs take each
+/// signature. Every mode's [`CommTable`] is patched from it.
+#[derive(Debug)]
+pub(crate) struct BaseComm {
+    /// The placer's distance, `from * nodes + to`.
+    distance: Vec<f64>,
+    /// Each pair's signature, an index into `signatures`; [`NO_ROUTE`]
+    /// for a pair with no route or no hop.
+    signature_of: Vec<u32>,
+    /// The distinct signatures, `classes.len()` entries each.
+    signatures: Vec<u16>,
+    /// Pairs taking each signature.
+    counts: Vec<u32>,
+}
+
+/// `BaseComm::signature_of` for a pair with no route or no hop.
+const NO_ROUTE: u32 = u32::MAX;
 
 /// Size of the message the placer prices candidate nodes with.
 const PROBE_BYTES: u32 = 150;
@@ -419,11 +449,13 @@ impl<'a> CommTable<'a> {
             nodes: topo.node_count(),
             distance: Vec::new(),
             front: Vec::new(),
+            signatures: Vec::new(),
+            counts: Vec::new(),
         }
     }
 
-    /// Read one mode's routes.
-    pub(crate) fn read_routes(&mut self, routing: &RoutingTable) {
+    /// Read one mode's routes, every pair of them.
+    pub(crate) fn read_routes<R: RouteLookup + ?Sized>(&mut self, routing: &R) {
         let CommTable {
             class_of,
             probe,
@@ -470,6 +502,69 @@ impl<'a> CommTable<'a> {
         }
     }
 
+    /// Read one mode's routes as a patch of the fault-free ones: `base`
+    /// is read off the table `routes` is a view of. Only the pairs from
+    /// and to the avoided nodes and those into the destinations searched
+    /// again are visited; each leaves its fault-free signature's count
+    /// and, if it still has a route, adds to its new one's. The front is
+    /// then the signatures some pair still takes, less the dominated:
+    /// [`CommTable::read_routes`]'s, since a worst bound is a maximum over
+    /// that antichain.
+    pub(crate) fn patch(&mut self, base: &BaseComm, routes: &ModeRoutes) {
+        let CommTable {
+            class_of,
+            probe,
+            nodes,
+            distance,
+            front,
+            signature,
+            signatures,
+            counts,
+            ..
+        } = self;
+        let n = *nodes;
+        distance.clone_from(&base.distance);
+        signatures.clone_from(&base.signatures);
+        counts.clone_from(&base.counts);
+        let leave = |distance: &mut [f64], counts: &mut [u32], pair: usize| {
+            distance[pair] = 1e6;
+            if let Some(count) = counts.get_mut(base.signature_of[pair] as usize) {
+                *count -= 1;
+            }
+        };
+        let avoided = routes.avoided();
+        let is_avoided = |node: usize| avoided.binary_search(&NodeId(node as u32)).is_ok();
+        for &x in avoided {
+            let x = x.index();
+            for other in (0..n).filter(|&other| other != x) {
+                leave(distance, counts, x * n + other);
+                // A pair of two avoided nodes leaves once, from its
+                // source's row.
+                if !is_avoided(other) {
+                    leave(distance, counts, other * n + x);
+                }
+            }
+        }
+        for &dst in routes.detoured() {
+            for src in (0..n).filter(|&src| src != dst.index() && !is_avoided(src)) {
+                let pair = src * n + dst.index();
+                leave(distance, counts, pair);
+                if let Some((_, links)) = routes.path_and_links(NodeId(src as u32), dst) {
+                    distance[pair] = price(class_of, probe, links, signature) as f64;
+                    let id = signature_id(signatures, counts, signature);
+                    counts[id] += 1;
+                }
+            }
+        }
+        front.clear();
+        let width = signature.len().max(1);
+        for (taken, &count) in signatures.chunks_exact(width).zip(counts.iter()) {
+            if count > 0 {
+                admit(front, taken);
+            }
+        }
+    }
+
     /// The placer's price of sending from `from` to `to`: the bound on a
     /// probe message in microseconds, 10⁶ where there is no route.
     #[inline]
@@ -491,6 +586,64 @@ impl<'a> CommTable<'a> {
         }
         worst
     }
+}
+
+impl BaseComm {
+    /// Read the fault-free routes, classed as `comm` classes links.
+    pub(crate) fn read(comm: &CommTable, routes: &RoutingTable) -> BaseComm {
+        let n = comm.nodes;
+        let mut base = BaseComm {
+            distance: Vec::with_capacity(n * n),
+            signature_of: Vec::with_capacity(n * n),
+            signatures: Vec::new(),
+            counts: Vec::new(),
+        };
+        let mut signature = vec![0; comm.classes.len()];
+        for from in 0..n as u32 {
+            for to in 0..n as u32 {
+                let (distance, id) = match routes.path_and_links(NodeId(from), NodeId(to)) {
+                    None => (1e6, NO_ROUTE),
+                    // A node reaches itself over no link, at no cost.
+                    Some((_, [])) => (0.0, NO_ROUTE),
+                    Some((_, links)) => {
+                        let bound = price(&comm.class_of, &comm.probe, links, &mut signature);
+                        let id = signature_id(&mut base.signatures, &mut base.counts, &signature);
+                        base.counts[id] += 1;
+                        (bound as f64, id as u32)
+                    }
+                };
+                base.distance.push(distance);
+                base.signature_of.push(id);
+            }
+        }
+        base
+    }
+}
+
+/// A route's probe bound in µs, with its signature written over
+/// `signature`.
+fn price(class_of: &[u16], probe: &[u64], links: &[LinkId], signature: &mut [u16]) -> u64 {
+    signature.fill(0);
+    let mut bound = 0;
+    for link in links {
+        let class = class_of[link.index()] as usize;
+        signature[class] += 1;
+        bound += probe[class];
+    }
+    bound
+}
+
+/// Where `signature` sits among the distinct `signatures`, appended with
+/// a zero count when it is new. A platform has a handful.
+fn signature_id(signatures: &mut Vec<u16>, counts: &mut Vec<u32>, signature: &[u16]) -> usize {
+    let known = signatures
+        .chunks_exact(signature.len())
+        .position(|kept| kept == signature);
+    known.unwrap_or_else(|| {
+        signatures.extend_from_slice(signature);
+        counts.push(0);
+        counts.len() - 1
+    })
 }
 
 /// True if route signature `a` takes at least `b`'s hops in every class.
@@ -836,6 +989,67 @@ mod tests {
         comm.read_routes(&RoutingTable::new(&topo));
         assert_eq!(comm.classes.len(), 2);
         assert!(comm.front.len() >= 2);
+    }
+
+    /// Every fault set of up to two nodes on the planner's platforms, a
+    /// torus and the campaign's 36-node fat-tree: the mode's view and
+    /// its patched table equal a fresh `avoiding` table and a full
+    /// `read_routes` of it — every pair's path, links or `None`, every
+    /// distance to the bit, and the worst bound of three message sizes.
+    /// One patched table and one `Detours` serve every mode, as a
+    /// planning thread's do.
+    #[test]
+    fn patched_table_is_a_fresh_read_of_fresh_routes() {
+        use crate::strategy::EVIDENCE_WIRE_BYTES;
+        use btr_net::{BaseRoutes, Detours};
+        let lat = Duration(5);
+        let platforms = [
+            ("bus20", Topology::bus(20, 150_000, lat)),
+            ("ring12", Topology::ring(12, 150_000, lat)),
+            ("mesh3x4", Topology::mesh(3, 4, 150_000, lat)),
+            ("dual_bus6", Topology::dual_bus(6, 150_000, lat)),
+            (
+                "torus5x6",
+                btr_model::topology::torus(5, 6, 150_000, lat).unwrap(),
+            ),
+            (
+                "fat_tree36",
+                btr_model::topology::fat_tree(4, 0, 1_000_000, lat).unwrap(),
+            ),
+        ];
+        let mut detours = Detours::default();
+        for (name, topo) in &platforms {
+            let n = topo.node_count() as u32;
+            let routes = BaseRoutes::new(topo);
+            let (mut patched, mut fresh) = (CommTable::new(topo), CommTable::new(topo));
+            let base = BaseComm::read(&patched, routes.table());
+            let singles = (0..n).map(|x| BTreeSet::from([NodeId(x)]));
+            let pairs = (0..n)
+                .flat_map(|x| (x + 1..n).map(move |y| BTreeSet::from([NodeId(x), NodeId(y)])));
+            for avoid in std::iter::once(BTreeSet::new()).chain(singles).chain(pairs) {
+                let view = routes.avoiding(topo, &avoid, &mut detours);
+                patched.patch(&base, &view);
+                let table = RoutingTable::avoiding(topo, &avoid);
+                fresh.read_routes(&table);
+                for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (NodeId(a), NodeId(b)))) {
+                    let ctx = format!("{name} avoiding {avoid:?}: {a} -> {b}");
+                    assert_eq!(
+                        view.path_and_links(a, b),
+                        table.path_and_links(a, b),
+                        "{ctx}"
+                    );
+                    let (got, want) = (patched.distance(a, b), fresh.distance(a, b));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {got} != {want}");
+                }
+                for bytes in [EVIDENCE_WIRE_BYTES, 150, 10_000] {
+                    assert_eq!(
+                        patched.worst(bytes),
+                        fresh.worst(bytes),
+                        "{name} avoiding {avoid:?}: {bytes} B"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,33 +12,35 @@
 //! recovery bound R.
 //!
 //! The level loop does each fault set's work once. Routes are searched
-//! once per strategy, fault-free. A mode `F` is planned by `plan_mode`,
-//! which derives from that table the one routing table that avoids `F`
-//! (searching again only the destinations a node of `F` relayed for)
-//! and uses it for placement, for schedule synthesis, and — because
-//! every parent `F∖{x}` was completed one level down — for the
-//! transitions `F∖{x} → F` into the mode, whose evidence-distribution
-//! term depends on `F` alone. The table is dropped before the next mode
-//! is started; with `threads > 1` a level's fault sets are split across
-//! workers, transitions included. Modes are absorbed into the strategy
-//! in enumeration order, so plan ids, the transition map and the
-//! statistics do not depend on the thread count.
+//! and read once per strategy, fault-free, into a `Base`: the routes
+//! with each node's relay list (`btr_net::BaseRoutes`) and their bounds
+//! (`placement::BaseComm`). A mode `F` is planned by `plan_mode`, whose
+//! routes are a view of the fault-free table (`btr_net::ModeRoutes`)
+//! that searches again only the destinations a node of `F` relayed for,
+//! and whose `placement::CommTable` is the base one patched where the
+//! view differs. Placement, schedule synthesis and — because every
+//! parent `F∖{x}` was completed one level down — the transitions
+//! `F∖{x} → F` into the mode, whose evidence-distribution term depends
+//! on `F` alone, all read that one view and table. With `threads > 1` a
+//! level's fault sets are split across workers, transitions included.
+//! Modes are absorbed into the strategy in enumeration order, so plan
+//! ids, the transition map and the statistics do not depend on the
+//! thread count.
 //!
 //! Within a mode nothing is done twice either. The shed loop asks
 //! `placement::broken_constraint` — a walk over the tasks, no scoring —
 //! whether the lanes can be placed at all, and places a mode once, when
-//! they can; the mode's routes are read once into a
-//! `placement::CommTable` that answers the placer's distance queries and
-//! every worst-case bound of the transitions; and a thread's working
-//! arrays (`Scratch`) are reused from mode to mode.
+//! they can; the mode's `CommTable` answers the placer's distance
+//! queries and every worst-case bound of the transitions; and a
+//! thread's working arrays (`Scratch`) are reused from mode to mode.
 
 use crate::augment::lane_counts;
-use crate::placement::{broken_constraint, CommTable, Healthy, PlacementError, Placer};
+use crate::placement::{broken_constraint, BaseComm, CommTable, Healthy, PlacementError, Placer};
 use crate::{PlannerConfig, ShedPolicy, DETECT_MARGIN};
 use btr_model::{
     ATask, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId, Transition,
 };
-use btr_net::RoutingTable;
+use btr_net::{BaseRoutes, Detours, ModeRoutes};
 use btr_sched::synthesize;
 use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
@@ -121,9 +123,18 @@ struct Mode {
     incoming: Vec<Transition>,
 }
 
+/// The fault-free routes and their bounds, read once per strategy and
+/// shared by every planning thread: what each mode is patched from.
+struct Base {
+    routes: BaseRoutes,
+    comm: BaseComm,
+}
+
 /// A planning thread's working memory, reused from mode to mode:
 /// O(n² + augmented tasks) bytes, none of it kept in the [`Strategy`].
 struct Scratch<'a> {
+    /// The mode's routes searched again.
+    detours: Detours,
     comm: CommTable<'a>,
     placer: Placer,
     /// State bytes each old host sends in the transition being derived.
@@ -136,6 +147,7 @@ struct Scratch<'a> {
 impl<'a> Scratch<'a> {
     fn new(topo: &'a btr_model::Topology) -> Scratch<'a> {
         Scratch {
+            detours: Detours::default(),
             comm: CommTable::new(topo),
             placer: Placer::default(),
             sender_bytes: vec![0; topo.node_count()],
@@ -147,36 +159,42 @@ impl<'a> Scratch<'a> {
 #[cfg(test)]
 thread_local! {
     /// Destinations whose routes were searched on this thread, for the
-    /// strategy's fault-free table and every mode's derived one.
+    /// strategy's fault-free table and every mode's view of it.
     pub(crate) static SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Plan the mode for fault set `fs`, which will get plan id `id`: place,
 /// schedule, shed-and-retry, then derive every transition into it.
 ///
-/// This is the only place a fault set's routing table is made: it is
-/// derived from `base`, the strategy's one fault-free table, by
-/// [`RoutingTable::avoiding_from`], which searches again only the
-/// destinations a node of `fs` relayed for. The placement, the synthesis
-/// and the mode's incoming transitions all read the one table — the
-/// placer and the transition bounds through the one [`CommTable`] read
-/// off it — which is dropped on return. `built` holds every mode of the
-/// levels below, so each parent `F∖{x}` is already complete.
+/// The mode's routes are a view of the strategy's one fault-free table
+/// ([`BaseRoutes::avoiding`]), which searches again only the destinations
+/// a node of `fs` relayed for, and its [`CommTable`] is the base one
+/// patched where the view differs. The placement, the synthesis and the
+/// mode's incoming transitions all read the one view — the placer and
+/// the transition bounds through the table. `built` holds every mode of
+/// the levels below, so each parent `F∖{x}` is already complete.
 #[allow(clippy::too_many_arguments)]
 fn plan_mode(
     workload: &Workload,
     topo: &btr_model::Topology,
     cfg: &PlannerConfig,
-    base: &RoutingTable,
+    base: &Base,
     fs: &FaultSet,
     id: PlanId,
     built: &Assembly,
     scratch: &mut Scratch<'_>,
 ) -> Result<Mode, StrategyError> {
-    let routing = RoutingTable::avoiding_from(topo, base, fs.as_set());
+    let Scratch {
+        detours,
+        comm,
+        placer,
+        sender_bytes,
+        migrations: moved,
+    } = scratch;
+    let routing = base.routes.avoiding(topo, fs.as_set(), detours);
     #[cfg(test)]
-    SEARCHES.with(|n| n.set(n.get() + routing.searched()));
-    scratch.comm.read_routes(&routing);
+    SEARCHES.with(|n| n.set(n.get() + routing.detoured().len()));
+    comm.patch(&base.comm, &routing);
     let parents: Vec<(NodeId, &Plan)> = fs
         .iter()
         .map(|x| {
@@ -191,10 +209,9 @@ fn plan_mode(
     // Delta minimisation seeds from the parent that lacks the largest
     // faulty node.
     let seed = parents.last().map(|(_, parent)| &parent.placement);
-    let mut mode = place_and_schedule(workload, topo, cfg, fs, &routing, seed, scratch)?;
+    let mut mode = place_and_schedule(workload, topo, cfg, fs, &routing, seed, placer, comm)?;
 
     // Evidence distribution depends on the mode being entered only.
-    let comm = &scratch.comm;
     let dist_bound =
         Duration(2 * comm.worst(EVIDENCE_WIRE_BYTES).as_micros() + VALIDATION_SLACK.as_micros());
     mode.incoming = parents
@@ -204,8 +221,8 @@ fn plan_mode(
                 workload,
                 &from.placement,
                 &mode.placement,
-                &mut scratch.sender_bytes,
-                &mut scratch.migrations,
+                sender_bytes,
+                moved,
             );
             // State transfer: senders transmit in parallel on their own
             // slices, and the worst bound is monotone in bytes, so the
@@ -217,7 +234,7 @@ fn plan_mode(
                 from: from.id,
                 to: id,
                 trigger,
-                migrations: scratch.migrations.to_vec(),
+                migrations: moved.to_vec(),
                 bound: dist_bound + transfer_bound + workload.period,
             }
         })
@@ -289,15 +306,17 @@ fn capacity_victim(workload: &Workload, lanes: &BTreeMap<TaskId, u8>) -> Option<
 /// Place and schedule one mode, shedding and retrying until it fits
 /// (`incoming` is left for the caller). A mode is placed once: lanes
 /// that break a hard constraint are shed on `broken_constraint`'s word,
-/// before anything is scored.
+/// before anything is scored. `comm` is read off `routing`.
+#[allow(clippy::too_many_arguments)]
 fn place_and_schedule(
     workload: &Workload,
     topo: &btr_model::Topology,
     cfg: &PlannerConfig,
     fs: &FaultSet,
-    routing: &RoutingTable,
+    routing: &ModeRoutes,
     parent: Option<&BTreeMap<ATask, NodeId>>,
-    scratch: &mut Scratch<'_>,
+    placer: &mut Placer,
+    comm: &CommTable,
 ) -> Result<Mode, StrategyError> {
     let healthy = Healthy::count(topo, fs.as_set());
     let healthy_sensors = healthy.sensors.max(1) as u8;
@@ -336,10 +355,10 @@ fn place_and_schedule(
             shed.insert(victim);
             continue;
         }
-        let placement = scratch.placer.place(
+        let placement = placer.place(
             workload,
             topo,
-            &scratch.comm,
+            comm,
             &lanes,
             fs.as_set(),
             parent,
@@ -476,9 +495,9 @@ fn lattice_size(n: usize, f: usize) -> usize {
 
 /// Build the full strategy for a workload on a platform.
 ///
-/// One all-pairs route search, fault-free, then one pass over the
-/// fault-set lattice, level by level: each mode is planned once
-/// (`plan_mode`, on a table derived from the fault-free one) together
+/// One all-pairs route search and read, fault-free, then one pass over
+/// the fault-set lattice, level by level: each mode is planned once
+/// (`plan_mode`, on a view patched from the fault-free routes) together
 /// with the transitions into it from its parents one level down, on a
 /// worker thread when `cfg.threads > 1`, and absorbed in enumeration
 /// order. An infeasible mode fails the build as soon as its level is
@@ -490,19 +509,23 @@ pub fn build_strategy(
     cfg: &PlannerConfig,
 ) -> Result<(Strategy, StrategyStats), StrategyError> {
     let n = topo.node_count();
-    let routes = RoutingTable::new(topo);
+    let routes = BaseRoutes::new(topo);
     #[cfg(test)]
-    SEARCHES.with(|s| s.set(s.get() + routes.searched()));
+    SEARCHES.with(|s| s.set(s.get() + routes.table().searched()));
     let mut built = Assembly::default();
     built.plans.reserve_exact(lattice_size(n, cfg.f as usize));
     let mut scratch = Scratch::new(topo);
+    let base = Base {
+        comm: BaseComm::read(&scratch.comm, routes.table()),
+        routes,
+    };
 
     for k in 0..=cfg.f as usize {
         let sets = enumerate_fault_sets(n, k);
-        let base = built.plans.len();
+        let first = built.plans.len();
         let plan_nth = |i: usize, fs: &FaultSet, built: &Assembly, scratch: &mut Scratch| {
-            let id = PlanId((base + i) as u32);
-            plan_mode(workload, topo, cfg, &routes, fs, id, built, scratch)
+            let id = PlanId((first + i) as u32);
+            plan_mode(workload, topo, cfg, &base, fs, id, built, scratch)
         };
 
         if cfg.threads > 1 && sets.len() > 8 {
@@ -572,6 +595,7 @@ pub fn build_strategy(
 mod tests {
     use super::*;
     use btr_model::{Criticality, Topology};
+    use btr_net::RoutingTable;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)

@@ -231,8 +231,11 @@ impl BtrNode {
         &self.plans
     }
 
-    fn period_start(&self, p: PeriodIdx) -> Time {
-        Time(p * self.plans.workload.period.as_micros())
+    /// When period `p` starts; `None` past the clock's range, where only
+    /// a forged period lies.
+    fn period_start(&self, p: PeriodIdx) -> Option<Time> {
+        p.checked_mul(self.plans.workload.period.as_micros())
+            .map(Time)
     }
 
     /// True while a mode transition is pending or freshly completed:
@@ -259,7 +262,9 @@ impl BtrNode {
         // activation and its slots are now stale).
         let now = ctx.now();
         let p = now.period_index(self.plans.workload.period);
-        let p_start = self.period_start(p);
+        let p_start = self
+            .period_start(p)
+            .expect("the current period starts in range");
         for (idx, e) in self.tables.entries(self.id).iter().enumerate() {
             let at = p_start + e.start;
             if at >= now {
@@ -313,11 +318,19 @@ impl BtrNode {
         }
     }
 
-    fn act_on_verified(&mut self, record: &EvidenceRecord, ctx: &mut NodeCtx<'_>) {
-        // Reference time = end of the period the evidence refers to:
-        // identical on every node holding the record, so mode switches
-        // align cluster-wide.
-        let reference = self.period_start(record.period() + 1);
+    /// The instant a record's consequences are dated from: the end of
+    /// the period it refers to, identical on every node holding the
+    /// record, so mode switches align cluster-wide. `None` when that end
+    /// lies past the clock's range: only a forged record names such a
+    /// period, and it is dropped before admission.
+    fn reference_instant(&self, record: &EvidenceRecord) -> Option<Time> {
+        record
+            .period()
+            .checked_add(1)
+            .and_then(|p| self.period_start(p))
+    }
+
+    fn act_on_verified(&mut self, record: &EvidenceRecord, reference: Time, ctx: &mut NodeCtx<'_>) {
         // Phase boundary: verified evidence implicating a node exists
         // at this correct node (the earliest such mark across nodes is
         // the detection instant).
@@ -362,6 +375,9 @@ impl BtrNode {
     fn handle_local_evidence(&mut self, records: Vec<EvidenceRecord>, ctx: &mut NodeCtx<'_>) {
         let period = ctx.now().period_index(self.plans.workload.period);
         for record in records {
+            let Some(reference) = self.reference_instant(&record) else {
+                continue;
+            };
             let outcome = self.pool.admit(
                 ctx.keystore(),
                 self.plans.workload.as_ref(),
@@ -371,14 +387,16 @@ impl BtrNode {
             );
             if let AdmitOutcome::Verified { id, .. } = outcome {
                 self.stats.evidence_generated += 1;
-                self.act_on_verified(&record, ctx);
+                self.act_on_verified(&record, reference, ctx);
                 self.flood(id, &record, None, ctx);
             }
         }
     }
 
     fn handle_boundary(&mut self, p: PeriodIdx, ctx: &mut NodeCtx<'_>) {
-        let p_start = self.period_start(p);
+        let p_start = self
+            .period_start(p)
+            .expect("a boundary timer's period starts in range");
         // Heartbeats.
         let drop_hb = self
             .attack
@@ -683,11 +701,13 @@ impl BtrNode {
         // fresh observations: they carry no timing signal and are not
         // echoed onward.
         let direct = env_src == output.producer;
+        // A period that starts past the clock's range is forged: such an
+        // output is neither stored nor given a timing window.
+        let p_start = self.period_start(output.period);
         // Store if this is an input one of my tasks expects.
-        let verified = self
-            .tables
-            .wants(self.id, output.task, output.replica)
-            .then(|| ctx.verify_output(&output).is_ok());
+        let verified = (p_start.is_some()
+            && self.tables.wants(self.id, output.task, output.replica))
+        .then(|| ctx.verify_output(&output).is_ok());
         if verified == Some(true) {
             self.inputs.insert_first(&output);
             // Echo the accepted copy to the task's checker, once per
@@ -728,7 +748,9 @@ impl BtrNode {
                     .get(output.task.index())
                     .map(|t| t.deadline),
             };
-            base.map(|base| self.period_start(output.period) + base)
+            base.zip(p_start)
+                .and_then(|(base, start)| start.0.checked_add(base.as_micros()))
+                .map(Time)
         } else {
             None
         };
@@ -748,6 +770,9 @@ impl BtrNode {
     }
 
     fn handle_evidence_msg(&mut self, from: NodeId, record: EvidenceRecord, ctx: &mut NodeCtx<'_>) {
+        let Some(reference) = self.reference_instant(&record) else {
+            return;
+        };
         let period = ctx.now().period_index(self.plans.workload.period);
         let outcome = self.pool.admit(
             ctx.keystore(),
@@ -761,7 +786,7 @@ impl BtrNode {
                 // Proofs update the switcher directly; declarations feed
                 // the detector's tracker even when they do not (yet)
                 // cross the threshold.
-                self.act_on_verified(&record, ctx);
+                self.act_on_verified(&record, reference, ctx);
                 self.flood(id, &record, Some(from), ctx);
             }
             AdmitOutcome::Rejected(_) => {
@@ -983,13 +1008,14 @@ mod tests {
         fn actuate(&mut self, _: NodeId, _: TaskId, _: PeriodIdx, _: Value) {}
     }
 
-    #[test]
-    fn an_output_of_a_task_the_workload_lacks_is_dropped_without_a_panic() {
-        // A compromised peer's envelope authenticates, and the output in
-        // it is validly signed by its producer, but names a task past the
-        // workload's last: the receiver gives it no timing window (it
-        // arrives 17 periods after its own), stores nothing, and raises
-        // nothing.
+    /// A compromised peer, n1, sends `me` the payload `forge` makes with
+    /// n1's keys: its envelope authenticates and what it signs is
+    /// validly signed. The receiver must raise nothing and send nothing;
+    /// it is returned for the caller's checks.
+    fn forged_payload_is_dropped_without_a_panic(
+        me: NodeId,
+        forge: impl FnOnce(&mut NodeCtx<'_>) -> Payload,
+    ) -> BtrNode {
         let (w, s, _) = setup(1);
         let suite = btr_crypto::AuthSuite::default();
         let mut wire = Wire {
@@ -997,14 +1023,12 @@ mod tests {
             keystore: btr_crypto::KeyStore::derive_suite(7, 9, suite),
             sent: Vec::new(),
         };
-        let forged = TaskId(w.tasks().len() as u32 + 5);
-        let (peer, me) = (NodeId(1), NodeId(6));
+        let peer = NodeId(1);
         let mut seat = btr_sim::Seat::derive(7, peer, suite);
         let mut scratch = btr_sim::Scratch::default();
         let mut ctx = NodeCtx::new(&mut seat, &mut scratch, &mut wire, peer);
-        let output = ctx.sign_output(forged, 0, 3, 1, 0, peer);
-        let witnesses = Vec::new();
-        ctx.send(me, Payload::Output { output, witnesses });
+        let payload = forge(&mut ctx);
+        ctx.send(me, payload);
         let plans = WorldPlans::new(Arc::clone(&w), Arc::clone(&s));
         let mut node = BtrNode::new(me, plans, 9, None);
         let mut seat = btr_sim::Seat::derive(7, me, suite);
@@ -1014,9 +1038,63 @@ mod tests {
             &mut NodeCtx::new(&mut seat, &mut scratch, &mut wire, me),
             env,
         );
-        assert!(node.inputs.get(forged, 0, 3).is_none());
         assert_eq!(node.stats().evidence_generated, 0);
         assert!(wire.sent.is_empty(), "{:?}", wire.sent);
+        node
+    }
+
+    /// An output n1 signs for `task` and `period`, in a message of its own.
+    fn forged_output(task: TaskId, period: PeriodIdx) -> impl FnOnce(&mut NodeCtx<'_>) -> Payload {
+        move |ctx| Payload::Output {
+            output: ctx.sign_output(task, 0, period, 1, 0, NodeId(1)),
+            witnesses: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn an_output_of_a_task_the_workload_lacks_is_dropped_without_a_panic() {
+        // No timing window: the output arrives 17 periods after its own.
+        let (w, _, _) = setup(1);
+        let forged = TaskId(w.tasks().len() as u32 + 5);
+        let node = forged_payload_is_dropped_without_a_panic(NodeId(6), forged_output(forged, 3));
+        assert!(node.inputs.get(forged, 0, 3).is_none());
+    }
+
+    #[test]
+    fn an_output_of_a_period_past_the_clock_is_dropped_without_a_panic() {
+        // Task 0 is known and the receiver consumes its lane 0, but its
+        // period starts past the clock's range: no timing window,
+        // nothing stored.
+        let (w, s, _) = setup(1);
+        let period = u64::MAX / 1000;
+        assert_eq!(period.checked_mul(w.period.as_micros()), None);
+        let plans = WorldPlans::new(w, s);
+        let tables = plans.tables(plans.strategy.initial_plan().id);
+        let me = (2..9)
+            .map(NodeId)
+            .find(|&n| tables.wants(n, TaskId(0), 0))
+            .expect("some node past n1 consumes task 0");
+        let node = forged_payload_is_dropped_without_a_panic(me, forged_output(TaskId(0), period));
+        assert!(node.inputs.get(TaskId(0), 0, period).is_none());
+    }
+
+    #[test]
+    fn evidence_of_a_period_past_the_clock_is_dropped_without_a_panic() {
+        // n1 proves its own equivocation in the clock's last period: a
+        // valid proof, but dated from that period's end, past the
+        // clock's range. The receiver neither acts on it nor floods it.
+        let (_, s, _) = setup(1);
+        let node = forged_payload_is_dropped_without_a_panic(NodeId(6), |ctx| {
+            let [a, b] =
+                [1, 2].map(|value| ctx.sign_output(TaskId(0), 0, u64::MAX, value, 0, NodeId(1)));
+            Payload::Evidence(EvidenceRecord::Equivocation {
+                accused: NodeId(1),
+                a,
+                b,
+            })
+        });
+        assert_eq!(node.current_plan(), s.initial_plan().id);
+        assert_eq!(node.switch_count(), 0);
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! materialised the path.
 
 use btr_model::{Duration, NodeId, Topology};
-use btr_net::{hop_bound, RoutingTable};
+use btr_net::{hop_bound, RouteLookup};
 
-/// Upper bound on delivering `bytes` from `src` to `dst`.
+/// Upper bound on delivering `bytes` from `src` to `dst` over `routing`,
+/// a routing table or a mode's view of one.
 ///
 /// Returns `Duration::ZERO` for `src == dst` and `None` when no route
 /// exists (e.g. the fault pattern cut the network).
-pub fn comm_bound(
+pub fn comm_bound<R: RouteLookup + ?Sized>(
     topo: &Topology,
-    routing: &RoutingTable,
+    routing: &R,
     src: NodeId,
     dst: NodeId,
     bytes: u32,
@@ -38,6 +39,7 @@ pub fn comm_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_net::RoutingTable;
 
     #[test]
     fn zero_for_local() {

@@ -27,7 +27,7 @@ pub use comm::comm_bound;
 pub use index::{AtaskIndex, UNPLACED};
 
 use btr_model::{ATask, Duration, LinkId, NodeId, NodeSchedule, ScheduleEntry, TaskId, Topology};
-use btr_net::RoutingTable;
+use btr_net::RouteLookup;
 use btr_workload::{TaskKind, Workload};
 use std::collections::BTreeMap;
 
@@ -167,15 +167,16 @@ pub(crate) fn check_wcet(lanes: u8) -> Duration {
 /// shed tasks simply do not appear. `placement` must contain a node for
 /// every `ATask::Work { task, replica < lanes[task] }`, for every
 /// `ATask::Check { task }` with `lanes[task] >= 2`, and may contain
-/// `ATask::Verify` entries for per-node reserves.
+/// `ATask::Verify` entries for per-node reserves. `routing` is a routing
+/// table or a mode's view of one.
 ///
 /// The maps are read once into arrays over the [`AtaskIndex`]; every
 /// step of the list scheduler is then an indexed load, and the maps of
 /// the returned [`Synthesis`] are each built once from sorted rows.
-pub fn synthesize(
+pub fn synthesize<R: RouteLookup + ?Sized>(
     workload: &Workload,
     topo: &Topology,
-    routing: &RoutingTable,
+    routing: &R,
     placement: &BTreeMap<ATask, NodeId>,
     lanes: &BTreeMap<TaskId, u8>,
     params: &SchedParams,
@@ -376,16 +377,16 @@ impl<'a> Timeline<'a> {
 
 /// Data-plane bytes per period each sender originates on each of its
 /// links.
-struct LinkDemand<'a> {
+struct LinkDemand<'a, R: ?Sized> {
     topo: &'a Topology,
-    routing: &'a RoutingTable,
+    routing: &'a R,
     /// Node `n`'s links are `bytes[first[n]..]`, in `links_of(n)` order.
     first: Vec<u32>,
     bytes: Vec<u64>,
 }
 
-impl<'a> LinkDemand<'a> {
-    fn new(topo: &'a Topology, routing: &'a RoutingTable) -> Self {
+impl<'a, R: RouteLookup + ?Sized> LinkDemand<'a, R> {
+    fn new(topo: &'a Topology, routing: &'a R) -> Self {
         let mut first = Vec::with_capacity(topo.node_count());
         let mut total = 0u32;
         for node in topo.nodes() {
@@ -510,6 +511,7 @@ pub fn round_robin_placement(
 mod tests {
     use super::*;
     use btr_model::Criticality;
+    use btr_net::RoutingTable;
     use btr_workload::WorkloadBuilder;
 
     fn ms(x: u64) -> Duration {
