@@ -22,8 +22,8 @@ use crate::Baseline;
 use btr_core::oracle::reference_value;
 use btr_model::message::PbftPhase;
 use btr_model::{
-    inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, NodeId, Payload, PeriodIdx,
-    Plan, ReplicaIdx, ScheduleEntry, TaskId, Time, Value,
+    sensor_value, task_value, ATask, Duration, Envelope, NodeId, Payload, PeriodIdx, Plan,
+    ReplicaIdx, ScheduleEntry, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
 };
 use btr_runtime::timers::{self, Timer};
 use btr_runtime::Attack;
@@ -304,7 +304,7 @@ impl BaselineNode {
                 self.equiv_flip += 1;
                 v ^= 0xE0 + self.equiv_flip;
             }
-            let output = ctx.sign_output(task, replica, p, v, inputs_digest(&[]), self.id);
+            let output = ctx.sign_output(task, replica, p, v, EMPTY_INPUTS_DIGEST, self.id);
             let witnesses = vec![];
             ctx.send(dst, Payload::Output { output, witnesses });
         }

@@ -22,8 +22,12 @@ pub type Value = u64;
 /// heap.
 const INLINE_INPUTS: usize = 16;
 
-/// Digest `head` followed by `inputs` sorted by producer id, under
-/// `domain`.
+/// The bytes `task_value` digests: task and period, then the inputs.
+const HEAD: usize = 12;
+
+/// Lay `task`, `period` and then `inputs`, sorted by producer id, out in
+/// one buffer, and hand the bytes to `digests` (`inputs_digest` takes
+/// those after the [`HEAD`]).
 ///
 /// The sort is by key only (`sort_unstable_by_key` on a copy of the
 /// slice, as it always was): pairs of *distinct* producers land in one
@@ -32,22 +36,23 @@ const INLINE_INPUTS: usize = 16;
 /// commission fault — stay in whichever order that sort leaves them,
 /// which depends on the order they came in. A caller that must agree
 /// with another on such a list has to present it in the same order.
-fn digest_sorted(domain: &[u8], head: &[u8], inputs: &[(TaskId, Value)]) -> u64 {
+fn with_sorted<R>(
+    task: TaskId,
+    period: PeriodIdx,
+    inputs: &[(TaskId, Value)],
+    digests: impl FnOnce(&[u8]) -> R,
+) -> R {
     const PAIR: usize = 12;
-    const HEAD: usize = 12;
-    debug_assert!(head.len() <= HEAD);
     let lay_out = |sorted: &mut [(TaskId, Value)], bytes: &mut [u8]| {
         sorted.copy_from_slice(inputs);
         sorted.sort_unstable_by_key(|(t, _)| *t);
-        bytes[..head.len()].copy_from_slice(head);
-        for ((t, v), out) in sorted
-            .iter()
-            .zip(bytes[head.len()..].chunks_exact_mut(PAIR))
-        {
+        bytes[..4].copy_from_slice(&task.0.to_be_bytes());
+        bytes[4..HEAD].copy_from_slice(&period.to_be_bytes());
+        for ((t, v), out) in sorted.iter().zip(bytes[HEAD..].chunks_exact_mut(PAIR)) {
             out[..4].copy_from_slice(&t.0.to_be_bytes());
             out[4..].copy_from_slice(&v.to_be_bytes());
         }
-        digest64(&[domain, &bytes[..head.len() + PAIR * inputs.len()]])
+        digests(&bytes[..HEAD + PAIR * inputs.len()])
     };
     if inputs.len() <= INLINE_INPUTS {
         let mut sorted = [(TaskId(0), 0); INLINE_INPUTS];
@@ -65,12 +70,11 @@ fn digest_sorted(domain: &[u8], head: &[u8], inputs: &[(TaskId, Value)]) -> u64 
 /// `inputs` is (producer task, value) pairs; the function sorts them by
 /// producer id internally so callers need not pre-sort (pairs of one
 /// producer keep an order that depends on the caller's; see
-/// `digest_sorted`). Allocates nothing up to `INLINE_INPUTS` pairs.
+/// `with_sorted`). Allocates nothing up to `INLINE_INPUTS` pairs.
 pub fn task_value(task: TaskId, period: PeriodIdx, inputs: &[(TaskId, Value)]) -> Value {
-    let mut head = [0u8; 12];
-    head[..4].copy_from_slice(&task.0.to_be_bytes());
-    head[4..].copy_from_slice(&period.to_be_bytes());
-    digest_sorted(b"btr-task", &head, inputs)
+    with_sorted(task, period, inputs, |bytes| {
+        digest64(&[b"btr-task", bytes])
+    })
 }
 
 /// Commitment digest over the exact inputs a replica consumed.
@@ -83,7 +87,27 @@ pub fn task_value(task: TaskId, period: PeriodIdx, inputs: &[(TaskId, Value)]) -
 /// (the PeerReview-style argument; see DESIGN.md). Sorted as
 /// [`task_value`] sorts.
 pub fn inputs_digest(inputs: &[(TaskId, Value)]) -> u64 {
-    digest_sorted(b"btr-inputs", &[], inputs)
+    with_sorted(TaskId(0), 0, inputs, |bytes| {
+        digest64(&[b"btr-inputs", &bytes[HEAD..]])
+    })
+}
+
+/// [`inputs_digest`] of no inputs: what every source commits to.
+pub const EMPTY_INPUTS_DIGEST: u64 = 0x4a5c6917d5fc6122;
+
+/// `(task_value(task, period, inputs), inputs_digest(inputs))`, with
+/// the inputs copied, sorted and laid out once for both.
+pub fn task_value_and_digest(
+    task: TaskId,
+    period: PeriodIdx,
+    inputs: &[(TaskId, Value)],
+) -> (Value, u64) {
+    with_sorted(task, period, inputs, |bytes| {
+        (
+            digest64(&[b"btr-task", bytes]),
+            digest64(&[b"btr-inputs", &bytes[HEAD..]]),
+        )
+    })
 }
 
 /// Compute a sensor (source) task's reading for one period.
@@ -157,6 +181,7 @@ mod tests {
         assert_eq!(task_value(TaskId(5), 3, &[]), 0xc5c4e2715e091a0c);
         assert_eq!(inputs_digest(&few), 0x6e48e7a5aac3cb5f);
         assert_eq!(inputs_digest(&[]), 0x4a5c6917d5fc6122);
+        assert_eq!(inputs_digest(&[]), EMPTY_INPUTS_DIGEST);
         assert_eq!(sensor_value(TaskId(4), 6, 42), 0x92f2d9c57fa134ec);
         // At the inline capacity, one past it, and well past it.
         let pins = [
@@ -168,7 +193,15 @@ mod tests {
         for (n, value, digest) in pins {
             assert_eq!(task_value(TaskId(1), 2, &long(n)), value, "{n} inputs");
             assert_eq!(inputs_digest(&long(n)), digest, "{n} inputs");
+            assert_eq!(
+                task_value_and_digest(TaskId(1), 2, &long(n)),
+                (value, digest)
+            );
         }
+        assert_eq!(
+            task_value_and_digest(TaskId(5), 3, &few),
+            (0x3744eca439a8cbef, 0x6e48e7a5aac3cb5f)
+        );
     }
 
     #[test]
@@ -182,6 +215,10 @@ mod tests {
         assert_eq!(task_value(TaskId(9), 11, &ba), 0xacd5d6863500fdf6);
         assert_eq!(inputs_digest(&ab), 0xe1dd95a16c45b8a6);
         assert_eq!(inputs_digest(&ba), 0xfefdaac98ba10f85);
+        assert_eq!(
+            task_value_and_digest(TaskId(9), 11, &ba),
+            (0xacd5d6863500fdf6, 0xfefdaac98ba10f85)
+        );
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   send"). They are signed by their declarer and handled statistically
 //!   (path avoidance + accusation counting, Section 4.2's suggestion).
 
-use crate::compute::{sensor_value, task_value, Value};
-use crate::enc::Enc;
+use crate::compute::{sensor_value, task_value_and_digest, Value};
+use crate::enc::{self, prefixed, Fixed, SIG_LEN};
 use crate::ids::{NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use crate::time::Time;
-use btr_crypto::{digest64, KeyStore, SigError, Signature, Signer};
+use btr_crypto::{digest64, Digest, KeyStore, SigError, Signature, Signer};
 use std::collections::BTreeSet;
 
 /// What evidence verifiers need to know about the workload.
@@ -62,64 +62,56 @@ pub struct SignedOutput {
     pub sig: Signature,
 }
 
+/// What a record carries in its signature until it is signed.
+const UNSIGNED: Signature = Signature {
+    key: 0,
+    tag: Digest([0; 32]),
+};
+const OUTPUT_DOMAIN: &[u8] = b"btr-output";
+const OUTPUT_ID_DOMAIN: &[u8] = b"btr-output-id";
+/// An output's signed fields: task, replica, period, value, digest, producer.
+const FIELDS_LEN: usize = 4 + 1 + 8 + 8 + 8 + 4;
+/// The bytes an output's signature covers.
+const SIGNING_LEN: usize = prefixed(OUTPUT_DOMAIN.len()) + FIELDS_LEN;
+/// An output's body, as every record carrying it has it: fields, signature.
+const BODY_LEN: usize = FIELDS_LEN + SIG_LEN;
+/// An output's id behind its length, as payloads and timing declarations have it.
+pub(crate) const PREFIXED_ID_LEN: usize = prefixed(SignedOutput::CANONICAL_ID_LEN);
+
 impl SignedOutput {
-    /// Canonical bytes covered by the signature, as one vector: the
-    /// reference the appending encoding is tested against.
-    #[cfg(test)]
-    fn signing_bytes(
-        task: TaskId,
-        replica: ReplicaIdx,
-        period: PeriodIdx,
-        value: Value,
-        inputs_digest: u64,
-        producer: NodeId,
-    ) -> Vec<u8> {
-        let mut buf = Vec::new();
-        Self::write_signing_bytes(
-            task,
-            replica,
-            period,
-            value,
-            inputs_digest,
-            producer,
-            &mut buf,
-        );
-        buf
-    }
+    /// Length of the bytes that identify an output where a payload or a
+    /// timing declaration references it: its domain tag, then its body.
+    pub const CANONICAL_ID_LEN: usize = prefixed(OUTPUT_ID_DOMAIN.len()) + BODY_LEN;
 
-    /// Write the signing bytes into a caller-owned scratch buffer
-    /// (cleared first); allocation-free once the scratch has warmed up.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn write_signing_bytes(
-        task: TaskId,
-        replica: ReplicaIdx,
-        period: PeriodIdx,
-        value: Value,
-        inputs_digest: u64,
-        producer: NodeId,
-        buf: &mut Vec<u8>,
-    ) {
-        let mut e = Enc::over(buf, "btr-output");
-        e.u32(task.0)
-            .u8(replica)
-            .u64(period)
-            .u64(value)
-            .u64(inputs_digest)
-            .u32(producer.0);
-    }
-
-    /// Append this output's signing bytes to a shared buffer without
-    /// clearing it — the staging primitive for batched verification
-    /// (`btr_crypto::SigBatch` carries many outputs' bytes in one
-    /// scratch). Byte-identical to the owned `signing_bytes` reference.
-    pub(crate) fn append_signing_bytes(&self, buf: &mut Vec<u8>) {
-        let mut e = Enc::append(buf, "btr-output");
-        e.u32(self.task.0)
+    #[inline(always)]
+    fn put_fields<const N: usize>(&self, f: &mut Fixed<'_, N>) {
+        f.u32(self.task.0)
             .u8(self.replica)
             .u64(self.period)
             .u64(self.value)
             .u64(self.inputs_digest)
             .u32(self.producer.0);
+    }
+
+    /// The bytes this output's signature covers: domain tag, fields.
+    #[inline]
+    fn put_signing_bytes<const N: usize>(&self, f: &mut Fixed<'_, N>) {
+        f.bytes(OUTPUT_DOMAIN);
+        self.put_fields(f);
+    }
+
+    /// Lay out this output's body: the signed fields, then the signature.
+    #[inline]
+    pub(crate) fn put_body<const N: usize>(&self, f: &mut Fixed<'_, N>) {
+        self.put_fields(f);
+        f.sig(&self.sig);
+    }
+
+    /// Lay out this output's id (domain tag, body) behind its length.
+    #[inline]
+    pub(crate) fn put_prefixed_id<const N: usize>(&self, f: &mut Fixed<'_, N>) {
+        f.u64(Self::CANONICAL_ID_LEN as u64).bytes(OUTPUT_ID_DOMAIN);
+        self.put_body(f);
     }
 
     /// Stage this output into a verification batch, carrying the same
@@ -134,7 +126,9 @@ impl SignedOutput {
         if self.sig.key != self.producer.0 {
             batch.push_prefailed();
         } else {
-            batch.push_with(&self.sig, |buf| self.append_signing_bytes(buf));
+            batch.push_with(&self.sig, |buf| {
+                enc::append::<SIGNING_LEN>(buf, |f| self.put_signing_bytes(f))
+            });
         }
     }
 
@@ -162,9 +156,9 @@ impl SignedOutput {
         )
     }
 
-    /// Like [`SignedOutput::sign`], writing the signing bytes into a
-    /// reusable scratch buffer instead of allocating (the signed-traffic
-    /// hot path signs one of these per task release).
+    /// Like [`SignedOutput::sign`], laying the signing bytes out in a
+    /// reusable `scratch` (cleared first), where they stay: a host that
+    /// remembers what it signed reads them there.
     #[allow(clippy::too_many_arguments)]
     pub fn sign_with(
         signer: &Signer,
@@ -176,64 +170,38 @@ impl SignedOutput {
         producer: NodeId,
         scratch: &mut Vec<u8>,
     ) -> SignedOutput {
-        Self::write_signing_bytes(
+        let mut output = SignedOutput {
             task,
             replica,
             period,
             value,
             inputs_digest,
             producer,
-            scratch,
-        );
-        SignedOutput {
-            task,
-            replica,
-            period,
-            value,
-            inputs_digest,
-            producer,
-            sig: signer.sign(scratch),
-        }
+            sig: UNSIGNED,
+        };
+        scratch.clear();
+        enc::append::<SIGNING_LEN>(scratch, |f| output.put_signing_bytes(f));
+        output.sig = signer.sign(scratch);
+        output
     }
 
     /// Verify the producer's signature.
     pub fn verify(&self, ks: &KeyStore) -> Result<(), EvidenceFlaw> {
-        self.verify_by(&mut Vec::new(), |sig, msg| ks.verify(sig, msg))
+        self.verify_by(|sig, msg| ks.verify(sig, msg))
     }
 
     /// [`SignedOutput::verify`] with the MAC check handed to the caller:
-    /// the key-id/producer gate, then the signing bytes laid out in the
-    /// reusable `scratch`, then `check(sig, bytes)` (see
-    /// `Envelope::verify_by`).
+    /// the key-id/producer gate, then `check(sig, bytes)` over the
+    /// signing bytes, laid out on the stack (see `Envelope::verify_by`).
     pub fn verify_by(
         &self,
-        scratch: &mut Vec<u8>,
         check: impl FnOnce(&Signature, &[u8]) -> Result<(), SigError>,
     ) -> Result<(), EvidenceFlaw> {
         if self.sig.key != self.producer.0 {
             return Err(EvidenceFlaw::BadSignature);
         }
-        Self::write_signing_bytes(
-            self.task,
-            self.replica,
-            self.period,
-            self.value,
-            self.inputs_digest,
-            self.producer,
-            scratch,
-        );
-        check(&self.sig, scratch).map_err(|_| EvidenceFlaw::BadSignature)
-    }
-
-    fn encode(&self, e: &mut Enc<'_>) {
-        e.u32(self.task.0)
-            .u8(self.replica)
-            .u64(self.period)
-            .u64(self.value)
-            .u64(self.inputs_digest)
-            .u32(self.producer.0)
-            .u32(self.sig.key)
-            .bytes(&self.sig.tag.0);
+        let bytes = enc::array::<SIGNING_LEN>(|f| self.put_signing_bytes(f));
+        check(&self.sig, &bytes).map_err(|_| EvidenceFlaw::BadSignature)
     }
 }
 
@@ -423,37 +391,40 @@ impl EvidenceRecord {
         }
     }
 
-    /// Canonical bytes, as one vector: the reference the streamed
-    /// encoding is tested against.
-    #[cfg(test)]
-    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new("btr-evidence");
-        self.encode_into(&mut e);
-        e.finish()
+    /// Length of the canonical bytes: the domain tag, then the body.
+    pub(crate) fn canonical_len(&self) -> usize {
+        let body = match self {
+            EvidenceRecord::Equivocation { .. } => EQUIVOCATION_LEN,
+            EvidenceRecord::BadComputation { inputs: list, .. } => LIST_LEN + BODY_LEN * list.len(),
+            EvidenceRecord::BadWitness {
+                witnesses: list, ..
+            } => LIST_LEN + BODY_LEN * list.len() + TAIL_LEN,
+            EvidenceRecord::PathDeclaration { .. } => PATH_LEN,
+            EvidenceRecord::TimingDeclaration { .. } => TIMING_LEN,
+            EvidenceRecord::CrashSuspicion { .. } => CRASH_LEN,
+        };
+        prefixed(EVIDENCE_DOMAIN.len()) + body
     }
 
-    /// Stream the canonical encoding (sans domain prefix) into an
-    /// in-progress encoder, without an intermediate vector. An
-    /// envelope carrying a record signs, verifies and sizes through this.
-    pub(crate) fn encode_into(&self, e: &mut Enc<'_>) {
+    /// Append the canonical bytes (domain tag, then body) to `buf`, one
+    /// write per fixed part: [`EvidenceRecord::canonical_len`] of them.
+    pub(crate) fn write(&self, buf: &mut Vec<u8>) {
+        enc::append::<{ prefixed(EVIDENCE_DOMAIN.len()) }>(buf, |f| {
+            f.bytes(EVIDENCE_DOMAIN);
+        });
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
-                e.u8(0).u32(accused.0);
-                a.encode(e);
-                b.encode(e);
+                enc::append::<EQUIVOCATION_LEN>(buf, |f| {
+                    f.u8(0).u32(accused.0);
+                    a.put_body(f);
+                    b.put_body(f);
+                })
             }
             EvidenceRecord::BadComputation {
                 accused,
                 output,
                 inputs,
-            } => {
-                e.u8(1).u32(accused.0);
-                output.encode(e);
-                e.u32(inputs.len() as u32);
-                for i in inputs {
-                    i.encode(e);
-                }
-            }
+            } => Self::write_list(buf, 1, *accused, output, inputs),
             EvidenceRecord::PathDeclaration {
                 declarer,
                 from,
@@ -461,43 +432,34 @@ impl EvidenceRecord {
                 task,
                 period,
                 sig,
-            } => {
-                e.u8(2)
+            } => enc::append::<PATH_LEN>(buf, |f| {
+                f.u8(2)
                     .u32(declarer.0)
                     .u32(from.0)
                     .u32(to.0)
                     .u32(task.0)
                     .u64(*period)
-                    .u32(sig.key)
-                    .bytes(&sig.tag.0);
-            }
+                    .sig(sig);
+            }),
             EvidenceRecord::TimingDeclaration {
                 declarer,
                 output,
                 expected_by,
                 observed_at,
                 sig,
-            } => {
-                e.u8(3).u32(declarer.0);
-                output.encode(e);
-                e.u64(expected_by.0)
-                    .u64(observed_at.0)
-                    .u32(sig.key)
-                    .bytes(&sig.tag.0);
-            }
+            } => enc::append::<TIMING_LEN>(buf, |f| {
+                f.u8(3).u32(declarer.0);
+                output.put_body(f);
+                f.u64(expected_by.0).u64(observed_at.0).sig(sig);
+            }),
             EvidenceRecord::CrashSuspicion {
                 declarer,
                 about,
                 period,
                 sig,
-            } => {
-                e.u8(4)
-                    .u32(declarer.0)
-                    .u32(about.0)
-                    .u64(*period)
-                    .u32(sig.key)
-                    .bytes(&sig.tag.0);
-            }
+            } => enc::append::<CRASH_LEN>(buf, |f| {
+                f.u8(4).u32(declarer.0).u32(about.0).u64(*period).sig(sig);
+            }),
             EvidenceRecord::BadWitness {
                 accused,
                 output,
@@ -505,14 +467,30 @@ impl EvidenceRecord {
                 sent_at,
                 env_sig,
             } => {
-                e.u8(5).u32(accused.0);
-                output.encode(e);
-                e.u32(witnesses.len() as u32);
-                for w in witnesses {
-                    w.encode(e);
-                }
-                e.u64(sent_at.0).u32(env_sig.key).bytes(&env_sig.tag.0);
+                Self::write_list(buf, 5, *accused, output, witnesses);
+                enc::append::<TAIL_LEN>(buf, |f| {
+                    f.u64(sent_at.0).sig(env_sig);
+                });
             }
+        }
+    }
+
+    /// A proof over a list of outputs: variant tag, accused, the output
+    /// and the list's count in one write, then one per listed output.
+    fn write_list(
+        buf: &mut Vec<u8>,
+        tag: u8,
+        accused: NodeId,
+        output: &SignedOutput,
+        items: &[SignedOutput],
+    ) {
+        enc::append::<LIST_LEN>(buf, |f| {
+            f.u8(tag).u32(accused.0);
+            output.put_body(f);
+            f.u32(items.len() as u32);
+        });
+        for item in items {
+            enc::append::<BODY_LEN>(buf, |f| item.put_body(f));
         }
     }
 
@@ -521,12 +499,12 @@ impl EvidenceRecord {
         self.id_with(&mut Vec::new())
     }
 
-    /// Like [`EvidenceRecord::id`], encoding into a reusable scratch
-    /// buffer (cleared first) instead of allocating.
+    /// Like [`EvidenceRecord::id`], laying the record out in a reusable
+    /// scratch buffer (cleared first) instead of allocating.
     pub fn id_with(&self, scratch: &mut Vec<u8>) -> EvidenceId {
-        let mut e = Enc::over(scratch, "btr-evidence");
-        self.encode_into(&mut e);
-        EvidenceId(digest64(&[e.as_slice()]))
+        scratch.clear();
+        self.write(scratch);
+        EvidenceId(digest64(&[scratch]))
     }
 
     /// Verify the record.
@@ -539,22 +517,19 @@ impl EvidenceRecord {
         self.verify_with(ks, view, &mut Vec::new())
     }
 
-    /// [`EvidenceRecord::verify`], laying out every signed byte string
-    /// it checks in the reusable `scratch` (see
-    /// [`SignedOutput::verify_by`]) instead of a buffer of its own.
+    /// [`EvidenceRecord::verify`], laying out a bad-witness proof's
+    /// envelope in the reusable `scratch` instead of a buffer of its own.
     pub fn verify_with(
         &self,
         ks: &KeyStore,
         view: &dyn WorkloadView,
         scratch: &mut Vec<u8>,
     ) -> Result<(), EvidenceFlaw> {
-        let signed_output = |o: &SignedOutput, scratch: &mut Vec<u8>| {
-            o.verify_by(scratch, |sig, msg| ks.verify(sig, msg))
-        };
+        let signed_output = |o: &SignedOutput| o.verify_by(|sig, msg| ks.verify(sig, msg));
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
-                signed_output(a, scratch)?;
-                signed_output(b, scratch)?;
+                signed_output(a)?;
+                signed_output(b)?;
                 if a.producer != *accused || b.producer != *accused {
                     return Err(EvidenceFlaw::Inconsistent("producer != accused"));
                 }
@@ -571,7 +546,7 @@ impl EvidenceRecord {
                 output,
                 inputs,
             } => {
-                signed_output(output, scratch)?;
+                signed_output(output)?;
                 if output.producer != *accused {
                     return Err(EvidenceFlaw::Inconsistent("producer != accused"));
                 }
@@ -585,7 +560,7 @@ impl EvidenceRecord {
                 }
                 let mut vals = Vec::with_capacity(inputs.len());
                 for i in inputs {
-                    signed_output(i, scratch)?;
+                    signed_output(i)?;
                     if i.period != output.period {
                         return Err(EvidenceFlaw::Inconsistent("input from wrong period"));
                     }
@@ -599,10 +574,11 @@ impl EvidenceRecord {
                     // Soundness: the supplied inputs must match the
                     // accused's own signed commitment, so honest nodes can
                     // never be convicted with substituted inputs.
-                    if crate::compute::inputs_digest(&vals) != output.inputs_digest {
+                    let (value, digest) = task_value_and_digest(output.task, output.period, &vals);
+                    if digest != output.inputs_digest {
                         return Err(EvidenceFlaw::CommitmentMismatch);
                     }
-                    task_value(output.task, output.period, &vals)
+                    value
                 };
                 if recomputed == output.value {
                     Err(EvidenceFlaw::RecomputationMatches)
@@ -631,7 +607,7 @@ impl EvidenceRecord {
                 );
                 ks.verify(env_sig, scratch)
                     .map_err(|_| EvidenceFlaw::BadSignature)?;
-                signed_output(output, scratch)?;
+                signed_output(output)?;
                 if view.task_is_source(output.task) {
                     return Err(EvidenceFlaw::Inconsistent(
                         "sources are checked by reading, not witnesses",
@@ -645,7 +621,7 @@ impl EvidenceRecord {
                 let mut vals = Vec::with_capacity(witnesses.len());
                 let mut witness_flaw = expected != supplied || witnesses.len() != supplied.len();
                 for w in witnesses {
-                    if signed_output(w, scratch).is_err() || w.period != output.period {
+                    if signed_output(w).is_err() || w.period != output.period {
                         witness_flaw = true;
                     }
                     vals.push((w.task, w.value));
@@ -671,13 +647,8 @@ impl EvidenceRecord {
                 if declarer != from && declarer != to {
                     return Err(EvidenceFlaw::Inconsistent("declarer not on path"));
                 }
-                let mut e = Enc::over(scratch, "btr-path-decl");
-                e.u32(declarer.0)
-                    .u32(from.0)
-                    .u32(to.0)
-                    .u32(task.0)
-                    .u64(*period);
-                Self::check_decl_sig(ks, *declarer, sig, e.as_slice())
+                let bytes = Self::path_decl_bytes(*declarer, *from, *to, *task, *period);
+                Self::check_decl_sig(ks, *declarer, sig, &bytes)
             }
             EvidenceRecord::TimingDeclaration {
                 declarer,
@@ -686,15 +657,12 @@ impl EvidenceRecord {
                 observed_at,
                 sig,
             } => {
-                signed_output(output, scratch)?;
+                signed_output(output)?;
                 if observed_at <= expected_by {
                     return Err(EvidenceFlaw::Inconsistent("observation not late"));
                 }
-                let mut e = Enc::over(scratch, "btr-timing-decl");
-                e.u32(declarer.0).u64(SignedOutput::CANONICAL_ID_LEN as u64);
-                output.encode_id(&mut e);
-                e.u64(expected_by.0).u64(observed_at.0);
-                Self::check_decl_sig(ks, *declarer, sig, e.as_slice())
+                let bytes = Self::timing_decl_bytes(*declarer, output, *expected_by, *observed_at);
+                Self::check_decl_sig(ks, *declarer, sig, &bytes)
             }
             EvidenceRecord::CrashSuspicion {
                 declarer,
@@ -705,9 +673,8 @@ impl EvidenceRecord {
                 if declarer == about {
                     return Err(EvidenceFlaw::Inconsistent("self-suspicion"));
                 }
-                let mut e = Enc::over(scratch, "btr-crash-decl");
-                e.u32(declarer.0).u32(about.0).u64(*period);
-                Self::check_decl_sig(ks, *declarer, sig, e.as_slice())
+                let bytes = Self::crash_decl_bytes(*declarer, *about, *period);
+                Self::check_decl_sig(ks, *declarer, sig, &bytes)
             }
         }
     }
@@ -725,6 +692,52 @@ impl EvidenceRecord {
             .map_err(|_| EvidenceFlaw::BadSignature)
     }
 
+    /// The bytes a path declaration's signature covers.
+    pub(crate) fn path_decl_bytes(
+        declarer: NodeId,
+        from: NodeId,
+        to: NodeId,
+        task: TaskId,
+        period: PeriodIdx,
+    ) -> [u8; PATH_DECL_LEN] {
+        enc::array(|f| {
+            f.bytes(PATH_DECL_DOMAIN)
+                .u32(declarer.0)
+                .u32(from.0)
+                .u32(to.0)
+                .u32(task.0)
+                .u64(period);
+        })
+    }
+
+    /// The bytes a timing declaration's signature covers.
+    pub(crate) fn timing_decl_bytes(
+        declarer: NodeId,
+        output: &SignedOutput,
+        expected_by: Time,
+        observed_at: Time,
+    ) -> [u8; TIMING_DECL_LEN] {
+        enc::array(|f| {
+            f.bytes(TIMING_DECL_DOMAIN).u32(declarer.0);
+            output.put_prefixed_id(f);
+            f.u64(expected_by.0).u64(observed_at.0);
+        })
+    }
+
+    /// The bytes a crash suspicion's signature covers.
+    pub(crate) fn crash_decl_bytes(
+        declarer: NodeId,
+        about: NodeId,
+        period: PeriodIdx,
+    ) -> [u8; CRASH_DECL_LEN] {
+        enc::array(|f| {
+            f.bytes(CRASH_DECL_DOMAIN)
+                .u32(declarer.0)
+                .u32(about.0)
+                .u64(period);
+        })
+    }
+
     /// Construct a signed path declaration.
     pub fn declare_path(
         signer: &Signer,
@@ -734,19 +747,14 @@ impl EvidenceRecord {
         task: TaskId,
         period: PeriodIdx,
     ) -> EvidenceRecord {
-        let mut e = Enc::new("btr-path-decl");
-        e.u32(declarer.0)
-            .u32(from.0)
-            .u32(to.0)
-            .u32(task.0)
-            .u64(period);
+        let bytes = Self::path_decl_bytes(declarer, from, to, task, period);
         EvidenceRecord::PathDeclaration {
             declarer,
             from,
             to,
             task,
             period,
-            sig: signer.sign(e.as_slice()),
+            sig: signer.sign(&bytes),
         }
     }
 
@@ -758,16 +766,13 @@ impl EvidenceRecord {
         expected_by: Time,
         observed_at: Time,
     ) -> EvidenceRecord {
-        let mut e = Enc::new("btr-timing-decl");
-        e.u32(declarer.0).u64(SignedOutput::CANONICAL_ID_LEN as u64);
-        output.encode_id(&mut e);
-        e.u64(expected_by.0).u64(observed_at.0);
+        let bytes = Self::timing_decl_bytes(declarer, &output, expected_by, observed_at);
         EvidenceRecord::TimingDeclaration {
             declarer,
             output,
             expected_by,
             observed_at,
-            sig: signer.sign(e.as_slice()),
+            sig: signer.sign(&bytes),
         }
     }
 
@@ -778,51 +783,39 @@ impl EvidenceRecord {
         about: NodeId,
         period: PeriodIdx,
     ) -> EvidenceRecord {
-        let mut e = Enc::new("btr-crash-decl");
-        e.u32(declarer.0).u32(about.0).u64(period);
+        let bytes = Self::crash_decl_bytes(declarer, about, period);
         EvidenceRecord::CrashSuspicion {
             declarer,
             about,
             period,
-            sig: signer.sign(e.as_slice()),
+            sig: signer.sign(&bytes),
         }
     }
 }
 
-impl SignedOutput {
-    /// Length of the encoding that identifies an output where a timing
-    /// declaration references it; every field is fixed-size, so callers
-    /// embedding an id can write the length prefix first and stream the
-    /// encoding without building it. Checked against the actual encoding
-    /// by a test.
-    pub const CANONICAL_ID_LEN: usize = {
-        let domain = 8 + "btr-output-id".len();
-        let fields = 4 + 1 + 8 + 8 + 8 + 4; // task, replica, period, value, digest, producer
-        let sig = 4 + (8 + 32); // key id + length-prefixed tag
-        domain + fields + sig
-    };
+const EVIDENCE_DOMAIN: &[u8] = b"btr-evidence";
+// Each evidence body opens with its variant tag, then the fields in
+// declaration order: a proof over a list has the list's count after its
+// output, then the items, and a bad-witness proof's send time and
+// envelope signature after those.
+const EQUIVOCATION_LEN: usize = 1 + 4 + 2 * BODY_LEN;
+const LIST_LEN: usize = 1 + 4 + BODY_LEN + 4;
+const TAIL_LEN: usize = 8 + SIG_LEN;
+const PATH_LEN: usize = 1 + 4 * 4 + 8 + SIG_LEN;
+const TIMING_LEN: usize = 1 + 4 + BODY_LEN + 8 + 8 + SIG_LEN;
+const CRASH_LEN: usize = 1 + 4 + 4 + 8 + SIG_LEN;
 
-    /// Bytes that uniquely identify this output (including its signature)
-    /// where a declaration references it, as one vector: the reference
-    /// the streamed [`SignedOutput::encode_id`] is tested against.
-    #[cfg(test)]
-    pub(crate) fn canonical_id_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new("btr-output-id");
-        self.encode(&mut e);
-        e.finish()
-    }
-
-    /// Stream the id encoding (exactly [`SignedOutput::CANONICAL_ID_LEN`]
-    /// bytes) into an in-progress encoder, with no intermediate vector.
-    pub(crate) fn encode_id(&self, e: &mut Enc<'_>) {
-        e.bytes(b"btr-output-id");
-        self.encode(e);
-    }
-}
+const PATH_DECL_DOMAIN: &[u8] = b"btr-path-decl";
+const PATH_DECL_LEN: usize = prefixed(PATH_DECL_DOMAIN.len()) + 4 * 4 + 8;
+const TIMING_DECL_DOMAIN: &[u8] = b"btr-timing-decl";
+const TIMING_DECL_LEN: usize = prefixed(TIMING_DECL_DOMAIN.len()) + 4 + PREFIXED_ID_LEN + 8 + 8;
+const CRASH_DECL_DOMAIN: &[u8] = b"btr-crash-decl";
+const CRASH_DECL_LEN: usize = prefixed(CRASH_DECL_DOMAIN.len()) + 4 + 4 + 8;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute::task_value;
     use btr_crypto::NodeKey;
 
     struct TestView;
@@ -850,6 +843,12 @@ mod tests {
         KeyStore::derive(99, 8)
     }
 
+    fn envelope_bytes(src: NodeId, sent_at: Time, payload: &crate::message::Payload) -> Vec<u8> {
+        let mut buf = Vec::new();
+        crate::message::Envelope::write_signing_bytes(src, sent_at, payload, &mut buf);
+        buf
+    }
+
     #[test]
     fn signed_output_round_trip() {
         let s = signer(3);
@@ -864,37 +863,16 @@ mod tests {
     fn canonical_id_len_is_exact() {
         let s = signer(3);
         let out = SignedOutput::sign(&s, TaskId(2), 1, 5, u64::MAX, 0, NodeId(3));
-        assert_eq!(
-            out.canonical_id_bytes().len(),
-            SignedOutput::CANONICAL_ID_LEN
-        );
-        // Streaming must reproduce the owned encoding byte for byte.
-        let mut e = Enc::new("outer");
-        e.u64(SignedOutput::CANONICAL_ID_LEN as u64);
-        out.encode_id(&mut e);
-        let mut reference = Enc::new("outer");
-        reference.bytes(&out.canonical_id_bytes());
-        assert_eq!(e.finish(), reference.finish());
-    }
-
-    #[test]
-    fn append_signing_bytes_matches_owned() {
-        let s = signer(3);
-        let out = SignedOutput::sign(&s, TaskId(2), 1, 5, 77, 0xfeed, NodeId(3));
-        let owned = SignedOutput::signing_bytes(
-            out.task,
-            out.replica,
-            out.period,
-            out.value,
-            out.inputs_digest,
-            out.producer,
-        );
-        // Appending after existing content must leave it intact and
-        // reproduce the owned encoding after it.
-        let mut buf = vec![9u8, 9, 9];
-        out.append_signing_bytes(&mut buf);
-        assert_eq!(&buf[..3], &[9, 9, 9]);
-        assert_eq!(&buf[3..], &owned[..]);
+        assert_eq!(SignedOutput::CANONICAL_ID_LEN, 98);
+        assert_eq!(PREFIXED_ID_LEN, 106);
+        // A body is written whole, and an id is a domain tag and a body.
+        let body = enc::array::<BODY_LEN>(|f| out.put_body(f));
+        let prefixed = enc::array::<PREFIXED_ID_LEN>(|f| out.put_prefixed_id(f));
+        assert_eq!(prefixed[..8], 98u64.to_be_bytes());
+        assert_eq!(&prefixed[8 + 21..], &body[..]);
+        // The signing bytes carry the body's signed fields.
+        let signing = enc::array::<SIGNING_LEN>(|f| out.put_signing_bytes(f));
+        assert_eq!(&signing[18..], &body[..FIELDS_LEN]);
     }
 
     #[test]
@@ -929,18 +907,14 @@ mod tests {
     }
 
     #[test]
-    fn scratch_verify_matches_allocating_verify() {
+    fn verify_by_answers_as_verify() {
         let s = signer(3);
         let out = SignedOutput::sign(&s, TaskId(2), 0, 5, 0xdead, 0, NodeId(3));
-        let mut scratch = vec![1, 2, 3];
-        assert_eq!(
-            out.verify_by(&mut scratch, |s, m| keystore().verify(s, m)),
-            Ok(())
-        );
+        assert_eq!(out.verify_by(|s, m| keystore().verify(s, m)), Ok(()));
         let mut forged = out.clone();
         forged.period = 6;
         assert_eq!(
-            forged.verify_by(&mut scratch, |s, m| keystore().verify(s, m)),
+            forged.verify_by(|s, m| keystore().verify(s, m)),
             Err(EvidenceFlaw::BadSignature)
         );
     }
@@ -961,7 +935,7 @@ mod tests {
             output: garbled.clone(),
             witnesses: w.clone(),
         };
-        let bytes = crate::message::Envelope::signing_bytes_for(NodeId(3), Time(9), &payload);
+        let bytes = envelope_bytes(NodeId(3), Time(9), &payload);
         let records = [
             EvidenceRecord::Equivocation {
                 accused: NodeId(3),
@@ -1271,7 +1245,7 @@ mod tests {
             witnesses: w.clone(),
         };
         let sent_at = Time(1234);
-        let bytes = crate::message::Envelope::signing_bytes_for(NodeId(3), sent_at, &payload);
+        let bytes = envelope_bytes(NodeId(3), sent_at, &payload);
         let env_sig = signer(3).sign(&bytes);
         let ev = EvidenceRecord::BadWitness {
             accused: NodeId(3),
@@ -1305,7 +1279,7 @@ mod tests {
             witnesses: w.clone(),
         };
         let sent_at = Time(99);
-        let bytes = crate::message::Envelope::signing_bytes_for(NodeId(3), sent_at, &payload);
+        let bytes = envelope_bytes(NodeId(3), sent_at, &payload);
         let env_sig = signer(3).sign(&bytes);
         let ev = EvidenceRecord::BadWitness {
             accused: NodeId(3),
@@ -1331,7 +1305,7 @@ mod tests {
             output: out.clone(),
             witnesses: vec![], // Not what was signed below.
         };
-        let bytes = crate::message::Envelope::signing_bytes_for(NodeId(3), Time(0), &payload);
+        let bytes = envelope_bytes(NodeId(3), Time(0), &payload);
         let env_sig = signer(3).sign(&bytes);
         let ev = EvidenceRecord::BadWitness {
             accused: NodeId(3),

@@ -16,6 +16,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod canonical_pins;
 pub mod compute;
 pub mod criticality;
 pub(crate) mod enc;
@@ -27,7 +29,9 @@ pub mod plan;
 pub mod time;
 pub mod topology;
 
-pub use compute::{inputs_digest, sensor_value, task_value, Value};
+pub use compute::{
+    inputs_digest, sensor_value, task_value, task_value_and_digest, Value, EMPTY_INPUTS_DIGEST,
+};
 pub use criticality::Criticality;
 pub use evidence::{EvidenceClass, EvidenceFlaw, EvidenceId, EvidenceRecord, SignedOutput};
 pub use fault::{FaultKind, FaultSet};

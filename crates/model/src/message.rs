@@ -5,8 +5,8 @@
 //! traffic; the payloads that need independent lives of their own
 //! (task outputs, evidence) additionally carry their own signatures.
 
-use crate::enc::Enc;
-use crate::evidence::{EvidenceRecord, SignedOutput};
+use crate::enc::{self, prefixed};
+use crate::evidence::{EvidenceRecord, SignedOutput, PREFIXED_ID_LEN};
 use crate::ids::{NodeId, PeriodIdx, PlanId, TaskId};
 use crate::time::Time;
 use btr_crypto::{KeyStore, SigError, Signature, Signer};
@@ -94,45 +94,57 @@ pub enum Payload {
     Control(u8),
 }
 
+const PAYLOAD_DOMAIN: &[u8] = b"btr-payload";
+const ENVELOPE_DOMAIN: &[u8] = b"btr-envelope";
+/// An envelope's signing bytes up to its payload's body: domain tag, source,
+/// send time, the payload's length and domain tag.
+const SIGNING_HEADER_LEN: usize =
+    prefixed(ENVELOPE_DOMAIN.len()) + 4 + 8 + 8 + prefixed(PAYLOAD_DOMAIN.len());
+/// An output payload up to its witnesses: variant tag, the output's id
+/// behind its length, the witness count.
+const OUTPUT_HEAD_LEN: usize = 1 + PREFIXED_ID_LEN + 4;
+
 impl Payload {
-    /// Canonical bytes for envelope signing, as one vector: the
-    /// reference the streamed encodings are tested against.
-    #[cfg(test)]
-    fn canonical_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new("btr-payload");
-        self.encode_into(&mut e);
-        e.finish()
-    }
-
-    /// Exact length of the canonical encoding without materialising it:
-    /// a counting pass, allocation-free for every variant.
+    /// Exact length of the canonical encoding — the domain tag, then the
+    /// body [`Payload::write_body`] writes — by arithmetic.
     pub(crate) fn canonical_len(&self) -> usize {
-        let mut e = Enc::count("btr-payload");
-        self.encode_into(&mut e);
-        e.len()
+        let body = match self {
+            Payload::Output { witnesses, .. } => {
+                OUTPUT_HEAD_LEN + PREFIXED_ID_LEN * witnesses.len()
+            }
+            Payload::Heartbeat { .. } => 1 + 8,
+            Payload::Evidence(ev) => 1 + 8 + ev.canonical_len(),
+            Payload::StateTransfer { .. } => 1 + 5 * 4,
+            Payload::ModeAck { .. } | Payload::Wake { .. } => 1 + 4 + 8,
+            Payload::Pbft { .. } => 1 + 4 + 8 + 8 + 1 + 4,
+            Payload::Audit { .. } => 1 + 4 + 8 + 8,
+            Payload::Control(_) => 2,
+        };
+        prefixed(PAYLOAD_DOMAIN.len()) + body
     }
 
-    /// Write the canonical encoding (sans domain prefix) into `e`.
-    pub(crate) fn encode_into(&self, e: &mut Enc<'_>) {
+    /// Append the canonical encoding's body (sans domain tag) to `buf`.
+    fn write_body(&self, buf: &mut Vec<u8>) {
         match self {
             Payload::Output { output, witnesses } => {
-                e.u8(0).u64(SignedOutput::CANONICAL_ID_LEN as u64);
-                output.encode_id(e);
-                e.u32(witnesses.len() as u32);
+                // The head in one write, then one write per witness.
+                enc::append::<OUTPUT_HEAD_LEN>(buf, |f| {
+                    f.u8(0);
+                    output.put_prefixed_id(f);
+                    f.u32(witnesses.len() as u32);
+                });
                 for w in witnesses {
-                    e.u64(SignedOutput::CANONICAL_ID_LEN as u64);
-                    w.encode_id(e);
+                    enc::append::<PREFIXED_ID_LEN>(buf, |f| w.put_prefixed_id(f));
                 }
             }
-            Payload::Heartbeat { period } => {
-                e.u8(1).u64(*period);
-            }
+            Payload::Heartbeat { period } => enc::append::<9>(buf, |f| {
+                f.u8(1).u64(*period);
+            }),
             Payload::Evidence(ev) => {
-                // In place of `e.bytes(&ev.canonical_bytes())`.
-                e.u8(2).nested(|e| {
-                    e.bytes(b"btr-evidence");
-                    ev.encode_into(e);
+                enc::append::<9>(buf, |f| {
+                    f.u8(2).u64(ev.canonical_len() as u64);
                 });
+                ev.write(buf);
             }
             Payload::StateTransfer {
                 task,
@@ -140,17 +152,17 @@ impl Payload {
                 seq,
                 total,
                 bytes,
-            } => {
-                e.u8(3)
+            } => enc::append::<21>(buf, |f| {
+                f.u8(3)
                     .u32(task.0)
                     .u32(to_plan.0)
                     .u32(*seq)
                     .u32(*total)
                     .u32(*bytes);
-            }
-            Payload::ModeAck { plan, activate_at } => {
-                e.u8(4).u32(plan.0).u64(activate_at.0);
-            }
+            }),
+            Payload::ModeAck { plan, activate_at } => enc::append::<13>(buf, |f| {
+                f.u8(4).u32(plan.0).u64(activate_at.0);
+            }),
             Payload::Pbft {
                 task,
                 period,
@@ -163,38 +175,40 @@ impl Payload {
                     PbftPhase::Prepare => 1,
                     PbftPhase::Commit => 2,
                 };
-                e.u8(5)
-                    .u32(task.0)
-                    .u64(*period)
-                    .u64(*value)
-                    .u8(ph)
-                    .u32(*view);
+                enc::append::<26>(buf, |f| {
+                    f.u8(5)
+                        .u32(task.0)
+                        .u64(*period)
+                        .u64(*value)
+                        .u8(ph)
+                        .u32(*view);
+                })
             }
-            Payload::Wake { task, period } => {
-                e.u8(6).u32(task.0).u64(*period);
-            }
+            Payload::Wake { task, period } => enc::append::<13>(buf, |f| {
+                f.u8(6).u32(task.0).u64(*period);
+            }),
             Payload::Audit {
                 about,
                 period,
                 value,
-            } => {
-                e.u8(7).u32(about.0).u64(*period).u64(*value);
-            }
-            Payload::Control(tag) => {
-                e.u8(8).u8(*tag);
-            }
+            } => enc::append::<21>(buf, |f| {
+                f.u8(7).u32(about.0).u64(*period).u64(*value);
+            }),
+            Payload::Control(tag) => buf.extend_from_slice(&[8, *tag]),
         }
     }
 
-    /// Bytes this payload occupies on the wire (approximate but stable).
+    /// Bytes this payload occupies on the wire (approximate but stable),
+    /// by arithmetic: this runs once per transmitted message.
     ///
     /// `StateTransfer` counts the carried state bytes; everything else is
-    /// sized by its canonical encoding. Computed by counting, not by
-    /// building the encoding — this runs once per transmitted message.
+    /// sized by its canonical encoding. A size past `u32::MAX` — a forged
+    /// transfer, an absurd witness list — saturates there rather than
+    /// wrapping to a few bytes of link time.
     pub(crate) fn wire_size(&self) -> u32 {
         match self {
-            Payload::StateTransfer { bytes, .. } => 24 + *bytes,
-            other => other.canonical_len() as u32,
+            Payload::StateTransfer { bytes, .. } => bytes.saturating_add(24),
+            other => u32::try_from(other.canonical_len()).unwrap_or(u32::MAX),
         }
     }
 
@@ -251,36 +265,26 @@ impl Envelope {
         }
     }
 
-    /// The canonical bytes an envelope signature covers, as one vector:
-    /// the reference the streamed encoding is tested against, and what
-    /// the tests sign evidence records' envelopes over.
-    #[cfg(test)]
-    pub(crate) fn signing_bytes_for(src: NodeId, sent_at: Time, payload: &Payload) -> Vec<u8> {
-        let mut buf = Vec::new();
-        Self::write_signing_bytes(src, sent_at, payload, &mut buf);
-        buf
-    }
-
     /// Write the canonical bytes an envelope signature covers into a
-    /// caller-owned scratch buffer (cleared first), allocation-free once
-    /// the scratch has warmed up — the simulator's per-message path, and
-    /// how evidence records re-verify a sender's envelope signature from
-    /// its reconstructed parts (see `EvidenceRecord::BadWitness`).
+    /// caller-owned scratch (cleared first): the header in one write, with
+    /// the payload's length computed, then the payload's body.
     pub(crate) fn write_signing_bytes(
         src: NodeId,
         sent_at: Time,
         payload: &Payload,
         buf: &mut Vec<u8>,
     ) {
-        let mut e = Enc::over(buf, "btr-envelope");
-        e.u32(src.0).u64(sent_at.0);
-        // Stream the payload encoding in place of
-        // `e.bytes(&payload.canonical_bytes())`: length prefix, then the
-        // payload's own domain tag and body, in one pass.
-        e.nested(|e| {
-            e.bytes(b"btr-payload");
-            payload.encode_into(e);
+        let payload_len = payload.canonical_len();
+        buf.clear();
+        buf.reserve(SIGNING_HEADER_LEN - prefixed(PAYLOAD_DOMAIN.len()) + payload_len);
+        enc::append::<SIGNING_HEADER_LEN>(buf, |f| {
+            f.bytes(ENVELOPE_DOMAIN)
+                .u32(src.0)
+                .u64(sent_at.0)
+                .u64(payload_len as u64)
+                .bytes(PAYLOAD_DOMAIN);
         });
+        payload.write_body(buf);
     }
 
     /// Sign the envelope as `signer` (must match `src` to verify).
@@ -342,15 +346,16 @@ impl Envelope {
         }
     }
 
-    /// Total wire size in bytes.
+    /// Total wire size in bytes, saturating at `u32::MAX`.
     pub fn wire_size(&self) -> u32 {
+        let sig = if self.sig.is_some() {
+            SIGNATURE_BYTES
+        } else {
+            0
+        };
         ENVELOPE_HEADER_BYTES
-            + self.payload.wire_size()
-            + if self.sig.is_some() {
-                SIGNATURE_BYTES
-            } else {
-                0
-            }
+            .saturating_add(self.payload.wire_size())
+            .saturating_add(sig)
     }
 }
 
@@ -488,15 +493,26 @@ mod tests {
         ]
     }
 
+    /// A payload's canonical bytes: its domain tag and body, as an
+    /// envelope's signing bytes carry them after the length prefix.
+    fn canonical_bytes(p: &Payload) -> Vec<u8> {
+        let mut buf = Vec::new();
+        Envelope::write_signing_bytes(NodeId(3), Time(99), p, &mut buf);
+        buf.split_off(SIGNING_HEADER_LEN - prefixed(PAYLOAD_DOMAIN.len()))
+    }
+
     #[test]
     fn canonical_len_matches_canonical_bytes() {
         for p in sample_payloads() {
             assert_eq!(
                 p.canonical_len(),
-                p.canonical_bytes().len(),
+                canonical_bytes(&p).len(),
                 "length mismatch for {:?}",
                 p.label()
             );
+            if let Payload::Evidence(ev) = &p {
+                assert_eq!(ev.id_with(&mut vec![1, 2, 3]), ev.id());
+            }
         }
     }
 
@@ -504,33 +520,25 @@ mod tests {
     fn scratch_signing_bytes_match_allocating_path() {
         let mut scratch = vec![0xffu8; 3]; // Dirty scratch must be cleared.
         for p in sample_payloads() {
-            let owned = Envelope::signing_bytes_for(NodeId(3), Time(99), &p);
+            let mut fresh = Vec::new();
+            Envelope::write_signing_bytes(NodeId(3), Time(99), &p, &mut fresh);
             Envelope::write_signing_bytes(NodeId(3), Time(99), &p, &mut scratch);
-            assert_eq!(scratch, owned, "scratch mismatch for {:?}", p.label());
+            assert_eq!(scratch, fresh, "scratch mismatch for {:?}", p.label());
         }
     }
 
     #[test]
-    fn streamed_encodings_match_the_nested_vectors_they_replace() {
-        for p in sample_payloads() {
-            // The envelope's signing bytes embed the payload's canonical
-            // bytes as one length-prefixed string ...
-            let mut reference = Enc::new("btr-envelope");
-            reference.u32(3).u64(99).bytes(&p.canonical_bytes());
-            assert_eq!(
-                Envelope::signing_bytes_for(NodeId(3), Time(99), &p),
-                reference.finish(),
-                "envelope over {:?}",
-                p.label()
-            );
-            // ... and an evidence payload embeds the record's the same way.
-            if let Payload::Evidence(ev) = &p {
-                let mut reference = Enc::new("btr-payload");
-                reference.u8(2).bytes(&ev.canonical_bytes());
-                assert_eq!(p.canonical_bytes(), reference.finish());
-                assert_eq!(ev.id_with(&mut vec![1, 2, 3]), ev.id());
-            }
-        }
+    fn forged_sizes_saturate_instead_of_wrapping() {
+        let forged = Payload::StateTransfer {
+            task: TaskId(1),
+            to_plan: PlanId(2),
+            seq: 0,
+            total: 1,
+            bytes: u32::MAX - 10,
+        };
+        assert_eq!(forged.wire_size(), u32::MAX);
+        let env = Envelope::new(NodeId(0), NodeId(1), Time(0), forged).signed(&signer(0));
+        assert_eq!(env.wire_size(), u32::MAX);
     }
 
     #[test]
@@ -547,20 +555,18 @@ mod tests {
 
     #[test]
     fn canonical_bytes_distinguish_variants() {
-        let a = Payload::Heartbeat { period: 1 }.canonical_bytes();
-        let b = Payload::Control(1).canonical_bytes();
+        let a = canonical_bytes(&Payload::Heartbeat { period: 1 });
+        let b = canonical_bytes(&Payload::Control(1));
         assert_ne!(a, b);
-        let c = Payload::Wake {
+        let c = canonical_bytes(&Payload::Wake {
             task: TaskId(1),
             period: 1,
-        }
-        .canonical_bytes();
-        let d = Payload::Audit {
+        });
+        let d = canonical_bytes(&Payload::Audit {
             about: TaskId(1),
             period: 1,
             value: 0,
-        }
-        .canonical_bytes();
+        });
         assert_ne!(c, d);
     }
 }

@@ -11,7 +11,7 @@
 use crate::window::{PeriodRows, Row, DETECTOR_PERIODS};
 use btr_crypto::Signature;
 use btr_model::{
-    inputs_digest, sensor_value, task_value, EvidenceRecord, NodeId, PeriodIdx, ReplicaIdx,
+    sensor_value, task_value_and_digest, EvidenceRecord, NodeId, PeriodIdx, ReplicaIdx,
     SignedOutput, TaskId, Time, Value,
 };
 
@@ -223,33 +223,27 @@ impl ReplicaChecker {
             }
             vals.push((w.task, w.value));
         }
-        if !self.cfg.is_source {
-            if !self.supplies_inputs(witnesses) {
-                witness_flaw = true;
-            }
-            if inputs_digest(vals) != output.inputs_digest {
-                witness_flaw = true;
-            }
-        }
-        if witness_flaw && !self.cfg.is_source {
-            // The envelope signature must actually be the producer's
-            // own (otherwise this is relayed noise we cannot judge).
-            return envelope
-                .filter(|(_, env_sig)| env_sig.key == output.producer.0)
-                .map(|(sent_at, env_sig)| EvidenceRecord::BadWitness {
-                    accused: output.producer,
-                    output,
-                    witnesses: witnesses.to_vec(),
-                    sent_at,
-                    env_sig,
-                });
-        }
-        let expected = if self.cfg.is_source {
+        let value = if self.cfg.is_source {
             sensor_value(self.cfg.task, output.period, self.cfg.seed)
         } else {
-            task_value(self.cfg.task, output.period, vals)
+            // The value and the commitment, from one layout of the inputs.
+            let (value, digest) = task_value_and_digest(self.cfg.task, output.period, vals);
+            if witness_flaw || !self.supplies_inputs(witnesses) || digest != output.inputs_digest {
+                // The envelope signature must actually be the producer's
+                // own (otherwise this is relayed noise we cannot judge).
+                return envelope
+                    .filter(|(_, env_sig)| env_sig.key == output.producer.0)
+                    .map(|(sent_at, env_sig)| EvidenceRecord::BadWitness {
+                        accused: output.producer,
+                        output,
+                        witnesses: witnesses.to_vec(),
+                        sent_at,
+                        env_sig,
+                    });
+            }
+            value
         };
-        (expected != output.value).then(|| EvidenceRecord::BadComputation {
+        (value != output.value).then(|| EvidenceRecord::BadComputation {
             accused: output.producer,
             output,
             inputs: witnesses.to_vec(),
@@ -279,6 +273,7 @@ mod tests {
     use crate::window::dealt_period;
     use btr_crypto::{KeyStore, NodeKey, Signer};
     use btr_model::evidence::WorkloadView;
+    use btr_model::{inputs_digest, task_value};
     use std::collections::BTreeMap;
 
     struct View;

@@ -57,8 +57,7 @@ pub(crate) struct Detector {
     /// Per-witness validity of the message at hand (aligned with its
     /// witness list): resident in the pool, or checked by the verifier.
     witness_ok: Vec<bool>,
-    /// Reusable encoding scratch: the signing bytes of what is checked,
-    /// and evidence ids.
+    /// Reusable encoding scratch: evidence ids.
     scratch: Vec<u8>,
     /// The node's reusable (task, value) input list: a checker's, and a
     /// slot start's (see [`Detector::input_values`]).
@@ -156,8 +155,7 @@ impl Detector {
         // unverifiable outputs are dropped silently — the envelope
         // layer already attributes traffic.
         let output_ok = verified.unwrap_or_else(|| {
-            self.pool.is_resident(&output)
-                || output.verify_by(&mut self.scratch, &mut verify).is_ok()
+            self.pool.is_resident(&output) || output.verify_by(&mut verify).is_ok()
         });
         if !output_ok {
             return out;
@@ -167,8 +165,7 @@ impl Detector {
         // is checked at most once.
         self.witness_ok.clear();
         for w in witnesses {
-            let ok =
-                self.pool.is_resident(w) || w.verify_by(&mut self.scratch, &mut verify).is_ok();
+            let ok = self.pool.is_resident(w) || w.verify_by(&mut verify).is_ok();
             self.witness_ok.push(ok);
         }
         // Equivocation pool over the output and each valid witness.

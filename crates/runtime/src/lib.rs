@@ -32,8 +32,8 @@ pub use attack::Attack;
 pub use tables::WorldPlans;
 
 use btr_model::{
-    inputs_digest, sensor_value, task_value, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
-    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value,
+    sensor_value, task_value_and_digest, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
+    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
 };
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
@@ -504,7 +504,7 @@ impl BtrNode {
         if is_source {
             return Ok((
                 sensor_value(task, p, self.plans.workload.seed),
-                inputs_digest(&[]),
+                EMPTY_INPUTS_DIGEST,
             ));
         }
         let flows = self.tables.in_flows(task, replica);
@@ -513,7 +513,7 @@ impl BtrNode {
             let w = self.inputs.get(u, lane, p).ok_or((u, node))?;
             vals.push((u, w.value));
         }
-        Ok((task_value(task, p, vals), inputs_digest(vals)))
+        Ok(task_value_and_digest(task, p, vals))
     }
 
     /// A slot could not run in period `p`: input `u` from `producer`
@@ -876,7 +876,7 @@ impl NodeBehavior for BtrNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_model::{Strategy, Topology};
+    use btr_model::{task_value, Strategy, Topology};
     use btr_planner::{build_strategy, PlannerConfig};
     use btr_sim::{SimConfig, World};
     use btr_workload::Workload;

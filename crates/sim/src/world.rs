@@ -958,8 +958,8 @@ impl<'w> NodeCtx<'w> {
     /// does it).
     pub fn verify_output(&mut self, output: &SignedOutput) -> Result<(), EvidenceFlaw> {
         let t0 = self.backend.scope_enter(Subsystem::Audit, 1);
-        let (Scratch { buf, memo, .. }, ks) = (&mut *self.scratch, self.backend.keystore());
-        let r = output.verify_by(buf, |sig, msg| memo.verify(ks, sig, msg));
+        let (memo, ks) = (&mut self.scratch.memo, self.backend.keystore());
+        let r = output.verify_by(|sig, msg| memo.verify(ks, sig, msg));
         self.backend.scope_exit(Subsystem::Audit, t0);
         r
     }
@@ -1791,6 +1791,48 @@ mod tests {
         let fec = bytes_with(Some((4, 2)));
         // (4+2)/4 = 1.5x overhead.
         assert_eq!(fec, plain * 6 / 4);
+    }
+
+    #[test]
+    fn a_forged_transfer_size_saturates_on_the_link() {
+        // Any behaviour may send a transfer claiming any size: sizing it
+        // must neither overflow nor wrap round to a few bytes of link time.
+        struct Forger;
+        impl NodeBehavior for Forger {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                let forged = Payload::StateTransfer {
+                    task: TaskId(0),
+                    to_plan: btr_model::PlanId(1),
+                    seq: 0,
+                    total: 1,
+                    bytes: u32::MAX - 10,
+                };
+                ctx.send(NodeId(1), forged);
+            }
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        let topo = Topology::bus(2, 1_000_000, Duration(1));
+        let mut cfg = SimConfig::new(6);
+        cfg.trace = true;
+        let mut w = World::new(topo, cfg);
+        w.set_behavior(NodeId(0), Box::new(Forger));
+        w.start();
+        w.run_until(Time::from_millis(5));
+        let sent: Vec<u32> = w
+            .trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Sent { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, [u32::MAX]);
+        // The sender's slice of the link is charged the whole saturated
+        // size, which its guardian refuses; wrapped, it would have
+        // crossed the link as 77 bytes.
+        assert_eq!(w.guardian_drops(NodeId(0)), u64::from(u32::MAX));
+        assert_eq!(w.metrics().bytes_sent, 0);
     }
 
     #[test]
