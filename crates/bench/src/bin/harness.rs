@@ -177,41 +177,6 @@ fn parse_and_plan(token: &str) -> (btr_campaign::replay::ReplaySpec, btr_core::B
     (spec, system)
 }
 
-/// One token run on the live fleet beside the simulator's trace.
-struct LiveReplay {
-    report: btr_node::LiveReport,
-    /// Where the live trace first leaves the simulator's (the oracle's),
-    /// if it does.
-    divergence: Option<String>,
-    /// The live run folded by the campaign's judge.
-    record: btr_campaign::RunRecord,
-}
-
-impl LiveReplay {
-    /// Run `spec` on the live fleet at `pace` and judge it.
-    fn run(
-        spec: &btr_campaign::replay::ReplaySpec,
-        system: &btr_core::BtrSystem,
-        pace: f64,
-    ) -> LiveReplay {
-        let (reference, _) = system.observed_world(&spec.scenario, spec.horizon, spec.sim_seed);
-        let mut cfg = btr_node::LiveConfig::new(spec.sim_seed);
-        cfg.pace = pace;
-        let report = btr_node::run_live(system, &spec.scenario, spec.horizon, &cfg);
-        let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
-        let record = spec.judge(system, live::finished(&judgment, &report));
-        let divergence = report
-            .trace
-            .first_divergence(&reference.logical_trace(), ["live", "simulator"])
-            .map(|d| d.to_string());
-        LiveReplay {
-            report,
-            divergence,
-            record,
-        }
-    }
-}
-
 /// Replay a campaign reproducer token on the live runtime: plan the
 /// cell, run the schedule on the fleet, and hold the live trace
 /// against the simulator oracle.
@@ -231,78 +196,41 @@ fn run_live_replay(token: &str, pace: f64) {
         spec.cell.r_bound,
         spec.sim_seed
     );
-    let run = LiveReplay::run(&spec, &system, pace);
+    let (reference, _) = system.observed_world(&spec.scenario, spec.horizon, spec.sim_seed);
+    let mut cfg = btr_core::supervisor::LiveConfig::new(spec.sim_seed);
+    cfg.pace = pace;
+    let report = btr_core::supervisor::run_live(&system, &spec.scenario, spec.horizon, &cfg);
+    let judgment = system.judge_actuations(&spec.scenario, spec.horizon, &report.trace.events);
+    // Where the live trace first leaves the simulator's (the oracle's).
+    let divergence = report
+        .trace
+        .first_divergence(&reference.logical_trace(), ["live", "simulator"]);
     outln!(
         "  trace {} simulator ({} actuations)",
-        if run.divergence.is_none() {
+        if divergence.is_none() {
             "matches"
         } else {
             "DIVERGES from"
         },
-        run.report.trace.len(),
+        report.trace.len(),
     );
-    if let Some(d) = &run.divergence {
+    if let Some(d) = &divergence {
         outln!("  first divergence: {d}");
     }
-    print_record(&run.record);
-    if let Some(w) = run.report.last_switch_wall_us() {
+    print_record(&spec.judge(&system, live::finished(&judgment, &report)));
+    if let Some(w) = report.last_switch_wall_us() {
         outln!("  last mode switch at wall {:.1} ms", w as f64 / 1e3);
     }
     // Arbitrary tokens include over-budget and byzantine-flood schedules
     // where divergence or R violation is the finding, not a harness bug;
     // only process health gates the exit code here.
-    if !run.report.healthy() {
+    if !report.healthy() {
         eprintln!(
             "error: live replay unhealthy (panics: {:?}, overruns: {:?})",
-            run.report.panics, run.report.deadline_overruns
+            report.panics, report.deadline_overruns
         );
         std::process::exit(1);
     }
-}
-
-/// The pace `fuzz --cross-check` replays at: the wall gate barely binds,
-/// and the 36-node cell's heaviest schedules still finish inside the
-/// paced horizon and its grace on two cores.
-const CROSS_CHECK_PACE: f64 = 0.05;
-
-/// `fuzz --cross-check`: replay every token on the live fleet and hold
-/// its trace digest and whole record to the simulator's. Prints each
-/// token that differs (or whose fleet was unhealthy) with what differed,
-/// and returns how many did.
-fn cross_check(tokens: &[String]) -> usize {
-    let mut bad = 0;
-    for token in tokens {
-        let (spec, system) = parse_and_plan(token);
-        let sim = btr_campaign::replay::run(&spec).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        let live = LiveReplay::run(&spec, &system, CROSS_CHECK_PACE);
-        let mut why = Vec::new();
-        if let Some(d) = &live.divergence {
-            why.push(format!("first divergence: {d}"));
-        }
-        if live.record != sim {
-            why.push(format!(
-                "record: live {:?} != simulator {sim:?}",
-                live.record
-            ));
-        }
-        if !live.report.healthy() {
-            why.push(format!(
-                "unhealthy: panics {:?}, overruns {:?}",
-                live.report.panics, live.report.deadline_overruns
-            ));
-        }
-        if !why.is_empty() {
-            outln!("  MISMATCH {token}");
-            for w in why {
-                outln!("    {w}");
-            }
-            bad += 1;
-        }
-    }
-    bad
 }
 
 /// One executed pinned scenario: the measurement, the raw live report
@@ -311,7 +239,7 @@ fn cross_check(tokens: &[String]) -> usize {
 struct ScenarioRun {
     spec: live::LiveScenario,
     m: LiveMeasurement,
-    report: btr_node::LiveReport,
+    report: btr_core::supervisor::LiveReport,
     sim_rec: btr_obs::ObsRecorder,
 }
 
@@ -563,12 +491,6 @@ const COMMANDS: [Command; 3] = [
             ),
             ("--seed S", "fuzzer seed (default 42)"),
             ("--out PATH", "report path (default FUZZ_btr.json)"),
-            (
-                "--cross-check",
-                "replay every corpus resident and one schedule per\n\
-                 variant per campaign cell on the live fleet; exit 1\n\
-                 unless each trace and record equals the simulator's",
-            ),
         ],
         run: run_fuzz_cli,
     },
@@ -824,7 +746,6 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     let budget = take_value(&mut args, "--budget").unwrap_or(128usize);
     let seed = take_value(&mut args, "--seed").unwrap_or(42);
     let out_path: String = take_value(&mut args, "--out").unwrap_or("FUZZ_btr.json".into());
-    let cross = take_flag(&mut args, "--cross-check");
     if let Some(stray) = args.first() {
         eprintln!("error: unknown fuzz argument '{stray}'");
         std::process::exit(2);
@@ -888,23 +809,6 @@ fn run_fuzz_cli(mut args: Vec<String>, threads: usize) {
     }
 
     report.write(&out.to_json());
-    if cross {
-        let tokens = out.cross_check_tokens().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        let bad = cross_check(&tokens);
-        outln!(
-            "  cross-check: {} of {} replays on the live fleet (pace {CROSS_CHECK_PACE}) match \
-             the simulator's trace and record",
-            tokens.len() - bad,
-            tokens.len()
-        );
-        if bad > 0 {
-            eprintln!("error: {bad} live replays differ from the simulator");
-            std::process::exit(1);
-        }
-    }
     // Like the campaign: an admissible violation is a bug, and a fuzz
     // run that surfaces one fails loudly so CI can gate on it (fixed
     // findings are frozen as replay-token regressions in

@@ -9,14 +9,14 @@
 //! to the last mode-switch completion, held against the planned R bound
 //! (scaled by the pace) plus a scheduling-jitter allowance.
 
+use btr_core::supervisor::{run_live, EventKind, LiveConfig, LiveReport};
 use btr_core::{BtrSystem, FaultScenario};
 use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr_node::{run_live, EventKind, LiveConfig, LiveReport};
 use btr_obs::{ObsRecorder, PhaseMark, RecoveryTimeline, TraceBuilder};
 use btr_planner::PlannerConfig;
 
-/// Node count for the full pinned scenarios (mirrors the differential
-/// tests in `crates/node/tests/live.rs`).
+/// Node count for the full pinned scenarios (the bus of the driver's
+/// tests in `btr_core::supervisor`).
 pub(crate) const LIVE_NODES: usize = 9;
 /// Node count for the CI smoke pass.
 pub(crate) const LIVE_SMOKE_NODES: usize = 5;

@@ -23,7 +23,7 @@ use crate::corpus::{canonical_key, Corpus};
 use crate::grid::{CellError, CellSpec};
 use crate::replay;
 use crate::runner::{self, run_indexed, CampaignConfig, PlannedCell, RunRecord, MAX_EVENTS};
-use crate::schedule::{mutate, FaultSchedule, FaultVariant};
+use crate::schedule::{mutate, FaultSchedule};
 use crate::score::{base_score, signature, NEW_COVERAGE_PTS};
 use btr_model::Duration;
 use btr_obs::json::{self, Layout};
@@ -137,58 +137,6 @@ impl FuzzOutcome {
             o.field("violations_admissible", self.violations.len());
             o.array("violations", Layout::Inline, |a| a.items(&self.violations));
         })
-    }
-
-    /// The replay tokens `harness fuzz --cross-check` runs on the live
-    /// fleet: every corpus resident on the cell and simulator seed it was
-    /// searched with, then one single-fault schedule per [`FaultVariant`]
-    /// on each cell of the default campaign grid (the first schedule of
-    /// that variant the campaign draws, at seed slot 0). Panics if the
-    /// campaign draws no such schedule for some cell and variant.
-    pub fn cross_check_tokens(&self) -> Result<Vec<String>, CellError> {
-        let fuzz_cells = plan(&self.config)?;
-        let mut tokens: Vec<String> = self
-            .corpus
-            .entries()
-            .map(|e| {
-                let cell = &fuzz_cells[e.cell_idx as usize];
-                let seed = runner::sim_seed(self.config.seed, e.cell_idx as u32);
-                let scenario = &e.schedule.scenario;
-                replay::token(&cell.spec, seed, cell.horizon, MAX_EVENTS, scenario)
-            })
-            .collect();
-        // `generate` spends the first half of its count on the boundary
-        // set spread over the variants, so two schedules per variant
-        // draw one of each first; a variant missing is a generator bug,
-        // never a smaller check.
-        let mut grid = CampaignConfig::new(self.config.seed, 0, self.config.threads);
-        grid.sim_seeds = 1;
-        grid.runs = grid.cells.len() * 2 * FaultVariant::ALL.len();
-        let seed = runner::sim_seed(grid.seed, 0);
-        for cell in runner::plan_cells(&grid)? {
-            for v in FaultVariant::ALL {
-                let drawn = cell.schedules.iter().find(|s| {
-                    let faults = &s.scenario.faults;
-                    faults.len() == 1 && FaultVariant::of(&faults[0]) == v
-                });
-                let Some(s) = drawn else {
-                    panic!(
-                        "{}: no single {} schedule drawn",
-                        cell.spec.name(),
-                        v.label()
-                    );
-                };
-                let scenario = &s.scenario;
-                tokens.push(replay::token(
-                    &cell.spec,
-                    seed,
-                    cell.horizon,
-                    MAX_EVENTS,
-                    scenario,
-                ));
-            }
-        }
-        Ok(tokens)
     }
 }
 
@@ -350,6 +298,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzOutcome, CellError> {
 mod tests {
     use super::*;
     use crate::grid::TopoSpec;
+    use crate::schedule::FaultVariant;
 
     /// A one-cell fuzz config small enough for unit tests: f=2 chains on
     /// the avionics bus.
@@ -484,28 +433,4 @@ mod tests {
   "violations": ["w=avionics;t=bus9x100000x5;f=3;r=150000;h=700000;me=20000000;s=1;fl=crash@49999@n4", "w=scada;t=bus6x100000x10;f=2;r=400000;h=1500000;me=20000000;s=2;fl=timing@367641@n0"]
 }
 "#;
-
-    #[test]
-    fn cross_check_tokens_are_the_residents_then_every_variant_per_default_cell() {
-        let out = run_fuzz(&tiny_fuzz(8, 2)).expect("fuzz runs");
-        let tokens = out.cross_check_tokens().expect("cells plan");
-        let cells = crate::grid::default_grid();
-        let per_cell = FaultVariant::ALL.len();
-        assert_eq!(tokens.len(), out.corpus.len() + cells.len() * per_cell);
-        let specs: Vec<_> = tokens
-            .iter()
-            .map(|t| replay::parse(t).expect("a token parses"))
-            .collect();
-        let (residents, grid) = specs.split_at(out.corpus.len());
-        for (spec, entry) in residents.iter().zip(out.corpus.entries()) {
-            assert_eq!(spec.scenario, entry.schedule.scenario);
-        }
-        for (cell, specs) in cells.iter().zip(grid.chunks(per_cell)) {
-            for (spec, v) in specs.iter().zip(FaultVariant::ALL) {
-                assert_eq!(spec.cell, *cell);
-                assert_eq!(spec.scenario.faults.len(), 1);
-                assert_eq!(FaultVariant::of(&spec.scenario.faults[0]), v);
-            }
-        }
-    }
 }

@@ -54,7 +54,7 @@ impl InjectedFault {
     }
 
     /// The runtime attack script for this fault (None for crashes, which
-    /// the host applies instead: see [`InjectedFault::crash_at`]).
+    /// the host applies instead: see `InjectedFault::crash_at`).
     pub fn attack(&self) -> Option<Attack> {
         match self.kind {
             FaultKind::Crash => None,
@@ -85,9 +85,8 @@ impl InjectedFault {
     }
 
     /// The instant the host fail-stops the node, if this fault is a
-    /// crash: a control action in the simulator, the end of the node's
-    /// thread in the live fleet.
-    pub fn crash_at(&self) -> Option<Time> {
+    /// crash: a control action in the world, free-running or paced.
+    pub(crate) fn crash_at(&self) -> Option<Time> {
         (self.kind == FaultKind::Crash).then_some(self.at)
     }
 }

@@ -8,7 +8,8 @@
 //! ([`plant`]): "because of inertia, a short malfunction will not be
 //! enough to push the airplane out of this envelope and can thus be
 //! tolerated, as long as the system returns to correct operation quickly
-//! enough" (Section 1).
+//! enough" (Section 1). The live fleet ([`supervisor`]) runs the same
+//! world on the wall clock.
 //!
 //! # Quickstart
 //!
@@ -34,12 +35,17 @@
 pub mod faults;
 pub mod oracle;
 pub mod plant;
+pub mod supervisor;
 pub mod system;
+
+// The fleet's unit tests share their helpers with `tests/live.rs`, which
+// names this crate `btr_core`.
+#[cfg(test)]
+extern crate self as btr_core;
 
 pub use faults::{FaultMods, FaultScenario, InjectedFault};
 pub use oracle::{reference_value, RecoveryStats, Verdict};
 pub use plant::{Plant, PlantConfig};
 pub use system::{
-    judge_world, node_rows, scenario_world, ActuationJudgment, BtrSystem, NodeRow, RunReport,
-    SystemError,
+    judge_world, scenario_world, ActuationJudgment, BtrSystem, NodeRow, RunReport, SystemError,
 };

@@ -72,8 +72,8 @@ pub struct BtrSystem {
 pub type NodeRow = (NodeId, NodeStats, PlanId, usize);
 
 /// Verdicts for an actuation stream, however it was produced — by the
-/// simulator ([`BtrSystem::run`]) or by the live fleet (`btr-node`),
-/// which drives a world on the wall clock.
+/// simulator ([`BtrSystem::run`]) or by the live fleet
+/// ([`crate::supervisor::run_live`]), which drives a world on the wall clock.
 #[derive(Debug, Clone)]
 pub struct ActuationJudgment {
     /// Judged output slots ((sink, period) classification).
@@ -204,17 +204,6 @@ impl BtrSystem {
         &self.workload
     }
 
-    /// Shared handle to the workload (the live fleet builds its nodes
-    /// off the same `Arc` the simulator uses).
-    pub fn workload_arc(&self) -> Arc<Workload> {
-        Arc::clone(&self.workload)
-    }
-
-    /// Shared handle to the computed strategy.
-    pub fn strategy_arc(&self) -> Arc<Strategy> {
-        Arc::clone(&self.strategy)
-    }
-
     /// Settle time appended after the horizon before judging.
     pub fn grace(&self) -> Duration {
         self.grace
@@ -222,7 +211,7 @@ impl BtrSystem {
 
     /// The configuration [`BtrSystem::build_world`] builds its world
     /// under for `seed`.
-    pub fn sim_config(&self, seed: u64) -> SimConfig {
+    pub(crate) fn sim_config(&self, seed: u64) -> SimConfig {
         let mut sim_cfg = SimConfig::new(seed);
         sim_cfg.period = self.workload.period;
         sim_cfg.loss_ppm = self.loss_ppm;
@@ -246,24 +235,35 @@ impl BtrSystem {
         &self.stats
     }
 
+    /// The behaviours of one world of this system: a [`BtrNode`] per
+    /// node, every incarnation sharing one plan handle, so that each
+    /// plan's tables are derived once per world.
+    pub(crate) fn nodes(&self) -> BtrNodes {
+        let plans = WorldPlans::new(Arc::clone(&self.workload), Arc::clone(&self.strategy));
+        BtrNodes {
+            plans,
+            n: self.topo.node_count(),
+        }
+    }
+
     /// Build the simulated world for a scenario (exposed so experiments
     /// can instrument runs beyond what [`BtrSystem::run`] reports).
     pub fn build_world(&self, scenario: &FaultScenario, seed: u64) -> World {
-        let n = self.topo.node_count();
-        let sim_cfg = self.sim_config(seed);
-        // One plan handle per world: its nodes share each plan's tables.
-        let plans = WorldPlans::new(Arc::clone(&self.workload), Arc::clone(&self.strategy));
-        let mut world = scenario_world(self.topo.clone(), sim_cfg, scenario, |node, attack| {
-            Box::new(BtrNode::new(node, Arc::clone(&plans), n, attack))
+        self.world_of(&self.nodes(), scenario, seed)
+    }
+
+    /// [`BtrSystem::build_world`]'s world, running `nodes`' behaviours.
+    pub(crate) fn world_of(
+        &self,
+        nodes: &dyn NodeFactory,
+        scenario: &FaultScenario,
+        seed: u64,
+    ) -> World {
+        let (topo, sim_cfg) = (self.topo.clone(), self.sim_config(seed));
+        let mut world = scenario_world(topo, sim_cfg, scenario, |node, attack| {
+            nodes.make(node, attack)
         });
-        // At scale the world selects the demand-driven routing backend;
-        // warm it with the plan-derived traffic matrix so the first
-        // period's flows don't each pay a BFS (purely a latency
-        // optimisation — rows are built deterministically on first use
-        // either way).
-        if world.routing_kind() == "demand" {
-            world.warm_routes(plans.route_demand());
-        }
+        nodes.warm(&mut world);
         world
     }
 
@@ -290,7 +290,7 @@ impl BtrSystem {
     /// The shed set of the degraded plan the strategy prescribes for the
     /// injected pattern (what "legitimate degradation" means for the
     /// oracle).
-    fn degraded_shed(&self, scenario: &FaultScenario) -> BTreeSet<TaskId> {
+    pub(crate) fn degraded_shed(&self, scenario: &FaultScenario) -> BTreeSet<TaskId> {
         let injected: FaultSet = scenario.compromised().into_iter().collect();
         if injected.is_empty() {
             return BTreeSet::new();
@@ -369,6 +369,49 @@ pub fn scenario_world(
     world
 }
 
+/// Makes a world's node behaviours: one per incarnation of a node, from
+/// the attack the scenario scripts for it (none after a restart).
+pub(crate) trait NodeFactory: Send + 'static {
+    /// One incarnation of `node`.
+    fn make(&self, node: NodeId, attack: Option<Attack>) -> Box<dyn NodeBehavior>;
+    /// Ready a world these behaviours run in.
+    fn warm(&self, _world: &mut World) {}
+}
+
+/// A test's behaviours, made by a function of the node and its attack.
+#[cfg(test)]
+impl<F> NodeFactory for F
+where
+    F: Fn(NodeId, Option<Attack>) -> Box<dyn NodeBehavior> + Send + 'static,
+{
+    fn make(&self, node: NodeId, attack: Option<Attack>) -> Box<dyn NodeBehavior> {
+        self(node, attack)
+    }
+}
+
+/// [`BtrSystem`]'s behaviours (see [`BtrSystem::nodes`]).
+pub(crate) struct BtrNodes {
+    plans: Arc<WorldPlans>,
+    n: usize,
+}
+
+impl NodeFactory for BtrNodes {
+    fn make(&self, node: NodeId, attack: Option<Attack>) -> Box<dyn NodeBehavior> {
+        Box::new(BtrNode::new(node, Arc::clone(&self.plans), self.n, attack))
+    }
+
+    /// At scale the world selects the demand-driven routing backend;
+    /// warm it with the plan-derived traffic matrix so the first
+    /// period's flows don't each pay a BFS (purely a latency
+    /// optimisation — rows are built deterministically on first use
+    /// either way).
+    fn warm(&self, world: &mut World) {
+        if world.routing_kind() == "demand" {
+            world.warm_routes(self.plans.route_demand());
+        }
+    }
+}
+
 /// Judge an actuation stream, however it was produced, against the
 /// all-correct reference: `shed` is the shed set of the plan prescribed
 /// for the injected faults (empty for a scheme that never degrades by
@@ -408,7 +451,7 @@ fn judge_stream(
 /// to the end uncrashed, with their behaviours; compromised nodes are
 /// dropped, and so is any behaviour that is not a [`BtrNode`]. Both
 /// substrates fold their nodes here.
-pub fn node_rows<'a>(
+pub(crate) fn node_rows<'a>(
     scenario: &FaultScenario,
     survivors: impl IntoIterator<Item = (NodeId, &'a dyn NodeBehavior)>,
 ) -> (Vec<NodeRow>, bool) {
@@ -429,7 +472,7 @@ pub fn node_rows<'a>(
 
 /// Fold a finished world into its report: the oracle's verdicts over
 /// its actuations (the same pipeline as [`BtrSystem::judge_actuations`]),
-/// the correct nodes' [`node_rows`], and the simulator's counters.
+/// the correct nodes' `node_rows`, and the simulator's counters.
 pub fn judge_world(
     workload: &Workload,
     shed: &BTreeSet<TaskId>,

@@ -598,12 +598,8 @@ impl EvidenceRecord {
                 if env_sig.key != accused.0 || output.producer != *accused {
                     return Err(EvidenceFlaw::BadSignature);
                 }
-                let payload = crate::message::Payload::Output {
-                    output: output.clone(),
-                    witnesses: witnesses.clone(),
-                };
-                crate::message::Envelope::write_signing_bytes(
-                    *accused, *sent_at, &payload, scratch,
+                crate::message::Envelope::write_output_signing_bytes(
+                    *accused, *sent_at, output, witnesses, scratch,
                 );
                 ks.verify(env_sig, scratch)
                     .map_err(|_| EvidenceFlaw::BadSignature)?;

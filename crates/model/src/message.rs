@@ -108,10 +108,13 @@ impl Payload {
     /// Exact length of the canonical encoding — the domain tag, then the
     /// body [`Payload::write_body`] writes — by arithmetic.
     pub(crate) fn canonical_len(&self) -> usize {
-        let body = match self {
-            Payload::Output { witnesses, .. } => {
-                OUTPUT_HEAD_LEN + PREFIXED_ID_LEN * witnesses.len()
-            }
+        prefixed(PAYLOAD_DOMAIN.len()) + self.body_len()
+    }
+
+    /// Exact length of the body [`Payload::write_body`] writes.
+    fn body_len(&self) -> usize {
+        match self {
+            Payload::Output { witnesses, .. } => Self::output_body_len(witnesses.len()),
             Payload::Heartbeat { .. } => 1 + 8,
             Payload::Evidence(ev) => 1 + 8 + ev.canonical_len(),
             Payload::StateTransfer { .. } => 1 + 5 * 4,
@@ -119,23 +122,32 @@ impl Payload {
             Payload::Pbft { .. } => 1 + 4 + 8 + 8 + 1 + 4,
             Payload::Audit { .. } => 1 + 4 + 8 + 8,
             Payload::Control(_) => 2,
-        };
-        prefixed(PAYLOAD_DOMAIN.len()) + body
+        }
+    }
+
+    /// The body length of an output payload with `witnesses` witnesses.
+    fn output_body_len(witnesses: usize) -> usize {
+        OUTPUT_HEAD_LEN + PREFIXED_ID_LEN * witnesses
+    }
+
+    /// Append an output payload's body, from its parts, to `buf`: the
+    /// head in one write, then one write per witness.
+    fn write_output_body(output: &SignedOutput, witnesses: &[SignedOutput], buf: &mut Vec<u8>) {
+        enc::append::<OUTPUT_HEAD_LEN>(buf, |f| {
+            f.u8(0);
+            output.put_prefixed_id(f);
+            f.u32(witnesses.len() as u32);
+        });
+        for w in witnesses {
+            enc::append::<PREFIXED_ID_LEN>(buf, |f| w.put_prefixed_id(f));
+        }
     }
 
     /// Append the canonical encoding's body (sans domain tag) to `buf`.
     fn write_body(&self, buf: &mut Vec<u8>) {
         match self {
             Payload::Output { output, witnesses } => {
-                // The head in one write, then one write per witness.
-                enc::append::<OUTPUT_HEAD_LEN>(buf, |f| {
-                    f.u8(0);
-                    output.put_prefixed_id(f);
-                    f.u32(witnesses.len() as u32);
-                });
-                for w in witnesses {
-                    enc::append::<PREFIXED_ID_LEN>(buf, |f| w.put_prefixed_id(f));
-                }
+                Self::write_output_body(output, witnesses, buf);
             }
             Payload::Heartbeat { period } => enc::append::<9>(buf, |f| {
                 f.u8(1).u64(*period);
@@ -274,9 +286,38 @@ impl Envelope {
         payload: &Payload,
         buf: &mut Vec<u8>,
     ) {
-        let payload_len = payload.canonical_len();
+        match payload {
+            Payload::Output { output, witnesses } => {
+                Self::write_output_signing_bytes(src, sent_at, output, witnesses, buf);
+            }
+            _ => {
+                Self::write_signing_header(src, sent_at, payload.body_len(), buf);
+                payload.write_body(buf);
+            }
+        }
+    }
+
+    /// [`Envelope::write_signing_bytes`] for an output payload, from its
+    /// parts: an evidence record checks the signature on the envelope it
+    /// quotes without building the payload again.
+    pub(crate) fn write_output_signing_bytes(
+        src: NodeId,
+        sent_at: Time,
+        output: &SignedOutput,
+        witnesses: &[SignedOutput],
+        buf: &mut Vec<u8>,
+    ) {
+        let body_len = Payload::output_body_len(witnesses.len());
+        Self::write_signing_header(src, sent_at, body_len, buf);
+        Payload::write_output_body(output, witnesses, buf);
+    }
+
+    /// Clear `buf` and write the signing bytes' header, up to a payload
+    /// body of `body_len` bytes.
+    fn write_signing_header(src: NodeId, sent_at: Time, body_len: usize, buf: &mut Vec<u8>) {
+        let payload_len = prefixed(PAYLOAD_DOMAIN.len()) + body_len;
         buf.clear();
-        buf.reserve(SIGNING_HEADER_LEN - prefixed(PAYLOAD_DOMAIN.len()) + payload_len);
+        buf.reserve(SIGNING_HEADER_LEN + body_len);
         enc::append::<SIGNING_HEADER_LEN>(buf, |f| {
             f.bytes(ENVELOPE_DOMAIN)
                 .u32(src.0)
@@ -284,7 +325,6 @@ impl Envelope {
                 .u64(payload_len as u64)
                 .bytes(PAYLOAD_DOMAIN);
         });
-        payload.write_body(buf);
     }
 
     /// Sign the envelope as `signer` (must match `src` to verify).

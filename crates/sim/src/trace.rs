@@ -82,8 +82,8 @@ impl TraceEvent {
 /// canonical order.
 ///
 /// This is the cross-substrate equivalence oracle: a free-running
-/// [`crate::World`] and the live fleet (`btr-node`), which drives a
-/// world under a wall-clock pacer, both reduce a run to this record, and
+/// [`crate::World`] and the live fleet (`btr_core::supervisor`), which drives
+/// a world under a wall-clock pacer, both reduce a run to this record, and
 /// a live run must be *bit-identical* to the simulator here. Actuations
 /// are the right observable because they capture the full protocol
 /// dataflow (inputs gathered, replicas voted, checkers passed) with

@@ -727,8 +727,8 @@ impl Substrate {
 /// Node behaviours never touch this trait directly — they see the
 /// concrete `NodeCtx` wrapper. The [`World`]'s substrate implements it,
 /// whether the world runs free or under the live fleet's wall-clock
-/// pacer (`btr-node`), and so can a test's fake, to hold one behaviour
-/// at an instant of its choosing.
+/// pacer (`btr_core::supervisor`), and so can a test's fake, to hold one
+/// behaviour at an instant of its choosing.
 ///
 /// This is the substrate's half of hosting a node — time, transport,
 /// timers, actuators. A crash is not among them: the host applies a

@@ -8,9 +8,10 @@ name? Run from the repository root:
 test, example and binary (the `harness`), `benchmark/`, and doctests.
 Prints each `pub` declaration, field and re-export no outside code names
 (a candidate for `pub(crate)`), then the counts. A clean tree prints the
-counts only. See EXPERIMENTS.md "Narrow pub".
+counts only and exits 0; a tree with a candidate exits 1. See
+EXPERIMENTS.md "Narrow pub".
 """
-import glob, os, re
+import glob, os, re, sys
 
 WORD = re.compile(r'\b[A-Za-z_]\w*\b')
 LINK = re.compile(r'\[`?([\w:]+)(?:\(\))?`?\]')
@@ -63,7 +64,7 @@ for c in crates:
 common, inside = names(outside_all), {c: names(lib[c]) for c in crates}
 common |= names(sum(lib.values(), []), doctests_only=True)
 
-decls = unused = kept = 0
+decls = unused = kept = candidates = 0
 for c in crates:
     outside = common.union(*(inside[o] for o in crates if o != c))
     for p in lib[c]:
@@ -77,10 +78,13 @@ for c in crates:
                     if p in KEEP_FILES or m.group(1) in KEEP:
                         kept += 1
                     else:
+                        candidates += 1
                         print(f'{p}:{i}: {m.group(1)}')
         for m in REEXPORT.finditer(text):
             for n in WORD.findall(m.group(0).split('::', 1)[1]):
                 if n not in outside and n not in KEEP:
+                    candidates += 1
                     print(f'{p}: re-export {n}')
 print(f'{len(crates)} crates, {decls} pub declarations, {unused} named nowhere '
       f'outside their crate, {kept} of those on the keep list')
+sys.exit(1 if candidates else 0)

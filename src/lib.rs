@@ -20,11 +20,11 @@
 //! * [`runtime`] — the per-node BTR software stack, with the online
 //!   fault detector (Section 4.2), evidence validation and distribution
 //!   (Section 4.3) and the mode-change protocol (Section 4.4) inside it.
-//! * [`node`] — the live fleet: the simulator's world driven on a
-//!   worker thread under a wall-clock pacer, wall-clock bounded-time
-//!   recovery, restarts, with the free-running simulator as trace
-//!   oracle.
 //! * [`core`] — the end-to-end system, fault injection, and oracle.
+//! * [`node`] — `core`'s live fleet under its own name: the simulator's
+//!   world driven on a worker thread under a wall-clock pacer,
+//!   wall-clock bounded-time recovery, restarts, with the free-running
+//!   simulator as trace oracle.
 //! * [`baselines`] — BFT / PBFT-lite / ZZ / self-stabilisation / restart.
 //! * [`campaign`] — parallel fault-injection campaigns: schedule
 //!   generation, oracle verdicts, violation shrinking, replay tokens.
@@ -37,11 +37,11 @@
 pub use btr_baselines as baselines;
 pub use btr_campaign as campaign;
 pub use btr_core as core;
+pub use btr_core::supervisor as node;
 pub use btr_crypto as crypto;
 pub use btr_model as model;
 pub use btr_model::topology as topo;
 pub use btr_net as net;
-pub use btr_node as node;
 pub use btr_planner as planner;
 pub use btr_runtime as runtime;
 pub use btr_sched as sched;
