@@ -34,12 +34,12 @@
 mod node;
 
 use btr_core::{FaultScenario, RunReport};
+use btr_model::workload::Workload;
 use btr_model::{Duration, FaultSet, Plan, PlanId, Time, Topology};
 use btr_net::RoutingTable;
+use btr_planner::sched::{round_robin_placement, synthesize, SchedParams};
 use btr_planner::PlannerConfig;
-use btr_sched::{round_robin_placement, synthesize, SchedParams};
 use btr_sim::SimConfig;
-use btr_workload::Workload;
 use node::BaselineNode;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -126,7 +126,7 @@ pub(crate) fn baseline_plan(
     let mut lanes: BTreeMap<_, u8> = BTreeMap::new();
     for t in workload.tasks() {
         let n = match t.kind {
-            btr_workload::TaskKind::Sink { .. } => 1,
+            btr_model::workload::TaskKind::Sink { .. } => 1,
             _ => lanes_per_task,
         };
         lanes.insert(t.id, n);
@@ -216,7 +216,7 @@ mod tests {
     use btr_model::{FaultKind, NodeId};
 
     fn setup(b: Baseline, f: u8) -> BaselineSystem {
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 200_000, Duration(5));
         BaselineSystem::plan(b, w, topo, f, &SchedParams::default()).expect("plannable")
     }
@@ -233,7 +233,7 @@ mod tests {
     fn lanes_past_the_node_count_are_an_error() {
         // PBFT-lite at f = 3 needs 3f + 1 = 10 lanes per task; a 9-node
         // bus has 9 nodes to put them on.
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 200_000, Duration(5));
         let err = BaselineSystem::plan(Baseline::PbftLite, w, topo, 3, &SchedParams::default())
             .err()
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn crash_restart_cannot_see_commission() {
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         let sys = crash_restart_system(w, topo, Duration::from_millis(150)).unwrap();
         let scenario =

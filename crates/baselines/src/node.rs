@@ -21,6 +21,7 @@
 use crate::Baseline;
 use btr_core::oracle::reference_value;
 use btr_model::message::PbftPhase;
+use btr_model::workload::{TaskKind, Workload};
 use btr_model::{
     sensor_value, task_value, ATask, Duration, Envelope, NodeId, Payload, PeriodIdx, Plan,
     ReplicaIdx, ScheduleEntry, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
@@ -28,7 +29,6 @@ use btr_model::{
 use btr_runtime::timers::{self, Timer};
 use btr_runtime::Attack;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
-use btr_workload::{TaskKind, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

@@ -13,7 +13,7 @@
 use btr_baselines::{Baseline, BaselineSystem};
 use btr_core::{FaultScenario, RunReport};
 use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
-use btr_sched::SchedParams;
+use btr_planner::sched::SchedParams;
 
 /// FNV-1a, 64 bit: a digest with a fixed definition (std's hashers
 /// promise no stability across releases).
@@ -31,7 +31,7 @@ const SCHEMES: [Baseline; 4] = [
 ];
 
 fn system(b: Baseline, f: u8) -> BaselineSystem {
-    let w = btr_workload::generators::avionics(9);
+    let w = btr_model::workload::generators::avionics(9);
     let topo = Topology::bus(9, 200_000, Duration(5));
     BaselineSystem::plan(b, w, topo, f, &SchedParams::default()).expect("plannable")
 }

@@ -6,14 +6,14 @@
 //! its quantitative claims (see DESIGN.md for the claim-by-claim map).
 
 use btr_baselines::{Baseline, BaselineSystem};
-use btr_core::{BtrSystem, FaultScenario, Plant, PlantConfig};
+use btr_core::{BtrSystem, FaultScenario, Plant};
+use btr_model::workload::generators::{self, RandomParams};
+use btr_model::workload::Workload;
 use btr_model::{ATask, Criticality, Duration, FaultKind, FaultSet, NodeId, Time, Topology};
 use btr_net::RoutingTable;
+use btr_planner::sched::{min_speed_pct, round_robin_placement, synthesize, SchedParams};
 use btr_planner::{build_strategy, plan_utility, strategy_quality, PlannerConfig};
 use btr_runtime::BtrNode;
-use btr_sched::{min_speed_pct, round_robin_placement, synthesize, SchedParams};
-use btr_workload::generators::{self, RandomParams};
-use btr_workload::Workload;
 use std::collections::BTreeMap;
 
 use crate::table::Table;
@@ -216,7 +216,7 @@ pub(crate) fn e3_min_speed() -> String {
             let mut lanes = BTreeMap::new();
             for task in w.tasks() {
                 let n = match task.kind {
-                    btr_workload::TaskKind::Sink { .. } => 1,
+                    btr_model::workload::TaskKind::Sink { .. } => 1,
                     _ => lanes_per_task,
                 };
                 lanes.insert(task.id, n);
@@ -281,7 +281,7 @@ pub(crate) fn e4_sequential_faults() -> String {
         let budget = Duration(r.as_micros() + 200_000 * (k as u64 - 1));
         let plant = Plant::drive(
             sys.workload(),
-            PlantConfig::with_deadline(Duration(2 * r.as_micros())),
+            Duration(2 * r.as_micros()),
             &report.verdicts,
         );
         t.row(vec![

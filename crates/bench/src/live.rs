@@ -105,7 +105,7 @@ pub fn pinned_scenarios(smoke: bool) -> Vec<LiveScenario> {
 /// Plan the pinned live platform: the avionics workload on an n-node
 /// bus, f = 1, R = 150 ms, best-effort tasks admitted.
 pub fn live_system(nodes: usize) -> BtrSystem {
-    let workload = btr_workload::generators::avionics(nodes);
+    let workload = btr_model::workload::generators::avionics(nodes);
     let topo = Topology::bus(nodes, 100_000, Duration(5));
     let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
     cfg.admit_best_effort = true;

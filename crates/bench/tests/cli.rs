@@ -305,6 +305,50 @@ fn prose_names_only_flags_the_commands_take() {
 }
 
 #[test]
+fn prose_names_only_crates_the_workspace_has() {
+    // Words shaped like crate names that are not crates: the key
+    // derivation's domain tags and the fuzz report's JSON tag.
+    const NOT_CRATES: [&str; 3] = ["btr-node-key", "btr-node-key-sip", "btr-schedule-fuzz"];
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let read = |path: &str| std::fs::read_to_string(format!("{root}{path}")).expect("file reads");
+    // The workspace's packages: the root's and each member's.
+    let manifest = read("Cargo.toml");
+    let members = manifest
+        .split("members = [")
+        .nth(1)
+        .and_then(|m| m.split(']').next());
+    let mut packages = vec!["btr".to_string()];
+    for dir in members.expect("workspace members").split(',') {
+        let dir = dir.trim().trim_matches('"');
+        if dir.is_empty() {
+            continue;
+        }
+        let name = read(&format!("{dir}/Cargo.toml"))
+            .lines()
+            .find_map(|l| Some(l.strip_prefix("name = ")?.trim_matches('"').to_string()))
+            .expect("package name");
+        packages.push(name);
+    }
+    let mut checked = 0;
+    for doc in ["DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = read(doc);
+        let words = text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'));
+        for word in words.filter(|w| w.starts_with("btr-") || w.starts_with("btr_")) {
+            let name = word.trim_end_matches(['-', '_']).replace('_', "-");
+            assert!(
+                packages.contains(&name) || NOT_CRATES.contains(&name.as_str()),
+                "{doc} names `{word}`, which is no workspace package ({packages:?})"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked > 20,
+        "only {checked} crate names found in the prose"
+    );
+}
+
+#[test]
 fn a_closed_stdout_is_not_a_panic() {
     // `harness --list | head -1` after head has gone: the read end is
     // closed before the child starts, so its first write gets EPIPE.

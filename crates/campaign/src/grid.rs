@@ -12,9 +12,9 @@
 
 use crate::schedule::ScheduleParams;
 use btr_core::{BtrSystem, SystemError};
+use btr_model::workload::generators;
 use btr_model::{Duration, Time, Topology};
 use btr_planner::PlannerConfig;
-use btr_workload::generators;
 
 /// The longest span a replay token may name, µs: an hour of simulated
 /// time. No cell comes near it; a latency, bound, horizon or fault
@@ -222,7 +222,7 @@ impl TopoSpec {
 /// One campaign cell: a planned deployment the runner injects faults into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
-    /// Workload family (a `btr_workload::generators::catalog` name).
+    /// Workload family (a `btr_model::workload::generators::catalog` name).
     pub workload: String,
     /// Platform.
     pub topo: TopoSpec,

@@ -249,7 +249,7 @@ mod tests {
     use btr_planner::PlannerConfig;
 
     fn system() -> BtrSystem {
-        let workload = btr_workload::generators::avionics(9);
+        let workload = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
         cfg.admit_best_effort = true;
@@ -301,7 +301,7 @@ mod tests {
         // The oracle's R-bound arm, exercised against a bound the run
         // genuinely cannot meet: crash detection alone takes several
         // periods, so R = 1 ms is unachievable and must be flagged.
-        let workload = btr_workload::generators::avionics(9);
+        let workload = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         let mut cfg = PlannerConfig::new(1, Duration::from_millis(1));
         cfg.admit_best_effort = true;

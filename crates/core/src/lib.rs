@@ -18,7 +18,7 @@
 //! use btr_model::{Duration, FaultKind, NodeId, Time, Topology};
 //! use btr_planner::PlannerConfig;
 //!
-//! let workload = btr_workload::generators::avionics(9);
+//! let workload = btr_model::workload::generators::avionics(9);
 //! let topo = Topology::bus(9, 100_000, Duration(5));
 //! let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
 //! cfg.admit_best_effort = true;
@@ -45,7 +45,7 @@ extern crate self as btr_core;
 
 pub use faults::{FaultMods, FaultScenario, InjectedFault};
 pub use oracle::{reference_value, RecoveryStats, Verdict};
-pub use plant::{Plant, PlantConfig};
+pub use plant::Plant;
 pub use system::{
     judge_world, scenario_world, ActuationJudgment, BtrSystem, NodeRow, RunReport, SystemError,
 };

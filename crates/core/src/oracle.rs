@@ -16,11 +16,11 @@
 //! pattern are classified [`Verdict::Degraded`], and sinks that plan
 //! sheds are [`Verdict::Shed`] rather than missing.
 
+use btr_model::workload::{TaskKind, TaskSpec, Workload};
 use btr_model::{
     sensor_value, task_value, Criticality, Duration, NodeId, PeriodIdx, TaskId, Time, Value,
 };
 use btr_sim::Actuation;
-use btr_workload::{TaskKind, TaskSpec, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The all-correct reference value of any task instance.
@@ -335,8 +335,8 @@ pub(crate) fn survival_by_criticality(verdicts: &[SinkVerdict]) -> BTreeMap<Crit
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_model::workload::WorkloadBuilder;
     use btr_model::NodeId;
-    use btr_workload::WorkloadBuilder;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
@@ -390,7 +390,7 @@ mod tests {
         // node count a grid cell gives one (6 to 36), periods 0-7: the
         // judge's table holds what the recursive walk computes.
         for name in ["avionics", "automotive", "scada", "fusion-chain"] {
-            let gen = btr_workload::generators::by_name(name).expect("a catalog workload");
+            let gen = btr_model::workload::generators::by_name(name).expect("a catalog workload");
             for nodes in [6, 8, 9, 36] {
                 let w = gen(nodes);
                 let mut table = ReferenceTable::new(&w);
@@ -589,8 +589,8 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use btr_model::workload::WorkloadBuilder;
     use btr_model::NodeId;
-    use btr_workload::WorkloadBuilder;
     use proptest::prelude::*;
 
     fn wl() -> Workload {

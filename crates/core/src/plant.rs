@@ -9,42 +9,22 @@
 //! overall deadline D "after which damage can occur in the absence of
 //! correct outputs, it seems prudent to set R := D/f rather than R := D".
 //!
-//! [`Plant`] operationalises that: a leaky integrator of control error.
-//! Correct outputs bleed accumulated error away; wrong/missing outputs
-//! pump it up. The plant is *damaged* the moment the error exceeds the
+//! [`Plant`] operationalises that: an integrator of control error.
+//! Each period of wrong/missing outputs pumps it up; a correct period
+//! clears it. The plant is *damaged* the moment the error exceeds the
 //! envelope, which by construction happens iff bad outputs persist for
-//! (roughly) the deadline D.
+//! the deadline D.
 
 use crate::oracle::SinkVerdict;
+use btr_model::workload::Workload;
 use btr_model::Duration;
-use btr_workload::Workload;
 
-/// Plant parameters.
-#[derive(Debug, Clone)]
-pub struct PlantConfig {
-    /// The damage deadline D: continuous bad output for this long breaks
-    /// the envelope.
-    pub(crate) deadline: Duration,
-    /// Fraction of accumulated error that drains per *correct* period
-    /// (inertia: how fast the plant re-stabilises). 1.0 = instant.
-    pub(crate) drain: f64,
-}
-
-impl PlantConfig {
-    /// A plant that is damaged after `deadline` of continuous bad output
-    /// and recovers fully after one correct period.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        PlantConfig {
-            deadline,
-            drain: 1.0,
-        }
-    }
-}
-
-/// The leaky-integrator envelope model.
+/// The integrator envelope model.
 #[derive(Debug, Clone)]
 pub struct Plant {
-    cfg: PlantConfig,
+    /// The damage deadline D: continuous bad output for this long breaks
+    /// the envelope.
+    deadline: Duration,
     period: Duration,
     /// Accumulated error in periods-of-bad-output units.
     error: f64,
@@ -55,10 +35,11 @@ pub struct Plant {
 }
 
 impl Plant {
-    /// Create a plant for a system period.
-    pub fn new(cfg: PlantConfig, period: Duration) -> Plant {
+    /// A plant for a system period that is damaged after `deadline` of
+    /// continuous bad output and recovers fully after one correct period.
+    pub fn new(deadline: Duration, period: Duration) -> Plant {
         Plant {
-            cfg,
+            deadline,
             period,
             error: 0.0,
             peak: 0.0,
@@ -68,14 +49,14 @@ impl Plant {
 
     /// Budget in periods before damage.
     fn budget(&self) -> f64 {
-        self.cfg.deadline.as_micros() as f64 / self.period.as_micros() as f64
+        self.deadline.as_micros() as f64 / self.period.as_micros() as f64
     }
 
     /// Feed one period's outcome: `ok` = all safety-relevant outputs of
     /// the period were acceptable.
     pub fn step(&mut self, ok: bool) {
         if ok {
-            self.error *= 1.0 - self.cfg.drain.clamp(0.0, 1.0);
+            self.error = 0.0;
         } else {
             self.error += 1.0;
         }
@@ -89,8 +70,8 @@ impl Plant {
 
     /// Drive the plant from judged verdicts: a period is OK if every
     /// Safety-criticality slot in it is acceptable.
-    pub fn drive(w: &Workload, cfg: PlantConfig, verdicts: &[SinkVerdict]) -> Plant {
-        let mut plant = Plant::new(cfg, w.period);
+    pub fn drive(w: &Workload, deadline: Duration, verdicts: &[SinkVerdict]) -> Plant {
+        let mut plant = Plant::new(deadline, w.period);
         let max_period = verdicts.iter().map(|v| v.period).max().unwrap_or(0);
         for p in 0..=max_period {
             let ok = verdicts
@@ -119,7 +100,7 @@ mod tests {
 
     fn plant(deadline_ms: u64) -> Plant {
         Plant::new(
-            PlantConfig::with_deadline(Duration::from_millis(deadline_ms)),
+            Duration::from_millis(deadline_ms),
             Duration::from_millis(10),
         )
     }
@@ -158,21 +139,6 @@ mod tests {
             p.step(true);
         }
         assert!(p.damaged(), "damage must latch");
-    }
-
-    #[test]
-    fn partial_drain() {
-        let mut p = Plant::new(
-            PlantConfig {
-                deadline: Duration::from_millis(50),
-                drain: 0.5,
-            },
-            Duration::from_millis(10),
-        );
-        p.step(false);
-        p.step(false);
-        p.step(true);
-        assert!((p.error - 1.0).abs() < 1e-9);
     }
 
     #[test]

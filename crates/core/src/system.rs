@@ -2,6 +2,7 @@
 
 use crate::faults::{FaultScenario, InjectedFault};
 use crate::oracle::{judge, survival_by_criticality, RecoveryStats, SinkVerdict};
+use btr_model::workload::Workload;
 use btr_model::{
     Criticality, Duration, FaultSet, NodeId, PlanId, Strategy, TaskId, Time, Topology,
 };
@@ -9,7 +10,6 @@ use btr_obs::ObsRecorder;
 use btr_planner::{build_strategy, PlannerConfig, StrategyError, StrategyStats};
 use btr_runtime::{Attack, BtrNode, NodeStats, WorldPlans};
 use btr_sim::{Actuation, ControlAction, NodeBehavior, SimConfig, SimMetrics, World};
-use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -511,7 +511,7 @@ mod tests {
     use btr_model::FaultKind;
 
     fn system(f: u8) -> BtrSystem {
-        let workload = btr_workload::generators::avionics(9);
+        let workload = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         let mut cfg = PlannerConfig::new(f, Duration::from_millis(150));
         cfg.admit_best_effort = true;
@@ -540,7 +540,7 @@ mod tests {
         // A workload generated for 9 nodes pins sinks up to NodeId(8);
         // dropping it onto a 4-node platform must be a typed error, not
         // an index panic deep in the planner.
-        let workload = btr_workload::generators::avionics(9);
+        let workload = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(4, 100_000, Duration(5));
         let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
         cfg.admit_best_effort = true;

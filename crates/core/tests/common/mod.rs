@@ -23,7 +23,7 @@ pub(crate) const SLOW: f64 = 2.0;
 
 /// The avionics workload planned on nine nodes of `topo`, f = 1.
 pub(crate) fn system_on(topo: Topology) -> BtrSystem {
-    let workload = btr_workload::generators::avionics(9);
+    let workload = btr_model::workload::generators::avionics(9);
     let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
     cfg.admit_best_effort = true;
     BtrSystem::plan(workload, topo, cfg).expect("plannable")

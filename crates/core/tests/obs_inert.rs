@@ -16,7 +16,7 @@ use btr_planner::PlannerConfig;
 use proptest::prelude::*;
 
 fn pinned_system(nodes: usize) -> BtrSystem {
-    let workload = btr_workload::generators::avionics(nodes);
+    let workload = btr_model::workload::generators::avionics(nodes);
     let topo = Topology::bus(nodes, 100_000, Duration(5));
     let mut cfg = PlannerConfig::new(1, Duration::from_millis(150));
     cfg.admit_best_effort = true;

@@ -19,23 +19,9 @@ use crate::compute::{sensor_value, task_value_and_digest, Value};
 use crate::enc::{self, prefixed, Fixed, SIG_LEN};
 use crate::ids::{NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use crate::time::Time;
+use crate::workload::{TaskKind, TaskSpec, Workload};
 use btr_crypto::{digest64, Digest, KeyStore, SigError, Signature, Signer};
 use std::collections::BTreeSet;
-
-/// What evidence verifiers need to know about the workload.
-///
-/// Implemented by `btr_workload::Workload`; defined here so evidence
-/// verification stays in the model crate (and the dependency graph stays
-/// acyclic). The paper installs the workload on every node offline, so
-/// assuming verifiers hold it is faithful.
-pub trait WorkloadView {
-    /// Declared dataflow inputs of `task`, or `None` for unknown tasks.
-    fn inputs_of_task(&self, task: TaskId) -> Option<Vec<TaskId>>;
-    /// True if `task` is a sensor source.
-    fn task_is_source(&self, task: TaskId) -> bool;
-    /// The workload seed (determines sensor readings).
-    fn workload_seed(&self) -> u64;
-}
 
 /// A task output signed by its producer.
 ///
@@ -512,9 +498,10 @@ impl EvidenceRecord {
     /// For proofs this fully checks the conviction (signatures, internal
     /// consistency, re-execution). For declarations it checks the
     /// declarer's signature and internal consistency only — declarations
-    /// are *attributable*, not probative.
-    pub fn verify(&self, ks: &KeyStore, view: &dyn WorkloadView) -> Result<(), EvidenceFlaw> {
-        self.verify_with(ks, view, &mut Vec::new())
+    /// are *attributable*, not probative. Proofs are checked against the
+    /// workload every node holds: the paper installs it offline.
+    pub fn verify(&self, ks: &KeyStore, workload: &Workload) -> Result<(), EvidenceFlaw> {
+        self.verify_with(ks, workload, &mut Vec::new())
     }
 
     /// [`EvidenceRecord::verify`], laying out a bad-witness proof's
@@ -522,10 +509,17 @@ impl EvidenceRecord {
     pub fn verify_with(
         &self,
         ks: &KeyStore,
-        view: &dyn WorkloadView,
+        workload: &Workload,
         scratch: &mut Vec<u8>,
     ) -> Result<(), EvidenceFlaw> {
         let signed_output = |o: &SignedOutput| o.verify_by(|sig, msg| ks.verify(sig, msg));
+        // A record's task id comes off the wire: look it up, never index.
+        let spec = |task: TaskId| -> Result<&TaskSpec, EvidenceFlaw> {
+            workload
+                .tasks()
+                .get(task.index())
+                .ok_or(EvidenceFlaw::UnknownTask(task))
+        };
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
                 signed_output(a)?;
@@ -550,10 +544,8 @@ impl EvidenceRecord {
                 if output.producer != *accused {
                     return Err(EvidenceFlaw::Inconsistent("producer != accused"));
                 }
-                let declared = view
-                    .inputs_of_task(output.task)
-                    .ok_or(EvidenceFlaw::UnknownTask(output.task))?;
-                let expected: BTreeSet<TaskId> = declared.into_iter().collect();
+                let spec = spec(output.task)?;
+                let expected: BTreeSet<TaskId> = spec.inputs.iter().copied().collect();
                 let supplied: BTreeSet<TaskId> = inputs.iter().map(|i| i.task).collect();
                 if expected != supplied || inputs.len() != supplied.len() {
                     return Err(EvidenceFlaw::InputSetMismatch);
@@ -566,10 +558,10 @@ impl EvidenceRecord {
                     }
                     vals.push((i.task, i.value));
                 }
-                let recomputed = if view.task_is_source(output.task) {
+                let recomputed = if matches!(spec.kind, TaskKind::Source { .. }) {
                     // Sources read physical sensors; the commitment is
                     // ignored and the reading is checked directly.
-                    sensor_value(output.task, output.period, view.workload_seed())
+                    sensor_value(output.task, output.period, workload.seed)
                 } else {
                     // Soundness: the supplied inputs must match the
                     // accused's own signed commitment, so honest nodes can
@@ -604,15 +596,13 @@ impl EvidenceRecord {
                 ks.verify(env_sig, scratch)
                     .map_err(|_| EvidenceFlaw::BadSignature)?;
                 signed_output(output)?;
-                if view.task_is_source(output.task) {
+                let spec = spec(output.task)?;
+                if matches!(spec.kind, TaskKind::Source { .. }) {
                     return Err(EvidenceFlaw::Inconsistent(
                         "sources are checked by reading, not witnesses",
                     ));
                 }
-                let declared = view
-                    .inputs_of_task(output.task)
-                    .ok_or(EvidenceFlaw::UnknownTask(output.task))?;
-                let expected: BTreeSet<TaskId> = declared.into_iter().collect();
+                let expected: BTreeSet<TaskId> = spec.inputs.iter().copied().collect();
                 let supplied: BTreeSet<TaskId> = witnesses.iter().map(|w| w.task).collect();
                 let mut vals = Vec::with_capacity(witnesses.len());
                 let mut witness_flaw = expected != supplied || witnesses.len() != supplied.len();
@@ -812,23 +802,19 @@ const CRASH_DECL_LEN: usize = prefixed(CRASH_DECL_DOMAIN.len()) + 4 + 4 + 8;
 mod tests {
     use super::*;
     use crate::compute::task_value;
+    use crate::workload::WorkloadBuilder;
+    use crate::{Criticality, Duration};
     use btr_crypto::NodeKey;
 
-    struct TestView;
-    impl WorkloadView for TestView {
-        fn inputs_of_task(&self, task: TaskId) -> Option<Vec<TaskId>> {
-            match task.0 {
-                0 | 1 => Some(vec![]),                 // Sources.
-                2 => Some(vec![TaskId(0), TaskId(1)]), // Fusion.
-                _ => None,
-            }
-        }
-        fn task_is_source(&self, task: TaskId) -> bool {
-            task.0 < 2
-        }
-        fn workload_seed(&self) -> u64 {
-            7
-        }
+    /// Sources 0 and 1, their fusion 2 and a sink 3 after it; seed 7.
+    fn workload() -> Workload {
+        let (wcet, d, low) = (Duration(10), Duration::from_millis(10), Criticality::Low);
+        let mut b = WorkloadBuilder::new(d, 7);
+        let s0 = b.source("s0", NodeId(0), wcet, low, d);
+        let s1 = b.source("s1", NodeId(1), wcet, low, d);
+        let fusion = b.compute("fusion", &[s0, s1], wcet, low, d, 0);
+        b.sink("k", NodeId(2), &[fusion], wcet, low, d);
+        b.build().unwrap()
     }
 
     fn signer(i: u32) -> Signer {
@@ -966,11 +952,11 @@ mod tests {
                 | EvidenceRecord::CrashSuspicion { period, .. } => *period += 1,
             }
             for r in [&record, &changed] {
-                let cold = r.verify(&keystore(), &TestView);
-                assert_eq!(r.verify_with(&keystore(), &TestView, &mut scratch), cold);
+                let cold = r.verify(&keystore(), &workload());
+                assert_eq!(r.verify_with(&keystore(), &workload(), &mut scratch), cold);
             }
-            assert_eq!(record.verify(&keystore(), &TestView), Ok(()));
-            assert!(changed.verify(&keystore(), &TestView).is_err());
+            assert_eq!(record.verify(&keystore(), &workload()), Ok(()));
+            assert!(changed.verify(&keystore(), &workload()).is_err());
         }
     }
 
@@ -986,7 +972,7 @@ mod tests {
         };
         assert_eq!(ev.class(), EvidenceClass::Proof);
         assert_eq!(ev.convicts(), Some(NodeId(3)));
-        assert_eq!(ev.verify(&keystore(), &TestView), Ok(()));
+        assert_eq!(ev.verify(&keystore(), &workload()), Ok(()));
     }
 
     #[test]
@@ -999,7 +985,7 @@ mod tests {
             b: a,
         };
         assert!(matches!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::Inconsistent(_))
         ));
     }
@@ -1016,7 +1002,7 @@ mod tests {
             b,
         };
         assert!(matches!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::Inconsistent(_))
         ));
     }
@@ -1056,7 +1042,7 @@ mod tests {
             output: wrong,
             inputs,
         };
-        assert_eq!(ev.verify(&keystore(), &TestView), Ok(()));
+        assert_eq!(ev.verify(&keystore(), &workload()), Ok(()));
     }
 
     #[test]
@@ -1079,7 +1065,7 @@ mod tests {
             inputs,
         };
         assert_eq!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::RecomputationMatches)
         );
     }
@@ -1105,7 +1091,7 @@ mod tests {
             inputs: inputs[..1].to_vec(),
         };
         assert_eq!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::InputSetMismatch)
         );
     }
@@ -1120,7 +1106,7 @@ mod tests {
             output: out,
             inputs: vec![],
         };
-        assert_eq!(ev.verify(&keystore(), &TestView), Ok(()));
+        assert_eq!(ev.verify(&keystore(), &workload()), Ok(()));
     }
 
     #[test]
@@ -1129,7 +1115,7 @@ mod tests {
         let d = EvidenceRecord::declare_path(&s, NodeId(2), NodeId(2), NodeId(4), TaskId(2), 7);
         assert_eq!(d.class(), EvidenceClass::Declaration);
         assert_eq!(d.convicts(), None);
-        assert_eq!(d.verify(&keystore(), &TestView), Ok(()));
+        assert_eq!(d.verify(&keystore(), &workload()), Ok(()));
     }
 
     #[test]
@@ -1137,7 +1123,7 @@ mod tests {
         let s = signer(6);
         let d = EvidenceRecord::declare_path(&s, NodeId(6), NodeId(2), NodeId(4), TaskId(2), 7);
         assert!(matches!(
-            d.verify(&keystore(), &TestView),
+            d.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::Inconsistent(_))
         ));
     }
@@ -1152,11 +1138,11 @@ mod tests {
             Time(1_000),
             Time(2_000),
         );
-        assert_eq!(d.verify(&keystore(), &TestView), Ok(()));
+        assert_eq!(d.verify(&keystore(), &workload()), Ok(()));
         let not_late =
             EvidenceRecord::declare_timing(&signer(4), NodeId(4), out, Time(2_000), Time(1_000));
         assert!(matches!(
-            not_late.verify(&keystore(), &TestView),
+            not_late.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::Inconsistent(_))
         ));
     }
@@ -1165,7 +1151,7 @@ mod tests {
     fn crash_suspicion_rejects_self() {
         let d = EvidenceRecord::declare_crash(&signer(4), NodeId(4), NodeId(4), 3);
         assert!(matches!(
-            d.verify(&keystore(), &TestView),
+            d.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::Inconsistent(_))
         ));
     }
@@ -1176,7 +1162,7 @@ mod tests {
         let d =
             EvidenceRecord::declare_path(&signer(5), NodeId(2), NodeId(2), NodeId(4), TaskId(2), 7);
         assert_eq!(
-            d.verify(&keystore(), &TestView),
+            d.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::BadSignature)
         );
     }
@@ -1215,7 +1201,7 @@ mod tests {
             inputs: vec![input_b, input_1],
         };
         assert_eq!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::CommitmentMismatch)
         );
     }
@@ -1252,7 +1238,41 @@ mod tests {
         };
         assert_eq!(ev.class(), EvidenceClass::Proof);
         assert_eq!(ev.convicts(), Some(NodeId(3)));
-        assert_eq!(ev.verify(&keystore(), &TestView), Ok(()));
+        assert_eq!(ev.verify(&keystore(), &workload()), Ok(()));
+    }
+
+    #[test]
+    fn a_task_past_the_workload_is_an_unknown_task() {
+        // A record's task id comes off the wire. Correctly signed proofs
+        // about task 9 of a four-task workload are rejected, not a panic.
+        let (p, w) = (5, good_inputs(5));
+        let out = SignedOutput::sign(&signer(3), TaskId(9), 0, p, 1, digest_of(&w), NodeId(3));
+        let payload = crate::message::Payload::Output {
+            output: out.clone(),
+            witnesses: w.clone(),
+        };
+        let env_sig = signer(3).sign(&envelope_bytes(NodeId(3), Time(9), &payload));
+        let records = [
+            EvidenceRecord::BadComputation {
+                accused: NodeId(3),
+                output: out.clone(),
+                inputs: w.clone(),
+            },
+            EvidenceRecord::BadWitness {
+                accused: NodeId(3),
+                output: out,
+                witnesses: w,
+                sent_at: Time(9),
+                env_sig,
+            },
+        ];
+        for record in records {
+            assert_eq!(
+                record.verify(&keystore(), &workload()),
+                Err(EvidenceFlaw::UnknownTask(TaskId(9))),
+                "{record:?}"
+            );
+        }
     }
 
     #[test]
@@ -1285,7 +1305,7 @@ mod tests {
             env_sig,
         };
         assert_eq!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::RecomputationMatches)
         );
     }
@@ -1311,7 +1331,7 @@ mod tests {
             env_sig,
         };
         assert_eq!(
-            ev.verify(&keystore(), &TestView),
+            ev.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::BadSignature)
         );
     }

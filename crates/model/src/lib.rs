@@ -4,10 +4,11 @@
 //! node/task/link identifiers, the CPS topology of Section 2.1 of the
 //! paper ("a set of nodes and a set of links ... finite processing speed
 //! ... finite bandwidth") with its parametric platform families (torus,
-//! fat-tree, SCADA star-of-rings), the periodic dataflow vocabulary,
-//! wire messages and their canonical signing encodings, plans and
-//! strategies produced by the planner, fault sets, and the evidence
-//! records exchanged by the detector and distributor.
+//! fat-tree, SCADA star-of-rings), the periodic dataflow workload of the
+//! same section and its generators, wire messages and their canonical
+//! signing encodings, plans and strategies produced by the planner,
+//! fault sets, and the evidence records exchanged by the detector and
+//! distributor.
 //!
 //! Keeping these in one bottom-of-the-graph crate lets the runtime's
 //! detector, evidence distribution and mode switch stay pure protocol
@@ -28,6 +29,7 @@ pub mod message;
 pub mod plan;
 pub mod time;
 pub mod topology;
+pub mod workload;
 
 pub use compute::{
     inputs_digest, sensor_value, task_value, task_value_and_digest, Value, EMPTY_INPUTS_DIGEST,

@@ -48,6 +48,17 @@ impl std::fmt::Display for ATask {
     }
 }
 
+/// Which upstream replica a consumer lane reads.
+///
+/// Replica lanes are "vertical": lane `r` of a task consumes lane
+/// `min(r, producer_lanes - 1)` of each input. Lane 0 is the primary
+/// pipeline that feeds sinks; checkers read *all* lanes of their task.
+/// The planner's placer and scheduler and the runtime's plan tables all
+/// route a lane's inputs by this one rule.
+pub fn input_lane(consumer_replica: ReplicaIdx, producer_lanes: u8) -> ReplicaIdx {
+    consumer_replica.min(producer_lanes.saturating_sub(1))
+}
+
 /// One slot in a node's static cyclic schedule (offsets within the period).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleEntry {
@@ -330,6 +341,14 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn input_lane_mapping() {
+        assert_eq!(input_lane(0, 3), 0);
+        assert_eq!(input_lane(2, 3), 2);
+        assert_eq!(input_lane(2, 1), 0); // Fewer producer lanes: clamp.
+        assert_eq!(input_lane(1, 0), 0); // Degenerate.
+    }
 
     fn entry(atask: ATask, start: u64, wcet: u64) -> ScheduleEntry {
         ScheduleEntry {

@@ -14,13 +14,9 @@
 //! to in-flight entertainment), an automotive brake-by-wire system, a
 //! SCADA plant, and parameterised random layered DAGs for sweeps.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod generators;
 
-use btr_model::evidence::WorkloadView;
-use btr_model::{Criticality, Duration, NodeId, TaskId};
+use crate::{Criticality, Duration, NodeId, TaskId};
 use std::collections::BTreeSet;
 
 /// What role a task plays in the dataflow graph.
@@ -293,22 +289,6 @@ impl Workload {
     }
 }
 
-impl WorkloadView for Workload {
-    fn inputs_of_task(&self, task: TaskId) -> Option<Vec<TaskId>> {
-        self.tasks.get(task.index()).map(|t| t.inputs.clone())
-    }
-
-    fn task_is_source(&self, task: TaskId) -> bool {
-        self.tasks
-            .get(task.index())
-            .is_some_and(|t| matches!(t.kind, TaskKind::Source { .. }))
-    }
-
-    fn workload_seed(&self) -> u64 {
-        self.seed
-    }
-}
-
 /// Builder for hand-assembled workloads (used by generators and tests).
 #[derive(Debug, Clone)]
 pub struct WorkloadBuilder {
@@ -423,7 +403,7 @@ impl WorkloadBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btr_model::Time;
+    use crate::Time;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
@@ -460,16 +440,6 @@ mod tests {
         assert_eq!(w.topo_order(), &[TaskId(0), TaskId(1), TaskId(2)]);
         assert!((w.utilization() - 0.08).abs() < 1e-9);
         assert!(!w.is_empty());
-    }
-
-    #[test]
-    fn workload_view_impl() {
-        let w = tiny();
-        assert!(w.task_is_source(TaskId(0)));
-        assert!(!w.task_is_source(TaskId(1)));
-        assert_eq!(w.inputs_of_task(TaskId(1)), Some(vec![TaskId(0)]));
-        assert_eq!(w.inputs_of_task(TaskId(9)), None);
-        assert_eq!(w.workload_seed(), 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! size (round-robin over sensing/actuating nodes), so the same workload
 //! family can be instantiated on any topology used in the experiments.
 
-use crate::{Workload, WorkloadBuilder};
-use btr_model::{Criticality, Duration, NodeId, TaskId};
+use super::{Workload, WorkloadBuilder};
+use crate::{Criticality, Duration, NodeId, TaskId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -419,7 +419,7 @@ pub fn random_layered(p: &RandomParams) -> Workload {
             let dangling: Vec<TaskId> = tasks
                 .iter()
                 .filter(|t| {
-                    !consumed[t.id.index()] && !matches!(t.kind, crate::TaskKind::Sink { .. })
+                    !consumed[t.id.index()] && !matches!(t.kind, super::TaskKind::Sink { .. })
                 })
                 .map(|t| t.id)
                 .collect();
@@ -505,7 +505,7 @@ pub fn by_name(name: &str) -> Option<fn(usize) -> Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TaskKind;
+    use crate::workload::TaskKind;
 
     #[test]
     fn catalog_names_resolve_and_generate() {

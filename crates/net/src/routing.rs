@@ -21,8 +21,8 @@
 //! link carrying each hop — into flat pools at construction.
 //! [`RoutingTable::path`] and [`RoutingTable::path_and_links`] are then
 //! O(1) slice borrows with no per-call allocation or link lookup; the
-//! planner's bounds (`btr-sched`'s `comm_bound`, `synthesize`) read the
-//! cached links too, from a table or a view, through [`RouteLookup`].
+//! planner's bounds (its placer's comm table, `sched::synthesize`) read
+//! the cached links too, from a table or a view, through [`RouteLookup`].
 
 use btr_model::{LinkId, NodeId, Topology};
 use std::collections::{BTreeSet, VecDeque};

@@ -7,8 +7,8 @@
 //! fault); masking needs 2f+1 (majority voting). The planner supports
 //! both so the experiments can price the difference.
 
+use btr_model::workload::{TaskKind, Workload};
 use btr_model::TaskId;
-use btr_workload::{TaskKind, Workload};
 use std::collections::BTreeMap;
 
 /// How many copies of each task to run.
@@ -76,8 +76,8 @@ pub fn lane_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_model::workload::WorkloadBuilder;
     use btr_model::{Criticality, Duration, NodeId};
-    use btr_workload::WorkloadBuilder;
     use std::collections::BTreeSet;
 
     fn ms(x: u64) -> Duration {

@@ -1,9 +1,14 @@
-//! Worst-case communication bounds between placed tasks.
+//! Worst-case communication bounds between placed tasks: the test
+//! reference.
 //!
 //! The planner and scheduler need an upper bound on how long a message of
 //! a given size takes between two nodes. With reserved per-sender slices
 //! and static routes this is a closed form: the sum of
-//! [`btr_net::hop_bound`] over the route's links. Both substrates deliver
+//! [`btr_net::hop_bound`] over the route's links. The placer's
+//! `CommTable` and [`crate::sched::synthesize`] each sum those terms
+//! themselves; [`comm_bound`] is the plain sum that
+//! `comm_table_is_the_sweep_over_comm_bound` holds the table to, and
+//! that the tests here hold the link layer to. Both substrates deliver
 //! through `btr_net::LinkLayer`, which charges only the originator's
 //! slice and adds the same hop rule for every later link, so the bound is
 //! exact when the originator's slice is idle and conservative otherwise.
@@ -18,7 +23,7 @@ use btr_net::{hop_bound, RouteLookup};
 ///
 /// Returns `Duration::ZERO` for `src == dst` and `None` when no route
 /// exists (e.g. the fault pattern cut the network).
-pub fn comm_bound<R: RouteLookup + ?Sized>(
+pub(crate) fn comm_bound<R: RouteLookup + ?Sized>(
     topo: &Topology,
     routing: &R,
     src: NodeId,

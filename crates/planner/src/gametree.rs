@@ -7,8 +7,8 @@
 //! side of the tree: which sequence of up to `f` node compromises does
 //! the most cumulative damage?
 
+use btr_model::workload::Workload;
 use btr_model::{Criticality, FaultSet, NodeId, Plan, Strategy};
-use btr_workload::Workload;
 use std::collections::BTreeMap;
 
 /// Utility of a plan: criticality-weighted fraction of surviving sink
@@ -134,7 +134,7 @@ mod tests {
     }
 
     fn strategy_f1() -> (Strategy, Workload) {
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         let cfg = PlannerConfig::new(1, ms(100));
         let (s, _) = build_strategy(&w, &topo, &cfg).unwrap();

@@ -4,7 +4,7 @@ use btr_model::{ATask, NodeId, TaskId};
 use std::collections::BTreeMap;
 
 /// [`AtaskIndex`] slot value of a task the placement does not hold.
-pub const UNPLACED: u32 = u32::MAX;
+pub(crate) const UNPLACED: u32 = u32::MAX;
 
 /// A dense numbering of one mode's work and check tasks.
 ///
@@ -12,10 +12,10 @@ pub const UNPLACED: u32 = u32::MAX;
 /// mode's largest lane count; the checker of `t` is slot `tasks · stride
 /// + t`. Ascending slots are ascending [`ATask`] order, so an array over
 /// the index read front to back is a placement map's rows, already
-/// sorted. The planner's placer and [`crate::synthesize`] keep their per-task
-/// state in such arrays instead of maps keyed by `ATask`.
+/// sorted. The placer and [`crate::sched::synthesize`] keep their
+/// per-task state in such arrays instead of maps keyed by `ATask`.
 #[derive(Debug, Default)]
-pub struct AtaskIndex {
+pub(crate) struct AtaskIndex {
     stride: usize,
     /// Lane count per workload task (`None`: shed).
     lanes: Vec<Option<u8>>,
@@ -23,7 +23,7 @@ pub struct AtaskIndex {
 
 impl AtaskIndex {
     /// Re-index for a mode: `tasks` workload tasks, `lanes` of them alive.
-    pub fn set(&mut self, tasks: usize, lanes: &BTreeMap<TaskId, u8>) {
+    pub(crate) fn set(&mut self, tasks: usize, lanes: &BTreeMap<TaskId, u8>) {
         self.lanes.clear();
         self.lanes.resize(tasks, None);
         self.stride = 1;
@@ -36,33 +36,33 @@ impl AtaskIndex {
     }
 
     /// Number of slots.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.lanes.len() * (self.stride + 1)
     }
 
     /// The lane count of `task`; `None` if it is shed.
     #[inline]
-    pub fn lanes(&self, task: TaskId) -> Option<u8> {
+    pub(crate) fn lanes(&self, task: TaskId) -> Option<u8> {
         self.lanes[task.index()]
     }
 
     /// Slot of `ATask::Work { task, replica }`, `replica` below the
     /// mode's largest lane count.
     #[inline]
-    pub fn work(&self, task: TaskId, replica: u8) -> usize {
+    pub(crate) fn work(&self, task: TaskId, replica: u8) -> usize {
         debug_assert!((replica as usize) < self.stride);
         task.index() * self.stride + replica as usize
     }
 
     /// Slot of `ATask::Check { task }`.
     #[inline]
-    pub fn check(&self, task: TaskId) -> usize {
+    pub(crate) fn check(&self, task: TaskId) -> usize {
         self.lanes.len() * self.stride + task.index()
     }
 
     /// The work and check task at each slot, ascending: the inverse of
     /// [`AtaskIndex::work`] and [`AtaskIndex::check`].
-    pub fn atasks(&self) -> impl Iterator<Item = ATask> + '_ {
+    pub(crate) fn atasks(&self) -> impl Iterator<Item = ATask> + '_ {
         let tasks = self.lanes.len() as u32;
         let work = (0..tasks).flat_map(move |t| {
             (0..self.stride as u8).map(move |replica| ATask::Work {
@@ -77,7 +77,11 @@ impl AtaskIndex {
     /// id per slot and [`UNPLACED`] where the map has none. Rows outside
     /// the index (a lane past the stride, an unknown task) are skipped:
     /// no slot stands for them.
-    pub fn read_placement(&self, placement: &BTreeMap<ATask, NodeId>, node_of: &mut Vec<u32>) {
+    pub(crate) fn read_placement(
+        &self,
+        placement: &BTreeMap<ATask, NodeId>,
+        node_of: &mut Vec<u32>,
+    ) {
         node_of.clear();
         node_of.resize(self.slots(), UNPLACED);
         let tasks = self.lanes.len();

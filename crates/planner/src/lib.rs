@@ -16,7 +16,7 @@
 //!    honouring hard constraints (replica anti-affinity, sensor/actuator
 //!    pinning) and heuristics (bandwidth locality, load balance, checker
 //!    co-location, minimal distance from the parent plan).
-//! 3. `btr-sched` synthesises per-node schedules and link budgets; on
+//! 3. [`sched`] synthesises per-node schedules and link budgets; on
 //!    failure the planner sheds the least-critical tasks and retries
 //!    ("the planner removes some of the less critical tasks and
 //!    retries").
@@ -30,8 +30,12 @@
 #![warn(missing_docs)]
 
 mod augment;
+#[cfg(test)]
+mod comm;
 mod gametree;
+mod index;
 pub mod placement;
+pub mod sched;
 pub mod strategy;
 
 pub use augment::{lane_counts, ReplicationMode};
@@ -40,8 +44,8 @@ pub use placement::place;
 pub use strategy::{build_strategy, StrategyError, StrategyStats};
 
 use btr_model::Duration;
-use btr_sched::SchedParams;
 use placement::PlaceOpts;
+use sched::SchedParams;
 
 /// Detection-latency component assumed by the R admission check (one
 /// period for the checker to see a bad output, plus slack): a strategy

@@ -15,10 +15,11 @@
 //! the mode's `AtaskIndex` (`Placer`) and reads distances from the
 //! mode's `CommTable`, patched from the strategy's `BaseComm`.
 
+use crate::index::{AtaskIndex, UNPLACED};
+use btr_model::plan::input_lane;
+use btr_model::workload::{TaskKind, Workload};
 use btr_model::{ATask, Duration, LinkId, LinkSpec, NodeId, TaskId, Topology};
 use btr_net::{hop_bound, slice_rate, ModeRoutes, RouteLookup, RoutingTable};
-use btr_sched::{AtaskIndex, UNPLACED};
-use btr_workload::{TaskKind, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why placement failed.
@@ -250,7 +251,7 @@ impl Placer {
                 // same for every candidate.
                 producers.clear();
                 producers.extend(spec.inputs.iter().filter_map(|&input| {
-                    let lane = btr_sched::input_lane(r, index.lanes(input)?);
+                    let lane = input_lane(r, index.lanes(input)?);
                     let node = node_of[index.work(input, lane)];
                     (node != UNPLACED).then_some(NodeId(node))
                 }));
@@ -360,10 +361,10 @@ fn placement_distance(a: &BTreeMap<ATask, NodeId>, b: &BTreeMap<ATask, NodeId>) 
 
 /// One mode's communication bounds, read off its routes in one pass.
 ///
-/// [`btr_sched::comm_bound`] is a sum of per-hop terms that depend only on the
-/// link's slice rate and latency — its *class* — so a route's bound for
-/// any message size is fixed by its signature: how many hops it takes in
-/// each class. A bus has one signature; a mesh of like links one per hop
+/// A route's delivery bound (the tests' `comm_bound`) is a sum of
+/// per-hop terms that depend only on the link's slice rate and latency
+/// — its *class* — so a route's bound for any message size is fixed by
+/// its signature: how many hops it takes in each class. A bus has one signature; a mesh of like links one per hop
 /// count. One more hop in any class never shortens a bound, so the worst
 /// bound over all routes is the worst over the signatures no other
 /// signature dominates, and that front is all the table keeps: the
@@ -572,7 +573,7 @@ impl<'a> CommTable<'a> {
         self.distance[from.index() * self.nodes + to.index()]
     }
 
-    /// The worst [`btr_sched::comm_bound`] of `bytes` over every routed pair of the
+    /// The worst `comm_bound` of `bytes` over every routed pair of the
     /// mode.
     pub(crate) fn worst(&self, bytes: u32) -> Duration {
         let width = self.classes.len();
@@ -677,9 +678,9 @@ fn admit(front: &mut Vec<u16>, signature: &[u16]) {
 mod tests {
     use super::*;
     use crate::augment::{lane_counts, ReplicationMode};
+    use crate::comm::comm_bound;
+    use btr_model::workload::WorkloadBuilder;
     use btr_model::{Criticality, Duration};
-    use btr_sched::comm_bound;
-    use btr_workload::WorkloadBuilder;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)

@@ -5,43 +5,36 @@
 //! is not schedulable ... the planner removes some of the less critical
 //! tasks and retries."
 //!
-//! This crate is the "derive a schedule" half: given a placement of
+//! This module is the "derive a schedule" half: given a placement of
 //! augmented tasks (replicas, checkers, verification slots) onto nodes,
 //! it list-schedules the dataflow in topological order, accounting for
 //! message latency between nodes on their reserved link slices, and
 //! checks deadlines, period fit, and link-bandwidth budgets. The
-//! criticality-shedding retry loop lives in `btr-planner`.
+//! criticality-shedding retry loop lives in [`crate::strategy`].
 //!
 //! It also answers the domain's favourite cost question — "the impact on
 //! clock frequency is a common evaluation metric" (Section 2) — via
 //! [`min_speed_pct`]: the slowest global CPU speed at which the system is
 //! still schedulable.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod comm;
-mod index;
-
-pub use comm::comm_bound;
-pub use index::{AtaskIndex, UNPLACED};
-
+use crate::index::{AtaskIndex, UNPLACED};
+use btr_model::plan::input_lane;
+use btr_model::workload::{TaskKind, Workload};
 use btr_model::{ATask, Duration, LinkId, NodeId, NodeSchedule, ScheduleEntry, TaskId, Topology};
 use btr_net::RouteLookup;
-use btr_workload::{TaskKind, Workload};
 use std::collections::BTreeMap;
 
 /// Base wire size of one task-output envelope (header + signed output).
-pub(crate) const OUTPUT_WIRE_BYTES: u32 = 200;
+const OUTPUT_WIRE_BYTES: u32 = 200;
 /// Additional wire bytes per carried witness (signed input).
-pub(crate) const WITNESS_WIRE_BYTES: u32 = 120;
+const WITNESS_WIRE_BYTES: u32 = 120;
 /// Slack added to every message-arrival bound, covering control-plane
 /// competition on the sender's reserved slice (heartbeat bursts at
 /// period boundaries, evidence floods during recovery).
 const COMM_SLACK: Duration = Duration(300);
 
 /// Estimated wire size of a task output carrying `fanin` witnesses.
-pub(crate) fn output_wire_estimate(fanin: usize) -> u32 {
+fn output_wire_estimate(fanin: usize) -> u32 {
     OUTPUT_WIRE_BYTES + WITNESS_WIRE_BYTES * fanin as u32
 }
 
@@ -147,17 +140,8 @@ pub struct Synthesis {
     pub(crate) primary_finish: BTreeMap<TaskId, Duration>,
 }
 
-/// Which upstream replica a consumer lane reads.
-///
-/// Replica lanes are "vertical": lane `r` of a task consumes lane
-/// `min(r, producer_lanes - 1)` of each input. Lane 0 is the primary
-/// pipeline that feeds sinks; checkers read *all* lanes of their task.
-pub fn input_lane(consumer_replica: u8, producer_lanes: u8) -> u8 {
-    consumer_replica.min(producer_lanes.saturating_sub(1))
-}
-
 /// WCET budget for a checking task over `lanes` replica outputs.
-pub(crate) fn check_wcet(lanes: u8) -> Duration {
+fn check_wcet(lanes: u8) -> Duration {
     Duration(20 + 10 * lanes as u64)
 }
 
@@ -170,7 +154,7 @@ pub(crate) fn check_wcet(lanes: u8) -> Duration {
 /// `ATask::Verify` entries for per-node reserves. `routing` is a routing
 /// table or a mode's view of one.
 ///
-/// The maps are read once into arrays over the [`AtaskIndex`]; every
+/// The maps are read once into arrays over the mode's `AtaskIndex`; every
 /// step of the list scheduler is then an indexed load, and the maps of
 /// the returned [`Synthesis`] are each built once from sorted rows.
 pub fn synthesize<R: RouteLookup + ?Sized>(
@@ -257,7 +241,7 @@ pub fn synthesize<R: RouteLookup + ?Sized>(
     // Deadline checks on the primary lane of every scheduled task, in
     // task order. For sinks the finish time includes delivering to the
     // actuator (the sink task runs *on* the actuating node).
-    let primary = |spec: &btr_workload::TaskSpec| {
+    let primary = |spec: &btr_model::workload::TaskSpec| {
         matches!(index.lanes(spec.id), Some(1..)).then(|| (spec.id, finish[index.work(spec.id, 0)]))
     };
     for (tid, f) in workload.tasks().iter().filter_map(primary) {
@@ -510,9 +494,9 @@ pub fn round_robin_placement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_model::workload::WorkloadBuilder;
     use btr_model::Criticality;
     use btr_net::RoutingTable;
-    use btr_workload::WorkloadBuilder;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
@@ -747,17 +731,35 @@ mod tests {
         assert!(matches!(err, SchedError::MissingPlacement(_)));
     }
 
+    /// Every schedule's comm term, and so R, rests on the wire estimate:
+    /// it must not under-count a signed output envelope carrying `k`
+    /// witnesses (194, 300 and 512 B at k = 0, 1 and 3).
     #[test]
-    fn input_lane_mapping() {
-        assert_eq!(input_lane(0, 3), 0);
-        assert_eq!(input_lane(2, 3), 2);
-        assert_eq!(input_lane(2, 1), 0); // Fewer producer lanes: clamp.
-        assert_eq!(input_lane(1, 0), 0); // Degenerate.
+    fn wire_estimate_covers_a_signed_output_envelope() {
+        use btr_crypto::{NodeKey, Signer};
+        use btr_model::{Envelope, Payload, SignedOutput, Time};
+        let signer = Signer::new(NodeKey::derive(1, 0));
+        let out = |t| SignedOutput::sign(&signer, TaskId(t), 0, 7, u64::MAX, 3, NodeId(0));
+        let mut sizes = Vec::new();
+        for k in 0..=16u32 {
+            let payload = Payload::Output {
+                output: out(k),
+                witnesses: (0..k).map(out).collect(),
+            };
+            let env = Envelope::new(NodeId(0), NodeId(1), Time(9), payload).signed(&signer);
+            let (estimate, wire) = (output_wire_estimate(k as usize), env.wire_size());
+            assert!(
+                estimate >= wire,
+                "k = {k}: estimate {estimate} B < {wire} B"
+            );
+            sizes.push(wire);
+        }
+        assert_eq!([sizes[0], sizes[1], sizes[3]], [194, 300, 512]);
     }
 
     #[test]
     fn avionics_is_schedulable_on_nine_nodes() {
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 50_000, Duration(10));
         let routing = RoutingTable::new(&topo);
         let lanes = single_lanes(&w);

@@ -36,13 +36,13 @@
 
 use crate::augment::lane_counts;
 use crate::placement::{broken_constraint, BaseComm, CommTable, Healthy, PlacementError, Placer};
+use crate::sched::synthesize;
 use crate::{PlannerConfig, ShedPolicy, DETECT_MARGIN};
+use btr_model::workload::Workload;
 use btr_model::{
     ATask, Duration, FaultSet, Migration, NodeId, Plan, PlanId, Strategy, TaskId, Transition,
 };
 use btr_net::{BaseRoutes, Detours, ModeRoutes};
-use btr_sched::synthesize;
-use btr_workload::Workload;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Approximate wire size of an evidence record for bounds.
@@ -116,7 +116,7 @@ fn shed_order_key(workload: &Workload, t: TaskId) -> (u8, std::cmp::Reverse<u64>
 /// One planned mode: the parts of its [`Plan`] and the transitions into it.
 struct Mode {
     placement: BTreeMap<ATask, NodeId>,
-    synth: btr_sched::Synthesis,
+    synth: crate::sched::Synthesis,
     /// Tasks shed to make the mode feasible.
     shed: BTreeSet<TaskId>,
     /// The transition `F∖{x} → F` for every `x ∈ F`, trigger ascending.
@@ -602,7 +602,7 @@ mod tests {
     }
 
     fn setup() -> (Workload, Topology) {
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         (w, topo)
     }
@@ -638,7 +638,8 @@ mod tests {
         // On a bus no route has a relay: the fault-free table's 20
         // searches are all the 211 modes of (20, 2) cost.
         let bus = Topology::bus(20, 150_000, Duration(5));
-        let (searches, stats) = searches_building(&btr_workload::generators::avionics(20), &bus, 2);
+        let (searches, stats) =
+            searches_building(&btr_model::workload::generators::avionics(20), &bus, 2);
         assert_eq!((searches, stats.plans), (20, 211));
         // On a ring every node relays for someone, yet a mode searches
         // again only the destinations its faulty nodes relayed for: 744
@@ -646,7 +647,7 @@ mod tests {
         // 12 − |F| destinations, 804.
         let ring = Topology::ring(12, 150_000, Duration(5));
         let (searches, stats) =
-            searches_building(&btr_workload::generators::avionics(12), &ring, 2);
+            searches_building(&btr_model::workload::generators::avionics(12), &ring, 2);
         let fresh: usize = (0..=2)
             .map(|k| (12 - k) * enumerate_fault_sets(12, k).len())
             .sum();
@@ -663,7 +664,7 @@ mod tests {
         faulty: &BTreeSet<NodeId>,
         pick: fn(&[NodeId]) -> NodeId,
     ) -> Option<PlacementError> {
-        use btr_workload::TaskKind;
+        use btr_model::workload::TaskKind;
         let healthy: Vec<NodeId> = topo
             .nodes()
             .iter()
@@ -748,8 +749,8 @@ mod tests {
         let (mut modes, mut broken) = (0, 0);
         for (topo, f) in golden_platforms() {
             for w in [
-                btr_workload::generators::avionics(topo.node_count()),
-                btr_workload::generators::scada(topo.node_count()),
+                btr_model::workload::generators::avionics(topo.node_count()),
+                btr_model::workload::generators::scada(topo.node_count()),
             ] {
                 let cfg = PlannerConfig::new(f, ms(300));
                 let fault_sets =
@@ -815,7 +816,7 @@ mod tests {
     #[test]
     fn each_mode_is_placed_once() {
         use crate::placement::PLACEMENTS;
-        let w = btr_workload::generators::avionics(20);
+        let w = btr_model::workload::generators::avionics(20);
         let topo = Topology::bus(20, 150_000, Duration(5));
         let mut cfg = PlannerConfig::new(2, ms(300));
         cfg.admit_best_effort = true;
@@ -866,7 +867,7 @@ mod tests {
     /// here from the plans the strategy holds.
     #[test]
     fn period_is_the_workloads() {
-        use btr_workload::generators::{automotive, scada};
+        use btr_model::workload::generators::{automotive, scada};
         for (w, n) in [(automotive(8), 8), (scada(6), 6)] {
             let topo = Topology::bus(n, 150_000, Duration(5));
             let mut cfg = PlannerConfig::new(1, ms(300));
@@ -917,7 +918,7 @@ mod tests {
         // and placements) depend on the fault set.
         let mesh = Topology::mesh(3, 4, 100_000, Duration(5));
         for (topo, threads) in [(setup().1, 4), (mesh, 3)] {
-            let w = btr_workload::generators::avionics(topo.node_count());
+            let w = btr_model::workload::generators::avionics(topo.node_count());
             let mut cfg = PlannerConfig::new(2, ms(200));
             cfg.admit_best_effort = true;
             let sequential = build_strategy(&w, &topo, &cfg).unwrap();
@@ -949,7 +950,7 @@ mod tests {
     #[test]
     fn shedding_prefers_low_criticality() {
         // Overload a tiny platform so the planner must shed.
-        let w = btr_workload::generators::avionics(4);
+        let w = btr_model::workload::generators::avionics(4);
         let topo = Topology::bus(4, 30_000, Duration(5));
         let mut cfg = PlannerConfig::new(1, ms(100));
         cfg.admit_best_effort = true;
@@ -963,7 +964,7 @@ mod tests {
                 if shed_caps.contains(&Criticality::Safety) {
                     let low_alive = w.tasks_at(Criticality::Low).any(|t| {
                         !plan.is_shed(t.id)
-                            && !matches!(t.kind, btr_workload::TaskKind::Sink { .. })
+                            && !matches!(t.kind, btr_model::workload::TaskKind::Sink { .. })
                     });
                     // Safety shed only after Low exhausted, except pinned
                     // actuator losses which shed regardless of level.

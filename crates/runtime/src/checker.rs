@@ -272,25 +272,17 @@ mod tests {
     use super::*;
     use crate::window::dealt_period;
     use btr_crypto::{KeyStore, NodeKey, Signer};
-    use btr_model::evidence::WorkloadView;
-    use btr_model::{inputs_digest, task_value};
+    use btr_model::workload::{Workload, WorkloadBuilder};
+    use btr_model::{inputs_digest, task_value, Criticality, Duration};
     use std::collections::BTreeMap;
 
-    struct View;
-    impl WorkloadView for View {
-        fn inputs_of_task(&self, task: TaskId) -> Option<Vec<TaskId>> {
-            match task.0 {
-                0 => Some(vec![]),
-                1 => Some(vec![TaskId(0)]),
-                _ => None,
-            }
-        }
-        fn task_is_source(&self, task: TaskId) -> bool {
-            task.0 == 0
-        }
-        fn workload_seed(&self) -> u64 {
-            3
-        }
+    /// Source 0 and a sink 1 that reads it; seed 3.
+    fn workload() -> Workload {
+        let (wcet, d, low) = (Duration(10), Duration::from_millis(10), Criticality::Low);
+        let mut b = WorkloadBuilder::new(d, 3);
+        let s = b.source("s", NodeId(0), wcet, low, d);
+        b.sink("k", NodeId(1), &[s], wcet, low, d);
+        b.build().unwrap()
     }
 
     fn signer(i: u32) -> Signer {
@@ -645,7 +637,7 @@ mod tests {
             NodeId(0),
         );
         let ev = see(&mut chk, lying, &[]).expect("a proof");
-        assert_eq!(ev.verify(&ks(), &View), Ok(()));
+        assert_eq!(ev.verify(&ks(), &workload()), Ok(()));
     }
 
     #[test]

@@ -359,24 +359,16 @@ impl Detector {
 mod tests {
     use super::*;
     use btr_crypto::{KeyStore, NodeKey};
-    use btr_model::evidence::WorkloadView;
-    use btr_model::{inputs_digest, sensor_value, task_value};
+    use btr_model::workload::{Workload, WorkloadBuilder};
+    use btr_model::{inputs_digest, sensor_value, task_value, Criticality, Duration};
 
-    struct View;
-    impl WorkloadView for View {
-        fn inputs_of_task(&self, task: TaskId) -> Option<Vec<TaskId>> {
-            match task.0 {
-                0 => Some(vec![]),
-                1 => Some(vec![TaskId(0)]),
-                _ => None,
-            }
-        }
-        fn task_is_source(&self, task: TaskId) -> bool {
-            task.0 == 0
-        }
-        fn workload_seed(&self) -> u64 {
-            9
-        }
+    /// Source 0 and a sink 1 that reads it; seed 9.
+    fn workload() -> Workload {
+        let (wcet, d, low) = (Duration(10), Duration::from_millis(10), Criticality::Low);
+        let mut b = WorkloadBuilder::new(d, 9);
+        let s = b.source("s", NodeId(0), wcet, low, d);
+        b.sink("k", NodeId(1), &[s], wcet, low, d);
+        b.build().unwrap()
     }
 
     fn signer(i: u32) -> Signer {
@@ -457,7 +449,7 @@ mod tests {
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].convicts(), Some(NodeId(1)));
         // The proof verifies independently.
-        assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
+        assert_eq!(evs[0].verify(&ks(), &workload()), Ok(()));
         // Re-observing does not re-emit (dedup).
         let (bad2, w2) = lane_out(1, 0, 1, 0xdead);
         let evs = see(&mut d, bad2, None, &w2);
@@ -475,7 +467,7 @@ mod tests {
         let evs = see(&mut d, b, None, &wb);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].convicts(), Some(NodeId(1)));
-        assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
+        assert_eq!(evs[0].verify(&ks(), &workload()), Ok(()));
     }
 
     #[test]
@@ -632,7 +624,7 @@ mod tests {
         assert!(
             matches!(&evs[..], [EvidenceRecord::Equivocation { accused, .. }] if *accused == NodeId(1))
         );
-        assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
+        assert_eq!(evs[0].verify(&ks(), &workload()), Ok(()));
         let mut d = Detector::new(NodeId(3));
         see(&mut d, a.clone(), Some(true), &wa);
         let evs = see(&mut d, b, Some(true), &wb);
@@ -688,7 +680,7 @@ mod tests {
                 let (warm_evs, m) = feed(&mut warm);
                 proptest::prop_assert!(cold_evs == warm_evs, "message {i}: {cold_evs:?} vs {warm_evs:?}");
                 for ev in &cold_evs {
-                    proptest::prop_assert_eq!(ev.verify(&ks(), &View), Ok(()));
+                    proptest::prop_assert_eq!(ev.verify(&ks(), &workload()), Ok(()));
                 }
                 cold_macs += c;
                 warm_macs += m;
@@ -714,7 +706,7 @@ mod tests {
         );
         assert_eq!(evs.len(), 1);
         assert!(matches!(evs[0], EvidenceRecord::TimingDeclaration { .. }));
-        assert_eq!(evs[0].verify(&ks(), &View), Ok(()));
+        assert_eq!(evs[0].verify(&ks(), &workload()), Ok(()));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! and node by node.
 
 use crate::checker::CheckerConfig;
+use btr_model::plan::input_lane;
+use btr_model::workload::{TaskKind, Workload};
 use btr_model::{ATask, Duration, NodeId, Plan, ReplicaIdx, ScheduleEntry, TaskId};
-use btr_sched::input_lane;
-use btr_workload::{TaskKind, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything a node needs to execute its part of one plan.
@@ -304,8 +304,8 @@ fn derive_upstream_hosts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_model::workload::WorkloadBuilder;
     use btr_model::{Criticality, Duration, FaultSet, NodeSchedule, PlanId};
-    use btr_workload::WorkloadBuilder;
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)

@@ -31,13 +31,13 @@ mod window;
 pub use attack::Attack;
 pub use tables::WorldPlans;
 
+use btr_model::workload::TaskKind;
 use btr_model::{
     sensor_value, task_value_and_digest, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
     NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
 };
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
-use btr_workload::TaskKind;
 use checker::OutputPool;
 use detector::Detector;
 use evidence::Disseminator;
@@ -876,10 +876,10 @@ impl NodeBehavior for BtrNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_model::workload::Workload;
     use btr_model::{task_value, Strategy, Topology};
     use btr_planner::{build_strategy, PlannerConfig};
     use btr_sim::{SimConfig, World};
-    use btr_workload::Workload;
     use std::collections::BTreeMap;
 
     fn ms(x: u64) -> Duration {
@@ -887,7 +887,7 @@ mod tests {
     }
 
     fn setup(f: u8) -> (Arc<Workload>, Arc<Strategy>, Topology) {
-        let w = Arc::new(btr_workload::generators::avionics(9));
+        let w = Arc::new(btr_model::workload::generators::avionics(9));
         let topo = Topology::bus(9, 100_000, Duration(5));
         let mut cfg = PlannerConfig::new(f, ms(150));
         cfg.admit_best_effort = true;

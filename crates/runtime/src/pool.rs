@@ -1,7 +1,8 @@
 //! The evidence pool: admission, validation, blame, and blacklisting.
 
 use btr_crypto::KeyStore;
-use btr_model::evidence::{EvidenceFlaw, WorkloadView};
+use btr_model::evidence::EvidenceFlaw;
+use btr_model::workload::Workload;
 use btr_model::{EvidenceClass, EvidenceId, EvidenceRecord, NodeId, PeriodIdx};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,7 +64,7 @@ impl EvidencePool {
     pub(crate) fn admit(
         &mut self,
         ks: &KeyStore,
-        view: &dyn WorkloadView,
+        workload: &Workload,
         sender: NodeId,
         record: &EvidenceRecord,
         period: PeriodIdx,
@@ -85,7 +86,7 @@ impl EvidencePool {
         }
         entry.1 += 1;
 
-        match record.verify_with(ks, view, &mut self.scratch) {
+        match record.verify_with(ks, workload, &mut self.scratch) {
             Ok(()) => {
                 if let Some(n) = record.convicts() {
                     self.convicted.insert(n);
@@ -114,19 +115,16 @@ impl EvidencePool {
 mod tests {
     use super::*;
     use btr_crypto::{NodeKey, Signer};
-    use btr_model::{inputs_digest, sensor_value, SignedOutput, TaskId};
+    use btr_model::workload::WorkloadBuilder;
+    use btr_model::{inputs_digest, sensor_value, Criticality, Duration, SignedOutput, TaskId};
 
-    struct View;
-    impl WorkloadView for View {
-        fn inputs_of_task(&self, task: TaskId) -> Option<Vec<TaskId>> {
-            (task.0 < 3).then(Vec::new)
-        }
-        fn task_is_source(&self, _task: TaskId) -> bool {
-            true
-        }
-        fn workload_seed(&self) -> u64 {
-            5
-        }
+    /// Sources 0, 1 and 2 and a sink 3 that reads them; seed 5.
+    fn workload() -> Workload {
+        let (wcet, d, low) = (Duration(10), Duration::from_millis(10), Criticality::Low);
+        let mut b = WorkloadBuilder::new(d, 5);
+        let sources = [0, 1, 2].map(|n| b.source("s", NodeId(n), wcet, low, d));
+        b.sink("k", NodeId(3), &sources, wcet, low, d);
+        b.build().unwrap()
     }
 
     fn signer(i: u32) -> Signer {
@@ -178,7 +176,7 @@ mod tests {
     fn verify_then_duplicate() {
         let mut pool = EvidencePool::new();
         let r = valid_proof(1);
-        let out = pool.admit(&ks(), &View, NodeId(1), &r, 0);
+        let out = pool.admit(&ks(), &workload(), NodeId(1), &r, 0);
         assert!(matches!(
             out,
             AdmitOutcome::Verified {
@@ -187,7 +185,7 @@ mod tests {
             } if n == NodeId(2)
         ));
         assert_eq!(
-            pool.admit(&ks(), &View, NodeId(3), &r, 0),
+            pool.admit(&ks(), &workload(), NodeId(3), &r, 0),
             AdmitOutcome::Duplicate
         );
         assert!(pool.convicted.contains(&NodeId(2)));
@@ -199,7 +197,7 @@ mod tests {
         let mut pool = EvidencePool::new();
         for p in 0..BLACKLIST_THRESHOLD as PeriodIdx {
             assert!(!pool.blacklist.contains(&NodeId(6)));
-            let out = pool.admit(&ks(), &View, NodeId(6), &bogus(p), 0);
+            let out = pool.admit(&ks(), &workload(), NodeId(6), &bogus(p), 0);
             assert!(matches!(out, AdmitOutcome::Rejected(_)), "{out:?}");
         }
         assert!(pool.blacklist.contains(&NodeId(6)));
@@ -207,12 +205,12 @@ mod tests {
         // Further records from the blacklisted sender are ignored — even
         // valid ones.
         assert_eq!(
-            pool.admit(&ks(), &View, NodeId(6), &valid_proof(9), 0),
+            pool.admit(&ks(), &workload(), NodeId(6), &valid_proof(9), 0),
             AdmitOutcome::Blacklisted
         );
         // But the same record from an honest sender still lands.
         assert!(matches!(
-            pool.admit(&ks(), &View, NodeId(1), &valid_proof(9), 0),
+            pool.admit(&ks(), &workload(), NodeId(1), &valid_proof(9), 0),
             AdmitOutcome::Verified { .. }
         ));
     }
@@ -222,14 +220,14 @@ mod tests {
         let mut pool = EvidencePool::new();
         for p in 0..PER_SENDER_BUDGET as PeriodIdx {
             assert!(matches!(
-                pool.admit(&ks(), &View, NodeId(1), &valid_proof(p), 7),
+                pool.admit(&ks(), &workload(), NodeId(1), &valid_proof(p), 7),
                 AdmitOutcome::Verified { .. }
             ));
         }
         assert_eq!(
             pool.admit(
                 &ks(),
-                &View,
+                &workload(),
                 NodeId(1),
                 &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
                 7
@@ -240,7 +238,7 @@ mod tests {
         assert!(matches!(
             pool.admit(
                 &ks(),
-                &View,
+                &workload(),
                 NodeId(1),
                 &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
                 8
@@ -254,12 +252,12 @@ mod tests {
         let mut pool = EvidencePool::new();
         let b = bogus(1);
         assert!(matches!(
-            pool.admit(&ks(), &View, NodeId(1), &b, 0),
+            pool.admit(&ks(), &workload(), NodeId(1), &b, 0),
             AdmitOutcome::Rejected(_)
         ));
         // Same bogus record again (any sender): constant-time duplicate.
         assert_eq!(
-            pool.admit(&ks(), &View, NodeId(2), &b, 0),
+            pool.admit(&ks(), &workload(), NodeId(2), &b, 0),
             AdmitOutcome::Duplicate
         );
         assert!(pool.verified.is_empty());
@@ -269,7 +267,7 @@ mod tests {
     fn declarations_verify_without_convicting() {
         let mut pool = EvidencePool::new();
         let d = EvidenceRecord::declare_crash(&signer(4), NodeId(4), NodeId(5), 3);
-        let out = pool.admit(&ks(), &View, NodeId(4), &d, 0);
+        let out = pool.admit(&ks(), &workload(), NodeId(4), &d, 0);
         assert_eq!(
             out,
             AdmitOutcome::Verified {

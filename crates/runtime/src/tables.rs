@@ -15,11 +15,11 @@
 //! plan does not know answers empty.
 
 use crate::checker::CheckerConfig;
+use btr_model::plan::input_lane;
+use btr_model::workload::{TaskKind, Workload};
 use btr_model::{
     ATask, Duration, NodeId, Plan, PlanId, ReplicaIdx, ScheduleEntry, Strategy, TaskId,
 };
-use btr_sched::input_lane;
-use btr_workload::{TaskKind, Workload};
 #[cfg(test)]
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -547,14 +547,14 @@ mod tests {
 
     /// The bus-9 f = 1 strategy the runtime's own tests run.
     fn bus9() -> WorldPlans {
-        let w = btr_workload::generators::avionics(9);
+        let w = btr_model::workload::generators::avionics(9);
         let topo = Topology::bus(9, 100_000, Duration(5));
         plans(w, &topo, 1, 150)
     }
 
     /// The campaign grid's 36-node cell: scada on a 4-ary fat-tree.
     fn fattree36() -> WorldPlans {
-        let w = btr_workload::generators::scada(36);
+        let w = btr_model::workload::generators::scada(36);
         let topo = btr_model::topology::fat_tree(4, 0, 1_000_000, Duration(5)).unwrap();
         plans(w, &topo, 1, 400)
     }

@@ -7,7 +7,7 @@
 //! cargo run --example avionics_attack
 //! ```
 
-use btr::core::{BtrSystem, FaultScenario, Plant, PlantConfig};
+use btr::core::{BtrSystem, FaultScenario, Plant};
 use btr::model::{ATask, Duration, FaultKind, Time, Topology};
 use btr::planner::PlannerConfig;
 
@@ -55,7 +55,7 @@ fn main() {
     // The plant: damage only if bad output persists past D = 2R.
     let plant = Plant::drive(
         system.workload(),
-        PlantConfig::with_deadline(Duration::from_millis(300)),
+        Duration::from_millis(300),
         &report.verdicts,
     );
     println!(

@@ -11,7 +11,7 @@
 //! cargo run --example scada_pressure
 //! ```
 
-use btr::core::{BtrSystem, FaultScenario, Plant, PlantConfig};
+use btr::core::{BtrSystem, FaultScenario, Plant};
 use btr::model::{ATask, Duration, FaultKind, Time, Topology};
 use btr::planner::PlannerConfig;
 
@@ -58,11 +58,7 @@ fn main() {
         "bad-output window: {} (R = {r})",
         report.recovery.bad_window()
     );
-    let plant = Plant::drive(
-        system.workload(),
-        PlantConfig::with_deadline(d),
-        &report.verdicts,
-    );
+    let plant = Plant::drive(system.workload(), d, &report.verdicts);
     println!(
         "vessel stress peaked at {:.0}% of envelope; damaged: {}",
         plant.peak_stress() * 100.0,

@@ -14,9 +14,11 @@
 //! * [`topo`] — `model`'s topology module under its own name: the
 //!   parametric large-scale platforms (torus, fat-tree, SCADA
 //!   star-of-rings) beside bus, ring and mesh.
-//! * [`workload`] — periodic dataflow workloads and generators.
-//! * [`sched`] — schedule synthesis and schedulability analysis.
+//! * [`workload`] — `model`'s workload module under its own name:
+//!   periodic dataflow workloads and generators.
 //! * [`planner`] — the offline BTR planner (Section 4.1 of the paper).
+//! * [`sched`] — `planner`'s scheduling step under its own name:
+//!   schedule synthesis and schedulability analysis.
 //! * [`runtime`] — the per-node BTR software stack, with the online
 //!   fault detector (Section 4.2), evidence validation and distribution
 //!   (Section 4.3) and the mode-change protocol (Section 4.4) inside it.
@@ -41,9 +43,9 @@ pub use btr_core::supervisor as node;
 pub use btr_crypto as crypto;
 pub use btr_model as model;
 pub use btr_model::topology as topo;
+pub use btr_model::workload;
 pub use btr_net as net;
 pub use btr_planner as planner;
+pub use btr_planner::sched;
 pub use btr_runtime as runtime;
-pub use btr_sched as sched;
 pub use btr_sim as sim;
-pub use btr_workload as workload;

@@ -2,7 +2,7 @@
 //! attack -> judge) across fault kinds, workloads, and approaches.
 
 use btr::baselines::{Baseline, BaselineSystem};
-use btr::core::{BtrSystem, FaultScenario, Plant, PlantConfig};
+use btr::core::{BtrSystem, FaultScenario, Plant};
 use btr::model::{Duration, FaultKind, NodeId, Time, Topology};
 use btr::planner::PlannerConfig;
 use btr::sched::SchedParams;
@@ -129,19 +129,12 @@ fn plant_survives_btr_but_not_unbounded_outage() {
     let scenario = FaultScenario::single(NodeId(3), FaultKind::Commission, Time::from_millis(52));
     let report = sys.run(&scenario, Duration::from_millis(400), 7);
     // D = 2R: the plant tolerates the bounded window.
-    let plant = Plant::drive(
-        sys.workload(),
-        PlantConfig::with_deadline(Duration::from_millis(300)),
-        &report.verdicts,
-    );
+    let plant = Plant::drive(sys.workload(), Duration::from_millis(300), &report.verdicts);
     assert!(!plant.damaged());
 
     // A hypothetical unbounded outage (all bad from the fault onward)
     // would damage it — the five-second rule is doing real work.
-    let mut unbounded = Plant::new(
-        PlantConfig::with_deadline(Duration::from_millis(300)),
-        sys.workload().period,
-    );
+    let mut unbounded = Plant::new(Duration::from_millis(300), sys.workload().period);
     for _ in 0..40 {
         unbounded.step(false);
     }
