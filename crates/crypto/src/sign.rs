@@ -382,6 +382,12 @@ impl KeyStore {
         self.keys.get(signer.key.id as usize) == Some(&signer.key.material)
     }
 
+    /// True when this store holds a key under `id`: the principal is one
+    /// of the `n` it was built for.
+    pub fn knows(&self, id: KeyId) -> bool {
+        (id as usize) < self.keys.len()
+    }
+
     /// Verify `sig` over `parts`.
     pub(crate) fn verify_parts(&self, sig: &Signature, parts: &[&[u8]]) -> Result<(), SigError> {
         let key = self

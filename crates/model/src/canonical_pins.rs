@@ -17,6 +17,7 @@ use crate::message::{Envelope, Payload, PbftPhase};
 use crate::time::Time;
 use btr_crypto::{sha256, NodeKey, Signer};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn signer(i: u32) -> Signer {
     Signer::new(NodeKey::derive(11, i))
@@ -173,7 +174,7 @@ fn payloads() -> Vec<(String, Payload)> {
         },
     ));
     for (label, r) in records() {
-        all.push((format!("evidence/{label}"), Payload::Evidence(r)));
+        all.push((format!("evidence/{label}"), Payload::Evidence(Arc::new(r))));
     }
     all.push((
         "state-transfer".into(),
@@ -245,7 +246,7 @@ fn lines() -> Vec<String> {
     lines.push(line("output-id", &output_id(&o), None));
     lines.push(line("output-signing", &output_signing(&o), None));
     for (label, r) in records() {
-        if r.class() == crate::evidence::EvidenceClass::Declaration {
+        if r.convicts().is_none() {
             lines.push(line(
                 &format!("signed/{label}"),
                 &declaration_bytes(&r),
@@ -311,25 +312,28 @@ fn payload_of(kind: usize, n: usize, x: u64) -> Payload {
             output,
             witnesses: list,
         },
-        Payload::Evidence(EvidenceRecord::BadComputation {
-            accused, output, ..
-        }) => Payload::Evidence(EvidenceRecord::BadComputation {
-            accused,
-            output,
-            inputs: list,
-        }),
-        Payload::Evidence(EvidenceRecord::BadWitness {
-            accused,
-            output,
-            env_sig,
-            ..
-        }) => Payload::Evidence(EvidenceRecord::BadWitness {
-            accused,
-            output,
-            witnesses: list,
-            sent_at: Time(x),
-            env_sig,
-        }),
+        Payload::Evidence(ev) => Payload::Evidence(Arc::new(match Arc::unwrap_or_clone(ev) {
+            EvidenceRecord::BadComputation {
+                accused, output, ..
+            } => EvidenceRecord::BadComputation {
+                accused,
+                output,
+                inputs: list,
+            },
+            EvidenceRecord::BadWitness {
+                accused,
+                output,
+                env_sig,
+                ..
+            } => EvidenceRecord::BadWitness {
+                accused,
+                output,
+                witnesses: list,
+                sent_at: Time(x),
+                env_sig,
+            },
+            r => r,
+        })),
         Payload::Heartbeat { .. } => Payload::Heartbeat { period: x },
         p => p,
     }

@@ -12,6 +12,7 @@
 //! sensitivity, and cheap re-execution are the properties the protocol
 //! needs, and the digest provides all three.
 
+use crate::evidence::SignedOutput;
 use crate::ids::{PeriodIdx, TaskId};
 use btr_crypto::digest64;
 
@@ -39,12 +40,15 @@ const HEAD: usize = 12;
 fn with_sorted<R>(
     task: TaskId,
     period: PeriodIdx,
-    inputs: &[(TaskId, Value)],
+    inputs: impl ExactSizeIterator<Item = (TaskId, Value)>,
     digests: impl FnOnce(&[u8]) -> R,
 ) -> R {
     const PAIR: usize = 12;
+    let n = inputs.len();
     let lay_out = |sorted: &mut [(TaskId, Value)], bytes: &mut [u8]| {
-        sorted.copy_from_slice(inputs);
+        for (slot, pair) in sorted.iter_mut().zip(inputs) {
+            *slot = pair;
+        }
         sorted.sort_unstable_by_key(|(t, _)| *t);
         bytes[..4].copy_from_slice(&task.0.to_be_bytes());
         bytes[4..HEAD].copy_from_slice(&period.to_be_bytes());
@@ -52,15 +56,15 @@ fn with_sorted<R>(
             out[..4].copy_from_slice(&t.0.to_be_bytes());
             out[4..].copy_from_slice(&v.to_be_bytes());
         }
-        digests(&bytes[..HEAD + PAIR * inputs.len()])
+        digests(&bytes[..HEAD + PAIR * n])
     };
-    if inputs.len() <= INLINE_INPUTS {
+    if n <= INLINE_INPUTS {
         let mut sorted = [(TaskId(0), 0); INLINE_INPUTS];
         let mut bytes = [0u8; HEAD + PAIR * INLINE_INPUTS];
-        lay_out(&mut sorted[..inputs.len()], &mut bytes)
+        lay_out(&mut sorted[..n], &mut bytes)
     } else {
-        let mut sorted = vec![(TaskId(0), 0); inputs.len()];
-        let mut bytes = vec![0u8; HEAD + PAIR * inputs.len()];
+        let mut sorted = vec![(TaskId(0), 0); n];
+        let mut bytes = vec![0u8; HEAD + PAIR * n];
         lay_out(&mut sorted, &mut bytes)
     }
 }
@@ -72,7 +76,7 @@ fn with_sorted<R>(
 /// producer keep an order that depends on the caller's; see
 /// `with_sorted`). Allocates nothing up to `INLINE_INPUTS` pairs.
 pub fn task_value(task: TaskId, period: PeriodIdx, inputs: &[(TaskId, Value)]) -> Value {
-    with_sorted(task, period, inputs, |bytes| {
+    with_sorted(task, period, inputs.iter().copied(), |bytes| {
         digest64(&[b"btr-task", bytes])
     })
 }
@@ -87,7 +91,7 @@ pub fn task_value(task: TaskId, period: PeriodIdx, inputs: &[(TaskId, Value)]) -
 /// (the PeerReview-style argument; see DESIGN.md). Sorted as
 /// [`task_value`] sorts.
 pub fn inputs_digest(inputs: &[(TaskId, Value)]) -> u64 {
-    with_sorted(TaskId(0), 0, inputs, |bytes| {
+    with_sorted(TaskId(0), 0, inputs.iter().copied(), |bytes| {
         digest64(&[b"btr-inputs", &bytes[HEAD..]])
     })
 }
@@ -102,12 +106,19 @@ pub fn task_value_and_digest(
     period: PeriodIdx,
     inputs: &[(TaskId, Value)],
 ) -> (Value, u64) {
-    with_sorted(task, period, inputs, |bytes| {
-        (
-            digest64(&[b"btr-task", bytes]),
-            digest64(&[b"btr-inputs", &bytes[HEAD..]]),
-        )
-    })
+    with_sorted(task, period, inputs.iter().copied(), both)
+}
+
+/// [`task_value_and_digest`] over the signed outputs a proof lists,
+/// their pairs read in place.
+pub(crate) fn proof_digests(task: TaskId, period: PeriodIdx, of: &[SignedOutput]) -> (Value, u64) {
+    with_sorted(task, period, of.iter().map(|o| (o.task, o.value)), both)
+}
+
+/// The value and the commitment, from one layout of the inputs.
+fn both(bytes: &[u8]) -> (Value, u64) {
+    let value = digest64(&[b"btr-task", bytes]);
+    (value, digest64(&[b"btr-inputs", &bytes[HEAD..]]))
 }
 
 /// Compute a sensor (source) task's reading for one period.

@@ -4,24 +4,23 @@
 //! detected faults that other nodes can verify independently". Two classes
 //! exist, and the distinction drives the whole protocol:
 //!
-//! * **Proofs** ([`EvidenceClass::Proof`]) are self-contained and
+//! * **Proofs** (a record that [`EvidenceRecord::convicts`]) are self-contained and
 //!   transferable: any node can check them with only the keystore and the
 //!   installed workload spec. Equivocation (two conflicting signed
 //!   outputs) and bad computation (signed inputs + a signed output that
 //!   re-execution refutes) are proofs.
-//! * **Declarations** ([`EvidenceClass::Declaration`]) are unprovable
+//! * **Declarations** (every other record) are unprovable
 //!   claims — omission and timing faults leave no transferable trace
 //!   ("there is no direct way to prove that a faulty node failed to
 //!   send"). They are signed by their declarer and handled statistically
 //!   (path avoidance + accusation counting, Section 4.2's suggestion).
 
-use crate::compute::{sensor_value, task_value_and_digest, Value};
+use crate::compute::{proof_digests, sensor_value, Value};
 use crate::enc::{self, prefixed, Fixed, SIG_LEN};
 use crate::ids::{NodeId, PeriodIdx, ReplicaIdx, TaskId};
 use crate::time::Time;
 use crate::workload::{TaskKind, TaskSpec, Workload};
 use btr_crypto::{digest64, Digest, KeyStore, SigError, Signature, Signer};
-use std::collections::BTreeSet;
 
 /// A task output signed by its producer.
 ///
@@ -191,15 +190,6 @@ impl SignedOutput {
     }
 }
 
-/// Proof vs declaration (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvidenceClass {
-    /// Independently verifiable; convicts the accused node.
-    Proof,
-    /// Signed claim; attributable to the declarer, not probative.
-    Declaration,
-}
-
 /// Unique id of an evidence record (digest of canonical bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EvidenceId(pub u64);
@@ -223,6 +213,8 @@ pub enum EvidenceFlaw {
     RecomputationMatches,
     /// The record references a task unknown to the installed workload.
     UnknownTask(TaskId),
+    /// A declaration names a node the keystore holds no key for.
+    UnknownNode(NodeId),
     /// The supplied inputs do not match the accused's signed commitment.
     CommitmentMismatch,
 }
@@ -235,6 +227,7 @@ impl std::fmt::Display for EvidenceFlaw {
             EvidenceFlaw::InputSetMismatch => write!(f, "input set mismatch"),
             EvidenceFlaw::RecomputationMatches => write!(f, "re-execution matches claimed output"),
             EvidenceFlaw::UnknownTask(t) => write!(f, "unknown task {t}"),
+            EvidenceFlaw::UnknownNode(n) => write!(f, "unknown node {n}"),
             EvidenceFlaw::CommitmentMismatch => {
                 write!(f, "inputs do not match the signed commitment")
             }
@@ -326,17 +319,7 @@ pub enum EvidenceRecord {
 }
 
 impl EvidenceRecord {
-    /// Proof or declaration?
-    pub fn class(&self) -> EvidenceClass {
-        match self {
-            EvidenceRecord::Equivocation { .. }
-            | EvidenceRecord::BadComputation { .. }
-            | EvidenceRecord::BadWitness { .. } => EvidenceClass::Proof,
-            _ => EvidenceClass::Declaration,
-        }
-    }
-
-    /// The node a *proof* convicts (None for declarations).
+    /// The node a *proof* convicts; `None` marks a declaration.
     pub fn convicts(&self) -> Option<NodeId> {
         match self {
             EvidenceRecord::Equivocation { accused, .. }
@@ -520,6 +503,13 @@ impl EvidenceRecord {
                 .get(task.index())
                 .ok_or(EvidenceFlaw::UnknownTask(task))
         };
+        // So is a declaration's node: one the keystore lacks is no
+        // platform node, and no tracker counts it.
+        let known = |n: NodeId| {
+            ks.knows(n.0)
+                .then_some(())
+                .ok_or(EvidenceFlaw::UnknownNode(n))
+        };
         match self {
             EvidenceRecord::Equivocation { accused, a, b } => {
                 signed_output(a)?;
@@ -545,18 +535,14 @@ impl EvidenceRecord {
                     return Err(EvidenceFlaw::Inconsistent("producer != accused"));
                 }
                 let spec = spec(output.task)?;
-                let expected: BTreeSet<TaskId> = spec.inputs.iter().copied().collect();
-                let supplied: BTreeSet<TaskId> = inputs.iter().map(|i| i.task).collect();
-                if expected != supplied || inputs.len() != supplied.len() {
+                if !supplies_inputs(&spec.inputs, inputs) {
                     return Err(EvidenceFlaw::InputSetMismatch);
                 }
-                let mut vals = Vec::with_capacity(inputs.len());
                 for i in inputs {
                     signed_output(i)?;
                     if i.period != output.period {
                         return Err(EvidenceFlaw::Inconsistent("input from wrong period"));
                     }
-                    vals.push((i.task, i.value));
                 }
                 let recomputed = if matches!(spec.kind, TaskKind::Source { .. }) {
                     // Sources read physical sensors; the commitment is
@@ -566,7 +552,7 @@ impl EvidenceRecord {
                     // Soundness: the supplied inputs must match the
                     // accused's own signed commitment, so honest nodes can
                     // never be convicted with substituted inputs.
-                    let (value, digest) = task_value_and_digest(output.task, output.period, &vals);
+                    let (value, digest) = proof_digests(output.task, output.period, inputs);
                     if digest != output.inputs_digest {
                         return Err(EvidenceFlaw::CommitmentMismatch);
                     }
@@ -602,18 +588,13 @@ impl EvidenceRecord {
                         "sources are checked by reading, not witnesses",
                     ));
                 }
-                let expected: BTreeSet<TaskId> = spec.inputs.iter().copied().collect();
-                let supplied: BTreeSet<TaskId> = witnesses.iter().map(|w| w.task).collect();
-                let mut vals = Vec::with_capacity(witnesses.len());
-                let mut witness_flaw = expected != supplied || witnesses.len() != supplied.len();
+                let mut witness_flaw = !supplies_inputs(&spec.inputs, witnesses)
+                    || proof_digests(output.task, output.period, witnesses).1
+                        != output.inputs_digest;
                 for w in witnesses {
                     if signed_output(w).is_err() || w.period != output.period {
                         witness_flaw = true;
                     }
-                    vals.push((w.task, w.value));
-                }
-                if crate::compute::inputs_digest(&vals) != output.inputs_digest {
-                    witness_flaw = true;
                 }
                 if witness_flaw {
                     Ok(())
@@ -633,6 +614,8 @@ impl EvidenceRecord {
                 if declarer != from && declarer != to {
                     return Err(EvidenceFlaw::Inconsistent("declarer not on path"));
                 }
+                known(*from)?;
+                known(*to)?;
                 let bytes = Self::path_decl_bytes(*declarer, *from, *to, *task, *period);
                 Self::check_decl_sig(ks, *declarer, sig, &bytes)
             }
@@ -643,6 +626,7 @@ impl EvidenceRecord {
                 observed_at,
                 sig,
             } => {
+                known(output.producer)?;
                 signed_output(output)?;
                 if observed_at <= expected_by {
                     return Err(EvidenceFlaw::Inconsistent("observation not late"));
@@ -659,6 +643,7 @@ impl EvidenceRecord {
                 if declarer == about {
                     return Err(EvidenceFlaw::Inconsistent("self-suspicion"));
                 }
+                known(*about)?;
                 let bytes = Self::crash_decl_bytes(*declarer, *about, *period);
                 Self::check_decl_sig(ks, *declarer, sig, &bytes)
             }
@@ -777,6 +762,17 @@ impl EvidenceRecord {
             sig: signer.sign(&bytes),
         }
     }
+}
+
+/// True if `supplied` carries the `declared` inputs in some order: as
+/// many of them, each declared task once (a workload declares no input
+/// twice). Compared in place: a proof check and a checker ask it per
+/// output they judge.
+pub fn supplies_inputs(declared: &[TaskId], supplied: &[SignedOutput]) -> bool {
+    supplied.len() == declared.len()
+        && declared
+            .iter()
+            .all(|&t| supplied.iter().filter(|o| o.task == t).count() == 1)
 }
 
 const EVIDENCE_DOMAIN: &[u8] = b"btr-evidence";
@@ -970,7 +966,7 @@ mod tests {
             a,
             b,
         };
-        assert_eq!(ev.class(), EvidenceClass::Proof);
+        assert!(ev.convicts().is_some());
         assert_eq!(ev.convicts(), Some(NodeId(3)));
         assert_eq!(ev.verify(&keystore(), &workload()), Ok(()));
     }
@@ -1113,7 +1109,7 @@ mod tests {
     fn declarations_validate_and_attribute() {
         let s = signer(2);
         let d = EvidenceRecord::declare_path(&s, NodeId(2), NodeId(2), NodeId(4), TaskId(2), 7);
-        assert_eq!(d.class(), EvidenceClass::Declaration);
+        assert!(d.convicts().is_none());
         assert_eq!(d.convicts(), None);
         assert_eq!(d.verify(&keystore(), &workload()), Ok(()));
     }
@@ -1154,6 +1150,36 @@ mod tests {
             d.verify(&keystore(), &workload()),
             Err(EvidenceFlaw::Inconsistent(_))
         ));
+    }
+
+    /// Node 99 999 of an 8-node keystore: correctly signed declarations
+    /// naming it are rejected before any tracker counts them.
+    const STRANGER: NodeId = NodeId(99_999);
+
+    #[test]
+    fn a_path_declaration_naming_an_unknown_node_is_rejected() {
+        let declare =
+            |from, to| EvidenceRecord::declare_path(&signer(2), NodeId(2), from, to, TaskId(2), 7);
+        for d in [declare(NodeId(2), STRANGER), declare(STRANGER, NodeId(2))] {
+            let flaw = d.verify(&keystore(), &workload());
+            assert_eq!(flaw, Err(EvidenceFlaw::UnknownNode(STRANGER)), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn a_crash_suspicion_about_an_unknown_node_is_rejected() {
+        let d = EvidenceRecord::declare_crash(&signer(4), NodeId(4), STRANGER, 3);
+        let flaw = d.verify(&keystore(), &workload());
+        assert_eq!(flaw, Err(EvidenceFlaw::UnknownNode(STRANGER)));
+    }
+
+    #[test]
+    fn a_timing_declaration_about_an_unknown_producer_is_rejected() {
+        let stranger = Signer::new(NodeKey::derive(99, STRANGER.0));
+        let out = SignedOutput::sign(&stranger, TaskId(2), 0, 5, 1, 0, STRANGER);
+        let d = EvidenceRecord::declare_timing(&signer(4), NodeId(4), out, Time(1), Time(2));
+        let flaw = d.verify(&keystore(), &workload());
+        assert_eq!(flaw, Err(EvidenceFlaw::UnknownNode(STRANGER)));
     }
 
     #[test]
@@ -1236,7 +1262,7 @@ mod tests {
             sent_at,
             env_sig,
         };
-        assert_eq!(ev.class(), EvidenceClass::Proof);
+        assert!(ev.convicts().is_some());
         assert_eq!(ev.convicts(), Some(NodeId(3)));
         assert_eq!(ev.verify(&keystore(), &workload()), Ok(()));
     }

@@ -35,7 +35,7 @@ pub use compute::{
     inputs_digest, sensor_value, task_value, task_value_and_digest, Value, EMPTY_INPUTS_DIGEST,
 };
 pub use criticality::Criticality;
-pub use evidence::{EvidenceClass, EvidenceFlaw, EvidenceId, EvidenceRecord, SignedOutput};
+pub use evidence::{EvidenceFlaw, EvidenceId, EvidenceRecord, SignedOutput};
 pub use fault::{FaultKind, FaultSet};
 pub use ids::{LinkId, NodeId, PeriodIdx, PlanId, ReplicaIdx, TaskId};
 pub use message::{Envelope, Payload};

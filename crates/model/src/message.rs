@@ -10,6 +10,7 @@ use crate::evidence::{EvidenceRecord, SignedOutput, PREFIXED_ID_LEN};
 use crate::ids::{NodeId, PeriodIdx, PlanId, TaskId};
 use crate::time::Time;
 use btr_crypto::{KeyStore, SigError, Signature, Signer};
+use std::sync::Arc;
 
 /// Phases of the PBFT-lite baseline's agreement round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,8 +40,10 @@ pub enum Payload {
         /// The sender's current period.
         period: PeriodIdx,
     },
-    /// A piece of fault evidence (control plane, Section 4.3).
-    Evidence(EvidenceRecord),
+    /// A piece of fault evidence (control plane, Section 4.3), allocated
+    /// once by the node that made it: every copy a flood sends, and every
+    /// receiver's, shares that one record.
+    Evidence(Arc<EvidenceRecord>),
     /// A chunk of migrating task state during a mode change (Section 4.4).
     StateTransfer {
         /// The migrating task.
@@ -491,17 +494,17 @@ mod tests {
                 witnesses: vec![so(2, 20), so(3, 30)],
             },
             Payload::Heartbeat { period: 42 },
-            Payload::Evidence(EvidenceRecord::declare_crash(
+            Payload::Evidence(Arc::new(EvidenceRecord::declare_crash(
                 &signer(1),
                 NodeId(1),
                 NodeId(2),
                 4,
-            )),
-            Payload::Evidence(EvidenceRecord::BadComputation {
+            ))),
+            Payload::Evidence(Arc::new(EvidenceRecord::BadComputation {
                 accused: NodeId(1),
                 output: so(1, 10),
                 inputs: vec![so(2, 20), so(3, 30)],
-            }),
+            })),
             Payload::StateTransfer {
                 task: TaskId(1),
                 to_plan: PlanId(2),

@@ -10,6 +10,7 @@
 
 use crate::window::{PeriodRows, Row, DETECTOR_PERIODS};
 use btr_crypto::Signature;
+use btr_model::evidence::supplies_inputs;
 use btr_model::{
     sensor_value, task_value_and_digest, EvidenceRecord, NodeId, PeriodIdx, ReplicaIdx,
     SignedOutput, TaskId, Time, Value,
@@ -130,57 +131,31 @@ impl Row for LaneSet {
     }
 }
 
-/// Static configuration of one checking task.
-#[derive(Debug, Clone)]
-pub(crate) struct CheckerConfig {
+/// What the checker of one task reads: the active plan's lane hosts
+/// (`PlanTables::checked_task`) and the workload's declaration, both
+/// borrowed where they are held.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Checked<'a> {
     /// The checked workload task.
     pub(crate) task: TaskId,
-    /// Number of replica lanes.
-    pub(crate) lanes: u8,
-    /// Expected host of each lane (from the active plan).
-    pub(crate) lane_nodes: Vec<NodeId>,
-    /// True if the task is a sensor source.
-    pub(crate) is_source: bool,
+    /// Per replica lane: its planned host, if placed.
+    pub(crate) hosts: &'a [Option<NodeId>],
     /// Declared dataflow inputs.
-    pub(crate) inputs: Vec<TaskId>,
-    /// Workload seed (source readings).
-    pub(crate) seed: u64,
+    pub(crate) inputs: &'a [TaskId],
+    /// The workload seed if the task is a sensor source (its readings).
+    pub(crate) source_seed: Option<u64>,
 }
 
-/// The checking task for one workload task.
-#[derive(Debug)]
+/// The checking task for one workload task: the lanes it has seen.
+#[derive(Debug, Default)]
 pub(crate) struct ReplicaChecker {
-    cfg: CheckerConfig,
     /// Lanes seen per period.
     arrived: PeriodRows<LaneSet, DETECTOR_PERIODS>,
 }
 
 impl ReplicaChecker {
-    /// Create a checker from its plan-derived configuration.
-    pub(crate) fn new(cfg: CheckerConfig) -> Self {
-        ReplicaChecker {
-            cfg,
-            arrived: PeriodRows::default(),
-        }
-    }
-
-    /// The checked task.
-    pub(crate) fn task(&self) -> TaskId {
-        self.cfg.task
-    }
-
-    /// True if the witnesses carry the declared input set in some order:
-    /// as many of them, each declared task once (a workload declares no
-    /// input twice).
-    fn supplies_inputs(&self, witnesses: &[SignedOutput]) -> bool {
-        let inputs = &self.cfg.inputs;
-        witnesses.len() == inputs.len()
-            && inputs
-                .iter()
-                .all(|&t| witnesses.iter().filter(|w| w.task == t).count() == 1)
-    }
-
-    /// Check one replica output against its own witnesses.
+    /// Check one replica output of `spec`'s task against its own
+    /// witnesses.
     ///
     /// `witness_ok[i]` is the signature-verification result for
     /// `witnesses[i]`, computed by the caller (see
@@ -190,24 +165,22 @@ impl ReplicaChecker {
     /// equivocation pool and timing watch separately).
     pub(crate) fn observe(
         &mut self,
+        spec: &Checked<'_>,
         output: SignedOutput,
         witnesses: &[SignedOutput],
         witness_ok: &[bool],
         envelope: Option<(Time, Signature)>,
         vals: &mut Vec<(TaskId, Value)>,
     ) -> Option<EvidenceRecord> {
-        if output.task != self.cfg.task || output.replica >= self.cfg.lanes {
-            return None;
-        }
         // Only accept the planned lane host: outputs for this lane from
         // other nodes are noise (they cannot be the scheduled replica).
-        if self
-            .cfg
-            .lane_nodes
-            .get(output.replica as usize)
-            .is_some_and(|&n| n != output.producer)
-        {
-            return None;
+        match spec.hosts.get(usize::from(output.replica)) {
+            Some(&host) if output.task == spec.task => {
+                if host.is_some_and(|n| n != output.producer) {
+                    return None;
+                }
+            }
+            _ => return None,
         }
         self.arrived.get_mut(output.period).insert(output.replica);
 
@@ -223,12 +196,15 @@ impl ReplicaChecker {
             }
             vals.push((w.task, w.value));
         }
-        let value = if self.cfg.is_source {
-            sensor_value(self.cfg.task, output.period, self.cfg.seed)
+        let value = if let Some(seed) = spec.source_seed {
+            sensor_value(spec.task, output.period, seed)
         } else {
             // The value and the commitment, from one layout of the inputs.
-            let (value, digest) = task_value_and_digest(self.cfg.task, output.period, vals);
-            if witness_flaw || !self.supplies_inputs(witnesses) || digest != output.inputs_digest {
+            let (value, digest) = task_value_and_digest(spec.task, output.period, vals);
+            if witness_flaw
+                || !supplies_inputs(spec.inputs, witnesses)
+                || digest != output.inputs_digest
+            {
                 // The envelope signature must actually be the producer's
                 // own (otherwise this is relayed noise we cannot judge).
                 return envelope
@@ -250,15 +226,18 @@ impl ReplicaChecker {
         })
     }
 
-    /// Lanes that never arrived for `period`, with their planned hosts.
-    pub(crate) fn missing_lanes(
+    /// Lanes of a task placed on `hosts` that never arrived for
+    /// `period`, with their planned hosts.
+    pub(crate) fn missing_lanes<'a>(
         &self,
+        hosts: &'a [Option<NodeId>],
         period: PeriodIdx,
-    ) -> impl Iterator<Item = (ReplicaIdx, NodeId)> + '_ {
+    ) -> impl Iterator<Item = (ReplicaIdx, NodeId)> + 'a {
         let seen = self.arrived.get(period).copied().unwrap_or_default();
-        (0..self.cfg.lanes)
-            .filter(move |&r| !seen.contains(r))
-            .filter_map(|r| self.cfg.lane_nodes.get(r as usize).map(|&n| (r, n)))
+        (0..=ReplicaIdx::MAX)
+            .zip(hosts)
+            .filter(move |&(r, _)| !seen.contains(r))
+            .filter_map(|(r, host)| host.map(|n| (r, n)))
     }
 
     /// Drop state older than `before` (bounded memory).
@@ -303,17 +282,16 @@ mod tests {
         output: SignedOutput,
         ws: &[SignedOutput],
     ) -> Option<EvidenceRecord> {
-        chk.observe(output, ws, &oks(ws), None, &mut Vec::new())
+        chk.observe(&cfg(), output, ws, &oks(ws), None, &mut Vec::new())
     }
 
-    fn cfg() -> CheckerConfig {
-        CheckerConfig {
+    /// Task 1 over input 0, its two lanes on nodes 1 and 2.
+    fn cfg() -> Checked<'static> {
+        Checked {
             task: TaskId(1),
-            lanes: 2,
-            lane_nodes: vec![NodeId(1), NodeId(2)],
-            is_source: false,
-            inputs: vec![TaskId(0)],
-            seed: 3,
+            hosts: &[Some(NodeId(1)), Some(NodeId(2))],
+            inputs: &[TaskId(0)],
+            source_seed: None,
         }
     }
 
@@ -436,8 +414,12 @@ mod tests {
         }
     }
 
-    fn missing(chk: &ReplicaChecker, period: PeriodIdx) -> Vec<(ReplicaIdx, NodeId)> {
-        chk.missing_lanes(period).collect()
+    fn missing(
+        chk: &ReplicaChecker,
+        cfg: &Checked,
+        period: PeriodIdx,
+    ) -> Vec<(ReplicaIdx, NodeId)> {
+        chk.missing_lanes(cfg.hosts, period).collect()
     }
 
     /// The ordered map the lane record used to be, and still must behave
@@ -446,24 +428,18 @@ mod tests {
     struct MapLanes(BTreeMap<PeriodIdx, Vec<ReplicaIdx>>);
 
     impl MapLanes {
-        fn observe(&mut self, cfg: &CheckerConfig, out: &SignedOutput) {
-            let planned = cfg.lane_nodes.get(out.replica as usize);
-            if out.task == cfg.task
-                && out.replica < cfg.lanes
-                && planned.is_none_or(|&n| n == out.producer)
+        fn observe(&mut self, cfg: &Checked, out: &SignedOutput) {
+            let planned = cfg.hosts.get(out.replica as usize);
+            if out.task == cfg.task && planned.is_some_and(|h| h.is_none_or(|n| n == out.producer))
             {
                 self.0.entry(out.period).or_default().push(out.replica);
             }
         }
-        fn missing_lanes(
-            &self,
-            cfg: &CheckerConfig,
-            period: PeriodIdx,
-        ) -> Vec<(ReplicaIdx, NodeId)> {
+        fn missing_lanes(&self, cfg: &Checked, period: PeriodIdx) -> Vec<(ReplicaIdx, NodeId)> {
             let seen = self.0.get(&period);
-            (0..cfg.lanes)
+            (0..cfg.hosts.len() as ReplicaIdx)
                 .filter(|r| seen.is_none_or(|v| !v.contains(r)))
-                .filter_map(|r| cfg.lane_nodes.get(r as usize).map(|&n| (r, n)))
+                .filter_map(|r| cfg.hosts[r as usize].map(|n| (r, n)))
                 .collect()
         }
         fn gc(&mut self, before: PeriodIdx) {
@@ -484,15 +460,10 @@ mod tests {
             ops in proptest::collection::vec(((0u8..10, 0usize..12), (0u32..4, 0u8..24, 0u8..4)), 1..160)
         ) {
             // 200 lanes, the last three with no planned host.
-            let cfg = CheckerConfig {
-                task: TaskId(1),
-                lanes: 200,
-                lane_nodes: (0..197).map(|r| NodeId(1 + r % 3)).collect(),
-                is_source: false,
-                inputs: vec![TaskId(0)],
-                seed: 3,
-            };
-            let mut chk = ReplicaChecker::new(cfg.clone());
+            let hosts: Vec<Option<NodeId>> =
+                (0..200).map(|r| (r < 197).then(|| NodeId(1 + r % 3))).collect();
+            let cfg = Checked { hosts: &hosts, ..cfg() };
+            let mut chk = ReplicaChecker::default();
             let mut model = MapLanes::default();
             let mut now: PeriodIdx = 2;
             let mut asked: Vec<PeriodIdx> = Vec::new();
@@ -514,7 +485,7 @@ mod tests {
                             sig: Signature { key: producer, tag: btr_crypto::Digest([0; 32]) },
                         };
                         model.observe(&cfg, &out);
-                        see(&mut chk, out, &[]);
+                        chk.observe(&cfg, out, &[], &[], None, &mut Vec::new());
                     }
                     6 | 7 => {
                         now += u64::from(op - 5) * u64::from(r + 1);
@@ -529,7 +500,7 @@ mod tests {
                 }
                 for &q in asked.iter().rev().take(8).chain(&[now, now.saturating_sub(1)]) {
                     proptest::prop_assert!(
-                        missing(&chk, q) == model.missing_lanes(&cfg, q), "step {step}, period {q}"
+                        missing(&chk, &cfg, q) == model.missing_lanes(&cfg, q), "step {step}, period {q}"
                     );
                 }
             }
@@ -567,7 +538,7 @@ mod tests {
 
     #[test]
     fn wrong_lane_host_ignored() {
-        let mut chk = ReplicaChecker::new(cfg());
+        let mut chk = ReplicaChecker::default();
         let w = input(1);
         let vals = [(TaskId(0), w.value)];
         // Node 5 forges a lane-0 output (lane 0 belongs to node 1).
@@ -586,7 +557,7 @@ mod tests {
 
     #[test]
     fn commitment_mismatch_not_judged() {
-        let mut chk = ReplicaChecker::new(cfg());
+        let mut chk = ReplicaChecker::default();
         let w = input(1);
         // Producer commits to garbage: checker refuses to judge (no
         // unsound proof), leaving it to omission/timing handling.
@@ -597,8 +568,8 @@ mod tests {
 
     #[test]
     fn missing_lanes_reported_until_arrival() {
-        let mut chk = ReplicaChecker::new(cfg());
-        assert_eq!(missing(&chk, 7), [(0, NodeId(1)), (1, NodeId(2))]);
+        let mut chk = ReplicaChecker::default();
+        assert_eq!(missing(&chk, &cfg(), 7), [(0, NodeId(1)), (1, NodeId(2))]);
         let w = input(7);
         let vals = [(TaskId(0), w.value)];
         let o = SignedOutput::sign(
@@ -612,21 +583,21 @@ mod tests {
         );
         let ws = [w];
         see(&mut chk, o, &ws);
-        assert_eq!(missing(&chk, 7), [(0, NodeId(1))]);
+        assert_eq!(missing(&chk, &cfg(), 7), [(0, NodeId(1))]);
     }
 
     #[test]
     fn source_checker_uses_sensor_value() {
-        let mut chk = ReplicaChecker::new(CheckerConfig {
+        let mut chk = ReplicaChecker::default();
+        let source = Checked {
             task: TaskId(0),
-            lanes: 1,
-            lane_nodes: vec![NodeId(0)],
-            is_source: true,
-            inputs: vec![],
-            seed: 3,
-        });
+            hosts: &[Some(NodeId(0))],
+            inputs: &[],
+            source_seed: Some(3),
+        };
+        let mut see = |o| chk.observe(&source, o, &[], &[], None, &mut Vec::new());
         let honest = input(4);
-        assert!(see(&mut chk, honest, &[]).is_none());
+        assert!(see(honest).is_none());
         let lying = SignedOutput::sign(
             &signer(0),
             TaskId(0),
@@ -636,13 +607,13 @@ mod tests {
             inputs_digest(&[]),
             NodeId(0),
         );
-        let ev = see(&mut chk, lying, &[]).expect("a proof");
+        let ev = see(lying).expect("a proof");
         assert_eq!(ev.verify(&ks(), &workload()), Ok(()));
     }
 
     #[test]
     fn stale_witness_period_rejected() {
-        let mut chk = ReplicaChecker::new(cfg());
+        let mut chk = ReplicaChecker::default();
         let stale = input(1);
         let vals = [(TaskId(0), stale.value)];
         let o = SignedOutput::sign(
@@ -665,10 +636,11 @@ mod tests {
         // 0 twice, or tasks 0 and 3. Value and commitment match those
         // witnesses, so only the input-set check can see it; the
         // producer's envelope then convicts it (BadWitness).
-        let mut chk = ReplicaChecker::new(CheckerConfig {
-            inputs: vec![TaskId(2), TaskId(0)],
+        let mut chk = ReplicaChecker::default();
+        let spec = Checked {
+            inputs: &[TaskId(2), TaskId(0)],
             ..cfg()
-        });
+        };
         let p = 3;
         let other = |task: u32| {
             let mut w = input(p);
@@ -705,7 +677,7 @@ mod tests {
                     tag: btr_crypto::Digest([0; 32]),
                 },
             ));
-            let found = chk.observe(o, &ws, &oks(&ws), envelope, &mut Vec::new());
+            let found = chk.observe(&spec, o, &ws, &oks(&ws), envelope, &mut Vec::new());
             let declared = ws[0].task == TaskId(2) || ws[1].task == TaskId(2);
             assert_eq!(
                 matches!(found, Some(EvidenceRecord::BadWitness { .. })),

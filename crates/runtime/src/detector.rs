@@ -22,12 +22,13 @@
 //!   measure: unprovable path declarations are counted, and "if a node is
 //!   on a large number of problematic paths", it is attributed faulty.
 
-use crate::checker::{CheckerConfig, OutputPool, ReplicaChecker};
-use crate::omission::OmissionTracker;
+use crate::checker::{OutputPool, ReplicaChecker};
+use crate::omission::{Attributions, OmissionTracker};
 use crate::tables::PlanTables;
 use crate::timing::{HeartbeatMonitor, TimingWatch};
 use crate::window::DETECTOR_PERIODS;
 use btr_crypto::{SigError, Signature, Signer};
+use btr_model::workload::Workload;
 use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx, SignedOutput, TaskId, Time, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -46,8 +47,14 @@ const OMISSION_THRESHOLD: usize = 3;
 /// the runtime signs into envelopes and hands to the evidence distributor.
 pub(crate) struct Detector {
     node: NodeId,
+    /// The world's workload: what a checker reads of its task.
+    workload: Arc<Workload>,
+    /// The active plan's tables: the tasks this node checks, and their
+    /// lanes' hosts.
+    plan: Arc<PlanTables>,
     pool: OutputPool<DETECTOR_PERIODS>,
-    /// The checkers of the tasks this node checks, by task.
+    /// The checkers of the tasks this node checks, aligned with
+    /// [`PlanTables::checked`].
     checkers: Vec<ReplicaChecker>,
     timing: TimingWatch,
     heartbeats: HeartbeatMonitor,
@@ -74,43 +81,43 @@ pub(crate) struct Detector {
 }
 
 impl Detector {
-    /// Create a detector for `node`.
-    pub(crate) fn new(node: NodeId) -> Self {
-        Detector {
+    /// Create a detector for `node` of an `n_nodes` platform running
+    /// `plan` over `workload`.
+    pub(crate) fn new(
+        node: NodeId,
+        workload: Arc<Workload>,
+        plan: Arc<PlanTables>,
+        n_nodes: usize,
+    ) -> Self {
+        let mut d = Detector {
             node,
+            workload,
+            plan: Arc::clone(&plan),
             pool: OutputPool::default(),
             checkers: Vec::new(),
             timing: TimingWatch::default(),
             heartbeats: HeartbeatMonitor::new(HEARTBEAT_MISS_THRESHOLD),
-            omission: OmissionTracker::new(OMISSION_THRESHOLD),
+            omission: OmissionTracker::new(OMISSION_THRESHOLD, n_nodes),
             emitted: BTreeSet::new(),
             witness_ok: Vec::new(),
             scratch: Vec::new(),
             vals: Vec::new(),
             exonerated: BTreeMap::new(),
             suppressed: 0,
-        }
+        };
+        d.set_plan(plan);
+        d
     }
 
-    /// Install (or replace) the checker for one task.
-    pub(crate) fn install_checker(&mut self, cfg: CheckerConfig) {
-        match self
-            .checkers
-            .binary_search_by_key(&cfg.task, ReplicaChecker::task)
-        {
-            Ok(i) => self.checkers[i] = ReplicaChecker::new(cfg),
-            Err(i) => self.checkers.insert(i, ReplicaChecker::new(cfg)),
-        }
-    }
-
-    /// Replace every checker with fresh ones for `cfgs`: the checking
-    /// tasks this node hosts under a newly installed plan.
-    pub(crate) fn set_checkers(&mut self, cfgs: &[CheckerConfig]) {
+    /// Install a plan's tables: fresh checkers for the tasks this node
+    /// checks under it, and its plausible accusers for the omission
+    /// thresholds (see [`OmissionTracker::set_plausible_accusers`]).
+    pub(crate) fn set_plan(&mut self, plan: Arc<PlanTables>) {
         self.checkers.clear();
-        self.checkers.reserve_exact(cfgs.len());
-        for cfg in cfgs {
-            self.install_checker(cfg.clone());
-        }
+        let checked = plan.checked(self.node).len();
+        self.checkers.resize_with(checked, ReplicaChecker::default);
+        self.omission.set_plausible_accusers(Arc::clone(&plan));
+        self.plan = plan;
     }
 
     fn dedup(&mut self, mut records: Vec<EvidenceRecord>) -> Vec<EvidenceRecord> {
@@ -190,11 +197,10 @@ impl Detector {
         }
         // Commission checking, if this node checks the task — reusing
         // the results above instead of re-verifying every witness.
-        let at = self
-            .checkers
-            .binary_search_by_key(&output.task, ReplicaChecker::task);
-        if let Ok(i) = at {
+        if let Ok(i) = self.plan.checked(self.node).binary_search(&output.task) {
+            let spec = self.plan.checked_task(output.task, &self.workload);
             out.extend(self.checkers[i].observe(
+                &spec,
                 output,
                 witnesses,
                 &self.witness_ok,
@@ -233,8 +239,10 @@ impl Detector {
         silence_explained: &dyn Fn(TaskId, NodeId) -> bool,
     ) -> Vec<EvidenceRecord> {
         let mut out = Vec::new();
-        for chk in &mut self.checkers {
-            for (_, producer) in chk.missing_lanes(period) {
+        let checked = self.plan.checked(self.node);
+        for (chk, &task) in self.checkers.iter_mut().zip(checked) {
+            let hosts = self.plan.checked_task(task, &self.workload).hosts;
+            for (_, producer) in chk.missing_lanes(hosts, period) {
                 if known_faulty.contains(&producer) || producer == self.node {
                     continue;
                 }
@@ -245,17 +253,12 @@ impl Detector {
                     self.suppressed += 1;
                     continue;
                 }
-                if silence_explained(chk.task(), producer) {
+                if silence_explained(task, producer) {
                     self.suppressed += 1;
                     continue;
                 }
                 out.push(EvidenceRecord::declare_path(
-                    signer,
-                    self.node,
-                    producer,
-                    self.node,
-                    chk.task(),
-                    period,
+                    signer, self.node, producer, self.node, task, period,
                 ));
             }
             chk.gc(period.saturating_sub(4));
@@ -283,16 +286,9 @@ impl Detector {
         self.exonerated.retain(|&(_, p), _| p >= before);
     }
 
-    /// Install the active plan's tables, whose plausible accusers scale
-    /// the omission thresholds (see
-    /// [`OmissionTracker::set_plausible_accusers`]).
-    pub(crate) fn set_plausible_accusers(&mut self, plan: Arc<PlanTables>) {
-        self.omission.set_plausible_accusers(plan);
-    }
-
     /// Record an externally received (already validated) declaration for
     /// omission attribution. Returns nodes newly attributed faulty.
-    pub(crate) fn record_declaration(&mut self, record: &EvidenceRecord) -> Vec<NodeId> {
+    pub(crate) fn record_declaration(&mut self, record: &EvidenceRecord) -> Attributions {
         match record {
             EvidenceRecord::PathDeclaration {
                 declarer,
@@ -328,7 +324,7 @@ impl Detector {
                 period,
                 ..
             } => self.omission.record_suspicion(*declarer, *about, *period),
-            _ => Vec::new(),
+            _ => Attributions::default(),
         }
     }
 
@@ -383,15 +379,23 @@ mod tests {
         |sig, msg| ks.verify(sig, msg)
     }
 
-    fn checker_cfg() -> CheckerConfig {
-        CheckerConfig {
-            task: TaskId(1),
-            lanes: 2,
-            lane_nodes: vec![NodeId(1), NodeId(2)],
-            is_source: false,
-            inputs: vec![TaskId(0)],
-            seed: 9,
-        }
+    /// A detector on node 3 of 8 under `plan`.
+    fn under(plan: Arc<PlanTables>) -> Detector {
+        Detector::new(NodeId(3), Arc::new(workload()), plan, 8)
+    }
+
+    /// A detector on node 3 of 8 that checks nothing.
+    fn detector() -> Detector {
+        under(PlanTables::checking(NodeId(3), &[]))
+    }
+
+    /// A detector on node 3 of 8 that checks task 1, whose two lanes
+    /// nodes 1 and 2 host.
+    fn checking() -> Detector {
+        under(PlanTables::checking(
+            NodeId(3),
+            &[(TaskId(1), &[NodeId(1), NodeId(2)])],
+        ))
     }
 
     fn src_out(p: PeriodIdx) -> SignedOutput {
@@ -430,8 +434,7 @@ mod tests {
 
     #[test]
     fn clean_outputs_produce_no_evidence() {
-        let mut d = Detector::new(NodeId(3));
-        d.install_checker(checker_cfg());
+        let mut d = checking();
         let (o0, w0) = lane_out(1, 0, 1, 0);
         let (o1, w1) = lane_out(1, 1, 2, 0);
         let evs = see(&mut d, o0, None, &w0);
@@ -442,8 +445,7 @@ mod tests {
 
     #[test]
     fn bad_computation_is_proven() {
-        let mut d = Detector::new(NodeId(3));
-        d.install_checker(checker_cfg());
+        let mut d = checking();
         let (bad, w) = lane_out(1, 0, 1, 0xdead);
         let evs = see(&mut d, bad, None, &w);
         assert_eq!(evs.len(), 1);
@@ -458,7 +460,7 @@ mod tests {
 
     #[test]
     fn equivocation_across_copies_is_proven() {
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         // Node 1 signs two different lane-0 outputs for the same period.
         let (a, wa) = lane_out(2, 0, 1, 0);
         let (b, wb) = lane_out(2, 0, 1, 0x55);
@@ -472,7 +474,7 @@ mod tests {
 
     #[test]
     fn gate_drops_forged_outputs_and_skips_forged_witnesses() {
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         // A forged output (tag does not match content) is dropped whole.
         let (mut forged, w) = lane_out(1, 0, 1, 0);
         forged.value ^= 1;
@@ -531,8 +533,7 @@ mod tests {
 
     #[test]
     fn resident_copies_cost_no_mac_and_anything_else_is_checked() {
-        let mut d = Detector::new(NodeId(3));
-        d.install_checker(checker_cfg());
+        let mut d = checking();
         let (o, w) = lane_out(1, 0, 1, 0);
         let macs = btr_crypto::mac_count();
         assert!(see(&mut d, o.clone(), None, &w).is_empty());
@@ -610,7 +611,7 @@ mod tests {
 
     #[test]
     fn validly_signed_conflicting_copy_is_checked_and_convicts() {
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         let (a, wa) = lane_out(2, 0, 1, 0);
         let (b, wb) = lane_out(2, 0, 1, 0x55);
         assert!(see(&mut d, a.clone(), None, &wa).is_empty());
@@ -625,7 +626,7 @@ mod tests {
             matches!(&evs[..], [EvidenceRecord::Equivocation { accused, .. }] if *accused == NodeId(1))
         );
         assert_eq!(evs[0].verify(&ks(), &workload()), Ok(()));
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         see(&mut d, a.clone(), Some(true), &wa);
         let evs = see(&mut d, b, Some(true), &wb);
         assert_eq!(evs.len(), 1);
@@ -644,11 +645,8 @@ mod tests {
         fn prop_prewarmed_pool_changes_no_evidence(
             msgs in proptest::collection::vec((1u64..4, 0u8..2, 0u8..3, 0u8..10), 1..14)
         ) {
-            let mut cold = Detector::new(NodeId(3));
-            let mut warm = Detector::new(NodeId(3));
-            for d in [&mut cold, &mut warm] {
-                d.install_checker(checker_cfg());
-            }
+            let mut cold = checking();
+            let mut warm = checking();
             for p in 1..4 {
                 proptest::prop_assert!(see(&mut warm, src_out(p), None, &[]).is_empty());
             }
@@ -691,7 +689,7 @@ mod tests {
 
     #[test]
     fn late_arrival_yields_timing_declaration() {
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         let s = signer(3);
         let (o, w) = lane_out(1, 0, 1, 0);
         let evs = d.observe_output(
@@ -711,8 +709,7 @@ mod tests {
 
     #[test]
     fn missing_lane_yields_path_declaration() {
-        let mut d = Detector::new(NodeId(3));
-        d.install_checker(checker_cfg());
+        let mut d = checking();
         let s = signer(3);
         // Only lane 1 arrives in period 5.
         let (o1, w1) = lane_out(5, 1, 2, 0);
@@ -729,8 +726,7 @@ mod tests {
 
     #[test]
     fn known_faulty_lanes_not_redeclared() {
-        let mut d = Detector::new(NodeId(3));
-        d.install_checker(checker_cfg());
+        let mut d = checking();
         let s = signer(3);
         let faulty = BTreeSet::from([NodeId(1), NodeId(2)]);
         let evs = d.end_of_period(&s, 1, &faulty, &|_, _| false);
@@ -739,7 +735,7 @@ mod tests {
 
     #[test]
     fn heartbeat_silence_suspected() {
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         let s = signer(3);
         d.observe_heartbeat(NodeId(4), 0);
         d.observe_heartbeat(NodeId(5), 0);
@@ -763,7 +759,7 @@ mod tests {
 
     #[test]
     fn attribution_via_declarations() {
-        let mut d = Detector::new(NodeId(3));
+        let mut d = detector();
         let declare = |from: u32, period: PeriodIdx| {
             let from = NodeId(from);
             EvidenceRecord::declare_path(&signer(from.0), from, NodeId(4), from, TaskId(1), period)
@@ -772,34 +768,30 @@ mod tests {
         // threshold, over at least two periods.
         let last = 5 + OMISSION_THRESHOLD as u32 - 1;
         for from in 5..last {
-            assert!(d
-                .record_declaration(&declare(from, from as PeriodIdx % 2))
-                .is_empty());
+            let newly = d.record_declaration(&declare(from, from as PeriodIdx % 2));
+            assert_eq!(newly, [None; 2]);
         }
         let newly = d.record_declaration(&declare(last, 2));
-        assert_eq!(newly, vec![NodeId(4)]);
-        assert!(d.omission.attributed().contains(&NodeId(4)));
+        assert_eq!(newly, [Some(NodeId(4)), None]);
+        assert!(d.omission.is_attributed(NodeId(4)));
     }
 
     #[test]
     fn checker_management() {
-        let mut d = Detector::new(NodeId(3));
-        let checked = |d: &Detector| {
-            d.checkers
-                .iter()
-                .map(ReplicaChecker::task)
-                .collect::<Vec<_>>()
-        };
-        d.install_checker(checker_cfg());
-        let mut source = checker_cfg();
-        source.task = TaskId(0);
-        d.install_checker(source.clone());
-        // Installing a task's checker again replaces it.
-        d.install_checker(checker_cfg());
-        assert_eq!(checked(&d), [TaskId(0), TaskId(1)]);
-        d.set_checkers(&[source]);
-        assert_eq!(checked(&d), [TaskId(0)]);
-        d.set_checkers(&[]);
-        assert!(checked(&d).is_empty());
+        // A plan install replaces every checker with a fresh one for
+        // each task the new plan has this node check.
+        let checked = |d: &Detector| (d.plan.checked(d.node).to_vec(), d.checkers.len());
+        let mut d = detector();
+        assert_eq!(checked(&d), (vec![], 0));
+        let both: [(TaskId, &[NodeId]); 2] = [
+            (TaskId(1), &[NodeId(1), NodeId(2)]),
+            (TaskId(0), &[NodeId(0)]),
+        ];
+        d.set_plan(PlanTables::checking(NodeId(3), &both));
+        assert_eq!(checked(&d), (vec![TaskId(0), TaskId(1)], 2));
+        d.set_plan(PlanTables::checking(NodeId(3), &both[1..]));
+        assert_eq!(checked(&d), (vec![TaskId(0)], 1));
+        d.set_plan(PlanTables::checking(NodeId(3), &[]));
+        assert_eq!(checked(&d), (vec![], 0));
     }
 }

@@ -22,12 +22,12 @@
 //!   ("invalid evidence can be counted as evidence against the signer").
 
 use crate::window::{PeriodRows, NODE_PERIODS};
-use btr_model::{EvidenceId, NodeId, PeriodIdx, ReplicaIdx, TaskId};
-use std::collections::BTreeSet;
+use btr_model::{NodeId, PeriodIdx, ReplicaIdx, TaskId};
 
-/// Flooding dedup: decides, per evidence record, whether this node still
-/// needs to forward it (endorse-once semantics), and per received output,
-/// whether it still needs to be echoed to its task's checker.
+/// Flooding targets, and per received output whether it still needs to
+/// be echoed to its task's checker. Endorse-once needs no record of its
+/// own: a node floods what its evidence pool has just verified, and the
+/// pool verifies an id once.
 ///
 /// The echo channel exists for equivocation detection: conflicting signed
 /// outputs are only a *proof* once two copies meet at one node, and an
@@ -37,23 +37,11 @@ use std::collections::BTreeSet;
 /// meeting point (one extra message per consumed flow per period).
 #[derive(Debug, Default)]
 pub(crate) struct Disseminator {
-    forwarded: BTreeSet<EvidenceId>,
     /// The (task, replica) pairs echoed per period, each row sorted.
     echoed: PeriodRows<Vec<(TaskId, ReplicaIdx)>, NODE_PERIODS>,
 }
 
 impl Disseminator {
-    /// Create an empty disseminator.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// True exactly once per record id: the caller should forward the
-    /// record to its flooding targets and will get `false` afterwards.
-    pub(crate) fn should_forward(&mut self, id: EvidenceId) -> bool {
-        self.forwarded.insert(id)
-    }
-
     /// Flooding targets, in id order: every peer except the node itself
     /// and the peer the record arrived from (it already has it). Suspected
     /// and convicted peers are *not* excluded: fault sets converge only
@@ -98,20 +86,11 @@ impl Disseminator {
 mod tests {
     use super::*;
     use crate::window::dealt_period;
-
-    #[test]
-    fn forward_exactly_once() {
-        let mut d = Disseminator::new();
-        let id = EvidenceId(7);
-        assert!(d.should_forward(id));
-        assert!(!d.should_forward(id));
-        assert!(d.should_forward(EvidenceId(8)));
-        assert_eq!(d.forwarded.len(), 2);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn echo_exactly_once_per_slot_until_gc() {
-        let mut d = Disseminator::new();
+        let mut d = Disseminator::default();
         use btr_model::TaskId;
         assert!(d.should_echo(TaskId(1), 0, 5));
         assert!(!d.should_echo(TaskId(1), 0, 5));
@@ -134,7 +113,7 @@ mod tests {
         fn prop_echo_record_is_the_set_it_replaced(
             ops in proptest::collection::vec(((0u8..10, 0u32..4), (0u8..3, 0u8..24, 0u8..4)), 1..200)
         ) {
-            let mut d = Disseminator::new();
+            let mut d = Disseminator::default();
             let mut model: BTreeSet<(TaskId, ReplicaIdx, PeriodIdx)> = BTreeSet::new();
             let mut now: PeriodIdx = 2;
             for (step, &((op, task), (replica, p, r))) in ops.iter().enumerate() {

@@ -1,13 +1,12 @@
 //! The reference derivation of a node's view of a plan: schedule slots,
-//! output routes, expected inputs, checker configurations and the
+//! output routes, expected inputs, checked tasks and the
 //! plan-global maps, rebuilt from the plan for one node as `BTreeMap`s.
 //! The runtime reads [`crate::tables::PlanTables`], derived once per
 //! world; the tests hold those tables to this derivation, plan by plan
 //! and node by node.
 
-use crate::checker::CheckerConfig;
 use btr_model::plan::input_lane;
-use btr_model::workload::{TaskKind, Workload};
+use btr_model::workload::Workload;
 use btr_model::{ATask, Duration, NodeId, Plan, ReplicaIdx, ScheduleEntry, TaskId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,8 +22,8 @@ pub(crate) struct PlanView {
     /// The distinct (task, lane) pairs of `in_flows`, sorted: the outputs
     /// this node stores when they arrive (see [`PlanView::wants`]).
     pub(crate) wanted: Vec<(TaskId, ReplicaIdx)>,
-    /// Checker configurations for Check tasks I host.
-    pub(crate) checkers: Vec<CheckerConfig>,
+    /// The Check tasks I host, each with the host of every lane of it.
+    pub(crate) checkers: Vec<(TaskId, Vec<Option<NodeId>>)>,
     /// The checker host of every checked task in the plan (all nodes, not
     /// just mine): consumers echo received outputs there so conflicting
     /// signed copies meet in one place (equivocation detection even when
@@ -189,18 +188,10 @@ pub(crate) fn derive_view(node: NodeId, plan: &Plan, workload: &Workload) -> Pla
             }
             ATask::Check { task } => {
                 let n_lanes = lanes.get(&task).copied().unwrap_or(0);
-                let lane_nodes: Vec<NodeId> = (0..n_lanes)
-                    .filter_map(|r| plan.node_of(ATask::Work { task, replica: r }))
+                let hosts = (0..n_lanes)
+                    .map(|r| plan.node_of(ATask::Work { task, replica: r }))
                     .collect();
-                let spec = workload.task(task);
-                checkers.push(CheckerConfig {
-                    task,
-                    lanes: n_lanes,
-                    lane_nodes,
-                    is_source: matches!(spec.kind, TaskKind::Source { .. }),
-                    inputs: spec.inputs.clone(),
-                    seed: workload.seed,
-                });
+                checkers.push((task, hosts));
             }
             ATask::Verify { .. } => {}
         }
@@ -414,12 +405,9 @@ mod tests {
         let (w, plan) = setup();
         let v = derive_view(NodeId(3), &plan, &w);
         assert_eq!(v.checkers.len(), 2);
-        let chk1 = v.checkers.iter().find(|c| c.task == TaskId(1)).unwrap();
-        assert_eq!(chk1.lanes, 2);
-        assert_eq!(chk1.lane_nodes, vec![NodeId(0), NodeId(1)]);
-        assert!(!chk1.is_source);
-        let chk0 = v.checkers.iter().find(|c| c.task == TaskId(0)).unwrap();
-        assert!(chk0.is_source);
+        let chk1 = v.checkers.iter().find(|c| c.0 == TaskId(1)).unwrap();
+        assert_eq!(chk1.1, [Some(NodeId(0)), Some(NodeId(1))]);
+        assert!(v.checkers.iter().any(|c| c.0 == TaskId(0)));
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub use tables::WorldPlans;
 
 use btr_model::workload::TaskKind;
 use btr_model::{
-    sensor_value, task_value_and_digest, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
-    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
+    sensor_value, task_value_and_digest, ATask, Duration, Envelope, EvidenceRecord, NodeId,
+    Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
 };
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
@@ -177,17 +177,21 @@ impl BtrNode {
         n_nodes: usize,
         attack: Option<Attack>,
     ) -> BtrNode {
-        let mut detector = Detector::new(id);
         let switcher = ModeSwitcher::new(id, &plans.strategy);
         let tables = plans.initial();
-        detector.set_plausible_accusers(Arc::clone(&tables));
+        let detector = Detector::new(
+            id,
+            Arc::clone(&plans.workload),
+            Arc::clone(&tables),
+            n_nodes,
+        );
         BtrNode {
             id,
             plans,
             attack,
             detector,
-            pool: EvidencePool::new(),
-            dissem: Disseminator::new(),
+            pool: EvidencePool::default(),
+            dissem: Disseminator::default(),
             switcher,
             tables,
             version: 0,
@@ -254,9 +258,7 @@ impl BtrNode {
     fn install_plan(&mut self, plan_id: btr_model::PlanId, ctx: &mut NodeCtx<'_>) {
         self.tables = self.plans.tables(plan_id);
         self.version = self.version.wrapping_add(1);
-        self.detector.set_checkers(self.tables.checkers(self.id));
-        self.detector
-            .set_plausible_accusers(Arc::clone(&self.tables));
+        self.detector.set_plan(Arc::clone(&self.tables));
         // Schedule the remaining slots of the current period under the
         // new version (the boundary handler for this period ran before
         // activation and its slots are now stale).
@@ -339,25 +341,17 @@ impl BtrNode {
             self.report_fault(x, reference, ctx);
         } else {
             let newly = self.detector.record_declaration(record);
-            for x in newly {
+            for x in newly.into_iter().flatten() {
                 self.report_fault(x, reference, ctx);
             }
         }
     }
 
-    /// Forward a verified record (`id` is the one the pool admitted it
-    /// under) to everyone but its sender — even suspected nodes, see
-    /// [`Disseminator::targets`] — once: one signature for the round.
-    fn flood(
-        &mut self,
-        id: EvidenceId,
-        record: &EvidenceRecord,
-        from: Option<NodeId>,
-        ctx: &mut NodeCtx<'_>,
-    ) {
-        if !self.dissem.should_forward(id) {
-            return;
-        }
+    /// Forward a record the pool has just verified to everyone but its
+    /// sender — even suspected nodes, see [`Disseminator::targets`]: one
+    /// signature for the round, and every copy shares the record. The
+    /// pool verifies an id once, so a record is flooded once.
+    fn flood(&mut self, record: &Arc<EvidenceRecord>, from: Option<NodeId>, ctx: &mut NodeCtx<'_>) {
         let targets = match from {
             None => &self.peers,
             Some(_) => {
@@ -367,12 +361,16 @@ impl BtrNode {
                 &self.targets
             }
         };
-        ctx.send_many(targets, Payload::Evidence(record.clone()));
+        ctx.send_many(targets, Payload::Evidence(Arc::clone(record)));
         self.stats.evidence_forwarded += targets.len() as u64;
     }
 
     /// Admit locally generated evidence, act on it, and flood it.
-    fn handle_local_evidence(&mut self, records: Vec<EvidenceRecord>, ctx: &mut NodeCtx<'_>) {
+    fn handle_local_evidence(
+        &mut self,
+        records: impl IntoIterator<Item = EvidenceRecord>,
+        ctx: &mut NodeCtx<'_>,
+    ) {
         let period = ctx.now().period_index(self.plans.workload.period);
         for record in records {
             let Some(reference) = self.reference_instant(&record) else {
@@ -385,10 +383,11 @@ impl BtrNode {
                 &record,
                 period,
             );
-            if let AdmitOutcome::Verified { id, .. } = outcome {
+            if let AdmitOutcome::Verified = outcome {
                 self.stats.evidence_generated += 1;
+                let record = Arc::new(record);
                 self.act_on_verified(&record, reference, ctx);
-                self.flood(id, &record, None, ctx);
+                self.flood(&record, None, ctx);
             }
         }
     }
@@ -429,7 +428,7 @@ impl BtrNode {
                         output: forged,
                         inputs: vec![],
                     };
-                    ctx.send_many(&self.peers, Payload::Evidence(bogus));
+                    ctx.send_many(&self.peers, Payload::Evidence(Arc::new(bogus)));
                 }
             }
             Some(Attack::Babble {
@@ -544,7 +543,7 @@ impl BtrNode {
                 blame_task,
                 p,
             );
-            self.handle_local_evidence(vec![decl], ctx);
+            self.handle_local_evidence([decl], ctx);
         } else {
             self.stats.suppressed_declarations += 1;
         }
@@ -769,7 +768,12 @@ impl BtrNode {
         self.handle_local_evidence(evs, ctx);
     }
 
-    fn handle_evidence_msg(&mut self, from: NodeId, record: EvidenceRecord, ctx: &mut NodeCtx<'_>) {
+    fn handle_evidence_msg(
+        &mut self,
+        from: NodeId,
+        record: Arc<EvidenceRecord>,
+        ctx: &mut NodeCtx<'_>,
+    ) {
         let Some(reference) = self.reference_instant(&record) else {
             return;
         };
@@ -782,12 +786,12 @@ impl BtrNode {
             period,
         );
         match outcome {
-            AdmitOutcome::Verified { id, .. } => {
+            AdmitOutcome::Verified => {
                 // Proofs update the switcher directly; declarations feed
                 // the detector's tracker even when they do not (yet)
                 // cross the threshold.
                 self.act_on_verified(&record, reference, ctx);
-                self.flood(id, &record, Some(from), ctx);
+                self.flood(&record, Some(from), ctx);
             }
             AdmitOutcome::Rejected(_) => {
                 self.stats.evidence_rejected += 1;
@@ -799,7 +803,6 @@ impl BtrNode {
 
 impl NodeBehavior for BtrNode {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.detector.set_checkers(self.tables.checkers(self.id));
         // A cold boot runs period 0 at time zero. A node started later (a
         // restart) has missed this period's slot starts, even exactly on
         // its boundary, so it joins at the first boundary after now.
@@ -857,9 +860,7 @@ impl NodeBehavior for BtrNode {
                     self.install_plan(plan, ctx);
                     // Phase boundary: the recovery plan is live on this
                     // node for every fault it covers.
-                    let subjects: Vec<NodeId> =
-                        self.switcher.fault_set().as_set().iter().copied().collect();
-                    for s in subjects {
+                    for &s in self.switcher.fault_set().as_set() {
                         ctx.observe(Phase::SwitchCompleted, s);
                     }
                 }
@@ -1087,11 +1088,11 @@ mod tests {
         let node = forged_payload_is_dropped_without_a_panic(NodeId(6), |ctx| {
             let [a, b] =
                 [1, 2].map(|value| ctx.sign_output(TaskId(0), 0, u64::MAX, value, 0, NodeId(1)));
-            Payload::Evidence(EvidenceRecord::Equivocation {
+            Payload::Evidence(Arc::new(EvidenceRecord::Equivocation {
                 accused: NodeId(1),
                 a,
                 b,
-            })
+            }))
         });
         assert_eq!(node.current_plan(), s.initial_plan().id);
         assert_eq!(node.switch_count(), 0);

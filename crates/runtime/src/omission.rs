@@ -39,48 +39,75 @@
 
 use crate::tables::PlanTables;
 use btr_model::{NodeId, PeriodIdx};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Accusation matrix with distinct-peer thresholds.
+/// The nodes one declaration newly attributes: the remote endpoint (by
+/// the accusation count), then the declarer (by the anti-flooding count).
+pub(crate) type Attributions = [Option<NodeId>; 2];
+
+/// A set of periods as every route asks of it — does it hold two
+/// distinct ones: its first period, and whether another followed.
+type Periods = (Option<PeriodIdx>, bool);
+
+/// Add `period` to `set`; true once `set` holds two distinct periods.
+fn two_periods(set: &mut Periods, period: PeriodIdx) -> bool {
+    let first = *set.0.get_or_insert(period);
+    set.1 |= first != period;
+    set.1
+}
+
+/// What the declarations so far say about one node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Distinct nodes that declared against it.
+    accusers: usize,
+    /// Distinct remote endpoints of its own declarations.
+    remotes: usize,
+    /// Periods in which it was accused (any accuser).
+    accused: Periods,
+    /// Periods in which a *plan-plausible* accuser accused it. Tracked
+    /// separately so the scaled conviction route's two-period
+    /// requirement cannot be satisfied by implausible accusers' periods
+    /// (which count toward neither threshold).
+    plausibly: Periods,
+    /// Periods in which it declared.
+    declared: Periods,
+    attributed: bool,
+}
+
+/// Accusation matrix with distinct-peer thresholds, dense over the
+/// platform's nodes: a [`Tally`] and two bitsets per node, allocated on
+/// the first declaration.
 ///
 /// Attribution always requires implication in at least two distinct
 /// periods, so a single transient burst (e.g. data delayed by an evidence
 /// flood during an unrelated recovery) never convicts a healthy node.
 #[derive(Debug)]
 pub(crate) struct OmissionTracker {
-    /// suspect -> distinct nodes that declared against it.
-    accusers: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// suspect -> periods in which it was accused (any accuser).
-    accused_periods: BTreeMap<NodeId, BTreeSet<PeriodIdx>>,
-    /// suspect -> periods in which a *plan-plausible* accuser accused it.
-    /// Tracked separately so the scaled conviction route's two-period
-    /// requirement cannot be satisfied by implausible accusers' periods
-    /// (which count toward neither threshold).
-    plausible_periods: BTreeMap<NodeId, BTreeSet<PeriodIdx>>,
-    /// declarer -> distinct remote endpoints of its own declarations.
-    declared_remotes: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// declarer -> periods in which it declared.
-    declared_periods: BTreeMap<NodeId, BTreeSet<PeriodIdx>>,
     threshold: usize,
+    /// Platform nodes: what `tallies` and `bits` are sized from.
+    nodes: usize,
     /// The active plan's tables, read for each suspect's plausible
     /// accusers (see [`OmissionTracker::set_plausible_accusers`]).
     plan: Option<Arc<PlanTables>>,
-    attributed: BTreeSet<NodeId>,
+    tallies: Vec<Tally>,
+    /// Bitsets of `words` words, a bit per node: node `n`'s accusers
+    /// are row `2n`, the remotes it declared row `2n + 1`.
+    bits: Vec<u64>,
+    words: usize,
 }
 
 impl OmissionTracker {
-    /// Attribute once a node is accused by `threshold` distinct peers.
-    pub(crate) fn new(threshold: usize) -> Self {
+    /// Attribute once a node is accused by `threshold` distinct peers of
+    /// the `nodes` on the platform.
+    pub(crate) fn new(threshold: usize, nodes: usize) -> Self {
         OmissionTracker {
-            accusers: BTreeMap::new(),
-            accused_periods: BTreeMap::new(),
-            plausible_periods: BTreeMap::new(),
-            declared_remotes: BTreeMap::new(),
-            declared_periods: BTreeMap::new(),
             threshold: threshold.max(1),
+            nodes,
             plan: None,
-            attributed: BTreeSet::new(),
+            tallies: Vec::new(),
+            bits: Vec::new(),
+            words: nodes.div_ceil(64),
         }
     }
 
@@ -99,41 +126,86 @@ impl OmissionTracker {
         self.plan = Some(plan);
     }
 
+    /// Word and mask of `node`'s bit in bitset `row`.
+    fn bit(&self, row: usize, node: NodeId) -> (usize, u64) {
+        (
+            row * self.words + node.index() / 64,
+            1 << (node.index() % 64),
+        )
+    }
+
+    /// Set `node`'s bit in bitset `row`; true if it was clear.
+    fn set(&mut self, row: usize, node: NodeId) -> bool {
+        let (word, mask) = self.bit(row, node);
+        let clear = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        clear
+    }
+
+    /// How many of `suspect`'s accusers are in the `plausible` set.
+    fn among(&self, suspect: NodeId, plausible: &[NodeId]) -> usize {
+        let accused = |&&a: &&NodeId| {
+            let (word, mask) = self.bit(2 * suspect.index(), a);
+            self.bits.get(word).is_some_and(|w| w & mask != 0)
+        };
+        plausible.iter().filter(accused).count()
+    }
+
     /// Record that `accuser` declared against `suspect` (direct evidence).
     fn accuse(&mut self, suspect: NodeId, accuser: NodeId, period: PeriodIdx) -> bool {
+        let fresh = self.set(2 * suspect.index(), accuser);
         let plausible = self.plan.as_deref().and_then(|t| t.accusers(suspect));
         let from_plausible = plausible.is_some_and(|p| p.binary_search(&accuser).is_ok());
-        let set = self.accusers.entry(suspect).or_default();
-        set.insert(accuser);
-        let periods = self.accused_periods.entry(suspect).or_default();
-        periods.insert(period);
-        let all_periods = periods.len();
-        let plausible_periods = {
-            let p = self.plausible_periods.entry(suspect).or_default();
-            if from_plausible {
-                p.insert(period);
-            }
-            p.len()
+        let tally = &mut self.tallies[suspect.index()];
+        tally.accusers += usize::from(fresh);
+        let two = two_periods(&mut tally.accused, period);
+        let plausibly_two = match from_plausible {
+            true => two_periods(&mut tally.plausibly, period),
+            false => tally.plausibly.1,
         };
         // Each route needs its *own* accusations to span two distinct
         // periods, so a single transient burst never convicts — even when
         // padded with accusations that count toward the other route.
-        let full = set.len() >= self.threshold && all_periods >= 2;
+        let full = tally.accusers >= self.threshold && two;
         let scaled = plausible.is_some_and(|plausible| {
             let scaled_threshold = self.threshold.min(plausible.len().max(2));
-            among(set, plausible) >= scaled_threshold && plausible_periods >= 2
+            plausibly_two && self.among(suspect, plausible) >= scaled_threshold
         });
-        (full || scaled) && self.attributed.insert(suspect)
+        (full || scaled) && self.attribute(suspect)
     }
 
     /// Record that `declarer` put itself on a declared path with `remote`
     /// (anti-flooding bookkeeping; doubled conviction bar).
     fn self_implicate(&mut self, declarer: NodeId, remote: NodeId, period: PeriodIdx) -> bool {
-        let set = self.declared_remotes.entry(declarer).or_default();
-        set.insert(remote);
-        let periods = self.declared_periods.entry(declarer).or_default();
-        periods.insert(period);
-        set.len() >= 2 * self.threshold && periods.len() >= 2 && self.attributed.insert(declarer)
+        let fresh = self.set(2 * declarer.index() + 1, remote);
+        let tally = &mut self.tallies[declarer.index()];
+        tally.remotes += usize::from(fresh);
+        let two = two_periods(&mut tally.declared, period);
+        tally.remotes >= 2 * self.threshold && two && self.attribute(declarer)
+    }
+
+    /// Mark `node` attributed; true the first time.
+    fn attribute(&mut self, node: NodeId) -> bool {
+        !std::mem::replace(&mut self.tallies[node.index()].attributed, true)
+    }
+
+    /// Count a declaration by `declarer` with `remote` at the other end,
+    /// in `period`: an accusation of the remote, a self-implication of
+    /// the declarer. A node past the platform — which verification
+    /// rejects (`EvidenceFlaw::UnknownNode`) — is never counted.
+    fn record(&mut self, declarer: NodeId, remote: NodeId, period: PeriodIdx) -> Attributions {
+        if declarer.index().max(remote.index()) >= self.nodes {
+            return [None; 2];
+        }
+        if self.tallies.is_empty() {
+            self.tallies = vec![Tally::default(); self.nodes];
+            self.bits = vec![0; 2 * self.nodes * self.words];
+        }
+        [
+            self.accuse(remote, declarer, period).then_some(remote),
+            self.self_implicate(declarer, remote, period)
+                .then_some(declarer),
+        ]
     }
 
     /// Record a problematic-path declaration by `declarer` observed in
@@ -146,19 +218,12 @@ impl OmissionTracker {
         from: NodeId,
         to: NodeId,
         period: PeriodIdx,
-    ) -> Vec<NodeId> {
+    ) -> Attributions {
         if from == to || (declarer != from && declarer != to) {
-            return Vec::new();
+            return [None; 2];
         }
         let remote = if declarer == from { to } else { from };
-        let mut newly = Vec::new();
-        if self.accuse(remote, declarer, period) {
-            newly.push(remote);
-        }
-        if self.self_implicate(declarer, remote, period) {
-            newly.push(declarer);
-        }
-        newly
+        self.record(declarer, remote, period)
     }
 
     /// Record a crash suspicion (declarer suspects `about` in `period`).
@@ -167,25 +232,18 @@ impl OmissionTracker {
         declarer: NodeId,
         about: NodeId,
         period: PeriodIdx,
-    ) -> Vec<NodeId> {
+    ) -> Attributions {
         if declarer == about {
-            return Vec::new();
+            return [None; 2];
         }
-        let mut newly = Vec::new();
-        if self.accuse(about, declarer, period) {
-            newly.push(about);
-        }
-        if self.self_implicate(declarer, about, period) {
-            newly.push(declarer);
-        }
-        newly
+        self.record(declarer, about, period)
     }
 
-    /// Nodes attributed faulty so far (what the tests read; the
-    /// detector acts on each attribution as it is returned).
+    /// True if `node` has been attributed faulty (what the tests read;
+    /// the detector acts on each attribution as it is returned).
     #[cfg(test)]
-    pub(crate) fn attributed(&self) -> &BTreeSet<NodeId> {
-        &self.attributed
+    pub(crate) fn is_attributed(&self, node: NodeId) -> bool {
+        self.tallies.get(node.index()).is_some_and(|t| t.attributed)
     }
 
     /// Unattributed suspects exactly one distinct accuser short of their
@@ -193,80 +251,87 @@ impl OmissionTracker {
     /// pool's near misses. The two-period rule is not held against the
     /// deficit: a closing accusation arrives with its own period.
     pub(crate) fn near_miss_suspects(&self) -> usize {
-        self.accusers
+        let short = |(i, tally): (usize, &Tally)| {
+            if tally.attributed || tally.accusers == 0 {
+                return false;
+            }
+            let suspect = NodeId(i as u32);
+            let plausible = self.plan.as_deref().and_then(|t| t.accusers(suspect));
+            let scaled_short = plausible.is_some_and(|plausible| {
+                let scaled_threshold = self.threshold.min(plausible.len().max(2));
+                self.among(suspect, plausible) + 1 == scaled_threshold
+            });
+            tally.accusers + 1 == self.threshold || scaled_short
+        };
+        self.tallies
             .iter()
-            .filter(|(suspect, set)| {
-                if self.attributed.contains(suspect) {
-                    return false;
-                }
-                let full_short = set.len() + 1 == self.threshold;
-                let plausible = self.plan.as_deref().and_then(|t| t.accusers(**suspect));
-                let scaled_short = plausible.is_some_and(|plausible| {
-                    let scaled_threshold = self.threshold.min(plausible.len().max(2));
-                    among(set, plausible) + 1 == scaled_threshold
-                });
-                full_short || scaled_short
-            })
+            .enumerate()
+            .filter(|&t| short(t))
             .count()
     }
-}
-
-/// How many of `accusers` are in the sorted `plausible` set.
-fn among(accusers: &BTreeSet<NodeId>, plausible: &[NodeId]) -> usize {
-    accusers
-        .iter()
-        .filter(|a| plausible.binary_search(a).is_ok())
-        .count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const NONE: Attributions = [None; 2];
+
+    /// Each test runs on a 10-node platform and on a 70-node one, whose
+    /// bitsets span two words: there, test node `i` is platform node
+    /// `60 + i`, so the tests' nodes straddle bit 64.
+    fn platforms(threshold: usize) -> [(OmissionTracker, impl Fn(u32) -> NodeId); 2] {
+        [10, 70].map(|n| {
+            (OmissionTracker::new(threshold, n), move |i| {
+                NodeId(n as u32 - 10 + i)
+            })
+        })
+    }
+
     #[test]
     fn single_accuser_attributes_nobody_at_threshold_two() {
-        let mut t = OmissionTracker::new(2);
-        assert!(t.record_path(NodeId(1), NodeId(2), NodeId(1), 0).is_empty());
-        assert_eq!(t.accusers[&NodeId(2)].len(), 1);
-        assert_eq!(t.declared_remotes[&NodeId(1)].len(), 1);
+        for (mut t, id) in platforms(2) {
+            assert_eq!(t.record_path(id(1), id(2), id(1), 0), NONE);
+            assert_eq!(t.tallies[id(2).index()].accusers, 1);
+            assert_eq!(t.tallies[id(1).index()].remotes, 1);
+        }
     }
 
     #[test]
     fn distinct_accusers_convict_the_suspect() {
         // Node 4 drops traffic to three different recipients over
         // multiple periods; each recipient declares.
-        let mut t = OmissionTracker::new(3);
-        assert!(t.record_path(NodeId(1), NodeId(4), NodeId(1), 0).is_empty());
-        assert!(t.record_path(NodeId(2), NodeId(4), NodeId(2), 1).is_empty());
-        let newly = t.record_path(NodeId(3), NodeId(4), NodeId(3), 2);
-        assert_eq!(newly, vec![NodeId(4)]);
-        assert!(t.attributed().contains(&NodeId(4)));
-        // Honest accusers are not attributed.
-        assert!(!t.attributed().contains(&NodeId(1)));
+        for (mut t, id) in platforms(3) {
+            assert_eq!(t.record_path(id(1), id(4), id(1), 0), NONE);
+            assert_eq!(t.record_path(id(2), id(4), id(2), 1), NONE);
+            assert_eq!(t.record_path(id(3), id(4), id(3), 2), [Some(id(4)), None]);
+            assert!(t.is_attributed(id(4)));
+            // Honest accusers are not attributed.
+            assert!(!t.is_attributed(id(1)));
+        }
     }
 
     #[test]
     fn single_period_burst_never_attributes() {
         // Three accusations, all in the same period: no attribution.
-        let mut t = OmissionTracker::new(3);
-        assert!(t.record_path(NodeId(1), NodeId(4), NodeId(1), 5).is_empty());
-        assert!(t.record_path(NodeId(2), NodeId(4), NodeId(2), 5).is_empty());
-        assert!(t.record_path(NodeId(3), NodeId(4), NodeId(3), 5).is_empty());
-        assert!(t.attributed().is_empty());
-        // One more in a later period crosses the line.
-        assert_eq!(
-            t.record_path(NodeId(5), NodeId(4), NodeId(5), 6),
-            vec![NodeId(4)]
-        );
+        for (mut t, id) in platforms(3) {
+            assert_eq!(t.record_path(id(1), id(4), id(1), 5), NONE);
+            assert_eq!(t.record_path(id(2), id(4), id(2), 5), NONE);
+            assert_eq!(t.record_path(id(3), id(4), id(3), 5), NONE);
+            assert!(t.tallies.iter().all(|t| !t.attributed));
+            // One more in a later period crosses the line.
+            assert_eq!(t.record_path(id(5), id(4), id(5), 6), [Some(id(4)), None]);
+        }
     }
 
     #[test]
     fn duplicate_paths_do_not_inflate() {
-        let mut t = OmissionTracker::new(2);
-        for p in 0..10 {
-            assert!(t.record_path(NodeId(2), NodeId(1), NodeId(2), p).is_empty());
+        for (mut t, id) in platforms(2) {
+            for p in 0..10 {
+                assert_eq!(t.record_path(id(2), id(1), id(2), p), NONE);
+            }
+            assert_eq!(t.tallies[id(1).index()].accusers, 1);
         }
-        assert_eq!(t.accusers[&NodeId(1)].len(), 1);
     }
 
     #[test]
@@ -275,15 +340,13 @@ mod tests {
         // crash (n2), a transient (n7), and an omission (n4). Under the
         // old single counter those three distinct peers convicted n1;
         // now its own declarations never reach the doubled bar.
-        let mut t = OmissionTracker::new(3);
-        t.record_path(NodeId(1), NodeId(2), NodeId(1), 43);
-        t.record_path(NodeId(1), NodeId(7), NodeId(1), 44);
-        t.record_path(NodeId(1), NodeId(4), NodeId(1), 57);
-        assert!(
-            !t.attributed().contains(&NodeId(1)),
-            "honest declarer convicted"
-        );
-        assert_eq!(t.declared_remotes[&NodeId(1)].len(), 3);
+        for (mut t, id) in platforms(3) {
+            t.record_path(id(1), id(2), id(1), 43);
+            t.record_path(id(1), id(7), id(1), 44);
+            t.record_path(id(1), id(4), id(1), 57);
+            assert!(!t.is_attributed(id(1)), "honest declarer convicted");
+            assert_eq!(t.tallies[id(1).index()].remotes, 3);
+        }
     }
 
     #[test]
@@ -292,22 +355,23 @@ mod tests {
         // distinct victims (threshold 2 -> 4), node 7 itself is
         // attributed. The paper's resource-drain attack stays
         // self-defeating.
-        let mut t = OmissionTracker::new(2);
-        t.record_path(NodeId(7), NodeId(7), NodeId(0), 0);
-        t.record_path(NodeId(7), NodeId(7), NodeId(1), 1);
-        t.record_path(NodeId(7), NodeId(7), NodeId(2), 2);
-        assert!(!t.attributed().contains(&NodeId(7)));
-        let newly = t.record_path(NodeId(7), NodeId(7), NodeId(3), 3);
-        assert_eq!(newly, vec![NodeId(7)]);
+        for (mut t, id) in platforms(2) {
+            t.record_path(id(7), id(7), id(0), 0);
+            t.record_path(id(7), id(7), id(1), 1);
+            t.record_path(id(7), id(7), id(2), 2);
+            assert!(!t.is_attributed(id(7)));
+            assert_eq!(t.record_path(id(7), id(7), id(3), 3), [None, Some(id(7))]);
+        }
     }
 
     #[test]
     fn crash_suspicions_accumulate() {
-        let mut t = OmissionTracker::new(2);
-        assert!(t.record_suspicion(NodeId(1), NodeId(9), 0).is_empty());
-        assert_eq!(t.record_suspicion(NodeId(2), NodeId(9), 1), vec![NodeId(9)]);
-        // Already attributed: no re-report.
-        assert!(t.record_suspicion(NodeId(3), NodeId(9), 2).is_empty());
+        for (mut t, id) in platforms(2) {
+            assert_eq!(t.record_suspicion(id(1), id(9), 0), NONE);
+            assert_eq!(t.record_suspicion(id(2), id(9), 1), [Some(id(9)), None]);
+            // Already attributed: no re-report.
+            assert_eq!(t.record_suspicion(id(3), id(9), 2), NONE);
+        }
     }
 
     #[test]
@@ -315,24 +379,20 @@ mod tests {
         // Suspect n4's lanes are only visible to nodes 1 and 2 under the
         // active plan: accusations from exactly those two convict, but
         // the full threshold still applies to everyone else.
-        let mut t = OmissionTracker::new(3);
-        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([
-            (NodeId(4), BTreeSet::from([NodeId(1), NodeId(2)])),
-            (
-                NodeId(5),
-                BTreeSet::from_iter((0..8).map(NodeId).filter(|&n| n != NodeId(5))),
-            ),
-        ])));
-        t.record_path(NodeId(1), NodeId(4), NodeId(1), 0);
-        let newly = t.record_path(NodeId(2), NodeId(4), NodeId(2), 1);
-        assert_eq!(newly, vec![NodeId(4)]);
-        // n5 has plenty of plausible accusers: full threshold applies.
-        t.record_path(NodeId(1), NodeId(5), NodeId(1), 0);
-        assert!(t.record_path(NodeId(2), NodeId(5), NodeId(2), 1).is_empty());
-        assert_eq!(
-            t.record_path(NodeId(3), NodeId(5), NodeId(3), 2),
-            vec![NodeId(5)]
-        );
+        for (mut t, id) in platforms(3) {
+            let all: Vec<NodeId> = (0..8).filter(|&n| n != 5).map(&id).collect();
+            let sparse = [id(1), id(2)];
+            t.set_plausible_accusers(PlanTables::with_accusers(&[
+                (id(4), &sparse),
+                (id(5), &all),
+            ]));
+            t.record_path(id(1), id(4), id(1), 0);
+            assert_eq!(t.record_path(id(2), id(4), id(2), 1), [Some(id(4)), None]);
+            // n5 has plenty of plausible accusers: full threshold applies.
+            t.record_path(id(1), id(5), id(1), 0);
+            assert_eq!(t.record_path(id(2), id(5), id(2), 1), NONE);
+            assert_eq!(t.record_path(id(3), id(5), id(3), 2), [Some(id(5)), None]);
+        }
     }
 
     #[test]
@@ -342,23 +402,18 @@ mod tests {
         // consumes its lanes nor checks its tasks — cannot convict it at
         // the scaled bar of 2, via path declarations or crash
         // suspicions: for them the full threshold (3) stands.
-        let mut t = OmissionTracker::new(3);
-        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
-            NodeId(4),
-            BTreeSet::from([NodeId(1), NodeId(2)]),
-        )])));
-        for p in 0..4 {
-            assert!(t.record_path(NodeId(7), NodeId(4), NodeId(7), p).is_empty());
-            assert!(t.record_suspicion(NodeId(8), NodeId(4), p).is_empty());
+        for (mut t, id) in platforms(3) {
+            t.set_plausible_accusers(PlanTables::with_accusers(&[(id(4), &[id(1), id(2)])]));
+            for p in 0..4 {
+                assert_eq!(t.record_path(id(7), id(4), id(7), p), NONE);
+                assert_eq!(t.record_suspicion(id(8), id(4), p), NONE);
+            }
+            assert!(!t.is_attributed(id(4)));
+            // One plausible accuser joining the two colluders still
+            // reaches the full threshold (3 distinct accusers) — genuine
+            // faults with mixed evidence are not lost.
+            assert_eq!(t.record_path(id(1), id(4), id(1), 9), [Some(id(4)), None]);
         }
-        assert!(!t.attributed().contains(&NodeId(4)));
-        // One plausible accuser joining the two colluders still reaches
-        // the full threshold (3 distinct accusers) — genuine faults with
-        // mixed evidence are not lost.
-        assert_eq!(
-            t.record_path(NodeId(1), NodeId(4), NodeId(1), 9),
-            vec![NodeId(4)]
-        );
     }
 
     #[test]
@@ -367,21 +422,16 @@ mod tests {
         // toward neither route), then both plausible accusers declare in
         // a single burst period: the scaled route's two-period rule must
         // be judged on plausible accusations alone, so no conviction.
-        let mut t = OmissionTracker::new(4);
-        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
-            NodeId(4),
-            BTreeSet::from([NodeId(1), NodeId(2)]),
-        )])));
-        t.record_path(NodeId(7), NodeId(4), NodeId(7), 3);
-        t.record_path(NodeId(7), NodeId(4), NodeId(7), 4);
-        assert!(t.record_path(NodeId(1), NodeId(4), NodeId(1), 9).is_empty());
-        assert!(t.record_path(NodeId(2), NodeId(4), NodeId(2), 9).is_empty());
-        assert!(!t.attributed().contains(&NodeId(4)));
-        // A plausible accusation in a second period completes the route.
-        assert_eq!(
-            t.record_path(NodeId(1), NodeId(4), NodeId(1), 10),
-            vec![NodeId(4)]
-        );
+        for (mut t, id) in platforms(4) {
+            t.set_plausible_accusers(PlanTables::with_accusers(&[(id(4), &[id(1), id(2)])]));
+            t.record_path(id(7), id(4), id(7), 3);
+            t.record_path(id(7), id(4), id(7), 4);
+            assert_eq!(t.record_path(id(1), id(4), id(1), 9), NONE);
+            assert_eq!(t.record_path(id(2), id(4), id(2), 9), NONE);
+            assert!(!t.is_attributed(id(4)));
+            // A plausible accusation in a second period completes the route.
+            assert_eq!(t.record_path(id(1), id(4), id(1), 10), [Some(id(4)), None]);
+        }
     }
 
     #[test]
@@ -391,51 +441,49 @@ mod tests {
         // distinct plausible accusers, and only one exists): one
         // observer's word is he-said-she-said, exactly what the paper's
         // threshold exists to resist. Only the full threshold convicts.
-        let mut t = OmissionTracker::new(3);
-        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
-            NodeId(4),
-            BTreeSet::from([NodeId(1)]),
-        )])));
-        for p in 0..5 {
-            assert!(t.record_path(NodeId(1), NodeId(4), NodeId(1), p).is_empty());
+        for (mut t, id) in platforms(3) {
+            t.set_plausible_accusers(PlanTables::with_accusers(&[(id(4), &[id(1)])]));
+            for p in 0..5 {
+                assert_eq!(t.record_path(id(1), id(4), id(1), p), NONE);
+            }
+            assert_eq!(t.record_path(id(2), id(4), id(2), 9), NONE);
+            assert_eq!(t.record_path(id(3), id(4), id(3), 10), [Some(id(4)), None]);
         }
-        assert!(t.record_path(NodeId(2), NodeId(4), NodeId(2), 9).is_empty());
-        assert_eq!(
-            t.record_path(NodeId(3), NodeId(4), NodeId(3), 10),
-            vec![NodeId(4)]
-        );
     }
 
     #[test]
     fn near_misses_track_the_one_accuser_deficit() {
-        let mut t = OmissionTracker::new(3);
-        assert_eq!(t.near_miss_suspects(), 0);
-        // One accuser: still two short of the full threshold.
-        t.record_path(NodeId(1), NodeId(4), NodeId(1), 0);
-        assert_eq!(t.near_miss_suspects(), 0);
-        // A second distinct accuser puts n4 one short.
-        t.record_path(NodeId(2), NodeId(4), NodeId(2), 1);
-        assert_eq!(t.near_miss_suspects(), 1);
-        // Conviction clears the near miss.
-        t.record_path(NodeId(3), NodeId(4), NodeId(3), 2);
-        assert!(t.attributed().contains(&NodeId(4)));
-        assert_eq!(t.near_miss_suspects(), 0);
-        // A sparse-fan-in suspect is a near miss after a single
-        // plausible accusation (scaled bar of two).
-        t.set_plausible_accusers(PlanTables::with_accusers(BTreeMap::from([(
-            NodeId(6),
-            BTreeSet::from([NodeId(1), NodeId(2)]),
-        )])));
-        t.record_path(NodeId(1), NodeId(6), NodeId(1), 5);
-        assert_eq!(t.near_miss_suspects(), 1);
+        for (mut t, id) in platforms(3) {
+            assert_eq!(t.near_miss_suspects(), 0);
+            // One accuser: still two short of the full threshold.
+            t.record_path(id(1), id(4), id(1), 0);
+            assert_eq!(t.near_miss_suspects(), 0);
+            // A second distinct accuser puts n4 one short.
+            t.record_path(id(2), id(4), id(2), 1);
+            assert_eq!(t.near_miss_suspects(), 1);
+            // Conviction clears the near miss.
+            t.record_path(id(3), id(4), id(3), 2);
+            assert!(t.is_attributed(id(4)));
+            assert_eq!(t.near_miss_suspects(), 0);
+            // A sparse-fan-in suspect is a near miss after a single
+            // plausible accusation (scaled bar of two).
+            t.set_plausible_accusers(PlanTables::with_accusers(&[(id(6), &[id(1), id(2)])]));
+            t.record_path(id(1), id(6), id(1), 5);
+            assert_eq!(t.near_miss_suspects(), 1);
+        }
     }
 
     #[test]
     fn self_reports_and_offpath_declarers_ignored() {
-        let mut t = OmissionTracker::new(1);
-        assert!(t.record_path(NodeId(5), NodeId(5), NodeId(5), 0).is_empty());
-        assert!(t.record_suspicion(NodeId(5), NodeId(5), 1).is_empty());
-        // A declarer that is not a path endpoint carries no weight.
-        assert!(t.record_path(NodeId(9), NodeId(1), NodeId(2), 0).is_empty());
+        for (mut t, id) in platforms(1) {
+            assert_eq!(t.record_path(id(5), id(5), id(5), 0), NONE);
+            assert_eq!(t.record_suspicion(id(5), id(5), 1), NONE);
+            // A declarer that is not a path endpoint carries no weight,
+            // nor does a node past the platform, at either end.
+            assert_eq!(t.record_path(id(9), id(1), id(2), 0), NONE);
+            assert_eq!(t.record_path(id(1), id(1), id(10), 0), NONE);
+            assert_eq!(t.record_suspicion(id(10), id(1), 1), NONE);
+            assert!(t.tallies.is_empty(), "nothing counted");
+        }
     }
 }

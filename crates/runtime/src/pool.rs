@@ -3,7 +3,7 @@
 use btr_crypto::KeyStore;
 use btr_model::evidence::EvidenceFlaw;
 use btr_model::workload::Workload;
-use btr_model::{EvidenceClass, EvidenceId, EvidenceRecord, NodeId, PeriodIdx};
+use btr_model::{EvidenceId, EvidenceRecord, NodeId, PeriodIdx};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Max records admitted to full verification per sender per period
@@ -16,16 +16,7 @@ const BLACKLIST_THRESHOLD: u32 = 8;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum AdmitOutcome {
     /// Newly verified: act on it (update fault set) and forward it.
-    Verified {
-        /// The record's id, as computed for the duplicate check (the
-        /// caller's flooding dedup keys on it; hashing the record again
-        /// would cost another encoding and SHA-256).
-        id: EvidenceId,
-        /// Proofs convict this node directly.
-        convicts: Option<NodeId>,
-        /// The record's class.
-        class: EvidenceClass,
-    },
+    Verified,
     /// Already known; do nothing.
     Duplicate,
     /// Invalid; counted against the sender.
@@ -36,26 +27,21 @@ pub(crate) enum AdmitOutcome {
     Blacklisted,
 }
 
-/// Per-node store of validated evidence.
+/// Per-node record of validated evidence: the ids it admitted (the
+/// records themselves travel and are kept by `Arc` where they are used).
 #[derive(Default)]
 pub(crate) struct EvidencePool {
-    verified: BTreeMap<EvidenceId, EvidenceRecord>,
+    verified: BTreeSet<EvidenceId>,
     rejected_ids: BTreeSet<EvidenceId>,
     bogus_by: BTreeMap<NodeId, u32>,
     blacklist: BTreeSet<NodeId>,
     used_budget: BTreeMap<NodeId, (PeriodIdx, u32)>,
-    convicted: BTreeSet<NodeId>,
     /// Reusable encoding scratch: record ids, and the signed bytes a
     /// record's verification checks.
     scratch: Vec<u8>,
 }
 
 impl EvidencePool {
-    /// Create an empty pool.
-    pub(crate) fn new() -> Self {
-        EvidencePool::default()
-    }
-
     /// Offer a record received from `sender` during `period`.
     ///
     /// Validation order is cheap-first, per the paper's DoS concern:
@@ -73,7 +59,7 @@ impl EvidencePool {
             return AdmitOutcome::Blacklisted;
         }
         let id = record.id_with(&mut self.scratch);
-        if self.verified.contains_key(&id) || self.rejected_ids.contains(&id) {
+        if self.verified.contains(&id) || self.rejected_ids.contains(&id) {
             return AdmitOutcome::Duplicate;
         }
         // Budget: full verification is bounded per sender per period.
@@ -88,15 +74,8 @@ impl EvidencePool {
 
         match record.verify_with(ks, workload, &mut self.scratch) {
             Ok(()) => {
-                if let Some(n) = record.convicts() {
-                    self.convicted.insert(n);
-                }
-                self.verified.insert(id, record.clone());
-                AdmitOutcome::Verified {
-                    id,
-                    convicts: record.convicts(),
-                    class: record.class(),
-                }
+                self.verified.insert(id);
+                AdmitOutcome::Verified
             }
             Err(flaw) => {
                 self.rejected_ids.insert(id);
@@ -174,27 +153,20 @@ mod tests {
 
     #[test]
     fn verify_then_duplicate() {
-        let mut pool = EvidencePool::new();
+        let mut pool = EvidencePool::default();
         let r = valid_proof(1);
         let out = pool.admit(&ks(), &workload(), NodeId(1), &r, 0);
-        assert!(matches!(
-            out,
-            AdmitOutcome::Verified {
-                convicts: Some(n),
-                ..
-            } if n == NodeId(2)
-        ));
+        assert_eq!(out, AdmitOutcome::Verified);
         assert_eq!(
             pool.admit(&ks(), &workload(), NodeId(3), &r, 0),
             AdmitOutcome::Duplicate
         );
-        assert!(pool.convicted.contains(&NodeId(2)));
         assert_eq!(pool.verified.len(), 1);
     }
 
     #[test]
     fn bogus_leads_to_blacklist() {
-        let mut pool = EvidencePool::new();
+        let mut pool = EvidencePool::default();
         for p in 0..BLACKLIST_THRESHOLD as PeriodIdx {
             assert!(!pool.blacklist.contains(&NodeId(6)));
             let out = pool.admit(&ks(), &workload(), NodeId(6), &bogus(p), 0);
@@ -211,17 +183,17 @@ mod tests {
         // But the same record from an honest sender still lands.
         assert!(matches!(
             pool.admit(&ks(), &workload(), NodeId(1), &valid_proof(9), 0),
-            AdmitOutcome::Verified { .. }
+            AdmitOutcome::Verified
         ));
     }
 
     #[test]
     fn rate_limit_per_period_resets() {
-        let mut pool = EvidencePool::new();
+        let mut pool = EvidencePool::default();
         for p in 0..PER_SENDER_BUDGET as PeriodIdx {
             assert!(matches!(
                 pool.admit(&ks(), &workload(), NodeId(1), &valid_proof(p), 7),
-                AdmitOutcome::Verified { .. }
+                AdmitOutcome::Verified
             ));
         }
         assert_eq!(
@@ -243,13 +215,13 @@ mod tests {
                 &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
                 8
             ),
-            AdmitOutcome::Verified { .. }
+            AdmitOutcome::Verified
         ));
     }
 
     #[test]
     fn rejected_records_become_cheap_duplicates() {
-        let mut pool = EvidencePool::new();
+        let mut pool = EvidencePool::default();
         let b = bogus(1);
         assert!(matches!(
             pool.admit(&ks(), &workload(), NodeId(1), &b, 0),
@@ -265,17 +237,9 @@ mod tests {
 
     #[test]
     fn declarations_verify_without_convicting() {
-        let mut pool = EvidencePool::new();
+        let mut pool = EvidencePool::default();
         let d = EvidenceRecord::declare_crash(&signer(4), NodeId(4), NodeId(5), 3);
         let out = pool.admit(&ks(), &workload(), NodeId(4), &d, 0);
-        assert_eq!(
-            out,
-            AdmitOutcome::Verified {
-                id: d.id(),
-                convicts: None,
-                class: EvidenceClass::Declaration
-            }
-        );
-        assert!(pool.convicted.is_empty());
+        assert_eq!((out, d.convicts()), (AdmitOutcome::Verified, None));
     }
 }

@@ -3,7 +3,7 @@
 //! The planner computes every mode offline, so a mode switch at run time
 //! only installs a plan (paper §4.1, §4.4). What a node reads of the
 //! plan — its schedule slots, the routes of the lanes it hosts, the
-//! inputs they consume, its checkers, and the plan-global lookups it
+//! inputs they consume, the tasks it checks, and the plan-global lookups it
 //! makes per arriving message — is the same for every node of a world,
 //! so [`WorldPlans`] derives it once per plan, the first time a node of
 //! the world installs that plan, and hands every node the same
@@ -14,14 +14,12 @@
 //! offsets (CSR). Every lookup is a bounds-checked index load; an id the
 //! plan does not know answers empty.
 
-use crate::checker::CheckerConfig;
+use crate::checker::Checked;
 use btr_model::plan::input_lane;
 use btr_model::workload::{TaskKind, Workload};
 use btr_model::{
     ATask, Duration, NodeId, Plan, PlanId, ReplicaIdx, ScheduleEntry, Strategy, TaskId,
 };
-#[cfg(test)]
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
@@ -100,7 +98,8 @@ pub(crate) struct PlanTables {
     /// sorted. A producer whose upstream hosts include a convicted node
     /// is starved, not faulty (the false-attribution-cascade gate).
     upstream: Rows<TaskId, NodeId>,
-    /// Per lane: its host, if placed.
+    /// Per lane: its host, if placed. A task's lanes are adjacent, so
+    /// its checker reads them as one slice.
     host: Vec<Option<NodeId>>,
     /// Per lane: when it is scheduled to emit within its period (slot
     /// start + WCET). Receivers derive arrival deadlines from this.
@@ -118,9 +117,8 @@ pub(crate) struct PlanTables {
     /// Per node: the distinct (task, lane) pairs its slots consume,
     /// sorted — the outputs it stores when they arrive.
     wanted: Rows<NodeId, (TaskId, ReplicaIdx)>,
-    /// Per node: the configurations of the checking tasks it hosts, in
-    /// schedule order.
-    checkers: Rows<NodeId, CheckerConfig>,
+    /// Per node: the tasks whose checkers it hosts, sorted.
+    checked: Rows<NodeId, TaskId>,
     /// Per node: the distinct other nodes that would notice its silence
     /// (consumers of its lanes, checkers of its tasks), sorted. Only a
     /// node hosting a work lane has a set (see [`PlanTables::accusers`]).
@@ -177,7 +175,7 @@ impl PlanTables {
             flows: Rows::with_capacity(total_lanes, flows),
             entries: Rows::with_capacity(n_nodes, slots),
             wanted: Rows::with_capacity(n_nodes, flows),
-            checkers: Rows::with_capacity(n_nodes, checks),
+            checked: Rows::with_capacity(n_nodes, checks),
             accusers: Rows::with_capacity(n_nodes, 0),
             hosts_work: vec![false; n_nodes],
         };
@@ -200,7 +198,7 @@ impl PlanTables {
         let mut scratch: Vec<NodeId> = Vec::new();
         t.fill_lanes(workload, &n_lanes, &mut scratch);
         t.fill_upstream(workload, &n_lanes, &mut scratch);
-        t.fill_nodes(plan, workload, n_nodes);
+        t.fill_nodes(plan, n_nodes);
         t
     }
 
@@ -210,15 +208,6 @@ impl PlanTables {
         let (&from, &to) = (self.lane_base.get(i)?, self.lane_base.get(i + 1)?);
         let lane = from + u32::from(replica);
         (lane < to).then_some(Lane(lane))
-    }
-
-    /// Lanes of `task` under the plan (0 if shed or unknown).
-    fn lanes_of(&self, task: TaskId) -> u8 {
-        let i = task.index();
-        match (self.lane_base.get(i), self.lane_base.get(i + 1)) {
-            (Some(&from), Some(&to)) => (to - from) as u8,
-            _ => 0,
-        }
     }
 
     fn host_of(&self, task: TaskId, replica: ReplicaIdx) -> Option<NodeId> {
@@ -292,9 +281,9 @@ impl PlanTables {
         }
     }
 
-    /// Slots, wanted inputs, checkers and plausible accusers, node by
-    /// node.
-    fn fill_nodes(&mut self, plan: &Plan, workload: &Workload, n_nodes: usize) {
+    /// Slots, wanted inputs, checked tasks and plausible accusers, node
+    /// by node.
+    fn fill_nodes(&mut self, plan: &Plan, n_nodes: usize) {
         // (host, target) of every route: a node's accusers are the
         // targets of the lanes it hosts.
         let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.routes.items.len());
@@ -322,23 +311,13 @@ impl PlanTables {
                             wanted.extend(flows.iter().map(|&(u, l, _)| (u, l)));
                         }
                     }
-                    ATask::Check { task } => {
-                        let lanes = self.lanes_of(task);
-                        let spec = workload.task(task);
-                        let cfg = CheckerConfig {
-                            task,
-                            lanes,
-                            lane_nodes: (0..lanes).filter_map(|r| self.host_of(task, r)).collect(),
-                            is_source: matches!(spec.kind, TaskKind::Source { .. }),
-                            inputs: spec.inputs.clone(),
-                            seed: workload.seed,
-                        };
-                        self.checkers.items.push(cfg);
-                    }
+                    ATask::Check { task } => self.checked.items.push(task),
                     ATask::Verify { .. } => {}
                 }
             }
-            self.checkers.close();
+            let from = self.checked.at[node.index()] as usize;
+            self.checked.items[from..].sort_unstable();
+            self.checked.close();
             wanted.sort_unstable();
             wanted.dedup();
             self.wanted.items.extend_from_slice(&wanted);
@@ -364,9 +343,23 @@ impl PlanTables {
             .is_ok()
     }
 
-    /// The configurations of the checking tasks `node` hosts.
-    pub(crate) fn checkers(&self, node: NodeId) -> &[CheckerConfig] {
-        self.checkers.get(node)
+    /// The tasks whose checkers `node` hosts, sorted.
+    pub(crate) fn checked(&self, node: NodeId) -> &[TaskId] {
+        self.checked.get(node)
+    }
+
+    /// What the checker of `task` reads: the host of each of its lanes,
+    /// and its declaration in `workload`.
+    pub(crate) fn checked_task<'a>(&'a self, task: TaskId, workload: &'a Workload) -> Checked<'a> {
+        let i = task.index();
+        let (from, to) = (self.lane_base[i] as usize, self.lane_base[i + 1] as usize);
+        let spec = workload.task(task);
+        Checked {
+            task,
+            hosts: &self.host[from..to],
+            inputs: &spec.inputs,
+            source_seed: matches!(spec.kind, TaskKind::Source { .. }).then_some(workload.seed),
+        }
     }
 
     /// The node hosting `task`'s checker: consumers echo received
@@ -435,7 +428,7 @@ impl PlanTables {
                 }
             }
         }
-        if receives_remote || !self.checkers(me).is_empty() {
+        if receives_remote || !self.checked(me).is_empty() {
             out.insert(me);
         }
     }
@@ -459,10 +452,26 @@ impl PlanTables {
 
 #[cfg(test)]
 impl PlanTables {
-    /// Tables that know nothing but each node's plausible accusers (the
-    /// omission tracker's unit tests).
-    pub(crate) fn with_accusers(accusers: BTreeMap<NodeId, BTreeSet<NodeId>>) -> Arc<PlanTables> {
-        let n_nodes = accusers.keys().next_back().map_or(0, |n| n.index() + 1);
+    /// Tables that know nothing but each node's plausible accusers,
+    /// sorted (the omission tracker's unit tests).
+    pub(crate) fn with_accusers(accusers: &[(NodeId, &[NodeId])]) -> Arc<PlanTables> {
+        Self::stub(accusers, NodeId(0), &[])
+    }
+
+    /// Tables that know nothing but the checkers `node` hosts, each task
+    /// with the hosts of its lanes (the detector's unit tests).
+    pub(crate) fn checking(node: NodeId, checks: &[(TaskId, &[NodeId])]) -> Arc<PlanTables> {
+        Self::stub(&[], node, checks)
+    }
+
+    fn stub(
+        accusers: &[(NodeId, &[NodeId])],
+        node: NodeId,
+        checks: &[(TaskId, &[NodeId])],
+    ) -> Arc<PlanTables> {
+        let nodes = accusers
+            .iter()
+            .fold(node.index() + 1, |n, (a, _)| n.max(a.index() + 1));
         let mut t = PlanTables {
             lane_base: vec![0],
             checker: Vec::new(),
@@ -473,14 +482,26 @@ impl PlanTables {
             flows: Rows::with_capacity(0, 0),
             entries: Rows::with_capacity(0, 0),
             wanted: Rows::with_capacity(0, 0),
-            checkers: Rows::with_capacity(0, 0),
-            accusers: Rows::with_capacity(n_nodes, 0),
-            hosts_work: vec![false; n_nodes],
+            checked: Rows::with_capacity(nodes, 0),
+            accusers: Rows::with_capacity(nodes, 0),
+            hosts_work: vec![false; nodes],
         };
-        for node in (0..n_nodes as u32).map(NodeId) {
-            if let Some(set) = accusers.get(&node) {
-                t.accusers.items.extend(set);
-                t.hosts_work[node.index()] = true;
+        let tasks = checks.iter().map(|(c, _)| c.0 + 1).max().unwrap_or(0);
+        for task in (0..tasks).map(TaskId) {
+            let hosts = checks.iter().filter(|(c, _)| *c == task);
+            t.host
+                .extend(hosts.flat_map(|(_, h)| h.iter().copied().map(Some)));
+            t.lane_base.push(t.host.len() as u32);
+        }
+        for n in (0..nodes as u32).map(NodeId) {
+            if n == node {
+                t.checked.items.extend(checks.iter().map(|&(task, _)| task));
+                t.checked.items.sort_unstable();
+            }
+            t.checked.close();
+            if let Some((_, set)) = accusers.iter().find(|(a, _)| *a == n) {
+                t.accusers.items.extend_from_slice(set);
+                t.hosts_work[n.index()] = true;
             }
             t.accusers.close();
         }
@@ -568,7 +589,7 @@ mod tests {
 
     /// Every answer `t` gives about `node` under `plan` equals the
     /// reference view's, in the reference's order.
-    fn assert_node_matches(t: &PlanTables, v: &PlanView, node: NodeId, at: &str) {
+    fn assert_node_matches(t: &PlanTables, v: &PlanView, w: &Workload, node: NodeId, at: &str) {
         assert_eq!(t.entries(node), &v.entries[..], "{at}: entries");
         let mut work = 0;
         for e in t.entries(node) {
@@ -591,8 +612,13 @@ mod tests {
         for &(task, replica) in &v.wanted {
             assert!(t.wants(node, task, replica), "{at}: wants {task} {replica}");
         }
-        let checkers = format!("{:?}", t.checkers(node));
-        assert_eq!(checkers, format!("{:?}", v.checkers), "{at}: checkers");
+        let mut checked: Vec<TaskId> = v.checkers.iter().map(|&(task, _)| task).collect();
+        checked.sort_unstable();
+        assert_eq!(t.checked(node), &checked[..], "{at}: checked tasks");
+        for (task, hosts) in &v.checkers {
+            let lanes = t.checked_task(*task, w).hosts;
+            assert_eq!(lanes, &hosts[..], "{at}: lane hosts of {task}");
+        }
         let mut demand = BTreeSet::new();
         t.node_route_demand(node, &mut demand);
         assert_eq!(demand, v.route_demand(node), "{at}: route demand");
@@ -640,7 +666,7 @@ mod tests {
             for node in (0..n_nodes as u32 + 1).map(NodeId) {
                 let v = derive_view(node, plan, w);
                 let at = format!("{:?} {node}", plan.id);
-                assert_node_matches(&t, &v, node, &at);
+                assert_node_matches(&t, &v, w, node, &at);
                 if node.index() == 0 {
                     assert_plan_matches(&t, &v, w, n_nodes, &at);
                 }
@@ -694,11 +720,11 @@ mod tests {
         assert_eq!((t.checker(task), t.emit_offset(task, 0)), (None, None));
         assert!(t.out_routes(task, 0).is_empty() && t.in_flows(task, 0).is_empty());
         assert!(t.upstream_hosts(task).is_empty());
-        assert!(t.entries(node).is_empty() && t.checkers(node).is_empty());
+        assert!(t.entries(node).is_empty() && t.checked(node).is_empty());
         assert_eq!(t.accusers(node), None);
         // A lane past the task's last is not the next task's first.
         let spec = &plans.workload.tasks()[0];
-        let lanes = t.lanes_of(spec.id);
+        let lanes = t.checked_task(spec.id, &plans.workload).hosts.len() as u8;
         assert!(lanes > 0);
         assert_eq!(t.emit_offset(spec.id, lanes), None);
         assert!(t.in_flows(spec.id, lanes).is_empty());

@@ -93,23 +93,30 @@ impl<T> Arena<T> {
             self.slots.push(Slot::Live(value));
             return (self.slots.len() - 1) as u32;
         }
-        match std::mem::replace(&mut self.slots[h as usize], Slot::Live(value)) {
-            Slot::Free { next } => self.free = next,
-            Slot::Live(_) => unreachable!("free list led to a live slot"),
-        }
+        let slot = &mut self.slots[h as usize];
+        let Slot::Free { next } = *slot else {
+            unreachable!("free list led to a live slot")
+        };
+        self.free = next;
+        // The free slot holds no `T`: nothing to drop, and no drop glue
+        // of `T` (an evidence `Arc`'s, say) on the path every event takes.
+        std::mem::forget(std::mem::replace(slot, Slot::Live(value)));
         h
     }
 
     fn take(&mut self, h: u32) -> T {
-        let vacant = Slot::Free { next: self.free };
-        match std::mem::replace(&mut self.slots[h as usize], vacant) {
-            Slot::Live(v) => {
-                self.free = h;
-                self.live -= 1;
-                v
-            }
-            Slot::Free { .. } => panic!("arena handle {h} is not live"),
-        }
+        let next = self.free;
+        let slot = &mut self.slots[h as usize];
+        assert!(
+            matches!(slot, Slot::Live(_)),
+            "arena handle {h} is not live"
+        );
+        let Slot::Live(v) = std::mem::replace(slot, Slot::Free { next }) else {
+            unreachable!("checked live above")
+        };
+        self.free = h;
+        self.live -= 1;
+        v
     }
 
     fn live(&self) -> usize {

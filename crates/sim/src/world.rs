@@ -1054,7 +1054,8 @@ impl<'w> NodeCtx<'w> {
 mod tests {
     use super::*;
     use btr_crypto::Signature;
-    use btr_model::Payload;
+    use btr_model::{EvidenceRecord, Payload};
+    use std::sync::Arc;
 
     /// Echoes every control message back to its (claimed) source.
     struct Echo;
@@ -1238,6 +1239,46 @@ mod tests {
         fn as_any(&self) -> Option<&dyn std::any::Any> {
             Some(self)
         }
+    }
+
+    #[test]
+    fn a_flood_round_shares_one_record() {
+        // One multicast of a proof: each receiver holds the record its
+        // maker allocated, not a copy of it.
+        struct Prover;
+        impl NodeBehavior for Prover {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                let [output, input] =
+                    [1, 0].map(|t| ctx.sign_output(TaskId(t), 0, 1, 7, 0, NodeId(0)));
+                let (accused, inputs) = (NodeId(0), vec![input]);
+                let proof = EvidenceRecord::BadComputation {
+                    accused,
+                    output,
+                    inputs,
+                };
+                ctx.send_many(&[NodeId(1), NodeId(2)], Payload::Evidence(Arc::new(proof)));
+            }
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        let mut w = world(3);
+        w.set_behavior(NodeId(0), Box::new(Prover));
+        (1..3).for_each(|n| w.set_behavior(NodeId(n), Box::new(Keeper::default())));
+        w.start();
+        w.run_until(Time::from_millis(1));
+        let record = |n| {
+            let keeper = w
+                .behavior(NodeId(n))
+                .and_then(|b| b.as_any()?.downcast_ref::<Keeper>());
+            let [env] = &keeper.expect("keeper").got[..] else {
+                panic!("one envelope")
+            };
+            let Payload::Evidence(record) = &env.payload else {
+                panic!("{env:?}")
+            };
+            Arc::clone(record)
+        };
+        assert!(Arc::ptr_eq(&record(1), &record(2)));
     }
 
     #[test]
