@@ -349,6 +349,112 @@ fn prose_names_only_crates_the_workspace_has() {
 }
 
 #[test]
+fn prose_names_only_commands_the_harness_has() {
+    // What `--list` names (each experiment id, `live`, `campaign`,
+    // `fuzz`) and what the command section of `--help` adds (`all`).
+    let list = String::from_utf8_lossy(&harness(&["--list"]).stdout).into_owned();
+    let help = String::from_utf8_lossy(&harness(&["--help"]).stdout).into_owned();
+    let section = help
+        .split("commands:\n")
+        .nth(1)
+        .and_then(|s| s.split("\n\n").next());
+    let firsts = |lines: &str, indent: &str| -> Vec<String> {
+        let heads = lines
+            .lines()
+            .filter(|l| l.starts_with(indent) && !l[indent.len()..].starts_with(' '));
+        heads
+            .filter_map(|l| Some(l.split_whitespace().next()?.to_string()))
+            .collect()
+    };
+    let mut commands = firsts(&list, "");
+    commands.extend(firsts(section.expect("--help has a command section"), "  "));
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let mut checked = 0;
+    for doc in ["DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(format!("{root}{doc}")).expect("doc reads");
+        for code in code_of(&text) {
+            // A shell comment is prose.
+            let code = code.split(" #").next().unwrap_or_default();
+            let words: Vec<&str> = code.split_whitespace().collect();
+            for (i, w) in words.iter().enumerate() {
+                if !w.ends_with("harness") {
+                    continue;
+                }
+                let mut rest = words[i + 1..].iter().copied();
+                let cmd = loop {
+                    match rest.next() {
+                        Some("--threads") => _ = rest.next(),
+                        other => break other.unwrap_or_default(),
+                    }
+                };
+                if cmd.is_empty() || cmd.starts_with('-') {
+                    continue;
+                }
+                assert!(
+                    commands.iter().any(|c| c == cmd),
+                    "{doc}: `harness {cmd}` is no command the harness has ({commands:?}): {code}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked > 20,
+        "only {checked} harness commands found in the prose"
+    );
+}
+
+#[test]
+fn prose_names_only_workloads_the_benchmark_has() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let read = |path: &str| std::fs::read_to_string(format!("{root}{path}")).expect("file reads");
+    // The six workloads `BENCHMARK.json` declares.
+    let manifest = read("BENCHMARK.json");
+    let declared = manifest
+        .split("\"workloads\": [")
+        .nth(1)
+        .and_then(|w| w.split(']').next());
+    let workloads: Vec<&str> = declared
+        .expect("a workloads array")
+        .split("{\"name\": \"")
+        .skip(1)
+        .filter_map(|w| w.split('"').next())
+        .collect();
+    assert_eq!(workloads.len(), 6, "{workloads:?}");
+    // Words shaped like a workload name, `<layer>_<name>`, that are not
+    // one: a Rust path's last segment and an example's name.
+    let mut checked = 0;
+    for doc in ["DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = read(doc);
+        let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let mut start = None;
+        for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+            let Some(s) = start.filter(|_| !is_word(c)) else {
+                start = start.or(is_word(c).then_some(i));
+                continue;
+            };
+            start = None;
+            let (before, word) = (&text[..s], &text[s..i]);
+            let shaped = ["sim_", "campaign_", "planner_", "live_"]
+                .iter()
+                .any(|layer| word.starts_with(layer) && word.len() > layer.len());
+            if !shaped || before.ends_with("::") || before.ends_with("--example ") {
+                continue;
+            }
+            assert!(
+                workloads.contains(&word),
+                "{doc} names the workload `{word}`, which BENCHMARK.json does not declare ({workloads:?})"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked > 10,
+        "only {checked} workload names found in the prose"
+    );
+}
+
+#[test]
 fn a_closed_stdout_is_not_a_panic() {
     // `harness --list | head -1` after head has gone: the read end is
     // closed before the child starts, so its first write gets EPIPE.

@@ -3,7 +3,7 @@
 //! Used as the authenticator primitive behind [`crate::sign`]. Keys longer
 //! than the block size are hashed first, per the RFC.
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{finish_after_block, midstate, Digest, Sha256};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
@@ -11,17 +11,17 @@ const OPAD: u8 = 0x5c;
 
 /// A secret HMAC key.
 ///
-/// Holds the *midstates* of SHA-256 after absorbing the inner and outer
-/// padded key blocks, so every MAC computation (the simulator signs and
-/// verifies one per message) skips the two key-block compressions and the
-/// pad XORs that a from-scratch HMAC pays. Equal midstates compute equal
-/// MACs.
+/// Holds the bare SHA-256 *midstates* after the inner and outer padded
+/// key blocks, so every MAC computation (the simulator signs and verifies
+/// one per message) skips the two key-block compressions and the pad
+/// XORs that a from-scratch HMAC pays, and [`HmacKey::mac`] clones no
+/// hasher. Equal midstates compute equal MACs.
 #[derive(Clone, PartialEq, Eq)]
 pub(crate) struct HmacKey {
-    /// SHA-256 state after absorbing `key ⊕ ipad`.
-    inner0: Sha256,
-    /// SHA-256 state after absorbing `key ⊕ opad`.
-    outer0: Sha256,
+    /// SHA-256 chaining state after absorbing `key ⊕ ipad`.
+    inner0: [u32; 8],
+    /// SHA-256 chaining state after absorbing `key ⊕ opad`.
+    outer0: [u32; 8],
 }
 
 impl std::fmt::Debug for HmacKey {
@@ -41,17 +41,19 @@ impl HmacKey {
         } else {
             padded[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK];
-        let mut opad = [0u8; BLOCK];
-        for (i, b) in padded.iter().enumerate() {
-            ipad[i] = b ^ IPAD;
-            opad[i] = b ^ OPAD;
+        HmacKey {
+            inner0: midstate(&padded.map(|b| b ^ IPAD)),
+            outer0: midstate(&padded.map(|b| b ^ OPAD)),
         }
-        let mut inner0 = Sha256::new();
-        inner0.update(&ipad);
-        let mut outer0 = Sha256::new();
-        outer0.update(&opad);
-        HmacKey { inner0, outer0 }
+    }
+
+    /// Compute `HMAC(key, msg)` over one contiguous message: `msg`'s
+    /// whole blocks are compressed in place from the inner midstate, and
+    /// each hash finishes on one padding block built on the stack (the
+    /// outer hash is exactly that block: the inner digest, padded).
+    pub(crate) fn mac(&self, msg: &[u8]) -> Digest {
+        let inner = finish_after_block(self.inner0, msg);
+        finish_after_block(self.outer0, &inner.0)
     }
 
     /// Begin a streaming MAC computation over message parts fed via
@@ -59,25 +61,22 @@ impl HmacKey {
     /// concatenation, with no intermediate buffer.
     pub(crate) fn begin(&self) -> HmacState {
         HmacState {
-            inner: self.inner0.clone(),
-            outer: self.outer0.clone(),
+            inner: Sha256::after_block(self.inner0, BLOCK as u64),
+            outer: Sha256::after_block(self.outer0, BLOCK as u64),
         }
     }
 
-    /// Compute `HMAC(key, msg)` over a list of message parts.
+    /// Compute `HMAC(key, msg)` over a list of message parts: one part
+    /// through [`HmacKey::mac`], more through the streaming path.
     pub(crate) fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        if let [msg] = parts {
+            return self.mac(msg);
+        }
         let mut st = self.begin();
         for p in parts {
             st.update(p);
         }
         st.finalize()
-    }
-
-    /// Compute `HMAC(key, msg)` over a single message slice: the
-    /// one-shot reference `mac_parts` is tested against.
-    #[cfg(test)]
-    fn mac(&self, msg: &[u8]) -> Digest {
-        self.mac_parts(&[msg])
     }
 }
 
@@ -162,6 +161,14 @@ mod tests {
         assert_eq!(k.mac_parts(&[b"ab", b"cd"]), k.mac(b"abcd"));
     }
 
+    /// `HMAC(key, msg)` the streaming way, `msg` fed in two parts.
+    fn streamed(k: &HmacKey, msg: &[u8], split: usize) -> Digest {
+        let mut st = k.begin();
+        st.update(&msg[..split]);
+        st.update(&msg[split..]);
+        st.finalize()
+    }
+
     #[test]
     fn streaming_equals_one_shot() {
         let k = HmacKey::new(b"stream-key");
@@ -185,6 +192,27 @@ mod tests {
                                msg in proptest::collection::vec(any::<u8>(), 0..64)) {
             prop_assume!(k1 != k2);
             prop_assert_ne!(hmac_sha256(&k1, &msg), hmac_sha256(&k2, &msg));
+        }
+
+        /// The contiguous MAC, on bare midstates, is the streaming MAC on
+        /// either SHA-256 backend, at every length around the one- and
+        /// two-block padding boundaries and past them.
+        #[test]
+        fn prop_contiguous_mac_is_the_streaming_mac(
+            key in proptest::collection::vec(any::<u8>(), 0..100),
+            msg in proptest::collection::vec(any::<u8>(), 0..300),
+            cut in any::<usize>(),
+        ) {
+            let k = HmacKey::new(&key);
+            let split = cut % (msg.len() + 1);
+            let mut same = true;
+            crate::sha256::for_each_backend(|_| {
+                same &= k.mac(&msg) == streamed(&k, &msg, split);
+                for len in [55, 56, 63, 64, 119, 120].into_iter().filter(|&l| l <= msg.len()) {
+                    same &= k.mac(&msg[..len]) == streamed(&k, &msg[..len], len / 2);
+                }
+            });
+            prop_assert!(same);
         }
 
         /// MAC is deterministic.

@@ -387,11 +387,18 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Create a fresh hasher.
     pub(crate) fn new() -> Self {
+        Sha256::after_block(H0, 0)
+    }
+
+    /// A hasher that has absorbed `absorbed` bytes (a whole number of
+    /// blocks) into `state`.
+    pub(crate) fn after_block(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0);
         Sha256 {
-            state: H0,
+            state,
             buf: [0u8; 64],
             buf_len: 0,
-            total_len: 0,
+            total_len: absorbed,
         }
     }
 
@@ -437,12 +444,48 @@ impl Sha256 {
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress_blocks(&mut self.state, &self.buf);
-        let mut out = [0u8; 32];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        digest(&self.state)
     }
+}
+
+/// The digest a final chaining state stands for.
+fn digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// The chaining state after hashing the one 64-byte `block`: an HMAC
+/// key's midstate for its padded key.
+pub(crate) fn midstate(block: &[u8; 64]) -> [u32; 8] {
+    let mut state = H0;
+    compress_blocks(&mut state, block);
+    state
+}
+
+/// The SHA-256 of a message whose first block `state` has absorbed and
+/// whose rest is `msg`, which is contiguous: its whole blocks are
+/// compressed where they lie, and its tail, the padding and the length go
+/// into one block built on the stack (two when the tail leaves no room
+/// for the length). No hasher, and no copy of `msg` into one.
+pub(crate) fn finish_after_block(mut state: [u32; 8], msg: &[u8]) -> Digest {
+    let (blocks, tail) = msg.split_at(msg.len() & !63);
+    if !blocks.is_empty() {
+        compress_blocks(&mut state, blocks);
+    }
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    if tail.len() >= 56 {
+        compress_blocks(&mut state, &block);
+        block = [0u8; 64];
+    }
+    let bit_len = (msg.len() as u64 + 64).wrapping_mul(8);
+    block[56..].copy_from_slice(&bit_len.to_be_bytes());
+    compress_blocks(&mut state, &block);
+    digest(&state)
 }
 
 /// One-shot SHA-256 of a byte slice.

@@ -41,6 +41,16 @@ const HEARTBEAT_MISS_THRESHOLD: u64 = 3;
 /// provides, never below two; see [`OmissionTracker`]).
 const OMISSION_THRESHOLD: usize = 3;
 
+/// Records a detector raised, each with its id: the id it was
+/// deduplicated by, which the node's pool admits it under, so that no
+/// raised record is hashed twice.
+pub(crate) type Raised = Vec<(EvidenceId, EvidenceRecord)>;
+
+/// Append `record` to `out` with its id, computed in `scratch`.
+fn raise(out: &mut Raised, scratch: &mut Vec<u8>, record: EvidenceRecord) {
+    out.push((record.id_with(scratch), record));
+}
+
 /// Per-node detector facade combining all detection mechanisms.
 ///
 /// The runtime feeds it observations; it returns evidence records, which
@@ -120,8 +130,9 @@ impl Detector {
         self.plan = plan;
     }
 
-    fn dedup(&mut self, mut records: Vec<EvidenceRecord>) -> Vec<EvidenceRecord> {
-        records.retain(|r| self.emitted.insert(r.id_with(&mut self.scratch)));
+    /// The raised records this detector has not emitted before.
+    fn dedup(&mut self, mut records: Raised) -> Raised {
+        records.retain(|&(id, _)| self.emitted.insert(id));
         records
     }
 
@@ -154,7 +165,7 @@ impl Detector {
         arrived_at: Time,
         expected_by: Option<Time>,
         envelope: Option<(Time, Signature)>,
-    ) -> Vec<EvidenceRecord> {
+    ) -> Raised {
         let mut out = Vec::new();
         // Signature gate: the output alone first, so forged spam is
         // dropped after one check (a sender attaching a maximal witness
@@ -177,12 +188,12 @@ impl Detector {
         }
         // Equivocation pool over the output and each valid witness.
         if let Some(ev) = self.pool.insert_checked(&output) {
-            out.push(ev);
+            raise(&mut out, &mut self.scratch, ev);
         }
         for (w, &ok) in witnesses.iter().zip(&self.witness_ok) {
             if ok {
                 if let Some(ev) = self.pool.insert_checked(w) {
-                    out.push(ev);
+                    raise(&mut out, &mut self.scratch, ev);
                 }
             }
         }
@@ -192,21 +203,23 @@ impl Detector {
                 .timing
                 .observe(signer, self.node, &output, deadline, arrived_at)
             {
-                out.push(ev);
+                raise(&mut out, &mut self.scratch, ev);
             }
         }
         // Commission checking, if this node checks the task — reusing
         // the results above instead of re-verifying every witness.
         if let Ok(i) = self.plan.checked(self.node).binary_search(&output.task) {
             let spec = self.plan.checked_task(output.task, &self.workload);
-            out.extend(self.checkers[i].observe(
+            if let Some(ev) = self.checkers[i].observe(
                 &spec,
                 output,
                 witnesses,
                 &self.witness_ok,
                 envelope,
                 &mut self.vals,
-            ));
+            ) {
+                raise(&mut out, &mut self.scratch, ev);
+            }
         }
         self.dedup(out)
     }
@@ -237,7 +250,7 @@ impl Detector {
         period: PeriodIdx,
         known_faulty: &BTreeSet<NodeId>,
         silence_explained: &dyn Fn(TaskId, NodeId) -> bool,
-    ) -> Vec<EvidenceRecord> {
+    ) -> Raised {
         let mut out = Vec::new();
         let checked = self.plan.checked(self.node);
         for (chk, &task) in self.checkers.iter_mut().zip(checked) {
@@ -257,9 +270,10 @@ impl Detector {
                     self.suppressed += 1;
                     continue;
                 }
-                out.push(EvidenceRecord::declare_path(
+                let declaration = EvidenceRecord::declare_path(
                     signer, self.node, producer, self.node, task, period,
-                ));
+                );
+                raise(&mut out, &mut self.scratch, declaration);
             }
             chk.gc(period.saturating_sub(4));
         }
@@ -267,9 +281,8 @@ impl Detector {
             if suspect == self.node || known_faulty.contains(&suspect) {
                 continue;
             }
-            out.push(EvidenceRecord::declare_crash(
-                signer, self.node, suspect, period,
-            ));
+            let suspicion = EvidenceRecord::declare_crash(signer, self.node, suspect, period);
+            raise(&mut out, &mut self.scratch, suspicion);
         }
         self.pool.gc(period.saturating_sub(4));
         self.dedup(out)
@@ -519,7 +532,7 @@ mod tests {
         witnesses: &[SignedOutput],
     ) -> Vec<EvidenceRecord> {
         let s = signer(3);
-        d.observe_output(
+        records(d.observe_output(
             by_keystore(&ks()),
             &s,
             output,
@@ -528,7 +541,15 @@ mod tests {
             Time(0),
             None,
             None,
-        )
+        ))
+    }
+
+    /// The raised records, each checked to come with its own id.
+    fn records(raised: Raised) -> Vec<EvidenceRecord> {
+        for (id, r) in &raised {
+            assert_eq!(*id, r.id(), "{r:?}");
+        }
+        raised.into_iter().map(|(_, r)| r).collect()
     }
 
     #[test]
@@ -669,9 +690,9 @@ mod tests {
                 let verified = by_runtime.then(|| output.verify(&ks()).is_ok());
                 let feed = |d: &mut Detector| {
                     let macs = btr_crypto::mac_count();
-                    let evs = d.observe_output(
+                    let evs = records(d.observe_output(
                         by_keystore(&ks()), &signer(3), output.clone(), verified, &w,
-                        Time(i as u64), None, Some((Time(i as u64), env_sig)));
+                        Time(i as u64), None, Some((Time(i as u64), env_sig))));
                     (evs, btr_crypto::mac_count() - macs)
                 };
                 let (cold_evs, c) = feed(&mut cold);
@@ -692,7 +713,7 @@ mod tests {
         let mut d = detector();
         let s = signer(3);
         let (o, w) = lane_out(1, 0, 1, 0);
-        let evs = d.observe_output(
+        let evs = records(d.observe_output(
             by_keystore(&ks()),
             &s,
             o,
@@ -701,7 +722,7 @@ mod tests {
             Time(9_000),
             Some(Time(5_000)),
             None,
-        );
+        ));
         assert_eq!(evs.len(), 1);
         assert!(matches!(evs[0], EvidenceRecord::TimingDeclaration { .. }));
         assert_eq!(evs[0].verify(&ks(), &workload()), Ok(()));
@@ -714,7 +735,7 @@ mod tests {
         // Only lane 1 arrives in period 5.
         let (o1, w1) = lane_out(5, 1, 2, 0);
         see(&mut d, o1, None, &w1);
-        let evs = d.end_of_period(&s, 5, &BTreeSet::new(), &|_, _| false);
+        let evs = records(d.end_of_period(&s, 5, &BTreeSet::new(), &|_, _| false));
         assert_eq!(evs.len(), 1);
         match &evs[0] {
             EvidenceRecord::PathDeclaration { from, to, task, .. } => {
@@ -729,7 +750,7 @@ mod tests {
         let mut d = checking();
         let s = signer(3);
         let faulty = BTreeSet::from([NodeId(1), NodeId(2)]);
-        let evs = d.end_of_period(&s, 1, &faulty, &|_, _| false);
+        let evs = records(d.end_of_period(&s, 1, &faulty, &|_, _| false));
         assert!(evs.is_empty());
     }
 
@@ -742,7 +763,7 @@ mod tests {
         // Node 4 goes silent; node 5 keeps beating.
         let suspects = |d: &mut Detector, p: PeriodIdx| -> Vec<NodeId> {
             d.observe_heartbeat(NodeId(5), p);
-            let evs = d.end_of_period(&s, p, &BTreeSet::new(), &|_, _| false);
+            let evs = records(d.end_of_period(&s, p, &BTreeSet::new(), &|_, _| false));
             evs.iter()
                 .filter_map(|e| match e {
                     EvidenceRecord::CrashSuspicion { about, .. } => Some(*about),

@@ -33,8 +33,8 @@ pub use tables::WorldPlans;
 
 use btr_model::workload::TaskKind;
 use btr_model::{
-    sensor_value, task_value_and_digest, ATask, Duration, Envelope, EvidenceRecord, NodeId,
-    Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
+    sensor_value, task_value_and_digest, ATask, Duration, Envelope, EvidenceId, EvidenceRecord,
+    NodeId, Payload, PeriodIdx, ReplicaIdx, SignedOutput, TaskId, Time, Value, EMPTY_INPUTS_DIGEST,
 };
 use btr_obs::Phase;
 use btr_sim::{NodeBehavior, NodeCtx, TimerId};
@@ -365,14 +365,15 @@ impl BtrNode {
         self.stats.evidence_forwarded += targets.len() as u64;
     }
 
-    /// Admit locally generated evidence, act on it, and flood it.
+    /// Admit locally generated evidence, each record under the id it was
+    /// raised with, act on it, and flood it.
     fn handle_local_evidence(
         &mut self,
-        records: impl IntoIterator<Item = EvidenceRecord>,
+        records: impl IntoIterator<Item = (EvidenceId, EvidenceRecord)>,
         ctx: &mut NodeCtx<'_>,
     ) {
         let period = ctx.now().period_index(self.plans.workload.period);
-        for record in records {
+        for (id, record) in records {
             let Some(reference) = self.reference_instant(&record) else {
                 continue;
             };
@@ -380,6 +381,7 @@ impl BtrNode {
                 ctx.keystore(),
                 self.plans.workload.as_ref(),
                 self.id,
+                id,
                 &record,
                 period,
             );
@@ -543,7 +545,8 @@ impl BtrNode {
                 blame_task,
                 p,
             );
-            self.handle_local_evidence([decl], ctx);
+            let id = self.pool.id(&decl);
+            self.handle_local_evidence([(id, decl)], ctx);
         } else {
             self.stats.suppressed_declarations += 1;
         }
@@ -778,10 +781,12 @@ impl BtrNode {
             return;
         };
         let period = ctx.now().period_index(self.plans.workload.period);
+        let id = self.pool.id(&record);
         let outcome = self.pool.admit(
             ctx.keystore(),
             self.plans.workload.as_ref(),
             from,
+            id,
             &record,
             period,
         );
@@ -1007,6 +1012,38 @@ mod tests {
         }
         fn set_timer_at(&mut self, _node: NodeId, _at: Time, _timer: TimerId) {}
         fn actuate(&mut self, _: NodeId, _: TaskId, _: PeriodIdx, _: Value) {}
+    }
+
+    #[test]
+    fn a_re_raised_declaration_is_admitted_once_and_flooded_once() {
+        // n6 declares its path from n2 broken, twice, as a recipient whose
+        // input went missing twice would: the pool admits the first under
+        // the id it was raised with, and the second is a duplicate.
+        let (w, s, _) = setup(1);
+        let suite = btr_crypto::AuthSuite::default();
+        let mut wire = Wire {
+            now: Time(200_000),
+            keystore: btr_crypto::KeyStore::derive_suite(7, 9, suite),
+            sent: Vec::new(),
+        };
+        let me = NodeId(6);
+        let mut seat = btr_sim::Seat::derive(7, me, suite);
+        let mut scratch = btr_sim::Scratch::default();
+        let mut node = BtrNode::new(me, WorldPlans::new(w, s), 9, None);
+        let mut ctx = NodeCtx::new(&mut seat, &mut scratch, &mut wire, me);
+        let decl = EvidenceRecord::declare_path(ctx.signer(), me, NodeId(2), me, TaskId(0), 19);
+        for _ in 0..2 {
+            let id = node.pool.id(&decl);
+            assert_eq!(id, decl.id());
+            node.handle_local_evidence([(id, decl.clone())], &mut ctx);
+        }
+        assert_eq!(node.stats().evidence_generated, 1);
+        let flooded: Vec<NodeId> = wire.sent.iter().map(|e| e.dst).collect();
+        assert_eq!(flooded, node.peers, "one flood round, to every peer");
+        assert!(wire
+            .sent
+            .iter()
+            .all(|e| matches!(&e.payload, Payload::Evidence(r) if **r == decl)));
     }
 
     /// A compromised peer, n1, sends `me` the payload `forge` makes with

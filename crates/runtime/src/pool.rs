@@ -42,7 +42,13 @@ pub(crate) struct EvidencePool {
 }
 
 impl EvidencePool {
-    /// Offer a record received from `sender` during `period`.
+    /// `record`'s id, computed in the pool's scratch.
+    pub(crate) fn id(&mut self, record: &EvidenceRecord) -> EvidenceId {
+        record.id_with(&mut self.scratch)
+    }
+
+    /// Offer a record, whose id is `id`, received from `sender` during
+    /// `period`.
     ///
     /// Validation order is cheap-first, per the paper's DoS concern:
     /// blacklist check, duplicate check, budget check, then signature
@@ -52,13 +58,14 @@ impl EvidencePool {
         ks: &KeyStore,
         workload: &Workload,
         sender: NodeId,
+        id: EvidenceId,
         record: &EvidenceRecord,
         period: PeriodIdx,
     ) -> AdmitOutcome {
+        debug_assert_eq!(id, record.id());
         if self.blacklist.contains(&sender) {
             return AdmitOutcome::Blacklisted;
         }
-        let id = record.id_with(&mut self.scratch);
         if self.verified.contains(&id) || self.rejected_ids.contains(&id) {
             return AdmitOutcome::Duplicate;
         }
@@ -113,6 +120,17 @@ mod tests {
         KeyStore::derive(41, 8)
     }
 
+    /// Offer `record` from `sender` during `period`, under its own id.
+    fn offer(
+        pool: &mut EvidencePool,
+        sender: NodeId,
+        record: &EvidenceRecord,
+        period: PeriodIdx,
+    ) -> AdmitOutcome {
+        let id = pool.id(record);
+        pool.admit(&ks(), &workload(), sender, id, record, period)
+    }
+
     /// A valid bad-computation proof: source 2 lies about its reading.
     fn valid_proof(p: PeriodIdx) -> EvidenceRecord {
         let honest = sensor_value(TaskId(2), p, 5);
@@ -155,12 +173,9 @@ mod tests {
     fn verify_then_duplicate() {
         let mut pool = EvidencePool::default();
         let r = valid_proof(1);
-        let out = pool.admit(&ks(), &workload(), NodeId(1), &r, 0);
+        let out = offer(&mut pool, NodeId(1), &r, 0);
         assert_eq!(out, AdmitOutcome::Verified);
-        assert_eq!(
-            pool.admit(&ks(), &workload(), NodeId(3), &r, 0),
-            AdmitOutcome::Duplicate
-        );
+        assert_eq!(offer(&mut pool, NodeId(3), &r, 0), AdmitOutcome::Duplicate);
         assert_eq!(pool.verified.len(), 1);
     }
 
@@ -169,7 +184,7 @@ mod tests {
         let mut pool = EvidencePool::default();
         for p in 0..BLACKLIST_THRESHOLD as PeriodIdx {
             assert!(!pool.blacklist.contains(&NodeId(6)));
-            let out = pool.admit(&ks(), &workload(), NodeId(6), &bogus(p), 0);
+            let out = offer(&mut pool, NodeId(6), &bogus(p), 0);
             assert!(matches!(out, AdmitOutcome::Rejected(_)), "{out:?}");
         }
         assert!(pool.blacklist.contains(&NodeId(6)));
@@ -177,12 +192,12 @@ mod tests {
         // Further records from the blacklisted sender are ignored — even
         // valid ones.
         assert_eq!(
-            pool.admit(&ks(), &workload(), NodeId(6), &valid_proof(9), 0),
+            offer(&mut pool, NodeId(6), &valid_proof(9), 0),
             AdmitOutcome::Blacklisted
         );
         // But the same record from an honest sender still lands.
         assert!(matches!(
-            pool.admit(&ks(), &workload(), NodeId(1), &valid_proof(9), 0),
+            offer(&mut pool, NodeId(1), &valid_proof(9), 0),
             AdmitOutcome::Verified
         ));
     }
@@ -192,14 +207,13 @@ mod tests {
         let mut pool = EvidencePool::default();
         for p in 0..PER_SENDER_BUDGET as PeriodIdx {
             assert!(matches!(
-                pool.admit(&ks(), &workload(), NodeId(1), &valid_proof(p), 7),
+                offer(&mut pool, NodeId(1), &valid_proof(p), 7),
                 AdmitOutcome::Verified
             ));
         }
         assert_eq!(
-            pool.admit(
-                &ks(),
-                &workload(),
+            offer(
+                &mut pool,
                 NodeId(1),
                 &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
                 7
@@ -208,9 +222,8 @@ mod tests {
         );
         // Next period: budget refreshed.
         assert!(matches!(
-            pool.admit(
-                &ks(),
-                &workload(),
+            offer(
+                &mut pool,
                 NodeId(1),
                 &valid_proof(PER_SENDER_BUDGET as PeriodIdx),
                 8
@@ -224,14 +237,11 @@ mod tests {
         let mut pool = EvidencePool::default();
         let b = bogus(1);
         assert!(matches!(
-            pool.admit(&ks(), &workload(), NodeId(1), &b, 0),
+            offer(&mut pool, NodeId(1), &b, 0),
             AdmitOutcome::Rejected(_)
         ));
         // Same bogus record again (any sender): constant-time duplicate.
-        assert_eq!(
-            pool.admit(&ks(), &workload(), NodeId(2), &b, 0),
-            AdmitOutcome::Duplicate
-        );
+        assert_eq!(offer(&mut pool, NodeId(2), &b, 0), AdmitOutcome::Duplicate);
         assert!(pool.verified.is_empty());
     }
 
@@ -239,7 +249,7 @@ mod tests {
     fn declarations_verify_without_convicting() {
         let mut pool = EvidencePool::default();
         let d = EvidenceRecord::declare_crash(&signer(4), NodeId(4), NodeId(5), 3);
-        let out = pool.admit(&ks(), &workload(), NodeId(4), &d, 0);
+        let out = offer(&mut pool, NodeId(4), &d, 0);
         assert_eq!((out, d.convicts()), (AdmitOutcome::Verified, None));
     }
 }

@@ -23,60 +23,51 @@
 //! property the test below checks and every simulation's determinism
 //! rests on.
 //!
-//! Payloads never move through either tier: an [`Envelope`] is ~200
+//! Payloads never move through either tier: an [`Envelope`] is 152
 //! bytes, so envelopes live in a free-listed arena and an entry carries
-//! a tag plus a 4-byte handle.
+//! a tag plus a 4-byte handle. The queue has one event representation,
+//! [`CompactEvent`]: what is pushed is what is popped. An envelope is
+//! written once, into its slot, when it is sent ([`Vacant::fill`]), and
+//! read once, out of it, when the world delivers it
+//! ([`EventQueue::take_env`]).
 
 use crate::world::ControlAction;
 use crate::TimerId;
-use btr_model::{Envelope, NodeId, Time};
+use btr_model::{Envelope, NodeId, Payload, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A simulator event, as dispatched by the world.
-pub(crate) enum Event {
-    /// Deliver an envelope to its destination.
-    Deliver {
-        /// Receiving node.
-        dst: NodeId,
-        /// The message.
-        env: Envelope,
-    },
-    /// Fire a behaviour timer.
-    Timer {
-        /// Owning node.
-        node: NodeId,
-        /// Behaviour-chosen timer id.
-        timer: TimerId,
-    },
-    /// Apply a control-plane intervention.
-    Control(ControlAction),
-    /// Bring a node up as a fresh incarnation.
-    Start {
-        /// The node.
-        node: NodeId,
-        /// The incarnation's behaviour, held by the world.
-        incarnation: u32,
-    },
+/// The destination of a vacant [`Arena`] slot's placeholder envelope.
+const VACANT: NodeId = NodeId(u32::MAX);
+
+/// The placeholder a vacant slot holds: it owns nothing, and its `src`
+/// links the free list.
+#[inline(always)]
+fn placeholder(next: u32) -> Envelope {
+    Envelope {
+        src: NodeId(next),
+        dst: VACANT,
+        sent_at: Time::ZERO,
+        payload: Payload::Control(0),
+        sig: None,
+    }
 }
 
-/// A slot of an [`Arena`]: a value, or a link of the free list.
-enum Slot<T> {
-    Live(T),
-    Free { next: u32 },
-}
-
-/// A free-listed arena of `T` keyed by dense `u32` handles. The free
-/// list runs through the vacant slots themselves, so the arena is one
-/// allocation.
-pub(crate) struct Arena<T> {
-    slots: Vec<Slot<T>>,
+/// A free-listed arena of envelopes keyed by dense `u32` handles. Every
+/// slot holds an [`Envelope`]: a vacant one a placeholder addressed to
+/// [`VACANT`], whose `src` is the next vacant slot, so the free list runs
+/// through the slots themselves and the arena is one allocation. Taking
+/// an envelope out writes the placeholder back with no tag to inspect
+/// first, which lets the move go from the slot straight to where the
+/// receiver's `on_message` takes it.
+pub(crate) struct Arena {
+    slots: Vec<Envelope>,
     /// The most recently vacated slot, or [`NIL`].
     free: u32,
     live: usize,
 }
 
-impl<T> Arena<T> {
+impl Arena {
     fn with_capacity(slots: usize) -> Self {
         Arena {
             slots: Vec::with_capacity(slots),
@@ -85,38 +76,41 @@ impl<T> Arena<T> {
         }
     }
 
-    fn insert(&mut self, value: T) -> u32 {
-        self.live += 1;
-        let h = self.free;
-        if h == NIL {
+    /// Unlink a vacant slot (a new one when none is free) for one
+    /// envelope to fill.
+    #[inline]
+    fn vacant(&mut self) -> Vacant<'_> {
+        if self.free == NIL {
             assert!(self.slots.len() < NIL as usize, "arena handles are 32-bit");
-            self.slots.push(Slot::Live(value));
-            return (self.slots.len() - 1) as u32;
+            self.free = self.slots.len() as u32;
+            self.slots.push(placeholder(NIL));
         }
+        let h = self.free;
         let slot = &mut self.slots[h as usize];
-        let Slot::Free { next } = *slot else {
-            unreachable!("free list led to a live slot")
-        };
-        self.free = next;
-        // The free slot holds no `T`: nothing to drop, and no drop glue
-        // of `T` (an evidence `Arc`'s, say) on the path every event takes.
-        std::mem::forget(std::mem::replace(slot, Slot::Live(value)));
-        h
+        assert!(slot.dst == VACANT, "free list led to a live slot");
+        self.free = slot.src.0;
+        self.live += 1;
+        Vacant { h, slot }
     }
 
-    fn take(&mut self, h: u32) -> T {
+    /// The envelope in live slot `h`.
+    #[inline]
+    fn get(&self, h: u32) -> &Envelope {
+        let env = &self.slots[h as usize];
+        assert!(env.dst != VACANT, "arena handle {h} is not live");
+        env
+    }
+
+    /// Move the envelope out of live slot `h` and vacate it.
+    #[inline(always)]
+    fn take(&mut self, h: u32) -> Envelope {
         let next = self.free;
         let slot = &mut self.slots[h as usize];
-        assert!(
-            matches!(slot, Slot::Live(_)),
-            "arena handle {h} is not live"
-        );
-        let Slot::Live(v) = std::mem::replace(slot, Slot::Free { next }) else {
-            unreachable!("checked live above")
-        };
+        assert!(slot.dst != VACANT, "arena handle {h} is not live");
+        let env = std::mem::replace(slot, placeholder(next));
         self.free = h;
         self.live -= 1;
-        v
+        env
     }
 
     fn live(&self) -> usize {
@@ -124,8 +118,28 @@ impl<T> Arena<T> {
     }
 }
 
-/// Compact event: a tag plus, for a delivery, a handle into the
-/// envelope arena.
+/// A slot [`EventQueue::vacant`] unlinked for one envelope.
+pub(crate) struct Vacant<'a> {
+    h: u32,
+    slot: &'a mut Envelope,
+}
+
+impl Vacant<'_> {
+    /// Write `env` into the slot and return its handle, for a
+    /// [`CompactEvent::Deliver`]. Nothing here can panic, so nothing keeps
+    /// `env` aside for unwinding: it moves from where its sender holds it
+    /// straight into the slot. The placeholder it replaces owns nothing,
+    /// so there is no drop glue (an evidence `Arc`'s, say) on the path
+    /// every message takes.
+    #[inline(always)]
+    pub(crate) fn fill(self, env: Envelope) -> u32 {
+        std::mem::forget(std::mem::replace(self.slot, env));
+        self.h
+    }
+}
+
+/// A queued event, as the world dispatches it: a tag plus, for a
+/// delivery, the handle of its envelope's arena slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CompactEvent {
     Deliver { dst: NodeId, env: u32 },
@@ -321,7 +335,7 @@ enum Head {
 pub(crate) struct EventQueue {
     wheel: Wheel,
     overflow: BinaryHeap<Reverse<CompactScheduled>>,
-    envs: Arena<Envelope>,
+    envs: Arena,
 }
 
 impl EventQueue {
@@ -336,23 +350,38 @@ impl EventQueue {
         }
     }
 
-    /// Schedule `event` at `(at, seq)`.
-    pub(crate) fn push(&mut self, at: Time, seq: u64, event: Event) {
-        let ev = match event {
-            Event::Deliver { dst, env } => CompactEvent::Deliver {
-                dst,
-                env: self.envs.insert(env),
-            },
-            Event::Timer { node, timer } => CompactEvent::Timer { node, timer },
-            Event::Control(action) => CompactEvent::Control(action),
-            Event::Start { node, incarnation } => CompactEvent::Start { node, incarnation },
-        };
+    /// Schedule `ev` at `(at, seq)`. A delivery's envelope must already
+    /// be in its slot ([`Vacant::fill`]).
+    #[inline]
+    pub(crate) fn push(&mut self, at: Time, seq: u64, ev: CompactEvent) {
         if self.wheel.covers(at.as_micros()) {
             self.wheel.push(at.as_micros(), seq, ev);
         } else {
             self.overflow
                 .push(Reverse(CompactScheduled { at, seq, ev }));
         }
+    }
+
+    /// A vacant envelope slot, for the next delivery to fill. Take it
+    /// before the envelope moves anywhere, so that the envelope's one
+    /// write is into the slot.
+    #[inline]
+    pub(crate) fn vacant(&mut self) -> Vacant<'_> {
+        self.envs.vacant()
+    }
+
+    /// The envelope of a popped delivery, in its slot.
+    #[inline]
+    pub(crate) fn env(&self, h: u32) -> &Envelope {
+        self.envs.get(h)
+    }
+
+    /// The envelope of a popped delivery, moved out of its slot: its one
+    /// read. Pass it straight to its receiver, so that the read is the
+    /// move to where the receiver takes it.
+    #[inline(always)]
+    pub(crate) fn take_env(&mut self, h: u32) -> Envelope {
+        self.envs.take(h)
     }
 
     /// The tier holding the earliest `(at, seq)`, if anything is queued.
@@ -384,9 +413,10 @@ impl EventQueue {
     }
 
     /// Pop the earliest event by `(at, seq)` if it is due at or before
-    /// `t`.
+    /// `t`. A delivery's envelope stays in its slot until
+    /// [`EventQueue::take_env`] moves it out.
     #[inline]
-    pub(crate) fn pop_due(&mut self, t: Time) -> Option<(Time, Event)> {
+    pub(crate) fn pop_due(&mut self, t: Time) -> Option<(Time, CompactEvent)> {
         let (at, ev) = match self.head()? {
             Head::Wheel { at, .. } | Head::Overflow { at } if at > t.as_micros() => return None,
             Head::Wheel { at, slot } => (at, self.wheel.pop(at, slot)),
@@ -398,16 +428,7 @@ impl EventQueue {
                 (at, s.ev)
             }
         };
-        let event = match ev {
-            CompactEvent::Deliver { dst, env } => Event::Deliver {
-                dst,
-                env: self.envs.take(env),
-            },
-            CompactEvent::Timer { node, timer } => Event::Timer { node, timer },
-            CompactEvent::Control(action) => Event::Control(action),
-            CompactEvent::Start { node, incarnation } => Event::Start { node, incarnation },
-        };
-        Some((Time(at), event))
+        Some((Time(at), ev))
     }
 
     /// Events currently queued.
@@ -432,12 +453,18 @@ mod tests {
         Envelope::new(NodeId(0), NodeId(1), Time(0), Payload::Control(tag))
     }
 
-    fn label(e: &Event) -> String {
-        match e {
-            Event::Deliver { dst, env } => format!("deliver:{dst}:{:?}", env.payload),
-            Event::Timer { node, timer } => format!("timer:{node}:{timer}"),
-            Event::Control(a) => format!("control:{a:?}"),
-            Event::Start { node, incarnation } => format!("start:{node}:{incarnation}"),
+    fn label(e: CompactEvent, env: Option<Envelope>) -> String {
+        match (e, env) {
+            (CompactEvent::Deliver { dst, .. }, Some(env)) => {
+                assert_eq!(env.dst, dst);
+                format!("deliver:{dst}:{:?}", env.payload)
+            }
+            (CompactEvent::Timer { node, timer }, None) => format!("timer:{node}:{timer}"),
+            (CompactEvent::Control(a), None) => format!("control:{a:?}"),
+            (CompactEvent::Start { node, incarnation }, None) => {
+                format!("start:{node}:{incarnation}")
+            }
+            (e, env) => panic!("{e:?} with {env:?}"),
         }
     }
 
@@ -464,19 +491,29 @@ mod tests {
         fn push(&mut self, at: Time) {
             let seq = self.seq;
             self.seq += 1;
-            let ev = || match seq % 3 {
-                0 => Event::Deliver {
-                    dst: NodeId((seq % 7) as u32),
-                    env: env((seq % 251) as u8),
-                },
-                1 => Event::Timer {
-                    node: NodeId((seq % 5) as u32),
-                    timer: seq,
-                },
-                _ => Event::Control(ControlAction::Crash(NodeId((seq % 9) as u32))),
+            let (ev, want) = match seq % 3 {
+                0 => {
+                    let dst = NodeId((seq % 7) as u32);
+                    let env = Envelope {
+                        dst,
+                        ..env((seq % 251) as u8)
+                    };
+                    let want = label(CompactEvent::Deliver { dst, env: NIL }, Some(env.clone()));
+                    let env = self.queue.vacant().fill(env);
+                    (CompactEvent::Deliver { dst, env }, want)
+                }
+                1 => {
+                    let (node, timer) = (NodeId((seq % 5) as u32), seq);
+                    let ev = CompactEvent::Timer { node, timer };
+                    (ev, label(ev, None))
+                }
+                _ => {
+                    let ev = CompactEvent::Control(ControlAction::Crash(NodeId((seq % 9) as u32)));
+                    (ev, label(ev, None))
+                }
             };
-            self.sorted.insert((at, seq), label(&ev()));
-            self.queue.push(at, seq, ev());
+            self.sorted.insert((at, seq), want);
+            self.queue.push(at, seq, ev);
             assert_eq!(self.queue.len(), self.sorted.len());
         }
 
@@ -491,7 +528,11 @@ mod tests {
             }
             let ((at, seq), want) = self.sorted.pop_first().expect("checked non-empty");
             let (t, e) = got.unwrap_or_else(|| panic!("queue ran dry before seq {seq}"));
-            assert_eq!((t, label(&e)), (at, want), "pop diverged at seq {seq}");
+            let env = match e {
+                CompactEvent::Deliver { env, .. } => Some(self.queue.take_env(env)),
+                _ => None,
+            };
+            assert_eq!((t, label(e, env)), (at, want), "pop diverged at seq {seq}");
             self.last_pop = at;
             Some(at)
         }
@@ -607,17 +648,21 @@ mod tests {
         let mut q = EventQueue::for_nodes(1);
         for round in 0..10u64 {
             for i in 0..16u64 {
+                let env = q.vacant().fill(env(i as u8));
+                let dst = NodeId(1);
                 q.push(
                     Time(round * 1000 + i),
                     round * 16 + i,
-                    Event::Deliver {
-                        dst: NodeId(0),
-                        env: env(i as u8),
-                    },
+                    CompactEvent::Deliver { dst, env },
                 );
             }
             assert_eq!(q.envelopes_in_flight(), 16);
-            while q.pop_due(Time(u64::MAX)).is_some() {}
+            while let Some((_, e)) = q.pop_due(Time(u64::MAX)) {
+                let CompactEvent::Deliver { env, .. } = e else {
+                    panic!("{e:?}")
+                };
+                drop(q.take_env(env));
+            }
             assert_eq!(q.envelopes_in_flight(), 0);
         }
         assert_eq!(q.envs.slots.len(), 16, "slots must be recycled, not grown");

@@ -1,6 +1,6 @@
 //! The simulation engine.
 
-use crate::queue::{Event, EventQueue};
+use crate::queue::{CompactEvent, EventQueue};
 use crate::scratch::Scratch;
 use crate::seat::Seat;
 use crate::trace::{DropReason, SimMetrics, TraceEvent};
@@ -390,7 +390,7 @@ impl World {
 
     /// Schedule a control action at an absolute time.
     pub fn schedule_control(&mut self, at: Time, action: ControlAction) {
-        self.sub.push(at, Event::Control(action));
+        self.sub.push(at, CompactEvent::Control(action));
     }
 
     /// Bring `node` up at `at` as a fresh incarnation running
@@ -404,7 +404,7 @@ impl World {
     pub fn schedule_start(&mut self, at: Time, node: NodeId, behavior: Box<dyn NodeBehavior>) {
         let incarnation = self.sub.incarnations.len() as u32;
         self.sub.incarnations.push(Some(behavior));
-        self.sub.push(at, Event::Start { node, incarnation });
+        self.sub.push(at, CompactEvent::Start { node, incarnation });
     }
 
     /// Call `on_start` on every behaviour (in node-id order) and mark the
@@ -447,21 +447,20 @@ impl World {
             self.sub.obs_scratch.profile.bump(Subsystem::Queue);
         }
         let (node, kind) = match event {
-            Event::Deliver { dst, env } => {
-                let src = env.src;
-                self.dispatch_message(dst, env);
+            CompactEvent::Deliver { dst, env } => {
+                let src = self.dispatch_message(dst, env);
                 (dst, StepKind::Message { src })
             }
-            Event::Timer { node, timer } => {
+            CompactEvent::Timer { node, timer } => {
                 self.dispatch_timer(node, timer);
                 (node, StepKind::Timer)
             }
-            Event::Control(action) => {
+            CompactEvent::Control(action) => {
                 self.apply_control(action);
                 let ControlAction::Crash(node) = action;
                 (node, StepKind::Crash)
             }
-            Event::Start { node, incarnation } => {
+            CompactEvent::Start { node, incarnation } => {
                 let behavior = self.sub.incarnations[incarnation as usize].take();
                 self.sub.behaviors[node.index()] = behavior;
                 self.sub.net.set_down(node, false);
@@ -519,11 +518,16 @@ impl World {
         self.sub.behaviors[node.index()].get_or_insert(behavior);
     }
 
-    fn dispatch_message(&mut self, dst: NodeId, env: Envelope) {
+    /// Deliver the envelope in arena slot `h` to `dst`; returns the
+    /// sender it names. Everything that can panic is done before the
+    /// envelope leaves its slot, and it leaves it as the argument of
+    /// `on_message`: its one read is its move to the receiver.
+    fn dispatch_message(&mut self, dst: NodeId, h: u32) -> NodeId {
+        let src = self.sub.queue.env(h).src;
         if self.sub.net.is_down(dst) {
-            self.sub
-                .record_drop(env.src, dst, DropReason::ReceiverCrashed);
-            return;
+            drop(self.sub.queue.take_env(h));
+            self.sub.record_drop(src, dst, DropReason::ReceiverCrashed);
+            return src;
         }
         self.sub.metrics.msgs_delivered += 1;
         if self.sub.obs.is_some() {
@@ -531,24 +535,28 @@ impl World {
             self.sub.obs_scratch.profile.bump(Subsystem::Dispatch);
         }
         if self.sub.cfg.trace {
+            let label = self.sub.queue.env(h).payload.label();
             self.sub.trace.push(TraceEvent::Delivered {
                 at: self.sub.now,
-                src: env.src,
+                src,
                 dst,
-                label: env.payload.label(),
+                label,
             });
         }
-        let mut behavior = match self.sub.behaviors[dst.index()].take() {
-            Some(b) => b,
-            None => return,
+        let Some(mut behavior) = self.sub.behaviors[dst.index()].take() else {
+            drop(self.sub.queue.take_env(h));
+            return src;
         };
         let t0 = self.sub.wall_start();
         let nested0 = self.sub.wall_nested_ns;
-        let mut ctx = self.ctx(dst);
+        let seat = &mut self.seats[dst.index()];
+        let env = self.sub.queue.take_env(h);
+        let mut ctx = NodeCtx::new(seat, &mut self.scratch, &mut self.sub, dst);
         behavior.on_message(&mut ctx, env);
         self.sub
             .wall_end_exclusive(Subsystem::Dispatch, t0, nested0);
         self.sub.behaviors[dst.index()].get_or_insert(behavior);
+        src
     }
 
     fn dispatch_timer(&mut self, node: NodeId, timer: TimerId) {
@@ -619,26 +627,26 @@ impl Substrate {
         }
     }
 
-    fn push(&mut self, at: Time, event: Event) {
+    /// The next event's sequence number.
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         if self.obs.is_some() {
             self.obs_scratch.profile.bump(Subsystem::Queue);
         }
-        self.queue.push(at, seq, event);
+        seq
     }
 
-    /// Route and transmit an envelope from `src` through the world's
-    /// [`Network`]. Returns the delivery time on success (mainly for
-    /// tests; behaviours ignore it).
-    ///
-    /// This is the simulator's hottest function: one call per message. It
-    /// performs no heap allocation — the network stages the route into a
-    /// reusable hop buffer, and loss sampling is a few arithmetic ops per
-    /// roll.
-    fn transmit(&mut self, src: NodeId, env: Envelope) -> Option<Time> {
-        let bytes = env.wire_size();
-        let dst = env.dst;
+    fn push(&mut self, at: Time, ev: CompactEvent) {
+        let seq = self.next_seq();
+        self.queue.push(at, seq, ev);
+    }
+
+    /// Carry `bytes` of `payload` from `src` to `dst` across the network,
+    /// charging `src`'s allocation: the delivery instant, or `None` with
+    /// the drop recorded.
+    fn route(&mut self, src: NodeId, dst: NodeId, payload: &Payload, bytes: u32) -> Option<Time> {
         if self.net.is_down(src) {
             self.record_drop(src, dst, DropReason::SenderCrashed);
             return None;
@@ -648,7 +656,7 @@ impl Substrate {
                 at: self.now,
                 src,
                 dst,
-                label: env.payload.label(),
+                label: payload.label(),
                 bytes,
             });
         }
@@ -658,9 +666,7 @@ impl Substrate {
             if self.obs.is_some() {
                 self.obs_scratch.counts[Counter::Sends as usize] += 1;
             }
-            let at = self.now;
-            self.push(at, Event::Deliver { dst, env });
-            return Some(at);
+            return Some(self.now);
         }
 
         self.prof(Subsystem::Routing);
@@ -681,7 +687,6 @@ impl Substrate {
             self.obs_scratch.counts[Counter::Sends as usize] += 1;
             self.obs_scratch.delivery.record((t - self.now).as_micros());
         }
-        self.push(t, Event::Deliver { dst, env });
         Some(t)
     }
 
@@ -746,6 +751,13 @@ pub trait CtxBackend {
     fn keystore(&self) -> &KeyStore;
     /// Transmit a pre-built envelope, charging `src`'s allocation.
     fn send_env(&mut self, src: NodeId, env: Envelope);
+    /// Transmit a copy of `env` addressed to `dst` (one of a multicast's
+    /// other destinations), as `send_env` of `Envelope { dst, ..env.clone() }`
+    /// does, which is the default. A substrate that keeps envelopes where
+    /// it queues them may clone the copy straight into that place.
+    fn send_copy(&mut self, src: NodeId, env: &Envelope, dst: NodeId) {
+        self.send_env(src, Envelope { dst, ..env.clone() });
+    }
     /// Arm a timer for `node` at an absolute global time.
     fn set_timer_at(&mut self, node: NodeId, at: Time, timer: TimerId);
     /// Record a sink actuation by `node`.
@@ -782,13 +794,38 @@ impl CtxBackend for Substrate {
         &self.keystore
     }
 
+    /// Route and transmit an envelope from `src` through the world's
+    /// [`Network`], and queue its delivery: the envelope's one write is
+    /// into its arena slot.
+    ///
+    /// This is the simulator's hottest function: one call per message. It
+    /// performs no heap allocation — the network stages the route into a
+    /// reusable hop buffer, and loss sampling is a few arithmetic ops per
+    /// roll.
     fn send_env(&mut self, src: NodeId, env: Envelope) {
-        self.transmit(src, env);
+        let dst = env.dst;
+        if let Some(at) = self.route(src, dst, &env.payload, env.wire_size()) {
+            let seq = self.next_seq();
+            // The slot is taken before `env` moves, so its move is its
+            // one copy (see `Vacant::fill`).
+            let env = self.queue.vacant().fill(env);
+            self.queue.push(at, seq, CompactEvent::Deliver { dst, env });
+        }
+    }
+
+    /// [`CtxBackend::send_env`] of a copy of `env` addressed to `dst`,
+    /// cloned into its slot once the network has carried it.
+    fn send_copy(&mut self, src: NodeId, env: &Envelope, dst: NodeId) {
+        if let Some(at) = self.route(src, dst, &env.payload, env.wire_size()) {
+            let seq = self.next_seq();
+            let env = self.queue.vacant().fill(Envelope { dst, ..env.clone() });
+            self.queue.push(at, seq, CompactEvent::Deliver { dst, env });
+        }
     }
 
     fn set_timer_at(&mut self, node: NodeId, at: Time, timer: TimerId) {
         let at = at.max(self.now);
-        self.push(at, Event::Timer { node, timer });
+        self.push(at, CompactEvent::Timer { node, timer });
     }
 
     fn actuate(&mut self, node: NodeId, task: TaskId, period: PeriodIdx, value: Value) {
@@ -935,9 +972,21 @@ impl<'w> NodeCtx<'w> {
         // Transmitted in the caller's order, so the sender's loss stream
         // and the event queue see what a `send` per destination gives them.
         for &dst in rest {
-            self.backend.send_env(src, Envelope { dst, ..env.clone() });
+            self.backend.send_copy(src, &env, dst);
         }
-        self.backend.send_env(src, env);
+        // A fresh value, not `env`, which the copies borrowed: an argument
+        // moved from a borrowed local is copied aside first.
+        let Envelope { payload, .. } = env;
+        self.backend.send_env(
+            src,
+            Envelope {
+                src,
+                dst: last,
+                sent_at,
+                payload,
+                sig: Some(sig),
+            },
+        );
     }
 
     /// Verify an envelope signature using the host's scratch: what
@@ -1279,6 +1328,44 @@ mod tests {
             Arc::clone(record)
         };
         assert!(Arc::ptr_eq(&record(1), &record(2)));
+    }
+
+    #[test]
+    fn queued_deliveries_are_dropped_exactly_once() {
+        // n0 multicasts a record it hands over to n1, which is down by
+        // then, and twice to n2. The copy for n1 is released when it
+        // pops; those for n2 when the world is dropped with them queued.
+        struct Flood(Option<Arc<EvidenceRecord>>);
+        impl NodeBehavior for Flood {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                let record = self.0.take().expect("started once");
+                let to = [NodeId(1), NodeId(2), NodeId(2)];
+                ctx.send_many(&to, Payload::Evidence(record));
+            }
+            fn on_message(&mut self, _c: &mut NodeCtx<'_>, _e: Envelope) {}
+            fn on_timer(&mut self, _c: &mut NodeCtx<'_>, _t: TimerId) {}
+        }
+        let mut w = world(3);
+        let decl = EvidenceRecord::declare_crash(&w.seats[0].signer, NodeId(0), NodeId(1), 0);
+        let record = Arc::new(decl);
+        w.set_behavior(NodeId(0), Box::new(Flood(Some(Arc::clone(&record)))));
+        w.schedule_control(Time(0), ControlAction::Crash(NodeId(1)));
+        w.start();
+        assert_eq!(
+            (Arc::strong_count(&record), w.envelopes_in_flight()),
+            (4, 3)
+        );
+        let popped = std::iter::from_fn(|| w.step(Time::from_millis(1)))
+            .find(|s| s.kind != StepKind::Crash)
+            .expect("a delivery");
+        assert_eq!(popped.node, NodeId(1), "the first copy goes to n1");
+        assert_eq!(w.metrics().msgs_delivered, 0, "n1 is down");
+        assert_eq!(
+            (Arc::strong_count(&record), w.envelopes_in_flight()),
+            (3, 2)
+        );
+        drop(w);
+        assert_eq!(Arc::strong_count(&record), 1);
     }
 
     #[test]
